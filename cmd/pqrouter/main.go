@@ -66,6 +66,7 @@ import (
 	"time"
 
 	"pqfastscan/internal/cluster"
+	"pqfastscan/internal/server"
 )
 
 // shardFlags collects repeated -shard specs.
@@ -129,7 +130,7 @@ func main() {
 	}
 	defer router.Close()
 
-	hs := &http.Server{Addr: *addr, Handler: router.Handler()}
+	hs := server.NewHTTPServer(*addr, router.Handler())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

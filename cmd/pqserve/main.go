@@ -43,9 +43,11 @@
 //	GET  /stats         request counts, p50/p99 latency, batch widths, sheds,
 //	                    per-partition live/dead/epoch counters
 //
-// Concurrent /search requests are micro-batched into SearchBatch calls;
-// load beyond -max-inflight is shed with 429 after -queue-timeout; -save-
-// interval enables periodic background persistence to -snapshot;
+// A /search that finds a core free scans at once; those that find every
+// core busy queue and share one SearchBatch call (at most -max-batch wide)
+// when a core frees up; load beyond -max-inflight is shed with 429 after
+// -queue-timeout; -save-interval enables periodic background persistence
+// to -snapshot;
 // -compact-interval enables the background dead-ratio compaction policy
 // (partitions past -compact-threshold are rebuilt online without their
 // tombstones). With -warm the index loads in the background while the
@@ -86,8 +88,7 @@ func main() {
 		cellsFlag    = flag.String("cells", "", "IVF cells this shard serves, e.g. \"0-3\" or \"0,2,5-7\" (default: all)")
 		auto         = flag.Bool("auto", false, "plan every /search adaptively by default: open dimensions (nprobe, kernel, backend, parallelism) are chosen from live cost observations; requests opt out with ?auto=0")
 		warm         = flag.Bool("warm", false, "start serving probes immediately and load the index in the background")
-		batchWindow  = flag.Duration("batch-window", time.Millisecond, "micro-batching window for /search coalescing")
-		maxBatch     = flag.Int("max-batch", 64, "maximum queries per coalesced SearchBatch call")
+		maxBatch     = flag.Int("max-batch", 64, "most queued queries one SearchBatch call takes")
 		maxInFlight  = flag.Int("max-inflight", 0, "admission-control bound on concurrent searches (0 = 8×GOMAXPROCS)")
 		queueTimeout = flag.Duration("queue-timeout", 50*time.Millisecond, "longest a search waits for admission before a 429")
 		maxK         = flag.Int("max-k", 1000, "largest accepted k")
@@ -115,7 +116,6 @@ func main() {
 	cfg := server.Config{
 		Cells:            cells,
 		Auto:             *auto,
-		BatchWindow:      *batchWindow,
 		MaxBatch:         *maxBatch,
 		MaxInFlight:      *maxInFlight,
 		QueueTimeout:     *queueTimeout,
@@ -156,7 +156,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := server.NewHTTPServer(*addr, srv.Handler())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -165,9 +165,9 @@ func main() {
 		<-sig
 		log.Printf("shutting down: draining in-flight requests")
 		// The graceful order: flip /readyz so routers stop sending new
-		// work, stop accepting and drain the handlers (each waits for
-		// its coalesced batch), then stop the batcher and background
-		// loops — which serves anything still queued.
+		// work, stop accepting and drain the handlers (each returns
+		// once its search is answered), then stop the batcher and
+		// background loops.
 		srv.BeginDrain()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

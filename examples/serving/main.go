@@ -32,10 +32,7 @@ func main() {
 	}
 	fmt.Printf("indexed %d vectors in %v\n", base.Rows(), time.Since(start).Round(time.Millisecond))
 
-	srv, err := server.New(server.Config{
-		Index:       idx,
-		BatchWindow: time.Millisecond, // coalesce concurrent searches
-	})
+	srv, err := server.New(server.Config{Index: idx})
 	if err != nil {
 		log.Fatal(err)
 	}

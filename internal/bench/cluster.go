@@ -40,8 +40,7 @@ type ClusterConfig struct {
 	Shards []int
 
 	// Per-shard server tuning (as in ServeConfig).
-	BatchWindow time.Duration // micro-batching window (default 1ms)
-	MaxBatch    int           // widest coalesced batch (default 64)
+	MaxBatch int // widest coalesced batch (default 64)
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -74,9 +73,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if len(c.Shards) == 0 {
 		c.Shards = []int{1, 2, 4}
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = time.Millisecond
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
@@ -228,7 +224,6 @@ func measureLayout(cfg ClusterConfig, full *pqfastscan.Index, oracle pqfastscan.
 		srv, err := server.New(server.Config{
 			Index:       restricted,
 			Cells:       cells,
-			BatchWindow: cfg.BatchWindow,
 			MaxBatch:    cfg.MaxBatch,
 			MaxInFlight: 4 * cfg.Concurrency,
 		})

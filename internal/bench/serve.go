@@ -14,7 +14,7 @@ import (
 
 // Served-throughput benchmarking: where wallclock.go measures the raw
 // kernels, this driver measures the whole serving stack — HTTP framing,
-// micro-batching, admission control, the engine's batch loop — as a
+// batching, admission control, the engine's batch loop — as a
 // client population would see it, reporting QPS and latency quantiles as
 // JSON (cmd/pqbench -serve). It can drive an external pqserve (URL mode)
 // or self-host an in-process server over a synthetic index so a
@@ -27,11 +27,10 @@ type ServeConfig struct {
 	URL string
 
 	// Self-host parameters (URL == "").
-	BaseN       int           // database size (default 100000)
-	LearnN      int           // training size (default BaseN/10, min 1000)
-	Partitions  int           // IVF cells (default 8)
-	BatchWindow time.Duration // micro-batching window (default 1ms)
-	MaxBatch    int           // widest coalesced batch (default 64)
+	BaseN      int // database size (default 100000)
+	LearnN     int // training size (default BaseN/10, min 1000)
+	Partitions int // IVF cells (default 8)
+	MaxBatch   int // widest coalesced batch (default 64)
 
 	// Load shape.
 	Seed        uint64        // query generation seed (default 42)
@@ -53,9 +52,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	}
 	if c.Partitions <= 0 {
 		c.Partitions = 8
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = time.Millisecond
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
@@ -134,7 +130,6 @@ func MeasureServe(cfg ServeConfig) (*ServeReport, error) {
 		}
 		srv, err = server.New(server.Config{
 			Index:       idx,
-			BatchWindow: cfg.BatchWindow,
 			MaxBatch:    cfg.MaxBatch,
 			MaxInFlight: 4 * cfg.Concurrency, // shedding off the measurement path
 		})

@@ -135,12 +135,17 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 		wg.Add(1)
 		go func(i, si int) {
 			defer wg.Done()
-			resp, err := r.shardSearch(ctx, r.shards[si], subQuery, server.SearchRequest{
+			body, err := json.Marshal(server.SearchRequest{
 				Query:  query,
 				K:      opt.K,
 				Cells:  byShard[si],
 				Kernel: opt.Kernel,
 			})
+			if err != nil {
+				errs[i] = fmt.Errorf("shard %d (cells %v): %w", si, byShard[si], err)
+				return
+			}
+			resp, err := r.shardSearch(ctx, r.shards[si], subQuery, body)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d (cells %v): %w", si, byShard[si], err)
 				return
@@ -205,8 +210,9 @@ var errAllTripped = errors.New("cluster: circuit open: every endpoint tripped or
 // and full jitter between rounds. Everything shares one ShardTimeout
 // deadline; individual attempts additionally run under an adaptive
 // timeout derived from the endpoint's latency EWMA, and nothing is
-// launched after the context is done.
-func (r *Router) shardSearch(ctx context.Context, sh *shard, subQuery string, req server.SearchRequest) (*server.SearchResponse, error) {
+// launched after the context is done. body is the sub-request already
+// marshalled: every failover, retry and hedge posts the same bytes.
+func (r *Router) shardSearch(ctx context.Context, sh *shard, subQuery string, body []byte) (*server.SearchResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
 	defer cancel()
 	start := time.Now()
@@ -265,7 +271,7 @@ func (r *Router) shardSearch(ctx context.Context, sh *shard, subQuery string, re
 			actx, acancel := context.WithTimeout(ctx, attempt)
 			t0 := time.Now()
 			var out server.SearchResponse
-			err := r.postJSON(actx, ep+"/search"+subQuery, req, &out)
+			err := r.post(actx, ep+"/search"+subQuery, body, &out)
 			acancel()
 			if st != nil {
 				if err == nil {
@@ -386,16 +392,21 @@ func (e *httpStatusError) Error() string {
 	return fmt.Sprintf("status %d: %s", e.status, e.body)
 }
 
-// postJSON posts body to url and decodes a 200 reply into out. When
-// ctx carries a deadline, the remaining budget is forwarded as a
-// relative X-Pq-Deadline-Ms header (relative, so clock skew between
-// router and shard cannot corrupt it) and already-expired work is
-// rejected here without touching the network.
+// postJSON marshals body and posts it (see post).
 func (r *Router) postJSON(ctx context.Context, url string, body, out any) error {
 	raw, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
+	return r.post(ctx, url, raw, out)
+}
+
+// post posts a marshalled JSON body to url and decodes a 200 reply into
+// out. When ctx carries a deadline, the remaining budget is forwarded as
+// a relative X-Pq-Deadline-Ms header (relative, so clock skew between
+// router and shard cannot corrupt it) and already-expired work is
+// rejected here without touching the network.
+func (r *Router) post(ctx context.Context, url string, raw []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(raw))
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -284,4 +285,71 @@ func routerSearchPath(t *testing.T, handler http.Handler, path string, req serve
 		}
 	}
 	return rec.Code, resp, rec.Body.String()
+}
+
+// TestFailoverReusesMarshalledBody: a sub-request is marshalled once,
+// before shardSearch, and every attempt posts those same bytes through a
+// reader of its own. The body here is indented JSON — bytes json.Marshal
+// never produces — so an attempt that re-encoded the request, or found
+// the shared body already drained by the attempt before it, would show.
+func TestFailoverReusesMarshalledBody(t *testing.T) {
+	full, queries := fullIndex(t)
+	cells := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	s, err := server.New(server.Config{Index: full, Cells: cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	// Three replicas of one shard sharing an attempt counter: whichever
+	// two are asked first answer 503, the third serves.
+	var mu sync.Mutex
+	var bodies [][]byte
+	replica := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/search" {
+			s.Handler().ServeHTTP(w, r)
+			return
+		}
+		raw, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies = append(bodies, raw)
+		attempt := len(bodies)
+		mu.Unlock()
+		if attempt <= 2 {
+			http.Error(w, `{"error":"transient"}`, http.StatusServiceUnavailable)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(raw))
+		s.Handler().ServeHTTP(w, r)
+	})
+	var eps []string
+	for i := 0; i < 3; i++ {
+		hs := httptest.NewServer(replica)
+		t.Cleanup(hs.Close)
+		eps = append(eps, hs.URL)
+	}
+	router := newRouter(t, 8, [][]string{eps}, func(c *Config) { c.HedgeDelay = -1 })
+
+	body, err := json.MarshalIndent(server.SearchRequest{Query: queries.Row(0), K: 5, Cells: cells}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := router.shardSearch(context.Background(), router.shards[0], "", body)
+	if err != nil {
+		t.Fatalf("sub-request with two failovers: %v", err)
+	}
+	if len(resp.Results) != 5 {
+		t.Fatalf("got %d results, want 5", len(resp.Results))
+	}
+	if got := router.metrics.failovers.Load(); got != 2 {
+		t.Fatalf("failovers = %d, want 2", got)
+	}
+	if len(bodies) != 3 {
+		t.Fatalf("replicas saw %d attempts, want 3", len(bodies))
+	}
+	for i, got := range bodies {
+		if !bytes.Equal(got, body) {
+			t.Fatalf("attempt %d posted %d bytes that are not the %d marshalled once for the sub-request", i+1, len(got), len(body))
+		}
+	}
 }

@@ -1,24 +1,26 @@
-// Dynamic micro-batching. One goroutine per socket is the wrong shape
-// for the engine underneath: SearchBatch drives the per-core batch loop
-// at full width, while N concurrent single-query Search calls pay N
-// routing/locking rounds and leave the batch loop one query wide. The
-// batcher inverts that: concurrent /search requests arriving within a
-// short window are coalesced into one SearchBatch call and the per-query
-// results fanned back out to the waiting handlers.
+// Natural batching (DESIGN.md §10). SearchBatch shares no work between
+// its rows, so coalescing /search requests buys nothing by itself: what
+// matters is that no more queries scan at once than there are cores to
+// scan them. The batcher therefore has no clock. A request that finds
+// fewer than GOMAXPROCS batches executing runs its own query at once, on
+// its own handler goroutine; one that finds every core busy queues, and
+// the next leader to finish hands its slot — and everything that queued
+// meanwhile, as one batch — to the first of the queued handlers. Batches
+// widen exactly as far as load outruns the cores and are one query wide
+// otherwise. It is the rule of wal.syncToLocked: whoever is blocked
+// first does the work for everyone who blocked behind it.
 //
-// Coalescing is dynamic in both directions: a batch closes as soon as
-// MaxBatch queries are pending (no idle waiting under heavy load, where
-// the window only adds latency) and no later than BatchWindow after its
-// first query (bounded added latency under light load). Requests whose
-// search parameters differ cannot share a SearchBatch call, so a closed
-// window is partitioned by (k, nprobe, kernel) and one call issued per
+// Requests whose search parameters differ cannot share a SearchBatch
+// call, so a batch is partitioned by batchKey and one call issued per
 // group — the common case of a homogeneous client population stays one
-// call per window.
+// call per batch.
 package server
 
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,8 +33,8 @@ import (
 var errClosed = errors.New("server: shutting down")
 
 // errExpiredInBatch is returned to a request whose deadline (or
-// client connection) expired while it was parked in the micro-batch
-// window: it is dropped from the batch before any scan work is spent
+// client connection) expired while it was queued behind a busy
+// executor: it is dropped from its batch before any scan work is spent
 // on it, and the handler answers 504. The rest of its batch runs
 // unaffected.
 var errExpiredInBatch = errors.New("server: deadline expired while queued for batching")
@@ -46,15 +48,13 @@ var errExpiredInBatch = errors.New("server: deadline expired while queued for ba
 // population probes the same top cells — coalesce exactly like
 // same-nprobe client requests do. Planned requests carry the planner's
 // concrete choices (backend, parallel) in the key, so planned and
-// explicit requests resolving to the same configuration coalesce too;
-// planned marks the plan class, which picks the collection window.
+// explicit requests resolving to the same configuration coalesce too.
 type batchKey struct {
 	k        int
 	nprobe   int
 	kernel   pqfastscan.Kernel
 	backend  pqfastscan.Backend
 	parallel bool
-	planned  bool
 	cells    string
 }
 
@@ -82,194 +82,172 @@ type searchJob struct {
 	key batchKey
 	// ctx is the request's deadline-carrying context. The batch itself
 	// never runs under it (shared work must not be cancelled by one
-	// client) — it is only consulted at dispatch time to drop jobs
-	// whose budget expired while parked in the window. nil means no
-	// deadline tracking (tests construct bare jobs).
+	// client) — it is only consulted when the batch is formed, to drop
+	// jobs whose budget expired while queued.
 	ctx   context.Context
 	cells []int
 	query []float32
 	resp  *pqfastscan.SearchResult
 	err   error
-	done  chan struct{}
+
+	// queued and wake are set only on a job that found the executor busy.
+	// wake delivers the one event such a job waits for: nil once another
+	// leader has answered it, or the batch it is to lead (itself first).
+	queued time.Time
+	wake   chan []*searchJob
+}
+
+// answer completes the job and releases its handler if it is waiting.
+// On the leader's own job the send lands in the buffer and is never read.
+func (j *searchJob) answer(resp *pqfastscan.SearchResult, err error) {
+	j.resp, j.err = resp, err
+	if j.wake != nil {
+		j.wake <- nil
+	}
 }
 
 type batcher struct {
 	idx     *pqfastscan.Index
-	window  time.Duration
 	max     int
 	timeout time.Duration // per-batch engine deadline
 	metrics *metrics
+	// limit is how many batches may scan at once: one per core, because a
+	// scan is CPU-bound and a query more than that only takes time from
+	// the ones already running. Derived, not configured.
+	limit int
 
-	jobs chan *searchJob
-	quit chan struct{}
-	wg   sync.WaitGroup
+	// While running < limit pending is empty (an arrival that finds a free
+	// slot leads at once), and while pending is non-empty running > 0 (a
+	// finishing leader hands its slot on rather than releasing it) — so
+	// no queued job is ever left without a leader to reach it.
+	mu      sync.Mutex
+	pending []*searchJob
+	running int
+	closed  bool
+	leaders sync.WaitGroup // one count per executor slot in use
 
-	mu     sync.RWMutex
-	closed bool
+	// onScan is a test hook, nil outside tests: it runs on the leader
+	// before each SearchBatch, so a test can hold the executor busy.
+	onScan func()
 }
 
-func newBatcher(idx *pqfastscan.Index, window time.Duration, maxBatch int, timeout time.Duration, m *metrics) *batcher {
-	b := &batcher{
-		idx:     idx,
-		window:  window,
-		max:     maxBatch,
-		timeout: timeout,
-		metrics: m,
-		jobs:    make(chan *searchJob, 4*maxBatch),
-		quit:    make(chan struct{}),
-	}
-	b.wg.Add(1)
-	go b.run()
-	return b
+func newBatcher(idx *pqfastscan.Index, maxBatch int, timeout time.Duration, m *metrics) *batcher {
+	return &batcher{idx: idx, max: maxBatch, timeout: timeout, metrics: m, limit: runtime.GOMAXPROCS(0)}
 }
 
-// submit hands one job to the batching loop. The caller waits on
-// job.done; every submitted job is eventually completed, including
-// across shutdown.
+// submit answers one job and returns once j.resp or j.err is set: at
+// once and on this goroutine when a core is free, otherwise after
+// queueing — answered by another leader's batch, or by leading the next
+// batch itself. Every job accepted here completes, including across
+// close.
 func (b *batcher) submit(j *searchJob) error {
-	// The RLock pairs with close(): once closed is set no new job can
-	// enter the channel, so the final drain in run() is complete and no
-	// waiter is ever stranded.
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if b.closed {
-		return errClosed
-	}
-	b.jobs <- j
-	return nil
-}
-
-// close stops the batching loop after serving everything already
-// submitted, then waits for in-flight SearchBatch calls to finish.
-func (b *batcher) close() {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
+		return errClosed
+	}
+	if b.running < b.limit {
+		b.running++
+		b.leaders.Add(1)
+		b.mu.Unlock()
+		b.lead([]*searchJob{j})
+		return nil
+	}
+	j.queued = time.Now()
+	j.wake = make(chan []*searchJob, 1)
+	b.pending = append(b.pending, j)
+	b.mu.Unlock()
+	if batch := <-j.wake; batch != nil {
+		b.lead(batch)
+	}
+	return nil
+}
+
+// lead runs one batch on the calling goroutine, then passes its executor
+// slot to whatever queued during the scan (at most max jobs, led by the
+// first of them) or, with nothing queued, gives the slot up.
+func (b *batcher) lead(batch []*searchJob) {
+	b.execute(batch)
+	b.mu.Lock()
+	if n := min(len(b.pending), b.max); n > 0 {
+		// Capacity-clipped, so the new leader filtering its batch in place
+		// never reaches the jobs that go on queueing behind it.
+		next := b.pending[:n:n]
+		b.pending = b.pending[n:]
+		b.mu.Unlock()
+		next[0].wake <- next
 		return
 	}
+	b.running--
+	b.mu.Unlock()
+	b.leaders.Done()
+}
+
+// close refuses new jobs and waits for every accepted one to be answered.
+func (b *batcher) close() {
+	b.mu.Lock()
 	b.closed = true
 	b.mu.Unlock()
-	close(b.quit)
-	b.wg.Wait()
+	b.leaders.Wait()
 }
 
-// run is the collection loop: block for a first job, keep the window
-// open until it expires or the batch is full, dispatch, repeat.
-func (b *batcher) run() {
-	defer b.wg.Done()
-	pending := make([]*searchJob, 0, b.max)
-	for {
-		var first *searchJob
-		select {
-		case first = <-b.jobs:
-		case <-b.quit:
-			b.drain()
-			return
-		}
-		pending = append(pending[:0], first)
-		// The collection window follows the first job's plan class: a
-		// planned single-probe query declared a min-latency objective, so
-		// charging it the full coalescing window would spend on waiting
-		// what the planner just saved on scanning. Recall-targeted plans
-		// (nprobe > 1) and explicit requests keep the full window — their
-		// scan time dominates it.
-		win := b.window
-		if first.key.planned && first.key.nprobe <= 1 && first.key.cells == "" {
-			win /= 4
-		}
-		timer := time.NewTimer(win)
-	collect:
-		for len(pending) < b.max {
-			select {
-			case j := <-b.jobs:
-				pending = append(pending, j)
-			case <-timer.C:
-				break collect
-			case <-b.quit:
-				break collect
+// execute forms the batch — jobs whose own deadline expired while they
+// queued are dropped here: their budget is spent, scanning for them
+// would be pure waste, and the rest runs as if they were never
+// submitted — and issues one SearchBatch per batchKey.
+func (b *batcher) execute(batch []*searchJob) {
+	live := batch[:0]
+	var formed time.Time
+	for _, j := range batch {
+		var wait time.Duration
+		if j.wake != nil {
+			if formed.IsZero() {
+				formed = time.Now()
 			}
+			wait = formed.Sub(j.queued)
 		}
-		timer.Stop()
-		b.dispatch(pending)
-		select {
-		case <-b.quit:
-			b.drain()
-			return
-		default:
-		}
-	}
-}
-
-// drain serves whatever shutdown left in the channel. By the time quit
-// is closed no submit can add more (see submit), so the default case is
-// a complete stop condition.
-func (b *batcher) drain() {
-	pending := make([]*searchJob, 0, b.max)
-	for {
-		select {
-		case j := <-b.jobs:
-			pending = append(pending, j)
-			if len(pending) == b.max {
-				b.dispatch(pending)
-				pending = pending[:0]
-			}
-		default:
-			if len(pending) > 0 {
-				b.dispatch(pending)
-			}
-			return
-		}
-	}
-}
-
-// dispatch groups a closed window by batchKey and issues one SearchBatch
-// per group on its own goroutine, so the collection loop is immediately
-// free to form the next window while this one executes.
-func (b *batcher) dispatch(jobs []*searchJob) {
-	groups := make(map[batchKey][]*searchJob, 1)
-	for _, j := range jobs {
-		groups[j.key] = append(groups[j.key], j)
-	}
-	for key, group := range groups {
-		b.wg.Add(1)
-		group := group
-		go func(key batchKey, group []*searchJob) {
-			defer b.wg.Done()
-			b.execute(key, group)
-		}(key, group)
-	}
-}
-
-// execute runs one coalesced SearchBatch call and fans results back out.
-// The call runs under a server-owned deadline, not any one client's
-// context: the work is shared across requests, so a single disconnecting
-// client must not cancel its neighbors' queries. Jobs whose own
-// deadline expired while parked in the window are dropped here — their
-// budget is spent, scanning for them would be pure waste — and the
-// rest of the group runs as if they were never submitted.
-func (b *batcher) execute(key batchKey, group []*searchJob) {
-	live := group[:0:0]
-	for _, j := range group {
-		if j.ctx != nil && j.ctx.Err() != nil {
-			j.err = errExpiredInBatch
-			close(j.done)
+		b.metrics.queueWait.Observe(wait)
+		if j.ctx.Err() != nil {
+			j.answer(nil, errExpiredInBatch)
 			continue
 		}
 		live = append(live, j)
 	}
-	group = live
-	if len(group) == 0 {
+	if len(live) == 0 {
 		return
 	}
+	if !slices.ContainsFunc(live[1:], func(j *searchJob) bool { return j.key != live[0].key }) {
+		b.search(live)
+		return
+	}
+	groups := make(map[batchKey][]*searchJob)
+	for _, j := range live {
+		groups[j.key] = append(groups[j.key], j)
+	}
+	for _, group := range groups {
+		b.search(group)
+	}
+}
+
+// search runs one SearchBatch call for jobs sharing a batchKey and fans
+// the results back out. The call runs under a server-owned deadline, not
+// any one client's context: the work is shared across requests, so a
+// single disconnecting client must not cancel its neighbors' queries.
+func (b *batcher) search(group []*searchJob) {
+	key := group[0].key
 	ctx := context.Background()
 	if b.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, b.timeout)
 		defer cancel()
 	}
-	queries := pqfastscan.NewMatrix(len(group), len(group[0].query))
-	for i, j := range group {
-		copy(queries.Row(i), j.query)
+	// A lone query is scanned where the request decoded it.
+	queries := pqfastscan.Matrix{Data: group[0].query, Dim: len(group[0].query)}
+	if len(group) > 1 {
+		queries = pqfastscan.NewMatrix(len(group), queries.Dim)
+		for i, j := range group {
+			copy(queries.Row(i), j.query)
+		}
 	}
 	b.metrics.observeBatch(len(group))
 	opts := []pqfastscan.SearchOption{pqfastscan.WithKernel(key.kernel)}
@@ -286,13 +264,15 @@ func (b *batcher) execute(key batchKey, group []*searchJob) {
 	} else {
 		opts = append(opts, pqfastscan.WithNProbe(key.nprobe))
 	}
+	if b.onScan != nil {
+		b.onScan()
+	}
 	resps, err := b.idx.SearchBatch(ctx, queries, key.k, opts...)
 	for i, j := range group {
 		if err != nil {
-			j.err = err
+			j.answer(nil, err)
 		} else {
-			j.resp = resps[i]
+			j.answer(resps[i], nil)
 		}
-		close(j.done)
 	}
 }

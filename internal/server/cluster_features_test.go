@@ -4,6 +4,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -338,51 +339,44 @@ func TestDrainFlipsReadyzButKeepsServing(t *testing.T) {
 }
 
 // TestShutdownCompletesInFlightRequest is the graceful-shutdown
-// contract end to end: a request parked in the batching window when
-// shutdown begins must complete with its answer, and the listener's
-// Shutdown must wait for it. This mirrors the SIGTERM path of pqserve
+// contract end to end: requests scanning or queued for a core when
+// shutdown begins must complete with their answers, and the listener's
+// Shutdown must wait for them. This mirrors the SIGTERM path of pqserve
 // (BeginDrain → http.Server.Shutdown → server.Close).
 func TestShutdownCompletesInFlightRequest(t *testing.T) {
 	idx, queries := sharedIndex(t)
-	s, err := New(Config{Index: idx, BatchWindow: 60 * time.Millisecond})
+	s, err := New(Config{Index: idx})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs := newHTTPServer(t, s)
+	h := holdExecutor(t, s)
 
-	var wg sync.WaitGroup
 	const n = 4
-	statuses := make([]int, n)
-	bodies := make([]string, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			statuses[i], bodies[i] = postJSON(t, hs.URL+"/search",
-				SearchRequest{Query: queries.Row(i), K: 5}, nil)
-		}(i)
+	replies := []<-chan searchReply{h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(0), K: 5})}
+	for i := 1; i < n; i++ {
+		replies = append(replies, searchAsync(t, hs.URL, SearchRequest{Query: queries.Row(i), K: 5}))
 	}
-	time.Sleep(25 * time.Millisecond) // requests are parked in the batch window
+	h.waitQueued(t, n-1)
 
-	// The pqserve SIGTERM sequence: drain, stop the engine, then close
-	// the listener. Close blocks until the batcher has served everything
-	// already submitted, so every parked request gets its real answer.
+	// The pqserve SIGTERM sequence: drain, stop accepting and wait for
+	// the handlers, then stop the engine. Shutdown cannot return while
+	// the handlers are parked behind the held executor.
 	s.BeginDrain()
-	shutdownDone := make(chan struct{})
+	shutdownDone := make(chan error, 1)
 	go func() {
+		err := hs.Config.Shutdown(context.Background())
 		s.Close()
-		close(shutdownDone)
+		shutdownDone <- err
 	}()
-	wg.Wait()
-	select {
-	case <-shutdownDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("shutdown did not complete")
-	}
-	for i, st := range statuses {
-		if st != http.StatusOK {
-			t.Fatalf("in-flight request %d: status %d (%s), want 200", i, st, bodies[i])
+	h.release()
+	for i, ch := range replies {
+		if r := <-ch; r.status != http.StatusOK {
+			t.Fatalf("in-flight request %d: status %d (%s), want 200", i, r.status, r.body)
 		}
+	}
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 

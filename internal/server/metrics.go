@@ -58,11 +58,12 @@ type metrics struct {
 
 	endpoints map[string]*endpointMetrics
 
-	// Micro-batching.
+	// Batching.
 	batchCalls   atomic.Int64 // SearchBatch invocations issued
 	batchQueries atomic.Int64 // queries served through those calls
 	batchMax     atomic.Int64 // widest batch seen
 	batchWidths  [batchWidthBuckets]atomic.Int64
+	queueWait    hist.Hist // per job: time queued for a core before its batch formed
 
 	// Admission control.
 	shed            atomic.Int64 // requests rejected 429 by admission control
@@ -105,7 +106,7 @@ func (m *metrics) observeBatch(width int) {
 	m.batchWidths[b].Add(1)
 }
 
-// BatchStats is the /stats projection of the micro-batcher.
+// BatchStats is the /stats projection of the batcher.
 type BatchStats struct {
 	Calls    int64   `json:"calls"`
 	Queries  int64   `json:"queries"`
@@ -114,6 +115,16 @@ type BatchStats struct {
 	// WidthHist counts batches by power-of-two width class: entry i is
 	// the number of batches of width in [2^i, 2^(i+1)).
 	WidthHist []int64 `json:"width_hist"`
+	// QueueWaitUs is how long a search waited for a core before its batch
+	// was formed: zero for every request that found one free, so it reads
+	// ≈ 0 on a server with headroom and grows only under load.
+	QueueWaitUs QueueWaitStats `json:"queue_wait_us"`
+}
+
+// QueueWaitStats carries the batch queue-wait quantiles in microseconds.
+type QueueWaitStats struct {
+	P50 float64 `json:"p50"`
+	P99 float64 `json:"p99"`
 }
 
 func (m *metrics) batchStats() BatchStats {
@@ -121,6 +132,10 @@ func (m *metrics) batchStats() BatchStats {
 		Calls:    m.batchCalls.Load(),
 		Queries:  m.batchQueries.Load(),
 		MaxWidth: m.batchMax.Load(),
+		QueueWaitUs: QueueWaitStats{
+			P50: m.queueWait.QuantileMs(0.50) * 1e3,
+			P99: m.queueWait.QuantileMs(0.99) * 1e3,
+		},
 	}
 	if s.Calls > 0 {
 		s.AvgWidth = float64(s.Queries) / float64(s.Calls)
@@ -226,7 +241,7 @@ type AdmissionStats struct {
 	QueueTimeout string `json:"queue_timeout"`
 	// DeadlineRejects counts requests answered 504 because their
 	// forwarded deadline budget was spent before any scan work ran —
-	// rejected at the door or dropped from a micro-batch window.
+	// rejected at the door or dropped while queued for a core.
 	DeadlineRejects int64 `json:"deadline_rejects"`
 }
 

@@ -3,9 +3,10 @@
 // batch primitives. Three mechanisms make it hold up under load
 // (DESIGN.md §10):
 //
-//   - dynamic micro-batching — concurrent /search requests are coalesced
-//     into SearchBatch calls (batcher.go), driving the per-core batch
-//     loop at full width instead of one goroutine per socket;
+//   - natural batching — a /search request that finds a core free scans
+//     on its own handler goroutine; requests that find every core busy
+//     queue and are answered together by one SearchBatch call when a
+//     core frees up (batcher.go), so no more queries scan than cores;
 //   - admission control — a bounded in-flight limit with queue-timeout
 //     rejection (429), so overload degrades by shedding requests while
 //     the accepted ones keep bounded latency;
@@ -26,6 +27,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,11 +76,10 @@ type Config struct {
 	// cell prefix.
 	Auto bool
 
-	// BatchWindow is the longest a /search request waits for companions
-	// to coalesce with (default 1ms). Zero selects the default; negative
-	// disables waiting (batches still form from queue backlog).
+	// Deprecated: ignored — batching needs no window; kept until the
+	// benchmark's twin handler is retired.
 	BatchWindow time.Duration
-	// MaxBatch closes a window early once this many queries are pending
+	// MaxBatch bounds how many queued queries one SearchBatch call takes
 	// (default 64).
 	MaxBatch int
 
@@ -152,12 +153,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BatchWindow == 0 {
-		c.BatchWindow = time.Millisecond
-	}
-	if c.BatchWindow < 0 {
-		c.BatchWindow = 0
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -386,7 +381,7 @@ func (s *Server) attachStore(idx *pqfastscan.Index) error {
 // on the index pointer (requireIndex), so observing it non-nil
 // guarantees the batcher is there too.
 func (s *Server) install(idx *pqfastscan.Index) {
-	s.batch.Store(newBatcher(idx, s.cfg.BatchWindow, s.cfg.MaxBatch, s.cfg.SearchTimeout, s.metrics))
+	s.batch.Store(newBatcher(idx, s.cfg.MaxBatch, s.cfg.SearchTimeout, s.metrics))
 	s.idx.Store(idx)
 	s.warming.Store(false)
 }
@@ -626,20 +621,23 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// planning); ?auto=1 asks for min-latency planning; Config.Auto makes
 	// planning the default, which ?auto=0 opts a single request out of.
 	planned := s.cfg.Auto
-	if v := r.URL.Query().Get("auto"); v != "" {
-		planned = v == "1" || v == "true"
-	}
 	recall := 0.0
-	if v := r.URL.Query().Get("recall"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		// The affirmative range check also rejects NaN, which slips
-		// through ParseFloat and compares false against every bound.
-		if err != nil || !(f > 0 && f <= 1) {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("recall must be a number in (0,1], got %q", v))
-			return
+	if r.URL.RawQuery != "" {
+		params := r.URL.Query()
+		if v := params.Get("auto"); v != "" {
+			planned = v == "1" || v == "true"
 		}
-		recall = f
-		planned = true
+		if v := params.Get("recall"); v != "" {
+			f, err := strconv.ParseFloat(v, 64)
+			// The affirmative range check also rejects NaN, which slips
+			// through ParseFloat and compares false against every bound.
+			if err != nil || !(f > 0 && f <= 1) {
+				httpError(w, http.StatusBadRequest, fmt.Sprintf("recall must be a number in (0,1], got %q", v))
+				return
+			}
+			recall = f
+			planned = true
+		}
 	}
 	var req SearchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -668,17 +666,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "cells and nprobe are mutually exclusive")
 			return
 		}
-		seen := make(map[int]bool, len(req.Cells))
-		for _, c := range req.Cells {
+		for i, c := range req.Cells {
 			if c < 0 || c >= np {
 				httpError(w, http.StatusBadRequest, fmt.Sprintf("cell %d out of range [0,%d)", c, np))
 				return
 			}
-			if seen[c] {
+			// A valid list is no longer than the partition count, so the
+			// quadratic scan is a handful of compares.
+			if slices.Contains(req.Cells[:i], c) {
 				httpError(w, http.StatusBadRequest, fmt.Sprintf("cell %d listed twice", c))
 				return
 			}
-			seen[c] = true
 		}
 	} else {
 		if req.NProbe == 0 {
@@ -760,25 +758,23 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	job := &searchJob{
 		key: batchKey{
 			k: req.K, nprobe: req.NProbe, kernel: kernel, backend: backend,
-			parallel: parallel, planned: planned, cells: cellsKey(req.Cells),
+			parallel: parallel, cells: cellsKey(req.Cells),
 		},
 		ctx:   ctx,
 		cells: req.Cells,
 		query: req.Query,
-		done:  make(chan struct{}),
 	}
+	// submit returns with the answer regardless of the client's context:
+	// the work may be shared with other requests in the batch, and the
+	// token must reflect engine occupancy, not socket liveness.
 	if err := s.batch.Load().submit(job); err != nil {
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	// Wait for the coalesced call regardless of the client's context:
-	// the work is shared with other requests in the batch, and the token
-	// must reflect engine occupancy, not socket liveness.
-	<-job.done
 	if job.err != nil {
-		// A job whose deadline expired while parked in the batch window
-		// was dropped before any scan work; the batch it was parked in
-		// ran without it.
+		// A job whose deadline expired while it queued for a core was
+		// dropped before any scan work; the batch it queued for ran
+		// without it.
 		if errors.Is(job.err, errExpiredInBatch) {
 			s.metrics.deadlineRejects.Add(1)
 			httpError(w, http.StatusGatewayTimeout, job.err.Error())

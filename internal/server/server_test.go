@@ -243,152 +243,110 @@ func TestHealthzAndStats(t *testing.T) {
 
 // --- acceptance: coalescing -------------------------------------------
 
-// TestCoalescing demonstrates dynamic micro-batching: N concurrent
-// identical-shape /search requests are serviced by fewer than N
-// SearchBatch calls, with every request answered correctly.
+// TestCoalescing: requests that queue while the executor is busy are
+// coalesced into SearchBatch calls of at most MaxBatch queries, in
+// arrival order, with every request answered correctly.
 func TestCoalescing(t *testing.T) {
 	idx, queries := sharedIndex(t)
-	const n = 32
-	s, hs := newTestServer(t, Config{
-		Index:       idx,
-		BatchWindow: 25 * time.Millisecond,
-		MaxBatch:    n,
-		MaxInFlight: 2 * n,
-	})
+	const n, width = 32, 8
+	s, hs := newTestServer(t, Config{Index: idx, MaxBatch: width, MaxInFlight: 2 * n})
+	h := holdExecutor(t, s)
 
-	var wg sync.WaitGroup
-	var failures atomic.Int64
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := queries.Row(i % queries.Rows())
-			var got SearchResponse
-			status, body := postJSON(t, hs.URL+"/search", SearchRequest{Query: q, K: 5}, &got)
-			if status != http.StatusOK || len(got.Results) != 5 {
-				t.Logf("request %d: status %d body %s", i, status, body)
-				failures.Add(1)
-			}
-		}(i)
+	holder := h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(0), K: 5})
+	replies := make([]<-chan searchReply, n)
+	for i := range replies {
+		replies[i] = searchAsync(t, hs.URL, SearchRequest{Query: queries.Row(i % queries.Rows()), K: 5})
 	}
-	wg.Wait()
+	h.waitQueued(t, n)
+	h.release()
+	for i, ch := range append(replies, holder) {
+		r := <-ch
+		var got SearchResponse
+		if r.status != http.StatusOK || json.Unmarshal([]byte(r.body), &got) != nil || len(got.Results) != 5 {
+			t.Fatalf("request %d: status %d body %s", i, r.status, r.body)
+		}
+	}
 
-	if failures.Load() != 0 {
-		t.Fatalf("%d of %d concurrent searches failed", failures.Load(), n)
+	b := s.StatsSnapshot().Batch
+	if b.Queries != n+1 {
+		t.Fatalf("batch served %d queries, want %d", b.Queries, n+1)
 	}
-	st := s.StatsSnapshot()
-	if st.Batch.Queries != n {
-		t.Fatalf("batch served %d queries, want %d", st.Batch.Queries, n)
-	}
-	if st.Batch.Calls >= n {
-		t.Fatalf("coalescing ineffective: %d SearchBatch calls for %d requests", st.Batch.Calls, n)
-	}
-	if st.Batch.MaxWidth < 2 {
-		t.Fatalf("max batch width %d, want >= 2", st.Batch.MaxWidth)
+	if b.Calls != 1+n/width || b.MaxWidth != width {
+		t.Fatalf("%d queued requests at MaxBatch %d: %d SearchBatch calls, max width %d; want %d calls of width %d after the holder's",
+			n, width, b.Calls, b.MaxWidth, n/width, width)
 	}
 	t.Logf("coalesced %d requests into %d SearchBatch calls (max width %d, avg %.1f)",
-		n, st.Batch.Calls, st.Batch.MaxWidth, st.Batch.AvgWidth)
+		n, b.Calls, b.MaxWidth, b.AvgWidth)
 }
 
 // TestBatchKeyGrouping verifies that requests with different search
-// parameters never share a SearchBatch call yet all come back correct.
+// parameters never share a SearchBatch call — even when they queued
+// together and one leader runs them all — yet all come back correct.
 func TestBatchKeyGrouping(t *testing.T) {
 	idx, queries := sharedIndex(t)
-	_, hs := newTestServer(t, Config{
-		Index:       idx,
-		BatchWindow: 25 * time.Millisecond,
-		MaxBatch:    16,
-	})
+	s, hs := newTestServer(t, Config{Index: idx, MaxBatch: 16})
+	h := holdExecutor(t, s)
 
-	var wg sync.WaitGroup
-	results := make([]SearchResponse, 8)
-	status := make([]int, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			k := 3 + i%3 // three distinct batch keys
-			status[i], _ = postJSON(t, hs.URL+"/search",
-				SearchRequest{Query: queries.Row(i), K: k}, &results[i])
-		}(i)
+	holder := h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(8), K: 5})
+	const n, keys = 8, 3
+	replies := make([]<-chan searchReply, n)
+	for i := range replies {
+		replies[i] = searchAsync(t, hs.URL, SearchRequest{Query: queries.Row(i), K: 3 + i%keys})
 	}
-	wg.Wait()
-	for i := 0; i < 8; i++ {
-		if status[i] != http.StatusOK {
-			t.Fatalf("request %d status %d", i, status[i])
+	h.waitQueued(t, n)
+	h.release()
+	for i, ch := range replies {
+		r := <-ch
+		var got SearchResponse
+		if r.status != http.StatusOK || json.Unmarshal([]byte(r.body), &got) != nil {
+			t.Fatalf("request %d: status %d body %s", i, r.status, r.body)
 		}
-		if want := 3 + i%3; len(results[i].Results) != want {
-			t.Fatalf("request %d got %d results, want %d", i, len(results[i].Results), want)
+		if want := 3 + i%keys; len(got.Results) != want {
+			t.Fatalf("request %d got %d results, want %d", i, len(got.Results), want)
 		}
+	}
+	<-holder
+	// One batch of n jobs, one SearchBatch per distinct key in it.
+	if b := s.StatsSnapshot().Batch; b.Calls != 1+keys || b.Queries != 1+n {
+		t.Fatalf("%d queued requests over %d keys: %d calls for %d queries, want %d calls for %d",
+			n, keys, b.Calls, b.Queries, 1+keys, 1+n)
 	}
 }
 
 // --- acceptance: load shedding ----------------------------------------
 
 // TestLoadShedding saturates a deliberately tiny admission budget and
-// asserts overload degrades by shedding: surplus requests get 429
-// quickly while every accepted request completes with bounded latency.
+// asserts overload degrades by shedding: while the one admitted request
+// holds the only token, every other request gets 429 after QueueTimeout,
+// and the admitted one still completes.
 func TestLoadShedding(t *testing.T) {
 	idx, queries := sharedIndex(t)
 	const n = 24
 	s, hs := newTestServer(t, Config{
 		Index:        idx,
-		BatchWindow:  60 * time.Millisecond, // the admitted request parks in the window
-		MaxBatch:     64,
 		MaxInFlight:  1,
 		QueueTimeout: 2 * time.Millisecond,
 	})
+	h := holdExecutor(t, s)
 
-	var wg sync.WaitGroup
-	var ok, shed, other atomic.Int64
-	var maxOKLatency atomic.Int64
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start := time.Now()
-			st, _ := postJSON(t, hs.URL+"/search",
-				SearchRequest{Query: queries.Row(i % queries.Rows()), K: 5}, nil)
-			lat := time.Since(start)
-			switch st {
-			case http.StatusOK:
-				ok.Add(1)
-				for {
-					cur := maxOKLatency.Load()
-					if int64(lat) <= cur || maxOKLatency.CompareAndSwap(cur, int64(lat)) {
-						break
-					}
-				}
-			case http.StatusTooManyRequests:
-				shed.Add(1)
-			default:
-				other.Add(1)
-			}
-		}(i)
+	admitted := h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(0), K: 5})
+	surplus := make([]<-chan searchReply, n)
+	for i := range surplus {
+		surplus[i] = searchAsync(t, hs.URL, SearchRequest{Query: queries.Row(i % queries.Rows()), K: 5})
 	}
-	wg.Wait()
-
-	if other.Load() != 0 {
-		t.Fatalf("unexpected statuses under overload (ok=%d shed=%d other=%d)",
-			ok.Load(), shed.Load(), other.Load())
+	for i, ch := range surplus {
+		if r := <-ch; r.status != http.StatusTooManyRequests {
+			t.Fatalf("surplus request %d: status %d, want 429 (%s)", i, r.status, r.body)
+		}
 	}
-	if ok.Load() == 0 {
-		t.Fatal("no request was admitted")
+	h.release()
+	if r := <-admitted; r.status != http.StatusOK {
+		t.Fatalf("admitted request: status %d, want 200 (%s)", r.status, r.body)
 	}
-	if shed.Load() == 0 {
-		t.Fatal("no request was shed despite MaxInFlight=1 saturation")
+	if st := s.StatsSnapshot(); st.Admission.Shed != n || st.Batch.Queries != 1 {
+		t.Fatalf("shed counter %d, scanned %d; want %d shed and only the admitted request scanned",
+			st.Admission.Shed, st.Batch.Queries, n)
 	}
-	// Accepted requests ride one batch window plus the scan; an order of
-	// magnitude of headroom keeps this robust on slow CI machines while
-	// still proving latency did not collapse into the queue.
-	if lat := time.Duration(maxOKLatency.Load()); lat > 2*time.Second {
-		t.Fatalf("accepted request latency %v, want bounded", lat)
-	}
-	st := s.StatsSnapshot()
-	if st.Admission.Shed != shed.Load() {
-		t.Fatalf("shed counter %d, observed %d", st.Admission.Shed, shed.Load())
-	}
-	t.Logf("shed %d of %d requests; slowest accepted %v", shed.Load(), n, time.Duration(maxOKLatency.Load()))
 }
 
 // --- acceptance: hot snapshot swap ------------------------------------
@@ -409,7 +367,6 @@ func TestHotSwapUnderTraffic(t *testing.T) {
 	queries := gen.Generate(16)
 	s, hs := newTestServer(t, Config{
 		Index:       idxA,
-		BatchWindow: time.Millisecond,
 		MaxInFlight: 64,
 	})
 
@@ -535,39 +492,46 @@ func TestSaveEndpointAndPeriodicSave(t *testing.T) {
 // --- shutdown ----------------------------------------------------------
 
 // TestCloseCompletesInFlight verifies shutdown serves already-submitted
-// searches instead of stranding their handlers.
+// searches instead of stranding their handlers: Close returns only once
+// every job queued before it has its answer, and refuses the ones after.
 func TestCloseCompletesInFlight(t *testing.T) {
 	idx, queries := sharedIndex(t)
-	s, err := New(Config{Index: idx, BatchWindow: 40 * time.Millisecond})
+	s, err := New(Config{Index: idx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
+	hs := newHTTPServer(t, s)
+	h := holdExecutor(t, s)
 
 	const n = 6
-	var wg sync.WaitGroup
-	statuses := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			statuses[i], _ = postJSON(t, hs.URL+"/search",
-				SearchRequest{Query: queries.Row(i), K: 3}, nil)
-		}(i)
+	replies := []<-chan searchReply{h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(0), K: 3})}
+	for i := 1; i < n; i++ {
+		replies = append(replies, searchAsync(t, hs.URL, SearchRequest{Query: queries.Row(i), K: 3}))
 	}
-	time.Sleep(10 * time.Millisecond) // requests are parked in the window
-	done := make(chan struct{})
-	go func() { s.Close(); close(done) }()
-	wg.Wait()
+	h.waitQueued(t, n-1)
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	waitFor(t, "Close to reach the batcher", func() bool {
+		h.b.mu.Lock()
+		defer h.b.mu.Unlock()
+		return h.b.closed
+	})
+	if st, body := postJSONStatus(t, hs.URL+"/search", SearchRequest{Query: queries.Row(0), K: 3}); st != http.StatusServiceUnavailable {
+		t.Fatalf("search after Close began: status %d, want 503 (%s)", st, body)
+	}
 	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return")
+	case <-closed:
+		t.Fatal("Close returned with one search scanning and others queued")
+	default:
 	}
-	for i, st := range statuses {
-		if st != http.StatusOK && st != http.StatusServiceUnavailable {
-			t.Fatalf("request %d: status %d", i, st)
+	h.release()
+	<-closed
+	if got := s.StatsSnapshot().Batch.Queries; got != n {
+		t.Fatalf("Close returned with %d of %d submitted searches answered", got, n)
+	}
+	for i, ch := range replies {
+		if r := <-ch; r.status != http.StatusOK {
+			t.Fatalf("request %d: status %d (%s)", i, r.status, r.body)
 		}
 	}
 }
