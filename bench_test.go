@@ -14,12 +14,14 @@ package pqfastscan_test
 // the suite stays fast on a single core.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 	"testing"
 
+	"pqfastscan"
 	"pqfastscan/internal/bench"
 	"pqfastscan/internal/index"
 	"pqfastscan/internal/perf"
@@ -187,5 +189,59 @@ func BenchmarkCostModel(b *testing.B) {
 	ops := perf.OpCounts{ScalarLoadF: 8e5, ScalarLoad8: 8e5, ScalarALU: 1.2e6, ScalarBranch: 2e5}
 	for i := 0; i < b.N; i++ {
 		perf.Estimate(ops, perf.Haswell)
+	}
+}
+
+var (
+	nprobeOnce    sync.Once
+	nprobeIndex   *pqfastscan.Index
+	nprobeQueries pqfastscan.Matrix
+	nprobeErr     error
+)
+
+// BenchmarkSearchNProbe times one native PQ Fast Scan query at k=10 over
+// 1, 2 and all 4 partitions of a 100k-vector index — the standing
+// benchmark's lib_scanall shape at a quarter of its size, set up in
+// seconds, for paired parent/change runs while working on the
+// multi-probe path. Queries are distinct and cycled, so no scan sees
+// the previous one's tables. cand/query is the exact re-checks a query
+// paid for (index.Query's Stats.Candidates): the count a carried
+// threshold drives down, and it repeats exactly from run to run.
+func BenchmarkSearchNProbe(b *testing.B) {
+	nprobeOnce.Do(func() {
+		gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 18})
+		learn := gen.Generate(10000)
+		base := gen.Generate(100000)
+		nprobeQueries = gen.Generate(256)
+		opt := pqfastscan.DefaultBuildOptions()
+		opt.Partitions = 4
+		opt.Seed = 18
+		nprobeIndex, nprobeErr = pqfastscan.Build(learn, base, opt)
+	})
+	if nprobeErr != nil {
+		b.Fatal(nprobeErr)
+	}
+	in, ctx := nprobeIndex.Internal(), context.Background()
+	for _, nprobe := range []int{1, 2, 4} {
+		b.Run(fmt.Sprint(nprobe), func(b *testing.B) {
+			req := index.Request{K: 10, Kernel: index.KernelFastScan, Engine: index.EngineNative, NProbe: nprobe}
+			run := func(i int) int {
+				req.Query = nprobeQueries.Row(i % nprobeQueries.Rows())
+				resp, err := in.Query(ctx, req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return resp.Stats.Candidates
+			}
+			for i := 0; i < nprobeQueries.Rows(); i++ {
+				run(i) // first scans build the Fast Scan layouts
+			}
+			candidates := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				candidates += run(i)
+			}
+			b.ReportMetric(float64(candidates)/float64(b.N), "cand/query")
+		})
 	}
 }

@@ -490,10 +490,28 @@ func (ix *Index) SearchPartitionEngine(query []float32, k int, kernel Kernel, en
 	return ix.searchPartition(ix.snap.Load(), Request{Query: query, K: k, Kernel: kernel, Engine: engine}, part)
 }
 
-// searchPartition scans one partition of an explicitly held snapshot —
-// the lock-free scan core every query path funnels through. Threading
-// the snapshot (instead of reloading it) keeps one logical query on one
-// consistent view across multi-probe cells and batch workers.
+// searchPartition scans one partition of an explicitly held snapshot
+// from an empty heap: the single-probe path, and each independent cell
+// of a parallel multi-probe.
+func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, scan.Stats, error) {
+	heap := topk.New(req.K)
+	stats, err := ix.scanPartition(s, req, part, heap)
+	if err != nil {
+		return nil, scan.Stats{}, err
+	}
+	return heap.Results(), stats, nil
+}
+
+// scanPartition continues the query's running top-k in heap over one
+// partition of an explicitly held snapshot — the lock-free scan core
+// every query path funnels through. Threading the snapshot (instead of
+// reloading it) keeps one logical query on one consistent view across
+// multi-probe cells and batch workers. PQ Fast Scan, on either engine,
+// scans straight into heap and so starts from whatever threshold the
+// query's earlier cells reached; the exact kernels return their
+// partition's top-k, which is pushed into heap here. Either way heap
+// ends up holding the k smallest (distance, id) pairs of everything
+// scanned so far, and nothing in it aliases scan or pool memory.
 //
 // On the native engine the four exact-scan kernel selections (naive,
 // libpq, avx, gather) share one tuned implementation and the two Fast
@@ -504,10 +522,10 @@ func (ix *Index) SearchPartitionEngine(query []float32, k int, kernel Kernel, en
 // meaningful only under the instruction-counting engine. The
 // quantization-only ablation is a diagnostic of the model path and runs
 // there on either engine.
-func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, scan.Stats, error) {
+func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.Heap) (scan.Stats, error) {
 	query, k, kernel, engine := req.Query, req.K, req.Kernel, req.Engine
 	if part < 0 || part >= len(s.Parts) {
-		return nil, scan.Stats{}, fmt.Errorf("index: partition %d out of range", part)
+		return scan.Stats{}, fmt.Errorf("index: partition %d out of range", part)
 	}
 	t := ix.Tables(query, part)
 	pe := s.Parts[part]
@@ -535,15 +553,15 @@ func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, 
 	// the buffer pool and hydrate transient views over the pinned
 	// payload, released when the scan returns — a probe pins only the
 	// partitions it actually visits, for exactly as long as it scans
-	// them. Result slices are copied out before release on every path,
-	// so nothing aliases the pool frame after the pin drops.
+	// them. The heap holds (id, distance) values, never slices of the
+	// frame, so nothing aliases the pool after the pin drops.
 	needFast := kernel == KernelFastScan || kernel == KernelFastScan256
 	p := pe.Part
 	var pagedFast *scan.FastScan
 	if pe.paged != nil {
 		hp, hfs, release, err := pe.paged.view(pe, needFast)
 		if err != nil {
-			return nil, scan.Stats{}, err
+			return scan.Stats{}, err
 		}
 		defer release()
 		p, pagedFast = hp, hfs
@@ -554,61 +572,57 @@ func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, 
 		}
 		return pe.FastScanner(ix.opt.FastScan)
 	}
+	pushAll := func(r []Result, st scan.Stats) (scan.Stats, error) {
+		for _, x := range r {
+			heap.Push(x.ID, x.Distance)
+		}
+		return st, nil
+	}
 
 	if engine == EngineNative {
 		switch kernel {
 		case KernelNaive, KernelLibpq, KernelAVX, KernelGather:
 			sc := scratchPool.Get().(*scan.Scratch)
-			r, st := scan.ExactNative(p, t, k, sc)
-			out := append([]Result(nil), r...) // r aliases the pooled scratch
-			scratchPool.Put(sc)
-			return out, st, nil
+			defer scratchPool.Put(sc) // after pushAll: the results alias sc
+			return pushAll(scan.ExactNative(p, t, k, sc))
 		case KernelFastScan, KernelFastScan256:
 			fs, err := fastScanner()
 			if err != nil {
-				return nil, scan.Stats{}, err
+				return scan.Stats{}, err
 			}
 			sc := scratchPool.Get().(*scan.Scratch)
-			r, st := fs.ScanNativeBackend(t, k, sc, req.Backend)
-			out := append([]Result(nil), r...)
+			st := fs.ScanNativeInto(t, heap, sc, req.Backend)
 			scratchPool.Put(sc)
-			return out, st, nil
+			return st, nil
 		}
 		// KernelQuantOnly (and unknown kernels) fall through to the
 		// model dispatch below.
 	}
 	switch kernel {
 	case KernelNaive:
-		r, st := scan.Naive(p, t, k)
-		return r, st, nil
+		return pushAll(scan.Naive(p, t, k))
 	case KernelLibpq:
-		r, st := scan.Libpq(p, t, k)
-		return r, st, nil
+		return pushAll(scan.Libpq(p, t, k))
 	case KernelAVX:
-		r, st := scan.AVX(p, t, k)
-		return r, st, nil
+		return pushAll(scan.AVX(p, t, k))
 	case KernelGather:
-		r, st := scan.Gather(p, t, k)
-		return r, st, nil
+		return pushAll(scan.Gather(p, t, k))
 	case KernelFastScan:
 		fs, err := fastScanner()
 		if err != nil {
-			return nil, scan.Stats{}, err
+			return scan.Stats{}, err
 		}
-		r, st := fs.Scan(t, k)
-		return r, st, nil
+		return fs.ScanInto(t, heap), nil
 	case KernelQuantOnly:
-		r, st := scan.QuantizationOnly(p, t, k, ix.opt.FastScan.Keep)
-		return r, st, nil
+		return pushAll(scan.QuantizationOnly(p, t, k, ix.opt.FastScan.Keep))
 	case KernelFastScan256:
 		fs, err := fastScanner()
 		if err != nil {
-			return nil, scan.Stats{}, err
+			return scan.Stats{}, err
 		}
-		r, st := fs.Scan256(t, k)
-		return r, st, nil
+		return fs.Scan256Into(t, heap), nil
 	default:
-		return nil, scan.Stats{}, fmt.Errorf("index: unknown kernel %v", kernel)
+		return scan.Stats{}, fmt.Errorf("index: unknown kernel %v", kernel)
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 // callers); the facade normally sets KernelFastScan on EngineNative.
 // NProbe 0 and 1 both mean the paper's single-cell routing. Parallel
 // scans the probed cells concurrently (one goroutine per cell, capped at
-// GOMAXPROCS) instead of sequentially; results are identical — it is an
-// opt-in because the paper measures single-core scans.
+// GOMAXPROCS) as independent scans instead of sequentially into one
+// running top-k; results are identical, Stats report less pruning — it
+// is an opt-in because the paper measures single-core scans.
 // Backend selects the native engine's block-kernel implementation; the
 // zero value BackendAuto defers to startup feature detection. It is
 // rejected when combined with the model engine, which has no backends.
@@ -122,7 +123,8 @@ func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Resp
 	// router, or a test pinning a scan) already decided which cells
 	// matter. Scanned in the given order; results are identical to a
 	// multi-probe scan visiting the same set because the bounded heap's
-	// retained set is order-independent.
+	// retained set is order-independent (only how early the carried
+	// threshold tightens, and so Stats, depends on the order).
 	if len(req.Cells) > 0 {
 		if req.Parallel {
 			return ix.queryParallel(ctx, s, req, req.Cells)
@@ -150,9 +152,12 @@ func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Resp
 	return ix.queryCells(ctx, s, req, ids)
 }
 
-// queryCells scans the given cells sequentially and merges their
-// neighbors — the shared tail of the multi-probe and explicit-cells
-// paths.
+// queryCells scans the given cells sequentially into the query's one
+// running top-k — the shared tail of the multi-probe and explicit-cells
+// paths. Every cell after the first starts from the threshold its
+// predecessors reached (scanPartition), which is where multi-probe
+// pruning power comes from; the answer is the k smallest (distance, id)
+// pairs of the union whatever the cell order.
 func (ix *Index) queryCells(ctx context.Context, s *Snapshot, req Request, cellIDs []int) (*Response, error) {
 	heap := topk.New(req.K)
 	resp := &Response{Partitions: make([]int, 0, len(cellIDs))}
@@ -160,12 +165,9 @@ func (ix *Index) queryCells(ctx context.Context, s *Snapshot, req Request, cellI
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, st, err := ix.searchPartition(s, req, c)
+		st, err := ix.scanPartition(s, req, c, heap)
 		if err != nil {
 			return nil, err
-		}
-		for _, r := range res {
-			heap.Push(r.ID, r.Distance)
 		}
 		resp.Stats.Merge(st)
 		resp.Partitions = append(resp.Partitions, c)
@@ -207,12 +209,16 @@ func RankCells(query []float32, coarse vec.Matrix) []int {
 // queryParallel scans the probed cells of one query concurrently — the
 // cross-partition parallelism extension of internal/par beyond its
 // construction-time use. Each cell runs on its own goroutine (par.For
-// caps concurrency at GOMAXPROCS) against the same snapshot; per-cell
-// results are merged sequentially in cell-visit order afterwards, so
-// Results and Stats are byte-identical to the sequential multi-probe
-// path: the retained set of a bounded heap is the k smallest
-// (distance, id) pairs regardless of push order, and stats (float64 op
-// sums included) accumulate in the deterministic cell order.
+// caps concurrency at GOMAXPROCS) against the same snapshot, as an
+// independent scan from an empty heap: no threshold is shared between
+// goroutines. Per-cell results are merged sequentially in cell-visit
+// order afterwards, so Results are byte-identical to the sequential
+// multi-probe path (the retained set of a bounded heap is the k
+// smallest (distance, id) pairs regardless of push order) and Stats
+// are deterministic (float64 op sums included) — but they are the
+// counters of independent scans: the same vectors Scanned, fewer of
+// them Pruned than by queryCells, whose later cells prune against the
+// bound carried from earlier ones.
 func (ix *Index) queryParallel(ctx context.Context, s *Snapshot, req Request, cellIDs []int) (*Response, error) {
 	type partial struct {
 		res []Result

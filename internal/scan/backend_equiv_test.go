@@ -195,11 +195,10 @@ func TestQuantizationOnlyScratchMatches(t *testing.T) {
 	}
 }
 
-// TestQueryTablesContentKeyedReuse pins the serving-path reuse
-// contract: a scan with a RECOMPUTED but byte-identical distance-table
-// array (what Index.Tables hands every request) must hit the Scratch
-// cache — no rebuild — and return identical results; genuinely
-// different tables must rebuild.
+// TestQueryTablesContentKeyedReuse pins the Scratch cache's reuse
+// contract: rescanning the same Tables value under the same bounds
+// hits — no rebuild — and any other array rebuilds, equal bytes or not
+// (identity is the array, nothing is hashed).
 func TestQueryTablesContentKeyedReuse(t *testing.T) {
 	rebuilds := 0
 	testQueryTablesRebuilt = func() { rebuilds++ }
@@ -218,27 +217,17 @@ func TestQueryTablesContentKeyedReuse(t *testing.T) {
 		t.Fatalf("first scan: %d rebuilds, want 1", rebuilds)
 	}
 
-	// Same object: pointer fast path.
-	fs.ScanNative(tables, 20, sc)
+	got, _ := fs.ScanNative(tables, 20, sc)
 	if rebuilds != 1 {
 		t.Fatalf("same-object rescan rebuilt (%d)", rebuilds)
 	}
+	sameResults(t, want, got, "cold-tables", "cached-tables")
 
-	// Fresh array, identical contents: the content-fingerprint tier.
-	recomputed := tables
-	recomputed.Data = append([]float32(nil), tables.Data...)
-	got, _ := fs.ScanNative(recomputed, 20, sc)
-	if rebuilds != 1 {
-		t.Fatalf("recomputed-identical tables rebuilt (%d rebuilds) — the serving path would never hit", rebuilds)
-	}
-	sameResults(t, want, got, "original-tables", "recomputed-tables")
-
-	// Different contents must invalidate.
-	changed := tables
-	changed.Data = append([]float32(nil), tables.Data...)
-	changed.Data[777] += 1000
-	fs.ScanNative(changed, 20, sc)
+	other := tables
+	other.Data = append([]float32(nil), tables.Data...)
+	other.Data[777] += 1000
+	fs.ScanNative(other, 20, sc)
 	if rebuilds != 2 {
-		t.Fatalf("changed tables did not rebuild (%d)", rebuilds)
+		t.Fatalf("different tables did not rebuild (%d)", rebuilds)
 	}
 }

@@ -284,8 +284,9 @@ type distQuantizer struct {
 func newDistQuantizer(qmin, qmax float32) distQuantizer {
 	d := (float64(qmax) - float64(qmin)) / 127
 	if d <= 0 {
-		// Degenerate table (all distances equal): every entry quantizes
-		// to bin 0 and pruning is disabled by the threshold clamp.
+		// Degenerate table (no entry above qmin even at the table
+		// maximum keepBounds falls back to): every entry quantizes to
+		// bin 0 and pruning is disabled by the threshold clamp.
 		d = math.Inf(1)
 	}
 	return distQuantizer{qmin: float64(qmin), delta: d}
@@ -392,10 +393,21 @@ func buildGroupTable(t quantizer.Tables, j int, key uint8, dq distQuantizer) sim
 
 // Scan runs PQ Fast Scan for the query described by its distance tables,
 // returning the k nearest neighbors — bit-identical to the PQ Scan
-// kernels — and the dynamic statistics of the run.
+// kernels — and the dynamic statistics of the run: ScanInto from an
+// empty heap.
 func (fs *FastScan) Scan(t quantizer.Tables, k int) ([]topk.Result, Stats) {
-	check8x8(t)
 	heap := topk.New(k)
+	stats := fs.ScanInto(t, heap)
+	return heap.Results(), stats
+}
+
+// ScanInto is the model engine's PQ Fast Scan: it continues the query's
+// running top-k in heap over this partition, exactly as ScanNativeInto
+// does on the native engine — same bounds, same visit order, same
+// decision sequence, so heap evolution and counters agree across
+// engines, carried or not.
+func (fs *FastScan) ScanInto(t quantizer.Tables, heap *topk.Heap) Stats {
+	check8x8(t)
 	stats := Stats{Scanned: fs.part.N, KeepScanned: fs.keepN}
 
 	// Phase 1 (§4.4): plain PQ Scan over the keep region to obtain the
@@ -405,11 +417,15 @@ func (fs *FastScan) Scan(t quantizer.Tables, k int) ([]topk.Result, Stats) {
 	// threshold starts exactly at qmax and only decreases, so every
 	// distance quantized to 127 is already prunable; see
 	// pruneThreshold), falling back to the worst temporary distance
-	// while the keep region holds fewer than k vectors. keepBounds is
-	// shared with every native backend and the ablations, so all paths
+	// while the heap holds fewer than k vectors. keepBounds is shared
+	// with every native backend and the ablations, so all paths
 	// quantize over the same range.
-	qmin, qmax := keepBounds(fs.part, fs.keepN, t, heap)
+	qmin, qmax, out := keepBounds(fs.part, fs.keepN, t, heap)
 	stats.Ops.Add(libpqPerVector.Scale(float64(fs.keepN)))
+	if out {
+		fs.outOfReach(&stats)
+		return stats
+	}
 	dq := newDistQuantizer(qmin, qmax)
 
 	// Phase 2: build the query-lifetime minimum tables S_C..S_7
@@ -534,7 +550,7 @@ func (fs *FastScan) Scan(t quantizer.Tables, k int) ([]topk.Result, Stats) {
 		ScalarLoadF: float64(16 * fs.c),
 	}.Scale(float64(stats.Groups)))
 	stats.Ops.Add(libpqPerVector.Scale(float64(stats.Candidates)))
-	return heap.Results(), stats
+	return stats
 }
 
 // QuantizationOnly is the §5.5 ablation: lower bounds use full 256-entry
@@ -565,7 +581,7 @@ func QuantizationOnlyScratch(p *Partition, t quantizer.Tables, k int, keep float
 	heap := topk.New(k)
 	keepN := int(keep * float64(p.N))
 	stats := Stats{Scanned: p.N, KeepScanned: keepN}
-	qmin, qmax := keepBounds(p, keepN, t, heap)
+	qmin, qmax, _ := keepBounds(p, keepN, t, heap) // its own keep region never puts an empty heap out of reach
 	stats.Ops.Add(libpqPerVector.Scale(float64(keepN)))
 	dq := newDistQuantizer(qmin, qmax)
 	qt := sc.quantizedFullTables(t, dq, qmin, qmax)

@@ -14,21 +14,25 @@ import (
 // and a pair of 16-vector blocks is lower-bounded per inner-loop
 // iteration. Results are bit-identical to Scan and to the PQ Scan
 // kernels; only the operation mix (and therefore the modeled cost)
-// changes — roughly half the front-end work per vector.
+// changes — roughly half the front-end work per vector. Scan256 is
+// Scan256Into from an empty heap.
 func (fs *FastScan) Scan256(t quantizer.Tables, k int) ([]topk.Result, Stats) {
-	check8x8(t)
 	heap := topk.New(k)
+	stats := fs.Scan256Into(t, heap)
+	return heap.Results(), stats
+}
+
+// Scan256Into continues the query's running top-k in heap over this
+// partition at 256-bit width; see ScanInto.
+func (fs *FastScan) Scan256Into(t quantizer.Tables, heap *topk.Heap) Stats {
+	check8x8(t)
 	stats := Stats{Scanned: fs.part.N, KeepScanned: fs.keepN}
 
-	libpqRange(fs.part, 0, fs.keepN, t, heap)
+	qmin, qmax, out := keepBounds(fs.part, fs.keepN, t, heap)
 	stats.Ops.Add(libpqPerVector.Scale(float64(fs.keepN)))
-
-	qmin := t.Min()
-	qmax := t.MaxSum()
-	if thr, ok := heap.Threshold(); ok {
-		qmax = thr
-	} else if worst, ok := heap.Worst(); ok {
-		qmax = worst
+	if out {
+		fs.outOfReach(&stats)
+		return stats
 	}
 	dq := newDistQuantizer(qmin, qmax)
 
@@ -159,5 +163,5 @@ func (fs *FastScan) Scan256(t quantizer.Tables, k int) ([]topk.Result, Stats) {
 		ScalarLoadF: float64(16 * fs.c),
 	}.Scale(float64(stats.Groups)))
 	stats.Ops.Add(libpqPerVector.Scale(float64(stats.Candidates)))
-	return heap.Results(), stats
+	return stats
 }

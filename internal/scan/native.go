@@ -16,9 +16,11 @@
 //     pipelines, byte-lane saturating adds below a size gate and
 //     per-query pair-LUTs with 16-bit lanes above it;
 //   - asm-avx2 / asm-neon: hand-written assembly block kernels running
-//     the real pshufb/tbl pipeline over whole groups at a time, with the
-//     per-block prune masks and threshold refresh staying in Go so the
-//     decision sequence is identical (DESIGN.md §12).
+//     the real pshufb/tbl pipeline over whole groups at a time and
+//     returning one pruned mask per block against the threshold at the
+//     group's entry; candidate processing and threshold refresh stay in
+//     Go between blocks so the decision sequence is identical
+//     (DESIGN.md §12).
 //
 // All backends share every decision input (quantizer, thresholds, group
 // visit order, exact re-check arithmetic) and their lower-bound bytes
@@ -31,7 +33,6 @@ package scan
 
 import (
 	"encoding/binary"
-	"math"
 	"math/bits"
 
 	"pqfastscan/internal/layout"
@@ -120,14 +121,12 @@ var nativeLUTMinVectors = 4096
 // S_C..S_7, and the backend-specific derived tables — the SWAR pair
 // LUTs and the assembly backends' contiguous 8×16-byte table block.
 //
-// It is built once per key — the (distance-table contents, quantization
+// It is built once per key — the (distance-table array, quantization
 // bounds) pair, see qtKey — and reused for every probed group of every
-// scan with that key. Because identity is by table *contents*, the
-// cache survives the serving path's per-request table recomputation:
-// repeated identical queries through one pooled Scratch, bench loops
-// and threshold sweeps all skip the quantization pass. The model path
-// deliberately rebuilds per group instead; that is the instruction
-// stream it meters.
+// scan with that key: bench loops and threshold sweeps that rescan one
+// Tables value through one Scratch skip the quantization pass. The
+// model path deliberately rebuilds per group instead; that is the
+// instruction stream it meters.
 type queryTables struct {
 	c     int
 	dq    distQuantizer
@@ -153,19 +152,15 @@ type queryTables struct {
 // identity and a retired partition epoch is never pinned by a pooled
 // Scratch.
 //
-// Identity is two-tier. The pointer is the free fast path: callers that
-// reuse one Tables value (bench loops, threshold sweeps, multi-scan
-// tools) hit without hashing, and holding it pins the (8 KB) array so
-// its address cannot be recycled under the cache. The content
-// fingerprint is what makes the cache effective on the serving path,
-// where Index.Tables recomputes an identical array per request: equal
-// bytes hash equal wherever they live. A 64-bit FNV-1a collision
-// between two genuinely different tables that also share bounds is the
-// theoretical failure mode (~2^-64 per pair, non-adversarial input);
-// Tables are immutable once computed, which both tiers rely on.
+// Tables are identified by the address of their array: callers that
+// reuse one Tables value hit for free, and holding the pointer pins the
+// (8 KB) array so its address cannot be recycled under the cache.
+// Tables are immutable once computed, which the cache relies on. The
+// serving path recomputes its tables per request and per probed cell
+// (and, carrying one heap across cells, rarely sees the same bounds
+// twice), so it always rebuilds.
 type qtKey struct {
 	data       *float32
-	hash       uint64
 	qmin, qmax float32
 }
 
@@ -174,23 +169,14 @@ type qtKey struct {
 // only by single-threaded tests).
 var testQueryTablesRebuilt func()
 
-// fingerprint returns the FNV-1a content hash of the distance tables.
-func fingerprint(t quantizer.Tables) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, v := range t.Data {
-		h ^= uint64(math.Float32bits(v))
-		h *= 0x100000001b3
-	}
-	return h
-}
-
 // Scratch holds the reusable per-searcher buffers of the native engine:
-// the top-k heap, the sorted-results buffer, the group-ordering
-// order/estimate arrays, the cached query tables, and the assembly
-// backends' lower-bound buffer. Reusing one Scratch across queries
-// keeps the steady-state scan loop at zero allocations; a Scratch must
-// not be shared between concurrent scans. Passing nil to the native
-// entry points allocates a transient one.
+// the top-k heap and sorted-results buffer of the from-empty entry
+// points, the group-ordering order/estimate arrays, the cached query
+// tables, and the assembly backends' lower-bound and mask buffers.
+// Reusing one Scratch across queries keeps the steady-state scan loop
+// at zero allocations; a Scratch must not be shared between concurrent
+// scans. Passing nil to the native entry points allocates a transient
+// one.
 //
 // Result slices returned by native scans alias sc.results and are
 // overwritten by the next scan through the same Scratch; callers that
@@ -203,7 +189,8 @@ type Scratch struct {
 
 	qtKey qtKey
 	qt    queryTables
-	acc   []uint8 // asm backends' lower-bound bytes, 64-byte aligned
+	acc   []uint8  // asm backends' lower-bound bytes, 64-byte aligned
+	masks []uint16 // asm backends' per-block pruned masks
 
 	// QuantizationOnly's cached full quantized tables (M x 256).
 	qoKey  qtKey
@@ -250,24 +237,17 @@ func growAligned(s []uint8, n int) []uint8 {
 
 // queryTablesFor returns the cached query-table state for scanning fs
 // with tables t under bounds (qmin, qmax), rebuilding only on a key
-// change (same-pointer fast path first, then the content fingerprint).
+// change.
 func (sc *Scratch) queryTablesFor(fs *FastScan, t quantizer.Tables, qmin, qmax float32) *queryTables {
 	qt := &sc.qt
-	sameBounds := sc.qtKey.qmin == qmin && sc.qtKey.qmax == qmax && qt.c == fs.c
-	if sameBounds && sc.qtKey.data == &t.Data[0] {
-		return qt
-	}
-	h := fingerprint(t)
-	if sameBounds && sc.qtKey.hash == h {
-		// Recomputed-but-identical tables (the serving path): adopt the
-		// new array as the fast-path identity and keep everything built.
-		sc.qtKey.data = &t.Data[0]
+	key := qtKey{data: &t.Data[0], qmin: qmin, qmax: qmax}
+	if sc.qtKey == key && qt.c == fs.c {
 		return qt
 	}
 	if testQueryTablesRebuilt != nil {
 		testQueryTablesRebuilt()
 	}
-	sc.qtKey = qtKey{data: &t.Data[0], hash: h, qmin: qmin, qmax: qmax}
+	sc.qtKey = key
 	qt.c = fs.c
 	qt.dq = newDistQuantizer(qmin, qmax)
 	// Quantize the first c distance-table rows once per key; every
@@ -347,9 +327,6 @@ func (qt *queryTables) asmTables() *[128]uint8 {
 
 // quantizedFullTables returns the 8×256 quantized distance tables of
 // the §5.5 quantization-only ablation, cached per (tables, bounds) key.
-// Identity is pointer-only (the hash tier stays zero): the ablation's
-// callers reuse one Tables value across calls, and it never runs on the
-// serving path where tables are recomputed.
 func (sc *Scratch) quantizedFullTables(t quantizer.Tables, dq distQuantizer, qmin, qmax float32) []uint8 {
 	key := qtKey{data: &t.Data[0], qmin: qmin, qmax: qmax}
 	if sc.qoKey == key && len(sc.qoTabs) == M*256 {
@@ -368,22 +345,66 @@ func (sc *Scratch) quantizedFullTables(t quantizer.Tables, dq distQuantizer, qmi
 
 // keepBounds runs the §4.4 keep phase (plain PQ Scan over the keep
 // region, into heap) and returns the quantization bounds it implies:
-// qmin is the least possible distance, qmax the temporary topk-th
-// neighbor's distance (or the worst retained one while the heap is not
-// full, or the table maximum when the keep region is empty). The single
-// source of the bounds for the model path, every native backend, and
-// the quantization-only ablation — which is what keeps their pruning
+// qmin is the smallest table entry, qmax the worst distance heap
+// retains — the running topk-th neighbor's once it is full — or the
+// table maximum when it is empty. heap is the query's one running
+// top-k: empty for a first or only cell, carrying every earlier cell's
+// neighbors otherwise, so a later cell quantizes against — and prunes
+// with — the bound the query already has. The single source of the
+// bounds for the model path, every native backend, and the
+// quantization-only ablation — which is what keeps their pruning
 // counters comparable.
-func keepBounds(p *Partition, keepN int, t quantizer.Tables, heap *topk.Heap) (qmin, qmax float32) {
+//
+// Two things only a carried heap can do are settled here, for every
+// engine alike. out reports that the rest of the partition is provably
+// out: the heap is full and its threshold lies below the partition's
+// least possible distance, so no vector can be retained (a tie at the
+// threshold is not below it and still scans). And a qmax at or below
+// qmin — a threshold under the smallest single entry of a partition
+// that is not out — would quantize every entry to bin 0 and switch
+// pruning off; the table maximum, the bound of an empty heap, stands in.
+func keepBounds(p *Partition, keepN int, t quantizer.Tables, heap *topk.Heap) (qmin, qmax float32, out bool) {
 	libpqRange(p, 0, keepN, t, heap)
-	qmin = t.Min()
-	qmax = t.MaxSum()
-	if thr, ok := heap.Threshold(); ok {
-		qmax = thr
-	} else if worst, ok := heap.Worst(); ok {
-		qmax = worst
+	qmin, least := tableMinima(t)
+	worst, ok := heap.Worst()
+	if heap.Full() && worst < least {
+		return qmin, worst, true
 	}
-	return qmin, qmax
+	if !ok || worst <= qmin {
+		worst = t.MaxSum()
+	}
+	return qmin, worst, false
+}
+
+// tableMinima returns the smallest entry across all tables (the paper's
+// qmin) and the least distance any code can have against them: the
+// row minima accumulated in float32 in adc8's j = 0..7 order. Rounding
+// is monotonic, so every exact distance — the same chain of additions
+// over entries no smaller — is at least that sum.
+func tableMinima(t quantizer.Tables) (entry, sum float32) {
+	entry = t.Data[0]
+	for j := 0; j < M; j++ {
+		row := t.Row(j)
+		m := row[0]
+		for _, v := range row[1:] {
+			if v < m {
+				m = v
+			}
+		}
+		if m < entry {
+			entry = m
+		}
+		sum += m
+	}
+	return entry, sum
+}
+
+// outOfReach accounts the grouped region of a partition keepBounds
+// found out of reach: every vector counts as lower-bounded and pruned —
+// by the one bound they all share — and no group or block is visited.
+func (fs *FastScan) outOfReach(stats *Stats) {
+	stats.LowerBounds += fs.grouped.N
+	stats.Pruned += fs.grouped.N
 }
 
 // ScanNative runs PQ Fast Scan for the query on the native engine's
@@ -396,25 +417,44 @@ func (fs *FastScan) ScanNative(t quantizer.Tables, k int, sc *Scratch) ([]topk.R
 }
 
 // ScanNativeBackend is ScanNative with an explicit block-kernel backend
-// (dispatch.Auto defers to the startup selection). All backends return
-// bit-identical results and statistics; they differ only in wall-clock
-// speed. The caller is responsible for only requesting available
-// backends (dispatch.Backend.Available); the index layer validates
-// requests before they reach this point.
+// (dispatch.Auto defers to the startup selection): ScanNativeInto from
+// an empty heap, results sorted into the Scratch.
 func (fs *FastScan) ScanNativeBackend(t quantizer.Tables, k int, sc *Scratch, be dispatch.Backend) ([]topk.Result, Stats) {
+	if sc == nil {
+		sc = NewScratch()
+	}
+	sc.heap.Reset(k)
+	stats := fs.ScanNativeInto(t, sc.heap, sc, be)
+	sc.results = sc.heap.AppendResults(sc.results[:0])
+	return sc.results, stats
+}
+
+// ScanNativeInto is the native engine's PQ Fast Scan: it continues the
+// query's running top-k in heap over this partition, on an explicit
+// block-kernel backend. A multi-probe query hands the same heap to every
+// cell it scans, so each cell starts from the threshold the earlier ones
+// reached; the retained set is the k smallest (distance, id) pairs of
+// everything pushed, whatever the cell order. All backends evolve the
+// heap identically and return identical statistics; they differ only in
+// wall-clock speed. The caller is responsible for only requesting
+// available backends (dispatch.Backend.Available); the index layer
+// validates requests before they reach this point.
+func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scratch, be dispatch.Backend) Stats {
 	check8x8(t)
 	if sc == nil {
 		sc = NewScratch()
 	}
 	be = dispatch.Resolve(be)
-	heap := sc.heap
-	heap.Reset(k)
 	stats := Stats{Scanned: fs.part.N, KeepScanned: fs.keepN}
 
 	// Phase 1 (§4.4): keep region, same arithmetic as the model path.
-	qmin, qmax := keepBounds(fs.part, fs.keepN, t, heap)
+	qmin, qmax, out := keepBounds(fs.part, fs.keepN, t, heap)
+	if out {
+		fs.outOfReach(&stats)
+		return stats
+	}
 
-	// Phase 2: cached per-(query, epoch) quantized tables.
+	// Phase 2: cached per-(tables, bounds) quantized tables.
 	qt := sc.queryTablesFor(fs, t, qmin, qmax)
 
 	thrVal, haveThr := heap.Threshold()
@@ -427,17 +467,22 @@ func (fs *FastScan) ScanNativeBackend(t quantizer.Tables, k int, sc *Scratch, be
 	} else {
 		fs.scanBlocksSWAR(sc, qt, groupOrder, &t8, heap, t, &stats)
 	}
-	sc.results = heap.AppendResults(sc.results[:0])
-	return sc.results, stats
+	return stats
 }
 
 // processLive walks the surviving lanes of one block in ascending lane
 // order (the model's lane loop visits them the same way, so the heap
 // evolves identically): tombstone check, exact re-check (right-hand
 // path of Figure 6), then threshold refresh — shared by every backend
-// so the decision sequence cannot drift.
+// so the decision sequence cannot drift. A candidate's id lives in an
+// array of its own, a cache line away from anything else the candidate
+// touches, so it is loaded only once the distance says the heap may
+// retain it (d > threshold cannot displace a retained neighbor; ties go
+// through Push for the deterministic id-order rule) or when tombstones
+// must be consulted.
 func (fs *FastScan) processLive(live uint32, base int, qt *queryTables, t quantizer.Tables, t8 *int8, heap *topk.Heap, hasDead bool, stats *Stats) {
 	g := fs.grouped
+	thr, full := heap.Threshold()
 	for ; live != 0; live &= live - 1 {
 		pos := base + bits.TrailingZeros32(live)
 		if hasDead && fs.part.IsDead(g.IDs[pos]) {
@@ -446,25 +491,46 @@ func (fs *FastScan) processLive(live uint32, base int, qt *queryTables, t quanti
 		}
 		stats.Candidates++
 		d := adc8(g.Codes[pos*M:pos*M+M], t)
+		if full && d > thr {
+			continue
+		}
 		if heap.Push(g.IDs[pos], d) {
-			if thr, ok := heap.Threshold(); ok {
+			if thr, full = heap.Threshold(); full {
 				*t8 = qt.dq.pruneThreshold(thr, true)
 			}
 		}
 	}
 }
 
+// swarPrunedMask derives one block's pruned mask from its 16 stored
+// lower-bound bytes: bit i is set iff acc[i] > t8.
+func swarPrunedMask(acc []uint8, t8 int8) uint32 {
+	if t8 < 0 {
+		return 0xffff
+	}
+	// acc lanes and the addend are both <= 127: no carry, and bit 7 of a
+	// lane is set iff acc > t8 (for t8 == 127 the addend is 0 and no
+	// lane can reach bit 7 — no pruning).
+	add := swarGtAddend(t8)
+	return swarMovemask(leUint64(acc[0:8])+add) | swarMovemask(leUint64(acc[8:16])+add)<<8
+}
+
 // scanBlocksAsm drives the dispatched assembly kernel: per group it
 // refreshes the group's small-table windows in the 8×16-byte table
-// block, hands the group's packed blocks to dispatch.Accumulate in ONE
-// call (the kernel streams the whole group through vector registers),
-// then derives each block's prune mask from the returned lower-bound
-// bytes with the threshold current AT THAT BLOCK — the candidate
-// processing and threshold refresh stay in Go between blocks, so the
-// decision sequence (and hence results, pruning counters and heap
-// evolution) is identical to the SWAR pipelines. The lower bound of a
-// lane never depends on the threshold, which is what makes the
-// group-at-a-time kernel call safe.
+// block and hands the group's packed blocks to dispatch.Accumulate in
+// ONE call (the kernel streams the whole group through vector
+// registers) together with the threshold current at the group's entry;
+// the kernel returns the lower-bound bytes and, compared in registers,
+// one pruned mask per block. Candidate processing and threshold refresh
+// stay in Go between blocks. The threshold only ever tightens, so a
+// lane pruned at entry is pruned at its block too: an all-pruned block
+// is skipped on its mask alone, and a block with survivors is masked
+// again from its stored bytes only if the threshold has moved since the
+// call — the mask applied to a block is always the one for the
+// threshold current AT THAT BLOCK, so the decision sequence (and hence
+// results, pruning counters and heap evolution) is identical to the
+// SWAR pipelines. The lower bound of a lane never depends on the
+// threshold, which is what makes the group-at-a-time kernel call safe.
 func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Backend, groupOrder []int, t8 *int8, heap *topk.Heap, t quantizer.Tables, stats *Stats) {
 	g := fs.grouped
 	c := fs.c
@@ -475,44 +541,38 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 
 	for _, gi := range groupOrder {
 		grp := &g.Groups[gi]
-		stats.Groups++
 		for j := 0; j < c; j++ {
 			copy(tb[j*16:j*16+16], qt.qrows[j][int(grp.Key[j])*16:int(grp.Key[j])*16+16])
 		}
 		nb := grp.BlockCount
 		sc.acc = growAligned(sc.acc, nb*16)
+		sc.masks = growSlice(sc.masks, nb)
 		base := grp.BlockStart * bb
-		dispatch.Accumulate(be, blocks[base:base+nb*bb], bb, c, nb, tb, sc.acc)
+		entry := *t8
+		dispatch.Accumulate(be, blocks[base:base+nb*bb], bb, c, nb, entry, tb, sc.acc, sc.masks)
 
-		for b := 0; b < nb; b++ {
-			stats.Blocks++
-			var prunedMask uint32
-			if *t8 < 0 {
-				prunedMask = 0xffff
-			} else {
-				// acc lanes and the addend are both <= 127: no carry, and
-				// bit 7 of a lane is set iff acc > t8 (for t8 == 127 the
-				// addend is 0 and no lane can reach bit 7 — no pruning).
-				add := swarGtAddend(*t8)
-				lo := leUint64(sc.acc[b*16 : b*16+8])
-				hi := leUint64(sc.acc[b*16+8 : b*16+16])
-				prunedMask = swarMovemask(lo+add) | swarMovemask(hi+add)<<8
-			}
-
-			vbase := grp.Start + b*layout.BlockVectors
-			valid := grp.Count - b*layout.BlockVectors
-			if valid > layout.BlockVectors {
-				valid = layout.BlockVectors
-			}
-			stats.LowerBounds += valid
-			live := ^prunedMask & (1<<valid - 1)
-			if live == 0 {
-				stats.Pruned += valid
+		stats.Groups++
+		stats.Blocks += nb
+		stats.LowerBounds += grp.Count
+		pruned := grp.Count // less every lane that reaches processLive
+		for b, m := range sc.masks[:nb] {
+			if m == 0xffff {
 				continue
 			}
-			stats.Pruned += valid - bits.OnesCount32(live)
-			fs.processLive(live, vbase, qt, t, t8, heap, hasDead, stats)
+			live := uint32(^m)
+			if *t8 != entry {
+				live &^= swarPrunedMask(sc.acc[b*16:b*16+16], *t8)
+			}
+			if b == nb-1 {
+				live &= 1<<(grp.Count-b*layout.BlockVectors) - 1 // padding lanes
+			}
+			if live == 0 {
+				continue
+			}
+			pruned -= bits.OnesCount32(live)
+			fs.processLive(live, grp.Start+b*layout.BlockVectors, qt, t, t8, heap, hasDead, stats)
 		}
+		stats.Pruned += pruned
 	}
 }
 

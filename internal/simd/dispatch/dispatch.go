@@ -176,33 +176,40 @@ func InitNote() string { return initNote }
 func Features() []string { return cpuFeatures() }
 
 // Accumulate computes the PQ Fast Scan lower-bound bytes of §4.5 for
-// nblocks consecutive packed blocks of one group, on backend be (Auto
-// resolves to Active). For every block b and lane i it evaluates
+// nblocks consecutive packed blocks of one group and takes the prune
+// decision of Figure 6 against thr, on backend be (Auto resolves to
+// Active). For every block b and lane i it evaluates
 //
 //	dst[b*16+i] = min(Σ_j table_j[idx_j(b, i)], 127)
+//	masks[b] bit i = int8(dst[b*16+i]) > thr
 //
 // where, for grouped components j < c, idx_j is the lane's packed low
 // nibble, and for ungrouped components j >= c it is the high nibble of
 // the lane's full code byte — the pshufb/paddusb/pminub pipeline with
 // the per-step saturating accumulation folded into min(sum, 127)
-// (the two are equal for non-negative addends; DESIGN.md §12).
+// (the two are equal for non-negative addends; DESIGN.md §12), closed
+// by pcmpgtb/pmovmskb. The compare is signed, so a negative thr prunes
+// every lane and 127 none. Padding lanes of a group's last block get
+// mask bits like any other lane; the caller masks them off.
 //
 // blocks must hold nblocks packed blocks of blockBytes bytes (the group
 // slice of layout.Grouped.Blocks); tables is the 8×16-byte small-table
 // block (grouped windows first, then minimum tables); dst receives
-// nblocks*16 lower-bound bytes. Backends produce bit-identical dst.
-func Accumulate(be Backend, blocks []byte, blockBytes, c, nblocks int, tables *[128]byte, dst []byte) {
+// nblocks*16 lower-bound bytes and masks nblocks pruned-mask words.
+// Backends produce bit-identical dst and masks.
+func Accumulate(be Backend, blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
 	if nblocks == 0 {
 		return
 	}
 	_ = blocks[nblocks*blockBytes-1] // bounds contract
 	_ = dst[nblocks*16-1]
+	_ = masks[nblocks-1]
 	switch Resolve(be) {
 	case AVX2:
-		accumulateAVX2Blocks(blocks, blockBytes, c, nblocks, tables, dst)
+		accumulateAVX2Blocks(blocks, blockBytes, c, nblocks, thr, tables, dst, masks)
 	case NEON:
-		accumulateNEONBlocks(blocks, blockBytes, c, nblocks, tables, dst)
+		accumulateNEONBlocks(blocks, blockBytes, c, nblocks, thr, tables, dst, masks)
 	default:
-		AccumulateGeneric(blocks, blockBytes, c, nblocks, tables, dst)
+		AccumulateGeneric(blocks, blockBytes, c, nblocks, thr, tables, dst, masks)
 	}
 }

@@ -48,8 +48,10 @@ func TestAccumulateGenericMatchesOracle(t *testing.T) {
 		blockBytes := 128 - 8*c
 		for _, nblocks := range []int{1, 2, 3, 7, 16} {
 			blocks, tables := randomCase(r, c, nblocks)
+			thr := int8(r.Intn(256) - 128)
 			dst := make([]byte, nblocks*16)
-			AccumulateGeneric(blocks, blockBytes, c, nblocks, &tables, dst)
+			masks := make([]uint16, nblocks)
+			AccumulateGeneric(blocks, blockBytes, c, nblocks, thr, &tables, dst, masks)
 			for b := 0; b < nblocks; b++ {
 				blk := blocks[b*blockBytes : (b+1)*blockBytes]
 				for lane := 0; lane < 16; lane++ {
@@ -57,50 +59,55 @@ func TestAccumulateGenericMatchesOracle(t *testing.T) {
 					if got := dst[b*16+lane]; got != want {
 						t.Fatalf("c=%d block=%d lane=%d: generic %d, oracle %d", c, b, lane, got, want)
 					}
+					if got := masks[b]>>lane&1 == 1; got != (int(want) > int(thr)) {
+						t.Fatalf("c=%d block=%d lane=%d thr=%d bound=%d: pruned bit %v", c, b, lane, thr, want, got)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestAsmKernelsMatchGeneric drives every available assembly backend
-// over random groups and requires byte-identical output to the generic
-// reference — the kernel-level leg of the cross-backend exactness
-// contract (the scan-level leg lives in internal/scan).
+// TestAsmKernelsMatchGeneric drives every available backend through
+// Accumulate and requires lower-bound bytes and pruned masks identical
+// to the generic reference — the kernel-level leg of the cross-backend
+// exactness contract (the scan-level leg lives in internal/scan). Every
+// grouping depth meets every threshold, over odd and even block counts
+// (the AVX2 pair loop and its odd tail), with saturation pressure on a
+// third of the cases so sums cross 127 and (on AVX2) the 255
+// intermediate clamp. Blocks are random to the last byte, so the lanes
+// a real group would pad are compared like any other.
 func TestAsmKernelsMatchGeneric(t *testing.T) {
-	asm := 0
 	for _, be := range AvailableBackends() {
-		if !be.Asm() {
-			continue
-		}
-		asm++
 		t.Run(be.String(), func(t *testing.T) {
 			r := rand.New(rand.NewSource(2))
-			for iter := 0; iter < 200; iter++ {
-				c := r.Intn(5)
+			for c := 0; c <= 4; c++ {
 				blockBytes := 128 - 8*c
-				nblocks := 1 + r.Intn(9)
-				blocks, tables := randomCase(r, c, nblocks)
-				// Saturation pressure: sometimes inflate entries so sums
-				// cross 127 and (on AVX2) the 255 intermediate clamp.
-				if iter%3 == 0 {
-					for i := range tables {
-						tables[i] |= 0x60
+				for thr := -128; thr <= 127; thr++ {
+					nblocks := 1 + r.Intn(9)
+					blocks, tables := randomCase(r, c, nblocks)
+					if thr%3 == 0 {
+						for i := range tables {
+							tables[i] |= 0x60
+						}
 					}
-				}
-				want := make([]byte, nblocks*16)
-				got := make([]byte, nblocks*16)
-				AccumulateGeneric(blocks, blockBytes, c, nblocks, &tables, want)
-				Accumulate(be, blocks, blockBytes, c, nblocks, &tables, got)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("iter=%d c=%d nblocks=%d: %s disagrees with generic\n got %x\nwant %x",
-						iter, c, nblocks, be, got, want)
+					want, wantMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
+					got, gotMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
+					AccumulateGeneric(blocks, blockBytes, c, nblocks, int8(thr), &tables, want, wantMasks)
+					Accumulate(be, blocks, blockBytes, c, nblocks, int8(thr), &tables, got, gotMasks)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("c=%d nblocks=%d: %s bytes disagree with generic\n got %x\nwant %x",
+							c, nblocks, be, got, want)
+					}
+					for b := range wantMasks {
+						if gotMasks[b] != wantMasks[b] {
+							t.Fatalf("c=%d nblocks=%d thr=%d block=%d: %s mask %016b, generic %016b (bytes %x)",
+								c, nblocks, thr, b, be, gotMasks[b], wantMasks[b], want[b*16:b*16+16])
+						}
+					}
 				}
 			}
 		})
-	}
-	if asm == 0 {
-		t.Skip("no assembly backend on this architecture")
 	}
 }
 

@@ -11,6 +11,11 @@
 // SWAR engine's per-step saturation at 127 (min(sum,127) both ways, see
 // DESIGN.md §12), so the stored lower-bound bytes are bit-identical to
 // every other backend.
+//
+// The prune decision of Figure 6 closes the pipeline in registers, as
+// in §4.5: VPCMPGTB of the accumulator against the broadcast threshold
+// (signed; the accumulator is in [0,127]) and VPMOVMSKB store one
+// 16-bit pruned mask per block beside the bytes.
 
 #include "textflag.h"
 
@@ -26,17 +31,19 @@ DATA mask7f<>+16(SB)/8, $0x7f7f7f7f7f7f7f7f
 DATA mask7f<>+24(SB)/8, $0x7f7f7f7f7f7f7f7f
 GLOBL mask7f<>(SB), RODATA|NOPTR, $32
 
-// func accumulateAVX2(blocks *byte, blockBytes, c, nblocks int, tables *byte, dst *byte)
-TEXT ·accumulateAVX2(SB), NOSPLIT, $0-48
+// func accumulateAVX2(blocks *byte, blockBytes, c, nblocks int, thr int8, tables *byte, dst *byte, masks *uint16)
+TEXT ·accumulateAVX2(SB), NOSPLIT, $0-64
 	MOVQ blocks+0(FP), SI
 	MOVQ blockBytes+8(FP), BX
 	MOVQ c+16(FP), CX
 	MOVQ nblocks+24(FP), R8
-	MOVQ tables+32(FP), DX
-	MOVQ dst+40(FP), DI
+	MOVQ tables+40(FP), DX
+	MOVQ dst+48(FP), DI
+	MOVQ masks+56(FP), R12
 
-	VMOVDQU mask0f<>(SB), Y10
-	VMOVDQU mask7f<>(SB), Y11
+	VMOVDQU      mask0f<>(SB), Y10
+	VMOVDQU      mask7f<>(SB), Y11
+	VPBROADCASTB thr+32(FP), Y12 // prune threshold in every lane
 
 	MOVQ $8, R14
 	SUBQ CX, R14               // R14 = 8 - c (ungrouped components)
@@ -98,9 +105,13 @@ pair_ungrouped_loop:
 	JNZ         pair_ungrouped_loop
 
 pair_done:
-	VPMINUB Y11, Y0, Y0        // saturate the quantized range at 127
-	VMOVDQU Y0, (DI)
-	ADDQ    $32, DI
+	VPMINUB   Y11, Y0, Y0      // saturate the quantized range at 127
+	VMOVDQU   Y0, (DI)
+	VPCMPGTB  Y12, Y0, Y9      // lanes above the threshold are pruned
+	VPMOVMSKB Y9, AX           // block A in bits 0-15, block B in 16-31
+	MOVL      AX, (R12)
+	ADDQ      $32, DI
+	ADDQ      $4, R12
 	LEAQ    (SI)(BX*2), SI
 	SUBQ    $2, R8
 	JMP     pairloop
@@ -149,8 +160,11 @@ tail_ungrouped_loop:
 	JNZ      tail_ungrouped_loop
 
 tail_done:
-	VPMINUB X11, X0, X0
-	VMOVDQU X0, (DI)
+	VPMINUB   X11, X0, X0
+	VMOVDQU   X0, (DI)
+	VPCMPGTB  X12, X0, X9
+	VPMOVMSKB X9, AX
+	MOVW      AX, (R12)
 
 done:
 	VZEROUPPER

@@ -16,10 +16,17 @@ func cpuFeatures() []string { return []string{"neon"} }
 //go:noescape
 func accumulateNEON(blocks *byte, blockBytes, c, nblocks int, tables *byte, dst *byte)
 
-func accumulateNEONBlocks(blocks []byte, blockBytes, c, nblocks int, tables *[128]byte, dst []byte) {
+// accumulateNEONBlocks runs the assembly kernel for the lower-bound
+// bytes and derives the pruned masks from them in Go: the NEON kernel
+// predates the in-kernel prune decision and no CI job can execute a
+// changed one.
+func accumulateNEONBlocks(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
 	accumulateNEON(&blocks[0], blockBytes, c, nblocks, &tables[0], &dst[0])
+	for b := 0; b < nblocks; b++ {
+		masks[b] = prunedMask(dst[b*16:b*16+16], thr)
+	}
 }
 
-func accumulateAVX2Blocks(blocks []byte, blockBytes, c, nblocks int, tables *[128]byte, dst []byte) {
+func accumulateAVX2Blocks(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
 	panic("dispatch: asm-avx2 backend is amd64-only")
 }

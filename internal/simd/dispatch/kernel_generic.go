@@ -2,12 +2,13 @@ package dispatch
 
 // AccumulateGeneric is the portable reference implementation of
 // Accumulate: one scalar table lookup per (lane, component), exact
-// 16-bit sums clamped to 127 at the end. It is deliberately written for
+// 16-bit sums clamped to 127 at the end, one signed compare per lane
+// for the pruned mask. It is deliberately written for
 // obviousness, not speed — the SWAR backend never routes through it
 // (internal/scan's fused pipelines are the SWAR implementation of
 // record); its job is to pin the semantics every assembly kernel is
 // tested against, on every architecture.
-func AccumulateGeneric(blocks []byte, blockBytes, c, nblocks int, tables *[128]byte, dst []byte) {
+func AccumulateGeneric(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
 	for b := 0; b < nblocks; b++ {
 		blk := blocks[b*blockBytes : (b+1)*blockBytes]
 		var sums [16]uint16
@@ -33,5 +34,18 @@ func AccumulateGeneric(blocks []byte, blockBytes, c, nblocks int, tables *[128]b
 			}
 			out[lane] = uint8(s)
 		}
+		masks[b] = prunedMask(out, thr)
 	}
+}
+
+// prunedMask is pcmpgtb + pmovmskb over one block's lower-bound bytes:
+// bit i is set iff lane i's bound, read as a signed byte, exceeds thr.
+func prunedMask(lanes []byte, thr int8) uint16 {
+	var m uint16
+	for lane, v := range lanes {
+		if int8(v) > thr {
+			m |= 1 << lane
+		}
+	}
+	return m
 }

@@ -11,10 +11,10 @@ var (
 
 func cpuFeatures() []string { return nil }
 
-func accumulateAVX2Blocks(blocks []byte, blockBytes, c, nblocks int, tables *[128]byte, dst []byte) {
+func accumulateAVX2Blocks(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
 	panic("dispatch: asm-avx2 backend is amd64-only")
 }
 
-func accumulateNEONBlocks(blocks []byte, blockBytes, c, nblocks int, tables *[128]byte, dst []byte) {
+func accumulateNEONBlocks(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
 	panic("dispatch: asm-neon backend is arm64-only")
 }

@@ -103,17 +103,22 @@ func WithCells(cells ...int) SearchOption {
 
 // WithParallel scans the probed partitions of a single query
 // concurrently (one goroutine per cell, capped at GOMAXPROCS) instead of
-// sequentially. Results and statistics are identical; only wall-clock
-// latency changes. It is opt-in because the paper measures single-core
-// scans, and it only engages when more than one partition is probed.
-// SearchBatch ignores it: the batch already runs one worker per core,
-// and nesting per-query parallelism would only oversubscribe.
+// sequentially. Results are identical. The work is not: a sequential
+// multi-probe carries one running top-k from cell to cell, so later
+// cells prune against the bound the earlier ones reached, while
+// parallel cells are independent scans that share nothing and each
+// re-learn their own threshold — more total CPU for less wall-clock
+// when cores are idle. It is opt-in because the paper measures
+// single-core scans, and it only engages when more than one partition
+// is probed. SearchBatch ignores it: the batch already runs one worker
+// per core, and nesting per-query parallelism would only oversubscribe.
 //
 // Combining WithParallel with WithStats is fully supported: each
 // partition scan keeps its own counters and they are merged in
-// deterministic cell-visit order after the workers join, so the
-// attached Stats (operation counts included) are identical to the
-// sequential multi-probe scan's. A test pins this equivalence.
+// deterministic cell-visit order after the workers join. The attached
+// Stats are those of the independent scans — Scanned equals the
+// sequential multi-probe's, Pruned is lower by what carrying the
+// threshold is worth. A test pins both on its fixture.
 func WithParallel() SearchOption {
 	return func(c *searchConfig) { c.parallel = true; c.parallelSet = true }
 }
