@@ -24,96 +24,6 @@ func sameResultSlices(t *testing.T, label string, a, b []pqfastscan.Result) {
 	}
 }
 
-// TestLegacyEquivalence pins every deprecated entry point to the
-// context-aware Search path: for each kernel and query, the legacy
-// wrappers and the new API must return identical neighbor lists,
-// statistics and routing.
-func TestLegacyEquivalence(t *testing.T) {
-	idx, _, queries := sharedAPIIndex(t)
-	ctx := context.Background()
-
-	for _, kern := range allKernels() {
-		for qi := 0; qi < queries.Rows(); qi++ {
-			q := queries.Row(qi)
-			legacy, err := idx.SearchKernel(q, 25, kern)
-			if err != nil {
-				t.Fatal(err)
-			}
-			modern, err := idx.Search(ctx, q, 25, pqfastscan.WithKernel(kern))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResultSlices(t, "SearchKernel/"+kern.String(), legacy, modern.Results)
-		}
-	}
-
-	// The seed's default Search.
-	q := queries.Row(0)
-	legacy, err := idx.SearchLegacy(q, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := idx.Search(ctx, q, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResultSlices(t, "SearchLegacy", legacy, modern.Results)
-
-	// Multi-probe.
-	for _, nprobe := range []int{1, 2, 4} {
-		for qi := 0; qi < queries.Rows(); qi++ {
-			q := queries.Row(qi)
-			legacy, err := idx.SearchMulti(q, 30, nprobe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			modern, err := idx.Search(ctx, q, 30, pqfastscan.WithNProbe(nprobe))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResultSlices(t, "SearchMulti", legacy, modern.Results)
-			if len(modern.Partitions) != nprobe {
-				t.Fatalf("nprobe=%d probed partitions %v", nprobe, modern.Partitions)
-			}
-		}
-	}
-
-	// Stats + partition.
-	for _, kern := range allKernels() {
-		res, stats, part, err := idx.SearchWithStats(q, 50, kern)
-		if err != nil {
-			t.Fatal(err)
-		}
-		modern, err := idx.Search(ctx, q, 50, pqfastscan.WithKernel(kern), pqfastscan.WithStats())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResultSlices(t, "SearchWithStats/"+kern.String(), res, modern.Results)
-		if modern.Stats == nil || *modern.Stats != stats {
-			t.Fatalf("kernel %v: stats differ between legacy and new path", kern)
-		}
-		if modern.Partitions[0] != part {
-			t.Fatalf("kernel %v: partition %d vs %d", kern, modern.Partitions[0], part)
-		}
-	}
-
-	// Batch.
-	legacyBatch, err := idx.SearchBatchLegacy(queries, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modernBatch, err := idx.SearchBatch(ctx, queries, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacyBatch) != len(modernBatch) {
-		t.Fatalf("batch sizes differ: %d vs %d", len(legacyBatch), len(modernBatch))
-	}
-	for i := range legacyBatch {
-		sameResultSlices(t, "SearchBatch", legacyBatch[i], modernBatch[i].Results)
-	}
-}
-
 // TestSearcherInterface: the index and its preconfigured views are
 // interchangeable Searchers, and With pre-applies options.
 func TestSearcherInterface(t *testing.T) {
@@ -192,17 +102,20 @@ func TestSearchValidation(t *testing.T) {
 			_, err := idx.Search(ctx, q, 5, pqfastscan.WithEngine(pqfastscan.Engine(42)))
 			return err
 		}, "unknown engine"},
-		{"legacy multi nprobe=0", func() error { _, err := idx.SearchMulti(q, 5, 0); return err }, "nprobe"},
-		{"legacy multi nprobe>parts", func() error { _, err := idx.SearchMulti(q, 5, parts+1); return err }, "nprobe"},
-		{"legacy multi k=0", func() error { _, err := idx.SearchMulti(q, 0, 2); return err }, "k must be positive"},
-		{"legacy kernel k=0", func() error { _, err := idx.SearchKernel(q, 0, pqfastscan.KernelFastScan); return err }, "k must be positive"},
-		{"legacy multi dim", func() error { _, err := idx.SearchMulti(q[:10], 5, 2); return err }, "dim"},
+		{"multi-probe k=0", func() error {
+			_, err := idx.Search(ctx, q, 0, pqfastscan.WithNProbe(2))
+			return err
+		}, "k must be positive"},
+		{"multi-probe dim mismatch", func() error {
+			_, err := idx.Search(ctx, q[:10], 5, pqfastscan.WithNProbe(2))
+			return err
+		}, "dim"},
 		{"batch dim mismatch", func() error {
 			bad := pqfastscan.NewMatrix(2, 10)
 			_, err := idx.SearchBatch(ctx, bad, 5)
 			return err
 		}, "dim"},
-		{"legacy batch k=0", func() error { _, err := idx.SearchBatchLegacy(queries, 0); return err }, "k must be positive"},
+		{"batch k=0", func() error { _, err := idx.SearchBatch(ctx, queries, 0); return err }, "k must be positive"},
 	}
 	for _, c := range cases {
 		err := c.call()

@@ -67,21 +67,6 @@
 //	pqbench -coldstart -coldstart-pools 1.0,0.25,0.05
 //	pqbench -json -coldstart > BENCH_prN.json
 //
-// -planner runs the adaptive-planner sweep (DESIGN.md §16): a fixed
-// grid of query configurations — nprobe × kernel/backend — measured
-// against WithAuto and WithTargetRecall on the same index, first
-// RAM-resident and then paged through a small buffer pool
-// (-planner-pool of the extent footprint). Every planned query is
-// asserted bit-identical to the fixed-option query built from its
-// decision before anything is timed; the report records each point's
-// QPS/p50/p99, the auto-vs-best and worst-vs-auto p99 ratios, and the
-// planner's decision counters. Combine with -json for the
-// pqfastscan-bench/v8 document (the BENCH_pr9.json baseline):
-//
-//	pqbench -planner
-//	pqbench -planner -planner-pool 0.25
-//	pqbench -json -planner > BENCH_prN.json
-//
 // -chaos runs the self-healing benchmark (DESIGN.md §17): a 2-shard ×
 // 2-replica fleet behind a router whose HTTP client injects faults via
 // internal/faultnet — a healthy window, then a fault window (one
@@ -149,13 +134,6 @@ func main() {
 		coldQueries = flag.Int("coldstart-queries", 64, "queries per cold/warm pass for -coldstart")
 		coldPools   = flag.String("coldstart-pools", "1.0,0.5,0.1", "comma-separated pool capacities for -coldstart, as fractions of the extent footprint")
 
-		planOut     = flag.Bool("planner", false, "run the adaptive-planner sweep (planner vs fixed nprobe×kernel grid, RAM and paged regimes, bit-identity asserted first); with -json, emit one combined report")
-		planN       = flag.Int("planner-n", 100000, "database size for the -planner benchmark")
-		planQueries = flag.Int("planner-queries", 32, "distinct queries for -planner")
-		planRounds  = flag.Int("planner-rounds", 10, "measurement passes over the query set per grid point for -planner")
-		planPool    = flag.Float64("planner-pool", 0.1, "paged-regime pool capacity for -planner, as a fraction of the extent footprint")
-		planRecall  = flag.Float64("planner-recall", 0.9, "recall target measured beside the min-latency auto point for -planner")
-
 		chaosOut    = flag.Bool("chaos", false, "run the self-healing chaos benchmark (goodput/p99/partial rate under injected faults, recovery time after they lift); with -json, emit one combined report")
 		chaosN      = flag.Int("chaos-n", 100000, "database size for the -chaos benchmark")
 		chaosWindow = flag.Duration("chaos-window", 3*time.Second, "length of the healthy and fault windows for -chaos")
@@ -180,8 +158,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *jsonOut || *serveOut || *mixedOut || *durOut || *coldOut || *planOut || *chaosOut || len(shardCounts) > 0 {
-		runMachineReadable(*jsonOut, *serveOut, *mixedOut, *durOut, *coldOut, *planOut, *chaosOut, shardCounts, *seed, *jsonSize, *jsonK,
+	if *jsonOut || *serveOut || *mixedOut || *durOut || *coldOut || *chaosOut || len(shardCounts) > 0 {
+		runMachineReadable(*jsonOut, *serveOut, *mixedOut, *durOut, *coldOut, *chaosOut, shardCounts, *seed, *jsonSize, *jsonK,
 			bench.ServeConfig{
 				URL:         *serveURL,
 				BaseN:       *serveN,
@@ -222,15 +200,6 @@ func main() {
 				K:          *jsonK,
 				Queries:    *coldQueries,
 				Fractions:  poolFracs,
-			},
-			bench.PlannerConfig{
-				BaseN:        *planN,
-				Seed:         *seed,
-				K:            *jsonK,
-				Queries:      *planQueries,
-				Rounds:       *planRounds,
-				PoolFraction: *planPool,
-				Recall:       *planRecall,
 			},
 			bench.ChaosConfig{
 				BaseN:       *chaosN,
@@ -342,13 +311,12 @@ func parseShardCounts(s string) ([]int, error) {
 }
 
 // runMachineReadable dispatches the -json / -serve / -mixed /
-// -durability / -shards / -coldstart / -planner / -chaos modes: a
-// single report alone, or the combined pqfastscan-bench/v9 document
-// when several are requested (the BENCH_pr10.json baseline format:
-// kernels per backend + serving + durability + cluster scaling + the
-// beyond-RAM cold-start sweep + the adaptive-planner sweep + the
-// self-healing chaos run).
-func runMachineReadable(kernels, serve, mixed, durability, coldstart, planner, chaos bool, shardCounts []int, seed uint64, sizeList string, k int, serveCfg bench.ServeConfig, mixedCfg bench.MixedConfig, durCfg bench.DurabilityConfig, clusterCfg bench.ClusterConfig, coldCfg bench.ColdstartConfig, planCfg bench.PlannerConfig, chaosCfg bench.ChaosConfig) {
+// -durability / -shards / -coldstart / -chaos modes: a single report
+// alone, or the combined pqfastscan-bench/v9 document when several are
+// requested (the BENCH_pr10.json baseline format: kernels per backend +
+// serving + durability + cluster scaling + the beyond-RAM cold-start
+// sweep + the self-healing chaos run).
+func runMachineReadable(kernels, serve, mixed, durability, coldstart, chaos bool, shardCounts []int, seed uint64, sizeList string, k int, serveCfg bench.ServeConfig, mixedCfg bench.MixedConfig, durCfg bench.DurabilityConfig, clusterCfg bench.ClusterConfig, coldCfg bench.ColdstartConfig, chaosCfg bench.ChaosConfig) {
 	var sizes []int
 	if kernels {
 		for _, s := range strings.Split(sizeList, ",") {
@@ -361,7 +329,7 @@ func runMachineReadable(kernels, serve, mixed, durability, coldstart, planner, c
 	}
 	shards := len(shardCounts) > 0
 	single := 0
-	for _, on := range []bool{kernels, serve, mixed, durability, shards, coldstart, planner, chaos} {
+	for _, on := range []bool{kernels, serve, mixed, durability, shards, coldstart, chaos} {
 		if on {
 			single++
 		}
@@ -379,8 +347,6 @@ func runMachineReadable(kernels, serve, mixed, durability, coldstart, planner, c
 			err = bench.RunCluster(os.Stdout, clusterCfg)
 		case coldstart:
 			err = bench.RunColdstart(os.Stdout, coldCfg)
-		case planner:
-			err = bench.RunPlanner(os.Stdout, planCfg)
 		case chaos:
 			err = bench.RunChaos(os.Stdout, chaosCfg)
 		default:
@@ -392,8 +358,8 @@ func runMachineReadable(kernels, serve, mixed, durability, coldstart, planner, c
 		return
 	}
 
-	// v9: adds the self-healing chaos section; v8 the adaptive-planner
-	// section; v7 the coldstart section and the mem record in the
+	// v9: adds the self-healing chaos section; v8 the planner section
+	// (no longer produced); v7 the coldstart section and the mem record in the
 	// kernels header; v6 the durability section; v5 the cluster scaling
 	// section; v4's kernels section carries the block-kernel backend
 	// record (active/available backends, CPU features, per-backend
@@ -446,14 +412,6 @@ func runMachineReadable(kernels, serve, mixed, durability, coldstart, planner, c
 			log.Fatal(err)
 		}
 		combined.Coldstart = cr
-	}
-	if planner {
-		fmt.Fprintln(os.Stderr, "running adaptive-planner sweep...")
-		pr, err := bench.MeasurePlanner(planCfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		combined.Planner = pr
 	}
 	if chaos {
 		fmt.Fprintln(os.Stderr, "running self-healing chaos benchmark...")

@@ -15,7 +15,7 @@
 //
 //	POST /search   {"query":[...],"k":10,"nprobe":2,"kernel":"fastpq"}
 //	               ?recall=0.95 plans nprobe from the fleet's cell sizes;
-//	               ?auto=1 forwards adaptive kernel/backend planning to shards
+//	               ?auto=1 lets each shard plan parallel probing of its cells
 //	POST /swap     {"path":"/data/new.idx"}  fleet-wide two-phase swap
 //	GET  /healthz  liveness
 //	GET  /readyz   readiness (503 while draining)
@@ -93,7 +93,7 @@ func main() {
 		hedgeDelay   = flag.Duration("hedge-delay", 50*time.Millisecond, "wait before hedging a slow primary to a replica (negative disables)")
 		maxAttempts  = flag.Int("max-attempts", 0, "attempt cap per shard per query, cycling its endpoints with jittered backoff (0 = endpoints+2)")
 		allowPartial = flag.Bool("allow-partial", false, "degrade instead of failing when shards are down: merge surviving shards and report coverage (per-request opt-in stays available via ?partial=1)")
-		auto         = flag.Bool("auto", false, "plan every query adaptively by default: ?recall= targets map to a probe prefix over the fleet's cell sizes and shards plan kernel/backend locally via forwarded ?auto=1 (requests opt out with ?auto=0)")
+		auto         = flag.Bool("auto", false, "plan every query by default: ?recall= targets map to a probe prefix over the fleet's cell sizes and shards decide sequential-vs-parallel probing of their cells via forwarded ?auto=1 (requests opt out with ?auto=0)")
 		maxK         = flag.Int("max-k", 1000, "largest accepted k")
 
 		breakerThreshold = flag.Int("breaker-threshold", 5, "consecutive failures that trip an endpoint's circuit breaker open (negative disables breakers)")

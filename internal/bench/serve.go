@@ -191,14 +191,14 @@ func RunServe(w io.Writer, cfg ServeConfig) error {
 // CombinedReport pairs the kernel wall-clock trajectory with the served
 // throughput, the mixed read-write isolation numbers, the durability
 // costs, the cluster scaling curve, the beyond-RAM cold-start sweep,
-// the adaptive-planner sweep, and/or the self-healing chaos run of the
-// same build — the document the BENCH_pr*.json baselines record
-// (cmd/pqbench -json, -serve, -mixed, -durability, -shards, -coldstart,
-// -planner, -chaos, in any combination). Schema is pqfastscan-bench/v9
-// (v8 predates the chaos section; v7 the planner section; v6 the
-// coldstart section and the mem record; v5 the durability section; v4
-// the cluster section; v2/v3 the backend record in the kernels and
-// mixed sections).
+// and/or the self-healing chaos run of the same build — the document
+// the BENCH_pr*.json baselines record (cmd/pqbench -json, -serve,
+// -mixed, -durability, -shards, -coldstart, -chaos, in any
+// combination). Schema is pqfastscan-bench/v9 (v8 predates the chaos
+// section; v7 the planner section, which only BENCH_pr9.json carries —
+// the sweep that wrote it is gone; v6 the coldstart section and the mem
+// record; v5 the durability section; v4 the cluster section; v2/v3 the
+// backend record in the kernels and mixed sections).
 type CombinedReport struct {
 	Schema     string            `json:"schema"`
 	Kernels    *WallClockReport  `json:"kernels,omitempty"`
@@ -207,6 +207,5 @@ type CombinedReport struct {
 	Durability *DurabilityReport `json:"durability,omitempty"`
 	Cluster    *ClusterReport    `json:"cluster,omitempty"`
 	Coldstart  *ColdstartReport  `json:"coldstart,omitempty"`
-	Planner    *PlannerReport    `json:"planner,omitempty"`
 	Chaos      *ChaosReport      `json:"chaos,omitempty"`
 }

@@ -137,8 +137,7 @@ func (b *breaker) State() breakerState {
 func (b *breaker) Opens() int64 { return b.opens.Load() }
 
 // latEWMA is a lock-free exponentially weighted moving average of
-// sub-request latency in nanoseconds — the same CAS-on-float64-bits
-// idiom internal/scan uses for its cost observations.
+// sub-request latency in nanoseconds: a CAS loop on the float64 bits.
 type latEWMA struct {
 	bits    atomic.Uint64
 	samples atomic.Int64

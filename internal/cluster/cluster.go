@@ -144,11 +144,11 @@ type Config struct {
 	// and the response reports coverage. Off, queries fail unless the
 	// request itself opts in.
 	AllowPartial bool
-	// Auto plans every query adaptively by default, as if it carried
-	// ?auto=1: the router maps a ?recall= target to a probe-prefix
-	// length over the fleet's cell sizes (the same mass rule a single
-	// node's planner applies, DESIGN.md §16) and forwards ?auto=1 on the
-	// shard sub-requests, so each shard plans kernel and backend locally
+	// Auto plans every query by default, as if it carried ?auto=1: the
+	// router maps a ?recall= target to a probe-prefix length over the
+	// fleet's cell sizes (index.RecallPrefix, the rule a single node's
+	// planner applies, DESIGN.md §16) and forwards ?auto=1 on the shard
+	// sub-requests, so each shard decides sequential-vs-parallel probing
 	// for its pinned cell share. Individual requests opt out with
 	// ?auto=0.
 	Auto bool
@@ -489,34 +489,6 @@ func (r *Router) probeSet(query []float32, nprobe int, cells []int) (probe []int
 		byShard[si] = append(byShard[si], c)
 	}
 	return probe, byShard
-}
-
-// recallNProbe maps a recall target to a probe-prefix length exactly
-// like a single node's planner does (DESIGN.md §16): walk the ranked
-// cells until the probed cells hold at least fraction recall of the
-// fleet's live mass. The ranking is the same RankCells order probeSet
-// uses, so the resulting query is indistinguishable from one carrying
-// that nprobe explicitly. Fleets that report no cell sizes degrade to
-// the single-probe default deterministically.
-func (r *Router) recallNProbe(query []float32, recall float64) int {
-	meta := r.meta.load()
-	total := 0
-	for _, n := range meta.cellSizes {
-		total += n
-	}
-	if total == 0 {
-		return 1
-	}
-	need := recall * float64(total)
-	mass, nprobe := 0.0, 0
-	for _, c := range index.RankCells(query, meta.coarse) {
-		nprobe++
-		mass += float64(meta.cellSizes[c])
-		if mass >= need {
-			break
-		}
-	}
-	return nprobe
 }
 
 // shardIDs returns the keys of a shard group in ascending order, so

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pqfastscan/internal/index"
 	"pqfastscan/internal/server"
 	"pqfastscan/internal/topk"
 )
@@ -49,17 +50,17 @@ type SearchOptions struct {
 	NProbe int
 	Cells  []int // explicit probe set; mutually exclusive with NProbe
 	Kernel string
-	// Auto plans the query adaptively: sub-requests carry ?auto=1, so
-	// each shard plans kernel/backend/parallelism locally for its pinned
-	// cell share — its own cost observations, its own hardware. The
-	// probe set itself is chosen here (explicitly, or via Recall), so
-	// the merge stays bit-identical to a single node's.
+	// Auto plans the query: sub-requests carry ?auto=1, so each shard
+	// decides sequential-vs-parallel probing for its pinned cell share
+	// from its own snapshot and core count. The probe set itself is
+	// chosen here (explicitly, or via Recall), so the merge stays
+	// bit-identical to a single node's.
 	Auto bool
 	// Recall, in (0,1], maps to a probe-prefix length over the fleet's
-	// cell sizes — the same live-mass rule a single node's planner
-	// applies (DESIGN.md §16). Implies Auto. An explicit NProbe or
-	// Cells wins, exactly as WithNProbe beats WithTargetRecall on a
-	// single node.
+	// cell sizes — index.RecallPrefix, the live-mass rule a single
+	// node's planner applies (DESIGN.md §16). Implies Auto. An explicit
+	// NProbe or Cells wins, exactly as WithNProbe beats
+	// WithTargetRecall on a single node.
 	Recall float64
 	// AllowPartial degrades instead of failing when shards are down:
 	// the merge runs over whichever shards answered (at least one must)
@@ -87,8 +88,12 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 		}
 		// The recall target picks nprobe only when routing is open —
 		// explicit nprobe or cells win, matching single-node semantics.
+		// The ranking is the RankCells order probeSet uses, so the query
+		// is indistinguishable from one carrying that nprobe explicitly;
+		// a fleet that reports no cell sizes gets the single-probe
+		// default.
 		if opt.NProbe == 0 && len(opt.Cells) == 0 {
-			opt.NProbe = r.recallNProbe(query, opt.Recall)
+			opt.NProbe = index.RecallPrefix(index.RankCells(query, meta.coarse), meta.cellSizes, opt.Recall)
 		}
 	}
 	if len(opt.Cells) > 0 {
@@ -120,10 +125,10 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 	// Fan out. Every shard sub-request asks for the full k: the global
 	// top k can come entirely from one shard's cells, so nothing less is
 	// sound.
-	// Planned queries forward ?auto=1: the shard plans kernel and
-	// backend for its cell share from its own cost observations. The
-	// cells are pinned by the sub-request, so shard-local planning
-	// cannot change the probe set — only how fast it is scanned.
+	// Planned queries forward ?auto=1. The cells are pinned by the
+	// sub-request, so all a shard still plans is whether to scan its
+	// share of them in parallel — never the probe set, the kernel or
+	// the backend.
 	subQuery := ""
 	if opt.Auto || opt.Recall > 0 {
 		subQuery = "?auto=1"

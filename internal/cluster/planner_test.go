@@ -13,7 +13,7 @@ import (
 	"pqfastscan/internal/server"
 )
 
-// --- adaptive planning through the router ------------------------------
+// --- planning through the router ------------------------------
 
 // routerSearchURL is routerSearch with a raw target (query params).
 func routerSearchURL(t *testing.T, handler http.Handler, target string, req server.SearchRequest) (int, server.SearchResponse, string) {
@@ -76,8 +76,8 @@ func TestRouterRecallBitIdentity(t *testing.T) {
 }
 
 // TestRouterAutoForwarding: ?auto=1 keeps results bit-identical to the
-// unplanned query (shards plan only bit-identical dimensions) and bad
-// recall values are rejected before any fanout.
+// unplanned query (a shard plans only whether to probe its pinned cells
+// in parallel) and bad recall values are rejected before any fanout.
 func TestRouterAutoForwarding(t *testing.T) {
 	full, queries := fullIndex(t)
 	shardA := shardServer(t, full, []int{0, 1, 2, 3})

@@ -10,11 +10,9 @@
 package index
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pqfastscan/internal/kmeans"
 	"pqfastscan/internal/layout"
@@ -456,39 +454,10 @@ func (ix *Index) FastScanner(part int) (*scan.FastScan, error) {
 // Result is re-exported for callers that only import index.
 type Result = topk.Result
 
-// Search answers a k-NN query with the requested kernel, scanning the
-// single most relevant partition (Step 3 of Algorithm 1). It returns the
-// neighbors, the scan statistics and the partition scanned.
-//
-// Deprecated wrapper kept for in-package tests and low-level callers;
-// new code should use Query, which adds context cancellation.
-func (ix *Index) Search(query []float32, k int, kernel Kernel) ([]Result, scan.Stats, int, error) {
-	resp, err := ix.Query(context.Background(), Request{Query: query, K: k, Kernel: kernel})
-	if err != nil {
-		return nil, scan.Stats{}, 0, err
-	}
-	return resp.Results, resp.Stats, resp.Partitions[0], nil
-}
-
-// SearchPartition scans one specific partition for the query on the
-// model engine. It is the lock-free scan core; Query wraps it with
-// routing, validation and engine selection.
-func (ix *Index) SearchPartition(query []float32, k int, kernel Kernel, part int) ([]Result, scan.Stats, error) {
-	return ix.SearchPartitionEngine(query, k, kernel, EngineModel, part)
-}
-
 // scratchPool recycles the native engine's per-scan buffers across
 // queries and goroutines, keeping the steady-state scan loop free of
 // allocations without tying a Scratch to any one Searcher.
 var scratchPool = sync.Pool{New: func() any { return scan.NewScratch() }}
-
-// SearchPartitionEngine scans one specific partition for the query with
-// an explicit kernel and engine choice, against the current snapshot.
-// Both engines return bit-identical result sets; only the model engine
-// fills Stats.Ops.
-func (ix *Index) SearchPartitionEngine(query []float32, k int, kernel Kernel, engine Engine, part int) ([]Result, scan.Stats, error) {
-	return ix.searchPartition(ix.snap.Load(), Request{Query: query, K: k, Kernel: kernel, Engine: engine}, part)
-}
 
 // searchPartition scans one partition of an explicitly held snapshot
 // from an empty heap: the single-probe path, and each independent cell
@@ -529,24 +498,6 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 	}
 	t := ix.Tables(query, part)
 	pe := s.Parts[part]
-
-	// Feed the scan's wall-clock cost back into the planner's EWMA
-	// (internal/scan), classed by execution path and residency. The
-	// clock starts before the paged view below so a disk-backed probe's
-	// observation includes the pin/fault/hydrate tax — that tax is the
-	// planner's whole reason to track paged scans separately.
-	paged := pe.paged != nil
-	var costClass scan.CostClass
-	switch {
-	case engine == EngineNative && (kernel == KernelFastScan || kernel == KernelFastScan256):
-		costClass = scan.FastClassFor(req.Backend)
-	case engine == EngineNative && kernel != KernelQuantOnly:
-		costClass = scan.CostExact
-	default:
-		costClass = scan.CostModel
-	}
-	start := time.Now()
-	defer func() { scan.ObserveScan(costClass, paged, pe.Part.N, time.Since(start)) }()
 
 	// Acquire the epoch's scannable view. RAM epochs hand out their
 	// sealed slices directly; disk-resident epochs pin their extent in
@@ -624,41 +575,6 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 	default:
 		return scan.Stats{}, fmt.Errorf("index: unknown kernel %v", kernel)
 	}
-}
-
-// SearchMulti scans the nprobe closest partitions and merges their
-// results — a standard IVFADC extension beyond the paper's single-cell
-// routing, useful when recall matters more than latency.
-//
-// Deprecated wrapper over Query; new code should pass NProbe in a
-// Request and gain context cancellation.
-func (ix *Index) SearchMulti(query []float32, k, nprobe int, kernel Kernel) ([]Result, scan.Stats, error) {
-	// An explicit nprobe of 0 is a caller error here; only Request uses 0
-	// to mean "default single probe".
-	if nprobe <= 0 {
-		return nil, scan.Stats{}, fmt.Errorf("index: nprobe %d out of range [1,%d]", nprobe, ix.Partitions())
-	}
-	resp, err := ix.Query(context.Background(), Request{Query: query, K: k, Kernel: kernel, NProbe: nprobe})
-	if err != nil {
-		return nil, scan.Stats{}, err
-	}
-	return resp.Results, resp.Stats, nil
-}
-
-// SearchBatch answers many queries concurrently, one goroutine per core.
-//
-// Deprecated wrapper over QueryBatch; new code should use QueryBatch,
-// which adds context cancellation and per-query statistics.
-func (ix *Index) SearchBatch(queries vec.Matrix, k int, kernel Kernel) ([][]Result, error) {
-	resps, err := ix.QueryBatch(context.Background(), queries, Request{K: k, Kernel: kernel})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Result, len(resps))
-	for i, r := range resps {
-		out[i] = r.Results
-	}
-	return out, nil
 }
 
 // GroupedMemoryBytes returns the packed grouped-layout footprint across

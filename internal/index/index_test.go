@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,6 +18,17 @@ var (
 	testQueries vec.Matrix
 	testErr     error
 )
+
+// search1 is the query most tests here make — one probe on the model
+// engine — returning the neighbors and the cell they came from.
+func search1(t *testing.T, ix *Index, q []float32, k int, kern Kernel) ([]Result, int) {
+	t.Helper()
+	resp, err := ix.Query(context.Background(), Request{Query: q, K: k, Kernel: kern})
+	if err != nil {
+		t.Fatalf("kernel %v: %v", kern, err)
+	}
+	return resp.Results, resp.Partitions[0]
+}
 
 func sharedIndex(t *testing.T) (*Index, vec.Matrix, vec.Matrix) {
 	t.Helper()
@@ -100,15 +112,9 @@ func TestAllKernelsAgree(t *testing.T) {
 	kernels := []Kernel{KernelNaive, KernelLibpq, KernelAVX, KernelGather, KernelFastScan, KernelQuantOnly}
 	for qi := 0; qi < queries.Rows(); qi++ {
 		q := queries.Row(qi)
-		ref, _, refPart, err := ix.Search(q, 50, KernelNaive)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref, refPart := search1(t, ix, q, 50, KernelNaive)
 		for _, kern := range kernels[1:] {
-			got, _, part, err := ix.Search(q, 50, kern)
-			if err != nil {
-				t.Fatalf("kernel %v: %v", kern, err)
-			}
+			got, part := search1(t, ix, q, 50, kern)
 			if part != refPart {
 				t.Fatalf("kernel %v routed differently", kern)
 			}
@@ -126,10 +132,7 @@ func TestAllKernelsAgree(t *testing.T) {
 
 func TestSearchReturnsSortedDistances(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
-	res, _, _, err := ix.Search(queries.Row(0), 20, KernelFastScan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := search1(t, ix, queries.Row(0), 20, KernelFastScan)
 	for i := 1; i < len(res); i++ {
 		if res[i].Distance < res[i-1].Distance {
 			t.Fatalf("results not sorted at %d", i)
@@ -143,10 +146,7 @@ func TestSearchReturnsSortedDistances(t *testing.T) {
 func TestADCDistancesMatchDecodedVectors(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
 	q := queries.Row(0)
-	res, _, part, err := ix.Search(q, 5, KernelNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, part := search1(t, ix, q, 5, KernelNaive)
 	tables := ix.Tables(q, part)
 	p := ix.Parts()[part]
 	// Locate each result position to recompute its ADC.
@@ -175,35 +175,68 @@ func TestADCDistancesMatchDecodedVectors(t *testing.T) {
 func TestSearchMulti(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
 	q := queries.Row(1)
-	single, _, _, err := ix.Search(q, 30, KernelFastScan)
+	single, _ := search1(t, ix, q, 30, KernelFastScan)
+	ctx := context.Background()
+	all, err := ix.Query(ctx, Request{Query: q, K: 30, Kernel: KernelFastScan, NProbe: ix.Partitions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, _, err := ix.SearchMulti(q, 30, ix.Partitions(), KernelFastScan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	multi := all.Results
 	// Probing every cell can only improve (or tie) each rank's distance.
 	for i := range single {
 		if multi[i].Distance > single[i].Distance {
 			t.Fatalf("rank %d worsened with full probing: %v > %v", i, multi[i].Distance, single[i].Distance)
 		}
 	}
-	if _, _, err := ix.SearchMulti(q, 10, 0, KernelFastScan); err == nil {
-		t.Error("nprobe=0 accepted")
+	if _, err := ix.Query(ctx, Request{Query: q, K: 10, Kernel: KernelFastScan, NProbe: -1}); err == nil {
+		t.Error("negative nprobe accepted")
 	}
-	if _, _, err := ix.SearchMulti(q, 10, 99, KernelFastScan); err == nil {
+	if _, err := ix.Query(ctx, Request{Query: q, K: 10, Kernel: KernelFastScan, NProbe: 99}); err == nil {
 		t.Error("nprobe beyond partitions accepted")
 	}
 }
 
 func TestSearchPartitionErrors(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
-	if _, _, err := ix.SearchPartition(queries.Row(0), 5, KernelNaive, -1); err == nil {
+	ctx, q := context.Background(), queries.Row(0)
+	if _, err := ix.Query(ctx, Request{Query: q, K: 5, Cells: []int{-1}}); err == nil {
 		t.Error("negative partition accepted")
 	}
-	if _, _, err := ix.SearchPartition(queries.Row(0), 5, Kernel(42), 0); err == nil {
+	if _, err := ix.Query(ctx, Request{Query: q, K: 5, Cells: []int{ix.Partitions()}}); err == nil {
+		t.Error("partition beyond the last accepted")
+	}
+	if _, err := ix.Query(ctx, Request{Query: q, K: 5, Kernel: Kernel(42), Cells: []int{0}}); err == nil {
 		t.Error("unknown kernel accepted")
+	}
+}
+
+// TestValidateExplicitCells: the shard-side check of an explicit cell
+// list keeps its two named errors and — it runs on every router→shard
+// sub-request — costs no allocation on a valid list.
+func TestValidateExplicitCells(t *testing.T) {
+	ix, _, queries := sharedIndex(t)
+	s := ix.Snapshot()
+	req := Request{Query: queries.Row(0), K: 5, Kernel: KernelFastScan, Engine: EngineNative}
+	for _, tc := range []struct {
+		cells []int
+		want  string
+	}{
+		{[]int{1, 2, 1}, "cell 1 listed twice"},
+		{[]int{0, ix.Partitions()}, "out of range"},
+		{[]int{-1}, "out of range"},
+	} {
+		req.Cells = tc.cells
+		if err := ix.validate(s, req); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("cells %v: error %v, want one naming %q", tc.cells, err, tc.want)
+		}
+	}
+	req.Cells = []int{2, 0}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := ix.validate(s, req); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("validating a 2-cell request allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -256,10 +289,7 @@ func TestRecallAgainstGroundTruth(t *testing.T) {
 	}
 	var results [][]int64
 	for qi := 0; qi < queries.Rows(); qi++ {
-		res, _, _, err := ix.Search(queries.Row(qi), 100, KernelFastScan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := search1(t, ix, queries.Row(qi), 100, KernelFastScan)
 		ids := make([]int64, len(res))
 		for i, r := range res {
 			ids[i] = r.ID
@@ -275,7 +305,7 @@ func TestRecallAgainstGroundTruth(t *testing.T) {
 
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
-	batch, err := ix.SearchBatch(testQueries, 15, KernelFastScan)
+	batch, err := ix.QueryBatch(context.Background(), testQueries, Request{K: 15, Kernel: KernelFastScan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +313,9 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		t.Fatalf("batch returned %d result sets", len(batch))
 	}
 	for qi := 0; qi < queries.Rows(); qi++ {
-		want, _, _, err := ix.Search(queries.Row(qi), 15, KernelFastScan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, _ := search1(t, ix, queries.Row(qi), 15, KernelFastScan)
 		for i := range want {
-			if batch[qi][i] != want[i] {
+			if batch[qi].Results[i] != want[i] {
 				t.Fatalf("query %d batch result %d differs", qi, i)
 			}
 		}
@@ -298,7 +325,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 func TestSearchBatchDimMismatch(t *testing.T) {
 	ix, _, _ := sharedIndex(t)
 	bad := vec.NewMatrix(2, ix.Dim+1)
-	if _, err := ix.SearchBatch(bad, 5, KernelFastScan); err == nil {
+	if _, err := ix.QueryBatch(context.Background(), bad, Request{K: 5, Kernel: KernelFastScan}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
@@ -306,14 +333,8 @@ func TestSearchBatchDimMismatch(t *testing.T) {
 func TestFastScan256KernelThroughIndex(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
 	for qi := 0; qi < 3; qi++ {
-		want, _, _, err := ix.Search(queries.Row(qi), 20, KernelLibpq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, _, err := ix.Search(queries.Row(qi), 20, KernelFastScan256)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, _ := search1(t, ix, queries.Row(qi), 20, KernelLibpq)
+		got, _ := search1(t, ix, queries.Row(qi), 20, KernelFastScan256)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("fastpq256 differs at rank %d", i)
@@ -367,17 +388,11 @@ func TestSearchKLargerThanPartition(t *testing.T) {
 	q := queries.Row(0)
 	part := ix.RoutePartition(q)
 	k := ix.Parts()[part].N + 50
-	ref, _, _, err := ix.Search(q, k, KernelNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, _ := search1(t, ix, q, k, KernelNaive)
 	if len(ref) != ix.Parts()[part].N {
 		t.Fatalf("got %d results for k beyond partition size %d", len(ref), ix.Parts()[part].N)
 	}
-	got, _, _, err := ix.Search(q, k, KernelFastScan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := search1(t, ix, q, k, KernelFastScan)
 	for i := range ref {
 		if got[i] != ref[i] {
 			t.Fatalf("oversized-k results differ at rank %d", i)

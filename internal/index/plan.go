@@ -4,12 +4,14 @@ import (
 	"pqfastscan/internal/vec"
 )
 
-// Allocation-free snapshot accessors for the adaptive query planner
-// (internal/plan). The planner runs on every WithAuto search, so its
-// inputs must cost one atomic snapshot load and some arithmetic — no
-// slices born per query. Callers pass in reusable buffers (the planner
-// pools them); both functions grow a too-small buffer, which in steady
-// state happens never (partition counts change only on swap).
+// The probe-set inputs every routing decision reads — the cell ranking,
+// the recall→nprobe rule and the per-partition planning signals — for
+// Query's multi-probe path, the query planner (internal/plan) and the
+// cluster router alike. The planner runs on every WithAuto search, so
+// the Into accessors cost one atomic snapshot load and some arithmetic:
+// callers pass in reusable buffers (the planner pools them) and a
+// too-small buffer is grown, which in steady state happens never
+// (partition counts change only on swap).
 
 // PlanStat is one partition's planning signals: its sealed row count
 // (codes a scan touches, dead included — tombstones are skipped inside
@@ -37,15 +39,29 @@ func (ix *Index) PlanStatsInto(buf []PlanStat) []PlanStat {
 	return buf
 }
 
-// RankCellsInto is RankCells writing into caller-provided storage: ids
-// receives every cell id ordered by ascending coarse distance (ties by
-// cell id), dists is scratch for the distances. The order is identical
-// to RankCells' — a planner-chosen nprobe therefore probes exactly the
-// prefix a WithNProbe query would, which is what makes planned and
-// fixed-option results bit-identical. Neither slice escapes; no
-// allocation when both have capacity Partitions().
+// RankCells orders every cell id by ascending coarse distance between
+// the query and coarse's rows (ties by cell id) — step 1 of Algorithm 1
+// as a standalone function. It is the one routing order in the system:
+// Query's multi-probe path, the planner and the scatter-gather cluster
+// router (internal/cluster) all rank with it, which is what lets a
+// router that only holds the coarse centroids pick the exact probe set
+// a single-node multi-probe query would, ties included.
+func RankCells(query []float32, coarse vec.Matrix) []int {
+	return rankCells(query, coarse, nil, nil)
+}
+
+// RankCellsInto is RankCells over the index's own centroids writing
+// into caller-provided storage: ids receives the ranking, dists is
+// scratch for the distances. Neither slice escapes; no allocation when
+// both have capacity Partitions() — the planner runs this per query.
 func (ix *Index) RankCellsInto(query []float32, ids []int, dists []float32) []int {
-	n := ix.Coarse.Rows()
+	return rankCells(query, ix.Coarse, ids, dists)
+}
+
+// rankCells is the one ranking body behind RankCells and RankCellsInto,
+// growing either buffer that is too small.
+func rankCells(query []float32, coarse vec.Matrix, ids []int, dists []float32) []int {
+	n := coarse.Rows()
 	if cap(ids) < n {
 		ids = make([]int, n)
 	}
@@ -55,17 +71,43 @@ func (ix *Index) RankCellsInto(query []float32, ids []int, dists []float32) []in
 	ids, dists = ids[:n], dists[:n]
 	for i := 0; i < n; i++ {
 		ids[i] = i
-		dists[i] = vec.L2Squared(query, ix.Coarse.Row(i))
+		dists[i] = vec.L2Squared(query, coarse.Row(i))
 	}
 	heapsortCells(ids, dists)
 	return ids
 }
 
+// RecallPrefix maps a recall target r in (0, 1] to a probe-prefix
+// length: how many leading cells of ranked (a RankCells order) must be
+// probed before they hold at least fraction r of the live mass, live
+// being the live row count per cell id. It is the one recall→nprobe
+// rule, shared by the single-node planner and the cluster router, so a
+// routed ?recall= query probes exactly what a single node would. With
+// no live mass at all it answers the single-probe default.
+func RecallPrefix(ranked, live []int, r float64) int {
+	total := 0
+	for _, n := range live {
+		total += n
+	}
+	if total == 0 {
+		return 1
+	}
+	need := r * float64(total)
+	mass := 0
+	for i, c := range ranked {
+		mass += live[c]
+		if float64(mass) >= need {
+			return i + 1
+		}
+	}
+	return len(ranked)
+}
+
 // heapsortCells sorts the parallel (id, dist) arrays by (dist, id)
 // ascending in place — heapsort rather than sort.Slice because the
-// latter's interface conversion allocates, and this runs per planned
-// query. Deterministic total order: distances never compare equal
-// without the id tiebreak deciding.
+// latter's interface conversion allocates, and this runs per query.
+// Deterministic total order: distances never compare equal without the
+// id tiebreak deciding.
 func heapsortCells(ids []int, dists []float32) {
 	n := len(ids)
 	less := func(a, b int) bool {

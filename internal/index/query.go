@@ -3,7 +3,7 @@ package index
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pqfastscan/internal/layout"
 	"pqfastscan/internal/par"
@@ -65,15 +65,15 @@ func (ix *Index) validate(s *Snapshot, req Request) error {
 		if req.NProbe > 1 {
 			return fmt.Errorf("index: explicit cells and nprobe %d are mutually exclusive", req.NProbe)
 		}
-		seen := make(map[int]bool, len(req.Cells))
-		for _, c := range req.Cells {
+		for i, c := range req.Cells {
 			if c < 0 || c >= len(s.Parts) {
 				return fmt.Errorf("index: cell %d out of range [0,%d)", c, len(s.Parts))
 			}
-			if seen[c] {
+			// A valid list is no longer than the partition count, so the
+			// quadratic scan is a handful of compares and no allocation.
+			if slices.Contains(req.Cells[:i], c) {
 				return fmt.Errorf("index: cell %d listed twice", c)
 			}
-			seen[c] = true
 		}
 	}
 	if req.Engine != EngineModel && req.Engine != EngineNative {
@@ -174,36 +174,6 @@ func (ix *Index) queryCells(ctx context.Context, s *Snapshot, req Request, cellI
 	}
 	resp.Results = heap.Results()
 	return resp, nil
-}
-
-// RankCells orders every cell id by ascending coarse distance between
-// the query and coarse's rows (ties by cell id) — step 1 of Algorithm 1
-// as a standalone function. It is the one routing order in the system:
-// Query's multi-probe path and the scatter-gather cluster router
-// (internal/cluster) both rank with it, which is what lets a router
-// that only holds the coarse centroids pick the exact probe set a
-// single-node multi-probe query would, ties included.
-func RankCells(query []float32, coarse vec.Matrix) []int {
-	n := coarse.Rows()
-	type cell struct {
-		id int
-		d  float32
-	}
-	cells := make([]cell, n)
-	for i := 0; i < n; i++ {
-		cells[i] = cell{id: i, d: vec.L2Squared(query, coarse.Row(i))}
-	}
-	sort.Slice(cells, func(a, b int) bool {
-		if cells[a].d != cells[b].d {
-			return cells[a].d < cells[b].d
-		}
-		return cells[a].id < cells[b].id
-	})
-	out := make([]int, n)
-	for i, c := range cells {
-		out[i] = c.id
-	}
-	return out
 }
 
 // queryParallel scans the probed cells of one query concurrently — the

@@ -29,6 +29,17 @@ func buildSmall(t *testing.T) (*index.Index, *dataset.Generator) {
 	return ix, gen
 }
 
+// search1 is the query the round-trip tests compare — one probe on the
+// model engine — returning the neighbors and the cell they came from.
+func search1(t *testing.T, ix *index.Index, q []float32, k int, kern index.Kernel) ([]index.Result, int) {
+	t.Helper()
+	resp, err := ix.Query(context.Background(), index.Request{Query: q, K: k, Kernel: kern})
+	if err != nil {
+		t.Fatalf("kernel %v: %v", kern, err)
+	}
+	return resp.Results, resp.Partitions[0]
+}
+
 func TestRoundtripIdenticalResults(t *testing.T) {
 	ix, gen := buildSmall(t)
 	var buf bytes.Buffer
@@ -49,14 +60,8 @@ func TestRoundtripIdenticalResults(t *testing.T) {
 	for qi := 0; qi < queries.Rows(); qi++ {
 		q := queries.Row(qi)
 		for _, kern := range []index.Kernel{index.KernelLibpq, index.KernelFastScan} {
-			want, _, wantPart, err := ix.Search(q, 20, kern)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, gotPart, err := loaded.Search(q, 20, kern)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want, wantPart := search1(t, ix, q, 20, kern)
+			got, gotPart := search1(t, loaded, q, 20, kern)
 			if wantPart != gotPart {
 				t.Fatalf("query %d routed differently after reload", qi)
 			}
@@ -80,8 +85,8 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := gen.Generate(1).Row(0)
-	want, _, _, _ := ix.Search(q, 5, index.KernelFastScan)
-	got, _, _, _ := loaded.Search(q, 5, index.KernelFastScan)
+	want, _ := search1(t, ix, q, 5, index.KernelFastScan)
+	got, _ := search1(t, loaded, q, 5, index.KernelFastScan)
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatal("results differ after file roundtrip")
@@ -199,14 +204,8 @@ func TestRoundtripOrderGroups(t *testing.T) {
 		t.Fatalf("FastScan options lost in roundtrip: %+v", got)
 	}
 	q := gen.Generate(1).Row(0)
-	want, _, _, err := ix.Search(q, 20, index.KernelFastScan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, _, _, err := loaded.Search(q, 20, index.KernelFastScan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := search1(t, ix, q, 20, index.KernelFastScan)
+	have, _ := search1(t, loaded, q, 20, index.KernelFastScan)
 	for i := range want {
 		if want[i] != have[i] {
 			t.Fatalf("rank %d differs after OrderGroups roundtrip", i)
@@ -292,14 +291,8 @@ func TestV1StillLoads(t *testing.T) {
 		t.Fatalf("v1 reload recomputed next id %d, want 8000", loaded.NextID())
 	}
 	q := gen.Generate(1).Row(0)
-	want, _, _, err := ix.Search(q, 10, index.KernelFastScan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	have, _, _, err := loaded.Search(q, 10, index.KernelFastScan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := search1(t, ix, q, 10, index.KernelFastScan)
+	have, _ := search1(t, loaded, q, 10, index.KernelFastScan)
 	for i := range want {
 		if want[i] != have[i] {
 			t.Fatalf("rank %d differs after v1 roundtrip", i)
@@ -357,14 +350,8 @@ func TestRoundtripMutatedIndex(t *testing.T) {
 	for qi := 0; qi < queries.Rows(); qi++ {
 		q := queries.Row(qi)
 		for _, kern := range []index.Kernel{index.KernelNaive, index.KernelFastScan} {
-			want, _, _, err := ix.Search(q, 25, kern)
-			if err != nil {
-				t.Fatal(err)
-			}
-			have, _, _, err := loaded.Search(q, 25, kern)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want, _ := search1(t, ix, q, 25, kern)
+			have, _ := search1(t, loaded, q, 25, kern)
 			if len(want) != len(have) {
 				t.Fatalf("query %d kernel %v: size %d vs %d", qi, kern, len(have), len(want))
 			}
@@ -433,14 +420,8 @@ func TestRoundtripCompactedIndex(t *testing.T) {
 	queries := gen.Generate(4)
 	for qi := 0; qi < queries.Rows(); qi++ {
 		q := queries.Row(qi)
-		want, _, _, err := ix.Search(q, 25, index.KernelFastScan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		have, _, _, err := loaded.Search(q, 25, index.KernelFastScan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, _ := search1(t, ix, q, 25, index.KernelFastScan)
+		have, _ := search1(t, loaded, q, 25, index.KernelFastScan)
 		for i := range want {
 			if want[i] != have[i] {
 				t.Fatalf("query %d rank %d differs after compacted roundtrip", qi, i)

@@ -1,97 +1,69 @@
-// Package plan is the adaptive per-query planner: given a query and a
-// target (min-latency by default, or a recall target), it chooses the
-// knobs that are otherwise caller-supplied constants — nprobe, scan
-// kernel, block-kernel backend, and sequential-vs-parallel probing —
-// from live signals the engine already has:
+// Package plan is the per-query planner: given a query and a target
+// (min-latency by default, or a recall target), it chooses the probe
+// set's two open knobs — nprobe and sequential-vs-parallel probing —
+// from what the index snapshot already says: per-partition sizes, dead
+// ratios and paged-vs-resident status (index.PlanStatsInto) and the
+// cell ranking along the query (index.RankCellsInto).
 //
-//   - snapshot structure: per-partition sizes, dead ratios and
-//     paged-vs-resident status (index.PlanStatsInto), and the cell
-//     ranking along the query (index.RankCellsInto);
-//   - an online per-class ns/code cost model: the lock-free EWMAs of
-//     internal/scan, seeded by the internal/perf instruction-count
-//     prior and updated by every scan the engine runs.
+// It does not choose the scan. A planned query runs the documented
+// default — PQ Fast Scan on the backend internal/simd/dispatch selected
+// at start-up — unless the caller pinned another kernel or backend:
+// Fast Scan is the faster loop at every partition size the standing
+// benchmark measures and the only one that carries the pruning
+// threshold across probed cells, so there is nothing to decide per
+// query.
 //
 // The planner is greedy and statistics-free in the Janus-Datalog sense
-// ("When Greedy Beats Optimal"): no catalogs, no search — one ranked
-// walk for nprobe, one argmin over cost classes for kernel/backend, one
-// threshold for parallelism — so planning costs microseconds against
-// scans that cost hundreds. It is also allocation-free in steady state:
-// all per-query scratch is pooled.
+// ("When Greedy Beats Optimal"): no catalogs, no search, no history —
+// one ranked walk for nprobe, one threshold for parallelism — so
+// planning costs microseconds against scans that cost hundreds, and it
+// allocates nothing in steady state: all per-query scratch is pooled.
 //
-// Every choice preserves bit-identity (DESIGN.md §16): the planner
-// selects only among configurations that return identical results for
-// the same probe set — the exact kernels and both Fast Scan widths on
-// any backend, sequential or parallel — and its nprobe choice is a
-// prefix of the same RankCells order WithNProbe uses, so a planned
-// query equals the fixed-option query built from its Decision.
+// Both choices preserve bit-identity (DESIGN.md §16): sequential and
+// parallel probing return identical results for the same probe set, and
+// the nprobe choice is a prefix of the same RankCells order WithNProbe
+// uses, so a planned query equals the fixed-option query built from its
+// Decision.
 package plan
 
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"pqfastscan/internal/index"
-	"pqfastscan/internal/scan"
-	"pqfastscan/internal/simd/dispatch"
 )
 
-// parallelCutoverNs is the estimated sequential scan cost above which a
-// multi-probe query is worth fanning out across cores: well above the
-// few-µs cost of spawning the per-cell goroutines, well below a
-// latency anyone would notice going unsplit.
-const parallelCutoverNs = 100_000
-
-// availBackends caches the machine's backend list: it is fixed at
-// startup feature detection, and dispatch.AvailableBackends allocates a
-// fresh slice per call, which would be Decide's only allocation.
-var availBackends = dispatch.AvailableBackends()
-
-// switchMargin is the kernel/backend hysteresis: a challenger class
-// must undercut the incumbent's estimated cost by this factor before
-// the planner switches away from it. Observed ns/code averages carry
-// sampling noise; without a margin, two classes of similar true cost
-// trade the argmin back and forth and every planned query stands a
-// coin-flip chance of running the slower one — with it, the planner
-// settles on one class until the evidence against it is real.
-const switchMargin = 1.25
-
-// incumbent is the cost class of the last kernel/backend argmin, +1 (0
-// = none yet). Process-global like the EWMAs it damps.
-var incumbent atomic.Int32
+// parallelCutoverCodes is the probed-code count from which a resident
+// multi-probe query is worth fanning out across cores: about 100 µs of
+// sequential Fast Scan at the ≈0.9 ns/code the standing benchmark's
+// lib_scanall measures — well above the few-µs cost of spawning the
+// per-cell goroutines and of each cell re-learning its own pruning
+// threshold, well below a latency anyone would notice going unsplit.
+const parallelCutoverCodes = 1 << 17
 
 // Request describes one planning problem. The PlanX flags say which
-// dimensions the caller left open — explicit options always win, the
-// planner only fills what was not pinned (the conflict semantics the
-// facade tests pin down).
+// knobs the caller left open — explicit options always win, the planner
+// only fills what was not pinned (the conflict semantics the facade
+// tests pin down).
 type Request struct {
 	Query  []float32
 	Recall float64 // 0 = min-latency; (0,1] = probe the closest cells covering this live-mass fraction
 
 	PlanNProbe   bool
-	PlanKernel   bool // choose exact-loop vs Fast Scan
-	PlanBackend  bool // choose the Fast Scan block-kernel backend
 	PlanParallel bool
 
-	// Pinned context for the dimensions not planned, used only to cost
-	// the others: the caller's nprobe (when !PlanNProbe), its explicit
-	// cell set (when routing is pinned by WithCells), and whether its
-	// pinned kernel is a Fast Scan width.
+	// The pinned probe set, read only to weigh parallelism: the
+	// caller's nprobe (when !PlanNProbe) or its explicit cell list
+	// (when routing is pinned by WithCells).
 	FixedNProbe int
 	Cells       []int
-	FastKernel  bool
 }
 
-// Decision is the planner's answer. Only the dimensions the Request
-// left open are meaningful; the facade merges them over the explicit
-// options. Cold reports that no observation informed the choice and
-// the documented defaults were kept.
+// Decision is the planner's answer; a knob the Request pinned comes
+// back as it was pinned (FixedNProbe, sequential).
 type Decision struct {
 	NProbe   int
-	Kernel   index.Kernel
-	Backend  index.Backend
 	Parallel bool
-	Cold     bool
 }
 
 // scratch pools every per-query buffer so Decide allocates nothing in
@@ -99,193 +71,91 @@ type Decision struct {
 type scratch struct {
 	ids   []int
 	dists []float32
+	live  []int
 	stats []index.PlanStat
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// rank fills sc.ids with the query's cell ranking. Both buffers are
+// sized here because RankCellsInto can hand back only the one it
+// returns: a distance buffer it had to grow would be lost, and grown
+// again on every query.
+func (sc *scratch) rank(ix *index.Index, query []float32) {
+	if n := len(sc.stats); cap(sc.ids) < n || cap(sc.dists) < n {
+		sc.ids, sc.dists = make([]int, n), make([]float32, n)
+	}
+	sc.ids = ix.RankCellsInto(query, sc.ids, sc.dists)
+}
 
 // Decide plans one query against the index's current snapshot.
 func Decide(ix *index.Index, req Request) Decision {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.stats = ix.PlanStatsInto(sc.stats)
-	stats := sc.stats
-
-	totalLive := 0
-	for _, st := range stats {
-		totalLive += st.N - st.Dead
-	}
-
-	d := Decision{NProbe: 1, Kernel: index.KernelFastScan, Backend: index.BackendAuto}
 
 	// --- nprobe: a prefix of the RankCells order ------------------------
 	//
 	// Min-latency keeps the documented single-probe default. A recall
 	// target r extends the prefix greedily until the probed cells hold
-	// at least fraction r of the live mass: without a ground-truth
-	// recall harness (ROADMAP item 4), the mass of the closest cells is
-	// the structural surrogate for the chance that the true neighbor's
-	// cell was probed — under a uniform-mass assumption the routing miss
-	// rate is bounded by the unprobed fraction. The prefix property is
-	// what keeps the planned probe set identical to WithNProbe's.
-	nprobe := req.FixedNProbe
+	// at least fraction r of the live mass (index.RecallPrefix): the
+	// mass of the closest cells is the structural surrogate for the
+	// chance that the true neighbor's cell was probed — under a
+	// uniform-mass assumption the routing miss rate is bounded by the
+	// unprobed fraction. The prefix property is what keeps the planned
+	// probe set identical to WithNProbe's.
+	nprobe := max(req.FixedNProbe, 1)
 	ranked := false
-	rank := func() {
-		if cap(sc.ids) < len(stats) {
-			sc.ids = make([]int, len(stats))
-			sc.dists = make([]float32, len(stats))
-		}
-		sc.ids = ix.RankCellsInto(req.Query, sc.ids, sc.dists)
-		ranked = true
-	}
 	if req.PlanNProbe {
 		nprobe = 1
-		if req.Recall > 0 && totalLive > 0 {
-			rank()
-			need := req.Recall * float64(totalLive)
-			mass := 0.0
-			nprobe = 0
-			for _, c := range sc.ids {
-				nprobe++
-				mass += float64(stats[c].N - stats[c].Dead)
-				if mass >= need {
-					break
-				}
+		if req.Recall > 0 {
+			sc.rank(ix, req.Query)
+			ranked = true
+			sc.live = sc.live[:0]
+			for _, st := range sc.stats {
+				sc.live = append(sc.live, st.N-st.Dead)
 			}
+			nprobe = index.RecallPrefix(sc.ids, sc.live, req.Recall)
 		}
 	}
-	if nprobe > 0 {
-		d.NProbe = nprobe
-	}
-
-	// --- probe set, for costing the remaining choices -------------------
-	probedCodes, pagedCodes := 0, 0
-	add := func(c int) {
-		probedCodes += stats[c].N
-		if stats[c].Paged {
-			pagedCodes += stats[c].N
-		}
-	}
-	switch {
-	case len(req.Cells) > 0:
-		for _, c := range req.Cells {
-			if c >= 0 && c < len(stats) {
-				add(c)
-			}
-		}
-	case nprobe <= 1:
-		if c := ix.RoutePartition(req.Query); c >= 0 && c < len(stats) {
-			add(c)
-		}
-	default:
-		if !ranked {
-			rank()
-		}
-		n := nprobe
-		if n > len(sc.ids) {
-			n = len(sc.ids)
-		}
-		for _, c := range sc.ids[:n] {
-			add(c)
-		}
-	}
-	cost := func(class scan.CostClass) float64 {
-		return float64(probedCodes-pagedCodes)*scan.EstimatedNsPerCode(class, false) +
-			float64(pagedCodes)*scan.EstimatedNsPerCode(class, true)
-	}
-
-	// --- kernel and backend: argmin over observed cost classes ----------
-	//
-	// Candidates are only bit-identical configurations: Fast Scan per
-	// available backend, and the native exact loop (whose naive/libpq/
-	// avx/gather selections are one implementation). With no
-	// observations anywhere the planner does not trust the prior to
-	// deviate: it keeps the documented defaults (Fast Scan, automatic
-	// backend) deterministically and reports a cold fallback.
-	effClass := scan.CostExact
-	if req.PlanKernel || req.FastKernel {
-		effClass = scan.FastClassFor(index.BackendAuto)
-	}
-	if req.PlanKernel || req.PlanBackend {
-		type cand struct {
-			class   scan.CostClass
-			kernel  index.Kernel
-			backend index.Backend
-		}
-		var cands [8]cand
-		n := 0
-		if req.PlanBackend {
-			for _, be := range availBackends {
-				cands[n] = cand{scan.FastClassFor(be), index.KernelFastScan, be}
-				n++
-			}
-		} else if req.FastKernel || req.PlanKernel {
-			// Backend pinned (or defaulted): one Fast Scan candidate on it.
-			cands[n] = cand{scan.FastClassFor(index.BackendAuto), index.KernelFastScan, index.BackendAuto}
-			n++
-		}
-		if req.PlanKernel {
-			cands[n] = cand{scan.CostExact, index.KernelNaive, index.BackendAuto}
-			n++
-		}
-		warm := false
-		for i := 0; i < n; i++ {
-			if _, s := scan.ObservedNsPerCode(cands[i].class, false); s > 0 {
-				warm = true
-			}
-			if _, s := scan.ObservedNsPerCode(cands[i].class, true); s > 0 {
-				warm = true
-			}
-		}
-		if warm && n > 0 {
-			best := 0
-			bestCost := cost(cands[0].class)
-			for i := 1; i < n; i++ {
-				if c := cost(cands[i].class); c < bestCost {
-					best, bestCost = i, c
-				}
-			}
-			// Hysteresis: keep the previously chosen class while it stays
-			// within switchMargin of the argmin.
-			if inc := incumbent.Load(); inc > 0 && cands[best].class != scan.CostClass(inc-1) {
-				for i := 0; i < n; i++ {
-					if cands[i].class == scan.CostClass(inc-1) {
-						if cost(cands[i].class) <= switchMargin*bestCost {
-							best = i
-						}
-						break
-					}
-				}
-			}
-			incumbent.Store(int32(cands[best].class) + 1)
-			if req.PlanKernel {
-				d.Kernel = cands[best].kernel
-			}
-			if req.PlanBackend && cands[best].kernel == index.KernelFastScan {
-				d.Backend = cands[best].backend
-			}
-			effClass = cands[best].class
-		} else {
-			d.Cold = true
-		}
-	}
+	d := Decision{NProbe: nprobe}
 
 	// --- sequential vs parallel probing ---------------------------------
 	//
-	// Fan a multi-probe query across cores when the estimated
-	// sequential cost clears the goroutine overhead, or when any probed
-	// partition is disk-resident (parallel probes overlap their pool
-	// faults instead of serializing them). Bit-identical either way.
-	probes := nprobe
-	if len(req.Cells) > 0 {
-		probes = len(req.Cells)
-	}
-	if req.PlanParallel && probes > 1 && runtime.GOMAXPROCS(0) > 1 {
-		if pagedCodes > 0 || cost(effClass) >= parallelCutoverNs {
-			d.Parallel = true
+	// Weighed over the probe set the query will visit: the explicit
+	// cells, or the nprobe-prefix of the ranking (a routed single probe
+	// has nothing to fan out and is not even ranked).
+	if req.PlanParallel {
+		probe := req.Cells
+		if len(probe) == 0 && nprobe > 1 {
+			if !ranked {
+				sc.rank(ix, req.Query)
+			}
+			probe = sc.ids[:min(nprobe, len(sc.ids))]
 		}
+		probedCodes, pagedCodes := 0, 0
+		for _, c := range probe {
+			if c < 0 || c >= len(sc.stats) {
+				continue // the query's own validation rejects it
+			}
+			probedCodes += sc.stats[c].N
+			if sc.stats[c].Paged {
+				pagedCodes += sc.stats[c].N
+			}
+		}
+		d.Parallel = parallelWorthIt(len(probe), probedCodes, pagedCodes, runtime.GOMAXPROCS(0))
 	}
 
 	record(req, d)
 	return d
+}
+
+// parallelWorthIt is the whole parallel rule: fan a query's probes
+// across cores when there is more than one of each and either the scan
+// is long enough to clear the goroutine overhead or a probed partition
+// is disk-resident (parallel probes overlap their pool faults instead
+// of serializing them). Bit-identical either way.
+func parallelWorthIt(probes, probedCodes, pagedCodes, cores int) bool {
+	return probes > 1 && cores > 1 &&
+		(pagedCodes > 0 || probedCodes >= parallelCutoverCodes)
 }

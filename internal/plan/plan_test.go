@@ -3,12 +3,9 @@ package plan
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"pqfastscan/internal/dataset"
 	"pqfastscan/internal/index"
-	"pqfastscan/internal/scan"
-	"pqfastscan/internal/simd/dispatch"
 )
 
 func buildIndex(t *testing.T, partitions int) (*index.Index, func(i int) []float32) {
@@ -28,41 +25,36 @@ func buildIndex(t *testing.T, partitions int) (*index.Index, func(i int) []float
 }
 
 func allOpen(q []float32, recall float64) Request {
-	return Request{
-		Query: q, Recall: recall,
-		PlanNProbe: true, PlanKernel: true, PlanBackend: true, PlanParallel: true,
-	}
+	return Request{Query: q, Recall: recall, PlanNProbe: true, PlanParallel: true}
 }
 
+// TestColdStartKeepsDocumentedDefaults: the planner has no warm state,
+// so its very first min-latency decision is already the documented
+// default probe set — one probe, sequential — and repeats exactly. (The
+// scan that runs it is not the planner's to choose: the facade and
+// server tests pin that a planned query runs the default PQ Fast Scan
+// on the automatic backend.)
 func TestColdStartKeepsDocumentedDefaults(t *testing.T) {
 	ix, row := buildIndex(t, 8)
-	scan.ResetCostObservations()
-	defer scan.ResetCostObservations()
-	Reset()
+	before := Snapshot()
 
 	d := Decide(ix, allOpen(row(0), 0))
-	if !d.Cold {
-		t.Errorf("cold planner did not report cold fallback: %+v", d)
+	if d != (Decision{NProbe: 1}) {
+		t.Errorf("min-latency decision %+v, want {1 sequential}", d)
 	}
-	if d.NProbe != 1 || d.Kernel != index.KernelFastScan || d.Backend != index.BackendAuto || d.Parallel {
-		t.Errorf("cold min-latency decision %+v, want {1 fastpq auto sequential}", d)
-	}
-	// Deterministic: same inputs, same answer.
 	for i := 0; i < 5; i++ {
 		if d2 := Decide(ix, allOpen(row(0), 0)); d2 != d {
-			t.Fatalf("cold decision not deterministic: %+v vs %+v", d2, d)
+			t.Fatalf("decision not deterministic: %+v vs %+v", d2, d)
 		}
 	}
 	s := Snapshot()
-	if s.Planned == 0 || s.ColdFallbacks == 0 {
-		t.Errorf("counters not recorded: %+v", s)
+	if s.Planned != before.Planned+6 || s.NProbeHist["1"] != before.NProbeHist["1"]+6 {
+		t.Errorf("counters not recorded: %+v -> %+v", before, s)
 	}
 }
 
 func TestRecallTargetExtendsPrefix(t *testing.T) {
 	ix, row := buildIndex(t, 8)
-	scan.ResetCostObservations()
-	defer scan.ResetCostObservations()
 
 	q := row(1)
 	stats := ix.PlanStatsInto(nil)
@@ -117,108 +109,100 @@ func firstFullCover(ranked []int, stats []index.PlanStat) int {
 	return len(ranked)
 }
 
-func TestWarmObservationsPickCheapestClass(t *testing.T) {
-	ix, row := buildIndex(t, 8)
-	defer scan.ResetCostObservations()
-	Reset()
-
-	// Teach the planner that the exact loop is (implausibly) cheapest.
-	scan.ResetCostObservations()
-	scan.ObserveScan(scan.CostExact, false, 1000, 100*time.Nanosecond) // 0.1 ns/code
-	for _, be := range dispatch.AvailableBackends() {
-		scan.ObserveScan(scan.FastClassFor(be), false, 1000, 10*time.Microsecond) // 10 ns/code
-	}
-	d := Decide(ix, allOpen(row(2), 0))
-	if d.Cold {
-		t.Fatalf("warm planner reported cold: %+v", d)
-	}
-	if d.Kernel != index.KernelNaive {
-		t.Errorf("planner ignored observations: picked %v over cheap exact", d.Kernel)
-	}
-
-	// Now teach it the opposite: Fast Scan on a concrete backend wins.
-	scan.ResetCostObservations()
-	scan.ObserveScan(scan.CostExact, false, 1000, 10*time.Microsecond)
-	best := dispatch.AvailableBackends()[0]
-	scan.ObserveScan(scan.FastClassFor(best), false, 1000, 100*time.Nanosecond)
-	d = Decide(ix, allOpen(row(2), 0))
-	if d.Kernel != index.KernelFastScan || d.Backend != best {
-		t.Errorf("planner picked %v/%v, want fastpq/%v", d.Kernel, d.Backend, best)
-	}
-
-	s := Snapshot()
-	if len(s.KernelPicks) == 0 || len(s.Observations) == 0 {
-		t.Errorf("stats missing picks or observations: %+v", s)
-	}
-}
-
 func TestExplicitDimensionsAreNotPlanned(t *testing.T) {
 	ix, row := buildIndex(t, 8)
-	scan.ResetCostObservations()
-	defer scan.ResetCostObservations()
 	// nprobe pinned: the decision carries it through untouched even
 	// with a recall target that would pick differently.
-	d := Decide(ix, Request{
-		Query: row(3), Recall: 1.0,
-		PlanKernel: true, PlanBackend: true, PlanParallel: true,
-		FixedNProbe: 2,
-	})
+	d := Decide(ix, Request{Query: row(3), Recall: 1.0, PlanParallel: true, FixedNProbe: 2})
 	if d.NProbe != 2 {
 		t.Errorf("pinned nprobe overridden: %+v", d)
 	}
+	// Parallelism pinned: never set, however heavy the probe set.
+	d = Decide(ix, Request{Query: row(3), Recall: 1.0, PlanNProbe: true})
+	if d.Parallel {
+		t.Errorf("pinned parallelism overridden: %+v", d)
+	}
 }
 
+// TestParallelNeedsMultiProbeAndWeight is the parallel rule over
+// (probes, probed codes, paged codes, cores), then Decide feeding it the
+// right probe set.
 func TestParallelNeedsMultiProbeAndWeight(t *testing.T) {
-	ix, row := buildIndex(t, 8)
-	defer scan.ResetCostObservations()
+	const heavy, light = parallelCutoverCodes, parallelCutoverCodes - 1
+	for _, tc := range []struct {
+		name                        string
+		probes, codes, paged, cores int
+		want                        bool
+	}{
+		{"single probe never, however heavy", 1, 100 * heavy, 0, 8, false},
+		{"single paged probe never", 1, heavy, heavy, 8, false},
+		{"single core never, however heavy", 4, 100 * heavy, 0, 1, false},
+		{"single core never, even paged", 4, heavy, heavy, 1, false},
+		{"light resident multi-probe stays sequential", 4, light, 0, 2, false},
+		{"resident multi-probe at the cutover fans out", 2, heavy, 0, 2, true},
+		{"any paged code fans a light multi-probe out", 2, 100, 1, 2, true},
+	} {
+		if got := parallelWorthIt(tc.probes, tc.codes, tc.paged, tc.cores); got != tc.want {
+			t.Errorf("%s: parallelWorthIt(%d, %d, %d, %d) = %v", tc.name, tc.probes, tc.codes, tc.paged, tc.cores, got)
+		}
+	}
 
-	// Single-probe queries never parallelize.
-	slowAll := func() {
-		scan.ResetCostObservations()
-		scan.ObserveScan(scan.CostExact, false, 10, time.Second) // absurdly slow
-		for _, be := range dispatch.AvailableBackends() {
-			scan.ObserveScan(scan.FastClassFor(be), false, 10, time.Second)
+	// 20k codes over 8 resident cells: under the cutover whatever the
+	// probe set, routed or explicit.
+	ix, row := buildIndex(t, 8)
+	for _, req := range []Request{
+		allOpen(row(4), 0),
+		allOpen(row(4), 1.0),
+		{Query: row(4), PlanParallel: true, FixedNProbe: 8},
+		{Query: row(4), PlanParallel: true, Cells: []int{0, 1, 2, 3, 4, 5, 6, 7}},
+	} {
+		if d := Decide(ix, req); d.Parallel {
+			t.Errorf("light resident query parallelized: %+v -> %+v", req, d)
 		}
 	}
-	slowAll()
-	d := Decide(ix, allOpen(row(4), 0))
-	if d.Parallel {
-		t.Errorf("single-probe query parallelized: %+v", d)
+
+	// The same cells paged: every multi-probe shape fans out on a
+	// multi-core host, a single probe still never does.
+	if err := ix.AttachStore(t.TempDir(), 1<<20); err != nil {
+		t.Fatal(err)
 	}
-	// Heavy multi-probe queries do — when there is more than one core
-	// to fan out over.
-	slowAll()
-	d = Decide(ix, allOpen(row(4), 1.0))
-	if runtime.GOMAXPROCS(0) > 1 {
-		if d.NProbe > 1 && !d.Parallel {
-			t.Errorf("heavy multi-probe query stayed sequential: %+v", d)
+	multiCore := runtime.GOMAXPROCS(0) > 1
+	for _, req := range []Request{
+		allOpen(row(4), 1.0),
+		{Query: row(4), PlanParallel: true, FixedNProbe: 8},
+		{Query: row(4), PlanParallel: true, Cells: []int{2, 5}},
+	} {
+		if d := Decide(ix, req); d.Parallel != multiCore {
+			t.Errorf("paged multi-probe on %d cores: %+v -> %+v", runtime.GOMAXPROCS(0), req, d)
 		}
-	} else if d.Parallel {
-		t.Errorf("single-core host parallelized: %+v", d)
 	}
-	// Light multi-probe queries stay sequential.
-	scan.ResetCostObservations()
-	scan.ObserveScan(scan.CostExact, false, 1<<30, time.Nanosecond) // ~0 ns/code
-	for _, be := range dispatch.AvailableBackends() {
-		scan.ObserveScan(scan.FastClassFor(be), false, 1<<30, time.Nanosecond)
-	}
-	d = Decide(ix, allOpen(row(4), 1.0))
-	if d.Parallel {
-		t.Errorf("light multi-probe query parallelized: %+v", d)
+	for _, req := range []Request{
+		allOpen(row(4), 0),
+		{Query: row(4), PlanParallel: true, Cells: []int{2}},
+	} {
+		if d := Decide(ix, req); d.Parallel {
+			t.Errorf("paged single probe parallelized: %+v -> %+v", req, d)
+		}
 	}
 }
 
 func TestDecideDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race; the pooled scratch is regrown")
+	}
 	ix, row := buildIndex(t, 8)
-	scan.ResetCostObservations()
-	defer scan.ResetCostObservations()
 	q := row(5)
-	// Warm the pooled scratch.
-	Decide(ix, allOpen(q, 0.9))
-	allocs := testing.AllocsPerRun(200, func() {
-		Decide(ix, allOpen(q, 0.9))
-	})
-	if allocs != 0 {
-		t.Errorf("Decide allocates %.1f per query, want 0", allocs)
+	for _, req := range []Request{
+		allOpen(q, 0.9),
+		{Query: q, PlanParallel: true, FixedNProbe: 4},
+	} {
+		// Warm the pooled scratch.
+		Decide(ix, req)
+		allocs := testing.AllocsPerRun(200, func() {
+			Decide(ix, req)
+		})
+		if allocs != 0 {
+			t.Errorf("Decide(%+v) allocates %.1f per query, want 0", req, allocs)
+		}
 	}
 }

@@ -1,73 +1,33 @@
 package plan
 
 import (
+	"math/bits"
 	"sync/atomic"
-
-	"pqfastscan/internal/index"
-	"pqfastscan/internal/scan"
 )
 
 // Process-wide planner decision counters, mirrored onto the server's
-// /stats as the "planner" section next to the scan-cost observations
-// they acted on. Lock-free for the same reason the EWMAs are: record
-// runs on every planned query.
-
+// /stats as the "planner" section. Lock-free: record runs on every
+// planned query.
 var (
 	plannedTotal atomic.Uint64
-	coldTotal    atomic.Uint64
 	parallelPick atomic.Uint64
 
 	// nprobeHist buckets the chosen nprobe: 1, 2, 3-4, 5-8, 9-16,
 	// 17-32, 33+.
 	nprobeHist [7]atomic.Uint64
-
-	// kernelPicks counts exact-loop vs Fast Scan choices; backendPicks
-	// is indexed by the dispatch backend value.
-	kernelExact atomic.Uint64
-	kernelFast  atomic.Uint64
-	backendPick [8]atomic.Uint64
 )
 
 var nprobeBucketLabels = [7]string{"1", "2", "3-4", "5-8", "9-16", "17-32", "33+"}
 
+// nprobeBucket is the power-of-two bucket of n: ceil(log2 n), capped.
 func nprobeBucket(n int) int {
-	switch {
-	case n <= 1:
-		return 0
-	case n == 2:
-		return 1
-	case n <= 4:
-		return 2
-	case n <= 8:
-		return 3
-	case n <= 16:
-		return 4
-	case n <= 32:
-		return 5
-	default:
-		return 6
-	}
+	return min(bits.Len(uint(max(n, 1)-1)), len(nprobeHist)-1)
 }
 
 func record(req Request, d Decision) {
 	plannedTotal.Add(1)
-	if d.Cold {
-		coldTotal.Add(1)
-	}
 	if req.PlanNProbe {
 		nprobeHist[nprobeBucket(d.NProbe)].Add(1)
-	}
-	if req.PlanKernel && !d.Cold {
-		if d.Kernel == index.KernelFastScan {
-			kernelFast.Add(1)
-		} else {
-			kernelExact.Add(1)
-		}
-	}
-	if req.PlanBackend && !d.Cold {
-		if b := int(d.Backend); b >= 0 && b < len(backendPick) {
-			backendPick[b].Add(1)
-		}
 	}
 	if d.Parallel {
 		parallelPick.Add(1)
@@ -75,67 +35,25 @@ func record(req Request, d Decision) {
 }
 
 // Stats is the JSON document of the planner's behaviour so far: how
-// many queries it planned, how often it fell back cold, what it chose,
-// and the scan-cost observations (EWMA vs prior) the choices read.
+// many queries it planned, how many of them it fanned out, and the
+// nprobe values it chose.
 type Stats struct {
-	Planned       uint64                 `json:"planned"`
-	ColdFallbacks uint64                 `json:"cold_fallbacks"`
-	ParallelPicks uint64                 `json:"parallel_picks"`
-	NProbeHist    map[string]uint64      `json:"nprobe_hist,omitempty"`
-	KernelPicks   map[string]uint64      `json:"kernel_picks,omitempty"`
-	BackendPicks  map[string]uint64      `json:"backend_picks,omitempty"`
-	Observations  []scan.CostObservation `json:"observations,omitempty"`
+	Planned       uint64            `json:"planned"`
+	ParallelPicks uint64            `json:"parallel_picks"`
+	NProbeHist    map[string]uint64 `json:"nprobe_hist,omitempty"`
 }
 
-// Snapshot captures the counters and the scan-cost EWMAs.
+// Snapshot captures the counters.
 func Snapshot() Stats {
 	s := Stats{
 		Planned:       plannedTotal.Load(),
-		ColdFallbacks: coldTotal.Load(),
 		ParallelPicks: parallelPick.Load(),
-		Observations:  scan.CostSnapshot(),
+		NProbeHist:    make(map[string]uint64),
 	}
 	for i := range nprobeHist {
 		if v := nprobeHist[i].Load(); v > 0 {
-			if s.NProbeHist == nil {
-				s.NProbeHist = make(map[string]uint64)
-			}
 			s.NProbeHist[nprobeBucketLabels[i]] = v
 		}
 	}
-	if v := kernelExact.Load(); v > 0 {
-		s.KernelPicks = map[string]uint64{"exact": v}
-	}
-	if v := kernelFast.Load(); v > 0 {
-		if s.KernelPicks == nil {
-			s.KernelPicks = make(map[string]uint64)
-		}
-		s.KernelPicks["fastpq"] = v
-	}
-	for b := range backendPick {
-		if v := backendPick[b].Load(); v > 0 {
-			if s.BackendPicks == nil {
-				s.BackendPicks = make(map[string]uint64)
-			}
-			s.BackendPicks[index.Backend(b).String()] = v
-		}
-	}
 	return s
-}
-
-// Reset clears the decision counters and the kernel-choice hysteresis
-// (not the scan EWMAs); benchmarks use it to isolate sweeps.
-func Reset() {
-	incumbent.Store(0)
-	plannedTotal.Store(0)
-	coldTotal.Store(0)
-	parallelPick.Store(0)
-	for i := range nprobeHist {
-		nprobeHist[i].Store(0)
-	}
-	kernelExact.Store(0)
-	kernelFast.Store(0)
-	for i := range backendPick {
-		backendPick[i].Store(0)
-	}
 }

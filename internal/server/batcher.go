@@ -47,7 +47,7 @@ var errExpiredInBatch = errors.New("server: deadline expired while queued for ba
 // the common case under scatter-gather fanout, where a hot query
 // population probes the same top cells — coalesce exactly like
 // same-nprobe client requests do. Planned requests carry the planner's
-// concrete choices (backend, parallel) in the key, so planned and
+// concrete choices (nprobe, parallel) in the key, so planned and
 // explicit requests resolving to the same configuration coalesce too.
 type batchKey struct {
 	k        int

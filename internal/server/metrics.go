@@ -172,11 +172,10 @@ type Stats struct {
 	PartitionStats []pqfastscan.PartitionStat `json:"partition_stats"`
 	Endpoints      map[string]EndpointStats   `json:"endpoints"`
 	Batch          BatchStats                 `json:"batch"`
-	// Planner reports the adaptive per-query planner: decision counters
-	// (nprobe histogram, kernel/backend picks, cold fallbacks) and the
-	// scan-cost observations behind them. Always present — even without
-	// Config.Auto, individual requests invoke the planner with ?auto=1
-	// or ?recall=.
+	// Planner reports the per-query planner's decision counters:
+	// queries planned, parallel picks and the nprobe histogram. Always
+	// present — even without Config.Auto, individual requests invoke
+	// the planner with ?auto=1 or ?recall=.
 	Planner    PlannerStats    `json:"planner"`
 	Admission  AdmissionStats  `json:"admission"`
 	Snapshot   SnapshotStats   `json:"snapshot"`
@@ -216,9 +215,9 @@ func readMemStats() MemStats {
 	}
 }
 
-// PlannerStats is the /stats projection of the adaptive planner:
-// whether Config.Auto plans every request by default, plus the
-// process-wide decision counters and cost observations.
+// PlannerStats is the /stats projection of the planner: whether
+// Config.Auto plans every request by default, plus the process-wide
+// decision counters.
 type PlannerStats struct {
 	Enabled bool `json:"enabled"`
 	plan.Stats

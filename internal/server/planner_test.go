@@ -7,7 +7,7 @@ import (
 	"pqfastscan/internal/plan"
 )
 
-// --- adaptive planner over HTTP ----------------------------------------
+// --- the planner over HTTP ----------------------------------------
 
 // TestSearchRecallBitIdentity: a ?recall= planned answer must be
 // bit-identical to the explicit request probing the same cell prefix —
@@ -127,7 +127,7 @@ func TestConfigAutoPlansByDefault(t *testing.T) {
 	if st.Planner.Planned == 0 {
 		t.Error("/stats planner.planned is zero after a planned search")
 	}
-	if len(st.Planner.Observations) == 0 {
-		t.Error("/stats planner.observations empty after real scans")
+	if len(st.Planner.NProbeHist) == 0 {
+		t.Error("/stats planner.nprobe_hist empty after a planned search")
 	}
 }

@@ -66,14 +66,14 @@ type Config struct {
 	// finds an empty partition.
 	Cells []int
 
-	// Auto enables the adaptive per-query planner for every /search by
-	// default: dimensions the request leaves open (nprobe, kernel,
-	// backend, parallelism) are chosen from live cost observations
-	// (DESIGN.md §16) as if each request carried ?auto=1. Individual
-	// requests opt out with ?auto=0. Without Auto, a request still opts
-	// in with ?auto=1 or by setting a ?recall= target. Planned answers
-	// are bit-identical to the fixed-option request probing the same
-	// cell prefix.
+	// Auto enables the per-query planner for every /search by default:
+	// the probe set a request leaves open (nprobe, and sequential or
+	// parallel probing) is chosen from the index snapshot (DESIGN.md
+	// §16) as if each request carried ?auto=1; kernel and backend stay
+	// the request's or the defaults. Individual requests opt out with
+	// ?auto=0. Without Auto, a request still opts in with ?auto=1 or by
+	// setting a ?recall= target. Planned answers are bit-identical to
+	// the fixed-option request probing the same cell prefix.
 	Auto bool
 
 	// Deprecated: ignored — batching needs no window; kept until the
@@ -569,8 +569,9 @@ func (s *Server) release() { <-s.sem }
 // coarse quantizer — the sub-request shape a cluster router sends to
 // its shards (nprobe must then be omitted). Backend pins the Fast Scan
 // block-kernel backend ("swar", "asm-avx2", "asm-neon"); omitted means
-// automatic. Omitted fields are exactly the ones the planner fills when
-// the request is planned (?auto=1, ?recall=, or Config.Auto).
+// automatic. An omitted NProbe is what the planner fills when the
+// request is planned (?auto=1, ?recall=, or Config.Auto); Kernel and
+// Backend are never planned.
 type SearchRequest struct {
 	Query   []float32 `json:"query"`
 	K       int       `json:"k"`
@@ -644,11 +645,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
-	// Which dimensions the request pins explicitly — captured before
-	// defaults are applied, because the planner fills only open ones.
+	// Whether the request pins nprobe explicitly — captured before the
+	// default is applied, because the planner fills it only when open.
 	nprobeSet := req.NProbe != 0
-	kernelSet := req.Kernel != ""
-	backendSet := req.Backend != ""
 	if req.K == 0 {
 		req.K = 10
 	}
@@ -708,31 +707,23 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	// Plan before admission and batching, so jobs enter the batcher with
 	// concrete parameters and coalesce by planned class — two planned
-	// requests that resolve to the same (nprobe, kernel, backend) share
-	// one SearchBatch call exactly like explicitly-optioned ones.
+	// requests that resolve to the same (nprobe, parallel) share one
+	// SearchBatch call exactly like explicitly-optioned ones. Kernel and
+	// backend are never planned: they stay what the request said, or
+	// the defaults.
 	parallel := false
 	if planned {
-		fast := kernel == pqfastscan.KernelFastScan || kernel == pqfastscan.KernelFastScan256
 		preq := plan.Request{
 			Query:        req.Query,
 			Recall:       recall,
 			PlanNProbe:   !nprobeSet && len(req.Cells) == 0,
-			PlanKernel:   !kernelSet,
-			PlanBackend:  !backendSet && (!kernelSet || fast),
 			PlanParallel: true,
 			FixedNProbe:  req.NProbe,
 			Cells:        req.Cells,
-			FastKernel:   fast,
 		}
 		d := plan.Decide(idx.Internal(), preq)
 		if preq.PlanNProbe {
 			req.NProbe = d.NProbe
-		}
-		if preq.PlanKernel {
-			kernel = d.Kernel
-		}
-		if preq.PlanBackend {
-			backend = d.Backend
 		}
 		parallel = d.Parallel
 	}

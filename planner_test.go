@@ -2,10 +2,10 @@ package pqfastscan_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"pqfastscan"
-	"pqfastscan/internal/scan"
 )
 
 func buildPlannerIndex(t *testing.T) (*pqfastscan.Index, pqfastscan.Matrix) {
@@ -24,13 +24,15 @@ func buildPlannerIndex(t *testing.T) (*pqfastscan.Index, pqfastscan.Matrix) {
 	return idx, gen.Generate(6)
 }
 
-// TestAutoColdStartDefaults: with no scan observations, WithAuto() must
-// behave exactly like the documented defaults — same results as a
-// no-option Search, deterministically.
+// TestAutoColdStartDefaults: the planner keeps no state to warm, so the
+// first WithAuto() query already is the documented default — the same
+// single probe, and the default scan: PQ Fast Scan on the automatic
+// backend. Results cannot tell kernels apart (they are bit-identical by
+// design), so the scan is pinned through the model engine's counters:
+// only Fast Scan computes lower bounds, and a planned query's must equal
+// the no-option query's exactly.
 func TestAutoColdStartDefaults(t *testing.T) {
 	idx, queries := buildPlannerIndex(t)
-	scan.ResetCostObservations()
-	defer scan.ResetCostObservations()
 	ctx := context.Background()
 
 	for qi := 0; qi < queries.Rows(); qi++ {
@@ -39,34 +41,43 @@ func TestAutoColdStartDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantStats, err := idx.Search(ctx, q, 10, pqfastscan.WithStats())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for rep := 0; rep < 3; rep++ {
-			// Keep the planner cold across repetitions: the searches
-			// themselves feed the EWMAs.
-			scan.ResetCostObservations()
 			got, err := idx.Search(ctx, q, 10, pqfastscan.WithAuto())
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResultSlices(t, "cold WithAuto vs default", got.Results, want.Results)
-			if len(got.Partitions) != len(want.Partitions) || got.Partitions[0] != want.Partitions[0] {
-				t.Fatalf("cold WithAuto probed %v, default probed %v", got.Partitions, want.Partitions)
+			sameResultSlices(t, "WithAuto vs default", got.Results, want.Results)
+			if len(got.Partitions) != 1 || got.Partitions[0] != want.Partitions[0] {
+				t.Fatalf("WithAuto probed %v, default probed %v", got.Partitions, want.Partitions)
+			}
+			gotStats, err := idx.Search(ctx, q, 10, pqfastscan.WithAuto(), pqfastscan.WithStats())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotStats.Stats.LowerBounds == 0 || *gotStats.Stats != *wantStats.Stats {
+				t.Fatalf("WithAuto did not run the default Fast Scan: stats %+v, default %+v", *gotStats.Stats, *wantStats.Stats)
 			}
 		}
 	}
 }
 
 // TestAutoConflictSemantics: explicit options always override the
-// planner, dimension by dimension.
+// planner — its own two knobs are pinned by their options, and kernel
+// and backend, which it never plans, stay exactly what the caller said.
 func TestAutoConflictSemantics(t *testing.T) {
 	idx, queries := buildPlannerIndex(t)
-	defer scan.ResetCostObservations()
 	ctx := context.Background()
 	q := queries.Row(0)
+	auto := pqfastscan.WithAuto()
 
 	// Explicit nprobe wins over the planner's choice (planner would
 	// pick 1 under min-latency; recall target would pick otherwise).
 	for _, opts := range [][]pqfastscan.SearchOption{
-		{pqfastscan.WithAuto(), pqfastscan.WithNProbe(3)},
+		{auto, pqfastscan.WithNProbe(3)},
 		{pqfastscan.WithTargetRecall(0.5), pqfastscan.WithNProbe(3)},
 	} {
 		got, err := idx.Search(ctx, q, 10, opts...)
@@ -83,45 +94,43 @@ func TestAutoConflictSemantics(t *testing.T) {
 		sameResultSlices(t, "auto+nprobe vs nprobe", got.Results, want.Results)
 	}
 
-	// Explicit backend wins and stays bit-identical.
-	got, err := idx.Search(ctx, q, 10, pqfastscan.WithAuto(), pqfastscan.WithBackend(pqfastscan.BackendSWAR))
-	if err != nil {
-		t.Fatal(err)
+	// Every other option means under WithAuto what it means alone. The
+	// model engine's counters tell the configurations apart where the
+	// (bit-identical) results cannot: the exact kernel computes no lower
+	// bounds, and parallel cells prune less than one carried threshold.
+	stats, np4 := pqfastscan.WithStats(), pqfastscan.WithNProbe(4)
+	for _, c := range []struct {
+		name string
+		opts []pqfastscan.SearchOption
+	}{
+		{"backend", []pqfastscan.SearchOption{pqfastscan.WithBackend(pqfastscan.BackendSWAR)}},
+		{"kernel", []pqfastscan.SearchOption{pqfastscan.WithKernel(pqfastscan.KernelNaive)}},
+		{"kernel+stats", []pqfastscan.SearchOption{pqfastscan.WithKernel(pqfastscan.KernelNaive), stats}},
+		{"parallel+stats", []pqfastscan.SearchOption{np4, pqfastscan.WithParallel(), stats}},
+		// 16k codes: far too light for the planner to fan out itself.
+		{"sequential+stats", []pqfastscan.SearchOption{np4, stats}},
+	} {
+		got, err := idx.Search(ctx, q, 10, append([]pqfastscan.SearchOption{auto}, c.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := idx.Search(ctx, q, 10, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResultSlices(t, "auto+"+c.name+" vs "+c.name, got.Results, want.Results)
+		if (got.Stats == nil) != (want.Stats == nil) || (want.Stats != nil && *got.Stats != *want.Stats) {
+			t.Fatalf("auto+%s ran a different configuration: stats %+v vs %+v", c.name, got.Stats, want.Stats)
+		}
 	}
-	want, err := idx.Search(ctx, q, 10, pqfastscan.WithBackend(pqfastscan.BackendSWAR))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResultSlices(t, "auto+backend vs backend", got.Results, want.Results)
-
-	// Explicit kernel wins.
-	got, err = idx.Search(ctx, q, 10, pqfastscan.WithAuto(), pqfastscan.WithKernel(pqfastscan.KernelNaive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err = idx.Search(ctx, q, 10, pqfastscan.WithKernel(pqfastscan.KernelNaive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResultSlices(t, "auto+kernel vs kernel", got.Results, want.Results)
 
 	// Explicit cells pin routing entirely.
-	got, err = idx.Search(ctx, q, 10, pqfastscan.WithTargetRecall(1.0), pqfastscan.WithCells(1, 2))
+	got, err := idx.Search(ctx, q, 10, pqfastscan.WithTargetRecall(1.0), pqfastscan.WithCells(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Partitions) != 2 || got.Partitions[0] != 1 || got.Partitions[1] != 2 {
 		t.Fatalf("explicit WithCells overridden: probed %v", got.Partitions)
-	}
-
-	// WithStats composes: the planner only plans nprobe on the model
-	// engine, and the statistics still arrive.
-	got, err = idx.Search(ctx, q, 10, pqfastscan.WithAuto(), pqfastscan.WithStats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats == nil {
-		t.Fatal("WithAuto+WithStats lost the statistics")
 	}
 
 	// Invalid recall targets are rejected.
@@ -132,24 +141,26 @@ func TestAutoConflictSemantics(t *testing.T) {
 	}
 }
 
-// TestPlannedBitIdentity: whatever the planner picks — cold or after
-// warmup, min-latency or recall-targeted — the answer must be
-// bit-identical to the fixed-option query probing the same prefix.
+// plannedPrefixLen is how many cells WithTargetRecall(r) probed for each
+// of buildPlannerIndex's six queries at the commit before the planner
+// lost its kernel dimension — the recall→nprobe rule did not change
+// with it. The index build is seeded and reproducible, but its k-means
+// sums are float32 and arm64 fuses multiply-adds, so the golden values
+// hold on amd64 (where they were taken) and are checked only there.
+var plannedPrefixLen = map[float64][6]int{
+	0.3:  {3, 3, 3, 2, 2, 3},
+	0.7:  {6, 6, 6, 6, 5, 6},
+	0.95: {8, 8, 8, 8, 8, 8},
+	1.0:  {8, 8, 8, 8, 8, 8},
+}
+
+// TestPlannedBitIdentity: whatever the planner picks — min-latency or
+// recall-targeted — the answer must be bit-identical to the fixed-option
+// query probing the same prefix, and that prefix is the one the parent
+// commit's planner picked.
 func TestPlannedBitIdentity(t *testing.T) {
 	idx, queries := buildPlannerIndex(t)
-	defer scan.ResetCostObservations()
 	ctx := context.Background()
-
-	// Warm the cost model with real scans so the planner leaves the
-	// cold path and exercises its argmin.
-	for qi := 0; qi < queries.Rows(); qi++ {
-		if _, err := idx.Search(ctx, queries.Row(qi), 10, pqfastscan.WithNProbe(8)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := idx.Search(ctx, queries.Row(qi), 10, pqfastscan.WithKernel(pqfastscan.KernelNaive)); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	for _, recall := range []float64{0, 0.3, 0.7, 0.95, 1.0} {
 		for qi := 0; qi < queries.Rows(); qi++ {
@@ -179,6 +190,9 @@ func TestPlannedBitIdentity(t *testing.T) {
 				}
 			}
 			sameResultSlices(t, "planned vs fixed", got.Results, want.Results)
+			if golden, ok := plannedPrefixLen[recall]; ok && runtime.GOARCH == "amd64" && len(got.Partitions) != golden[qi] {
+				t.Errorf("recall %g q%d: probed %d cells %v, the parent commit probed %d", recall, qi, len(got.Partitions), got.Partitions, golden[qi])
+			}
 		}
 	}
 }
@@ -187,8 +201,6 @@ func TestPlannedBitIdentity(t *testing.T) {
 // bit-identical to the fixed-option batch.
 func TestAutoSearchBatch(t *testing.T) {
 	idx, queries := buildPlannerIndex(t)
-	scan.ResetCostObservations()
-	defer scan.ResetCostObservations()
 	ctx := context.Background()
 
 	got, err := idx.SearchBatch(ctx, queries, 10, pqfastscan.WithAuto())
@@ -203,6 +215,6 @@ func TestAutoSearchBatch(t *testing.T) {
 		t.Fatalf("batch sizes differ: %d vs %d", len(got), len(want))
 	}
 	for i := range want {
-		sameResultSlices(t, "cold auto batch vs default batch", got[i].Results, want[i].Results)
+		sameResultSlices(t, "auto batch vs default batch", got[i].Results, want[i].Results)
 	}
 }

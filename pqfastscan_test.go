@@ -59,7 +59,7 @@ func TestBuildAndSearch(t *testing.T) {
 
 func TestSearchRejectsBadK(t *testing.T) {
 	idx, _, queries := sharedAPIIndex(t)
-	if _, err := idx.SearchKernel(queries.Row(0), 0, pqfastscan.KernelFastScan); err == nil {
+	if _, err := idx.Search(context.Background(), queries.Row(0), 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -75,10 +75,11 @@ func TestKernelEquivalencePublicAPI(t *testing.T) {
 	for qi := 0; qi < queries.Rows(); qi++ {
 		var ref []pqfastscan.Result
 		for ki, kern := range kernels {
-			got, err := idx.SearchKernel(queries.Row(qi), 30, kern)
+			res, err := idx.Search(context.Background(), queries.Row(qi), 30, pqfastscan.WithKernel(kern))
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := res.Results
 			if ki == 0 {
 				ref = got
 				continue
@@ -94,10 +95,11 @@ func TestKernelEquivalencePublicAPI(t *testing.T) {
 
 func TestSearchWithStatsPruning(t *testing.T) {
 	idx, _, queries := sharedAPIIndex(t)
-	_, stats, part, err := idx.SearchWithStats(queries.Row(0), 100, pqfastscan.KernelFastScan)
+	res, err := idx.Search(context.Background(), queries.Row(0), 100, pqfastscan.WithStats())
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats, part := res.Stats, res.Partitions[0]
 	if part < 0 || part >= len(idx.PartitionSizes()) {
 		t.Fatalf("partition %d out of range", part)
 	}
@@ -117,14 +119,15 @@ func TestSearchWithStatsPruning(t *testing.T) {
 func TestSearchMultiImprovesDistances(t *testing.T) {
 	idx, _, queries := sharedAPIIndex(t)
 	for qi := 0; qi < queries.Rows(); qi++ {
-		single, err := idx.SearchMulti(queries.Row(qi), 50, 1)
+		one, err := idx.Search(context.Background(), queries.Row(qi), 50, pqfastscan.WithNProbe(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		multi, err := idx.SearchMulti(queries.Row(qi), 50, 4)
+		four, err := idx.Search(context.Background(), queries.Row(qi), 50, pqfastscan.WithNProbe(4))
 		if err != nil {
 			t.Fatal(err)
 		}
+		single, multi := one.Results, four.Results
 		for i := range single {
 			if multi[i].Distance > single[i].Distance {
 				t.Fatalf("query %d rank %d worsened: %v > %v",

@@ -37,23 +37,21 @@ type searchConfig struct {
 	parallel  bool
 	stats     bool
 
-	// Adaptive planning (WithAuto / WithTargetRecall). The *Set flags
-	// record which knobs the caller pinned explicitly: the planner
-	// fills only the open ones, so explicit options always win
-	// (conflict semantics pinned by TestAutoConflictSemantics).
+	// Planning (WithAuto / WithTargetRecall). The *Set flags record
+	// which of the planner's two knobs the caller pinned explicitly: it
+	// fills only the open ones, so explicit options always win (conflict
+	// semantics pinned by TestAutoConflictSemantics).
 	auto        bool
 	recall      float64
 	recallSet   bool
 	nprobeSet   bool
-	kernelSet   bool
-	backendSet  bool
 	parallelSet bool
 }
 
 // WithKernel selects the scan kernel. All kernels return identical
 // results; they differ only in cost.
 func WithKernel(k Kernel) SearchOption {
-	return func(c *searchConfig) { c.kernel = k; c.kernelSet = true }
+	return func(c *searchConfig) { c.kernel = k }
 }
 
 // WithEngine selects the execution engine. EngineNative (the default) is
@@ -76,7 +74,7 @@ func WithEngine(e Engine) SearchOption {
 // WithEngine(EngineModel)) — the model counts instructions rather than
 // executing a backend's.
 func WithBackend(b Backend) SearchOption {
-	return func(c *searchConfig) { c.backend = b; c.backendSet = true }
+	return func(c *searchConfig) { c.backend = b }
 }
 
 // WithNProbe scans the nprobe closest partitions and merges their
@@ -110,8 +108,10 @@ func WithCells(cells ...int) SearchOption {
 // re-learn their own threshold — more total CPU for less wall-clock
 // when cores are idle. It is opt-in because the paper measures
 // single-core scans, and it only engages when more than one partition
-// is probed. SearchBatch ignores it: the batch already runs one worker
-// per core, and nesting per-query parallelism would only oversubscribe.
+// is probed. A planned query (WithAuto) that leaves it off lets the
+// planner turn it on for probe sets heavy enough to repay the fan-out.
+// SearchBatch ignores it: the batch already runs one worker per core,
+// and nesting per-query parallelism would only oversubscribe.
 //
 // Combining WithParallel with WithStats is fully supported: each
 // partition scan keeps its own counters and they are merged in
@@ -123,32 +123,33 @@ func WithParallel() SearchOption {
 	return func(c *searchConfig) { c.parallel = true; c.parallelSet = true }
 }
 
-// WithAuto lets the adaptive planner (internal/plan, DESIGN.md §16)
-// choose nprobe, kernel, backend and sequential-vs-parallel probing per
-// query from live signals — partition sizes and dead ratios along the
-// cell ranking, paged-vs-resident status, and the online per-class
-// ns/code cost observations seeded by the internal/perf model. Without
-// a recall target it optimizes for latency; with no observations yet it
-// degrades deterministically to the documented defaults (PQ Fast Scan,
-// automatic backend, single probe, sequential).
+// WithAuto lets the planner (internal/plan, DESIGN.md §16) choose the
+// query's probe set: how many cells to probe and whether to probe them
+// sequentially or in parallel, from what the index snapshot says —
+// partition sizes and dead ratios along the cell ranking, and whether a
+// probed partition is disk-resident. Without a recall target it probes
+// the single closest cell; a multi-probe query is fanned out across
+// cores when it has more than one core to use and either probes at
+// least 128Ki codes or touches a paged partition.
 //
-// The planner only selects among bit-identical configurations, and its
-// probe set is always a prefix of the WithNProbe ranking — a planned
-// query returns exactly what the fixed-option query built from its
-// decision would. Explicit options always override it: combining
-// WithAuto with WithNProbe, WithKernel, WithBackend or WithParallel
-// pins that knob and plans only the rest; WithCells pins routing
-// entirely; WithStats (model engine) restricts planning to nprobe.
+// The planner does not choose the scan: a planned query runs what an
+// unplanned one runs — PQ Fast Scan on the automatic backend — unless
+// WithKernel or WithBackend pin something else. Its probe set is always
+// a prefix of the WithNProbe ranking, so a planned query returns
+// exactly what the fixed-option query built from its decision would.
+// Explicit options always override it: combining WithAuto with
+// WithNProbe or WithParallel pins that knob and plans only the other;
+// WithCells pins routing entirely and leaves parallelism to plan.
 func WithAuto() SearchOption {
 	return func(c *searchConfig) { c.auto = true }
 }
 
-// WithTargetRecall asks the planner for the cheapest configuration
-// expected to reach recall r in (0, 1]: it probes the closest cells
-// until they cover at least fraction r of the live database mass (the
-// structural surrogate for routing recall — see DESIGN.md §16), then
-// picks kernel, backend and parallelism as WithAuto does. It implies
-// WithAuto; any other r is rejected by the search call.
+// WithTargetRecall asks the planner for the smallest probe set expected
+// to reach recall r in (0, 1]: it probes the closest cells until they
+// cover at least fraction r of the live database mass (the structural
+// surrogate for routing recall — see DESIGN.md §16), and plans
+// parallelism as WithAuto does. It implies WithAuto; any other r is
+// rejected by the search call.
 func WithTargetRecall(r float64) SearchOption {
 	return func(c *searchConfig) { c.auto = true; c.recall = r; c.recallSet = true }
 }
@@ -253,39 +254,27 @@ func resolveOptions(opts []SearchOption) (searchConfig, error) {
 	return cfg, nil
 }
 
-// expandAuto runs the adaptive planner over the knobs the caller left
-// open and writes its decision into the configuration — the point where
+// expandAuto runs the planner over the knobs the caller left open and
+// writes its decision into the configuration — the point where
 // WithAuto/WithTargetRecall become the concrete options an explicit
-// query would carry. Called after resolveOptions, so the engine and
-// conflict checks have already settled.
+// query would carry.
 func (ix *Index) expandAuto(cfg searchConfig, query []float32) searchConfig {
 	if !cfg.auto {
 		return cfg
 	}
-	native := cfg.engine == EngineNative
-	fastKernel := cfg.kernel == KernelFastScan || cfg.kernel == KernelFastScan256
 	req := plan.Request{
 		Query:        query,
 		Recall:       cfg.recall,
 		PlanNProbe:   !cfg.nprobeSet && len(cfg.cells) == 0,
-		PlanKernel:   !cfg.kernelSet && native,
-		PlanBackend:  !cfg.backendSet && native && (!cfg.kernelSet || fastKernel),
 		PlanParallel: !cfg.parallelSet,
 		FixedNProbe:  cfg.nprobe,
 		Cells:        cfg.cells,
-		FastKernel:   fastKernel,
 	}
 	d := plan.Decide(ix.load(), req)
 	if req.PlanNProbe {
 		cfg.nprobe = d.NProbe
 	}
-	if req.PlanKernel {
-		cfg.kernel = d.Kernel
-	}
-	if req.PlanBackend {
-		cfg.backend = d.Backend
-	}
-	if req.PlanParallel && d.Parallel {
+	if d.Parallel {
 		cfg.parallel = true
 	}
 	return cfg
@@ -391,70 +380,3 @@ func (ix *Index) CompactPartition(part int) (CompactionResult, error) {
 
 // Live returns the number of indexed vectors that have not been deleted.
 func (ix *Index) Live() int { return ix.load().Live() }
-
-// --- Deprecated pre-context API ----------------------------------------
-//
-// The seed exposed five hard-coded entry points. They remain as thin
-// wrappers over the option-based path; an equivalence test pins their
-// results to the new API's. SearchLegacy and SearchBatchLegacy carry the
-// behavior of the seed's Search and SearchBatch, whose names now belong
-// to the context-aware methods.
-
-// SearchLegacy is the seed's Search: the k nearest neighbors by PQ Fast
-// Scan, no context.
-//
-// Deprecated: use Search(ctx, query, k).
-func (ix *Index) SearchLegacy(query []float32, k int) ([]Result, error) {
-	return ix.SearchKernel(query, k, KernelFastScan)
-}
-
-// SearchKernel answers the query with an explicit kernel choice.
-//
-// Deprecated: use Search(ctx, query, k, WithKernel(kernel)).
-func (ix *Index) SearchKernel(query []float32, k int, kernel Kernel) ([]Result, error) {
-	res, err := ix.Search(context.Background(), query, k, WithKernel(kernel))
-	if err != nil {
-		return nil, err
-	}
-	return res.Results, nil
-}
-
-// SearchMulti scans the nprobe closest partitions and merges results.
-//
-// Deprecated: use Search(ctx, query, k, WithNProbe(nprobe)).
-func (ix *Index) SearchMulti(query []float32, k, nprobe int) ([]Result, error) {
-	res, err := ix.Search(context.Background(), query, k, WithNProbe(nprobe))
-	if err != nil {
-		return nil, err
-	}
-	return res.Results, nil
-}
-
-// SearchBatchLegacy is the seed's SearchBatch: concurrent per-query
-// results with PQ Fast Scan, no context.
-//
-// Deprecated: use SearchBatch(ctx, queries, k).
-func (ix *Index) SearchBatchLegacy(queries Matrix, k int) ([][]Result, error) {
-	batch, err := ix.SearchBatch(context.Background(), queries, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Result, len(batch))
-	for i, r := range batch {
-		out[i] = r.Results
-	}
-	return out, nil
-}
-
-// SearchWithStats is SearchKernel plus the scan statistics and the
-// partition scanned.
-//
-// Deprecated: use Search(ctx, query, k, WithKernel(kernel), WithStats())
-// and read Stats and Partitions off the SearchResult.
-func (ix *Index) SearchWithStats(query []float32, k int, kernel Kernel) ([]Result, Stats, int, error) {
-	res, err := ix.Search(context.Background(), query, k, WithKernel(kernel), WithStats())
-	if err != nil {
-		return nil, Stats{}, 0, err
-	}
-	return res.Results, *res.Stats, res.Partitions[0], nil
-}
