@@ -43,10 +43,7 @@ func (ix *Index) StoreStats() (StoreStats, bool) { return ix.load().StoreStats()
 // autoAttach applies the PQ_STORE_DIR / PQ_POOL_BYTES environment to a
 // freshly built or loaded index: when PQ_STORE_DIR is set, every index
 // comes up disk-resident — the hook the CI paged-mode leg uses to run
-// the whole test suite over the paging stack. The logic lives on
-// index.AttachStoreFromEnv so the bench harness (cmd/pqbench), whose
-// environments build through internal/index directly, honors the same
-// variables the same way.
+// the whole test suite over the paging stack.
 func autoAttach(in *index.Index) error {
 	_, err := in.AttachStoreFromEnv()
 	return err

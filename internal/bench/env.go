@@ -3,7 +3,7 @@
 // rows or series the paper reports. Drivers are shared by cmd/pqbench and
 // the root-level testing.B benchmarks.
 //
-// Scale note (see DESIGN.md and EXPERIMENTS.md): the paper scans 3.2-25 M
+// Scale note (see DESIGN.md §8): the paper scans 3.2-25 M
 // vector partitions of ANN_SIFT1B; the default harness scale builds a
 // synthetic index two orders of magnitude smaller so every experiment
 // runs in seconds on one core. Reported quantities are per-vector rates,
@@ -100,15 +100,6 @@ func NewEnv(s Scale) (*Env, error) {
 	ix, err := index.Build(env.Learn, env.Base, opt)
 	if err != nil {
 		return nil, fmt.Errorf("bench: building index: %w", err)
-	}
-	// Honor PQ_STORE_DIR / PQ_POOL_BYTES exactly as the facade's build
-	// paths (and therefore pqserve) do: with the variables set the
-	// environment's index serves from disk extents behind the bounded
-	// buffer pool, so paged-regime benchmarks need no bespoke wiring.
-	// Kernel-level experiments keep working — Parts() materializes paged
-	// partitions — they just measure over the paging stack.
-	if _, err := ix.AttachStoreFromEnv(); err != nil {
-		return nil, fmt.Errorf("bench: attaching disk store: %w", err)
 	}
 	env.Index = ix
 	env.route = make([]int, s.QueryN)

@@ -196,7 +196,7 @@ func (p *Pool) Forget(id string) {
 }
 
 // SetCapacity rebounds the pool and evicts down to the new cap. Used by
-// the cold-start bench to shrink a warm pool in place.
+// the residency tests to shrink a warm pool in place.
 func (p *Pool) SetCapacity(capBytes int64) {
 	if capBytes <= 0 {
 		panic("bufpool: non-positive capacity")

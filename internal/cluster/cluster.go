@@ -477,11 +477,17 @@ func (r *Router) Dim() int { return r.meta.load().dim }
 // probeSet returns the cells to scan for a query, in the engine's
 // deterministic rank order, and groups them by owning shard preserving
 // that order. Explicit cells skip ranking, exactly as on a single node.
-func (r *Router) probeSet(query []float32, nprobe int, cells []int) (probe []int, byShard map[int][]int) {
+// It reads the fleet geometry only through meta — the one Search loaded
+// and validated against — and reuses ranked, the RankCells order over
+// meta.coarse, when the caller already computed it (nil: rank here).
+func (r *Router) probeSet(meta *fleetMeta, query []float32, ranked []int, nprobe int, cells []int) (probe []int, byShard map[int][]int) {
 	if len(cells) > 0 {
 		probe = cells
 	} else {
-		probe = index.RankCells(query, r.meta.load().coarse)[:nprobe]
+		if ranked == nil {
+			ranked = index.RankCells(query, meta.coarse)
+		}
+		probe = ranked[:nprobe]
 	}
 	byShard = make(map[int][]int, len(r.shards))
 	for _, c := range probe {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -82,33 +83,35 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 	if opt.K < 0 || opt.K > r.cfg.MaxK {
 		return nil, validationErrorf("cluster: k must be in [1,%d]", r.cfg.MaxK)
 	}
+	var ranked []int // RankCells order over meta.coarse, once computed
 	if opt.Recall != 0 {
 		if !(opt.Recall > 0 && opt.Recall <= 1) {
 			return nil, validationErrorf("cluster: recall must be in (0,1], got %g", opt.Recall)
 		}
 		// The recall target picks nprobe only when routing is open —
 		// explicit nprobe or cells win, matching single-node semantics.
-		// The ranking is the RankCells order probeSet uses, so the query
-		// is indistinguishable from one carrying that nprobe explicitly;
-		// a fleet that reports no cell sizes gets the single-probe
-		// default.
+		// The prefix is cut from the very ranking probeSet slices, so
+		// the query is indistinguishable from one carrying that nprobe
+		// explicitly; a fleet that reports no cell sizes gets the
+		// single-probe default.
 		if opt.NProbe == 0 && len(opt.Cells) == 0 {
-			opt.NProbe = index.RecallPrefix(index.RankCells(query, meta.coarse), meta.cellSizes, opt.Recall)
+			ranked = index.RankCells(query, meta.coarse)
+			opt.NProbe = index.RecallPrefix(ranked, meta.cellSizes, opt.Recall)
 		}
 	}
 	if len(opt.Cells) > 0 {
 		if opt.NProbe != 0 {
 			return nil, validationErrorf("cluster: cells and nprobe are mutually exclusive")
 		}
-		seen := make(map[int]bool, len(opt.Cells))
-		for _, c := range opt.Cells {
+		for i, c := range opt.Cells {
 			if c < 0 || c >= meta.partitions {
 				return nil, validationErrorf("cluster: cell %d out of range [0,%d)", c, meta.partitions)
 			}
-			if seen[c] {
+			// A valid list is no longer than the partition count, so the
+			// quadratic scan is a handful of compares and no allocation.
+			if slices.Contains(opt.Cells[:i], c) {
 				return nil, validationErrorf("cluster: cell %d listed twice", c)
 			}
-			seen[c] = true
 		}
 	} else {
 		if opt.NProbe == 0 {
@@ -119,7 +122,7 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 		}
 	}
 
-	probe, byShard := r.probeSet(query, opt.NProbe, opt.Cells)
+	probe, byShard := r.probeSet(meta, query, ranked, opt.NProbe, opt.Cells)
 	ids := shardIDs(byShard)
 
 	// Fan out. Every shard sub-request asks for the full k: the global

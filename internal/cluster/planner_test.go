@@ -11,6 +11,7 @@ import (
 
 	"pqfastscan"
 	"pqfastscan/internal/server"
+	"pqfastscan/internal/vec"
 )
 
 // --- planning through the router ------------------------------
@@ -115,6 +116,44 @@ func TestRouterAutoForwarding(t *testing.T) {
 	for _, bad := range []string{"0", "-0.1", "1.5", "nan"} {
 		if code, _, body := routerSearchURL(t, h, "/search?recall="+bad, server.SearchRequest{Query: q, K: 10}); code != http.StatusBadRequest {
 			t.Errorf("recall=%s accepted: %d %s", bad, code, body)
+		}
+	}
+}
+
+// TestProbeSetReadsOnlyItsArguments: probeSet follows the fleetMeta and
+// ranking Search hands it, not whatever r.meta holds by then — a fleet
+// swap landing between Search's load and the fan-out must not pair a
+// prefix chosen on one centroid set with the ranking of another.
+func TestProbeSetReadsOnlyItsArguments(t *testing.T) {
+	line := func(xs ...float32) vec.Matrix {
+		m := vec.NewMatrix(len(xs), 1)
+		for i, x := range xs {
+			m.Row(i)[0] = x
+		}
+		return m
+	}
+	r := &Router{shards: make([]*shard, 2), byCell: []int{0, 0, 1, 1}}
+	r.meta.store(&fleetMeta{dim: 1, partitions: 4, coarse: line(0, 1, 2, 3)})
+	meta := r.meta.load()
+	// The swap: same dim and partitions, centroids in the opposite order.
+	r.meta.store(&fleetMeta{dim: 1, partitions: 4, coarse: line(3, 2, 1, 0)})
+
+	query := []float32{0.1}
+	for _, tc := range []struct {
+		name    string
+		ranked  []int
+		nprobe  int
+		cells   []int
+		probe   string
+		byShard string
+	}{
+		{"ranks on the meta passed in", nil, 3, nil, "[0 1 2]", "map[0:[0 1] 1:[2]]"},
+		{"reuses the ranking passed in", []int{2, 0, 3, 1}, 3, nil, "[2 0 3]", "map[0:[0] 1:[2 3]]"},
+		{"explicit cells skip ranking", nil, 0, []int{3, 1}, "[3 1]", "map[0:[1] 1:[3]]"},
+	} {
+		probe, byShard := r.probeSet(meta, query, tc.ranked, tc.nprobe, tc.cells)
+		if fmt.Sprint(probe) != tc.probe || fmt.Sprint(byShard) != tc.byShard {
+			t.Errorf("%s: probe %v byShard %v, want %s %s", tc.name, probe, byShard, tc.probe, tc.byShard)
 		}
 	}
 }

@@ -82,9 +82,3 @@ func (ix *Index) Capture() (Capture, error) {
 	}
 	return cap, nil
 }
-
-// RestoreCapture reassembles an Index from a Capture — the recovery-path
-// counterpart of Capture, used by persist when loading a snapshot.
-func RestoreCapture(cap Capture) *Index {
-	return Restore(cap.Dim, cap.Coarse, cap.PQ, cap.Parts, cap.Opt, cap.NextID)
-}

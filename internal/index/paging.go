@@ -104,7 +104,7 @@ func openPaging(dir string, poolBytes int64, opts ...bufpool.Option) (*Paging, e
 // PoolStats returns the shared pool's counters.
 func (pg *Paging) PoolStats() bufpool.Stats { return pg.pool.Stats() }
 
-// SetPoolCapacity rebounds the shared pool (cold-start benchmarking).
+// SetPoolCapacity rebounds the shared pool.
 func (pg *Paging) SetPoolCapacity(capBytes int64) { pg.pool.SetCapacity(capBytes) }
 
 // pspan is a section's location within an extent payload.
@@ -291,10 +291,9 @@ const DefaultPoolBytes int64 = 256 << 20
 // disk-resident serving under its own proc-<pid> subdirectory (so
 // parallel processes sharing the variable never sweep each other's
 // extents), with the pool bounded at PQ_POOL_BYTES (DefaultPoolBytes
-// when unset). It reports whether a store was attached. Every builder
-// of an index that should serve the way pqserve does — the facade's
-// Build/Load paths, the bench harness — funnels through here, so the
-// environment means the same thing everywhere.
+// when unset). It reports whether a store was attached. The facade's
+// Build and Load paths all funnel through here, so the environment
+// means the same thing to every index a process serves from.
 func (ix *Index) AttachStoreFromEnv() (bool, error) {
 	dir := os.Getenv("PQ_STORE_DIR")
 	if dir == "" {
@@ -315,9 +314,8 @@ func (ix *Index) AttachStoreFromEnv() (bool, error) {
 func (ix *Index) Paged() bool { return ix.pg != nil }
 
 // SetPoolCapacity rebounds the attached store's shared buffer pool,
-// evicting down to the new cap (no-op on a RAM index). The cold-start
-// benchmark uses it to sweep working-set fractions without re-writing
-// extents.
+// evicting down to the new cap (no-op on a RAM index). The residency
+// tests use it to shrink a warm pool without re-writing extents.
 func (ix *Index) SetPoolCapacity(capBytes int64) {
 	if ix.pg != nil {
 		ix.pg.SetPoolCapacity(capBytes)

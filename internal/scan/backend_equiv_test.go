@@ -6,7 +6,6 @@ import (
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/rng"
 	"pqfastscan/internal/simd/dispatch"
-	"pqfastscan/internal/topk"
 )
 
 // sameStats asserts two native backends walked the exact same path:
@@ -87,14 +86,14 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 			sameStats(t, refStats, gotStats, first.String(), be.String())
 		}
 
-		// Cache hit must change nothing: same tables object, same epoch.
+		// A rescan through the used Scratch must change nothing.
 		again, againStats := fs.ScanNativeBackend(tables, k, scratches[first], first)
-		sameResults(t, ref, again, "cold-tables", "cached-tables")
-		sameStats(t, refStats, againStats, "cold", "cached")
+		sameResults(t, ref, again, "first-scan", "rescan")
+		sameStats(t, refStats, againStats, "first-scan", "rescan")
 
-		// Mutate online and re-verify: appends regroup the layout while
-		// the Scratch cache must notice what changed (and keep what did
-		// not).
+		// Mutate online and re-verify: appends regroup the layout, and
+		// nothing a Scratch holds from the old one may leak into the
+		// scan of the new.
 		if iter%4 == 3 {
 			batch := r.Intn(150) + 1
 			bcodes := make([]uint8, batch*M)
@@ -105,8 +104,8 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 			for i := range bids {
 				bids[i] = int64(p.N + i)
 			}
-			p.Append(bcodes, bids)
-			fs.Append(bcodes, bids)
+			p = p.CloneAppend(bcodes, bids)
+			fs = fs.CloneAppend(p, bcodes, bids)
 			model2, model2Stats := fs.Scan(tables, k)
 			for _, be := range backends {
 				got, gotStats := fs.ScanNativeBackend(tables, k, scratches[be], be)
@@ -153,31 +152,9 @@ func randomTablesShape(r *rng.Source, shape int) quantizer.Tables {
 	return tables
 }
 
-// TestStaticPruneCachedMatchesLegacy pins the Scratch-cached StaticPrune
-// method to the package-level wrapper across a threshold sweep — the
-// hoisted bounds must not change a single decision.
-func TestStaticPruneCachedMatchesLegacy(t *testing.T) {
-	r := rng.New(424242)
-	p, tables := randomPartition(t, 5000, 4242)
-	fs, err := NewFastScan(p, FastScanOptions{Keep: 0.01, GroupComponents: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewScratch()
-	for trial := 0; trial < 12; trial++ {
-		thr := r.Float32() * 8000
-		wantP, wantLB := StaticPrune(p, tables, thr, 0.01, 2)
-		gotP, gotLB := fs.StaticPrune(tables, thr, sc)
-		if wantP != gotP || wantLB != gotLB {
-			t.Fatalf("thr=%v: cached StaticPrune (%d,%d) != legacy (%d,%d)",
-				thr, gotP, gotLB, wantP, wantLB)
-		}
-	}
-}
-
-// TestQuantizationOnlyScratchMatches pins the cached ablation to the
-// allocating one, including repeated calls through one Scratch (cache
-// hits) and a second query (cache miss).
+// TestQuantizationOnlyScratchMatches pins the Scratch-reusing ablation
+// to the allocating one, over repeated calls through one Scratch and a
+// change of query.
 func TestQuantizationOnlyScratchMatches(t *testing.T) {
 	sc := NewScratch()
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -187,47 +164,10 @@ func TestQuantizationOnlyScratchMatches(t *testing.T) {
 			got, gotStats := QuantizationOnlyScratch(p, tables, 50, 0.01, sc)
 			sameResults(t, want, got, "quantonly", "quantonly-scratch")
 			// Both run on the model path: every counter — modeled Ops
-			// included — must be independent of the cache state.
+			// included — must be independent of what the Scratch held.
 			if wantStats != gotStats {
-				t.Fatalf("call %d: stats depend on the cache: %+v != %+v", call, wantStats, gotStats)
+				t.Fatalf("call %d: stats depend on the scratch: %+v != %+v", call, wantStats, gotStats)
 			}
 		}
-	}
-}
-
-// TestQueryTablesContentKeyedReuse pins the Scratch cache's reuse
-// contract: rescanning the same Tables value under the same bounds
-// hits — no rebuild — and any other array rebuilds, equal bytes or not
-// (identity is the array, nothing is hashed).
-func TestQueryTablesContentKeyedReuse(t *testing.T) {
-	rebuilds := 0
-	testQueryTablesRebuilt = func() { rebuilds++ }
-	defer func() { testQueryTablesRebuilt = nil }()
-
-	p, tables := randomPartition(t, 3000, 5)
-	fs, err := NewFastScan(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewScratch()
-
-	first, _ := fs.ScanNative(tables, 20, sc)
-	want := append([]topk.Result(nil), first...)
-	if rebuilds != 1 {
-		t.Fatalf("first scan: %d rebuilds, want 1", rebuilds)
-	}
-
-	got, _ := fs.ScanNative(tables, 20, sc)
-	if rebuilds != 1 {
-		t.Fatalf("same-object rescan rebuilt (%d)", rebuilds)
-	}
-	sameResults(t, want, got, "cold-tables", "cached-tables")
-
-	other := tables
-	other.Data = append([]float32(nil), tables.Data...)
-	other.Data[777] += 1000
-	fs.ScanNative(other, 20, sc)
-	if rebuilds != 2 {
-		t.Fatalf("different tables did not rebuild (%d)", rebuilds)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/rng"
+	"pqfastscan/internal/simd/dispatch"
 	"pqfastscan/internal/topk"
 )
 
@@ -14,9 +15,10 @@ import (
 // the portion-homogeneous distance tables of the paper's operating
 // regime (the §4.3 optimized assignment makes nearby centroids share a
 // portion, so one portion per component is close to the query and Fast
-// Scan prunes heavily — the regime all §5 figures measure). It mirrors
-// wallClockFixture in internal/bench/wallclock.go — keep the two
-// recipes in sync so pqbench -json measures the same regime.
+// Scan prunes heavily — the regime all §5 figures measure). Run under
+// PQ_FORCE_BACKEND=swar|asm-avx2|asm-neon for one backend's numbers
+// (DESIGN.md §8); every native scan builds its query tables, as every
+// served scan does.
 type benchEnv struct {
 	p      *Partition
 	tables quantizer.Tables
@@ -67,7 +69,8 @@ func getBenchEnv(b *testing.B, n int) *benchEnv {
 const benchK = 100
 
 // benchSizes spans the partition sizes the kernels are compared at; the
-// largest is the 100k partition of the BENCH_*.json trajectory.
+// largest is the size of one lib_mixed/serve_search partition of the
+// standing benchmark.
 var benchSizes = []int{1000, 10000, 100000}
 
 // BenchmarkKernels covers every kernel on both engines at several
@@ -115,7 +118,7 @@ func BenchmarkKernels(b *testing.B) {
 			return r
 		}},
 		{"fastpq", "native", func(e *benchEnv, sc *Scratch) []topk.Result {
-			r, _ := e.fast.ScanNative(e.tables, benchK, sc)
+			r, _ := e.fast.ScanNativeBackend(e.tables, benchK, sc, dispatch.Auto)
 			return r
 		}},
 	}
@@ -150,12 +153,12 @@ func BenchmarkFastScan(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("n=%d/engine=native", n), func(b *testing.B) {
 			sc := NewScratch()
-			e.fast.ScanNative(e.tables, benchK, sc) // warm the scratch buffers
+			e.fast.ScanNativeBackend(e.tables, benchK, sc, dispatch.Auto) // warm the scratch buffers
 			b.ReportAllocs()
 			b.SetBytes(int64(n * M))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.fast.ScanNative(e.tables, benchK, sc)
+				e.fast.ScanNativeBackend(e.tables, benchK, sc, dispatch.Auto)
 			}
 		})
 	}

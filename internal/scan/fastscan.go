@@ -89,35 +89,6 @@ func (fs *FastScan) KeepN() int { return fs.keepN }
 // Grouped exposes the packed layout (memory-footprint experiments).
 func (fs *FastScan) Grouped() *layout.Grouped { return fs.grouped }
 
-// Append extends the layout with vectors just appended to the underlying
-// partition (positions at and beyond the old partition end). Each vector
-// joins its group in the packed layout; the keep region is left
-// untouched, so appended vectors are always scanned through the
-// lower-bound path. Deletions need no layout maintenance at all — they
-// are tombstones on the partition, checked during the scan.
-//
-// Small batches splice lanes in place (per-vector cost: one memmove of
-// the arrays past the insertion point); batches large relative to the
-// layout regroup from scratch in one O(N+B) pass instead. Both paths
-// produce byte-identical state: the grouped-order arrays are already
-// stably key-sorted, so re-sorting them with the appended tail preserves
-// every group's within-group age order.
-func (fs *FastScan) Append(codes []uint8, ids []int64) {
-	n := len(ids)
-	g := fs.grouped
-	if n > 64 && n > g.N/8 {
-		allCodes := append(append([]uint8(nil), g.Codes...), codes...)
-		allIDs := append(append([]int64(nil), g.IDs...), ids...)
-		if ng, err := layout.NewGrouped(allCodes, allIDs, fs.c); err == nil {
-			fs.grouped = ng
-			return
-		}
-	}
-	for i := 0; i < n; i++ {
-		g.Append(codes[i*M:(i+1)*M], ids[i])
-	}
-}
-
 // Rebind returns a FastScan over np that shares this layout. np must
 // hold exactly the same codes in the same positions — the tombstone-only
 // copy-on-write case, where the grouped layout is unaffected and only
@@ -144,12 +115,21 @@ func (fs *FastScan) Hydrate(p *Partition, g *layout.Grouped) *FastScan {
 	return &FastScan{part: p, keepN: fs.keepN, c: fs.c, grouped: g, orderGroups: fs.orderGroups}
 }
 
-// CloneAppend returns a FastScan over np — p's rows plus the appended
-// ones — without touching this layout: the copy-on-write counterpart of
-// Append for layouts published in snapshots. It produces state
-// byte-identical to calling Append in place (same splice-vs-regroup
-// heuristic, same stable grouping), so results and pruning behaviour
-// match the mutable path exactly.
+// CloneAppend returns a FastScan over np — this layout's partition plus
+// the appended rows (np = its CloneAppend of the same codes and ids) —
+// without touching this layout, which a published snapshot may still be
+// scanning. Each appended vector joins its group in the packed layout;
+// the keep region is left untouched, so appended vectors are always
+// scanned through the lower-bound path. Deletions need no layout
+// maintenance at all — they are tombstones on the partition, checked
+// during the scan.
+//
+// Small batches splice lanes into a clone of the layout (per-vector
+// cost: one memmove of the arrays past the insertion point); batches
+// large relative to the layout regroup from scratch in one O(N+B) pass
+// instead. Both paths produce byte-identical state: the grouped-order
+// arrays are already stably key-sorted, so re-sorting them with the
+// appended tail preserves every group's within-group age order.
 func (fs *FastScan) CloneAppend(np *Partition, codes []uint8, ids []int64) *FastScan {
 	n := len(ids)
 	g := fs.grouped
@@ -563,16 +543,11 @@ func QuantizationOnly(p *Partition, t quantizer.Tables, k int, keep float64) ([]
 	return QuantizationOnlyScratch(p, t, k, keep, nil)
 }
 
-// QuantizationOnlyScratch is QuantizationOnly with a reusable Scratch:
-// the quantized full tables are cached per (tables, bounds) key, so
-// sweeping the same query over an unchanged partition — the ablation's
-// usage pattern — quantizes the 8×256 entries once instead of per call.
-// The bounds themselves come from the shared keepBounds helper (the
-// same source the model path and every native backend use), which is
-// what keeps the ablation's pruning counters comparable across engines.
-// Stats.Ops still meters the full modeled instruction stream, cache hit
-// or miss — Ops describe the modeled algorithm, not the host's memoized
-// execution of it.
+// QuantizationOnlyScratch is QuantizationOnly with a reusable Scratch
+// holding the 8×256 quantized tables' storage. The bounds come from the
+// shared keepBounds helper (the same source the model path and every
+// native backend use), which is what keeps the ablation's pruning
+// counters comparable across engines.
 func QuantizationOnlyScratch(p *Partition, t quantizer.Tables, k int, keep float64, sc *Scratch) ([]topk.Result, Stats) {
 	check8x8(t)
 	if sc == nil {
@@ -584,7 +559,7 @@ func QuantizationOnlyScratch(p *Partition, t quantizer.Tables, k int, keep float
 	qmin, qmax, _ := keepBounds(p, keepN, t, heap) // its own keep region never puts an empty heap out of reach
 	stats.Ops.Add(libpqPerVector.Scale(float64(keepN)))
 	dq := newDistQuantizer(qmin, qmax)
-	qt := sc.quantizedFullTables(t, dq, qmin, qmax)
+	qt := sc.quantizedFullTables(t, dq)
 	stats.Ops.Add(perf.OpCounts{ScalarLoadF: 256 * M, ScalarALU: 512 * M})
 
 	thrVal, haveThr := heap.Threshold()
@@ -631,75 +606,4 @@ func QuantizationOnlyScratch(p *Partition, t quantizer.Tables, k int, keep float
 	}.Scale(float64(stats.LowerBounds)))
 	stats.Ops.Add(libpqPerVector.Scale(float64(stats.Candidates)))
 	return heap.Results(), stats
-}
-
-// StaticPrune measures the pruning power of the Fast Scan lower bounds
-// against a fixed externally supplied threshold, removing the
-// threshold-convergence dynamics from the measurement. It is a diagnostic
-// used by tests and ablation studies, not a search path.
-//
-// The bounds and small tables are the Scratch-cached per-(query, epoch)
-// state shared with the native backends (queryTablesFor), built from the
-// same keep-phase rule as before: sweeping thresholds over a fixed
-// (partition, tables) pair through one Scratch quantizes once, where the
-// previous implementation recomputed the distance-quantizer bounds, the
-// minimum tables and every per-group table on every call — and, because
-// the recomputation was private to this function, could drift from what
-// the engines actually scan with. sc may be nil for a transient scratch.
-func (fs *FastScan) StaticPrune(t quantizer.Tables, threshold float32, sc *Scratch) (pruned, lowerBounds int) {
-	check8x8(t)
-	if sc == nil {
-		sc = NewScratch()
-	}
-	// The keep-phase bound is a pure function of (layout epoch, tables):
-	// hoist it behind its own cache key.
-	key := staticPruneKey{data: &t.Data[0], g: fs.grouped}
-	if sc.spKey != key {
-		keepRes, _ := Libpq(NewPartition(fs.part.Codes[:fs.keepN*M], nil), t, 100)
-		qmax := t.MaxSum()
-		if len(keepRes) > 0 {
-			qmax = keepRes[len(keepRes)-1].Distance
-		}
-		sc.spKey = key
-		sc.spQmax = qmax
-	}
-	qt := sc.queryTablesFor(fs, t, t.Min(), sc.spQmax)
-	t8 := qt.dq.pruneThreshold(threshold, true)
-	g := fs.grouped
-	for gi := range g.Groups {
-		grp := &g.Groups[gi]
-		for pos := grp.Start; pos < grp.Start+grp.Count; pos++ {
-			code := g.Code(pos)
-			sum := 0
-			for j := 0; j < fs.c; j++ {
-				// A group member's code[j] is Key[j]<<4 | nibble, so the
-				// cached quantized row indexes directly — the same entry
-				// the per-group window would yield.
-				sum += int(qt.qrows[j][code[j]])
-			}
-			for j := fs.c; j < M; j++ {
-				sum += int(qt.st.minTables[j][code[j]>>4])
-			}
-			if sum > 127 {
-				sum = 127
-			}
-			lowerBounds++
-			if int8(sum) > t8 {
-				pruned++
-			}
-		}
-	}
-	return pruned, lowerBounds
-}
-
-// StaticPrune is the package-level compatibility wrapper: it builds the
-// Fast Scan layout and a transient Scratch per call. Callers sweeping
-// thresholds should build the layout once and use the FastScan method
-// with a reused Scratch.
-func StaticPrune(p *Partition, t quantizer.Tables, threshold float32, keep float64, c int) (pruned, lowerBounds int) {
-	fs, err := NewFastScan(p, FastScanOptions{Keep: keep, GroupComponents: c})
-	if err != nil {
-		return 0, 0
-	}
-	return fs.StaticPrune(t, threshold, nil)
 }

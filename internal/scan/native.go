@@ -114,65 +114,39 @@ const ulutSize = 0x0f0f + 1
 // size. A variable so tests can force either path.
 var nativeLUTMinVectors = 4096
 
-// queryTables is the cached per-(query, partition-epoch) table state of
-// a native Fast Scan: the §4.4 distance quantizer, the quantized first-c
-// distance-table rows (every group's small tables S_0..S_{C-1} are
-// 16-entry windows into them), the query-lifetime minimum tables
-// S_C..S_7, and the backend-specific derived tables — the SWAR pair
-// LUTs and the assembly backends' contiguous 8×16-byte table block.
+// queryTables is the per-scan table state of a native Fast Scan: the
+// §4.4 distance quantizer, the quantized first-c distance-table rows
+// (every group's small tables S_0..S_{C-1} are 16-entry windows into
+// them), the scan-lifetime minimum tables S_C..S_7, and the
+// backend-specific derived tables — the SWAR pair LUTs and the assembly
+// backends' contiguous 8×16-byte table block.
 //
-// It is built once per key — the (distance-table array, quantization
-// bounds) pair, see qtKey — and reused for every probed group of every
-// scan with that key: bench loops and threshold sweeps that rescan one
-// Tables value through one Scratch skip the quantization pass. The
-// model path deliberately rebuilds per group instead; that is the
-// instruction stream it meters.
+// It is built once per scan of one partition (queryTablesFor) into
+// storage the Scratch reuses, and shared by every group that scan
+// visits. The serving path computes fresh tables per probed cell and,
+// carrying one heap across cells, fresh bounds with them, so there is
+// nothing to keep between scans. The model path deliberately rebuilds
+// per group instead; that is the instruction stream it meters.
 type queryTables struct {
 	c     int
 	dq    distQuantizer
 	qrows [layout.MaxGroupComponents][256]uint8
 	st    smallTables
 
-	// SWAR pair-LUT pipeline state (built on demand above the gate).
-	lutBuilt bool
-	glut     []uint32 // grouped-component pair LUTs, c x 16 keys x 256
-	ulut     []uint32 // ungrouped-component pair LUTs, (M-c) x ulutSize
+	// SWAR pair-LUT pipeline state (built by scans above the gate).
+	glut []uint32 // grouped-component pair LUTs, c x 16 keys x 256
+	ulut []uint32 // ungrouped-component pair LUTs, (M-c) x ulutSize
 
 	// Assembly-backend state: the 8×16-byte table block handed to
-	// dispatch.Accumulate. Minimum tables are written once per key;
+	// dispatch.Accumulate. Minimum tables are written once per scan;
 	// grouped windows are refreshed per group (16c bytes).
-	asmBuilt bool
 	tabBlock []uint8 // 128 bytes, layout.Alignment-aligned
 }
 
-// qtKey identifies one (distance tables, bounds) combination. Nothing
-// in the cached state reads the partition layout — the quantized rows,
-// minimum tables and derived LUTs are pure functions of the tables, the
-// grouping depth and the quantizer bounds — so the key carries no epoch
-// identity and a retired partition epoch is never pinned by a pooled
-// Scratch.
-//
-// Tables are identified by the address of their array: callers that
-// reuse one Tables value hit for free, and holding the pointer pins the
-// (8 KB) array so its address cannot be recycled under the cache.
-// Tables are immutable once computed, which the cache relies on. The
-// serving path recomputes its tables per request and per probed cell
-// (and, carrying one heap across cells, rarely sees the same bounds
-// twice), so it always rebuilds.
-type qtKey struct {
-	data       *float32
-	qmin, qmax float32
-}
-
-// testQueryTablesRebuilt, when non-nil, is called on every queryTables
-// cache miss — a test observation point for the reuse contract (set
-// only by single-threaded tests).
-var testQueryTablesRebuilt func()
-
 // Scratch holds the reusable per-searcher buffers of the native engine:
 // the top-k heap and sorted-results buffer of the from-empty entry
-// points, the group-ordering order/estimate arrays, the cached query
-// tables, and the assembly backends' lower-bound and mask buffers.
+// points, the group-ordering order/estimate arrays, the query-table
+// storage, and the assembly backends' lower-bound and mask buffers.
 // Reusing one Scratch across queries keeps the steady-state scan loop
 // at zero allocations; a Scratch must not be shared between concurrent
 // scans. Passing nil to the native entry points allocates a transient
@@ -187,29 +161,12 @@ type Scratch struct {
 	order   []int
 	est     []float64
 
-	qtKey qtKey
 	qt    queryTables
 	acc   []uint8  // asm backends' lower-bound bytes, 64-byte aligned
 	masks []uint16 // asm backends' per-block pruned masks
 
-	// QuantizationOnly's cached full quantized tables (M x 256).
-	qoKey  qtKey
+	// QuantizationOnly's full quantized tables (M x 256).
 	qoTabs []uint8
-
-	// StaticPrune's cached keep-phase bound. Unlike qtKey this one does
-	// identify the layout epoch (the bound is computed from the keep
-	// region's codes); StaticPrune is a diagnostic, never fed from the
-	// serving path's pooled scratches, so the pinned epoch is one a
-	// sweep is actively using.
-	spKey  staticPruneKey
-	spQmax float32
-}
-
-// staticPruneKey identifies the (tables, layout epoch) pair whose
-// keep-phase bound Scratch.spQmax caches.
-type staticPruneKey struct {
-	data *float32
-	g    *layout.Grouped
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use and are
@@ -235,22 +192,13 @@ func growAligned(s []uint8, n int) []uint8 {
 	return s[:n]
 }
 
-// queryTablesFor returns the cached query-table state for scanning fs
-// with tables t under bounds (qmin, qmax), rebuilding only on a key
-// change.
+// queryTablesFor builds, in the Scratch's storage, the query-table
+// state for scanning fs with tables t under bounds (qmin, qmax).
 func (sc *Scratch) queryTablesFor(fs *FastScan, t quantizer.Tables, qmin, qmax float32) *queryTables {
 	qt := &sc.qt
-	key := qtKey{data: &t.Data[0], qmin: qmin, qmax: qmax}
-	if sc.qtKey == key && qt.c == fs.c {
-		return qt
-	}
-	if testQueryTablesRebuilt != nil {
-		testQueryTablesRebuilt()
-	}
-	sc.qtKey = key
 	qt.c = fs.c
 	qt.dq = newDistQuantizer(qmin, qmax)
-	// Quantize the first c distance-table rows once per key; every
+	// Quantize the first c distance-table rows once per scan; every
 	// group's small tables S_0..S_{C-1} are 16-entry windows into these
 	// rows (entry values identical to the model's per-group
 	// buildGroupTable calls, which quantize the same floats with the
@@ -262,8 +210,6 @@ func (sc *Scratch) queryTablesFor(fs *FastScan, t quantizer.Tables, qmin, qmax f
 		}
 	}
 	qt.st = buildMinTables(t, fs.c, qt.dq)
-	qt.lutBuilt = false
-	qt.asmBuilt = false
 	return qt
 }
 
@@ -275,9 +221,6 @@ func (sc *Scratch) queryTablesFor(fs *FastScan, t quantizer.Tables, qmin, qmax f
 // looked-up quantized values at bits 0 and 16, feeding the 16-bit-lane
 // accumulators of the pair-LUT pipeline.
 func (qt *queryTables) buildLUTs() {
-	if qt.lutBuilt {
-		return
-	}
 	c := qt.c
 	qt.glut = growSlice(qt.glut, c*16*256)
 	for j := 0; j < c; j++ {
@@ -305,33 +248,25 @@ func (qt *queryTables) buildLUTs() {
 			}
 		}
 	}
-	qt.lutBuilt = true
 }
 
 // asmTables returns the 8×16-byte contiguous table block for the
-// assembly kernels, with the query-lifetime minimum tables S_C..S_7
-// written once per key. The grouped windows S_0..S_{C-1} are refreshed
+// assembly kernels, with the scan-lifetime minimum tables S_C..S_7
+// written in. The grouped windows S_0..S_{C-1} are refreshed
 // per group by the caller.
 func (qt *queryTables) asmTables() *[128]uint8 {
 	if qt.tabBlock == nil {
 		qt.tabBlock = layout.AlignedBytes(128, 0)
 	}
-	if !qt.asmBuilt {
-		for j := qt.c; j < M; j++ {
-			copy(qt.tabBlock[j*16:j*16+16], qt.st.minTables[j][:])
-		}
-		qt.asmBuilt = true
+	for j := qt.c; j < M; j++ {
+		copy(qt.tabBlock[j*16:j*16+16], qt.st.minTables[j][:])
 	}
 	return (*[128]uint8)(qt.tabBlock)
 }
 
 // quantizedFullTables returns the 8×256 quantized distance tables of
-// the §5.5 quantization-only ablation, cached per (tables, bounds) key.
-func (sc *Scratch) quantizedFullTables(t quantizer.Tables, dq distQuantizer, qmin, qmax float32) []uint8 {
-	key := qtKey{data: &t.Data[0], qmin: qmin, qmax: qmax}
-	if sc.qoKey == key && len(sc.qoTabs) == M*256 {
-		return sc.qoTabs
-	}
+// the §5.5 quantization-only ablation, in the Scratch's storage.
+func (sc *Scratch) quantizedFullTables(t quantizer.Tables, dq distQuantizer) []uint8 {
 	sc.qoTabs = growSlice(sc.qoTabs, M*256)
 	for j := 0; j < M; j++ {
 		row := t.Row(j)
@@ -339,7 +274,6 @@ func (sc *Scratch) quantizedFullTables(t quantizer.Tables, dq distQuantizer, qmi
 			sc.qoTabs[j*256+i] = dq.quantize(v)
 		}
 	}
-	sc.qoKey = key
 	return sc.qoTabs
 }
 
@@ -407,18 +341,13 @@ func (fs *FastScan) outOfReach(stats *Stats) {
 	stats.Pruned += fs.grouped.N
 }
 
-// ScanNative runs PQ Fast Scan for the query on the native engine's
-// startup-selected backend (dispatch.Active), returning the k nearest
+// ScanNativeBackend runs PQ Fast Scan for the query on the native
+// engine with block-kernel backend be (dispatch.Auto defers to the
+// startup selection, dispatch.Active), returning the k nearest
 // neighbors — bit-identical to Scan, Scan256 and the PQ Scan kernels —
 // and the dynamic vector/block statistics of the run (Stats.Ops stays
-// zero; only the model engine counts instructions).
-func (fs *FastScan) ScanNative(t quantizer.Tables, k int, sc *Scratch) ([]topk.Result, Stats) {
-	return fs.ScanNativeBackend(t, k, sc, dispatch.Auto)
-}
-
-// ScanNativeBackend is ScanNative with an explicit block-kernel backend
-// (dispatch.Auto defers to the startup selection): ScanNativeInto from
-// an empty heap, results sorted into the Scratch.
+// zero; only the model engine counts instructions). It is
+// ScanNativeInto from an empty heap, results sorted into the Scratch.
 func (fs *FastScan) ScanNativeBackend(t quantizer.Tables, k int, sc *Scratch, be dispatch.Backend) ([]topk.Result, Stats) {
 	if sc == nil {
 		sc = NewScratch()
@@ -454,7 +383,7 @@ func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scra
 		return stats
 	}
 
-	// Phase 2: cached per-(tables, bounds) quantized tables.
+	// Phase 2: this scan's quantized tables, under the bounds just found.
 	qt := sc.queryTablesFor(fs, t, qmin, qmax)
 
 	thrVal, haveThr := heap.Threshold()

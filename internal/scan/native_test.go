@@ -5,6 +5,7 @@ import (
 
 	"pqfastscan/internal/rng"
 	"pqfastscan/internal/simd"
+	"pqfastscan/internal/simd/dispatch"
 )
 
 // randomSatReg returns a register with lanes in [0, 127], the invariant
@@ -111,7 +112,7 @@ func TestScanNativeMatchesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, wantStats := fs.Scan(tables, k)
-		got, gotStats := fs.ScanNative(tables, k, sc)
+		got, gotStats := fs.ScanNativeBackend(tables, k, sc, dispatch.Auto)
 		sameResults(t, want, got, "model", "native")
 		sameCounters(t, wantStats, gotStats, "fastscan")
 
@@ -145,7 +146,7 @@ func TestScanNativeBothPipelines(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, wantStats := fs.Scan(tables, k)
-			got, gotStats := fs.ScanNative(tables, k, sc)
+			got, gotStats := fs.ScanNativeBackend(tables, k, sc, dispatch.Auto)
 			sameResults(t, want, got, "model", "native")
 			sameCounters(t, wantStats, gotStats, "pipeline gate")
 		}
@@ -168,7 +169,7 @@ func TestScanNativeWithTombstones(t *testing.T) {
 		p.Tombstone(i)
 	}
 	want, wantStats := fs.Scan(tables, 20)
-	got, gotStats := fs.ScanNative(tables, 20, nil)
+	got, gotStats := fs.ScanNativeBackend(tables, 20, nil, dispatch.Auto)
 	sameResults(t, want, got, "model+dead", "native+dead")
 	sameCounters(t, wantStats, gotStats, "tombstones")
 	for _, res := range got {
@@ -213,9 +214,9 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 	}
 }
 
-// TestScanNativeAfterAppend: the incremental layout maintenance
-// (including the NibbleMask updates feeding group ordering) keeps the
-// engines in lockstep through online appends.
+// TestScanNativeAfterAppend: the incremental layout maintenance of
+// CloneAppend (including the NibbleMask updates feeding group ordering)
+// keeps the engines in lockstep through online appends.
 func TestScanNativeAfterAppend(t *testing.T) {
 	r := rng.New(2025)
 	p, tables := randomPartition(t, 2000, 61)
@@ -233,11 +234,11 @@ func TestScanNativeAfterAppend(t *testing.T) {
 		for i := range ids {
 			ids[i] = int64(p.N + i)
 		}
-		p.Append(codes, ids)
-		fs.Append(codes, ids)
+		p = p.CloneAppend(codes, ids)
+		fs = fs.CloneAppend(p, codes, ids)
 
 		want, wantStats := fs.Scan(tables, 30)
-		got, gotStats := fs.ScanNative(tables, 30, nil)
+		got, gotStats := fs.ScanNativeBackend(tables, 30, nil, dispatch.Auto)
 		sameResults(t, want, got, "model", "native")
 		sameCounters(t, wantStats, gotStats, "append round")
 	}
@@ -256,8 +257,8 @@ func TestScratchReuseIsStateless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, _ := fs.ScanNative(tables, k, nil)
-		reused, _ := fs.ScanNative(tables, k, sc)
+		fresh, _ := fs.ScanNativeBackend(tables, k, nil, dispatch.Auto)
+		reused, _ := fs.ScanNativeBackend(tables, k, sc, dispatch.Auto)
 		sameResults(t, fresh, reused, "fresh-scratch", "reused-scratch")
 	}
 }

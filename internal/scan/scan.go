@@ -89,31 +89,13 @@ func (p *Partition) Code(i int) []uint8 {
 	return p.Codes[i*p.W : (i+1)*p.W]
 }
 
-// Append adds vectors (row-major codes and their ids) at the end of the
-// partition. The ids of appended vectors are always explicit.
-func (p *Partition) Append(codes []uint8, ids []int64) {
-	if len(codes) != len(ids)*p.W {
-		panic("scan: append code/id count mismatch")
-	}
-	if p.IDs == nil {
-		// Materialize the implicit position ids before mixing in
-		// explicit ones.
-		p.IDs = make([]int64, p.N, p.N+len(ids))
-		for i := range p.IDs {
-			p.IDs[i] = int64(i)
-		}
-	}
-	p.Codes = append(p.Codes, codes...)
-	p.IDs = append(p.IDs, ids...)
-	p.N += len(ids)
-}
-
 // CloneAppend returns a new partition holding p's rows followed by the
-// appended ones, leaving p untouched — the copy-on-write counterpart of
-// Append for sealed partitions published in snapshots. The tombstone set
-// is shared with p: appends never tombstone, and sealed partitions only
-// grow their dead sets through CloneTombstone, which copies before
-// writing.
+// appended ones (row-major codes and their ids, always explicit; p's
+// implicit position ids are materialized), leaving p untouched — sealed
+// partitions published in snapshots grow only copy-on-write. The
+// tombstone set is shared with p: appends never tombstone, and sealed
+// partitions only grow their dead sets through CloneTombstone, which
+// copies before writing.
 func (p *Partition) CloneAppend(codes []uint8, ids []int64) *Partition {
 	if len(codes) != len(ids)*p.W {
 		panic("scan: append code/id count mismatch")
