@@ -2,6 +2,7 @@ package pqfastscan_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -126,6 +127,59 @@ func TestSearchValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestUnscorableVectorsRejected: a vector whose float32 squared norm is
+// not finite — a component whose square overflows, an infinity, a NaN —
+// has no distance to anything. Search and Add return an error for it
+// instead of an answer full of +Inf or an indexed code for garbage, and
+// a rejected Add indexes nothing.
+func TestUnscorableVectorsRejected(t *testing.T) {
+	idx, _, queries := sharedAPIIndex(t)
+	ctx := context.Background()
+	live := idx.Live()
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+
+	for _, x := range []float32{1e30, -1e30, inf, -inf, nan} {
+		bad := append([]float32(nil), queries.Row(0)...)
+		bad[len(bad)-1] = x
+		batch := pqfastscan.NewMatrix(2, len(bad))
+		copy(batch.Row(0), queries.Row(1))
+		copy(batch.Row(1), bad)
+
+		calls := map[string]func() error{
+			"Search":          func() error { _, err := idx.Search(ctx, bad, 5); return err },
+			"Search nprobe=4": func() error { _, err := idx.Search(ctx, bad, 5, pqfastscan.WithNProbe(4)); return err },
+			"Search model engine": func() error {
+				_, err := idx.Search(ctx, bad, 5, pqfastscan.WithEngine(pqfastscan.EngineModel))
+				return err
+			},
+			"SearchBatch": func() error { _, err := idx.SearchBatch(ctx, batch, 5); return err },
+			"Add":         func() error { _, err := idx.Add(bad); return err },
+			"AddBatch":    func() error { _, err := idx.AddBatch(batch); return err },
+		}
+		for name, call := range calls {
+			err := call()
+			if err == nil {
+				t.Errorf("%s accepted a vector with component %v", name, x)
+			} else if !strings.Contains(err.Error(), "squared norm") {
+				t.Errorf("%s with component %v: error %q does not say what is wrong", name, x, err)
+			}
+		}
+	}
+	if got := idx.Live(); got != live {
+		t.Fatalf("live %d, was %d: a rejected Add indexed something", got, live)
+	}
+
+	// The largest norm that is still finite is served.
+	big := make([]float32, len(queries.Row(0)))
+	for i := range big {
+		big[i] = 1e18
+	}
+	if _, err := idx.Search(ctx, big, 5, pqfastscan.WithNProbe(4)); err != nil {
+		t.Fatalf("query with finite squared norm 1.28e38 rejected: %v", err)
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -528,6 +530,89 @@ func TestRouterHandlerContract(t *testing.T) {
 	}
 	if st := get("/healthz"); st != http.StatusOK {
 		t.Fatalf("healthz during drain: %d, want 200", st)
+	}
+}
+
+// TestRouterRejectsUnscorableVectorBeforeFanout: a query or added
+// vector whose squared norm overflows float32 is the sender's mistake.
+// The router answers 400 with a JSON error without spending a shard
+// attempt on it — no sub-request arrives anywhere, and no endpoint's
+// failure count, breaker or latency estimate moves, so one bad client
+// cannot push healthy endpoints toward open.
+func TestRouterRejectsUnscorableVectorBeforeFanout(t *testing.T) {
+	full, queries := fullIndex(t)
+	var arrived atomic.Int64
+	counting := func(cells []int) string {
+		restricted, err := full.RestrictCells(cells...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := server.New(server.Config{Index: restricted, Cells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := s.Handler()
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/search" || r.URL.Path == "/add" {
+				arrived.Add(1)
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			hs.Close()
+			s.Close()
+		})
+		return hs.URL
+	}
+	router := newRouter(t, 8, [][]string{{counting([]int{0, 1, 2, 3})}, {counting([]int{4, 5, 6, 7})}}, nil)
+	handler := router.Handler()
+
+	type endpointHealth struct {
+		state   breakerState
+		fails   int
+		samples int64
+	}
+	health := func() map[string]endpointHealth {
+		out := map[string]endpointHealth{}
+		for url, es := range router.endpoints {
+			es.breaker.mu.Lock()
+			h := endpointHealth{state: es.breaker.state, fails: es.breaker.fails}
+			es.breaker.mu.Unlock()
+			_, h.samples = es.latency.Load()
+			out[url] = h
+		}
+		return out
+	}
+	before, statsBefore := health(), router.Stats()
+
+	bad := append([]float32(nil), queries.Row(0)...)
+	bad[0] = 1e30
+	post := func(path string, body any) {
+		t.Helper()
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)))
+		var e struct{ Error string }
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
+			t.Fatalf("%s: status %d body %q, want 400 with a JSON error", path, rec.Code, rec.Body.String())
+		}
+	}
+	post("/search", server.SearchRequest{Query: bad, K: 5, NProbe: 8})
+	post("/add", server.AddRequest{Vectors: [][]float32{queries.Row(1), bad}})
+
+	if n := arrived.Load(); n != 0 {
+		t.Errorf("%d sub-requests reached a shard for rejected requests, want 0", n)
+	}
+	if after := health(); !reflect.DeepEqual(before, after) {
+		t.Errorf("endpoint health moved: before %+v, after %+v", before, after)
+	}
+	statsAfter := router.Stats()
+	if statsAfter.Failovers != statsBefore.Failovers || statsAfter.Retries != statsBefore.Retries ||
+		statsAfter.Errors != statsBefore.Errors || statsAfter.BreakerFastFails != statsBefore.BreakerFastFails {
+		t.Errorf("router counters moved: before %+v, after %+v", statsBefore, statsAfter)
 	}
 }
 

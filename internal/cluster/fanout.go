@@ -77,6 +77,9 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 	if len(query) != meta.dim {
 		return nil, validationErrorf("cluster: query dim %d != index dim %d", len(query), meta.dim)
 	}
+	if err := index.CheckVector(query); err != nil {
+		return nil, validationErrorf("cluster: %v", err)
+	}
 	if opt.K == 0 {
 		opt.K = 10
 	}

@@ -106,6 +106,9 @@ func (r *Router) Add(ctx context.Context, vectors [][]float32) ([]int64, error) 
 		if len(v) != meta.dim {
 			return nil, validationErrorf("cluster: vector %d dim %d != index dim %d", i, len(v), meta.dim)
 		}
+		if err := index.CheckVector(v); err != nil {
+			return nil, validationErrorf("cluster: vector %d: %v", i, err)
+		}
 	}
 	// Group vectors by owning shard, remembering original positions.
 	byShard := make(map[int][]int, len(r.shards)) // shard -> input indexes

@@ -183,6 +183,10 @@ type Index struct {
 
 	opt Options
 
+	// cellTerms is the per-cell part of every residual distance table
+	// (tables.go), Partitions × M × k* float32, immutable after newIndex.
+	cellTerms []float32
+
 	// snap is the serving state: the current immutable snapshot.
 	snap atomic.Pointer[Snapshot]
 	// epoch numbers every publish, monotonically.
@@ -249,12 +253,7 @@ func Build(learn, base vec.Matrix, opt Options) (*Index, error) {
 		}
 	}
 
-	ix := &Index{
-		Dim:    base.Dim,
-		Coarse: coarse.Centroids,
-		PQ:     pq,
-		opt:    opt,
-	}
+	ix := newIndex(base.Dim, coarse.Centroids, pq, opt)
 
 	// Step 3: route and encode the base set. Encoding is embarrassingly
 	// parallel and dominates construction time, so it is chunked over
@@ -338,12 +337,7 @@ func Restore(dim int, coarse vec.Matrix, pq *quantizer.ProductQuantizer, parts [
 			nextID = 0
 		}
 	}
-	ix := &Index{
-		Dim:    dim,
-		Coarse: coarse,
-		PQ:     pq,
-		opt:    opt,
-	}
+	ix := newIndex(dim, coarse, pq, opt)
 	ix.install(parts)
 	ix.nextID.Store(nextID)
 	return ix
@@ -367,14 +361,8 @@ func (ix *Index) RestrictCells(cells []int) (*Index, error) {
 		}
 		keep[c] = true
 	}
-	out := &Index{
-		Dim:    ix.Dim,
-		Coarse: ix.Coarse,
-		PQ:     ix.PQ,
-		opt:    ix.opt,
-		pg:     ix.pg,
-		pgInst: ix.pgInst,
-	}
+	out := newIndex(ix.Dim, ix.Coarse, ix.PQ, ix.opt)
+	out.pg, out.pgInst = ix.pg, ix.pgInst
 	// Kept cells share the receiver's sealed epochs wholesale — data,
 	// cached Fast Scan state and (for a paged index) the extent handle,
 	// so a restricted shard of a disk-resident index pages through the
@@ -414,18 +402,6 @@ func (ix *Index) RoutePartition(query []float32) int {
 	return c
 }
 
-// Tables computes the per-query distance tables for scanning partition
-// part (Step 2 of Algorithm 1), using the query residual against that
-// partition's coarse centroid.
-func (ix *Index) Tables(query []float32, part int) quantizer.Tables {
-	residual := make([]float32, ix.Dim)
-	cRow := ix.Coarse.Row(part)
-	for d, v := range query {
-		residual[d] = v - cRow[d]
-	}
-	return ix.PQ.DistanceTables(residual)
-}
-
 // FastScanner returns (building on first use) the PQ Fast Scan state of
 // partition part in the current snapshot. The cache lives on the
 // partition's epoch, so a scanner can never describe codes other than
@@ -454,17 +430,14 @@ func (ix *Index) FastScanner(part int) (*scan.FastScan, error) {
 // Result is re-exported for callers that only import index.
 type Result = topk.Result
 
-// scratchPool recycles the native engine's per-scan buffers across
-// queries and goroutines, keeping the steady-state scan loop free of
-// allocations without tying a Scratch to any one Searcher.
-var scratchPool = sync.Pool{New: func() any { return scan.NewScratch() }}
-
 // searchPartition scans one partition of an explicitly held snapshot
-// from an empty heap: the single-probe path, and each independent cell
-// of a parallel multi-probe.
+// from an empty heap and through a scratch of its own: the single-probe
+// path, and each independent cell of a parallel multi-probe.
 func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, scan.Stats, error) {
 	heap := topk.New(req.K)
-	stats, err := ix.scanPartition(s, req, part, heap)
+	qs := ix.getScratch()
+	defer scratchPool.Put(qs)
+	stats, err := ix.scanPartition(s, req, part, heap, qs)
 	if err != nil {
 		return nil, scan.Stats{}, err
 	}
@@ -480,7 +453,9 @@ func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, 
 // query's earlier cells reached; the exact kernels return their
 // partition's top-k, which is pushed into heap here. Either way heap
 // ends up holding the k smallest (distance, id) pairs of everything
-// scanned so far, and nothing in it aliases scan or pool memory.
+// scanned so far, and nothing in it aliases scan or pool memory. The
+// cell's distance tables are written into qs, the scratch the caller
+// took once for the whole query, and are dead when this returns.
 //
 // On the native engine the four exact-scan kernel selections (naive,
 // libpq, avx, gather) share one tuned implementation and the two Fast
@@ -491,12 +466,12 @@ func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, 
 // meaningful only under the instruction-counting engine. The
 // quantization-only ablation is a diagnostic of the model path and runs
 // there on either engine.
-func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.Heap) (scan.Stats, error) {
+func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.Heap, qs *queryScratch) (scan.Stats, error) {
 	query, k, kernel, engine := req.Query, req.K, req.Kernel, req.Engine
 	if part < 0 || part >= len(s.Parts) {
 		return scan.Stats{}, fmt.Errorf("index: partition %d out of range", part)
 	}
-	t := ix.Tables(query, part)
+	t := ix.tables(qs, query, part)
 	pe := s.Parts[part]
 
 	// Acquire the epoch's scannable view. RAM epochs hand out their
@@ -533,18 +508,13 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 	if engine == EngineNative {
 		switch kernel {
 		case KernelNaive, KernelLibpq, KernelAVX, KernelGather:
-			sc := scratchPool.Get().(*scan.Scratch)
-			defer scratchPool.Put(sc) // after pushAll: the results alias sc
-			return pushAll(scan.ExactNative(p, t, k, sc))
+			return pushAll(scan.ExactNative(p, t, k, qs.scan))
 		case KernelFastScan, KernelFastScan256:
 			fs, err := fastScanner()
 			if err != nil {
 				return scan.Stats{}, err
 			}
-			sc := scratchPool.Get().(*scan.Scratch)
-			st := fs.ScanNativeInto(t, heap, sc, req.Backend)
-			scratchPool.Put(sc)
-			return st, nil
+			return fs.ScanNativeInto(t, heap, qs.scan, req.Backend), nil
 		}
 		// KernelQuantOnly (and unknown kernels) fall through to the
 		// model dispatch below.

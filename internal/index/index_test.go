@@ -30,7 +30,7 @@ func search1(t *testing.T, ix *Index, q []float32, k int, kern Kernel) ([]Result
 	return resp.Results, resp.Partitions[0]
 }
 
-func sharedIndex(t *testing.T) (*Index, vec.Matrix, vec.Matrix) {
+func sharedIndex(t testing.TB) (*Index, vec.Matrix, vec.Matrix) {
 	t.Helper()
 	testOnce.Do(func() {
 		gen := dataset.NewGenerator(dataset.Config{Seed: 31})

@@ -67,6 +67,11 @@ func (ix *Index) EncodeRoute(vecs vec.Matrix) (cells []int, codes []uint8, err e
 		return nil, nil, fmt.Errorf("index: online Add requires at most 8 bits per component, index uses %v", ix.PQ.Config)
 	}
 	n := vecs.Rows()
+	for i := 0; i < n; i++ {
+		if err := CheckVector(vecs.Row(i)); err != nil {
+			return nil, nil, fmt.Errorf("vector %d: %w", i, err)
+		}
+	}
 	m := ix.PQ.M
 	cells = make([]int, n)
 	codes = make([]uint8, n*m)

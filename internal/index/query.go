@@ -2,7 +2,9 @@ package index
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"pqfastscan/internal/layout"
@@ -49,6 +51,21 @@ type Response struct {
 	Partitions []int
 }
 
+// CheckVector rejects a query or added vector no distance can be
+// computed for: one whose squared norm is not a finite float32, because
+// a component is NaN, infinite, or so large its square overflows. Past
+// this check such a vector turns every table entry into +Inf or NaN
+// (the factored table subtracts: Inf − Inf), and a NaN component routes
+// to cell 0 and encodes as code 0, because every comparison against NaN
+// is false. The server and the cluster router call it before doing any
+// work, so a bad vector costs its sender a 400 and nobody else anything.
+func CheckVector(v []float32) error {
+	if n := float64(vec.SquaredNorm(v)); math.IsInf(n, 0) || math.IsNaN(n) {
+		return errors.New("index: vector has a NaN or infinite component, or its squared norm overflows float32")
+	}
+	return nil
+}
+
 // validate rejects malformed requests with caller-actionable errors
 // before any scanning starts.
 func (ix *Index) validate(s *Snapshot, req Request) error {
@@ -57,6 +74,9 @@ func (ix *Index) validate(s *Snapshot, req Request) error {
 	}
 	if len(req.Query) != ix.Dim {
 		return fmt.Errorf("index: query dim %d != index dim %d", len(req.Query), ix.Dim)
+	}
+	if err := CheckVector(req.Query); err != nil {
+		return err
 	}
 	if req.NProbe < 0 || req.NProbe > len(s.Parts) {
 		return fmt.Errorf("index: nprobe %d out of range [1,%d]", req.NProbe, len(s.Parts))
@@ -153,19 +173,23 @@ func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Resp
 }
 
 // queryCells scans the given cells sequentially into the query's one
-// running top-k — the shared tail of the multi-probe and explicit-cells
-// paths. Every cell after the first starts from the threshold its
+// running top-k, through the query's one scratch — the shared tail of
+// the multi-probe and explicit-cells paths. The scratch keeps the query
+// term between cells, so every table after the first is one fused pass
+// (tables.go). Every cell after the first starts from the threshold its
 // predecessors reached (scanPartition), which is where multi-probe
 // pruning power comes from; the answer is the k smallest (distance, id)
 // pairs of the union whatever the cell order.
 func (ix *Index) queryCells(ctx context.Context, s *Snapshot, req Request, cellIDs []int) (*Response, error) {
 	heap := topk.New(req.K)
+	qs := ix.getScratch()
+	defer scratchPool.Put(qs)
 	resp := &Response{Partitions: make([]int, 0, len(cellIDs))}
 	for _, c := range cellIDs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st, err := ix.scanPartition(s, req, c, heap)
+		st, err := ix.scanPartition(s, req, c, heap, qs)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +205,9 @@ func (ix *Index) queryCells(ctx context.Context, s *Snapshot, req Request, cellI
 // construction-time use. Each cell runs on its own goroutine (par.For
 // caps concurrency at GOMAXPROCS) against the same snapshot, as an
 // independent scan from an empty heap: no threshold is shared between
-// goroutines. Per-cell results are merged sequentially in cell-visit
+// goroutines, and each cell takes its own scratch (searchPartition) and
+// so builds the query term for itself rather than waiting on a sibling.
+// Per-cell results are merged sequentially in cell-visit
 // order afterwards, so Results are byte-identical to the sequential
 // multi-probe path (the retained set of a bounded heap is the k
 // smallest (distance, id) pairs regardless of push order) and Stats

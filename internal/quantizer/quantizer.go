@@ -184,7 +184,10 @@ func (t Tables) MaxSum() float32 {
 	return sum
 }
 
-// DistanceTables computes the m distance tables for query (Equation 2).
+// DistanceTables computes the m distance tables for query (Equation 2)
+// in its direct form, one L2 per entry. It is the reference the factored
+// residual tables of internal/index are tested against, and what callers
+// without a coarse quantizer use; the IVFADC query path does not call it.
 func (pq *ProductQuantizer) DistanceTables(query []float32) Tables {
 	if len(query) != pq.Dim {
 		panic("quantizer: dimensionality mismatch")
@@ -199,6 +202,66 @@ func (pq *ProductQuantizer) DistanceTables(query []float32) Tables {
 		}
 	}
 	return t
+}
+
+// InnerProducts writes ⟨x_j, p_ji⟩ — the inner product of the j-th
+// sub-vector of x with centroid i of sub-quantizer j — into dst, laid
+// out like Tables.Data (M·k* entries, row j at [j·k*, (j+1)·k*)). Since
+// ‖x_j − p‖² = ‖x_j‖² + ‖p‖² − 2⟨x_j, p⟩, it is the only per-vector work
+// a distance table needs once the centroid norms are known, which is
+// what lets internal/index split a residual table into a per-cell and a
+// per-query part.
+//
+// Centroids are taken two at a time with four accumulators each, so
+// eight multiply-add chains are in flight where vec.L2Squared has one;
+// the summation order is fixed, so dst is a pure function of (pq, x).
+func (pq *ProductQuantizer) InnerProducts(x, dst []float32) {
+	k, sd := pq.KStar(), pq.SubDim
+	if len(x) != pq.Dim || len(dst) != pq.M*k {
+		panic("quantizer: dimensionality mismatch")
+	}
+	for j := 0; j < pq.M; j++ {
+		sub := x[j*sd : (j+1)*sd]
+		cb := pq.Codebooks[j].Data
+		row := dst[j*k : (j+1)*k]
+		for i := 0; i+1 < len(row); i += 2 { // k* is a power of two ≥ 2
+			p := cb[i*sd : (i+1)*sd : (i+1)*sd]
+			q := cb[(i+1)*sd : (i+2)*sd : (i+2)*sd]
+			var p0, p1, p2, p3, q0, q1, q2, q3 float32
+			d := 0
+			for ; d+4 <= len(sub) && d+4 <= len(p) && d+4 <= len(q); d += 4 {
+				x0, x1, x2, x3 := sub[d], sub[d+1], sub[d+2], sub[d+3]
+				p0 += x0 * p[d]
+				p1 += x1 * p[d+1]
+				p2 += x2 * p[d+2]
+				p3 += x3 * p[d+3]
+				q0 += x0 * q[d]
+				q1 += x1 * q[d+1]
+				q2 += x2 * q[d+2]
+				q3 += x3 * q[d+3]
+			}
+			for ; d < len(sub); d++ {
+				p0 += sub[d] * p[d]
+				q0 += sub[d] * q[d]
+			}
+			row[i] = (p0 + p1) + (p2 + p3)
+			row[i+1] = (q0 + q1) + (q2 + q3)
+		}
+	}
+}
+
+// CentroidNorms returns ‖p_ji‖² for every centroid, laid out like
+// Tables.Data. It is a property of the trained codebooks alone; callers
+// compute it once and keep it.
+func (pq *ProductQuantizer) CentroidNorms() []float32 {
+	k := pq.KStar()
+	norms := make([]float32, pq.M*k)
+	for j, cb := range pq.Codebooks {
+		for i := 0; i < k; i++ {
+			norms[j*k+i] = vec.SquaredNorm(cb.Row(i))
+		}
+	}
+	return norms
 }
 
 // ADC computes the asymmetric distance approximation of Equation 3:

@@ -107,6 +107,67 @@ func TestDistanceTablesEntries(t *testing.T) {
 	}
 }
 
+// TestInnerProductsAndNorms: the two primitives of the factored table
+// agree with their definitions taken in float64, for sub-vector lengths
+// on and off the unrolled stride and for k* = 16 as well as 256, and
+// together they rebuild Equation 2: ‖x_j‖² + ‖p‖² − 2⟨x_j, p⟩ is
+// DistanceTables' entry up to rounding.
+func TestInnerProductsAndNorms(t *testing.T) {
+	for _, c := range []struct {
+		dim int
+		cfg Config
+	}{
+		{32, PQ8x8},  // sub-vectors of 4: one unrolled step
+		{128, PQ8x8}, // 16: the serving shape
+		{48, PQ8x8},  // 6: one step and a tail of 2
+		{48, PQ16x4}, // 3: tail only, 16 centroids
+	} {
+		data := randomData(2000, c.dim, uint64(c.dim))
+		pq, err := Train(data, c.cfg, TrainOptions{MaxIter: 5, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randomData(1, c.dim, 11).Row(0)
+		k := pq.KStar()
+		ip := make([]float32, pq.M*k)
+		pq.InnerProducts(x, ip)
+		norms := pq.CentroidNorms()
+		direct := pq.DistanceTables(x)
+		for j := 0; j < pq.M; j++ {
+			sub := x[j*pq.SubDim : (j+1)*pq.SubDim]
+			var subNorm float64
+			for _, v := range sub {
+				subNorm += float64(v) * float64(v)
+			}
+			for i := 0; i < k; i++ {
+				var wantIP, wantNorm float64
+				for d, pv := range pq.Codebooks[j].Row(i) {
+					wantIP += float64(sub[d]) * float64(pv)
+					wantNorm += float64(pv) * float64(pv)
+				}
+				scale := subNorm + wantNorm // bounds |⟨x,p⟩| and every partial sum
+				if got := float64(ip[j*k+i]); math.Abs(got-wantIP) > 1e-6*scale {
+					t.Fatalf("%v dim %d: ⟨x_%d, p_%d⟩ = %v, want %v", c.cfg, c.dim, j, i, got, wantIP)
+				}
+				if got := float64(norms[j*k+i]); math.Abs(got-wantNorm) > 1e-6*scale {
+					t.Fatalf("%v dim %d: ‖p_%d,%d‖² = %v, want %v", c.cfg, c.dim, j, i, got, wantNorm)
+				}
+				rebuilt := subNorm + float64(norms[j*k+i]) - 2*float64(ip[j*k+i])
+				if want := float64(direct.Row(j)[i]); math.Abs(rebuilt-want) > 1e-5*scale {
+					t.Fatalf("%v dim %d: rebuilt D_%d[%d] = %v, direct %v", c.cfg, c.dim, j, i, rebuilt, want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("InnerProducts accepted a short destination")
+		}
+	}()
+	pq, _ := trainSmall(t, 3)
+	pq.InnerProducts(make([]float32, pq.Dim), make([]float32, 7))
+}
+
 func TestTablesMinAndMaxSum(t *testing.T) {
 	tbl := Tables{M: 2, KStar: 4, Data: []float32{5, 2, 7, 3, 9, 4, 6, 8}}
 	if got := tbl.Min(); got != 2 {

@@ -123,9 +123,10 @@ var nativeLUTMinVectors = 4096
 //
 // It is built once per scan of one partition (queryTablesFor) into
 // storage the Scratch reuses, and shared by every group that scan
-// visits. The serving path computes fresh tables per probed cell and,
-// carrying one heap across cells, fresh bounds with them, so there is
-// nothing to keep between scans. The model path deliberately rebuilds
+// visits. Every probed cell has its own tables (the query term inside
+// them is the index's to reuse, internal/index/tables.go) and, with one
+// heap carried across cells, its own bounds, so there is nothing
+// quantized to keep between scans. The model path deliberately rebuilds
 // per group instead; that is the instruction stream it meters.
 type queryTables struct {
 	c     int

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"pqfastscan"
+	"pqfastscan/internal/index"
 	"pqfastscan/internal/plan"
 )
 
@@ -659,6 +660,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("query dim %d != index dim %d", len(req.Query), dim))
 		return
 	}
+	if err := index.CheckVector(req.Query); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	np := idx.Partitions()
 	if len(req.Cells) > 0 {
 		if req.NProbe != 0 {
@@ -815,6 +820,10 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	for i, v := range req.Vectors {
 		if len(v) != dim {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("vector %d dim %d != index dim %d", i, len(v), dim))
+			return
+		}
+		if err := index.CheckVector(v); err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("vector %d: %v", i, err))
 			return
 		}
 		copy(m.Row(i), v)

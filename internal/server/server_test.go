@@ -153,10 +153,58 @@ func TestSearchValidation(t *testing.T) {
 		{"huge k", SearchRequest{Query: q, K: 1 << 20}},
 		{"bad nprobe", SearchRequest{Query: q, K: 5, NProbe: 99}},
 		{"bad kernel", SearchRequest{Query: q, K: 5, Kernel: "warp"}},
+		{"norm overflows float32", SearchRequest{Query: withComponent(q, 1e30), K: 5}},
+		{"norm overflows float32, all cells", SearchRequest{Query: withComponent(q, -1e30), K: 5, NProbe: 4}},
 	}
 	for _, c := range cases {
-		if status, body := postJSON(t, hs.URL+"/search", c.req, nil); status != http.StatusBadRequest {
+		status, body := postJSON(t, hs.URL+"/search", c.req, nil)
+		if status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", c.name, status, body)
+		}
+		var e struct{ Error string }
+		if json.Unmarshal([]byte(body), &e) != nil || e.Error == "" {
+			t.Errorf("%s: body %q is not a JSON error", c.name, body)
+		}
+	}
+}
+
+// withComponent returns a copy of v with its first component replaced.
+func withComponent(v []float32, x float32) []float32 {
+	out := append([]float32(nil), v...)
+	out[0] = x
+	return out
+}
+
+// TestAddValidation: a malformed /add is a 400 with a JSON error body
+// and indexes nothing — in particular a vector whose squared norm
+// overflows float32, which would otherwise be encoded (and WAL-logged)
+// as a code for garbage.
+func TestAddValidation(t *testing.T) {
+	idx := buildIndex(t, 27, 2000, 4000)
+	_, hs := newTestServer(t, Config{Index: idx})
+	good := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 28}).Generate(1).Row(0)
+	live := idx.Live()
+
+	cases := []struct {
+		name string
+		req  AddRequest
+	}{
+		{"no vectors", AddRequest{}},
+		{"short vector", AddRequest{Vectors: [][]float32{good[:10]}}},
+		{"norm overflows float32", AddRequest{Vectors: [][]float32{withComponent(good, 1e30)}}},
+		{"second vector overflows", AddRequest{Vectors: [][]float32{good, withComponent(good, -1e30)}}},
+	}
+	for _, c := range cases {
+		status, body := postJSON(t, hs.URL+"/add", c.req, nil)
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", c.name, status, body)
+		}
+		var e struct{ Error string }
+		if json.Unmarshal([]byte(body), &e) != nil || e.Error == "" {
+			t.Errorf("%s: body %q is not a JSON error", c.name, body)
+		}
+		if idx.Live() != live {
+			t.Fatalf("%s: live %d, was %d: a rejected add indexed something", c.name, idx.Live(), live)
 		}
 	}
 }

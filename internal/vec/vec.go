@@ -22,13 +22,18 @@ func L2Squared(a, b []float32) float32 {
 	return sum
 }
 
-// Norm returns the Euclidean norm of a.
-func Norm(a []float32) float32 {
+// SquaredNorm returns the squared Euclidean norm of a.
+func SquaredNorm(a []float32) float32 {
 	var sum float32
 	for _, v := range a {
 		sum += v * v
 	}
-	return float32(math.Sqrt(float64(sum)))
+	return sum
+}
+
+// Norm returns the Euclidean norm of a.
+func Norm(a []float32) float32 {
+	return float32(math.Sqrt(float64(SquaredNorm(a))))
 }
 
 // Add accumulates src into dst element-wise. It panics on length mismatch.
