@@ -99,10 +99,10 @@ func TestSearchValidation(t *testing.T) {
 			_, err := idx.Search(ctx, q, 5, pqfastscan.WithNProbe(parts+1))
 			return err
 		}, "nprobe"},
-		{"unknown engine", func() error {
-			_, err := idx.Search(ctx, q, 5, pqfastscan.WithEngine(pqfastscan.Engine(42)))
+		{"unknown kernel", func() error {
+			_, err := idx.Search(ctx, q, 5, pqfastscan.WithKernel(pqfastscan.Kernel(42)))
 			return err
-		}, "unknown engine"},
+		}, "unknown kernel"},
 		{"multi-probe k=0", func() error {
 			_, err := idx.Search(ctx, q, 0, pqfastscan.WithNProbe(2))
 			return err
@@ -152,8 +152,8 @@ func TestUnscorableVectorsRejected(t *testing.T) {
 		calls := map[string]func() error{
 			"Search":          func() error { _, err := idx.Search(ctx, bad, 5); return err },
 			"Search nprobe=4": func() error { _, err := idx.Search(ctx, bad, 5, pqfastscan.WithNProbe(4)); return err },
-			"Search model engine": func() error {
-				_, err := idx.Search(ctx, bad, 5, pqfastscan.WithEngine(pqfastscan.EngineModel))
+			"Search naive kernel": func() error {
+				_, err := idx.Search(ctx, bad, 5, pqfastscan.WithKernel(pqfastscan.KernelNaive))
 				return err
 			},
 			"SearchBatch": func() error { _, err := idx.SearchBatch(ctx, batch, 5); return err },
@@ -236,21 +236,15 @@ func TestStatsWithParallel(t *testing.T) {
 		if *again.Stats != *par.Stats {
 			t.Fatalf("parallel stats differ between runs:\n  %+v\n  %+v", *par.Stats, *again.Stats)
 		}
-		if par.Stats.Scanned == 0 || par.Stats.Ops.ScalarLoadF == 0 {
+		if par.Stats.Scanned == 0 || par.Stats.LowerBounds == 0 {
 			t.Fatalf("parallel stats counters empty: %+v", *par.Stats)
 		}
 	}
 
-	// The full triple with an explicit kernel works too, and still
-	// rejects the one genuinely contradictory combination.
+	// The full triple with an explicit kernel works too.
 	q := queries.Row(0)
 	if _, err := idx.Search(ctx, q, 10, pqfastscan.WithKernel(pqfastscan.KernelNaive),
 		pqfastscan.WithNProbe(4), pqfastscan.WithStats(), pqfastscan.WithParallel()); err != nil {
 		t.Fatalf("kernel+nprobe+stats+parallel rejected: %v", err)
-	}
-	_, err := idx.Search(ctx, q, 10,
-		pqfastscan.WithEngine(pqfastscan.EngineNative), pqfastscan.WithStats(), pqfastscan.WithParallel())
-	if err == nil || !strings.Contains(err.Error(), "model engine") {
-		t.Fatalf("native+stats+parallel: got %v, want model-engine error", err)
 	}
 }

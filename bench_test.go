@@ -26,6 +26,7 @@ import (
 	"pqfastscan/internal/index"
 	"pqfastscan/internal/perf"
 	"pqfastscan/internal/scan"
+	"pqfastscan/internal/scan/model"
 )
 
 var (
@@ -103,7 +104,7 @@ func BenchmarkAlgorithmSteps(b *testing.B)              { experimentBenchmark("s
 // modeled counters (the simd package emulates SIMD semantics in scalar
 // Go, so measured ratios differ from the modeled silicon ratios; see
 // DESIGN.md "Substitutions").
-func benchmarkKernel(b *testing.B, kern index.Kernel, fsOpt scan.FastScanOptions) {
+func benchmarkKernel(b *testing.B, kern model.Kernel, fsOpt scan.FastScanOptions) {
 	env := sharedEnv(b)
 	part := 0
 	bestN := -1
@@ -115,7 +116,7 @@ func benchmarkKernel(b *testing.B, kern index.Kernel, fsOpt scan.FastScanOptions
 	t := env.TablesFor(0, part)
 	p := env.Index.Parts()[part]
 	var fs *scan.FastScan
-	if kern == index.KernelFastScan || kern == index.KernelFastScan256 {
+	if kern == model.KernelFastScan || kern == model.KernelFastScan256 {
 		var err error
 		fs, err = env.FastScanner(part, fsOpt)
 		if err != nil {
@@ -124,32 +125,19 @@ func benchmarkKernel(b *testing.B, kern index.Kernel, fsOpt scan.FastScanOptions
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		switch kern {
-		case index.KernelNaive:
-			scan.Naive(p, t, 100)
-		case index.KernelLibpq:
-			scan.Libpq(p, t, 100)
-		case index.KernelAVX:
-			scan.AVX(p, t, 100)
-		case index.KernelGather:
-			scan.Gather(p, t, 100)
-		case index.KernelQuantOnly:
-			scan.QuantizationOnly(p, t, 100, fsOpt.Keep)
-		case index.KernelFastScan:
-			fs.Scan(t, 100)
-		case index.KernelFastScan256:
-			fs.Scan256(t, 100)
+		if _, _, err := model.Run(kern, p, fs, t, 100, fsOpt.Keep); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.N), "ns/vec")
 }
 
-func BenchmarkScanNaive(b *testing.B)  { benchmarkKernel(b, index.KernelNaive, bench.PaperFastOpts()) }
-func BenchmarkScanLibpq(b *testing.B)  { benchmarkKernel(b, index.KernelLibpq, bench.PaperFastOpts()) }
-func BenchmarkScanAVX(b *testing.B)    { benchmarkKernel(b, index.KernelAVX, bench.PaperFastOpts()) }
-func BenchmarkScanGather(b *testing.B) { benchmarkKernel(b, index.KernelGather, bench.PaperFastOpts()) }
+func BenchmarkScanNaive(b *testing.B)  { benchmarkKernel(b, model.KernelNaive, bench.PaperFastOpts()) }
+func BenchmarkScanLibpq(b *testing.B)  { benchmarkKernel(b, model.KernelLibpq, bench.PaperFastOpts()) }
+func BenchmarkScanAVX(b *testing.B)    { benchmarkKernel(b, model.KernelAVX, bench.PaperFastOpts()) }
+func BenchmarkScanGather(b *testing.B) { benchmarkKernel(b, model.KernelGather, bench.PaperFastOpts()) }
 func BenchmarkScanQuantizationOnly(b *testing.B) {
-	benchmarkKernel(b, index.KernelQuantOnly, bench.PaperFastOpts())
+	benchmarkKernel(b, model.KernelQuantOnly, bench.PaperFastOpts())
 }
 func BenchmarkScanFastScan256(b *testing.B) {
 	env := sharedEnv(b)
@@ -159,7 +147,7 @@ func BenchmarkScanFastScan256(b *testing.B) {
 			bestN = p.N
 		}
 	}
-	benchmarkKernel(b, index.KernelFastScan256, bench.HeadlineFastOpts(bestN, 100))
+	benchmarkKernel(b, model.KernelFastScan256, bench.HeadlineFastOpts(bestN, 100))
 }
 
 func BenchmarkScanFastScan(b *testing.B) {
@@ -170,7 +158,7 @@ func BenchmarkScanFastScan(b *testing.B) {
 			bestN = p.N
 		}
 	}
-	benchmarkKernel(b, index.KernelFastScan, bench.HeadlineFastOpts(bestN, 100))
+	benchmarkKernel(b, model.KernelFastScan, bench.HeadlineFastOpts(bestN, 100))
 }
 
 // BenchmarkDistanceTables times Step 2 of Algorithm 1, the M×256
@@ -270,7 +258,7 @@ func BenchmarkSearchNProbe(b *testing.B) {
 	in, ctx := nprobeIndex.Internal(), context.Background()
 	for _, nprobe := range []int{1, 2, 4} {
 		b.Run(fmt.Sprint(nprobe), func(b *testing.B) {
-			req := index.Request{K: 10, Kernel: index.KernelFastScan, Engine: index.EngineNative, NProbe: nprobe}
+			req := index.Request{K: 10, Kernel: index.KernelFastScan, NProbe: nprobe}
 			run := func(i int) int {
 				req.Query = nprobeQueries.Row(i % nprobeQueries.Rows())
 				resp, err := in.Query(ctx, req)

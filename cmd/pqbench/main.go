@@ -8,10 +8,11 @@
 //
 // Each experiment prints the rows or series of the corresponding table or
 // figure of the paper's evaluation section (§5), measured on the
-// instruction-counting model engine. It is one of three instruments
-// (DESIGN.md §8): end-to-end and per-layer numbers of the library, the
-// server and the router come from benchmark/ (BENCHMARK.json), wall-clock
-// kernel numbers per backend from `go test -bench ./internal/scan/`.
+// instruction-counting model (internal/scan/model). It is one of three
+// instruments (DESIGN.md §8): end-to-end and per-layer numbers of the
+// library, the server and the router come from benchmark/
+// (BENCHMARK.json), wall-clock kernel numbers per backend from
+// `go test -bench ./internal/scan/...`.
 package main
 
 import (

@@ -8,6 +8,11 @@
 //	pqscan -base synth_base.fvecs -learn synth_learn.fvecs \
 //	       -query synth_query.fvecs -gt synth_groundtruth.ivecs \
 //	       -kernel fastpq -topk 100
+//
+// -kernel names one of the three scans a query can run: fastpq (PQ Fast
+// Scan, the default), libpq (the tuned exact PQ Scan) or naive
+// (Algorithm 1, the oracle). The paper's other kernels are laboratory
+// implementations reported by pqbench.
 package main
 
 import (
@@ -44,7 +49,7 @@ func main() {
 		learnPath  = flag.String("learn", "", "learning vectors (defaults to base)")
 		queryPath  = flag.String("query", "", "query vectors")
 		gtPath     = flag.String("gt", "", "ground truth (.ivecs), optional")
-		kernelName = flag.String("kernel", "fastpq", "scan kernel")
+		kernelName = flag.String("kernel", "fastpq", "scan kernel: naive, libpq or fastpq")
 		topk       = flag.Int("topk", 100, "neighbors per query")
 		nprobe     = flag.Int("nprobe", 1, "partitions probed per query")
 		partitions = flag.Int("partitions", 8, "IVF partitions")

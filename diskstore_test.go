@@ -144,20 +144,19 @@ func TestWithDiskStoreEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDiskStoreBoundedResidency: with the pool capped at ~10% of the
-// extent footprint the whole dataset stays queryable and the pool
-// never holds more than capacity + pinned.
+// TestDiskStoreBoundedResidency: with the pool capped at under a tenth
+// of the extent footprint the whole dataset stays queryable and the
+// pool never holds more than capacity + pinned.
 func TestDiskStoreBoundedResidency(t *testing.T) {
 	idx, queries := buildDiskTestIndex(t, 5151)
-	if err := idx.WithDiskStore(t.TempDir(), 1<<30); err != nil {
+	// An extent spends more than 20 bytes on a vector (8 of codes, 8 of
+	// id, the packed copy), so one byte each is under a tenth of them.
+	if err := idx.WithDiskStore(t.TempDir(), int64(idx.Live())); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := idx.StoreStats()
-	cap := st.ExtentBytes / 10
-	if cap < 1 {
-		cap = 1
+	if st, _ := idx.StoreStats(); st.Pool.CapacityBytes*10 > st.ExtentBytes {
+		t.Fatalf("fixture: pool of %d bytes is not under a tenth of %d extent bytes", st.Pool.CapacityBytes, st.ExtentBytes)
 	}
-	idx.Internal().SetPoolCapacity(cap)
 
 	ctx := context.Background()
 	for pass := 0; pass < 3; pass++ {
@@ -171,9 +170,9 @@ func TestDiskStoreBoundedResidency(t *testing.T) {
 			}
 		}
 	}
-	st, _ = idx.StoreStats()
+	st, _ := idx.StoreStats()
 	if st.Pool.Evictions == 0 {
-		t.Fatalf("full sweeps at 10%% capacity never evicted: %+v", st.Pool)
+		t.Fatalf("full sweeps at under 10%% capacity never evicted: %+v", st.Pool)
 	}
 }
 

@@ -6,92 +6,92 @@ import (
 	"testing"
 
 	"pqfastscan"
+	"pqfastscan/internal/scan"
 )
 
-// TestEnginesReturnIdenticalResults is the public-API face of the
-// cross-engine exactness invariant: for every kernel, nprobe and query,
-// the native and model engines return bit-identical neighbor lists —
-// with and without single-query cross-partition parallelism.
-func TestEnginesReturnIdenticalResults(t *testing.T) {
+// TestWithStatsOnEveryBackend: WithStats attaches the serving scan's
+// counters — it pins nothing, so it composes with WithBackend, and every
+// backend reports the same ones (which internal/scan/model's tests hold
+// equal to the instruction-counting model's).
+func TestWithStatsOnEveryBackend(t *testing.T) {
 	idx, _, queries := sharedAPIIndex(t)
 	ctx := context.Background()
-
-	for _, kern := range allKernels() {
-		for _, nprobe := range []int{1, 3} {
-			for qi := 0; qi < queries.Rows(); qi++ {
-				q := queries.Row(qi)
-				model, err := idx.Search(ctx, q, 25,
-					pqfastscan.WithKernel(kern), pqfastscan.WithNProbe(nprobe),
-					pqfastscan.WithEngine(pqfastscan.EngineModel))
+	for _, nprobe := range []int{1, 3} {
+		for qi := 0; qi < queries.Rows(); qi++ {
+			auto, err := idx.Search(ctx, queries.Row(qi), 10, pqfastscan.WithNProbe(nprobe), pqfastscan.WithStats())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if auto.Stats == nil || auto.Stats.LowerBounds == 0 || auto.Stats.Pruned+auto.Stats.Candidates != auto.Stats.LowerBounds {
+				t.Fatalf("WithStats attached %+v", auto.Stats)
+			}
+			for _, be := range pqfastscan.AvailableBackends() {
+				got, err := idx.Search(ctx, queries.Row(qi), 10,
+					pqfastscan.WithNProbe(nprobe), pqfastscan.WithStats(), pqfastscan.WithBackend(be))
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("WithStats+WithBackend(%v): %v", be, err)
 				}
-				native, err := idx.Search(ctx, q, 25,
-					pqfastscan.WithKernel(kern), pqfastscan.WithNProbe(nprobe),
-					pqfastscan.WithEngine(pqfastscan.EngineNative))
-				if err != nil {
-					t.Fatal(err)
+				if got.Stats == nil || *got.Stats != *auto.Stats {
+					t.Fatalf("nprobe=%d q%d: backend %v counted %+v, auto %+v", nprobe, qi, be, got.Stats, auto.Stats)
 				}
-				label := kern.String() + "/" + pqfastscan.EngineNative.String()
-				sameResultSlices(t, label, model.Results, native.Results)
-
-				parallel, err := idx.Search(ctx, q, 25,
-					pqfastscan.WithKernel(kern), pqfastscan.WithNProbe(nprobe),
-					pqfastscan.WithParallel())
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResultSlices(t, label+"/parallel", model.Results, parallel.Results)
+				sameResultSlices(t, "stats/"+be.String(), auto.Results, got.Results)
 			}
 		}
 	}
 }
 
-// TestDefaultEngineIsNative: a plain Search must match an explicit
-// native-engine search (and, by the invariant above, the model engine).
-func TestDefaultEngineIsNative(t *testing.T) {
+// TestDeprecatedEngineShim: WithEngine survives only for the frozen
+// benchmark module, and must not lie. EngineNative changes nothing;
+// EngineModel with KernelNaive answers exactly scan.Naive — the model's
+// own oracle, so the claim is true by construction; EngineModel with any
+// other kernel is an error saying where the model went.
+func TestDeprecatedEngineShim(t *testing.T) {
 	idx, _, queries := sharedAPIIndex(t)
 	ctx := context.Background()
-	q := queries.Row(0)
+	in := idx.Internal()
+	for qi := 0; qi < queries.Rows(); qi++ {
+		q := queries.Row(qi)
+		plain, err := idx.Search(ctx, q, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		native, err := idx.Search(ctx, q, 30, pqfastscan.WithEngine(pqfastscan.EngineNative))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResultSlices(t, "EngineNative is a no-op", plain.Results, native.Results)
 
-	plain, err := idx.Search(ctx, q, 30)
-	if err != nil {
-		t.Fatal(err)
+		oracle, err := idx.Search(ctx, q, 30,
+			pqfastscan.WithKernel(pqfastscan.KernelNaive), pqfastscan.WithEngine(pqfastscan.EngineModel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		part := in.RoutePartition(q)
+		want, _ := scan.Naive(in.Parts()[part], in.Tables(q, part), 30)
+		sameResultSlices(t, "EngineModel+KernelNaive is scan.Naive", want, oracle.Results)
 	}
-	native, err := idx.Search(ctx, q, 30, pqfastscan.WithEngine(pqfastscan.EngineNative))
-	if err != nil {
-		t.Fatal(err)
+	for _, kern := range []pqfastscan.Kernel{pqfastscan.KernelFastScan, pqfastscan.KernelLibpq} {
+		_, err := idx.Search(ctx, queries.Row(0), 10,
+			pqfastscan.WithKernel(kern), pqfastscan.WithEngine(pqfastscan.EngineModel))
+		if err == nil || !strings.Contains(err.Error(), "pqbench") || !strings.Contains(err.Error(), "internal/scan/model") {
+			t.Fatalf("EngineModel+%v returned %v, want an error naming internal/scan/model and pqbench", kern, err)
+		}
 	}
-	sameResultSlices(t, "default-engine", plain.Results, native.Results)
 }
 
-// TestWithStatsPinsModelEngine: statistics imply the model engine —
-// implicitly when no engine is named, as an error when the native engine
-// is requested alongside.
-func TestWithStatsPinsModelEngine(t *testing.T) {
-	idx, _, queries := sharedAPIIndex(t)
-	ctx := context.Background()
-	q := queries.Row(0)
-
-	res, err := idx.Search(ctx, q, 10, pqfastscan.WithStats())
-	if err != nil {
-		t.Fatal(err)
+// TestParseKernelListsTheThree: the kernels a search can name are three;
+// the laboratory's labels are refused with the list.
+func TestParseKernelListsTheThree(t *testing.T) {
+	for _, k := range pqfastscan.Kernels() {
+		if got, err := pqfastscan.ParseKernel(k.String()); err != nil || got != k {
+			t.Errorf("ParseKernel(%q) = %v, %v", k, got, err)
+		}
 	}
-	if res.Stats == nil || res.Stats.Ops.Instructions() <= 0 {
-		t.Fatal("WithStats did not produce instruction counts (not on the model engine?)")
-	}
-	// Model engine named explicitly: same thing.
-	res2, err := idx.Search(ctx, q, 10, pqfastscan.WithStats(), pqfastscan.WithEngine(pqfastscan.EngineModel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *res2.Stats != *res.Stats {
-		t.Fatal("explicit model engine changed the statistics")
-	}
-	// Conflicting explicit native engine: rejected up front.
-	_, err = idx.Search(ctx, q, 10, pqfastscan.WithStats(), pqfastscan.WithEngine(pqfastscan.EngineNative))
-	if err == nil || !strings.Contains(err.Error(), "model engine") {
-		t.Fatalf("WithStats+EngineNative returned %v, want a model-engine error", err)
+	for _, name := range []string{"avx", "gather", "quantonly", "fastpq256", "model"} {
+		_, err := pqfastscan.ParseKernel(name)
+		if err == nil || !strings.Contains(err.Error(), "naive, libpq, fastpq") {
+			t.Errorf("ParseKernel(%q) returned %v, want an error listing the three kernels", name, err)
+		}
 	}
 }
 
@@ -160,8 +160,8 @@ func TestBackendsReturnIdenticalResults(t *testing.T) {
 	}
 }
 
-// TestBackendOptionRejections: an unavailable backend and any
-// backend+model-engine combination fail fast with actionable errors.
+// TestBackendOptionRejections: an unavailable backend fails fast with an
+// actionable error.
 func TestBackendOptionRejections(t *testing.T) {
 	idx, _, queries := sharedAPIIndex(t)
 	ctx := context.Background()
@@ -186,16 +186,6 @@ func TestBackendOptionRejections(t *testing.T) {
 			!strings.Contains(err.Error(), "not available") {
 			t.Fatalf("unavailable backend: got err %v", err)
 		}
-	}
-
-	if _, err := idx.Search(ctx, q, 5,
-		pqfastscan.WithBackend(pqfastscan.BackendSWAR), pqfastscan.WithStats()); err == nil {
-		t.Fatal("WithBackend+WithStats must be rejected (model engine has no backends)")
-	}
-	if _, err := idx.Search(ctx, q, 5,
-		pqfastscan.WithBackend(pqfastscan.BackendSWAR),
-		pqfastscan.WithEngine(pqfastscan.EngineModel)); err == nil {
-		t.Fatal("WithBackend+WithEngine(EngineModel) must be rejected")
 	}
 }
 

@@ -47,8 +47,6 @@ func main() {
 	kernels := []pqfastscan.Kernel{
 		pqfastscan.KernelNaive,
 		pqfastscan.KernelLibpq,
-		pqfastscan.KernelAVX,
-		pqfastscan.KernelGather,
 		pqfastscan.KernelFastScan,
 	}
 	ctx := context.Background()

@@ -57,33 +57,6 @@ func main() {
 	}
 	fmt.Printf("FastScan results identical to naive PQ Scan: %v\n", same)
 
-	// Two engines, one algorithm: searches run on the wall-clock-fast
-	// native SWAR engine by default; the instruction-counting model
-	// engine (which WithStats implies) returns bit-identical results
-	// while metering the paper's SIMD instruction stream.
-	start = time.Now()
-	native, err := idx.Search(ctx, q, 5) // EngineNative is the default
-	if err != nil {
-		log.Fatal(err)
-	}
-	nativeTime := time.Since(start)
-	start = time.Now()
-	model, err := idx.Search(ctx, q, 5, pqfastscan.WithEngine(pqfastscan.EngineModel))
-	if err != nil {
-		log.Fatal(err)
-	}
-	modelTime := time.Since(start)
-	same = len(native.Results) == len(model.Results)
-	if same {
-		for i := range native.Results {
-			if native.Results[i] != model.Results[i] {
-				same = false
-			}
-		}
-	}
-	fmt.Printf("native engine %v vs model engine %v, results identical: %v\n",
-		nativeTime.Round(time.Microsecond), modelTime.Round(time.Microsecond), same)
-
 	// Online mutation: ingest fresh vectors and delete the current best
 	// match, then search again — served straight from the live index.
 	ids, err := idx.AddBatch(gen.Generate(100))

@@ -9,6 +9,7 @@ import (
 	"pqfastscan/internal/layout"
 	"pqfastscan/internal/perf"
 	"pqfastscan/internal/scan"
+	"pqfastscan/internal/scan/model"
 )
 
 // arbitraryIndex lazily builds a second index identical to env.Index
@@ -70,7 +71,7 @@ func Figure11Ablation(env *Env, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			_, stats := fs.Scan(t, 100)
+			_, stats := model.Scan(fs, t, 100)
 			pruned += stats.Pruned
 			lbs += stats.LowerBounds
 		}
@@ -142,7 +143,7 @@ func GroupingAblation(env *Env, w io.Writer) error {
 		var speed float64
 		var groups int
 		for _, qi := range pool {
-			out, _, err := env.runPool(index.KernelFastScan, qi, 100, opt)
+			out, _, err := env.runPool(model.KernelFastScan, qi, 100, opt)
 			if err != nil {
 				return err
 			}
@@ -189,7 +190,7 @@ func OrderingAblation(env *Env, w io.Writer) error {
 		var pruned, lbs int
 		var speed float64
 		for _, qi := range pool {
-			out, _, err := env.runPool(index.KernelFastScan, qi, 100, opt)
+			out, _, err := env.runPool(model.KernelFastScan, qi, 100, opt)
 			if err != nil {
 				return err
 			}

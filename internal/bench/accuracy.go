@@ -9,6 +9,7 @@ import (
 	"pqfastscan/internal/dataset"
 	"pqfastscan/internal/index"
 	"pqfastscan/internal/perf"
+	"pqfastscan/internal/scan/model"
 )
 
 func init() {
@@ -85,7 +86,7 @@ func StepsExperiment(env *Env, w io.Writer) error {
 		}
 		tableTime += time.Since(start) / reps
 
-		out, err := env.RunKernel(index.KernelLibpq, qi, 100, PaperFastOpts())
+		out, err := env.RunKernel(model.KernelLibpq, qi, 100, PaperFastOpts())
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"pqfastscan/internal/index"
+	"pqfastscan/internal/scan/model"
 )
 
 // microScale keeps the full-registry smoke test fast.
@@ -129,24 +129,22 @@ func TestHeadlineFastOptsScaling(t *testing.T) {
 // all kernels, mirroring the library-level invariant.
 func TestRunKernelAgreement(t *testing.T) {
 	env := microEnvironment(t)
-	ref, err := env.RunKernel(0 /* naive */, 0, 25, PaperFastOpts())
+	ref, err := env.RunKernel(model.KernelNaive, 0, 25, PaperFastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for kern := 1; kern <= 5; kern++ {
-		out, err := env.RunKernel(kernelFromInt(kern), 0, 25, PaperFastOpts())
+	for _, kern := range model.Kernels()[1:] {
+		out, err := env.RunKernel(kern, 0, 25, PaperFastOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(out.Results) != len(ref.Results) {
-			t.Fatalf("kernel %d result count %d != %d", kern, len(out.Results), len(ref.Results))
+			t.Fatalf("kernel %v result count %d != %d", kern, len(out.Results), len(ref.Results))
 		}
 		for i := range ref.Results {
 			if out.Results[i] != ref.Results[i] {
-				t.Fatalf("kernel %d result %d differs", kern, i)
+				t.Fatalf("kernel %v result %d differs", kern, i)
 			}
 		}
 	}
 }
-
-func kernelFromInt(i int) index.Kernel { return index.Kernel(i) }

@@ -21,6 +21,7 @@ import (
 	"pqfastscan/internal/index"
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/scan"
+	"pqfastscan/internal/scan/model"
 	"pqfastscan/internal/topk"
 	"pqfastscan/internal/vec"
 )
@@ -165,42 +166,30 @@ func (e *Env) FastScanner(part int, opt scan.FastScanOptions) (*scan.FastScan, e
 // ScanOutcome is one kernel execution's record.
 type ScanOutcome struct {
 	Results  []topk.Result
-	Stats    scan.Stats
+	Stats    model.Stats
 	Measured time.Duration // Go wall-clock of the kernel call
 }
 
-// RunKernel executes one named baseline kernel over partition part for
-// the tables of query qi.
-func (e *Env) RunKernel(kernel index.Kernel, qi, k int, fsOpt scan.FastScanOptions) (ScanOutcome, error) {
-	part, t := e.QueryTables(qi)
-	p := e.Index.Parts()[part]
-	start := time.Now()
-	var (
-		res   []topk.Result
-		stats scan.Stats
-	)
-	switch kernel {
-	case index.KernelNaive:
-		res, stats = scan.Naive(p, t, k)
-	case index.KernelLibpq:
-		res, stats = scan.Libpq(p, t, k)
-	case index.KernelAVX:
-		res, stats = scan.AVX(p, t, k)
-	case index.KernelGather:
-		res, stats = scan.Gather(p, t, k)
-	case index.KernelQuantOnly:
-		res, stats = scan.QuantizationOnly(p, t, k, fsOpt.Keep)
-	case index.KernelFastScan:
-		fs, err := e.FastScanner(part, fsOpt)
-		if err != nil {
+// scan executes one model kernel over partition part with tables t,
+// from an empty heap. Layout construction (cached per option set) is
+// outside the measured time.
+func (e *Env) scan(kernel model.Kernel, part int, t quantizer.Tables, k int, fsOpt scan.FastScanOptions) (ScanOutcome, error) {
+	var fs *scan.FastScan
+	if kernel == model.KernelFastScan || kernel == model.KernelFastScan256 {
+		var err error
+		if fs, err = e.FastScanner(part, fsOpt); err != nil {
 			return ScanOutcome{}, err
 		}
-		start = time.Now() // exclude layout construction
-		res, stats = fs.Scan(t, k)
-	default:
-		return ScanOutcome{}, fmt.Errorf("bench: unknown kernel %v", kernel)
 	}
-	return ScanOutcome{Results: res, Stats: stats, Measured: time.Since(start)}, nil
+	start := time.Now()
+	res, stats, err := model.Run(kernel, e.Index.Parts()[part], fs, t, k, fsOpt.Keep)
+	return ScanOutcome{Results: res, Stats: stats, Measured: time.Since(start)}, err
+}
+
+// RunKernel executes one kernel over the routed partition of query qi.
+func (e *Env) RunKernel(kernel model.Kernel, qi, k int, fsOpt scan.FastScanOptions) (ScanOutcome, error) {
+	part, t := e.QueryTables(qi)
+	return e.scan(kernel, part, t, k, fsOpt)
 }
 
 // DefaultFastOpts is the configuration headline experiments use: the

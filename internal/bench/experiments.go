@@ -7,11 +7,10 @@ import (
 	"sort"
 	"text/tabwriter"
 
-	"pqfastscan/internal/index"
 	"pqfastscan/internal/perf"
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/scan"
-	"pqfastscan/internal/topk"
+	"pqfastscan/internal/scan/model"
 )
 
 // Experiment is one registered table/figure driver.
@@ -107,78 +106,16 @@ func (e *Env) TablesFor(qi, part int) quantizer.Tables {
 }
 
 // runOn executes kernel over an explicit partition with query qi's tables.
-func (e *Env) runOn(kernel index.Kernel, part, qi, k int, fsOpt scan.FastScanOptions) (ScanOutcome, error) {
-	t := e.TablesFor(qi, part)
-	p := e.Index.Parts()[part]
-	switch kernel {
-	case index.KernelNaive:
-		r, s := scan.Naive(p, t, k)
-		return ScanOutcome{Results: r, Stats: s}, nil
-	case index.KernelLibpq:
-		r, s := scan.Libpq(p, t, k)
-		return ScanOutcome{Results: r, Stats: s}, nil
-	case index.KernelAVX:
-		r, s := scan.AVX(p, t, k)
-		return ScanOutcome{Results: r, Stats: s}, nil
-	case index.KernelGather:
-		r, s := scan.Gather(p, t, k)
-		return ScanOutcome{Results: r, Stats: s}, nil
-	case index.KernelQuantOnly:
-		r, s := scan.QuantizationOnly(p, t, k, fsOpt.Keep)
-		return ScanOutcome{Results: r, Stats: s}, nil
-	case index.KernelFastScan:
-		fs, err := e.FastScanner(part, fsOpt)
-		if err != nil {
-			return ScanOutcome{}, err
-		}
-		r, s := fs.Scan(t, k)
-		return ScanOutcome{Results: r, Stats: s}, nil
-	case index.KernelFastScan256:
-		fs, err := e.FastScanner(part, fsOpt)
-		if err != nil {
-			return ScanOutcome{}, err
-		}
-		r, s := fs.Scan256(t, k)
-		return ScanOutcome{Results: r, Stats: s}, nil
-	}
-	return ScanOutcome{}, fmt.Errorf("bench: unknown kernel %v", kernel)
+func (e *Env) runOn(kernel model.Kernel, part, qi, k int, fsOpt scan.FastScanOptions) (ScanOutcome, error) {
+	return e.scan(kernel, part, e.TablesFor(qi, part), k, fsOpt)
 }
 
 // runPool executes kernel for pool query poolQi over its routed
 // partition.
-func (e *Env) runPool(kernel index.Kernel, poolQi, k int, fsOpt scan.FastScanOptions) (ScanOutcome, int, error) {
+func (e *Env) runPool(kernel model.Kernel, poolQi, k int, fsOpt scan.FastScanOptions) (ScanOutcome, int, error) {
 	part, t := e.PoolTables(poolQi)
-	p := e.Index.Parts()[part]
-	var (
-		r   []topk.Result
-		st  scan.Stats
-		err error
-	)
-	switch kernel {
-	case index.KernelNaive:
-		r, st = scan.Naive(p, t, k)
-	case index.KernelLibpq:
-		r, st = scan.Libpq(p, t, k)
-	case index.KernelAVX:
-		r, st = scan.AVX(p, t, k)
-	case index.KernelGather:
-		r, st = scan.Gather(p, t, k)
-	case index.KernelQuantOnly:
-		r, st = scan.QuantizationOnly(p, t, k, fsOpt.Keep)
-	case index.KernelFastScan, index.KernelFastScan256:
-		var fs *scan.FastScan
-		fs, err = e.FastScanner(part, fsOpt)
-		if err == nil {
-			if kernel == index.KernelFastScan {
-				r, st = fs.Scan(t, k)
-			} else {
-				r, st = fs.Scan256(t, k)
-			}
-		}
-	default:
-		err = fmt.Errorf("bench: unknown kernel %v", kernel)
-	}
-	return ScanOutcome{Results: r, Stats: st}, part, err
+	out, err := e.scan(kernel, part, t, k, fsOpt)
+	return out, part, err
 }
 
 // partitionPoolQueries returns the pool queries routed to part, falling
@@ -215,7 +152,7 @@ func Figure3(env *Env, w io.Writer) error {
 	nq := len(pool)
 	tw := newTab(w)
 	fmt.Fprintf(tw, "impl\tscan time [ms, modeled %s]\tcycles/vec\tinstr/vec\tuops/vec\tL1 loads/vec\tIPC\tbottleneck\n", arch.Name)
-	for _, kern := range []index.Kernel{index.KernelNaive, index.KernelLibpq, index.KernelAVX, index.KernelGather} {
+	for _, kern := range []model.Kernel{model.KernelNaive, model.KernelLibpq, model.KernelAVX, model.KernelGather} {
 		var sum perf.Counters
 		for _, qi := range pool {
 			out, _, err := env.runPool(kern, qi, 100, PaperFastOpts())
@@ -289,7 +226,7 @@ func Figure14(env *Env, w io.Writer) error {
 	if len(pool) == 0 {
 		pool = []int{0}
 	}
-	collect := func(kern index.Kernel, fsOpt scan.FastScanOptions) ([]float64, error) {
+	collect := func(kern model.Kernel, fsOpt scan.FastScanOptions) ([]float64, error) {
 		var times []float64
 		for _, qi := range pool {
 			out, _, err := env.runPool(kern, qi, 100, fsOpt)
@@ -301,12 +238,12 @@ func Figure14(env *Env, w io.Writer) error {
 		sort.Float64s(times)
 		return times, nil
 	}
-	libpq, err := collect(index.KernelLibpq, PaperFastOpts())
+	libpq, err := collect(model.KernelLibpq, PaperFastOpts())
 	if err != nil {
 		return err
 	}
 	fastOpt := HeadlineFastOpts(n, 100)
-	fast, err := collect(index.KernelFastScan, fastOpt)
+	fast, err := collect(model.KernelFastScan, fastOpt)
 	if err != nil {
 		return err
 	}
@@ -344,11 +281,11 @@ func Figure15(env *Env, w io.Writer) error {
 	fmt.Fprintf(tw, "impl\tcycles/vec\tinstr/vec\tL1 loads/vec\tIPC\tpruned %%\n")
 	for _, row := range []struct {
 		name string
-		kern index.Kernel
+		kern model.Kernel
 		opt  scan.FastScanOptions
 	}{
-		{"libpq", index.KernelLibpq, PaperFastOpts()},
-		{"fastpq", index.KernelFastScan, HeadlineFastOpts(n, 100)},
+		{"libpq", model.KernelLibpq, PaperFastOpts()},
+		{"fastpq", model.KernelFastScan, HeadlineFastOpts(n, 100)},
 	} {
 		var sum perf.Counters
 		pruned, lbs := 0, 0
@@ -407,14 +344,14 @@ func Figure16(env *Env, w io.Writer) error {
 			for qi := 0; qi < env.Scale.QueryN; qi++ {
 				part, _ := env.QueryTables(qi)
 				n := env.Index.Parts()[part].N
-				out, err := env.runOn(index.KernelFastScan, part, qi, topk, opt)
+				out, err := env.runOn(model.KernelFastScan, part, qi, topk, opt)
 				if err != nil {
 					return err
 				}
 				pruned += out.Stats.Pruned
 				lbs += out.Stats.LowerBounds
 				fastSpeed += speedMvecs(out.Stats.Counters(arch), n, arch)
-				lp, err := env.runOn(index.KernelLibpq, part, qi, topk, opt)
+				lp, err := env.runOn(model.KernelLibpq, part, qi, topk, opt)
 				if err != nil {
 					return err
 				}
@@ -441,7 +378,7 @@ func Figure17(env *Env, w io.Writer) error {
 			var pruned, lbs int
 			for qi := 0; qi < env.Scale.QueryN; qi++ {
 				part, _ := env.QueryTables(qi)
-				out, err := env.runOn(index.KernelQuantOnly, part, qi, topk, opt)
+				out, err := env.runOn(model.KernelQuantOnly, part, qi, topk, opt)
 				if err != nil {
 					return err
 				}
@@ -466,14 +403,14 @@ func Figure18(env *Env, w io.Writer) error {
 		for qi := 0; qi < env.Scale.QueryN; qi++ {
 			part, _ := env.QueryTables(qi)
 			n := env.Index.Parts()[part].N
-			out, err := env.runOn(index.KernelFastScan, part, qi, topk, HeadlineFastOpts(n, topk))
+			out, err := env.runOn(model.KernelFastScan, part, qi, topk, HeadlineFastOpts(n, topk))
 			if err != nil {
 				return err
 			}
 			pruned += out.Stats.Pruned
 			lbs += out.Stats.LowerBounds
 			fastSpeed += speedMvecs(out.Stats.Counters(arch), n, arch)
-			lp, err := env.runOn(index.KernelLibpq, part, qi, topk, PaperFastOpts())
+			lp, err := env.runOn(model.KernelLibpq, part, qi, topk, PaperFastOpts())
 			if err != nil {
 				return err
 			}
@@ -513,7 +450,7 @@ func Figure19(env *Env, w io.Writer) error {
 		var fastSpeed, libpqSpeed float64
 		var c int
 		for _, qi := range pool {
-			out, _, err := env.runPool(index.KernelFastScan, qi, 100, opt)
+			out, _, err := env.runPool(model.KernelFastScan, qi, 100, opt)
 			if err != nil {
 				return err
 			}
@@ -525,7 +462,7 @@ func Figure19(env *Env, w io.Writer) error {
 			pruned += out.Stats.Pruned
 			lbs += out.Stats.LowerBounds
 			fastSpeed += speedMvecs(out.Stats.Counters(arch), n, arch)
-			lp, _, err := env.runPool(index.KernelLibpq, qi, 100, opt)
+			lp, _, err := env.runPool(model.KernelLibpq, qi, 100, opt)
 			if err != nil {
 				return err
 			}
@@ -546,19 +483,19 @@ func Figure20(env *Env, w io.Writer) error {
 	archB := perf.IvyBridge
 
 	var libpqMs, fastMs float64
-	var fastStats, libpqStats []scan.Stats
+	var fastStats, libpqStats []model.Stats
 	var totalN int
 	for qi := 0; qi < env.Scale.QueryN; qi++ {
 		part, _ := env.QueryTables(qi)
 		n := env.Index.Parts()[part].N
 		totalN += n
-		out, err := env.runOn(index.KernelFastScan, part, qi, 100, HeadlineFastOpts(n, 100))
+		out, err := env.runOn(model.KernelFastScan, part, qi, 100, HeadlineFastOpts(n, 100))
 		if err != nil {
 			return err
 		}
 		fastMs += out.Stats.Counters(archB).Seconds(archB) * 1e3
 		fastStats = append(fastStats, out.Stats)
-		lp, err := env.runOn(index.KernelLibpq, part, qi, 100, PaperFastOpts())
+		lp, err := env.runOn(model.KernelLibpq, part, qi, 100, PaperFastOpts())
 		if err != nil {
 			return err
 		}

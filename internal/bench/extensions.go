@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"pqfastscan/internal/index"
 	"pqfastscan/internal/perf"
+	"pqfastscan/internal/scan/model"
 )
 
 func init() {
@@ -26,11 +26,11 @@ func WideAblation(env *Env, w io.Writer) error {
 	fmt.Fprintf(tw, "kernel\tregister width\tinstr/vec\tcycles/vec\tspeed [Mvecs/s]\tpruned %%\n")
 	for _, row := range []struct {
 		name string
-		kern index.Kernel
+		kern model.Kernel
 		bits int
 	}{
-		{"fastpq (paper)", index.KernelFastScan, 128},
-		{"fastpq256 (extension)", index.KernelFastScan256, 256},
+		{"fastpq (paper)", model.KernelFastScan, 128},
+		{"fastpq256 (extension)", model.KernelFastScan256, 256},
 	} {
 		opt := HeadlineFastOpts(n, 100)
 		var sum perf.Counters
@@ -75,15 +75,15 @@ func BandwidthExperiment(env *Env, w io.Writer) error {
 	// Per-core modeled speed and per-vector traffic for both kernels.
 	type kernelRow struct {
 		name         string
-		kern         index.Kernel
+		kern         model.Kernel
 		bytesPerVec  float64
 		statsPerArch []float64 // cycles per vector, per arch
 	}
 	rows := []kernelRow{
 		// libpq streams full 8-byte codes (plus L1-resident tables).
-		{name: "libpq", kern: index.KernelLibpq, bytesPerVec: 8},
+		{name: "libpq", kern: model.KernelLibpq, bytesPerVec: 8},
 		// fastpq streams the 6-byte packed blocks (§5.8).
-		{name: "fastpq", kern: index.KernelFastScan, bytesPerVec: 6},
+		{name: "fastpq", kern: model.KernelFastScan, bytesPerVec: 6},
 	}
 	pool := env.partitionPoolQueries(part, 8)
 	if len(pool) == 0 {

@@ -195,19 +195,6 @@ func (p *Pool) Forget(id string) {
 	p.notifyEvicted([]*frame{f})
 }
 
-// SetCapacity rebounds the pool and evicts down to the new cap. Used by
-// the residency tests to shrink a warm pool in place.
-func (p *Pool) SetCapacity(capBytes int64) {
-	if capBytes <= 0 {
-		panic("bufpool: non-positive capacity")
-	}
-	p.mu.Lock()
-	p.capacity = capBytes
-	evicted := p.evictLocked()
-	p.mu.Unlock()
-	p.notifyEvicted(evicted)
-}
-
 // Stats returns a counter snapshot.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()

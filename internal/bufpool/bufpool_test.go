@@ -157,23 +157,6 @@ func TestForget(t *testing.T) {
 	p.Forget("never-seen")
 }
 
-func TestSetCapacity(t *testing.T) {
-	var loads sync.Map
-	p := New(1<<20, makeLoader(100, &loads))
-	for i := 0; i < 8; i++ {
-		id := fmt.Sprintf("f%d", i)
-		if _, err := p.Pin(id); err != nil {
-			t.Fatal(err)
-		}
-		p.Unpin(id)
-	}
-	p.SetCapacity(250)
-	s := p.Stats()
-	if s.ResidentBytes > 250 {
-		t.Fatalf("SetCapacity did not evict: %+v", s)
-	}
-}
-
 // TestInvariantUnderStorm hammers a small pool from many goroutines
 // with overlapping pins and checks resident <= capacity + pinned at
 // every observation point. Run with -race in CI.

@@ -6,18 +6,18 @@ import (
 	"testing"
 
 	"pqfastscan/internal/dataset"
+	"pqfastscan/internal/scan"
+	"pqfastscan/internal/scan/model"
 	"pqfastscan/internal/topk"
 )
 
-// fastScanPaths lists every way a multi-probe query can run PQ Fast
-// Scan: both model widths and every native backend this machine has.
-func fastScanPaths() []Request {
-	paths := []Request{
-		{Kernel: KernelFastScan, Engine: EngineModel},
-		{Kernel: KernelFastScan256, Engine: EngineModel},
-	}
+// scanPaths lists every scan a query can be answered with — the
+// kernel × backend axis of the index-level bit-identity matrices:
+// naive, libpq, and fastpq on every backend this machine has.
+func scanPaths() []Request {
+	paths := []Request{{Kernel: KernelNaive}, {Kernel: KernelLibpq}}
 	for _, be := range AvailableBackends() {
-		paths = append(paths, Request{Kernel: KernelFastScan, Engine: EngineNative, Backend: be})
+		paths = append(paths, Request{Kernel: KernelFastScan, Backend: be})
 	}
 	return paths
 }
@@ -37,8 +37,8 @@ func sameAnswer(t *testing.T, tag string, got, want []Result) {
 // TestCarriedMultiProbeProperty is the index-level statement of "one
 // running top-k per query changes nothing but the work": over seeds,
 // k, every nprobe above one, three mutation states, RAM and paged
-// storage, and every Fast Scan path, the sequential multi-probe answer
-// equals the per-cell from-empty scans merged and the KernelNaive model
+// storage, and every scan path, the sequential multi-probe answer
+// equals the per-cell from-empty scans merged and the KernelNaive
 // oracle, ids and distances; and an explicit cell list returns the same
 // set whatever order it names the cells in.
 func TestCarriedMultiProbeProperty(t *testing.T) {
@@ -59,7 +59,7 @@ func TestCarriedMultiProbeProperty(t *testing.T) {
 						for qi := 0; qi < queries.Rows(); qi++ {
 							q := queries.Row(qi)
 							tag := fmt.Sprintf("seed=%d %s paged=%v k=%d nprobe=%d q%d", seed, state, ix.Paged(), k, nprobe, qi)
-							oracle, err := ix.Query(ctx, Request{Query: q, K: k, Kernel: KernelNaive, Engine: EngineModel, NProbe: nprobe})
+							oracle, err := ix.Query(ctx, Request{Query: q, K: k, Kernel: KernelNaive, NProbe: nprobe})
 							if err != nil {
 								t.Fatalf("%s: oracle: %v", tag, err)
 							}
@@ -70,8 +70,8 @@ func TestCarriedMultiProbeProperty(t *testing.T) {
 							}
 							rotated := append(append([]int(nil), cells[1:]...), cells[0])
 
-							for _, path := range fastScanPaths() {
-								ptag := fmt.Sprintf("%s %v/%v/%v", tag, path.Kernel, path.Engine, path.Backend)
+							for _, path := range scanPaths() {
+								ptag := fmt.Sprintf("%s %v/%v", tag, path.Kernel, path.Backend)
 								req := path
 								req.Query, req.K = q, k
 
@@ -130,39 +130,46 @@ func TestCarriedMultiProbeProperty(t *testing.T) {
 	}
 }
 
-// TestMultiProbeStatsAcrossEngines pins that both engines carry: a
-// sequential multi-probe query reports the same counters on the model
-// engine and on every native backend, cell for cell merged. An engine
-// that restarted its threshold per cell would prune less and diverge.
+// TestMultiProbeStatsAcrossEngines holds the serving engine to the
+// model it is checked against, one level above internal/scan/model's
+// own tests: a sequential multi-probe query's merged scan.Stats, on
+// every backend, equal the counters of the model's ScanInto chain over
+// the same cells into one heap, and so do its results. A query path
+// that restarted its threshold per cell would prune less and diverge —
+// as the independent scans of a parallel query do, by design.
 func TestMultiProbeStatsAcrossEngines(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
 	ctx := context.Background()
 	for _, k := range []int{1, 10, 100} {
 		for nprobe := 2; nprobe <= ix.Partitions(); nprobe++ {
 			for qi := 0; qi < queries.Rows(); qi++ {
-				model, err := ix.Query(ctx, Request{Query: queries.Row(qi), K: k, Kernel: KernelFastScan, Engine: EngineModel, NProbe: nprobe})
-				if err != nil {
-					t.Fatal(err)
-				}
-				independent, err := ix.Query(ctx, Request{Query: queries.Row(qi), K: k, Kernel: KernelFastScan, Engine: EngineModel, NProbe: nprobe, Parallel: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if model.Stats.Pruned < independent.Stats.Pruned {
-					t.Fatalf("k=%d nprobe=%d q%d: carried scan pruned %d, independent cells %d",
-						k, nprobe, qi, model.Stats.Pruned, independent.Stats.Pruned)
-				}
-				for _, be := range AvailableBackends() {
-					native, err := ix.Query(ctx, Request{Query: queries.Row(qi), K: k, Kernel: KernelFastScan, Engine: EngineNative, Backend: be, NProbe: nprobe})
+				q := queries.Row(qi)
+				heap := topk.New(k)
+				var want scan.Stats
+				for _, c := range RankCells(q, ix.Coarse)[:nprobe] {
+					fs, err := ix.FastScanner(c)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := model.Stats
-					want.Ops = native.Stats.Ops // only the model engine counts instructions
-					if native.Stats != want {
-						t.Fatalf("k=%d nprobe=%d q%d %v: native stats %+v, model %+v", k, nprobe, qi, be, native.Stats, model.Stats)
+					want.Merge(model.ScanInto(fs, ix.Tables(q, c), heap).Stats)
+				}
+				independent, err := ix.Query(ctx, Request{Query: q, K: k, NProbe: nprobe, Parallel: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.Pruned < independent.Stats.Pruned {
+					t.Fatalf("k=%d nprobe=%d q%d: carried scan pruned %d, independent cells %d",
+						k, nprobe, qi, want.Pruned, independent.Stats.Pruned)
+				}
+				for _, be := range AvailableBackends() {
+					served, err := ix.Query(ctx, Request{Query: q, K: k, Backend: be, NProbe: nprobe})
+					if err != nil {
+						t.Fatal(err)
 					}
-					sameAnswer(t, fmt.Sprintf("k=%d nprobe=%d q%d %v", k, nprobe, qi, be), native.Results, model.Results)
+					if served.Stats != want {
+						t.Fatalf("k=%d nprobe=%d q%d %v: served stats %+v, model chain %+v", k, nprobe, qi, be, served.Stats, want)
+					}
+					sameAnswer(t, fmt.Sprintf("k=%d nprobe=%d q%d %v", k, nprobe, qi, be), served.Results, heap.Results())
 				}
 			}
 		}

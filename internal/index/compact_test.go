@@ -67,14 +67,13 @@ func TestCompactReclaimsTombstones(t *testing.T) {
 	capture := func() []answer {
 		var out []answer
 		for qi := 0; qi < queries.Rows(); qi++ {
-			for _, kern := range []Kernel{KernelNaive, KernelFastScan} {
-				for _, eng := range []Engine{EngineModel, EngineNative} {
-					resp, err := ix.Query(ctx, Request{Query: queries.Row(qi), K: 25, Kernel: kern, Engine: eng, NProbe: 3})
-					if err != nil {
-						t.Fatal(err)
-					}
-					out = append(out, answer{results: resp.Results})
+			for _, req := range scanPaths() {
+				req.Query, req.K, req.NProbe = queries.Row(qi), 25, 3
+				resp, err := ix.Query(ctx, req)
+				if err != nil {
+					t.Fatal(err)
 				}
+				out = append(out, answer{results: resp.Results})
 			}
 		}
 		return out

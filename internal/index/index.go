@@ -24,14 +24,12 @@ import (
 	"pqfastscan/internal/vec"
 )
 
-// Backend selects the native engine's block-kernel implementation: the
+// Backend selects Fast Scan's block-kernel implementation: the
 // hand-written assembly kernels (asm-avx2 on amd64, asm-neon on arm64)
 // or the portable SWAR fallback. The zero value BackendAuto defers to
 // the startup feature detection (dispatch.Active), overridable with the
 // PQ_FORCE_BACKEND environment variable. All backends return
-// bit-identical results and statistics (DESIGN.md §12); the model
-// engine has no backends — it models instructions instead of running
-// them.
+// bit-identical results and statistics (DESIGN.md §12).
 type Backend = dispatch.Backend
 
 const (
@@ -41,8 +39,8 @@ const (
 	BackendNEON = dispatch.NEON
 )
 
-// ActiveBackend returns the backend the native engine selected at
-// startup (never BackendAuto).
+// ActiveBackend returns the backend selected at startup (never
+// BackendAuto).
 func ActiveBackend() Backend { return dispatch.Active() }
 
 // AvailableBackends lists the concrete backends this machine can run,
@@ -61,58 +59,19 @@ func CPUFeatures() []string { return dispatch.Features() }
 // log it so a silent fallback to SWAR cannot go unnoticed.
 func BackendInitNote() string { return dispatch.InitNote() }
 
-// Engine selects the execution engine a kernel runs on. The two engines
-// execute the same §4 algorithm and return bit-identical result sets
-// (DESIGN.md §9, "Two engines, one algorithm"); they differ in what they
-// optimize for.
-type Engine int
-
-const (
-	// EngineModel executes kernels through internal/simd, the bit-exact
-	// software model of the paper's SIMD instruction subset, and counts
-	// every dynamic operation (Stats.Ops) for internal/perf pricing. It
-	// is the reference and metrology path — and the zero value, so
-	// pre-engine callers of the internal query API keep their exact
-	// behaviour, instruction counts included.
-	EngineModel Engine = iota
-	// EngineNative executes kernels with real Go performance techniques
-	// (uint64 SWAR lanes, flat tables, reusable scratch buffers) for
-	// wall-clock speed. It fills the vector/block counters of Stats but
-	// not Stats.Ops. The public facade defaults to this engine.
-	EngineNative
-)
-
-// String names the engine for logs and benchmark labels.
-func (e Engine) String() string {
-	switch e {
-	case EngineModel:
-		return "model"
-	case EngineNative:
-		return "native"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
-
-// Kernel selects the scan implementation used for a search.
+// Kernel selects the scan a query is answered with. All three return
+// bit-identical results (DESIGN.md §6); the paper's other kernels (avx,
+// gather, quantonly, fastpq256) are laboratory implementations in
+// internal/scan/model, reachable through pqbench, not through a query.
 type Kernel int
 
 const (
-	// KernelNaive is Algorithm 1 verbatim.
-	KernelNaive Kernel = iota
-	// KernelLibpq is the libpq-optimized PQ Scan.
+	// KernelFastScan is PQ Fast Scan (§4), the default.
+	KernelFastScan Kernel = iota
+	// KernelLibpq is the tuned exact PQ Scan (scan.ExactNative).
 	KernelLibpq
-	// KernelAVX is the vertical-SIMD-additions PQ Scan variant.
-	KernelAVX
-	// KernelGather is the SIMD-gather PQ Scan variant.
-	KernelGather
-	// KernelFastScan is PQ Fast Scan (§4).
-	KernelFastScan
-	// KernelQuantOnly is the quantization-only ablation (§5.5).
-	KernelQuantOnly
-	// KernelFastScan256 is the AVX2 widening of PQ Fast Scan (§6
-	// extension): 32 lookups per shuffle instruction.
-	KernelFastScan256
+	// KernelNaive is Algorithm 1 verbatim (scan.Naive), the oracle.
+	KernelNaive
 )
 
 // String names the kernel with the labels used in the paper's figures.
@@ -122,16 +81,8 @@ func (k Kernel) String() string {
 		return "naive"
 	case KernelLibpq:
 		return "libpq"
-	case KernelAVX:
-		return "avx"
-	case KernelGather:
-		return "gather"
 	case KernelFastScan:
 		return "fastpq"
-	case KernelQuantOnly:
-		return "quantonly"
-	case KernelFastScan256:
-		return "fastpq256"
 	default:
 		return fmt.Sprintf("kernel(%d)", int(k))
 	}
@@ -448,30 +399,21 @@ func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, 
 // partition of an explicitly held snapshot — the lock-free scan core
 // every query path funnels through. Threading the snapshot (instead of
 // reloading it) keeps one logical query on one consistent view across
-// multi-probe cells and batch workers. PQ Fast Scan, on either engine,
-// scans straight into heap and so starts from whatever threshold the
-// query's earlier cells reached; the exact kernels return their
-// partition's top-k, which is pushed into heap here. Either way heap
-// ends up holding the k smallest (distance, id) pairs of everything
-// scanned so far, and nothing in it aliases scan or pool memory. The
-// cell's distance tables are written into qs, the scratch the caller
-// took once for the whole query, and are dead when this returns.
-//
-// On the native engine the four exact-scan kernel selections (naive,
-// libpq, avx, gather) share one tuned implementation and the two Fast
-// Scan widths share one block kernel — the backend selected by
-// internal/simd/dispatch (req.Backend, defaulting to the startup
-// feature detection): assembly on capable hardware, SWAR otherwise. The
-// kernels differ in which hardware technique they model, which is
-// meaningful only under the instruction-counting engine. The
-// quantization-only ablation is a diagnostic of the model path and runs
-// there on either engine.
+// multi-probe cells and batch workers. PQ Fast Scan scans straight into
+// heap — on the block-kernel backend selected by internal/simd/dispatch
+// (req.Backend, defaulting to the startup feature detection) — and so
+// starts from whatever threshold the query's earlier cells reached; the
+// exact scans return their partition's top-k, which is pushed into heap
+// here. Either way heap ends up holding the k smallest (distance, id)
+// pairs of everything scanned so far, and nothing in it aliases scan or
+// pool memory. The cell's distance tables are written into qs, the
+// scratch the caller took once for the whole query, and are dead when
+// this returns.
 func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.Heap, qs *queryScratch) (scan.Stats, error) {
-	query, k, kernel, engine := req.Query, req.K, req.Kernel, req.Engine
 	if part < 0 || part >= len(s.Parts) {
 		return scan.Stats{}, fmt.Errorf("index: partition %d out of range", part)
 	}
-	t := ix.tables(qs, query, part)
+	t := ix.tables(qs, req.Query, part)
 	pe := s.Parts[part]
 
 	// Acquire the epoch's scannable view. RAM epochs hand out their
@@ -481,22 +423,15 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 	// partitions it actually visits, for exactly as long as it scans
 	// them. The heap holds (id, distance) values, never slices of the
 	// frame, so nothing aliases the pool after the pin drops.
-	needFast := kernel == KernelFastScan || kernel == KernelFastScan256
 	p := pe.Part
 	var pagedFast *scan.FastScan
 	if pe.paged != nil {
-		hp, hfs, release, err := pe.paged.view(pe, needFast)
+		hp, hfs, release, err := pe.paged.view(pe, req.Kernel == KernelFastScan)
 		if err != nil {
 			return scan.Stats{}, err
 		}
 		defer release()
 		p, pagedFast = hp, hfs
-	}
-	fastScanner := func() (*scan.FastScan, error) {
-		if pe.paged != nil {
-			return pagedFast, nil
-		}
-		return pe.FastScanner(ix.opt.FastScan)
 	}
 	pushAll := func(r []Result, st scan.Stats) (scan.Stats, error) {
 		for _, x := range r {
@@ -505,45 +440,22 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 		return st, nil
 	}
 
-	if engine == EngineNative {
-		switch kernel {
-		case KernelNaive, KernelLibpq, KernelAVX, KernelGather:
-			return pushAll(scan.ExactNative(p, t, k, qs.scan))
-		case KernelFastScan, KernelFastScan256:
-			fs, err := fastScanner()
-			if err != nil {
+	switch req.Kernel {
+	case KernelFastScan:
+		fs := pagedFast
+		if pe.paged == nil {
+			var err error
+			if fs, err = pe.FastScanner(ix.opt.FastScan); err != nil {
 				return scan.Stats{}, err
 			}
-			return fs.ScanNativeInto(t, heap, qs.scan, req.Backend), nil
 		}
-		// KernelQuantOnly (and unknown kernels) fall through to the
-		// model dispatch below.
-	}
-	switch kernel {
-	case KernelNaive:
-		return pushAll(scan.Naive(p, t, k))
+		return fs.ScanNativeInto(t, heap, qs.scan, req.Backend), nil
 	case KernelLibpq:
-		return pushAll(scan.Libpq(p, t, k))
-	case KernelAVX:
-		return pushAll(scan.AVX(p, t, k))
-	case KernelGather:
-		return pushAll(scan.Gather(p, t, k))
-	case KernelFastScan:
-		fs, err := fastScanner()
-		if err != nil {
-			return scan.Stats{}, err
-		}
-		return fs.ScanInto(t, heap), nil
-	case KernelQuantOnly:
-		return pushAll(scan.QuantizationOnly(p, t, k, ix.opt.FastScan.Keep))
-	case KernelFastScan256:
-		fs, err := fastScanner()
-		if err != nil {
-			return scan.Stats{}, err
-		}
-		return fs.Scan256Into(t, heap), nil
+		return pushAll(scan.ExactNative(p, t, req.K, qs.scan))
+	case KernelNaive:
+		return pushAll(scan.Naive(p, t, req.K))
 	default:
-		return scan.Stats{}, fmt.Errorf("index: unknown kernel %v", kernel)
+		return scan.Stats{}, fmt.Errorf("index: unknown kernel %v", req.Kernel)
 	}
 }
 

@@ -109,7 +109,7 @@ func TestPartitionMembersNearestToTheirCentroid(t *testing.T) {
 // kernel returns identical results through the full IVFADC pipeline.
 func TestAllKernelsAgree(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
-	kernels := []Kernel{KernelNaive, KernelLibpq, KernelAVX, KernelGather, KernelFastScan, KernelQuantOnly}
+	kernels := []Kernel{KernelNaive, KernelLibpq, KernelFastScan}
 	for qi := 0; qi < queries.Rows(); qi++ {
 		q := queries.Row(qi)
 		ref, refPart := search1(t, ix, q, 50, KernelNaive)
@@ -216,7 +216,7 @@ func TestSearchPartitionErrors(t *testing.T) {
 func TestValidateExplicitCells(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
 	s := ix.Snapshot()
-	req := Request{Query: queries.Row(0), K: 5, Kernel: KernelFastScan, Engine: EngineNative}
+	req := Request{Query: queries.Row(0), K: 5, Kernel: KernelFastScan}
 	for _, tc := range []struct {
 		cells []int
 		want  string
@@ -242,8 +242,8 @@ func TestValidateExplicitCells(t *testing.T) {
 
 func TestKernelString(t *testing.T) {
 	names := map[Kernel]string{
-		KernelNaive: "naive", KernelLibpq: "libpq", KernelAVX: "avx",
-		KernelGather: "gather", KernelFastScan: "fastpq", KernelQuantOnly: "quantonly",
+		KernelNaive: "naive", KernelLibpq: "libpq", KernelFastScan: "fastpq",
+		Kernel(42): "kernel(42)",
 	}
 	for k, want := range names {
 		if k.String() != want {
@@ -327,19 +327,6 @@ func TestSearchBatchDimMismatch(t *testing.T) {
 	bad := vec.NewMatrix(2, ix.Dim+1)
 	if _, err := ix.QueryBatch(context.Background(), bad, Request{K: 5, Kernel: KernelFastScan}); err == nil {
 		t.Error("dimension mismatch accepted")
-	}
-}
-
-func TestFastScan256KernelThroughIndex(t *testing.T) {
-	ix, _, queries := sharedIndex(t)
-	for qi := 0; qi < 3; qi++ {
-		want, _ := search1(t, ix, queries.Row(qi), 20, KernelLibpq)
-		got, _ := search1(t, ix, queries.Row(qi), 20, KernelFastScan256)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("fastpq256 differs at rank %d", i)
-			}
-		}
 	}
 }
 

@@ -35,57 +35,40 @@ func buildTwin(t *testing.T, seed uint64, nBase int) (ram, paged *Index, queries
 	return ram, paged, queries
 }
 
-// allKernels spans every kernel × engine pair the paged path must
-// answer bit-identically.
-var pagedKernelCases = []struct {
-	kernel Kernel
-	engine Engine
-}{
-	{KernelNaive, EngineModel},
-	{KernelLibpq, EngineModel},
-	{KernelAVX, EngineModel},
-	{KernelGather, EngineModel},
-	{KernelFastScan, EngineModel},
-	{KernelFastScan256, EngineModel},
-	{KernelQuantOnly, EngineModel},
-	{KernelNaive, EngineNative},
-	{KernelFastScan, EngineNative},
-	{KernelFastScan256, EngineNative},
-}
-
-// assertIdentical queries both indexes with every kernel/engine pair
-// and requires byte-for-byte equal ids, distances and scan stats.
+// assertIdentical queries both indexes with every scan path (naive,
+// libpq, fastpq on every available backend) and requires byte-for-byte
+// equal ids, distances and scan stats.
 func assertIdentical(t *testing.T, ram, paged *Index, queries vec.Matrix, tag string) {
 	t.Helper()
 	ctx := context.Background()
-	for _, tc := range pagedKernelCases {
+	for _, req := range scanPaths() {
 		for qi := 0; qi < queries.Rows(); qi++ {
-			req := Request{Query: queries.Row(qi), K: 10, Kernel: tc.kernel, Engine: tc.engine, NProbe: ram.Partitions()}
+			req.Query, req.K, req.NProbe = queries.Row(qi), 10, ram.Partitions()
 			want, err := ram.Query(ctx, req)
 			if err != nil {
-				t.Fatalf("%s: ram query (%v/%v): %v", tag, tc.kernel, tc.engine, err)
+				t.Fatalf("%s: ram query (%v/%v): %v", tag, req.Kernel, req.Backend, err)
 			}
 			got, err := paged.Query(ctx, req)
 			if err != nil {
-				t.Fatalf("%s: paged query (%v/%v): %v", tag, tc.kernel, tc.engine, err)
+				t.Fatalf("%s: paged query (%v/%v): %v", tag, req.Kernel, req.Backend, err)
 			}
 			if len(got.Results) != len(want.Results) {
-				t.Fatalf("%s: %v/%v q%d: %d results, want %d", tag, tc.kernel, tc.engine, qi, len(got.Results), len(want.Results))
+				t.Fatalf("%s: %v/%v q%d: %d results, want %d", tag, req.Kernel, req.Backend, qi, len(got.Results), len(want.Results))
 			}
 			for i := range want.Results {
 				if got.Results[i] != want.Results[i] {
-					t.Fatalf("%s: %v/%v q%d result %d: %+v, want %+v", tag, tc.kernel, tc.engine, qi, i, got.Results[i], want.Results[i])
+					t.Fatalf("%s: %v/%v q%d result %d: %+v, want %+v", tag, req.Kernel, req.Backend, qi, i, got.Results[i], want.Results[i])
 				}
 			}
 			if got.Stats != want.Stats {
-				t.Fatalf("%s: %v/%v q%d stats %+v, want %+v", tag, tc.kernel, tc.engine, qi, got.Stats, want.Stats)
+				t.Fatalf("%s: %v/%v q%d stats %+v, want %+v", tag, req.Kernel, req.Backend, qi, got.Stats, want.Stats)
 			}
 		}
 	}
 }
 
 // TestPagedBitIdenticalToRAM is the tentpole acceptance test: a paged
-// index answers every kernel, engine and mutation state bit-identically
+// index answers every kernel, backend and mutation state bit-identically
 // to its RAM-resident twin — through tombstones, appends, compaction
 // and a second attach-free index sharing the store dir.
 func TestPagedBitIdenticalToRAM(t *testing.T) {
@@ -187,7 +170,7 @@ func TestPagedRestrictCellsSharesExtents(t *testing.T) {
 }
 
 // TestPagedEvictionCorrectness is the eviction-correctness storm: the
-// pool is capped at ~10% of the extent footprint, every evicted frame
+// pool is capped at under 10% of the extent footprint, every evicted frame
 // is poisoned (overwritten), and a concurrent uniform query storm must
 // still answer bit-identically to the RAM oracle — proving no scan
 // path ever touches an evicted or unpinned frame. Run under -race in
@@ -206,36 +189,32 @@ func TestPagedEvictionCorrectness(t *testing.T) {
 		poisoned++
 		poisonMu.Unlock()
 	}
-	dir := t.TempDir()
-	if err := paged.attachStore(dir, 1<<30, bufpool.WithEvictHook(poison)); err != nil {
+	// An extent spends more than 20 bytes on a vector (8 of codes, 8 of
+	// id, the packed copy), so one byte each is under a tenth of them.
+	if err := paged.attachStore(t.TempDir(), int64(paged.Live()), bufpool.WithEvictHook(poison)); err != nil {
 		t.Fatal(err)
 	}
 	st, ok := paged.StoreStats()
 	if !ok {
 		t.Fatal("no store stats on a paged index")
 	}
-	cap := st.ExtentBytes / 10
-	if cap < 1 {
-		cap = 1
+	if st.Pool.CapacityBytes*10 > st.ExtentBytes {
+		t.Fatalf("fixture: pool of %d bytes is not under a tenth of %d extent bytes", st.Pool.CapacityBytes, st.ExtentBytes)
 	}
-	paged.pg.SetPoolCapacity(cap)
 
 	// Precompute oracle answers once (the RAM index is immutable here).
 	ctx := context.Background()
-	type key struct {
-		qi     int
-		kernel Kernel
-	}
-	kernels := []Kernel{KernelNaive, KernelFastScan, KernelFastScan256}
+	type key struct{ qi, path int }
+	paths := scanPaths()
 	oracle := make(map[key]*Response)
 	for qi := 0; qi < queries.Rows(); qi++ {
-		for _, k := range kernels {
-			req := Request{Query: queries.Row(qi), K: 10, Kernel: k, Engine: EngineNative, NProbe: ram.Partitions()}
+		for pi, req := range paths {
+			req.Query, req.K, req.NProbe = queries.Row(qi), 10, ram.Partitions()
 			resp, err := ram.Query(ctx, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle[key{qi, k}] = resp
+			oracle[key{qi, pi}] = resp
 		}
 	}
 
@@ -249,18 +228,19 @@ func TestPagedEvictionCorrectness(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < itersPerWorker; it++ {
 				qi := (w + it) % queries.Rows()
-				k := kernels[(w*itersPerWorker+it)%len(kernels)]
-				req := Request{Query: queries.Row(qi), K: 10, Kernel: k, Engine: EngineNative, NProbe: ram.Partitions()}
+				pi := (w*itersPerWorker + it) % len(paths)
+				req := paths[pi]
+				req.Query, req.K, req.NProbe = queries.Row(qi), 10, ram.Partitions()
 				got, err := paged.Query(ctx, req)
 				if err != nil {
 					errc <- err
 					return
 				}
-				want := oracle[key{qi, k}]
+				want := oracle[key{qi, pi}]
 				for i := range want.Results {
 					if got.Results[i] != want.Results[i] {
-						errc <- fmt.Errorf("worker %d iter %d kernel %v q%d: result %d = %+v, want %+v (scan read an evicted frame?)",
-							w, it, k, qi, i, got.Results[i], want.Results[i])
+						errc <- fmt.Errorf("worker %d iter %d %v/%v q%d: result %d = %+v, want %+v (scan read an evicted frame?)",
+							w, it, req.Kernel, req.Backend, qi, i, got.Results[i], want.Results[i])
 						return
 					}
 				}
@@ -310,20 +290,15 @@ func TestPagedMutationStorm(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			kernels := []Kernel{KernelFastScan, KernelNaive, KernelFastScan256}
+			paths := scanPaths()
 			for it := 0; ; it++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				req := Request{
-					Query:  queries.Row((w + it) % queries.Rows()),
-					K:      5,
-					Kernel: kernels[it%len(kernels)],
-					Engine: EngineNative,
-					NProbe: paged.Partitions(),
-				}
+				req := paths[it%len(paths)]
+				req.Query, req.K, req.NProbe = queries.Row((w+it)%queries.Rows()), 5, paged.Partitions()
 				if _, err := paged.Query(ctx, req); err != nil {
 					errc <- fmt.Errorf("search during mutation storm: %w", err)
 					return

@@ -104,9 +104,6 @@ func openPaging(dir string, poolBytes int64, opts ...bufpool.Option) (*Paging, e
 // PoolStats returns the shared pool's counters.
 func (pg *Paging) PoolStats() bufpool.Stats { return pg.pool.Stats() }
 
-// SetPoolCapacity rebounds the shared pool.
-func (pg *Paging) SetPoolCapacity(capBytes int64) { pg.pool.SetCapacity(capBytes) }
-
 // pspan is a section's location within an extent payload.
 type pspan struct{ off, n int64 }
 
@@ -312,15 +309,6 @@ func (ix *Index) AttachStoreFromEnv() (bool, error) {
 
 // Paged reports whether the index serves from a disk store.
 func (ix *Index) Paged() bool { return ix.pg != nil }
-
-// SetPoolCapacity rebounds the attached store's shared buffer pool,
-// evicting down to the new cap (no-op on a RAM index). The residency
-// tests use it to shrink a warm pool without re-writing extents.
-func (ix *Index) SetPoolCapacity(capBytes int64) {
-	if ix.pg != nil {
-		ix.pg.SetPoolCapacity(capBytes)
-	}
-}
 
 // StoreStats returns the attached store's observable state, or false
 // when the index is RAM-resident.

@@ -15,18 +15,15 @@ import (
 )
 
 // Request describes one k-NN query: what to search for, how many
-// neighbors, which kernel on which engine, and how many inverted-index
-// cells to probe. The zero value of Kernel is KernelNaive and of Engine
-// is EngineModel (preserving the pre-engine behaviour of internal
-// callers); the facade normally sets KernelFastScan on EngineNative.
-// NProbe 0 and 1 both mean the paper's single-cell routing. Parallel
-// scans the probed cells concurrently (one goroutine per cell, capped at
-// GOMAXPROCS) as independent scans instead of sequentially into one
-// running top-k; results are identical, Stats report less pruning — it
-// is an opt-in because the paper measures single-core scans.
-// Backend selects the native engine's block-kernel implementation; the
-// zero value BackendAuto defers to startup feature detection. It is
-// rejected when combined with the model engine, which has no backends.
+// neighbors, which kernel, and how many inverted-index cells to probe.
+// The zero value of Kernel is KernelFastScan. NProbe 0 and 1 both mean
+// the paper's single-cell routing. Parallel scans the probed cells
+// concurrently (one goroutine per cell, capped at GOMAXPROCS) as
+// independent scans instead of sequentially into one running top-k;
+// results are identical, Stats report less pruning — it is an opt-in
+// because the paper measures single-core scans.
+// Backend selects Fast Scan's block-kernel implementation; the zero
+// value BackendAuto defers to startup feature detection.
 // Cells, when non-empty, bypasses coarse routing entirely and scans
 // exactly the listed cells in order — the shard-side half of
 // scatter-gather serving (internal/cluster): the router runs step 1 of
@@ -36,7 +33,6 @@ type Request struct {
 	Query    []float32
 	K        int
 	Kernel   Kernel
-	Engine   Engine
 	Backend  Backend
 	NProbe   int
 	Cells    []int
@@ -96,14 +92,8 @@ func (ix *Index) validate(s *Snapshot, req Request) error {
 			}
 		}
 	}
-	if req.Engine != EngineModel && req.Engine != EngineNative {
-		return fmt.Errorf("index: unknown engine %v", req.Engine)
-	}
 	if !req.Backend.Available() {
 		return fmt.Errorf("index: backend %v not available on this machine (have %v)", req.Backend, AvailableBackends())
-	}
-	if req.Backend != BackendAuto && req.Engine == EngineModel {
-		return fmt.Errorf("index: backend %v selects native block kernels; the model engine has none", req.Backend)
 	}
 	if ix.PQ.M != layout.M || ix.PQ.KStar() != 256 {
 		return fmt.Errorf("index: scan kernels require PQ 8x8, index uses %v", ix.PQ.Config)
@@ -211,10 +201,9 @@ func (ix *Index) queryCells(ctx context.Context, s *Snapshot, req Request, cellI
 // order afterwards, so Results are byte-identical to the sequential
 // multi-probe path (the retained set of a bounded heap is the k
 // smallest (distance, id) pairs regardless of push order) and Stats
-// are deterministic (float64 op sums included) — but they are the
-// counters of independent scans: the same vectors Scanned, fewer of
-// them Pruned than by queryCells, whose later cells prune against the
-// bound carried from earlier ones.
+// are deterministic — but they are the counters of independent scans:
+// the same vectors Scanned, fewer of them Pruned than by queryCells,
+// whose later cells prune against the bound carried from earlier ones.
 func (ix *Index) queryParallel(ctx context.Context, s *Snapshot, req Request, cellIDs []int) (*Response, error) {
 	type partial struct {
 		res []Result
@@ -261,7 +250,7 @@ func (ix *Index) QueryBatch(ctx context.Context, queries vec.Matrix, req Request
 	if queries.Dim != ix.Dim {
 		return nil, fmt.Errorf("index: query dim %d != index dim %d", queries.Dim, ix.Dim)
 	}
-	if req.Kernel == KernelFastScan || req.Kernel == KernelFastScan256 {
+	if req.Kernel == KernelFastScan {
 		for _, pe := range s.Parts {
 			if pe.paged != nil {
 				// Paged epochs carry their layout in the extent; there is

@@ -171,16 +171,10 @@ func TestMutateUnderQuerySoak(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			kernels := []Kernel{KernelFastScan, KernelNaive, KernelLibpq, KernelFastScan256}
-			engines := []Engine{EngineNative, EngineModel}
+			paths := scanPaths()
 			for i := 0; i < 60; i++ {
-				req := Request{
-					Query:  queries.Row((w + i) % queries.Rows()),
-					K:      20,
-					Kernel: kernels[(w+i)%len(kernels)],
-					Engine: engines[i%len(engines)],
-					NProbe: 1 + (w+i)%opt.Partitions,
-				}
+				req := paths[(w+i)%len(paths)]
+				req.Query, req.K, req.NProbe = queries.Row((w+i)%queries.Rows()), 20, 1+(w+i)%opt.Partitions
 				resp, err := ix.Query(ctx, req)
 				if err != nil {
 					fail(err)
@@ -288,20 +282,19 @@ func TestMutateUnderQuerySoak(t *testing.T) {
 		}
 		want := heap.Results()
 
-		for _, eng := range []Engine{EngineNative, EngineModel} {
-			for _, kern := range []Kernel{KernelNaive, KernelFastScan} {
-				resp, err := ix.Query(ctx, Request{Query: q, K: k, Kernel: kern, Engine: eng, NProbe: opt.Partitions})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(resp.Results) != len(want) {
-					t.Fatalf("query %d %v/%v: %d results, oracle %d", qi, kern, eng, len(resp.Results), len(want))
-				}
-				for r := range want {
-					if resp.Results[r] != want[r] {
-						t.Fatalf("query %d %v/%v rank %d: index %+v, serial oracle %+v",
-							qi, kern, eng, r, resp.Results[r], want[r])
-					}
+		for _, req := range scanPaths() {
+			req.Query, req.K, req.NProbe = q, k, opt.Partitions
+			resp, err := ix.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Results) != len(want) {
+				t.Fatalf("query %d %v/%v: %d results, oracle %d", qi, req.Kernel, req.Backend, len(resp.Results), len(want))
+			}
+			for r := range want {
+				if resp.Results[r] != want[r] {
+					t.Fatalf("query %d %v/%v rank %d: index %+v, serial oracle %+v",
+						qi, req.Kernel, req.Backend, r, resp.Results[r], want[r])
 				}
 			}
 		}

@@ -96,9 +96,9 @@ func (ix *Index) Tables(query []float32, part int) quantizer.Tables {
 }
 
 // queryScratch is everything one query owns for its whole life: the
-// native engine's scan buffers, the query term (built on the first
-// probe, reused by every later one) and the storage each probed cell's
-// tables are written into. Tables returned by tables alias it and are
+// scan's buffers, the query term (built on the first probe, reused by
+// every later one) and the storage each probed cell's tables are
+// written into. Tables returned by tables alias it and are
 // overwritten by the next probe.
 type queryScratch struct {
 	scan      *scan.Scratch

@@ -29,8 +29,8 @@ func buildSmall(t *testing.T) (*index.Index, *dataset.Generator) {
 	return ix, gen
 }
 
-// search1 is the query the round-trip tests compare — one probe on the
-// model engine — returning the neighbors and the cell they came from.
+// search1 is the query the round-trip tests compare — one probe —
+// returning the neighbors and the cell they came from.
 func search1(t *testing.T, ix *index.Index, q []float32, k int, kern index.Kernel) ([]index.Result, int) {
 	t.Helper()
 	resp, err := ix.Query(context.Background(), index.Request{Query: q, K: k, Kernel: kern})

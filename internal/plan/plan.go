@@ -15,7 +15,7 @@
 //
 // The planner is greedy and statistics-free in the Janus-Datalog sense
 // ("When Greedy Beats Optimal"): no catalogs, no search, no history —
-// one ranked walk for nprobe, one threshold for parallelism — so
+// one ranked walk for nprobe, one residency test for parallelism — so
 // planning costs microseconds against scans that cost hundreds, and it
 // allocates nothing in steady state: all per-query scratch is pooled.
 //
@@ -32,14 +32,6 @@ import (
 
 	"pqfastscan/internal/index"
 )
-
-// parallelCutoverCodes is the probed-code count from which a resident
-// multi-probe query is worth fanning out across cores: about 100 µs of
-// sequential Fast Scan at the ≈0.9 ns/code the standing benchmark's
-// lib_scanall measures — well above the few-µs cost of spawning the
-// per-cell goroutines and of each cell re-learning its own pruning
-// threshold, well below a latency anyone would notice going unsplit.
-const parallelCutoverCodes = 1 << 17
 
 // Request describes one planning problem. The PlanX flags say which
 // knobs the caller left open — explicit options always win, the planner
@@ -133,17 +125,16 @@ func Decide(ix *index.Index, req Request) Decision {
 			}
 			probe = sc.ids[:min(nprobe, len(sc.ids))]
 		}
-		probedCodes, pagedCodes := 0, 0
+		paged := false
 		for _, c := range probe {
-			if c < 0 || c >= len(sc.stats) {
-				continue // the query's own validation rejects it
-			}
-			probedCodes += sc.stats[c].N
-			if sc.stats[c].Paged {
-				pagedCodes += sc.stats[c].N
+			// An out-of-range cell is rejected by the query's own
+			// validation.
+			if c >= 0 && c < len(sc.stats) && sc.stats[c].Paged {
+				paged = true
+				break
 			}
 		}
-		d.Parallel = parallelWorthIt(len(probe), probedCodes, pagedCodes, runtime.GOMAXPROCS(0))
+		d.Parallel = parallelWorthIt(len(probe), runtime.GOMAXPROCS(0), paged)
 	}
 
 	record(req, d)
@@ -151,11 +142,13 @@ func Decide(ix *index.Index, req Request) Decision {
 }
 
 // parallelWorthIt is the whole parallel rule: fan a query's probes
-// across cores when there is more than one of each and either the scan
-// is long enough to clear the goroutine overhead or a probed partition
-// is disk-resident (parallel probes overlap their pool faults instead
-// of serializing them). Bit-identical either way.
-func parallelWorthIt(probes, probedCodes, pagedCodes, cores int) bool {
-	return probes > 1 && cores > 1 &&
-		(pagedCodes > 0 || probedCodes >= parallelCutoverCodes)
+// across cores when there is more than one of each and a probed
+// partition is disk-resident (parallel probes overlap their pool faults
+// instead of serializing them). Resident probes stay sequential at
+// every size: independent cells each re-learn their own threshold, and
+// fanning 100k- and 400k-code resident probe sets out was measured at
+// 5.5x the exact re-checks for no wall-clock gain (DESIGN.md §16).
+// Bit-identical either way.
+func parallelWorthIt(probes, cores int, paged bool) bool {
+	return probes > 1 && cores > 1 && paged
 }

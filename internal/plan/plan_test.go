@@ -125,30 +125,27 @@ func TestExplicitDimensionsAreNotPlanned(t *testing.T) {
 }
 
 // TestParallelNeedsMultiProbeAndWeight is the parallel rule over
-// (probes, probed codes, paged codes, cores), then Decide feeding it the
-// right probe set.
+// (probes, cores, a paged probe), then Decide feeding it the right
+// probe set.
 func TestParallelNeedsMultiProbeAndWeight(t *testing.T) {
-	const heavy, light = parallelCutoverCodes, parallelCutoverCodes - 1
 	for _, tc := range []struct {
-		name                        string
-		probes, codes, paged, cores int
-		want                        bool
+		name          string
+		probes, cores int
+		paged         bool
+		want          bool
 	}{
-		{"single probe never, however heavy", 1, 100 * heavy, 0, 8, false},
-		{"single paged probe never", 1, heavy, heavy, 8, false},
-		{"single core never, however heavy", 4, 100 * heavy, 0, 1, false},
-		{"single core never, even paged", 4, heavy, heavy, 1, false},
-		{"light resident multi-probe stays sequential", 4, light, 0, 2, false},
-		{"resident multi-probe at the cutover fans out", 2, heavy, 0, 2, true},
-		{"any paged code fans a light multi-probe out", 2, 100, 1, 2, true},
+		{"single paged probe never", 1, 8, true, false},
+		{"single core never, even paged", 4, 1, true, false},
+		{"resident multi-probe stays sequential", 4, 8, false, false},
+		{"a paged probe fans a multi-probe out", 2, 2, true, true},
 	} {
-		if got := parallelWorthIt(tc.probes, tc.codes, tc.paged, tc.cores); got != tc.want {
-			t.Errorf("%s: parallelWorthIt(%d, %d, %d, %d) = %v", tc.name, tc.probes, tc.codes, tc.paged, tc.cores, got)
+		if got := parallelWorthIt(tc.probes, tc.cores, tc.paged); got != tc.want {
+			t.Errorf("%s: parallelWorthIt(%d, %d, %v) = %v", tc.name, tc.probes, tc.cores, tc.paged, got)
 		}
 	}
 
-	// 20k codes over 8 resident cells: under the cutover whatever the
-	// probe set, routed or explicit.
+	// 8 resident cells: sequential whatever the probe set, routed or
+	// explicit.
 	ix, row := buildIndex(t, 8)
 	for _, req := range []Request{
 		allOpen(row(4), 0),
@@ -157,7 +154,7 @@ func TestParallelNeedsMultiProbeAndWeight(t *testing.T) {
 		{Query: row(4), PlanParallel: true, Cells: []int{0, 1, 2, 3, 4, 5, 6, 7}},
 	} {
 		if d := Decide(ix, req); d.Parallel {
-			t.Errorf("light resident query parallelized: %+v -> %+v", req, d)
+			t.Errorf("resident query parallelized: %+v -> %+v", req, d)
 		}
 	}
 

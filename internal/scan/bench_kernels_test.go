@@ -17,8 +17,8 @@ import (
 // portion, so one portion per component is close to the query and Fast
 // Scan prunes heavily — the regime all §5 figures measure). Run under
 // PQ_FORCE_BACKEND=swar|asm-avx2|asm-neon for one backend's numbers
-// (DESIGN.md §8); every native scan builds its query tables, as every
-// served scan does.
+// (DESIGN.md §8); every scan builds its query tables, as every served
+// scan does.
 type benchEnv struct {
 	p      *Partition
 	tables quantizer.Tables
@@ -73,51 +73,19 @@ const benchK = 100
 // standing benchmark.
 var benchSizes = []int{1000, 10000, 100000}
 
-// BenchmarkKernels covers every kernel on both engines at several
-// partition sizes: the model engine runs the instruction-counted
-// reference implementations, the native engine the SWAR/tuned paths.
+// BenchmarkKernels covers the serving scans at several partition sizes;
+// the model's rows of the same benchmark (engine=model) are in
+// internal/scan/model.
 func BenchmarkKernels(b *testing.B) {
-	type variant struct {
+	variants := []struct {
 		kernel string
-		engine string
 		run    func(e *benchEnv, sc *Scratch) []topk.Result
-	}
-	variants := []variant{
-		{"naive", "model", func(e *benchEnv, _ *Scratch) []topk.Result {
-			r, _ := Naive(e.p, e.tables, benchK)
-			return r
-		}},
-		{"libpq", "model", func(e *benchEnv, _ *Scratch) []topk.Result {
-			r, _ := Libpq(e.p, e.tables, benchK)
-			return r
-		}},
-		{"avx", "model", func(e *benchEnv, _ *Scratch) []topk.Result {
-			r, _ := AVX(e.p, e.tables, benchK)
-			return r
-		}},
-		{"gather", "model", func(e *benchEnv, _ *Scratch) []topk.Result {
-			r, _ := Gather(e.p, e.tables, benchK)
-			return r
-		}},
-		{"fastpq", "model", func(e *benchEnv, _ *Scratch) []topk.Result {
-			r, _ := e.fast.Scan(e.tables, benchK)
-			return r
-		}},
-		{"fastpq256", "model", func(e *benchEnv, _ *Scratch) []topk.Result {
-			r, _ := e.fast.Scan256(e.tables, benchK)
-			return r
-		}},
-		{"quantonly", "model", func(e *benchEnv, _ *Scratch) []topk.Result {
-			r, _ := QuantizationOnly(e.p, e.tables, benchK, DefaultKeep)
-			return r
-		}},
-		// The native engine serves the four exact-scan selections with
-		// one tuned loop and both Fast Scan widths with the SWAR kernel.
-		{"naive", "native", func(e *benchEnv, sc *Scratch) []topk.Result {
+	}{
+		{"naive", func(e *benchEnv, sc *Scratch) []topk.Result {
 			r, _ := ExactNative(e.p, e.tables, benchK, sc)
 			return r
 		}},
-		{"fastpq", "native", func(e *benchEnv, sc *Scratch) []topk.Result {
+		{"fastpq", func(e *benchEnv, sc *Scratch) []topk.Result {
 			r, _ := e.fast.ScanNativeBackend(e.tables, benchK, sc, dispatch.Auto)
 			return r
 		}},
@@ -125,7 +93,7 @@ func BenchmarkKernels(b *testing.B) {
 	for _, n := range benchSizes {
 		e := getBenchEnv(b, n)
 		for _, v := range variants {
-			b.Run(fmt.Sprintf("n=%d/kernel=%s/engine=%s", n, v.kernel, v.engine), func(b *testing.B) {
+			b.Run(fmt.Sprintf("n=%d/kernel=%s/engine=native", n, v.kernel), func(b *testing.B) {
 				sc := NewScratch()
 				b.ReportAllocs()
 				b.SetBytes(int64(n * M))
@@ -137,20 +105,12 @@ func BenchmarkKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkFastScan is the headline engine comparison of the acceptance
-// trajectory: PQ Fast Scan model vs native on 10k and 100k partitions.
-// The native run must be allocation-free in the steady state (the
-// Scratch is reused) and an order of magnitude faster on the wall clock.
+// BenchmarkFastScan is the headline scan on 10k and 100k partitions
+// (its engine=model rows are in internal/scan/model). The run must be
+// allocation-free in the steady state (the Scratch is reused).
 func BenchmarkFastScan(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		e := getBenchEnv(b, n)
-		b.Run(fmt.Sprintf("n=%d/engine=model", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(n * M))
-			for i := 0; i < b.N; i++ {
-				e.fast.Scan(e.tables, benchK)
-			}
-		})
 		b.Run(fmt.Sprintf("n=%d/engine=native", n), func(b *testing.B) {
 			sc := NewScratch()
 			e.fast.ScanNativeBackend(e.tables, benchK, sc, dispatch.Auto) // warm the scratch buffers
@@ -172,6 +132,6 @@ func BenchmarkGroupVisitOrder(b *testing.B) {
 	sc := NewScratch()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fs.groupVisitOrder(e.tables, sc)
+		fs.GroupVisitOrder(e.tables, sc)
 	}
 }

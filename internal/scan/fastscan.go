@@ -7,10 +7,7 @@ import (
 	"slices"
 
 	"pqfastscan/internal/layout"
-	"pqfastscan/internal/perf"
 	"pqfastscan/internal/quantizer"
-	"pqfastscan/internal/simd"
-	"pqfastscan/internal/topk"
 )
 
 // FastScanOptions configures PQ Fast Scan.
@@ -79,6 +76,10 @@ func NewFastScan(p *Partition, opt FastScanOptions) (*FastScan, error) {
 	}
 	return &FastScan{part: p, keepN: keepN, c: c, grouped: g, orderGroups: opt.OrderGroups}, nil
 }
+
+// Partition returns the partition this layout is bound to, whose dead
+// set a scan consults.
+func (fs *FastScan) Partition() *Partition { return fs.part }
 
 // GroupComponents returns the grouping depth c in use.
 func (fs *FastScan) GroupComponents() int { return fs.c }
@@ -150,7 +151,7 @@ func (fs *FastScan) CloneAppend(np *Partition, codes []uint8, ids []int64) *Fast
 	return nfs
 }
 
-// groupVisitOrder returns the order groups are scanned in: database
+// GroupVisitOrder returns the order groups are scanned in: database
 // (key) order by default, or — with the OrderGroups extension — ascending
 // by a conservative per-group distance estimate: the sum of each grouped
 // component's portion minimum over the nibbles actually present in the
@@ -166,11 +167,11 @@ func (fs *FastScan) CloneAppend(np *Partition, codes []uint8, ids []int64) *Fast
 // popcount(mask) present entries. Before the masks existed every group
 // rescanned its full 16-entry portions.
 //
-// sc, when non-nil, provides reusable order/estimate buffers (the native
-// engine's allocation-free path). Both engines call this same function,
-// so the visit order — and therefore pruning behaviour — is identical
-// across engines.
-func (fs *FastScan) groupVisitOrder(t quantizer.Tables, sc *Scratch) []int {
+// sc, when non-nil, provides reusable order/estimate buffers (the
+// serving scan's allocation-free path). The model calls this same
+// function, so the visit order — and therefore pruning behaviour — is
+// the one it is checked against.
+func (fs *FastScan) GroupVisitOrder(t quantizer.Tables, sc *Scratch) []int {
 	g := fs.grouped
 	var order []int
 	var est []float64
@@ -247,39 +248,40 @@ func (fs *FastScan) groupVisitOrder(t quantizer.Tables, sc *Scratch) []int {
 	return order
 }
 
-// distQuantizer maps float32 distances to the signed 8-bit bins of §4.4.
+// DistQuantizer maps float32 distances to the signed 8-bit bins of §4.4.
 //
 // Safety contract (the exactness invariant): for every quantized entry q
 // of value v, v >= qmin + q·delta holds in real arithmetic; therefore for
 // any code the true ADC distance is bounded below by
 // 8·qmin + delta·qsat, where qsat is the saturated sum of the 8 quantized
-// small-table entries. pruneThreshold then chooses the comparison bound
+// small-table entries. PruneThreshold then chooses the comparison bound
 // so that a pruned vector is strictly worse than the current topk-th
 // neighbor, with one bin of slack absorbing accumulated float64 rounding.
-type distQuantizer struct {
+type DistQuantizer struct {
 	qmin  float64
 	delta float64
 }
 
-func newDistQuantizer(qmin, qmax float32) distQuantizer {
+// NewDistQuantizer returns the quantizer of the range KeepBounds found.
+func NewDistQuantizer(qmin, qmax float32) DistQuantizer {
 	d := (float64(qmax) - float64(qmin)) / 127
 	if d <= 0 {
 		// Degenerate table (no entry above qmin even at the table
-		// maximum keepBounds falls back to): every entry quantizes to
+		// maximum KeepBounds falls back to): every entry quantizes to
 		// bin 0 and pruning is disabled by the threshold clamp.
 		d = math.Inf(1)
 	}
-	return distQuantizer{qmin: float64(qmin), delta: d}
+	return DistQuantizer{qmin: float64(qmin), delta: d}
 }
 
-// quantize returns the bin of v, guaranteeing v >= qmin + bin·delta.
+// Quantize returns the bin of v, guaranteeing v >= qmin + bin·delta.
 //
 // The bin is the closed-form floor of (v-qmin)/delta with a single
 // one-step correction: float64 rounding in the subtraction and division
 // can push the computed ratio past an integer boundary, but the combined
 // relative error is far below one bin at any representable ratio <= 127,
 // so the floor overshoots the contract-satisfying bin by at most one.
-func (q distQuantizer) quantize(v float32) uint8 {
+func (q DistQuantizer) Quantize(v float32) uint8 {
 	if math.IsInf(q.delta, 1) {
 		return 0
 	}
@@ -296,7 +298,7 @@ func (q distQuantizer) quantize(v float32) uint8 {
 	return uint8(n)
 }
 
-// pruneThreshold returns the largest int8 t such that pruning every
+// PruneThreshold returns the largest int8 t such that pruning every
 // vector with qsat > t is safe against the current topk threshold min:
 // qsat > t implies trueDistance > min, so the vector cannot displace any
 // retained neighbor. When no pruning is safe (heap not full or degenerate
@@ -311,7 +313,7 @@ func (q distQuantizer) quantize(v float32) uint8 {
 // are prunable even though min itself lies beyond it ("All distances
 // above qmax are quantized to 127", §4.4). Without this rule a scaled
 // threshold beyond qmax would disable pruning entirely.
-func (q distQuantizer) pruneThreshold(min float32, haveMin bool) int8 {
+func (q DistQuantizer) PruneThreshold(min float32, haveMin bool) int8 {
 	if !haveMin || math.IsInf(q.delta, 1) {
 		return 127
 	}
@@ -330,22 +332,16 @@ func (q distQuantizer) pruneThreshold(min float32, haveMin bool) int8 {
 	return int8(t)
 }
 
-// smallTables holds the eight 16-entry in-register tables of §4.1/§4.5:
-// groupTables (S_0..S_{C-1}) are rebuilt per group from quantized
-// distance-table portions; minTables (S_C..S_7) are built once per query
-// from minimum tables.
-type smallTables struct {
-	minTables [M]simd.Reg // entries C..7 used
-}
-
-// buildMinTables computes, for each ungrouped component, the 16-entry
-// minimum table: entry h is the minimum of portion h of the distance
-// table (Figure 10), quantized.
-func buildMinTables(t quantizer.Tables, c int, dq distQuantizer) smallTables {
-	var st smallTables
+// BuildMinTables computes the query-lifetime small tables S_C..S_7 of
+// §4.1/§4.5: for each ungrouped component j >= c, the 16-entry minimum
+// table whose entry h is the minimum of portion h of distance table j
+// (Figure 10), quantized. Entries 0..c-1 are left zero; every group's
+// tables S_0..S_{C-1} are quantized windows of the first c rows instead.
+// A 16-byte table is exactly one SSE register.
+func BuildMinTables(t quantizer.Tables, c int, dq DistQuantizer) [M][16]uint8 {
+	var st [M][16]uint8
 	for j := c; j < M; j++ {
 		row := t.Row(j)
-		var reg simd.Reg
 		for h := 0; h < 16; h++ {
 			m := row[h*16]
 			for _, v := range row[h*16+1 : h*16+16] {
@@ -353,257 +349,8 @@ func buildMinTables(t quantizer.Tables, c int, dq distQuantizer) smallTables {
 					m = v
 				}
 			}
-			reg[h] = dq.quantize(m)
+			st[j][h] = dq.Quantize(m)
 		}
-		st.minTables[j] = reg
 	}
 	return st
-}
-
-// buildGroupTable quantizes portion key of distance table j (the solid
-// arrows of Figure 13).
-func buildGroupTable(t quantizer.Tables, j int, key uint8, dq distQuantizer) simd.Reg {
-	row := t.Row(j)[int(key)*16 : int(key)*16+16]
-	var reg simd.Reg
-	for i, v := range row {
-		reg[i] = dq.quantize(v)
-	}
-	return reg
-}
-
-// Scan runs PQ Fast Scan for the query described by its distance tables,
-// returning the k nearest neighbors — bit-identical to the PQ Scan
-// kernels — and the dynamic statistics of the run: ScanInto from an
-// empty heap.
-func (fs *FastScan) Scan(t quantizer.Tables, k int) ([]topk.Result, Stats) {
-	heap := topk.New(k)
-	stats := fs.ScanInto(t, heap)
-	return heap.Results(), stats
-}
-
-// ScanInto is the model engine's PQ Fast Scan: it continues the query's
-// running top-k in heap over this partition, exactly as ScanNativeInto
-// does on the native engine — same bounds, same visit order, same
-// decision sequence, so heap evolution and counters agree across
-// engines, carried or not.
-func (fs *FastScan) ScanInto(t quantizer.Tables, heap *topk.Heap) Stats {
-	check8x8(t)
-	stats := Stats{Scanned: fs.part.N, KeepScanned: fs.keepN}
-
-	// Phase 1 (§4.4): plain PQ Scan over the keep region to obtain the
-	// temporary nearest neighbor bounding qmax — §4.4 generalized to
-	// topk search (§5.4): the distance to the temporary topk-th nearest
-	// neighbor bounds the representable range (the running pruning
-	// threshold starts exactly at qmax and only decreases, so every
-	// distance quantized to 127 is already prunable; see
-	// pruneThreshold), falling back to the worst temporary distance
-	// while the heap holds fewer than k vectors. keepBounds is shared
-	// with every native backend and the ablations, so all paths
-	// quantize over the same range.
-	qmin, qmax, out := keepBounds(fs.part, fs.keepN, t, heap)
-	stats.Ops.Add(libpqPerVector.Scale(float64(fs.keepN)))
-	if out {
-		fs.outOfReach(&stats)
-		return stats
-	}
-	dq := newDistQuantizer(qmin, qmax)
-
-	// Phase 2: build the query-lifetime minimum tables S_C..S_7
-	// (Figure 10). Quantizing the 8x256 table entries and reducing the
-	// portions costs one pass over the distance tables.
-	st := buildMinTables(t, fs.c, dq)
-	stats.Ops.Add(perf.OpCounts{ScalarLoadF: 256 * M, ScalarALU: 512 * M})
-
-	thrVal, haveThr := heap.Threshold()
-	t8 := dq.pruneThreshold(thrVal, haveThr)
-	thrReg := simd.Broadcast(uint8(t8))
-
-	g := fs.grouped
-	var groupTables [layout.MaxGroupComponents]simd.Reg
-	var nibbles [layout.BlockVectors]uint8
-	// Per-block operation mix of the inner loop: c packed-nibble loads
-	// plus (8-c) full-byte loads, nibble unpacking (2 ops per grouped
-	// component) and high-nibble extraction (psrlw+pand per ungrouped
-	// component), 8 pshufb lookups, 7 saturated additions, one compare,
-	// one movemask, and scalar mask/loop handling.
-	perBlock := perf.OpCounts{
-		SIMDLoad:     8,
-		SIMDALU:      float64(2*fs.c+2*(M-fs.c)) + 7,
-		SIMDShuffle:  8,
-		SIMDCompare:  1,
-		SIMDMovmsk:   1,
-		ScalarALU:    2,
-		ScalarBranch: 2,
-	}
-
-	groupOrder := fs.groupVisitOrder(t, nil)
-	hasDead := fs.part.HasDead()
-
-	for _, gi := range groupOrder {
-		grp := g.Groups[gi]
-		stats.Groups++
-		// Load the group's small tables S_0..S_{C-1} (solid arrows of
-		// Figure 13).
-		for j := 0; j < fs.c; j++ {
-			groupTables[j] = buildGroupTable(t, j, grp.Key[j], dq)
-		}
-
-		for b := 0; b < grp.BlockCount; b++ {
-			stats.Blocks++
-			blockIdx := grp.BlockStart + b
-			valid := grp.Count - b*layout.BlockVectors
-			if valid > layout.BlockVectors {
-				valid = layout.BlockVectors
-			}
-
-			// Lower-bound accumulation (§4.5): grouped components use the
-			// 4 least significant bits against S_0..S_{C-1}; ungrouped
-			// components use the 4 most significant bits against the
-			// minimum tables.
-			var acc simd.Reg
-			first := true
-			for j := 0; j < fs.c; j++ {
-				g.LowNibbles(blockIdx, j, &nibbles)
-				idx := simd.Load(nibbles[:])
-				lookup := simd.Pshufb(groupTables[j], idx)
-				if first {
-					acc = lookup
-					first = false
-				} else {
-					acc = simd.PaddsB(acc, lookup)
-				}
-			}
-			for j := fs.c; j < M; j++ {
-				comps := simd.Load(g.FullComponents(blockIdx, j))
-				hi := simd.Pand(simd.Psrlw4(comps), simd.LowNibbleMask())
-				lookup := simd.Pshufb(st.minTables[j], hi)
-				if first {
-					acc = lookup
-					first = false
-				} else {
-					acc = simd.PaddsB(acc, lookup)
-				}
-			}
-
-			// Compare against the quantized pruning threshold; lanes with
-			// acc > t8 are pruned (Figure 6).
-			prunedMask := simd.PmovmskB(simd.PcmpgtB(acc, thrReg))
-
-			base := grp.Start + b*layout.BlockVectors
-			stats.LowerBounds += valid
-			if prunedMask == 0xffff {
-				stats.Pruned += valid
-				continue
-			}
-			for lane := 0; lane < valid; lane++ {
-				pos := base + lane
-				// Tombstoned vectors are excluded without an exact
-				// distance computation, exactly like a pruned lane.
-				if prunedMask&(1<<lane) != 0 || (hasDead && fs.part.IsDead(g.IDs[pos])) {
-					stats.Pruned++
-					continue
-				}
-				// Candidate: exact pqdistance re-check (right-hand path
-				// of Figure 6), then threshold refresh if the heap
-				// changed.
-				stats.Candidates++
-				d := adc8(g.Code(pos), t)
-				if heap.Push(g.IDs[pos], d) {
-					if thr, ok := heap.Threshold(); ok {
-						nt := dq.pruneThreshold(thr, true)
-						if nt != t8 {
-							t8 = nt
-							thrReg = simd.Broadcast(uint8(t8))
-						}
-					}
-				}
-			}
-		}
-	}
-	// Aggregate operation accounting (hoisted out of the hot loop): the
-	// per-block inner-loop mix, the per-group small-table loads, and one
-	// exact re-check per surviving candidate.
-	stats.Ops.Add(perBlock.Scale(float64(stats.Blocks)))
-	stats.Ops.Add(perf.OpCounts{
-		SIMDLoad:    float64(fs.c),
-		ScalarALU:   4,
-		ScalarLoadF: float64(16 * fs.c),
-	}.Scale(float64(stats.Groups)))
-	stats.Ops.Add(libpqPerVector.Scale(float64(stats.Candidates)))
-	return stats
-}
-
-// QuantizationOnly is the §5.5 ablation: lower bounds use full 256-entry
-// quantized tables (8-bit entries, exact 8-bit indexes) with no grouping
-// and no minimum tables. Such tables do not fit SIMD registers, so this
-// variant offers no speedup; it isolates the pruning power of the
-// distance-quantization technique alone. Results remain bit-identical to
-// PQ Scan.
-func QuantizationOnly(p *Partition, t quantizer.Tables, k int, keep float64) ([]topk.Result, Stats) {
-	return QuantizationOnlyScratch(p, t, k, keep, nil)
-}
-
-// QuantizationOnlyScratch is QuantizationOnly with a reusable Scratch
-// holding the 8×256 quantized tables' storage. The bounds come from the
-// shared keepBounds helper (the same source the model path and every
-// native backend use), which is what keeps the ablation's pruning
-// counters comparable across engines.
-func QuantizationOnlyScratch(p *Partition, t quantizer.Tables, k int, keep float64, sc *Scratch) ([]topk.Result, Stats) {
-	check8x8(t)
-	if sc == nil {
-		sc = NewScratch()
-	}
-	heap := topk.New(k)
-	keepN := int(keep * float64(p.N))
-	stats := Stats{Scanned: p.N, KeepScanned: keepN}
-	qmin, qmax, _ := keepBounds(p, keepN, t, heap) // its own keep region never puts an empty heap out of reach
-	stats.Ops.Add(libpqPerVector.Scale(float64(keepN)))
-	dq := newDistQuantizer(qmin, qmax)
-	qt := sc.quantizedFullTables(t, dq)
-	stats.Ops.Add(perf.OpCounts{ScalarLoadF: 256 * M, ScalarALU: 512 * M})
-
-	thrVal, haveThr := heap.Threshold()
-	t8 := dq.pruneThreshold(thrVal, haveThr)
-	hasDead := p.HasDead()
-
-	for i := keepN; i < p.N; i++ {
-		code := p.Code(i)
-		if hasDead && p.IsDead(p.ID(i)) {
-			stats.LowerBounds++
-			stats.Pruned++
-			continue
-		}
-		// Saturated 8-bit accumulation, scalar (no SIMD possible with
-		// 256-entry tables).
-		s := int16(qt[int(code[0])])
-		s += int16(qt[256+int(code[1])])
-		s += int16(qt[2*256+int(code[2])])
-		s += int16(qt[3*256+int(code[3])])
-		s += int16(qt[4*256+int(code[4])])
-		s += int16(qt[5*256+int(code[5])])
-		s += int16(qt[6*256+int(code[6])])
-		s += int16(qt[7*256+int(code[7])])
-		if s > 127 {
-			s = 127
-		}
-		stats.LowerBounds++
-		if int8(s) > t8 {
-			stats.Pruned++
-			continue
-		}
-		stats.Candidates++
-		d := adc8(code, t)
-		if heap.Push(p.ID(i), d) {
-			if thr, ok := heap.Threshold(); ok {
-				t8 = dq.pruneThreshold(thr, true)
-			}
-		}
-	}
-	// Aggregate accounting: one scalar 8-bit lower bound per vector plus
-	// one exact re-check per candidate.
-	stats.Ops.Add(perf.OpCounts{
-		ScalarLoad64: 1, ScalarLoad8: 8, ScalarALU: 18, ScalarBranch: 2,
-	}.Scale(float64(stats.LowerBounds)))
-	stats.Ops.Add(libpqPerVector.Scale(float64(stats.Candidates)))
-	return heap.Results(), stats
 }

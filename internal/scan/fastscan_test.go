@@ -7,6 +7,7 @@ import (
 
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/rng"
+	"pqfastscan/internal/simd/dispatch"
 )
 
 // TestDistQuantizerPerEntryBound is the core safety property of §4.4
@@ -23,8 +24,8 @@ func TestDistQuantizerPerEntryBound(t *testing.T) {
 		qmin := fold(qminRaw)
 		qmax := qmin + fold(qmaxRaw) + 1
 		v := qmin + fold(vRaw)
-		dq := newDistQuantizer(qmin, qmax)
-		q := dq.quantize(v)
+		dq := NewDistQuantizer(qmin, qmax)
+		q := dq.Quantize(v)
 		if q > 127 {
 			return false
 		}
@@ -35,27 +36,27 @@ func TestDistQuantizerPerEntryBound(t *testing.T) {
 }
 
 func TestDistQuantizerEndpoints(t *testing.T) {
-	dq := newDistQuantizer(10, 137) // delta = 1
-	if got := dq.quantize(10); got != 0 {
+	dq := NewDistQuantizer(10, 137) // delta = 1
+	if got := dq.Quantize(10); got != 0 {
 		t.Errorf("quantize(qmin) = %d, want 0", got)
 	}
-	if got := dq.quantize(137); got != 127 {
+	if got := dq.Quantize(137); got != 127 {
 		t.Errorf("quantize(qmax) = %d, want 127", got)
 	}
-	if got := dq.quantize(1e9); got != 127 {
+	if got := dq.Quantize(1e9); got != 127 {
 		t.Errorf("quantize(huge) = %d, want 127", got)
 	}
-	if got := dq.quantize(5); got != 0 {
+	if got := dq.Quantize(5); got != 0 {
 		t.Errorf("quantize(below qmin) = %d, want clamp to 0", got)
 	}
 }
 
 func TestDistQuantizerDegenerate(t *testing.T) {
-	dq := newDistQuantizer(5, 5) // qmax == qmin
-	if got := dq.quantize(123); got != 0 {
+	dq := NewDistQuantizer(5, 5) // qmax == qmin
+	if got := dq.Quantize(123); got != 0 {
 		t.Errorf("degenerate quantizer returned %d", got)
 	}
-	if got := dq.pruneThreshold(5, true); got != 127 {
+	if got := dq.PruneThreshold(5, true); got != 127 {
 		t.Errorf("degenerate threshold = %d, want 127 (no pruning)", got)
 	}
 }
@@ -68,8 +69,8 @@ func TestPruneThresholdSafety(t *testing.T) {
 		qmin := r.Float32() * 100
 		qmax := qmin + r.Float32()*1000 + 0.001
 		min := qmin*8 + r.Float32()*2000 - 500
-		dq := newDistQuantizer(qmin, qmax)
-		t8 := dq.pruneThreshold(min, true)
+		dq := NewDistQuantizer(qmin, qmax)
+		t8 := dq.PruneThreshold(min, true)
 		for _, qsat := range []int8{t8 + 1, 127} {
 			if qsat <= t8 {
 				continue // saturating beyond 127 impossible
@@ -84,8 +85,8 @@ func TestPruneThresholdSafety(t *testing.T) {
 }
 
 func TestPruneThresholdNoMin(t *testing.T) {
-	dq := newDistQuantizer(0, 100)
-	if got := dq.pruneThreshold(50, false); got != 127 {
+	dq := NewDistQuantizer(0, 100)
+	if got := dq.PruneThreshold(50, false); got != 127 {
 		t.Errorf("threshold without a full heap = %d, want 127", got)
 	}
 }
@@ -93,12 +94,12 @@ func TestPruneThresholdNoMin(t *testing.T) {
 // TestPruneThresholdSaturationRule: once min <= qmax + 7·qmin, saturated
 // lanes must be prunable (t <= 126).
 func TestPruneThresholdSaturationRule(t *testing.T) {
-	dq := newDistQuantizer(10, 1000)
-	if got := dq.pruneThreshold(1000, true); got > 126 {
+	dq := NewDistQuantizer(10, 1000)
+	if got := dq.PruneThreshold(1000, true); got > 126 {
 		t.Errorf("min = qmax: t = %d, want <= 126 so saturated lanes prune", got)
 	}
 	// min far beyond the provable bound: no pruning of saturated lanes.
-	if got := dq.pruneThreshold(1e9, true); got != 127 {
+	if got := dq.PruneThreshold(1e9, true); got != 127 {
 		t.Errorf("min >> qmax+7qmin: t = %d, want 127", got)
 	}
 }
@@ -111,8 +112,8 @@ func TestBuildMinTablesAreMinima(t *testing.T) {
 	for i := range tables.Data {
 		tables.Data[i] = r.Float32() * 500
 	}
-	dq := newDistQuantizer(tables.Min(), tables.MaxSum())
-	st := buildMinTables(tables, 2, dq)
+	dq := NewDistQuantizer(tables.Min(), tables.MaxSum())
+	st := BuildMinTables(tables, 2, dq)
 	for j := 2; j < M; j++ {
 		row := tables.Row(j)
 		for h := 0; h < 16; h++ {
@@ -122,9 +123,9 @@ func TestBuildMinTablesAreMinima(t *testing.T) {
 					m = v
 				}
 			}
-			if st.minTables[j][h] != dq.quantize(m) {
+			if st[j][h] != dq.Quantize(m) {
 				t.Fatalf("min table %d portion %d: %d, want quantize(%v)=%d",
-					j, h, st.minTables[j][h], m, dq.quantize(m))
+					j, h, st[j][h], m, dq.Quantize(m))
 			}
 		}
 	}
@@ -139,13 +140,17 @@ func TestLowerBoundNeverExceedsTrueDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dq := newDistQuantizer(tables.Min(), tables.MaxSum())
-	st := buildMinTables(tables, fs.c, dq)
+	dq := NewDistQuantizer(tables.Min(), tables.MaxSum())
+	st := BuildMinTables(tables, fs.c, dq)
 	g := fs.grouped
 	for _, grp := range g.Groups {
 		var groupTables [4][16]uint8
 		for j := 0; j < fs.c; j++ {
-			groupTables[j] = buildGroupTable(tables, j, grp.Key[j], dq)
+			// S_j of the group: the quantized portion of row j its key
+			// selects (Figure 13).
+			for i, v := range tables.Row(j)[int(grp.Key[j])*16 : int(grp.Key[j])*16+16] {
+				groupTables[j][i] = dq.Quantize(v)
+			}
 		}
 		for pos := grp.Start; pos < grp.Start+grp.Count; pos++ {
 			code := g.Code(pos)
@@ -154,13 +159,13 @@ func TestLowerBoundNeverExceedsTrueDistance(t *testing.T) {
 				sum += int(groupTables[j][code[j]&0x0f])
 			}
 			for j := fs.c; j < M; j++ {
-				sum += int(st.minTables[j][code[j]>>4])
+				sum += int(st[j][code[j]>>4])
 			}
 			if sum > 127 {
 				sum = 127
 			}
 			lb := 8*dq.qmin + dq.delta*float64(sum)
-			trueD := float64(adc8(code, tables))
+			trueD := float64(ADC8(code, tables))
 			if lb > trueD+1e-3 {
 				t.Fatalf("lower bound %v exceeds true distance %v", lb, trueD)
 			}
@@ -177,7 +182,7 @@ func TestFastScanStatsAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats := fs.Scan(tables, 10)
+		_, stats := fs.ScanNativeBackend(tables, 10, nil, dispatch.Auto)
 		if stats.KeepScanned != fs.KeepN() {
 			t.Errorf("keep=%v: KeepScanned=%d, want %d", keep, stats.KeepScanned, fs.KeepN())
 		}
@@ -188,9 +193,6 @@ func TestFastScanStatsAccounting(t *testing.T) {
 		if stats.Pruned+stats.Candidates != stats.LowerBounds {
 			t.Errorf("keep=%v: pruned %d + candidates %d != lower bounds %d",
 				keep, stats.Pruned, stats.Candidates, stats.LowerBounds)
-		}
-		if stats.Ops.Instructions() <= 0 || stats.Ops.L1Loads() <= 0 {
-			t.Errorf("keep=%v: empty op accounting", keep)
 		}
 	}
 }
@@ -212,8 +214,7 @@ func TestFastScanPropertyAgainstNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := fs.Scan(tables, k)
-		sameResults(t, want, got, "naive", "fastscan")
+		scanEveryBackend(t, fs, tables, k, want, "naive")
 	}
 }
 
@@ -244,13 +245,12 @@ func TestFastScanSkewedTables(t *testing.T) {
 			}
 		}
 	}
-	want, _ := Libpq(p, tables, 10)
+	want, _ := Naive(p, tables, 10)
 	fs, err := NewFastScan(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats := fs.Scan(tables, 10)
-	sameResults(t, want, got, "libpq", "fastscan")
+	stats := scanEveryBackend(t, fs, tables, 10, want, "naive")
 	if stats.PrunedFraction() < 0.9 {
 		t.Errorf("skewed tables pruned only %.1f%%", 100*stats.PrunedFraction())
 	}
@@ -266,64 +266,5 @@ func TestNewFastScanErrors(t *testing.T) {
 	}
 	if _, err := NewFastScan(p, FastScanOptions{GroupComponents: 9}); err == nil {
 		t.Error("c=9 accepted")
-	}
-}
-
-func TestQuantizationOnlyStats(t *testing.T) {
-	p, tables := randomPartition(t, 3000, 4)
-	res, stats := QuantizationOnly(p, tables, 20, 0.02)
-	want, _ := Naive(p, tables, 20)
-	sameResults(t, want, res, "naive", "quantonly")
-	if stats.KeepScanned != 60 {
-		t.Errorf("KeepScanned = %d, want 60", stats.KeepScanned)
-	}
-	if stats.Pruned+stats.Candidates != stats.LowerBounds {
-		t.Error("quantonly accounting mismatch")
-	}
-}
-
-// TestScan256AgreesWithScan: the AVX2 widening must return bit-identical
-// results to the 128-bit kernel and to the exact baselines, across
-// shapes, odd block counts and orderings.
-func TestScan256AgreesWithScan(t *testing.T) {
-	r := rng.New(4242)
-	for trial := 0; trial < 25; trial++ {
-		n := r.Intn(4000) + 10
-		k := []int{1, 9, 64}[r.Intn(3)]
-		p, tables := randomPartition(t, n, r.Uint64())
-		want, _ := Naive(p, tables, k)
-		fs, err := NewFastScan(p, FastScanOptions{
-			Keep:            []float64{0, 0.01}[r.Intn(2)],
-			GroupComponents: r.Intn(5) - 1,
-			OrderGroups:     r.Intn(2) == 0,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats := fs.Scan256(tables, k)
-		sameResults(t, want, got, "naive", "fastscan256")
-		if stats.Pruned+stats.Candidates != stats.LowerBounds {
-			t.Fatalf("trial %d: scan256 accounting mismatch", trial)
-		}
-		if stats.KeepScanned+stats.LowerBounds != p.N {
-			t.Fatalf("trial %d: scan256 coverage mismatch", trial)
-		}
-	}
-}
-
-// TestScan256CheaperFrontend: per scanned vector, the wide kernel's
-// modeled instruction count must be below the 128-bit kernel's.
-func TestScan256CheaperFrontend(t *testing.T) {
-	p, tables := randomPartition(t, 30000, 77)
-	opt := FastScanOptions{Keep: 0.01, GroupComponents: 2}
-	fs, err := NewFastScan(p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, s128 := fs.Scan(tables, 10)
-	_, s256 := fs.Scan256(tables, 10)
-	if s256.Ops.Instructions() >= s128.Ops.Instructions() {
-		t.Errorf("scan256 instructions %.0f not below scan %.0f",
-			s256.Ops.Instructions(), s128.Ops.Instructions())
 	}
 }

@@ -1,10 +1,11 @@
-package scan
+package model
 
 import (
 	"testing"
 
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/rng"
+	"pqfastscan/internal/scan"
 	"pqfastscan/internal/simd/dispatch"
 	"pqfastscan/internal/topk"
 )
@@ -13,13 +14,13 @@ import (
 // own codes and ids, its own distance tables (a real query has one
 // residual per cell), its Fast Scan layout.
 type cell struct {
-	p  *Partition
+	p  *scan.Partition
 	t  quantizer.Tables
-	fs *FastScan
+	fs *scan.FastScan
 }
 
 // newCell builds a cell of n random codes whose ids start at firstID.
-func newCell(t *testing.T, r *rng.Source, n int, firstID int64, tables quantizer.Tables, opt FastScanOptions) cell {
+func newCell(t *testing.T, r *rng.Source, n int, firstID int64, tables quantizer.Tables, opt scan.FastScanOptions) cell {
 	t.Helper()
 	codes := make([]uint8, n*M)
 	for i := range codes {
@@ -29,8 +30,8 @@ func newCell(t *testing.T, r *rng.Source, n int, firstID int64, tables quantizer
 	for i := range ids {
 		ids[i] = firstID + int64(i)
 	}
-	p := NewPartition(codes, ids)
-	fs, err := NewFastScan(p, opt)
+	p := scan.NewPartition(codes, ids)
+	fs, err := scan.NewFastScan(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func uniformTables(r *rng.Source, lo, span float32) quantizer.Tables {
 func naiveOver(cells []cell, k int) []topk.Result {
 	heap := topk.New(k)
 	for _, c := range cells {
-		res, _ := Naive(c.p, c.t, k)
+		res, _ := scan.Naive(c.p, c.t, k)
 		for _, r := range res {
 			heap.Push(r.ID, r.Distance)
 		}
@@ -60,31 +61,34 @@ func naiveOver(cells []cell, k int) []topk.Result {
 }
 
 // carried scans the cells in order into one heap with scanInto and
-// returns the answer and each cell's statistics.
-func carried(cells []cell, k int, scanInto func(c cell, heap *topk.Heap) Stats) ([]topk.Result, []Stats) {
+// returns the answer and each cell's counters.
+func carried(cells []cell, k int, scanInto func(c cell, heap *topk.Heap) scan.Stats) ([]topk.Result, []scan.Stats) {
 	heap := topk.New(k)
-	stats := make([]Stats, len(cells))
+	stats := make([]scan.Stats, len(cells))
 	for i, c := range cells {
 		stats[i] = scanInto(c, heap)
 	}
 	return heap.Results(), stats
 }
 
-// everyBackend runs check once per way of continuing a heap: every
-// available backend (internal/scan/model adds its two widths).
-func everyBackend(check func(name string, scanInto func(c cell, heap *topk.Heap) Stats)) {
+// everyEngine runs check once per way of continuing a heap: the two
+// model widths and every available backend of the serving scan.
+func everyEngine(check func(name string, native bool, scanInto func(c cell, heap *topk.Heap) scan.Stats)) {
+	check("model", false, func(c cell, heap *topk.Heap) scan.Stats { return ScanInto(c.fs, c.t, heap).Stats })
+	check("model256", false, func(c cell, heap *topk.Heap) scan.Stats { return Scan256Into(c.fs, c.t, heap).Stats })
 	for _, be := range dispatch.AvailableBackends() {
-		be, sc := be, NewScratch()
-		check(be.String(), func(c cell, heap *topk.Heap) Stats { return c.fs.ScanNativeInto(c.t, heap, sc, be) })
+		be, sc := be, scan.NewScratch()
+		check(be.String(), true, func(c cell, heap *topk.Heap) scan.Stats { return c.fs.ScanNativeInto(c.t, heap, sc, be) })
 	}
 }
 
 // TestCarriedScanFuzz is the multi-probe leg of the exactness property:
 // two to four cells of random size and table shape, random tombstones,
 // every grouping depth and both group orderings, scanned in order into
-// one heap. Every backend must reach the oracle's answer with the same
-// per-cell counters — carrying changes how much is pruned, never what
-// is returned or whether the backends agree on it.
+// one heap. The model and every backend must reach the oracle's answer,
+// and every backend the model's per-cell counters — carrying changes
+// how much is pruned, never what is returned or whether the model and
+// the serving scan agree on it.
 func TestCarriedScanFuzz(t *testing.T) {
 	r := rng.New(20261002)
 	for iter := 0; iter < 40; iter++ {
@@ -93,7 +97,7 @@ func TestCarriedScanFuzz(t *testing.T) {
 		var nextID int64
 		for i := range cells {
 			n := r.Intn(4000) + 1
-			cells[i] = newCell(t, r, n, nextID, randomTablesShape(r, r.Intn(4)), FastScanOptions{
+			cells[i] = newCell(t, r, n, nextID, randomTablesShape(r, r.Intn(4)), scan.FastScanOptions{
 				Keep:            []float64{0, 0.005, 0.06}[r.Intn(3)],
 				GroupComponents: r.Intn(5) - 1,
 				OrderGroups:     r.Intn(2) == 0,
@@ -106,15 +110,17 @@ func TestCarriedScanFuzz(t *testing.T) {
 			}
 		}
 		want := naiveOver(cells, k)
-		var first []Stats
-		everyBackend(func(name string, scanInto func(cell, *topk.Heap) Stats) {
+		var model []scan.Stats
+		everyEngine(func(name string, native bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 			got, stats := carried(cells, k, scanInto)
 			sameResults(t, want, got, "naive-merged", "carried:"+name)
-			if first == nil {
-				first = stats
+			if model == nil {
+				model = stats
 			}
 			for i := range stats {
-				sameStats(t, first[i], stats[i], "carried:first", "carried:"+name)
+				if native && model[i] != stats[i] {
+					t.Fatalf("carried:%s: cell %d counters diverge: model %+v native %+v", name, i, model[i], stats[i])
+				}
 			}
 		})
 	}
@@ -123,15 +129,15 @@ func TestCarriedScanFuzz(t *testing.T) {
 // TestCarriedThresholdOutOfReach forces a carried threshold below the
 // second cell's least possible distance: the cell's grouped region must
 // be skipped outright — accounted as pruned, no group visited, no exact
-// re-check — on every backend, with the answer still the oracle's.
+// re-check — on every engine, with the answer still the oracle's.
 func TestCarriedThresholdOutOfReach(t *testing.T) {
 	r := rng.New(7)
-	opt := FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true}
+	opt := scan.FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true}
 	near := newCell(t, r, 3000, 0, uniformTables(r, 0, 10), opt)
 	far := newCell(t, r, 3000, 3000, uniformTables(r, 1000, 100), opt)
 	cells := []cell{near, far}
 	want := naiveOver(cells, 10)
-	everyBackend(func(name string, scanInto func(cell, *topk.Heap) Stats) {
+	everyEngine(func(name string, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 		got, stats := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
 		st := stats[1]
@@ -151,13 +157,13 @@ func TestCarriedThresholdOutOfReach(t *testing.T) {
 func TestCarriedThresholdTieStillScans(t *testing.T) {
 	r := rng.New(8)
 	flat := uniformTables(r, 1, 0)
-	opt := FastScanOptions{Keep: 0.01, GroupComponents: 1}
+	opt := scan.FastScanOptions{Keep: 0.01, GroupComponents: 1}
 	cells := []cell{newCell(t, r, 500, 1000, flat, opt), newCell(t, r, 500, 0, flat, opt)}
 	want := naiveOver(cells, 10)
 	if want[0].ID != 0 || want[9].ID != 9 {
 		t.Fatalf("fixture: oracle answer %+v is not the ten smallest ids", want)
 	}
-	everyBackend(func(name string, scanInto func(cell, *topk.Heap) Stats) {
+	everyEngine(func(name string, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 		got, _ := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
 	})
@@ -170,58 +176,23 @@ func TestCarriedThresholdTieStillScans(t *testing.T) {
 // least distance far below that). Pruning must stay on.
 func TestCarriedQmaxKeepsPruning(t *testing.T) {
 	r := rng.New(9)
-	opt := FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true}
+	opt := scan.FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true}
 	first := newCell(t, r, 3000, 0, uniformTables(r, -20, 10), opt)      // distances in [-160, -80)
 	second := newCell(t, r, 3000, 3000, uniformTables(r, -50, 100), opt) // entries >= -50, distances from ~-400
 	cells := []cell{first, second}
 
 	heap := topk.New(10)
-	first.fs.ScanNativeInto(first.t, heap, nil, dispatch.Auto)
-	thr, _ := heap.Threshold()
-	qmin, least := tableMinima(second.t)
-	if !(least <= thr && thr <= qmin) {
-		t.Fatalf("fixture: want least %v <= threshold %v <= qmin %v", least, thr, qmin)
+	ScanInto(first.fs, first.t, heap)
+	if thr, _ := heap.Threshold(); thr > second.t.Min() {
+		t.Fatalf("fixture: want threshold %v <= qmin %v", thr, second.t.Min())
 	}
 
 	want := naiveOver(cells, 10)
-	everyBackend(func(name string, scanInto func(cell, *topk.Heap) Stats) {
+	everyEngine(func(name string, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 		got, stats := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
 		if st := stats[1]; st.Pruned == 0 || st.Groups == 0 {
 			t.Fatalf("%s: carried qmax disabled pruning: %+v", name, st)
 		}
-	})
-}
-
-// TestCarriedHeapPrunesMore is the behaviour the carry exists for, not
-// just its equivalence: the second cell of a query, scanned into the
-// heap the first cell filled, prunes strictly more than the same cell
-// scanned from empty. The fixture makes that necessary: both cells see
-// the same portion-structured tables (the shape the paper's pruning
-// feeds on) but the first is thirty times larger, so its k-th distance
-// is far tighter than anything the second cell's keep region — or its
-// whole content — can offer, yet within the second cell's reach (the
-// cell is scanned, not skipped). From empty, the second cell must
-// re-check at least the k members of its own answer; carried, only
-// what its lower bounds leave under the first cell's threshold.
-func TestCarriedHeapPrunesMore(t *testing.T) {
-	r := rng.New(10)
-	opt := FastScanOptions{Keep: DefaultKeep, GroupComponents: -1, OrderGroups: true}
-	const k = 100
-	tables := randomTablesShape(r, 0)
-	big := newCell(t, r, 60000, 0, tables, opt)
-	small := newCell(t, r, 2000, 60000, tables, opt)
-	everyBackend(func(name string, scanInto func(cell, *topk.Heap) Stats) {
-		_, alone := carried([]cell{small}, k, scanInto)
-		_, after := carried([]cell{big, small}, k, scanInto)
-		if after[1].Groups == 0 {
-			t.Fatalf("%s: fixture: second cell out of reach, nothing compared: %+v", name, after[1])
-		}
-		if after[1].Pruned <= alone[0].Pruned {
-			t.Fatalf("%s: carried threshold pruned %d of %d, from empty %d", name,
-				after[1].Pruned, after[1].LowerBounds, alone[0].Pruned)
-		}
-		t.Logf("%s: second cell pruned %d carried, %d from empty, of %d", name,
-			after[1].Pruned, alone[0].Pruned, after[1].LowerBounds)
 	})
 }

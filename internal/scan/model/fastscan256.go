@@ -1,9 +1,10 @@
-package scan
+package model
 
 import (
 	"pqfastscan/internal/layout"
 	"pqfastscan/internal/perf"
 	"pqfastscan/internal/quantizer"
+	"pqfastscan/internal/scan"
 	"pqfastscan/internal/simd"
 	"pqfastscan/internal/topk"
 )
@@ -16,42 +17,43 @@ import (
 // kernels; only the operation mix (and therefore the modeled cost)
 // changes — roughly half the front-end work per vector. Scan256 is
 // Scan256Into from an empty heap.
-func (fs *FastScan) Scan256(t quantizer.Tables, k int) ([]topk.Result, Stats) {
+func Scan256(fs *scan.FastScan, t quantizer.Tables, k int) ([]topk.Result, Stats) {
 	heap := topk.New(k)
-	stats := fs.Scan256Into(t, heap)
+	stats := Scan256Into(fs, t, heap)
 	return heap.Results(), stats
 }
 
-// Scan256Into continues the query's running top-k in heap over this
+// Scan256Into continues the query's running top-k in heap over fs's
 // partition at 256-bit width; see ScanInto.
-func (fs *FastScan) Scan256Into(t quantizer.Tables, heap *topk.Heap) Stats {
-	check8x8(t)
-	stats := Stats{Scanned: fs.part.N, KeepScanned: fs.keepN}
+func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
+	scan.Check8x8(t)
+	part, keepN, c := fs.Partition(), fs.KeepN(), fs.GroupComponents()
+	stats := Stats{Stats: scan.Stats{Scanned: part.N, KeepScanned: keepN}}
 
-	qmin, qmax, out := keepBounds(fs.part, fs.keepN, t, heap)
-	stats.Ops.Add(libpqPerVector.Scale(float64(fs.keepN)))
+	qmin, qmax, out := scan.KeepBounds(part, keepN, t, heap)
+	stats.Ops.Add(libpqPerVector.Scale(float64(keepN)))
 	if out {
-		fs.outOfReach(&stats)
+		fs.OutOfReach(&stats.Stats)
 		return stats
 	}
-	dq := newDistQuantizer(qmin, qmax)
+	dq := scan.NewDistQuantizer(qmin, qmax)
 
-	st := buildMinTables(t, fs.c, dq)
-	stats.Ops.Add(perf.OpCounts{ScalarLoadF: 256 * M, ScalarALU: 512 * M})
+	minTables := scan.BuildMinTables(t, c, dq)
+	stats.Ops.Add(tablePass)
 
 	// Widen the query-lifetime minimum tables once.
 	var minTables256 [M]simd.Reg256
-	for j := fs.c; j < M; j++ {
-		minTables256[j] = simd.Dup128(st.minTables[j])
+	for j := c; j < M; j++ {
+		minTables256[j] = simd.Dup128(minTables[j])
 	}
 
 	thrVal, haveThr := heap.Threshold()
-	t8 := dq.pruneThreshold(thrVal, haveThr)
+	t8 := dq.PruneThreshold(thrVal, haveThr)
 	thrReg := simd.Broadcast256(uint8(t8))
 
-	g := fs.grouped
-	groupOrder := fs.groupVisitOrder(t, nil)
-	hasDead := fs.part.HasDead()
+	g := fs.Grouped()
+	groupOrder := fs.GroupVisitOrder(t, nil)
+	hasDead := part.HasDead()
 	var groupTables256 [layout.MaxGroupComponents]simd.Reg256
 	var nibblesLo, nibblesHi [layout.BlockVectors]uint8
 
@@ -60,7 +62,7 @@ func (fs *FastScan) Scan256Into(t quantizer.Tables, heap *topk.Heap) Stats {
 	// blocks), plus one extra scalar op for the wider mask handling.
 	perPair := perf.OpCounts{
 		SIMDLoad:     8,
-		SIMDALU:      float64(2*fs.c+2*(M-fs.c)) + 7,
+		SIMDALU:      float64(2*c+2*(M-c)) + 7,
 		SIMDShuffle:  8,
 		SIMDCompare:  1,
 		SIMDMovmsk:   1,
@@ -72,7 +74,7 @@ func (fs *FastScan) Scan256Into(t quantizer.Tables, heap *topk.Heap) Stats {
 	for _, gi := range groupOrder {
 		grp := g.Groups[gi]
 		stats.Groups++
-		for j := 0; j < fs.c; j++ {
+		for j := 0; j < c; j++ {
 			groupTables256[j] = simd.Dup128(buildGroupTable(t, j, grp.Key[j], dq))
 		}
 
@@ -88,7 +90,7 @@ func (fs *FastScan) Scan256Into(t quantizer.Tables, heap *topk.Heap) Stats {
 
 			var acc simd.Reg256
 			first := true
-			for j := 0; j < fs.c; j++ {
+			for j := 0; j < c; j++ {
 				g.LowNibbles(loBlock, j, &nibblesLo)
 				g.LowNibbles(hiBlock, j, &nibblesHi)
 				idx := simd.Concat128(simd.Load(nibblesLo[:]), simd.Load(nibblesHi[:]))
@@ -100,7 +102,7 @@ func (fs *FastScan) Scan256Into(t quantizer.Tables, heap *topk.Heap) Stats {
 					acc = simd.VPaddsB(acc, lookup)
 				}
 			}
-			for j := fs.c; j < M; j++ {
+			for j := c; j < M; j++ {
 				comps := simd.Concat128(
 					simd.Load(g.FullComponents(loBlock, j)),
 					simd.Load(g.FullComponents(hiBlock, j)),
@@ -137,15 +139,15 @@ func (fs *FastScan) Scan256Into(t quantizer.Tables, heap *topk.Heap) Stats {
 				}
 				for lane := 0; lane < valid; lane++ {
 					pos := base + lane
-					if halfMask&(1<<lane) != 0 || (hasDead && fs.part.IsDead(g.IDs[pos])) {
+					if halfMask&(1<<lane) != 0 || (hasDead && part.IsDead(g.IDs[pos])) {
 						stats.Pruned++
 						continue
 					}
 					stats.Candidates++
-					d := adc8(g.Code(pos), t)
+					d := scan.ADC8(g.Code(pos), t)
 					if heap.Push(g.IDs[pos], d) {
 						if thr, ok := heap.Threshold(); ok {
-							nt := dq.pruneThreshold(thr, true)
+							nt := dq.PruneThreshold(thr, true)
 							if nt != t8 {
 								t8 = nt
 								thrReg = simd.Broadcast256(uint8(t8))
@@ -158,9 +160,9 @@ func (fs *FastScan) Scan256Into(t quantizer.Tables, heap *topk.Heap) Stats {
 	}
 	stats.Ops.Add(perPair.Scale(float64(pairs)))
 	stats.Ops.Add(perf.OpCounts{
-		SIMDLoad:    float64(fs.c),
+		SIMDLoad:    float64(c),
 		ScalarALU:   4,
-		ScalarLoadF: float64(16 * fs.c),
+		ScalarLoadF: float64(16 * c),
 	}.Scale(float64(stats.Groups)))
 	stats.Ops.Add(libpqPerVector.Scale(float64(stats.Candidates)))
 	return stats

@@ -1,20 +1,14 @@
-// Native execution engine.
+// The serving Fast Scan.
 //
-// The kernels of fastscan.go and scan.go execute §4's algorithm through
-// internal/simd, a bit-exact software model of the SSSE3 register file:
-// ideal for the instruction-counting argument priced by internal/perf,
-// but every modeled pshufb or paddsb is a 16-iteration Go loop behind a
-// function call — orders of magnitude slower than the hardware it
-// stands in for. This file is the second engine: the same algorithm
-// (small-table lookups, saturating 8-bit accumulation, qsat-vs-threshold
-// pruning, keep phase, group ordering) implemented for wall-clock speed,
-// on one of the backends selected by internal/simd/dispatch:
+// §4's algorithm — small-table lookups, saturating 8-bit accumulation,
+// qsat-vs-threshold pruning, keep phase, group ordering — implemented
+// for wall-clock speed on one of the block-kernel backends selected by
+// internal/simd/dispatch:
 //
-//   - swar (always available): uint64 SWAR words carrying 8 byte-lanes
-//     through the add/compare/movemask pipeline, flat table arrays,
-//     hoisted bounds checks, no per-operation function calls — two block
-//     pipelines, byte-lane saturating adds below a size gate and
-//     per-query pair-LUTs with 16-bit lanes above it;
+//   - swar (always available): per-query pair LUTs resolve two lanes of
+//     a block per load into uint64 words of four 16-bit lanes, flat
+//     table arrays, hoisted bounds checks, no per-operation function
+//     calls;
 //   - asm-avx2 / asm-neon: hand-written assembly block kernels running
 //     the real pshufb/tbl pipeline over whole groups at a time and
 //     returning one pruned mask per block against the threshold at the
@@ -25,10 +19,10 @@
 // All backends share every decision input (quantizer, thresholds, group
 // visit order, exact re-check arithmetic) and their lower-bound bytes
 // agree lane-for-lane, so result sets AND statistics are bit-identical
-// across backends and engines — the DESIGN.md §6 exactness invariant
-// extended across engines (§9) and down to the instruction level (§12).
-// The model path remains the metrology reference: only it counts
-// Stats.Ops.
+// across backends (DESIGN.md §6, §12) — and equal to those of the
+// instruction-counting model in internal/scan/model, which calls the
+// same decision inputs and is checked against this file at every shape
+// (§9).
 package scan
 
 import (
@@ -42,7 +36,7 @@ import (
 )
 
 // SWAR constants: eight byte-lanes per uint64 word, lane 0 in the least
-// significant byte (x86 memory order, matching simd.Reg.Words).
+// significant byte (x86 memory order).
 const (
 	swarHighBits = 0x8080808080808080 // bit 7 of every lane
 	swarOnes     = 0x0101010101010101 // 1 in every lane
@@ -52,19 +46,6 @@ const (
 	// the top byte is exactly Σ bit_i·2^i (pmovmskb).
 	swarMovemaskMul = 0x0102040810204080
 )
-
-// swarAddSat127 adds two SWAR words lane-wise, saturating every lane at
-// 127. Both operands must hold lanes in [0, 127] — the invariant of the
-// quantized-distance pipeline (quantize emits bins 0..127 and saturated
-// sums stay in range) — so the plain uint64 addition cannot carry across
-// lanes (max 254) and signed saturating addition (paddsb) degenerates to
-// min(a+b, 127), which is what the bit-trick computes: lanes whose bit 7
-// is set after the add are forced to 0x7f.
-func swarAddSat127(a, b uint64) uint64 {
-	s := a + b
-	over := s & swarHighBits
-	return (s | ((over >> 7) * 0x7f)) &^ over
-}
 
 // swarGtAddend returns the word to add lane-wise so that bit 7 of a lane
 // becomes the acc > t8 test: with acc in [0, 127] and t8 in [0, 127],
@@ -105,16 +86,7 @@ func swarMovemask16(x uint64) uint32 {
 // mask-only index computation.
 const ulutSize = 0x0f0f + 1
 
-// nativeLUTMinVectors gates the SWAR backend's pair-LUT block pipeline:
-// building the per-query pair tables costs ~10k stores, which only
-// amortizes over enough blocks. Below the gate the byte-lane saturating
-// SWAR pipeline runs instead; both pipelines produce identical lower
-// bounds and masks. The assembly backends need no gate — their lookup
-// is one instruction either way, so they run the table kernel at every
-// size. A variable so tests can force either path.
-var nativeLUTMinVectors = 4096
-
-// queryTables is the per-scan table state of a native Fast Scan: the
+// queryTables is the per-scan table state of a Fast Scan: the
 // §4.4 distance quantizer, the quantized first-c distance-table rows
 // (every group's small tables S_0..S_{C-1} are 16-entry windows into
 // them), the scan-lifetime minimum tables S_C..S_7, and the
@@ -126,15 +98,15 @@ var nativeLUTMinVectors = 4096
 // visits. Every probed cell has its own tables (the query term inside
 // them is the index's to reuse, internal/index/tables.go) and, with one
 // heap carried across cells, its own bounds, so there is nothing
-// quantized to keep between scans. The model path deliberately rebuilds
-// per group instead; that is the instruction stream it meters.
+// quantized to keep between scans. The model deliberately rebuilds per
+// group instead; that is the instruction stream it meters.
 type queryTables struct {
-	c     int
-	dq    distQuantizer
-	qrows [layout.MaxGroupComponents][256]uint8
-	st    smallTables
+	c         int
+	dq        DistQuantizer
+	qrows     [layout.MaxGroupComponents][256]uint8
+	minTables [M][16]uint8 // entries c..7 used
 
-	// SWAR pair-LUT pipeline state (built by scans above the gate).
+	// SWAR pair-LUT state.
 	glut []uint32 // grouped-component pair LUTs, c x 16 keys x 256
 	ulut []uint32 // ungrouped-component pair LUTs, (M-c) x ulutSize
 
@@ -144,18 +116,18 @@ type queryTables struct {
 	tabBlock []uint8 // 128 bytes, layout.Alignment-aligned
 }
 
-// Scratch holds the reusable per-searcher buffers of the native engine:
+// Scratch holds the reusable per-searcher buffers of a scan:
 // the top-k heap and sorted-results buffer of the from-empty entry
 // points, the group-ordering order/estimate arrays, the query-table
 // storage, and the assembly backends' lower-bound and mask buffers.
 // Reusing one Scratch across queries keeps the steady-state scan loop
 // at zero allocations; a Scratch must not be shared between concurrent
-// scans. Passing nil to the native entry points allocates a transient
+// scans. Passing nil to the scan entry points allocates a transient
 // one.
 //
-// Result slices returned by native scans alias sc.results and are
-// overwritten by the next scan through the same Scratch; callers that
-// retain results across queries must copy them out.
+// Result slices returned by scans alias sc.results and are overwritten
+// by the next scan through the same Scratch; callers that retain
+// results across queries must copy them out.
 type Scratch struct {
 	heap    *topk.Heap
 	results []topk.Result
@@ -165,9 +137,6 @@ type Scratch struct {
 	qt    queryTables
 	acc   []uint8  // asm backends' lower-bound bytes, 64-byte aligned
 	masks []uint16 // asm backends' per-block pruned masks
-
-	// QuantizationOnly's full quantized tables (M x 256).
-	qoTabs []uint8
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use and are
@@ -198,19 +167,18 @@ func growAligned(s []uint8, n int) []uint8 {
 func (sc *Scratch) queryTablesFor(fs *FastScan, t quantizer.Tables, qmin, qmax float32) *queryTables {
 	qt := &sc.qt
 	qt.c = fs.c
-	qt.dq = newDistQuantizer(qmin, qmax)
+	qt.dq = NewDistQuantizer(qmin, qmax)
 	// Quantize the first c distance-table rows once per scan; every
 	// group's small tables S_0..S_{C-1} are 16-entry windows into these
-	// rows (entry values identical to the model's per-group
-	// buildGroupTable calls, which quantize the same floats with the
-	// same quantizer).
+	// rows (entry values identical to the model's per-group table
+	// builds, which quantize the same floats with the same quantizer).
 	for j := 0; j < fs.c; j++ {
 		row := t.Row(j)
 		for i, v := range row {
-			qt.qrows[j][i] = qt.dq.quantize(v)
+			qt.qrows[j][i] = qt.dq.Quantize(v)
 		}
 	}
-	qt.st = buildMinTables(t, fs.c, qt.dq)
+	qt.minTables = BuildMinTables(t, fs.c, qt.dq)
 	return qt
 }
 
@@ -240,7 +208,7 @@ func (qt *queryTables) buildLUTs() {
 	}
 	qt.ulut = growSlice(qt.ulut, (M-c)*ulutSize)
 	for j := c; j < M; j++ {
-		mt := &qt.st.minTables[j]
+		mt := &qt.minTables[j]
 		dst := qt.ulut[(j-c)*ulutSize : (j-c+1)*ulutSize : (j-c+1)*ulutSize]
 		for hiN := 0; hiN < 16; hiN++ {
 			vhi := uint32(mt[hiN]) << 16
@@ -260,25 +228,12 @@ func (qt *queryTables) asmTables() *[128]uint8 {
 		qt.tabBlock = layout.AlignedBytes(128, 0)
 	}
 	for j := qt.c; j < M; j++ {
-		copy(qt.tabBlock[j*16:j*16+16], qt.st.minTables[j][:])
+		copy(qt.tabBlock[j*16:j*16+16], qt.minTables[j][:])
 	}
 	return (*[128]uint8)(qt.tabBlock)
 }
 
-// quantizedFullTables returns the 8×256 quantized distance tables of
-// the §5.5 quantization-only ablation, in the Scratch's storage.
-func (sc *Scratch) quantizedFullTables(t quantizer.Tables, dq distQuantizer) []uint8 {
-	sc.qoTabs = growSlice(sc.qoTabs, M*256)
-	for j := 0; j < M; j++ {
-		row := t.Row(j)
-		for i, v := range row {
-			sc.qoTabs[j*256+i] = dq.quantize(v)
-		}
-	}
-	return sc.qoTabs
-}
-
-// keepBounds runs the §4.4 keep phase (plain PQ Scan over the keep
+// KeepBounds runs the §4.4 keep phase (plain PQ Scan over the keep
 // region, into heap) and returns the quantization bounds it implies:
 // qmin is the smallest table entry, qmax the worst distance heap
 // retains — the running topk-th neighbor's once it is full — or the
@@ -286,20 +241,19 @@ func (sc *Scratch) quantizedFullTables(t quantizer.Tables, dq distQuantizer) []u
 // top-k: empty for a first or only cell, carrying every earlier cell's
 // neighbors otherwise, so a later cell quantizes against — and prunes
 // with — the bound the query already has. The single source of the
-// bounds for the model path, every native backend, and the
-// quantization-only ablation — which is what keeps their pruning
-// counters comparable.
+// bounds for every backend, the model and its quantization-only
+// ablation — which is what keeps their pruning counters comparable.
 //
 // Two things only a carried heap can do are settled here, for every
-// engine alike. out reports that the rest of the partition is provably
-// out: the heap is full and its threshold lies below the partition's
-// least possible distance, so no vector can be retained (a tie at the
-// threshold is not below it and still scans). And a qmax at or below
+// implementation alike. out reports that the rest of the partition is
+// provably out: the heap is full and its threshold lies below the
+// partition's least possible distance, so no vector can be retained (a
+// tie at the threshold is not below it and still scans). And a qmax at or below
 // qmin — a threshold under the smallest single entry of a partition
 // that is not out — would quantize every entry to bin 0 and switch
 // pruning off; the table maximum, the bound of an empty heap, stands in.
-func keepBounds(p *Partition, keepN int, t quantizer.Tables, heap *topk.Heap) (qmin, qmax float32, out bool) {
-	libpqRange(p, 0, keepN, t, heap)
+func KeepBounds(p *Partition, keepN int, t quantizer.Tables, heap *topk.Heap) (qmin, qmax float32, out bool) {
+	LibpqRange(p, 0, keepN, t, heap)
 	qmin, least := tableMinima(t)
 	worst, ok := heap.Worst()
 	if heap.Full() && worst < least {
@@ -313,7 +267,7 @@ func keepBounds(p *Partition, keepN int, t quantizer.Tables, heap *topk.Heap) (q
 
 // tableMinima returns the smallest entry across all tables (the paper's
 // qmin) and the least distance any code can have against them: the
-// row minima accumulated in float32 in adc8's j = 0..7 order. Rounding
+// row minima accumulated in float32 in ADC8's j = 0..7 order. Rounding
 // is monotonic, so every exact distance — the same chain of additions
 // over entries no smaller — is at least that sum.
 func tableMinima(t quantizer.Tables) (entry, sum float32) {
@@ -334,21 +288,20 @@ func tableMinima(t quantizer.Tables) (entry, sum float32) {
 	return entry, sum
 }
 
-// outOfReach accounts the grouped region of a partition keepBounds
+// OutOfReach accounts the grouped region of a partition KeepBounds
 // found out of reach: every vector counts as lower-bounded and pruned —
 // by the one bound they all share — and no group or block is visited.
-func (fs *FastScan) outOfReach(stats *Stats) {
+func (fs *FastScan) OutOfReach(stats *Stats) {
 	stats.LowerBounds += fs.grouped.N
 	stats.Pruned += fs.grouped.N
 }
 
-// ScanNativeBackend runs PQ Fast Scan for the query on the native
-// engine with block-kernel backend be (dispatch.Auto defers to the
-// startup selection, dispatch.Active), returning the k nearest
-// neighbors — bit-identical to Scan, Scan256 and the PQ Scan kernels —
-// and the dynamic vector/block statistics of the run (Stats.Ops stays
-// zero; only the model engine counts instructions). It is
-// ScanNativeInto from an empty heap, results sorted into the Scratch.
+// ScanNativeBackend runs PQ Fast Scan for the query with block-kernel
+// backend be (dispatch.Auto defers to the startup selection,
+// dispatch.Active), returning the k nearest neighbors — bit-identical
+// to Naive and ExactNative — and the dynamic vector/block statistics of
+// the run. It is ScanNativeInto from an empty heap, results sorted into
+// the Scratch.
 func (fs *FastScan) ScanNativeBackend(t quantizer.Tables, k int, sc *Scratch, be dispatch.Backend) ([]topk.Result, Stats) {
 	if sc == nil {
 		sc = NewScratch()
@@ -359,8 +312,8 @@ func (fs *FastScan) ScanNativeBackend(t quantizer.Tables, k int, sc *Scratch, be
 	return sc.results, stats
 }
 
-// ScanNativeInto is the native engine's PQ Fast Scan: it continues the
-// query's running top-k in heap over this partition, on an explicit
+// ScanNativeInto is the serving PQ Fast Scan: it continues the query's
+// running top-k in heap over this partition, on an explicit
 // block-kernel backend. A multi-probe query hands the same heap to every
 // cell it scans, so each cell starts from the threshold the earlier ones
 // reached; the retained set is the k smallest (distance, id) pairs of
@@ -370,17 +323,23 @@ func (fs *FastScan) ScanNativeBackend(t quantizer.Tables, k int, sc *Scratch, be
 // available backends (dispatch.Backend.Available); the index layer
 // validates requests before they reach this point.
 func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scratch, be dispatch.Backend) Stats {
-	check8x8(t)
+	Check8x8(t)
 	if sc == nil {
 		sc = NewScratch()
 	}
 	be = dispatch.Resolve(be)
 	stats := Stats{Scanned: fs.part.N, KeepScanned: fs.keepN}
 
-	// Phase 1 (§4.4): keep region, same arithmetic as the model path.
-	qmin, qmax, out := keepBounds(fs.part, fs.keepN, t, heap)
+	// Phase 1 (§4.4): plain PQ Scan over the keep region to obtain the
+	// temporary nearest neighbor bounding qmax — generalized to topk
+	// search (§5.4): the distance to the temporary topk-th nearest
+	// neighbor bounds the representable range (the running pruning
+	// threshold starts exactly at qmax and only decreases, so every
+	// distance quantized to 127 is already prunable; see
+	// PruneThreshold).
+	qmin, qmax, out := KeepBounds(fs.part, fs.keepN, t, heap)
 	if out {
-		fs.outOfReach(&stats)
+		fs.OutOfReach(&stats)
 		return stats
 	}
 
@@ -388,9 +347,9 @@ func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scra
 	qt := sc.queryTablesFor(fs, t, qmin, qmax)
 
 	thrVal, haveThr := heap.Threshold()
-	t8 := qt.dq.pruneThreshold(thrVal, haveThr)
+	t8 := qt.dq.PruneThreshold(thrVal, haveThr)
 
-	groupOrder := fs.groupVisitOrder(t, sc)
+	groupOrder := fs.GroupVisitOrder(t, sc)
 
 	if be.Asm() {
 		fs.scanBlocksAsm(sc, qt, be, groupOrder, &t8, heap, t, &stats)
@@ -420,13 +379,13 @@ func (fs *FastScan) processLive(live uint32, base int, qt *queryTables, t quanti
 			continue
 		}
 		stats.Candidates++
-		d := adc8(g.Codes[pos*M:pos*M+M], t)
+		d := ADC8(g.Codes[pos*M:pos*M+M], t)
 		if full && d > thr {
 			continue
 		}
 		if heap.Push(g.IDs[pos], d) {
 			if thr, full = heap.Threshold(); full {
-				*t8 = qt.dq.pruneThreshold(thr, true)
+				*t8 = qt.dq.PruneThreshold(thr, true)
 			}
 		}
 	}
@@ -459,7 +418,7 @@ func swarPrunedMask(acc []uint8, t8 int8) uint32 {
 // call — the mask applied to a block is always the one for the
 // threshold current AT THAT BLOCK, so the decision sequence (and hence
 // results, pruning counters and heap evolution) is identical to the
-// SWAR pipelines. The lower bound of a lane never depends on the
+// SWAR backend's. The lower bound of a lane never depends on the
 // threshold, which is what makes the group-at-a-time kernel call safe.
 func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Backend, groupOrder []int, t8 *int8, heap *topk.Heap, t quantizer.Tables, stats *Stats) {
 	g := fs.grouped
@@ -506,15 +465,15 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 	}
 }
 
-// scanBlocksSWAR is the portable backend: the uint64 SWAR block
-// pipelines. The inner loop lower-bounds one 16-vector block per
-// iteration in two SWAR words — per component, 16 small-table lookups
-// assembled directly into the words, then a saturating lane-wise add;
-// one compare-against-threshold add and two movemasks close the block.
-// On a 64-bit machine this is the closest pure-Go analogue of the
-// paper's pshufb/paddsb/pcmpgtb/pmovmskb pipeline. Above the size gate
-// the pair-LUT pipeline replaces per-lane lookups with per-lane-PAIR
-// LUT loads in 16-bit lanes.
+// scanBlocksSWAR is the portable backend: the pair-LUT block pipeline.
+// The inner loop lower-bounds one 16-vector block per iteration in four
+// uint64 words of four 16-bit lanes each — per component, eight LUT
+// loads each resolving a lane PAIR, assembled directly into the words
+// and added lane-wise; one compare-against-threshold add and four
+// movemasks close the block. Building the pair tables costs ~10k stores
+// per scan: ≈ 5–8 µs, a quarter of a 1 000-code partition's scan and
+// repaid several times over from 10 000 codes up (DESIGN.md §12 has the
+// measurement that chose this pipeline).
 func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []int, t8p *int8, heap *topk.Heap, t quantizer.Tables, stats *Stats) {
 	g := fs.grouped
 	c := fs.c
@@ -522,35 +481,19 @@ func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []in
 	blocks := g.Blocks
 	hasDead := fs.part.HasDead()
 
-	useLUT := g.N >= nativeLUTMinVectors
-	if useLUT {
-		qt.buildLUTs()
-	}
+	qt.buildLUTs()
 	var ungroupLUTs [M]*[ulutSize]uint32
-	if useLUT {
-		for j := c; j < M; j++ {
-			ungroupLUTs[j] = (*[ulutSize]uint32)(qt.ulut[(j-c)*ulutSize : (j-c+1)*ulutSize])
-		}
+	for j := c; j < M; j++ {
+		ungroupLUTs[j] = (*[ulutSize]uint32)(qt.ulut[(j-c)*ulutSize : (j-c+1)*ulutSize])
 	}
-
-	// simd.Reg is a flat [16]uint8, so the model's min-table builder
-	// feeds the native lookup loop without conversion.
-	var groupTables [layout.MaxGroupComponents]*[16]uint8
 	var groupLUTs [layout.MaxGroupComponents]*[256]uint32
-	minTables := &qt.st.minTables
 
 	for _, gi := range groupOrder {
 		grp := &g.Groups[gi]
 		stats.Groups++
-		if useLUT {
-			for j := 0; j < c; j++ {
-				off := j*16*256 + int(grp.Key[j])<<8
-				groupLUTs[j] = (*[256]uint32)(qt.glut[off : off+256])
-			}
-		} else {
-			for j := 0; j < c; j++ {
-				groupTables[j] = (*[16]uint8)(qt.qrows[j][int(grp.Key[j])*16 : int(grp.Key[j])*16+16])
-			}
+		for j := 0; j < c; j++ {
+			off := j*16*256 + int(grp.Key[j])<<8
+			groupLUTs[j] = (*[256]uint32)(qt.glut[off : off+256])
 		}
 
 		blockBase := grp.BlockStart * bb
@@ -559,127 +502,64 @@ func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []in
 			blk := blocks[blockBase+b*bb : blockBase+(b+1)*bb : blockBase+(b+1)*bb]
 			t8 := *t8p
 
-			var prunedMask uint32
-			if useLUT {
-				// Pair-LUT pipeline: four 16-bit lanes per word (a0:
-				// lanes 0-3 ... a3: lanes 12-15), one LUT load per lane
-				// PAIR. Accumulation is plain addition — all addends are
-				// in [0, 127], so lane sums stay below 1016 and never
-				// carry; min(sum, 127) > t8 is then equivalent to
-				// sum > t8 for every reachable threshold (t8 <= 126),
-				// the t8 == 127 no-pruning case being handled explicitly
-				// — decisions identical to the saturating model.
-				var a0, a1, a2, a3 uint64
-				first := true
-				for j := 0; j < c; j++ {
-					lk := groupLUTs[j]
-					wp := leUint64(blk[j*8 : j*8+8])
-					w0 := uint64(lk[wp&0xff]) | uint64(lk[wp>>8&0xff])<<32
-					w1 := uint64(lk[wp>>16&0xff]) | uint64(lk[wp>>24&0xff])<<32
-					w2 := uint64(lk[wp>>32&0xff]) | uint64(lk[wp>>40&0xff])<<32
-					w3 := uint64(lk[wp>>48&0xff]) | uint64(lk[wp>>56])<<32
-					if first {
-						a0, a1, a2, a3 = w0, w1, w2, w3
-						first = false
-					} else {
-						a0 += w0
-						a1 += w1
-						a2 += w2
-						a3 += w3
-					}
-				}
-				off := c * 8
-				for j := c; j < M; j++ {
-					ul := ungroupLUTs[j]
-					wa := leUint64(blk[off : off+8])
-					wb := leUint64(blk[off+8 : off+16])
-					off += 16
-					w0 := uint64(ul[wa>>4&0x0f0f]) | uint64(ul[wa>>20&0x0f0f])<<32
-					w1 := uint64(ul[wa>>36&0x0f0f]) | uint64(ul[wa>>52&0x0f0f])<<32
-					w2 := uint64(ul[wb>>4&0x0f0f]) | uint64(ul[wb>>20&0x0f0f])<<32
-					w3 := uint64(ul[wb>>36&0x0f0f]) | uint64(ul[wb>>52&0x0f0f])<<32
-					if first {
-						a0, a1, a2, a3 = w0, w1, w2, w3
-						first = false
-					} else {
-						a0 += w0
-						a1 += w1
-						a2 += w2
-						a3 += w3
-					}
-				}
-				switch {
-				case t8 < 0:
-					prunedMask = 0xffff
-				case t8 == 127:
-					prunedMask = 0
-				default:
-					// Lane sums <= 1016, addend <= 0x7fff: no carry, and
-					// bit 15 of a lane is set iff sum > t8.
-					add := (0x7fff - uint64(uint8(t8))) * swar16Ones
-					prunedMask = swarMovemask16(a0+add) | swarMovemask16(a1+add)<<4 |
-						swarMovemask16(a2+add)<<8 | swarMovemask16(a3+add)<<12
-				}
-			} else {
-				// Byte-lane saturating SWAR pipeline (§4.5): lanes 0-7
-				// in lo, 8-15 in hi, one lookup per lane, saturating
-				// lane-wise adds — the direct Go analogue of the
-				// pshufb/paddsb/pcmpgtb/pmovmskb sequence.
-				var lo, hi uint64
-				first := true
-				for j := 0; j < c; j++ {
-					tab := groupTables[j]
-					// Packed nibbles: bits 4i..4i+3 of the word are
-					// lane i's low nibble.
-					wp := leUint64(blk[j*8 : j*8+8])
-					w0 := uint64(tab[wp&15]) | uint64(tab[wp>>4&15])<<8 |
-						uint64(tab[wp>>8&15])<<16 | uint64(tab[wp>>12&15])<<24 |
-						uint64(tab[wp>>16&15])<<32 | uint64(tab[wp>>20&15])<<40 |
-						uint64(tab[wp>>24&15])<<48 | uint64(tab[wp>>28&15])<<56
-					w1 := uint64(tab[wp>>32&15]) | uint64(tab[wp>>36&15])<<8 |
-						uint64(tab[wp>>40&15])<<16 | uint64(tab[wp>>44&15])<<24 |
-						uint64(tab[wp>>48&15])<<32 | uint64(tab[wp>>52&15])<<40 |
-						uint64(tab[wp>>56&15])<<48 | uint64(tab[wp>>60&15])<<56
-					if first {
-						lo, hi = w0, w1
-						first = false
-					} else {
-						lo = swarAddSat127(lo, w0)
-						hi = swarAddSat127(hi, w1)
-					}
-				}
-				off := c * 8
-				for j := c; j < M; j++ {
-					mt := &minTables[j]
-					// Full bytes: lanes 0-7 and 8-15 in two words; the
-					// minimum tables index on each byte's high nibble.
-					wa := leUint64(blk[off : off+8])
-					wb := leUint64(blk[off+8 : off+16])
-					off += 16
-					w0 := uint64(mt[wa>>4&15]) | uint64(mt[wa>>12&15])<<8 |
-						uint64(mt[wa>>20&15])<<16 | uint64(mt[wa>>28&15])<<24 |
-						uint64(mt[wa>>36&15])<<32 | uint64(mt[wa>>44&15])<<40 |
-						uint64(mt[wa>>52&15])<<48 | uint64(mt[wa>>60&15])<<56
-					w1 := uint64(mt[wb>>4&15]) | uint64(mt[wb>>12&15])<<8 |
-						uint64(mt[wb>>20&15])<<16 | uint64(mt[wb>>28&15])<<24 |
-						uint64(mt[wb>>36&15])<<32 | uint64(mt[wb>>44&15])<<40 |
-						uint64(mt[wb>>52&15])<<48 | uint64(mt[wb>>60&15])<<56
-					if first {
-						lo, hi = w0, w1
-						first = false
-					} else {
-						lo = swarAddSat127(lo, w0)
-						hi = swarAddSat127(hi, w1)
-					}
-				}
-
-				// Lanes with acc > t8 are pruned (Figure 6).
-				if t8 < 0 {
-					prunedMask = 0xffff
+			// Four 16-bit lanes per word (a0: lanes 0-3 ... a3: lanes
+			// 12-15), one LUT load per lane PAIR. Accumulation is plain
+			// addition — all addends are in [0, 127], so lane sums stay
+			// below 1016 and never carry; min(sum, 127) > t8 is then
+			// equivalent to sum > t8 for every reachable threshold
+			// (t8 <= 126), the t8 == 127 no-pruning case being handled
+			// explicitly — decisions identical to the saturating model.
+			var a0, a1, a2, a3 uint64
+			first := true
+			for j := 0; j < c; j++ {
+				lk := groupLUTs[j]
+				wp := leUint64(blk[j*8 : j*8+8])
+				w0 := uint64(lk[wp&0xff]) | uint64(lk[wp>>8&0xff])<<32
+				w1 := uint64(lk[wp>>16&0xff]) | uint64(lk[wp>>24&0xff])<<32
+				w2 := uint64(lk[wp>>32&0xff]) | uint64(lk[wp>>40&0xff])<<32
+				w3 := uint64(lk[wp>>48&0xff]) | uint64(lk[wp>>56])<<32
+				if first {
+					a0, a1, a2, a3 = w0, w1, w2, w3
+					first = false
 				} else {
-					add := swarGtAddend(t8)
-					prunedMask = swarMovemask(lo+add) | swarMovemask(hi+add)<<8
+					a0 += w0
+					a1 += w1
+					a2 += w2
+					a3 += w3
 				}
+			}
+			off := c * 8
+			for j := c; j < M; j++ {
+				ul := ungroupLUTs[j]
+				wa := leUint64(blk[off : off+8])
+				wb := leUint64(blk[off+8 : off+16])
+				off += 16
+				w0 := uint64(ul[wa>>4&0x0f0f]) | uint64(ul[wa>>20&0x0f0f])<<32
+				w1 := uint64(ul[wa>>36&0x0f0f]) | uint64(ul[wa>>52&0x0f0f])<<32
+				w2 := uint64(ul[wb>>4&0x0f0f]) | uint64(ul[wb>>20&0x0f0f])<<32
+				w3 := uint64(ul[wb>>36&0x0f0f]) | uint64(ul[wb>>52&0x0f0f])<<32
+				if first {
+					a0, a1, a2, a3 = w0, w1, w2, w3
+					first = false
+				} else {
+					a0 += w0
+					a1 += w1
+					a2 += w2
+					a3 += w3
+				}
+			}
+			var prunedMask uint32
+			switch {
+			case t8 < 0:
+				prunedMask = 0xffff
+			case t8 == 127:
+				prunedMask = 0
+			default:
+				// Lane sums <= 1016, addend <= 0x7fff: no carry, and
+				// bit 15 of a lane is set iff sum > t8.
+				add := (0x7fff - uint64(uint8(t8))) * swar16Ones
+				prunedMask = swarMovemask16(a0+add) | swarMovemask16(a1+add)<<4 |
+					swarMovemask16(a2+add)<<8 | swarMovemask16(a3+add)<<12
 			}
 
 			base := grp.Start + b*layout.BlockVectors
@@ -705,16 +585,14 @@ func leUint64(b []byte) uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// ExactNative is the native engine's exact PQ Scan: one tuned
-// implementation serving the naive, libpq, avx and gather kernel
-// selections, which differ only in modeled cost, not results. The loop
-// accumulates the same float32 table entries in the same j = 0..7 order
-// as every other kernel (bit-identical results) with hoisted table rows,
+// ExactNative is the tuned exact PQ Scan (the libpq kernel selection).
+// The loop accumulates the same float32 table entries in the same
+// j = 0..7 order as Naive (bit-identical results) with hoisted table rows,
 // bounds-check-free row indexing (a uint8 index into a 256-entry row)
 // and a local threshold that skips the heap call for vectors that cannot
 // be retained.
 func ExactNative(p *Partition, t quantizer.Tables, k int, sc *Scratch) ([]topk.Result, Stats) {
-	check8x8(t)
+	Check8x8(t)
 	if sc == nil {
 		sc = NewScratch()
 	}

@@ -18,23 +18,6 @@ func randomSatReg(r *rng.Source) simd.Reg {
 	return reg
 }
 
-// TestSWARAddSat127MatchesPaddsB: on lanes in [0, 127] the SWAR add must
-// agree lane-for-lane with the modeled signed saturating addition — the
-// bridge equivalence the native accumulator rests on.
-func TestSWARAddSat127MatchesPaddsB(t *testing.T) {
-	r := rng.New(99)
-	for trial := 0; trial < 10000; trial++ {
-		a, b := randomSatReg(r), randomSatReg(r)
-		want := simd.PaddsB(a, b)
-		alo, ahi := a.Words()
-		blo, bhi := b.Words()
-		got := simd.FromWords(swarAddSat127(alo, blo), swarAddSat127(ahi, bhi))
-		if got != want {
-			t.Fatalf("trial %d: swar %v != paddsb %v (a=%v b=%v)", trial, got, want, a, b)
-		}
-	}
-}
-
 // TestSWARCompareMatchesPcmpgtB: the addend trick must reproduce the
 // modeled signed compare + movemask for every accumulator value and
 // every threshold the pruning loop can produce.
@@ -76,112 +59,34 @@ func TestSWARMovemaskMatchesPmovmskB(t *testing.T) {
 	}
 }
 
-// sameCounters asserts the engines walked the same path: identical
-// vector/block accounting (Ops excluded — only the model engine fills
-// it).
-func sameCounters(t *testing.T, model, native Stats, label string) {
-	t.Helper()
-	if model.Scanned != native.Scanned || model.KeepScanned != native.KeepScanned ||
-		model.LowerBounds != native.LowerBounds || model.Pruned != native.Pruned ||
-		model.Candidates != native.Candidates || model.Groups != native.Groups ||
-		model.Blocks != native.Blocks {
-		t.Fatalf("%s: counters diverge: model %+v native %+v", label, model, native)
-	}
-	if native.Ops != (Stats{}).Ops {
-		t.Fatalf("%s: native engine filled Ops: %+v", label, native.Ops)
-	}
-}
-
-// TestScanNativeMatchesModel is the cross-engine equivalence invariant:
-// over random shapes, keeps, grouping depths, orderings and k, the
-// native SWAR kernel and the modeled kernel return bit-identical top-k
-// and identical pruning counters.
-func TestScanNativeMatchesModel(t *testing.T) {
-	r := rng.New(31337)
-	sc := NewScratch()
-	for trial := 0; trial < 40; trial++ {
-		n := r.Intn(5000) + 1
-		k := []int{1, 7, 50, 200}[r.Intn(4)]
-		p, tables := randomPartition(t, n, r.Uint64())
-		fs, err := NewFastScan(p, FastScanOptions{
-			Keep:            []float64{0, 0.002, 0.05}[r.Intn(3)],
-			GroupComponents: r.Intn(5) - 1,
-			OrderGroups:     r.Intn(2) == 0,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantStats := fs.Scan(tables, k)
-		got, gotStats := fs.ScanNativeBackend(tables, k, sc, dispatch.Auto)
-		sameResults(t, want, got, "model", "native")
-		sameCounters(t, wantStats, gotStats, "fastscan")
-
-		// The 256-bit widening returns the same set again; on the native
-		// engine both widths share the SWAR kernel.
-		want256, _ := fs.Scan256(tables, k)
-		sameResults(t, want256, got, "model256", "native")
-	}
-}
-
-// TestScanNativeBothPipelines runs the cross-engine sweep with the
-// pair-LUT gate forced fully open and fully closed, so both native block
-// pipelines (byte-lane saturating SWAR and 16-bit-lane pair-LUT) are
-// exercised at every shape regardless of the default threshold.
-func TestScanNativeBothPipelines(t *testing.T) {
-	defer func(old int) { nativeLUTMinVectors = old }(nativeLUTMinVectors)
-	for _, gate := range []int{0, 1 << 30} {
-		nativeLUTMinVectors = gate
-		r := rng.New(uint64(gate) + 17)
-		sc := NewScratch()
-		for trial := 0; trial < 20; trial++ {
-			n := r.Intn(4000) + 1
-			k := []int{1, 13, 120}[r.Intn(3)]
-			p, tables := randomPartition(t, n, r.Uint64())
-			fs, err := NewFastScan(p, FastScanOptions{
-				Keep:            []float64{0, 0.01}[r.Intn(2)],
-				GroupComponents: r.Intn(5) - 1,
-				OrderGroups:     r.Intn(2) == 0,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantStats := fs.Scan(tables, k)
-			got, gotStats := fs.ScanNativeBackend(tables, k, sc, dispatch.Auto)
-			sameResults(t, want, got, "model", "native")
-			sameCounters(t, wantStats, gotStats, "pipeline gate")
-		}
-	}
-}
-
-// TestScanNativeWithTombstones: dead ids are skipped identically on both
-// engines, including when the current best matches die.
+// TestScanNativeWithTombstones: dead ids are skipped identically on
+// every backend, including when the current best matches die.
 func TestScanNativeWithTombstones(t *testing.T) {
 	p, tables := randomPartition(t, 4000, 88)
 	fs, err := NewFastScan(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, _ := fs.Scan(tables, 20)
+	best, _ := Naive(p, tables, 20)
 	for _, res := range best[:10] {
 		p.Tombstone(res.ID)
 	}
 	for i := int64(0); i < 4000; i += 13 {
 		p.Tombstone(i)
 	}
-	want, wantStats := fs.Scan(tables, 20)
-	got, gotStats := fs.ScanNativeBackend(tables, 20, nil, dispatch.Auto)
-	sameResults(t, want, got, "model+dead", "native+dead")
-	sameCounters(t, wantStats, gotStats, "tombstones")
-	for _, res := range got {
+	want, _ := Naive(p, tables, 20)
+	scanEveryBackend(t, fs, tables, 20, want, "naive+dead")
+	for _, res := range want {
 		if p.IsDead(res.ID) {
-			t.Fatalf("native returned tombstoned id %d", res.ID)
+			t.Fatalf("oracle returned tombstoned id %d", res.ID)
 		}
 	}
 }
 
-// TestExactNativeMatchesKernels: the tuned exact scan serving the four
-// baseline kernel selections returns bit-identical results to each of
-// them, with and without explicit ids and tombstones.
+// TestExactNativeMatchesKernels: the tuned exact scan returns the
+// oracle's results bit for bit, with and without explicit ids and
+// tombstones (the model's §3 baselines are held to it in
+// internal/scan/model).
 func TestExactNativeMatchesKernels(t *testing.T) {
 	r := rng.New(55)
 	sc := NewScratch()
@@ -205,18 +110,13 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 		if gotStats.Scanned != n {
 			t.Fatalf("trial %d: Scanned = %d, want %d", trial, gotStats.Scanned, n)
 		}
-		lp, _ := Libpq(p, tables, k)
-		sameResults(t, lp, got, "libpq", "exact-native")
-		av, _ := AVX(p, tables, k)
-		sameResults(t, av, got, "avx", "exact-native")
-		ga, _ := Gather(p, tables, k)
-		sameResults(t, ga, got, "gather", "exact-native")
 	}
 }
 
 // TestScanNativeAfterAppend: the incremental layout maintenance of
 // CloneAppend (including the NibbleMask updates feeding group ordering)
-// keeps the engines in lockstep through online appends.
+// keeps every backend on the oracle's answer, and in lockstep with each
+// other, through online appends.
 func TestScanNativeAfterAppend(t *testing.T) {
 	r := rng.New(2025)
 	p, tables := randomPartition(t, 2000, 61)
@@ -237,10 +137,8 @@ func TestScanNativeAfterAppend(t *testing.T) {
 		p = p.CloneAppend(codes, ids)
 		fs = fs.CloneAppend(p, codes, ids)
 
-		want, wantStats := fs.Scan(tables, 30)
-		got, gotStats := fs.ScanNativeBackend(tables, 30, nil, dispatch.Auto)
-		sameResults(t, want, got, "model", "native")
-		sameCounters(t, wantStats, gotStats, "append round")
+		want, _ := Naive(p, tables, 30)
+		scanEveryBackend(t, fs, tables, 30, want, "naive")
 	}
 }
 

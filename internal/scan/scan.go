@@ -1,24 +1,26 @@
-// Package scan implements the five scan kernels the paper studies over a
-// database partition of PQ 8×8 codes:
+// Package scan is the engine that serves: the scans over one database
+// partition of PQ 8×8 codes that a query can actually be answered with.
 //
-//   - Naive: Algorithm 1 verbatim — 8 mem1 loads (centroid indexes) and 8
-//     mem2 loads (distance-table entries) per vector (§3.1);
-//   - Libpq: the optimized PQ Scan of the libpq library — one 64-bit mem1
-//     load per vector, individual indexes extracted with shifts (§3.1);
-//   - AVX: vertical SIMD additions over 8 vectors at a time, with
-//     register ways set one by one, the structure of Figure 4 (§3.2);
-//   - Gather: SIMD gather-based table lookups over the transposed layout
-//     of Figure 5 (§3.2);
-//   - FastScan: the paper's contribution (§4), in fastscan.go.
+//   - Naive: Algorithm 1 verbatim (§3.1) — the scalar oracle every other
+//     scan, here and in internal/scan/model, is checked against. It is
+//     kept forever and reads the same Tables as the fast paths;
+//   - ExactNative: the tuned exact PQ Scan (native.go);
+//   - FastScan: the paper's contribution (§4) — the grouped layout and
+//     its lifecycle in fastscan.go, the block-kernel scan over the
+//     backends of internal/simd/dispatch in native.go.
 //
-// All kernels return bit-identical top-k results on identical input (the
-// exactness invariant of DESIGN.md §6): every kernel accumulates the same
+// All three return bit-identical top-k results on identical input (the
+// exactness invariant of DESIGN.md §6): each accumulates the same
 // float32 distance-table entries in the same j = 0..7 order, so even
 // floating-point rounding agrees.
 //
-// Each kernel also returns a Stats record with its exact dynamic operation
-// counts; internal/perf prices those counts to reproduce the paper's
-// performance-counter figures.
+// The paper's laboratory — the software-SIMD simulator Fast Scans, the
+// §3 baselines, the §5.5 ablation and the operation mixes internal/perf
+// prices — lives in internal/scan/model and is linked only by pqbench
+// and tests. It reaches into this package through the exported decision
+// inputs (KeepBounds, DistQuantizer, BuildMinTables, GroupVisitOrder,
+// ADC8, LibpqRange, OutOfReach, Check8x8): everything that decides what
+// is pruned exists once, here, and the model calls it (DESIGN.md §9).
 package scan
 
 import (
@@ -26,7 +28,6 @@ import (
 	"sort"
 
 	"pqfastscan/internal/layout"
-	"pqfastscan/internal/perf"
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/topk"
 )
@@ -235,8 +236,9 @@ func (p *Partition) RestoreDead(ids []int64) {
 	}
 }
 
-// Stats describes one scan's dynamic behaviour. Counts of vectors are
-// exact; Ops is the operation mix handed to internal/perf.
+// Stats describes one scan's dynamic behaviour: exact counts of vectors,
+// groups and blocks, identical on every backend and in the model
+// (internal/scan/model wraps it with the operation mix it prices).
 type Stats struct {
 	Scanned     int // vectors examined in total
 	KeepScanned int // vectors scanned with plain PQ Scan in the keep phase
@@ -245,8 +247,6 @@ type Stats struct {
 	Candidates  int // exact pqdistance computations after a lower bound
 	Groups      int // groups visited (FastScan)
 	Blocks      int // 16-vector blocks processed (FastScan)
-
-	Ops perf.OpCounts
 }
 
 // Merge accumulates another scan's counts into s (multi-probe and batch
@@ -259,7 +259,6 @@ func (s *Stats) Merge(o Stats) {
 	s.Candidates += o.Candidates
 	s.Groups += o.Groups
 	s.Blocks += o.Blocks
-	s.Ops.Add(o.Ops)
 }
 
 // PrunedFraction returns the fraction of lower-bounded vectors whose
@@ -271,48 +270,9 @@ func (s Stats) PrunedFraction() float64 {
 	return float64(s.Pruned) / float64(s.LowerBounds)
 }
 
-// Counters prices the scan on arch.
-func (s Stats) Counters(arch perf.Arch) perf.Counters {
-	return perf.Estimate(s.Ops, arch)
-}
-
-// Per-vector / per-block operation mixes of each kernel. These constants
-// are the analytical counterparts of the kernels' inner loops and are the
-// numbers priced by internal/perf; see the package comment of
-// internal/perf for why this reproduces the paper's counter studies.
-var (
-	// naivePerVector: Algorithm 1. 8 single-byte index loads, 8 float
-	// table loads, 8 float additions plus index arithmetic, loop control.
-	naivePerVector = perf.OpCounts{
-		ScalarLoad8: 8, ScalarLoadF: 8, ScalarALU: 12, ScalarBranch: 2,
-	}
-	// libpqPerVector: one 64-bit load, 8 shift+mask extractions, 8 float
-	// loads and additions. More instructions than naive but fewer loads,
-	// matching §3.1 ("the increase in the number of instructions offsets
-	// the increase in IPC and the decrease in L1 loads").
-	libpqPerVector = perf.OpCounts{
-		ScalarLoad64: 1, ScalarLoadF: 8, ScalarALU: 24, ScalarBranch: 2,
-	}
-	// avxPer8Vectors: Figure 4. Per component j: one 64-bit load of the 8
-	// indexes (transposed layout), 8 scalar table loads, 8 register-way
-	// inserts, one vertical SIMD addition. Then 8 extract+compare steps.
-	avxPer8Vectors = perf.OpCounts{
-		ScalarLoad64: 8, ScalarLoadF: 64, SIMDInsert: 64, SIMDALU: 8,
-		ScalarALU: 16, ScalarBranch: 8,
-	}
-	// gatherPer8Vectors: Figure 5. Per component j: one SIMD load of 8
-	// indexes, widening, one 8-way gather, one SIMD addition; then 8
-	// extract+compare steps. The gather's 34 µops and 10-cycle reciprocal
-	// throughput (paper Table 2) are priced by internal/perf.
-	gatherPer8Vectors = perf.OpCounts{
-		SIMDLoad: 8, SIMDALU: 24, Gather256: 8,
-		ScalarALU: 16, ScalarBranch: 8,
-	}
-)
-
-// adc8 computes the ADC distance of Equation 3 for one 8-component code,
+// ADC8 computes the ADC distance of Equation 3 for one 8-component code,
 // accumulating in the fixed j = 0..7 order shared by all kernels.
-func adc8(code []uint8, t quantizer.Tables) float32 {
+func ADC8(code []uint8, t quantizer.Tables) float32 {
 	d := t.Data[int(code[0])]
 	d += t.Data[256+int(code[1])]
 	d += t.Data[2*256+int(code[2])]
@@ -324,7 +284,9 @@ func adc8(code []uint8, t quantizer.Tables) float32 {
 	return d
 }
 
-func check8x8(t quantizer.Tables) {
+// Check8x8 panics unless t is the distance-table shape every scan of
+// this package and of the model requires.
+func Check8x8(t quantizer.Tables) {
 	if t.M != M || t.KStar != 256 {
 		panic("scan: kernels require PQ 8x8 distance tables")
 	}
@@ -333,7 +295,7 @@ func check8x8(t quantizer.Tables) {
 // Naive scans the partition with Algorithm 1 and returns the k nearest
 // neighbors.
 func Naive(p *Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {
-	check8x8(t)
+	Check8x8(t)
 	heap := topk.New(k)
 	hasDead := p.HasDead()
 	for i := 0; i < p.N; i++ {
@@ -341,32 +303,21 @@ func Naive(p *Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {
 		if hasDead && p.IsDead(id) {
 			continue
 		}
-		heap.Push(id, adc8(p.Code(i), t))
+		heap.Push(id, ADC8(p.Code(i), t))
 	}
-	stats := Stats{Scanned: p.N}
-	stats.Ops = naivePerVector.Scale(float64(p.N))
-	return heap.Results(), stats
+	return heap.Results(), Stats{Scanned: p.N}
 }
 
-// Libpq scans the partition with the libpq optimization: the 8 centroid
-// indexes of a vector are fetched with a single 64-bit load and extracted
-// with shifts. The distance accumulation order is identical to Naive.
-func Libpq(p *Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {
-	check8x8(t)
-	heap := topk.New(k)
-	libpqRange(p, 0, p.N, t, heap)
-	stats := Stats{Scanned: p.N}
-	stats.Ops = libpqPerVector.Scale(float64(p.N))
-	return heap.Results(), stats
-}
-
-// libpqRange scans positions [lo, hi) of the partition into heap, the
-// shared exact-scan path also used by FastScan's keep phase. Tombstoned
-// vectors are skipped. A local copy of the heap threshold gates the Push
+// LibpqRange scans positions [lo, hi) of the partition into heap with
+// the libpq optimization (§3.1): the 8 centroid indexes of a vector are
+// fetched with a single 64-bit load and extracted with shifts, the
+// distance accumulated in Naive's order. It is FastScan's keep phase
+// and the body of the model's libpq baseline. Tombstoned vectors are
+// skipped. A local copy of the heap threshold gates the Push
 // call: a distance strictly above the full heap's root cannot be
 // retained, so skipping the call changes nothing (ties still go through
 // Push for the deterministic id-order rule).
-func libpqRange(p *Partition, lo, hi int, t quantizer.Tables, heap *topk.Heap) {
+func LibpqRange(p *Partition, lo, hi int, t quantizer.Tables, heap *topk.Heap) {
 	codes, ids := p.Codes, p.IDs
 	hasDead := p.HasDead()
 	thr, full := heap.Threshold()
@@ -396,96 +347,4 @@ func libpqRange(p *Partition, lo, hi int, t quantizer.Tables, heap *topk.Heap) {
 			}
 		}
 	}
-}
-
-// AVX scans the partition with the vertical-addition structure of
-// Figure 4: distances to 8 vectors are accumulated simultaneously in an
-// 8-way register image, with each way set individually after a scalar
-// table lookup. Results are identical to Naive because each way performs
-// the same additions in the same order.
-func AVX(p *Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {
-	check8x8(t)
-	heap := topk.New(k)
-	hasDead := p.HasDead()
-	tr := layout.NewTransposed(p.Codes)
-	var acc [8]float32
-	full := tr.FullBlocks()
-	for b := 0; b < full; b++ {
-		for v := range acc {
-			acc[v] = 0
-		}
-		for j := 0; j < M; j++ {
-			comps := tr.Component(b, j)
-			row := t.Data[j*256:]
-			// The 8 scalar lookups and per-way inserts of Figure 4.
-			for v := 0; v < 8; v++ {
-				acc[v] += row[int(comps[v])]
-			}
-		}
-		for v := 0; v < 8; v++ {
-			id := p.ID(b*8 + v)
-			if hasDead && p.IsDead(id) {
-				continue
-			}
-			heap.Push(id, acc[v])
-		}
-	}
-	// Row-major tail, scanned naively.
-	tail := p.N - full*8
-	for i := full * 8; i < p.N; i++ {
-		id := p.ID(i)
-		if hasDead && p.IsDead(id) {
-			continue
-		}
-		heap.Push(id, adc8(p.Code(i), t))
-	}
-	stats := Stats{Scanned: p.N}
-	stats.Ops = avxPer8Vectors.Scale(float64(full))
-	stats.Ops.Add(naivePerVector.Scale(float64(tail)))
-	return heap.Results(), stats
-}
-
-// Gather scans the partition with SIMD gather semantics (Figure 5): for
-// each component, the 8 indexes of a transposed block select 8 table
-// entries in one (expensive) gather, then one vertical addition
-// accumulates them. Results are identical to Naive.
-func Gather(p *Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {
-	check8x8(t)
-	heap := topk.New(k)
-	hasDead := p.HasDead()
-	tr := layout.NewTransposed(p.Codes)
-	var acc [8]float32
-	full := tr.FullBlocks()
-	for b := 0; b < full; b++ {
-		for v := range acc {
-			acc[v] = 0
-		}
-		for j := 0; j < M; j++ {
-			comps := tr.Component(b, j)
-			row := t.Data[j*256:]
-			// One vpgatherdd: 8 table elements fetched by index.
-			for v := 0; v < 8; v++ {
-				acc[v] += row[int(comps[v])]
-			}
-		}
-		for v := 0; v < 8; v++ {
-			id := p.ID(b*8 + v)
-			if hasDead && p.IsDead(id) {
-				continue
-			}
-			heap.Push(id, acc[v])
-		}
-	}
-	tail := p.N - full*8
-	for i := full * 8; i < p.N; i++ {
-		id := p.ID(i)
-		if hasDead && p.IsDead(id) {
-			continue
-		}
-		heap.Push(id, adc8(p.Code(i), t))
-	}
-	stats := Stats{Scanned: p.N}
-	stats.Ops = gatherPer8Vectors.Scale(float64(full))
-	stats.Ops.Add(naivePerVector.Scale(float64(tail)))
-	return heap.Results(), stats
 }

@@ -5,6 +5,7 @@ import (
 
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/rng"
+	"pqfastscan/internal/simd/dispatch"
 	"pqfastscan/internal/topk"
 )
 
@@ -36,22 +37,43 @@ func sameResults(t *testing.T, a, b []topk.Result, nameA, nameB string) {
 	}
 }
 
+// sameStats asserts two scans walked the exact same path: every counter
+// equal.
+func sameStats(t *testing.T, a, b Stats, la, lb string) {
+	t.Helper()
+	if a != b {
+		t.Fatalf("stats diverge: %s %+v != %s %+v", la, a, lb, b)
+	}
+}
+
+// scanEveryBackend runs fs from an empty heap on every available
+// backend, asserts each returns want, and all the same statistics,
+// which it returns.
+func scanEveryBackend(t *testing.T, fs *FastScan, tables quantizer.Tables, k int, want []topk.Result, label string) Stats {
+	t.Helper()
+	backends := dispatch.AvailableBackends()
+	var ref Stats
+	for i, be := range backends {
+		got, stats := fs.ScanNativeBackend(tables, k, nil, be)
+		sameResults(t, want, got, label, "backend:"+be.String())
+		if i == 0 {
+			ref = stats
+		}
+		sameStats(t, ref, stats, backends[0].String(), be.String())
+	}
+	return ref
+}
+
 // TestKernelsAgree is the exactness invariant of DESIGN.md §6: every
-// kernel returns bit-identical top-k results.
+// scan returns the oracle's top-k, bit for bit.
 func TestKernelsAgree(t *testing.T) {
 	for _, n := range []int{1, 7, 16, 100, 1000, 5000} {
 		for _, k := range []int{1, 10, 100} {
 			p, tables := randomPartition(t, n, uint64(n*1000+k))
 			want, _ := Naive(p, tables, k)
 
-			got, _ := Libpq(p, tables, k)
-			sameResults(t, want, got, "naive", "libpq")
-
-			got, _ = AVX(p, tables, k)
-			sameResults(t, want, got, "naive", "avx")
-
-			got, _ = Gather(p, tables, k)
-			sameResults(t, want, got, "naive", "gather")
+			got, _ := ExactNative(p, tables, k, nil)
+			sameResults(t, want, got, "naive", "exact-native")
 
 			for _, keep := range []float64{0, 0.005, 0.05} {
 				for _, c := range []int{0, 1, 2, -1} {
@@ -59,13 +81,9 @@ func TestKernelsAgree(t *testing.T) {
 					if err != nil {
 						t.Fatalf("NewFastScan(keep=%v,c=%d): %v", keep, c, err)
 					}
-					got, _ = fs.Scan(tables, k)
-					sameResults(t, want, got, "naive", "fastscan")
+					scanEveryBackend(t, fs, tables, k, want, "naive")
 				}
 			}
-
-			got, _ = QuantizationOnly(p, tables, k, 0.005)
-			sameResults(t, want, got, "naive", "quantonly")
 		}
 	}
 }
@@ -78,7 +96,7 @@ func TestFastScanPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats := fs.Scan(tables, 10)
+	_, stats := fs.ScanNativeBackend(tables, 10, nil, dispatch.Auto)
 	// Uniform random tables are a pruning worst case (lower bounds carry
 	// little signal); clustered data reaches far higher rates — see the
 	// integration tests. Here we only require pruning to engage at all

@@ -53,7 +53,6 @@ type batchKey struct {
 	k        int
 	nprobe   int
 	kernel   pqfastscan.Kernel
-	backend  pqfastscan.Backend
 	parallel bool
 	cells    string
 }
@@ -251,9 +250,6 @@ func (b *batcher) search(group []*searchJob) {
 	}
 	b.metrics.observeBatch(len(group))
 	opts := []pqfastscan.SearchOption{pqfastscan.WithKernel(key.kernel)}
-	if key.backend != pqfastscan.BackendAuto {
-		opts = append(opts, pqfastscan.WithBackend(key.backend))
-	}
 	if key.parallel {
 		opts = append(opts, pqfastscan.WithParallel())
 	}

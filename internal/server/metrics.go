@@ -155,7 +155,7 @@ func (m *metrics) batchStats() BatchStats {
 // Stats is the full /stats document.
 type Stats struct {
 	UptimeS float64 `json:"uptime_s"`
-	// Backend is the active native-engine block-kernel backend
+	// Backend is the active Fast Scan block-kernel backend
 	// (asm-avx2, asm-neon or swar) and CPUFeatures the SIMD feature set
 	// detection saw — on /stats so fleet dashboards can spot hosts that
 	// silently fell back to the portable path.

@@ -70,8 +70,8 @@ type Config struct {
 	// Auto enables the per-query planner for every /search by default:
 	// the probe set a request leaves open (nprobe, and sequential or
 	// parallel probing) is chosen from the index snapshot (DESIGN.md
-	// §16) as if each request carried ?auto=1; kernel and backend stay
-	// the request's or the defaults. Individual requests opt out with
+	// §16) as if each request carried ?auto=1; the kernel stays the
+	// request's or the default. Individual requests opt out with
 	// ?auto=0. Without Auto, a request still opts in with ?auto=1 or by
 	// setting a ?recall= target. Planned answers are bit-identical to
 	// the fixed-option request probing the same cell prefix.
@@ -565,21 +565,21 @@ func (s *Server) release() { <-s.sem }
 // --- /search -----------------------------------------------------------
 
 // SearchRequest is the /search body. K defaults to 10, NProbe to 1 and
-// Kernel to the engine default (PQ Fast Scan) when omitted. Cells, when
-// present, scans exactly those IVF cells instead of routing through the
-// coarse quantizer — the sub-request shape a cluster router sends to
-// its shards (nprobe must then be omitted). Backend pins the Fast Scan
-// block-kernel backend ("swar", "asm-avx2", "asm-neon"); omitted means
-// automatic. An omitted NProbe is what the planner fills when the
-// request is planned (?auto=1, ?recall=, or Config.Auto); Kernel and
-// Backend are never planned.
+// Kernel ("naive", "libpq", "fastpq") to PQ Fast Scan when omitted.
+// Cells, when present, scans exactly those IVF cells instead of routing
+// through the coarse quantizer — the sub-request shape a cluster router
+// sends to its shards (nprobe must then be omitted). An omitted NProbe
+// is what the planner fills when the request is planned (?auto=1,
+// ?recall=, or Config.Auto); Kernel is never planned. The block-kernel
+// backend is the process's (PQ_FORCE_BACKEND pins it, /healthz reports
+// it), not a request's: a body naming any other key, "backend"
+// included, is a 400.
 type SearchRequest struct {
-	Query   []float32 `json:"query"`
-	K       int       `json:"k"`
-	NProbe  int       `json:"nprobe,omitempty"`
-	Cells   []int     `json:"cells,omitempty"`
-	Kernel  string    `json:"kernel,omitempty"`
-	Backend string    `json:"backend,omitempty"`
+	Query  []float32 `json:"query"`
+	K      int       `json:"k"`
+	NProbe int       `json:"nprobe,omitempty"`
+	Cells  []int     `json:"cells,omitempty"`
+	Kernel string    `json:"kernel,omitempty"`
 }
 
 // SearchNeighbor is one neighbor in a /search response.
@@ -642,7 +642,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
@@ -700,22 +702,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		kernel = k
 	}
-	backend := pqfastscan.BackendAuto
-	if req.Backend != "" {
-		b, err := pqfastscan.ParseBackend(req.Backend)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		backend = b
-	}
 
 	// Plan before admission and batching, so jobs enter the batcher with
 	// concrete parameters and coalesce by planned class — two planned
 	// requests that resolve to the same (nprobe, parallel) share one
-	// SearchBatch call exactly like explicitly-optioned ones. Kernel and
-	// backend are never planned: they stay what the request said, or
-	// the defaults.
+	// SearchBatch call exactly like explicitly-optioned ones. The kernel
+	// is never planned: it stays what the request said, or the default.
 	parallel := false
 	if planned {
 		preq := plan.Request{
@@ -753,7 +745,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	job := &searchJob{
 		key: batchKey{
-			k: req.K, nprobe: req.NProbe, kernel: kernel, backend: backend,
+			k: req.K, nprobe: req.NProbe, kernel: kernel,
 			parallel: parallel, cells: cellsKey(req.Cells),
 		},
 		ctx:   ctx,

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,15 +147,21 @@ func TestSearchValidation(t *testing.T) {
 
 	cases := []struct {
 		name string
-		req  SearchRequest
+		req  any
+		says string // what the error must name, when it matters
 	}{
-		{"short query", SearchRequest{Query: q[:10], K: 5}},
-		{"bad k", SearchRequest{Query: q, K: -2}},
-		{"huge k", SearchRequest{Query: q, K: 1 << 20}},
-		{"bad nprobe", SearchRequest{Query: q, K: 5, NProbe: 99}},
-		{"bad kernel", SearchRequest{Query: q, K: 5, Kernel: "warp"}},
-		{"norm overflows float32", SearchRequest{Query: withComponent(q, 1e30), K: 5}},
-		{"norm overflows float32, all cells", SearchRequest{Query: withComponent(q, -1e30), K: 5, NProbe: 4}},
+		{"short query", SearchRequest{Query: q[:10], K: 5}, ""},
+		{"bad k", SearchRequest{Query: q, K: -2}, ""},
+		{"huge k", SearchRequest{Query: q, K: 1 << 20}, ""},
+		{"bad nprobe", SearchRequest{Query: q, K: 5, NProbe: 99}, ""},
+		{"bad kernel", SearchRequest{Query: q, K: 5, Kernel: "warp"}, "naive, libpq, fastpq"},
+		// The laboratory's kernels and the per-request backend pin were
+		// requestable once; neither may be silently ignored now.
+		{"laboratory kernel", SearchRequest{Query: q, K: 5, Kernel: "avx"}, "naive, libpq, fastpq"},
+		{"backend key", map[string]any{"query": q, "k": 5, "backend": "swar"}, `"backend"`},
+		{"backend key, auto", map[string]any{"query": q, "k": 5, "backend": "auto"}, `"backend"`},
+		{"norm overflows float32", SearchRequest{Query: withComponent(q, 1e30), K: 5}, ""},
+		{"norm overflows float32, all cells", SearchRequest{Query: withComponent(q, -1e30), K: 5, NProbe: 4}, ""},
 	}
 	for _, c := range cases {
 		status, body := postJSON(t, hs.URL+"/search", c.req, nil)
@@ -164,6 +171,9 @@ func TestSearchValidation(t *testing.T) {
 		var e struct{ Error string }
 		if json.Unmarshal([]byte(body), &e) != nil || e.Error == "" {
 			t.Errorf("%s: body %q is not a JSON error", c.name, body)
+		}
+		if !strings.Contains(e.Error, c.says) {
+			t.Errorf("%s: error %q does not name %s", c.name, e.Error, c.says)
 		}
 	}
 }

@@ -1,23 +1,23 @@
-// Package dispatch selects, at startup, the block-kernel backend the
-// native execution engine runs on. Three backends exist:
+// Package dispatch selects, at startup, the block-kernel backend PQ
+// Fast Scan (internal/scan) runs on. Three backends exist:
 //
 //   - asm-avx2: hand-written amd64 assembly over 32-byte ymm registers
 //     (VPSHUFB/VPADDUSB/VPMINUB), processing two 16-lane groups per
 //     iteration — the paper's §4 pipeline on the silicon it was designed
-//     for, one instruction where the SWAR engine spends dozens;
+//     for, one instruction where the SWAR backend spends dozens;
 //   - asm-neon: hand-written arm64 assembly over 16-byte vector
 //     registers (TBL + widening adds + UMIN), one 16-lane group per
 //     iteration;
-//   - swar: the portable uint64 SWAR implementation of internal/scan,
-//     eight byte-lanes per machine word — always available, and the
-//     reference every assembly backend must match bit-for-bit.
+//   - swar: the portable uint64 SWAR implementation of internal/scan —
+//     always available, and the reference every assembly backend must
+//     match bit-for-bit.
 //
 // Selection is by CPU feature detection (CPUID on amd64; NEON is
 // architectural baseline on arm64), overridable with the
 // PQ_FORCE_BACKEND environment variable or per query with the facade's
 // WithBackend option. All backends produce bit-identical results — the
-// DESIGN.md §9 contract between the model and native engines, extended
-// down to the instruction level (DESIGN.md §12).
+// DESIGN.md §9 contract between the engine and its model, extended down
+// to the instruction level (DESIGN.md §12).
 package dispatch
 
 import (
@@ -34,7 +34,7 @@ type Backend uint8
 const (
 	// Auto resolves to the best available backend (Active).
 	Auto Backend = iota
-	// SWAR is the portable uint64 engine inside internal/scan.
+	// SWAR is the portable uint64 block pipeline inside internal/scan.
 	SWAR
 	// AVX2 is the amd64 assembly backend (requires AVX2 CPU support).
 	AVX2
@@ -139,8 +139,8 @@ func init() {
 	active.Store(uint32(best))
 }
 
-// Active returns the backend the native engine uses when no per-query
-// override is given. It is never Auto.
+// Active returns the backend a scan uses when no per-query override is
+// given. It is never Auto.
 func Active() Backend { return Backend(active.Load()) }
 
 // Force pins the startup selection to b (the programmatic counterpart

@@ -2,7 +2,7 @@
 
 package dispatch
 
-// No assembly backend on this architecture: the SWAR engine (and the
+// No assembly backend on this architecture: the SWAR backend (and the
 // generic reference kernel) carry the build.
 var (
 	hasAVX2 = false

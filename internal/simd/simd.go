@@ -186,24 +186,13 @@ func LowNibbleMask() Reg { return Broadcast(0x0f) }
 
 // Words exports the register as two uint64 SWAR words in x86 memory
 // order: lo holds lanes 0-7 (lane 0 in the least significant byte), hi
-// lanes 8-15. The native execution engine (internal/scan) processes
-// 8 byte-lanes per machine word; these helpers are the bridge between
-// the modeled register file and that flat representation, and let tests
-// compare the two engines' intermediate state bit-for-bit.
+// lanes 8-15 — the flat representation internal/scan's SWAR compare and
+// movemask work on, so its tests can hold them to PcmpgtB and PmovmskB
+// bit for bit.
 func (r Reg) Words() (lo, hi uint64) {
 	for i := 7; i >= 0; i-- {
 		lo = lo<<8 | uint64(r[i])
 		hi = hi<<8 | uint64(r[i+8])
 	}
 	return lo, hi
-}
-
-// FromWords rebuilds a register from two SWAR words (inverse of Words).
-func FromWords(lo, hi uint64) Reg {
-	var r Reg
-	for i := 0; i < 8; i++ {
-		r[i] = uint8(lo >> (8 * i))
-		r[i+8] = uint8(hi >> (8 * i))
-	}
-	return r
 }

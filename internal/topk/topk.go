@@ -42,7 +42,7 @@ func (h *Heap) K() int { return h.k }
 // Reset reinitializes the heap for a new query retaining the k best
 // results, reusing the backing array when it is large enough. It is the
 // allocation-free counterpart of New for callers that run many queries
-// through per-searcher scratch state (the native execution engine).
+// through per-searcher scratch state (internal/scan).
 func (h *Heap) Reset(k int) {
 	if k <= 0 {
 		panic("topk: k must be positive")

@@ -3,6 +3,7 @@ package pqfastscan_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -191,11 +192,11 @@ func TestMutatedIndexMultiProbeAndBatch(t *testing.T) {
 }
 
 // TestMutationInterleavedEnginesAgree drives the index through rounds of
-// interleaved Add/Delete/Search and, inside every round, checks the
-// native and model engines answer every kernel bit-identically — the
-// cross-engine exactness invariant under online mutation, where the
-// incremental group repacking (and its NibbleMask maintenance) is the
-// state both engines scan.
+// interleaved Add/Delete/Search and, inside every round, checks every
+// scan path (naive, libpq, fastpq on each backend) answers the naive
+// oracle's results bit for bit — the exactness invariant under online
+// mutation, where the incremental group repacking (and its NibbleMask
+// maintenance) is the state every backend scans.
 func TestMutationInterleavedEnginesAgree(t *testing.T) {
 	ctx := context.Background()
 	gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 777, Dim: 48})
@@ -219,27 +220,19 @@ func TestMutationInterleavedEnginesAgree(t *testing.T) {
 
 	checkEnginesAgree := func(round int) {
 		t.Helper()
-		for _, kern := range allKernels() {
-			for qi := 0; qi < queries.Rows(); qi++ {
-				q := queries.Row(qi)
-				model, err := idx.Search(ctx, q, 20,
-					pqfastscan.WithKernel(kern), pqfastscan.WithEngine(pqfastscan.EngineModel),
-					pqfastscan.WithNProbe(opt.Partitions))
+		for qi := 0; qi < queries.Rows(); qi++ {
+			q := queries.Row(qi)
+			oracle, err := idx.Search(ctx, q, 20,
+				pqfastscan.WithKernel(pqfastscan.KernelNaive), pqfastscan.WithNProbe(opt.Partitions))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, path := range scanPaths() {
+				got, err := idx.Search(ctx, q, 20, append(path, pqfastscan.WithNProbe(opt.Partitions))...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				native, err := idx.Search(ctx, q, 20,
-					pqfastscan.WithKernel(kern), pqfastscan.WithEngine(pqfastscan.EngineNative),
-					pqfastscan.WithNProbe(opt.Partitions))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range model.Results {
-					if model.Results[i] != native.Results[i] {
-						t.Fatalf("round %d kernel %v query %d rank %d: model %v native %v",
-							round, kern, qi, i, model.Results[i], native.Results[i])
-					}
-				}
+				sameResultSlices(t, fmt.Sprintf("round %d %s query %d", round, name, qi), oracle.Results, got.Results)
 			}
 		}
 	}

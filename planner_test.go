@@ -28,7 +28,7 @@ func buildPlannerIndex(t *testing.T) (*pqfastscan.Index, pqfastscan.Matrix) {
 // first WithAuto() query already is the documented default — the same
 // single probe, and the default scan: PQ Fast Scan on the automatic
 // backend. Results cannot tell kernels apart (they are bit-identical by
-// design), so the scan is pinned through the model engine's counters:
+// design), so the scan is pinned through its WithStats counters:
 // only Fast Scan computes lower bounds, and a planned query's must equal
 // the no-option query's exactly.
 func TestAutoColdStartDefaults(t *testing.T) {
@@ -95,30 +95,40 @@ func TestAutoConflictSemantics(t *testing.T) {
 	}
 
 	// Every other option means under WithAuto what it means alone. The
-	// model engine's counters tell the configurations apart where the
+	// scan counters tell the configurations apart where the
 	// (bit-identical) results cannot: the exact kernel computes no lower
 	// bounds, and parallel cells prune less than one carried threshold.
+	// The one knob left open, parallelism of a pinned multi-probe, is
+	// planned as DESIGN.md §16 promises on either storage: fanned out
+	// when a probed partition is disk-resident (and there is a second
+	// core), sequential when all are resident.
 	stats, np4 := pqfastscan.WithStats(), pqfastscan.WithNProbe(4)
+	planned := []pqfastscan.SearchOption{np4, stats}
+	if idx.Internal().Paged() && runtime.GOMAXPROCS(0) > 1 {
+		planned = append(planned, pqfastscan.WithParallel())
+	}
 	for _, c := range []struct {
-		name string
-		opts []pqfastscan.SearchOption
+		name       string
+		opts, want []pqfastscan.SearchOption
 	}{
-		{"backend", []pqfastscan.SearchOption{pqfastscan.WithBackend(pqfastscan.BackendSWAR)}},
-		{"kernel", []pqfastscan.SearchOption{pqfastscan.WithKernel(pqfastscan.KernelNaive)}},
-		{"kernel+stats", []pqfastscan.SearchOption{pqfastscan.WithKernel(pqfastscan.KernelNaive), stats}},
-		{"parallel+stats", []pqfastscan.SearchOption{np4, pqfastscan.WithParallel(), stats}},
-		// 16k codes: far too light for the planner to fan out itself.
-		{"sequential+stats", []pqfastscan.SearchOption{np4, stats}},
+		{name: "backend", opts: []pqfastscan.SearchOption{pqfastscan.WithBackend(pqfastscan.BackendSWAR)}},
+		{name: "kernel", opts: []pqfastscan.SearchOption{pqfastscan.WithKernel(pqfastscan.KernelNaive)}},
+		{name: "kernel+stats", opts: []pqfastscan.SearchOption{pqfastscan.WithKernel(pqfastscan.KernelNaive), stats}},
+		{name: "parallel+stats", opts: []pqfastscan.SearchOption{np4, pqfastscan.WithParallel(), stats}},
+		{name: "np4+stats", opts: []pqfastscan.SearchOption{np4, stats}, want: planned},
 	} {
+		if c.want == nil {
+			c.want = c.opts
+		}
 		got, err := idx.Search(ctx, q, 10, append([]pqfastscan.SearchOption{auto}, c.opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := idx.Search(ctx, q, 10, c.opts...)
+		want, err := idx.Search(ctx, q, 10, c.want...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResultSlices(t, "auto+"+c.name+" vs "+c.name, got.Results, want.Results)
+		sameResultSlices(t, "auto+"+c.name, got.Results, want.Results)
 		if (got.Stats == nil) != (want.Stats == nil) || (want.Stats != nil && *got.Stats != *want.Stats) {
 			t.Fatalf("auto+%s ran a different configuration: stats %+v vs %+v", c.name, got.Stats, want.Stats)
 		}

@@ -6,11 +6,11 @@
 //	Search with Product Quantization Fast Scan". PVLDB 9(4), 2015.
 //
 // It provides the complete system the paper describes: product
-// quantization (PQ), the IVFADC inverted index, the four PQ Scan baseline
-// kernels (naive, libpq, avx, gather) and PQ Fast Scan itself — small
-// lookup tables sized to fit SIMD registers, computing lower bounds that
-// prune more than 95 % of exact distance computations while returning
-// exactly the same results as PQ Scan.
+// quantization (PQ), the IVFADC inverted index, PQ Scan (naive and
+// libpq) and PQ Fast Scan itself — small lookup tables sized to fit SIMD
+// registers, computing lower bounds that prune more than 95 % of exact
+// distance computations while returning exactly the same results as PQ
+// Scan.
 //
 // # Quickstart
 //
@@ -24,18 +24,17 @@
 //	...
 //	ids, err := idx.AddBatch(newVectors) // online ingestion, no rebuild
 //
-// Search takes functional options (WithKernel, WithEngine, WithNProbe,
+// Search takes functional options (WithKernel, WithNProbe,
 // WithParallel, WithStats) and honors context cancellation and
 // deadlines; the index is mutable online through Add, AddBatch and
-// Delete. Kernels run on one of two execution engines returning
-// bit-identical results: the native SWAR engine (default, fast on the
-// wall clock) and the instruction-counting model engine that powers
-// WithStats. An *Index is also a swappable snapshot holder (Swap), the
-// hook behind the hot-reloading network service in internal/server and
-// cmd/pqserve. See the examples directory for complete programs and
-// DESIGN.md for the API shape, the mutation semantics, the persist
-// format, the two-engine design (§9) and the serving architecture
-// (§10).
+// Delete. One engine serves every query; the instruction-counting model
+// it is checked against, with the paper's remaining baselines, is a
+// laboratory behind cmd/pqbench (internal/scan/model). An *Index is
+// also a swappable snapshot holder (Swap), the hook behind the
+// hot-reloading network service in internal/server and cmd/pqserve. See
+// the examples directory for complete programs and DESIGN.md for the API
+// shape, the mutation semantics, the persist format, the engine and its
+// model (§9) and the serving architecture (§10).
 package pqfastscan
 
 import (
@@ -61,43 +60,48 @@ func NewMatrix(n, dim int) Matrix { return vec.NewMatrix(n, dim) }
 // (squared Euclidean, asymmetric) distance to the query.
 type Result = index.Result
 
-// Kernel selects the scan implementation.
+// Kernel selects the scan a search is answered with.
 type Kernel = index.Kernel
 
-// Available kernels. KernelFastScan is the paper's contribution; naive,
-// libpq, avx and gather are the §3 baselines it is evaluated against;
-// KernelQuantOnly is the §5.5 ablation and KernelFastScan256 the AVX2
-// widening extension.
+// The kernels a search can name. KernelFastScan is the paper's
+// contribution and the default; KernelLibpq is the tuned exact PQ Scan
+// it is evaluated against and KernelNaive the scalar oracle (Algorithm 1
+// verbatim). All three return identical results.
 const (
-	KernelNaive       = index.KernelNaive
-	KernelLibpq       = index.KernelLibpq
-	KernelAVX         = index.KernelAVX
-	KernelGather      = index.KernelGather
-	KernelFastScan    = index.KernelFastScan
-	KernelQuantOnly   = index.KernelQuantOnly
-	KernelFastScan256 = index.KernelFastScan256
+	KernelNaive    = index.KernelNaive
+	KernelLibpq    = index.KernelLibpq
+	KernelFastScan = index.KernelFastScan
 )
 
-// Kernels lists every kernel, in the order the paper introduces them.
-func Kernels() []Kernel {
-	return []Kernel{
-		KernelNaive, KernelLibpq, KernelAVX, KernelGather,
-		KernelFastScan, KernelQuantOnly, KernelFastScan256,
-	}
+// Kernels lists every kernel a search can name, baselines first.
+func Kernels() []Kernel { return []Kernel{KernelNaive, KernelLibpq, KernelFastScan} }
+
+// Engine is a leftover of the two-engine design: one engine serves now,
+// and the instruction-counting model is a laboratory of its own
+// (internal/scan/model, driven by cmd/pqbench; DESIGN.md §9).
+//
+// Deprecated: kept until the frozen benchmark/ module stops spelling
+// WithEngine(EngineModel) (ROADMAP item 3f).
+type Engine int
+
+// Deprecated: see Engine.
+const (
+	EngineModel Engine = iota
+	EngineNative
+)
+
+// WithEngine is accepted where it is true and refused where it would
+// lie: EngineNative is what every search runs and changes nothing;
+// EngineModel is honoured with KernelNaive, whose scalar loop is the
+// model's own oracle, and with any other kernel the search call fails,
+// naming where the model now lives.
+//
+// Deprecated: see Engine.
+func WithEngine(e Engine) SearchOption {
+	return func(c *searchConfig) { c.model = e == EngineModel }
 }
 
-// Engine selects the execution engine kernels run on. Both engines
-// implement the same algorithm and return bit-identical result sets
-// (DESIGN.md §9); EngineNative is fast on the wall clock, EngineModel is
-// the instruction-counting reference that powers WithStats.
-type Engine = index.Engine
-
-const (
-	EngineModel  = index.EngineModel
-	EngineNative = index.EngineNative
-)
-
-// Backend selects the native engine's block-kernel implementation: the
+// Backend selects Fast Scan's block-kernel implementation: the
 // hand-written assembly scan kernels (BackendAVX2 on amd64, BackendNEON
 // on arm64) or the portable BackendSWAR fallback. BackendAuto — the
 // default — defers to startup CPU feature detection, overridable with
@@ -113,7 +117,7 @@ const (
 	BackendNEON = index.BackendNEON
 )
 
-// ActiveBackend returns the backend the native engine selected at
+// ActiveBackend returns the backend selected at
 // startup (never BackendAuto): the fastest assembly backend the CPU
 // supports, or BackendSWAR, or whatever PQ_FORCE_BACKEND pinned.
 func ActiveBackend() Backend { return index.ActiveBackend() }
@@ -138,15 +142,14 @@ func CPUFeatures() []string { return index.CPUFeatures() }
 func BackendInitNote() string { return index.BackendInitNote() }
 
 // ParseKernel resolves a kernel by its String name (the labels of the
-// paper's figures: naive, libpq, avx, gather, fastpq, quantonly,
-// fastpq256).
+// paper's figures: naive, libpq, fastpq).
 func ParseKernel(name string) (Kernel, error) {
 	for _, k := range Kernels() {
 		if k.String() == name {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("pqfastscan: unknown kernel %q (naive, libpq, avx, gather, fastpq, quantonly, fastpq256)", name)
+	return 0, fmt.Errorf("pqfastscan: unknown kernel %q (naive, libpq, fastpq)", name)
 }
 
 // PQConfig selects the product quantizer shape (PQ m×b).
@@ -258,7 +261,8 @@ func Build(learn, base Matrix, opt BuildOptions) (*Index, error) {
 	return newIndex(inner), nil
 }
 
-// Stats describes a scan's dynamic behaviour (pruning power, op counts).
+// Stats describes a scan's dynamic behaviour: vectors scanned, lower
+// bounds evaluated, candidates re-checked, pruning power.
 type Stats = scan.Stats
 
 // PartitionSizes returns the size of each IVF cell.

@@ -64,30 +64,48 @@ func TestSearchRejectsBadK(t *testing.T) {
 	}
 }
 
+// scanPaths lists every scan a search can be answered with, as options:
+// naive, libpq, and fastpq on every available backend — the kernel ×
+// backend axis of the facade's bit-identity matrices.
+func scanPaths() map[string][]pqfastscan.SearchOption {
+	paths := map[string][]pqfastscan.SearchOption{
+		"naive": {pqfastscan.WithKernel(pqfastscan.KernelNaive)},
+		"libpq": {pqfastscan.WithKernel(pqfastscan.KernelLibpq)},
+	}
+	for _, be := range pqfastscan.AvailableBackends() {
+		paths["fastpq/"+be.String()] = []pqfastscan.SearchOption{
+			pqfastscan.WithKernel(pqfastscan.KernelFastScan), pqfastscan.WithBackend(be),
+		}
+	}
+	return paths
+}
+
 // TestKernelEquivalencePublicAPI: the exactness claim through the public
-// surface.
+// surface — every scan path returns the naive oracle's neighbor lists,
+// single- and multi-probe, with and without single-query
+// cross-partition parallelism.
 func TestKernelEquivalencePublicAPI(t *testing.T) {
 	idx, _, queries := sharedAPIIndex(t)
-	kernels := []pqfastscan.Kernel{
-		pqfastscan.KernelNaive, pqfastscan.KernelLibpq, pqfastscan.KernelAVX,
-		pqfastscan.KernelGather, pqfastscan.KernelFastScan,
-	}
-	for qi := 0; qi < queries.Rows(); qi++ {
-		var ref []pqfastscan.Result
-		for ki, kern := range kernels {
-			res, err := idx.Search(context.Background(), queries.Row(qi), 30, pqfastscan.WithKernel(kern))
+	ctx := context.Background()
+	for _, nprobe := range []int{1, 3} {
+		for qi := 0; qi < queries.Rows(); qi++ {
+			q := queries.Row(qi)
+			ref, err := idx.Search(ctx, q, 30, pqfastscan.WithKernel(pqfastscan.KernelNaive), pqfastscan.WithNProbe(nprobe))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := res.Results
-			if ki == 0 {
-				ref = got
-				continue
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("query %d kernel %v differs from naive at rank %d", qi, kern, i)
+			for name, path := range scanPaths() {
+				opts := append([]pqfastscan.SearchOption{pqfastscan.WithNProbe(nprobe)}, path...)
+				got, err := idx.Search(ctx, q, 30, opts...)
+				if err != nil {
+					t.Fatal(err)
 				}
+				sameResultSlices(t, name, ref.Results, got.Results)
+				par, err := idx.Search(ctx, q, 30, append(opts, pqfastscan.WithParallel())...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResultSlices(t, name+"/parallel", ref.Results, par.Results)
 			}
 		}
 	}

@@ -23,19 +23,17 @@ type Searcher interface {
 }
 
 // SearchOption customizes one search; the zero configuration is the
-// default (PQ Fast Scan on the native engine, single-cell routing, no
-// statistics).
+// default (PQ Fast Scan, single-cell routing, no statistics).
 type SearchOption func(*searchConfig)
 
 type searchConfig struct {
-	kernel    Kernel
-	engine    Engine
-	engineSet bool
-	backend   Backend
-	nprobe    int
-	cells     []int
-	parallel  bool
-	stats     bool
+	kernel   Kernel
+	model    bool // the deprecated WithEngine shim
+	backend  Backend
+	nprobe   int
+	cells    []int
+	parallel bool
+	stats    bool
 
 	// Planning (WithAuto / WithTargetRecall). The *Set flags record
 	// which of the planner's two knobs the caller pinned explicitly: it
@@ -54,25 +52,14 @@ func WithKernel(k Kernel) SearchOption {
 	return func(c *searchConfig) { c.kernel = k }
 }
 
-// WithEngine selects the execution engine. EngineNative (the default) is
-// the wall-clock-fast SWAR implementation; EngineModel is the bit-exact
-// instruction-counting reference. Both return identical result sets —
-// see DESIGN.md §9, "Two engines, one algorithm".
-func WithEngine(e Engine) SearchOption {
-	return func(c *searchConfig) { c.engine = e; c.engineSet = true }
-}
-
-// WithBackend pins the native engine's block kernels to one backend —
-// the hand-written assembly kernels (BackendAVX2 on amd64, BackendNEON
-// on arm64) or the portable BackendSWAR fallback — instead of the
-// startup feature detection (BackendAuto, the default; see
-// ActiveBackend). Every backend returns bit-identical results and
-// statistics; only wall-clock speed differs, so this option exists for
-// benchmarking, regression hunting and pinning deployments. Requesting
-// a backend the machine cannot run is rejected by the search call, as
-// is combining it with the model engine (WithStats or an explicit
-// WithEngine(EngineModel)) — the model counts instructions rather than
-// executing a backend's.
+// WithBackend pins Fast Scan's block kernels to one backend — the
+// hand-written assembly kernels (BackendAVX2 on amd64, BackendNEON on
+// arm64) or the portable BackendSWAR fallback — instead of the startup
+// feature detection (BackendAuto, the default; see ActiveBackend).
+// Every backend returns bit-identical results and statistics; only
+// wall-clock speed differs, so this option exists for benchmarking,
+// regression hunting and the cross-backend tests. Requesting a backend
+// the machine cannot run is rejected by the search call.
 func WithBackend(b Backend) SearchOption {
 	return func(c *searchConfig) { c.backend = b }
 }
@@ -109,7 +96,7 @@ func WithCells(cells ...int) SearchOption {
 // when cores are idle. It is opt-in because the paper measures
 // single-core scans, and it only engages when more than one partition
 // is probed. A planned query (WithAuto) that leaves it off lets the
-// planner turn it on for probe sets heavy enough to repay the fan-out.
+// planner turn it on for probes that touch a disk-resident partition.
 // SearchBatch ignores it: the batch already runs one worker per core,
 // and nesting per-query parallelism would only oversubscribe.
 //
@@ -128,9 +115,8 @@ func WithParallel() SearchOption {
 // sequentially or in parallel, from what the index snapshot says —
 // partition sizes and dead ratios along the cell ranking, and whether a
 // probed partition is disk-resident. Without a recall target it probes
-// the single closest cell; a multi-probe query is fanned out across
-// cores when it has more than one core to use and either probes at
-// least 128Ki codes or touches a paged partition.
+// the single closest cell; it fans out only probes that touch a
+// disk-resident partition, and only with more than one core to use.
 //
 // The planner does not choose the scan: a planned query runs what an
 // unplanned one runs — PQ Fast Scan on the automatic backend — unless
@@ -154,13 +140,15 @@ func WithTargetRecall(r float64) SearchOption {
 	return func(c *searchConfig) { c.auto = true; c.recall = r; c.recallSet = true }
 }
 
-// WithStats attaches the scan statistics (pruning power, operation
-// counts) to the SearchResult, for instrumentation and experiments.
-// Statistics imply the model engine — only it counts instructions — so
-// WithStats pins the search to EngineModel; combining it with an
-// explicit WithEngine(EngineNative) is rejected. WithParallel composes
-// cleanly: per-partition counters merge deterministically (see
-// WithParallel), never racing and never silently disabling collection.
+// WithStats attaches the scan statistics — vectors scanned, lower
+// bounds evaluated, candidates re-checked, pruning power — to the
+// SearchResult, for instrumentation and experiments. They are the
+// counters of the scan that answered the query, identical on every
+// backend (and to the instruction-counting model's, which the tests of
+// internal/scan/model hold them to); it pins nothing and composes with
+// every other option. With WithParallel, per-partition counters merge
+// deterministically (see WithParallel), never racing and never silently
+// disabling collection.
 func WithStats() SearchOption {
 	return func(c *searchConfig) { c.stats = true }
 }
@@ -188,7 +176,7 @@ func (ix *Index) Search(ctx context.Context, query []float32, k int, opts ...Sea
 	}
 	cfg = ix.expandAuto(cfg, query)
 	resp, err := ix.load().Query(ctx, index.Request{
-		Query: query, K: k, Kernel: cfg.kernel, Engine: cfg.engine,
+		Query: query, K: k, Kernel: cfg.kernel,
 		Backend: cfg.backend, NProbe: cfg.nprobe, Cells: cfg.cells,
 		Parallel: cfg.parallel,
 	})
@@ -213,7 +201,7 @@ func (ix *Index) SearchBatch(ctx context.Context, queries Matrix, k int, opts ..
 		cfg = ix.expandAuto(cfg, queries.Row(0))
 	}
 	resps, err := ix.load().QueryBatch(ctx, queries, index.Request{
-		K: k, Kernel: cfg.kernel, Engine: cfg.engine,
+		K: k, Kernel: cfg.kernel,
 		Backend: cfg.backend, NProbe: cfg.nprobe, Cells: cfg.cells,
 		Parallel: cfg.parallel,
 	})
@@ -228,25 +216,17 @@ func (ix *Index) SearchBatch(ctx context.Context, queries Matrix, k int, opts ..
 }
 
 // resolveOptions applies opts over the default configuration (PQ Fast
-// Scan on the native engine, single-cell routing) and rejects values no
-// search can honor. WithStats pins the search to the model engine, the
-// only one that counts instructions.
+// Scan, single-cell routing) and rejects values no search can honor.
 func resolveOptions(opts []SearchOption) (searchConfig, error) {
-	cfg := searchConfig{kernel: KernelFastScan, engine: EngineNative, nprobe: 1}
+	cfg := searchConfig{kernel: KernelFastScan, nprobe: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.nprobe < 1 {
 		return cfg, fmt.Errorf("pqfastscan: nprobe must be positive, got %d", cfg.nprobe)
 	}
-	if cfg.stats {
-		if cfg.engineSet && cfg.engine == EngineNative {
-			return cfg, fmt.Errorf("pqfastscan: WithStats requires the model engine (only it counts instructions); use WithEngine(EngineModel) or drop one of the options")
-		}
-		cfg.engine = EngineModel
-	}
-	if cfg.backend != BackendAuto && cfg.engine == EngineModel {
-		return cfg, fmt.Errorf("pqfastscan: WithBackend selects native block kernels; the model engine (WithStats / WithEngine(EngineModel)) has none")
+	if cfg.model && cfg.kernel != KernelNaive {
+		return cfg, fmt.Errorf("pqfastscan: no search runs kernel %v on the instruction-counting model any more: it is internal/scan/model, driven by cmd/pqbench; drop the deprecated WithEngine", cfg.kernel)
 	}
 	if cfg.recallSet && (cfg.recall <= 0 || cfg.recall > 1) {
 		return cfg, fmt.Errorf("pqfastscan: target recall must be in (0, 1], got %g", cfg.recall)
