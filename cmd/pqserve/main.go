@@ -42,17 +42,16 @@
 //	GET  /healthz       liveness: 200 while the process runs, even warming
 //	GET  /readyz        readiness: 503 while loading, preparing, draining
 //	GET  /meta          index geometry + coarse centroids + shard cells
-//	GET  /stats         request counts, p50/p99 latency, batch widths, sheds,
-//	                    per-partition live/dead/epoch counters
+//	GET  /stats         request counts, p50/p99 latency, core-wait quantiles,
+//	                    sheds, per-partition live/dead/epoch counters
 //
-// A /search that finds a core free scans at once; those that find every
-// core busy queue and share one SearchBatch call (at most -max-batch wide)
-// when a core frees up; load beyond -max-inflight is shed with 429 after
+// A /search is one Search on its handler goroutine: it scans at once when
+// a core is free and waits its turn, first come first served, when every
+// core is busy; load beyond -max-inflight is shed with 429 after
 // -queue-timeout; -save-interval enables periodic background persistence
-// to -snapshot;
-// -compact-interval enables the background dead-ratio compaction policy
-// (partitions past -compact-threshold are rebuilt online without their
-// tombstones). With -warm the index loads in the background while the
+// to -snapshot; -compact-interval enables the background dead-ratio
+// compaction policy (partitions past -compact-threshold are rebuilt
+// online without their tombstones). With -warm the index loads in the background while the
 // listener is already up: /healthz answers immediately and /readyz flips
 // to 200 when the load completes, so orchestrators can route around a
 // shard streaming a large snapshot in. SIGTERM triggers a graceful
@@ -90,7 +89,6 @@ func main() {
 		cellsFlag    = flag.String("cells", "", "IVF cells this shard serves, e.g. \"0-3\" or \"0,2,5-7\" (default: all)")
 		auto         = flag.Bool("auto", false, "plan every /search by default: an open nprobe and sequential-vs-parallel probing are chosen from the index snapshot (the kernel stays the request's or the default); requests opt out with ?auto=0")
 		warm         = flag.Bool("warm", false, "start serving probes immediately and load the index in the background")
-		maxBatch     = flag.Int("max-batch", 64, "most queued queries one SearchBatch call takes")
 		maxInFlight  = flag.Int("max-inflight", 0, "admission-control bound on concurrent searches (0 = 8×GOMAXPROCS)")
 		queueTimeout = flag.Duration("queue-timeout", 50*time.Millisecond, "longest a search waits for admission before a 429")
 		maxK         = flag.Int("max-k", 1000, "largest accepted k")
@@ -118,7 +116,6 @@ func main() {
 	cfg := server.Config{
 		Cells:            cells,
 		Auto:             *auto,
-		MaxBatch:         *maxBatch,
 		MaxInFlight:      *maxInFlight,
 		QueueTimeout:     *queueTimeout,
 		MaxK:             *maxK,
@@ -168,8 +165,8 @@ func main() {
 		log.Printf("shutting down: draining in-flight requests")
 		// The graceful order: flip /readyz so routers stop sending new
 		// work, stop accepting and drain the handlers (each returns
-		// once its search is answered), then stop the batcher and
-		// background loops.
+		// once its search is answered), then stop the background
+		// loops.
 		srv.BeginDrain()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

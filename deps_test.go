@@ -1,7 +1,9 @@
 package pqfastscan_test
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -43,6 +45,33 @@ func TestServingBinariesLinkNoLaboratory(t *testing.T) {
 	for _, engine := range []string{"pqfastscan/internal/scan", "pqfastscan/internal/simd/dispatch"} {
 		if !linked(engine) {
 			t.Errorf("serving binaries no longer list %s: the check is looking at the wrong packages", engine)
+		}
+	}
+}
+
+// TestServedSearchGoesThroughTheFacade keeps a /search one Search: the
+// serving layer has no batch path and no planner call of its own, and
+// reaches the engine through the facade's exported surface only. A
+// source check, because all three would compile.
+func TestServedSearchGoesThroughTheFacade(t *testing.T) {
+	for _, dir := range []string{"internal/server", "cmd/pqserve"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under %s (%v): the check is looking at the wrong place", dir, err)
+		}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, banned := range []string{"SearchBatch", "plan.Decide", ".Internal()"} {
+				if strings.Contains(string(src), banned) {
+					t.Errorf("%s names %s", f, banned)
+				}
+			}
 		}
 	}
 }

@@ -91,9 +91,9 @@ func main() {
 	var stats server.Stats
 	mustGet(url+"/stats", &stats)
 	search := stats.Endpoints["/search"]
-	fmt.Printf("\n/stats: %d searches served, p50 %.2fms p99 %.2fms; %d SearchBatch calls (avg width %.1f); %d shed\n",
+	fmt.Printf("\n/stats: %d searches served, p50 %.2fms p99 %.2fms; waited for a core p99 %.0fus; %d shed\n",
 		search.Requests, search.P50Ms, search.P99Ms,
-		stats.Batch.Calls, stats.Batch.AvgWidth, stats.Admission.Shed)
+		stats.Batch.QueueWaitUs.P99, stats.Admission.Shed)
 }
 
 func mustPost(url string, body, out any) {

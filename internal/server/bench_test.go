@@ -18,10 +18,10 @@ import (
 // BenchmarkServeCallers is the serving path under 2 and under 16
 // closed-loop HTTP callers (k=100, nprobe=1, pre-marshalled bodies,
 // loopback listener in this process): the standing number for the case
-// batching exists for — more callers than cores — beside the 2-caller
-// case BENCHMARK.json gates as serve_search. ns/op is wall time per
-// completed request across all callers; p50_us is the client-observed
-// median; batch_width is queries per SearchBatch call over the run.
+// the core gate exists for — more callers than cores — beside the
+// 2-caller case BENCHMARK.json gates as serve_search. ns/op is wall time
+// per completed request across all callers; p50_us is the client-observed
+// median; queue_wait_p99_us is the server's own p99 wait for a core.
 func BenchmarkServeCallers(b *testing.B) {
 	gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 5})
 	opt := pqfastscan.DefaultBuildOptions()
@@ -68,7 +68,6 @@ func BenchmarkServeCallers(b *testing.B) {
 				}
 			}
 
-			before := s.StatsSnapshot().Batch
 			lat := make([][]time.Duration, callers)
 			var wg sync.WaitGroup
 			b.ResetTimer()
@@ -89,10 +88,7 @@ func BenchmarkServeCallers(b *testing.B) {
 			wg.Wait()
 			b.StopTimer()
 
-			after := s.StatsSnapshot().Batch
-			if calls := after.Calls - before.Calls; calls > 0 {
-				b.ReportMetric(float64(after.Queries-before.Queries)/float64(calls), "batch_width")
-			}
+			b.ReportMetric(s.StatsSnapshot().Batch.QueueWaitUs.P99, "queue_wait_p99_us")
 			if all := slices.Concat(lat...); len(all) > 0 {
 				slices.Sort(all)
 				b.ReportMetric(float64(all[len(all)/2])/1e3, "p50_us")

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"pqfastscan"
 )
@@ -93,13 +92,9 @@ func TestReadyzDuringDeferredLoad(t *testing.T) {
 	}
 
 	releaseOnce()
-	deadline := time.Now().Add(5 * time.Second)
-	for getJSON(t, hs.URL+"/readyz", nil) != http.StatusOK {
-		if time.Now().After(deadline) {
-			t.Fatal("server never became ready after load completed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, "readiness after the load completed", func() bool {
+		return getJSON(t, hs.URL+"/readyz", nil) == http.StatusOK
+	})
 	var got SearchResponse
 	if st, body := postJSON(t, hs.URL+"/search", SearchRequest{Query: queries.Row(0), K: 3}, &got); st != http.StatusOK {
 		t.Fatalf("search after warmup: status %d (%s)", st, body)
@@ -119,24 +114,12 @@ func TestReadyzAfterFailedLoad(t *testing.T) {
 	t.Cleanup(func() { s.Close() })
 	hs := newHTTPServer(t, s)
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(hs.URL + "/readyz")
-		if err != nil {
-			t.Fatal(err)
+	waitFor(t, "the load failure to be recorded", func() bool {
+		if st := getJSON(t, hs.URL+"/readyz", nil); st != http.StatusServiceUnavailable {
+			t.Fatalf("readyz after failed load: status %d, want 503", st)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("readyz after failed load: status %d, want 503", resp.StatusCode)
-		}
-		if s.loadErr.Load() != nil {
-			break // failure recorded; 503 above was the final answer
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("load failure never recorded")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return s.loadErr.Load() != nil // once recorded, the 503 above was the final answer
+	})
 	if st := getJSON(t, hs.URL+"/healthz", nil); st != http.StatusOK {
 		t.Fatalf("healthz after failed load: status %d, want 200 (liveness must not flap)", st)
 	}
@@ -350,7 +333,7 @@ func TestShutdownCompletesInFlightRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := newHTTPServer(t, s)
-	h := holdExecutor(t, s)
+	h := holdCore(t, s)
 
 	const n = 4
 	replies := []<-chan searchReply{h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(0), K: 5})}

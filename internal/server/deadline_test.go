@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
+	"time"
 
 	"pqfastscan"
 )
@@ -60,43 +60,32 @@ func TestExpiredDeadlineRejectedAtTheDoor(t *testing.T) {
 	}
 }
 
-// TestExpiredInBatchWindowDropped: a request whose context is done by
-// the time its batch is formed — its deadline ran out, or its client
-// went away, while it queued for a core — must be dropped from the batch
-// and answered 504 without any scan work spent on it, and the rest of
-// its batch is unaffected. (There is no window any more; the name is
-// kept because DESIGN.md §17 and earlier CHANGES entries point at it.)
-func TestExpiredInBatchWindowDropped(t *testing.T) {
+// TestExpiredWhileQueuedDropped: a request whose deadline runs out while
+// it waits for a core is answered 504 at its deadline — while the core
+// is still held, so without any scan work spent on it — and the request
+// queued beside it is answered as if it had never been there.
+func TestExpiredWhileQueuedDropped(t *testing.T) {
 	idx, queries := sharedIndex(t)
-	s, hs := newTestServer(t, Config{Index: idx, MaxBatch: 16})
-	h := holdExecutor(t, s)
+	s, hs := newTestServer(t, Config{Index: idx})
+	h := holdCore(t, s)
 
 	holder := h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(2), K: 5})
-	// The doomed request queues first, so it is the one promoted to lead
-	// the batch it is then dropped from.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	doomed := make(chan *httptest.ResponseRecorder, 1)
-	go func() { doomed <- serveSearch(ctx, s, SearchRequest{Query: queries.Row(0), K: 5}) }()
-	h.waitQueued(t, 1)
 	neighbor := searchAsync(t, hs.URL, SearchRequest{Query: queries.Row(1), K: 5, NProbe: 2})
-	h.waitQueued(t, 2)
-	cancel()
+	h.waitQueued(t, 1)
+	// The holder keeps the only core until release, so this reply can
+	// only be the deadline's.
+	if st, body := postWithDeadline(t, hs.URL, SearchRequest{Query: queries.Row(0), K: 5}, "30"); st != http.StatusGatewayTimeout {
+		t.Fatalf("doomed request: status %d, want 504: %s", st, body)
+	}
 	h.release()
 
-	if d := <-doomed; d.Code != http.StatusGatewayTimeout {
-		t.Fatalf("doomed request: status %d, want 504: %s", d.Code, d.Body)
-	}
 	n := <-neighbor
 	if n.status != http.StatusOK {
-		t.Fatalf("neighbor in the same batch: status %d, want 200: %s", n.status, n.body)
+		t.Fatalf("neighbor in the same queue: status %d, want 200: %s", n.status, n.body)
 	}
 	if r := <-holder; r.status != http.StatusOK {
 		t.Fatalf("holder: status %d: %s", r.status, r.body)
 	}
-
-	// The neighbor's answer is bit-identical to a direct query — the
-	// drop must not perturb the batch it was queued in.
 	var got SearchResponse
 	if err := json.Unmarshal([]byte(n.body), &got); err != nil {
 		t.Fatal(err)
@@ -105,22 +94,56 @@ func TestExpiredInBatchWindowDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Results) != len(want.Results) {
-		t.Fatalf("neighbor got %d results, want %d", len(got.Results), len(want.Results))
-	}
-	for i, w := range want.Results {
-		if got.Results[i].ID != w.ID || got.Results[i].Distance != w.Distance {
-			t.Fatalf("neighbor rank %d: %+v, want %+v", i, got.Results[i], w)
-		}
-	}
+	sameAsLibrary(t, "neighbor", got, want)
 
 	st := s.StatsSnapshot()
-	if st.Admission.DeadlineRejects != 1 {
-		t.Fatalf("deadline_rejects = %d, want 1", st.Admission.DeadlineRejects)
+	if st.Admission.DeadlineRejects != 1 || st.Admission.Shed != 0 {
+		t.Fatalf("deadline_rejects = %d, shed = %d; want 1 and 0", st.Admission.DeadlineRejects, st.Admission.Shed)
 	}
-	// No scan work burned: only the holder and the neighbor were scanned.
+	// No scan work burned: only the holder and the neighbor took a core.
 	if st.Batch.Queries != 2 {
-		t.Fatalf("batched queries = %d, want 2 (the expired job must not be scanned)", st.Batch.Queries)
+		t.Fatalf("searches = %d, want 2 (the expired request must not be scanned)", st.Batch.Queries)
+	}
+}
+
+// TestDeadlineSpentInAdmissionLine: a budget that runs out while the
+// request waits for an admission token is a 504 at the deadline, counted
+// as a deadline reject — not a 429 after the full QueueTimeout, and not
+// a shed: the shard was not overloaded by this request's measure, the
+// request was out of time.
+func TestDeadlineSpentInAdmissionLine(t *testing.T) {
+	idx, queries := sharedIndex(t)
+	s, hs := newTestServer(t, Config{Index: idx, MaxInFlight: 1, QueueTimeout: 5 * time.Second})
+	h := holdCore(t, s)
+
+	holder := h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(0), K: 5})
+	start := time.Now()
+	st, body := postWithDeadline(t, hs.URL, SearchRequest{Query: queries.Row(1), K: 5}, "20")
+	if st != http.StatusGatewayTimeout {
+		t.Fatalf("deadline spent in the admission line: status %d, want 504: %s", st, body)
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("answered after %v: the 20 ms budget, not the 5 s QueueTimeout, bounds the wait", waited)
+	}
+	if a := s.StatsSnapshot().Admission; a.DeadlineRejects != 1 || a.Shed != 0 {
+		t.Fatalf("deadline_rejects = %d, shed = %d; want 1 and 0", a.DeadlineRejects, a.Shed)
+	}
+
+	// A client that goes away in the same line is a 499 and counts as
+	// neither.
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan int, 1)
+	go func() { gone <- serveSearch(ctx, s, SearchRequest{Query: queries.Row(2), K: 5}).Code }()
+	cancel()
+	if st := <-gone; st != statusClientClosedRequest {
+		t.Fatalf("client cancelled in the admission line: status %d, want 499", st)
+	}
+	if a := s.StatsSnapshot().Admission; a.DeadlineRejects != 1 || a.Shed != 0 {
+		t.Fatalf("after a client cancel: deadline_rejects = %d, shed = %d; want 1 and 0", a.DeadlineRejects, a.Shed)
+	}
+	h.release()
+	if r := <-holder; r.status != http.StatusOK {
+		t.Fatalf("holder: status %d: %s", r.status, r.body)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"pqfastscan"
 )
@@ -14,20 +13,14 @@ import (
 // waitReady polls /readyz until the deferred durable boot finishes.
 func waitReady(t *testing.T, url string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	waitFor(t, "the durable boot", func() bool {
 		resp, err := http.Get(url + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
+		if err != nil {
+			return false
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("server never became ready")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
 }
 
 // TestWALRestartRecoversAckedMutations is the server-level crash

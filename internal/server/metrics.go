@@ -48,26 +48,19 @@ func (m *endpointMetrics) stats() EndpointStats {
 	}
 }
 
-// batchWidthBuckets histograms SearchBatch widths by power of two:
-// bucket i counts batches of width in [2^i, 2^(i+1)).
-const batchWidthBuckets = 13
-
 // metrics is the server-wide metric registry.
 type metrics struct {
 	start time.Time
 
 	endpoints map[string]*endpointMetrics
 
-	// Batching.
-	batchCalls   atomic.Int64 // SearchBatch invocations issued
-	batchQueries atomic.Int64 // queries served through those calls
-	batchMax     atomic.Int64 // widest batch seen
-	batchWidths  [batchWidthBuckets]atomic.Int64
-	queueWait    hist.Hist // per job: time queued for a core before its batch formed
+	// The core gate.
+	searches  atomic.Int64 // searches that took a core
+	queueWait hist.Hist    // per search: time it waited for that core
 
 	// Admission control.
 	shed            atomic.Int64 // requests rejected 429 by admission control
-	deadlineRejects atomic.Int64 // requests answered 504: budget spent before scanning
+	deadlineRejects atomic.Int64 // requests answered 504: budget spent before the answer
 
 	// Snapshot lifecycle.
 	swaps      atomic.Int64
@@ -90,66 +83,40 @@ func newMetrics(endpoints []string) *metrics {
 	return m
 }
 
-func (m *metrics) observeBatch(width int) {
-	m.batchCalls.Add(1)
-	m.batchQueries.Add(int64(width))
-	for {
-		cur := m.batchMax.Load()
-		if int64(width) <= cur || m.batchMax.CompareAndSwap(cur, int64(width)) {
-			break
-		}
-	}
-	b := 0
-	for w := width; w > 1 && b < batchWidthBuckets-1; w >>= 1 {
-		b++
-	}
-	m.batchWidths[b].Add(1)
-}
-
-// BatchStats is the /stats projection of the batcher.
+// BatchStats is the /stats "batch" section: what is left of it now that
+// a /search is one Search, kept under its old name and keys for the
+// standing benchmark (ROADMAP item 3f).
 type BatchStats struct {
-	Calls    int64   `json:"calls"`
-	Queries  int64   `json:"queries"`
-	AvgWidth float64 `json:"avg_width"`
-	MaxWidth int64   `json:"max_width"`
-	// WidthHist counts batches by power-of-two width class: entry i is
-	// the number of batches of width in [2^i, 2^(i+1)).
-	WidthHist []int64 `json:"width_hist"`
-	// QueueWaitUs is how long a search waited for a core before its batch
-	// was formed: zero for every request that found one free, so it reads
-	// ≈ 0 on a server with headroom and grows only under load.
+	// Deprecated: Calls and Queries both count the searches that took a
+	// core — the benchmark divides one by the other (server.batch_width),
+	// which therefore reads 1.
+	Calls   int64 `json:"calls"`
+	Queries int64 `json:"queries"`
+	// QueueWaitUs is how long a search waited for a core: zero for every
+	// request that found one free, so it reads ≈ 0 on a server with
+	// headroom and grows only under more callers than cores.
+	//
+	// Deprecated: as a key of "batch" — the number stays and moves out
+	// when the section goes.
 	QueueWaitUs QueueWaitStats `json:"queue_wait_us"`
 }
 
-// QueueWaitStats carries the batch queue-wait quantiles in microseconds.
+// QueueWaitStats carries the core-wait quantiles in microseconds.
 type QueueWaitStats struct {
 	P50 float64 `json:"p50"`
 	P99 float64 `json:"p99"`
 }
 
 func (m *metrics) batchStats() BatchStats {
-	s := BatchStats{
-		Calls:    m.batchCalls.Load(),
-		Queries:  m.batchQueries.Load(),
-		MaxWidth: m.batchMax.Load(),
+	n := m.searches.Load()
+	return BatchStats{
+		Calls:   n,
+		Queries: n,
 		QueueWaitUs: QueueWaitStats{
 			P50: m.queueWait.QuantileMs(0.50) * 1e3,
 			P99: m.queueWait.QuantileMs(0.99) * 1e3,
 		},
 	}
-	if s.Calls > 0 {
-		s.AvgWidth = float64(s.Queries) / float64(s.Calls)
-	}
-	hi := 0
-	var widths [batchWidthBuckets]int64
-	for i := range widths {
-		widths[i] = m.batchWidths[i].Load()
-		if widths[i] > 0 {
-			hi = i + 1
-		}
-	}
-	s.WidthHist = append([]int64(nil), widths[:hi]...)
-	return s
 }
 
 // Stats is the full /stats document.
@@ -239,8 +206,9 @@ type AdmissionStats struct {
 	Shed         int64  `json:"shed"`
 	QueueTimeout string `json:"queue_timeout"`
 	// DeadlineRejects counts requests answered 504 because their
-	// forwarded deadline budget was spent before any scan work ran —
-	// rejected at the door or dropped while queued for a core.
+	// forwarded deadline budget was spent before they were answered — at
+	// the door, waiting for admission or for a core, or (multi-probe)
+	// between partition scans.
 	DeadlineRejects int64 `json:"deadline_rejects"`
 }
 

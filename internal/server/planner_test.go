@@ -2,8 +2,11 @@ package server
 
 import (
 	"fmt"
+	"os"
+	"runtime"
 	"testing"
 
+	"pqfastscan"
 	"pqfastscan/internal/plan"
 )
 
@@ -48,6 +51,68 @@ func TestSearchRecallBitIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPlannedMultiProbeOnPagedIndex: on a paged index the planner fans a
+// multi-probe query's cells out across cores, and the served path runs
+// that fan-out (it is the one place parallel probe workers run behind
+// /search, so the race detector sees them here). Planned answers stay
+// bit-identical to the library's sequential answers taken before the
+// store was attached, and every fanned-out request is a parallel pick.
+func TestPlannedMultiProbeOnPagedIndex(t *testing.T) {
+	idx := buildIndex(t, 71, 2000, 6000)
+	queries := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 72}).Generate(4)
+	rows := []struct {
+		name string
+		url  string
+		req  SearchRequest
+		opts []pqfastscan.SearchOption
+	}{
+		{"auto, nprobe 2", "/search?auto=1", SearchRequest{K: 10, NProbe: 2}, []pqfastscan.SearchOption{pqfastscan.WithNProbe(2)}},
+		{"auto, nprobe 4", "/search?auto=1", SearchRequest{K: 10, NProbe: 4}, []pqfastscan.SearchOption{pqfastscan.WithNProbe(4)}},
+		{"auto, cells", "/search?auto=1", SearchRequest{K: 10, Cells: []int{3, 0, 2}}, []pqfastscan.SearchOption{pqfastscan.WithCells(3, 0, 2)}},
+		{"recall 1.0", "/search?recall=1.0", SearchRequest{K: 10}, []pqfastscan.SearchOption{pqfastscan.WithNProbe(4)}},
+	}
+	want := make([][]*pqfastscan.SearchResult, len(rows))
+	for ri, row := range rows {
+		for qi := 0; qi < queries.Rows(); qi++ {
+			res, err := idx.Search(t.Context(), queries.Row(qi), row.req.K, row.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[ri] = append(want[ri], res)
+		}
+	}
+
+	cfg := Config{Index: idx}
+	if os.Getenv("PQ_STORE_DIR") == "" { // under the paged CI leg the index is paged already
+		cfg.StoreDir = t.TempDir()
+	}
+	_, hs := newTestServer(t, cfg)
+	before := plan.Snapshot()
+	for ri, row := range rows {
+		for qi := 0; qi < queries.Rows(); qi++ {
+			req := row.req
+			req.Query = queries.Row(qi)
+			var got SearchResponse
+			if code, body := postJSON(t, hs.URL+row.url, req, &got); code != 200 {
+				t.Fatalf("%s: %d %s", row.name, code, body)
+			}
+			if fmt.Sprint(got.Partitions) != fmt.Sprint(want[ri][qi].Partitions) {
+				t.Fatalf("%s query %d probed %v, library probed %v", row.name, qi, got.Partitions, want[ri][qi].Partitions)
+			}
+			sameAsLibrary(t, fmt.Sprintf("%s query %d", row.name, qi), got, want[ri][qi])
+		}
+	}
+	after := plan.Snapshot()
+	asked := uint64(len(rows) * queries.Rows())
+	if got := after.Planned - before.Planned; got != asked {
+		t.Fatalf("planner.planned advanced by %d for %d planned requests", got, asked)
+	}
+	picks := after.ParallelPicks - before.ParallelPicks
+	if runtime.GOMAXPROCS(0) > 1 && picks != asked {
+		t.Fatalf("planner.parallel_picks advanced by %d: every one of the %d paged multi-probe requests should fan out", picks, asked)
 	}
 }
 

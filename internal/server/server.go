@@ -1,12 +1,11 @@
 // Package server is the network-facing query service over a pqfastscan
-// index: an HTTP/JSON API multiplexing many clients onto the engine's
-// batch primitives. Three mechanisms make it hold up under load
+// index: an HTTP/JSON API in which a /search is one Search call on its
+// handler goroutine. Three mechanisms make it hold up under load
 // (DESIGN.md §10):
 //
-//   - natural batching — a /search request that finds a core free scans
-//     on its own handler goroutine; requests that find every core busy
-//     queue and are answered together by one SearchBatch call when a
-//     core frees up (batcher.go), so no more queries scan than cores;
+//   - one query per core — a /search that finds a core free scans at
+//     once; one that finds every core busy waits its turn, first come
+//     first served, so no more queries scan than there are cores;
 //   - admission control — a bounded in-flight limit with queue-timeout
 //     rejection (429), so overload degrades by shedding requests while
 //     the accepted ones keep bounded latency;
@@ -15,8 +14,8 @@
 //     (in-flight queries drain on the old one), and a background loop
 //     periodically persists the mutable serving index.
 //
-// Per-endpoint request counts, latency quantiles, batch widths and shed
-// counts are exported on /stats (metrics.go).
+// Per-endpoint request counts, latency quantiles, core-wait quantiles
+// and shed counts are exported on /stats (metrics.go).
 package server
 
 import (
@@ -77,12 +76,9 @@ type Config struct {
 	// the fixed-option request probing the same cell prefix.
 	Auto bool
 
-	// Deprecated: ignored — batching needs no window; kept until the
-	// benchmark's twin handler is retired.
+	// Deprecated: ignored — there is no batching; kept until the
+	// benchmark's twin handler is retired (ROADMAP item 3f).
 	BatchWindow time.Duration
-	// MaxBatch bounds how many queued queries one SearchBatch call takes
-	// (default 64).
-	MaxBatch int
 
 	// MaxInFlight bounds concurrently admitted /search requests
 	// (default 8×GOMAXPROCS). Requests beyond it wait up to QueueTimeout
@@ -92,8 +88,6 @@ type Config struct {
 	// (default 50ms).
 	QueueTimeout time.Duration
 
-	// SearchTimeout bounds one coalesced engine call (default 30s).
-	SearchTimeout time.Duration
 	// MaxK rejects requests asking for more neighbors than this
 	// (default 1000).
 	MaxK int
@@ -154,17 +148,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 8 * runtime.GOMAXPROCS(0)
 	}
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 50 * time.Millisecond
-	}
-	if c.SearchTimeout <= 0 {
-		c.SearchTimeout = 30 * time.Second
 	}
 	if c.MaxK <= 0 {
 		c.MaxK = 1000
@@ -194,11 +182,10 @@ type Server struct {
 	metrics *metrics
 	mux     *http.ServeMux
 
-	// idx and batch are nil until the (possibly deferred) index load
-	// installs them; every data endpoint checks ready() first, so the
-	// nil window is only observable as 503 warming responses.
-	idx   atomic.Pointer[pqfastscan.Index]
-	batch atomic.Pointer[batcher]
+	// idx is nil until the (possibly deferred) index load installs it;
+	// every data endpoint calls requireIndex first, so the nil window is
+	// only observable as 503 warming responses.
+	idx atomic.Pointer[pqfastscan.Index]
 
 	// warming is true from New until the index is installed; loadErr
 	// carries a failed deferred load's message for /readyz.
@@ -222,6 +209,16 @@ type Server struct {
 	preparing  atomic.Int32
 
 	sem chan struct{} // admission tokens; len(sem) = in-flight
+	// cores is how many searches may scan at once: one per core, because
+	// a scan is CPU-bound and a query more than that only takes time from
+	// the ones already running. Derived, not configured. An admitted
+	// request holds its token while it waits here; Go serves a channel's
+	// blocked senders first come first served.
+	cores chan struct{}
+	// onScan is a test hook, nil outside tests: it runs on the handler
+	// that holds a core, before its Search, so a test can keep the core
+	// busy.
+	onScan func()
 
 	// swapMu orders snapshot replacement against everything that writes
 	// the serving index: /swap and /save hold it exclusively, /add and
@@ -258,6 +255,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		metrics: m,
 		sem:     make(chan struct{}, cfg.MaxInFlight),
+		cores:   make(chan struct{}, runtime.GOMAXPROCS(0)),
 		quit:    make(chan struct{}),
 	}
 	s.warming.Store(true)
@@ -377,12 +375,8 @@ func (s *Server) attachStore(idx *pqfastscan.Index) error {
 	return idx.WithDiskStore(s.cfg.StoreDir, s.cfg.PoolBytes)
 }
 
-// install publishes the loaded index and its batcher and flips the
-// server ready. The batcher is stored before the index: handlers gate
-// on the index pointer (requireIndex), so observing it non-nil
-// guarantees the batcher is there too.
+// install publishes the loaded index and flips the server ready.
 func (s *Server) install(idx *pqfastscan.Index) {
-	s.batch.Store(newBatcher(idx, s.cfg.MaxBatch, s.cfg.SearchTimeout, s.metrics))
 	s.idx.Store(idx)
 	s.warming.Store(false)
 }
@@ -422,19 +416,20 @@ func (s *Server) Index() *pqfastscan.Index { return s.idx.Load() }
 // then Close.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close stops the batcher (after serving everything already admitted)
-// and the background loops. It does not close HTTP listeners; that is
-// the owning http.Server's job.
+// Close refuses new searches, waits for every admitted one to be
+// answered and stops the background loops. It does not close HTTP
+// listeners; that is the owning http.Server's job.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
 		close(s.quit)
-		// The deferred load goroutine (if any) is part of bg and may
-		// still install the batcher; wait for it before closing, so the
-		// batcher cannot be created after its close.
 		s.bg.Wait()
-		if b := s.batch.Load(); b != nil {
-			b.close()
+		// An admitted search holds its token until it is answered, whether
+		// it is scanning or still waiting for a core, and nothing is
+		// admitted once quit is closed: holding every token means none is
+		// left in flight.
+		for range cap(s.sem) {
+			s.sem <- struct{}{}
 		}
 		if idx := s.idx.Load(); idx != nil {
 			if err := idx.CloseWAL(); err != nil {
@@ -496,22 +491,28 @@ const statusClientClosedRequest = 499
 // before doing any scan work.
 const DeadlineHeader = "X-Pq-Deadline-Ms"
 
-// deadlineContext applies a DeadlineHeader budget to the request
-// context. Missing header: untouched context. Malformed or spent
-// budget: an error the handler answers with 504.
+// searchCeiling bounds a /search that forwards no tighter budget of its
+// own: no request occupies a token, let alone a core, for longer.
+const searchCeiling = 30 * time.Second
+
+// deadlineContext puts the request under its DeadlineHeader budget,
+// capped by searchCeiling (the cap alone when the header is missing).
+// Malformed or spent budget: an error the handler answers with 504.
 func deadlineContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	v := r.Header.Get(DeadlineHeader)
-	if v == "" {
-		return r.Context(), func() {}, nil
+	budget := searchCeiling
+	if v := r.Header.Get(DeadlineHeader); v != "" {
+		ms, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bad %s header %q", DeadlineHeader, v)
+		}
+		if ms <= 0 {
+			return nil, nil, fmt.Errorf("deadline already expired (%s: %d)", DeadlineHeader, ms)
+		}
+		if ms < searchCeiling.Milliseconds() {
+			budget = time.Duration(ms) * time.Millisecond
+		}
 	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad %s header %q", DeadlineHeader, v)
-	}
-	if ms <= 0 {
-		return nil, nil, fmt.Errorf("deadline already expired (%s: %d)", DeadlineHeader, ms)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
+	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	return ctx, cancel, nil
 }
 
@@ -526,41 +527,84 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// admitVerdict says how an admission attempt ended. Only admitShed is
-// overload: a canceled client or a closing server sheds nothing, and
-// counting those as sheds would fake the operator's overload signal.
-type admitVerdict int
+// errClosed is returned to requests that race server shutdown.
+var errClosed = errors.New("server: shutting down")
 
-const (
-	admitOK admitVerdict = iota
-	admitShed
-	admitCanceled
-	admitClosing
-)
+// errShed is the one admission failure that is overload: a spent
+// deadline, a canceled client or a closing server sheds nothing, and
+// counting those as sheds would fake the operator's overload signal.
+var errShed = errors.New("overloaded: admission queue timed out")
 
 // admit implements admission control for /search: take a token
-// immediately if one is free, otherwise wait at most QueueTimeout.
-func (s *Server) admit(r *http.Request) admitVerdict {
+// immediately if one is free, otherwise wait at most QueueTimeout — and
+// no longer than the request's own context allows.
+func (s *Server) admit(ctx context.Context) error {
+	select {
+	case <-s.quit:
+		return errClosed
+	default:
+	}
 	select {
 	case s.sem <- struct{}{}:
-		return admitOK
+		return nil
 	default:
 	}
 	t := time.NewTimer(s.cfg.QueueTimeout)
 	defer t.Stop()
 	select {
 	case s.sem <- struct{}{}:
-		return admitOK
+		return nil
 	case <-t.C:
-		return admitShed
-	case <-r.Context().Done():
-		return admitCanceled
+		return errShed
+	case <-ctx.Done():
+		return ctx.Err()
 	case <-s.quit:
-		return admitClosing
+		return errClosed
 	}
 }
 
-func (s *Server) release() { <-s.sem }
+// acquireCore waits for the admitted request's turn to scan. The wait
+// is bounded by the request's context only: a search already admitted
+// is answered even across Close.
+func (s *Server) acquireCore(ctx context.Context) error {
+	select {
+	case s.cores <- struct{}{}:
+		s.metrics.queueWait.Observe(0)
+		return nil
+	default:
+	}
+	queued := time.Now()
+	select {
+	case s.cores <- struct{}{}:
+		s.metrics.queueWait.Observe(time.Since(queued))
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// failSearch answers a /search that was not scanned to the end.
+func (s *Server) failSearch(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errShed):
+		s.metrics.shed.Add(1)
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests, err.Error())
+	case errors.Is(err, errClosed):
+		httpError(w, http.StatusServiceUnavailable, err.Error())
+	case errors.Is(err, context.DeadlineExceeded):
+		// The budget ran out in the admission line, waiting for a core or
+		// between partition scans: the rest of the work would be waste.
+		s.metrics.deadlineRejects.Add(1)
+		httpError(w, http.StatusGatewayTimeout, "deadline expired before the search was answered")
+	case errors.Is(err, context.Canceled):
+		// The client gave up; nobody reads this response and no overload
+		// happened, so it is not a shed.
+		httpError(w, statusClientClosedRequest, "client canceled")
+	default:
+		httpError(w, http.StatusInternalServerError, err.Error())
+	}
+}
 
 // --- /search -----------------------------------------------------------
 
@@ -620,8 +664,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancelDeadline()
 	// Planner activation: ?recall=0.95 sets a recall target (and implies
-	// planning); ?auto=1 asks for min-latency planning; Config.Auto makes
-	// planning the default, which ?auto=0 opts a single request out of.
+	// planning, whatever ?auto says); ?auto=1 asks for min-latency
+	// planning; Config.Auto makes planning the default, which ?auto=0 opts
+	// a single request out of.
 	planned := s.cfg.Auto
 	recall := 0.0
 	if r.URL.RawQuery != "" {
@@ -638,7 +683,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			recall = f
-			planned = true
 		}
 	}
 	var req SearchRequest
@@ -648,9 +692,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
-	// Whether the request pins nprobe explicitly — captured before the
-	// default is applied, because the planner fills it only when open.
-	nprobeSet := req.NProbe != 0
 	if req.K == 0 {
 		req.K = 10
 	}
@@ -666,6 +707,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// The option list is the one any caller of the facade would write.
+	// What the request leaves open stays open: an omitted nprobe is the
+	// facade's single probe, or the planner's to fill when the request
+	// is planned. The server never pins parallel probing, so that is
+	// planned too; the kernel never is.
+	var opts []pqfastscan.SearchOption
 	np := idx.Partitions()
 	if len(req.Cells) > 0 {
 		if req.NProbe != 0 {
@@ -684,99 +731,57 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-	} else {
-		if req.NProbe == 0 {
-			req.NProbe = 1
-		}
+		opts = append(opts, pqfastscan.WithCells(req.Cells...))
+	} else if req.NProbe != 0 {
 		if req.NProbe < 1 || req.NProbe > np {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("nprobe must be in [1,%d]", np))
 			return
 		}
+		opts = append(opts, pqfastscan.WithNProbe(req.NProbe))
 	}
-	kernel := pqfastscan.KernelFastScan
 	if req.Kernel != "" {
 		k, err := pqfastscan.ParseKernel(req.Kernel)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		kernel = k
+		opts = append(opts, pqfastscan.WithKernel(k))
+	}
+	switch {
+	case recall > 0:
+		opts = append(opts, pqfastscan.WithTargetRecall(recall))
+	case planned:
+		opts = append(opts, pqfastscan.WithAuto())
 	}
 
-	// Plan before admission and batching, so jobs enter the batcher with
-	// concrete parameters and coalesce by planned class — two planned
-	// requests that resolve to the same (nprobe, parallel) share one
-	// SearchBatch call exactly like explicitly-optioned ones. The kernel
-	// is never planned: it stays what the request said, or the default.
-	parallel := false
-	if planned {
-		preq := plan.Request{
-			Query:        req.Query,
-			Recall:       recall,
-			PlanNProbe:   !nprobeSet && len(req.Cells) == 0,
-			PlanParallel: true,
-			FixedNProbe:  req.NProbe,
-			Cells:        req.Cells,
-		}
-		d := plan.Decide(idx.Internal(), preq)
-		if preq.PlanNProbe {
-			req.NProbe = d.NProbe
-		}
-		parallel = d.Parallel
-	}
-
-	switch s.admit(r) {
-	case admitOK:
-	case admitShed:
-		s.metrics.shed.Add(1)
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "overloaded: admission queue timed out")
-		return
-	case admitCanceled:
-		// The client gave up while queued; nobody reads this response
-		// and no overload happened, so it is not a shed.
-		httpError(w, statusClientClosedRequest, "client canceled while queued")
-		return
-	case admitClosing:
-		httpError(w, http.StatusServiceUnavailable, errClosed.Error())
+	if err := s.admit(ctx); err != nil {
+		s.failSearch(w, err)
 		return
 	}
-	defer s.release()
-
-	job := &searchJob{
-		key: batchKey{
-			k: req.K, nprobe: req.NProbe, kernel: kernel,
-			parallel: parallel, cells: cellsKey(req.Cells),
-		},
-		ctx:   ctx,
-		cells: req.Cells,
-		query: req.Query,
-	}
-	// submit returns with the answer regardless of the client's context:
-	// the work may be shared with other requests in the batch, and the
-	// token must reflect engine occupancy, not socket liveness.
-	if err := s.batch.Load().submit(job); err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+	defer func() { <-s.sem }()
+	if err := s.acquireCore(ctx); err != nil {
+		s.failSearch(w, err)
 		return
 	}
-	if job.err != nil {
-		// A job whose deadline expired while it queued for a core was
-		// dropped before any scan work; the batch it queued for ran
-		// without it.
-		if errors.Is(job.err, errExpiredInBatch) {
-			s.metrics.deadlineRejects.Add(1)
-			httpError(w, http.StatusGatewayTimeout, job.err.Error())
-			return
-		}
-		httpError(w, http.StatusInternalServerError, job.err.Error())
+	s.metrics.searches.Add(1)
+	if s.onScan != nil {
+		s.onScan()
+	}
+	// Under the request's own context: a client that goes away, or a
+	// budget that runs out, stops the search between partition scans. The
+	// core is given up before the response is encoded.
+	res, err := idx.Search(ctx, req.Query, req.K, opts...)
+	<-s.cores
+	if err != nil {
+		s.failSearch(w, err)
 		return
 	}
 	resp := SearchResponse{
-		Results:    make([]SearchNeighbor, len(job.resp.Results)),
-		Partitions: job.resp.Partitions,
+		Results:    make([]SearchNeighbor, len(res.Results)),
+		Partitions: res.Partitions,
 	}
-	for i, res := range job.resp.Results {
-		resp.Results[i] = SearchNeighbor{ID: res.ID, Distance: res.Distance}
+	for i, n := range res.Results {
+		resp.Results[i] = SearchNeighbor{ID: n.ID, Distance: n.Distance}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1047,45 +1052,65 @@ type SwapResponse struct {
 	Partitions []int `json:"partitions"`
 }
 
+// stage loads the snapshot a swap request names, off the serving path
+// and outside every lock — a slow disk read never stalls mutations or
+// saves, and traffic keeps flowing on the current snapshot. A sharded
+// server loads only its assigned cells. Every index this server stages
+// attaches to the same store directory and so shares one buffer pool:
+// staging competes for the memory budget instead of doubling it. On
+// failure stage has answered the request and returns nil.
+func (s *Server) stage(w http.ResponseWriter, r *http.Request) (next *pqfastscan.Index, path string) {
+	var req SwapRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		return nil, ""
+	}
+	if strings.TrimSpace(req.Path) == "" {
+		httpError(w, http.StatusBadRequest, "path must be non-empty")
+		return nil, ""
+	}
+	next, err := pqfastscan.LoadIndexCells(req.Path, s.cfg.Cells)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "load: "+err.Error())
+		return nil, ""
+	}
+	if err := s.attachStore(next); err != nil {
+		httpError(w, http.StatusInternalServerError, "attach store: "+err.Error())
+		return nil, ""
+	}
+	return next, req.Path
+}
+
+// publish makes next the serving snapshot — the single atomic store —
+// and, on a durable server, checkpoints it before any mutation can be
+// acknowledged against it. done is the verb of the calling endpoint's
+// acknowledgement. On failure publish has answered the request and
+// returns false.
+func (s *Server) publish(w http.ResponseWriter, idx, next *pqfastscan.Index, done string) bool {
+	s.swapMu.Lock()
+	defer s.swapMu.Unlock()
+	if _, err := idx.Swap(next); err != nil {
+		httpError(w, http.StatusConflict, err.Error())
+		return false
+	}
+	if err := s.checkpointAfterSwapLocked(idx); err != nil {
+		httpError(w, http.StatusInternalServerError, done+", but checkpoint failed: "+err.Error())
+		return false
+	}
+	s.metrics.swaps.Add(1)
+	return true
+}
+
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	idx := s.requireIndex(w)
 	if idx == nil {
 		return
 	}
-	var req SwapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	next, path := s.stage(w, r)
+	if next == nil || !s.publish(w, idx, next, "swapped") {
 		return
 	}
-	if strings.TrimSpace(req.Path) == "" {
-		httpError(w, http.StatusBadRequest, "path must be non-empty")
-		return
-	}
-	// Load and validate entirely off the serving path — before taking
-	// swapMu, so a slow disk read never stalls mutations or saves;
-	// traffic keeps flowing on the current snapshot until the single
-	// atomic store. A sharded server loads only its assigned cells.
-	next, err := pqfastscan.LoadIndexCells(req.Path, s.cfg.Cells)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "load: "+err.Error())
-		return
-	}
-	if err := s.attachStore(next); err != nil {
-		httpError(w, http.StatusInternalServerError, "attach store: "+err.Error())
-		return
-	}
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	if _, err := idx.Swap(next); err != nil {
-		httpError(w, http.StatusConflict, err.Error())
-		return
-	}
-	if err := s.checkpointAfterSwapLocked(idx); err != nil {
-		httpError(w, http.StatusInternalServerError, "swapped, but checkpoint failed: "+err.Error())
-		return
-	}
-	s.metrics.swaps.Add(1)
-	s.cfg.Logf("server: swapped in snapshot %s (%d live vectors)", req.Path, idx.Live())
+	s.cfg.Logf("server: swapped in snapshot %s (%d live vectors)", path, idx.Live())
 	writeJSON(w, http.StatusOK, SwapResponse{
 		Swapped:    true,
 		Live:       idx.Live(),
@@ -1119,28 +1144,12 @@ func (s *Server) handleSwapPrepare(w http.ResponseWriter, r *http.Request) {
 	if idx == nil {
 		return
 	}
-	var req SwapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	if strings.TrimSpace(req.Path) == "" {
-		httpError(w, http.StatusBadRequest, "path must be non-empty")
-		return
-	}
-	// The load runs outside every lock; preparing makes /readyz report
-	// not-ready so routers deprioritize a shard busy churning page cache.
+	// preparing makes /readyz report not-ready so routers deprioritize a
+	// shard busy churning page cache.
 	s.preparing.Add(1)
-	next, err := pqfastscan.LoadIndexCells(req.Path, s.cfg.Cells)
-	if err == nil {
-		// Staged and serving indexes attach to the same store directory,
-		// sharing one buffer pool: staging competes for the memory budget
-		// instead of doubling it.
-		err = s.attachStore(next)
-	}
+	next, path := s.stage(w, r)
 	s.preparing.Add(-1)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "load: "+err.Error())
+	if next == nil {
 		return
 	}
 	// Validate now, against the serving index, so commit cannot fail for
@@ -1152,14 +1161,14 @@ func (s *Server) handleSwapPrepare(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stagedMu.Lock()
 	replaced := s.staged != nil
-	s.staged, s.stagedPath = next, req.Path
+	s.staged, s.stagedPath = next, path
 	s.stagedMu.Unlock()
 	if replaced {
-		s.cfg.Logf("server: re-prepared snapshot %s (replacing previously staged)", req.Path)
+		s.cfg.Logf("server: re-prepared snapshot %s (replacing previously staged)", path)
 	} else {
-		s.cfg.Logf("server: prepared snapshot %s (%d live vectors staged)", req.Path, next.Live())
+		s.cfg.Logf("server: prepared snapshot %s (%d live vectors staged)", path, next.Live())
 	}
-	writeJSON(w, http.StatusOK, PrepareResponse{Prepared: true, Path: req.Path, Live: next.Live()})
+	writeJSON(w, http.StatusOK, PrepareResponse{Prepared: true, Path: path, Live: next.Live()})
 }
 
 // CommitResponse acknowledges a committed (published) snapshot.
@@ -1182,24 +1191,11 @@ func (s *Server) handleSwapCommit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "no snapshot staged: call /swap/prepare first")
 		return
 	}
-	s.swapMu.Lock()
-	_, err := idx.Swap(next)
-	if err == nil {
-		err = s.checkpointAfterSwapLocked(idx)
-		if err != nil {
-			s.swapMu.Unlock()
-			httpError(w, http.StatusInternalServerError, "committed, but checkpoint failed: "+err.Error())
-			return
-		}
-	}
-	s.swapMu.Unlock()
-	if err != nil {
-		// Unreachable when prepare validated against the same serving
-		// index, but a direct /swap can land between the two phases.
-		httpError(w, http.StatusConflict, err.Error())
+	// A 409 here is unreachable when prepare validated against the same
+	// serving index, but a direct /swap can land between the two phases.
+	if !s.publish(w, idx, next, "committed") {
 		return
 	}
-	s.metrics.swaps.Add(1)
 	s.cfg.Logf("server: committed snapshot %s (%d live vectors)", path, idx.Live())
 	writeJSON(w, http.StatusOK, CommitResponse{Committed: true, Path: path, Live: idx.Live()})
 }

@@ -299,78 +299,6 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
-// --- acceptance: coalescing -------------------------------------------
-
-// TestCoalescing: requests that queue while the executor is busy are
-// coalesced into SearchBatch calls of at most MaxBatch queries, in
-// arrival order, with every request answered correctly.
-func TestCoalescing(t *testing.T) {
-	idx, queries := sharedIndex(t)
-	const n, width = 32, 8
-	s, hs := newTestServer(t, Config{Index: idx, MaxBatch: width, MaxInFlight: 2 * n})
-	h := holdExecutor(t, s)
-
-	holder := h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(0), K: 5})
-	replies := make([]<-chan searchReply, n)
-	for i := range replies {
-		replies[i] = searchAsync(t, hs.URL, SearchRequest{Query: queries.Row(i % queries.Rows()), K: 5})
-	}
-	h.waitQueued(t, n)
-	h.release()
-	for i, ch := range append(replies, holder) {
-		r := <-ch
-		var got SearchResponse
-		if r.status != http.StatusOK || json.Unmarshal([]byte(r.body), &got) != nil || len(got.Results) != 5 {
-			t.Fatalf("request %d: status %d body %s", i, r.status, r.body)
-		}
-	}
-
-	b := s.StatsSnapshot().Batch
-	if b.Queries != n+1 {
-		t.Fatalf("batch served %d queries, want %d", b.Queries, n+1)
-	}
-	if b.Calls != 1+n/width || b.MaxWidth != width {
-		t.Fatalf("%d queued requests at MaxBatch %d: %d SearchBatch calls, max width %d; want %d calls of width %d after the holder's",
-			n, width, b.Calls, b.MaxWidth, n/width, width)
-	}
-	t.Logf("coalesced %d requests into %d SearchBatch calls (max width %d, avg %.1f)",
-		n, b.Calls, b.MaxWidth, b.AvgWidth)
-}
-
-// TestBatchKeyGrouping verifies that requests with different search
-// parameters never share a SearchBatch call — even when they queued
-// together and one leader runs them all — yet all come back correct.
-func TestBatchKeyGrouping(t *testing.T) {
-	idx, queries := sharedIndex(t)
-	s, hs := newTestServer(t, Config{Index: idx, MaxBatch: 16})
-	h := holdExecutor(t, s)
-
-	holder := h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(8), K: 5})
-	const n, keys = 8, 3
-	replies := make([]<-chan searchReply, n)
-	for i := range replies {
-		replies[i] = searchAsync(t, hs.URL, SearchRequest{Query: queries.Row(i), K: 3 + i%keys})
-	}
-	h.waitQueued(t, n)
-	h.release()
-	for i, ch := range replies {
-		r := <-ch
-		var got SearchResponse
-		if r.status != http.StatusOK || json.Unmarshal([]byte(r.body), &got) != nil {
-			t.Fatalf("request %d: status %d body %s", i, r.status, r.body)
-		}
-		if want := 3 + i%keys; len(got.Results) != want {
-			t.Fatalf("request %d got %d results, want %d", i, len(got.Results), want)
-		}
-	}
-	<-holder
-	// One batch of n jobs, one SearchBatch per distinct key in it.
-	if b := s.StatsSnapshot().Batch; b.Calls != 1+keys || b.Queries != 1+n {
-		t.Fatalf("%d queued requests over %d keys: %d calls for %d queries, want %d calls for %d",
-			n, keys, b.Calls, b.Queries, 1+keys, 1+n)
-	}
-}
-
 // --- acceptance: load shedding ----------------------------------------
 
 // TestLoadShedding saturates a deliberately tiny admission budget and
@@ -385,7 +313,7 @@ func TestLoadShedding(t *testing.T) {
 		MaxInFlight:  1,
 		QueueTimeout: 2 * time.Millisecond,
 	})
-	h := holdExecutor(t, s)
+	h := holdCore(t, s)
 
 	admitted := h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(0), K: 5})
 	surplus := make([]<-chan searchReply, n)
@@ -402,7 +330,7 @@ func TestLoadShedding(t *testing.T) {
 		t.Fatalf("admitted request: status %d, want 200 (%s)", r.status, r.body)
 	}
 	if st := s.StatsSnapshot(); st.Admission.Shed != n || st.Batch.Queries != 1 {
-		t.Fatalf("shed counter %d, scanned %d; want %d shed and only the admitted request scanned",
+		t.Fatalf("shed counter %d, searches %d; want %d shed and only the admitted request scanned",
 			st.Admission.Shed, st.Batch.Queries, n)
 	}
 }
@@ -454,7 +382,7 @@ func TestHotSwapUnderTraffic(t *testing.T) {
 		}(w)
 	}
 
-	time.Sleep(50 * time.Millisecond) // let queries flow on snapshot A
+	waitFor(t, "queries to flow on snapshot A", func() bool { return served.Load() >= 20 })
 	var swapped SwapResponse
 	status, body := postJSON(t, hs.URL+"/swap", SwapRequest{Path: snap}, &swapped)
 	if status != http.StatusOK || !swapped.Swapped {
@@ -462,7 +390,8 @@ func TestHotSwapUnderTraffic(t *testing.T) {
 		wg.Wait()
 		t.Fatalf("swap status %d: %s", status, body)
 	}
-	time.Sleep(50 * time.Millisecond) // keep querying on snapshot B
+	onB := served.Load() + 20
+	waitFor(t, "queries to flow on snapshot B", func() bool { return served.Load() >= onB })
 	close(stop)
 	wg.Wait()
 
@@ -535,23 +464,15 @@ func TestSaveEndpointAndPeriodicSave(t *testing.T) {
 	}
 
 	// The background saver must tick at least once more.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if s.StatsSnapshot().Snapshot.Saves >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("periodic saver never ran (saves=%d)", s.StatsSnapshot().Snapshot.Saves)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, "the periodic saver", func() bool { return s.metrics.saves.Load() >= 2 })
 }
 
 // --- shutdown ----------------------------------------------------------
 
-// TestCloseCompletesInFlight verifies shutdown serves already-submitted
+// TestCloseCompletesInFlight verifies shutdown serves already-admitted
 // searches instead of stranding their handlers: Close returns only once
-// every job queued before it has its answer, and refuses the ones after.
+// every request admitted before it has its answer, and refuses the ones
+// after.
 func TestCloseCompletesInFlight(t *testing.T) {
 	idx, queries := sharedIndex(t)
 	s, err := New(Config{Index: idx})
@@ -559,7 +480,7 @@ func TestCloseCompletesInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := newHTTPServer(t, s)
-	h := holdExecutor(t, s)
+	h := holdCore(t, s)
 
 	const n = 6
 	replies := []<-chan searchReply{h.occupy(t, hs.URL, SearchRequest{Query: queries.Row(0), K: 3})}
@@ -569,10 +490,13 @@ func TestCloseCompletesInFlight(t *testing.T) {
 	h.waitQueued(t, n-1)
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()
-	waitFor(t, "Close to reach the batcher", func() bool {
-		h.b.mu.Lock()
-		defer h.b.mu.Unlock()
-		return h.b.closed
+	waitFor(t, "Close to begin", func() bool {
+		select {
+		case <-s.quit:
+			return true
+		default:
+			return false
+		}
 	})
 	if st, body := postJSONStatus(t, hs.URL+"/search", SearchRequest{Query: queries.Row(0), K: 3}); st != http.StatusServiceUnavailable {
 		t.Fatalf("search after Close began: status %d, want 503 (%s)", st, body)
@@ -585,7 +509,7 @@ func TestCloseCompletesInFlight(t *testing.T) {
 	h.release()
 	<-closed
 	if got := s.StatsSnapshot().Batch.Queries; got != n {
-		t.Fatalf("Close returned with %d of %d submitted searches answered", got, n)
+		t.Fatalf("Close returned with %d of %d admitted searches answered", got, n)
 	}
 	for i, ch := range replies {
 		if r := <-ch; r.status != http.StatusOK {
@@ -742,28 +666,20 @@ func TestBackgroundCompactionPolicy(t *testing.T) {
 	// The policy's steady state: every partition is back under the
 	// threshold (residual tombstones below 20% are by design left for
 	// the next crossing) and at least one compaction ran.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var st Stats
+	var st Stats
+	waitFor(t, "background compaction to settle", func() bool {
 		if status := getJSON(t, hs.URL+"/stats", &st); status != http.StatusOK {
 			t.Fatalf("stats status %d", status)
 		}
-		settled := st.Compaction.Runs > 0 && st.Compaction.Reclaimed > 0
 		for _, ps := range st.PartitionStats {
 			if ps.DeadRatio >= 0.2 {
-				settled = false
+				return false
 			}
 		}
-		if settled {
-			if st.Live != 2000 {
-				t.Fatalf("live %d after background compaction, want 2000", st.Live)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background compaction never settled: %+v", st.Compaction)
-		}
-		time.Sleep(20 * time.Millisecond)
+		return st.Compaction.Runs > 0 && st.Compaction.Reclaimed > 0
+	})
+	if st.Live != 2000 {
+		t.Fatalf("live %d after background compaction, want 2000", st.Live)
 	}
 }
 

@@ -195,8 +195,8 @@ func (ix *Index) SearchBatch(ctx context.Context, queries Matrix, k int, opts ..
 		return nil, err
 	}
 	// One Request serves the whole batch, so the planner sees the first
-	// row: batches are assumed homogeneous (the server coalesces by
-	// plan class). An empty batch has nothing to plan.
+	// row: batches are assumed homogeneous. An empty batch has nothing to
+	// plan.
 	if queries.Rows() > 0 {
 		cfg = ix.expandAuto(cfg, queries.Row(0))
 	}
