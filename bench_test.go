@@ -279,3 +279,104 @@ func BenchmarkSearchNProbe(b *testing.B) {
 		})
 	}
 }
+
+var (
+	writeOnce  sync.Once
+	writeIndex *pqfastscan.Index
+	writePool  pqfastscan.Matrix
+	writeErr   error
+)
+
+// writeEnv builds the write-path fixture: 100k vectors in ONE partition
+// — the size of a partition of the standing benchmark's lib_mixed — its
+// Fast Scan layout built by a first search, and a pool of vectors to
+// add and to query with.
+func writeEnv(b *testing.B) (*pqfastscan.Index, pqfastscan.Matrix) {
+	b.Helper()
+	writeOnce.Do(func() {
+		gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 24})
+		learn := gen.Generate(10000)
+		base := gen.Generate(100000)
+		writePool = gen.Generate(4096)
+		opt := pqfastscan.DefaultBuildOptions()
+		opt.Partitions = 1
+		opt.Seed = 24
+		if writeIndex, writeErr = pqfastscan.Build(learn, base, opt); writeErr == nil {
+			_, writeErr = writeIndex.Search(context.Background(), writePool.Row(0), 100)
+		}
+	})
+	if writeErr != nil {
+		b.Fatal(writeErr)
+	}
+	return writeIndex, writePool
+}
+
+// BenchmarkAddSingle times one single-vector write into a 100k-code
+// partition with a built Fast Scan layout. add is the facade's Add:
+// encode and route, copy the tail, publish — and, every 1 024th, the
+// fold (DESIGN.md §11), which -benchtime 10000x or more amortizes as a
+// run of the service does. replay is what WAL recovery pays per record:
+// ApplyAdd of rows encoded beforehand. B/op is the copy a write makes:
+// half a full tail on average, where it was the partition and its
+// layout twice over.
+func BenchmarkAddSingle(b *testing.B) {
+	idx, pool := writeEnv(b)
+	b.Run("add", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := idx.Add(pool.Row(i % pool.Rows())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("replay", func(b *testing.B) {
+		in := idx.Internal()
+		cells, codes, err := in.EncodeRoute(pool)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := len(codes) / len(cells)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := i % len(cells)
+			if err := in.ApplyAdd(cells[r:r+1], []int64{in.AllocIDs(1)}, codes[r*m:(r+1)*m]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkMixedCycle runs the standing benchmark's lib_mixed cycle —
+// 8 Search k=100, 2 Add, 2 Delete of the oldest added id, in its order
+// — one operation per iteration, against the same partition: the write
+// path as a serving process meets it, each Search scanning the epoch
+// the last Add left.
+func BenchmarkMixedCycle(b *testing.B) {
+	idx, pool := writeEnv(b)
+	ctx := context.Background()
+	const cycle = "SSSSASSSSADD"
+	var added []int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := pool.Row(i % pool.Rows())
+		switch cycle[i%len(cycle)] {
+		case 'S':
+			if _, err := idx.Search(ctx, v, 100); err != nil {
+				b.Fatal(err)
+			}
+		case 'A':
+			id, err := idx.Add(v)
+			if err != nil {
+				b.Fatal(err)
+			}
+			added = append(added, id)
+		case 'D':
+			if err := idx.Delete(added[0]); err != nil {
+				b.Fatal(err)
+			}
+			added = added[1:]
+		}
+	}
+}

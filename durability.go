@@ -54,6 +54,11 @@ type WALStats struct {
 	Fsyncs     int64   `json:"fsyncs"`
 	FsyncP50Ms float64 `json:"fsync_p50_ms"`
 	FsyncP99Ms float64 `json:"fsync_p99_ms"`
+	// Replayed and ReplayMs are the log records the Recover that opened
+	// this index re-applied, one by one, and the time that took (zero
+	// when it was opened by WithWAL): recovery's replay rate.
+	Replayed int64   `json:"replayed"`
+	ReplayMs float64 `json:"replay_ms"`
 }
 
 // durState is the durability side of a façade handle. It survives Swap:
@@ -76,6 +81,10 @@ type durState struct {
 	ckptMu sync.Mutex
 
 	log *wal.Log
+
+	// What the Recover that built this state replayed (WALStats).
+	replayed  int64
+	replayDur time.Duration
 }
 
 func (d *durState) snapshotPath() string { return filepath.Join(d.dir, SnapshotFileName) }
@@ -167,6 +176,8 @@ func Recover(dir string, opts DurabilityOptions) (*Index, error) {
 	icap.Release()
 
 	maxEpoch := snapEpoch
+	var replayed int64
+	replayStart := time.Now()
 	for _, seg := range segs {
 		if seg.Epoch < snapEpoch {
 			// Superseded by the snapshot — a checkpoint that crashed
@@ -177,12 +188,15 @@ func Recover(dir string, opts DurabilityOptions) (*Index, error) {
 			maxEpoch = seg.Epoch
 		}
 		_, err := wal.Replay(fsio.OS, seg.Path, func(r *wal.Record) error {
+			replayed++
 			return applyRecord(in, r, seen)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("pqfastscan: replaying %s: %w", seg.Path, err)
 		}
 	}
+
+	replayDur := time.Since(replayStart)
 
 	// Fresh checkpoint: open the next segment, persist the recovered
 	// state stamped with it, then drop the replayed segments. Each step
@@ -193,7 +207,7 @@ func Recover(dir string, opts DurabilityOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &durState{dir: dir, opts: opts, log: log}
+	d := &durState{dir: dir, opts: opts, log: log, replayed: replayed, replayDur: replayDur}
 	rcap, err := in.Capture()
 	if err != nil {
 		log.Close()
@@ -331,6 +345,8 @@ func (ix *Index) WALStats() (stats WALStats, ok bool) {
 		Fsyncs:     s.Fsyncs,
 		FsyncP50Ms: s.FsyncP50Ms,
 		FsyncP99Ms: s.FsyncP99Ms,
+		Replayed:   d.replayed,
+		ReplayMs:   float64(d.replayDur) / float64(time.Millisecond),
 	}, true
 }
 

@@ -91,6 +91,8 @@ func TestKillNineSoak(t *testing.T) {
 	waitSoakReady(t, client, addr, 120*time.Second)
 
 	acked, indeterminate := 0, 0
+	var replayed int64 // log records the recoveries re-applied, one by one
+	var replayMs float64
 	for cycle := 0; cycle < cycles; cycle++ {
 		// Storm: serialized mutations until the killer lands. The op that
 		// errors is the (at most one) indeterminate operation.
@@ -146,6 +148,9 @@ func TestKillNineSoak(t *testing.T) {
 		// state: fully applied or fully absent, nothing in between.
 		proc = startServer(t, bin, addr, walDir, synthetic, partitions, seed)
 		waitSoakReady(t, client, addr, 120*time.Second)
+		records, ms := queryReplay(t, client, addr)
+		replayed += records
+		replayMs += ms
 		live := queryLiveCount(t, client, addr)
 		switch {
 		case havePendingAdd:
@@ -213,6 +218,9 @@ func TestKillNineSoak(t *testing.T) {
 	}
 	t.Logf("soak: %d cycles, %d acked mutations all recovered, %d indeterminate ops resolved",
 		cycles, acked, indeterminate)
+	if replayMs > 0 {
+		t.Logf("soak: recovery replayed %d wal records in %.1f ms: %.0f records/s", replayed, replayMs, float64(replayed)/replayMs*1000)
+	}
 }
 
 // buildServer compiles cmd/pqserve into a temp dir (with -race when
@@ -347,6 +355,27 @@ func postSoakJSON(client *http.Client, addr, path string, body, out any) error {
 		return nil
 	}
 	return json.Unmarshal(data, out)
+}
+
+// queryReplay reads, from /stats, what the recovery that booted the
+// server replayed: log records and milliseconds.
+func queryReplay(t *testing.T, client *http.Client, addr string) (int64, float64) {
+	t.Helper()
+	resp, err := client.Get("http://" + addr + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		WAL struct {
+			Replayed int64   `json:"replayed"`
+			ReplayMs float64 `json:"replay_ms"`
+		} `json:"wal"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.WAL.Replayed, st.WAL.ReplayMs
 }
 
 func queryLiveCount(t *testing.T, client *http.Client, addr string) int {

@@ -1,0 +1,197 @@
+package index
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"pqfastscan/internal/dataset"
+	"pqfastscan/internal/scan"
+	"pqfastscan/internal/scan/model"
+	"pqfastscan/internal/topk"
+	"pqfastscan/internal/vec"
+)
+
+// fuzzFixture is the small trained index FuzzBaseTailIdentity starts
+// every input from (training is the slow part; the partitions of a
+// fresh build are immutable and shared), with the vectors it adds and
+// the queries it asks.
+var fuzzFixture struct {
+	once    sync.Once
+	ix      *Index
+	writes  vec.Matrix
+	queries vec.Matrix
+	err     error
+}
+
+// liveRow is one row of the test's own account of the index: what a
+// rebuild from scratch would hold.
+type liveRow struct {
+	id   int64
+	code [scan.M]uint8
+}
+
+// FuzzBaseTailIdentity: the input bytes drive a sequence of Add,
+// AddBatch, Delete and CompactPartition on a small index, RAM or paged.
+// After every step all three kernels, on every backend, return the
+// exact ids and distances of an index rebuilt from scratch over the
+// live rows — which the test tracks on its own, through none of the
+// code under test — and the served Fast Scan counters equal the
+// model's over the same epoch. A batch of up to 766 rows lands in two
+// partitions, so two or three of them carry a tail across foldTail.
+func FuzzBaseTailIdentity(f *testing.F) {
+	fx := &fuzzFixture
+	fx.once.Do(func() {
+		gen := dataset.NewGenerator(dataset.Config{Seed: 77, Dim: 32})
+		learn := gen.Generate(1500)
+		base := gen.Generate(1600)
+		opt := DefaultOptions()
+		opt.Partitions = 2
+		opt.Seed = 77
+		opt.FastScan.OrderGroups = true
+		fx.ix, fx.err = Build(learn, base, opt)
+		fx.writes = gen.Generate(4096)
+		fx.queries = gen.Generate(2)
+	})
+	if fx.err != nil {
+		f.Fatal(fx.err)
+	}
+	f.Add([]byte{0, 0, 1, 1, 200, 2, 9, 0, 5})                           // RAM: add, batch, delete, add
+	f.Add([]byte{0, 1, 255, 2, 3, 1, 255, 0, 0, 1, 255, 2, 77, 3, 0})    // RAM: batches across the fold, compaction
+	f.Add([]byte{1, 1, 255, 1, 255, 2, 1, 1, 255, 3, 1, 0, 0, 2, 200})   // paged: the same shape
+	f.Add([]byte{1, 2, 0, 2, 1, 3, 0, 3, 1, 0, 0, 1, 100, 3, 0, 1, 255}) // paged: deletes and compactions first
+	f.Add([]byte{0, 1, 255, 1, 255, 1, 255, 1, 255, 2, 1, 2, 2, 1, 255}) // RAM: one fold after another
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		src := fx.ix
+		parts := src.Parts()
+		ix := Restore(src.Dim, src.Coarse, src.PQ, parts, src.opt, src.NextID())
+		if data[0]&1 == 1 {
+			if err := ix.AttachStore(t.TempDir(), 1<<30); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live := make([][]liveRow, len(parts))
+		for c, p := range parts {
+			for i := 0; i < p.N; i++ {
+				live[c] = append(live[c], liveRow{id: p.ID(i), code: [scan.M]uint8(p.Code(i))})
+			}
+		}
+
+		written := 0
+		add := func(n int) {
+			if written+n > fx.writes.Rows() {
+				return
+			}
+			vecs := vec.Matrix{Data: fx.writes.Data[written*ix.Dim : (written+n)*ix.Dim], Dim: ix.Dim}
+			written += n
+			ids, err := ix.Add(vecs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells, codes, err := ix.EncodeRoute(vecs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range cells {
+				live[c] = append(live[c], liveRow{id: ids[i], code: [scan.M]uint8(codes[i*scan.M : (i+1)*scan.M])})
+			}
+		}
+
+		ops := data[1:]
+		for step := 0; step+1 < len(ops) && step < 32; step += 2 {
+			op, arg := ops[step]%4, int(ops[step+1])
+			switch op {
+			case 0:
+				add(1)
+			case 1:
+				add(3*arg + 1)
+			case 2:
+				c := arg % len(live)
+				if len(live[c]) == 0 {
+					continue
+				}
+				i := arg * 7919 % len(live[c])
+				if err := ix.Delete(live[c][i].id); err != nil {
+					t.Fatal(err)
+				}
+				live[c] = append(live[c][:i:i], live[c][i+1:]...)
+			case 3:
+				if _, err := ix.CompactPartition(arg % len(live)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkAgainstRebuild(t, ix, live, fx.queries, fmt.Sprintf("step %d (op %d, arg %d)", step/2, op, arg))
+		}
+	})
+}
+
+// checkAgainstRebuild holds ix to an index restored from the rows in
+// live, and its Fast Scan counters to the model's.
+func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.Matrix, tag string) {
+	t.Helper()
+	ctx := context.Background()
+	rebuilt := make([]*scan.Partition, len(live))
+	for c, rows := range live {
+		codes := make([]uint8, 0, len(rows)*scan.M)
+		ids := make([]int64, 0, len(rows))
+		for _, r := range rows {
+			codes = append(codes, r.code[:]...)
+			ids = append(ids, r.id)
+		}
+		rebuilt[c] = scan.NewPartition(codes, ids)
+		if st := ix.PartitionStats()[c]; st.Live != len(rows) {
+			t.Fatalf("%s: partition %d holds %d live rows, want %d", tag, c, st.Live, len(rows))
+		}
+	}
+	ref := Restore(ix.Dim, ix.Coarse, ix.PQ, rebuilt, ix.opt, ix.NextID())
+
+	s := ix.snap.Load()
+	for qi := 0; qi < queries.Rows(); qi++ {
+		q := queries.Row(qi)
+		want, err := ref.Query(ctx, Request{Query: q, K: 20, Kernel: KernelNaive, NProbe: len(live)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range scanPaths() {
+			req.Query, req.K, req.NProbe = q, 20, len(live)
+			got, err := ix.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("%s: %v/%v: %v", tag, req.Kernel, req.Backend, err)
+			}
+			sameAnswer(t, fmt.Sprintf("%s q%d %v/%v vs rebuild", tag, qi, req.Kernel, req.Backend), got.Results, want.Results)
+		}
+
+		// Counters, cell by cell: the model runs the very layout the epoch
+		// serves with — hydrated under a pin of its own when paged.
+		for c, pe := range s.Parts {
+			release := func() {}
+			var fs *scan.FastScan
+			if pe.paged != nil {
+				_, fs, release, err = pe.paged.view(pe, true)
+			} else {
+				fs, err = pe.FastScanner(ix.opt.FastScan)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			heap := topk.New(20)
+			wantStats := model.ScanInto(fs, ix.Tables(q, c), heap).Stats
+			release()
+			for _, be := range AvailableBackends() {
+				served, err := ix.querySnap(ctx, s, Request{Query: q, K: 20, Backend: be, Cells: []int{c}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if served.Stats != wantStats {
+					t.Fatalf("%s q%d cell %d %v: served stats %+v, model %+v", tag, qi, c, be, served.Stats, wantStats)
+				}
+				sameAnswer(t, fmt.Sprintf("%s q%d cell %d %v vs model", tag, qi, c, be), served.Results, heap.Results())
+			}
+		}
+	}
+}

@@ -57,28 +57,21 @@ func (ix *Index) Capture() (Capture, error) {
 		}
 	}
 	for i, pe := range s.Parts {
-		if pe.paged != nil {
-			p, _, rel, err := pe.paged.view(pe, false)
-			if err != nil {
-				releaseAll()
-				return Capture{}, err
-			}
-			releases = append(releases, rel)
-			parts[i] = p
-			continue
+		p, rel, err := pe.rows()
+		if err != nil {
+			releaseAll()
+			return Capture{}, err
 		}
-		parts[i] = pe.Part
+		releases = append(releases, rel)
+		parts[i] = p
 	}
-	cap := Capture{
-		Dim:    ix.Dim,
-		Coarse: ix.Coarse,
-		PQ:     ix.PQ,
-		Opt:    ix.opt,
-		Parts:  parts,
-		NextID: ix.nextID.Load(),
-	}
-	if len(releases) > 0 {
-		cap.release = releaseAll
-	}
-	return cap, nil
+	return Capture{
+		Dim:     ix.Dim,
+		Coarse:  ix.Coarse,
+		PQ:      ix.PQ,
+		Opt:     ix.opt,
+		Parts:   parts,
+		NextID:  ix.nextID.Load(),
+		release: releaseAll,
+	}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"pqfastscan/internal/scan"
 	"pqfastscan/internal/scan/model"
 	"pqfastscan/internal/topk"
+	"pqfastscan/internal/vec"
 )
 
 // scanPaths lists every scan a query can be answered with — the
@@ -34,13 +35,30 @@ func sameAnswer(t *testing.T, tag string, got, want []Result) {
 	}
 }
 
+// addTo adds n vectors, one Add each, that all route to cell c.
+func addTo(t *testing.T, ix *Index, gen *dataset.Generator, c, n int) {
+	t.Helper()
+	for n > 0 {
+		batch := gen.Generate(64)
+		for i := 0; i < batch.Rows() && n > 0; i++ {
+			if v := batch.Row(i); ix.RoutePartition(v) == c {
+				if _, err := ix.Add(vec.Matrix{Data: v, Dim: batch.Dim}); err != nil {
+					t.Fatal(err)
+				}
+				n--
+			}
+		}
+	}
+}
+
 // TestCarriedMultiProbeProperty is the index-level statement of "one
 // running top-k per query changes nothing but the work": over seeds,
-// k, every nprobe above one, three mutation states, RAM and paged
-// storage, and every scan path, the sequential multi-probe answer
-// equals the per-cell from-empty scans merged and the KernelNaive
-// oracle, ids and distances; and an explicit cell list returns the same
-// set whatever order it names the cells in.
+// k, every nprobe above one, the mutation states (clean, tails
+// non-empty, tombstoned, a tail one row short of the fold, just
+// folded), RAM and paged storage, and every scan path, the sequential
+// multi-probe answer equals the per-cell from-empty scans merged and
+// the KernelNaive oracle, ids and distances; and an explicit cell list
+// returns the same set whatever order it names the cells in.
 func TestCarriedMultiProbeProperty(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []uint64{1201, 1202} {
@@ -117,6 +135,13 @@ func TestCarriedMultiProbeProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		for _, ix := range []*Index{ram, paged} {
+			for _, st := range ix.PartitionStats() {
+				if st.Tail == 0 || st.Tail >= foldTail {
+					t.Fatalf("paged=%v: partition %d has a tail of %d after a batch of %d", ix.Paged(), st.Partition, st.Tail, batch.Rows())
+				}
+			}
+		}
 		check("after-add")
 
 		for _, ix := range []*Index{ram, paged} {
@@ -127,6 +152,23 @@ func TestCarriedMultiProbeProperty(t *testing.T) {
 			}
 		}
 		check("tombstoned")
+
+		for _, ix := range []*Index{ram, paged} {
+			addTo(t, ix, gen, 1, foldTail-1-ix.PartitionStats()[1].Tail)
+			if st := ix.PartitionStats()[1]; st.Tail != foldTail-1 {
+				t.Fatalf("paged=%v: tail %d, want one short of %d", ix.Paged(), st.Tail, foldTail)
+			}
+		}
+		check("one-short-of-fold")
+
+		for _, ix := range []*Index{ram, paged} {
+			before := ix.PartitionStats()[1]
+			addTo(t, ix, gen, 1, 1)
+			if st := ix.PartitionStats()[1]; st.Tail != 0 || st.Live != before.Live+1 || st.Dead != before.Dead {
+				t.Fatalf("paged=%v: the fold left %+v after %+v", ix.Paged(), st, before)
+			}
+		}
+		check("just-folded")
 	}
 }
 

@@ -232,8 +232,11 @@ func TestScannerCacheFollowsEpoch(t *testing.T) {
 	if c == a {
 		t.Fatal("scanner cache survived an epoch change: stale layout would be served")
 	}
-	if got, want := c.Grouped().N+c.KeepN(), ix.Parts()[0].N; got != want {
-		t.Fatalf("new scanner covers %d vectors, partition holds %d", got, want)
+	// The new epoch's scanner shares a's layout and takes the appended
+	// row with the keep phase: blocks and plain scan together hold every
+	// vector of the partition.
+	if got, want := c.Grouped().N+c.PlainScanned(), ix.Parts()[0].N; got != want || c.Grouped() != a.Grouped() {
+		t.Fatalf("new scanner covers %d vectors (layout shared: %v), partition holds %d", got, c.Grouped() == a.Grouped(), want)
 	}
 }
 

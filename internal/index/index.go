@@ -479,8 +479,8 @@ func (ix *Index) GroupedMemoryBytes() (packed, rowMajor int, err error) {
 			return 0, 0, err
 		}
 		g := fs.Grouped()
-		packed += g.PackedBytes() + fs.KeepN()*layout.M
-		rowMajor += g.RowMajorBytes() + fs.KeepN()*layout.M
+		packed += g.PackedBytes() + fs.PlainScanned()*layout.M
+		rowMajor += g.RowMajorBytes() + fs.PlainScanned()*layout.M
 	}
 	return packed, rowMajor, nil
 }

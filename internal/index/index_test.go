@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"sync"
@@ -360,10 +361,8 @@ func TestBuildDeterministic(t *testing.T) {
 		if aParts[pi].N != bParts[pi].N {
 			t.Fatalf("partition %d sizes differ", pi)
 		}
-		for ci := range aParts[pi].Codes {
-			if aParts[pi].Codes[ci] != bParts[pi].Codes[ci] {
-				t.Fatalf("partition %d codes differ", pi)
-			}
+		if !bytes.Equal(aParts[pi].FlatCodes(), bParts[pi].FlatCodes()) {
+			t.Fatalf("partition %d codes differ", pi)
 		}
 	}
 }

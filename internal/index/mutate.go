@@ -3,20 +3,19 @@
 // blocking queries. New vectors are encoded against the trained coarse
 // and product quantizers — exactly the codes a from-scratch rebuild over
 // the same vectors would produce — and each affected partition gets a
-// replacement epoch: a sealed copy of its code block with the batch
-// appended, plus a clone of any built Fast Scan layout extended through
-// the incremental group repack. Deletions publish an epoch whose
-// tombstone set grew by one (codes and layout are shared with the
-// predecessor). Epochs are published with a single snapshot swap
-// (snapshot.go); tombstoned codes stay in place until the online
-// compactor (compact.go) rebuilds the partition without them.
+// successor epoch that shares its predecessor's base (row-major codes,
+// Fast Scan layout, disk extent) and differs in what the mutation
+// touched: an Add copies the tail with the batch appended, a Delete
+// copies the tombstone set with one id more. Epochs are published with
+// a single snapshot swap (snapshot.go). A tail that has reached
+// foldTail rows is folded into a new base, and tombstoned codes are
+// dropped, by the one rebuild of compact.go.
 package index
 
 import (
 	"errors"
 	"fmt"
 
-	"pqfastscan/internal/scan"
 	"pqfastscan/internal/vec"
 )
 
@@ -28,11 +27,13 @@ var ErrNotFound = errors.New("index: id not found")
 
 // Add encodes and indexes the rows of vecs, returning the id assigned to
 // each (a monotonically increasing sequence continuing the build-time
-// ids). Encoding and routing run lock-free; each affected partition is
-// then rebuilt copy-on-write under its own builder lock and published
-// atomically, so an Add contends only with other mutations touching the
-// same partitions — in-flight queries keep scanning the previous epochs
-// and later queries see the whole batch.
+// ids). Encoding and routing run lock-free; each affected partition then
+// gets, under its own builder lock, a successor epoch with the batch
+// appended to its tail, published atomically, so an Add costs what it
+// adds (plus its share of a fold every foldTail rows) and contends only
+// with other mutations touching the same partitions — in-flight queries
+// keep scanning the previous epochs and later queries see the whole
+// batch.
 //
 // Add is the composition of EncodeRoute, AllocIDs and ApplyAdd — split
 // so the durability layer can log the encoded mutation (cells, ids,
@@ -122,9 +123,8 @@ func (ix *Index) ApplyAdd(cells []int, ids []int64, codes []uint8) error {
 		}
 	}
 
-	// Bucket per partition so each partition (and its Fast Scan layout)
-	// sees one copy-on-write rebuild per batch: large batches amortize to
-	// a single regroup pass.
+	// Bucket per partition: each partition publishes one successor epoch
+	// per batch.
 	type chunk struct {
 		codes []uint8
 		ids   []int64
@@ -135,31 +135,23 @@ func (ix *Index) ApplyAdd(cells []int, ids []int64, codes []uint8) error {
 		chunks[c].ids = append(chunks[c].ids, ids[i])
 	}
 
+	// Nothing below can fail: the rows are published in the tail — no
+	// layout work, no file — before any fold is tried, so a batch is
+	// never half applied.
 	for c := range chunks {
 		if len(chunks[c].ids) == 0 {
 			continue
 		}
 		ix.partMu[c].Lock()
-		if ix.pg != nil {
-			// Disk-backed index: the rebuilt partition is written out as a
-			// fresh extent and published as a stub epoch (paging.go).
-			err := ix.applyAddPaged(c, chunks[c].codes, chunks[c].ids)
-			ix.partMu[c].Unlock()
-			if err != nil {
-				return err
-			}
-			continue
-		}
 		cur := ix.snap.Load().Parts[c]
-		next := cur.Part.CloneAppend(chunks[c].codes, chunks[c].ids)
-		var fast *scan.FastScan
-		if fs := cur.fast.Load(); fs != nil {
-			// Carry the warmth forward: clone the grouped layout and fold
-			// the batch in incrementally instead of making the next query
-			// rebuild it from scratch.
-			fast = fs.CloneAppend(next, chunks[c].codes, chunks[c].ids)
+		pe := ix.publishAt(c, ix.successor(cur, cur.Part.CloneAppend(chunks[c].codes, chunks[c].ids)))
+		if pe.Part.Tail() >= foldTail {
+			// A fold that fails (only an extent write can) loses nothing:
+			// the epoch just published stays, its rows searchable in the
+			// tail, and the next Add into this partition tries again.
+			// PartitionStat.Tail above foldTail is how that shows.
+			_, _ = ix.rebuild(c, pe, false)
 		}
-		ix.publish(c, next, fast)
 		ix.partMu[c].Unlock()
 	}
 
@@ -189,10 +181,10 @@ func (ix *Index) ApplyAdd(cells []int, ids []int64, codes []uint8) error {
 }
 
 // Delete tombstones the vector with the given id by publishing a new
-// epoch of its partition whose tombstone set grew by one; codes and any
-// built Fast Scan layout are shared with the predecessor epoch. It
-// returns ErrNotFound when the id was never assigned or is no longer
-// live.
+// epoch of its partition whose tombstone set grew by one; base, tail and
+// any built Fast Scan layout are shared with the predecessor epoch, so
+// no code moves and no extent is written. It returns ErrNotFound when
+// the id was never assigned or is no longer live.
 //
 // Each delete copies the partition's tombstone set (copy-on-write), so
 // the cost of the D-th uncompacted delete into one partition is O(D).
@@ -207,18 +199,13 @@ func (ix *Index) Delete(id int64) error {
 		// by their Add (see the ordering note there).
 		ix.locate = make(map[int64]int)
 		for c, pe := range ix.snap.Load().Parts {
-			p := pe.Part
-			release := func() {}
-			if pe.paged != nil {
-				// Stubs carry no id array — pin the extent for the duration
-				// of this partition's walk.
-				hp, _, rel, err := pe.paged.view(pe, false)
-				if err != nil {
-					ix.locate = nil // retry the build on the next Delete
-					ix.locateMu.Unlock()
-					return fmt.Errorf("index: building delete routing table: %w", err)
-				}
-				p, release = hp, rel
+			// Stubs carry no base id array — the extent stays pinned for
+			// the duration of this partition's walk.
+			p, release, err := pe.rows()
+			if err != nil {
+				ix.locate = nil // retry the build on the next Delete
+				ix.locateMu.Unlock()
+				return fmt.Errorf("index: building delete routing table: %w", err)
 			}
 			for i := 0; i < p.N; i++ {
 				if pid := p.ID(i); !p.IsDead(pid) {
@@ -245,20 +232,7 @@ func (ix *Index) Delete(id int64) error {
 		// the id was dropped by an out-of-band partition replacement.
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	var fast *scan.FastScan
-	if fs := cur.fast.Load(); fs != nil {
-		// A tombstone changes no codes: the layout is shared, only the
-		// partition binding (whose tombstone set kernels consult) moves.
-		fast = fs.Rebind(next)
-	}
-	// A tombstone-only epoch shares its predecessor's extent (nil on a
-	// RAM index): the dead set is resident metadata on the stub, the
-	// bytes on disk are unchanged, so no extent write happens on Delete.
-	npe := &PartEpoch{Part: next, Epoch: ix.epoch.Add(1), paged: cur.paged}
-	if fast != nil {
-		npe.fast.Store(fast)
-	}
-	ix.publishAt(c, npe)
+	ix.publishAt(c, ix.successor(cur, next))
 	return nil
 }
 

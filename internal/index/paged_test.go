@@ -3,11 +3,15 @@ package index
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"pqfastscan/internal/bufpool"
 	"pqfastscan/internal/dataset"
+	"pqfastscan/internal/extent"
 	"pqfastscan/internal/vec"
 )
 
@@ -40,6 +44,14 @@ func buildTwin(t *testing.T, seed uint64, nBase int) (ram, paged *Index, queries
 // equal ids, distances and scan stats.
 func assertIdentical(t *testing.T, ram, paged *Index, queries vec.Matrix, tag string) {
 	t.Helper()
+	assertSame(t, ram, paged, queries, tag, true)
+}
+
+// assertSame is assertIdentical, the scan stats compared only when
+// asked: twins whose tails were folded at different times hold the same
+// rows in different layouts.
+func assertSame(t *testing.T, ram, paged *Index, queries vec.Matrix, tag string, stats bool) {
+	t.Helper()
 	ctx := context.Background()
 	for _, req := range scanPaths() {
 		for qi := 0; qi < queries.Rows(); qi++ {
@@ -52,15 +64,8 @@ func assertIdentical(t *testing.T, ram, paged *Index, queries vec.Matrix, tag st
 			if err != nil {
 				t.Fatalf("%s: paged query (%v/%v): %v", tag, req.Kernel, req.Backend, err)
 			}
-			if len(got.Results) != len(want.Results) {
-				t.Fatalf("%s: %v/%v q%d: %d results, want %d", tag, req.Kernel, req.Backend, qi, len(got.Results), len(want.Results))
-			}
-			for i := range want.Results {
-				if got.Results[i] != want.Results[i] {
-					t.Fatalf("%s: %v/%v q%d result %d: %+v, want %+v", tag, req.Kernel, req.Backend, qi, i, got.Results[i], want.Results[i])
-				}
-			}
-			if got.Stats != want.Stats {
+			sameAnswer(t, fmt.Sprintf("%s: %v/%v q%d", tag, req.Kernel, req.Backend, qi), got.Results, want.Results)
+			if stats && got.Stats != want.Stats {
 				t.Fatalf("%s: %v/%v q%d stats %+v, want %+v", tag, req.Kernel, req.Backend, qi, got.Stats, want.Stats)
 			}
 		}
@@ -344,4 +349,162 @@ func TestPagedMutationStorm(t *testing.T) {
 	default:
 	}
 	assertIdentical(t, ram, paged, queries, "post-storm")
+}
+
+// extentFiles lists the extent files in dir.
+func extentFiles(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), extent.Suffix) {
+			out[e.Name()] = true
+		}
+	}
+	return out
+}
+
+// TestPagedAddWritesNoExtent: on a disk-backed index an Add publishes
+// its rows in the RAM tail and writes nothing; only the fold of a full
+// tail writes an extent, one. 1 000 single-vector Adds used to create
+// 1 000 extent files.
+func TestPagedAddWritesNoExtent(t *testing.T) {
+	ram, paged, queries := buildTwin(t, 303, 6000)
+	dir := t.TempDir()
+	if err := paged.AttachStore(dir, 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, ram, paged, queries, "fresh") // and both twins' layouts are built, over the same rows
+	seen := extentFiles(t, dir)
+	attached := len(seen)
+	// Extent files are removed by finalizers at any time, but only
+	// created inside an Add: looking after each one misses none.
+	created := func() int {
+		for name := range extentFiles(t, dir) {
+			seen[name] = true
+		}
+		return len(seen) - attached
+	}
+	gen := dataset.NewGenerator(dataset.Config{Seed: 304, Dim: 32})
+	adds := 0
+	addOne := func() {
+		v := vec.Matrix{Data: gen.Generate(1).Row(0), Dim: 32}
+		for _, ix := range []*Index{ram, paged} {
+			if _, err := ix.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		adds++
+	}
+	for adds < 1000 {
+		addOne()
+		if n := created(); n > 4 {
+			t.Fatalf("%d extent files created by %d single-vector Adds, want at most 4 per 1000", n, adds)
+		}
+	}
+	tails := 0
+	for _, st := range paged.PartitionStats() {
+		tails += st.Tail
+	}
+	if tails != 1000-foldTail*created() {
+		t.Fatalf("tails hold %d rows after 1000 Adds and %d folds", tails, created())
+	}
+	assertIdentical(t, ram, paged, queries, "1000 adds")
+
+	// On to the first fold after those: exactly one extent, for the one
+	// partition whose tail filled.
+	before := created()
+	for created() == before {
+		if adds > 1000+4*foldTail {
+			t.Fatalf("no fold in %d Adds over 4 partitions", adds)
+		}
+		addOne()
+	}
+	folded := 0
+	for _, st := range paged.PartitionStats() {
+		if st.Tail == 0 {
+			folded++
+		}
+	}
+	if created() != before+1 || folded != 1 {
+		t.Fatalf("the Add that filled a tail created %d extents and emptied %d tails, want 1 and 1", created()-before, folded)
+	}
+	assertIdentical(t, ram, paged, queries, "first fold")
+}
+
+// TestPagedFoldFailureKeepsTheTail: when the store cannot be written, a
+// batch whose folds all fail is still applied whole — every
+// acknowledged row searchable from the tail, Add returning nil — a
+// compaction reports the error to its caller, and the first Add after
+// the store is back folds what was left. An AddBatch used to return the
+// write error of one partition after publishing the ones before it.
+func TestPagedFoldFailureKeepsTheTail(t *testing.T) {
+	ram, paged, queries := buildTwin(t, 404, 6000)
+	dir := filepath.Join(t.TempDir(), "store")
+	// A pool holding every extent: with the directory gone, reads are
+	// served from the frames the first queries brought in.
+	if err := paged.AttachStore(dir, 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, ram, paged, queries, "fresh")
+
+	// Root ignores permission bits, so the directory is made unwritable
+	// by moving it away: creating a file in it fails either way.
+	away := dir + ".away"
+	if err := os.Rename(dir, away); err != nil {
+		t.Fatal(err)
+	}
+	gen := dataset.NewGenerator(dataset.Config{Seed: 405, Dim: 32})
+	batch := gen.Generate(4 * 2 * foldTail)
+	ramIDs, err := ram.Add(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := paged.Add(batch)
+	if err != nil {
+		t.Fatalf("Add with an unwritable store: %v (the rows are in the tail; a failed fold is not an error)", err)
+	}
+	if len(ids) != batch.Rows() || ids[0] != ramIDs[0] {
+		t.Fatalf("acknowledged %d ids from %d, want %d from %d", len(ids), ids[0], batch.Rows(), ramIDs[0])
+	}
+	// No fold can have succeeded: the whole batch is in the tails, most
+	// of them past the fold.
+	applied, due := 0, 0
+	for _, st := range paged.PartitionStats() {
+		applied += st.Tail
+		if st.Tail >= foldTail {
+			due++
+		}
+	}
+	if applied != batch.Rows() || due < 2 || paged.Live() != ram.Live() {
+		t.Fatalf("batch half applied: %d of %d rows in the tails (%d of them due a fold), %d live (twin %d)", applied, batch.Rows(), due, paged.Live(), ram.Live())
+	}
+	assertSame(t, ram, paged, queries, "unwritable store", false)
+	if err := paged.Delete(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ram.Delete(ramIDs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := paged.CompactPartition(0); err == nil {
+		t.Fatal("CompactPartition reported no error with an unwritable store")
+	}
+	assertSame(t, ram, paged, queries, "failed compaction", false)
+
+	// The store is back: the next Add into each partition folds its tail.
+	if err := os.Rename(away, dir); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < paged.Partitions(); c++ {
+		for _, ix := range []*Index{ram, paged} {
+			addTo(t, ix, dataset.NewGenerator(dataset.Config{Seed: 406 + uint64(c), Dim: 32}), c, 1)
+		}
+		if st := paged.PartitionStats()[c]; st.Tail >= foldTail {
+			t.Fatalf("partition %d: tail %d after an Add with the store back", c, st.Tail)
+		}
+	}
+	assertSame(t, ram, paged, queries, "store back", false)
 }

@@ -1,24 +1,27 @@
 // Beyond-RAM serving: disk-resident partition extents behind an
 // epoch-aware buffer pool (DESIGN.md §15).
 //
-// AttachStore seals every partition epoch's bulk data — row-major
-// codes, materialized ids, and the Fast Scan grouped layout's packed
-// blocks, grouped codes and grouped ids — into one immutable extent
-// file per partition epoch, and replaces the snapshot's epochs with
-// stubs: RAM-resident metadata (row counts, tombstone sets, the group
-// directory) whose data slices are nil. A probe that visits a
-// partition pins its extent in the buffer pool, hydrates transient
-// shallow views over the pinned payload, scans them exactly as it
-// would RAM-resident slices — the payload buffer is 64-byte aligned
-// and sections are 64-byte aligned within it, so the asm kernels scan
-// paged-in blocks zero-copy — and unpins on the way out.
+// AttachStore seals every partition epoch's base — row-major codes,
+// materialized ids, and the Fast Scan grouped layout's packed blocks,
+// grouped codes and grouped ids — into one immutable extent file per
+// base, and replaces the snapshot's epochs with stubs: RAM-resident
+// metadata (row counts, tombstone sets, the group directory, the tail
+// of rows appended since the base was built) whose base slices are
+// nil. A probe that visits a partition pins its extent in the buffer
+// pool, hydrates transient shallow views over the pinned payload, scans
+// them exactly as it would RAM-resident slices — the payload buffer is
+// 64-byte aligned and sections are 64-byte aligned within it, so the
+// asm kernels scan paged-in blocks zero-copy — and unpins on the way
+// out.
 //
 // Epochs make eviction safe: extents are write-once and named by
-// (attach instance, partition, epoch), so a mutation never rewrites an
-// extent — it writes a new one and publishes a new stub epoch. A query
-// holding a pin on epoch e keeps scanning e's (immutable) bytes while
-// e+1 is published; once the last reference to e's stub drops, a
-// finalizer forgets the pool frame and removes the file. Extents are a
+// (attach instance, partition, epoch), so nothing ever rewrites an
+// extent. An Add or a Delete writes none — its epoch shares its
+// predecessor's; a rebuild (compact.go: a fold, a compaction) writes a
+// new one and publishes a new stub epoch. A query holding a pin on
+// epoch e keeps scanning e's (immutable) bytes while e+1 is published;
+// once the last reference to the extent drops, a finalizer forgets the
+// pool frame and removes the file. Extents are a
 // node-local cache, not durable state: the v3 snapshot + WAL remain
 // the durability story, and attach rebuilds extents from the loaded
 // index, sweeping whatever a previous owner left in the directory.
@@ -107,13 +110,13 @@ func (pg *Paging) PoolStats() bufpool.Stats { return pg.pool.Stats() }
 // pspan is a section's location within an extent payload.
 type pspan struct{ off, n int64 }
 
-// pagedExtent is the stable identity of one partition epoch's sealed
+// pagedExtent is the stable identity of one partition base's sealed
 // payload on disk, plus the section geometry needed to hydrate stubs
 // from a pinned payload without re-reading the header. It is shared
-// between tombstone-only successor epochs (a Delete changes no codes),
-// and across indexes that share epochs (RestrictCells). When the last
-// sharing epoch becomes unreachable, the finalizer drops the pool
-// frame and the file.
+// between an epoch and its successors by Add and Delete (neither
+// changes the base), and across indexes that share epochs
+// (RestrictCells). When the last sharing epoch becomes unreachable, the
+// finalizer drops the pool frame and the file.
 type pagedExtent struct {
 	pg    *Paging
 	name  string
@@ -152,10 +155,11 @@ func (x *pagedExtent) view(pe *PartEpoch, needFast bool) (*scan.Partition, *scan
 	return p, fs, release, nil
 }
 
-// writeExtent seals part (and its Fast Scan state, when non-nil) into
-// a new extent and returns the paged handle plus the detached stubs to
-// publish in its place. The finalizer on the handle garbage-collects
-// the file once no epoch references it.
+// writeExtent seals part's base (and its Fast Scan state, when
+// non-nil) into a new extent and returns the paged handle plus the
+// detached stubs to publish in its place; a tail stays with the stub,
+// in RAM. The finalizer on the handle garbage-collects the file once no
+// epoch references it.
 func (pg *Paging) writeExtent(name string, part *scan.Partition, fast *scan.FastScan) (*pagedExtent, *scan.Partition, *scan.FastScan, error) {
 	x := &pagedExtent{pg: pg, name: name}
 	var b extent.Builder
@@ -164,10 +168,11 @@ func (pg *Paging) writeExtent(name string, part *scan.Partition, fast *scan.Fast
 		b.Add(secName, data)
 		return sp
 	}
-	x.codes = add("codes", part.Codes)
-	if part.IDs != nil {
+	base, _ := part.Segments() // the tail is not sealed: Detach keeps it
+	x.codes = add("codes", base.Codes)
+	if base.IDs != nil {
 		x.hasIDs = true
-		x.ids = add("ids", extent.Int64Bytes(part.IDs))
+		x.ids = add("ids", extent.Int64Bytes(base.IDs))
 	}
 	if fast != nil {
 		x.hasFast = true
@@ -323,106 +328,17 @@ func (ix *Index) StoreStats() (StoreStats, bool) {
 	}, true
 }
 
-// applyAddPaged is ApplyAdd's per-partition body on a disk-backed
-// index: hydrate the current epoch (pinned only for the clone), build
-// the appended partition and layout in RAM — CloneAppend copies into
-// fresh arrays, so nothing retains the pinned payload — then seal them
-// into a fresh extent and publish the stubs. The extent is named after
-// its epoch, so the number is allocated before the write; per-partition
-// ordering still holds because the caller's ix.partMu[c] serializes
-// publishes into this slot.
-func (ix *Index) applyAddPaged(c int, codes []uint8, ids []int64) error {
-	cur := ix.snap.Load().Parts[c]
-	p := cur.Part
-	var curFast *scan.FastScan
-	release := func() {}
-	if cur.paged != nil {
-		hp, hfs, rel, err := cur.paged.view(cur, cur.paged.hasFast)
-		if err != nil {
-			return err
-		}
-		p, curFast, release = hp, hfs, rel
-	} else {
-		// A RAM epoch inside a paged index: an empty cell installed by
-		// RestrictCells. Its successor is written to disk like any other.
-		curFast = cur.fast.Load()
-	}
-	next := p.CloneAppend(codes, ids)
-	var fast *scan.FastScan
-	if curFast != nil {
-		fast = curFast.CloneAppend(next, codes, ids)
-	} else if next.W == layout.M {
-		// Paged epochs build their layout eagerly — the extent must carry
-		// the grouped sections or later Fast Scan queries would have
-		// nothing to pin. Widths without a layout stay without one.
-		if fs, err := scan.NewFastScan(next, ix.opt.FastScan); err == nil {
-			fast = fs
-		}
-	}
-	release()
-	e := ix.epoch.Add(1)
-	x, stubP, stubF, err := ix.pg.writeExtent(ix.extentName(c, e), next, fast)
-	if err != nil {
-		return err
-	}
-	npe := &PartEpoch{Part: stubP, Epoch: e, paged: x}
-	if stubF != nil {
-		npe.fast.Store(stubF)
-	}
-	ix.publishAt(c, npe)
-	return nil
-}
-
-// compactPaged rebuilds partition c without its tombstoned rows on a
-// disk-backed index and publishes the compacted epoch's stub. The
-// caller holds ix.partMu[c] and has verified DeadCount > 0, which
-// guarantees Compact returns fresh arrays (nothing aliases the pin).
-func (ix *Index) compactPaged(c int, cur *PartEpoch) (*PartEpoch, error) {
-	p := cur.Part
-	release := func() {}
-	if cur.paged != nil {
-		hp, _, rel, err := cur.paged.view(cur, false)
-		if err != nil {
-			return nil, err
-		}
-		p, release = hp, rel
-	}
-	next := p.Compact()
-	release()
-	var fast *scan.FastScan
-	if next.W == layout.M {
-		if fs, err := scan.NewFastScan(next, ix.opt.FastScan); err == nil {
-			fast = fs
-		}
-	}
-	e := ix.epoch.Add(1)
-	x, stubP, stubF, err := ix.pg.writeExtent(ix.extentName(c, e), next, fast)
-	if err != nil {
-		return nil, err
-	}
-	npe := &PartEpoch{Part: stubP, Epoch: e, paged: x}
-	if stubF != nil {
-		npe.fast.Store(stubF)
-	}
-	return ix.publishAt(c, npe), nil
-}
-
 // materializePart returns a RAM-resident copy of a paged epoch's
-// partition (fresh code and id arrays, shared tombstone set) — the
-// bridge for offline tooling (Parts, FastScanner) that expects
-// partition data without pin lifetimes.
+// partition (one fresh base, shared tombstone set) — the bridge for
+// offline tooling (Parts, FastScanner) that expects partition data
+// without pin lifetimes.
 func (ix *Index) materializePart(pe *PartEpoch) (*scan.Partition, error) {
-	p, _, release, err := pe.paged.view(pe, false)
+	p, release, err := pe.rows()
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	codes := append([]uint8(nil), p.Codes...)
-	var ids []int64
-	if p.IDs != nil {
-		ids = append([]int64(nil), p.IDs...)
-	}
-	return p.Hydrate(codes, ids), nil
+	return p.Flatten(), nil
 }
 
 // groupedFootprint computes one paged epoch's packed/row-major byte
@@ -434,5 +350,5 @@ func (ix *Index) groupedFootprint(pe *PartEpoch) (packed, rowMajor int, err erro
 	}
 	defer release()
 	g := fs.Grouped()
-	return g.PackedBytes() + fs.KeepN()*layout.M, g.RowMajorBytes() + fs.KeepN()*layout.M, nil
+	return g.PackedBytes() + fs.PlainScanned()*layout.M, g.RowMajorBytes() + fs.PlainScanned()*layout.M, nil
 }

@@ -4,12 +4,16 @@
 // epochs — behind one atomic pointer. Queries load the pointer once and
 // scan with no locks: everything reachable from a Snapshot is sealed
 // (never mutated after publish), so a query's entire view is consistent
-// no matter what mutations land concurrently. Mutations build a
-// replacement partition off the serving path (copy-on-write, reusing the
-// incremental Fast Scan group repack) and publish it with a single
+// no matter what mutations land concurrently. An epoch is an immutable
+// base (row-major codes and ids, the Fast Scan layout built from them,
+// one extent when paged) plus a bounded tail of rows appended since the
+// base was built plus the tombstone set. Mutations build a successor
+// off the serving path — sharing the base, copying only the tail (Add)
+// or the tombstones (Delete) — and publish it with a single
 // compare-and-swap of the snapshot pointer; a mutation therefore only
 // contends with other mutations of the same partition (the per-partition
-// builder locks), never with queries.
+// builder locks), never with queries. Only the rebuild of compact.go
+// makes a new base.
 //
 // See DESIGN.md §11 "Epochs, copy-on-write, and compaction" for the
 // lifecycle and publish-ordering rules.
@@ -25,10 +29,10 @@ import (
 
 // PartEpoch is one published, immutable version of a partition. Part is
 // sealed: no code path mutates a partition reachable from a snapshot.
-// The Fast Scan layout rides along with the epoch — it is built from
-// Part's codes, so it can never describe any other version — which is
-// what makes stale scanners unreachable: replacing the epoch replaces
-// the scanner with it.
+// The Fast Scan layout rides along with the epoch — it is built from a
+// prefix of Part's rows and bound to Part, so it can never describe any
+// other version — which is what makes stale scanners unreachable:
+// replacing the epoch replaces the scanner with it.
 type PartEpoch struct {
 	// Part holds the sealed codes, ids and tombstones of this epoch.
 	Part *scan.Partition
@@ -36,20 +40,43 @@ type PartEpoch struct {
 	// grows, so operators can watch /stats to see partitions advance.
 	Epoch uint64
 
-	// fast is the epoch's PQ Fast Scan layout. Mutations that change
-	// codes clone-and-extend the previous epoch's layout so warmth
-	// carries forward; a fresh build (or restore) leaves it nil and the
-	// first Fast Scan query constructs it under fastMu — a builder lock
-	// on the cold path only, never the steady-state read path, which is
-	// one atomic load.
+	// fast is the epoch's PQ Fast Scan layout. A successor epoch rebinds
+	// its predecessor's (successor), so warmth carries forward for free;
+	// a fresh build (or restore) leaves it nil and the first Fast Scan
+	// query constructs it under fastMu — a builder lock on the cold path
+	// only, never the steady-state read path, which is one atomic load.
 	fast   atomic.Pointer[scan.FastScan]
 	fastMu sync.Mutex
 
 	// paged, when non-nil, marks a disk-resident epoch: Part (and any
-	// fast layout) are stubs whose bulk data lives in this extent and is
-	// pinned per probe (paging.go). Tombstone-only successor epochs
-	// share their predecessor's extent — a Delete changes no codes.
+	// fast layout) are stubs whose base lives in this extent and is
+	// pinned per probe (paging.go); the tail stays in RAM. Successor
+	// epochs share their predecessor's extent — neither an Add nor a
+	// Delete changes the base.
 	paged *pagedExtent
+}
+
+// successor returns the epoch that follows cur when only its tail or
+// its tombstones changed: next (cur.Part's CloneAppend or
+// CloneTombstone) over cur's base — the same extent, the same Fast Scan
+// layout rebound to next.
+func (ix *Index) successor(cur *PartEpoch, next *scan.Partition) *PartEpoch {
+	pe := &PartEpoch{Part: next, Epoch: ix.epoch.Add(1), paged: cur.paged}
+	if fs := cur.fast.Load(); fs != nil {
+		pe.fast.Store(fs.Rebind(next))
+	}
+	return pe
+}
+
+// rows returns the epoch's partition with every row readable: Part
+// itself on a RAM epoch, a view hydrated over the pinned extent — valid
+// until release is called — on a paged one.
+func (pe *PartEpoch) rows() (p *scan.Partition, release func(), err error) {
+	if pe.paged == nil {
+		return pe.Part, func() {}, nil
+	}
+	p, _, release, err = pe.paged.view(pe, false)
+	return p, release, err
 }
 
 // FastScanner returns the epoch's Fast Scan layout, building it on first
@@ -144,24 +171,11 @@ func (ix *Index) install(parts []*scan.Partition) {
 	ix.snap.Store(&Snapshot{Parts: pes})
 }
 
-// publish replaces partition c's epoch with a new sealed partition (and,
-// optionally, its carried-forward Fast Scan layout) by swapping in a new
-// snapshot whose other slots are shared with the old one. The caller
-// must hold ix.partMu[c], which makes slot c stable across the CAS loop;
-// retries happen only when another partition publishes concurrently, so
-// the loop is short and lock-free.
-func (ix *Index) publish(c int, part *scan.Partition, fast *scan.FastScan) *PartEpoch {
-	pe := &PartEpoch{Part: part, Epoch: ix.epoch.Add(1)}
-	if fast != nil {
-		pe.fast.Store(fast)
-	}
-	return ix.publishAt(c, pe)
-}
-
-// publishAt installs a fully built epoch into slot c — the publish core
-// shared with the paged mutation paths, which must allocate the epoch
-// number (and write the extent named after it) before the epoch exists.
-// The caller must hold ix.partMu[c].
+// publishAt installs a fully built epoch into slot c by swapping in a
+// new snapshot whose other slots are shared with the old one. The
+// caller must hold ix.partMu[c], which makes slot c stable across the
+// CAS loop; retries happen only when another partition publishes
+// concurrently, so the loop is short and lock-free.
 func (ix *Index) publishAt(c int, pe *PartEpoch) *PartEpoch {
 	for {
 		old := ix.snap.Load()

@@ -14,7 +14,6 @@ package layout
 
 import (
 	"fmt"
-	"sort"
 	"unsafe"
 )
 
@@ -36,8 +35,8 @@ const MaxGroupComponents = 4
 // vector loads in the hot loop never split across more lines than the
 // data itself spans. Kernels use unaligned-tolerant loads (vmovdqu,
 // vld1), so correctness never depends on it — alignment is a
-// performance invariant, maintained here across construction, online
-// appends and clones.
+// performance invariant, established here at construction (a layout is
+// never modified afterwards).
 const Alignment = 64
 
 // AlignedBytes returns a zeroed length-n byte slice whose base address
@@ -152,12 +151,11 @@ type Group struct {
 	// per-component distance-table portion minima: the minimum table
 	// entry any member can contribute for component j is the minimum of
 	// portion Key[j] restricted to set nibbles. Precomputed here at
-	// build time (and kept current by Append) so the group-ordering
-	// extension estimates per-group lower bounds without rescanning full
-	// 16-entry portions of the distance tables on every query. Deletes
-	// are tombstones unknown to the layout, so the mask may be a
-	// superset of the live members — the estimate stays a valid lower
-	// bound.
+	// build time so the group-ordering extension estimates per-group
+	// lower bounds without rescanning full 16-entry portions of the
+	// distance tables on every query. Deletes are tombstones unknown to
+	// the layout, so the mask may be a superset of the live members — the
+	// estimate stays a valid lower bound.
 	NibbleMask [MaxGroupComponents]uint16
 }
 
@@ -196,21 +194,22 @@ func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 		return nil, fmt.Errorf("layout: %d ids for %d vectors", len(ids), n)
 	}
 
-	// Order vector positions by group key (stable, so within-group order
-	// is the original database order).
-	keys := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		var k uint32
+	// Stable counting sort on the group key (keys < 16^c <= 65 536, so a
+	// uint16 holds one): within a group, vectors keep their database
+	// order. first[k] is the grouped position of key k's first vector.
+	keys := make([]uint16, n)
+	first := make([]int, pow16(c)+1)
+	for i := range keys {
+		var k uint16
 		for j := 0; j < c; j++ {
-			k = k<<4 | uint32(codes[i*M+j]>>4)
+			k = k<<4 | uint16(codes[i*M+j]>>4)
 		}
 		keys[i] = k
+		first[int(k)+1]++
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	for k := 1; k < len(first); k++ {
+		first[k] += first[k-1]
 	}
-	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 
 	g := &Grouped{
 		N:          n,
@@ -219,7 +218,10 @@ func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 		Codes:      make([]uint8, n*M),
 		blockBytes: BlockBytes(c),
 	}
-	for pos, src := range order {
+	next := append([]int(nil), first[:len(first)-1]...)
+	for src, k := range keys {
+		pos := next[k]
+		next[k]++
 		if ids != nil {
 			g.IDs[pos] = ids[src]
 		} else {
@@ -228,18 +230,16 @@ func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 		copy(g.Codes[pos*M:(pos+1)*M], codes[src*M:(src+1)*M])
 	}
 
-	// Delimit groups over the sorted order.
-	start := 0
-	for start < n {
-		end := start + 1
-		for end < n && keys[order[end]] == keys[order[start]] {
-			end++
+	// One group per key that occurs, in key order.
+	for k := 0; k+1 < len(first); k++ {
+		start, end := first[k], first[k+1]
+		if start == end {
+			continue
 		}
 		grp := Group{Start: start, Count: end - start}
-		k := keys[order[start]]
-		for j := c - 1; j >= 0; j-- {
-			grp.Key[j] = uint8(k & 0x0f)
-			k >>= 4
+		for j, kk := c-1, k; j >= 0; j-- {
+			grp.Key[j] = uint8(kk & 0x0f)
+			kk >>= 4
 		}
 		for pos := start; pos < end; pos++ {
 			for j := 0; j < c; j++ {
@@ -247,7 +247,6 @@ func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 			}
 		}
 		g.Groups = append(g.Groups, grp)
-		start = end
 	}
 
 	// Pack blocks group by group.
@@ -300,142 +299,6 @@ func (g *Grouped) packLane(i, lane int, code []uint8) {
 	// Ungrouped components: full byte.
 	for j := g.C; j < M; j++ {
 		blk[g.C*8+(j-g.C)*16+lane] = code[j]
-	}
-}
-
-// keyOf computes the group key of a code: the high nibbles of its first C
-// components, most significant first (the sort key of NewGrouped).
-func (g *Grouped) keyOf(code []uint8) uint32 {
-	var k uint32
-	for j := 0; j < g.C; j++ {
-		k = k<<4 | uint32(code[j]>>4)
-	}
-	return k
-}
-
-// groupKey recomputes the uint32 sort key of an existing group.
-func (g *Grouped) groupKey(grp *Group) uint32 {
-	var k uint32
-	for j := 0; j < g.C; j++ {
-		k = k<<4 | uint32(grp.Key[j])
-	}
-	return k
-}
-
-// Append inserts one vector into the grouped layout online, regrouping
-// only the affected group: the vector joins the end of its group (new
-// vectors are the youngest members, preserving the stable within-group
-// age order of NewGrouped). When the group's last block has a free
-// padding lane the insertion repacks a single lane; otherwise one fresh
-// all-padding block is spliced in after the group and later groups shift.
-// The result is byte-identical to rebuilding the layout from scratch over
-// the extended code array.
-func (g *Grouped) Append(code []uint8, id int64) {
-	if len(code) != M {
-		panic("layout: Append requires an M-component code")
-	}
-	key := g.keyOf(code)
-
-	// Locate the group (groups are sorted by key ascending).
-	gi := sort.Search(len(g.Groups), func(i int) bool {
-		return g.groupKey(&g.Groups[i]) >= key
-	})
-	newGroup := gi == len(g.Groups) || g.groupKey(&g.Groups[gi]) != key
-
-	var pos, blockAt int // insertion points in Codes/IDs and Blocks
-	if newGroup {
-		if gi == len(g.Groups) {
-			pos = g.N
-			blockAt = len(g.Blocks) / g.blockBytes
-		} else {
-			pos = g.Groups[gi].Start
-			blockAt = g.Groups[gi].BlockStart
-		}
-		grp := Group{Start: pos, Count: 0, BlockStart: blockAt, BlockCount: 0}
-		k := key
-		for j := g.C - 1; j >= 0; j-- {
-			grp.Key[j] = uint8(k & 0x0f)
-			k >>= 4
-		}
-		g.Groups = append(g.Groups, Group{})
-		copy(g.Groups[gi+1:], g.Groups[gi:])
-		g.Groups[gi] = grp
-	} else {
-		pos = g.Groups[gi].Start + g.Groups[gi].Count
-		blockAt = g.Groups[gi].BlockStart + g.Groups[gi].BlockCount
-	}
-	grp := &g.Groups[gi]
-	for j := 0; j < g.C; j++ {
-		grp.NibbleMask[j] |= 1 << (code[j] & 0x0f)
-	}
-
-	// Splice a fresh all-padding block when the group has no free lane.
-	lane := grp.Count % BlockVectors
-	if grp.Count == grp.BlockCount*BlockVectors {
-		bb := g.blockBytes
-		g.growBlocks(bb)
-		copy(g.Blocks[(blockAt+1)*bb:], g.Blocks[blockAt*bb:])
-		pad := g.Blocks[blockAt*bb : (blockAt+1)*bb]
-		for i := range pad {
-			pad[i] = 0xff // padNibble pairs and padByte are all-ones
-		}
-		grp.BlockCount++
-		for i := range g.Groups {
-			if i != gi && g.Groups[i].BlockStart >= blockAt {
-				g.Groups[i].BlockStart++
-			}
-		}
-		lane = 0
-	}
-	g.packLane(grp.BlockStart+grp.BlockCount-1, lane, code)
-
-	// Splice the row-major code and id at the group's end.
-	g.Codes = append(g.Codes, make([]uint8, M)...)
-	copy(g.Codes[(pos+1)*M:], g.Codes[pos*M:])
-	copy(g.Codes[pos*M:(pos+1)*M], code)
-	g.IDs = append(g.IDs, 0)
-	copy(g.IDs[pos+1:], g.IDs[pos:])
-	g.IDs[pos] = id
-	grp.Count++
-	for i := range g.Groups {
-		if i != gi && g.Groups[i].Start >= pos {
-			g.Groups[i].Start++
-		}
-	}
-	g.N++
-}
-
-// growBlocks extends g.Blocks by extra zero bytes, reallocating with an
-// Alignment-aligned base (and amortizing headroom) when capacity runs
-// out, so the packed block storage keeps the kernel alignment invariant
-// across online appends — a plain append would hand the base address to
-// the runtime allocator.
-func (g *Grouped) growBlocks(extra int) {
-	n := len(g.Blocks)
-	if n+extra <= cap(g.Blocks) {
-		g.Blocks = g.Blocks[:n+extra]
-		clear(g.Blocks[n:])
-		return
-	}
-	nb := AlignedBytes(n+extra, 2*cap(g.Blocks)+extra)
-	copy(nb, g.Blocks)
-	g.Blocks = nb
-}
-
-// Clone returns a deep copy of the layout, for copy-on-write extension:
-// Append on the clone leaves the original untouched. The cloned block
-// storage is reallocated on an Alignment-aligned base.
-func (g *Grouped) Clone() *Grouped {
-	nb := AlignedBytes(len(g.Blocks), 0)
-	copy(nb, g.Blocks)
-	return &Grouped{
-		N:          g.N,
-		C:          g.C,
-		IDs:        append([]int64(nil), g.IDs...),
-		Codes:      append([]uint8(nil), g.Codes...),
-		Groups:     append([]Group(nil), g.Groups...),
-		Blocks:     nb,
-		blockBytes: g.blockBytes,
 	}
 }
 

@@ -2,6 +2,8 @@ package layout
 
 import (
 	"bytes"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -325,76 +327,78 @@ func TestGroupNibbleMasks(t *testing.T) {
 	}
 }
 
-func TestGroupedAppendMatchesRebuild(t *testing.T) {
-	for _, c := range []int{0, 1, 2, 3, 4} {
-		for _, split := range []int{0, 1, 300} {
-			total := split + 200
-			codes := randomCodes(total, uint64(1000+c*10+split))
-			ids := make([]int64, total)
+// TestGroupedMatchesStableSort: the counting sort of NewGrouped produces
+// the layout — group directory, ids, codes, packed block bytes — that a
+// stable comparison sort on the group key does (the construction it
+// replaced, kept here as the reference ordering, with a packer of the
+// test's own).
+func TestGroupedMatchesStableSort(t *testing.T) {
+	for c := 0; c <= MaxGroupComponents; c++ {
+		for _, n := range []int{0, 1, 17, 700, 5000} {
+			codes := randomCodes(n, uint64(1000+c*10+n))
+			ids := make([]int64, n)
+			order := make([]int, n)
 			for i := range ids {
-				ids[i] = int64(i) * 3
+				ids[i], order[i] = int64(i)*3, i
 			}
-			inc, err := NewGrouped(codes[:split*M], ids[:split], c)
+			key := func(i int) (k uint32) {
+				for j := 0; j < c; j++ {
+					k = k<<4 | uint32(codes[i*M+j]>>4)
+				}
+				return k
+			}
+			sort.SliceStable(order, func(a, b int) bool { return key(order[a]) < key(order[b]) })
+
+			var want Grouped
+			bb := BlockBytes(c)
+			for pos, src := range order {
+				code := codes[src*M : (src+1)*M]
+				want.IDs = append(want.IDs, ids[src])
+				want.Codes = append(want.Codes, code...)
+				if pos == 0 || key(src) != key(order[pos-1]) {
+					grp := Group{Start: pos, BlockStart: len(want.Blocks) / bb}
+					for j := 0; j < c; j++ {
+						grp.Key[j] = code[j] >> 4
+					}
+					want.Groups = append(want.Groups, grp)
+				}
+				grp := &want.Groups[len(want.Groups)-1]
+				lane := grp.Count % BlockVectors
+				if lane == 0 {
+					want.Blocks = append(want.Blocks, bytes.Repeat([]byte{0xff}, bb)...)
+					grp.BlockCount++
+				}
+				blk := want.Blocks[len(want.Blocks)-bb:]
+				for j := 0; j < c; j++ {
+					grp.NibbleMask[j] |= 1 << (code[j] & 0x0f)
+					shift := 4 * uint(lane%2)
+					blk[j*8+lane/2] = blk[j*8+lane/2]&^(0x0f<<shift) | code[j]&0x0f<<shift
+				}
+				for j := c; j < M; j++ {
+					blk[c*8+(j-c)*16+lane] = code[j]
+				}
+				grp.Count++
+			}
+
+			g, err := NewGrouped(codes, ids, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := split; i < total; i++ {
-				inc.Append(codes[i*M:(i+1)*M], ids[i])
-			}
-			want, err := NewGrouped(codes, ids, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if inc.N != want.N || len(inc.Groups) != len(want.Groups) {
-				t.Fatalf("c=%d split=%d: shape N=%d groups=%d, want N=%d groups=%d",
-					c, split, inc.N, len(inc.Groups), want.N, len(want.Groups))
-			}
-			for gi := range want.Groups {
-				if inc.Groups[gi] != want.Groups[gi] {
-					t.Fatalf("c=%d split=%d: group %d = %+v, want %+v",
-						c, split, gi, inc.Groups[gi], want.Groups[gi])
-				}
-			}
-			if !bytes.Equal(inc.Codes, want.Codes) {
-				t.Fatalf("c=%d split=%d: grouped codes differ from rebuild", c, split)
-			}
-			if !bytes.Equal(inc.Blocks, want.Blocks) {
-				t.Fatalf("c=%d split=%d: packed blocks differ from rebuild", c, split)
-			}
-			for i := range want.IDs {
-				if inc.IDs[i] != want.IDs[i] {
-					t.Fatalf("c=%d split=%d: id at grouped position %d = %d, want %d",
-						c, split, i, inc.IDs[i], want.IDs[i])
-				}
+			if !slices.Equal(g.Groups, want.Groups) || !slices.Equal(g.IDs, want.IDs) ||
+				!bytes.Equal(g.Codes, want.Codes) || !bytes.Equal(g.Blocks, want.Blocks) {
+				t.Fatalf("c=%d n=%d: layout differs from the stable sort's", c, n)
 			}
 		}
 	}
 }
 
 func TestBlockStorageAlignment(t *testing.T) {
-	r := rng.New(7)
-	codes := randomCodes(400, 7)
-	g, err := NewGrouped(codes, nil, 3)
+	g, err := NewGrouped(randomCodes(400, 7), nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Aligned(g.Blocks) {
 		t.Fatal("NewGrouped blocks not Alignment-aligned")
-	}
-	// Force repeated growth through online appends; the base must stay
-	// aligned across every reallocation.
-	code := make([]uint8, M)
-	for i := 0; i < 3000; i++ {
-		for j := range code {
-			code[j] = uint8(r.Intn(256))
-		}
-		g.Append(code, int64(400+i))
-		if !Aligned(g.Blocks) {
-			t.Fatalf("append %d: blocks lost alignment", i)
-		}
-	}
-	if !Aligned(g.Clone().Blocks) {
-		t.Fatal("Clone blocks not Alignment-aligned")
 	}
 	if got := AlignedBytes(10, 100); !Aligned(got) || len(got) != 10 || cap(got) < 100 {
 		t.Fatalf("AlignedBytes(10, 100): len=%d cap=%d aligned=%v", len(got), cap(got), Aligned(got))

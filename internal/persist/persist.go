@@ -219,8 +219,13 @@ func writeCapture(w io.Writer, cap index.Capture, version uint8, walEpoch uint64
 		if err := writeU32(uint32(p.N)); err != nil {
 			return fmt.Errorf("persist: writing partition %d size: %w", pi, err)
 		}
-		if _, err := cw.Write(p.Codes); err != nil {
-			return fmt.Errorf("persist: writing partition %d codes: %w", pi, err)
+		// Base then tail, back to back: the file holds the flattened rows,
+		// so it does not say (and a reader cannot tell) where a fold was due.
+		base, tail := p.Segments()
+		for _, seg := range [2]scan.Rows{base, tail} {
+			if _, err := cw.Write(seg.Codes); err != nil {
+				return fmt.Errorf("persist: writing partition %d codes: %w", pi, err)
+			}
 		}
 		idBuf := make([]byte, 8*p.N)
 		for i := 0; i < p.N; i++ {

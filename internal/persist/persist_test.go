@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -256,7 +257,7 @@ func TestRoundtripPQ16x4(t *testing.T) {
 		if a.N != b.N || a.W != b.W {
 			t.Fatalf("partition %d shape (n=%d w=%d) != (n=%d w=%d)", pi, b.N, b.W, a.N, a.W)
 		}
-		if !bytes.Equal(a.Codes, b.Codes) {
+		if !bytes.Equal(a.FlatCodes(), b.FlatCodes()) {
 			t.Fatalf("partition %d codes differ", pi)
 		}
 		for i := 0; i < a.N; i++ {
@@ -549,5 +550,76 @@ func TestSaveDuringMutation(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTailsPersistFlattened: a file holds its partitions' rows base then
+// tail, back to back, so an index saved with rows waiting in its tails
+// writes byte for byte what it writes once CompactPartition has folded
+// them — RAM and paged alike — and what reloads answers the same. A
+// writer that forgot the tail would drop acknowledged rows from the
+// snapshot.
+func TestTailsPersistFlattened(t *testing.T) {
+	for _, paged := range []bool{false, true} {
+		ix, gen := buildSmall(t)
+		if paged {
+			if err := ix.AttachStore(t.TempDir(), 1<<30); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch := gen.Generate(500)
+		for i := 0; i < batch.Rows(); i += 50 {
+			if _, err := ix.Add(vec.Matrix{Data: batch.Data[i*batch.Dim : (i+50)*batch.Dim], Dim: batch.Dim}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tails := 0
+		for _, st := range ix.PartitionStats() {
+			tails += st.Tail
+		}
+		if tails != batch.Rows() {
+			t.Fatalf("paged=%v: %d rows in the tails, want all %d added", paged, tails, batch.Rows())
+		}
+		var withTails bytes.Buffer
+		if err := WriteIndex(&withTails, ix); err != nil {
+			t.Fatal(err)
+		}
+
+		for c := 0; c < ix.Partitions(); c++ {
+			if _, err := ix.CompactPartition(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, st := range ix.PartitionStats() {
+			if st.Tail != 0 {
+				t.Fatalf("paged=%v: CompactPartition left a tail of %d in partition %d", paged, st.Tail, st.Partition)
+			}
+		}
+		var folded bytes.Buffer
+		if err := WriteIndex(&folded, ix); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(withTails.Bytes(), folded.Bytes()) {
+			t.Fatalf("paged=%v: the file written with %d rows in tails (%d bytes) differs from the one written after the fold (%d bytes)",
+				paged, tails, withTails.Len(), folded.Len())
+		}
+
+		loaded, err := ReadIndex(&withTails)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Live() != ix.Live() || loaded.NextID() != ix.NextID() {
+			t.Fatalf("paged=%v: reloaded %d live rows / next id %d, want %d / %d", paged, loaded.Live(), loaded.NextID(), ix.Live(), ix.NextID())
+		}
+		queries := gen.Generate(5)
+		for qi := 0; qi < queries.Rows(); qi++ {
+			for _, kern := range []index.Kernel{index.KernelNaive, index.KernelLibpq, index.KernelFastScan} {
+				want, _ := search1(t, ix, queries.Row(qi), 25, kern)
+				have, _ := search1(t, loaded, queries.Row(qi), 25, kern)
+				if !slices.Equal(want, have) {
+					t.Fatalf("paged=%v query %d kernel %v: answer differs after reload", paged, qi, kern)
+				}
+			}
+		}
 	}
 }

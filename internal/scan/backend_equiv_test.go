@@ -89,7 +89,7 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 				bids[i] = int64(p.N + i)
 			}
 			p = p.CloneAppend(bcodes, bids)
-			fs = fs.CloneAppend(p, bcodes, bids)
+			fs = fs.Rebind(p)
 			want2, _ := Naive(p, tables, k)
 			var ref2Stats Stats
 			for i, be := range backends {

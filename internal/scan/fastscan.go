@@ -39,17 +39,25 @@ const DefaultKeep = 0.005
 // FastScan is the PQ Fast Scan kernel of §4 bound to one partition: the
 // grouped/packed layout is built once and reused across queries, like the
 // database reorganization the paper performs at index-construction time.
+//
+// The layout covers a prefix of its partition — every row the partition
+// held when the layout was built. Rows appended since (Rebind) are not
+// regrouped: a scan takes them with the keep region, by plain PQ Scan
+// (§4.4), which is where the paper puts rows that grouping does not pay
+// for (§4.2). A layout is never modified.
 type FastScan struct {
 	part        *Partition
 	keepN       int
+	covered     int // rows of part the layout accounts for: keepN + grouped.N
 	c           int
 	grouped     *layout.Grouped
 	orderGroups bool
 }
 
-// NewFastScan prepares PQ Fast Scan over p. The first Keep fraction of
-// the partition stays in row-major order for the temporary-NN phase; the
-// remainder is grouped on c components and packed into 16-vector blocks.
+// NewFastScan prepares PQ Fast Scan over every row of p, base and tail
+// alike. The first Keep fraction of the partition stays in row-major
+// order for the temporary-NN phase; the remainder is grouped on c
+// components and packed into 16-vector blocks.
 func NewFastScan(p *Partition, opt FastScanOptions) (*FastScan, error) {
 	if p.W != M {
 		return nil, fmt.Errorf("scan: fast scan requires %d-byte codes, partition has %d", M, p.W)
@@ -70,11 +78,11 @@ func NewFastScan(p *Partition, opt FastScanOptions) (*FastScan, error) {
 	for i := range ids {
 		ids[i] = p.ID(keepN + i)
 	}
-	g, err := layout.NewGrouped(p.Codes[keepN*M:], ids, c)
+	g, err := layout.NewGrouped(p.FlatCodes()[keepN*M:], ids, c)
 	if err != nil {
 		return nil, err
 	}
-	return &FastScan{part: p, keepN: keepN, c: c, grouped: g, orderGroups: opt.OrderGroups}, nil
+	return &FastScan{part: p, keepN: keepN, covered: p.N, c: c, grouped: g, orderGroups: opt.OrderGroups}, nil
 }
 
 // Partition returns the partition this layout is bound to, whose dead
@@ -84,19 +92,40 @@ func (fs *FastScan) Partition() *Partition { return fs.part }
 // GroupComponents returns the grouping depth c in use.
 func (fs *FastScan) GroupComponents() int { return fs.c }
 
-// KeepN returns the number of vectors in the plain-scanned keep region.
+// KeepN returns the number of vectors in the keep region at the head of
+// the partition.
 func (fs *FastScan) KeepN() int { return fs.keepN }
+
+// Covered returns the number of leading rows of the partition the
+// layout accounts for, keep region and grouped blocks together; rows
+// from there on were appended after it was built.
+func (fs *FastScan) Covered() int { return fs.covered }
+
+// PlainScanned returns the number of vectors a scan takes by plain PQ
+// Scan before the blocks: the keep region and the uncovered suffix.
+func (fs *FastScan) PlainScanned() int { return fs.keepN + fs.part.N - fs.covered }
 
 // Grouped exposes the packed layout (memory-footprint experiments).
 func (fs *FastScan) Grouped() *layout.Grouped { return fs.grouped }
 
-// Rebind returns a FastScan over np that shares this layout. np must
-// hold exactly the same codes in the same positions — the tombstone-only
-// copy-on-write case, where the grouped layout is unaffected and only
-// the partition binding (whose dead set kernels consult during the scan)
-// changes.
+// with returns a copy of fs bound to part over the layout g.
+func (fs *FastScan) with(part *Partition, g *layout.Grouped) *FastScan {
+	nfs := *fs
+	nfs.part, nfs.grouped = part, g
+	return &nfs
+}
+
+// Rebind returns a FastScan over np that shares this layout — O(1), the
+// whole cost of carrying a layout across a copy-on-write mutation. np
+// must hold the covered rows unchanged in the same positions: a
+// successor of this partition by CloneTombstone (only the dead set,
+// which kernels consult during the scan, moved) or by CloneAppend (the
+// new rows lie past Covered and are plain-scanned).
 func (fs *FastScan) Rebind(np *Partition) *FastScan {
-	return &FastScan{part: np, keepN: fs.keepN, c: fs.c, grouped: fs.grouped, orderGroups: fs.orderGroups}
+	if np.N < fs.covered {
+		panic("scan: Rebind to a partition shorter than the layout")
+	}
+	return fs.with(np, fs.grouped)
 }
 
 // Detach returns a stub FastScan bound to the given partition stub: the
@@ -104,7 +133,7 @@ func (fs *FastScan) Rebind(np *Partition) *FastScan {
 // grouped directory stay resident while the packed blocks, grouped
 // codes and grouped ids move to a disk extent (layout.Grouped.Detach).
 func (fs *FastScan) Detach(stub *Partition) *FastScan {
-	return &FastScan{part: stub, keepN: fs.keepN, c: fs.c, grouped: fs.grouped.Detach(), orderGroups: fs.orderGroups}
+	return fs.with(stub, fs.grouped.Detach())
 }
 
 // Hydrate returns a scannable FastScan over a hydrated partition and
@@ -113,53 +142,18 @@ func (fs *FastScan) Detach(stub *Partition) *FastScan {
 // this FastScan was detached with (same rows), and g the hydration of
 // its grouped directory.
 func (fs *FastScan) Hydrate(p *Partition, g *layout.Grouped) *FastScan {
-	return &FastScan{part: p, keepN: fs.keepN, c: fs.c, grouped: g, orderGroups: fs.orderGroups}
-}
-
-// CloneAppend returns a FastScan over np — this layout's partition plus
-// the appended rows (np = its CloneAppend of the same codes and ids) —
-// without touching this layout, which a published snapshot may still be
-// scanning. Each appended vector joins its group in the packed layout;
-// the keep region is left untouched, so appended vectors are always
-// scanned through the lower-bound path. Deletions need no layout
-// maintenance at all — they are tombstones on the partition, checked
-// during the scan.
-//
-// Small batches splice lanes into a clone of the layout (per-vector
-// cost: one memmove of the arrays past the insertion point); batches
-// large relative to the layout regroup from scratch in one O(N+B) pass
-// instead. Both paths produce byte-identical state: the grouped-order
-// arrays are already stably key-sorted, so re-sorting them with the
-// appended tail preserves every group's within-group age order.
-func (fs *FastScan) CloneAppend(np *Partition, codes []uint8, ids []int64) *FastScan {
-	n := len(ids)
-	g := fs.grouped
-	nfs := &FastScan{part: np, keepN: fs.keepN, c: fs.c, orderGroups: fs.orderGroups}
-	if n > 64 && n > g.N/8 {
-		allCodes := append(append(make([]uint8, 0, len(g.Codes)+len(codes)), g.Codes...), codes...)
-		allIDs := append(append(make([]int64, 0, len(g.IDs)+n), g.IDs...), ids...)
-		if ng, err := layout.NewGrouped(allCodes, allIDs, fs.c); err == nil {
-			nfs.grouped = ng
-			return nfs
-		}
-	}
-	ng := g.Clone()
-	for i := 0; i < n; i++ {
-		ng.Append(codes[i*M:(i+1)*M], ids[i])
-	}
-	nfs.grouped = ng
-	return nfs
+	return fs.with(p, g)
 }
 
 // GroupVisitOrder returns the order groups are scanned in: database
 // (key) order by default, or — with the OrderGroups extension — ascending
 // by a conservative per-group distance estimate: the sum of each grouped
 // component's portion minimum over the nibbles actually present in the
-// group (the NibbleMask support precomputed by layout.NewGrouped and
-// maintained by Append) plus each ungrouped component's global table
-// minimum. The estimate lower-bounds every member's ADC distance, so
-// visiting small-estimate groups first front-loads the true nearest
-// neighbors and tightens the pruning threshold early.
+// group (the NibbleMask support precomputed by layout.NewGrouped) plus
+// each ungrouped component's global table minimum. The estimate
+// lower-bounds every member's ADC distance, so visiting small-estimate
+// groups first front-loads the true nearest neighbors and tightens the
+// pruning threshold early.
 //
 // Cost per query: one pass over the first c distance-table rows builds
 // the 16 full-portion minima per component, after which every group with

@@ -104,7 +104,7 @@ func TestCarriedScanFuzz(t *testing.T) {
 			})
 			nextID += int64(n)
 			if r.Intn(2) == 0 {
-				for id := cells[i].p.IDs[0]; id < nextID; id += int64(3 + r.Intn(17)) {
+				for id := cells[i].p.ID(0); id < nextID; id += int64(3 + r.Intn(17)) {
 					cells[i].p.Tombstone(id)
 				}
 			}

@@ -81,14 +81,27 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 			for i := range ids {
 				ids[i] = int64(i)*3 + 7
 			}
-			p.IDs = ids
+			p = scan.NewPartition(p.FlatCodes(), ids)
 			for i := 0; i < n; i += 11 {
 				p.Tombstone(ids[i])
 			}
 		}
+		if trial%3 == 2 && n > 1 {
+			// The same rows as base + tail: the baselines read both runs.
+			codes, b := p.FlatCodes(), n/2
+			ids := make([]int64, n)
+			for i := range ids {
+				ids[i] = p.ID(i)
+			}
+			tailed := scan.NewPartition(codes[:b*M], ids[:b]).CloneAppend(codes[b*M:], ids[b:])
+			tailed.RestoreDead(p.DeadIDs())
+			p = tailed
+		}
 		got, _ := scan.ExactNative(p, tables, k, sc)
 		want, _ := Naive(p, tables, k)
 		sameResults(t, want, got, "naive", "exact-native")
+		qo, _ := QuantizationOnly(p, tables, k, 0.01)
+		sameResults(t, qo, got, "quantonly", "exact-native")
 		lp, _ := Libpq(p, tables, k)
 		sameResults(t, lp, got, "libpq", "exact-native")
 		av, _ := AVX(p, tables, k)
@@ -98,10 +111,10 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 	}
 }
 
-// TestScanNativeAfterAppend: the incremental layout maintenance of
-// CloneAppend (including the NibbleMask updates feeding group ordering)
-// keeps the model and the serving scan in lockstep through online
-// appends.
+// TestScanNativeAfterAppend: a layout rebound over a growing tail keeps
+// the model and the serving scan in lockstep — results and counters —
+// through online appends: both take the appended rows in the keep phase
+// (scan.KeepBounds).
 func TestScanNativeAfterAppend(t *testing.T) {
 	r := rng.New(2025)
 	p, tables := randomPartition(t, 2000, 61)
@@ -120,7 +133,7 @@ func TestScanNativeAfterAppend(t *testing.T) {
 			ids[i] = int64(p.N + i)
 		}
 		p = p.CloneAppend(codes, ids)
-		fs = fs.CloneAppend(p, codes, ids)
+		fs = fs.Rebind(p)
 
 		want, wantStats := Scan(fs, tables, 30)
 		got, gotStats := fs.ScanNativeBackend(tables, 30, nil, dispatch.Auto)
@@ -190,7 +203,7 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 				bids[i] = int64(p.N + i)
 			}
 			p = p.CloneAppend(bcodes, bids)
-			fs = fs.CloneAppend(p, bcodes, bids)
+			fs = fs.Rebind(p)
 			model2, model2Stats := Scan(fs, tables, k)
 			for _, be := range backends {
 				got, gotStats := fs.ScanNativeBackend(tables, k, scratches[be], be)

@@ -36,15 +36,15 @@ func Scan(fs *scan.FastScan, t quantizer.Tables, k int) ([]topk.Result, Stats) {
 // evolution and counters agree with the serving scan, carried or not.
 func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	scan.Check8x8(t)
-	part, keepN, c := fs.Partition(), fs.KeepN(), fs.GroupComponents()
-	stats := Stats{Stats: scan.Stats{Scanned: part.N, KeepScanned: keepN}}
+	part, plain, c := fs.Partition(), fs.PlainScanned(), fs.GroupComponents()
+	stats := Stats{Stats: scan.Stats{Scanned: part.N, KeepScanned: plain}}
 
 	// Phase 1 (§4.4): plain PQ Scan over the keep region to obtain the
 	// temporary nearest neighbor bounding qmax. scan.KeepBounds is shared
 	// with every backend and the ablations, so all paths quantize over
 	// the same range.
-	qmin, qmax, out := scan.KeepBounds(part, keepN, t, heap)
-	stats.Ops.Add(libpqPerVector.Scale(float64(keepN)))
+	qmin, qmax, out := scan.KeepBounds(part, fs.KeepN(), fs.Covered(), t, heap)
+	stats.Ops.Add(libpqPerVector.Scale(float64(plain)))
 	if out {
 		fs.OutOfReach(&stats.Stats)
 		return stats

@@ -27,11 +27,11 @@ func Scan256(fs *scan.FastScan, t quantizer.Tables, k int) ([]topk.Result, Stats
 // partition at 256-bit width; see ScanInto.
 func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	scan.Check8x8(t)
-	part, keepN, c := fs.Partition(), fs.KeepN(), fs.GroupComponents()
-	stats := Stats{Stats: scan.Stats{Scanned: part.N, KeepScanned: keepN}}
+	part, plain, c := fs.Partition(), fs.PlainScanned(), fs.GroupComponents()
+	stats := Stats{Stats: scan.Stats{Scanned: part.N, KeepScanned: plain}}
 
-	qmin, qmax, out := scan.KeepBounds(part, keepN, t, heap)
-	stats.Ops.Add(libpqPerVector.Scale(float64(keepN)))
+	qmin, qmax, out := scan.KeepBounds(part, fs.KeepN(), fs.Covered(), t, heap)
+	stats.Ops.Add(libpqPerVector.Scale(float64(plain)))
 	if out {
 		fs.OutOfReach(&stats.Stats)
 		return stats

@@ -223,7 +223,7 @@ func vertical8(p *scan.Partition, t quantizer.Tables, k int, per8 perf.OpCounts)
 	scan.Check8x8(t)
 	heap := topk.New(k)
 	hasDead := p.HasDead()
-	tr := layout.NewTransposed(p.Codes)
+	tr := layout.NewTransposed(p.FlatCodes())
 	var acc [8]float32
 	full := tr.FullBlocks()
 	for b := 0; b < full; b++ {
@@ -273,7 +273,7 @@ func QuantizationOnly(p *scan.Partition, t quantizer.Tables, k int, keep float64
 	heap := topk.New(k)
 	keepN := int(keep * float64(p.N))
 	stats := Stats{Stats: scan.Stats{Scanned: p.N, KeepScanned: keepN}}
-	qmin, qmax, _ := scan.KeepBounds(p, keepN, t, heap) // its own keep region never puts an empty heap out of reach
+	qmin, qmax, _ := scan.KeepBounds(p, keepN, p.N, t, heap) // its own keep region never puts an empty heap out of reach
 	stats.Ops.Add(libpqPerVector.Scale(float64(keepN)))
 	dq := scan.NewDistQuantizer(qmin, qmax)
 	qt := make([]uint8, M*256)

@@ -233,16 +233,19 @@ func (qt *queryTables) asmTables() *[128]uint8 {
 	return (*[128]uint8)(qt.tabBlock)
 }
 
-// KeepBounds runs the §4.4 keep phase (plain PQ Scan over the keep
-// region, into heap) and returns the quantization bounds it implies:
-// qmin is the smallest table entry, qmax the worst distance heap
-// retains — the running topk-th neighbor's once it is full — or the
-// table maximum when it is empty. heap is the query's one running
-// top-k: empty for a first or only cell, carrying every earlier cell's
-// neighbors otherwise, so a later cell quantizes against — and prunes
-// with — the bound the query already has. The single source of the
-// bounds for every backend, the model and its quantization-only
-// ablation — which is what keeps their pruning counters comparable.
+// KeepBounds runs the §4.4 keep phase — plain PQ Scan into heap over the
+// rows no lower bound will be computed for: the keep region [0, keepN)
+// and the suffix [covered, p.N) appended since the layout was built, a
+// second range into the same heap (covered = p.N when there is none) —
+// and returns the quantization bounds it implies: qmin is the smallest
+// table entry, qmax the worst distance heap retains — the running
+// topk-th neighbor's once it is full — or the table maximum when it is
+// empty. heap is the query's one running top-k: empty for a first or
+// only cell, carrying every earlier cell's neighbors otherwise, so a
+// later cell quantizes against — and prunes with — the bound the query
+// already has. The single source of the bounds for every backend, the
+// model and its quantization-only ablation — which is what keeps their
+// pruning counters comparable.
 //
 // Two things only a carried heap can do are settled here, for every
 // implementation alike. out reports that the rest of the partition is
@@ -252,8 +255,9 @@ func (qt *queryTables) asmTables() *[128]uint8 {
 // qmin — a threshold under the smallest single entry of a partition
 // that is not out — would quantize every entry to bin 0 and switch
 // pruning off; the table maximum, the bound of an empty heap, stands in.
-func KeepBounds(p *Partition, keepN int, t quantizer.Tables, heap *topk.Heap) (qmin, qmax float32, out bool) {
+func KeepBounds(p *Partition, keepN, covered int, t quantizer.Tables, heap *topk.Heap) (qmin, qmax float32, out bool) {
 	LibpqRange(p, 0, keepN, t, heap)
+	LibpqRange(p, covered, p.N, t, heap)
 	qmin, least := tableMinima(t)
 	worst, ok := heap.Worst()
 	if heap.Full() && worst < least {
@@ -328,16 +332,16 @@ func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scra
 		sc = NewScratch()
 	}
 	be = dispatch.Resolve(be)
-	stats := Stats{Scanned: fs.part.N, KeepScanned: fs.keepN}
+	stats := Stats{Scanned: fs.part.N, KeepScanned: fs.PlainScanned()}
 
-	// Phase 1 (§4.4): plain PQ Scan over the keep region to obtain the
-	// temporary nearest neighbor bounding qmax — generalized to topk
-	// search (§5.4): the distance to the temporary topk-th nearest
-	// neighbor bounds the representable range (the running pruning
-	// threshold starts exactly at qmax and only decreases, so every
-	// distance quantized to 127 is already prunable; see
-	// PruneThreshold).
-	qmin, qmax, out := KeepBounds(fs.part, fs.keepN, t, heap)
+	// Phase 1 (§4.4): plain PQ Scan over the keep region and the rows
+	// appended since the layout was built, to obtain the temporary
+	// nearest neighbor bounding qmax — generalized to topk search
+	// (§5.4): the distance to the temporary topk-th nearest neighbor
+	// bounds the representable range (the running pruning threshold
+	// starts exactly at qmax and only decreases, so every distance
+	// quantized to 127 is already prunable; see PruneThreshold).
+	qmin, qmax, out := KeepBounds(fs.part, fs.keepN, fs.covered, t, heap)
 	if out {
 		fs.OutOfReach(&stats)
 		return stats
@@ -610,29 +614,32 @@ func ExactNative(p *Partition, t quantizer.Tables, k int, sc *Scratch) ([]topk.R
 	t6 := td[6*256 : 7*256 : 7*256]
 	t7 := td[7*256 : 8*256 : 8*256]
 
-	codes, ids := p.Codes, p.IDs
 	hasDead := p.HasDead()
 	var thr float32
 	full := false
-	for i := 0; i < p.N; i++ {
-		id := int64(i)
-		if ids != nil {
-			id = ids[i]
-		}
-		if hasDead && p.IsDead(id) {
-			continue
-		}
-		cd := codes[i*M : i*M+M : i*M+M]
-		d := t0[cd[0]] + t1[cd[1]] + t2[cd[2]] + t3[cd[3]] +
-			t4[cd[4]] + t5[cd[5]] + t6[cd[6]] + t7[cd[7]]
-		// d > thr cannot displace a retained neighbor (ties go through
-		// Push for the deterministic id-order rule).
-		if full && d > thr {
-			continue
-		}
-		if heap.Push(id, d) {
-			if v, ok := heap.Threshold(); ok {
-				thr, full = v, true
+	base, tail := p.Segments()
+	for _, seg := range [2]Rows{base, tail} {
+		codes, ids := seg.Codes, seg.IDs
+		for i := 0; i < seg.N; i++ {
+			id := int64(seg.First + i)
+			if ids != nil {
+				id = ids[i]
+			}
+			if hasDead && p.IsDead(id) {
+				continue
+			}
+			cd := codes[i*M : i*M+M : i*M+M]
+			d := t0[cd[0]] + t1[cd[1]] + t2[cd[2]] + t3[cd[3]] +
+				t4[cd[4]] + t5[cd[5]] + t6[cd[6]] + t7[cd[7]]
+			// d > thr cannot displace a retained neighbor (ties go through
+			// Push for the deterministic id-order rule).
+			if full && d > thr {
+				continue
+			}
+			if heap.Push(id, d) {
+				if v, ok := heap.Threshold(); ok {
+					thr, full = v, true
+				}
 			}
 		}
 	}

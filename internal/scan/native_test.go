@@ -99,7 +99,7 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 			for i := range ids {
 				ids[i] = int64(i)*3 + 7
 			}
-			p.IDs = ids
+			p = NewPartition(p.FlatCodes(), ids)
 			for i := 0; i < n; i += 11 {
 				p.Tombstone(ids[i])
 			}
@@ -113,8 +113,8 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 	}
 }
 
-// TestScanNativeAfterAppend: the incremental layout maintenance of
-// CloneAppend (including the NibbleMask updates feeding group ordering)
+// TestScanNativeAfterAppend: a layout rebound over a growing tail — rows
+// it covers through the blocks, appended rows through the keep phase —
 // keeps every backend on the oracle's answer, and in lockstep with each
 // other, through online appends.
 func TestScanNativeAfterAppend(t *testing.T) {
@@ -135,7 +135,7 @@ func TestScanNativeAfterAppend(t *testing.T) {
 			ids[i] = int64(p.N + i)
 		}
 		p = p.CloneAppend(codes, ids)
-		fs = fs.CloneAppend(p, codes, ids)
+		fs = fs.Rebind(p)
 
 		want, _ := Naive(p, tables, 30)
 		scanEveryBackend(t, fs, tables, 30, want, "naive")

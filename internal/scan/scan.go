@@ -36,21 +36,31 @@ import (
 const M = layout.M
 
 // Partition is one scannable unit of the database: the vectors of one
-// inverted-index cell, stored as row-major pqcodes (Figure 1). A
-// partition is mutable: Append adds freshly encoded vectors at the end,
-// Tombstone marks vectors as deleted without rewriting the code blocks
-// (kernels skip tombstoned ids during the scan).
+// inverted-index cell, stored as row-major pqcodes (Figure 1) in two
+// runs. The base is the bulk, immutable once built and shared between a
+// partition and its successors (one disk extent when paged); the tail is
+// the short run of rows appended since the base was built, the only
+// part an append copies. Positions 0..N-1 run through the base, then the
+// tail. Deletions are tombstones: kernels skip tombstoned ids during
+// the scan and no code is rewritten.
+//
+// Both runs are reachable from outside the package only together
+// (Segments, FlatCodes, ID, Code), so no reader can forget the tail.
 type Partition struct {
-	N     int
-	W     int     // code width in bytes (components per vector)
-	Codes []uint8 // row-major, N x W
-	IDs   []int64 // optional original ids; nil means position == id
+	N int // rows, base and tail together
+	W int // code width in bytes (components per vector)
+
+	codes []uint8 // base, row-major
+	ids   []int64 // base ids; nil means position == id
+
+	tailCodes []uint8 // rows appended since the base was built
+	tailIDs   []int64 // always explicit
 
 	dead map[int64]struct{} // tombstoned ids; nil when none
 
-	// detached marks a stub whose Codes/IDs live in a disk extent
-	// (Detach); ID traps position-as-id answers on such stubs, which
-	// would otherwise silently misreport partitions with explicit ids.
+	// detached marks a stub whose base lives in a disk extent (Detach);
+	// ID traps position-as-id answers on such stubs, which would
+	// otherwise silently misreport partitions with explicit ids.
 	detached bool
 }
 
@@ -71,120 +81,179 @@ func NewPartitionW(codes []uint8, ids []int64, w int) *Partition {
 	if ids != nil && len(ids) != n {
 		panic("scan: id count mismatch")
 	}
-	return &Partition{N: n, W: w, Codes: codes, IDs: ids}
+	return &Partition{N: n, W: w, codes: codes, ids: ids}
 }
+
+// Rows is one contiguous row-major run of a partition's rows.
+type Rows struct {
+	N     int     // rows in the run
+	Codes []uint8 // N × W
+	IDs   []int64 // nil means the ids are the positions First, First+1, ...
+	First int     // partition position of the run's first row
+}
+
+// ID returns the id of the run's i-th row.
+func (r Rows) ID(i int) int64 {
+	if r.IDs == nil {
+		return int64(r.First + i)
+	}
+	return r.IDs[i]
+}
+
+// Segments returns the partition's rows as its two runs, base then tail
+// — the one way to the code and id arrays, so that a reader takes both
+// or says in its source that it drops one.
+func (p *Partition) Segments() (base, tail Rows) {
+	if p.detached {
+		panic("scan: rows of a detached partition stub")
+	}
+	b := p.N - len(p.tailIDs)
+	return Rows{N: b, Codes: p.codes, IDs: p.ids},
+		Rows{N: len(p.tailIDs), Codes: p.tailCodes, IDs: p.tailIDs, First: b}
+}
+
+// Tail returns the number of rows appended since the base was built.
+func (p *Partition) Tail() int { return len(p.tailIDs) }
 
 // ID maps a vector position to its external id.
 func (p *Partition) ID(i int) int64 {
-	if p.IDs == nil {
+	if b := p.N - len(p.tailIDs); i >= b {
+		return p.tailIDs[i-b]
+	}
+	if p.ids == nil {
 		if p.detached {
 			panic("scan: ID on a detached partition stub")
 		}
 		return int64(i)
 	}
-	return p.IDs[i]
+	return p.ids[i]
 }
 
 // Code returns the pqcode of vector i.
 func (p *Partition) Code(i int) []uint8 {
-	return p.Codes[i*p.W : (i+1)*p.W]
+	if b := p.N - len(p.tailIDs); i >= b {
+		return p.tailCodes[(i-b)*p.W : (i-b+1)*p.W]
+	}
+	return p.codes[i*p.W : (i+1)*p.W]
+}
+
+// FlatCodes returns every row's code as one row-major run: the base
+// array itself while the tail is empty, a fresh concatenation otherwise.
+func (p *Partition) FlatCodes() []uint8 {
+	if len(p.tailIDs) == 0 {
+		return p.codes
+	}
+	return append(append(make([]uint8, 0, p.N*p.W), p.codes...), p.tailCodes...)
 }
 
 // CloneAppend returns a new partition holding p's rows followed by the
-// appended ones (row-major codes and their ids, always explicit; p's
-// implicit position ids are materialized), leaving p untouched — sealed
-// partitions published in snapshots grow only copy-on-write. The
-// tombstone set is shared with p: appends never tombstone, and sealed
-// partitions only grow their dead sets through CloneTombstone, which
-// copies before writing.
+// appended ones (row-major codes and their ids), leaving p untouched —
+// partitions published in snapshots grow only copy-on-write. The base
+// and the tombstone set are shared with p and only the tail is copied:
+// an append costs what it adds plus the rows added since the last
+// Flatten, whatever the size of the partition. Appends never tombstone,
+// and tombstone sets only grow through CloneTombstone, which copies
+// before writing. It works on a detached stub: the tail stays resident.
 func (p *Partition) CloneAppend(codes []uint8, ids []int64) *Partition {
 	if len(codes) != len(ids)*p.W {
 		panic("scan: append code/id count mismatch")
 	}
-	nc := make([]uint8, 0, len(p.Codes)+len(codes))
-	nc = append(append(nc, p.Codes...), codes...)
-	ni := make([]int64, 0, p.N+len(ids))
-	if p.IDs == nil {
-		for i := 0; i < p.N; i++ {
-			ni = append(ni, int64(i))
-		}
-	} else {
-		ni = append(ni, p.IDs...)
-	}
-	ni = append(ni, ids...)
-	return &Partition{N: p.N + len(ids), W: p.W, Codes: nc, IDs: ni, dead: p.dead}
+	q := *p
+	q.N += len(ids)
+	q.tailCodes = append(append(make([]uint8, 0, len(p.tailCodes)+len(codes)), p.tailCodes...), codes...)
+	q.tailIDs = append(append(make([]int64, 0, len(p.tailIDs)+len(ids)), p.tailIDs...), ids...)
+	return &q
 }
 
 // CloneTombstone returns a new partition equal to p with id tombstoned,
-// sharing the (immutable) code and id arrays and copying only the dead
-// set — the copy-on-write counterpart of Tombstone. It reports false
-// (and returns p unchanged) when id is already dead. Like Tombstone, the
+// sharing the (immutable) base and tail and copying only the dead set —
+// the copy-on-write counterpart of Tombstone. It reports false (and
+// returns p unchanged) when id is already dead. Like Tombstone, the
 // caller is responsible for only passing ids that live in this
 // partition.
 func (p *Partition) CloneTombstone(id int64) (*Partition, bool) {
 	if _, ok := p.dead[id]; ok {
 		return p, false
 	}
-	nd := make(map[int64]struct{}, len(p.dead)+1)
+	q := *p
+	q.dead = make(map[int64]struct{}, len(p.dead)+1)
 	for k := range p.dead {
-		nd[k] = struct{}{}
+		q.dead[k] = struct{}{}
 	}
-	nd[id] = struct{}{}
-	return &Partition{N: p.N, W: p.W, Codes: p.Codes, IDs: p.IDs, dead: nd, detached: p.detached}, true
+	q.dead[id] = struct{}{}
+	return &q, true
 }
 
-// Detach returns a shallow copy of the partition with the bulk arrays
-// (Codes, IDs) dropped: a stub whose row and tombstone bookkeeping (N,
-// W, dead set) stays resident while the bytes live in a disk extent.
-// Stubs answer Live/IsDead/DeadCount and may be tombstoned copy-on-
-// write (the dead set is RAM metadata); any code or id access must go
-// through Hydrate first — ID panics on a stub rather than fabricate
-// position ids.
+// Detach returns a shallow copy of the partition with the base arrays
+// dropped: a stub whose row and tombstone bookkeeping (N, W, dead set)
+// and tail stay resident while the base lives in a disk extent. Stubs
+// answer Live/IsDead/DeadCount and may be appended to and tombstoned
+// copy-on-write; any other code or id access must go through Hydrate
+// first — ID panics on a stub rather than fabricate position ids.
 func (p *Partition) Detach() *Partition {
 	q := *p
-	q.Codes, q.IDs = nil, nil
+	q.codes, q.ids = nil, nil
 	q.detached = true
 	return &q
 }
 
-// Hydrate returns a shallow copy of the stub with codes and ids
-// attached — aliases into a pinned buffer-pool frame, valid only while
-// the pin is held. The dead set is shared with the stub (immutable once
-// published). ids may be nil only when the sealed partition had
-// implicit position ids (hasIDs false at detach time; the caller tracks
-// this in the extent metadata).
+// Hydrate returns a shallow copy of the stub with the base codes and
+// ids attached — aliases into a pinned buffer-pool frame, valid only
+// while the pin is held. The tail and the dead set are shared with the
+// stub (immutable once published). ids may be nil only when the sealed
+// base had implicit position ids (hasIDs false at detach time; the
+// caller tracks this in the extent metadata).
 func (p *Partition) Hydrate(codes []uint8, ids []int64) *Partition {
-	if len(codes) != p.N*p.W {
+	b := p.N - len(p.tailIDs)
+	if len(codes) != b*p.W {
 		panic("scan: Hydrate code length mismatch")
 	}
-	if ids != nil && len(ids) != p.N {
+	if ids != nil && len(ids) != b {
 		panic("scan: Hydrate id count mismatch")
 	}
 	q := *p
-	q.Codes, q.IDs = codes, ids
+	q.codes, q.ids = codes, ids
 	q.detached = false
 	return &q
 }
 
+// Flatten returns a new partition holding p's rows in one fresh base
+// with an empty tail — the fold of the tail, and a copy that aliases
+// nothing of p's arrays (a paged caller's pinned frame). Position ids
+// are materialized; the tombstone set is shared with p.
+func (p *Partition) Flatten() *Partition {
+	q := p.rebuilt(false)
+	q.dead = p.dead
+	return q
+}
+
 // Compact returns a new partition holding only p's live rows, in their
-// original relative order, with an empty tombstone set. A partition
-// without tombstones compacts to a fresh header over the same (shared)
-// arrays.
-func (p *Partition) Compact() *Partition {
-	if len(p.dead) == 0 {
-		return &Partition{N: p.N, W: p.W, Codes: p.Codes, IDs: p.IDs}
+// original relative order, in one base with an empty tail and an empty
+// tombstone set. Like Flatten it aliases nothing of p's arrays.
+func (p *Partition) Compact() *Partition { return p.rebuilt(true) }
+
+// rebuilt copies p's rows, all or only the live ones, into a partition
+// of one fresh base.
+func (p *Partition) rebuilt(liveOnly bool) *Partition {
+	drop := liveOnly && p.HasDead()
+	n := p.N
+	if drop {
+		n = p.Live()
 	}
-	codes := make([]uint8, 0, p.Live()*p.W)
-	ids := make([]int64, 0, p.Live())
-	for i := 0; i < p.N; i++ {
-		id := p.ID(i)
-		if p.IsDead(id) {
-			continue
+	codes := make([]uint8, 0, n*p.W)
+	ids := make([]int64, 0, n)
+	base, tail := p.Segments()
+	for _, seg := range [2]Rows{base, tail} {
+		for i := 0; i < seg.N; i++ {
+			id := seg.ID(i)
+			if drop && p.IsDead(id) {
+				continue
+			}
+			codes = append(codes, seg.Codes[i*p.W:(i+1)*p.W]...)
+			ids = append(ids, id)
 		}
-		codes = append(codes, p.Code(i)...)
-		ids = append(ids, id)
 	}
-	return &Partition{N: len(ids), W: p.W, Codes: codes, IDs: ids}
+	return &Partition{N: len(ids), W: p.W, codes: codes, ids: ids}
 }
 
 // Tombstone marks id as deleted. It reports whether the id was newly
@@ -308,42 +377,50 @@ func Naive(p *Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {
 	return heap.Results(), Stats{Scanned: p.N}
 }
 
-// LibpqRange scans positions [lo, hi) of the partition into heap with
-// the libpq optimization (§3.1): the 8 centroid indexes of a vector are
-// fetched with a single 64-bit load and extracted with shifts, the
-// distance accumulated in Naive's order. It is FastScan's keep phase
-// and the body of the model's libpq baseline. Tombstoned vectors are
-// skipped. A local copy of the heap threshold gates the Push
-// call: a distance strictly above the full heap's root cannot be
-// retained, so skipping the call changes nothing (ties still go through
-// Push for the deterministic id-order rule).
+// LibpqRange scans positions [lo, hi) of the partition — whichever of
+// its two runs they fall in — into heap with the libpq optimization
+// (§3.1): the 8 centroid indexes of a vector are fetched with a single
+// 64-bit load and extracted with shifts, the distance accumulated in
+// Naive's order. It is FastScan's keep phase and the body of the
+// model's libpq baseline. Tombstoned vectors are skipped. A local copy
+// of the heap threshold gates the Push call: a distance strictly above
+// the full heap's root cannot be retained, so skipping the call changes
+// nothing (ties still go through Push for the deterministic id-order
+// rule).
 func LibpqRange(p *Partition, lo, hi int, t quantizer.Tables, heap *topk.Heap) {
-	codes, ids := p.Codes, p.IDs
-	hasDead := p.HasDead()
-	thr, full := heap.Threshold()
-	for i := lo; i < hi; i++ {
-		id := int64(i)
-		if ids != nil {
-			id = ids[i]
-		}
-		if hasDead && p.IsDead(id) {
+	base, tail := p.Segments()
+	for _, seg := range [2]Rows{base, tail} {
+		from, to := max(lo-seg.First, 0), min(hi-seg.First, seg.N)
+		if from >= to {
 			continue
 		}
-		word := binary.LittleEndian.Uint64(codes[i*M : i*M+M])
-		d := t.Data[int(word&0xff)]
-		d += t.Data[256+int(word>>8&0xff)]
-		d += t.Data[2*256+int(word>>16&0xff)]
-		d += t.Data[3*256+int(word>>24&0xff)]
-		d += t.Data[4*256+int(word>>32&0xff)]
-		d += t.Data[5*256+int(word>>40&0xff)]
-		d += t.Data[6*256+int(word>>48&0xff)]
-		d += t.Data[7*256+int(word>>56&0xff)]
-		if full && d > thr {
-			continue
-		}
-		if heap.Push(id, d) {
-			if v, ok := heap.Threshold(); ok {
-				thr, full = v, true
+		codes, ids := seg.Codes, seg.IDs
+		hasDead := p.HasDead()
+		thr, full := heap.Threshold()
+		for i := from; i < to; i++ {
+			id := int64(seg.First + i)
+			if ids != nil {
+				id = ids[i]
+			}
+			if hasDead && p.IsDead(id) {
+				continue
+			}
+			word := binary.LittleEndian.Uint64(codes[i*M : i*M+M])
+			d := t.Data[int(word&0xff)]
+			d += t.Data[256+int(word>>8&0xff)]
+			d += t.Data[2*256+int(word>>16&0xff)]
+			d += t.Data[3*256+int(word>>24&0xff)]
+			d += t.Data[4*256+int(word>>32&0xff)]
+			d += t.Data[5*256+int(word>>40&0xff)]
+			d += t.Data[6*256+int(word>>48&0xff)]
+			d += t.Data[7*256+int(word>>56&0xff)]
+			if full && d > thr {
+				continue
+			}
+			if heap.Push(id, d) {
+				if v, ok := heap.Threshold(); ok {
+					thr, full = v, true
+				}
 			}
 		}
 	}

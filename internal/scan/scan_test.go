@@ -109,3 +109,109 @@ func TestFastScanPrunes(t *testing.T) {
 			stats.Candidates, stats.Pruned, stats.LowerBounds)
 	}
 }
+
+// TestBaseAndTailReadAsOne: a partition grown by CloneAppend — base and
+// tail, tombstones in both — is row for row the partition built flat
+// over the same rows, to every reader: positions, the oracle, the exact
+// scans over any range, a layout built over it, a layout built before
+// the appends and rebound, Flatten, Compact and a detached stub.
+func TestBaseAndTailReadAsOne(t *testing.T) {
+	r := rng.New(31)
+	for trial := 0; trial < 12; trial++ {
+		n := r.Intn(3000) + 2
+		flat, tables := randomPartition(t, n, r.Uint64())
+		codes := flat.FlatCodes()
+		var ids []int64 // nil on even trials: the base's ids are its positions
+		if trial%2 == 1 {
+			ids = make([]int64, n)
+			for i := range ids {
+				ids[i] = int64(i)*3 + 7
+			}
+			flat = NewPartition(codes, ids)
+		}
+		b := r.Intn(n)
+		base := NewPartition(codes[:b*M], nil)
+		if ids != nil {
+			base = NewPartition(codes[:b*M], ids[:b])
+		}
+		fsBase, err := NewFastScan(base, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: trial%3 == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Grow a detached stub and the resident partition alike, in up to
+		// three appends.
+		p, stub := base, base.Detach()
+		for at := b; at < n; {
+			m := min(r.Intn(n-at)+1, n-at)
+			tailIDs := make([]int64, m)
+			for i := range tailIDs {
+				tailIDs[i] = flat.ID(at + i)
+			}
+			p = p.CloneAppend(codes[at*M:(at+m)*M], tailIDs)
+			stub = stub.CloneAppend(codes[at*M:(at+m)*M], tailIDs)
+			at += m
+		}
+		for i := 0; i < n; i += 7 {
+			flat, _ = flat.CloneTombstone(flat.ID(i))
+			p, _ = p.CloneTombstone(flat.ID(i))
+			stub, _ = stub.CloneTombstone(flat.ID(i))
+		}
+		bs, _ := base.Segments() // base has no tail to drop
+		hydrated := stub.Hydrate(bs.Codes, bs.IDs)
+
+		k := []int{1, 10, 100}[trial%3]
+		want, _ := Naive(flat, tables, k)
+		for name, q := range map[string]*Partition{"appended": p, "hydrated stub": hydrated, "flattened": p.Flatten(), "compacted": p.Compact()} {
+			if name != "compacted" && (q.N != n || q.Live() != flat.Live()) {
+				t.Fatalf("%s: N=%d live=%d, want %d/%d", name, q.N, q.Live(), n, flat.Live())
+			}
+			if name == "compacted" && (q.N != flat.Live() || q.HasDead()) {
+				t.Fatalf("compacted: N=%d dead=%d, want %d live rows and no tombstones", q.N, q.DeadCount(), flat.Live())
+			}
+			if (name == "flattened" || name == "compacted") && q.Tail() != 0 {
+				t.Fatalf("%s kept a tail of %d", name, q.Tail())
+			}
+			if name == "appended" && q.Tail() != n-b {
+				t.Fatalf("tail %d after appending %d rows", q.Tail(), n-b)
+			}
+			for i := 0; i < q.N && name != "compacted"; i++ {
+				if q.ID(i) != flat.ID(i) || string(q.Code(i)) != string(flat.Code(i)) {
+					t.Fatalf("%s: row %d is (%d, %v), want (%d, %v)", name, i, q.ID(i), q.Code(i), flat.ID(i), flat.Code(i))
+				}
+			}
+			got, _ := Naive(q, tables, k)
+			sameResults(t, want, got, "naive(flat)", "naive("+name+")")
+			got, _ = ExactNative(q, tables, k, nil)
+			sameResults(t, want, got, "naive(flat)", "exact-native("+name+")")
+
+			fs, err := NewFastScan(q, FastScanOptions{Keep: 0.01, GroupComponents: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fs.Covered() != q.N || fs.PlainScanned() != fs.KeepN() {
+				t.Fatalf("%s: a fresh layout covers %d of %d rows", name, fs.Covered(), q.N)
+			}
+			scanEveryBackend(t, fs, tables, k, want, "naive(flat)")
+			if name == "compacted" {
+				continue
+			}
+			// The layout of the base, carried over the appends.
+			rebound := fsBase.Rebind(q)
+			if name == "hydrated stub" {
+				rebound = fsBase.Detach(stub).Hydrate(q, fsBase.Grouped())
+			}
+			st := scanEveryBackend(t, rebound, tables, k, want, "naive(flat)")
+			if st.KeepScanned != fsBase.KeepN()+n-b || st.Scanned != n {
+				t.Fatalf("%s: rebound scan plain-scanned %d of %d, want keep %d + %d appended", name, st.KeepScanned, st.Scanned, fsBase.KeepN(), n-b)
+			}
+		}
+
+		// Any range of positions, across the seam.
+		lo := r.Intn(n)
+		hi := lo + r.Intn(n-lo+1)
+		wantHeap, gotHeap := topk.New(k), topk.New(k)
+		LibpqRange(flat, lo, hi, tables, wantHeap)
+		LibpqRange(p, lo, hi, tables, gotHeap)
+		sameResults(t, wantHeap.Results(), gotHeap.Results(), "libpq(flat)", "libpq(appended)")
+	}
+}

@@ -566,8 +566,9 @@ func TestDeleteNotFoundIs404(t *testing.T) {
 	}
 }
 
-// TestCompactEndpoint: /compact reclaims tombstones online, bumps
-// partition epochs in /stats, and leaves search answers unchanged.
+// TestCompactEndpoint: /compact reclaims tombstones online, folds the
+// tails /stats showed, bumps partition epochs in /stats, and leaves
+// search answers unchanged.
 func TestCompactEndpoint(t *testing.T) {
 	idx := buildIndex(t, 31, 2000, 6000)
 	gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 31})
@@ -575,6 +576,14 @@ func TestCompactEndpoint(t *testing.T) {
 	queries := gen.Generate(4)
 	_, hs := newTestServer(t, Config{Index: idx})
 
+	fresh := gen.Generate(40)
+	add := AddRequest{Vectors: make([][]float32, fresh.Rows())}
+	for i := range add.Vectors {
+		add.Vectors[i] = fresh.Row(i)
+	}
+	if status, body := postJSON(t, hs.URL+"/add", add, nil); status != http.StatusOK {
+		t.Fatalf("add: status %d (%s)", status, body)
+	}
 	for id := int64(0); id < 3000; id += 2 {
 		if status, body := postJSON(t, hs.URL+"/delete", DeleteRequest{ID: id}, nil); status != http.StatusOK {
 			t.Fatalf("delete %d: status %d (%s)", id, status, body)
@@ -584,12 +593,13 @@ func TestCompactEndpoint(t *testing.T) {
 	if status := getJSON(t, hs.URL+"/stats", &before); status != http.StatusOK {
 		t.Fatalf("stats status %d", status)
 	}
-	deadBefore := 0
+	deadBefore, tailBefore := 0, 0
 	for _, ps := range before.PartitionStats {
 		deadBefore += ps.Dead
+		tailBefore += ps.Tail
 	}
-	if deadBefore != 1500 {
-		t.Fatalf("stats report %d tombstones before compaction, want 1500", deadBefore)
+	if deadBefore != 1500 || tailBefore != fresh.Rows() {
+		t.Fatalf("stats report %d tombstones and %d rows in tails before compaction, want 1500 and %d", deadBefore, tailBefore, fresh.Rows())
 	}
 	var wantAnswers []SearchResponse
 	for qi := 0; qi < queries.Rows(); qi++ {
@@ -613,8 +623,8 @@ func TestCompactEndpoint(t *testing.T) {
 		t.Fatalf("stats status %d", status)
 	}
 	for i, ps := range after.PartitionStats {
-		if ps.Dead != 0 {
-			t.Fatalf("partition %d still reports %d tombstones", i, ps.Dead)
+		if ps.Dead != 0 || ps.Tail != 0 {
+			t.Fatalf("partition %d still reports %d tombstones and a tail of %d", i, ps.Dead, ps.Tail)
 		}
 		if before.PartitionStats[i].Dead > 0 && ps.Epoch <= before.PartitionStats[i].Epoch {
 			t.Fatalf("partition %d epoch did not advance across compaction", i)

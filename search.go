@@ -295,10 +295,12 @@ var _ Searcher = (*Index)(nil)
 var _ Searcher = (*optionedSearcher)(nil)
 
 // Add encodes one vector against the trained quantizers and appends it
-// to its partition online, regrouping the affected Fast Scan group
-// incrementally. It returns the assigned id. The index needs no rebuild:
-// subsequent searches see the vector immediately, with results identical
-// to an index rebuilt from scratch over the same vectors.
+// to its partition's tail online — a copy of at most 16 KiB, whatever
+// the size of the partition; every 1 024th Add into a partition also
+// folds the tail into the partition's Fast Scan layout. It returns the
+// assigned id. The index needs no rebuild: subsequent searches see the
+// vector immediately, with results identical to an index rebuilt from
+// scratch over the same vectors.
 func (ix *Index) Add(vector []float32) (int64, error) {
 	m := Matrix{Data: vector, Dim: len(vector)}
 	ids, err := ix.addDurable(m)
@@ -331,12 +333,13 @@ func (ix *Index) Delete(id int64) error {
 }
 
 // PartitionStat describes one IVF cell's occupancy: live and tombstoned
-// row counts, the dead ratio compaction policies act on, and the epoch
-// number of its currently published version.
+// row counts, the dead ratio compaction policies act on, the rows in its
+// tail awaiting a fold, and the epoch number of its currently published
+// version.
 type PartitionStat = index.PartitionStat
 
-// PartitionStats returns per-partition live/dead/epoch counters from the
-// current snapshot.
+// PartitionStats returns per-partition live/dead/tail/epoch counters
+// from the current snapshot.
 func (ix *Index) PartitionStats() []PartitionStat { return ix.load().PartitionStats() }
 
 // CompactionResult reports one partition compaction: how many
