@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"sync"
 	"testing"
@@ -284,13 +285,16 @@ var (
 	writeOnce  sync.Once
 	writeIndex *pqfastscan.Index
 	writePool  pqfastscan.Matrix
+	writeBase  []*scan.Partition
 	writeErr   error
 )
 
 // writeEnv builds the write-path fixture: 100k vectors in ONE partition
 // — the size of a partition of the standing benchmark's lib_mixed — its
 // Fast Scan layout built by a first search, and a pool of vectors to
-// add and to query with.
+// add and to query with. writeBase keeps the built partition, which
+// the benchmarks that add to the index leave untouched (partitions are
+// copy-on-write).
 func writeEnv(b *testing.B) (*pqfastscan.Index, pqfastscan.Matrix) {
 	b.Helper()
 	writeOnce.Do(func() {
@@ -302,6 +306,7 @@ func writeEnv(b *testing.B) (*pqfastscan.Index, pqfastscan.Matrix) {
 		opt.Partitions = 1
 		opt.Seed = 24
 		if writeIndex, writeErr = pqfastscan.Build(learn, base, opt); writeErr == nil {
+			writeBase = writeIndex.Internal().Parts()
 			_, writeErr = writeIndex.Search(context.Background(), writePool.Row(0), 100)
 		}
 	})
@@ -378,5 +383,58 @@ func BenchmarkMixedCycle(b *testing.B) {
 			}
 			added = added[1:]
 		}
+	}
+}
+
+// BenchmarkDeleteAtD times one Delete into the write-path fixture's
+// 100k-row partition while it already holds D tombstones, its Fast Scan
+// layout built, as a serving partition has it. A dead set that a Delete
+// copied whole would make it O(D); a Delete copies one 4 096-bit chunk
+// of the row bits and one of the lane bits, so the three sizes cost the
+// same. Ids die in a fixed random order. Every 100
+// timed Deletes the fixture is rebuilt off the clock, which keeps the
+// dead count in [D, D+100) and makes the run several times longer than
+// its timed part: run it with -benchtime 2000x or so.
+func BenchmarkDeleteAtD(b *testing.B) {
+	idx, _ := writeEnv(b)
+	in := idx.Internal()
+	ids := make([]int64, writeBase[0].N)
+	for i, j := range rand.New(rand.NewPCG(26, 0)).Perm(len(ids)) {
+		ids[i] = writeBase[0].ID(j)
+	}
+	const window = 100
+	for _, c := range []struct {
+		name string
+		d    int
+	}{{"100", 100}, {"1k", 1000}, {"10k", 10000}} {
+		d := c.d
+		b.Run(c.name, func(b *testing.B) {
+			var ix *index.Index
+			next := 0
+			fixture := func() {
+				b.StopTimer()
+				ix = index.Restore(in.Dim, in.Coarse, in.PQ, writeBase, in.Options(), in.NextID())
+				if _, err := ix.FastScanner(0); err != nil {
+					b.Fatal(err)
+				}
+				for _, id := range ids[:d] {
+					if err := ix.Delete(id); err != nil {
+						b.Fatal(err)
+					}
+				}
+				next = d
+				b.StartTimer()
+			}
+			fixture()
+			for i := 0; i < b.N; i++ {
+				if next == d+window {
+					fixture()
+				}
+				if err := ix.Delete(ids[next]); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+		})
 	}
 }

@@ -167,10 +167,10 @@ func Recover(dir string, opts DurabilityOptions) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pqfastscan: recovering: %w", err)
 	}
-	seen := make(map[int64]struct{})
+	seen := make(map[int64]bool)
 	for _, p := range icap.Parts {
 		for i := 0; i < p.N; i++ {
-			seen[p.ID(i)] = struct{}{}
+			seen[p.ID(i)] = true
 		}
 	}
 	icap.Release()
@@ -237,7 +237,7 @@ func Recover(dir string, opts DurabilityOptions) (*Index, error) {
 
 // applyRecord applies one replayed record to in. seen carries every id
 // already applied (snapshot or earlier records) for idempotence.
-func applyRecord(in *index.Index, r *wal.Record, seen map[int64]struct{}) error {
+func applyRecord(in *index.Index, r *wal.Record, seen map[int64]bool) error {
 	switch r.Type {
 	case wal.RecordAdd:
 		m := r.M
@@ -248,10 +248,10 @@ func applyRecord(in *index.Index, r *wal.Record, seen map[int64]struct{}) error 
 		ids := make([]int64, 0, len(r.IDs))
 		codes := make([]uint8, 0, len(r.Codes))
 		for i, id := range r.IDs {
-			if _, dup := seen[id]; dup {
+			if seen[id] {
 				continue
 			}
-			seen[id] = struct{}{}
+			seen[id] = true
 			cells = append(cells, r.Cells[i])
 			ids = append(ids, id)
 			codes = append(codes, r.Codes[i*m:(i+1)*m]...)

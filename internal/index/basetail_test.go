@@ -40,6 +40,11 @@ type liveRow struct {
 // code under test — and the served Fast Scan counters equal the
 // model's over the same epoch. A batch of up to 766 rows lands in two
 // partitions, so two or three of them carry a tail across foldTail.
+// One Delete op picks a row anywhere; the other picks by region — a
+// partition's first live row (the keep region), its middle one
+// (grouped) or its last (the tail, while there is one) — so dead bits
+// by position and by block lane are carried across folds and
+// renumbered by compactions.
 func FuzzBaseTailIdentity(f *testing.F) {
 	fx := &fuzzFixture
 	fx.once.Do(func() {
@@ -57,11 +62,17 @@ func FuzzBaseTailIdentity(f *testing.F) {
 	if fx.err != nil {
 		f.Fatal(fx.err)
 	}
-	f.Add([]byte{0, 0, 1, 1, 200, 2, 9, 0, 5})                           // RAM: add, batch, delete, add
-	f.Add([]byte{0, 1, 255, 2, 3, 1, 255, 0, 0, 1, 255, 2, 77, 3, 0})    // RAM: batches across the fold, compaction
-	f.Add([]byte{1, 1, 255, 1, 255, 2, 1, 1, 255, 3, 1, 0, 0, 2, 200})   // paged: the same shape
-	f.Add([]byte{1, 2, 0, 2, 1, 3, 0, 3, 1, 0, 0, 1, 100, 3, 0, 1, 255}) // paged: deletes and compactions first
-	f.Add([]byte{0, 1, 255, 1, 255, 1, 255, 1, 255, 2, 1, 2, 2, 1, 255}) // RAM: one fold after another
+	f.Add([]byte{0, 0, 1, 1, 200, 2, 9, 0, 5})                             // RAM: add, batch, delete, add
+	f.Add([]byte{0, 1, 255, 2, 3, 1, 255, 0, 0, 1, 255, 2, 77, 3, 0})      // RAM: batches across the fold, compaction
+	f.Add([]byte{1, 1, 255, 1, 255, 2, 1, 1, 255, 3, 1, 0, 0, 2, 200})     // paged: the same shape
+	f.Add([]byte{1, 2, 0, 2, 1, 3, 0, 3, 1, 0, 0, 1, 100, 3, 0, 1, 255})   // paged: deletes and compactions first
+	f.Add([]byte{0, 1, 255, 1, 255, 1, 255, 1, 255, 2, 1, 2, 2, 1, 255})   // RAM: one fold after another
+	f.Add([]byte{0, 2, 3, 2, 4, 3, 0, 4, 0, 4, 2, 4, 4, 3, 0, 4, 0, 2, 9}) // RAM: deletes after compactions renumbered the rows
+	// RAM, then paged: keep, grouped and tail rows of both partitions
+	// dead before three batches fold the tails, then more deletes (and,
+	// paged, a compaction between them).
+	f.Add([]byte{0, 1, 80, 4, 0, 4, 2, 4, 4, 4, 1, 4, 3, 4, 5, 1, 255, 1, 255, 1, 255, 4, 4, 4, 5})
+	f.Add([]byte{1, 1, 80, 4, 0, 4, 2, 4, 4, 4, 1, 4, 3, 4, 5, 1, 255, 1, 255, 1, 255, 3, 1, 4, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -104,18 +115,23 @@ func FuzzBaseTailIdentity(f *testing.F) {
 
 		ops := data[1:]
 		for step := 0; step+1 < len(ops) && step < 32; step += 2 {
-			op, arg := ops[step]%4, int(ops[step+1])
+			op, arg := ops[step]%5, int(ops[step+1])
 			switch op {
 			case 0:
 				add(1)
 			case 1:
 				add(3*arg + 1)
-			case 2:
+			case 2, 4:
 				c := arg % len(live)
-				if len(live[c]) == 0 {
+				n := len(live[c])
+				if n == 0 {
 					continue
 				}
-				i := arg * 7919 % len(live[c])
+				i := arg * 7919 % n
+				if op == 4 {
+					// live[c] is in row order: first, middle, last.
+					i = []int{0, n / 2, n - 1}[arg/len(live)%3]
+				}
 				if err := ix.Delete(live[c][i].id); err != nil {
 					t.Fatal(err)
 				}

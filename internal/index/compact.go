@@ -108,7 +108,10 @@ func (ix *Index) CompactPartition(c int) (CompactionResult, error) {
 // new extent holding both — and publishes it as c's next epoch. The
 // layout is built eagerly, off the serving path, when cur had one and
 // always on a paged index, whose extent must carry the grouped sections
-// or later Fast Scan queries would have nothing to pin. The caller
+// or later Fast Scan queries would have nothing to pin; it derives its
+// lane bits from the new base's row bits. A fold keeps every row at its
+// position and with its dead bit; dropping the dead rows renumbers the
+// rest, so their ids are registered again in the locate map. The caller
 // holds ix.partMu[c]. On an error nothing is published and cur stays.
 func (ix *Index) rebuild(c int, cur *PartEpoch, dropDead bool) (*PartEpoch, error) {
 	p, release, err := cur.rows()
@@ -142,7 +145,11 @@ func (ix *Index) rebuild(c int, cur *PartEpoch, dropDead bool) (*PartEpoch, erro
 	if fast != nil {
 		pe.fast.Store(fast)
 	}
-	return ix.publishAt(c, pe), nil
+	ix.publishAt(c, pe)
+	if dropDead {
+		ix.register(c, next, 0)
+	}
+	return pe, nil
 }
 
 // Compact compacts every partition whose dead ratio (tombstoned rows /

@@ -3,6 +3,8 @@ package index
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"pqfastscan/internal/dataset"
@@ -269,5 +271,122 @@ func TestCompactedPersistRoundTrip(t *testing.T) {
 	}
 	if ix.NextID() != int64(9400) {
 		t.Fatalf("compaction moved the id allocator to %d", ix.NextID())
+	}
+}
+
+// TestDeleteRacesCompaction: deleters against a compaction loop on one
+// partition, RAM and paged. Every compaction renumbers the rows the
+// locate map points at; a Delete reads its row again under the
+// partition's builder lock, so it tombstones the id it was given and no
+// other. Afterwards every deleted id is absent from every kernel's
+// answer, and every other id is still deletable exactly once.
+func TestDeleteRacesCompaction(t *testing.T) {
+	for _, paged := range []bool{false, true} {
+		t.Run(map[bool]string{false: "ram", true: "paged"}[paged], func(t *testing.T) {
+			gen := dataset.NewGenerator(dataset.Config{Seed: 66, Dim: 32})
+			opt := DefaultOptions()
+			opt.Partitions = 1
+			opt.Seed = 66
+			ix, err := Build(gen.Generate(1500), gen.Generate(2400), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if paged {
+				if err := ix.AttachStore(t.TempDir(), 1<<30); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx := context.Background()
+			q := gen.Generate(1).Row(0)
+			if _, err := ix.Query(ctx, Request{Query: q, K: 10}); err != nil {
+				t.Fatal(err) // builds the RAM layout, so Deletes tombstone lanes too
+			}
+			p := ix.Parts()[0]
+			var doomed [2][]int64 // one list per deleter
+			var spared []int64
+			for i := 0; i < p.N; i++ {
+				if i%4 < 2 {
+					doomed[i%4] = append(doomed[i%4], p.ID(i))
+				} else {
+					spared = append(spared, p.ID(i))
+				}
+			}
+
+			errs := make(chan error, len(doomed)+1)
+			var deleters sync.WaitGroup
+			for _, ids := range doomed {
+				deleters.Add(1)
+				go func() {
+					defer deleters.Done()
+					for _, id := range ids {
+						if err := ix.Delete(id); err != nil {
+							errs <- fmt.Errorf("delete %d: %w", id, err)
+							return
+						}
+					}
+				}()
+			}
+			stop, compactorDone := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(compactorDone)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := ix.CompactPartition(0); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+			deleters.Wait()
+			close(stop)
+			<-compactorDone
+			select {
+			case err := <-errs:
+				t.Fatal(err)
+			default:
+			}
+
+			for _, req := range scanPaths() {
+				req.Query, req.K = q, p.N
+				resp, err := ix.Query(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make(map[int64]bool, len(resp.Results))
+				for _, r := range resp.Results {
+					got[r.ID] = true
+				}
+				if len(got) != len(spared) {
+					t.Fatalf("%v/%v: %d ids answered, want the %d spared", req.Kernel, req.Backend, len(got), len(spared))
+				}
+				for _, id := range spared {
+					if !got[id] {
+						t.Fatalf("%v/%v: spared id %d missing", req.Kernel, req.Backend, id)
+					}
+				}
+			}
+			for _, ids := range doomed {
+				for _, id := range ids {
+					if err := ix.Delete(id); !errors.Is(err, ErrNotFound) {
+						t.Fatalf("second delete of %d: %v, want ErrNotFound", id, err)
+					}
+				}
+			}
+			for _, id := range spared {
+				if err := ix.Delete(id); err != nil {
+					t.Fatalf("delete of spared id %d: %v", id, err)
+				}
+				if err := ix.Delete(id); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("second delete of spared id %d: %v, want ErrNotFound", id, err)
+				}
+			}
+			if live := ix.Live(); live != 0 {
+				t.Fatalf("%d rows live after deleting every id", live)
+			}
+		})
 	}
 }

@@ -146,11 +146,12 @@ type Index struct {
 	partMu []sync.Mutex
 	// nextID is the id allocator; Add reserves contiguous blocks.
 	nextID atomic.Int64
-	// locate maps live id -> partition for Delete routing. Built lazily
-	// on first Delete, maintained by Add; guarded by locateMu (a
-	// mutation-path lock — queries never touch it).
+	// locate maps live id -> packLoc(cell, row) for Delete routing.
+	// Built lazily on first Delete, maintained by Add and compaction
+	// under the cell's builder lock; guarded by locateMu (a mutation-path
+	// lock — queries never touch it), always taken after partMu[c].
 	locateMu sync.Mutex
-	locate   map[int64]int
+	locate   map[int64]int64
 
 	// pg, when non-nil, is the attached disk store (paging.go): epochs
 	// are stubs over extents and probes pin payloads through pg's pool.

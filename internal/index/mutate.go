@@ -6,16 +6,17 @@
 // successor epoch that shares its predecessor's base (row-major codes,
 // Fast Scan layout, disk extent) and differs in what the mutation
 // touched: an Add copies the tail with the batch appended, a Delete
-// copies the tombstone set with one id more. Epochs are published with
-// a single snapshot swap (snapshot.go). A tail that has reached
-// foldTail rows is folded into a new base, and tombstoned codes are
-// dropped, by the one rebuild of compact.go.
+// copies one 4 096-bit chunk of the dead bits with one row more. Epochs
+// are published with a single snapshot swap (snapshot.go). A tail that
+// has reached foldTail rows is folded into a new base, and tombstoned
+// codes are dropped, by the one rebuild of compact.go.
 package index
 
 import (
 	"errors"
 	"fmt"
 
+	"pqfastscan/internal/scan"
 	"pqfastscan/internal/vec"
 )
 
@@ -139,12 +140,24 @@ func (ix *Index) ApplyAdd(cells []int, ids []int64, codes []uint8) error {
 	// layout work, no file — before any fold is tried, so a batch is
 	// never half applied.
 	for c := range chunks {
-		if len(chunks[c].ids) == 0 {
+		k := len(chunks[c].ids)
+		if k == 0 {
 			continue
 		}
 		ix.partMu[c].Lock()
 		cur := ix.snap.Load().Parts[c]
-		pe := ix.publishAt(c, ix.successor(cur, cur.Part.CloneAppend(chunks[c].codes, chunks[c].ids)))
+		pe := ix.publishAt(c, ix.successor(cur, cur.Part.CloneAppend(chunks[c].codes, chunks[c].ids), cur.fast.Load(), -1))
+		// Register the rows for Delete routing before the builder lock is
+		// released, so no compaction can renumber them first. A fold
+		// keeps every row's position, so the registration holds whether
+		// or not the fold below happens.
+		//
+		// Contract: an id is guaranteed Delete-routable once Add returns
+		// it. A Delete racing the very Add that creates its id — possible
+		// only by learning the id from a search in the window between the
+		// publish and this registration — may observe ErrNotFound;
+		// retrying after Add returns always succeeds.
+		ix.register(c, pe.Part, pe.Part.N-k)
 		if pe.Part.Tail() >= foldTail {
 			// A fold that fails (only an extent write can) loses nothing:
 			// the epoch just published stays, its rows searchable in the
@@ -154,50 +167,54 @@ func (ix *Index) ApplyAdd(cells []int, ids []int64, codes []uint8) error {
 		}
 		ix.partMu[c].Unlock()
 	}
-
-	// Register the new ids for Delete routing after their partitions are
-	// published: if a concurrent Delete built the locate map between our
-	// publish and this point, the build already saw the ids in the
-	// snapshot. A Delete may even have tombstoned one of them already
-	// (it discovered the id through a search) — those stay unregistered,
-	// so the map never claims a dead id is live.
-	//
-	// Contract: an id is guaranteed Delete-routable once Add returns it.
-	// A Delete racing the very Add that creates its id — possible only
-	// by learning the id from a search in the window between the
-	// partition publish and this registration — may observe ErrNotFound;
-	// retrying after Add returns always succeeds.
-	ix.locateMu.Lock()
-	if ix.locate != nil {
-		s := ix.snap.Load()
-		for i, id := range ids {
-			if !s.Parts[cells[i]].Part.IsDead(id) {
-				ix.locate[id] = cells[i]
-			}
-		}
-	}
-	ix.locateMu.Unlock()
 	return nil
 }
 
+// packLoc packs a row's place for the locate map: the cell in the high
+// 32 bits, the row's position in its partition in the low 32.
+func packLoc(c, row int) int64 { return int64(c)<<32 | int64(row) }
+
+// unpackLoc is the inverse of packLoc.
+func unpackLoc(l int64) (c, row int) { return int(l >> 32), int(uint32(l)) }
+
+// register records the live rows of p from position from on as cell c's
+// in the locate map, if it has been built. The caller holds
+// ix.partMu[c] (lock order: partMu[c], then locateMu) and p is c's
+// latest epoch, or about to be published as it: positions are stable
+// only while nothing can compact the partition.
+func (ix *Index) register(c int, p *scan.Partition, from int) {
+	ix.locateMu.Lock()
+	defer ix.locateMu.Unlock()
+	if ix.locate == nil {
+		return
+	}
+	for i := from; i < p.N; i++ {
+		if !p.DeadAt(i) {
+			ix.locate[p.ID(i)] = packLoc(c, i)
+		}
+	}
+}
+
 // Delete tombstones the vector with the given id by publishing a new
-// epoch of its partition whose tombstone set grew by one; base, tail and
-// any built Fast Scan layout are shared with the predecessor epoch, so
-// no code moves and no extent is written. It returns ErrNotFound when
-// the id was never assigned or is no longer live.
+// epoch of its partition with the row's dead bit set — and, when the
+// epoch has a Fast Scan layout, its block lane's. Base, tail and layout
+// are shared with the predecessor epoch and one 4 096-bit chunk of each
+// bit set is copied, so no code moves, no extent is written, and a
+// Delete costs the same however many rows are already dead. It returns
+// ErrNotFound when the id was never assigned or is no longer live.
 //
-// Each delete copies the partition's tombstone set (copy-on-write), so
-// the cost of the D-th uncompacted delete into one partition is O(D).
-// The online compactor resets D to zero; with the serving layer's
-// dead-ratio policy enabled, D stays bounded by threshold × partition
-// size.
+// The locate map gives the id's cell and row. The row is read again
+// under the cell's builder lock, which a compaction — the only thing
+// that renumbers rows — also holds while it re-registers them; a row
+// read before the lock could be one a compaction has since given to
+// another id.
 func (ix *Index) Delete(id int64) error {
 	ix.locateMu.Lock()
 	if ix.locate == nil {
-		// First Delete: build the id -> partition routing table from the
-		// current snapshot. Ids published after this load are registered
-		// by their Add (see the ordering note there).
-		ix.locate = make(map[int64]int)
+		// First Delete: build the id -> (cell, row) routing table from
+		// the current snapshot. Rows published after this load are
+		// registered by their Add or compaction.
+		ix.locate = make(map[int64]int64)
 		for c, pe := range ix.snap.Load().Parts {
 			// Stubs carry no base id array — the extent stays pinned for
 			// the duration of this partition's walk.
@@ -208,32 +225,70 @@ func (ix *Index) Delete(id int64) error {
 				return fmt.Errorf("index: building delete routing table: %w", err)
 			}
 			for i := 0; i < p.N; i++ {
-				if pid := p.ID(i); !p.IsDead(pid) {
-					ix.locate[pid] = c
+				if !p.DeadAt(i) {
+					ix.locate[p.ID(i)] = packLoc(c, i)
 				}
 			}
 			release()
 		}
 	}
-	c, ok := ix.locate[id]
+	l, ok := ix.locate[id]
+	ix.locateMu.Unlock()
 	if !ok {
-		ix.locateMu.Unlock()
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	delete(ix.locate, id)
-	ix.locateMu.Unlock()
+	c, _ := unpackLoc(l)
 
 	ix.partMu[c].Lock()
 	defer ix.partMu[c].Unlock()
-	cur := ix.snap.Load().Parts[c]
-	next, ok := cur.Part.CloneTombstone(id)
+	ix.locateMu.Lock()
+	l, ok = ix.locate[id]
+	ix.locateMu.Unlock()
 	if !ok {
-		// locate said live but the partition disagrees — possible only if
-		// the id was dropped by an out-of-band partition replacement.
-		return fmt.Errorf("%w: id %d", ErrNotFound, id)
+		return fmt.Errorf("%w: id %d", ErrNotFound, id) // a racing Delete won
 	}
-	ix.publishAt(c, ix.successor(cur, next))
+	_, row := unpackLoc(l)
+	cur := ix.snap.Load().Parts[c]
+	pe, err := ix.tombstoned(cur, row, id)
+	if err != nil {
+		return fmt.Errorf("index: deleting id %d from partition %d: %w", id, c, err)
+	}
+	ix.publishAt(c, pe)
+	ix.locateMu.Lock()
+	delete(ix.locate, id)
+	ix.locateMu.Unlock()
 	return nil
+}
+
+// tombstoned returns the successor of cur with the row at position row,
+// which must hold id, tombstoned. A paged epoch's extent is pinned for
+// the check and for finding the row's lane.
+func (ix *Index) tombstoned(cur *PartEpoch, row int, id int64) (*PartEpoch, error) {
+	fs := cur.fast.Load() // once: the lane must be found in the layout that is rebound
+	p, view := cur.Part, fs
+	if cur.paged != nil {
+		hp, hfs, release, err := cur.paged.view(cur, fs != nil)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		p, view = hp, hfs
+	}
+	if row >= p.N {
+		return nil, fmt.Errorf("locate names row %d of %d", row, p.N)
+	}
+	if got := p.ID(row); got != id {
+		return nil, fmt.Errorf("locate names row %d, which holds id %d", row, got)
+	}
+	next, ok := cur.Part.CloneTombstone(row)
+	if !ok {
+		return nil, fmt.Errorf("locate names row %d, which is already dead", row)
+	}
+	lane := -1
+	if view != nil {
+		lane = view.Lane(row)
+	}
+	return ix.successor(cur, next, fs, lane), nil
 }
 
 // Live returns the number of indexed vectors that are not tombstoned.

@@ -5,7 +5,7 @@
 // materialized ids, and the Fast Scan grouped layout's packed blocks,
 // grouped codes and grouped ids — into one immutable extent file per
 // base, and replaces the snapshot's epochs with stubs: RAM-resident
-// metadata (row counts, tombstone sets, the group directory, the tail
+// metadata (row counts, dead bits, the group directory, the tail
 // of rows appended since the base was built) whose base slices are
 // nil. A probe that visits a partition pins its extent in the buffer
 // pool, hydrates transient shallow views over the pinned payload, scans
@@ -329,7 +329,7 @@ func (ix *Index) StoreStats() (StoreStats, bool) {
 }
 
 // materializePart returns a RAM-resident copy of a paged epoch's
-// partition (one fresh base, shared tombstone set) — the bridge for
+// partition (one fresh base, shared dead bits) — the bridge for
 // offline tooling (Parts, FastScanner) that expects partition data
 // without pin lifetimes.
 func (ix *Index) materializePart(pe *PartEpoch) (*scan.Partition, error) {

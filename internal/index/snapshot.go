@@ -7,13 +7,13 @@
 // no matter what mutations land concurrently. An epoch is an immutable
 // base (row-major codes and ids, the Fast Scan layout built from them,
 // one extent when paged) plus a bounded tail of rows appended since the
-// base was built plus the tombstone set. Mutations build a successor
-// off the serving path — sharing the base, copying only the tail (Add)
-// or the tombstones (Delete) — and publish it with a single
-// compare-and-swap of the snapshot pointer; a mutation therefore only
-// contends with other mutations of the same partition (the per-partition
-// builder locks), never with queries. Only the rebuild of compact.go
-// makes a new base.
+// base was built plus the dead bits by position. Mutations build a
+// successor off the serving path — sharing the base, copying only the
+// tail (Add) or one chunk of dead bits (Delete) — and publish it with a
+// single compare-and-swap of the snapshot pointer; a mutation therefore
+// only contends with other mutations of the same partition (the
+// per-partition builder locks), never with queries. Only the rebuild of
+// compact.go makes a new base.
 //
 // See DESIGN.md §11 "Epochs, copy-on-write, and compaction" for the
 // lifecycle and publish-ordering rules.
@@ -34,7 +34,7 @@ import (
 // other version — which is what makes stale scanners unreachable:
 // replacing the epoch replaces the scanner with it.
 type PartEpoch struct {
-	// Part holds the sealed codes, ids and tombstones of this epoch.
+	// Part holds the sealed codes, ids and dead bits of this epoch.
 	Part *scan.Partition
 	// Epoch is the global publish sequence number at creation; it only
 	// grows, so operators can watch /stats to see partitions advance.
@@ -57,13 +57,14 @@ type PartEpoch struct {
 }
 
 // successor returns the epoch that follows cur when only its tail or
-// its tombstones changed: next (cur.Part's CloneAppend or
-// CloneTombstone) over cur's base — the same extent, the same Fast Scan
-// layout rebound to next.
-func (ix *Index) successor(cur *PartEpoch, next *scan.Partition) *PartEpoch {
+// its dead bits changed: next (cur.Part's CloneAppend or
+// CloneTombstone) over cur's base — the same extent, and fs, cur's Fast
+// Scan layout as the caller loaded it (nil when none was built),
+// rebound to next with lane tombstoned (-1 for none).
+func (ix *Index) successor(cur *PartEpoch, next *scan.Partition, fs *scan.FastScan, lane int) *PartEpoch {
 	pe := &PartEpoch{Part: next, Epoch: ix.epoch.Add(1), paged: cur.paged}
-	if fs := cur.fast.Load(); fs != nil {
-		pe.fast.Store(fs.Rebind(next))
+	if fs != nil {
+		pe.fast.Store(fs.Rebind(next, lane))
 	}
 	return pe
 }

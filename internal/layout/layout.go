@@ -14,6 +14,7 @@ package layout
 
 import (
 	"fmt"
+	"sort"
 	"unsafe"
 )
 
@@ -153,9 +154,10 @@ type Group struct {
 	// portion Key[j] restricted to set nibbles. Precomputed here at
 	// build time so the group-ordering extension estimates per-group
 	// lower bounds without rescanning full 16-entry portions of the
-	// distance tables on every query. Deletes are tombstones unknown to
-	// the layout, so the mask may be a superset of the live members — the
-	// estimate stays a valid lower bound.
+	// distance tables on every query. The mask is computed once, over
+	// every member; a member tombstoned later stays in it, so the mask
+	// may be a superset of the live members — the estimate stays a valid
+	// lower bound.
 	NibbleMask [MaxGroupComponents]uint16
 }
 
@@ -183,15 +185,25 @@ const (
 // original ids, grouping on the first c components. ids may be nil, in
 // which case positions 0..n-1 are used.
 func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
+	g, _, err := NewGroupedTracking(codes, ids, c, nil)
+	return g, err
+}
+
+// NewGroupedTracking is NewGrouped that also reports where the sort put
+// the source rows listed in track (ascending indexes into codes):
+// tracked[i] is the grouped position of row track[i]. The counting sort
+// has every row's destination in hand, so this costs one comparison per
+// row.
+func NewGroupedTracking(codes []uint8, ids []int64, c int, track []int) (g *Grouped, tracked []int, err error) {
 	if c < 0 || c > MaxGroupComponents {
-		return nil, fmt.Errorf("layout: grouping components %d out of range [0,4]", c)
+		return nil, nil, fmt.Errorf("layout: grouping components %d out of range [0,4]", c)
 	}
 	if len(codes)%M != 0 {
-		return nil, fmt.Errorf("layout: code array length %d not a multiple of %d", len(codes), M)
+		return nil, nil, fmt.Errorf("layout: code array length %d not a multiple of %d", len(codes), M)
 	}
 	n := len(codes) / M
 	if ids != nil && len(ids) != n {
-		return nil, fmt.Errorf("layout: %d ids for %d vectors", len(ids), n)
+		return nil, nil, fmt.Errorf("layout: %d ids for %d vectors", len(ids), n)
 	}
 
 	// Stable counting sort on the group key (keys < 16^c <= 65 536, so a
@@ -211,23 +223,32 @@ func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 		first[k] += first[k-1]
 	}
 
-	g := &Grouped{
+	g = &Grouped{
 		N:          n,
 		C:          c,
 		IDs:        make([]int64, n),
 		Codes:      make([]uint8, n*M),
 		blockBytes: BlockBytes(c),
 	}
+	if len(track) > 0 {
+		tracked = make([]int, 0, len(track))
+	}
 	next := append([]int(nil), first[:len(first)-1]...)
 	for src, k := range keys {
-		pos := next[k]
+		p := next[k]
 		next[k]++
-		if ids != nil {
-			g.IDs[pos] = ids[src]
-		} else {
-			g.IDs[pos] = int64(src)
+		if len(tracked) < len(track) && track[len(tracked)] == src {
+			tracked = append(tracked, p)
 		}
-		copy(g.Codes[pos*M:(pos+1)*M], codes[src*M:(src+1)*M])
+		if ids != nil {
+			g.IDs[p] = ids[src]
+		} else {
+			g.IDs[p] = int64(src)
+		}
+		copy(g.Codes[p*M:(p+1)*M], codes[src*M:(src+1)*M])
+	}
+	if len(tracked) != len(track) {
+		return nil, nil, fmt.Errorf("layout: tracked rows not ascending indexes below %d", n)
 	}
 
 	// One group per key that occurs, in key order.
@@ -262,7 +283,16 @@ func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 			g.packBlock(grp, b)
 		}
 	}
-	return g, nil
+	return g, tracked, nil
+}
+
+// Lane returns the block lane of grouped position pos: its block's
+// index times BlockVectors plus its lane in the block. Lanes count the
+// padding of every group's last block, positions do not.
+func (g *Grouped) Lane(pos int) int {
+	gi := sort.Search(len(g.Groups), func(i int) bool { return g.Groups[i].Start > pos }) - 1
+	grp := &g.Groups[gi]
+	return grp.BlockStart*BlockVectors + pos - grp.Start
 }
 
 // padCode is the code whose lanes pack to all-padding (low nibble

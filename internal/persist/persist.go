@@ -6,7 +6,8 @@
 // offline).
 //
 // The format is a simple little-endian binary layout with a magic header
-// and version byte. Version 1 (the original, still readable) is:
+// and version byte. Every version stays readable; only version 3 is
+// written. Version 1 (the original; testdata/v1.pqfsidx is one) is:
 //
 //	"PQFSIDX\x01"
 //	u32 dim, u32 partitions
@@ -16,10 +17,10 @@
 //	options: f64 keep, i32 groupComponents, u8 orderGroups, u8 optimized
 //	per partition: u32 n, n x m bytes codes, n x i64 ids
 //
-// Version 2 (written by default) extends it for mutable indexes: online
-// Add appends codes into the partition blocks (so n covers build-time and
-// appended vectors alike) and Delete leaves tombstones, both of which
-// must survive a save/load cycle:
+// Version 2 extends it for mutable indexes: online Add appends codes
+// into the partition blocks (so n covers build-time and appended
+// vectors alike) and Delete leaves tombstones, both of which must
+// survive a save/load cycle:
 //
 //	"PQFSIDX\x02"
 //	... identical through the options block ...
@@ -27,8 +28,7 @@
 //	per partition: u32 n, n x m bytes codes, n x i64 ids,
 //	               u32 nDead, nDead x i64 tombstoned ids
 //
-// Version 3 (written by default) extends version 2 for crash-safe
-// durability (DESIGN.md §14):
+// Version 3 extends version 2 for crash-safe durability (DESIGN.md §14):
 //
 //	"PQFSIDX\x03"
 //	... identical through nextID ...
@@ -42,6 +42,11 @@
 // (Castagnoli, hardware-accelerated, matching the WAL) and adds an end
 // magic so a truncated file is detected even if the truncation point
 // happens to leave a self-consistent prefix.
+//
+// The reader trusts nothing it has not read: every section whose size a
+// header field gives is read in bounded chunks, so memory grows with the
+// bytes actually present and a lying or truncated file ends in an
+// error; a tombstone list must name rows its partition holds.
 package persist
 
 import (
@@ -53,9 +58,11 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"pqfastscan/internal/fsio"
 	"pqfastscan/internal/index"
+	"pqfastscan/internal/layout"
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/scan"
 	"pqfastscan/internal/vec"
@@ -84,6 +91,10 @@ func crcFor(version uint8) hash.Hash32 {
 // maxReasonable bounds untrusted size fields while decoding.
 const maxReasonable = 1 << 31
 
+// readChunk is the most the reader allocates for a section ahead of the
+// bytes that fill it.
+const readChunk = 1 << 16
+
 type countingWriter struct {
 	w   io.Writer
 	crc hash.Hash32
@@ -103,20 +114,7 @@ func WriteIndex(w io.Writer, ix *index.Index) error {
 		return err
 	}
 	defer cap.Release()
-	return writeCapture(w, cap, version3, 0)
-}
-
-// WriteIndexV1 serializes ix in the seed's version-1 format, for
-// downgrades to readers that predate mutable indexes. It refuses indexes
-// carrying tombstones, which version 1 cannot represent (appended
-// vectors are fine: they are ordinary codes in their partition block).
-func WriteIndexV1(w io.Writer, ix *index.Index) error {
-	cap, err := ix.Capture()
-	if err != nil {
-		return err
-	}
-	defer cap.Release()
-	return writeCapture(w, cap, version1, 0)
+	return WriteCapture(w, cap, 0)
 }
 
 // WriteCapture serializes a point-in-time capture in the current format,
@@ -124,29 +122,17 @@ func WriteIndexV1(w io.Writer, ix *index.Index) error {
 // checkpoint write path: the durability layer captures under its
 // mutation lock and serializes here without blocking writers.
 func WriteCapture(w io.Writer, cap index.Capture, walEpoch uint64) error {
-	return writeCapture(w, cap, version3, walEpoch)
-}
-
-func writeCapture(w io.Writer, cap index.Capture, version uint8, walEpoch uint64) error {
 	// The capture is a coherent image: sealed partitions from one
 	// snapshot plus an allocator position read after it, so nextID covers
 	// every id the captured partitions hold.
 	parts := cap.Parts
 	nextID := cap.NextID
 
-	if version < version2 {
-		for pi, p := range parts {
-			if p.DeadCount() > 0 {
-				return fmt.Errorf("persist: partition %d has %d tombstones, not representable in format v1", pi, p.DeadCount())
-			}
-		}
-	}
-
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(append(append([]byte(nil), magicPrefix...), version)); err != nil {
+	if _, err := bw.Write(append(append([]byte(nil), magicPrefix...), version3)); err != nil {
 		return fmt.Errorf("persist: writing magic: %w", err)
 	}
-	cw := &countingWriter{w: bw, crc: crcFor(version)}
+	cw := &countingWriter{w: bw, crc: crcFor(version3)}
 	le := binary.LittleEndian
 
 	writeU32 := func(v uint32) error {
@@ -197,19 +183,15 @@ func writeCapture(w io.Writer, cap index.Capture, version uint8, walEpoch uint64
 		return fmt.Errorf("persist: writing options: %w", err)
 	}
 
-	if version >= version2 {
-		var idBuf [8]byte
-		le.PutUint64(idBuf[:], uint64(nextID))
-		if _, err := cw.Write(idBuf[:]); err != nil {
-			return fmt.Errorf("persist: writing next id: %w", err)
-		}
+	var idBuf [8]byte
+	le.PutUint64(idBuf[:], uint64(nextID))
+	if _, err := cw.Write(idBuf[:]); err != nil {
+		return fmt.Errorf("persist: writing next id: %w", err)
 	}
-	if version >= version3 {
-		var epochBuf [8]byte
-		le.PutUint64(epochBuf[:], walEpoch)
-		if _, err := cw.Write(epochBuf[:]); err != nil {
-			return fmt.Errorf("persist: writing wal epoch: %w", err)
-		}
+	var epochBuf [8]byte
+	le.PutUint64(epochBuf[:], walEpoch)
+	if _, err := cw.Write(epochBuf[:]); err != nil {
+		return fmt.Errorf("persist: writing wal epoch: %w", err)
 	}
 
 	for pi, p := range parts {
@@ -234,18 +216,16 @@ func writeCapture(w io.Writer, cap index.Capture, version uint8, walEpoch uint64
 		if _, err := cw.Write(idBuf); err != nil {
 			return fmt.Errorf("persist: writing partition %d ids: %w", pi, err)
 		}
-		if version >= version2 {
-			dead := p.DeadIDs()
-			if err := writeU32(uint32(len(dead))); err != nil {
-				return fmt.Errorf("persist: writing partition %d tombstone count: %w", pi, err)
-			}
-			deadBuf := make([]byte, 8*len(dead))
-			for i, id := range dead {
-				le.PutUint64(deadBuf[8*i:], uint64(id))
-			}
-			if _, err := cw.Write(deadBuf); err != nil {
-				return fmt.Errorf("persist: writing partition %d tombstones: %w", pi, err)
-			}
+		dead := p.DeadIDs()
+		if err := writeU32(uint32(len(dead))); err != nil {
+			return fmt.Errorf("persist: writing partition %d tombstone count: %w", pi, err)
+		}
+		deadBuf := make([]byte, 8*len(dead))
+		for i, id := range dead {
+			le.PutUint64(deadBuf[8*i:], uint64(id))
+		}
+		if _, err := cw.Write(deadBuf); err != nil {
+			return fmt.Errorf("persist: writing partition %d tombstones: %w", pi, err)
 		}
 	}
 
@@ -254,12 +234,26 @@ func writeCapture(w io.Writer, cap index.Capture, version uint8, walEpoch uint64
 	if _, err := bw.Write(crcBuf[:]); err != nil {
 		return fmt.Errorf("persist: writing checksum: %w", err)
 	}
-	if version >= version3 {
-		if _, err := bw.Write(endMagic); err != nil {
-			return fmt.Errorf("persist: writing end magic: %w", err)
-		}
+	if _, err := bw.Write(endMagic); err != nil {
+		return fmt.Errorf("persist: writing end magic: %w", err)
 	}
 	return bw.Flush()
+}
+
+// readBytes reads n bytes in chunks of at most readChunk, growing the
+// result as they arrive: a size field that claims more than the input
+// holds ends at EOF having allocated for the bytes present only.
+func readBytes(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		k := min(n-len(buf), readChunk)
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+k]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+k]
+	}
+	return buf, nil
 }
 
 type countingReader struct {
@@ -273,8 +267,9 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadIndex deserializes an index written by WriteIndex or WriteIndexV1:
-// the reader is backward compatible with every format version to date.
+// ReadIndex deserializes an index written by WriteIndex, or by an
+// earlier build in format version 1 or 2: the reader is backward
+// compatible with every format version to date.
 func ReadIndex(r io.Reader) (*index.Index, error) {
 	return ReadIndexCells(r, nil)
 }
@@ -331,8 +326,8 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 		return int(v), nil
 	}
 	readF32s := func(n int) ([]float32, error) {
-		buf := make([]byte, 4*n)
-		if _, err := io.ReadFull(cr, buf); err != nil {
+		buf, err := readBytes(cr, 4*n)
+		if err != nil {
 			return nil, err
 		}
 		out := make([]float32, n)
@@ -362,7 +357,9 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("persist: reading subdim: %w", err)
 	}
-	if m <= 0 || bits <= 0 || bits > 16 || subdim <= 0 || m*subdim != dim || partitions <= 0 {
+	// Codes are stored one byte per component, so no file holds more
+	// than 8 bits per index (the quantizer encodes no more either).
+	if m <= 0 || bits <= 0 || bits > 8 || subdim <= 0 || m*subdim != dim || partitions <= 0 {
 		return nil, 0, fmt.Errorf("persist: inconsistent header (dim=%d partitions=%d m=%d bits=%d subdim=%d)",
 			dim, partitions, m, bits, subdim)
 	}
@@ -378,17 +375,16 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 	}
 	cfg := quantizer.Config{M: m, Bits: bits}
 	pq := &quantizer.ProductQuantizer{
-		Config:    cfg,
-		Dim:       dim,
-		SubDim:    subdim,
-		Codebooks: make([]vec.Matrix, m),
+		Config: cfg,
+		Dim:    dim,
+		SubDim: subdim,
 	}
 	for j := 0; j < m; j++ {
 		data, err := readF32s(cfg.KStar() * subdim)
 		if err != nil {
 			return nil, 0, fmt.Errorf("persist: reading codebook %d: %w", j, err)
 		}
-		pq.Codebooks[j] = vec.Matrix{Data: data, Dim: subdim}
+		pq.Codebooks = append(pq.Codebooks, vec.Matrix{Data: data, Dim: subdim})
 	}
 	coarseData, err := readF32s(partitions * dim)
 	if err != nil {
@@ -409,6 +405,9 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 			GroupComponents: int(int32(le.Uint32(optBuf[8:]))),
 			OrderGroups:     optBuf[12] == 1,
 		},
+	}
+	if fo := opt.FastScan; !(fo.Keep >= 0 && fo.Keep < 1) || fo.GroupComponents > layout.MaxGroupComponents {
+		return nil, 0, fmt.Errorf("persist: implausible fast scan options (keep %v, group components %d)", fo.Keep, fo.GroupComponents)
 	}
 
 	// Version 1 carries no id allocator; Restore recomputes it.
@@ -432,18 +431,18 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 		walEpoch = le.Uint64(epochBuf[:])
 	}
 
-	parts := make([]*scan.Partition, partitions)
+	var parts []*scan.Partition
 	for pi := 0; pi < partitions; pi++ {
 		n, err := readU32()
 		if err != nil {
 			return nil, 0, fmt.Errorf("persist: reading partition %d size: %w", pi, err)
 		}
-		codes := make([]uint8, n*m)
-		if _, err := io.ReadFull(cr, codes); err != nil {
+		codes, err := readBytes(cr, n*m)
+		if err != nil {
 			return nil, 0, fmt.Errorf("persist: reading partition %d codes: %w", pi, err)
 		}
-		idBuf := make([]byte, 8*n)
-		if _, err := io.ReadFull(cr, idBuf); err != nil {
+		idBuf, err := readBytes(cr, 8*n)
+		if err != nil {
 			return nil, 0, fmt.Errorf("persist: reading partition %d ids: %w", pi, err)
 		}
 		if version < version2 {
@@ -457,16 +456,15 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 			}
 		}
 		kept := keepSet == nil || keepSet[pi]
+		// A skipped cell's bytes are read all the same (the CRC covers
+		// them), but its slot holds an empty partition.
+		p := scan.NewPartitionW(nil, nil, m)
 		if kept {
 			ids := make([]int64, n)
 			for i := range ids {
 				ids[i] = int64(le.Uint64(idBuf[8*i:]))
 			}
-			parts[pi] = scan.NewPartitionW(codes, ids, m)
-		} else {
-			// Skipped cell: the bytes were still read (the CRC covers
-			// them), but the slot holds an empty partition.
-			parts[pi] = scan.NewPartitionW(nil, nil, m)
+			p = scan.NewPartitionW(codes, ids, m)
 		}
 		if version >= version2 {
 			nDead, err := readU32()
@@ -476,8 +474,8 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 			if nDead > n {
 				return nil, 0, fmt.Errorf("persist: partition %d has %d tombstones for %d vectors", pi, nDead, n)
 			}
-			deadBuf := make([]byte, 8*nDead)
-			if _, err := io.ReadFull(cr, deadBuf); err != nil {
+			deadBuf, err := readBytes(cr, 8*nDead)
+			if err != nil {
 				return nil, 0, fmt.Errorf("persist: reading partition %d tombstones: %w", pi, err)
 			}
 			if kept {
@@ -485,9 +483,12 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 				for i := range dead {
 					dead[i] = int64(le.Uint64(deadBuf[8*i:]))
 				}
-				parts[pi].RestoreDead(dead)
+				if err := p.RestoreDead(dead); err != nil {
+					return nil, 0, fmt.Errorf("persist: partition %d: %w", pi, err)
+				}
 			}
 		}
+		parts = append(parts, p)
 	}
 
 	sum := cr.crc.Sum32()
@@ -523,23 +524,19 @@ func SaveIndex(path string, ix *index.Index) error {
 		return err
 	}
 	defer cap.Release()
-	return saveCapture(fsio.OS, path, cap, version3, 0)
+	return SaveCapture(fsio.OS, path, cap, 0)
 }
 
 // SaveCapture atomically and durably writes a checkpoint capture
 // stamped with its WAL epoch, through the given filesystem (the crash
 // harness injects failing ones; production passes fsio.OS).
 func SaveCapture(fsys fsio.FS, path string, cap index.Capture, walEpoch uint64) error {
-	return saveCapture(fsys, path, cap, version3, walEpoch)
-}
-
-func saveCapture(fsys fsio.FS, path string, cap index.Capture, version uint8, walEpoch uint64) error {
 	tmp, err := fsys.CreateTemp(dirOf(path), ".pqfsidx-*")
 	if err != nil {
 		return fmt.Errorf("persist: creating temp file: %w", err)
 	}
 	defer fsys.Remove(tmp.Name())
-	if err := writeCapture(tmp, cap, version, walEpoch); err != nil {
+	if err := WriteCapture(tmp, cap, walEpoch); err != nil {
 		tmp.Close()
 		return err
 	}

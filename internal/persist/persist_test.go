@@ -3,7 +3,7 @@ package persist
 import (
 	"bytes"
 	"context"
-	"io"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -273,43 +273,62 @@ func TestRoundtripPQ16x4(t *testing.T) {
 	}
 }
 
+// v1File is a version-1 file frozen when this build still wrote the
+// format: an index.Build of 600 16-dimensional vectors from dataset seed
+// 31 (learn 800, 2 partitions, seed 31). Nothing writes version 1 any
+// more; this file is how the reader keeps reading it.
+const v1File = "testdata/v1.pqfsidx"
+
 // TestV1StillLoads: files in the seed's version-1 format remain
-// readable, answer identically, and recompute the id allocator.
+// readable, recompute the id allocator, answer alike on every kernel,
+// and survive a version-3 round trip row for row and answer for answer.
 func TestV1StillLoads(t *testing.T) {
-	ix, gen := buildSmall(t)
-	var buf bytes.Buffer
-	if err := WriteIndexV1(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes()[7]; got != 1 {
-		t.Fatalf("WriteIndexV1 wrote version byte %d", got)
-	}
-	loaded, err := ReadIndex(&buf)
+	data, err := os.ReadFile(v1File)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NextID() != 8000 {
-		t.Fatalf("v1 reload recomputed next id %d, want 8000", loaded.NextID())
+	if data[7] != 1 {
+		t.Fatalf("%s has version byte %d", v1File, data[7])
 	}
-	q := gen.Generate(1).Row(0)
-	want, _ := search1(t, ix, q, 10, index.KernelFastScan)
-	have, _ := search1(t, loaded, q, 10, index.KernelFastScan)
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("rank %d differs after v1 roundtrip", i)
-		}
-	}
-}
-
-// TestV1RefusesTombstones: format v1 cannot represent deletions, so the
-// downgrade writer must refuse rather than silently resurrect vectors.
-func TestV1RefusesTombstones(t *testing.T) {
-	ix, _ := buildSmall(t)
-	if err := ix.Delete(3); err != nil {
+	loaded, err := ReadIndex(bytes.NewReader(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteIndexV1(io.Discard, ix); err == nil {
-		t.Fatal("WriteIndexV1 accepted a tombstoned index")
+	if loaded.NextID() != 600 || loaded.Live() != 600 || loaded.Partitions() != 2 || loaded.Dim != 16 {
+		t.Fatalf("v1 load: next id %d, live %d, %d partitions, dim %d; want 600, 600, 2, 16",
+			loaded.NextID(), loaded.Live(), loaded.Partitions(), loaded.Dim)
+	}
+	var buf bytes.Buffer
+	if err := WriteIndex(&buf, loaded); err != nil {
+		t.Fatal(err)
+	}
+	again, err := ReadIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi, p := range loaded.Parts() {
+		q := again.Parts()[pi]
+		if !bytes.Equal(p.FlatCodes(), q.FlatCodes()) {
+			t.Fatalf("partition %d codes differ after the v3 round trip", pi)
+		}
+		for i := 0; i < p.N; i++ {
+			if p.ID(i) != q.ID(i) {
+				t.Fatalf("partition %d row %d id %d, want %d", pi, i, q.ID(i), p.ID(i))
+			}
+		}
+	}
+	queries := dataset.NewGenerator(dataset.Config{Seed: 32, Dim: 16}).Generate(4)
+	for qi := 0; qi < queries.Rows(); qi++ {
+		q := queries.Row(qi)
+		want, _ := search1(t, loaded, q, 10, index.KernelNaive)
+		for _, kern := range []index.Kernel{index.KernelLibpq, index.KernelFastScan} {
+			if have, _ := search1(t, loaded, q, 10, kern); !slices.Equal(want, have) {
+				t.Fatalf("query %d: %v differs from naive on the v1 load", qi, kern)
+			}
+			if have, _ := search1(t, again, q, 10, kern); !slices.Equal(want, have) {
+				t.Fatalf("query %d: %v differs after the v3 round trip", qi, kern)
+			}
+		}
 	}
 }
 
@@ -367,9 +386,7 @@ func TestRoundtripMutatedIndex(t *testing.T) {
 
 // TestRoundtripCompactedIndex: compaction rewrites partitions without
 // their tombstones; the compacted image must persist with zero
-// tombstones (ids stable), reload to bit-identical answers, and — no
-// tombstones left — downgrade to format v1 again, so pre-mutation
-// readers can consume a compacted index.
+// tombstones (ids stable) and reload to bit-identical answers.
 func TestRoundtripCompactedIndex(t *testing.T) {
 	ix, gen := buildSmall(t)
 	added, err := ix.Add(gen.Generate(400))
@@ -428,11 +445,6 @@ func TestRoundtripCompactedIndex(t *testing.T) {
 				t.Fatalf("query %d rank %d differs after compacted roundtrip", qi, i)
 			}
 		}
-	}
-
-	// With tombstones reclaimed the v1 downgrade path reopens.
-	if err := WriteIndexV1(io.Discard, ix); err != nil {
-		t.Fatalf("WriteIndexV1 refused a compacted index: %v", err)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 		// Random tombstones, sometimes including keep-region vectors.
 		if iter%2 == 1 {
 			for i := 0; i < n; i += 3 + r.Intn(17) {
-				p.Tombstone(int64(i))
+				p, _ = p.CloneTombstone(i)
 			}
 		}
 
@@ -89,7 +89,7 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 				bids[i] = int64(p.N + i)
 			}
 			p = p.CloneAppend(bcodes, bids)
-			fs = fs.Rebind(p)
+			fs = fs.Rebind(p, -1)
 			want2, _ := Naive(p, tables, k)
 			var ref2Stats Stats
 			for i, be := range backends {

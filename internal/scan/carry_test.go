@@ -100,8 +100,8 @@ func TestCarriedScanFuzz(t *testing.T) {
 			})
 			nextID += int64(n)
 			if r.Intn(2) == 0 {
-				for id := cells[i].p.ID(0); id < nextID; id += int64(3 + r.Intn(17)) {
-					cells[i].p.Tombstone(id)
+				for row := 0; row < n; row += 3 + r.Intn(17) {
+					cells[i].p, cells[i].fs = tombstone(cells[i].p, cells[i].fs, row)
 				}
 			}
 		}

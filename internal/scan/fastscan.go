@@ -45,6 +45,14 @@ const DefaultKeep = 0.005
 // regrouped: a scan takes them with the keep region, by plain PQ Scan
 // (§4.4), which is where the paper puts rows that grouping does not pay
 // for (§4.2). A layout is never modified.
+//
+// The partition's dead bits are by row; the layout's grouped rows are
+// tombstoned a second time by block lane (blockIndex·16 + lane, padding
+// lanes included), so a block scan strips every dead lane of a block
+// with one AND of the mask DeadLanes returns, before any exact
+// distance. The two agree for every grouped row: NewFastScan derives
+// the lane bits from the row bits, and Rebind sets a lane together with
+// the row its caller tombstoned.
 type FastScan struct {
 	part        *Partition
 	keepN       int
@@ -52,12 +60,14 @@ type FastScan struct {
 	c           int
 	grouped     *layout.Grouped
 	orderGroups bool
+	dead        deadSet // tombstoned block lanes
 }
 
 // NewFastScan prepares PQ Fast Scan over every row of p, base and tail
 // alike. The first Keep fraction of the partition stays in row-major
 // order for the temporary-NN phase; the remainder is grouped on c
-// components and packed into 16-vector blocks.
+// components and packed into 16-vector blocks. The lane of every dead
+// grouped row is marked dead.
 func NewFastScan(p *Partition, opt FastScanOptions) (*FastScan, error) {
 	if p.W != M {
 		return nil, fmt.Errorf("scan: fast scan requires %d-byte codes, partition has %d", M, p.W)
@@ -78,16 +88,63 @@ func NewFastScan(p *Partition, opt FastScanOptions) (*FastScan, error) {
 	for i := range ids {
 		ids[i] = p.ID(keepN + i)
 	}
-	g, err := layout.NewGrouped(p.FlatCodes()[keepN*M:], ids, c)
+	var deadSrc []int // dead grouped rows, by index into ids
+	p.dead.each(func(i int) {
+		if i >= keepN {
+			deadSrc = append(deadSrc, i-keepN)
+		}
+	})
+	g, deadPos, err := layout.NewGroupedTracking(p.FlatCodes()[keepN*M:], ids, c, deadSrc)
 	if err != nil {
 		return nil, err
 	}
-	return &FastScan{part: p, keepN: keepN, covered: p.N, c: c, grouped: g, orderGroups: opt.OrderGroups}, nil
+	fs := &FastScan{part: p, keepN: keepN, covered: p.N, c: c, grouped: g, orderGroups: opt.OrderGroups}
+	for _, pos := range deadPos {
+		fs.dead.set(g.Lane(pos))
+	}
+	return fs, nil
 }
 
 // Partition returns the partition this layout is bound to, whose dead
-// set a scan consults.
+// bits the plain-scanned rows are tested against.
 func (fs *FastScan) Partition() *Partition { return fs.part }
+
+// DeadLanes returns the tombstoned lanes of block blk (the layout's
+// block index, not a group's), bit k for lane k.
+func (fs *FastScan) DeadLanes(blk int) uint16 { return uint16(fs.dead.lanes(blk)) }
+
+// Lane returns the block lane (blockIndex·16 + lane) that holds the
+// partition's row at position row, or -1 when the row is plain-scanned:
+// in the keep region or appended after the layout was built. The row's
+// group follows from its code (groups are in key order); the lane is
+// found in that group's run of ids, 50–800 of them by the nmin(c) rule
+// of §4.2. The partition and the layout must be readable (hydrated,
+// when paged).
+func (fs *FastScan) Lane(row int) int {
+	if row < fs.keepN || row >= fs.covered {
+		return -1
+	}
+	g := fs.grouped
+	code := fs.part.Code(row)
+	var key [layout.MaxGroupComponents]uint8
+	for j := 0; j < fs.c; j++ {
+		key[j] = code[j] >> 4
+	}
+	gi, ok := slices.BinarySearchFunc(g.Groups, key, func(grp layout.Group, k [layout.MaxGroupComponents]uint8) int {
+		return slices.Compare(grp.Key[:], k[:])
+	})
+	if !ok {
+		panic("scan: grouped row has no group")
+	}
+	grp := &g.Groups[gi]
+	id := fs.part.ID(row)
+	for o, gid := range g.IDs[grp.Start : grp.Start+grp.Count] {
+		if gid == id {
+			return grp.BlockStart*layout.BlockVectors + o
+		}
+	}
+	panic("scan: grouped row missing from its group")
+}
 
 // GroupComponents returns the grouping depth c in use.
 func (fs *FastScan) GroupComponents() int { return fs.c }
@@ -115,17 +172,22 @@ func (fs *FastScan) with(part *Partition, g *layout.Grouped) *FastScan {
 	return &nfs
 }
 
-// Rebind returns a FastScan over np that shares this layout — O(1), the
-// whole cost of carrying a layout across a copy-on-write mutation. np
-// must hold the covered rows unchanged in the same positions: a
-// successor of this partition by CloneTombstone (only the dead set,
-// which kernels consult during the scan, moved) or by CloneAppend (the
-// new rows lie past Covered and are plain-scanned).
-func (fs *FastScan) Rebind(np *Partition) *FastScan {
+// Rebind returns a FastScan over np that shares this layout, with lane
+// tombstoned too when lane >= 0 — the whole cost of carrying a layout
+// across a copy-on-write mutation: O(1), or one chunk of lane bits
+// copied. np must hold the covered rows unchanged in the same
+// positions: a successor of this partition by CloneAppend (lane -1: the
+// new rows lie past Covered and are plain-scanned) or by CloneTombstone
+// of one row (lane: that row's Lane, -1 when it is plain-scanned).
+func (fs *FastScan) Rebind(np *Partition, lane int) *FastScan {
 	if np.N < fs.covered {
 		panic("scan: Rebind to a partition shorter than the layout")
 	}
-	return fs.with(np, fs.grouped)
+	nfs := fs.with(np, fs.grouped)
+	if lane >= 0 {
+		nfs.dead, _ = fs.dead.with(lane)
+	}
+	return nfs
 }
 
 // Detach returns a stub FastScan bound to the given partition stub: the

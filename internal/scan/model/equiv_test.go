@@ -39,9 +39,9 @@ func TestScanNativeMatchesModel(t *testing.T) {
 	}
 }
 
-// TestScanNativeWithTombstones: dead ids are skipped identically by the
+// TestScanNativeWithTombstones: dead rows are skipped identically by the
 // model and the serving scan, including when the current best matches
-// die.
+// die — deleted as the index deletes, one row and lane at a time.
 func TestScanNativeWithTombstones(t *testing.T) {
 	p, tables := randomPartition(t, 4000, 88)
 	fs, err := scan.NewFastScan(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
@@ -50,17 +50,17 @@ func TestScanNativeWithTombstones(t *testing.T) {
 	}
 	best, _ := Scan(fs, tables, 20)
 	for _, res := range best[:10] {
-		p.Tombstone(res.ID)
+		p, fs = tombstone(p, fs, int(res.ID)) // position ids
 	}
-	for i := int64(0); i < 4000; i += 13 {
-		p.Tombstone(i)
+	for i := 0; i < 4000; i += 13 {
+		p, fs = tombstone(p, fs, i)
 	}
 	want, wantStats := Scan(fs, tables, 20)
 	got, gotStats := fs.ScanNativeBackend(tables, 20, nil, dispatch.Auto)
 	sameResults(t, want, got, "model+dead", "native+dead")
 	sameCounters(t, wantStats, gotStats, "tombstones")
 	for _, res := range want {
-		if p.IsDead(res.ID) {
+		if p.DeadAt(int(res.ID)) {
 			t.Fatalf("model returned tombstoned id %d", res.ID)
 		}
 	}
@@ -83,7 +83,7 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 			}
 			p = scan.NewPartition(p.FlatCodes(), ids)
 			for i := 0; i < n; i += 11 {
-				p.Tombstone(ids[i])
+				p, _ = p.CloneTombstone(i)
 			}
 		}
 		if trial%3 == 2 && n > 1 {
@@ -94,7 +94,9 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 				ids[i] = p.ID(i)
 			}
 			tailed := scan.NewPartition(codes[:b*M], ids[:b]).CloneAppend(codes[b*M:], ids[b:])
-			tailed.RestoreDead(p.DeadIDs())
+			if err := tailed.RestoreDead(p.DeadIDs()); err != nil {
+				t.Fatal(err)
+			}
 			p = tailed
 		}
 		got, _ := scan.ExactNative(p, tables, k, sc)
@@ -133,7 +135,7 @@ func TestScanNativeAfterAppend(t *testing.T) {
 			ids[i] = int64(p.N + i)
 		}
 		p = p.CloneAppend(codes, ids)
-		fs = fs.Rebind(p)
+		fs = fs.Rebind(p, -1)
 
 		want, wantStats := Scan(fs, tables, 30)
 		got, gotStats := fs.ScanNativeBackend(tables, 30, nil, dispatch.Auto)
@@ -169,7 +171,7 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 		// Random tombstones, sometimes including keep-region vectors.
 		if iter%2 == 1 {
 			for i := 0; i < n; i += 3 + r.Intn(17) {
-				p.Tombstone(int64(i))
+				p, _ = p.CloneTombstone(i)
 			}
 		}
 
@@ -203,7 +205,7 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 				bids[i] = int64(p.N + i)
 			}
 			p = p.CloneAppend(bcodes, bids)
-			fs = fs.Rebind(p)
+			fs = fs.Rebind(p, -1)
 			model2, model2Stats := Scan(fs, tables, k)
 			for _, be := range backends {
 				got, gotStats := fs.ScanNativeBackend(tables, k, scratches[be], be)

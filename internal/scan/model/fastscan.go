@@ -80,7 +80,6 @@ func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	}
 
 	groupOrder := fs.GroupVisitOrder(t, nil)
-	hasDead := part.HasDead()
 
 	for _, gi := range groupOrder {
 		grp := g.Groups[gi]
@@ -129,8 +128,10 @@ func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 			}
 
 			// Compare against the quantized pruning threshold; lanes with
-			// acc > t8 are pruned (Figure 6).
-			prunedMask := simd.PmovmskB(simd.PcmpgtB(acc, thrReg))
+			// acc > t8 are pruned (Figure 6). Tombstoned lanes are
+			// excluded without an exact distance computation, exactly
+			// like a pruned lane.
+			prunedMask := simd.PmovmskB(simd.PcmpgtB(acc, thrReg)) | fs.DeadLanes(blockIdx)
 
 			base := grp.Start + b*layout.BlockVectors
 			stats.LowerBounds += valid
@@ -140,9 +141,7 @@ func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 			}
 			for lane := 0; lane < valid; lane++ {
 				pos := base + lane
-				// Tombstoned vectors are excluded without an exact
-				// distance computation, exactly like a pruned lane.
-				if prunedMask&(1<<lane) != 0 || (hasDead && part.IsDead(g.IDs[pos])) {
+				if prunedMask&(1<<lane) != 0 {
 					stats.Pruned++
 					continue
 				}

@@ -53,7 +53,6 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 
 	g := fs.Grouped()
 	groupOrder := fs.GroupVisitOrder(t, nil)
-	hasDead := part.HasDead()
 	var groupTables256 [layout.MaxGroupComponents]simd.Reg256
 	var nibblesLo, nibblesHi [layout.BlockVectors]uint8
 
@@ -132,14 +131,15 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 					valid = layout.BlockVectors
 				}
 				stats.LowerBounds += valid
-				halfMask := uint16(mask >> (16 * half))
+				// Tombstoned lanes are pruned like lanes above threshold.
+				halfMask := uint16(mask>>(16*half)) | fs.DeadLanes(loBlock+half)
 				if halfMask == 0xffff {
 					stats.Pruned += valid
 					continue
 				}
 				for lane := 0; lane < valid; lane++ {
 					pos := base + lane
-					if halfMask&(1<<lane) != 0 || (hasDead && part.IsDead(g.IDs[pos])) {
+					if halfMask&(1<<lane) != 0 {
 						stats.Pruned++
 						continue
 					}

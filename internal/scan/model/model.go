@@ -238,21 +238,19 @@ func vertical8(p *scan.Partition, t quantizer.Tables, k int, per8 perf.OpCounts)
 			}
 		}
 		for v := 0; v < 8; v++ {
-			id := p.ID(b*8 + v)
-			if hasDead && p.IsDead(id) {
+			if hasDead && p.DeadAt(b*8+v) {
 				continue
 			}
-			heap.Push(id, acc[v])
+			heap.Push(p.ID(b*8+v), acc[v])
 		}
 	}
 	// Row-major tail, scanned naively.
 	tail := p.N - full*8
 	for i := full * 8; i < p.N; i++ {
-		id := p.ID(i)
-		if hasDead && p.IsDead(id) {
+		if hasDead && p.DeadAt(i) {
 			continue
 		}
-		heap.Push(id, scan.ADC8(p.Code(i), t))
+		heap.Push(p.ID(i), scan.ADC8(p.Code(i), t))
 	}
 	stats := Stats{Stats: scan.Stats{Scanned: p.N}}
 	stats.Ops = per8.Scale(float64(full))
@@ -288,7 +286,7 @@ func QuantizationOnly(p *scan.Partition, t quantizer.Tables, k int, keep float64
 
 	for i := keepN; i < p.N; i++ {
 		code := p.Code(i)
-		if hasDead && p.IsDead(p.ID(i)) {
+		if hasDead && p.DeadAt(i) {
 			stats.LowerBounds++
 			stats.Pruned++
 			continue

@@ -25,6 +25,14 @@ func randomPartition(t *testing.T, n int, seed uint64) (*scan.Partition, quantiz
 	return scan.NewPartition(codes, nil), tables
 }
 
+// tombstone deletes the row at position row as the index does: a
+// copy-on-write successor of p, and fs rebound to it with the row's
+// lane dead.
+func tombstone(p *scan.Partition, fs *scan.FastScan, row int) (*scan.Partition, *scan.FastScan) {
+	np, _ := p.CloneTombstone(row)
+	return np, fs.Rebind(np, fs.Lane(row))
+}
+
 func sameResults(t *testing.T, a, b []topk.Result, nameA, nameB string) {
 	t.Helper()
 	if len(a) != len(b) {

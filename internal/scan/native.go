@@ -363,25 +363,21 @@ func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scra
 	return stats
 }
 
-// processLive walks the surviving lanes of one block in ascending lane
-// order (the model's lane loop visits them the same way, so the heap
-// evolves identically): tombstone check, exact re-check (right-hand
-// path of Figure 6), then threshold refresh — shared by every backend
-// so the decision sequence cannot drift. A candidate's id lives in an
-// array of its own, a cache line away from anything else the candidate
-// touches, so it is loaded only once the distance says the heap may
-// retain it (d > threshold cannot displace a retained neighbor; ties go
-// through Push for the deterministic id-order rule) or when tombstones
-// must be consulted.
-func (fs *FastScan) processLive(live uint32, base int, qt *queryTables, t quantizer.Tables, t8 *int8, heap *topk.Heap, hasDead bool, stats *Stats) {
+// processLive walks the surviving lanes of one block — dead lanes
+// already stripped by the caller — in ascending lane order (the model's
+// lane loop visits them the same way, so the heap evolves identically):
+// exact re-check (right-hand path of Figure 6), then threshold refresh
+// — shared by every backend so the decision sequence cannot drift. A
+// candidate's id lives in an array of its own, a cache line away from
+// anything else the candidate touches, so it is loaded only once the
+// distance says the heap may retain it (d > threshold cannot displace a
+// retained neighbor; ties go through Push for the deterministic
+// id-order rule).
+func (fs *FastScan) processLive(live uint32, base int, qt *queryTables, t quantizer.Tables, t8 *int8, heap *topk.Heap, stats *Stats) {
 	g := fs.grouped
 	thr, full := heap.Threshold()
 	for ; live != 0; live &= live - 1 {
 		pos := base + bits.TrailingZeros32(live)
-		if hasDead && fs.part.IsDead(g.IDs[pos]) {
-			stats.Pruned++
-			continue
-		}
 		stats.Candidates++
 		d := ADC8(g.Codes[pos*M:pos*M+M], t)
 		if full && d > thr {
@@ -424,12 +420,14 @@ func swarPrunedMask(acc []uint8, t8 int8) uint32 {
 // results, pruning counters and heap evolution) is identical to the
 // SWAR backend's. The lower bound of a lane never depends on the
 // threshold, which is what makes the group-at-a-time kernel call safe.
+// Dead lanes leave a block's survivors with one AND and count as
+// pruned, on every backend and in the model alike.
 func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Backend, groupOrder []int, t8 *int8, heap *topk.Heap, t quantizer.Tables, stats *Stats) {
 	g := fs.grouped
 	c := fs.c
 	bb := g.BlockSize()
 	blocks := g.Blocks
-	hasDead := fs.part.HasDead()
+	hasDead := fs.dead.n > 0
 	tb := qt.asmTables()
 
 	for _, gi := range groupOrder {
@@ -459,11 +457,14 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 			if b == nb-1 {
 				live &= 1<<(grp.Count-b*layout.BlockVectors) - 1 // padding lanes
 			}
+			if hasDead {
+				live &^= fs.dead.lanes(grp.BlockStart + b)
+			}
 			if live == 0 {
 				continue
 			}
 			pruned -= bits.OnesCount32(live)
-			fs.processLive(live, grp.Start+b*layout.BlockVectors, qt, t, t8, heap, hasDead, stats)
+			fs.processLive(live, grp.Start+b*layout.BlockVectors, qt, t, t8, heap, stats)
 		}
 		stats.Pruned += pruned
 	}
@@ -483,7 +484,7 @@ func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []in
 	c := fs.c
 	bb := g.BlockSize()
 	blocks := g.Blocks
-	hasDead := fs.part.HasDead()
+	hasDead := fs.dead.n > 0
 
 	qt.buildLUTs()
 	var ungroupLUTs [M]*[ulutSize]uint32
@@ -573,12 +574,15 @@ func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []in
 			}
 			stats.LowerBounds += valid
 			live := ^prunedMask & (1<<valid - 1)
+			if hasDead {
+				live &^= fs.dead.lanes(grp.BlockStart + b)
+			}
 			if live == 0 {
 				stats.Pruned += valid
 				continue
 			}
 			stats.Pruned += valid - bits.OnesCount32(live)
-			fs.processLive(live, base, qt, t, t8p, heap, hasDead, stats)
+			fs.processLive(live, base, qt, t, t8p, heap, stats)
 		}
 	}
 }
@@ -621,11 +625,7 @@ func ExactNative(p *Partition, t quantizer.Tables, k int, sc *Scratch) ([]topk.R
 	for _, seg := range [2]Rows{base, tail} {
 		codes, ids := seg.Codes, seg.IDs
 		for i := 0; i < seg.N; i++ {
-			id := int64(seg.First + i)
-			if ids != nil {
-				id = ids[i]
-			}
-			if hasDead && p.IsDead(id) {
+			if hasDead && p.dead.has(seg.First+i) {
 				continue
 			}
 			cd := codes[i*M : i*M+M : i*M+M]
@@ -635,6 +635,10 @@ func ExactNative(p *Partition, t quantizer.Tables, k int, sc *Scratch) ([]topk.R
 			// Push for the deterministic id-order rule).
 			if full && d > thr {
 				continue
+			}
+			id := int64(seg.First + i)
+			if ids != nil {
+				id = ids[i]
 			}
 			if heap.Push(id, d) {
 				if v, ok := heap.Threshold(); ok {

@@ -59,8 +59,9 @@ func TestSWARMovemaskMatchesPmovmskB(t *testing.T) {
 	}
 }
 
-// TestScanNativeWithTombstones: dead ids are skipped identically on
-// every backend, including when the current best matches die.
+// TestScanNativeWithTombstones: dead rows are skipped identically on
+// every backend, including when the current best matches die — deleted
+// as the index deletes, one copy-on-write row and lane at a time.
 func TestScanNativeWithTombstones(t *testing.T) {
 	p, tables := randomPartition(t, 4000, 88)
 	fs, err := NewFastScan(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
@@ -69,15 +70,15 @@ func TestScanNativeWithTombstones(t *testing.T) {
 	}
 	best, _ := Naive(p, tables, 20)
 	for _, res := range best[:10] {
-		p.Tombstone(res.ID)
+		p, fs = tombstone(p, fs, int(res.ID)) // position ids
 	}
-	for i := int64(0); i < 4000; i += 13 {
-		p.Tombstone(i)
+	for i := 0; i < 4000; i += 13 {
+		p, fs = tombstone(p, fs, i)
 	}
 	want, _ := Naive(p, tables, 20)
 	scanEveryBackend(t, fs, tables, 20, want, "naive+dead")
 	for _, res := range want {
-		if p.IsDead(res.ID) {
+		if p.DeadAt(int(res.ID)) {
 			t.Fatalf("oracle returned tombstoned id %d", res.ID)
 		}
 	}
@@ -101,7 +102,7 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 			}
 			p = NewPartition(p.FlatCodes(), ids)
 			for i := 0; i < n; i += 11 {
-				p.Tombstone(ids[i])
+				p, _ = p.CloneTombstone(i)
 			}
 		}
 		want, _ := Naive(p, tables, k)
@@ -135,7 +136,7 @@ func TestScanNativeAfterAppend(t *testing.T) {
 			ids[i] = int64(p.N + i)
 		}
 		p = p.CloneAppend(codes, ids)
-		fs = fs.Rebind(p)
+		fs = fs.Rebind(p, -1)
 
 		want, _ := Naive(p, tables, 30)
 		scanEveryBackend(t, fs, tables, 30, want, "naive")
@@ -158,5 +159,45 @@ func TestScratchReuseIsStateless(t *testing.T) {
 		fresh, _ := fs.ScanNativeBackend(tables, k, nil, dispatch.Auto)
 		reused, _ := fs.ScanNativeBackend(tables, k, sc, dispatch.Auto)
 		sameResults(t, fresh, reused, "fresh-scratch", "reused-scratch")
+	}
+}
+
+// TestDeadLanesArePruned: a block whose only survivors are dead lanes
+// counts them Pruned, never Candidates, on every backend — lanes marked
+// when the layout was built and lanes tombstoned through Rebind alike.
+func TestDeadLanesArePruned(t *testing.T) {
+	p, tables := randomPartition(t, 64, 5)
+	// No keep region and a heap that never fills: no lane is pruned by
+	// the threshold, so every lane survives its lower bound. With c = 0
+	// the one group keeps the rows in order: block 1 is rows 16..31.
+	opt := FastScanOptions{Keep: 0, GroupComponents: 0}
+	const k = 100
+
+	built := NewPartition(p.FlatCodes(), nil)
+	for row := 16; row < 32; row++ {
+		built, _ = built.CloneTombstone(row)
+	}
+	fsBuilt, err := NewFastScan(built, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsRebound, err := NewFastScan(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebound := p
+	for row := 16; row < 32; row++ {
+		rebound, fsRebound = tombstone(rebound, fsRebound, row)
+	}
+
+	for name, fs := range map[string]*FastScan{"built": fsBuilt, "rebound": fsRebound} {
+		if m := fs.DeadLanes(1); m != 0xffff {
+			t.Fatalf("%s: block 1 dead lanes %04x, want ffff", name, m)
+		}
+		want, _ := Naive(fs.Partition(), tables, k)
+		st := scanEveryBackend(t, fs, tables, k, want, name)
+		if st != (Stats{Scanned: 64, LowerBounds: 64, Pruned: 16, Candidates: 48, Groups: 1, Blocks: 4}) {
+			t.Fatalf("%s: stats %+v, want the 16 dead lanes pruned and the 48 others candidates", name, st)
+		}
 	}
 }

@@ -19,13 +19,15 @@
 // prices — lives in internal/scan/model and is linked only by pqbench
 // and tests. It reaches into this package through the exported decision
 // inputs (KeepBounds, DistQuantizer, BuildMinTables, GroupVisitOrder,
-// ADC8, LibpqRange, OutOfReach, Check8x8): everything that decides what
-// is pruned exists once, here, and the model calls it (DESIGN.md §9).
+// ADC8, LibpqRange, OutOfReach, DeadLanes, Check8x8): everything that
+// decides what is pruned exists once, here, and the model calls it
+// (DESIGN.md §9).
 package scan
 
 import (
 	"encoding/binary"
-	"sort"
+	"fmt"
+	"slices"
 
 	"pqfastscan/internal/layout"
 	"pqfastscan/internal/quantizer"
@@ -41,8 +43,9 @@ const M = layout.M
 // partition and its successors (one disk extent when paged); the tail is
 // the short run of rows appended since the base was built, the only
 // part an append copies. Positions 0..N-1 run through the base, then the
-// tail. Deletions are tombstones: kernels skip tombstoned ids during
-// the scan and no code is rewritten.
+// tail. Deletions are tombstones by position: one copy-on-write bit per
+// row (deadSet), tested by every row-order scan (DeadAt) next to the
+// row it reads; no code is rewritten.
 //
 // Both runs are reachable from outside the package only together
 // (Segments, FlatCodes, ID, Code), so no reader can forget the tail.
@@ -56,7 +59,7 @@ type Partition struct {
 	tailCodes []uint8 // rows appended since the base was built
 	tailIDs   []int64 // always explicit
 
-	dead map[int64]struct{} // tombstoned ids; nil when none
+	dead deadSet // tombstoned positions
 
 	// detached marks a stub whose base lives in a disk extent (Detach);
 	// ID traps position-as-id answers on such stubs, which would
@@ -149,11 +152,11 @@ func (p *Partition) FlatCodes() []uint8 {
 // CloneAppend returns a new partition holding p's rows followed by the
 // appended ones (row-major codes and their ids), leaving p untouched —
 // partitions published in snapshots grow only copy-on-write. The base
-// and the tombstone set are shared with p and only the tail is copied:
-// an append costs what it adds plus the rows added since the last
-// Flatten, whatever the size of the partition. Appends never tombstone,
-// and tombstone sets only grow through CloneTombstone, which copies
-// before writing. It works on a detached stub: the tail stays resident.
+// and the dead bits are shared with p and only the tail is copied: an
+// append costs what it adds plus the rows added since the last Flatten,
+// whatever the size of the partition. The appended rows take positions
+// N.. and start live. It works on a detached stub: the tail stays
+// resident.
 func (p *Partition) CloneAppend(codes []uint8, ids []int64) *Partition {
 	if len(codes) != len(ids)*p.W {
 		panic("scan: append code/id count mismatch")
@@ -165,29 +168,29 @@ func (p *Partition) CloneAppend(codes []uint8, ids []int64) *Partition {
 	return &q
 }
 
-// CloneTombstone returns a new partition equal to p with id tombstoned,
-// sharing the (immutable) base and tail and copying only the dead set —
-// the copy-on-write counterpart of Tombstone. It reports false (and
-// returns p unchanged) when id is already dead. Like Tombstone, the
-// caller is responsible for only passing ids that live in this
-// partition.
-func (p *Partition) CloneTombstone(id int64) (*Partition, bool) {
-	if _, ok := p.dead[id]; ok {
+// CloneTombstone returns a new partition equal to p with the row at
+// position row tombstoned, sharing the base and the tail and copying
+// one 4 096-bit chunk of the dead bits plus their chunk-pointer slice:
+// O(N / 4 096), however many rows are already dead. It reports false
+// (and returns p unchanged) when the row is already dead. It works on a
+// detached stub.
+func (p *Partition) CloneTombstone(row int) (*Partition, bool) {
+	if row < 0 || row >= p.N {
+		panic("scan: tombstone position out of range")
+	}
+	dead, ok := p.dead.with(row)
+	if !ok {
 		return p, false
 	}
 	q := *p
-	q.dead = make(map[int64]struct{}, len(p.dead)+1)
-	for k := range p.dead {
-		q.dead[k] = struct{}{}
-	}
-	q.dead[id] = struct{}{}
+	q.dead = dead
 	return &q, true
 }
 
 // Detach returns a shallow copy of the partition with the base arrays
-// dropped: a stub whose row and tombstone bookkeeping (N, W, dead set)
+// dropped: a stub whose row and tombstone bookkeeping (N, W, dead bits)
 // and tail stay resident while the base lives in a disk extent. Stubs
-// answer Live/IsDead/DeadCount and may be appended to and tombstoned
+// answer Live/DeadAt/DeadCount and may be appended to and tombstoned
 // copy-on-write; any other code or id access must go through Hydrate
 // first — ID panics on a stub rather than fabricate position ids.
 func (p *Partition) Detach() *Partition {
@@ -199,7 +202,7 @@ func (p *Partition) Detach() *Partition {
 
 // Hydrate returns a shallow copy of the stub with the base codes and
 // ids attached — aliases into a pinned buffer-pool frame, valid only
-// while the pin is held. The tail and the dead set are shared with the
+// while the pin is held. The tail and the dead bits are shared with the
 // stub (immutable once published). ids may be nil only when the sealed
 // base had implicit position ids (hasIDs false at detach time; the
 // caller tracks this in the extent metadata).
@@ -220,7 +223,8 @@ func (p *Partition) Hydrate(codes []uint8, ids []int64) *Partition {
 // Flatten returns a new partition holding p's rows in one fresh base
 // with an empty tail — the fold of the tail, and a copy that aliases
 // nothing of p's arrays (a paged caller's pinned frame). Position ids
-// are materialized; the tombstone set is shared with p.
+// are materialized. Every row keeps its position, so the dead bits are
+// shared with p.
 func (p *Partition) Flatten() *Partition {
 	q := p.rebuilt(false)
 	q.dead = p.dead
@@ -228,8 +232,9 @@ func (p *Partition) Flatten() *Partition {
 }
 
 // Compact returns a new partition holding only p's live rows, in their
-// original relative order, in one base with an empty tail and an empty
-// tombstone set. Like Flatten it aliases nothing of p's arrays.
+// original relative order, in one base with an empty tail and no dead
+// bits. Positions are renumbered. Like Flatten it aliases nothing of
+// p's arrays.
 func (p *Partition) Compact() *Partition { return p.rebuilt(true) }
 
 // rebuilt copies p's rows, all or only the live ones, into a partition
@@ -245,64 +250,65 @@ func (p *Partition) rebuilt(liveOnly bool) *Partition {
 	base, tail := p.Segments()
 	for _, seg := range [2]Rows{base, tail} {
 		for i := 0; i < seg.N; i++ {
-			id := seg.ID(i)
-			if drop && p.IsDead(id) {
+			if drop && p.DeadAt(seg.First+i) {
 				continue
 			}
 			codes = append(codes, seg.Codes[i*p.W:(i+1)*p.W]...)
-			ids = append(ids, id)
+			ids = append(ids, seg.ID(i))
 		}
 	}
 	return &Partition{N: len(ids), W: p.W, codes: codes, ids: ids}
 }
 
-// Tombstone marks id as deleted. It reports whether the id was newly
-// tombstoned (false when it already was). The caller is responsible for
-// only passing ids that live in this partition.
-func (p *Partition) Tombstone(id int64) bool {
-	if _, ok := p.dead[id]; ok {
-		return false
-	}
-	if p.dead == nil {
-		p.dead = make(map[int64]struct{})
-	}
-	p.dead[id] = struct{}{}
-	return true
-}
-
-// IsDead reports whether id has been tombstoned.
-func (p *Partition) IsDead(id int64) bool {
-	_, ok := p.dead[id]
-	return ok
-}
+// DeadAt reports whether the row at position i is tombstoned.
+func (p *Partition) DeadAt(i int) bool { return p.dead.has(i) }
 
 // HasDead reports whether any vector of the partition is tombstoned;
-// kernels use it to keep the no-deletions scan free of per-vector map
-// lookups.
-func (p *Partition) HasDead() bool { return len(p.dead) > 0 }
+// kernels use it to keep the no-deletions scan free of per-row bit
+// tests.
+func (p *Partition) HasDead() bool { return p.dead.n > 0 }
 
 // DeadCount returns the number of tombstoned vectors.
-func (p *Partition) DeadCount() int { return len(p.dead) }
+func (p *Partition) DeadCount() int { return p.dead.n }
 
 // Live returns the number of vectors that are not tombstoned.
-func (p *Partition) Live() int { return p.N - len(p.dead) }
+func (p *Partition) Live() int { return p.N - p.dead.n }
 
-// DeadIDs returns the tombstoned ids in ascending order (persist writes
-// them deterministically).
+// DeadIDs returns the ids of the tombstoned rows in ascending order
+// (persist writes them deterministically, as it always has).
 func (p *Partition) DeadIDs() []int64 {
-	out := make([]int64, 0, len(p.dead))
-	for id := range p.dead {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	out := make([]int64, 0, p.dead.n)
+	p.dead.each(func(i int) { out = append(out, p.ID(i)) })
+	slices.Sort(out)
 	return out
 }
 
-// RestoreDead reinstalls a tombstone set (persist's read path).
-func (p *Partition) RestoreDead(ids []int64) {
-	for _, id := range ids {
-		p.Tombstone(id)
+// RestoreDead tombstones the rows holding the given ids, in place —
+// persist's read path, before the partition is published. An id the
+// partition does not hold, or one listed twice, is an error: the list
+// is untrusted input and Live would otherwise miscount.
+func (p *Partition) RestoreDead(ids []int64) error {
+	if len(ids) == 0 {
+		return nil
 	}
+	want := slices.Clone(ids)
+	slices.Sort(want)
+	for i := 1; i < len(want); i++ {
+		if want[i] == want[i-1] {
+			return fmt.Errorf("scan: id %d tombstoned twice", want[i])
+		}
+	}
+	found := make([]bool, len(want))
+	for i := 0; i < p.N; i++ {
+		if k, ok := slices.BinarySearch(want, p.ID(i)); ok && !found[k] {
+			found[k] = true
+			p.dead.set(i)
+		}
+	}
+	if k := slices.Index(found, false); k >= 0 {
+		return fmt.Errorf("scan: tombstoned id %d is not in the partition", want[k])
+	}
+	return nil
 }
 
 // Stats describes one scan's dynamic behaviour: exact counts of vectors,
@@ -368,11 +374,10 @@ func Naive(p *Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {
 	heap := topk.New(k)
 	hasDead := p.HasDead()
 	for i := 0; i < p.N; i++ {
-		id := p.ID(i)
-		if hasDead && p.IsDead(id) {
+		if hasDead && p.DeadAt(i) {
 			continue
 		}
-		heap.Push(id, ADC8(p.Code(i), t))
+		heap.Push(p.ID(i), ADC8(p.Code(i), t))
 	}
 	return heap.Results(), Stats{Scanned: p.N}
 }
@@ -398,11 +403,7 @@ func LibpqRange(p *Partition, lo, hi int, t quantizer.Tables, heap *topk.Heap) {
 		hasDead := p.HasDead()
 		thr, full := heap.Threshold()
 		for i := from; i < to; i++ {
-			id := int64(seg.First + i)
-			if ids != nil {
-				id = ids[i]
-			}
-			if hasDead && p.IsDead(id) {
+			if hasDead && p.dead.has(seg.First+i) {
 				continue
 			}
 			word := binary.LittleEndian.Uint64(codes[i*M : i*M+M])
@@ -416,6 +417,10 @@ func LibpqRange(p *Partition, lo, hi int, t quantizer.Tables, heap *topk.Heap) {
 			d += t.Data[7*256+int(word>>56&0xff)]
 			if full && d > thr {
 				continue
+			}
+			id := int64(seg.First + i)
+			if ids != nil {
+				id = ids[i]
 			}
 			if heap.Push(id, d) {
 				if v, ok := heap.Threshold(); ok {

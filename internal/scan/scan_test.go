@@ -25,6 +25,14 @@ func randomPartition(t *testing.T, n int, seed uint64) (*Partition, quantizer.Ta
 	return NewPartition(codes, nil), tables
 }
 
+// tombstone deletes the row at position row as the index does: a
+// copy-on-write successor of p, and fs rebound to it with the row's
+// lane dead.
+func tombstone(p *Partition, fs *FastScan, row int) (*Partition, *FastScan) {
+	np, _ := p.CloneTombstone(row)
+	return np, fs.Rebind(np, fs.Lane(row))
+}
+
 func sameResults(t *testing.T, a, b []topk.Result, nameA, nameB string) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -151,10 +159,11 @@ func TestBaseAndTailReadAsOne(t *testing.T) {
 			stub = stub.CloneAppend(codes[at*M:(at+m)*M], tailIDs)
 			at += m
 		}
+		fsP := fsBase.Rebind(p, -1) // the base's layout, carried as the index carries it
 		for i := 0; i < n; i += 7 {
-			flat, _ = flat.CloneTombstone(flat.ID(i))
-			p, _ = p.CloneTombstone(flat.ID(i))
-			stub, _ = stub.CloneTombstone(flat.ID(i))
+			flat, _ = flat.CloneTombstone(i)
+			p, fsP = tombstone(p, fsP, i)
+			stub, _ = stub.CloneTombstone(i)
 		}
 		bs, _ := base.Segments() // base has no tail to drop
 		hydrated := stub.Hydrate(bs.Codes, bs.IDs)
@@ -196,9 +205,9 @@ func TestBaseAndTailReadAsOne(t *testing.T) {
 				continue
 			}
 			// The layout of the base, carried over the appends.
-			rebound := fsBase.Rebind(q)
+			rebound := fsP.Rebind(q, -1)
 			if name == "hydrated stub" {
-				rebound = fsBase.Detach(stub).Hydrate(q, fsBase.Grouped())
+				rebound = fsP.Detach(stub).Hydrate(q, fsBase.Grouped())
 			}
 			st := scanEveryBackend(t, rebound, tables, k, want, "naive(flat)")
 			if st.KeepScanned != fsBase.KeepN()+n-b || st.Scanned != n {
