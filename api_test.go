@@ -197,54 +197,3 @@ func TestSearchHonorsContext(t *testing.T) {
 		t.Fatalf("canceled batch search returned %v", err)
 	}
 }
-
-// TestStatsWithParallel pins the defined semantics of combining
-// WithStats and WithParallel: the combination is supported, per-partition
-// counters are merged in deterministic cell-visit order after the
-// parallel workers join — never racy, never silently disabled — and the
-// results are the sequential multi-probe scan's. The statistics are
-// those of independent per-cell scans: the same vectors scanned, but
-// no cell prunes against a bound carried from another, so on this
-// fixture no more pruned than the sequential scan reports.
-func TestStatsWithParallel(t *testing.T) {
-	idx, _, queries := sharedAPIIndex(t)
-	ctx := context.Background()
-
-	for qi := 0; qi < queries.Rows(); qi++ {
-		q := queries.Row(qi)
-		seq, err := idx.Search(ctx, q, 10, pqfastscan.WithNProbe(4), pqfastscan.WithStats())
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := idx.Search(ctx, q, 10,
-			pqfastscan.WithNProbe(4), pqfastscan.WithStats(), pqfastscan.WithParallel())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResultSlices(t, "stats+parallel", seq.Results, par.Results)
-		if par.Stats == nil {
-			t.Fatal("WithParallel silently disabled stats collection")
-		}
-		if par.Stats.Scanned != seq.Stats.Scanned || par.Stats.Pruned > seq.Stats.Pruned {
-			t.Fatalf("parallel stats are not those of independent scans of the same cells:\n  par %+v\n  seq %+v", *par.Stats, *seq.Stats)
-		}
-		again, err := idx.Search(ctx, q, 10,
-			pqfastscan.WithNProbe(4), pqfastscan.WithStats(), pqfastscan.WithParallel())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *again.Stats != *par.Stats {
-			t.Fatalf("parallel stats differ between runs:\n  %+v\n  %+v", *par.Stats, *again.Stats)
-		}
-		if par.Stats.Scanned == 0 || par.Stats.LowerBounds == 0 {
-			t.Fatalf("parallel stats counters empty: %+v", *par.Stats)
-		}
-	}
-
-	// The full triple with an explicit kernel works too.
-	q := queries.Row(0)
-	if _, err := idx.Search(ctx, q, 10, pqfastscan.WithKernel(pqfastscan.KernelNaive),
-		pqfastscan.WithNProbe(4), pqfastscan.WithStats(), pqfastscan.WithParallel()); err != nil {
-		t.Fatalf("kernel+nprobe+stats+parallel rejected: %v", err)
-	}
-}

@@ -14,8 +14,10 @@
 // results are bit-identical to a single node holding all cells:
 //
 //	POST /search   {"query":[...],"k":10,"nprobe":2,"kernel":"fastpq"}
-//	               ?recall=0.95 plans nprobe from the fleet's cell sizes;
-//	               ?auto=1 lets each shard plan parallel probing of its cells
+//	               ?recall=0.95 without nprobe or cells: probe the closest
+//	               cells until they hold fraction r of the live rows (the
+//	               fleet's cell sizes) — a coverage target, not a measured
+//	               recall
 //	POST /swap     {"path":"/data/new.idx"}  fleet-wide two-phase swap
 //	GET  /healthz  liveness
 //	GET  /readyz   readiness (503 while draining)
@@ -93,7 +95,6 @@ func main() {
 		hedgeDelay   = flag.Duration("hedge-delay", 50*time.Millisecond, "wait before hedging a slow primary to a replica (negative disables)")
 		maxAttempts  = flag.Int("max-attempts", 0, "attempt cap per shard per query, cycling its endpoints with jittered backoff (0 = endpoints+2)")
 		allowPartial = flag.Bool("allow-partial", false, "degrade instead of failing when shards are down: merge surviving shards and report coverage (per-request opt-in stays available via ?partial=1)")
-		auto         = flag.Bool("auto", false, "plan every query by default: ?recall= targets map to a probe prefix over the fleet's cell sizes and shards decide sequential-vs-parallel probing of their cells via forwarded ?auto=1 (requests opt out with ?auto=0)")
 		maxK         = flag.Int("max-k", 1000, "largest accepted k")
 
 		breakerThreshold = flag.Int("breaker-threshold", 5, "consecutive failures that trip an endpoint's circuit breaker open (negative disables breakers)")
@@ -115,7 +116,6 @@ func main() {
 		HedgeDelay:       *hedgeDelay,
 		MaxAttempts:      *maxAttempts,
 		AllowPartial:     *allowPartial,
-		Auto:             *auto,
 		MaxK:             *maxK,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,

@@ -26,11 +26,10 @@
 //
 //	POST /search        {"query":[...],"k":10,"nprobe":1,"kernel":"fastpq"}
 //	                    or {"query":[...],"k":10,"cells":[0,2]} (router sub-requests);
-//	                    kernel is naive, libpq or fastpq (the default)
-//	                    ?auto=1 plans the probe set (nprobe, parallel probing),
-//	                    ?recall=0.95 targets a recall fraction (DESIGN.md §16);
-//	                    with -auto every request is planned unless it opts out
-//	                    (?auto=0); the kernel is never planned
+//	                    kernel is naive, libpq or fastpq (the default);
+//	                    ?recall=0.95 without nprobe or cells: probe the closest
+//	                    cells until they hold fraction r of the live rows — a
+//	                    coverage target, not a measured recall (DESIGN.md §16)
 //	POST /add           {"vectors":[[...],...]}
 //	POST /delete        {"id":123}               404 when the id is not live
 //	POST /swap          {"path":"/data/new.idx"} hot snapshot swap
@@ -87,7 +86,6 @@ func main() {
 		partitions   = flag.Int("partitions", 8, "IVF partitions for -synthetic builds")
 		seed         = flag.Uint64("seed", 42, "seed for -synthetic builds")
 		cellsFlag    = flag.String("cells", "", "IVF cells this shard serves, e.g. \"0-3\" or \"0,2,5-7\" (default: all)")
-		auto         = flag.Bool("auto", false, "plan every /search by default: an open nprobe and sequential-vs-parallel probing are chosen from the index snapshot (the kernel stays the request's or the default); requests opt out with ?auto=0")
 		warm         = flag.Bool("warm", false, "start serving probes immediately and load the index in the background")
 		maxInFlight  = flag.Int("max-inflight", 0, "admission-control bound on concurrent searches (0 = 8×GOMAXPROCS)")
 		queueTimeout = flag.Duration("queue-timeout", 50*time.Millisecond, "longest a search waits for admission before a 429")
@@ -115,7 +113,6 @@ func main() {
 
 	cfg := server.Config{
 		Cells:            cells,
-		Auto:             *auto,
 		MaxInFlight:      *maxInFlight,
 		QueueTimeout:     *queueTimeout,
 		MaxK:             *maxK,

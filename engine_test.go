@@ -95,29 +95,6 @@ func TestParseKernelListsTheThree(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequentialBatch: the batch path composes with
-// per-query parallel probing.
-func TestParallelMatchesSequentialBatch(t *testing.T) {
-	idx, _, queries := sharedAPIIndex(t)
-	ctx := context.Background()
-
-	seq, err := idx.SearchBatch(ctx, queries, 15, pqfastscan.WithNProbe(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := idx.SearchBatch(ctx, queries, 15, pqfastscan.WithNProbe(4), pqfastscan.WithParallel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range seq {
-		sameResultSlices(t, "batch-parallel", seq[qi].Results, par[qi].Results)
-		if len(seq[qi].Partitions) != len(par[qi].Partitions) {
-			t.Fatalf("query %d: probed %v sequentially, %v in parallel",
-				qi, seq[qi].Partitions, par[qi].Partitions)
-		}
-	}
-}
-
 // TestBackendsReturnIdenticalResults is the public-API face of the
 // cross-backend exactness invariant: every available backend (assembly
 // or SWAR), explicitly pinned with WithBackend, returns the same

@@ -144,14 +144,6 @@ type Config struct {
 	// and the response reports coverage. Off, queries fail unless the
 	// request itself opts in.
 	AllowPartial bool
-	// Auto plans every query by default, as if it carried ?auto=1: the
-	// router maps a ?recall= target to a probe-prefix length over the
-	// fleet's cell sizes (index.RecallPrefix, the rule a single node's
-	// planner applies, DESIGN.md §16) and forwards ?auto=1 on the shard
-	// sub-requests, so each shard decides sequential-vs-parallel probing
-	// for its pinned cell share. Individual requests opt out with
-	// ?auto=0.
-	Auto bool
 	// MaxK rejects requests asking for more neighbors than this
 	// (default 1000).
 	MaxK int

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -533,6 +534,32 @@ func TestRouterHandlerContract(t *testing.T) {
 	}
 }
 
+// countingShard is shardServer counting into arrived every /search and
+// /add sub-request that reaches it.
+func countingShard(t *testing.T, full *pqfastscan.Index, cells []int, arrived *atomic.Int64) string {
+	t.Helper()
+	restricted, err := full.RestrictCells(cells...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.New(server.Config{Index: restricted, Cells: cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := s.Handler()
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/search" || r.URL.Path == "/add" {
+			arrived.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		hs.Close()
+		s.Close()
+	})
+	return hs.URL
+}
+
 // TestRouterRejectsUnscorableVectorBeforeFanout: a query or added
 // vector whose squared norm overflows float32 is the sender's mistake.
 // The router answers 400 with a JSON error without spending a shard
@@ -542,29 +569,10 @@ func TestRouterHandlerContract(t *testing.T) {
 func TestRouterRejectsUnscorableVectorBeforeFanout(t *testing.T) {
 	full, queries := fullIndex(t)
 	var arrived atomic.Int64
-	counting := func(cells []int) string {
-		restricted, err := full.RestrictCells(cells...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := server.New(server.Config{Index: restricted, Cells: cells})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inner := s.Handler()
-		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/search" || r.URL.Path == "/add" {
-				arrived.Add(1)
-			}
-			inner.ServeHTTP(w, r)
-		}))
-		t.Cleanup(func() {
-			hs.Close()
-			s.Close()
-		})
-		return hs.URL
-	}
-	router := newRouter(t, 8, [][]string{{counting([]int{0, 1, 2, 3})}, {counting([]int{4, 5, 6, 7})}}, nil)
+	router := newRouter(t, 8, [][]string{
+		{countingShard(t, full, []int{0, 1, 2, 3}, &arrived)},
+		{countingShard(t, full, []int{4, 5, 6, 7}, &arrived)},
+	}, nil)
 	handler := router.Handler()
 
 	type endpointHealth struct {
@@ -613,6 +621,75 @@ func TestRouterRejectsUnscorableVectorBeforeFanout(t *testing.T) {
 	if statsAfter.Failovers != statsBefore.Failovers || statsAfter.Retries != statsBefore.Retries ||
 		statsAfter.Errors != statsBefore.Errors || statsAfter.BreakerFastFails != statsBefore.BreakerFastFails {
 		t.Errorf("router counters moved: before %+v, after %+v", statsBefore, statsAfter)
+	}
+}
+
+// TestRouterRejectsBadKernelBeforeFanout: a kernel no node runs is the
+// sender's mistake too. Sent on, every shard answered 400, which the
+// router retried and counted against the endpoint: two such queries on
+// a one-endpoint shard opened its breaker, and the next valid query got
+// 502 "circuit open". The router names the kernel error itself, before
+// any sub-request.
+func TestRouterRejectsBadKernelBeforeFanout(t *testing.T) {
+	full, queries := fullIndex(t)
+	var arrived atomic.Int64
+	router := newRouter(t, 8, [][]string{
+		{countingShard(t, full, []int{0, 1, 2, 3}, &arrived)},
+		{countingShard(t, full, []int{4, 5, 6, 7}, &arrived)},
+	}, nil)
+	h := router.Handler()
+	q := queries.Row(2)
+
+	for i := 0; i < 2; i++ {
+		code, _, body := routerSearch(t, h, server.SearchRequest{Query: q, K: 5, NProbe: 8, Kernel: "bogus"})
+		if code != http.StatusBadRequest || !strings.Contains(body, "naive, libpq, fastpq") {
+			t.Fatalf("bogus kernel, request %d: %d %s, want 400 naming the three kernels", i, code, body)
+		}
+	}
+	if n := arrived.Load(); n != 0 {
+		t.Errorf("%d sub-requests reached a shard for rejected requests, want 0", n)
+	}
+	for _, es := range router.Stats().Endpoints {
+		if es.BreakerOpens != 0 {
+			t.Errorf("endpoint %s: breaker_opens %d after rejected requests, want 0", es.Endpoint, es.BreakerOpens)
+		}
+	}
+	if code, _, body := routerSearch(t, h, server.SearchRequest{Query: q, K: 5, NProbe: 8}); code != http.StatusOK {
+		t.Fatalf("valid query after the rejected ones: %d %s", code, body)
+	}
+}
+
+// TestRouterRejectsWhatANodeRejects: clients cannot tell a router from
+// a node, so a /search body a node refuses — a key it does not know,
+// "backend" included — gets the node's status from the router too.
+func TestRouterRejectsWhatANodeRejects(t *testing.T) {
+	full, queries := fullIndex(t)
+	node := shardServer(t, full, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	shardA := shardServer(t, full, []int{0, 1, 2, 3})
+	shardB := shardServer(t, full, []int{4, 5, 6, 7})
+	h := newRouter(t, 8, [][]string{{shardA.URL}, {shardB.URL}}, nil).Handler()
+	q := queries.Row(3)
+	for _, c := range []struct {
+		name string
+		body map[string]any
+	}{
+		{"backend key", map[string]any{"query": q, "k": 5, "backend": "swar"}},
+		{"backend key, auto", map[string]any{"query": q, "k": 5, "backend": "auto"}},
+	} {
+		raw, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(node.URL+"/search", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(raw)))
+		if resp.StatusCode != http.StatusBadRequest || rec.Code != resp.StatusCode {
+			t.Errorf("%s: node %d, router %d (%s); want both 400", c.name, resp.StatusCode, rec.Code, rec.Body.String())
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pqfastscan"
 	"pqfastscan/internal/index"
 	"pqfastscan/internal/server"
 	"pqfastscan/internal/topk"
@@ -51,17 +52,12 @@ type SearchOptions struct {
 	NProbe int
 	Cells  []int // explicit probe set; mutually exclusive with NProbe
 	Kernel string
-	// Auto plans the query: sub-requests carry ?auto=1, so each shard
-	// decides sequential-vs-parallel probing for its pinned cell share
-	// from its own snapshot and core count. The probe set itself is
-	// chosen here (explicitly, or via Recall), so the merge stays
-	// bit-identical to a single node's.
-	Auto bool
-	// Recall, in (0,1], maps to a probe-prefix length over the fleet's
-	// cell sizes — index.RecallPrefix, the live-mass rule a single
-	// node's planner applies (DESIGN.md §16). Implies Auto. An explicit
-	// NProbe or Cells wins, exactly as WithNProbe beats
-	// WithTargetRecall on a single node.
+	// Recall, in (0,1], fills an open NProbe: probe the closest cells
+	// until they hold fraction Recall of the live rows, weighed by the
+	// fleet's cell sizes — index.RecallPrefix, the rule a single node's
+	// Query applies (DESIGN.md §16). It is a coverage target, not a
+	// measured recall. An explicit NProbe or Cells wins, exactly as
+	// WithNProbe beats WithTargetRecall on a single node.
 	Recall float64
 	// AllowPartial degrades instead of failing when shards are down:
 	// the merge runs over whichever shards answered (at least one must)
@@ -85,6 +81,14 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 	}
 	if opt.K < 0 || opt.K > r.cfg.MaxK {
 		return nil, validationErrorf("cluster: k must be in [1,%d]", r.cfg.MaxK)
+	}
+	// A kernel no node runs is the sender's mistake, named here: sent on,
+	// every shard would answer 400, which the retry budget and the
+	// breakers count against the endpoints.
+	if opt.Kernel != "" {
+		if _, err := pqfastscan.ParseKernel(opt.Kernel); err != nil {
+			return nil, validationErrorf("cluster: %v", err)
+		}
 	}
 	var ranked []int // RankCells order over meta.coarse, once computed
 	if opt.Recall != 0 {
@@ -131,14 +135,6 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 	// Fan out. Every shard sub-request asks for the full k: the global
 	// top k can come entirely from one shard's cells, so nothing less is
 	// sound.
-	// Planned queries forward ?auto=1. The cells are pinned by the
-	// sub-request, so all a shard still plans is whether to scan its
-	// share of them in parallel — never the probe set, the kernel or
-	// the backend.
-	subQuery := ""
-	if opt.Auto || opt.Recall > 0 {
-		subQuery = "?auto=1"
-	}
 	lists := make([][]topk.Result, len(ids))
 	errs := make([]error, len(ids))
 	var wg sync.WaitGroup
@@ -156,7 +152,7 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 				errs[i] = fmt.Errorf("shard %d (cells %v): %w", si, byShard[si], err)
 				return
 			}
-			resp, err := r.shardSearch(ctx, r.shards[si], subQuery, body)
+			resp, err := r.shardSearch(ctx, r.shards[si], body)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d (cells %v): %w", si, byShard[si], err)
 				return
@@ -223,7 +219,7 @@ var errAllTripped = errors.New("cluster: circuit open: every endpoint tripped or
 // timeout derived from the endpoint's latency EWMA, and nothing is
 // launched after the context is done. body is the sub-request already
 // marshalled: every failover, retry and hedge posts the same bytes.
-func (r *Router) shardSearch(ctx context.Context, sh *shard, subQuery string, body []byte) (*server.SearchResponse, error) {
+func (r *Router) shardSearch(ctx context.Context, sh *shard, body []byte) (*server.SearchResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
 	defer cancel()
 	start := time.Now()
@@ -282,7 +278,7 @@ func (r *Router) shardSearch(ctx context.Context, sh *shard, subQuery string, bo
 			actx, acancel := context.WithTimeout(ctx, attempt)
 			t0 := time.Now()
 			var out server.SearchResponse
-			err := r.post(actx, ep+"/search"+subQuery, body, &out)
+			err := r.post(actx, ep+"/search", body, &out)
 			acancel()
 			if st != nil {
 				if err == nil {

@@ -334,7 +334,7 @@ func TestFailoverReusesMarshalledBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := router.shardSearch(context.Background(), router.shards[0], "", body)
+	resp, err := router.shardSearch(context.Background(), router.shards[0], body)
 	if err != nil {
 		t.Fatalf("sub-request with two failovers: %v", err)
 	}

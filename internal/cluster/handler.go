@@ -171,22 +171,21 @@ func (r *Router) Handler() http.Handler {
 		}
 		defer cancel()
 		req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
+		// Decoded as a node decodes it: a key no node knows ("backend",
+		// a typo) is a 400 here too, not silently dropped.
 		var sr server.SearchRequest
-		if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
+		dec := json.NewDecoder(req.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&sr); err != nil {
 			r.metrics.rejected.Add(1)
 			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 			return
 		}
 		// ?partial=1 opts this query into degraded mode: shard failures
-		// shrink coverage instead of failing the query. ?auto=1 and
-		// ?recall= invoke the planner exactly as on a single pqserve
-		// (Config.Auto plans by default, ?auto=0 opts out).
+		// shrink coverage instead of failing the query. ?recall= means
+		// what it means on a single pqserve.
 		q := req.URL.Query()
 		partial := q.Get("partial")
-		auto := r.cfg.Auto
-		if v := q.Get("auto"); v != "" {
-			auto = v == "1" || v == "true"
-		}
 		recall := 0.0
 		if v := q.Get("recall"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
@@ -197,11 +196,9 @@ func (r *Router) Handler() http.Handler {
 				return
 			}
 			recall = f
-			auto = true
 		}
 		resp, err := r.Search(ctx, sr.Query, SearchOptions{
-			K: sr.K, NProbe: sr.NProbe, Cells: sr.Cells, Kernel: sr.Kernel,
-			Auto: auto, Recall: recall,
+			K: sr.K, NProbe: sr.NProbe, Cells: sr.Cells, Kernel: sr.Kernel, Recall: recall,
 			AllowPartial: partial == "1" || partial == "true",
 		})
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"pqfastscan"
@@ -14,7 +15,7 @@ import (
 	"pqfastscan/internal/vec"
 )
 
-// --- planning through the router ------------------------------
+// --- recall targets through the router ------------------------------
 
 // routerSearchURL is routerSearch with a raw target (query params).
 func routerSearchURL(t *testing.T, handler http.Handler, target string, req server.SearchRequest) (int, server.SearchResponse, string) {
@@ -34,7 +35,7 @@ func routerSearchURL(t *testing.T, handler http.Handler, target string, req serv
 // TestRouterRecallBitIdentity: a ?recall= query through the router must
 // return exactly what a single node holding all cells returns for the
 // same target — the router's mass-prefix nprobe plus the scatter-gather
-// merge reproduce the single-node planner's answer bit for bit.
+// merge reproduce the single node's answer bit for bit.
 func TestRouterRecallBitIdentity(t *testing.T) {
 	full, queries := fullIndex(t)
 	shardA := shardServer(t, full, []int{0, 1, 2, 3})
@@ -76,14 +77,42 @@ func TestRouterRecallBitIdentity(t *testing.T) {
 	}
 }
 
-// TestRouterAutoForwarding: ?auto=1 keeps results bit-identical to the
-// unplanned query (a shard plans only whether to probe its pinned cells
-// in parallel) and bad recall values are rejected before any fanout.
+// TestRouterAutoForwarding: the router no longer plans or forwards
+// ?auto=. A client still sending ?auto=1 gets exactly the plain query's
+// answer, and no sub-request carries a query string to a shard. As on
+// a node, a pinned nprobe wins over a recall target and a malformed
+// target is a 400 before any fanout.
 func TestRouterAutoForwarding(t *testing.T) {
 	full, queries := fullIndex(t)
-	shardA := shardServer(t, full, []int{0, 1, 2, 3})
-	shardB := shardServer(t, full, []int{4, 5, 6, 7})
-	r := newRouter(t, 8, [][]string{{shardA.URL}, {shardB.URL}}, nil)
+	var mu sync.Mutex
+	var forwarded []string
+	recording := func(cells []int) string {
+		restricted, err := full.RestrictCells(cells...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := server.New(server.Config{Index: restricted, Cells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := s.Handler()
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/search" {
+				mu.Lock()
+				forwarded = append(forwarded, r.URL.RawQuery)
+				mu.Unlock()
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			hs.Close()
+			s.Close()
+		})
+		return hs.URL
+	}
+	shardA := recording([]int{0, 1, 2, 3})
+	shardB := recording([]int{4, 5, 6, 7})
+	r := newRouter(t, 8, [][]string{{shardA}, {shardB}}, nil)
 	h := r.Handler()
 	q := queries.Row(7)
 
@@ -103,8 +132,21 @@ func TestRouterAutoForwarding(t *testing.T) {
 			t.Fatalf("auto result %d: %+v vs %+v", i, auto.Results[i], plain.Results[i])
 		}
 	}
+	seen := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), forwarded...)
+	}
+	sent := seen()
+	if len(sent) == 0 {
+		t.Fatal("no sub-request reached a shard")
+	}
+	for i, raw := range sent {
+		if raw != "" {
+			t.Errorf("sub-request %d forwarded query string %q", i, raw)
+		}
+	}
 
-	// Explicit nprobe beats a recall target, matching the single node.
 	code, pinned, body := routerSearchURL(t, h, "/search?recall=1.0", server.SearchRequest{Query: q, K: 10, NProbe: 2})
 	if code != http.StatusOK {
 		t.Fatalf("pinned: %d %s", code, body)
@@ -112,11 +154,14 @@ func TestRouterAutoForwarding(t *testing.T) {
 	if len(pinned.Partitions) != 2 {
 		t.Fatalf("pinned nprobe=2 overridden by recall: probed %v", pinned.Partitions)
 	}
-
+	before := len(seen())
 	for _, bad := range []string{"0", "-0.1", "1.5", "nan"} {
 		if code, _, body := routerSearchURL(t, h, "/search?recall="+bad, server.SearchRequest{Query: q, K: 10}); code != http.StatusBadRequest {
 			t.Errorf("recall=%s accepted: %d %s", bad, code, body)
 		}
+	}
+	if after := len(seen()); after != before {
+		t.Errorf("malformed recall targets sent %d sub-requests", after-before)
 	}
 }
 

@@ -4,48 +4,17 @@ import (
 	"pqfastscan/internal/vec"
 )
 
-// The probe-set inputs every routing decision reads — the cell ranking,
-// the recall→nprobe rule and the per-partition planning signals — for
-// Query's multi-probe path, the query planner (internal/plan) and the
-// cluster router alike. The planner runs on every WithAuto search, so
-// the Into accessors cost one atomic snapshot load and some arithmetic:
-// callers pass in reusable buffers (the planner pools them) and a
-// too-small buffer is grown, which in steady state happens never
-// (partition counts change only on swap).
-
-// PlanStat is one partition's planning signals: its sealed row count
-// (codes a scan touches, dead included — tombstones are skipped inside
-// the kernel but their codes are still scanned), the tombstoned share,
-// and whether the epoch is disk-resident (a probe pays the buffer
-// pool's pin/fault path).
-type PlanStat struct {
-	N     int
-	Dead  int
-	Paged bool
-}
-
-// PlanStatsInto fills buf with every partition's PlanStat from one
-// snapshot load and returns the filled prefix. It never allocates when
-// cap(buf) >= Partitions().
-func (ix *Index) PlanStatsInto(buf []PlanStat) []PlanStat {
-	s := ix.snap.Load()
-	if cap(buf) < len(s.Parts) {
-		buf = make([]PlanStat, len(s.Parts))
-	}
-	buf = buf[:len(s.Parts)]
-	for i, pe := range s.Parts {
-		buf[i] = PlanStat{N: pe.Part.N, Dead: pe.Part.DeadCount(), Paged: pe.paged != nil}
-	}
-	return buf
-}
+// The probe-set inputs every routing decision reads — the cell ranking
+// and the recall→nprobe rule — for Query's multi-probe path and the
+// cluster router alike.
 
 // RankCells orders every cell id by ascending coarse distance between
 // the query and coarse's rows (ties by cell id) — step 1 of Algorithm 1
 // as a standalone function. It is the one routing order in the system:
-// Query's multi-probe path, the planner and the scatter-gather cluster
-// router (internal/cluster) all rank with it, which is what lets a
-// router that only holds the coarse centroids pick the exact probe set
-// a single-node multi-probe query would, ties included.
+// Query's multi-probe path and the scatter-gather cluster router
+// (internal/cluster) both rank with it, which is what lets a router
+// that only holds the coarse centroids pick the exact probe set a
+// single-node multi-probe query would, ties included.
 func RankCells(query []float32, coarse vec.Matrix) []int {
 	return rankCells(query, coarse, nil, nil)
 }
@@ -53,7 +22,7 @@ func RankCells(query []float32, coarse vec.Matrix) []int {
 // RankCellsInto is RankCells over the index's own centroids writing
 // into caller-provided storage: ids receives the ranking, dists is
 // scratch for the distances. Neither slice escapes; no allocation when
-// both have capacity Partitions() — the planner runs this per query.
+// both have capacity Partitions().
 func (ix *Index) RankCellsInto(query []float32, ids []int, dists []float32) []int {
 	return rankCells(query, ix.Coarse, ids, dists)
 }
@@ -81,9 +50,10 @@ func rankCells(query []float32, coarse vec.Matrix, ids []int, dists []float32) [
 // length: how many leading cells of ranked (a RankCells order) must be
 // probed before they hold at least fraction r of the live mass, live
 // being the live row count per cell id. It is the one recall→nprobe
-// rule, shared by the single-node planner and the cluster router, so a
-// routed ?recall= query probes exactly what a single node would. With
-// no live mass at all it answers the single-probe default.
+// rule, shared by Query and the cluster router, so a routed ?recall=
+// query probes exactly what a single node would. It is a coverage
+// target, not a measured recall. With no live mass at all it answers
+// the single-probe default.
 func RecallPrefix(ranked, live []int, r float64) int {
 	total := 0
 	for _, n := range live {

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"context"
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -44,8 +46,8 @@ func TestRankCellsIntoMatchesRankCells(t *testing.T) {
 	}
 }
 
-// TestRecallPrefix is the one recall→nprobe rule, shared by the planner
-// and the cluster router.
+// TestRecallPrefix is the one recall→nprobe rule, shared by Query and
+// the cluster router.
 func TestRecallPrefix(t *testing.T) {
 	ranked := []int{3, 0, 2, 1}  // cell ids, closest first
 	live := []int{30, 0, 50, 20} // by cell id: cell 1 is empty
@@ -82,36 +84,99 @@ func TestRankCellsIntoGrowsSmallBuffers(t *testing.T) {
 	}
 }
 
-func TestPlanStatsIntoMatchesPartitionStats(t *testing.T) {
-	ix, _, _ := sharedIndex(t)
-	buf := make([]PlanStat, 0, ix.Partitions())
-	stats := ix.PlanStatsInto(buf)
-	ref := ix.PartitionStats()
-	if len(stats) != len(ref) {
-		t.Fatalf("length %d, want %d", len(stats), len(ref))
-	}
-	for i, st := range stats {
-		if st.N != ref[i].Live+ref[i].Dead || st.Dead != ref[i].Dead {
-			t.Errorf("partition %d: PlanStat %+v vs PartitionStat %+v", i, st, ref[i])
-		}
-		if st.Paged != ix.Paged() {
-			t.Errorf("partition %d: paged %v, index paged %v", i, st.Paged, ix.Paged())
-		}
-	}
-}
-
 func TestPlanAccessorsDoNotAllocate(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
 	q := queries.Row(0)
 	n := ix.Partitions()
 	ids := make([]int, n)
 	dists := make([]float32, n)
-	stats := make([]PlanStat, n)
 	allocs := testing.AllocsPerRun(100, func() {
 		ix.RankCellsInto(q, ids, dists)
-		ix.PlanStatsInto(stats)
 	})
 	if allocs != 0 {
-		t.Errorf("plan accessors allocate %.1f per query, want 0", allocs)
+		t.Errorf("RankCellsInto allocates %.1f per query, want 0", allocs)
+	}
+}
+
+// TestRecallTargetExtendsPrefix: a Query with a recall target r probes
+// the shortest prefix of the RankCells order whose live rows reach
+// fraction r of the snapshot's, answers exactly what that nprobe
+// answers, and weighs cells by their live rows only — tombstoning half
+// of the closest cell makes the same target reach further.
+func TestRecallTargetExtendsPrefix(t *testing.T) {
+	ix, gen := buildMutable(t, 63)
+	ctx := context.Background()
+	q := gen.Generate(1).Row(0)
+	ranked := RankCells(q, ix.Coarse)
+
+	probe := func(tag string, r float64) int {
+		t.Helper()
+		got, err := ix.Query(ctx, Request{Query: q, K: 10, Recall: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(got.Partitions)
+		if !slices.Equal(got.Partitions, ranked[:n]) {
+			t.Fatalf("%s, recall %g: probed %v, not a prefix of %v", tag, r, got.Partitions, ranked)
+		}
+		want, err := ix.Query(ctx, Request{Query: q, K: 10, NProbe: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswer(t, fmt.Sprintf("%s, recall %g vs nprobe %d", tag, r, n), got.Results, want.Results)
+		return n
+	}
+	live := func() (perCell []int, total int) {
+		for _, ps := range ix.PartitionStats() {
+			perCell = append(perCell, ps.Live)
+			total += ps.Live
+		}
+		return perCell, total
+	}
+	check := func(tag string) {
+		perCell, total := live()
+		mass := func(n int) (m int) {
+			for _, c := range ranked[:n] {
+				m += perCell[c]
+			}
+			return m
+		}
+		last := 0
+		for _, r := range []float64{0.1, 0.5, 0.9, 1.0} {
+			n := probe(tag, r)
+			if n < last {
+				t.Errorf("%s, recall %g: nprobe %d shrank below %d", tag, r, n, last)
+			}
+			last = n
+			need := r * float64(total)
+			if float64(mass(n)) < need {
+				t.Errorf("%s, recall %g: prefix %d holds %d live rows < %.0f", tag, r, n, mass(n), need)
+			}
+			if n > 1 && float64(mass(n-1)) >= need {
+				t.Errorf("%s, recall %g: prefix %d is not the shortest", tag, r, n)
+			}
+		}
+	}
+
+	check("clean")
+	perCell, total := live()
+	closest := ranked[0]
+	r := 0.99 * float64(perCell[closest]) / float64(total)
+	if n := probe("clean", r); n != 1 {
+		t.Fatalf("recall %g probed %d cells, want the closest alone", r, n)
+	}
+
+	rows, err := ix.Query(ctx, Request{Query: q, K: perCell[closest], Cells: []int{closest}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows.Results[:len(rows.Results)/2] {
+		if err := ix.Delete(row.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("tombstoned")
+	if n := probe("tombstoned", r); n < 2 {
+		t.Fatalf("recall %g still probed %d cell after half the closest cell's rows died: the prefix ignores dead rows", r, n)
 	}
 }

@@ -17,11 +17,11 @@ import (
 // Request describes one k-NN query: what to search for, how many
 // neighbors, which kernel, and how many inverted-index cells to probe.
 // The zero value of Kernel is KernelFastScan. NProbe 0 and 1 both mean
-// the paper's single-cell routing. Parallel scans the probed cells
-// concurrently (one goroutine per cell, capped at GOMAXPROCS) as
-// independent scans instead of sequentially into one running top-k;
-// results are identical, Stats report less pruning — it is an opt-in
-// because the paper measures single-core scans.
+// the paper's single-cell routing, unless NProbe is 0 and Recall is set:
+// then the query probes the closest cells until they hold fraction
+// Recall, in (0, 1], of the live rows of the snapshot it scans
+// (RecallPrefix). That is a coverage target, not a measured recall; an
+// explicit NProbe or Cells wins over it.
 // Backend selects Fast Scan's block-kernel implementation; the zero
 // value BackendAuto defers to startup feature detection.
 // Cells, when non-empty, bypasses coarse routing entirely and scans
@@ -30,13 +30,13 @@ import (
 // Algorithm 1 once, fleet-wide, and tells each shard which of its cells
 // to scan. Cells is mutually exclusive with NProbe.
 type Request struct {
-	Query    []float32
-	K        int
-	Kernel   Kernel
-	Backend  Backend
-	NProbe   int
-	Cells    []int
-	Parallel bool
+	Query   []float32
+	K       int
+	Kernel  Kernel
+	Backend Backend
+	NProbe  int
+	Cells   []int
+	Recall  float64
 }
 
 // Response carries a query's answer: the neighbors, the merged scan
@@ -76,6 +76,10 @@ func (ix *Index) validate(s *Snapshot, req Request) error {
 	}
 	if req.NProbe < 0 || req.NProbe > len(s.Parts) {
 		return fmt.Errorf("index: nprobe %d out of range [1,%d]", req.NProbe, len(s.Parts))
+	}
+	// The affirmative range check also rejects NaN.
+	if !(req.Recall >= 0 && req.Recall <= 1) {
+		return fmt.Errorf("index: target recall %g out of range (0, 1]", req.Recall)
 	}
 	if len(req.Cells) > 0 {
 		if req.NProbe > 1 {
@@ -121,10 +125,6 @@ func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Resp
 	if err := ix.validate(s, req); err != nil {
 		return nil, err
 	}
-	nprobe := req.NProbe
-	if nprobe == 0 {
-		nprobe = 1
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -136,12 +136,13 @@ func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Resp
 	// retained set is order-independent (only how early the carried
 	// threshold tightens, and so Stats, depends on the order).
 	if len(req.Cells) > 0 {
-		if req.Parallel {
-			return ix.queryParallel(ctx, s, req, req.Cells)
-		}
 		return ix.queryCells(ctx, s, req, req.Cells)
 	}
 
+	nprobe := req.NProbe
+	if nprobe == 0 && req.Recall == 0 {
+		nprobe = 1
+	}
 	if nprobe == 1 {
 		part := ix.RoutePartition(req.Query)
 		res, stats, err := ix.searchPartition(s, req, part)
@@ -154,12 +155,18 @@ func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Resp
 	// Multi-probe: visit the nprobe cells closest to the query and merge
 	// their neighbors. RankCells breaks coarse-distance ties by cell id,
 	// so the probed set is reproducible — and matches what a cluster
-	// router ranking the same centroids independently would select.
-	ids := RankCells(req.Query, ix.Coarse)[:nprobe]
-	if req.Parallel {
-		return ix.queryParallel(ctx, s, req, ids)
+	// router ranking the same centroids independently would select. A
+	// recall target cuts its prefix from this one ranking, weighed by the
+	// live rows of s, the snapshot the prefix is then scanned in.
+	ranked := RankCells(req.Query, ix.Coarse)
+	if nprobe == 0 {
+		live := make([]int, len(s.Parts))
+		for i, pe := range s.Parts {
+			live[i] = pe.Part.Live()
+		}
+		nprobe = RecallPrefix(ranked, live, req.Recall)
 	}
-	return ix.queryCells(ctx, s, req, ids)
+	return ix.queryCells(ctx, s, req, ranked[:nprobe])
 }
 
 // queryCells scans the given cells sequentially into the query's one
@@ -190,56 +197,12 @@ func (ix *Index) queryCells(ctx context.Context, s *Snapshot, req Request, cellI
 	return resp, nil
 }
 
-// queryParallel scans the probed cells of one query concurrently — the
-// cross-partition parallelism extension of internal/par beyond its
-// construction-time use. Each cell runs on its own goroutine (par.For
-// caps concurrency at GOMAXPROCS) against the same snapshot, as an
-// independent scan from an empty heap: no threshold is shared between
-// goroutines, and each cell takes its own scratch (searchPartition) and
-// so builds the query term for itself rather than waiting on a sibling.
-// Per-cell results are merged sequentially in cell-visit
-// order afterwards, so Results are byte-identical to the sequential
-// multi-probe path (the retained set of a bounded heap is the k
-// smallest (distance, id) pairs regardless of push order) and Stats
-// are deterministic — but they are the counters of independent scans:
-// the same vectors Scanned, fewer of them Pruned than by queryCells,
-// whose later cells prune against the bound carried from earlier ones.
-func (ix *Index) queryParallel(ctx context.Context, s *Snapshot, req Request, cellIDs []int) (*Response, error) {
-	type partial struct {
-		res []Result
-		s   scan.Stats
-		err error
-	}
-	parts := make([]partial, len(cellIDs))
-	par.For(len(cellIDs), func(i int) {
-		if err := ctx.Err(); err != nil {
-			parts[i].err = err
-			return
-		}
-		parts[i].res, parts[i].s, parts[i].err =
-			ix.searchPartition(s, req, cellIDs[i])
-	})
-	heap := topk.New(req.K)
-	resp := &Response{Partitions: make([]int, 0, len(cellIDs))}
-	for i, p := range parts {
-		if p.err != nil {
-			return nil, p.err
-		}
-		for _, r := range p.res {
-			heap.Push(r.ID, r.Distance)
-		}
-		resp.Stats.Merge(p.s)
-		resp.Partitions = append(resp.Partitions, cellIDs[i])
-	}
-	resp.Results = heap.Results()
-	return resp, nil
-}
-
 // QueryBatch answers req for every row of queries concurrently, one
 // goroutine per core — the deployment model the paper assumes ("PQ Scan
 // parallelizes naturally over multiple queries by running each query on
-// a different core", §3.1). Responses are returned in query order. The
-// snapshot is loaded once and shared by every worker, so the whole batch
+// a different core", §3.1). Responses are returned in query order, each
+// the Query of its row — a recall target picks every row's own prefix.
+// The snapshot is loaded once and shared by every worker, so the whole batch
 // answers from one consistent view regardless of concurrent mutations;
 // Fast Scan layouts for every partition are built up front so workers
 // hit only the lock-free cached path. Cancelling ctx makes in-flight
@@ -262,10 +225,6 @@ func (ix *Index) QueryBatch(ctx context.Context, queries vec.Matrix, req Request
 			}
 		}
 	}
-	// The batch already runs one worker per core; per-query partition
-	// parallelism on top would only oversubscribe the scheduler, so it
-	// is dropped here (results are identical either way).
-	req.Parallel = false
 	n := queries.Rows()
 	out := make([]*Response, n)
 	errs := make([]error, n)

@@ -1,16 +1,13 @@
 // Package par provides the minimal data-parallel helpers used by
-// construction-time code (dataset encoding, ground-truth computation),
-// by the concurrent batch query path, and — behind an explicit opt-in —
-// by single-query cross-partition parallelism (index.Request.Parallel /
-// the facade's WithParallel option), which scans the probed cells of one
-// multi-probe query on separate goroutines.
+// construction-time code (dataset encoding, ground-truth computation)
+// and by the concurrent batch query path.
 //
 // Scan kernels themselves stay single-threaded: the paper measures
 // single-core scan performance ("As PQ Scan parallelizes naturally over
 // multiple queries by running each query on a different core, we focus on
-// single-core performance", §3.1). That is why per-query parallelism is
-// opt-in rather than the default, and why a kernel never splits one
-// partition scan across cores.
+// single-core performance", §3.1). That is why parallelism runs across
+// queries, never across the cells of one query, and why a kernel never
+// splits one partition scan across cores.
 package par
 
 import (

@@ -7,7 +7,6 @@ import (
 
 	"pqfastscan"
 	"pqfastscan/internal/hist"
-	"pqfastscan/internal/plan"
 )
 
 // Observability is lock-free: every counter is an atomic, so recording a
@@ -139,14 +138,9 @@ type Stats struct {
 	PartitionStats []pqfastscan.PartitionStat `json:"partition_stats"`
 	Endpoints      map[string]EndpointStats   `json:"endpoints"`
 	Batch          BatchStats                 `json:"batch"`
-	// Planner reports the per-query planner's decision counters:
-	// queries planned, parallel picks and the nprobe histogram. Always
-	// present — even without Config.Auto, individual requests invoke
-	// the planner with ?auto=1 or ?recall=.
-	Planner    PlannerStats    `json:"planner"`
-	Admission  AdmissionStats  `json:"admission"`
-	Snapshot   SnapshotStats   `json:"snapshot"`
-	Compaction CompactionStats `json:"compaction"`
+	Admission      AdmissionStats             `json:"admission"`
+	Snapshot       SnapshotStats              `json:"snapshot"`
+	Compaction     CompactionStats            `json:"compaction"`
 	// WAL is present only when the server runs durably (-wal-dir): log
 	// size, record count and fsync latency quantiles.
 	WAL *pqfastscan.WALStats `json:"wal,omitempty"`
@@ -180,14 +174,6 @@ func readMemStats() MemStats {
 		SysBytes:       ms.Sys,
 		NumGC:          ms.NumGC,
 	}
-}
-
-// PlannerStats is the /stats projection of the planner: whether
-// Config.Auto plans every request by default, plus the process-wide
-// decision counters.
-type PlannerStats struct {
-	Enabled bool `json:"enabled"`
-	plan.Stats
 }
 
 // CompactionStats is the /stats projection of online compaction.

@@ -35,7 +35,6 @@ import (
 
 	"pqfastscan"
 	"pqfastscan/internal/index"
-	"pqfastscan/internal/plan"
 )
 
 // Config configures a Server. The zero value of every tuning field
@@ -65,16 +64,6 @@ type Config struct {
 	// is global, and a scan of a cell the shard does not hold simply
 	// finds an empty partition.
 	Cells []int
-
-	// Auto enables the per-query planner for every /search by default:
-	// the probe set a request leaves open (nprobe, and sequential or
-	// parallel probing) is chosen from the index snapshot (DESIGN.md
-	// §16) as if each request carried ?auto=1; the kernel stays the
-	// request's or the default. Individual requests opt out with
-	// ?auto=0. Without Auto, a request still opts in with ?auto=1 or by
-	// setting a ?recall= target. Planned answers are bit-identical to
-	// the fixed-option request probing the same cell prefix.
-	Auto bool
 
 	// Deprecated: ignored — there is no batching; kept until the
 	// benchmark's twin handler is retired (ROADMAP item 3f).
@@ -612,9 +601,10 @@ func (s *Server) failSearch(w http.ResponseWriter, err error) {
 // Kernel ("naive", "libpq", "fastpq") to PQ Fast Scan when omitted.
 // Cells, when present, scans exactly those IVF cells instead of routing
 // through the coarse quantizer — the sub-request shape a cluster router
-// sends to its shards (nprobe must then be omitted). An omitted NProbe
-// is what the planner fills when the request is planned (?auto=1,
-// ?recall=, or Config.Auto); Kernel is never planned. The block-kernel
+// sends to its shards (nprobe must then be omitted). A ?recall=r query
+// parameter, r in (0,1], fills an omitted NProbe: the query probes the
+// closest cells until they hold fraction r of the live rows — a
+// coverage target, not a measured recall. The block-kernel
 // backend is the process's (PQ_FORCE_BACKEND pins it, /healthz reports
 // it), not a request's: a body naming any other key, "backend"
 // included, is a 400.
@@ -654,8 +644,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// An expired forwarded deadline is rejected at the door: no
-	// parsing beyond the header, no planning, no admission token, no
-	// scan work.
+	// parsing beyond the header, no admission token, no scan work.
 	ctx, cancelDeadline, derr := deadlineContext(r)
 	if derr != nil {
 		s.metrics.deadlineRejects.Add(1)
@@ -663,18 +652,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancelDeadline()
-	// Planner activation: ?recall=0.95 sets a recall target (and implies
-	// planning, whatever ?auto says); ?auto=1 asks for min-latency
-	// planning; Config.Auto makes planning the default, which ?auto=0 opts
-	// a single request out of.
-	planned := s.cfg.Auto
+	// ?recall=0.95 probes the closest cells until they hold that share
+	// of the live rows, unless the body pins nprobe or cells.
 	recall := 0.0
 	if r.URL.RawQuery != "" {
-		params := r.URL.Query()
-		if v := params.Get("auto"); v != "" {
-			planned = v == "1" || v == "true"
-		}
-		if v := params.Get("recall"); v != "" {
+		if v := r.URL.Query().Get("recall"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
 			// The affirmative range check also rejects NaN, which slips
 			// through ParseFloat and compares false against every bound.
@@ -709,9 +691,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	// The option list is the one any caller of the facade would write.
 	// What the request leaves open stays open: an omitted nprobe is the
-	// facade's single probe, or the planner's to fill when the request
-	// is planned. The server never pins parallel probing, so that is
-	// planned too; the kernel never is.
+	// facade's single probe, or the recall target's prefix.
 	var opts []pqfastscan.SearchOption
 	np := idx.Partitions()
 	if len(req.Cells) > 0 {
@@ -747,11 +727,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		opts = append(opts, pqfastscan.WithKernel(k))
 	}
-	switch {
-	case recall > 0:
+	if recall > 0 {
 		opts = append(opts, pqfastscan.WithTargetRecall(recall))
-	case planned:
-		opts = append(opts, pqfastscan.WithAuto())
 	}
 
 	if err := s.admit(ctx); err != nil {
@@ -941,8 +918,8 @@ type MetaResponse struct {
 	Centroids [][]float32 `json:"centroids"`
 	// CellSizes is the live row count per cell (cells this server does
 	// not hold report 0) — the mass signal a router needs to map a
-	// ?recall= target to the same probe-prefix length a single node's
-	// planner would pick (DESIGN.md §16).
+	// ?recall= target to the same probe-prefix length a single node
+	// picks (DESIGN.md §16).
 	CellSizes []int  `json:"cell_sizes,omitempty"`
 	Backend   string `json:"backend"`
 }
@@ -1006,7 +983,6 @@ func (s *Server) StatsSnapshot() Stats {
 		PartitionStats: pstats,
 		Endpoints:      make(map[string]EndpointStats, len(endpointNames)),
 		Batch:          s.metrics.batchStats(),
-		Planner:        PlannerStats{Enabled: s.cfg.Auto, Stats: plan.Snapshot()},
 		Compaction: CompactionStats{
 			Threshold:       s.cfg.CompactThreshold,
 			Runs:            s.metrics.compactions.Load(),

@@ -25,7 +25,7 @@
 //	ids, err := idx.AddBatch(newVectors) // online ingestion, no rebuild
 //
 // Search takes functional options (WithKernel, WithNProbe,
-// WithParallel, WithStats) and honors context cancellation and
+// WithTargetRecall, WithStats) and honors context cancellation and
 // deadlines; the index is mutable online through Add, AddBatch and
 // Delete. One engine serves every query; the instruction-counting model
 // it is checked against, with the paper's remaining baselines, is a

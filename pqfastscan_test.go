@@ -82,8 +82,7 @@ func scanPaths() map[string][]pqfastscan.SearchOption {
 
 // TestKernelEquivalencePublicAPI: the exactness claim through the public
 // surface — every scan path returns the naive oracle's neighbor lists,
-// single- and multi-probe, with and without single-query
-// cross-partition parallelism.
+// single- and multi-probe.
 func TestKernelEquivalencePublicAPI(t *testing.T) {
 	idx, _, queries := sharedAPIIndex(t)
 	ctx := context.Background()
@@ -101,11 +100,6 @@ func TestKernelEquivalencePublicAPI(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameResultSlices(t, name, ref.Results, got.Results)
-				par, err := idx.Search(ctx, q, 30, append(opts, pqfastscan.WithParallel())...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResultSlices(t, name+"/parallel", ref.Results, par.Results)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"pqfastscan/internal/index"
-	"pqfastscan/internal/plan"
 )
 
 // Searcher is the query surface of the package: one context-aware entry
@@ -27,23 +26,14 @@ type Searcher interface {
 type SearchOption func(*searchConfig)
 
 type searchConfig struct {
-	kernel   Kernel
-	model    bool // the deprecated WithEngine shim
-	backend  Backend
-	nprobe   int
-	cells    []int
-	parallel bool
-	stats    bool
-
-	// Planning (WithAuto / WithTargetRecall). The *Set flags record
-	// which of the planner's two knobs the caller pinned explicitly: it
-	// fills only the open ones, so explicit options always win (conflict
-	// semantics pinned by TestAutoConflictSemantics).
-	auto        bool
-	recall      float64
-	recallSet   bool
-	nprobeSet   bool
-	parallelSet bool
+	kernel  Kernel
+	model   bool // the deprecated WithEngine shim
+	backend Backend
+	nprobe  int // 0: open — one cell, or the recall target's prefix
+	cells   []int
+	recall  float64
+	stats   bool
+	err     error // the first option value no search can honor
 }
 
 // WithKernel selects the scan kernel. All kernels return identical
@@ -69,7 +59,12 @@ func WithBackend(b Backend) SearchOption {
 // [1, Partitions]; any other value (including 0) is rejected by the
 // search call.
 func WithNProbe(nprobe int) SearchOption {
-	return func(c *searchConfig) { c.nprobe = nprobe; c.nprobeSet = true }
+	return func(c *searchConfig) {
+		if nprobe < 1 {
+			c.reject(fmt.Errorf("pqfastscan: nprobe must be positive, got %d", nprobe))
+		}
+		c.nprobe = nprobe
+	}
 }
 
 // WithCells scans exactly the listed IVF cells, in order, instead of
@@ -86,58 +81,22 @@ func WithCells(cells ...int) SearchOption {
 	return func(c *searchConfig) { c.cells = cells }
 }
 
-// WithParallel scans the probed partitions of a single query
-// concurrently (one goroutine per cell, capped at GOMAXPROCS) instead of
-// sequentially. Results are identical. The work is not: a sequential
-// multi-probe carries one running top-k from cell to cell, so later
-// cells prune against the bound the earlier ones reached, while
-// parallel cells are independent scans that share nothing and each
-// re-learn their own threshold — more total CPU for less wall-clock
-// when cores are idle. It is opt-in because the paper measures
-// single-core scans, and it only engages when more than one partition
-// is probed. A planned query (WithAuto) that leaves it off lets the
-// planner turn it on for probes that touch a disk-resident partition.
-// SearchBatch ignores it: the batch already runs one worker per core,
-// and nesting per-query parallelism would only oversubscribe.
-//
-// Combining WithParallel with WithStats is fully supported: each
-// partition scan keeps its own counters and they are merged in
-// deterministic cell-visit order after the workers join. The attached
-// Stats are those of the independent scans — Scanned equals the
-// sequential multi-probe's, Pruned is lower by what carrying the
-// threshold is worth. A test pins both on its fixture.
-func WithParallel() SearchOption {
-	return func(c *searchConfig) { c.parallel = true; c.parallelSet = true }
-}
-
-// WithAuto lets the planner (internal/plan, DESIGN.md §16) choose the
-// query's probe set: how many cells to probe and whether to probe them
-// sequentially or in parallel, from what the index snapshot says —
-// partition sizes and dead ratios along the cell ranking, and whether a
-// probed partition is disk-resident. Without a recall target it probes
-// the single closest cell; it fans out only probes that touch a
-// disk-resident partition, and only with more than one core to use.
-//
-// The planner does not choose the scan: a planned query runs what an
-// unplanned one runs — PQ Fast Scan on the automatic backend — unless
-// WithKernel or WithBackend pin something else. Its probe set is always
-// a prefix of the WithNProbe ranking, so a planned query returns
-// exactly what the fixed-option query built from its decision would.
-// Explicit options always override it: combining WithAuto with
-// WithNProbe or WithParallel pins that knob and plans only the other;
-// WithCells pins routing entirely and leaves parallelism to plan.
-func WithAuto() SearchOption {
-	return func(c *searchConfig) { c.auto = true }
-}
-
-// WithTargetRecall asks the planner for the smallest probe set expected
-// to reach recall r in (0, 1]: it probes the closest cells until they
-// cover at least fraction r of the live database mass (the structural
-// surrogate for routing recall — see DESIGN.md §16), and plans
-// parallelism as WithAuto does. It implies WithAuto; any other r is
-// rejected by the search call.
+// WithTargetRecall probes the closest cells until they hold fraction r
+// of the live rows, for r in (0, 1]; any other r is rejected by the
+// search call. It is a coverage target, not a measured recall: on the
+// standing benchmark's corpus one probe measures recall@100 of 0.5666.
+// The prefix is cut from the WithNProbe ranking and weighed on the
+// snapshot the query scans (DESIGN.md §16), so the answer is exactly
+// that of WithNProbe(len(Partitions)). WithNProbe and WithCells win
+// over it; with SearchBatch every row gets its own prefix.
 func WithTargetRecall(r float64) SearchOption {
-	return func(c *searchConfig) { c.auto = true; c.recall = r; c.recallSet = true }
+	return func(c *searchConfig) {
+		// The affirmative range check also rejects NaN.
+		if !(r > 0 && r <= 1) {
+			c.reject(fmt.Errorf("pqfastscan: target recall must be in (0, 1], got %g", r))
+		}
+		c.recall = r
+	}
 }
 
 // WithStats attaches the scan statistics — vectors scanned, lower
@@ -146,9 +105,7 @@ func WithTargetRecall(r float64) SearchOption {
 // counters of the scan that answered the query, identical on every
 // backend (and to the instruction-counting model's, which the tests of
 // internal/scan/model hold them to); it pins nothing and composes with
-// every other option. With WithParallel, per-partition counters merge
-// deterministically (see WithParallel), never racing and never silently
-// disabling collection.
+// every other option.
 func WithStats() SearchOption {
 	return func(c *searchConfig) { c.stats = true }
 }
@@ -174,11 +131,10 @@ func (ix *Index) Search(ctx context.Context, query []float32, k int, opts ...Sea
 	if err != nil {
 		return nil, err
 	}
-	cfg = ix.expandAuto(cfg, query)
 	resp, err := ix.load().Query(ctx, index.Request{
 		Query: query, K: k, Kernel: cfg.kernel,
 		Backend: cfg.backend, NProbe: cfg.nprobe, Cells: cfg.cells,
-		Parallel: cfg.parallel,
+		Recall: cfg.recall,
 	})
 	if err != nil {
 		return nil, err
@@ -194,16 +150,10 @@ func (ix *Index) SearchBatch(ctx context.Context, queries Matrix, k int, opts ..
 	if err != nil {
 		return nil, err
 	}
-	// One Request serves the whole batch, so the planner sees the first
-	// row: batches are assumed homogeneous. An empty batch has nothing to
-	// plan.
-	if queries.Rows() > 0 {
-		cfg = ix.expandAuto(cfg, queries.Row(0))
-	}
 	resps, err := ix.load().QueryBatch(ctx, queries, index.Request{
 		K: k, Kernel: cfg.kernel,
 		Backend: cfg.backend, NProbe: cfg.nprobe, Cells: cfg.cells,
-		Parallel: cfg.parallel,
+		Recall: cfg.recall,
 	})
 	if err != nil {
 		return nil, err
@@ -218,46 +168,25 @@ func (ix *Index) SearchBatch(ctx context.Context, queries Matrix, k int, opts ..
 // resolveOptions applies opts over the default configuration (PQ Fast
 // Scan, single-cell routing) and rejects values no search can honor.
 func resolveOptions(opts []SearchOption) (searchConfig, error) {
-	cfg := searchConfig{kernel: KernelFastScan, nprobe: 1}
+	cfg := searchConfig{kernel: KernelFastScan}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.nprobe < 1 {
-		return cfg, fmt.Errorf("pqfastscan: nprobe must be positive, got %d", cfg.nprobe)
+	if cfg.err != nil {
+		return cfg, cfg.err
 	}
 	if cfg.model && cfg.kernel != KernelNaive {
 		return cfg, fmt.Errorf("pqfastscan: no search runs kernel %v on the instruction-counting model any more: it is internal/scan/model, driven by cmd/pqbench; drop the deprecated WithEngine", cfg.kernel)
 	}
-	if cfg.recallSet && (cfg.recall <= 0 || cfg.recall > 1) {
-		return cfg, fmt.Errorf("pqfastscan: target recall must be in (0, 1], got %g", cfg.recall)
-	}
 	return cfg, nil
 }
 
-// expandAuto runs the planner over the knobs the caller left open and
-// writes its decision into the configuration — the point where
-// WithAuto/WithTargetRecall become the concrete options an explicit
-// query would carry.
-func (ix *Index) expandAuto(cfg searchConfig, query []float32) searchConfig {
-	if !cfg.auto {
-		return cfg
+// reject records the first invalid option value; resolveOptions returns
+// it.
+func (c *searchConfig) reject(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	req := plan.Request{
-		Query:        query,
-		Recall:       cfg.recall,
-		PlanNProbe:   !cfg.nprobeSet && len(cfg.cells) == 0,
-		PlanParallel: !cfg.parallelSet,
-		FixedNProbe:  cfg.nprobe,
-		Cells:        cfg.cells,
-	}
-	d := plan.Decide(ix.load(), req)
-	if req.PlanNProbe {
-		cfg.nprobe = d.NProbe
-	}
-	if d.Parallel {
-		cfg.parallel = true
-	}
-	return cfg
 }
 
 func toSearchResult(r *index.Response, withStats bool) *SearchResult {

@@ -70,7 +70,6 @@ func TestComposedStagesEqualFacade(t *testing.T) {
 				slices.Reverse(unranked)
 				for name, opts := range map[string][]pqfastscan.SearchOption{
 					"sequential": {pqfastscan.WithNProbe(nprobe)},
-					"parallel":   {pqfastscan.WithNProbe(nprobe), pqfastscan.WithParallel()},
 					"cells":      {pqfastscan.WithCells(unranked...)},
 				} {
 					got, err := idx.Search(ctx, q, k, opts...)
