@@ -176,6 +176,25 @@ func TestDiskStoreBoundedResidency(t *testing.T) {
 	}
 }
 
+// TestDiskStoreExtentBytesPerRow: an extent stores each row once — 8
+// bytes of code and 8 of id in the base, 6 to 8 more packed in a block
+// (8 on this fixture's shallow grouping) — plus at most one cache line
+// of padding per section (codes, ids, blocks). The grouped layout's codes and ids are the base's own,
+// so they are not written a second time.
+func TestDiskStoreExtentBytesPerRow(t *testing.T) {
+	idx, _ := buildDiskTestIndex(t, 7171)
+	if err := idx.WithDiskStore(t.TempDir(), 8<<20); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := idx.StoreStats()
+	rows := int64(idx.Live())
+	headers := int64(3*64) * int64(idx.Partitions())
+	if st.ExtentBytes > 24*rows+headers {
+		t.Fatalf("extents hold %d bytes for %d rows (%.1f a row), want at most 24 a row plus %d of section padding",
+			st.ExtentBytes, rows, float64(st.ExtentBytes)/float64(rows), headers)
+	}
+}
+
 // TestDiskStoreWithWAL: durability and paging compose — a paged index
 // checkpoints through pinned captures and recovers to the same state.
 func TestDiskStoreWithWAL(t *testing.T) {

@@ -66,8 +66,9 @@ func Figure11Ablation(env *Env, w io.Writer) error {
 			q := env.Pool.Row(qi)
 			part := row.ix.RoutePartition(q)
 			t := row.ix.Tables(q, part)
-			p := row.ix.Parts()[part]
-			fs, err := scan.NewFastScan(p, HeadlineFastOpts(p.N, 100))
+			p := inBuildOrder(row.ix.Parts()[part])
+			opt := HeadlineFastOpts(p.N, 100)
+			fs, err := scan.NewFastScan(scan.Ordered(p, opt), opt)
 			if err != nil {
 				return err
 			}
@@ -93,7 +94,7 @@ func minTableGap(ix *index.Index, env *Env) float64 {
 		q := env.Queries.Row(qi)
 		part := ix.RoutePartition(q)
 		t := ix.Tables(q, part)
-		p := ix.Parts()[part]
+		p := inBuildOrder(ix.Parts()[part])
 		for j := 0; j < scan.M; j++ {
 			row := t.Row(j)
 			var mins [16]float32
@@ -204,12 +205,15 @@ func OrderingAblation(env *Env, w io.Writer) error {
 	return tw.Flush()
 }
 
-// MemoryFootprint reports the §4.2 packed-layout saving per partition.
+// MemoryFootprint reports the §4.2 packed-layout saving per partition,
+// and the bytes per vector the index holds for its rows: codes, ids and
+// packed blocks, the layout aliasing the codes and ids of the base.
 func MemoryFootprint(env *Env, w io.Writer) error {
 	tw := newTab(w)
 	fmt.Fprintf(tw, "partition\t# vectors\tc\trow-major bytes\tpacked bytes\tsaving %%\n")
-	var totPacked, totRow int
-	for part := range env.Index.Parts() {
+	var totPacked, totRow, rows int
+	for part, p := range env.Index.Parts() {
+		rows += p.N
 		fs, err := env.Index.FastScanner(part)
 		if err != nil {
 			return err
@@ -222,5 +226,13 @@ func MemoryFootprint(env *Env, w io.Writer) error {
 	}
 	fmt.Fprintf(tw, "total\t\t\t%d\t%d\t%.1f\n",
 		totRow, totPacked, 100*(1-float64(totPacked)/float64(totRow)))
-	return tw.Flush()
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	_, _, resident, err := env.Index.GroupedMemoryBytes()
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "resident bytes per vector (codes, ids, packed blocks): %.1f\n", float64(resident)/float64(rows))
+	return err
 }

@@ -13,7 +13,9 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,6 +76,11 @@ type Env struct {
 	Pool      vec.Matrix
 	poolRoute []int
 
+	// parts holds the index's partitions in the order Build made their
+	// rows in (inBuildOrder), the order every model scan and layout of
+	// the experiments starts from.
+	parts []*scan.Partition
+
 	mu       sync.Mutex
 	fastOpts map[fastKey]*scan.FastScan
 }
@@ -103,6 +110,9 @@ func NewEnv(s Scale) (*Env, error) {
 		return nil, fmt.Errorf("bench: building index: %w", err)
 	}
 	env.Index = ix
+	for _, p := range ix.Parts() {
+		env.parts = append(env.parts, inBuildOrder(p))
+	}
 	env.route = make([]int, s.QueryN)
 	env.tables = make([]quantizer.Tables, s.QueryN)
 	for i := 0; i < s.QueryN; i++ {
@@ -147,7 +157,8 @@ func (e *Env) QueryTables(i int) (part int, t quantizer.Tables) {
 }
 
 // FastScanner returns (and caches) a FastScan kernel for the partition
-// with explicit options.
+// with explicit options, over its rows in build order put in the order
+// those options read (scan.Ordered).
 func (e *Env) FastScanner(part int, opt scan.FastScanOptions) (*scan.FastScan, error) {
 	key := fastKey{part: part, keepPct: int(opt.Keep * 1e4), c: opt.GroupComponents, ordered: opt.OrderGroups}
 	e.mu.Lock()
@@ -155,12 +166,32 @@ func (e *Env) FastScanner(part int, opt scan.FastScanOptions) (*scan.FastScan, e
 	if fs, ok := e.fastOpts[key]; ok {
 		return fs, nil
 	}
-	fs, err := scan.NewFastScan(e.Index.Parts()[part], opt)
+	fs, err := scan.NewFastScan(scan.Ordered(e.parts[part], opt), opt)
 	if err != nil {
 		return nil, err
 	}
 	e.fastOpts[key] = fs
 	return fs, nil
+}
+
+// inBuildOrder returns a copy of p, a tombstone-free partition of an
+// index.Build, with its rows in the order Build made them in: ascending
+// id. The index keeps each base in the order its own Fast Scan options
+// read, so a layout under other options, built from that order, would
+// keep other rows in its keep region than one built at Build time.
+func inBuildOrder(p *scan.Partition) *scan.Partition {
+	rows := make([]int, p.N)
+	for i := range rows {
+		rows[i] = i
+	}
+	slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(p.ID(a), p.ID(b)) })
+	codes := make([]uint8, 0, p.N*p.W)
+	ids := make([]int64, 0, p.N)
+	for _, i := range rows {
+		codes = append(codes, p.Code(i)...)
+		ids = append(ids, p.ID(i))
+	}
+	return scan.NewPartitionW(codes, ids, p.W)
 }
 
 // ScanOutcome is one kernel execution's record.
@@ -182,7 +213,7 @@ func (e *Env) scan(kernel model.Kernel, part int, t quantizer.Tables, k int, fsO
 		}
 	}
 	start := time.Now()
-	res, stats, err := model.Run(kernel, e.Index.Parts()[part], fs, t, k, fsOpt.Keep)
+	res, stats, err := model.Run(kernel, e.parts[part], fs, t, k, fsOpt.Keep)
 	return ScanOutcome{Results: res, Stats: stats, Measured: time.Since(start)}, err
 }
 

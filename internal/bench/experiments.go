@@ -506,7 +506,7 @@ func Figure20(env *Env, w io.Writer) error {
 	fmt.Fprintf(tw, "mean response time [ms, %s]\tlibpq\t%.2f\n", archB.Name, libpqMs/nq)
 	fmt.Fprintf(tw, "\tfastpq\t%.2f\n", fastMs/nq)
 
-	packed, rowMajor, err := env.Index.GroupedMemoryBytes()
+	packed, rowMajor, _, err := env.Index.GroupedMemoryBytes()
 	if err != nil {
 		return err
 	}

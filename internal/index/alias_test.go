@@ -1,0 +1,144 @@
+package index
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"pqfastscan/internal/dataset"
+	"pqfastscan/internal/scan"
+)
+
+// checkAliasesBase fails unless fs's grouped codes and ids are p's base
+// arrays from the keep split on — the same memory, not a copy — and
+// ordering a tail-free p again hands back p itself.
+func checkAliasesBase(t *testing.T, tag string, p *scan.Partition, fs *scan.FastScan, opt scan.FastScanOptions) {
+	t.Helper()
+	base, _ := p.Segments()
+	g, keep := fs.Grouped(), fs.KeepN()
+	if g.N == 0 || g.N != base.N-keep {
+		t.Fatalf("%s: layout groups %d rows of a base of %d (keep %d)", tag, g.N, base.N, keep)
+	}
+	if unsafe.SliceData(g.Codes) != &base.Codes[keep*scan.M] || len(g.Codes) != g.N*scan.M {
+		t.Fatalf("%s: grouped codes are not the base's", tag)
+	}
+	if unsafe.SliceData(g.IDs) != &base.IDs[keep] || len(g.IDs) != g.N {
+		t.Fatalf("%s: grouped ids are not the base's", tag)
+	}
+	if p.Tail() == 0 && scan.Ordered(p, opt) != p {
+		t.Fatalf("%s: ordering an ordered base is not the identity", tag)
+	}
+}
+
+// checkEpochsAliasBase runs checkAliasesBase on every epoch of ix's
+// current snapshot, building the layouts of RAM epochs that have none
+// and hydrating those of paged ones under a pin.
+func checkEpochsAliasBase(t *testing.T, ix *Index, tag string) {
+	t.Helper()
+	for c, pe := range ix.snap.Load().Parts {
+		tag := fmt.Sprintf("%s, partition %d", tag, c)
+		if pe.paged != nil {
+			p, fs, release, err := pe.paged.view(pe, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAliasesBase(t, tag, p, fs, ix.opt.FastScan)
+			release()
+			continue
+		}
+		fs, err := pe.FastScanner(ix.opt.FastScan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAliasesBase(t, tag, pe.Part, fs, ix.opt.FastScan)
+	}
+}
+
+// TestLayoutAliasesBase: wherever a base is born — Build, Restore of
+// rows in id order (the order files were written in before bases were
+// kept in layout order), a fold, a compaction — the Fast Scan layout
+// over it aliases its codes and ids instead of copying them, and so
+// does a restricted index's and a paged epoch's hydrated one.
+func TestLayoutAliasesBase(t *testing.T) {
+	gen := dataset.NewGenerator(dataset.Config{Seed: 5, Dim: 32})
+	learn, base := gen.Generate(1500), gen.Generate(3000)
+	opt := DefaultOptions()
+	opt.Partitions = 2
+	opt.Seed = 5
+	ix, err := Build(learn, base, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEpochsAliasBase(t, ix, "build")
+
+	// Every row of a build moves to its group: the keep region aside,
+	// the ids of a base are not in the ascending order Build made them in.
+	inIDOrder := make([]*scan.Partition, ix.Partitions())
+	for c, p := range ix.Parts() {
+		ids := make([]int64, p.N)
+		for i := range ids {
+			ids[i] = p.ID(i)
+		}
+		if slices.IsSorted(ids) {
+			t.Fatalf("partition %d: a built base is still in id order", c)
+		}
+		perm := make([]int, p.N)
+		for i := range perm {
+			perm[i] = i
+		}
+		slices.SortFunc(perm, func(a, b int) int { return int(ids[a] - ids[b]) })
+		codes := make([]uint8, 0, p.N*scan.M)
+		for _, i := range perm {
+			codes = append(codes, p.Code(i)...)
+		}
+		slices.Sort(ids)
+		inIDOrder[c] = scan.NewPartition(codes, ids)
+	}
+	restored := Restore(ix.Dim, ix.Coarse, ix.PQ, inIDOrder, ix.opt, ix.NextID())
+	checkEpochsAliasBase(t, restored, "restore")
+	for c, p := range restored.Parts() {
+		want := ix.Parts()[c]
+		if !slices.Equal(p.FlatCodes(), want.FlatCodes()) {
+			t.Fatalf("partition %d: restoring rows in id order does not give the built base", c)
+		}
+	}
+
+	// A fold: enough rows that both tails reach foldTail.
+	if _, err := ix.Add(gen.Generate(3 * foldTail)); err != nil {
+		t.Fatal(err)
+	}
+	for c, st := range ix.PartitionStats() {
+		if st.Tail >= foldTail {
+			t.Fatalf("partition %d: a tail of %d was not folded", c, st.Tail)
+		}
+	}
+	checkEpochsAliasBase(t, ix, "fold")
+
+	for id := int64(0); id < 3000; id += 7 {
+		if err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c := range ix.Partitions() {
+		if _, err := ix.CompactPartition(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkEpochsAliasBase(t, ix, "compaction")
+
+	shard, err := ix.RestrictCells([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := shard.FastScanner(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAliasesBase(t, "restricted cell 1", shard.snap.Load().Parts[1].Part, fs, ix.opt.FastScan)
+
+	if err := restored.AttachStore(t.TempDir(), 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	checkEpochsAliasBase(t, restored, "paged")
+}

@@ -73,6 +73,11 @@ func FuzzBaseTailIdentity(f *testing.F) {
 	// paged, a compaction between them).
 	f.Add([]byte{0, 1, 80, 4, 0, 4, 2, 4, 4, 4, 1, 4, 3, 4, 5, 1, 255, 1, 255, 1, 255, 4, 4, 4, 5})
 	f.Add([]byte{1, 1, 80, 4, 0, 4, 2, 4, 4, 4, 1, 4, 3, 4, 5, 1, 255, 1, 255, 1, 255, 3, 1, 4, 2})
+	// RAM, then paged: three batches fold both tails, then deletes of
+	// ex-tail rows (moved into their groups by the fold), of grouped
+	// base rows (moved behind them) and of keep rows (not moved).
+	f.Add([]byte{0, 1, 255, 1, 255, 1, 255, 4, 4, 4, 5, 4, 2, 4, 3, 4, 0, 4, 1, 2, 77})
+	f.Add([]byte{1, 1, 255, 1, 255, 1, 255, 4, 4, 4, 5, 4, 2, 4, 3, 4, 0, 4, 1, 2, 77})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -129,7 +134,10 @@ func FuzzBaseTailIdentity(f *testing.F) {
 				}
 				i := arg * 7919 % n
 				if op == 4 {
-					// live[c] is in row order: first, middle, last.
+					// live[c] is in arrival order: its first row is in the
+					// keep region, its middle one grouped, its last one in
+					// the tail or, once a fold has moved it, an ex-tail row
+					// in its group.
 					i = []int{0, n / 2, n - 1}[arg/len(live)%3]
 				}
 				if err := ix.Delete(live[c][i].id); err != nil {
@@ -147,26 +155,48 @@ func FuzzBaseTailIdentity(f *testing.F) {
 }
 
 // checkAgainstRebuild holds ix to an index restored from the rows in
-// live, and its Fast Scan counters to the model's.
+// live, its dead bits to the rows live says were deleted, and its Fast
+// Scan counters to the model's.
 func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.Matrix, tag string) {
 	t.Helper()
 	ctx := context.Background()
+	s := ix.snap.Load()
 	rebuilt := make([]*scan.Partition, len(live))
 	for c, rows := range live {
 		codes := make([]uint8, 0, len(rows)*scan.M)
 		ids := make([]int64, 0, len(rows))
+		want := make(map[int64][scan.M]uint8, len(rows))
 		for _, r := range rows {
 			codes = append(codes, r.code[:]...)
 			ids = append(ids, r.id)
+			want[r.id] = r.code
 		}
 		rebuilt[c] = scan.NewPartition(codes, ids)
-		if st := ix.PartitionStats()[c]; st.Live != len(rows) {
-			t.Fatalf("%s: partition %d holds %d live rows, want %d", tag, c, st.Live, len(rows))
+
+		// Row by row: a live row holds a live id and its code, a dead row
+		// an id that was deleted — so a Delete tombstoned the row its id
+		// had moved to, wherever a fold put it.
+		p, release, err := s.Parts[c].rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for i := 0; i < p.N; i++ {
+			code, ok := want[p.ID(i)]
+			if p.DeadAt(i) == ok || ok && code != [scan.M]uint8(p.Code(i)) {
+				t.Fatalf("%s: partition %d row %d (id %d, dead %v) disagrees with the live rows", tag, c, i, p.ID(i), p.DeadAt(i))
+			}
+			if ok {
+				n++
+			}
+		}
+		release()
+		if n != len(rows) {
+			t.Fatalf("%s: partition %d holds %d live rows, want %d", tag, c, n, len(rows))
 		}
 	}
 	ref := Restore(ix.Dim, ix.Coarse, ix.PQ, rebuilt, ix.opt, ix.NextID())
 
-	s := ix.snap.Load()
 	for qi := 0; qi < queries.Rows(); qi++ {
 		q := queries.Row(qi)
 		want, err := ref.Query(ctx, Request{Query: q, K: 20, Kernel: KernelNaive, NProbe: len(live)})

@@ -103,16 +103,18 @@ func (ix *Index) CompactPartition(c int) (CompactionResult, error) {
 }
 
 // rebuild gives partition c a new base — cur's rows, base and tail, in
-// one row-major run (without the tombstoned ones when dropDead), a Fast
-// Scan layout built over them from scratch and, on a paged index, one
-// new extent holding both — and publishes it as c's next epoch. The
-// layout is built eagerly, off the serving path, when cur had one and
-// always on a paged index, whose extent must carry the grouped sections
-// or later Fast Scan queries would have nothing to pin; it derives its
-// lane bits from the new base's row bits. A fold keeps every row at its
-// position and with its dead bit; dropping the dead rows renumbers the
-// rest, so their ids are registered again in the locate map. The caller
-// holds ix.partMu[c]. On an error nothing is published and cur stays.
+// one row-major run (without the tombstoned ones when dropDead) put in
+// Fast Scan order, a Fast Scan layout built over it from scratch and,
+// on a paged index, one new extent holding both — and publishes it as
+// c's next epoch. The layout is built eagerly, off the serving path,
+// when cur had one and always on a paged index, whose extent must carry
+// the packed blocks or later Fast Scan queries would have nothing to
+// pin; it derives its lane bits from the new base's row bits. Ordering
+// moves rows — a fold's tail rows join their groups, and the rows
+// behind them shift — carrying each dead bit with its row; dropping
+// the dead rows renumbers the rest. Either way every row's id is
+// registered again in the locate map. The caller holds ix.partMu[c].
+// On an error nothing is published and cur stays.
 func (ix *Index) rebuild(c int, cur *PartEpoch, dropDead bool) (*PartEpoch, error) {
 	p, release, err := cur.rows()
 	if err != nil {
@@ -127,6 +129,7 @@ func (ix *Index) rebuild(c int, cur *PartEpoch, dropDead bool) (*PartEpoch, erro
 		next = p.Flatten()
 	}
 	release()
+	next = scan.Ordered(next, ix.opt.FastScan)
 	pe := &PartEpoch{Part: next, Epoch: ix.epoch.Add(1)}
 	var fast *scan.FastScan
 	if next.W == layout.M && (ix.pg != nil || cur.fast.Load() != nil) {
@@ -146,9 +149,7 @@ func (ix *Index) rebuild(c int, cur *PartEpoch, dropDead bool) (*PartEpoch, erro
 		pe.fast.Store(fast)
 	}
 	ix.publishAt(c, pe)
-	if dropDead {
-		ix.register(c, next, 0)
-	}
+	ix.register(c, next, 0)
 	return pe, nil
 }
 

@@ -147,7 +147,7 @@ type Index struct {
 	// nextID is the id allocator; Add reserves contiguous blocks.
 	nextID atomic.Int64
 	// locate maps live id -> packLoc(cell, row) for Delete routing.
-	// Built lazily on first Delete, maintained by Add and compaction
+	// Built lazily on first Delete, maintained by Add and rebuild
 	// under the cell's builder lock; guarded by locateMu (a mutation-path
 	// lock — queries never touch it), always taken after partMu[c].
 	locateMu sync.Mutex
@@ -460,28 +460,38 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 	}
 }
 
-// GroupedMemoryBytes returns the packed grouped-layout footprint across
-// all partitions (Figure 20's memory-use comparison) along with the
-// row-major baseline.
-func (ix *Index) GroupedMemoryBytes() (packed, rowMajor int, err error) {
+// GroupedMemoryBytes returns, across all partitions, the packed
+// grouped-layout footprint (Figure 20's memory-use comparison) along
+// with the row-major baseline, and the bytes the index holds for its
+// rows: codes, ids and packed blocks, each stored once (the layout
+// aliases the base's codes and ids).
+func (ix *Index) GroupedMemoryBytes() (packed, rowMajor, resident int, err error) {
 	s := ix.snap.Load()
 	for _, pe := range s.Parts {
+		var p, r, h int
 		if pe.paged != nil {
-			p, r, err := ix.groupedFootprint(pe)
-			if err != nil {
-				return 0, 0, err
+			if p, r, h, err = ix.groupedFootprint(pe); err != nil {
+				return 0, 0, 0, err
 			}
-			packed += p
-			rowMajor += r
-			continue
+		} else {
+			fs, err := pe.FastScanner(ix.opt.FastScan)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			p, r, h = footprint(fs)
 		}
-		fs, err := pe.FastScanner(ix.opt.FastScan)
-		if err != nil {
-			return 0, 0, err
-		}
-		g := fs.Grouped()
-		packed += g.PackedBytes() + fs.PlainScanned()*layout.M
-		rowMajor += g.RowMajorBytes() + fs.PlainScanned()*layout.M
+		packed += p
+		rowMajor += r
+		resident += h
 	}
-	return packed, rowMajor, nil
+	return packed, rowMajor, resident, nil
+}
+
+// footprint returns one readable layout's share of GroupedMemoryBytes.
+func footprint(fs *scan.FastScan) (packed, rowMajor, resident int) {
+	g := fs.Grouped()
+	plain := fs.PlainScanned() * layout.M
+	base, tail := fs.Partition().Segments()
+	resident = len(base.Codes) + 8*len(base.IDs) + len(tail.Codes) + 8*len(tail.IDs) + g.PackedBytes()
+	return g.PackedBytes() + plain, g.RowMajorBytes() + plain, resident
 }

@@ -255,7 +255,7 @@ func TestKernelString(t *testing.T) {
 
 func TestGroupedMemoryBytes(t *testing.T) {
 	ix, base, _ := sharedIndex(t)
-	packed, rowMajor, err := ix.GroupedMemoryBytes()
+	packed, rowMajor, resident, err := ix.GroupedMemoryBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +264,19 @@ func TestGroupedMemoryBytes(t *testing.T) {
 	}
 	if packed >= rowMajor {
 		t.Fatalf("packed layout (%d) not smaller than row-major (%d)", packed, rowMajor)
+	}
+	// Codes and ids once (8 + 8 bytes a row) plus the packed blocks: a
+	// layout holding codes and ids of its own would add 16 more.
+	want := 16 * base.Rows()
+	for c := range ix.Parts() {
+		fs, err := ix.FastScanner(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += fs.Grouped().PackedBytes()
+	}
+	if resident != want {
+		t.Fatalf("resident bytes %d, want %d (%.1f a row)", resident, want, float64(resident)/float64(base.Rows()))
 	}
 }
 

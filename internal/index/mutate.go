@@ -148,9 +148,8 @@ func (ix *Index) ApplyAdd(cells []int, ids []int64, codes []uint8) error {
 		cur := ix.snap.Load().Parts[c]
 		pe := ix.publishAt(c, ix.successor(cur, cur.Part.CloneAppend(chunks[c].codes, chunks[c].ids), cur.fast.Load(), -1))
 		// Register the rows for Delete routing before the builder lock is
-		// released, so no compaction can renumber them first. A fold
-		// keeps every row's position, so the registration holds whether
-		// or not the fold below happens.
+		// released, so no rebuild can move them first. A fold below
+		// moves rows and registers every row again itself.
 		//
 		// Contract: an id is guaranteed Delete-routable once Add returns
 		// it. A Delete racing the very Add that creates its id — possible
@@ -181,7 +180,7 @@ func unpackLoc(l int64) (c, row int) { return int(l >> 32), int(uint32(l)) }
 // in the locate map, if it has been built. The caller holds
 // ix.partMu[c] (lock order: partMu[c], then locateMu) and p is c's
 // latest epoch, or about to be published as it: positions are stable
-// only while nothing can compact the partition.
+// only while nothing can rebuild the partition.
 func (ix *Index) register(c int, p *scan.Partition, from int) {
 	ix.locateMu.Lock()
 	defer ix.locateMu.Unlock()
@@ -204,16 +203,16 @@ func (ix *Index) register(c int, p *scan.Partition, from int) {
 // ErrNotFound when the id was never assigned or is no longer live.
 //
 // The locate map gives the id's cell and row. The row is read again
-// under the cell's builder lock, which a compaction — the only thing
-// that renumbers rows — also holds while it re-registers them; a row
-// read before the lock could be one a compaction has since given to
-// another id.
+// under the cell's builder lock, which a rebuild — a fold or a
+// compaction, the only things that move rows — also holds while it
+// re-registers them; a row read before the lock could be one a rebuild
+// has since given to another id.
 func (ix *Index) Delete(id int64) error {
 	ix.locateMu.Lock()
 	if ix.locate == nil {
 		// First Delete: build the id -> (cell, row) routing table from
 		// the current snapshot. Rows published after this load are
-		// registered by their Add or compaction.
+		// registered by their Add or rebuild.
 		ix.locate = make(map[int64]int64)
 		for c, pe := range ix.snap.Load().Parts {
 			// Stubs carry no base id array — the extent stays pinned for
@@ -262,18 +261,15 @@ func (ix *Index) Delete(id int64) error {
 
 // tombstoned returns the successor of cur with the row at position row,
 // which must hold id, tombstoned. A paged epoch's extent is pinned for
-// the check and for finding the row's lane.
+// the check; the row's lane follows from the layout's group directory,
+// which a stub keeps resident.
 func (ix *Index) tombstoned(cur *PartEpoch, row int, id int64) (*PartEpoch, error) {
 	fs := cur.fast.Load() // once: the lane must be found in the layout that is rebound
-	p, view := cur.Part, fs
-	if cur.paged != nil {
-		hp, hfs, release, err := cur.paged.view(cur, fs != nil)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		p, view = hp, hfs
+	p, release, err := cur.rows()
+	if err != nil {
+		return nil, err
 	}
+	defer release()
 	if row >= p.N {
 		return nil, fmt.Errorf("locate names row %d of %d", row, p.N)
 	}
@@ -285,8 +281,8 @@ func (ix *Index) tombstoned(cur *PartEpoch, row int, id int64) (*PartEpoch, erro
 		return nil, fmt.Errorf("locate names row %d, which is already dead", row)
 	}
 	lane := -1
-	if view != nil {
-		lane = view.Lane(row)
+	if fs != nil {
+		lane = fs.Lane(row)
 	}
 	return ix.successor(cur, next, fs, lane), nil
 }

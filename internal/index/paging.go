@@ -1,13 +1,14 @@
 // Beyond-RAM serving: disk-resident partition extents behind an
 // epoch-aware buffer pool (DESIGN.md §15).
 //
-// AttachStore seals every partition epoch's base — row-major codes,
-// materialized ids, and the Fast Scan grouped layout's packed blocks,
-// grouped codes and grouped ids — into one immutable extent file per
-// base, and replaces the snapshot's epochs with stubs: RAM-resident
-// metadata (row counts, dead bits, the group directory, the tail
-// of rows appended since the base was built) whose base slices are
-// nil. A probe that visits a partition pins its extent in the buffer
+// AttachStore seals every partition epoch's base — row-major codes in
+// Fast Scan order, their ids, and the grouped layout's packed blocks
+// (the layout's codes and ids are the base's own, so they are not
+// written twice) — into one immutable extent file per base, and
+// replaces the snapshot's epochs with stubs: RAM-resident metadata
+// (row counts, dead bits, the group directory, the tail of rows
+// appended since the base was built) whose base slices are nil. A
+// probe that visits a partition pins its extent in the buffer
 // pool, hydrates transient shallow views over the pinned payload, scans
 // them exactly as it would RAM-resident slices — the payload buffer is
 // 64-byte aligned and sections are 64-byte aligned within it, so the
@@ -32,6 +33,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -39,7 +41,6 @@ import (
 	"pqfastscan/internal/bufpool"
 	"pqfastscan/internal/extent"
 	"pqfastscan/internal/fsio"
-	"pqfastscan/internal/layout"
 	"pqfastscan/internal/scan"
 )
 
@@ -122,9 +123,8 @@ type pagedExtent struct {
 	name  string
 	bytes int64
 
-	codes, ids           pspan
-	blocks, gcodes, gids pspan
-	hasIDs, hasFast      bool
+	codes, ids, blocks pspan
+	hasIDs, hasFast    bool
 }
 
 // view pins the extent and returns hydrated shallow views over the
@@ -147,9 +147,7 @@ func (x *pagedExtent) view(pe *PartEpoch, needFast bool) (*scan.Partition, *scan
 	p := pe.Part.Hydrate(sec(x.codes), ids)
 	var fs *scan.FastScan
 	if needFast {
-		stub := pe.fast.Load()
-		g := stub.Grouped().Hydrate(sec(x.blocks), sec(x.gcodes), extent.BytesInt64(sec(x.gids)))
-		fs = stub.Hydrate(p, g)
+		fs = pe.fast.Load().Hydrate(p, sec(x.blocks))
 	}
 	release := func() { x.pg.pool.Unpin(x.name) }
 	return p, fs, release, nil
@@ -176,10 +174,7 @@ func (pg *Paging) writeExtent(name string, part *scan.Partition, fast *scan.Fast
 	}
 	if fast != nil {
 		x.hasFast = true
-		g := fast.Grouped()
-		x.blocks = add("blocks", g.Blocks)
-		x.gcodes = add("gcodes", g.Codes)
-		x.gids = add("gids", extent.Int64Bytes(g.IDs))
+		x.blocks = add("blocks", fast.Grouped().Blocks)
 	}
 	n, err := pg.store.Write(name, &b)
 	if err != nil {
@@ -329,26 +324,27 @@ func (ix *Index) StoreStats() (StoreStats, bool) {
 }
 
 // materializePart returns a RAM-resident copy of a paged epoch's
-// partition (one fresh base, shared dead bits) — the bridge for
-// offline tooling (Parts, FastScanner) that expects partition data
-// without pin lifetimes.
+// partition — its base copied out of the pinned frame, its tail and
+// dead bits shared — the bridge for offline tooling (Parts,
+// FastScanner) that expects partition data without pin lifetimes.
 func (ix *Index) materializePart(pe *PartEpoch) (*scan.Partition, error) {
 	p, release, err := pe.rows()
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	return p.Flatten(), nil
+	base, _ := p.Segments()
+	return pe.Part.Hydrate(slices.Clone(base.Codes), slices.Clone(base.IDs)), nil
 }
 
-// groupedFootprint computes one paged epoch's packed/row-major byte
-// counts under a transient pin.
-func (ix *Index) groupedFootprint(pe *PartEpoch) (packed, rowMajor int, err error) {
+// groupedFootprint computes one paged epoch's share of
+// GroupedMemoryBytes under a transient pin.
+func (ix *Index) groupedFootprint(pe *PartEpoch) (packed, rowMajor, resident int, err error) {
 	_, fs, release, err := pe.paged.view(pe, true)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer release()
-	g := fs.Grouped()
-	return g.PackedBytes() + fs.PlainScanned()*layout.M, g.RowMajorBytes() + fs.PlainScanned()*layout.M, nil
+	packed, rowMajor, resident = footprint(fs)
+	return packed, rowMajor, resident, nil
 }

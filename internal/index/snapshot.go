@@ -29,10 +29,11 @@ import (
 
 // PartEpoch is one published, immutable version of a partition. Part is
 // sealed: no code path mutates a partition reachable from a snapshot.
-// The Fast Scan layout rides along with the epoch — it is built from a
-// prefix of Part's rows and bound to Part, so it can never describe any
-// other version — which is what makes stale scanners unreachable:
-// replacing the epoch replaces the scanner with it.
+// The Fast Scan layout rides along with the epoch — it is built over
+// Part's base, whose codes and ids it aliases, and bound to Part, so it
+// can never describe any other version — which is what makes stale
+// scanners unreachable: replacing the epoch replaces the scanner with
+// it.
 type PartEpoch struct {
 	// Part holds the sealed codes, ids and dead bits of this epoch.
 	Part *scan.Partition
@@ -161,12 +162,15 @@ func (ix *Index) Parts() []*scan.Partition {
 }
 
 // install seeds the snapshot with freshly built partitions (Build and
-// Restore). Not safe under concurrent use; callers own the index
-// exclusively at that point.
+// Restore), each base put in Fast Scan order (scan.Ordered) so the
+// layout built over it aliases its codes and ids — whatever order a
+// file was written in; a base already in order, as every one this
+// version saves is, is installed as it is. Not safe under concurrent
+// use; callers own the index exclusively at that point.
 func (ix *Index) install(parts []*scan.Partition) {
 	pes := make([]*PartEpoch, len(parts))
 	for i, p := range parts {
-		pes[i] = &PartEpoch{Part: p, Epoch: ix.epoch.Add(1)}
+		pes[i] = &PartEpoch{Part: scan.Ordered(p, ix.opt.FastScan), Epoch: ix.epoch.Add(1)}
 	}
 	ix.partMu = make([]sync.Mutex, len(parts))
 	ix.snap.Store(&Snapshot{Parts: pes})

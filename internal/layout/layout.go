@@ -161,12 +161,16 @@ type Group struct {
 	NibbleMask [MaxGroupComponents]uint16
 }
 
-// Grouped is the PQ Fast Scan database layout.
+// Grouped is the PQ Fast Scan database layout. It reorganises a run of
+// rows that is already in group-key order (GroupOrder): Codes and IDs
+// are that run itself, aliased, not copied — in the index, the grouped
+// part of a partition base — and Blocks is the packed form of the same
+// rows, the only bytes the layout adds.
 type Grouped struct {
 	N      int
 	C      int     // number of grouped components (0..4)
-	IDs    []int64 // original vector id of each grouped position
-	Codes  []uint8 // row-major codes in grouped order (exact re-check path)
+	IDs    []int64 // id of each grouped position: the caller's run, aliased
+	Codes  []uint8 // row-major code of each grouped position (exact re-check path): the caller's run, aliased
 	Groups []Group
 	Blocks []uint8 // packed blocks, BlockBytes(C) each, grouped order
 
@@ -181,109 +185,101 @@ const (
 	padByte   = 0xff
 )
 
-// NewGrouped builds the grouped layout from row-major codes and their
-// original ids, grouping on the first c components. ids may be nil, in
-// which case positions 0..n-1 are used.
-func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
-	g, _, err := NewGroupedTracking(codes, ids, c, nil)
-	return g, err
+// groupKey returns the group key of a code on c components: the high
+// nibbles of components 0..c-1, first component most significant
+// (keys < 16^c <= 65 536, so a uint16 holds one).
+func groupKey(code []uint8, c int) uint16 {
+	var k uint16
+	for j := 0; j < c; j++ {
+		k = k<<4 | uint16(code[j]>>4)
+	}
+	return k
 }
 
-// NewGroupedTracking is NewGrouped that also reports where the sort put
-// the source rows listed in track (ascending indexes into codes):
-// tracked[i] is the grouped position of row track[i]. The counting sort
-// has every row's destination in hand, so this costs one comparison per
-// row.
-func NewGroupedTracking(codes []uint8, ids []int64, c int, track []int) (g *Grouped, tracked []int, err error) {
+// GroupOrder returns the stable permutation that puts the rows of codes
+// in group-key order on c components (0 <= c <= MaxGroupComponents):
+// row i of the ordered run is row perm[i] of codes, and rows with equal
+// keys keep their relative order. It returns nil when codes are already
+// in that order, so ordering an ordered run costs one pass and no copy.
+func GroupOrder(codes []uint8, c int) []int {
+	n := len(codes) / M
+	sorted := true
+	for i := 1; i < n && sorted; i++ {
+		sorted = groupKey(codes[(i-1)*M:], c) <= groupKey(codes[i*M:], c)
+	}
+	if sorted {
+		return nil
+	}
+	// Stable counting sort on the key: next[k] is the ordered position
+	// of key k's next row.
+	next := make([]int, pow16(c)+1)
+	for i := 0; i < n; i++ {
+		next[int(groupKey(codes[i*M:], c))+1]++
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	perm := make([]int, n)
+	for i := 0; i < n; i++ {
+		k := groupKey(codes[i*M:], c)
+		perm[next[k]] = i
+		next[k]++
+	}
+	return perm
+}
+
+// NewGrouped builds the grouped layout over a run of row-major codes
+// already in group-key order on the first c components (GroupOrder
+// returns nil for it) and their ids, one per row. Codes and ids are
+// aliased, never copied: the layout adds only its group directory and
+// packed blocks. A run out of order is an error.
+func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 	if c < 0 || c > MaxGroupComponents {
-		return nil, nil, fmt.Errorf("layout: grouping components %d out of range [0,4]", c)
+		return nil, fmt.Errorf("layout: grouping components %d out of range [0,4]", c)
 	}
 	if len(codes)%M != 0 {
-		return nil, nil, fmt.Errorf("layout: code array length %d not a multiple of %d", len(codes), M)
+		return nil, fmt.Errorf("layout: code array length %d not a multiple of %d", len(codes), M)
 	}
 	n := len(codes) / M
-	if ids != nil && len(ids) != n {
-		return nil, nil, fmt.Errorf("layout: %d ids for %d vectors", len(ids), n)
+	if len(ids) != n {
+		return nil, fmt.Errorf("layout: %d ids for %d vectors", len(ids), n)
 	}
+	g := &Grouped{N: n, C: c, IDs: ids, Codes: codes, blockBytes: BlockBytes(c)}
 
-	// Stable counting sort on the group key (keys < 16^c <= 65 536, so a
-	// uint16 holds one): within a group, vectors keep their database
-	// order. first[k] is the grouped position of key k's first vector.
-	keys := make([]uint16, n)
-	first := make([]int, pow16(c)+1)
-	for i := range keys {
-		var k uint16
-		for j := 0; j < c; j++ {
-			k = k<<4 | uint16(codes[i*M+j]>>4)
+	// One group per run of equal keys, in key order.
+	totalBlocks := 0
+	for start := 0; start < n; {
+		k := groupKey(codes[start*M:], c)
+		end := start + 1
+		for end < n && groupKey(codes[end*M:], c) == k {
+			end++
 		}
-		keys[i] = k
-		first[int(k)+1]++
-	}
-	for k := 1; k < len(first); k++ {
-		first[k] += first[k-1]
-	}
-
-	g = &Grouped{
-		N:          n,
-		C:          c,
-		IDs:        make([]int64, n),
-		Codes:      make([]uint8, n*M),
-		blockBytes: BlockBytes(c),
-	}
-	if len(track) > 0 {
-		tracked = make([]int, 0, len(track))
-	}
-	next := append([]int(nil), first[:len(first)-1]...)
-	for src, k := range keys {
-		p := next[k]
-		next[k]++
-		if len(tracked) < len(track) && track[len(tracked)] == src {
-			tracked = append(tracked, p)
+		if end < n && groupKey(codes[end*M:], c) < k {
+			return nil, fmt.Errorf("layout: row %d is out of group-key order", end)
 		}
-		if ids != nil {
-			g.IDs[p] = ids[src]
-		} else {
-			g.IDs[p] = int64(src)
-		}
-		copy(g.Codes[p*M:(p+1)*M], codes[src*M:(src+1)*M])
-	}
-	if len(tracked) != len(track) {
-		return nil, nil, fmt.Errorf("layout: tracked rows not ascending indexes below %d", n)
-	}
-
-	// One group per key that occurs, in key order.
-	for k := 0; k+1 < len(first); k++ {
-		start, end := first[k], first[k+1]
-		if start == end {
-			continue
-		}
-		grp := Group{Start: start, Count: end - start}
+		grp := Group{Start: start, Count: end - start, BlockStart: totalBlocks}
+		grp.BlockCount = (grp.Count + BlockVectors - 1) / BlockVectors
+		totalBlocks += grp.BlockCount
 		for j, kk := c-1, k; j >= 0; j-- {
 			grp.Key[j] = uint8(kk & 0x0f)
 			kk >>= 4
 		}
 		for pos := start; pos < end; pos++ {
 			for j := 0; j < c; j++ {
-				grp.NibbleMask[j] |= 1 << (g.Codes[pos*M+j] & 0x0f)
+				grp.NibbleMask[j] |= 1 << (codes[pos*M+j] & 0x0f)
 			}
 		}
 		g.Groups = append(g.Groups, grp)
+		start = end
 	}
 
-	// Pack blocks group by group.
-	totalBlocks := 0
-	for i := range g.Groups {
-		g.Groups[i].BlockStart = totalBlocks
-		g.Groups[i].BlockCount = (g.Groups[i].Count + BlockVectors - 1) / BlockVectors
-		totalBlocks += g.Groups[i].BlockCount
-	}
 	g.Blocks = AlignedBytes(totalBlocks*g.blockBytes, 0)
 	for _, grp := range g.Groups {
 		for b := 0; b < grp.BlockCount; b++ {
 			g.packBlock(grp, b)
 		}
 	}
-	return g, tracked, nil
+	return g, nil
 }
 
 // Lane returns the block lane of grouped position pos: its block's
@@ -345,7 +341,8 @@ func (g *Grouped) Detach() *Grouped {
 }
 
 // Hydrate returns a shallow copy of the stub with the bulk data slices
-// attached — typically aliases into a pinned buffer-pool frame. The
+// attached — typically aliases into a pinned buffer-pool frame: the
+// packed blocks, and codes and ids from the same run Detach dropped. The
 // copy is a transient view: it is valid exactly as long as the pin is
 // held, and the receiver stub is never mutated, so concurrent probes
 // can hydrate the same stub against the same frame. Hydrate panics on

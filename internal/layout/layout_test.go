@@ -19,6 +19,29 @@ func randomCodes(n int, seed uint64) []uint8 {
 	return codes
 }
 
+// groupedOf puts codes (and ids; positions when nil) in group-key order
+// with GroupOrder, in fresh arrays, and builds the layout over them.
+func groupedOf(codes []uint8, ids []int64, c int) (*Grouped, error) {
+	n := len(codes) / M
+	if ids == nil {
+		ids = make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+	}
+	perm := GroupOrder(codes, c)
+	oc, oi := make([]uint8, 0, len(codes)), make([]int64, 0, n)
+	for i := 0; i < n; i++ {
+		src := i
+		if perm != nil {
+			src = perm[i]
+		}
+		oc = append(oc, codes[src*M:(src+1)*M]...)
+		oi = append(oi, ids[src])
+	}
+	return NewGrouped(oc, oi, c)
+}
+
 func TestBlockBytes(t *testing.T) {
 	cases := map[int]int{0: 128, 1: 120, 2: 112, 3: 104, 4: 96}
 	for c, want := range cases {
@@ -96,7 +119,7 @@ func TestTransposedRoundtrip(t *testing.T) {
 func TestGroupedInvariants(t *testing.T) {
 	for _, c := range []int{0, 1, 2, 3, 4} {
 		codes := randomCodes(3000, uint64(c)*7+1)
-		g, err := NewGrouped(codes, nil, c)
+		g, err := groupedOf(codes, nil, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +165,7 @@ func TestGroupedInvariants(t *testing.T) {
 func TestGroupedBlockContents(t *testing.T) {
 	for _, c := range []int{1, 2, 4} {
 		codes := randomCodes(777, uint64(c)+99)
-		g, err := NewGrouped(codes, nil, c)
+		g, err := groupedOf(codes, nil, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +217,7 @@ func TestGroupedMemorySaving(t *testing.T) {
 			codes[i*M+j] = 0x30 | uint8(r.Intn(16)) // high nibble fixed
 		}
 	}
-	g, err := NewGrouped(codes, nil, 4)
+	g, err := groupedOf(codes, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +228,7 @@ func TestGroupedMemorySaving(t *testing.T) {
 		t.Fatalf("memory saving = %v, want exactly 0.25", got)
 	}
 	// c=0 stores full bytes in blocks: no saving.
-	g0, err := NewGrouped(codes, nil, 0)
+	g0, err := groupedOf(codes, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +243,7 @@ func TestGroupedCustomIDs(t *testing.T) {
 	for i := range ids {
 		ids[i] = int64(1000 + i)
 	}
-	g, err := NewGrouped(codes, ids, 2)
+	g, err := groupedOf(codes, ids, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,13 +269,22 @@ func TestGroupedErrors(t *testing.T) {
 	if _, err := NewGrouped(codes, make([]int64, 3), 2); err == nil {
 		t.Error("id count mismatch accepted")
 	}
+	if _, err := NewGrouped(codes, nil, 2); err == nil {
+		t.Error("missing ids accepted")
+	}
+	if GroupOrder(codes, 2) == nil {
+		t.Fatal("random codes reported in group-key order")
+	}
+	if _, err := NewGrouped(codes, make([]int64, 10), 2); err == nil {
+		t.Error("codes out of group-key order accepted")
+	}
 }
 
 func TestGroupedSortedKeys(t *testing.T) {
 	// Groups must appear in ascending key order with no duplicates.
 	if err := quick.Check(func(seed uint16) bool {
 		codes := randomCodes(500, uint64(seed))
-		g, err := NewGrouped(codes, nil, 2)
+		g, err := groupedOf(codes, nil, 2)
 		if err != nil {
 			return false
 		}
@@ -272,7 +304,7 @@ func TestGroupedSortedKeys(t *testing.T) {
 
 func TestAccessorPanics(t *testing.T) {
 	codes := randomCodes(64, 2)
-	g, err := NewGrouped(codes, nil, 2)
+	g, err := groupedOf(codes, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +336,7 @@ func TestAccessorPanics(t *testing.T) {
 func TestGroupNibbleMasks(t *testing.T) {
 	for _, c := range []int{1, 2, 4} {
 		codes := randomCodes(3000, uint64(42+c))
-		g, err := NewGrouped(codes, nil, c)
+		g, err := groupedOf(codes, nil, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,11 +359,12 @@ func TestGroupNibbleMasks(t *testing.T) {
 	}
 }
 
-// TestGroupedMatchesStableSort: the counting sort of NewGrouped produces
-// the layout — group directory, ids, codes, packed block bytes — that a
-// stable comparison sort on the group key does (the construction it
-// replaced, kept here as the reference ordering, with a packer of the
-// test's own).
+// TestGroupedMatchesStableSort: the counting sort of GroupOrder, then
+// NewGrouped, produce the layout — group directory, ids, codes, packed
+// block bytes — that a stable comparison sort on the group key does
+// (the construction it replaced, kept here as the reference ordering,
+// with a packer of the test's own), and ordering its run again is the
+// identity.
 func TestGroupedMatchesStableSort(t *testing.T) {
 	for c := 0; c <= MaxGroupComponents; c++ {
 		for _, n := range []int{0, 1, 17, 700, 5000} {
@@ -380,7 +413,7 @@ func TestGroupedMatchesStableSort(t *testing.T) {
 				grp.Count++
 			}
 
-			g, err := NewGrouped(codes, ids, c)
+			g, err := groupedOf(codes, ids, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -388,12 +421,15 @@ func TestGroupedMatchesStableSort(t *testing.T) {
 				!bytes.Equal(g.Codes, want.Codes) || !bytes.Equal(g.Blocks, want.Blocks) {
 				t.Fatalf("c=%d n=%d: layout differs from the stable sort's", c, n)
 			}
+			if GroupOrder(g.Codes, c) != nil {
+				t.Fatalf("c=%d n=%d: ordering an ordered run is not the identity", c, n)
+			}
 		}
 	}
 }
 
 func TestBlockStorageAlignment(t *testing.T) {
-	g, err := NewGrouped(randomCodes(400, 7), nil, 3)
+	g, err := groupedOf(randomCodes(400, 7), nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,13 +201,16 @@ func WriteCapture(w io.Writer, cap index.Capture, walEpoch uint64) error {
 		if err := writeU32(uint32(p.N)); err != nil {
 			return fmt.Errorf("persist: writing partition %d size: %w", pi, err)
 		}
-		// Base then tail, back to back: the file holds the flattened rows,
-		// so it does not say (and a reader cannot tell) where a fold was due.
-		base, tail := p.Segments()
-		for _, seg := range [2]scan.Rows{base, tail} {
-			if _, err := cw.Write(seg.Codes); err != nil {
-				return fmt.Errorf("persist: writing partition %d codes: %w", pi, err)
-			}
+		// Rows in layout order: a base as it is (the index keeps every
+		// base in Fast Scan order), a base with a tail in the order its
+		// fold gives it. The file does not say (and a reader cannot tell)
+		// where a fold was due, and loading it reorders nothing.
+		if p.Tail() > 0 {
+			p = scan.Ordered(p.Flatten(), opt.FastScan)
+		}
+		base, _ := p.Segments()
+		if _, err := cw.Write(base.Codes); err != nil {
+			return fmt.Errorf("persist: writing partition %d codes: %w", pi, err)
 		}
 		idBuf := make([]byte, 8*p.N)
 		for i := 0; i < p.N; i++ {

@@ -8,10 +8,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pqfastscan/internal/dataset"
 	"pqfastscan/internal/index"
 	"pqfastscan/internal/quantizer"
+	"pqfastscan/internal/scan"
 	"pqfastscan/internal/vec"
 )
 
@@ -282,6 +284,8 @@ const v1File = "testdata/v1.pqfsidx"
 // TestV1StillLoads: files in the seed's version-1 format remain
 // readable, recompute the id allocator, answer alike on every kernel,
 // and survive a version-3 round trip row for row and answer for answer.
+// Whatever order a file keeps its rows in (version 1: id order), the
+// load puts every base in Fast Scan order, and its layout aliases it.
 func TestV1StillLoads(t *testing.T) {
 	data, err := os.ReadFile(v1File)
 	if err != nil {
@@ -297,6 +301,17 @@ func TestV1StillLoads(t *testing.T) {
 	if loaded.NextID() != 600 || loaded.Live() != 600 || loaded.Partitions() != 2 || loaded.Dim != 16 {
 		t.Fatalf("v1 load: next id %d, live %d, %d partitions, dim %d; want 600, 600, 2, 16",
 			loaded.NextID(), loaded.Live(), loaded.Partitions(), loaded.Dim)
+	}
+	for c, pe := range loaded.Snapshot().Parts {
+		base, _ := pe.Part.Segments()
+		fs, err := loaded.FastScanner(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, keep := fs.Grouped(), fs.KeepN()
+		if unsafe.SliceData(g.Codes) != &base.Codes[keep*scan.M] || unsafe.SliceData(g.IDs) != &base.IDs[keep] {
+			t.Fatalf("partition %d: the layout of the v1 load does not alias its base", c)
+		}
 	}
 	var buf bytes.Buffer
 	if err := WriteIndex(&buf, loaded); err != nil {

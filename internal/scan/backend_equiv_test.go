@@ -50,7 +50,7 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 			}
 		}
 
-		fs, err := NewFastScan(p, FastScanOptions{
+		fs, err := newLayout(p, FastScanOptions{
 			Keep:            []float64{0, 0.005, 0.06}[r.Intn(3)],
 			GroupComponents: r.Intn(5) - 1,
 			OrderGroups:     r.Intn(2) == 0,
@@ -58,6 +58,7 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p = fs.Partition()
 
 		want, _ := Naive(p, tables, k)
 		first := backends[0]

@@ -57,7 +57,7 @@ func getBenchEnv(b *testing.B, n int) *benchEnv {
 		}
 	}
 	e := &benchEnv{p: NewPartition(codes, nil), tables: tables}
-	fs, err := NewFastScan(e.p, FastScanOptions{Keep: DefaultKeep, GroupComponents: -1, OrderGroups: true})
+	fs, err := newLayout(e.p, FastScanOptions{Keep: DefaultKeep, GroupComponents: -1, OrderGroups: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -30,11 +30,11 @@ func newCell(t *testing.T, r *rng.Source, n int, firstID int64, tables quantizer
 		ids[i] = firstID + int64(i)
 	}
 	p := NewPartition(codes, ids)
-	fs, err := NewFastScan(p, opt)
+	fs, err := newLayout(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cell{p: p, t: tables, fs: fs}
+	return cell{p: fs.Partition(), t: tables, fs: fs}
 }
 
 // uniformTables fills every entry with lo + U[0, span).

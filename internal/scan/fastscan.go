@@ -40,11 +40,14 @@ const DefaultKeep = 0.005
 // grouped/packed layout is built once and reused across queries, like the
 // database reorganization the paper performs at index-construction time.
 //
-// The layout covers a prefix of its partition — every row the partition
-// held when the layout was built. Rows appended since (Rebind) are not
-// regrouped: a scan takes them with the keep region, by plain PQ Scan
-// (§4.4), which is where the paper puts rows that grouping does not pay
-// for (§4.2). A layout is never modified.
+// The layout covers the partition's base, which Ordered has put in the
+// order it reads: the keep region [0, keepN) first, then the grouped
+// rows in group-key order, whose codes and ids the layout aliases — the
+// packed blocks are the only bytes it adds (§4.2). Rows appended since
+// the base was built (the tail, Rebind) are not regrouped: a scan takes
+// them with the keep region, by plain PQ Scan (§4.4), which is where
+// the paper puts rows that grouping does not pay for. A layout is never
+// modified.
 //
 // The partition's dead bits are by row; the layout's grouped rows are
 // tombstoned a second time by block lane (blockIndex·16 + lane, padding
@@ -56,53 +59,116 @@ const DefaultKeep = 0.005
 type FastScan struct {
 	part        *Partition
 	keepN       int
-	covered     int // rows of part the layout accounts for: keepN + grouped.N
+	covered     int // rows of part the layout accounts for: the base, keepN + grouped.N
 	c           int
 	grouped     *layout.Grouped
 	orderGroups bool
 	dead        deadSet // tombstoned block lanes
 }
 
-// NewFastScan prepares PQ Fast Scan over every row of p, base and tail
-// alike. The first Keep fraction of the partition stays in row-major
-// order for the temporary-NN phase; the remainder is grouped on c
-// components and packed into 16-vector blocks. The lane of every dead
-// grouped row is marked dead.
-func NewFastScan(p *Partition, opt FastScanOptions) (*FastScan, error) {
-	if p.W != M {
-		return nil, fmt.Errorf("scan: fast scan requires %d-byte codes, partition has %d", M, p.W)
+// shape returns the keep split and grouping depth opt gives a base of n
+// rows of width w, or why Fast Scan cannot lay it out.
+func (opt FastScanOptions) shape(w, n int) (keepN, c int, err error) {
+	if w != M {
+		return 0, 0, fmt.Errorf("scan: fast scan requires %d-byte codes, partition has %d", M, w)
 	}
 	if opt.Keep < 0 || opt.Keep >= 1 {
-		return nil, fmt.Errorf("scan: keep fraction %v out of [0,1)", opt.Keep)
+		return 0, 0, fmt.Errorf("scan: keep fraction %v out of [0,1)", opt.Keep)
 	}
-	keepN := int(opt.Keep * float64(p.N))
-	rest := p.N - keepN
-	c := opt.GroupComponents
+	keepN = int(opt.Keep * float64(n))
+	c = opt.GroupComponents
 	if c < 0 {
-		c = layout.AutoComponents(rest)
+		c = layout.AutoComponents(n - keepN)
 	}
 	if c > layout.MaxGroupComponents {
-		return nil, fmt.Errorf("scan: grouping components %d out of range", c)
+		return 0, 0, fmt.Errorf("scan: grouping components %d out of range", c)
 	}
-	ids := make([]int64, rest)
-	for i := range ids {
-		ids[i] = p.ID(keepN + i)
+	return keepN, c, nil
+}
+
+// Ordered returns p with its base in the order a Fast Scan layout under
+// opt reads it: the first keepN rows where they are, then the rest in
+// the layout's stable group-key order (layout.GroupOrder), ids
+// explicit. The tail stays as it is and the dead bits move with their
+// rows. A base already in that order is returned as it is — p itself,
+// no copy — and so is one Fast Scan cannot lay out (a code width other
+// than 8, options out of range: NewFastScan says why). The index orders
+// every base where it is born, so each code is stored once.
+func Ordered(p *Partition, opt FastScanOptions) *Partition {
+	base, _ := p.Segments()
+	keepN, c, err := opt.shape(p.W, base.N)
+	if err != nil {
+		return p
 	}
-	var deadSrc []int // dead grouped rows, by index into ids
-	p.dead.each(func(i int) {
-		if i >= keepN {
-			deadSrc = append(deadSrc, i-keepN)
+	perm := layout.GroupOrder(base.Codes[keepN*M:], c)
+	q := *p
+	q.ids = make([]int64, base.N)
+	if perm == nil {
+		if base.IDs != nil {
+			return p
 		}
-	})
-	g, deadPos, err := layout.NewGroupedTracking(p.FlatCodes()[keepN*M:], ids, c, deadSrc)
+		for i := range q.ids {
+			q.ids[i] = base.ID(i)
+		}
+		return &q
+	}
+	// Position i of the new base takes row from(i) of the old one.
+	from := func(i int) int {
+		if i < keepN {
+			return i
+		}
+		return keepN + perm[i-keepN]
+	}
+	q.codes = make([]uint8, len(base.Codes))
+	for i := range q.ids {
+		copy(q.codes[i*M:(i+1)*M], base.Codes[from(i)*M:])
+		q.ids[i] = base.ID(from(i))
+	}
+	if p.HasDead() {
+		q.dead = deadSet{}
+		for i := 0; i < p.N; i++ {
+			if i < base.N && p.dead.has(from(i)) || i >= base.N && p.dead.has(i) {
+				q.dead.set(i)
+			}
+		}
+	}
+	return &q
+}
+
+// NewFastScan prepares PQ Fast Scan over p, whose base must be in the
+// order Ordered gives it under opt: the first Keep fraction of the base
+// stays row-major for the temporary-NN phase, the rest is grouped on c
+// components and packed into 16-vector blocks, its codes and ids
+// aliased from the base. The tail is plain-scanned. The lane of every
+// dead grouped row is marked dead.
+func NewFastScan(p *Partition, opt FastScanOptions) (*FastScan, error) {
+	base, _ := p.Segments()
+	keepN, c, err := opt.shape(p.W, base.N)
 	if err != nil {
 		return nil, err
 	}
-	fs := &FastScan{part: p, keepN: keepN, covered: p.N, c: c, grouped: g, orderGroups: opt.OrderGroups}
-	for _, pos := range deadPos {
-		fs.dead.set(g.Lane(pos))
+	codes, ids := groupedRows(base, keepN)
+	g, err := layout.NewGrouped(codes, ids, c)
+	if err != nil {
+		return nil, fmt.Errorf("scan: partition base is not in Fast Scan order (Ordered): %w", err)
 	}
+	fs := &FastScan{part: p, keepN: keepN, covered: base.N, c: c, grouped: g, orderGroups: opt.OrderGroups}
+	p.dead.each(func(i int) {
+		if i >= keepN && i < base.N {
+			fs.dead.set(g.Lane(i - keepN))
+		}
+	})
 	return fs, nil
+}
+
+// groupedRows returns the codes and ids of the base rows past the keep
+// region: the run the grouped layout aliases.
+func groupedRows(base Rows, keepN int) ([]uint8, []int64) {
+	ids := base.IDs
+	if ids != nil {
+		ids = ids[keepN:]
+	}
+	return base.Codes[keepN*M:], ids
 }
 
 // Partition returns the partition this layout is bound to, whose dead
@@ -115,35 +181,15 @@ func (fs *FastScan) DeadLanes(blk int) uint16 { return uint16(fs.dead.lanes(blk)
 
 // Lane returns the block lane (blockIndex·16 + lane) that holds the
 // partition's row at position row, or -1 when the row is plain-scanned:
-// in the keep region or appended after the layout was built. The row's
-// group follows from its code (groups are in key order); the lane is
-// found in that group's run of ids, 50–800 of them by the nmin(c) rule
-// of §4.2. The partition and the layout must be readable (hydrated,
-// when paged).
+// in the keep region or appended after the layout was built. The
+// grouped rows are the base from keepN on, in the layout's order, so
+// the lane follows from the group directory alone; a detached stub
+// answers too.
 func (fs *FastScan) Lane(row int) int {
 	if row < fs.keepN || row >= fs.covered {
 		return -1
 	}
-	g := fs.grouped
-	code := fs.part.Code(row)
-	var key [layout.MaxGroupComponents]uint8
-	for j := 0; j < fs.c; j++ {
-		key[j] = code[j] >> 4
-	}
-	gi, ok := slices.BinarySearchFunc(g.Groups, key, func(grp layout.Group, k [layout.MaxGroupComponents]uint8) int {
-		return slices.Compare(grp.Key[:], k[:])
-	})
-	if !ok {
-		panic("scan: grouped row has no group")
-	}
-	grp := &g.Groups[gi]
-	id := fs.part.ID(row)
-	for o, gid := range g.IDs[grp.Start : grp.Start+grp.Count] {
-		if gid == id {
-			return grp.BlockStart*layout.BlockVectors + o
-		}
-	}
-	panic("scan: grouped row missing from its group")
+	return fs.grouped.Lane(row - fs.keepN)
 }
 
 // GroupComponents returns the grouping depth c in use.
@@ -192,19 +238,22 @@ func (fs *FastScan) Rebind(np *Partition, lane int) *FastScan {
 
 // Detach returns a stub FastScan bound to the given partition stub: the
 // scan parameters (keep split, grouping depth, ordering mode) and the
-// grouped directory stay resident while the packed blocks, grouped
-// codes and grouped ids move to a disk extent (layout.Grouped.Detach).
+// grouped directory stay resident while the packed blocks move to a
+// disk extent and the grouped codes and ids go with the base they alias
+// (layout.Grouped.Detach).
 func (fs *FastScan) Detach(stub *Partition) *FastScan {
 	return fs.with(stub, fs.grouped.Detach())
 }
 
-// Hydrate returns a scannable FastScan over a hydrated partition and
-// grouped layout — per-pin shallow views over a pinned extent payload,
+// Hydrate returns a scannable FastScan over a hydrated partition and its
+// packed blocks — per-pin shallow views over a pinned extent payload,
 // valid only while the pin is held. p must be the hydration of the stub
-// this FastScan was detached with (same rows), and g the hydration of
-// its grouped directory.
-func (fs *FastScan) Hydrate(p *Partition, g *layout.Grouped) *FastScan {
-	return fs.with(p, g)
+// this FastScan was detached with (same rows); the grouped codes and
+// ids are its base's, aliased as NewFastScan aliased them.
+func (fs *FastScan) Hydrate(p *Partition, blocks []uint8) *FastScan {
+	base, _ := p.Segments()
+	codes, ids := groupedRows(base, fs.keepN)
+	return fs.with(p, fs.grouped.Hydrate(blocks, codes, ids))
 }
 
 // GroupVisitOrder returns the order groups are scanned in: database

@@ -136,7 +136,7 @@ func TestBuildMinTablesAreMinima(t *testing.T) {
 // every vector: dequantized lower bound <= true ADC distance.
 func TestLowerBoundNeverExceedsTrueDistance(t *testing.T) {
 	p, tables := randomPartition(t, 4096, 123)
-	fs, err := NewFastScan(p, FastScanOptions{Keep: 0.01, GroupComponents: 2})
+	fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestLowerBoundNeverExceedsTrueDistance(t *testing.T) {
 func TestFastScanStatsAccounting(t *testing.T) {
 	p, tables := randomPartition(t, 5000, 9)
 	for _, keep := range []float64{0, 0.01, 0.1} {
-		fs, err := NewFastScan(p, FastScanOptions{Keep: keep, GroupComponents: 1})
+		fs, err := newLayout(p, FastScanOptions{Keep: keep, GroupComponents: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestFastScanPropertyAgainstNaive(t *testing.T) {
 		k := []int{1, 5, 37, 128}[r.Intn(4)]
 		p, tables := randomPartition(t, n, r.Uint64())
 		want, _ := Naive(p, tables, k)
-		fs, err := NewFastScan(p, FastScanOptions{
+		fs, err := newLayout(p, FastScanOptions{
 			Keep:            []float64{0, 0.002, 0.05}[r.Intn(3)],
 			GroupComponents: r.Intn(5) - 1,
 			OrderGroups:     r.Intn(2) == 0,
@@ -246,7 +246,7 @@ func TestFastScanSkewedTables(t *testing.T) {
 		}
 	}
 	want, _ := Naive(p, tables, 10)
-	fs, err := NewFastScan(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
+	fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
 	if err != nil {
 		t.Fatal(err)
 	}

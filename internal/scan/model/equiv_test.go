@@ -20,7 +20,7 @@ func TestScanNativeMatchesModel(t *testing.T) {
 		n := r.Intn(5000) + 1
 		k := []int{1, 7, 50, 200}[r.Intn(4)]
 		p, tables := randomPartition(t, n, r.Uint64())
-		fs, err := scan.NewFastScan(p, scan.FastScanOptions{
+		fs, err := newLayout(p, scan.FastScanOptions{
 			Keep:            []float64{0, 0.002, 0.05}[r.Intn(3)],
 			GroupComponents: r.Intn(5) - 1,
 			OrderGroups:     r.Intn(2) == 0,
@@ -44,13 +44,14 @@ func TestScanNativeMatchesModel(t *testing.T) {
 // die — deleted as the index deletes, one row and lane at a time.
 func TestScanNativeWithTombstones(t *testing.T) {
 	p, tables := randomPartition(t, 4000, 88)
-	fs, err := scan.NewFastScan(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
+	fs, err := newLayout(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p = fs.Partition()
 	best, _ := Scan(fs, tables, 20)
 	for _, res := range best[:10] {
-		p, fs = tombstone(p, fs, int(res.ID)) // position ids
+		p, fs = tombstone(p, fs, rowOf(p, res.ID))
 	}
 	for i := 0; i < 4000; i += 13 {
 		p, fs = tombstone(p, fs, i)
@@ -60,7 +61,7 @@ func TestScanNativeWithTombstones(t *testing.T) {
 	sameResults(t, want, got, "model+dead", "native+dead")
 	sameCounters(t, wantStats, gotStats, "tombstones")
 	for _, res := range want {
-		if p.DeadAt(int(res.ID)) {
+		if p.DeadAt(rowOf(p, res.ID)) {
 			t.Fatalf("model returned tombstoned id %d", res.ID)
 		}
 	}
@@ -120,10 +121,11 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 func TestScanNativeAfterAppend(t *testing.T) {
 	r := rng.New(2025)
 	p, tables := randomPartition(t, 2000, 61)
-	fs, err := scan.NewFastScan(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true})
+	fs, err := newLayout(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p = fs.Partition()
 	for round := 0; round < 4; round++ {
 		batch := r.Intn(200) + 1
 		codes := make([]uint8, batch*M)
@@ -175,7 +177,7 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 			}
 		}
 
-		fs, err := scan.NewFastScan(p, scan.FastScanOptions{
+		fs, err := newLayout(p, scan.FastScanOptions{
 			Keep:            []float64{0, 0.005, 0.06}[r.Intn(3)],
 			GroupComponents: r.Intn(5) - 1,
 			OrderGroups:     r.Intn(2) == 0,
@@ -183,6 +185,7 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p = fs.Partition()
 
 		model, modelStats := Scan(fs, tables, k)
 		for _, be := range backends {

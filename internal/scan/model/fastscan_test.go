@@ -13,7 +13,7 @@ import (
 func TestFastScanStatsAccounting(t *testing.T) {
 	p, tables := randomPartition(t, 5000, 9)
 	for _, keep := range []float64{0, 0.01, 0.1} {
-		fs, err := scan.NewFastScan(p, scan.FastScanOptions{Keep: keep, GroupComponents: 1})
+		fs, err := newLayout(p, scan.FastScanOptions{Keep: keep, GroupComponents: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestFastScanPropertyAgainstNaive(t *testing.T) {
 		k := []int{1, 5, 37, 128}[r.Intn(4)]
 		p, tables := randomPartition(t, n, r.Uint64())
 		want, _ := Naive(p, tables, k)
-		fs, err := scan.NewFastScan(p, scan.FastScanOptions{
+		fs, err := newLayout(p, scan.FastScanOptions{
 			Keep:            []float64{0, 0.002, 0.05}[r.Intn(3)],
 			GroupComponents: r.Intn(5) - 1,
 			OrderGroups:     r.Intn(2) == 0,
@@ -85,7 +85,7 @@ func TestFastScanSkewedTables(t *testing.T) {
 		}
 	}
 	want, _ := Libpq(p, tables, 10)
-	fs, err := scan.NewFastScan(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
+	fs, err := newLayout(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestScan256AgreesWithScan(t *testing.T) {
 		k := []int{1, 9, 64}[r.Intn(3)]
 		p, tables := randomPartition(t, n, r.Uint64())
 		want, _ := Naive(p, tables, k)
-		fs, err := scan.NewFastScan(p, scan.FastScanOptions{
+		fs, err := newLayout(p, scan.FastScanOptions{
 			Keep:            []float64{0, 0.01}[r.Intn(2)],
 			GroupComponents: r.Intn(5) - 1,
 			OrderGroups:     r.Intn(2) == 0,
@@ -143,7 +143,7 @@ func TestScan256AgreesWithScan(t *testing.T) {
 func TestScan256CheaperFrontend(t *testing.T) {
 	p, tables := randomPartition(t, 30000, 77)
 	opt := scan.FastScanOptions{Keep: 0.01, GroupComponents: 2}
-	fs, err := scan.NewFastScan(p, opt)
+	fs, err := newLayout(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,23 @@ func randomPartition(t *testing.T, n int, seed uint64) (*scan.Partition, quantiz
 	return scan.NewPartition(codes, nil), tables
 }
 
+// newLayout orders p's base for opt, as the index orders every base it
+// installs, and builds the Fast Scan layout over the result, which the
+// layout's Partition returns.
+func newLayout(p *scan.Partition, opt scan.FastScanOptions) (*scan.FastScan, error) {
+	return scan.NewFastScan(scan.Ordered(p, opt), opt)
+}
+
+// rowOf returns the position of the row of p holding id.
+func rowOf(p *scan.Partition, id int64) int {
+	for i := 0; i < p.N; i++ {
+		if p.ID(i) == id {
+			return i
+		}
+	}
+	panic("model: test id not in partition")
+}
+
 // tombstone deletes the row at position row as the index does: a
 // copy-on-write successor of p, and fs rebound to it with the row's
 // lane dead.
@@ -73,7 +90,7 @@ func TestKernelsAgree(t *testing.T) {
 
 			for _, keep := range []float64{0, 0.005, 0.05} {
 				for _, c := range []int{0, 1, 2, -1} {
-					fs, err := scan.NewFastScan(p, scan.FastScanOptions{Keep: keep, GroupComponents: c})
+					fs, err := newLayout(p, scan.FastScanOptions{Keep: keep, GroupComponents: c})
 					if err != nil {
 						t.Fatalf("NewFastScan(keep=%v,c=%d): %v", keep, c, err)
 					}
@@ -92,7 +109,7 @@ func TestKernelsAgree(t *testing.T) {
 // kernel returning the oracle's answer, and refuses an unknown one.
 func TestRunCoversEveryLabel(t *testing.T) {
 	p, tables := randomPartition(t, 2000, 3)
-	fs, err := scan.NewFastScan(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: -1})
+	fs, err := newLayout(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

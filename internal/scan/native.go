@@ -28,6 +28,7 @@ package scan
 import (
 	"encoding/binary"
 	"math/bits"
+	"unsafe"
 
 	"pqfastscan/internal/layout"
 	"pqfastscan/internal/quantizer"
@@ -355,35 +356,40 @@ func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scra
 
 	groupOrder := fs.GroupVisitOrder(t, sc)
 
+	tv := (*[M][256]float32)(unsafe.Pointer(&t.Data[0])) // Check8x8: M rows of 256
 	if be.Asm() {
-		fs.scanBlocksAsm(sc, qt, be, groupOrder, &t8, heap, t, &stats)
+		fs.scanBlocksAsm(sc, qt, be, groupOrder, &t8, heap, tv, &stats)
 	} else {
-		fs.scanBlocksSWAR(sc, qt, groupOrder, &t8, heap, t, &stats)
+		fs.scanBlocksSWAR(sc, qt, groupOrder, &t8, heap, tv, &stats)
 	}
 	return stats
 }
 
 // processLive walks the surviving lanes of one block — dead lanes
-// already stripped by the caller — in ascending lane order (the model's
-// lane loop visits them the same way, so the heap evolves identically):
-// exact re-check (right-hand path of Figure 6), then threshold refresh
-// — shared by every backend so the decision sequence cannot drift. A
-// candidate's id lives in an array of its own, a cache line away from
-// anything else the candidate touches, so it is loaded only once the
-// distance says the heap may retain it (d > threshold cannot displace a
-// retained neighbor; ties go through Push for the deterministic
-// id-order rule).
-func (fs *FastScan) processLive(live uint32, base int, qt *queryTables, t quantizer.Tables, t8 *int8, heap *topk.Heap, stats *Stats) {
-	g := fs.grouped
+// already stripped by the caller, which counts them as candidates — in
+// ascending lane order (the model's lane loop visits them the same way,
+// so the heap evolves identically): exact re-check (right-hand path of
+// Figure 6), then threshold refresh — shared by every backend so the
+// decision sequence cannot drift. A candidate's code is one 64-bit load
+// from the grouped rows of the base, its eight bytes index the rows of
+// tv (a uint8 into a [256]float32 needs no bounds check) and the sum
+// runs in ADC8's j = 0..7 order, so the distance is ADC8's to the bit.
+// Its id lives in an array of its own, a cache line away from anything
+// else the candidate touches, so it is loaded only once the distance
+// says the heap may retain it (d > threshold cannot displace a retained
+// neighbor; ties go through Push for the deterministic id-order rule).
+func (fs *FastScan) processLive(live uint32, base int, qt *queryTables, tv *[M][256]float32, t8 *int8, heap *topk.Heap) {
+	codes, ids := fs.grouped.Codes, fs.grouped.IDs
 	thr, full := heap.Threshold()
 	for ; live != 0; live &= live - 1 {
 		pos := base + bits.TrailingZeros32(live)
-		stats.Candidates++
-		d := ADC8(g.Codes[pos*M:pos*M+M], t)
+		w := leUint64(codes[pos*M:])
+		d := tv[0][uint8(w)] + tv[1][uint8(w>>8)] + tv[2][uint8(w>>16)] + tv[3][uint8(w>>24)] +
+			tv[4][uint8(w>>32)] + tv[5][uint8(w>>40)] + tv[6][uint8(w>>48)] + tv[7][uint8(w>>56)]
 		if full && d > thr {
 			continue
 		}
-		if heap.Push(g.IDs[pos], d) {
+		if heap.Push(ids[pos], d) {
 			if thr, full = heap.Threshold(); full {
 				*t8 = qt.dq.PruneThreshold(thr, true)
 			}
@@ -422,7 +428,7 @@ func swarPrunedMask(acc []uint8, t8 int8) uint32 {
 // threshold, which is what makes the group-at-a-time kernel call safe.
 // Dead lanes leave a block's survivors with one AND and count as
 // pruned, on every backend and in the model alike.
-func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Backend, groupOrder []int, t8 *int8, heap *topk.Heap, t quantizer.Tables, stats *Stats) {
+func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Backend, groupOrder []int, t8 *int8, heap *topk.Heap, tv *[M][256]float32, stats *Stats) {
 	g := fs.grouped
 	c := fs.c
 	bb := g.BlockSize()
@@ -463,8 +469,10 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 			if live == 0 {
 				continue
 			}
-			pruned -= bits.OnesCount32(live)
-			fs.processLive(live, grp.Start+b*layout.BlockVectors, qt, t, t8, heap, stats)
+			n := bits.OnesCount32(live)
+			pruned -= n
+			stats.Candidates += n
+			fs.processLive(live, grp.Start+b*layout.BlockVectors, qt, tv, t8, heap)
 		}
 		stats.Pruned += pruned
 	}
@@ -479,7 +487,7 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 // per scan: ≈ 5–8 µs, a quarter of a 1 000-code partition's scan and
 // repaid several times over from 10 000 codes up (DESIGN.md §12 has the
 // measurement that chose this pipeline).
-func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []int, t8p *int8, heap *topk.Heap, t quantizer.Tables, stats *Stats) {
+func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []int, t8p *int8, heap *topk.Heap, tv *[M][256]float32, stats *Stats) {
 	g := fs.grouped
 	c := fs.c
 	bb := g.BlockSize()
@@ -581,8 +589,10 @@ func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []in
 				stats.Pruned += valid
 				continue
 			}
-			stats.Pruned += valid - bits.OnesCount32(live)
-			fs.processLive(live, base, qt, t, t8p, heap, stats)
+			n := bits.OnesCount32(live)
+			stats.Pruned += valid - n
+			stats.Candidates += n
+			fs.processLive(live, base, qt, tv, t8p, heap)
 		}
 	}
 }

@@ -64,13 +64,14 @@ func TestSWARMovemaskMatchesPmovmskB(t *testing.T) {
 // as the index deletes, one copy-on-write row and lane at a time.
 func TestScanNativeWithTombstones(t *testing.T) {
 	p, tables := randomPartition(t, 4000, 88)
-	fs, err := NewFastScan(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
+	fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p = fs.Partition()
 	best, _ := Naive(p, tables, 20)
 	for _, res := range best[:10] {
-		p, fs = tombstone(p, fs, int(res.ID)) // position ids
+		p, fs = tombstone(p, fs, rowOf(p, res.ID))
 	}
 	for i := 0; i < 4000; i += 13 {
 		p, fs = tombstone(p, fs, i)
@@ -78,7 +79,7 @@ func TestScanNativeWithTombstones(t *testing.T) {
 	want, _ := Naive(p, tables, 20)
 	scanEveryBackend(t, fs, tables, 20, want, "naive+dead")
 	for _, res := range want {
-		if p.DeadAt(int(res.ID)) {
+		if p.DeadAt(rowOf(p, res.ID)) {
 			t.Fatalf("oracle returned tombstoned id %d", res.ID)
 		}
 	}
@@ -121,10 +122,11 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 func TestScanNativeAfterAppend(t *testing.T) {
 	r := rng.New(2025)
 	p, tables := randomPartition(t, 2000, 61)
-	fs, err := NewFastScan(p, FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true})
+	fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p = fs.Partition()
 	for round := 0; round < 4; round++ {
 		batch := r.Intn(200) + 1
 		codes := make([]uint8, batch*M)
@@ -152,7 +154,7 @@ func TestScratchReuseIsStateless(t *testing.T) {
 		n := r.Intn(2000) + 1
 		k := []int{1, 40, 300}[r.Intn(3)]
 		p, tables := randomPartition(t, n, r.Uint64())
-		fs, err := NewFastScan(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: trial%2 == 0})
+		fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: trial%2 == 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,15 +179,15 @@ func TestDeadLanesArePruned(t *testing.T) {
 	for row := 16; row < 32; row++ {
 		built, _ = built.CloneTombstone(row)
 	}
-	fsBuilt, err := NewFastScan(built, opt)
+	fsBuilt, err := newLayout(built, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsRebound, err := NewFastScan(p, opt)
+	fsRebound, err := newLayout(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebound := p
+	rebound := fsRebound.Partition()
 	for row := 16; row < 32; row++ {
 		rebound, fsRebound = tombstone(rebound, fsRebound, row)
 	}

@@ -25,6 +25,23 @@ func randomPartition(t *testing.T, n int, seed uint64) (*Partition, quantizer.Ta
 	return NewPartition(codes, nil), tables
 }
 
+// newLayout orders p's base for opt, as the index orders every base it
+// installs, and builds the Fast Scan layout over the result, which the
+// layout's Partition returns.
+func newLayout(p *Partition, opt FastScanOptions) (*FastScan, error) {
+	return NewFastScan(Ordered(p, opt), opt)
+}
+
+// rowOf returns the position of the row of p holding id.
+func rowOf(p *Partition, id int64) int {
+	for i := 0; i < p.N; i++ {
+		if p.ID(i) == id {
+			return i
+		}
+	}
+	panic("scan: test id not in partition")
+}
+
 // tombstone deletes the row at position row as the index does: a
 // copy-on-write successor of p, and fs rebound to it with the row's
 // lane dead.
@@ -85,7 +102,7 @@ func TestKernelsAgree(t *testing.T) {
 
 			for _, keep := range []float64{0, 0.005, 0.05} {
 				for _, c := range []int{0, 1, 2, -1} {
-					fs, err := NewFastScan(p, FastScanOptions{Keep: keep, GroupComponents: c})
+					fs, err := newLayout(p, FastScanOptions{Keep: keep, GroupComponents: c})
 					if err != nil {
 						t.Fatalf("NewFastScan(keep=%v,c=%d): %v", keep, c, err)
 					}
@@ -100,7 +117,7 @@ func TestKernelsAgree(t *testing.T) {
 // where lower bounds are informative.
 func TestFastScanPrunes(t *testing.T) {
 	p, tables := randomPartition(t, 20000, 7)
-	fs, err := NewFastScan(p, FastScanOptions{Keep: 0.01, GroupComponents: -1})
+	fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +159,20 @@ func TestBaseAndTailReadAsOne(t *testing.T) {
 		if ids != nil {
 			base = NewPartition(codes[:b*M], ids[:b])
 		}
-		fsBase, err := NewFastScan(base, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: trial%3 == 0})
+		fsBase, err := newLayout(base, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: trial%3 == 0})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The flat partition holds the same rows as the base in the order
+		// the layout put them in, then the rows to append.
+		base = fsBase.Partition()
+		bs, _ := base.Segments()
+		flatIDs := append([]int64(nil), bs.IDs...)
+		for i := b; i < n; i++ {
+			flatIDs = append(flatIDs, flat.ID(i))
+		}
+		codes = append(append([]uint8(nil), bs.Codes...), codes[b*M:]...)
+		flat = NewPartition(codes, flatIDs)
 		// Grow a detached stub and the resident partition alike, in up to
 		// three appends.
 		p, stub := base, base.Detach()
@@ -165,8 +192,7 @@ func TestBaseAndTailReadAsOne(t *testing.T) {
 			p, fsP = tombstone(p, fsP, i)
 			stub, _ = stub.CloneTombstone(i)
 		}
-		bs, _ := base.Segments() // base has no tail to drop
-		hydrated := stub.Hydrate(bs.Codes, bs.IDs)
+		hydrated := stub.Hydrate(bs.Codes, bs.IDs) // base has no tail to drop
 
 		k := []int{1, 10, 100}[trial%3]
 		want, _ := Naive(flat, tables, k)
@@ -193,12 +219,12 @@ func TestBaseAndTailReadAsOne(t *testing.T) {
 			got, _ = ExactNative(q, tables, k, nil)
 			sameResults(t, want, got, "naive(flat)", "exact-native("+name+")")
 
-			fs, err := NewFastScan(q, FastScanOptions{Keep: 0.01, GroupComponents: -1})
+			fs, err := newLayout(q, FastScanOptions{Keep: 0.01, GroupComponents: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fs.Covered() != q.N || fs.PlainScanned() != fs.KeepN() {
-				t.Fatalf("%s: a fresh layout covers %d of %d rows", name, fs.Covered(), q.N)
+			if fs.Covered() != q.N-q.Tail() || fs.PlainScanned() != fs.KeepN()+q.Tail() {
+				t.Fatalf("%s: a fresh layout covers %d of %d base rows", name, fs.Covered(), q.N-q.Tail())
 			}
 			scanEveryBackend(t, fs, tables, k, want, "naive(flat)")
 			if name == "compacted" {
@@ -207,7 +233,7 @@ func TestBaseAndTailReadAsOne(t *testing.T) {
 			// The layout of the base, carried over the appends.
 			rebound := fsP.Rebind(q, -1)
 			if name == "hydrated stub" {
-				rebound = fsP.Detach(stub).Hydrate(q, fsBase.Grouped())
+				rebound = fsP.Detach(stub).Hydrate(q, fsBase.Grouped().Blocks)
 			}
 			st := scanEveryBackend(t, rebound, tables, k, want, "naive(flat)")
 			if st.KeepScanned != fsBase.KeepN()+n-b || st.Scanned != n {
