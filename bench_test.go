@@ -93,7 +93,6 @@ func BenchmarkFigure19PartitionSize(b *testing.B)       { experimentBenchmark("f
 func BenchmarkFigure20LargeScale(b *testing.B)          { experimentBenchmark("fig20")(b) }
 func BenchmarkFigure11AssignmentAblation(b *testing.B)  { experimentBenchmark("fig11")(b) }
 func BenchmarkGroupingComponentsAblation(b *testing.B)  { experimentBenchmark("grouping")(b) }
-func BenchmarkGroupOrderingAblation(b *testing.B)       { experimentBenchmark("ordering")(b) }
 func BenchmarkMemoryFootprint(b *testing.B)             { experimentBenchmark("memory")(b) }
 func BenchmarkWideRegisters(b *testing.B)               { experimentBenchmark("wide")(b) }
 func BenchmarkMemoryBandwidth(b *testing.B)             { experimentBenchmark("bandwidth")(b) }

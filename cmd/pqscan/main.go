@@ -12,7 +12,10 @@
 // -kernel names one of the three scans a query can run: fastpq (PQ Fast
 // Scan, the default), libpq (the tuned exact PQ Scan) or naive
 // (Algorithm 1, the oracle). The paper's other kernels are laboratory
-// implementations reported by pqbench.
+// implementations reported by pqbench. Fast Scan visits a partition's
+// groups in database order, as the paper does; all three kernels return
+// the same neighbors, and -kernel changes only the cost and the pruning
+// statistics printed.
 package main
 
 import (
@@ -57,7 +60,6 @@ func main() {
 		maxBase    = flag.Int("maxbase", 0, "limit base vectors read (0 = all)")
 		maxQuery   = flag.Int("maxquery", 0, "limit queries read (0 = all)")
 		seed       = flag.Uint64("seed", 1, "training seed")
-		ordered    = flag.Bool("ordered", true, "visit groups in lower-bound order (extension)")
 		savePath   = flag.String("save", "", "write the built index to this path")
 		loadPath   = flag.String("load", "", "load a previously saved index instead of building")
 	)
@@ -104,7 +106,6 @@ func main() {
 		opt := pqfastscan.DefaultBuildOptions()
 		opt.Partitions = *partitions
 		opt.Seed = *seed
-		opt.OrderGroups = *ordered
 		if *keep > 0 {
 			opt.Keep = *keep
 		}

@@ -22,7 +22,6 @@ func buildDiskTestIndex(t *testing.T, seed uint64) (*pqfastscan.Index, pqfastsca
 	base := gen.Generate(8000)
 	opt := pqfastscan.DefaultBuildOptions()
 	opt.Partitions = 4
-	opt.OrderGroups = true
 	idx, err := pqfastscan.Build(learn, base, opt)
 	if err != nil {
 		t.Fatal(err)

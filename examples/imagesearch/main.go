@@ -32,7 +32,6 @@ func main() {
 	queries := gen.Generate(nQueries)
 
 	opt := pqfastscan.DefaultBuildOptions()
-	opt.OrderGroups = true
 	idx, err := pqfastscan.Build(learn, base, opt)
 	if err != nil {
 		log.Fatal(err)

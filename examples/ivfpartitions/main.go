@@ -34,7 +34,6 @@ func main() {
 
 	opt := pqfastscan.DefaultBuildOptions()
 	opt.Partitions = 16
-	opt.OrderGroups = true
 	idx, err := pqfastscan.Build(learn, base, opt)
 	if err != nil {
 		log.Fatal(err)

@@ -33,7 +33,6 @@ func main() {
 
 	// Offline: build and persist.
 	opt := pqfastscan.DefaultBuildOptions()
-	opt.OrderGroups = true
 	start := time.Now()
 	idx, err := pqfastscan.Build(learn, base, opt)
 	if err != nil {

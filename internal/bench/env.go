@@ -89,7 +89,6 @@ type fastKey struct {
 	part    int
 	keepPct int // keep*1e4 to stay hashable
 	c       int
-	ordered bool
 }
 
 // NewEnv generates data, builds the index and precomputes query routing.
@@ -160,7 +159,7 @@ func (e *Env) QueryTables(i int) (part int, t quantizer.Tables) {
 // with explicit options, over its rows in build order put in the order
 // those options read (scan.Ordered).
 func (e *Env) FastScanner(part int, opt scan.FastScanOptions) (*scan.FastScan, error) {
-	key := fastKey{part: part, keepPct: int(opt.Keep * 1e4), c: opt.GroupComponents, ordered: opt.OrderGroups}
+	key := fastKey{part: part, keepPct: int(opt.Keep * 1e4), c: opt.GroupComponents}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if fs, ok := e.fastOpts[key]; ok {
@@ -223,25 +222,10 @@ func (e *Env) RunKernel(kernel model.Kernel, qi, k int, fsOpt scan.FastScanOptio
 	return e.scan(kernel, part, t, k, fsOpt)
 }
 
-// DefaultFastOpts is the configuration headline experiments use: the
-// paper's keep default with automatic grouping depth and the
-// group-ordering extension enabled (its effect is isolated by the
-// ordering ablation experiment).
-func DefaultFastOpts() scan.FastScanOptions {
-	return scan.FastScanOptions{
-		Keep:            scan.DefaultKeep,
-		GroupComponents: -1,
-		OrderGroups:     true,
-	}
-}
-
-// PaperFastOpts is the strict paper configuration (no group ordering).
+// PaperFastOpts is the paper's configuration: the 0.5 % keep default
+// and automatic grouping depth.
 func PaperFastOpts() scan.FastScanOptions {
-	return scan.FastScanOptions{
-		Keep:            scan.DefaultKeep,
-		GroupComponents: -1,
-		OrderGroups:     false,
-	}
+	return scan.FastScanOptions{Keep: scan.DefaultKeep, GroupComponents: -1}
 }
 
 // HeadlineFastOpts scales the keep fraction to the partition size: the
@@ -262,5 +246,5 @@ func HeadlineFastOpts(partitionN, topk int) scan.FastScanOptions {
 	if keep > 0.2 {
 		keep = 0.2
 	}
-	return scan.FastScanOptions{Keep: keep, GroupComponents: -1, OrderGroups: true}
+	return scan.FastScanOptions{Keep: keep, GroupComponents: -1}
 }

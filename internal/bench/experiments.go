@@ -36,7 +36,6 @@ var Registry = []Experiment{
 	{"fig20", "Figure 20: large-scale run and CPU architectures", true, Figure20},
 	{"fig11", "Figure 11 ablation: centroid index assignment", true, Figure11Ablation},
 	{"grouping", "§4.2 ablation: grouping depth c", true, GroupingAblation},
-	{"ordering", "Extension ablation: group visit order", true, OrderingAblation},
 	{"memory", "§4.2: packed layout memory footprint", true, MemoryFootprint},
 }
 
@@ -337,7 +336,7 @@ func Figure16(env *Env, w io.Writer) error {
 	arch := perf.Haswell
 	for _, topk := range []int{100, 1000} {
 		for _, keep := range keeps {
-			opt := DefaultFastOpts()
+			opt := PaperFastOpts()
 			opt.Keep = keep
 			var pruned, lbs int
 			var fastSpeed, libpqSpeed float64

@@ -54,7 +54,6 @@ func FuzzBaseTailIdentity(f *testing.F) {
 		opt := DefaultOptions()
 		opt.Partitions = 2
 		opt.Seed = 77
-		opt.FastScan.OrderGroups = true
 		fx.ix, fx.err = Build(learn, base, opt)
 		fx.writes = gen.Generate(4096)
 		fx.queries = gen.Generate(2)

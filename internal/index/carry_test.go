@@ -95,11 +95,13 @@ func TestCarriedMultiProbeProperty(t *testing.T) {
 
 								merged := topk.New(k)
 								for _, c := range cells {
-									res, _, err := ix.searchPartition(s, req, c)
+									one := req
+									one.Cells = []int{c}
+									res, err := ix.querySnap(ctx, s, one)
 									if err != nil {
 										t.Fatalf("%s: cell %d: %v", ptag, c, err)
 									}
-									for _, r := range res {
+									for _, r := range res.Results {
 										merged.Push(r.ID, r.Distance)
 									}
 								}

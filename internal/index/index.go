@@ -369,7 +369,7 @@ func (ix *Index) FastScanner(part int) (*scan.FastScan, error) {
 		// Offline/tooling path on a paged index: materialize a RAM copy
 		// and build a scanner over it, so the returned layout has no pin
 		// lifetime. The serving scan path never comes through here — it
-		// uses transient hydrated views inside searchPartition.
+		// uses transient hydrated views inside scanPartition.
 		p, err := ix.materializePart(pe)
 		if err != nil {
 			return nil, err
@@ -381,20 +381,6 @@ func (ix *Index) FastScanner(part int) (*scan.FastScan, error) {
 
 // Result is re-exported for callers that only import index.
 type Result = topk.Result
-
-// searchPartition scans one partition of an explicitly held snapshot
-// from an empty heap and through a scratch of its own: the single-probe
-// path, and each independent cell of a parallel multi-probe.
-func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, scan.Stats, error) {
-	heap := topk.New(req.K)
-	qs := ix.getScratch()
-	defer scratchPool.Put(qs)
-	stats, err := ix.scanPartition(s, req, part, heap, qs)
-	if err != nil {
-		return nil, scan.Stats{}, err
-	}
-	return heap.Results(), stats, nil
-}
 
 // scanPartition continues the query's running top-k in heap over one
 // partition of an explicitly held snapshot — the lock-free scan core

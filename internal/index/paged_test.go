@@ -27,7 +27,6 @@ func buildTwin(t *testing.T, seed uint64, nBase int) (ram, paged *Index, queries
 		opt := DefaultOptions()
 		opt.Partitions = 4
 		opt.Seed = seed
-		opt.FastScan.OrderGroups = true
 		ix, err := Build(learn, base, opt)
 		if err != nil {
 			t.Fatal(err)

@@ -144,12 +144,7 @@ func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Resp
 		nprobe = 1
 	}
 	if nprobe == 1 {
-		part := ix.RoutePartition(req.Query)
-		res, stats, err := ix.searchPartition(s, req, part)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{Results: res, Stats: stats, Partitions: []int{part}}, nil
+		return ix.queryCells(ctx, s, req, []int{ix.RoutePartition(req.Query)})
 	}
 
 	// Multi-probe: visit the nprobe cells closest to the query and merge
@@ -170,13 +165,14 @@ func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Resp
 }
 
 // queryCells scans the given cells sequentially into the query's one
-// running top-k, through the query's one scratch — the shared tail of
-// the multi-probe and explicit-cells paths. The scratch keeps the query
-// term between cells, so every table after the first is one fused pass
-// (tables.go). Every cell after the first starts from the threshold its
-// predecessors reached (scanPartition), which is where multi-probe
-// pruning power comes from; the answer is the k smallest (distance, id)
-// pairs of the union whatever the cell order.
+// running top-k, through the query's one scratch — the one probe loop
+// of every query: single-cell routing, multi-probe and explicit cells.
+// The scratch keeps the query term between cells, so every table after
+// the first is one fused pass (tables.go). Every cell after the first
+// starts from the threshold its predecessors reached (scanPartition),
+// which is where multi-probe pruning power comes from; the answer is
+// the k smallest (distance, id) pairs of the union whatever the cell
+// order.
 func (ix *Index) queryCells(ctx context.Context, s *Snapshot, req Request, cellIDs []int) (*Response, error) {
 	heap := topk.New(req.K)
 	qs := ix.getScratch()

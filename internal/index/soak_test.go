@@ -37,7 +37,6 @@ func TestMutateUnderQuerySoak(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Partitions = 4
 	opt.Seed = 404
-	opt.FastScan.OrderGroups = true
 	ix, err := Build(learn, base, opt)
 	if err != nil {
 		t.Fatal(err)

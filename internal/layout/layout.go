@@ -145,20 +145,6 @@ type Group struct {
 	Count      int                       // number of vectors in the group
 	BlockStart int                       // index of the group's first block
 	BlockCount int                       // number of 16-vector blocks
-
-	// NibbleMask[j] records, for grouped component j < C, which low
-	// nibbles occur among the group's members (bit v set iff some member
-	// has code[j] & 0x0f == v). It is the support of the group's
-	// per-component distance-table portion minima: the minimum table
-	// entry any member can contribute for component j is the minimum of
-	// portion Key[j] restricted to set nibbles. Precomputed here at
-	// build time so the group-ordering extension estimates per-group
-	// lower bounds without rescanning full 16-entry portions of the
-	// distance tables on every query. The mask is computed once, over
-	// every member; a member tombstoned later stays in it, so the mask
-	// may be a superset of the live members — the estimate stays a valid
-	// lower bound.
-	NibbleMask [MaxGroupComponents]uint16
 }
 
 // Grouped is the PQ Fast Scan database layout. It reorganises a run of
@@ -263,11 +249,6 @@ func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 		for j, kk := c-1, k; j >= 0; j-- {
 			grp.Key[j] = uint8(kk & 0x0f)
 			kk >>= 4
-		}
-		for pos := start; pos < end; pos++ {
-			for j := 0; j < c; j++ {
-				grp.NibbleMask[j] |= 1 << (codes[pos*M+j] & 0x0f)
-			}
 		}
 		g.Groups = append(g.Groups, grp)
 		start = end

@@ -325,40 +325,6 @@ func TestAccessorPanics(t *testing.T) {
 	}
 }
 
-// TestGroupedAppendMatchesRebuild: appending vectors one at a time into a
-// built layout must produce byte-identical state to rebuilding the layout
-// from scratch over the extended code array — groups, packed blocks,
-// grouped-order codes and ids alike.
-// TestGroupNibbleMasks: each group's per-component mask is exactly the
-// set of low nibbles occurring among its members — the support of the
-// portion minima the group-ordering estimate reads. (Append maintenance
-// is pinned by TestGroupedAppendMatchesRebuild's whole-struct equality.)
-func TestGroupNibbleMasks(t *testing.T) {
-	for _, c := range []int{1, 2, 4} {
-		codes := randomCodes(3000, uint64(42+c))
-		g, err := groupedOf(codes, nil, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for gi, grp := range g.Groups {
-			var want [MaxGroupComponents]uint16
-			for pos := grp.Start; pos < grp.Start+grp.Count; pos++ {
-				for j := 0; j < c; j++ {
-					want[j] |= 1 << (g.Code(pos)[j] & 0x0f)
-				}
-			}
-			if grp.NibbleMask != want {
-				t.Fatalf("c=%d group %d: mask %v, want %v", c, gi, grp.NibbleMask, want)
-			}
-			for j := 0; j < c; j++ {
-				if grp.NibbleMask[j] == 0 {
-					t.Fatalf("c=%d group %d component %d: empty mask for non-empty group", c, gi, j)
-				}
-			}
-		}
-	}
-}
-
 // TestGroupedMatchesStableSort: the counting sort of GroupOrder, then
 // NewGrouped, produce the layout — group directory, ids, codes, packed
 // block bytes — that a stable comparison sort on the group key does
@@ -403,7 +369,6 @@ func TestGroupedMatchesStableSort(t *testing.T) {
 				}
 				blk := want.Blocks[len(want.Blocks)-bb:]
 				for j := 0; j < c; j++ {
-					grp.NibbleMask[j] |= 1 << (code[j] & 0x0f)
 					shift := 4 * uint(lane%2)
 					blk[j*8+lane/2] = blk[j*8+lane/2]&^(0x0f<<shift) | code[j]&0x0f<<shift
 				}

@@ -14,8 +14,11 @@
 //	u32 m, u32 bits, u32 subdim
 //	m codebooks: k* x subdim float32
 //	coarse centroids: partitions x dim float32
-//	options: f64 keep, i32 groupComponents, u8 orderGroups, u8 optimized
+//	options: f64 keep, i32 groupComponents, u8 reserved, u8 optimized
 //	per partition: u32 n, n x m bytes codes, n x i64 ids
+//
+// The reserved option byte once selected a group visit order; in every
+// version it is written 0 and ignored on read.
 //
 // Version 2 extends it for mutable indexes: online Add appends codes
 // into the partition blocks (so n covers build-time and appended
@@ -173,9 +176,7 @@ func WriteCapture(w io.Writer, cap index.Capture, walEpoch uint64) error {
 	var optBuf [14]byte
 	le.PutUint64(optBuf[0:], math.Float64bits(opt.FastScan.Keep))
 	le.PutUint32(optBuf[8:], uint32(int32(opt.FastScan.GroupComponents)))
-	if opt.FastScan.OrderGroups {
-		optBuf[12] = 1
-	}
+	// optBuf[12] is reserved: written 0.
 	if opt.OptimizeAssignment {
 		optBuf[13] = 1
 	}
@@ -406,7 +407,6 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 		FastScan: scan.FastScanOptions{
 			Keep:            math.Float64frombits(le.Uint64(optBuf[0:])),
 			GroupComponents: int(int32(le.Uint32(optBuf[8:]))),
-			OrderGroups:     optBuf[12] == 1,
 		},
 	}
 	if fo := opt.FastScan; !(fo.Keep >= 0 && fo.Keep < 1) || fo.GroupComponents > layout.MaxGroupComponents {

@@ -181,14 +181,16 @@ func TestBitFlipSweep(t *testing.T) {
 	}
 }
 
-// TestRoundtripOrderGroups: a non-default OrderGroups/keep configuration
-// survives the roundtrip and the reloaded index answers identically.
-func TestRoundtripOrderGroups(t *testing.T) {
+// TestReservedOptionByte: option byte 12 once selected a group visit
+// order; it is reserved now — written 0 and ignored on read. A file
+// with it set loads and answers every kernel bit-identically (results,
+// Stats, probed cells) to the same file with it clear, and a
+// non-default keep fraction survives the roundtrip.
+func TestReservedOptionByte(t *testing.T) {
 	gen := dataset.NewGenerator(dataset.Config{Seed: 91, Dim: 32})
 	opt := index.DefaultOptions()
 	opt.Partitions = 3
 	opt.Seed = 91
-	opt.FastScan.OrderGroups = true
 	opt.FastScan.Keep = 0.02
 	ix, err := index.Build(gen.Generate(2000), gen.Generate(9000), opt)
 	if err != nil {
@@ -198,20 +200,44 @@ func TestRoundtripOrderGroups(t *testing.T) {
 	if err := WriteIndex(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
+	clear := buf.Bytes()
+	walEpoch, _, _ := sections(ix, clear, 0)
+	reserved := walEpoch - 8 - 14 + 12 // nextID, then the options block
+	if clear[reserved] != 0 {
+		t.Fatalf("reserved option byte written as %d", clear[reserved])
 	}
-	got := loaded.Options().FastScan
-	if !got.OrderGroups || got.Keep != 0.02 {
-		t.Fatalf("FastScan options lost in roundtrip: %+v", got)
+	set := append([]byte(nil), clear...)
+	set[reserved] = 1
+	set = fixCRC(set)
+
+	var loaded [2]*index.Index
+	for i, data := range [][]byte{clear, set} {
+		if loaded[i], err = ReadIndex(bytes.NewReader(data)); err != nil {
+			t.Fatalf("byte 12 = %d: %v", i, err)
+		}
+		if got := loaded[i].Options().FastScan; got != opt.FastScan {
+			t.Fatalf("byte 12 = %d: FastScan options %+v after the roundtrip, want %+v", i, got, opt.FastScan)
+		}
 	}
-	q := gen.Generate(1).Row(0)
-	want, _ := search1(t, ix, q, 20, index.KernelFastScan)
-	have, _ := search1(t, loaded, q, 20, index.KernelFastScan)
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("rank %d differs after OrderGroups roundtrip", i)
+	ctx := context.Background()
+	queries := gen.Generate(4)
+	for qi := 0; qi < queries.Rows(); qi++ {
+		for _, kern := range []index.Kernel{index.KernelNaive, index.KernelLibpq, index.KernelFastScan} {
+			for _, nprobe := range []int{1, 2} {
+				req := index.Request{Query: queries.Row(qi), K: 20, Kernel: kern, NProbe: nprobe}
+				var resp [3]*index.Response
+				for i, x := range []*index.Index{ix, loaded[0], loaded[1]} {
+					if resp[i], err = x.Query(ctx, req); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 1; i < 3; i++ {
+					if !slices.Equal(resp[i].Results, resp[0].Results) || resp[i].Stats != resp[0].Stats ||
+						!slices.Equal(resp[i].Partitions, resp[0].Partitions) {
+						t.Fatalf("q%d kernel %v nprobe %d: file %d answers %+v, the built index %+v", qi, kern, nprobe, i-1, resp[i], resp[0])
+					}
+				}
+			}
 		}
 	}
 }

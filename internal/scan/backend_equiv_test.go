@@ -11,7 +11,7 @@ import (
 // TestBackendEquivalenceFuzz is the cross-backend exactness property
 // test: random codes, random table shapes (uniform, portion-structured,
 // negative-shifted, near-degenerate), random tombstone sets, every
-// grouping depth and both group orderings — every available backend
+// grouping depth — every available backend
 // must return the scalar oracle's ids and distances and identical
 // Stats (internal/scan/model runs the same sweep against the
 // instruction-counting model).
@@ -53,7 +53,6 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 		fs, err := newLayout(p, FastScanOptions{
 			Keep:            []float64{0, 0.005, 0.06}[r.Intn(3)],
 			GroupComponents: r.Intn(5) - 1,
-			OrderGroups:     r.Intn(2) == 0,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -57,7 +57,7 @@ func getBenchEnv(b *testing.B, n int) *benchEnv {
 		}
 	}
 	e := &benchEnv{p: NewPartition(codes, nil), tables: tables}
-	fs, err := newLayout(e.p, FastScanOptions{Keep: DefaultKeep, GroupComponents: -1, OrderGroups: true})
+	fs, err := newLayout(e.p, FastScanOptions{Keep: DefaultKeep, GroupComponents: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func BenchmarkKernels(b *testing.B) {
 		kernel string
 		run    func(e *benchEnv, sc *Scratch) []topk.Result
 	}{
-		{"naive", func(e *benchEnv, sc *Scratch) []topk.Result {
+		{"libpq", func(e *benchEnv, sc *Scratch) []topk.Result {
 			r, _ := ExactNative(e.p, e.tables, benchK, sc)
 			return r
 		}},
@@ -121,17 +121,5 @@ func BenchmarkFastScan(b *testing.B) {
 				e.fast.ScanNativeBackend(e.tables, benchK, sc, dispatch.Auto)
 			}
 		})
-	}
-}
-
-// BenchmarkGroupVisitOrder isolates the OrderGroups estimator fed by the
-// precomputed per-group nibble masks.
-func BenchmarkGroupVisitOrder(b *testing.B) {
-	e := getBenchEnv(b, 100000)
-	fs := e.fast
-	sc := NewScratch()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fs.GroupVisitOrder(e.tables, sc)
 	}
 }

@@ -81,7 +81,7 @@ func everyBackend(check func(name string, scanInto func(c cell, heap *topk.Heap)
 
 // TestCarriedScanFuzz is the multi-probe leg of the exactness property:
 // two to four cells of random size and table shape, random tombstones,
-// every grouping depth and both group orderings, scanned in order into
+// every grouping depth, scanned in order into
 // one heap. Every backend must reach the oracle's answer with the same
 // per-cell counters — carrying changes how much is pruned, never what
 // is returned or whether the backends agree on it.
@@ -96,7 +96,6 @@ func TestCarriedScanFuzz(t *testing.T) {
 			cells[i] = newCell(t, r, n, nextID, randomTablesShape(r, r.Intn(4)), FastScanOptions{
 				Keep:            []float64{0, 0.005, 0.06}[r.Intn(3)],
 				GroupComponents: r.Intn(5) - 1,
-				OrderGroups:     r.Intn(2) == 0,
 			})
 			nextID += int64(n)
 			if r.Intn(2) == 0 {
@@ -126,7 +125,7 @@ func TestCarriedScanFuzz(t *testing.T) {
 // re-check — on every backend, with the answer still the oracle's.
 func TestCarriedThresholdOutOfReach(t *testing.T) {
 	r := rng.New(7)
-	opt := FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true}
+	opt := FastScanOptions{Keep: 0.01, GroupComponents: 2}
 	near := newCell(t, r, 3000, 0, uniformTables(r, 0, 10), opt)
 	far := newCell(t, r, 3000, 3000, uniformTables(r, 1000, 100), opt)
 	cells := []cell{near, far}
@@ -170,7 +169,7 @@ func TestCarriedThresholdTieStillScans(t *testing.T) {
 // least distance far below that). Pruning must stay on.
 func TestCarriedQmaxKeepsPruning(t *testing.T) {
 	r := rng.New(9)
-	opt := FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true}
+	opt := FastScanOptions{Keep: 0.01, GroupComponents: 2}
 	first := newCell(t, r, 3000, 0, uniformTables(r, -20, 10), opt)      // distances in [-160, -80)
 	second := newCell(t, r, 3000, 3000, uniformTables(r, -50, 100), opt) // entries >= -50, distances from ~-400
 	cells := []cell{first, second}
@@ -206,7 +205,7 @@ func TestCarriedQmaxKeepsPruning(t *testing.T) {
 // what its lower bounds leave under the first cell's threshold.
 func TestCarriedHeapPrunesMore(t *testing.T) {
 	r := rng.New(10)
-	opt := FastScanOptions{Keep: DefaultKeep, GroupComponents: -1, OrderGroups: true}
+	opt := FastScanOptions{Keep: DefaultKeep, GroupComponents: -1}
 	const k = 100
 	tables := randomTablesShape(r, 0)
 	big := newCell(t, r, 60000, 0, tables, opt)

@@ -3,8 +3,6 @@ package scan
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"slices"
 
 	"pqfastscan/internal/layout"
 	"pqfastscan/internal/quantizer"
@@ -22,15 +20,6 @@ type FastScanOptions struct {
 	// vector grouping (§4.2). Negative selects automatically with the
 	// paper's rule nmin(c) = 50·16^c.
 	GroupComponents int
-	// OrderGroups is an extension beyond the paper: groups are visited
-	// in ascending order of a per-group lower-bound estimate instead of
-	// key order, so vectors close to the query are scanned first and the
-	// pruning threshold converges almost immediately. The paper scans
-	// groups in database order, which at its 25 M-vector scale converges
-	// fast anyway; at smaller scales ordering recovers most of the lost
-	// pruning power (see the GroupOrdering ablation bench). Results are
-	// unchanged — only the amount of pruning varies.
-	OrderGroups bool
 }
 
 // DefaultKeep is the paper's default keep fraction (0.5 %).
@@ -46,8 +35,9 @@ const DefaultKeep = 0.005
 // packed blocks are the only bytes it adds (§4.2). Rows appended since
 // the base was built (the tail, Rebind) are not regrouped: a scan takes
 // them with the keep region, by plain PQ Scan (§4.4), which is where
-// the paper puts rows that grouping does not pay for. A layout is never
-// modified.
+// the paper puts rows that grouping does not pay for. A scan visits the
+// groups in key order, the database order of §4.2–4.4. A layout is
+// never modified.
 //
 // The partition's dead bits are by row; the layout's grouped rows are
 // tombstoned a second time by block lane (blockIndex·16 + lane, padding
@@ -57,13 +47,12 @@ const DefaultKeep = 0.005
 // the lane bits from the row bits, and Rebind sets a lane together with
 // the row its caller tombstoned.
 type FastScan struct {
-	part        *Partition
-	keepN       int
-	covered     int // rows of part the layout accounts for: the base, keepN + grouped.N
-	c           int
-	grouped     *layout.Grouped
-	orderGroups bool
-	dead        deadSet // tombstoned block lanes
+	part    *Partition
+	keepN   int
+	covered int // rows of part the layout accounts for: the base, keepN + grouped.N
+	c       int
+	grouped *layout.Grouped
+	dead    deadSet // tombstoned block lanes
 }
 
 // shape returns the keep split and grouping depth opt gives a base of n
@@ -152,7 +141,7 @@ func NewFastScan(p *Partition, opt FastScanOptions) (*FastScan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scan: partition base is not in Fast Scan order (Ordered): %w", err)
 	}
-	fs := &FastScan{part: p, keepN: keepN, covered: base.N, c: c, grouped: g, orderGroups: opt.OrderGroups}
+	fs := &FastScan{part: p, keepN: keepN, covered: base.N, c: c, grouped: g}
 	p.dead.each(func(i int) {
 		if i >= keepN && i < base.N {
 			fs.dead.set(g.Lane(i - keepN))
@@ -237,7 +226,7 @@ func (fs *FastScan) Rebind(np *Partition, lane int) *FastScan {
 }
 
 // Detach returns a stub FastScan bound to the given partition stub: the
-// scan parameters (keep split, grouping depth, ordering mode) and the
+// scan parameters (keep split, grouping depth) and the
 // grouped directory stay resident while the packed blocks move to a
 // disk extent and the grouped codes and ids go with the base they alias
 // (layout.Grouped.Detach).
@@ -254,103 +243,6 @@ func (fs *FastScan) Hydrate(p *Partition, blocks []uint8) *FastScan {
 	base, _ := p.Segments()
 	codes, ids := groupedRows(base, fs.keepN)
 	return fs.with(p, fs.grouped.Hydrate(blocks, codes, ids))
-}
-
-// GroupVisitOrder returns the order groups are scanned in: database
-// (key) order by default, or — with the OrderGroups extension — ascending
-// by a conservative per-group distance estimate: the sum of each grouped
-// component's portion minimum over the nibbles actually present in the
-// group (the NibbleMask support precomputed by layout.NewGrouped) plus
-// each ungrouped component's global table minimum. The estimate
-// lower-bounds every member's ADC distance, so visiting small-estimate
-// groups first front-loads the true nearest neighbors and tightens the
-// pruning threshold early.
-//
-// Cost per query: one pass over the first c distance-table rows builds
-// the 16 full-portion minima per component, after which every group with
-// a saturated mask is estimated in O(c); sparse groups read only their
-// popcount(mask) present entries. Before the masks existed every group
-// rescanned its full 16-entry portions.
-//
-// sc, when non-nil, provides reusable order/estimate buffers (the
-// serving scan's allocation-free path). The model calls this same
-// function, so the visit order — and therefore pruning behaviour — is
-// the one it is checked against.
-func (fs *FastScan) GroupVisitOrder(t quantizer.Tables, sc *Scratch) []int {
-	g := fs.grouped
-	var order []int
-	var est []float64
-	if sc != nil {
-		sc.order = growSlice(sc.order, len(g.Groups))
-		sc.est = growSlice(sc.est, len(g.Groups))
-		order, est = sc.order, sc.est
-	} else {
-		order = make([]int, len(g.Groups))
-		est = make([]float64, len(g.Groups))
-	}
-	for i := range order {
-		order[i] = i
-	}
-	if !fs.orderGroups {
-		return order
-	}
-	base := 0.0
-	for j := fs.c; j < M; j++ {
-		row := t.Row(j)
-		m := float64(row[0])
-		for _, v := range row[1:] {
-			if float64(v) < m {
-				m = float64(v)
-			}
-		}
-		base += m
-	}
-	// Full-portion minima per grouped component, shared by every group
-	// whose nibble support is saturated.
-	var pmins [layout.MaxGroupComponents][16]float64
-	for j := 0; j < fs.c; j++ {
-		row := t.Row(j)
-		for h := 0; h < 16; h++ {
-			m := float64(row[h*16])
-			for _, v := range row[h*16+1 : h*16+16] {
-				if float64(v) < m {
-					m = float64(v)
-				}
-			}
-			pmins[j][h] = m
-		}
-	}
-	for gi := range g.Groups {
-		grp := &g.Groups[gi]
-		e := base
-		for j := 0; j < fs.c; j++ {
-			if mask := grp.NibbleMask[j]; mask == 0xffff {
-				e += pmins[j][grp.Key[j]]
-			} else {
-				row := t.Row(j)[int(grp.Key[j])*16 : int(grp.Key[j])*16+16]
-				m := math.Inf(1)
-				for ; mask != 0; mask &= mask - 1 {
-					if v := float64(row[bits.TrailingZeros16(mask)]); v < m {
-						m = v
-					}
-				}
-				e += m
-			}
-		}
-		est[gi] = e
-	}
-	// Equal estimates tie-break on group index: a canonical total order,
-	// so the visit order is identical however the sort is implemented.
-	slices.SortFunc(order, func(a, b int) int {
-		if est[a] != est[b] {
-			if est[a] < est[b] {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
-	return order
 }
 
 // DistQuantizer maps float32 distances to the signed 8-bit bins of §4.4.

@@ -198,7 +198,7 @@ func TestFastScanStatsAccounting(t *testing.T) {
 }
 
 // TestFastScanPropertyAgainstNaive: randomized end-to-end equivalence
-// over many shapes, keep values, grouping depths and orderings.
+// over many shapes, keep values and grouping depths.
 func TestFastScanPropertyAgainstNaive(t *testing.T) {
 	r := rng.New(2024)
 	for trial := 0; trial < 30; trial++ {
@@ -209,7 +209,6 @@ func TestFastScanPropertyAgainstNaive(t *testing.T) {
 		fs, err := newLayout(p, FastScanOptions{
 			Keep:            []float64{0, 0.002, 0.05}[r.Intn(3)],
 			GroupComponents: r.Intn(5) - 1,
-			OrderGroups:     r.Intn(2) == 0,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -246,7 +245,7 @@ func TestFastScanSkewedTables(t *testing.T) {
 		}
 	}
 	want, _ := Naive(p, tables, 10)
-	fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
+	fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func newBenchEnv(b *testing.B, n int) *benchEnv {
 		}
 	}
 	e := &benchEnv{p: scan.NewPartition(codes, nil), tables: tables}
-	fs, err := newLayout(e.p, scan.FastScanOptions{Keep: scan.DefaultKeep, GroupComponents: -1, OrderGroups: true})
+	fs, err := newLayout(e.p, scan.FastScanOptions{Keep: scan.DefaultKeep, GroupComponents: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

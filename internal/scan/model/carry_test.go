@@ -84,7 +84,7 @@ func everyEngine(check func(name string, native bool, scanInto func(c cell, heap
 
 // TestCarriedScanFuzz is the multi-probe leg of the exactness property:
 // two to four cells of random size and table shape, random tombstones,
-// every grouping depth and both group orderings, scanned in order into
+// every grouping depth, scanned in order into
 // one heap. The model and every backend must reach the oracle's answer,
 // and every backend the model's per-cell counters — carrying changes
 // how much is pruned, never what is returned or whether the model and
@@ -100,7 +100,6 @@ func TestCarriedScanFuzz(t *testing.T) {
 			cells[i] = newCell(t, r, n, nextID, randomTablesShape(r, r.Intn(4)), scan.FastScanOptions{
 				Keep:            []float64{0, 0.005, 0.06}[r.Intn(3)],
 				GroupComponents: r.Intn(5) - 1,
-				OrderGroups:     r.Intn(2) == 0,
 			})
 			nextID += int64(n)
 			if r.Intn(2) == 0 {
@@ -132,7 +131,7 @@ func TestCarriedScanFuzz(t *testing.T) {
 // re-check — on every engine, with the answer still the oracle's.
 func TestCarriedThresholdOutOfReach(t *testing.T) {
 	r := rng.New(7)
-	opt := scan.FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true}
+	opt := scan.FastScanOptions{Keep: 0.01, GroupComponents: 2}
 	near := newCell(t, r, 3000, 0, uniformTables(r, 0, 10), opt)
 	far := newCell(t, r, 3000, 3000, uniformTables(r, 1000, 100), opt)
 	cells := []cell{near, far}
@@ -176,7 +175,7 @@ func TestCarriedThresholdTieStillScans(t *testing.T) {
 // least distance far below that). Pruning must stay on.
 func TestCarriedQmaxKeepsPruning(t *testing.T) {
 	r := rng.New(9)
-	opt := scan.FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true}
+	opt := scan.FastScanOptions{Keep: 0.01, GroupComponents: 2}
 	first := newCell(t, r, 3000, 0, uniformTables(r, -20, 10), opt)      // distances in [-160, -80)
 	second := newCell(t, r, 3000, 3000, uniformTables(r, -50, 100), opt) // entries >= -50, distances from ~-400
 	cells := []cell{first, second}

@@ -10,9 +10,9 @@ import (
 )
 
 // TestScanNativeMatchesModel is the model-vs-serving equivalence
-// invariant: over random shapes, keeps, grouping depths, orderings and
-// k, the serving scan and the modeled kernel return bit-identical top-k
-// and identical pruning counters.
+// invariant: over random shapes, keeps, grouping depths and k, the
+// serving scan and the modeled kernel return bit-identical top-k and
+// identical pruning counters.
 func TestScanNativeMatchesModel(t *testing.T) {
 	r := rng.New(31337)
 	sc := scan.NewScratch()
@@ -23,7 +23,6 @@ func TestScanNativeMatchesModel(t *testing.T) {
 		fs, err := newLayout(p, scan.FastScanOptions{
 			Keep:            []float64{0, 0.002, 0.05}[r.Intn(3)],
 			GroupComponents: r.Intn(5) - 1,
-			OrderGroups:     r.Intn(2) == 0,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -44,7 +43,7 @@ func TestScanNativeMatchesModel(t *testing.T) {
 // die — deleted as the index deletes, one row and lane at a time.
 func TestScanNativeWithTombstones(t *testing.T) {
 	p, tables := randomPartition(t, 4000, 88)
-	fs, err := newLayout(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
+	fs, err := newLayout(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 func TestScanNativeAfterAppend(t *testing.T) {
 	r := rng.New(2025)
 	p, tables := randomPartition(t, 2000, 61)
-	fs, err := newLayout(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true})
+	fs, err := newLayout(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestScanNativeAfterAppend(t *testing.T) {
 // exactness property test of internal/scan, over the same sweep: random
 // codes, random table shapes (uniform, portion-structured,
 // negative-shifted, near-degenerate), random tombstone sets, every
-// grouping depth and both group orderings — every available backend
+// grouping depth — every available backend
 // must return the model's ids and distances and its counters.
 func TestBackendEquivalenceFuzz(t *testing.T) {
 	backends := dispatch.AvailableBackends()
@@ -180,7 +179,6 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 		fs, err := newLayout(p, scan.FastScanOptions{
 			Keep:            []float64{0, 0.005, 0.06}[r.Intn(3)],
 			GroupComponents: r.Intn(5) - 1,
-			OrderGroups:     r.Intn(2) == 0,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -32,8 +32,9 @@ func Scan(fs *scan.FastScan, t quantizer.Tables, k int) ([]topk.Result, Stats) {
 
 // ScanInto is the model's PQ Fast Scan: it continues the query's running
 // top-k in heap over fs's partition, exactly as scan.ScanNativeInto does
-// — same bounds, same visit order, same decision sequence, so heap
-// evolution and counters agree with the serving scan, carried or not.
+// — same bounds, groups in the same key order, same decision sequence,
+// so heap evolution and counters agree with the serving scan, carried
+// or not.
 func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	scan.Check8x8(t)
 	part, plain, c := fs.Partition(), fs.PlainScanned(), fs.GroupComponents()
@@ -79,10 +80,7 @@ func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 		ScalarBranch: 2,
 	}
 
-	groupOrder := fs.GroupVisitOrder(t, nil)
-
-	for _, gi := range groupOrder {
-		grp := g.Groups[gi]
+	for _, grp := range g.Groups {
 		stats.Groups++
 		// Load the group's small tables S_0..S_{C-1} (solid arrows of
 		// Figure 13).
@@ -117,7 +115,7 @@ func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 			}
 			for j := c; j < M; j++ {
 				comps := simd.Load(g.FullComponents(blockIdx, j))
-				hi := simd.Pand(simd.Psrlw4(comps), simd.LowNibbleMask())
+				hi := simd.Pand(simd.Psrlw4(comps), simd.LowNibbleBits())
 				lookup := simd.Pshufb(minTables[j], hi)
 				if first {
 					acc = lookup

@@ -52,7 +52,6 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	thrReg := simd.Broadcast256(uint8(t8))
 
 	g := fs.Grouped()
-	groupOrder := fs.GroupVisitOrder(t, nil)
 	var groupTables256 [layout.MaxGroupComponents]simd.Reg256
 	var nibblesLo, nibblesHi [layout.BlockVectors]uint8
 
@@ -70,8 +69,7 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	}
 	pairs := 0
 
-	for _, gi := range groupOrder {
-		grp := g.Groups[gi]
+	for _, grp := range g.Groups {
 		stats.Groups++
 		for j := 0; j < c; j++ {
 			groupTables256[j] = simd.Dup128(buildGroupTable(t, j, grp.Key[j], dq))
@@ -106,7 +104,7 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 					simd.Load(g.FullComponents(loBlock, j)),
 					simd.Load(g.FullComponents(hiBlock, j)),
 				)
-				hi := simd.VPand(simd.VPsrlw4(comps), simd.LowNibbleMask256())
+				hi := simd.VPand(simd.VPsrlw4(comps), simd.LowNibbleBits256())
 				lookup := simd.VPshufb(minTables256[j], hi)
 				if first {
 					acc = lookup

@@ -36,7 +36,7 @@ func TestFastScanStatsAccounting(t *testing.T) {
 }
 
 // TestFastScanPropertyAgainstNaive: randomized end-to-end equivalence
-// over many shapes, keep values, grouping depths and orderings.
+// over many shapes, keep values and grouping depths.
 func TestFastScanPropertyAgainstNaive(t *testing.T) {
 	r := rng.New(2024)
 	for trial := 0; trial < 30; trial++ {
@@ -47,7 +47,6 @@ func TestFastScanPropertyAgainstNaive(t *testing.T) {
 		fs, err := newLayout(p, scan.FastScanOptions{
 			Keep:            []float64{0, 0.002, 0.05}[r.Intn(3)],
 			GroupComponents: r.Intn(5) - 1,
-			OrderGroups:     r.Intn(2) == 0,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +84,7 @@ func TestFastScanSkewedTables(t *testing.T) {
 		}
 	}
 	want, _ := Libpq(p, tables, 10)
-	fs, err := newLayout(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
+	fs, err := newLayout(p, scan.FastScanOptions{Keep: 0.01, GroupComponents: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestQuantizationOnlyStats(t *testing.T) {
 
 // TestScan256AgreesWithScan: the AVX2 widening must return bit-identical
 // results to the 128-bit kernel and to the exact baselines, across
-// shapes, odd block counts and orderings.
+// shapes and odd block counts.
 func TestScan256AgreesWithScan(t *testing.T) {
 	r := rng.New(4242)
 	for trial := 0; trial < 25; trial++ {
@@ -122,7 +121,6 @@ func TestScan256AgreesWithScan(t *testing.T) {
 		fs, err := newLayout(p, scan.FastScanOptions{
 			Keep:            []float64{0, 0.01}[r.Intn(2)],
 			GroupComponents: r.Intn(5) - 1,
-			OrderGroups:     r.Intn(2) == 0,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -184,9 +184,10 @@ func Naive(p *scan.Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) 
 	return res, Stats{Stats: st, Ops: naivePerVector.Scale(float64(p.N))}
 }
 
-// Libpq scans the partition with the libpq optimization: the 8 centroid
-// indexes of a vector are fetched with a single 64-bit load and extracted
-// with shifts. The distance accumulation order is identical to Naive.
+// Libpq prices the libpq optimization — the 8 centroid indexes of a
+// vector fetched with a single 64-bit load and extracted with shifts —
+// over scan.LibpqRange, the serving exact loop, whose distance
+// accumulation order is identical to Naive's.
 func Libpq(p *scan.Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {
 	scan.Check8x8(t)
 	heap := topk.New(k)

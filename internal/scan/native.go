@@ -1,9 +1,9 @@
 // The serving Fast Scan.
 //
 // §4's algorithm — small-table lookups, saturating 8-bit accumulation,
-// qsat-vs-threshold pruning, keep phase, group ordering — implemented
-// for wall-clock speed on one of the block-kernel backends selected by
-// internal/simd/dispatch:
+// qsat-vs-threshold pruning, keep phase, groups in key order —
+// implemented for wall-clock speed on one of the block-kernel backends
+// selected by internal/simd/dispatch:
 //
 //   - swar (always available): per-query pair LUTs resolve two lanes of
 //     a block per load into uint64 words of four 16-bit lanes, flat
@@ -16,13 +16,12 @@
 //     Go between blocks so the decision sequence is identical
 //     (DESIGN.md §12).
 //
-// All backends share every decision input (quantizer, thresholds, group
-// visit order, exact re-check arithmetic) and their lower-bound bytes
-// agree lane-for-lane, so result sets AND statistics are bit-identical
-// across backends (DESIGN.md §6, §12) — and equal to those of the
-// instruction-counting model in internal/scan/model, which calls the
-// same decision inputs and is checked against this file at every shape
-// (§9).
+// All backends share every decision input (quantizer, thresholds, exact
+// re-check arithmetic) and their lower-bound bytes agree lane-for-lane,
+// so result sets AND statistics are bit-identical across backends
+// (DESIGN.md §6, §12) — and equal to those of the instruction-counting
+// model in internal/scan/model, which calls the same decision inputs and
+// is checked against this file at every shape (§9).
 package scan
 
 import (
@@ -119,8 +118,8 @@ type queryTables struct {
 
 // Scratch holds the reusable per-searcher buffers of a scan:
 // the top-k heap and sorted-results buffer of the from-empty entry
-// points, the group-ordering order/estimate arrays, the query-table
-// storage, and the assembly backends' lower-bound and mask buffers.
+// points, the query-table storage, and the assembly backends'
+// lower-bound and mask buffers.
 // Reusing one Scratch across queries keeps the steady-state scan loop
 // at zero allocations; a Scratch must not be shared between concurrent
 // scans. Passing nil to the scan entry points allocates a transient
@@ -132,8 +131,6 @@ type queryTables struct {
 type Scratch struct {
 	heap    *topk.Heap
 	results []topk.Result
-	order   []int
-	est     []float64
 
 	qt    queryTables
 	acc   []uint8  // asm backends' lower-bound bytes, 64-byte aligned
@@ -354,13 +351,11 @@ func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scra
 	thrVal, haveThr := heap.Threshold()
 	t8 := qt.dq.PruneThreshold(thrVal, haveThr)
 
-	groupOrder := fs.GroupVisitOrder(t, sc)
-
 	tv := (*[M][256]float32)(unsafe.Pointer(&t.Data[0])) // Check8x8: M rows of 256
 	if be.Asm() {
-		fs.scanBlocksAsm(sc, qt, be, groupOrder, &t8, heap, tv, &stats)
+		fs.scanBlocksAsm(sc, qt, be, &t8, heap, tv, &stats)
 	} else {
-		fs.scanBlocksSWAR(sc, qt, groupOrder, &t8, heap, tv, &stats)
+		fs.scanBlocksSWAR(qt, &t8, heap, tv, &stats)
 	}
 	return stats
 }
@@ -428,7 +423,7 @@ func swarPrunedMask(acc []uint8, t8 int8) uint32 {
 // threshold, which is what makes the group-at-a-time kernel call safe.
 // Dead lanes leave a block's survivors with one AND and count as
 // pruned, on every backend and in the model alike.
-func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Backend, groupOrder []int, t8 *int8, heap *topk.Heap, tv *[M][256]float32, stats *Stats) {
+func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Backend, t8 *int8, heap *topk.Heap, tv *[M][256]float32, stats *Stats) {
 	g := fs.grouped
 	c := fs.c
 	bb := g.BlockSize()
@@ -436,7 +431,7 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 	hasDead := fs.dead.n > 0
 	tb := qt.asmTables()
 
-	for _, gi := range groupOrder {
+	for gi := range g.Groups {
 		grp := &g.Groups[gi]
 		for j := 0; j < c; j++ {
 			copy(tb[j*16:j*16+16], qt.qrows[j][int(grp.Key[j])*16:int(grp.Key[j])*16+16])
@@ -487,7 +482,7 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 // per scan: ≈ 5–8 µs, a quarter of a 1 000-code partition's scan and
 // repaid several times over from 10 000 codes up (DESIGN.md §12 has the
 // measurement that chose this pipeline).
-func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []int, t8p *int8, heap *topk.Heap, tv *[M][256]float32, stats *Stats) {
+func (fs *FastScan) scanBlocksSWAR(qt *queryTables, t8p *int8, heap *topk.Heap, tv *[M][256]float32, stats *Stats) {
 	g := fs.grouped
 	c := fs.c
 	bb := g.BlockSize()
@@ -501,7 +496,7 @@ func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []in
 	}
 	var groupLUTs [layout.MaxGroupComponents]*[256]uint32
 
-	for _, gi := range groupOrder {
+	for gi := range g.Groups {
 		grp := &g.Groups[gi]
 		stats.Groups++
 		for j := 0; j < c; j++ {
@@ -603,60 +598,16 @@ func leUint64(b []byte) uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// ExactNative is the tuned exact PQ Scan (the libpq kernel selection).
-// The loop accumulates the same float32 table entries in the same
-// j = 0..7 order as Naive (bit-identical results) with hoisted table rows,
-// bounds-check-free row indexing (a uint8 index into a 256-entry row)
-// and a local threshold that skips the heap call for vectors that cannot
-// be retained.
+// ExactNative is the tuned exact PQ Scan (the libpq kernel selection)
+// from an empty heap: LibpqRange over every row, results sorted into
+// the Scratch — bit-identical to Naive.
 func ExactNative(p *Partition, t quantizer.Tables, k int, sc *Scratch) ([]topk.Result, Stats) {
 	Check8x8(t)
 	if sc == nil {
 		sc = NewScratch()
 	}
-	heap := sc.heap
-	heap.Reset(k)
-	stats := Stats{Scanned: p.N}
-
-	td := t.Data
-	t0 := td[0*256 : 1*256 : 1*256]
-	t1 := td[1*256 : 2*256 : 2*256]
-	t2 := td[2*256 : 3*256 : 3*256]
-	t3 := td[3*256 : 4*256 : 4*256]
-	t4 := td[4*256 : 5*256 : 5*256]
-	t5 := td[5*256 : 6*256 : 6*256]
-	t6 := td[6*256 : 7*256 : 7*256]
-	t7 := td[7*256 : 8*256 : 8*256]
-
-	hasDead := p.HasDead()
-	var thr float32
-	full := false
-	base, tail := p.Segments()
-	for _, seg := range [2]Rows{base, tail} {
-		codes, ids := seg.Codes, seg.IDs
-		for i := 0; i < seg.N; i++ {
-			if hasDead && p.dead.has(seg.First+i) {
-				continue
-			}
-			cd := codes[i*M : i*M+M : i*M+M]
-			d := t0[cd[0]] + t1[cd[1]] + t2[cd[2]] + t3[cd[3]] +
-				t4[cd[4]] + t5[cd[5]] + t6[cd[6]] + t7[cd[7]]
-			// d > thr cannot displace a retained neighbor (ties go through
-			// Push for the deterministic id-order rule).
-			if full && d > thr {
-				continue
-			}
-			id := int64(seg.First + i)
-			if ids != nil {
-				id = ids[i]
-			}
-			if heap.Push(id, d) {
-				if v, ok := heap.Threshold(); ok {
-					thr, full = v, true
-				}
-			}
-		}
-	}
-	sc.results = heap.AppendResults(sc.results[:0])
-	return sc.results, stats
+	sc.heap.Reset(k)
+	LibpqRange(p, 0, p.N, t, sc.heap)
+	sc.results = sc.heap.AppendResults(sc.results[:0])
+	return sc.results, Stats{Scanned: p.N}
 }

@@ -64,7 +64,7 @@ func TestSWARMovemaskMatchesPmovmskB(t *testing.T) {
 // as the index deletes, one copy-on-write row and lane at a time.
 func TestScanNativeWithTombstones(t *testing.T) {
 	p, tables := randomPartition(t, 4000, 88)
-	fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: true})
+	fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestExactNativeMatchesKernels(t *testing.T) {
 func TestScanNativeAfterAppend(t *testing.T) {
 	r := rng.New(2025)
 	p, tables := randomPartition(t, 2000, 61)
-	fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: 2, OrderGroups: true})
+	fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestScratchReuseIsStateless(t *testing.T) {
 		n := r.Intn(2000) + 1
 		k := []int{1, 40, 300}[r.Intn(3)]
 		p, tables := randomPartition(t, n, r.Uint64())
-		fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: -1, OrderGroups: trial%2 == 0})
+		fs, err := newLayout(p, FastScanOptions{Keep: 0.01, GroupComponents: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

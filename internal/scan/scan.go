@@ -4,7 +4,7 @@
 //   - Naive: Algorithm 1 verbatim (§3.1) — the scalar oracle every other
 //     scan, here and in internal/scan/model, is checked against. It is
 //     kept forever and reads the same Tables as the fast paths;
-//   - ExactNative: the tuned exact PQ Scan (native.go);
+//   - ExactNative: the tuned exact PQ Scan, LibpqRange over every row;
 //   - FastScan: the paper's contribution (§4) — the grouped layout and
 //     its lifecycle in fastscan.go, the block-kernel scan over the
 //     backends of internal/simd/dispatch in native.go.
@@ -18,14 +18,13 @@
 // §3 baselines, the §5.5 ablation and the operation mixes internal/perf
 // prices — lives in internal/scan/model and is linked only by pqbench
 // and tests. It reaches into this package through the exported decision
-// inputs (KeepBounds, DistQuantizer, BuildMinTables, GroupVisitOrder,
-// ADC8, LibpqRange, OutOfReach, DeadLanes, Check8x8): everything that
+// inputs (KeepBounds, DistQuantizer, BuildMinTables, ADC8, LibpqRange,
+// OutOfReach, DeadLanes, Check8x8): everything that
 // decides what is pruned exists once, here, and the model calls it
 // (DESIGN.md §9).
 package scan
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -383,38 +382,40 @@ func Naive(p *Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {
 }
 
 // LibpqRange scans positions [lo, hi) of the partition — whichever of
-// its two runs they fall in — into heap with the libpq optimization
-// (§3.1): the 8 centroid indexes of a vector are fetched with a single
-// 64-bit load and extracted with shifts, the distance accumulated in
-// Naive's order. It is FastScan's keep phase and the body of the
-// model's libpq baseline. Tombstoned vectors are skipped. A local copy
-// of the heap threshold gates the Push call: a distance strictly above
-// the full heap's root cannot be retained, so skipping the call changes
-// nothing (ties still go through Push for the deterministic id-order
-// rule).
+// its two runs they fall in — into heap: the one exact PQ Scan loop,
+// the tuned libpq baseline of §3.1. It is ExactNative's whole body,
+// FastScan's keep phase and the body of the model's libpq baseline. The
+// eight table rows are hoisted out of the loop, each indexed by one
+// code byte (a uint8 into a 256-entry row needs no bounds check), and
+// the distance is summed in Naive's j = 0..7 order, so it is ADC8's to
+// the bit. Tombstoned vectors are skipped. A local copy of the heap
+// threshold gates the Push call: a distance strictly above the full
+// heap's root cannot be retained, so skipping the call changes nothing
+// (ties still go through Push for the deterministic id-order rule).
 func LibpqRange(p *Partition, lo, hi int, t quantizer.Tables, heap *topk.Heap) {
+	td := t.Data
+	t0 := td[0*256 : 1*256 : 1*256]
+	t1 := td[1*256 : 2*256 : 2*256]
+	t2 := td[2*256 : 3*256 : 3*256]
+	t3 := td[3*256 : 4*256 : 4*256]
+	t4 := td[4*256 : 5*256 : 5*256]
+	t5 := td[5*256 : 6*256 : 6*256]
+	t6 := td[6*256 : 7*256 : 7*256]
+	t7 := td[7*256 : 8*256 : 8*256]
+
+	hasDead := p.HasDead()
+	thr, full := heap.Threshold()
 	base, tail := p.Segments()
 	for _, seg := range [2]Rows{base, tail} {
-		from, to := max(lo-seg.First, 0), min(hi-seg.First, seg.N)
-		if from >= to {
-			continue
-		}
 		codes, ids := seg.Codes, seg.IDs
-		hasDead := p.HasDead()
-		thr, full := heap.Threshold()
+		from, to := max(lo-seg.First, 0), min(hi-seg.First, seg.N)
 		for i := from; i < to; i++ {
 			if hasDead && p.dead.has(seg.First+i) {
 				continue
 			}
-			word := binary.LittleEndian.Uint64(codes[i*M : i*M+M])
-			d := t.Data[int(word&0xff)]
-			d += t.Data[256+int(word>>8&0xff)]
-			d += t.Data[2*256+int(word>>16&0xff)]
-			d += t.Data[3*256+int(word>>24&0xff)]
-			d += t.Data[4*256+int(word>>32&0xff)]
-			d += t.Data[5*256+int(word>>40&0xff)]
-			d += t.Data[6*256+int(word>>48&0xff)]
-			d += t.Data[7*256+int(word>>56&0xff)]
+			cd := codes[i*M : i*M+M : i*M+M]
+			d := t0[cd[0]] + t1[cd[1]] + t2[cd[2]] + t3[cd[3]] +
+				t4[cd[4]] + t5[cd[5]] + t6[cd[6]] + t7[cd[7]]
 			if full && d > thr {
 				continue
 			}

@@ -166,7 +166,7 @@ func Por(a, b Reg) Reg {
 }
 
 // Psrlw4 shifts each 16-bit word right by 4 bits (psrlw xmm, 4). Combined
-// with Pand(lowNibbleMask) it extracts the 4 most significant bits of each
+// with Pand(LowNibbleBits()) it extracts the 4 most significant bits of each
 // byte, which index the minimum tables S4..S7 (§4.5).
 func Psrlw4(a Reg) Reg {
 	var r Reg
@@ -179,10 +179,10 @@ func Psrlw4(a Reg) Reg {
 	return r
 }
 
-// LowNibbleMask is the constant register with 0x0f in every lane, used to
+// LowNibbleBits is the constant register with 0x0f in every lane, used to
 // extract the 4 least significant bits of each component before a pshufb
 // lookup (§4.5).
-func LowNibbleMask() Reg { return Broadcast(0x0f) }
+func LowNibbleBits() Reg { return Broadcast(0x0f) }
 
 // Words exports the register as two uint64 SWAR words in x86 memory
 // order: lo holds lanes 0-7 (lane 0 in the least significant byte), hi

@@ -145,5 +145,5 @@ func VPsrlw4(a Reg256) Reg256 {
 	return r
 }
 
-// LowNibbleMask256 is the 0x0f broadcast for high-nibble extraction.
-func LowNibbleMask256() Reg256 { return Broadcast256(0x0f) }
+// LowNibbleBits256 is the 0x0f broadcast for high-nibble extraction.
+func LowNibbleBits256() Reg256 { return Broadcast256(0x0f) }

@@ -140,7 +140,7 @@ func TestBroadcast256Zero256(t *testing.T) {
 			t.Fatal("Broadcast256 lane mismatch")
 		}
 	}
-	if LowNibbleMask256() != Broadcast256(0x0f) {
-		t.Fatal("LowNibbleMask256 wrong")
+	if LowNibbleBits256() != Broadcast256(0x0f) {
+		t.Fatal("LowNibbleBits256 wrong")
 	}
 }

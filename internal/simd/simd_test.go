@@ -199,7 +199,7 @@ func TestPandPor(t *testing.T) {
 // regardless of the neighboring byte's content.
 func TestHighNibbleExtraction(t *testing.T) {
 	if err := quick.Check(func(a [16]byte) bool {
-		got := Pand(Psrlw4(asReg(a)), LowNibbleMask())
+		got := Pand(Psrlw4(asReg(a)), LowNibbleBits())
 		for i := 0; i < 16; i++ {
 			if got[i] != a[i]>>4 {
 				return false

@@ -33,7 +33,6 @@ func newMutateFixture(t *testing.T) *mutateFixture {
 
 	opt := pqfastscan.DefaultBuildOptions()
 	opt.Partitions = 4
-	opt.OrderGroups = true
 	opt.Seed = 9
 
 	mutated, err := pqfastscan.Build(learn, base, opt)
@@ -195,8 +194,8 @@ func TestMutatedIndexMultiProbeAndBatch(t *testing.T) {
 // interleaved Add/Delete/Search and, inside every round, checks every
 // scan path (naive, libpq, fastpq on each backend) answers the naive
 // oracle's results bit for bit — the exactness invariant under online
-// mutation, where the incremental group repacking (and its NibbleMask
-// maintenance) is the state every backend scans.
+// mutation, where the sealed base, its append tail and the dead bits
+// are the state every backend scans.
 func TestMutationInterleavedEnginesAgree(t *testing.T) {
 	ctx := context.Background()
 	gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 777, Dim: 48})
@@ -206,7 +205,6 @@ func TestMutationInterleavedEnginesAgree(t *testing.T) {
 
 	opt := pqfastscan.DefaultBuildOptions()
 	opt.Partitions = 3
-	opt.OrderGroups = true
 	opt.Seed = 5
 	idx, err := pqfastscan.Build(learn, base, opt)
 	if err != nil {

@@ -184,11 +184,6 @@ type BuildOptions struct {
 	// DisableOptimizedAssignment turns off the §4.3 centroid index
 	// reassignment (only useful for ablation studies).
 	DisableOptimizedAssignment bool
-	// OrderGroups visits groups in ascending order of a per-group lower
-	// bound during Fast Scan (an extension beyond the paper that speeds
-	// up pruning-threshold convergence on small partitions; results are
-	// unchanged).
-	OrderGroups bool
 }
 
 // DefaultBuildOptions returns the paper's default configuration.
@@ -249,7 +244,6 @@ func Build(learn, base Matrix, opt BuildOptions) (*Index, error) {
 		FastScan: scan.FastScanOptions{
 			Keep:            opt.Keep,
 			GroupComponents: opt.GroupComponents,
-			OrderGroups:     opt.OrderGroups,
 		},
 	})
 	if err != nil {

@@ -26,7 +26,6 @@ func sharedAPIIndex(t *testing.T) (*pqfastscan.Index, pqfastscan.Matrix, pqfasts
 		apiQueries = gen.Generate(6)
 		opt := pqfastscan.DefaultBuildOptions()
 		opt.Partitions = 4
-		opt.OrderGroups = true
 		apiIndex, apiErr = pqfastscan.Build(learn, apiBase, opt)
 	})
 	if apiErr != nil {

@@ -18,7 +18,6 @@ func buildRecallIndex(t *testing.T) (*pqfastscan.Index, pqfastscan.Matrix) {
 	opt := pqfastscan.DefaultBuildOptions()
 	opt.Partitions = 8
 	opt.Seed = 99
-	opt.OrderGroups = true
 	idx, err := pqfastscan.Build(learn, base, opt)
 	if err != nil {
 		t.Fatal(err)
