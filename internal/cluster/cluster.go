@@ -144,8 +144,8 @@ type Config struct {
 	// and the response reports coverage. Off, queries fail unless the
 	// request itself opts in.
 	AllowPartial bool
-	// MaxK rejects requests asking for more neighbors than this
-	// (default 1000).
+	// MaxK rejects /search bodies asking for more neighbors than this
+	// (default 1000), as a node's does.
 	MaxK int
 	// MaxBodyBytes caps a request body (default 8 MiB).
 	MaxBodyBytes int64

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 var (
 	fixOnce    sync.Once
 	fixIdx     *pqfastscan.Index
+	fixBase    pqfastscan.Matrix // row i is the vector of id i
 	fixQueries pqfastscan.Matrix
 	fixErr     error
 )
@@ -34,7 +36,9 @@ func fullIndex(t *testing.T) (*pqfastscan.Index, pqfastscan.Matrix) {
 		gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 31})
 		opt := pqfastscan.DefaultBuildOptions()
 		opt.Partitions = 8
-		fixIdx, fixErr = pqfastscan.Build(gen.Generate(3000), gen.Generate(12000), opt)
+		learn := gen.Generate(3000)
+		fixBase = gen.Generate(12000)
+		fixIdx, fixErr = pqfastscan.Build(learn, fixBase, opt)
 		fixQueries = gen.Generate(32)
 	})
 	if fixErr != nil {
@@ -534,8 +538,8 @@ func TestRouterHandlerContract(t *testing.T) {
 	}
 }
 
-// countingShard is shardServer counting into arrived every /search and
-// /add sub-request that reaches it.
+// countingShard is shardServer counting into arrived every /search,
+// /add and /delete sub-request that reaches it.
 func countingShard(t *testing.T, full *pqfastscan.Index, cells []int, arrived *atomic.Int64) string {
 	t.Helper()
 	restricted, err := full.RestrictCells(cells...)
@@ -548,7 +552,7 @@ func countingShard(t *testing.T, full *pqfastscan.Index, cells []int, arrived *a
 	}
 	inner := s.Handler()
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/search" || r.URL.Path == "/add" {
+		if r.URL.Path == "/search" || r.URL.Path == "/add" || r.URL.Path == "/delete" {
 			arrived.Add(1)
 		}
 		inner.ServeHTTP(w, r)
@@ -660,36 +664,99 @@ func TestRouterRejectsBadKernelBeforeFanout(t *testing.T) {
 }
 
 // TestRouterRejectsWhatANodeRejects: clients cannot tell a router from
-// a node, so a /search body a node refuses — a key it does not know,
-// "backend" included — gets the node's status from the router too.
+// a node, so a body a node refuses gets the node's 400 from the router
+// too, before any sub-request. The cases are those of the server's
+// TestSearchValidation, TestSearchCellsValidation, TestAddValidation and
+// TestDeleteValidation, over this fixture's 8 cells. A /delete naming no
+// id deleted id 0 on a node and, through a router, on every shard.
 func TestRouterRejectsWhatANodeRejects(t *testing.T) {
 	full, queries := fullIndex(t)
 	node := shardServer(t, full, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	shardA := shardServer(t, full, []int{0, 1, 2, 3})
-	shardB := shardServer(t, full, []int{4, 5, 6, 7})
-	h := newRouter(t, 8, [][]string{{shardA.URL}, {shardB.URL}}, nil).Handler()
-	q := queries.Row(3)
-	for _, c := range []struct {
-		name string
-		body map[string]any
-	}{
-		{"backend key", map[string]any{"query": q, "k": 5, "backend": "swar"}},
-		{"backend key, auto", map[string]any{"query": q, "k": 5, "backend": "auto"}},
-	} {
-		raw, err := json.Marshal(c.body)
+	var arrived atomic.Int64
+	h := newRouter(t, 8, [][]string{
+		{countingShard(t, full, []int{0, 1, 2, 3}, &arrived)},
+		{countingShard(t, full, []int{4, 5, 6, 7}, &arrived)},
+	}, nil).Handler()
+	q, good := queries.Row(3), queries.Row(4)
+	js := func(v any) []byte {
+		raw, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(node.URL+"/search", "application/json", bytes.NewReader(raw))
+		return raw
+	}
+	withComponent := func(v []float32, x float32) []float32 {
+		out := append([]float32(nil), v...)
+		out[0] = x
+		return out
+	}
+	add := func(vs ...[]float32) []byte { return js(server.AddRequest{Vectors: vs}) }
+	for _, c := range []struct {
+		name, path string
+		body       []byte
+	}{
+		{"short query", "/search", js(server.SearchRequest{Query: q[:10], K: 5})},
+		{"bad k", "/search", js(server.SearchRequest{Query: q, K: -2})},
+		{"huge k", "/search", js(server.SearchRequest{Query: q, K: 1 << 20})},
+		{"bad nprobe", "/search", js(server.SearchRequest{Query: q, K: 5, NProbe: 99})},
+		{"bad kernel", "/search", js(server.SearchRequest{Query: q, K: 5, Kernel: "warp"})},
+		{"laboratory kernel", "/search", js(server.SearchRequest{Query: q, K: 5, Kernel: "avx"})},
+		{"backend key", "/search", js(map[string]any{"query": q, "k": 5, "backend": "swar"})},
+		{"backend key, auto", "/search", js(map[string]any{"query": q, "k": 5, "backend": "auto"})},
+		{"norm overflows float32", "/search", js(server.SearchRequest{Query: withComponent(q, 1e30), K: 5})},
+		{"norm overflows float32, all cells", "/search", js(server.SearchRequest{Query: withComponent(q, -1e30), K: 5, NProbe: 8})},
+		{"second JSON value", "/search", append(js(server.SearchRequest{Query: q, K: 5}), js(server.SearchRequest{Query: q, K: 6})...)},
+		{"cells and nprobe together", "/search", js(server.SearchRequest{Query: q, K: 5, NProbe: 2, Cells: []int{0}})},
+		{"cells and nprobe 1", "/search", js(server.SearchRequest{Query: q, K: 5, NProbe: 1, Cells: []int{0}})},
+		{"cell out of range", "/search", js(server.SearchRequest{Query: q, K: 5, Cells: []int{99}})},
+		{"negative cell", "/search", js(server.SearchRequest{Query: q, K: 5, Cells: []int{-1}})},
+		{"duplicate cell", "/search", js(server.SearchRequest{Query: q, K: 5, Cells: []int{1, 1}})},
+		{"no vectors", "/add", add()},
+		{"short vector", "/add", add(good[:10])},
+		{"vector norm overflows float32", "/add", add(withComponent(good, 1e30))},
+		{"second vector overflows", "/add", add(good, withComponent(good, -1e30))},
+		{"second JSON value", "/add", append(add(good), add(good)...)},
+		{"no id", "/delete", []byte(`{}`)},
+		{"ids, not id", "/delete", []byte(`{"ids":[7]}`)},
+		{"null id", "/delete", []byte(`{"id":null}`)},
+		{"second JSON value", "/delete", []byte(`{"id":5}{"id":6}`)},
+	} {
+		resp, err := http.Post(node.URL+c.path, "application/json", bytes.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(raw)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(c.body)))
 		if resp.StatusCode != http.StatusBadRequest || rec.Code != resp.StatusCode {
-			t.Errorf("%s: node %d, router %d (%s); want both 400", c.name, resp.StatusCode, rec.Code, rec.Body.String())
+			t.Errorf("%s %s: node %d, router %d (%s); want both 400", c.path, c.name, resp.StatusCode, rec.Code, rec.Body.String())
 		}
+	}
+	if n := arrived.Load(); n != 0 {
+		t.Errorf("%d sub-requests reached a shard for refused requests, want 0", n)
+	}
+
+	// Nothing was deleted: id 0 is still its own vector's neighbor.
+	probe := js(server.SearchRequest{Query: fixBase.Row(0), K: 10, NProbe: 8})
+	resp, err := http.Post(node.URL+"/search", "application/json", bytes.NewReader(probe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromNode server.SearchResponse
+	err = json.NewDecoder(resp.Body).Decode(&fromNode)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(probe)))
+	var fromRouter server.SearchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &fromRouter); err != nil {
+		t.Fatalf("router search: %d %s", rec.Code, rec.Body.String())
+	}
+	isZero := func(n server.SearchNeighbor) bool { return n.ID == 0 }
+	if !slices.ContainsFunc(fromNode.Results, isZero) || !slices.ContainsFunc(fromRouter.Results, isZero) {
+		t.Errorf("id 0 missing from its own vector's neighbors: node %+v, router %+v", fromNode.Results, fromRouter.Results)
 	}
 }
 

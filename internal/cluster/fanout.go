@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -21,16 +20,6 @@ import (
 	"pqfastscan/internal/server"
 	"pqfastscan/internal/topk"
 )
-
-// validationError marks a request rejected before any fanout — the
-// router's handler maps it to 400, everything else to 502.
-type validationError struct{ msg string }
-
-func (e *validationError) Error() string { return e.msg }
-
-func validationErrorf(format string, args ...any) error {
-	return &validationError{msg: fmt.Sprintf(format, args...)}
-}
 
 // counter is a tiny named atomic for per-shard stats.
 type counter struct{ v atomic.Int64 }
@@ -47,6 +36,8 @@ func (m *atomicMeta) store(f *fleetMeta) { m.p.Store(f) }
 
 // SearchOptions parameterizes one routed query. Zero values select the
 // single-node defaults: K 10, NProbe 1, the engine's default kernel.
+// Search holds them to a node's rules (index.CheckRequest); k is not
+// capped here — Config.MaxK caps /search bodies.
 type SearchOptions struct {
 	K      int
 	NProbe int
@@ -70,63 +61,35 @@ type SearchOptions struct {
 // the shape and content a single node holding all cells would return.
 func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions) (*server.SearchResponse, error) {
 	meta := r.meta.load()
-	if len(query) != meta.dim {
-		return nil, validationErrorf("cluster: query dim %d != index dim %d", len(query), meta.dim)
-	}
-	if err := index.CheckVector(query); err != nil {
-		return nil, validationErrorf("cluster: %v", err)
-	}
 	if opt.K == 0 {
 		opt.K = 10
 	}
-	if opt.K < 0 || opt.K > r.cfg.MaxK {
-		return nil, validationErrorf("cluster: k must be in [1,%d]", r.cfg.MaxK)
-	}
-	// A kernel no node runs is the sender's mistake, named here: sent on,
-	// every shard would answer 400, which the retry budget and the
-	// breakers count against the endpoints.
+	// A request a node would refuse is refused here, before any fan-out:
+	// sent on, every shard would answer 400, which the retry budget and
+	// the breakers count against the endpoints.
+	req := index.Request{Query: query, K: opt.K, NProbe: opt.NProbe, Cells: opt.Cells, Recall: opt.Recall}
 	if opt.Kernel != "" {
-		if _, err := pqfastscan.ParseKernel(opt.Kernel); err != nil {
-			return nil, validationErrorf("cluster: %v", err)
+		k, err := pqfastscan.ParseKernel(opt.Kernel)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", index.ErrBadRequest, err)
 		}
+		req.Kernel = k
+	}
+	if err := index.CheckRequest(req, meta.dim, meta.partitions); err != nil {
+		return nil, err
 	}
 	var ranked []int // RankCells order over meta.coarse, once computed
-	if opt.Recall != 0 {
-		if !(opt.Recall > 0 && opt.Recall <= 1) {
-			return nil, validationErrorf("cluster: recall must be in (0,1], got %g", opt.Recall)
-		}
-		// The recall target picks nprobe only when routing is open —
-		// explicit nprobe or cells win, matching single-node semantics.
-		// The prefix is cut from the very ranking probeSet slices, so
-		// the query is indistinguishable from one carrying that nprobe
-		// explicitly; a fleet that reports no cell sizes gets the
-		// single-probe default.
-		if opt.NProbe == 0 && len(opt.Cells) == 0 {
-			ranked = index.RankCells(query, meta.coarse)
-			opt.NProbe = index.RecallPrefix(ranked, meta.cellSizes, opt.Recall)
-		}
+	// The recall target picks nprobe only when routing is open — explicit
+	// nprobe or cells win, matching single-node semantics. The prefix is
+	// cut from the very ranking probeSet slices, so the query is
+	// indistinguishable from one carrying that nprobe explicitly; a fleet
+	// that reports no cell sizes gets the single-probe default.
+	if opt.Recall != 0 && opt.NProbe == 0 && len(opt.Cells) == 0 {
+		ranked = index.RankCells(query, meta.coarse)
+		opt.NProbe = index.RecallPrefix(ranked, meta.cellSizes, opt.Recall)
 	}
-	if len(opt.Cells) > 0 {
-		if opt.NProbe != 0 {
-			return nil, validationErrorf("cluster: cells and nprobe are mutually exclusive")
-		}
-		for i, c := range opt.Cells {
-			if c < 0 || c >= meta.partitions {
-				return nil, validationErrorf("cluster: cell %d out of range [0,%d)", c, meta.partitions)
-			}
-			// A valid list is no longer than the partition count, so the
-			// quadratic scan is a handful of compares and no allocation.
-			if slices.Contains(opt.Cells[:i], c) {
-				return nil, validationErrorf("cluster: cell %d listed twice", c)
-			}
-		}
-	} else {
-		if opt.NProbe == 0 {
-			opt.NProbe = 1
-		}
-		if opt.NProbe < 1 || opt.NProbe > meta.partitions {
-			return nil, validationErrorf("cluster: nprobe must be in [1,%d]", meta.partitions)
-		}
+	if opt.NProbe == 0 {
+		opt.NProbe = 1
 	}
 
 	probe, byShard := r.probeSet(meta, query, ranked, opt.NProbe, opt.Cells)

@@ -11,11 +11,11 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"pqfastscan/internal/hist"
+	"pqfastscan/internal/index"
 	"pqfastscan/internal/server"
 )
 
@@ -159,11 +159,11 @@ func (r *Router) Handler() http.Handler {
 		}
 		start := time.Now()
 		r.metrics.queries.Add(1)
-		// A client deadline arrives as a relative millisecond budget;
-		// already-expired work is rejected before any fanout, and the
-		// remaining budget rides the context so every sub-request
-		// forwards what is left of it.
-		ctx, cancel, err := withDeadlineBudget(req)
+		// A client deadline arrives as a relative millisecond budget under
+		// a node's ceiling; already-expired work is rejected before any
+		// fanout, and the remaining budget rides the context so every
+		// sub-request forwards what is left of it.
+		ctx, cancel, err := server.DeadlineContext(req)
 		if err != nil {
 			r.metrics.deadlineRejects.Add(1)
 			httpError(w, http.StatusGatewayTimeout, err.Error())
@@ -171,45 +171,30 @@ func (r *Router) Handler() http.Handler {
 		}
 		defer cancel()
 		req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
-		// Decoded as a node decodes it: a key no node knows ("backend",
-		// a typo) is a 400 here too, not silently dropped.
-		var sr server.SearchRequest
-		dec := json.NewDecoder(req.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&sr); err != nil {
+		// Decoded and checked by the node's own decoder: a request a node
+		// refuses is a 400 here too, before any fan-out.
+		meta := r.meta.load()
+		sr, err := server.DecodeSearch(req.Body, req.URL.RawQuery, meta.dim, meta.partitions, r.cfg.MaxK)
+		if err != nil {
 			r.metrics.rejected.Add(1)
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		// ?partial=1 opts this query into degraded mode: shard failures
-		// shrink coverage instead of failing the query. ?recall= means
-		// what it means on a single pqserve.
-		q := req.URL.Query()
-		partial := q.Get("partial")
-		recall := 0.0
-		if v := q.Get("recall"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			// The affirmative range check also rejects NaN.
-			if err != nil || !(f > 0 && f <= 1) {
-				r.metrics.rejected.Add(1)
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("recall must be a number in (0,1], got %q", v))
-				return
-			}
-			recall = f
+		opt := SearchOptions{K: sr.K, NProbe: sr.NProbe, Cells: sr.Cells, Recall: sr.Recall}
+		if sr.Kernel != index.KernelFastScan {
+			opt.Kernel = sr.Kernel.String()
 		}
-		resp, err := r.Search(ctx, sr.Query, SearchOptions{
-			K: sr.K, NProbe: sr.NProbe, Cells: sr.Cells, Kernel: sr.Kernel, Recall: recall,
-			AllowPartial: partial == "1" || partial == "true",
-		})
+		// ?partial=1 opts this query into degraded mode: shard failures
+		// shrink coverage instead of failing the query.
+		if p := req.URL.Query().Get("partial"); p == "1" || p == "true" {
+			opt.AllowPartial = true
+		}
+		resp, err := r.Search(ctx, sr.Query, opt)
 		if err != nil {
-			// Validation failures are the client's; a blown client
-			// deadline is the client's budget running out mid-fanout;
-			// anything else that failed in the fanout is the fleet's.
-			var ve *validationError
+			// A blown client deadline is the client's budget running out
+			// mid-fanout; anything else that failed in the fanout is the
+			// fleet's.
 			switch {
-			case errors.As(err, &ve):
-				r.metrics.rejected.Add(1)
-				httpError(w, http.StatusBadRequest, err.Error())
 			case ctx.Err() != nil && errors.Is(ctx.Err(), context.DeadlineExceeded):
 				r.metrics.deadlineRejects.Add(1)
 				httpError(w, http.StatusGatewayTimeout, "deadline exceeded: "+err.Error())
@@ -229,9 +214,9 @@ func (r *Router) Handler() http.Handler {
 			return
 		}
 		req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
-		var ar server.AddRequest
-		if err := json.NewDecoder(req.Body).Decode(&ar); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		ar, err := server.DecodeAdd(req.Body, r.Dim())
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		ids, err := r.Add(req.Context(), ar.Vectors)
@@ -248,9 +233,9 @@ func (r *Router) Handler() http.Handler {
 			return
 		}
 		req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
-		var dr server.DeleteRequest
-		if err := json.NewDecoder(req.Body).Decode(&dr); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		dr, err := server.DecodeDelete(req.Body)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		deleted, err := r.Delete(req.Context(), dr.ID)
@@ -314,36 +299,11 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// withDeadlineBudget applies a client's X-Pq-Deadline-Ms header (a
-// relative millisecond budget) to the request context. A missing
-// header leaves the context untouched; a malformed or already-spent
-// budget returns an error the caller maps to 504.
-func withDeadlineBudget(req *http.Request) (context.Context, context.CancelFunc, error) {
-	v := req.Header.Get(server.DeadlineHeader)
-	if v == "" {
-		return req.Context(), func() {}, nil
-	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad %s header %q", server.DeadlineHeader, v)
-	}
-	if ms <= 0 {
-		return nil, nil, fmt.Errorf("deadline already expired (%s: %d)", server.DeadlineHeader, ms)
-	}
-	ctx, cancel := context.WithTimeout(req.Context(), time.Duration(ms)*time.Millisecond)
-	return ctx, cancel, nil
-}
-
-// writeMutationError maps a mutation failure: validation to 400, an
-// ambiguous outcome to 502 with an explicit "outcome": "unknown" field
-// (the one thing a client must not interpret as "not applied"), and
-// everything else to 502.
+// writeMutationError maps a mutation failure: an ambiguous outcome to
+// 502 with an explicit "outcome": "unknown" field (the one thing a
+// client must not interpret as "not applied"), a shard's own error
+// status to that status, and everything else to 502.
 func writeMutationError(w http.ResponseWriter, err error) {
-	var ve *validationError
-	if errors.As(err, &ve) {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	var ae *AmbiguousError
 	if errors.As(err, &ae) {
 		writeJSON(w, http.StatusBadGateway, map[string]string{

@@ -99,20 +99,13 @@ func (r *Router) forwardMutation(ctx context.Context, ep, path string, body, out
 // says nothing about them — reconcile by re-reading).
 func (r *Router) Add(ctx context.Context, vectors [][]float32) ([]int64, error) {
 	meta := r.meta.load()
-	if len(vectors) == 0 {
-		return nil, validationErrorf("cluster: no vectors")
-	}
-	for i, v := range vectors {
-		if len(v) != meta.dim {
-			return nil, validationErrorf("cluster: vector %d dim %d != index dim %d", i, len(v), meta.dim)
-		}
-		if err := index.CheckVector(v); err != nil {
-			return nil, validationErrorf("cluster: vector %d: %v", i, err)
-		}
-	}
-	// Group vectors by owning shard, remembering original positions.
+	// Group vectors by owning shard, remembering original positions. A
+	// vector a node would refuse fails the call before any is sent.
 	byShard := make(map[int][]int, len(r.shards)) // shard -> input indexes
 	for i, v := range vectors {
+		if err := index.CheckVector(v, meta.dim); err != nil {
+			return nil, fmt.Errorf("cluster: vector %d: %w", i, err)
+		}
 		cell := index.RankCells(v, meta.coarse)[0]
 		si := r.byCell[cell]
 		byShard[si] = append(byShard[si], i)

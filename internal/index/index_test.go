@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -231,7 +232,12 @@ func TestValidateExplicitCells(t *testing.T) {
 			t.Errorf("cells %v: error %v, want one naming %q", tc.cells, err, tc.want)
 		}
 	}
-	req.Cells = []int{2, 0}
+	// Any nprobe beside explicit cells answers the question twice, 1 too.
+	req.Cells, req.NProbe = []int{0}, 1
+	if err := ix.validate(s, req); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("cells with nprobe 1: error %v, want one wrapping ErrBadRequest", err)
+	}
+	req.Cells, req.NProbe = []int{2, 0}, 0
 	if allocs := testing.AllocsPerRun(100, func() {
 		if err := ix.validate(s, req); err != nil {
 			t.Fatal(err)

@@ -70,7 +70,7 @@ func (ix *Index) EncodeRoute(vecs vec.Matrix) (cells []int, codes []uint8, err e
 	}
 	n := vecs.Rows()
 	for i := 0; i < n; i++ {
-		if err := CheckVector(vecs.Row(i)); err != nil {
+		if err := CheckVector(vecs.Row(i), ix.Dim); err != nil {
 			return nil, nil, fmt.Errorf("vector %d: %w", i, err)
 		}
 	}

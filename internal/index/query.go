@@ -28,7 +28,8 @@ import (
 // exactly the listed cells in order — the shard-side half of
 // scatter-gather serving (internal/cluster): the router runs step 1 of
 // Algorithm 1 once, fleet-wide, and tells each shard which of its cells
-// to scan. Cells is mutually exclusive with NProbe.
+// to scan. Cells is mutually exclusive with NProbe: with Cells set,
+// NProbe must be 0. CheckRequest holds every rule.
 type Request struct {
 	Query   []float32
 	K       int
@@ -47,54 +48,82 @@ type Response struct {
 	Partitions []int
 }
 
+// ErrBadRequest marks a query or added vector refused for what it says,
+// not for the state of the index: every CheckRequest and CheckVector
+// error wraps it, whoever ran the check — Query, AddBatch, the HTTP
+// decoders (whose errors the serving binaries answer with 400) or the
+// cluster router. Test with errors.Is.
+var ErrBadRequest = errors.New("index: bad request")
+
+func badRequest(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
+}
+
 // CheckVector rejects a query or added vector no distance can be
-// computed for: one whose squared norm is not a finite float32, because
-// a component is NaN, infinite, or so large its square overflows. Past
-// this check such a vector turns every table entry into +Inf or NaN
-// (the factored table subtracts: Inf − Inf), and a NaN component routes
-// to cell 0 and encodes as code 0, because every comparison against NaN
-// is false. The server and the cluster router call it before doing any
-// work, so a bad vector costs its sender a 400 and nobody else anything.
-func CheckVector(v []float32) error {
+// computed for: one whose length is not dim, or whose squared norm is
+// not a finite float32, because a component is NaN, infinite, or so
+// large its square overflows. Past this check such a vector turns every
+// table entry into +Inf or NaN (the factored table subtracts: Inf − Inf),
+// and a NaN component routes to cell 0 and encodes as code 0, because
+// every comparison against NaN is false.
+func CheckVector(v []float32, dim int) error {
+	if len(v) != dim {
+		return badRequest("vector dim %d != index dim %d", len(v), dim)
+	}
 	if n := float64(vec.SquaredNorm(v)); math.IsInf(n, 0) || math.IsNaN(n) {
-		return errors.New("index: vector has a NaN or infinite component, or its squared norm overflows float32")
+		return badRequest("vector has a NaN or infinite component, or its squared norm overflows float32")
+	}
+	return nil
+}
+
+// CheckRequest holds every rule a query must satisfy against an index of
+// the given dimension and partition count: k positive, a query
+// CheckVector accepts, nprobe in [0, partitions] (0 leaves routing
+// open), a recall target in [0, 1] (0 sets none), and explicit cells in
+// range, distinct and not combined with any nprobe. It is the one copy
+// of these rules: Query runs it on the snapshot it scans, and the HTTP
+// decoders (internal/server) and the cluster router run it before doing
+// any work, so a bad request costs its sender a 400 and nobody else
+// anything. Errors wrap ErrBadRequest; a valid request costs no
+// allocation.
+func CheckRequest(req Request, dim, partitions int) error {
+	if req.K <= 0 {
+		return badRequest("k must be positive, got %d", req.K)
+	}
+	if err := CheckVector(req.Query, dim); err != nil {
+		return err
+	}
+	if req.NProbe < 0 || req.NProbe > partitions {
+		return badRequest("nprobe %d out of range [1,%d]", req.NProbe, partitions)
+	}
+	// The affirmative range check also rejects NaN.
+	if !(req.Recall >= 0 && req.Recall <= 1) {
+		return badRequest("target recall %g out of range (0, 1]", req.Recall)
+	}
+	if len(req.Cells) > 0 {
+		if req.NProbe != 0 {
+			return badRequest("explicit cells and nprobe %d are mutually exclusive", req.NProbe)
+		}
+		for i, c := range req.Cells {
+			if c < 0 || c >= partitions {
+				return badRequest("cell %d out of range [0,%d)", c, partitions)
+			}
+			// A valid list is no longer than the partition count, so the
+			// quadratic scan is a handful of compares and no allocation.
+			if slices.Contains(req.Cells[:i], c) {
+				return badRequest("cell %d listed twice", c)
+			}
+		}
 	}
 	return nil
 }
 
 // validate rejects malformed requests with caller-actionable errors
-// before any scanning starts.
+// before any scanning starts: CheckRequest's rules, then what this index
+// and machine can run.
 func (ix *Index) validate(s *Snapshot, req Request) error {
-	if req.K <= 0 {
-		return fmt.Errorf("index: k must be positive, got %d", req.K)
-	}
-	if len(req.Query) != ix.Dim {
-		return fmt.Errorf("index: query dim %d != index dim %d", len(req.Query), ix.Dim)
-	}
-	if err := CheckVector(req.Query); err != nil {
+	if err := CheckRequest(req, ix.Dim, len(s.Parts)); err != nil {
 		return err
-	}
-	if req.NProbe < 0 || req.NProbe > len(s.Parts) {
-		return fmt.Errorf("index: nprobe %d out of range [1,%d]", req.NProbe, len(s.Parts))
-	}
-	// The affirmative range check also rejects NaN.
-	if !(req.Recall >= 0 && req.Recall <= 1) {
-		return fmt.Errorf("index: target recall %g out of range (0, 1]", req.Recall)
-	}
-	if len(req.Cells) > 0 {
-		if req.NProbe > 1 {
-			return fmt.Errorf("index: explicit cells and nprobe %d are mutually exclusive", req.NProbe)
-		}
-		for i, c := range req.Cells {
-			if c < 0 || c >= len(s.Parts) {
-				return fmt.Errorf("index: cell %d out of range [0,%d)", c, len(s.Parts))
-			}
-			// A valid list is no longer than the partition count, so the
-			// quadratic scan is a handful of compares and no allocation.
-			if slices.Contains(req.Cells[:i], c) {
-				return fmt.Errorf("index: cell %d listed twice", c)
-			}
-		}
 	}
 	if !req.Backend.Available() {
 		return fmt.Errorf("index: backend %v not available on this machine (have %v)", req.Backend, AvailableBackends())

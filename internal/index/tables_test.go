@@ -2,6 +2,7 @@ package index
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ import (
 // A query CheckVector rejects has no tables and is skipped.
 func checkFactoredTables(t testing.TB, ix *Index, q []float32) {
 	t.Helper()
-	if CheckVector(q) != nil {
+	if CheckVector(q, ix.Dim) != nil {
 		return
 	}
 	qs := ix.getScratch()
@@ -142,8 +143,11 @@ func TestCheckVector(t *testing.T) {
 		{[]float32{-inf, 1}, false},
 		{[]float32{1, nan, 1}, false},
 	} {
-		if err := CheckVector(c.v); (err == nil) != c.ok {
+		if err := CheckVector(c.v, len(c.v)); (err == nil) != c.ok {
 			t.Errorf("CheckVector(%v) = %v, want ok=%v", c.v, err, c.ok)
 		}
+	}
+	if err := CheckVector([]float32{1, 2}, 3); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("a short vector: %v, want an error wrapping ErrBadRequest", err)
 	}
 }

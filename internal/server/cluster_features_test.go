@@ -42,25 +42,23 @@ func TestSearchWithExplicitCells(t *testing.T) {
 	}
 }
 
+// cellsRefusals lists /search bodies whose explicit cells are refused
+// for a query q of an index with 4 partitions. Any nprobe beside cells
+// is one, 1 included: the two answer the same question.
+func cellsRefusals(q []float32) []refusal {
+	return []refusal{
+		{"cells and nprobe together", mustJSON(SearchRequest{Query: q, K: 5, NProbe: 2, Cells: []int{0}}), "mutually exclusive"},
+		{"cells and nprobe 1", mustJSON(SearchRequest{Query: q, K: 5, NProbe: 1, Cells: []int{0}}), "mutually exclusive"},
+		{"cell out of range", mustJSON(SearchRequest{Query: q, K: 5, Cells: []int{99}}), "out of range"},
+		{"negative cell", mustJSON(SearchRequest{Query: q, K: 5, Cells: []int{-1}}), "out of range"},
+		{"duplicate cell", mustJSON(SearchRequest{Query: q, K: 5, Cells: []int{1, 1}}), "listed twice"},
+	}
+}
+
 func TestSearchCellsValidation(t *testing.T) {
 	idx, queries := sharedIndex(t)
 	_, hs := newTestServer(t, Config{Index: idx})
-	q := queries.Row(0)
-
-	cases := []struct {
-		name string
-		req  SearchRequest
-	}{
-		{"cells and nprobe together", SearchRequest{Query: q, K: 5, NProbe: 2, Cells: []int{0}}},
-		{"cell out of range", SearchRequest{Query: q, K: 5, Cells: []int{99}}},
-		{"negative cell", SearchRequest{Query: q, K: 5, Cells: []int{-1}}},
-		{"duplicate cell", SearchRequest{Query: q, K: 5, Cells: []int{1, 1}}},
-	}
-	for _, tc := range cases {
-		if status, body := postJSON(t, hs.URL+"/search", tc.req, nil); status != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400 (%s)", tc.name, status, body)
-		}
-	}
+	expectRefusals(t, hs.URL+"/search", cellsRefusals(queries.Row(0)), nil)
 }
 
 func TestReadyzDuringDeferredLoad(t *testing.T) {

@@ -84,7 +84,7 @@ func newMetrics(endpoints []string) *metrics {
 
 // BatchStats is the /stats "batch" section: what is left of it now that
 // a /search is one Search, kept under its old name and keys for the
-// standing benchmark (ROADMAP item 3f).
+// standing benchmark (ROADMAP item 1f).
 type BatchStats struct {
 	// Deprecated: Calls and Queries both count the searches that took a
 	// core — the benchmark divides one by the other (server.batch_width),

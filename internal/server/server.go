@@ -26,15 +26,12 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
-	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pqfastscan"
-	"pqfastscan/internal/index"
 )
 
 // Config configures a Server. The zero value of every tuning field
@@ -66,7 +63,7 @@ type Config struct {
 	Cells []int
 
 	// Deprecated: ignored — there is no batching; kept until the
-	// benchmark's twin handler is retired (ROADMAP item 3f).
+	// benchmark's twin handler is retired (ROADMAP item 1f).
 	BatchWindow time.Duration
 
 	// MaxInFlight bounds concurrently admitted /search requests
@@ -472,39 +469,6 @@ func (w *statusWriter) WriteHeader(code int) {
 // abandoned by the client; net/http has no named constant for it.
 const statusClientClosedRequest = 499
 
-// DeadlineHeader carries a request's remaining deadline budget as a
-// relative millisecond count. Relative, not an absolute timestamp, so
-// clock skew between router and shard cannot corrupt it: each hop
-// reads the remainder of its own context deadline and forwards that.
-// A shard receiving an expired or non-positive budget answers 504
-// before doing any scan work.
-const DeadlineHeader = "X-Pq-Deadline-Ms"
-
-// searchCeiling bounds a /search that forwards no tighter budget of its
-// own: no request occupies a token, let alone a core, for longer.
-const searchCeiling = 30 * time.Second
-
-// deadlineContext puts the request under its DeadlineHeader budget,
-// capped by searchCeiling (the cap alone when the header is missing).
-// Malformed or spent budget: an error the handler answers with 504.
-func deadlineContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	budget := searchCeiling
-	if v := r.Header.Get(DeadlineHeader); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad %s header %q", DeadlineHeader, v)
-		}
-		if ms <= 0 {
-			return nil, nil, fmt.Errorf("deadline already expired (%s: %d)", DeadlineHeader, ms)
-		}
-		if ms < searchCeiling.Milliseconds() {
-			budget = time.Duration(ms) * time.Millisecond
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	return ctx, cancel, nil
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -645,47 +609,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	// An expired forwarded deadline is rejected at the door: no
 	// parsing beyond the header, no admission token, no scan work.
-	ctx, cancelDeadline, derr := deadlineContext(r)
-	if derr != nil {
+	ctx, cancelDeadline, err := DeadlineContext(r)
+	if err != nil {
 		s.metrics.deadlineRejects.Add(1)
-		httpError(w, http.StatusGatewayTimeout, derr.Error())
+		httpError(w, http.StatusGatewayTimeout, err.Error())
 		return
 	}
 	defer cancelDeadline()
-	// ?recall=0.95 probes the closest cells until they hold that share
-	// of the live rows, unless the body pins nprobe or cells.
-	recall := 0.0
-	if r.URL.RawQuery != "" {
-		if v := r.URL.Query().Get("recall"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			// The affirmative range check also rejects NaN, which slips
-			// through ParseFloat and compares false against every bound.
-			if err != nil || !(f > 0 && f <= 1) {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("recall must be a number in (0,1], got %q", v))
-				return
-			}
-			recall = f
-		}
-	}
-	var req SearchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	if req.K == 0 {
-		req.K = 10
-	}
-	if req.K < 0 || req.K > s.cfg.MaxK {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1,%d]", s.cfg.MaxK))
-		return
-	}
-	if dim := idx.Dim(); len(req.Query) != dim {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("query dim %d != index dim %d", len(req.Query), dim))
-		return
-	}
-	if err := index.CheckVector(req.Query); err != nil {
+	// A bad request costs a 400 and nothing else: it is refused before
+	// admission.
+	req, err := DecodeSearch(r.Body, r.URL.RawQuery, idx.Dim(), idx.Partitions(), s.cfg.MaxK)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -693,42 +627,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// What the request leaves open stays open: an omitted nprobe is the
 	// facade's single probe, or the recall target's prefix.
 	var opts []pqfastscan.SearchOption
-	np := idx.Partitions()
 	if len(req.Cells) > 0 {
-		if req.NProbe != 0 {
-			httpError(w, http.StatusBadRequest, "cells and nprobe are mutually exclusive")
-			return
-		}
-		for i, c := range req.Cells {
-			if c < 0 || c >= np {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("cell %d out of range [0,%d)", c, np))
-				return
-			}
-			// A valid list is no longer than the partition count, so the
-			// quadratic scan is a handful of compares.
-			if slices.Contains(req.Cells[:i], c) {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("cell %d listed twice", c))
-				return
-			}
-		}
 		opts = append(opts, pqfastscan.WithCells(req.Cells...))
-	} else if req.NProbe != 0 {
-		if req.NProbe < 1 || req.NProbe > np {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("nprobe must be in [1,%d]", np))
-			return
-		}
+	}
+	if req.NProbe != 0 {
 		opts = append(opts, pqfastscan.WithNProbe(req.NProbe))
 	}
-	if req.Kernel != "" {
-		k, err := pqfastscan.ParseKernel(req.Kernel)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		opts = append(opts, pqfastscan.WithKernel(k))
+	if req.Kernel != pqfastscan.KernelFastScan {
+		opts = append(opts, pqfastscan.WithKernel(req.Kernel))
 	}
-	if recall > 0 {
-		opts = append(opts, pqfastscan.WithTargetRecall(recall))
+	if req.Recall != 0 {
+		opts = append(opts, pqfastscan.WithTargetRecall(req.Recall))
 	}
 
 	if err := s.admit(ctx); err != nil {
@@ -780,26 +689,13 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	if idx == nil {
 		return
 	}
-	var req AddRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	req, err := DecodeAdd(r.Body, idx.Dim())
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(req.Vectors) == 0 {
-		httpError(w, http.StatusBadRequest, "vectors must be non-empty")
-		return
-	}
-	dim := idx.Dim()
-	m := pqfastscan.NewMatrix(len(req.Vectors), dim)
+	m := pqfastscan.NewMatrix(len(req.Vectors), idx.Dim())
 	for i, v := range req.Vectors {
-		if len(v) != dim {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vector %d dim %d != index dim %d", i, len(v), dim))
-			return
-		}
-		if err := index.CheckVector(v); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vector %d: %v", i, err))
-			return
-		}
 		copy(m.Row(i), v)
 	}
 	// Shared side of swapMu: concurrent adds proceed together (the index
@@ -831,13 +727,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if idx == nil {
 		return
 	}
-	var req DeleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	req, err := DecodeDelete(r.Body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.swapMu.RLock()
-	err := idx.Delete(req.ID)
+	err = idx.Delete(req.ID)
 	s.swapMu.RUnlock()
 	if errors.Is(err, pqfastscan.ErrNotFound) {
 		httpError(w, http.StatusNotFound, err.Error())

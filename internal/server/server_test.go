@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,10 +73,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func postJSON(t *testing.T, url string, body any, out any) (int, string) {
 	t.Helper()
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return postRaw(t, url, mustJSON(body), out)
+}
+
+// postRaw posts body as it is, which need not be one JSON value.
+func postRaw(t *testing.T, url string, raw []byte, out any) (int, string) {
+	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -140,31 +143,70 @@ func TestSearchMatchesDirectQuery(t *testing.T) {
 	}
 }
 
-func TestSearchValidation(t *testing.T) {
-	idx, queries := sharedIndex(t)
-	_, hs := newTestServer(t, Config{Index: idx})
-	q := queries.Row(0)
+// refusal is a request body a node answers 400, as it goes on the wire.
+type refusal struct {
+	name string
+	body []byte
+	says string // what the error must name, when it matters
+}
 
-	cases := []struct {
-		name string
-		req  any
-		says string // what the error must name, when it matters
-	}{
-		{"short query", SearchRequest{Query: q[:10], K: 5}, ""},
-		{"bad k", SearchRequest{Query: q, K: -2}, ""},
-		{"huge k", SearchRequest{Query: q, K: 1 << 20}, ""},
-		{"bad nprobe", SearchRequest{Query: q, K: 5, NProbe: 99}, ""},
-		{"bad kernel", SearchRequest{Query: q, K: 5, Kernel: "warp"}, "naive, libpq, fastpq"},
+func mustJSON(v any) []byte {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}
+
+// searchRefusals lists /search bodies refused for a query q of an index
+// with 4 partitions and dimension len(q) > 10.
+func searchRefusals(q []float32) []refusal {
+	return []refusal{
+		{"short query", mustJSON(SearchRequest{Query: q[:10], K: 5}), ""},
+		{"bad k", mustJSON(SearchRequest{Query: q, K: -2}), ""},
+		{"huge k", mustJSON(SearchRequest{Query: q, K: 1 << 20}), ""},
+		{"bad nprobe", mustJSON(SearchRequest{Query: q, K: 5, NProbe: 99}), ""},
+		{"bad kernel", mustJSON(SearchRequest{Query: q, K: 5, Kernel: "warp"}), "naive, libpq, fastpq"},
 		// The laboratory's kernels and the per-request backend pin were
 		// requestable once; neither may be silently ignored now.
-		{"laboratory kernel", SearchRequest{Query: q, K: 5, Kernel: "avx"}, "naive, libpq, fastpq"},
-		{"backend key", map[string]any{"query": q, "k": 5, "backend": "swar"}, `"backend"`},
-		{"backend key, auto", map[string]any{"query": q, "k": 5, "backend": "auto"}, `"backend"`},
-		{"norm overflows float32", SearchRequest{Query: withComponent(q, 1e30), K: 5}, ""},
-		{"norm overflows float32, all cells", SearchRequest{Query: withComponent(q, -1e30), K: 5, NProbe: 4}, ""},
+		{"laboratory kernel", mustJSON(SearchRequest{Query: q, K: 5, Kernel: "avx"}), "naive, libpq, fastpq"},
+		{"backend key", mustJSON(map[string]any{"query": q, "k": 5, "backend": "swar"}), `"backend"`},
+		{"backend key, auto", mustJSON(map[string]any{"query": q, "k": 5, "backend": "auto"}), `"backend"`},
+		{"norm overflows float32", mustJSON(SearchRequest{Query: withComponent(q, 1e30), K: 5}), ""},
+		{"norm overflows float32, all cells", mustJSON(SearchRequest{Query: withComponent(q, -1e30), K: 5, NProbe: 4}), ""},
+		{"second JSON value", append(mustJSON(SearchRequest{Query: q, K: 5}), mustJSON(SearchRequest{Query: q, K: 6})...), ""},
 	}
+}
+
+// addRefusals lists /add bodies refused around a valid vector good of
+// dimension > 10.
+func addRefusals(good []float32) []refusal {
+	return []refusal{
+		{"no vectors", mustJSON(AddRequest{}), ""},
+		{"short vector", mustJSON(AddRequest{Vectors: [][]float32{good[:10]}}), ""},
+		{"norm overflows float32", mustJSON(AddRequest{Vectors: [][]float32{withComponent(good, 1e30)}}), ""},
+		{"second vector overflows", mustJSON(AddRequest{Vectors: [][]float32{good, withComponent(good, -1e30)}}), ""},
+		{"second JSON value", append(mustJSON(AddRequest{Vectors: [][]float32{good}}), mustJSON(AddRequest{Vectors: [][]float32{good}})...), ""},
+	}
+}
+
+// deleteRefusals lists /delete bodies refused: build-time ids start at
+// 0, so a body naming no id must not delete id 0.
+func deleteRefusals() []refusal {
+	return []refusal{
+		{"no id", []byte(`{}`), `"id"`},
+		{"ids, not id", []byte(`{"ids":[7]}`), `"ids"`},
+		{"null id", []byte(`{"id":null}`), `"id"`},
+		{"second JSON value", []byte(`{"id":5}{"id":6}`), ""},
+	}
+}
+
+// expectRefusals posts every case to url and wants a 400 with a JSON
+// error naming what the case says, and then check() to hold.
+func expectRefusals(t *testing.T, url string, cases []refusal, check func(name string)) {
+	t.Helper()
 	for _, c := range cases {
-		status, body := postJSON(t, hs.URL+"/search", c.req, nil)
+		status, body := postRaw(t, url, c.body, nil)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", c.name, status, body)
 		}
@@ -175,7 +217,16 @@ func TestSearchValidation(t *testing.T) {
 		if !strings.Contains(e.Error, c.says) {
 			t.Errorf("%s: error %q does not name %s", c.name, e.Error, c.says)
 		}
+		if check != nil {
+			check(c.name)
+		}
 	}
+}
+
+func TestSearchValidation(t *testing.T) {
+	idx, queries := sharedIndex(t)
+	_, hs := newTestServer(t, Config{Index: idx})
+	expectRefusals(t, hs.URL+"/search", searchRefusals(queries.Row(0)), nil)
 }
 
 // withComponent returns a copy of v with its first component replaced.
@@ -194,28 +245,38 @@ func TestAddValidation(t *testing.T) {
 	_, hs := newTestServer(t, Config{Index: idx})
 	good := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 28}).Generate(1).Row(0)
 	live := idx.Live()
-
-	cases := []struct {
-		name string
-		req  AddRequest
-	}{
-		{"no vectors", AddRequest{}},
-		{"short vector", AddRequest{Vectors: [][]float32{good[:10]}}},
-		{"norm overflows float32", AddRequest{Vectors: [][]float32{withComponent(good, 1e30)}}},
-		{"second vector overflows", AddRequest{Vectors: [][]float32{good, withComponent(good, -1e30)}}},
-	}
-	for _, c := range cases {
-		status, body := postJSON(t, hs.URL+"/add", c.req, nil)
-		if status != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", c.name, status, body)
-		}
-		var e struct{ Error string }
-		if json.Unmarshal([]byte(body), &e) != nil || e.Error == "" {
-			t.Errorf("%s: body %q is not a JSON error", c.name, body)
-		}
+	expectRefusals(t, hs.URL+"/add", addRefusals(good), func(name string) {
 		if idx.Live() != live {
-			t.Fatalf("%s: live %d, was %d: a rejected add indexed something", c.name, idx.Live(), live)
+			t.Fatalf("%s: live %d, was %d: a rejected add indexed something", name, idx.Live(), live)
 		}
+	})
+}
+
+// TestDeleteValidation: a /delete body that names no id, or names more
+// than one, is a 400 and deletes nothing — id 0 above all, which a body
+// without "id" used to delete.
+func TestDeleteValidation(t *testing.T) {
+	gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 29})
+	opt := pqfastscan.DefaultBuildOptions()
+	opt.Partitions = 4
+	learn, base := gen.Generate(2000), gen.Generate(4000)
+	idx, err := pqfastscan.Build(learn, base, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hs := newTestServer(t, Config{Index: idx})
+	live := idx.Live()
+	expectRefusals(t, hs.URL+"/delete", deleteRefusals(), func(name string) {
+		if idx.Live() != live {
+			t.Fatalf("%s: live %d, was %d: a rejected delete deleted something", name, idx.Live(), live)
+		}
+	})
+	var got SearchResponse
+	if status, body := postJSON(t, hs.URL+"/search", SearchRequest{Query: base.Row(0), K: 10, NProbe: 4}, &got); status != http.StatusOK {
+		t.Fatalf("search: %d %s", status, body)
+	}
+	if !slices.ContainsFunc(got.Results, func(n SearchNeighbor) bool { return n.ID == 0 }) {
+		t.Fatalf("id 0 is not among its own vector's neighbors %+v", got.Results)
 	}
 }
 

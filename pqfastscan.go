@@ -81,7 +81,7 @@ func Kernels() []Kernel { return []Kernel{KernelNaive, KernelLibpq, KernelFastSc
 // (internal/scan/model, driven by cmd/pqbench; DESIGN.md §9).
 //
 // Deprecated: kept until the frozen benchmark/ module stops spelling
-// WithEngine(EngineModel) (ROADMAP item 3f).
+// WithEngine(EngineModel) (ROADMAP item 1f).
 type Engine int
 
 // Deprecated: see Engine.

@@ -74,8 +74,8 @@ func WithNProbe(nprobe int) SearchOption {
 // each shard which of its cells to scan — and it is equally useful for
 // tests and tools pinning a scan to known cells. Results are identical
 // to a multi-probe search visiting the same set. Cells must be in
-// range and free of duplicates, and combining WithCells with
-// WithNProbe(>1) is rejected: the options answer the same question two
+// range and free of duplicates, and combining WithCells with any
+// WithNProbe is rejected: the options answer the same question two
 // different ways.
 func WithCells(cells ...int) SearchOption {
 	return func(c *searchConfig) { c.cells = cells }
