@@ -51,6 +51,9 @@
 // work is rejected 504 before any scanning. Mutations (/add, /delete)
 // are forwarded to shard primaries and never re-sent after an
 // ambiguous failure — the reply is a 502 with "outcome": "unknown".
+// A fleet of more than one shard refuses /add with 501 (a bad body is
+// still a 400): every shard allocates ids on its own, so two shards
+// would issue the same ids. A 1-shard fleet takes it.
 // Breaker states, quarantine events, retry and deadline-reject
 // counters all surface on /stats.
 package main

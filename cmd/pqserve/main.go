@@ -92,7 +92,7 @@ func main() {
 		maxK         = flag.Int("max-k", 1000, "largest accepted k")
 		snapshot     = flag.String("snapshot", "", "path for /save and periodic background saves (default: -index path)")
 		saveEvery    = flag.Duration("save-interval", 0, "periodic background save interval (0 disables)")
-		compactEvery = flag.Duration("compact-interval", time.Minute, "background compaction policy interval (0 disables); keeping it on bounds per-delete tombstone-set copy cost")
+		compactEvery = flag.Duration("compact-interval", time.Minute, "background compaction policy interval (0 disables); compaction drops deleted rows, which otherwise cost scan time and memory until rebuilt")
 		compactAt    = flag.Float64("compact-threshold", 0.25, "dead ratio at which the policy compacts a partition")
 		walDir       = flag.String("wal-dir", "", "crash-safe durability directory: mutations are write-ahead logged here before the 200, and startup recovers from it (existing durable state wins over -index/-synthetic)")
 		walSyncEvery = flag.Int("wal-sync-every", 0, "fsync the log every N records instead of on every ack (0 = sync-on-ack, the durable default)")

@@ -231,19 +231,35 @@ func TestHedgeWinDoesNotTripLoserBreaker(t *testing.T) {
 	}))
 	t.Cleanup(slow.Close)
 
+	const queriesRun = 5
+	// One send per query: each query's one attempt on the slow primary.
+	losers := make(chan struct{}, queriesRun)
 	r := newRouter(t, 8, [][]string{{slow.URL, fast.URL}}, func(c *Config) {
 		c.HedgeDelay = 10 * time.Millisecond
 		c.BreakerThreshold = 1 // a single miscounted failure would trip — the trap
+		c.settled = func(ep string) {
+			if ep == slow.URL {
+				losers <- struct{}{}
+			}
+		}
 	})
 
 	query := queries.Row(0)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < queriesRun; i++ {
 		if _, err := r.Search(context.Background(), query, SearchOptions{K: 5, NProbe: 8}); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
-	// Let cancelled loser attempts settle their breaker verdicts.
-	time.Sleep(100 * time.Millisecond)
+	// Every query's loser is the slow primary's attempt, cancelled when
+	// the query returned; wait until each has settled its breaker verdict.
+	for i := 0; i < queriesRun; i++ {
+		select {
+		case <-losers:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d cancelled loser attempts settled (slow primary's breaker %v)",
+				i, queriesRun, r.endpoints[slow.URL].breaker.State())
+		}
+	}
 	st := r.endpoints[slow.URL]
 	if got := st.breaker.State(); got != breakerClosed {
 		t.Fatalf("slow primary's breaker = %v after hedged wins, want closed (cancelled losers must not count as failures)", got)

@@ -187,6 +187,10 @@ type Config struct {
 	// math/rand.
 	sleep  func(ctx context.Context, d time.Duration) bool
 	jitter func(n int64) int64
+	// settled, when set, is called with the endpoint of every search
+	// attempt once its breaker verdict is in — for a hedge's loser, after
+	// the query that cancelled it has returned. A test seam too.
+	settled func(ep string)
 }
 
 func (c Config) withDefaults() Config {

@@ -264,6 +264,9 @@ func (r *Router) shardSearch(ctx context.Context, sh *shard, body []byte) (*serv
 					}
 				}
 			}
+			if r.cfg.settled != nil {
+				r.cfg.settled(ep)
+			}
 			results <- outcome{&out, err}
 		}()
 	}

@@ -299,11 +299,16 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// writeMutationError maps a mutation failure: an ambiguous outcome to
-// 502 with an explicit "outcome": "unknown" field (the one thing a
-// client must not interpret as "not applied"), a shard's own error
-// status to that status, and everything else to 502.
+// writeMutationError maps a mutation failure: an Add the fleet refuses
+// (ErrAddNeedsOneShard) to 501, an ambiguous outcome to 502 with an
+// explicit "outcome": "unknown" field (the one thing a client must not
+// interpret as "not applied"), a shard's own error status to that
+// status, and everything else to 502.
 func writeMutationError(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrAddNeedsOneShard) {
+		httpError(w, http.StatusNotImplemented, err.Error())
+		return
+	}
 	var ae *AmbiguousError
 	if errors.As(err, &ae) {
 		writeJSON(w, http.StatusBadGateway, map[string]string{

@@ -90,46 +90,39 @@ func (r *Router) forwardMutation(ctx context.Context, ep, path string, body, out
 	return fmt.Errorf("cluster: mutation to %s failed (never reached server): %w", ep, lastErr)
 }
 
-// Add routes vectors to their owning shards — each vector to the shard
-// that serves its nearest coarse cell, mirroring the assignment the
-// engine itself would make — and returns the assigned ids in input
-// order. Mutations go to primaries only. A shard that fails
-// ambiguously poisons the whole call with an AmbiguousError; note that
-// other shards' sub-batches may still have been applied (the response
-// says nothing about them — reconcile by re-reading).
+// ErrAddNeedsOneShard refuses an Add through a fleet of more than one
+// shard. Every shard allocates ids from its own copy of the allocator,
+// so two shards issue the same ids: a /delete of one of them then
+// removes two vectors, and the merge collapses both into one result.
+// Until shards share one allocator, a fleet takes new vectors through a
+// 1-shard router only; pqrouter answers this error with 501.
+var ErrAddNeedsOneShard = errors.New("cluster: add through a router of more than one shard is not implemented: each shard allocates ids on its own, so two shards would issue the same ids")
+
+// Add sends vectors to the fleet's one shard and returns the assigned
+// ids in input order; the shard's primary routes each vector to its
+// nearest cell, as the engine does. A fleet of more than one shard
+// refuses every Add with ErrAddNeedsOneShard, before any sub-request —
+// but after the vectors are checked, so a vector a node would refuse
+// still fails the call as that node would. An ambiguous failure returns
+// an AmbiguousError.
 func (r *Router) Add(ctx context.Context, vectors [][]float32) ([]int64, error) {
 	meta := r.meta.load()
-	// Group vectors by owning shard, remembering original positions. A
-	// vector a node would refuse fails the call before any is sent.
-	byShard := make(map[int][]int, len(r.shards)) // shard -> input indexes
 	for i, v := range vectors {
 		if err := index.CheckVector(v, meta.dim); err != nil {
 			return nil, fmt.Errorf("cluster: vector %d: %w", i, err)
 		}
-		cell := index.RankCells(v, meta.coarse)[0]
-		si := r.byCell[cell]
-		byShard[si] = append(byShard[si], i)
 	}
-	ids := make([]int64, len(vectors))
-	for _, si := range shardIDs(byShard) {
-		idxs := byShard[si]
-		sub := server.AddRequest{Vectors: make([][]float32, len(idxs))}
-		for j, i := range idxs {
-			sub.Vectors[j] = vectors[i]
-		}
-		primary := r.shards[si].spec.Endpoints[0]
-		var out server.AddResponse
-		if err := r.forwardMutation(ctx, primary, "/add", sub, &out); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", si, err)
-		}
-		if len(out.IDs) != len(idxs) {
-			return nil, fmt.Errorf("cluster: shard %d returned %d ids for %d vectors", si, len(out.IDs), len(idxs))
-		}
-		for j, i := range idxs {
-			ids[i] = out.IDs[j]
-		}
+	if len(r.shards) > 1 {
+		return nil, ErrAddNeedsOneShard
 	}
-	return ids, nil
+	var out server.AddResponse
+	if err := r.forwardMutation(ctx, r.shards[0].spec.Endpoints[0], "/add", server.AddRequest{Vectors: vectors}, &out); err != nil {
+		return nil, fmt.Errorf("shard 0: %w", err)
+	}
+	if len(out.IDs) != len(vectors) {
+		return nil, fmt.Errorf("cluster: shard 0 returned %d ids for %d vectors", len(out.IDs), len(vectors))
+	}
+	return out.IDs, nil
 }
 
 // Delete removes id from the fleet. The router does not know which

@@ -44,21 +44,24 @@ func TestAmbiguousOutcomeClassification(t *testing.T) {
 
 // --- routed mutations ---------------------------------------------------
 
-func TestAddAndDeleteThroughRouter(t *testing.T) {
-	full, _ := fullIndex(t)
-	s1 := shardServer(t, full, []int{0, 1, 2, 3})
-	s2 := shardServer(t, full, []int{4, 5, 6, 7})
-	router := newRouter(t, 8, [][]string{{s1.URL}, {s2.URL}}, nil)
-	handler := router.Handler()
-
-	// New vectors drawn from the same distribution as the corpus, so
-	// their nearest cells spread across both shards.
-	gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 97})
-	vecs := gen.Generate(16)
+// newVectors returns an /add body of 16 vectors drawn from the corpus's
+// distribution, so their nearest cells spread across all eight.
+func newVectors() server.AddRequest {
+	vecs := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 97}).Generate(16)
 	add := server.AddRequest{Vectors: make([][]float32, vecs.Rows())}
 	for i := range add.Vectors {
 		add.Vectors[i] = vecs.Row(i)
 	}
+	return add
+}
+
+func TestAddAndDeleteThroughRouter(t *testing.T) {
+	full, _ := fullIndex(t)
+	s := shardServer(t, full, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	router := newRouter(t, 8, [][]string{{s.URL}}, nil)
+	handler := router.Handler()
+
+	add := newVectors()
 	raw, _ := json.Marshal(add)
 	rec := httptest.NewRecorder()
 	handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/add", bytes.NewReader(raw)))
@@ -71,6 +74,13 @@ func TestAddAndDeleteThroughRouter(t *testing.T) {
 	}
 	if len(ar.IDs) != len(add.Vectors) {
 		t.Fatalf("/add returned %d ids for %d vectors", len(ar.IDs), len(add.Vectors))
+	}
+	seen := make(map[int64]bool, len(ar.IDs))
+	for _, id := range ar.IDs {
+		if seen[id] {
+			t.Fatalf("/add issued id %d twice: %v", id, ar.IDs)
+		}
+		seen[id] = true
 	}
 
 	// Delete one of the new ids: the router broadcasts to primaries and
@@ -87,6 +97,35 @@ func TestAddAndDeleteThroughRouter(t *testing.T) {
 	handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/delete", bytes.NewReader(del)))
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("second /delete status %d, want 404: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestAddRefusedByMultiShardFleet: every shard allocates ids on its
+// own, so the 16 vectors of newVectors through a 2-shard fleet came
+// back as [12000 12001 12002 12003 12004 12000 12005 12006 12001 …],
+// ids 12000–12002 issued twice. Until the shards share one allocator
+// the router refuses such an Add with 501 (ErrAddNeedsOneShard for a
+// library caller), and no /add reaches a shard.
+func TestAddRefusedByMultiShardFleet(t *testing.T) {
+	full, _ := fullIndex(t)
+	var arrived atomic.Int64
+	router := newRouter(t, 8, [][]string{
+		{countingShard(t, full, []int{0, 1, 2, 3}, &arrived)},
+		{countingShard(t, full, []int{4, 5, 6, 7}, &arrived)},
+	}, nil)
+
+	add := newVectors()
+	raw, _ := json.Marshal(add)
+	rec := httptest.NewRecorder()
+	router.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/add", bytes.NewReader(raw)))
+	if rec.Code != http.StatusNotImplemented {
+		t.Fatalf("/add through 2 shards: status %d, want 501: %s", rec.Code, rec.Body.String())
+	}
+	if _, err := router.Add(context.Background(), add.Vectors); !errors.Is(err, ErrAddNeedsOneShard) {
+		t.Fatalf("Router.Add through 2 shards: %v, want ErrAddNeedsOneShard", err)
+	}
+	if n := arrived.Load(); n != 0 {
+		t.Fatalf("%d sub-requests reached a shard, want 0", n)
 	}
 }
 

@@ -240,16 +240,27 @@ func (s *Store) Write(name string, b *Builder) (int64, error) {
 	return payloadLen, nil
 }
 
+// maxSections is the most section entries a header page can hold: each
+// takes at least 17 bytes (name length, offset, length), after the
+// magic and count and before the payload length and CRC.
+const maxSections = (PageSize - 8 - 4 - 12) / 17
+
 // Read loads the named extent: it validates magic, end magic and the
 // payload CRC, and returns the payload in a layout.Alignment-aligned
 // buffer so sections (and in particular packed blocks) can be scanned
-// in place.
+// in place. The header is not trusted: a section outside the payload,
+// or a payload longer than the file, is an error, so reading allocates
+// no more than the file's size and a page.
 func (s *Store) Read(name string) (*Payload, error) {
 	f, err := s.fsys.Open(s.path(name))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 
 	header := make([]byte, PageSize)
 	if _, err := io.ReadFull(f, header); err != nil {
@@ -261,6 +272,9 @@ func (s *Store) Read(name string) (*Payload, error) {
 	pos := 8
 	nsec := int(binary.LittleEndian.Uint32(header[pos:]))
 	pos += 4
+	if nsec > maxSections {
+		return nil, fmt.Errorf("extent %s: %d sections do not fit the header page", name, nsec)
+	}
 	sections := make(map[string]span, nsec)
 	order := make([]span, 0, nsec)
 	for i := 0; i < nsec; i++ {
@@ -288,8 +302,11 @@ func (s *Store) Read(name string) (*Payload, error) {
 	}
 	payloadLen := int64(binary.LittleEndian.Uint64(header[pos:]))
 	wantCRC := binary.LittleEndian.Uint32(header[pos+8:])
+	if payloadLen < 0 || payloadLen > fi.Size()-PageSize-int64(len(endMagic)) {
+		return nil, fmt.Errorf("extent %s: truncated (payload of %d bytes in a %d-byte file)", name, payloadLen, fi.Size())
+	}
 	for _, sp := range order {
-		if sp.off+sp.len > payloadLen {
+		if sp.off > payloadLen || sp.len > payloadLen-sp.off {
 			return nil, fmt.Errorf("extent %s: section beyond payload", name)
 		}
 	}

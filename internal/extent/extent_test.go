@@ -2,8 +2,11 @@ package extent
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -127,6 +130,101 @@ func TestCorruptionDetected(t *testing.T) {
 	if _, err := s.Read("x"); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad-magic read: err=%v", err)
 	}
+}
+
+// allocated returns the bytes fn allocates on the heap.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// fixCRC returns a copy of an extent file with the payload CRC its
+// header declares recomputed over the payload the header sizes, or data
+// itself when the header cannot be walked that far.
+func fixCRC(data []byte) []byte {
+	if len(data) < PageSize {
+		return data
+	}
+	pos := 12
+	for i := 0; i < int(binary.LittleEndian.Uint32(data[8:])); i++ {
+		if pos >= PageSize {
+			return data
+		}
+		pos += 1 + int(data[pos]) + 16
+	}
+	if pos+12 > PageSize {
+		return data
+	}
+	n := binary.LittleEndian.Uint64(data[pos:])
+	if n > uint64(len(data)-PageSize) {
+		return data
+	}
+	out := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(out[pos+8:], crc32.Checksum(out[PageSize:PageSize+int(n)], castagnoli))
+	return out
+}
+
+// FuzzReadExtent: Store.Read of any file is an error or a payload whose
+// every section lies inside the payload buffer on a 64-byte boundary,
+// never a panic, and reading a file allocates at most a fixed amount
+// beyond twice its size. Every input is read twice: as given, and with
+// its payload CRC recomputed, so mutations reach what lies behind the
+// checksum. Seeds are the round-trip tests' extents.
+func FuzzReadExtent(f *testing.F) {
+	s, err := Open(fsio.OS, f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(s.Dir(), "x"+Suffix)
+	var roundTrip, corrupt, tiny Builder
+	roundTrip.Add("codes", bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, 100))
+	roundTrip.Add("ids", Int64Bytes([]int64{10, -20, 1 << 40}))
+	roundTrip.Add("empty", nil)
+	corrupt.Add("data", bytes.Repeat([]byte{0xab}, 1000))
+	tiny.Add("d", []byte{1})
+	for _, b := range []*Builder{&roundTrip, &corrupt, &tiny, {}} {
+		if _, err := s.Write("x", b); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 1<<20 {
+			return
+		}
+		for _, in := range [][]byte{data, fixCRC(data)} {
+			if err := os.WriteFile(path, in, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var p *Payload
+			var err error
+			if n := allocated(func() { p, err = s.Read("x") }); n > 1<<20+2*uint64(len(in)) {
+				t.Fatalf("%d-byte file allocated %d bytes", len(in), n)
+			}
+			if err != nil {
+				continue
+			}
+			if !layout.Aligned(p.Bytes()) {
+				t.Fatal("payload buffer not 64-byte aligned")
+			}
+			for name, sp := range p.sections {
+				if sp.off%SectionAlign != 0 || sp.off > int64(len(p.buf)) || sp.len > int64(len(p.buf))-sp.off {
+					t.Fatalf("section %q at [%d, +%d) of a %d-byte payload", name, sp.off, sp.len, len(p.buf))
+				}
+				if sec, _ := p.Section(name); !layout.Aligned(sec) {
+					t.Fatalf("section %q not 64-byte aligned", name)
+				}
+			}
+		}
+	})
 }
 
 // TestSweepOrphans checks that attach-time sweeping removes in-flight

@@ -38,20 +38,12 @@ func checkEpochsAliasBase(t *testing.T, ix *Index, tag string) {
 	t.Helper()
 	for c, pe := range ix.snap.Load().Parts {
 		tag := fmt.Sprintf("%s, partition %d", tag, c)
-		if pe.paged != nil {
-			p, fs, release, err := pe.paged.view(pe, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkAliasesBase(t, tag, p, fs, ix.opt.FastScan)
-			release()
-			continue
-		}
-		fs, err := pe.FastScanner(ix.opt.FastScan)
+		p, fs, release, err := pe.view(ix.opt.FastScan, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAliasesBase(t, tag, pe.Part, fs, ix.opt.FastScan)
+		checkAliasesBase(t, tag, p, fs, ix.opt.FastScan)
+		release()
 	}
 }
 

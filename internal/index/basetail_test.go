@@ -175,7 +175,7 @@ func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.
 		// Row by row: a live row holds a live id and its code, a dead row
 		// an id that was deleted — so a Delete tombstoned the row its id
 		// had moved to, wherever a fold put it.
-		p, release, err := s.Parts[c].rows()
+		p, _, release, err := s.Parts[c].view(ix.opt.FastScan, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,13 +214,7 @@ func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.
 		// Counters, cell by cell: the model runs the very layout the epoch
 		// serves with — hydrated under a pin of its own when paged.
 		for c, pe := range s.Parts {
-			release := func() {}
-			var fs *scan.FastScan
-			if pe.paged != nil {
-				_, fs, release, err = pe.paged.view(pe, true)
-			} else {
-				fs, err = pe.FastScanner(ix.opt.FastScan)
-			}
+			_, fs, release, err := pe.view(ix.opt.FastScan, true)
 			if err != nil {
 				t.Fatal(err)
 			}

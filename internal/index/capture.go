@@ -57,7 +57,7 @@ func (ix *Index) Capture() (Capture, error) {
 		}
 	}
 	for i, pe := range s.Parts {
-		p, rel, err := pe.rows()
+		p, _, rel, err := pe.view(ix.opt.FastScan, false)
 		if err != nil {
 			releaseAll()
 			return Capture{}, err

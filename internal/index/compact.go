@@ -116,7 +116,7 @@ func (ix *Index) CompactPartition(c int) (CompactionResult, error) {
 // registered again in the locate map. The caller holds ix.partMu[c].
 // On an error nothing is published and cur stays.
 func (ix *Index) rebuild(c int, cur *PartEpoch, dropDead bool) (*PartEpoch, error) {
-	p, release, err := cur.rows()
+	p, _, release, err := cur.view(ix.opt.FastScan, false)
 	if err != nil {
 		return nil, err
 	}

@@ -365,18 +365,19 @@ func (ix *Index) FastScanner(part int) (*scan.FastScan, error) {
 		return nil, fmt.Errorf("index: partition %d out of range", part)
 	}
 	pe := s.Parts[part]
-	if pe.paged != nil {
-		// Offline/tooling path on a paged index: materialize a RAM copy
-		// and build a scanner over it, so the returned layout has no pin
-		// lifetime. The serving scan path never comes through here — it
-		// uses transient hydrated views inside scanPartition.
-		p, err := ix.materializePart(pe)
-		if err != nil {
-			return nil, err
-		}
-		return scan.NewFastScan(p, ix.opt.FastScan)
+	if pe.paged == nil {
+		_, fs, _, err := pe.view(ix.opt.FastScan, true) // pins nothing
+		return fs, err
 	}
-	return pe.FastScanner(ix.opt.FastScan)
+	// Offline/tooling path on a paged index: materialize a RAM copy and
+	// build a scanner over it, so the returned layout has no pin
+	// lifetime. The serving scan path never comes through here — it
+	// scans transient views inside scanPartition.
+	p, err := ix.materializePart(pe)
+	if err != nil {
+		return nil, err
+	}
+	return scan.NewFastScan(p, ix.opt.FastScan)
 }
 
 // Result is re-exported for callers that only import index.
@@ -401,25 +402,16 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 		return scan.Stats{}, fmt.Errorf("index: partition %d out of range", part)
 	}
 	t := ix.tables(qs, req.Query, part)
-	pe := s.Parts[part]
 
-	// Acquire the epoch's scannable view. RAM epochs hand out their
-	// sealed slices directly; disk-resident epochs pin their extent in
-	// the buffer pool and hydrate transient views over the pinned
-	// payload, released when the scan returns — a probe pins only the
-	// partitions it actually visits, for exactly as long as it scans
-	// them. The heap holds (id, distance) values, never slices of the
-	// frame, so nothing aliases the pool after the pin drops.
-	p := pe.Part
-	var pagedFast *scan.FastScan
-	if pe.paged != nil {
-		hp, hfs, release, err := pe.paged.view(pe, req.Kernel == KernelFastScan)
-		if err != nil {
-			return scan.Stats{}, err
-		}
-		defer release()
-		p, pagedFast = hp, hfs
+	// The epoch's view, held until the scan returns: on a paged epoch
+	// that is the pin on its extent. The heap holds (id, distance)
+	// values, never slices of the frame, so nothing aliases the pool
+	// after the pin drops.
+	p, fs, release, err := s.Parts[part].view(ix.opt.FastScan, req.Kernel == KernelFastScan)
+	if err != nil {
+		return scan.Stats{}, err
 	}
+	defer release()
 	pushAll := func(r []Result, st scan.Stats) (scan.Stats, error) {
 		for _, x := range r {
 			heap.Push(x.ID, x.Distance)
@@ -429,13 +421,6 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 
 	switch req.Kernel {
 	case KernelFastScan:
-		fs := pagedFast
-		if pe.paged == nil {
-			var err error
-			if fs, err = pe.FastScanner(ix.opt.FastScan); err != nil {
-				return scan.Stats{}, err
-			}
-		}
 		return fs.ScanNativeInto(t, heap, qs.scan, req.Backend), nil
 	case KernelLibpq:
 		return pushAll(scan.ExactNative(p, t, req.K, qs.scan))
@@ -452,32 +437,18 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 // rows: codes, ids and packed blocks, each stored once (the layout
 // aliases the base's codes and ids).
 func (ix *Index) GroupedMemoryBytes() (packed, rowMajor, resident int, err error) {
-	s := ix.snap.Load()
-	for _, pe := range s.Parts {
-		var p, r, h int
-		if pe.paged != nil {
-			if p, r, h, err = ix.groupedFootprint(pe); err != nil {
-				return 0, 0, 0, err
-			}
-		} else {
-			fs, err := pe.FastScanner(ix.opt.FastScan)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			p, r, h = footprint(fs)
+	for _, pe := range ix.snap.Load().Parts {
+		_, fs, release, err := pe.view(ix.opt.FastScan, true)
+		if err != nil {
+			return 0, 0, 0, err
 		}
-		packed += p
-		rowMajor += r
-		resident += h
+		g := fs.Grouped()
+		plain := fs.PlainScanned() * layout.M
+		base, tail := fs.Partition().Segments()
+		packed += g.PackedBytes() + plain
+		rowMajor += g.RowMajorBytes() + plain
+		resident += len(base.Codes) + 8*len(base.IDs) + len(tail.Codes) + 8*len(tail.IDs) + g.PackedBytes()
+		release()
 	}
 	return packed, rowMajor, resident, nil
-}
-
-// footprint returns one readable layout's share of GroupedMemoryBytes.
-func footprint(fs *scan.FastScan) (packed, rowMajor, resident int) {
-	g := fs.Grouped()
-	plain := fs.PlainScanned() * layout.M
-	base, tail := fs.Partition().Segments()
-	resident = len(base.Codes) + 8*len(base.IDs) + len(tail.Codes) + 8*len(tail.IDs) + g.PackedBytes()
-	return g.PackedBytes() + plain, g.RowMajorBytes() + plain, resident
 }

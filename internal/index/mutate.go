@@ -217,7 +217,7 @@ func (ix *Index) Delete(id int64) error {
 		for c, pe := range ix.snap.Load().Parts {
 			// Stubs carry no base id array — the extent stays pinned for
 			// the duration of this partition's walk.
-			p, release, err := pe.rows()
+			p, _, release, err := pe.view(ix.opt.FastScan, false)
 			if err != nil {
 				ix.locate = nil // retry the build on the next Delete
 				ix.locateMu.Unlock()
@@ -265,7 +265,7 @@ func (ix *Index) Delete(id int64) error {
 // which a stub keeps resident.
 func (ix *Index) tombstoned(cur *PartEpoch, row int, id int64) (*PartEpoch, error) {
 	fs := cur.fast.Load() // once: the lane must be found in the layout that is rebound
-	p, release, err := cur.rows()
+	p, _, release, err := cur.view(ix.opt.FastScan, false)
 	if err != nil {
 		return nil, err
 	}

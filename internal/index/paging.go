@@ -254,8 +254,8 @@ func (ix *Index) attachStore(dir string, poolBytes int64, opts ...bufpool.Option
 		}
 		// Build the Fast Scan layout eagerly so the extent carries it;
 		// non-PQ8x8 widths have none (their kernels are rejected at
-		// validation anyway).
-		fast, ferr := pe.FastScanner(ix.opt.FastScan)
+		// validation anyway). A RAM epoch's view pins nothing.
+		_, fast, _, ferr := pe.view(ix.opt.FastScan, true)
 		if ferr != nil {
 			fast = nil
 		}
@@ -323,28 +323,19 @@ func (ix *Index) StoreStats() (StoreStats, bool) {
 	}, true
 }
 
-// materializePart returns a RAM-resident copy of a paged epoch's
-// partition — its base copied out of the pinned frame, its tail and
-// dead bits shared — the bridge for offline tooling (Parts,
-// FastScanner) that expects partition data without pin lifetimes.
+// materializePart returns the epoch's partition free of pin lifetimes,
+// for offline tooling (Parts, FastScanner): Part itself on a RAM epoch;
+// on a paged one a copy whose base is copied out of the pinned frame,
+// its tail and dead bits shared.
 func (ix *Index) materializePart(pe *PartEpoch) (*scan.Partition, error) {
-	p, release, err := pe.rows()
+	if pe.paged == nil {
+		return pe.Part, nil
+	}
+	p, _, release, err := pe.view(ix.opt.FastScan, false)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	base, _ := p.Segments()
 	return pe.Part.Hydrate(slices.Clone(base.Codes), slices.Clone(base.IDs)), nil
-}
-
-// groupedFootprint computes one paged epoch's share of
-// GroupedMemoryBytes under a transient pin.
-func (ix *Index) groupedFootprint(pe *PartEpoch) (packed, rowMajor, resident int, err error) {
-	_, fs, release, err := pe.paged.view(pe, true)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer release()
-	packed, rowMajor, resident = footprint(fs)
-	return packed, rowMajor, resident, nil
 }

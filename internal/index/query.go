@@ -229,26 +229,13 @@ func (ix *Index) queryCells(ctx context.Context, s *Snapshot, req Request, cellI
 // the Query of its row — a recall target picks every row's own prefix.
 // The snapshot is loaded once and shared by every worker, so the whole batch
 // answers from one consistent view regardless of concurrent mutations;
-// Fast Scan layouts for every partition are built up front so workers
-// hit only the lock-free cached path. Cancelling ctx makes in-flight
-// workers stop between partition scans and the batch return the
-// context's error.
+// workers probing a cold epoch share its one layout build
+// (PartEpoch.view). Cancelling ctx makes in-flight workers stop between
+// partition scans and the batch return the context's error.
 func (ix *Index) QueryBatch(ctx context.Context, queries vec.Matrix, req Request) ([]*Response, error) {
 	s := ix.snap.Load()
 	if queries.Dim != ix.Dim {
 		return nil, fmt.Errorf("index: query dim %d != index dim %d", queries.Dim, ix.Dim)
-	}
-	if req.Kernel == KernelFastScan {
-		for _, pe := range s.Parts {
-			if pe.paged != nil {
-				// Paged epochs carry their layout in the extent; there is
-				// nothing to pre-build, and probes hydrate per pin.
-				continue
-			}
-			if _, err := pe.FastScanner(ix.opt.FastScan); err != nil {
-				return nil, err
-			}
-		}
 	}
 	n := queries.Rows()
 	out := make([]*Response, n)

@@ -70,46 +70,40 @@ func (ix *Index) successor(cur *PartEpoch, next *scan.Partition, fs *scan.FastSc
 	return pe
 }
 
-// rows returns the epoch's partition with every row readable: Part
-// itself on a RAM epoch, a view hydrated over the pinned extent — valid
-// until release is called — on a paged one.
-func (pe *PartEpoch) rows() (p *scan.Partition, release func(), err error) {
-	if pe.paged == nil {
-		return pe.Part, func() {}, nil
+// view is the one way into an epoch's rows, RAM or paged: the partition
+// with every row readable and, when fast, its Fast Scan layout under
+// opt, both valid until release is called. A RAM epoch hands out Part
+// and its cached layout, building the layout on first use — one atomic
+// load on the steady-state path, the epoch's own builder lock on a cold
+// one, so concurrent queries share one build — and its release does
+// nothing. A paged epoch pins its extent in the buffer pool and hands
+// out shallow views hydrated over the pinned payload, released by
+// unpinning, so a caller pins only the partitions it visits, for as
+// long as it reads them. Because the layout is cached on the epoch —
+// not on the index — it can never outlive or predate the codes it
+// describes.
+func (pe *PartEpoch) view(opt scan.FastScanOptions, fast bool) (p *scan.Partition, fs *scan.FastScan, release func(), err error) {
+	if pe.paged != nil {
+		return pe.paged.view(pe, fast)
 	}
-	p, _, release, err = pe.paged.view(pe, false)
-	return p, release, err
+	if !fast {
+		return pe.Part, nil, noRelease, nil
+	}
+	if fs = pe.fast.Load(); fs == nil {
+		pe.fastMu.Lock()
+		defer pe.fastMu.Unlock()
+		if fs = pe.fast.Load(); fs == nil {
+			if fs, err = scan.NewFastScan(pe.Part, opt); err != nil {
+				return nil, nil, nil, err
+			}
+			pe.fast.Store(fs)
+		}
+	}
+	return pe.Part, fs, noRelease, nil
 }
 
-// FastScanner returns the epoch's Fast Scan layout, building it on first
-// use. The fast path is a single atomic load; construction of a cold
-// epoch is serialized by the epoch's own builder lock so concurrent
-// queries share one build. Because the layout is cached on the epoch —
-// not on the index — a scanner can never outlive or predate the codes it
-// describes.
-func (pe *PartEpoch) FastScanner(opt scan.FastScanOptions) (*scan.FastScan, error) {
-	if pe.paged != nil {
-		// Paged epochs hold a stub layout that must be hydrated against a
-		// pinned extent payload; handing it out here would let a caller
-		// scan nil data. The scan path acquires hydrated views through
-		// pagedExtent.view instead (paging.go).
-		return nil, fmt.Errorf("index: partition epoch is disk-resident; FastScanner requires a RAM epoch")
-	}
-	if fs := pe.fast.Load(); fs != nil {
-		return fs, nil
-	}
-	pe.fastMu.Lock()
-	defer pe.fastMu.Unlock()
-	if fs := pe.fast.Load(); fs != nil {
-		return fs, nil
-	}
-	fs, err := scan.NewFastScan(pe.Part, opt)
-	if err != nil {
-		return nil, err
-	}
-	pe.fast.Store(fs)
-	return fs, nil
-}
+// noRelease is a RAM epoch's release: nothing is pinned.
+func noRelease() {}
 
 // Snapshot is one immutable point-in-time view of every partition. A
 // query (or a persist pass) loads it once and works entirely on it;
@@ -148,15 +142,11 @@ func (ix *Index) Parts() []*scan.Partition {
 	s := ix.snap.Load()
 	out := make([]*scan.Partition, len(s.Parts))
 	for i, pe := range s.Parts {
-		if pe.paged != nil {
-			p, err := ix.materializePart(pe)
-			if err != nil {
-				panic(fmt.Sprintf("index: materializing paged partition %d: %v", i, err))
-			}
-			out[i] = p
-			continue
+		p, err := ix.materializePart(pe)
+		if err != nil {
+			panic(fmt.Sprintf("index: materializing paged partition %d: %v", i, err))
 		}
-		out[i] = pe.Part
+		out[i] = p
 	}
 	return out
 }

@@ -2,19 +2,22 @@
 //
 // §4's algorithm — small-table lookups, saturating 8-bit accumulation,
 // qsat-vs-threshold pruning, keep phase, groups in key order —
-// implemented for wall-clock speed on one of the block-kernel backends
-// selected by internal/simd/dispatch:
+// implemented for wall-clock speed. One Go loop (scanBlocks) walks the
+// groups and blocks for every backend. Per group, the block-kernel
+// backend selected by internal/simd/dispatch lower-bounds all of the
+// group's blocks and returns one pruned mask per block against the
+// threshold at the group's entry:
 //
+//   - asm-avx2 / asm-neon: hand-written assembly (dispatch.Accumulate)
+//     running the real pshufb/tbl pipeline over the whole group;
 //   - swar (always available): per-query pair LUTs resolve two lanes of
-//     a block per load into uint64 words of four 16-bit lanes, flat
-//     table arrays, hoisted bounds checks, no per-operation function
-//     calls;
-//   - asm-avx2 / asm-neon: hand-written assembly block kernels running
-//     the real pshufb/tbl pipeline over whole groups at a time and
-//     returning one pruned mask per block against the threshold at the
-//     group's entry; candidate processing and threshold refresh stay in
-//     Go between blocks so the decision sequence is identical
-//     (DESIGN.md §12).
+//     a block per load into uint64 words of four 16-bit lanes
+//     (swarAccumulate).
+//
+// The loop does the rest once, between blocks: re-masking after the
+// threshold moved, padding and dead lanes, Stats, candidate processing
+// and threshold refresh, so the decision sequence cannot differ between
+// backends (DESIGN.md §12).
 //
 // All backends share every decision input (quantizer, thresholds, exact
 // re-check arithmetic) and their lower-bound bytes agree lane-for-lane,
@@ -118,8 +121,8 @@ type queryTables struct {
 
 // Scratch holds the reusable per-searcher buffers of a scan:
 // the top-k heap and sorted-results buffer of the from-empty entry
-// points, the query-table storage, and the assembly backends'
-// lower-bound and mask buffers.
+// points, the query-table storage, and one group's lower bounds and
+// pruned masks.
 // Reusing one Scratch across queries keeps the steady-state scan loop
 // at zero allocations; a Scratch must not be shared between concurrent
 // scans. Passing nil to the scan entry points allocates a transient
@@ -134,7 +137,8 @@ type Scratch struct {
 
 	qt    queryTables
 	acc   []uint8  // asm backends' lower-bound bytes, 64-byte aligned
-	masks []uint16 // asm backends' per-block pruned masks
+	words []uint64 // swar backend's lower bounds, four 16-bit lanes a word
+	masks []uint16 // per-block pruned masks at the group's entry
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use and are
@@ -352,11 +356,7 @@ func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scra
 	t8 := qt.dq.PruneThreshold(thrVal, haveThr)
 
 	tv := (*[M][256]float32)(unsafe.Pointer(&t.Data[0])) // Check8x8: M rows of 256
-	if be.Asm() {
-		fs.scanBlocksAsm(sc, qt, be, &t8, heap, tv, &stats)
-	} else {
-		fs.scanBlocksSWAR(qt, &t8, heap, tv, &stats)
-	}
+	fs.scanBlocks(sc, qt, be, &t8, heap, tv, &stats)
 	return stats
 }
 
@@ -405,43 +405,38 @@ func swarPrunedMask(acc []uint8, t8 int8) uint32 {
 	return swarMovemask(leUint64(acc[0:8])+add) | swarMovemask(leUint64(acc[8:16])+add)<<8
 }
 
-// scanBlocksAsm drives the dispatched assembly kernel: per group it
-// refreshes the group's small-table windows in the 8×16-byte table
-// block and hands the group's packed blocks to dispatch.Accumulate in
-// ONE call (the kernel streams the whole group through vector
-// registers) together with the threshold current at the group's entry;
-// the kernel returns the lower-bound bytes and, compared in registers,
-// one pruned mask per block. Candidate processing and threshold refresh
-// stay in Go between blocks. The threshold only ever tightens, so a
-// lane pruned at entry is pruned at its block too: an all-pruned block
-// is skipped on its mask alone, and a block with survivors is masked
-// again from its stored bytes only if the threshold has moved since the
-// call — the mask applied to a block is always the one for the
-// threshold current AT THAT BLOCK, so the decision sequence (and hence
-// results, pruning counters and heap evolution) is identical to the
-// SWAR backend's. The lower bound of a lane never depends on the
-// threshold, which is what makes the group-at-a-time kernel call safe.
-// Dead lanes leave a block's survivors with one AND and count as
-// pruned, on every backend and in the model alike.
-func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Backend, t8 *int8, heap *topk.Heap, tv *[M][256]float32, stats *Stats) {
+// scanBlocks is the one block loop of every backend. Per group, bound
+// has the backend lower-bound all of the group's blocks and take their
+// prune decision against the threshold current at the group's entry, in
+// ONE call. The lower bound of a lane never depends on the threshold,
+// which is what makes the group-at-a-time call safe. Candidate
+// processing and threshold refresh stay here, between blocks. The
+// threshold only ever tightens, so a lane pruned at entry is pruned at
+// its block too: an all-pruned block is skipped on its mask alone, and a
+// block with survivors is masked again from its stored bounds only if
+// the threshold has moved since the call. The mask applied to a
+// block is therefore always the one for the threshold current AT THAT
+// BLOCK, and the decision sequence (and hence results, pruning counters
+// and heap evolution) is the same on every backend. Padding lanes of a
+// group's last block and dead lanes leave a block's survivors with one
+// AND each and count as pruned, on every backend and in the model alike.
+func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend, t8 *int8, heap *topk.Heap, tv *[M][256]float32, stats *Stats) {
 	g := fs.grouped
-	c := fs.c
 	bb := g.BlockSize()
-	blocks := g.Blocks
 	hasDead := fs.dead.n > 0
-	tb := qt.asmTables()
+	swar := !be.Asm()
+	var tb *[128]uint8
+	if swar {
+		qt.buildLUTs()
+	} else {
+		tb = qt.asmTables()
+	}
 
 	for gi := range g.Groups {
 		grp := &g.Groups[gi]
-		for j := 0; j < c; j++ {
-			copy(tb[j*16:j*16+16], qt.qrows[j][int(grp.Key[j])*16:int(grp.Key[j])*16+16])
-		}
 		nb := grp.BlockCount
-		sc.acc = growAligned(sc.acc, nb*16)
-		sc.masks = growSlice(sc.masks, nb)
-		base := grp.BlockStart * bb
 		entry := *t8
-		dispatch.Accumulate(be, blocks[base:base+nb*bb], bb, c, nb, entry, tb, sc.acc, sc.masks)
+		sc.bound(qt, be, tb, g.Blocks[grp.BlockStart*bb:(grp.BlockStart+nb)*bb], grp, entry)
 
 		stats.Groups++
 		stats.Blocks += nb
@@ -453,7 +448,11 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 			}
 			live := uint32(^m)
 			if *t8 != entry {
-				live &^= swarPrunedMask(sc.acc[b*16:b*16+16], *t8)
+				if swar {
+					live &^= swarPrunedMask16(sc.words[4*b:4*b+4], *t8)
+				} else {
+					live &^= swarPrunedMask(sc.acc[b*16:b*16+16], *t8)
+				}
 			}
 			if b == nb-1 {
 				live &= 1<<(grp.Count-b*layout.BlockVectors) - 1 // padding lanes
@@ -473,123 +472,102 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 	}
 }
 
-// scanBlocksSWAR is the portable backend: the pair-LUT block pipeline.
-// The inner loop lower-bounds one 16-vector block per iteration in four
-// uint64 words of four 16-bit lanes each — per component, eight LUT
-// loads each resolving a lane PAIR, assembled directly into the words
-// and added lane-wise; one compare-against-threshold add and four
-// movemasks close the block. Building the pair tables costs ~10k stores
-// per scan: ≈ 5–8 µs, a quarter of a 1 000-code partition's scan and
-// repaid several times over from 10 000 codes up (DESIGN.md §12 has the
-// measurement that chose this pipeline).
-func (fs *FastScan) scanBlocksSWAR(qt *queryTables, t8p *int8, heap *topk.Heap, tv *[M][256]float32, stats *Stats) {
-	g := fs.grouped
-	c := fs.c
-	bb := g.BlockSize()
-	blocks := g.Blocks
-	hasDead := fs.dead.n > 0
+// bound has backend be lower-bound the blocks of group grp and take
+// their prune decision against thr: dispatch.Accumulate on the assembly
+// backends, after the group's small-table windows are refreshed in the
+// 8×16-byte table block tb (the kernel streams the whole group through
+// vector registers), swarAccumulate on swar. The masks land in
+// sc.masks, and the bounds a re-mask reads in sc.acc (min(Σ, 127)
+// bytes) or sc.words (swar's exact 16-bit sums).
+func (sc *Scratch) bound(qt *queryTables, be dispatch.Backend, tb *[128]uint8, blocks []uint8, grp *layout.Group, thr int8) {
+	nb := grp.BlockCount
+	sc.masks = growSlice(sc.masks, nb)
+	if !be.Asm() {
+		sc.words = growSlice(sc.words, 4*nb)
+		qt.swarAccumulate(blocks, nb, &grp.Key, thr, sc.words, sc.masks)
+		return
+	}
+	c := qt.c
+	for j := 0; j < c; j++ {
+		copy(tb[j*16:j*16+16], qt.qrows[j][int(grp.Key[j])*16:int(grp.Key[j])*16+16])
+	}
+	sc.acc = growAligned(sc.acc, nb*16)
+	dispatch.Accumulate(be, blocks, layout.BlockBytes(c), c, nb, thr, tb, sc.acc, sc.masks)
+}
 
-	qt.buildLUTs()
+// swarAccumulate is the swar backend's dispatch.Accumulate, on the pair
+// LUTs of buildLUTs: it lower-bounds the nb packed blocks of the group
+// with key key and takes their prune decision against thr. Block b's
+// sixteen bounds land in words[4b:4b+4], four 16-bit lanes a word (lane
+// 4w+i in bits 16i..16i+15 of word w), and its pruned mask in masks[b].
+// Per component, eight LUT loads each resolve a lane PAIR, assembled
+// directly into the words and added lane-wise. The sums are exact rather
+// than saturated: every addend is in [0, 127], so a lane stays below
+// 1016 and never carries, and min(sum, 127) is Accumulate's bound byte;
+// swarPrunedMask16 makes Accumulate's decision from the exact sum.
+// Building the pair tables costs ~10k stores per scan: ≈ 5–8 µs, a
+// quarter of a 1 000-code partition's scan and repaid several times over
+// from 10 000 codes up (DESIGN.md §12 has the measurement that chose
+// this pipeline).
+func (qt *queryTables) swarAccumulate(blocks []uint8, nb int, key *[layout.MaxGroupComponents]uint8, thr int8, words []uint64, masks []uint16) {
+	c := qt.c
+	bb := layout.BlockBytes(c)
+	var groupLUTs [layout.MaxGroupComponents]*[256]uint32
+	for j := 0; j < c; j++ {
+		off := j*16*256 + int(key[j])<<8
+		groupLUTs[j] = (*[256]uint32)(qt.glut[off : off+256])
+	}
 	var ungroupLUTs [M]*[ulutSize]uint32
 	for j := c; j < M; j++ {
 		ungroupLUTs[j] = (*[ulutSize]uint32)(qt.ulut[(j-c)*ulutSize : (j-c+1)*ulutSize])
 	}
-	var groupLUTs [layout.MaxGroupComponents]*[256]uint32
 
-	for gi := range g.Groups {
-		grp := &g.Groups[gi]
-		stats.Groups++
+	for b := 0; b < nb; b++ {
+		blk := blocks[b*bb : (b+1)*bb : (b+1)*bb]
+		// Four 16-bit lanes per word (a0: lanes 0-3 ... a3: lanes
+		// 12-15), one LUT load per lane PAIR.
+		var a0, a1, a2, a3 uint64
 		for j := 0; j < c; j++ {
-			off := j*16*256 + int(grp.Key[j])<<8
-			groupLUTs[j] = (*[256]uint32)(qt.glut[off : off+256])
+			lk := groupLUTs[j]
+			wp := leUint64(blk[j*8 : j*8+8])
+			a0 += uint64(lk[wp&0xff]) | uint64(lk[wp>>8&0xff])<<32
+			a1 += uint64(lk[wp>>16&0xff]) | uint64(lk[wp>>24&0xff])<<32
+			a2 += uint64(lk[wp>>32&0xff]) | uint64(lk[wp>>40&0xff])<<32
+			a3 += uint64(lk[wp>>48&0xff]) | uint64(lk[wp>>56])<<32
 		}
-
-		blockBase := grp.BlockStart * bb
-		for b := 0; b < grp.BlockCount; b++ {
-			stats.Blocks++
-			blk := blocks[blockBase+b*bb : blockBase+(b+1)*bb : blockBase+(b+1)*bb]
-			t8 := *t8p
-
-			// Four 16-bit lanes per word (a0: lanes 0-3 ... a3: lanes
-			// 12-15), one LUT load per lane PAIR. Accumulation is plain
-			// addition — all addends are in [0, 127], so lane sums stay
-			// below 1016 and never carry; min(sum, 127) > t8 is then
-			// equivalent to sum > t8 for every reachable threshold
-			// (t8 <= 126), the t8 == 127 no-pruning case being handled
-			// explicitly — decisions identical to the saturating model.
-			var a0, a1, a2, a3 uint64
-			first := true
-			for j := 0; j < c; j++ {
-				lk := groupLUTs[j]
-				wp := leUint64(blk[j*8 : j*8+8])
-				w0 := uint64(lk[wp&0xff]) | uint64(lk[wp>>8&0xff])<<32
-				w1 := uint64(lk[wp>>16&0xff]) | uint64(lk[wp>>24&0xff])<<32
-				w2 := uint64(lk[wp>>32&0xff]) | uint64(lk[wp>>40&0xff])<<32
-				w3 := uint64(lk[wp>>48&0xff]) | uint64(lk[wp>>56])<<32
-				if first {
-					a0, a1, a2, a3 = w0, w1, w2, w3
-					first = false
-				} else {
-					a0 += w0
-					a1 += w1
-					a2 += w2
-					a3 += w3
-				}
-			}
-			off := c * 8
-			for j := c; j < M; j++ {
-				ul := ungroupLUTs[j]
-				wa := leUint64(blk[off : off+8])
-				wb := leUint64(blk[off+8 : off+16])
-				off += 16
-				w0 := uint64(ul[wa>>4&0x0f0f]) | uint64(ul[wa>>20&0x0f0f])<<32
-				w1 := uint64(ul[wa>>36&0x0f0f]) | uint64(ul[wa>>52&0x0f0f])<<32
-				w2 := uint64(ul[wb>>4&0x0f0f]) | uint64(ul[wb>>20&0x0f0f])<<32
-				w3 := uint64(ul[wb>>36&0x0f0f]) | uint64(ul[wb>>52&0x0f0f])<<32
-				if first {
-					a0, a1, a2, a3 = w0, w1, w2, w3
-					first = false
-				} else {
-					a0 += w0
-					a1 += w1
-					a2 += w2
-					a3 += w3
-				}
-			}
-			var prunedMask uint32
-			switch {
-			case t8 < 0:
-				prunedMask = 0xffff
-			case t8 == 127:
-				prunedMask = 0
-			default:
-				// Lane sums <= 1016, addend <= 0x7fff: no carry, and
-				// bit 15 of a lane is set iff sum > t8.
-				add := (0x7fff - uint64(uint8(t8))) * swar16Ones
-				prunedMask = swarMovemask16(a0+add) | swarMovemask16(a1+add)<<4 |
-					swarMovemask16(a2+add)<<8 | swarMovemask16(a3+add)<<12
-			}
-
-			base := grp.Start + b*layout.BlockVectors
-			valid := grp.Count - b*layout.BlockVectors
-			if valid > layout.BlockVectors {
-				valid = layout.BlockVectors
-			}
-			stats.LowerBounds += valid
-			live := ^prunedMask & (1<<valid - 1)
-			if hasDead {
-				live &^= fs.dead.lanes(grp.BlockStart + b)
-			}
-			if live == 0 {
-				stats.Pruned += valid
-				continue
-			}
-			n := bits.OnesCount32(live)
-			stats.Pruned += valid - n
-			stats.Candidates += n
-			fs.processLive(live, base, qt, tv, t8p, heap)
+		off := c * 8
+		for j := c; j < M; j++ {
+			ul := ungroupLUTs[j]
+			wa := leUint64(blk[off : off+8])
+			wb := leUint64(blk[off+8 : off+16])
+			off += 16
+			a0 += uint64(ul[wa>>4&0x0f0f]) | uint64(ul[wa>>20&0x0f0f])<<32
+			a1 += uint64(ul[wa>>36&0x0f0f]) | uint64(ul[wa>>52&0x0f0f])<<32
+			a2 += uint64(ul[wb>>4&0x0f0f]) | uint64(ul[wb>>20&0x0f0f])<<32
+			a3 += uint64(ul[wb>>36&0x0f0f]) | uint64(ul[wb>>52&0x0f0f])<<32
 		}
+		w := words[4*b : 4*b+4 : 4*b+4]
+		w[0], w[1], w[2], w[3] = a0, a1, a2, a3
+		masks[b] = uint16(swarPrunedMask16(w, thr))
 	}
+}
+
+// swarPrunedMask16 derives one block's pruned mask from its four words
+// of exact 16-bit lane sums: bit i is set iff min(sum_i, 127), read
+// signed, exceeds t8 — every lane for a negative t8, none for 127, and
+// for t8 in [0, 126] exactly the lanes with sum > t8.
+func swarPrunedMask16(w []uint64, t8 int8) uint32 {
+	switch {
+	case t8 < 0:
+		return 0xffff
+	case t8 == 127:
+		return 0
+	}
+	// Lane sums <= 1016, addend <= 0x7fff: no carry, and bit 15 of a
+	// lane is set iff sum > t8.
+	add := (0x7fff - uint64(uint8(t8))) * swar16Ones
+	return swarMovemask16(w[0]+add) | swarMovemask16(w[1]+add)<<4 |
+		swarMovemask16(w[2]+add)<<8 | swarMovemask16(w[3]+add)<<12
 }
 
 // leUint64 loads 8 little-endian bytes as one word; the gc compiler

@@ -3,6 +3,7 @@ package scan
 import (
 	"testing"
 
+	"pqfastscan/internal/layout"
 	"pqfastscan/internal/rng"
 	"pqfastscan/internal/simd"
 	"pqfastscan/internal/simd/dispatch"
@@ -55,6 +56,66 @@ func TestSWARMovemaskMatchesPmovmskB(t *testing.T) {
 		got := swarMovemask(lo) | swarMovemask(hi)<<8
 		if want := uint32(simd.PmovmskB(reg)); got != want {
 			t.Fatalf("trial %d: %04x != %04x for %v", trial, got, want, reg)
+		}
+	}
+}
+
+// TestSWARAccumulateMatchesGeneric holds the swar group function to the
+// kernel contract dispatch.TestAsmKernelsMatchGeneric holds the assembly
+// to: for random blocks, every grouping depth, odd and even block counts
+// and the edge thresholds, its masks equal dispatch.AccumulateGeneric's,
+// and so does min(Σ, 127) of every lane it leaves in its 16-bit words.
+// The group's small tables are planted at a random key inside otherwise
+// random first-c rows, so the pair LUTs must pick the group's window.
+// Low-entry tables keep sums near the thresholds; full-range ones
+// saturate most lanes.
+func TestSWARAccumulateMatchesGeneric(t *testing.T) {
+	r := rng.New(31)
+	for c := 0; c <= layout.MaxGroupComponents; c++ {
+		bb := layout.BlockBytes(c)
+		for _, nb := range []int{1, 2, 3, 8} {
+			for _, thr := range []int8{-128, -1, 0, 126, 127} {
+				for trial := 0; trial < 4; trial++ {
+					entryMax := []int{16, 128}[trial%2]
+					blocks := make([]uint8, nb*bb)
+					for i := range blocks {
+						blocks[i] = uint8(r.Intn(256))
+					}
+					var tables [128]uint8
+					for i := range tables {
+						tables[i] = uint8(r.Intn(entryMax))
+					}
+					qt := queryTables{c: c}
+					var key [layout.MaxGroupComponents]uint8
+					for j := 0; j < c; j++ {
+						for i := range qt.qrows[j] {
+							qt.qrows[j][i] = uint8(r.Intn(128))
+						}
+						key[j] = uint8(r.Intn(16))
+						copy(qt.qrows[j][int(key[j])*16:], tables[j*16:j*16+16])
+					}
+					for j := c; j < M; j++ {
+						copy(qt.minTables[j][:], tables[j*16:j*16+16])
+					}
+					qt.buildLUTs()
+
+					words, masks := make([]uint64, 4*nb), make([]uint16, nb)
+					qt.swarAccumulate(blocks, nb, &key, thr, words, masks)
+					want, wantMasks := make([]uint8, 16*nb), make([]uint16, nb)
+					dispatch.AccumulateGeneric(blocks, bb, c, nb, thr, &tables, want, wantMasks)
+					for b := 0; b < nb; b++ {
+						if masks[b] != wantMasks[b] {
+							t.Fatalf("c=%d nb=%d thr=%d block %d: swar mask %016b, generic %016b", c, nb, thr, b, masks[b], wantMasks[b])
+						}
+						for lane := 0; lane < 16; lane++ {
+							sum := min(words[4*b+lane/4]>>(16*(lane%4))&0xffff, 127)
+							if got := uint8(sum); got != want[16*b+lane] {
+								t.Fatalf("c=%d nb=%d block %d lane %d: swar min(Σ,127) %d, generic %d", c, nb, b, lane, got, want[16*b+lane])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,5 +1,8 @@
 // Package dispatch selects, at startup, the block-kernel backend PQ
-// Fast Scan (internal/scan) runs on. Three backends exist:
+// Fast Scan (internal/scan) runs on. A backend lower-bounds one group's
+// blocks and takes their prune decision (the contract of Accumulate,
+// defined by AccumulateGeneric); internal/scan runs one block loop
+// around whichever backend is selected. Three backends exist:
 //
 //   - asm-avx2: hand-written amd64 assembly over 32-byte ymm registers
 //     (VPSHUFB/VPADDUSB/VPMINUB), processing two 16-lane groups per
@@ -8,9 +11,9 @@
 //   - asm-neon: hand-written arm64 assembly over 16-byte vector
 //     registers (TBL + widening adds + UMIN), one 16-lane group per
 //     iteration;
-//   - swar: the portable uint64 SWAR implementation of internal/scan —
-//     always available, and the reference every assembly backend must
-//     match bit-for-bit.
+//   - swar: the portable uint64 pair-LUT pipeline, always available. It
+//     lives in internal/scan, which calls it in Accumulate's place, and
+//     meets the same contract bit for bit.
 //
 // Selection is by CPU feature detection (CPUID on amd64; NEON is
 // architectural baseline on arm64), overridable with the

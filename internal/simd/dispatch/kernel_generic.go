@@ -3,11 +3,13 @@ package dispatch
 // AccumulateGeneric is the portable reference implementation of
 // Accumulate: one scalar table lookup per (lane, component), exact
 // 16-bit sums clamped to 127 at the end, one signed compare per lane
-// for the pruned mask. It is deliberately written for
-// obviousness, not speed — the SWAR backend never routes through it
-// (internal/scan's fused pipelines are the SWAR implementation of
-// record); its job is to pin the semantics every assembly kernel is
-// tested against, on every architecture.
+// for the pruned mask. It is deliberately written for obviousness, not
+// speed, and no scan runs it: the swar backend's group function in
+// internal/scan (swarAccumulate) meets the same contract with pair LUTs.
+// Its job is to pin the semantics every backend is tested against, on
+// every architecture — the assembly kernels here
+// (TestAsmKernelsMatchGeneric), the swar group function in
+// internal/scan (TestSWARAccumulateMatchesGeneric).
 func AccumulateGeneric(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
 	for b := 0; b < nblocks; b++ {
 		blk := blocks[b*blockBytes : (b+1)*blockBytes]
