@@ -385,6 +385,29 @@ func BenchmarkMixedCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkFirstDelete times the first Delete into a fresh copy of the
+// write-path fixture's 100k-row partition, its Fast Scan layout built:
+// the Delete that walks every live row to build the Delete routing
+// table. B/op is that table (8 bytes per id in 32 KiB arrays) plus one
+// Delete. The copy is made off the clock.
+func BenchmarkFirstDelete(b *testing.B) {
+	idx, _ := writeEnv(b)
+	in := idx.Internal()
+	id := writeBase[0].ID(writeBase[0].N / 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ix := index.Restore(in.Dim, in.Coarse, in.PQ, writeBase, in.Options(), in.NextID())
+		if _, err := ix.FastScanner(0); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := ix.Delete(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDeleteAtD times one Delete into the write-path fixture's
 // 100k-row partition while it already holds D tombstones, its Fast Scan
 // layout built, as a serving partition has it. A dead set that a Delete

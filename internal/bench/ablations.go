@@ -194,6 +194,23 @@ func MemoryFootprint(env *Env, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "resident bytes per vector (codes, ids, packed blocks): %.1f\n", float64(resident)/float64(rows))
+	if _, err := fmt.Fprintf(w, "resident bytes per vector (codes, ids, packed blocks): %.1f\n", float64(resident)/float64(rows)); err != nil {
+		return err
+	}
+	// The first Delete builds the Delete routing table. It deletes build
+	// id 0 from a copy sharing the index's partitions, so the index the
+	// other experiments run on keeps every row.
+	all := make([]int, env.Index.Partitions())
+	for c := range all {
+		all[c] = c
+	}
+	cp, err := env.Index.RestrictCells(all)
+	if err != nil {
+		return err
+	}
+	if err := cp.Delete(0); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "delete routing bytes per vector (after one Delete): %.1f\n", float64(cp.DeleteRoutingBytes())/float64(rows))
 	return err
 }

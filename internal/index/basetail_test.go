@@ -150,6 +150,7 @@ func FuzzBaseTailIdentity(f *testing.F) {
 			}
 			checkAgainstRebuild(t, ix, live, fx.queries, fmt.Sprintf("step %d (op %d, arg %d)", step/2, op, arg))
 		}
+		checkRouting(t, ix)
 	})
 }
 

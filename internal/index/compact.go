@@ -113,7 +113,8 @@ func (ix *Index) CompactPartition(c int) (CompactionResult, error) {
 // moves rows — a fold's tail rows join their groups, and the rows
 // behind them shift — carrying each dead bit with its row; dropping
 // the dead rows renumbers the rest. Either way every row's id is
-// registered again in the locate map. The caller holds ix.partMu[c].
+// registered again in the Delete routing table. The caller holds
+// ix.partMu[c].
 // On an error nothing is published and cur stays.
 func (ix *Index) rebuild(c int, cur *PartEpoch, dropDead bool) (*PartEpoch, error) {
 	p, _, release, err := cur.view(ix.opt.FastScan, false)

@@ -181,7 +181,8 @@ func TestCompactPartitionOutOfRange(t *testing.T) {
 }
 
 // TestDeleteAfterCompactionStillWorks: compaction rewrites partition
-// rows; the locate map must keep routing deletes of surviving ids.
+// rows; the Delete routing table must keep routing deletes of
+// surviving ids.
 func TestDeleteAfterCompactionStillWorks(t *testing.T) {
 	ix, _ := buildMutable(t, 65)
 	if err := ix.Delete(10); err != nil {
@@ -276,10 +277,11 @@ func TestCompactedPersistRoundTrip(t *testing.T) {
 
 // TestDeleteRacesCompaction: deleters against a compaction loop on one
 // partition, RAM and paged. Every compaction renumbers the rows the
-// locate map points at; a Delete reads its row again under the
-// partition's builder lock, so it tombstones the id it was given and no
-// other. Afterwards every deleted id is absent from every kernel's
-// answer, and every other id is still deletable exactly once.
+// Delete routing table points at; a Delete reads its row again under
+// the partition's builder lock, so it tombstones the id it was given
+// and no other. Afterwards the table equals a fresh walk, every deleted
+// id is absent from every kernel's answer, and every other id is still
+// deletable exactly once, after which the table holds no range.
 func TestDeleteRacesCompaction(t *testing.T) {
 	for _, paged := range []bool{false, true} {
 		t.Run(map[bool]string{false: "ram", true: "paged"}[paged], func(t *testing.T) {
@@ -349,6 +351,7 @@ func TestDeleteRacesCompaction(t *testing.T) {
 				t.Fatal(err)
 			default:
 			}
+			checkRouting(t, ix)
 
 			for _, req := range scanPaths() {
 				req.Query, req.K = q, p.N
@@ -387,6 +390,7 @@ func TestDeleteRacesCompaction(t *testing.T) {
 			if live := ix.Live(); live != 0 {
 				t.Fatalf("%d rows live after deleting every id", live)
 			}
+			checkRouting(t, ix)
 		})
 	}
 }

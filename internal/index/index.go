@@ -146,12 +146,14 @@ type Index struct {
 	partMu []sync.Mutex
 	// nextID is the id allocator; Add reserves contiguous blocks.
 	nextID atomic.Int64
-	// locate maps live id -> packLoc(cell, row) for Delete routing.
-	// Built lazily on first Delete, maintained by Add and rebuild
-	// under the cell's builder lock; guarded by locateMu (a mutation-path
-	// lock — queries never touch it), always taken after partMu[c].
+	// locate routes each live id to its cell and row for Delete, by id
+	// in arrays of consecutive ids where they are dense, hashed elsewhere
+	// (locate.go). Nil until the first Delete builds it, maintained by
+	// Add and rebuild under the cell's builder lock; guarded by locateMu
+	// (a mutation-path lock — queries never touch it), always taken
+	// after partMu[c].
 	locateMu sync.Mutex
-	locate   map[int64]int64
+	locate   *locTable
 
 	// pg, when non-nil, is the attached disk store (paging.go): epochs
 	// are stubs over extents and probes pin payloads through pg's pool.

@@ -114,6 +114,9 @@ func (ix *Index) ApplyAdd(cells []int, ids []int64, codes []uint8) error {
 		if c < 0 || c >= ix.Partitions() {
 			return fmt.Errorf("index: cell %d out of range [0,%d)", c, ix.Partitions())
 		}
+		if ids[i] < 0 {
+			return fmt.Errorf("index: id %d is negative (the allocator issues none)", ids[i])
+		}
 		if ids[i] > maxID {
 			maxID = ids[i]
 		}
@@ -169,15 +172,8 @@ func (ix *Index) ApplyAdd(cells []int, ids []int64, codes []uint8) error {
 	return nil
 }
 
-// packLoc packs a row's place for the locate map: the cell in the high
-// 32 bits, the row's position in its partition in the low 32.
-func packLoc(c, row int) int64 { return int64(c)<<32 | int64(row) }
-
-// unpackLoc is the inverse of packLoc.
-func unpackLoc(l int64) (c, row int) { return int(l >> 32), int(uint32(l)) }
-
 // register records the live rows of p from position from on as cell c's
-// in the locate map, if it has been built. The caller holds
+// in the Delete routing table, if it has been built. The caller holds
 // ix.partMu[c] (lock order: partMu[c], then locateMu) and p is c's
 // latest epoch, or about to be published as it: positions are stable
 // only while nothing can rebuild the partition.
@@ -187,11 +183,7 @@ func (ix *Index) register(c int, p *scan.Partition, from int) {
 	if ix.locate == nil {
 		return
 	}
-	for i := from; i < p.N; i++ {
-		if !p.DeadAt(i) {
-			ix.locate[p.ID(i)] = packLoc(c, i)
-		}
-	}
+	eachLive(c, p, from, ix.locate.set)
 }
 
 // Delete tombstones the vector with the given id by publishing a new
@@ -202,7 +194,7 @@ func (ix *Index) register(c int, p *scan.Partition, from int) {
 // Delete costs the same however many rows are already dead. It returns
 // ErrNotFound when the id was never assigned or is no longer live.
 //
-// The locate map gives the id's cell and row. The row is read again
+// The routing table gives the id's cell and row. The row is read again
 // under the cell's builder lock, which a rebuild — a fold or a
 // compaction, the only things that move rows — also holds while it
 // re-registers them; a row read before the lock could be one a rebuild
@@ -210,43 +202,43 @@ func (ix *Index) register(c int, p *scan.Partition, from int) {
 func (ix *Index) Delete(id int64) error {
 	ix.locateMu.Lock()
 	if ix.locate == nil {
-		// First Delete: build the id -> (cell, row) routing table from
-		// the current snapshot. Rows published after this load are
-		// registered by their Add or rebuild.
-		ix.locate = make(map[int64]int64)
-		for c, pe := range ix.snap.Load().Parts {
-			// Stubs carry no base id array — the extent stays pinned for
-			// the duration of this partition's walk.
-			p, _, release, err := pe.view(ix.opt.FastScan, false)
-			if err != nil {
-				ix.locate = nil // retry the build on the next Delete
-				ix.locateMu.Unlock()
-				return fmt.Errorf("index: building delete routing table: %w", err)
-			}
-			for i := 0; i < p.N; i++ {
-				if !p.DeadAt(i) {
-					ix.locate[p.ID(i)] = packLoc(c, i)
+		// First Delete: build the routing table from the current
+		// snapshot. Rows published after this load are registered by
+		// their Add or rebuild.
+		snap := ix.snap.Load()
+		t, err := buildLocTable(func(fn func(id int64, c, row int)) error {
+			for c, pe := range snap.Parts {
+				// Stubs carry no base id array — the extent stays pinned
+				// for the duration of this partition's walk.
+				p, _, release, err := pe.view(ix.opt.FastScan, false)
+				if err != nil {
+					return err
 				}
+				eachLive(c, p, 0, fn)
+				release()
 			}
-			release()
+			return nil
+		})
+		if err != nil {
+			ix.locateMu.Unlock() // the next Delete retries the build
+			return fmt.Errorf("index: building delete routing table: %w", err)
 		}
+		ix.locate = t
 	}
-	l, ok := ix.locate[id]
+	c, _, ok := ix.locate.get(id)
 	ix.locateMu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	c, _ := unpackLoc(l)
 
 	ix.partMu[c].Lock()
 	defer ix.partMu[c].Unlock()
 	ix.locateMu.Lock()
-	l, ok = ix.locate[id]
+	_, row, ok := ix.locate.get(id)
 	ix.locateMu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: id %d", ErrNotFound, id) // a racing Delete won
 	}
-	_, row := unpackLoc(l)
 	cur := ix.snap.Load().Parts[c]
 	pe, err := ix.tombstoned(cur, row, id)
 	if err != nil {
@@ -254,7 +246,7 @@ func (ix *Index) Delete(id int64) error {
 	}
 	ix.publishAt(c, pe)
 	ix.locateMu.Lock()
-	delete(ix.locate, id)
+	ix.locate.del(id)
 	ix.locateMu.Unlock()
 	return nil
 }

@@ -110,7 +110,8 @@ func TestPagedBitIdenticalToRAM(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Also tombstone build-time rows, exercising the paged locate build.
+	// Also tombstone build-time rows, exercising the paged walk that
+	// builds the Delete routing table.
 	for id := int64(0); id < 40; id += 7 {
 		if err := ram.Delete(id); err != nil {
 			t.Fatal(err)

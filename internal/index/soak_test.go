@@ -29,8 +29,18 @@ import (
 // trained quantizers, exactly what Add does) and its full-probe exact
 // top-k is computed from the distance tables alone. Recall is therefore
 // not merely "unchanged": the concurrent index's answers are
-// bit-identical to the serial ground truth.
+// bit-identical to the serial ground truth, and its Delete routing
+// table equals a fresh walk of its snapshot. It runs on a RAM index and
+// on a paged one.
 func TestMutateUnderQuerySoak(t *testing.T) {
+	for _, paged := range []bool{false, true} {
+		t.Run(map[bool]string{false: "ram", true: "paged"}[paged], func(t *testing.T) {
+			mutateUnderQuerySoak(t, paged)
+		})
+	}
+}
+
+func mutateUnderQuerySoak(t *testing.T, paged bool) {
 	gen := dataset.NewGenerator(dataset.Config{Seed: 404, Dim: 32})
 	learn := gen.Generate(2000)
 	base := gen.Generate(6000)
@@ -40,6 +50,11 @@ func TestMutateUnderQuerySoak(t *testing.T) {
 	ix, err := Build(learn, base, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if paged {
+		if err := ix.AttachStore(t.TempDir(), 1<<30); err != nil {
+			t.Fatal(err)
+		}
 	}
 	queries := gen.Generate(6)
 	ctx := context.Background()
@@ -243,6 +258,7 @@ func TestMutateUnderQuerySoak(t *testing.T) {
 	if got := ix.Live(); got != len(live) {
 		t.Fatalf("Live() = %d after storm, oracle has %d survivors", got, len(live))
 	}
+	checkRouting(t, ix)
 
 	cells := make([]int, len(live))
 	codes := make([][]uint8, len(live))

@@ -49,7 +49,8 @@
 // The reader trusts nothing it has not read: every section whose size a
 // header field gives is read in bounded chunks, so memory grows with the
 // bytes actually present and a lying or truncated file ends in an
-// error; a tombstone list must name rows its partition holds.
+// error; every id must lie in [0, nextID), and a tombstone list must
+// name rows its partition holds.
 package persist
 
 import (
@@ -456,6 +457,13 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 				if id := int64(le.Uint64(idBuf[8*i:])); id >= nextID {
 					nextID = id + 1
 				}
+			}
+		}
+		// Every id lies below the allocator, or the next Add would issue
+		// it again; a v1 file's allocator was just computed to make it so.
+		for i := 0; i < n; i++ {
+			if id := int64(le.Uint64(idBuf[8*i:])); id < 0 || id >= nextID {
+				return nil, 0, fmt.Errorf("persist: partition %d holds id %d, outside the allocated range [0,%d)", pi, id, nextID)
 			}
 		}
 		kept := keepSet == nil || keepSet[pi]

@@ -8,11 +8,13 @@ import (
 	"hash/crc32"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"pqfastscan/internal/dataset"
 	"pqfastscan/internal/index"
+	"pqfastscan/internal/scan"
 )
 
 // allocated returns the bytes fn allocated on the heap.
@@ -164,31 +166,115 @@ func TestRejectsForeignTombstone(t *testing.T) {
 	}
 }
 
+// TestRejectsIDBeyondAllocator: a file holding an id at or beyond its
+// stored allocator, or a negative one, is a load error naming the
+// partition and the id — loaded, the next Add would issue an id that is
+// already live. Both the v3 file and its v2 form are refused.
+func TestRejectsIDBeyondAllocator(t *testing.T) {
+	ix, _ := buildSmall(t)
+	parts := ix.Parts()
+	withNeg := slices.Clone(parts)
+	negIDs := make([]int64, parts[1].N)
+	for i := range negIDs {
+		negIDs[i] = parts[1].ID(i)
+	}
+	negIDs[parts[1].N/2] = -1
+	base, _ := parts[1].Segments()
+	withNeg[1] = scan.NewPartitionW(base.Codes, negIDs, ix.PQ.M)
+
+	beyond := index.Restore(ix.Dim, ix.Coarse, ix.PQ, parts, ix.Options(), 5)
+	// The file lists rows in the order the restored index holds them, so
+	// the first id at or past 5 in that order is the one to name.
+	wantPart, wantID := -1, int64(0)
+	for c, p := range beyond.Parts() {
+		for i := 0; i < p.N && wantPart < 0; i++ {
+			if p.ID(i) >= 5 {
+				wantPart, wantID = c, p.ID(i)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		ix   *index.Index
+		part int
+		id   int64
+	}{
+		{"beyond", beyond, wantPart, wantID},
+		{"negative", index.Restore(ix.Dim, ix.Coarse, ix.PQ, withNeg, ix.Options(), ix.NextID()), 1, -1},
+	} {
+		var buf bytes.Buffer
+		if err := WriteIndex(&buf, tc.ix); err != nil {
+			t.Fatal(err)
+		}
+		for _, data := range [][]byte{buf.Bytes(), toV2(tc.ix, buf.Bytes())} {
+			_, err := ReadIndex(bytes.NewReader(data))
+			if err == nil {
+				t.Fatalf("%s: a version %d file holding id %d with next id %d loaded", tc.name, data[7], tc.id, tc.ix.NextID())
+			}
+			for _, want := range []string{fmt.Sprintf("partition %d ", tc.part), fmt.Sprintf("id %d,", tc.id)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s: error %q does not name %q", tc.name, err, want)
+				}
+			}
+		}
+	}
+}
+
+// spreadIDs returns ix with every row's id multiplied by 4 096 and its
+// tombstones gone: ids as sparse as a valid file can hold them, one to
+// each range of the Delete routing table.
+func spreadIDs(t testing.TB, ix *index.Index) *index.Index {
+	t.Helper()
+	parts := ix.Parts()
+	for c, p := range parts {
+		var codes []uint8
+		ids := make([]int64, p.N)
+		for i := range ids {
+			codes = append(codes, p.Code(i)...)
+			ids[i] = p.ID(i) << 12
+		}
+		parts[c] = scan.NewPartitionW(codes, ids, ix.PQ.M)
+	}
+	return index.Restore(ix.Dim, ix.Coarse, ix.PQ, parts, ix.Options(), ix.NextID()<<12)
+}
+
 // FuzzReadIndex: any input is an error or a valid index, never a panic,
 // and one under 1 MiB never makes the reader allocate more than 64 MiB
 // beyond the per-cell table terms of the index it returns (M × k*
 // float32 per cell, derived state that a file under a valid checksum
-// vouches for). Every input is read twice: as given, and with its
+// vouches for). A loaded index deletes its first live id within 1 MiB
+// plus 256 bytes a loaded row: the first Delete builds the Delete
+// routing table, which must grow with the rows, however far apart
+// their ids lie — a seed spreads its ids 4 096 apart, where a table
+// with 32 KiB for each range of 4 096 ids holding a live one would
+// cost 32 KiB a row. Every input is read twice: as given, and with its
 // checksum recomputed, so mutations reach what lies behind the CRC.
 func FuzzReadIndex(f *testing.F) {
 	ix := mutatedV1(f)
-	var v3 bytes.Buffer
+	sp := spreadIDs(f, ix)
+	var v3, spread bytes.Buffer
 	if err := WriteIndex(&v3, ix); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteIndex(&spread, sp); err != nil {
 		f.Fatal(err)
 	}
 	v1, err := os.ReadFile(v1File)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range [][]byte{v3.Bytes(), toV2(ix, v3.Bytes()), v1} {
-		got, err := ReadIndex(bytes.NewReader(seed))
+	for _, seed := range []struct {
+		data []byte
+		of   *index.Index // nil: the frozen v1 file
+	}{{v3.Bytes(), ix}, {toV2(ix, v3.Bytes()), ix}, {v1, nil}, {spread.Bytes(), sp}} {
+		got, err := ReadIndex(bytes.NewReader(seed.data))
 		if err != nil {
-			f.Fatalf("version %d seed: %v", seed[7], err)
+			f.Fatalf("version %d seed: %v", seed.data[7], err)
 		}
-		if seed[7] != 1 && got.Live() != ix.Live() {
-			f.Fatalf("version %d seed loads %d live rows, want %d", seed[7], got.Live(), ix.Live())
+		if seed.of != nil && got.Live() != seed.of.Live() {
+			f.Fatalf("version %d seed loads %d live rows, want %d", seed.data[7], got.Live(), seed.of.Live())
 		}
-		f.Add(seed)
+		f.Add(seed.data)
 	}
 	f.Add(lyingHeader())
 
@@ -210,8 +296,13 @@ func FuzzReadIndex(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			total := 0
+			total, first := 0, int64(-1)
 			for _, p := range got.Parts() {
+				for i := 0; i < p.N && first < 0; i++ {
+					if !p.DeadAt(i) {
+						first = p.ID(i)
+					}
+				}
 				total += p.N
 			}
 			if live := got.Live(); live < 0 || live > total {
@@ -220,6 +311,15 @@ func FuzzReadIndex(f *testing.F) {
 			q := make([]float32, got.Dim)
 			for _, kern := range []index.Kernel{index.KernelNaive, index.KernelLibpq, index.KernelFastScan} {
 				got.Query(context.Background(), index.Request{Query: q, K: 3, Kernel: kern, NProbe: got.Partitions()})
+			}
+			if first < 0 {
+				continue
+			}
+			if n := allocated(func() { err = got.Delete(first) }); n > 1<<20+256*uint64(total) {
+				t.Fatalf("deleting id %d of a %d-row index allocated %d bytes", first, total, n)
+			}
+			if err != nil {
+				t.Fatalf("deleting live id %d: %v", first, err)
 			}
 		}
 	})
