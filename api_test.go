@@ -197,3 +197,28 @@ func TestSearchHonorsContext(t *testing.T) {
 		t.Fatalf("canceled batch search returned %v", err)
 	}
 }
+
+// TestBuildRefusesUnscannableOptions: a keep fraction outside [0,1) or
+// more than 4 grouping components leaves no Fast Scan layout to build,
+// so Build refuses it, naming the option — it used to succeed, and then
+// every Fast Scan query failed and Save wrote a file LoadIndex refused.
+func TestBuildRefusesUnscannableOptions(t *testing.T) {
+	gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 3, Dim: 16})
+	learn, base := gen.Generate(300), gen.Generate(300)
+	for _, c := range []struct {
+		name string
+		set  func(*pqfastscan.BuildOptions)
+		says string
+	}{
+		{"keep 1.5", func(o *pqfastscan.BuildOptions) { o.Keep = 1.5 }, "keep"},
+		{"keep -0.2", func(o *pqfastscan.BuildOptions) { o.Keep = -0.2 }, "keep"},
+		{"c = 5", func(o *pqfastscan.BuildOptions) { o.GroupComponents = 5 }, "group components"},
+	} {
+		opt := pqfastscan.DefaultBuildOptions()
+		opt.Partitions = 2
+		c.set(&opt)
+		if _, err := pqfastscan.Build(learn, base, opt); err == nil || !strings.Contains(err.Error(), c.says) {
+			t.Errorf("%s: Build returned %v, want an error naming %q", c.name, err, c.says)
+		}
+	}
+}

@@ -184,13 +184,13 @@ func inBuildOrder(p *scan.Partition) *scan.Partition {
 		rows[i] = i
 	}
 	slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(p.ID(a), p.ID(b)) })
-	codes := make([]uint8, 0, p.N*p.W)
+	codes := make([]uint8, 0, p.N*scan.M)
 	ids := make([]int64, 0, p.N)
 	for _, i := range rows {
 		codes = append(codes, p.Code(i)...)
 		ids = append(ids, p.ID(i))
 	}
-	return scan.NewPartitionW(codes, ids, p.W)
+	return scan.NewPartition(codes, ids)
 }
 
 // ScanOutcome is one kernel execution's record.

@@ -414,6 +414,43 @@ func TestFleetSwapAbortsOnPrepareFailure(t *testing.T) {
 	}
 }
 
+// TestRouterSwapBodyStrict: the router decodes /swap with the node's
+// server.DecodeSwap, so a body with a key SwapRequest has no field for
+// — a "cells" list, which a lenient decoder dropped before swapping
+// every cell — or without a path is a 400 before any shard is asked to
+// prepare anything.
+func TestRouterSwapBodyStrict(t *testing.T) {
+	full, _ := fullIndex(t)
+	cells := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	restricted, err := full.RestrictCells(cells...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := server.New(server.Config{Index: restricted, Cells: cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived atomic.Int64
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/swap") {
+			arrived.Add(1)
+		}
+		inner.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { shard.Close(); inner.Close() })
+	router := newRouter(t, 8, [][]string{{shard.URL}}, nil)
+	for _, body := range []string{`{"path":"/x/next.idx","cells":[0]}`, `{}`, ``, `{"path":"/x/next.idx"} {}`} {
+		rec := httptest.NewRecorder()
+		router.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/swap", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("/swap %s: status %d, want 400 (%s)", body, rec.Code, rec.Body.String())
+		}
+	}
+	if n := arrived.Load(); n != 0 {
+		t.Fatalf("%d swap requests reached the shard, want 0", n)
+	}
+}
+
 func queryLive(t *testing.T, url string) int {
 	t.Helper()
 	resp, err := http.Get(url + "/healthz")

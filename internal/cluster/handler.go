@@ -277,9 +277,9 @@ func (r *Router) Handler() http.Handler {
 			return
 		}
 		req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
-		var sr server.SwapRequest
-		if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		sr, err := server.DecodeSwap(req.Body)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		result, err := r.SwapAll(req.Context(), sr.Path)

@@ -15,6 +15,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -147,4 +148,26 @@ func SweepTemp(fsys FS, dir string, prefixes ...string) ([]string, error) {
 		}
 	}
 	return removed, nil
+}
+
+// readChunk is the most ReadN allocates ahead of the bytes that fill it.
+const readChunk = 1 << 16
+
+// ReadN reads n bytes in chunks of at most 64 KiB, growing the result as
+// they arrive: a size field in untrusted input (an index file, a log
+// frame header) that claims more than the input holds ends at EOF
+// having allocated for the bytes present only. On an error it returns
+// the bytes it did read with it.
+func ReadN(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		k := min(n-len(buf), readChunk)
+		buf = slices.Grow(buf, k)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }

@@ -32,13 +32,12 @@ func checkAliasesBase(t *testing.T, tag string, p *scan.Partition, fs *scan.Fast
 }
 
 // checkEpochsAliasBase runs checkAliasesBase on every epoch of ix's
-// current snapshot, building the layouts of RAM epochs that have none
-// and hydrating those of paged ones under a pin.
+// current snapshot, hydrating the layouts of paged epochs under a pin.
 func checkEpochsAliasBase(t *testing.T, ix *Index, tag string) {
 	t.Helper()
 	for c, pe := range ix.snap.Load().Parts {
 		tag := fmt.Sprintf("%s, partition %d", tag, c)
-		p, fs, release, err := pe.view(ix.opt.FastScan, true)
+		p, fs, release, err := pe.view()
 		if err != nil {
 			t.Fatal(err)
 		}

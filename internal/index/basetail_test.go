@@ -151,6 +151,7 @@ func FuzzBaseTailIdentity(f *testing.F) {
 			checkAgainstRebuild(t, ix, live, fx.queries, fmt.Sprintf("step %d (op %d, arg %d)", step/2, op, arg))
 		}
 		checkRouting(t, ix)
+		checkLayouts(t, ix)
 	})
 }
 
@@ -176,7 +177,7 @@ func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.
 		// Row by row: a live row holds a live id and its code, a dead row
 		// an id that was deleted — so a Delete tombstoned the row its id
 		// had moved to, wherever a fold put it.
-		p, _, release, err := s.Parts[c].view(ix.opt.FastScan, false)
+		p, _, release, err := s.Parts[c].view()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.
 		// Counters, cell by cell: the model runs the very layout the epoch
 		// serves with — hydrated under a pin of its own when paged.
 		for c, pe := range s.Parts {
-			_, fs, release, err := pe.view(ix.opt.FastScan, true)
+			_, fs, release, err := pe.view()
 			if err != nil {
 				t.Fatal(err)
 			}

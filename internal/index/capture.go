@@ -57,7 +57,7 @@ func (ix *Index) Capture() (Capture, error) {
 		}
 	}
 	for i, pe := range s.Parts {
-		p, _, rel, err := pe.view(ix.opt.FastScan, false)
+		p, _, rel, err := pe.view()
 		if err != nil {
 			releaseAll()
 			return Capture{}, err

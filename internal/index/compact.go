@@ -16,7 +16,6 @@ package index
 import (
 	"fmt"
 
-	"pqfastscan/internal/layout"
 	"pqfastscan/internal/scan"
 )
 
@@ -106,10 +105,9 @@ func (ix *Index) CompactPartition(c int) (CompactionResult, error) {
 // one row-major run (without the tombstoned ones when dropDead) put in
 // Fast Scan order, a Fast Scan layout built over it from scratch and,
 // on a paged index, one new extent holding both — and publishes it as
-// c's next epoch. The layout is built eagerly, off the serving path,
-// when cur had one and always on a paged index, whose extent must carry
-// the packed blocks or later Fast Scan queries would have nothing to
-// pin; it derives its lane bits from the new base's row bits. Ordering
+// c's next epoch. The layout is built off the serving path, under the
+// builder lock, and derives its lane bits from the new base's row
+// bits. Ordering
 // moves rows — a fold's tail rows join their groups, and the rows
 // behind them shift — carrying each dead bit with its row; dropping
 // the dead rows renumbers the rest. Either way every row's id is
@@ -117,7 +115,7 @@ func (ix *Index) CompactPartition(c int) (CompactionResult, error) {
 // ix.partMu[c].
 // On an error nothing is published and cur stays.
 func (ix *Index) rebuild(c int, cur *PartEpoch, dropDead bool) (*PartEpoch, error) {
-	p, _, release, err := cur.view(ix.opt.FastScan, false)
+	p, _, release, err := cur.view()
 	if err != nil {
 		return nil, err
 	}
@@ -131,23 +129,14 @@ func (ix *Index) rebuild(c int, cur *PartEpoch, dropDead bool) (*PartEpoch, erro
 	}
 	release()
 	next = scan.Ordered(next, ix.opt.FastScan)
-	pe := &PartEpoch{Part: next, Epoch: ix.epoch.Add(1)}
-	var fast *scan.FastScan
-	if next.W == layout.M && (ix.pg != nil || cur.fast.Load() != nil) {
-		if fast, err = scan.NewFastScan(next, ix.opt.FastScan); err != nil {
-			return nil, err
-		}
-	}
+	pe := ix.newEpoch(next)
 	if ix.pg != nil {
 		// The extent is named after its epoch, so the number is allocated
 		// before the write; per-partition ordering still holds because
 		// ix.partMu[c] serializes publishes into this slot.
-		if pe.paged, pe.Part, fast, err = ix.pg.writeExtent(ix.extentName(c, pe.Epoch), next, fast); err != nil {
+		if pe.paged, pe.Part, pe.fast, err = ix.pg.writeExtent(ix.extentName(c, pe.Epoch), next, pe.fast); err != nil {
 			return nil, err
 		}
-	}
-	if fast != nil {
-		pe.fast.Store(fast)
 	}
 	ix.publishAt(c, pe)
 	ix.register(c, next, 0)

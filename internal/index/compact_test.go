@@ -199,10 +199,10 @@ func TestDeleteAfterCompactionStillWorks(t *testing.T) {
 	}
 }
 
-// TestScannerCacheFollowsEpoch: the Fast Scan layout cache lives on the
+// TestScannerCacheFollowsEpoch: the Fast Scan layout lives on the
 // partition epoch, so a mutation that publishes a new epoch makes the
 // old scanner unreachable and serves a scanner describing the new codes
-// — the stale-scanner bug of the fastMu design cannot recur.
+// — a layout cached beside the epochs could go stale; this one cannot.
 func TestScannerCacheFollowsEpoch(t *testing.T) {
 	ix, gen := buildMutable(t, 66)
 	a, err := ix.FastScanner(0)
@@ -352,6 +352,7 @@ func TestDeleteRacesCompaction(t *testing.T) {
 			default:
 			}
 			checkRouting(t, ix)
+			checkLayouts(t, ix)
 
 			for _, req := range scanPaths() {
 				req.Query, req.K = q, p.N
@@ -391,6 +392,7 @@ func TestDeleteRacesCompaction(t *testing.T) {
 				t.Fatalf("%d rows live after deleting every id", live)
 			}
 			checkRouting(t, ix)
+			checkLayouts(t, ix)
 		})
 	}
 }

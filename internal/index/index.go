@@ -93,8 +93,6 @@ type Options struct {
 	// Partitions is the number of coarse-quantizer cells (8 for the
 	// paper's ANN_SIFT100M1 index, 128 for ANN_SIFT1B).
 	Partitions int
-	// PQ is the product quantizer configuration (PQ 8×8 by default).
-	PQ quantizer.Config
 	// Seed drives every stochastic step deterministically.
 	Seed uint64
 	// KMeansIter bounds coarse and sub-quantizer training iterations.
@@ -103,7 +101,8 @@ type Options struct {
 	// assignment after PQ training. Disable only for the Figure 11
 	// ablation; PQ Scan results are unaffected either way.
 	OptimizeAssignment bool
-	// FastScan configures the PQ Fast Scan layout built per partition.
+	// FastScan configures the PQ Fast Scan layout every partition epoch
+	// is built with; Build refuses options its Check refuses.
 	FastScan scan.FastScanOptions
 }
 
@@ -111,7 +110,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Partitions:         8,
-		PQ:                 quantizer.PQ8x8,
 		KMeansIter:         20,
 		OptimizeAssignment: true,
 		FastScan: scan.FastScanOptions{
@@ -164,8 +162,10 @@ type Index struct {
 	pgInst uint64
 }
 
-// Build trains the coarse quantizer and product quantizer on learn and
-// indexes every row of base. learn and base must share base.Dim.
+// Build trains the coarse quantizer and a PQ 8×8 product quantizer on
+// learn and indexes every row of base. learn and base must share
+// base.Dim. Fast Scan options no layout can be built under are refused
+// here, before any training.
 func Build(learn, base vec.Matrix, opt Options) (*Index, error) {
 	if opt.Partitions <= 0 {
 		return nil, fmt.Errorf("index: partition count %d must be positive", opt.Partitions)
@@ -173,8 +173,8 @@ func Build(learn, base vec.Matrix, opt Options) (*Index, error) {
 	if learn.Dim != base.Dim {
 		return nil, fmt.Errorf("index: learn dim %d != base dim %d", learn.Dim, base.Dim)
 	}
-	if opt.PQ.M == 0 {
-		opt.PQ = quantizer.PQ8x8
+	if err := opt.FastScan.Check(); err != nil {
+		return nil, fmt.Errorf("index: %w", err)
 	}
 
 	// Step 1: coarse quantizer (the inverted index of §2.2).
@@ -195,7 +195,7 @@ func Build(learn, base vec.Matrix, opt Options) (*Index, error) {
 			dst[d] = v - cRow[d]
 		}
 	}
-	pq, err := quantizer.Train(residuals, opt.PQ, quantizer.TrainOptions{
+	pq, err := quantizer.Train(residuals, quantizer.PQ8x8, quantizer.TrainOptions{
 		MaxIter: opt.KMeansIter, Seed: opt.Seed + 1,
 	})
 	if err != nil {
@@ -240,7 +240,7 @@ func Build(learn, base vec.Matrix, opt Options) (*Index, error) {
 	}
 	parts := make([]*scan.Partition, opt.Partitions)
 	for c := range buckets {
-		parts[c] = scan.NewPartitionW(buckets[c].codes, buckets[c].ids, pq.M)
+		parts[c] = scan.NewPartition(buckets[c].codes, buckets[c].ids)
 	}
 	ix.install(parts)
 	ix.nextID.Store(int64(n))
@@ -253,19 +253,16 @@ func (ix *Index) Options() Options { return ix.opt }
 // CompatibleWith reports whether next can transparently replace ix under
 // live query traffic — the guard behind the façade's hot snapshot Swap.
 // Compatible means queries valid against ix stay valid against next:
-// same vector dimensionality, same PQ shape, and same partition count
-// (an nprobe that was in range must stay in range). Trained centroid
-// values are deliberately not compared; swapping in a retrained index
-// over fresh data is the point of the operation.
+// same vector dimensionality and same partition count (an nprobe that
+// was in range must stay in range); every index is PQ 8×8. Trained
+// centroid values are deliberately not compared; swapping in a
+// retrained index over fresh data is the point of the operation.
 func (ix *Index) CompatibleWith(next *Index) error {
 	if next == nil {
 		return fmt.Errorf("index: nil replacement index")
 	}
 	if ix.Dim != next.Dim {
 		return fmt.Errorf("index: replacement dim %d != serving dim %d", next.Dim, ix.Dim)
-	}
-	if ix.PQ.Config != next.PQ.Config {
-		return fmt.Errorf("index: replacement PQ %v != serving PQ %v", next.PQ.Config, ix.PQ.Config)
 	}
 	if ix.Partitions() != next.Partitions() {
 		return fmt.Errorf("index: replacement has %d partitions, serving index %d (in-range nprobe requests would start failing)", next.Partitions(), ix.Partitions())
@@ -274,7 +271,9 @@ func (ix *Index) CompatibleWith(next *Index) error {
 }
 
 // Restore reassembles an Index from its persisted parts; used by the
-// persist package. The caller guarantees consistency of the components.
+// persist package. The caller guarantees consistency of the components:
+// a PQ 8×8 quantizer, and Fast Scan options opt.FastScan.Check accepts,
+// under which every partition is given its layout.
 // nextID seeds the id allocator for future Add calls; pass a negative
 // value (format v1 files carry none) to recompute it as max(id)+1 over
 // all partitions.
@@ -318,19 +317,16 @@ func (ix *Index) RestrictCells(cells []int) (*Index, error) {
 	out := newIndex(ix.Dim, ix.Coarse, ix.PQ, ix.opt)
 	out.pg, out.pgInst = ix.pg, ix.pgInst
 	// Kept cells share the receiver's sealed epochs wholesale — data,
-	// cached Fast Scan state and (for a paged index) the extent handle,
-	// so a restricted shard of a disk-resident index pages through the
-	// same pool without rewriting a byte.
+	// Fast Scan layout and (for a paged index) the extent handle, so a
+	// restricted shard of a disk-resident index pages through the same
+	// pool without rewriting a byte. An emptied cell gets an empty base
+	// and its empty layout.
 	pes := make([]*PartEpoch, len(s.Parts))
 	for i, pe := range s.Parts {
 		if keep[i] {
-			npe := &PartEpoch{Part: pe.Part, Epoch: out.epoch.Add(1), paged: pe.paged}
-			if fs := pe.fast.Load(); fs != nil {
-				npe.fast.Store(fs)
-			}
-			pes[i] = npe
+			pes[i] = &PartEpoch{Part: pe.Part, Epoch: out.epoch.Add(1), fast: pe.fast, paged: pe.paged}
 		} else {
-			pes[i] = &PartEpoch{Part: scan.NewPartitionW(nil, nil, ix.PQ.M), Epoch: out.epoch.Add(1)}
+			pes[i] = out.newEpoch(scan.NewPartition(nil, nil))
 		}
 	}
 	out.partMu = make([]sync.Mutex, len(pes))
@@ -356,11 +352,11 @@ func (ix *Index) RoutePartition(query []float32) int {
 	return c
 }
 
-// FastScanner returns (building on first use) the PQ Fast Scan state of
-// partition part in the current snapshot. The cache lives on the
-// partition's epoch, so a scanner can never describe codes other than
-// the ones the snapshot serves; once the epoch is replaced, its scanner
-// becomes unreachable together with it.
+// FastScanner returns the PQ Fast Scan layout of partition part in the
+// current snapshot: on a RAM index the one its epoch was constructed
+// with, so a scanner can never describe codes other than the ones the
+// snapshot serves, and once the epoch is replaced its scanner becomes
+// unreachable together with it.
 func (ix *Index) FastScanner(part int) (*scan.FastScan, error) {
 	s := ix.snap.Load()
 	if part < 0 || part >= len(s.Parts) {
@@ -368,8 +364,7 @@ func (ix *Index) FastScanner(part int) (*scan.FastScan, error) {
 	}
 	pe := s.Parts[part]
 	if pe.paged == nil {
-		_, fs, _, err := pe.view(ix.opt.FastScan, true) // pins nothing
-		return fs, err
+		return pe.fast, nil
 	}
 	// Offline/tooling path on a paged index: materialize a RAM copy and
 	// build a scanner over it, so the returned layout has no pin
@@ -409,7 +404,7 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 	// that is the pin on its extent. The heap holds (id, distance)
 	// values, never slices of the frame, so nothing aliases the pool
 	// after the pin drops.
-	p, fs, release, err := s.Parts[part].view(ix.opt.FastScan, req.Kernel == KernelFastScan)
+	p, fs, release, err := s.Parts[part].view()
 	if err != nil {
 		return scan.Stats{}, err
 	}
@@ -440,7 +435,7 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 // aliases the base's codes and ids).
 func (ix *Index) GroupedMemoryBytes() (packed, rowMajor, resident int, err error) {
 	for _, pe := range ix.snap.Load().Parts {
-		_, fs, release, err := pe.view(ix.opt.FastScan, true)
+		_, fs, release, err := pe.view()
 		if err != nil {
 			return 0, 0, 0, err
 		}

@@ -1,11 +1,13 @@
 package index
 
 import (
+	"context"
 	"errors"
 	"math"
 	"runtime"
 	"testing"
 
+	"pqfastscan/internal/dataset"
 	"pqfastscan/internal/scan"
 	"pqfastscan/internal/vec"
 )
@@ -25,7 +27,7 @@ func checkRouting(t *testing.T, ix *Index) {
 	}
 	want := make(map[int64][2]int)
 	for c, pe := range ix.snap.Load().Parts {
-		p, _, release, err := pe.view(ix.opt.FastScan, false)
+		p, _, release, err := pe.view()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,14 +93,105 @@ func arrays(ix *Index) int {
 	return n
 }
 
+// checkLayouts holds every epoch of ix's current snapshot to the Fast
+// Scan layout it was constructed with: the layout is bound to the
+// epoch's own Part, covers its base (keep region and grouped rows), and
+// its dead lanes are exactly the lanes of the base's dead grouped rows.
+// Stubs answer all of it from their resident directory and bits, so a
+// paged epoch is checked without a pin.
+func checkLayouts(t *testing.T, ix *Index) {
+	t.Helper()
+	for c, pe := range ix.snap.Load().Parts {
+		fs := pe.fast
+		if fs == nil || fs.Partition() != pe.Part {
+			t.Fatalf("partition %d (epoch %d): the layout is not bound to the epoch's partition", c, pe.Epoch)
+		}
+		base := pe.Part.N - pe.Part.Tail()
+		if fs.Covered() != base || fs.KeepN()+fs.Grouped().N != base {
+			t.Fatalf("partition %d (epoch %d): the layout covers %d rows (keep %d, grouped %d) of a base of %d",
+				c, pe.Epoch, fs.Covered(), fs.KeepN(), fs.Grouped().N, base)
+		}
+		want := make(map[int]bool)
+		for i := fs.KeepN(); i < base; i++ {
+			if pe.Part.DeadAt(i) {
+				want[fs.Lane(i)] = true
+			}
+		}
+		blocks := 0
+		for _, g := range fs.Grouped().Groups {
+			blocks = max(blocks, g.BlockStart+g.BlockCount)
+		}
+		for blk := 0; blk < blocks; blk++ {
+			lanes := fs.DeadLanes(blk)
+			for k := 0; k < 16; k++ {
+				if dead := lanes>>k&1 == 1; dead != want[16*blk+k] {
+					t.Fatalf("partition %d (epoch %d): lane %d dead %v, its row dead %v", c, pe.Epoch, 16*blk+k, dead, want[16*blk+k])
+				}
+			}
+		}
+	}
+}
+
+// TestEveryEpochHasItsLayout: wherever an index or an epoch is made —
+// Build, RestrictCells, AttachStore, and the Adds, Deletes, folds and
+// compactions after them, RAM and paged — every epoch carries the
+// layout checkLayouts holds it to. Loading is load_test.go's.
+func TestEveryEpochHasItsLayout(t *testing.T) {
+	ram, paged, _ := buildTwin(t, 41, 6000)
+	checkLayouts(t, ram)
+	shard, err := ram.RestrictCells([]int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLayouts(t, shard)
+	// Its emptied cells are sealed too when it is attached, and scanned.
+	if err := shard.AttachStore(t.TempDir(), 1<<22); err != nil {
+		t.Fatal(err)
+	}
+	checkLayouts(t, shard)
+	q := dataset.NewGenerator(dataset.Config{Seed: 43, Dim: 32}).Generate(1).Row(0)
+	if _, err := shard.Query(context.Background(), Request{Query: q, K: 5, NProbe: shard.Partitions()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := paged.AttachStore(t.TempDir(), 1<<22); err != nil {
+		t.Fatal(err)
+	}
+	checkLayouts(t, paged)
+	if shard, err = paged.RestrictCells([]int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	checkLayouts(t, shard)
+
+	gen := dataset.NewGenerator(dataset.Config{Seed: 42, Dim: 32})
+	rows := gen.Generate(3*foldTail + 100)
+	for _, ix := range []*Index{ram, paged} {
+		ids, err := ix.Add(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := int64(0); id < ids[len(ids)-1]; id += 5 {
+			if err := ix.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkLayouts(t, ix)
+		checkRouting(t, ix)
+		if _, err := ix.Compact(0); err != nil {
+			t.Fatal(err)
+		}
+		checkLayouts(t, ix)
+		checkRouting(t, ix)
+	}
+}
+
 // restoreIDs returns an index over src's model whose partition 0 holds
 // one zero code for each of ids, the other partitions empty, and whose
 // allocator stands at next.
 func restoreIDs(src *Index, ids []int64, next int64) *Index {
 	parts := make([]*scan.Partition, src.Partitions())
-	parts[0] = scan.NewPartitionW(make([]uint8, len(ids)*src.PQ.M), ids, src.PQ.M)
+	parts[0] = scan.NewPartition(make([]uint8, len(ids)*scan.M), ids)
 	for c := 1; c < len(parts); c++ {
-		parts[c] = scan.NewPartitionW(nil, nil, src.PQ.M)
+		parts[c] = scan.NewPartition(nil, nil)
 	}
 	return Restore(src.Dim, src.Coarse, src.PQ, parts, src.opt, next)
 }
@@ -121,6 +214,7 @@ func TestRoutingHostileAndSparseIDs(t *testing.T) {
 		}
 	}
 	checkRouting(t, ix)
+	checkLayouts(t, ix)
 	for i, id := range []int64{top, 0} {
 		if err := ix.Delete(id); err != nil {
 			t.Fatalf("delete of id %d: %v", id, err)
@@ -169,6 +263,7 @@ func TestRoutingFollowsDensity(t *testing.T) {
 		t.Fatalf("%d ranges have an array, want 1", n)
 	}
 	checkRouting(t, ix)
+	checkLayouts(t, ix)
 	// Deleting the sparse ids and 300 of the last range's takes the
 	// spill from its peak of 3 123 ids to 723; it is copied small on
 	// the way, when it falls to 780.
@@ -181,6 +276,7 @@ func TestRoutingFollowsDensity(t *testing.T) {
 		t.Fatalf("spill holds %d ids after a peak of %d, want 723 after 780", n, peak)
 	}
 	checkRouting(t, ix)
+	checkLayouts(t, ix)
 }
 
 // TestRoutingArraysComeAndGo: a writer that deletes each row it adds —
@@ -193,6 +289,7 @@ func TestRoutingArraysComeAndGo(t *testing.T) {
 	src, base, _ := sharedIndex(t)
 	ix := Restore(src.Dim, src.Coarse, src.PQ, src.Parts(), src.opt, 1<<15)
 	checkRouting(t, ix)
+	checkLayouts(t, ix)
 	built := arrays(ix)
 	add := func(n int) []int64 {
 		t.Helper()
@@ -224,6 +321,7 @@ func TestRoutingArraysComeAndGo(t *testing.T) {
 		t.Fatalf("two ranges of locDense live ids: %d ranges have an array, want %d", n, built+2)
 	}
 	checkRouting(t, ix)
+	checkLayouts(t, ix)
 	for _, id := range added {
 		if err := ix.Delete(id); err != nil {
 			t.Fatal(err)
@@ -233,6 +331,7 @@ func TestRoutingArraysComeAndGo(t *testing.T) {
 		t.Fatalf("after deleting every added id %d ranges have an array, want %d", n, built)
 	}
 	checkRouting(t, ix)
+	checkLayouts(t, ix)
 }
 
 // TestApplyAddRefusesNegativeID: a WAL frame is the one place an id

@@ -65,9 +65,6 @@ func (ix *Index) EncodeRoute(vecs vec.Matrix) (cells []int, codes []uint8, err e
 	if vecs.Dim != ix.Dim {
 		return nil, nil, fmt.Errorf("index: vector dim %d != index dim %d", vecs.Dim, ix.Dim)
 	}
-	if ix.PQ.Bits > 8 {
-		return nil, nil, fmt.Errorf("index: online Add requires at most 8 bits per component, index uses %v", ix.PQ.Config)
-	}
 	n := vecs.Rows()
 	for i := 0; i < n; i++ {
 		if err := CheckVector(vecs.Row(i), ix.Dim); err != nil {
@@ -149,7 +146,7 @@ func (ix *Index) ApplyAdd(cells []int, ids []int64, codes []uint8) error {
 		}
 		ix.partMu[c].Lock()
 		cur := ix.snap.Load().Parts[c]
-		pe := ix.publishAt(c, ix.successor(cur, cur.Part.CloneAppend(chunks[c].codes, chunks[c].ids), cur.fast.Load(), -1))
+		pe := ix.publishAt(c, ix.successor(cur, cur.Part.CloneAppend(chunks[c].codes, chunks[c].ids), -1))
 		// Register the rows for Delete routing before the builder lock is
 		// released, so no rebuild can move them first. A fold below
 		// moves rows and registers every row again itself.
@@ -210,7 +207,7 @@ func (ix *Index) Delete(id int64) error {
 			for c, pe := range snap.Parts {
 				// Stubs carry no base id array — the extent stays pinned
 				// for the duration of this partition's walk.
-				p, _, release, err := pe.view(ix.opt.FastScan, false)
+				p, _, release, err := pe.view()
 				if err != nil {
 					return err
 				}
@@ -256,8 +253,7 @@ func (ix *Index) Delete(id int64) error {
 // the check; the row's lane follows from the layout's group directory,
 // which a stub keeps resident.
 func (ix *Index) tombstoned(cur *PartEpoch, row int, id int64) (*PartEpoch, error) {
-	fs := cur.fast.Load() // once: the lane must be found in the layout that is rebound
-	p, _, release, err := cur.view(ix.opt.FastScan, false)
+	p, _, release, err := cur.view()
 	if err != nil {
 		return nil, err
 	}
@@ -272,11 +268,7 @@ func (ix *Index) tombstoned(cur *PartEpoch, row int, id int64) (*PartEpoch, erro
 	if !ok {
 		return nil, fmt.Errorf("locate names row %d, which is already dead", row)
 	}
-	lane := -1
-	if fs != nil {
-		lane = fs.Lane(row)
-	}
-	return ix.successor(cur, next, fs, lane), nil
+	return ix.successor(cur, next, cur.fast.Lane(row)), nil
 }
 
 // Live returns the number of indexed vectors that are not tombstoned.

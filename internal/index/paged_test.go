@@ -172,6 +172,7 @@ func TestPagedRestrictCellsSharesExtents(t *testing.T) {
 		t.Fatal("restricted index lost its store attachment")
 	}
 	assertIdentical(t, ramR, pagedR, queries, "restricted")
+	checkLayouts(t, pagedR)
 }
 
 // TestPagedEvictionCorrectness is the eviction-correctness storm: the
@@ -349,6 +350,8 @@ func TestPagedMutationStorm(t *testing.T) {
 	default:
 	}
 	assertIdentical(t, ram, paged, queries, "post-storm")
+	checkLayouts(t, ram)
+	checkLayouts(t, paged)
 }
 
 // extentFiles lists the extent files in dir.

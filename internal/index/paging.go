@@ -124,38 +124,26 @@ type pagedExtent struct {
 	bytes int64
 
 	codes, ids, blocks pspan
-	hasIDs, hasFast    bool
 }
 
-// view pins the extent and returns hydrated shallow views over the
-// pinned payload: the partition always, the Fast Scan state when
-// needFast (an error if this epoch has none). The views alias the pool
-// frame and are valid only until release is called.
-func (x *pagedExtent) view(pe *PartEpoch, needFast bool) (*scan.Partition, *scan.FastScan, func(), error) {
-	if needFast && !x.hasFast {
-		return nil, nil, nil, fmt.Errorf("index: partition extent %s has no fast-scan layout", x.name)
-	}
+// view pins the extent and returns the partition and its Fast Scan
+// layout hydrated over the pinned payload: shallow views that alias the
+// pool frame and are valid only until release is called.
+func (x *pagedExtent) view(pe *PartEpoch) (*scan.Partition, *scan.FastScan, func(), error) {
 	buf, err := x.pg.pool.Pin(x.name)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("index: pinning extent %s: %w", x.name, err)
 	}
 	sec := func(sp pspan) []byte { return buf[sp.off : sp.off+sp.n : sp.off+sp.n] }
-	var ids []int64
-	if x.hasIDs {
-		ids = extent.BytesInt64(sec(x.ids))
-	}
-	p := pe.Part.Hydrate(sec(x.codes), ids)
-	var fs *scan.FastScan
-	if needFast {
-		fs = pe.fast.Load().Hydrate(p, sec(x.blocks))
-	}
+	p := pe.Part.Hydrate(sec(x.codes), extent.BytesInt64(sec(x.ids)))
+	fs := pe.fast.Hydrate(p, sec(x.blocks))
 	release := func() { x.pg.pool.Unpin(x.name) }
 	return p, fs, release, nil
 }
 
-// writeExtent seals part's base (and its Fast Scan state, when
-// non-nil) into a new extent and returns the paged handle plus the
-// detached stubs to publish in its place; a tail stays with the stub,
+// writeExtent seals part's base and the packed blocks of fast, its Fast
+// Scan layout, into a new extent and returns the paged handle plus the
+// detached stubs to publish in their place; a tail stays with the stub,
 // in RAM. The finalizer on the handle garbage-collects the file once no
 // epoch references it.
 func (pg *Paging) writeExtent(name string, part *scan.Partition, fast *scan.FastScan) (*pagedExtent, *scan.Partition, *scan.FastScan, error) {
@@ -166,16 +154,12 @@ func (pg *Paging) writeExtent(name string, part *scan.Partition, fast *scan.Fast
 		b.Add(secName, data)
 		return sp
 	}
-	base, _ := part.Segments() // the tail is not sealed: Detach keeps it
+	// The tail is not sealed: Detach keeps it. A base in Fast Scan order
+	// has explicit ids, or no rows at all.
+	base, _ := part.Segments()
 	x.codes = add("codes", base.Codes)
-	if base.IDs != nil {
-		x.hasIDs = true
-		x.ids = add("ids", extent.Int64Bytes(base.IDs))
-	}
-	if fast != nil {
-		x.hasFast = true
-		x.blocks = add("blocks", fast.Grouped().Blocks)
-	}
+	x.ids = add("ids", extent.Int64Bytes(base.IDs))
+	x.blocks = add("blocks", fast.Grouped().Blocks)
 	n, err := pg.store.Write(name, &b)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("index: writing extent %s: %w", name, err)
@@ -185,11 +169,7 @@ func (pg *Paging) writeExtent(name string, part *scan.Partition, fast *scan.Fast
 	runtime.SetFinalizer(x, (*pagedExtent).gc)
 
 	stubPart := part.Detach()
-	var stubFast *scan.FastScan
-	if fast != nil {
-		stubFast = fast.Detach(stubPart)
-	}
-	return x, stubPart, stubFast, nil
+	return x, stubPart, fast.Detach(stubPart), nil
 }
 
 // gc reclaims an unreferenced extent: no epoch points here anymore, so
@@ -252,23 +232,12 @@ func (ix *Index) attachStore(dir string, poolBytes int64, opts ...bufpool.Option
 			parts[c] = pe
 			continue
 		}
-		// Build the Fast Scan layout eagerly so the extent carries it;
-		// non-PQ8x8 widths have none (their kernels are rejected at
-		// validation anyway). A RAM epoch's view pins nothing.
-		_, fast, _, ferr := pe.view(ix.opt.FastScan, true)
-		if ferr != nil {
-			fast = nil
-		}
 		name := fmt.Sprintf("i%d-p%d-e%d", inst, c, pe.Epoch)
-		x, stubP, stubF, werr := pg.writeExtent(name, pe.Part, fast)
-		if werr != nil {
-			return werr
+		x, stubP, stubF, err := pg.writeExtent(name, pe.Part, pe.fast)
+		if err != nil {
+			return err
 		}
-		npe := &PartEpoch{Part: stubP, Epoch: pe.Epoch, paged: x}
-		if stubF != nil {
-			npe.fast.Store(stubF)
-		}
-		parts[c] = npe
+		parts[c] = &PartEpoch{Part: stubP, Epoch: pe.Epoch, fast: stubF, paged: x}
 	}
 	ix.pg = pg
 	ix.pgInst = inst
@@ -331,7 +300,7 @@ func (ix *Index) materializePart(pe *PartEpoch) (*scan.Partition, error) {
 	if pe.paged == nil {
 		return pe.Part, nil
 	}
-	p, _, release, err := pe.view(ix.opt.FastScan, false)
+	p, _, release, err := pe.view()
 	if err != nil {
 		return nil, err
 	}

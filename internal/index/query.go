@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 
-	"pqfastscan/internal/layout"
 	"pqfastscan/internal/par"
 	"pqfastscan/internal/scan"
 	"pqfastscan/internal/topk"
@@ -127,9 +126,6 @@ func (ix *Index) validate(s *Snapshot, req Request) error {
 	}
 	if !req.Backend.Available() {
 		return fmt.Errorf("index: backend %v not available on this machine (have %v)", req.Backend, AvailableBackends())
-	}
-	if ix.PQ.M != layout.M || ix.PQ.KStar() != 256 {
-		return fmt.Errorf("index: scan kernels require PQ 8x8, index uses %v", ix.PQ.Config)
 	}
 	return nil
 }

@@ -22,18 +22,17 @@ package index
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"pqfastscan/internal/scan"
 )
 
 // PartEpoch is one published, immutable version of a partition. Part is
 // sealed: no code path mutates a partition reachable from a snapshot.
-// The Fast Scan layout rides along with the epoch — it is built over
-// Part's base, whose codes and ids it aliases, and bound to Part, so it
-// can never describe any other version — which is what makes stale
-// scanners unreachable: replacing the epoch replaces the scanner with
-// it.
+// Every epoch carries its Fast Scan layout from the moment it is
+// constructed — built where its base is born (newEpoch), rebound to a
+// successor that shares the base (successor) — and the layout is bound
+// to Part, so it can never describe any other version: replacing the
+// epoch replaces the scanner with it.
 type PartEpoch struct {
 	// Part holds the sealed codes, ids and dead bits of this epoch.
 	Part *scan.Partition
@@ -41,65 +40,53 @@ type PartEpoch struct {
 	// grows, so operators can watch /stats to see partitions advance.
 	Epoch uint64
 
-	// fast is the epoch's PQ Fast Scan layout. A successor epoch rebinds
-	// its predecessor's (successor), so warmth carries forward for free;
-	// a fresh build (or restore) leaves it nil and the first Fast Scan
-	// query constructs it under fastMu — a builder lock on the cold path
-	// only, never the steady-state read path, which is one atomic load.
-	fast   atomic.Pointer[scan.FastScan]
-	fastMu sync.Mutex
+	// fast is the epoch's PQ Fast Scan layout over Part's base, whose
+	// codes and ids it aliases, with Part's dead bits by lane. Set at
+	// construction and never changed.
+	fast *scan.FastScan
 
-	// paged, when non-nil, marks a disk-resident epoch: Part (and any
-	// fast layout) are stubs whose base lives in this extent and is
-	// pinned per probe (paging.go); the tail stays in RAM. Successor
-	// epochs share their predecessor's extent — neither an Add nor a
-	// Delete changes the base.
+	// paged, when non-nil, marks a disk-resident epoch: Part and fast
+	// are stubs whose base and packed blocks live in this extent and
+	// are pinned per probe (paging.go); the tail stays in RAM.
+	// Successor epochs share their predecessor's extent — neither an
+	// Add nor a Delete changes the base.
 	paged *pagedExtent
+}
+
+// newEpoch returns a fresh epoch over p, whose base must be in Fast
+// Scan order (scan.Ordered) under the index's options, with its layout
+// built over that base — the one place an epoch's layout is built. The
+// options were checked when the index was built or loaded and the base
+// is ordered, so the build cannot fail; an error here is a broken
+// invariant.
+func (ix *Index) newEpoch(p *scan.Partition) *PartEpoch {
+	fs, err := scan.NewFastScan(p, ix.opt.FastScan)
+	if err != nil {
+		panic(fmt.Sprintf("index: building a Fast Scan layout: %v", err))
+	}
+	return &PartEpoch{Part: p, Epoch: ix.epoch.Add(1), fast: fs}
 }
 
 // successor returns the epoch that follows cur when only its tail or
 // its dead bits changed: next (cur.Part's CloneAppend or
-// CloneTombstone) over cur's base — the same extent, and fs, cur's Fast
-// Scan layout as the caller loaded it (nil when none was built),
-// rebound to next with lane tombstoned (-1 for none).
-func (ix *Index) successor(cur *PartEpoch, next *scan.Partition, fs *scan.FastScan, lane int) *PartEpoch {
-	pe := &PartEpoch{Part: next, Epoch: ix.epoch.Add(1), paged: cur.paged}
-	if fs != nil {
-		pe.fast.Store(fs.Rebind(next, lane))
-	}
-	return pe
+// CloneTombstone) over cur's base — the same extent, and cur's Fast
+// Scan layout rebound to next with lane tombstoned (-1 for none).
+func (ix *Index) successor(cur *PartEpoch, next *scan.Partition, lane int) *PartEpoch {
+	return &PartEpoch{Part: next, Epoch: ix.epoch.Add(1), fast: cur.fast.Rebind(next, lane), paged: cur.paged}
 }
 
 // view is the one way into an epoch's rows, RAM or paged: the partition
-// with every row readable and, when fast, its Fast Scan layout under
-// opt, both valid until release is called. A RAM epoch hands out Part
-// and its cached layout, building the layout on first use — one atomic
-// load on the steady-state path, the epoch's own builder lock on a cold
-// one, so concurrent queries share one build — and its release does
-// nothing. A paged epoch pins its extent in the buffer pool and hands
-// out shallow views hydrated over the pinned payload, released by
-// unpinning, so a caller pins only the partitions it visits, for as
-// long as it reads them. Because the layout is cached on the epoch —
-// not on the index — it can never outlive or predate the codes it
-// describes.
-func (pe *PartEpoch) view(opt scan.FastScanOptions, fast bool) (p *scan.Partition, fs *scan.FastScan, release func(), err error) {
+// with every row readable and its Fast Scan layout, both valid until
+// release is called. A RAM epoch hands out Part and fast as they are,
+// and its release does nothing. A paged epoch pins its extent in the
+// buffer pool and hands out shallow views hydrated over the pinned
+// payload, released by unpinning, so a caller pins only the partitions
+// it visits, for as long as it reads them.
+func (pe *PartEpoch) view() (p *scan.Partition, fs *scan.FastScan, release func(), err error) {
 	if pe.paged != nil {
-		return pe.paged.view(pe, fast)
+		return pe.paged.view(pe)
 	}
-	if !fast {
-		return pe.Part, nil, noRelease, nil
-	}
-	if fs = pe.fast.Load(); fs == nil {
-		pe.fastMu.Lock()
-		defer pe.fastMu.Unlock()
-		if fs = pe.fast.Load(); fs == nil {
-			if fs, err = scan.NewFastScan(pe.Part, opt); err != nil {
-				return nil, nil, nil, err
-			}
-			pe.fast.Store(fs)
-		}
-	}
-	return pe.Part, fs, noRelease, nil
+	return pe.Part, pe.fast, noRelease, nil
 }
 
 // noRelease is a RAM epoch's release: nothing is pinned.
@@ -152,15 +139,15 @@ func (ix *Index) Parts() []*scan.Partition {
 }
 
 // install seeds the snapshot with freshly built partitions (Build and
-// Restore), each base put in Fast Scan order (scan.Ordered) so the
-// layout built over it aliases its codes and ids — whatever order a
+// Restore), each base put in Fast Scan order (scan.Ordered) and its
+// layout built over it, aliasing its codes and ids — whatever order a
 // file was written in; a base already in order, as every one this
 // version saves is, is installed as it is. Not safe under concurrent
 // use; callers own the index exclusively at that point.
 func (ix *Index) install(parts []*scan.Partition) {
 	pes := make([]*PartEpoch, len(parts))
 	for i, p := range parts {
-		pes[i] = &PartEpoch{Part: scan.Ordered(p, ix.opt.FastScan), Epoch: ix.epoch.Add(1)}
+		pes[i] = ix.newEpoch(scan.Ordered(p, ix.opt.FastScan))
 	}
 	ix.partMu = make([]sync.Mutex, len(parts))
 	ix.snap.Store(&Snapshot{Parts: pes})

@@ -259,6 +259,7 @@ func mutateUnderQuerySoak(t *testing.T, paged bool) {
 		t.Fatalf("Live() = %d after storm, oracle has %d survivors", got, len(live))
 	}
 	checkRouting(t, ix)
+	checkLayouts(t, ix)
 
 	cells := make([]int, len(live))
 	codes := make([][]uint8, len(live))

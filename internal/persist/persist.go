@@ -62,11 +62,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 
 	"pqfastscan/internal/fsio"
 	"pqfastscan/internal/index"
-	"pqfastscan/internal/layout"
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/scan"
 	"pqfastscan/internal/vec"
@@ -94,10 +92,6 @@ func crcFor(version uint8) hash.Hash32 {
 
 // maxReasonable bounds untrusted size fields while decoding.
 const maxReasonable = 1 << 31
-
-// readChunk is the most the reader allocates for a section ahead of the
-// bytes that fill it.
-const readChunk = 1 << 16
 
 type countingWriter struct {
 	w   io.Writer
@@ -197,9 +191,6 @@ func WriteCapture(w io.Writer, cap index.Capture, walEpoch uint64) error {
 	}
 
 	for pi, p := range parts {
-		if p.W != pq.M {
-			return fmt.Errorf("persist: partition %d code width %d != pq m %d", pi, p.W, pq.M)
-		}
 		if err := writeU32(uint32(p.N)); err != nil {
 			return fmt.Errorf("persist: writing partition %d size: %w", pi, err)
 		}
@@ -243,22 +234,6 @@ func WriteCapture(w io.Writer, cap index.Capture, walEpoch uint64) error {
 		return fmt.Errorf("persist: writing end magic: %w", err)
 	}
 	return bw.Flush()
-}
-
-// readBytes reads n bytes in chunks of at most readChunk, growing the
-// result as they arrive: a size field that claims more than the input
-// holds ends at EOF having allocated for the bytes present only.
-func readBytes(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, 0, min(n, readChunk))
-	for len(buf) < n {
-		k := min(n-len(buf), readChunk)
-		buf = slices.Grow(buf, k)
-		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+k]); err != nil {
-			return nil, err
-		}
-		buf = buf[:len(buf)+k]
-	}
-	return buf, nil
 }
 
 type countingReader struct {
@@ -331,7 +306,7 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 		return int(v), nil
 	}
 	readF32s := func(n int) ([]float32, error) {
-		buf, err := readBytes(cr, 4*n)
+		buf, err := fsio.ReadN(cr, 4*n)
 		if err != nil {
 			return nil, err
 		}
@@ -362,9 +337,11 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("persist: reading subdim: %w", err)
 	}
-	// Codes are stored one byte per component, so no file holds more
-	// than 8 bits per index (the quantizer encodes no more either).
-	if m <= 0 || bits <= 0 || bits > 8 || subdim <= 0 || m*subdim != dim || partitions <= 0 {
+	// Every index is PQ 8×8, the one shape the scan kernels read.
+	if m != scan.M || bits != 8 {
+		return nil, 0, fmt.Errorf("persist: index is PQ %d×%d, only PQ 8×8 is served", m, bits)
+	}
+	if subdim <= 0 || m*subdim != dim || partitions <= 0 {
 		return nil, 0, fmt.Errorf("persist: inconsistent header (dim=%d partitions=%d m=%d bits=%d subdim=%d)",
 			dim, partitions, m, bits, subdim)
 	}
@@ -378,7 +355,7 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 			keepSet[c] = true
 		}
 	}
-	cfg := quantizer.Config{M: m, Bits: bits}
+	cfg := quantizer.PQ8x8
 	pq := &quantizer.ProductQuantizer{
 		Config: cfg,
 		Dim:    dim,
@@ -403,15 +380,14 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 	}
 	opt := index.Options{
 		Partitions:         partitions,
-		PQ:                 cfg,
 		OptimizeAssignment: optBuf[13] == 1,
 		FastScan: scan.FastScanOptions{
 			Keep:            math.Float64frombits(le.Uint64(optBuf[0:])),
 			GroupComponents: int(int32(le.Uint32(optBuf[8:]))),
 		},
 	}
-	if fo := opt.FastScan; !(fo.Keep >= 0 && fo.Keep < 1) || fo.GroupComponents > layout.MaxGroupComponents {
-		return nil, 0, fmt.Errorf("persist: implausible fast scan options (keep %v, group components %d)", fo.Keep, fo.GroupComponents)
+	if err := opt.FastScan.Check(); err != nil {
+		return nil, 0, fmt.Errorf("persist: implausible fast scan options: %w", err)
 	}
 
 	// Version 1 carries no id allocator; Restore recomputes it.
@@ -441,11 +417,11 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("persist: reading partition %d size: %w", pi, err)
 		}
-		codes, err := readBytes(cr, n*m)
+		codes, err := fsio.ReadN(cr, n*m)
 		if err != nil {
 			return nil, 0, fmt.Errorf("persist: reading partition %d codes: %w", pi, err)
 		}
-		idBuf, err := readBytes(cr, 8*n)
+		idBuf, err := fsio.ReadN(cr, 8*n)
 		if err != nil {
 			return nil, 0, fmt.Errorf("persist: reading partition %d ids: %w", pi, err)
 		}
@@ -469,13 +445,13 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 		kept := keepSet == nil || keepSet[pi]
 		// A skipped cell's bytes are read all the same (the CRC covers
 		// them), but its slot holds an empty partition.
-		p := scan.NewPartitionW(nil, nil, m)
+		p := scan.NewPartition(nil, nil)
 		if kept {
 			ids := make([]int64, n)
 			for i := range ids {
 				ids[i] = int64(le.Uint64(idBuf[8*i:]))
 			}
-			p = scan.NewPartitionW(codes, ids, m)
+			p = scan.NewPartition(codes, ids)
 		}
 		if version >= version2 {
 			nDead, err := readU32()
@@ -485,7 +461,7 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 			if nDead > n {
 				return nil, 0, fmt.Errorf("persist: partition %d has %d tombstones for %d vectors", pi, nDead, n)
 			}
-			deadBuf, err := readBytes(cr, 8*nDead)
+			deadBuf, err := fsio.ReadN(cr, 8*nDead)
 			if err != nil {
 				return nil, 0, fmt.Errorf("persist: reading partition %d tombstones: %w", pi, err)
 			}

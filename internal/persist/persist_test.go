@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -242,62 +243,27 @@ func TestReservedOptionByte(t *testing.T) {
 	}
 }
 
-// TestRoundtripPQ16x4: a non-default quantizer shape (16 sub-quantizers
-// of 4 bits) roundtrips structurally — codebooks, coarse centroids,
-// partition codes and ids. The scan kernels require PQ 8x8, so querying
-// such an index must fail with a clear error rather than panic.
-func TestRoundtripPQ16x4(t *testing.T) {
-	gen := dataset.NewGenerator(dataset.Config{Seed: 17, Dim: 32})
-	opt := index.DefaultOptions()
-	opt.Partitions = 2
-	opt.Seed = 17
-	opt.PQ = quantizer.PQ16x4
-	ix, err := index.Build(gen.Generate(2000), gen.Generate(5000), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestRefusesOtherPQShapes: every index is PQ 8×8, so a header naming
+// any other shape — PQ 16×4 or 4×16, each consistent with the file's
+// dimension — is refused before a codebook is read, with an error that
+// names the one shape served.
+func TestRefusesOtherPQShapes(t *testing.T) {
+	ix, _ := buildSmall(t)
 	var buf bytes.Buffer
 	if err := WriteIndex(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.PQ.Config != ix.PQ.Config || loaded.PQ.SubDim != ix.PQ.SubDim {
-		t.Fatalf("PQ config %+v subdim %d, want %+v subdim %d",
-			loaded.PQ.Config, loaded.PQ.SubDim, ix.PQ.Config, ix.PQ.SubDim)
-	}
-	for j := range ix.PQ.Codebooks {
-		a, b := ix.PQ.Codebooks[j].Data, loaded.PQ.Codebooks[j].Data
-		if len(a) != len(b) {
-			t.Fatalf("codebook %d size differs", j)
+	le := binary.LittleEndian
+	for _, shape := range []quantizer.Config{quantizer.PQ16x4, quantizer.PQ4x16} {
+		data := slices.Clone(buf.Bytes())
+		// After the 8-byte magic: dim, partitions, m, bits, subdim.
+		le.PutUint32(data[16:], uint32(shape.M))
+		le.PutUint32(data[20:], uint32(shape.Bits))
+		le.PutUint32(data[24:], uint32(ix.Dim/shape.M))
+		_, err := ReadIndex(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "PQ 8×8") {
+			t.Fatalf("a PQ %d×%d header: %v, want an error naming PQ 8×8", shape.M, shape.Bits, err)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("codebook %d entry %d differs", j, i)
-			}
-		}
-	}
-	ixParts, loadedParts := ix.Parts(), loaded.Parts()
-	for pi := range ixParts {
-		a, b := ixParts[pi], loadedParts[pi]
-		if a.N != b.N || a.W != b.W {
-			t.Fatalf("partition %d shape (n=%d w=%d) != (n=%d w=%d)", pi, b.N, b.W, a.N, a.W)
-		}
-		if !bytes.Equal(a.FlatCodes(), b.FlatCodes()) {
-			t.Fatalf("partition %d codes differ", pi)
-		}
-		for i := 0; i < a.N; i++ {
-			if a.ID(i) != b.ID(i) {
-				t.Fatalf("partition %d id %d differs", pi, i)
-			}
-		}
-	}
-	if _, err := loaded.Query(context.Background(), index.Request{
-		Query: gen.Generate(1).Row(0), K: 5, Kernel: index.KernelFastScan,
-	}); err == nil || !strings.Contains(err.Error(), "PQ 8x8") {
-		t.Fatalf("querying a PQ16x4 index returned %v, want a PQ 8x8 requirement error", err)
 	}
 }
 

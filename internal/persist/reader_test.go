@@ -26,13 +26,13 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// lyingHeader is a complete version-3 header that promises a 2³⁰-float
-// codebook and then ends: dim 2³⁰, 2³⁰ partitions, m 1, bits 8, subdim
-// 2³⁰ — all within maxReasonable, and consistent (m·subdim = dim).
+// lyingHeader is a complete version-3 header that promises a 2³⁵-float
+// codebook and then ends: dim 2³⁰, 2³⁰ partitions, PQ 8×8, subdim 2²⁷
+// — all within maxReasonable, and consistent (m·subdim = dim).
 func lyingHeader() []byte {
 	b := append([]byte(nil), magicPrefix...)
 	b = append(b, version3)
-	for _, v := range []uint32{1 << 30, 1 << 30, 1, 8, 1 << 30} {
+	for _, v := range []uint32{1 << 30, 1 << 30, 8, 8, 1 << 27} {
 		b = binary.LittleEndian.AppendUint32(b, v)
 	}
 	return b
@@ -51,8 +51,8 @@ func TestRejectsLyingHeader(t *testing.T) {
 	if n := allocated(func() { _, err = ReadIndex(bytes.NewReader(data)) }); n > 1<<20 {
 		t.Fatalf("a 28-byte file cost %d bytes of allocation", n)
 	}
-	if err == nil {
-		t.Fatal("a header promising more than the file holds loaded")
+	if err == nil || !strings.Contains(err.Error(), "EOF") {
+		t.Fatalf("a header promising more than the file holds: %v, want an EOF error", err)
 	}
 }
 
@@ -180,7 +180,7 @@ func TestRejectsIDBeyondAllocator(t *testing.T) {
 	}
 	negIDs[parts[1].N/2] = -1
 	base, _ := parts[1].Segments()
-	withNeg[1] = scan.NewPartitionW(base.Codes, negIDs, ix.PQ.M)
+	withNeg[1] = scan.NewPartition(base.Codes, negIDs)
 
 	beyond := index.Restore(ix.Dim, ix.Coarse, ix.PQ, parts, ix.Options(), 5)
 	// The file lists rows in the order the restored index holds them, so
@@ -233,7 +233,7 @@ func spreadIDs(t testing.TB, ix *index.Index) *index.Index {
 			codes = append(codes, p.Code(i)...)
 			ids[i] = p.ID(i) << 12
 		}
-		parts[c] = scan.NewPartitionW(codes, ids, ix.PQ.M)
+		parts[c] = scan.NewPartition(codes, ids)
 	}
 	return index.Restore(ix.Dim, ix.Coarse, ix.PQ, parts, ix.Options(), ix.NextID()<<12)
 }

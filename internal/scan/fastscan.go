@@ -55,22 +55,30 @@ type FastScan struct {
 	dead    deadSet // tombstoned block lanes
 }
 
-// shape returns the keep split and grouping depth opt gives a base of n
-// rows of width w, or why Fast Scan cannot lay it out.
-func (opt FastScanOptions) shape(w, n int) (keepN, c int, err error) {
-	if w != M {
-		return 0, 0, fmt.Errorf("scan: fast scan requires %d-byte codes, partition has %d", M, w)
+// Check reports why Fast Scan cannot lay a partition out under opt, or
+// nil: a keep fraction outside [0,1), or more grouping components than
+// the layout packs. Index construction refuses such options, so every
+// base an index holds has a layout.
+func (opt FastScanOptions) Check() error {
+	if !(opt.Keep >= 0 && opt.Keep < 1) {
+		return fmt.Errorf("scan: keep fraction %v out of [0,1)", opt.Keep)
 	}
-	if opt.Keep < 0 || opt.Keep >= 1 {
-		return 0, 0, fmt.Errorf("scan: keep fraction %v out of [0,1)", opt.Keep)
+	if opt.GroupComponents > layout.MaxGroupComponents {
+		return fmt.Errorf("scan: group components %d out of range (at most %d; negative selects automatically)", opt.GroupComponents, layout.MaxGroupComponents)
+	}
+	return nil
+}
+
+// shape returns the keep split and grouping depth opt gives a base of n
+// rows, or why Fast Scan cannot lay it out.
+func (opt FastScanOptions) shape(n int) (keepN, c int, err error) {
+	if err := opt.Check(); err != nil {
+		return 0, 0, err
 	}
 	keepN = int(opt.Keep * float64(n))
 	c = opt.GroupComponents
 	if c < 0 {
 		c = layout.AutoComponents(n - keepN)
-	}
-	if c > layout.MaxGroupComponents {
-		return 0, 0, fmt.Errorf("scan: grouping components %d out of range", c)
 	}
 	return keepN, c, nil
 }
@@ -80,12 +88,11 @@ func (opt FastScanOptions) shape(w, n int) (keepN, c int, err error) {
 // the layout's stable group-key order (layout.GroupOrder), ids
 // explicit. The tail stays as it is and the dead bits move with their
 // rows. A base already in that order is returned as it is — p itself,
-// no copy — and so is one Fast Scan cannot lay out (a code width other
-// than 8, options out of range: NewFastScan says why). The index orders
-// every base where it is born, so each code is stored once.
+// no copy — and so is one under options Check refuses. The index
+// orders every base where it is born, so each code is stored once.
 func Ordered(p *Partition, opt FastScanOptions) *Partition {
 	base, _ := p.Segments()
-	keepN, c, err := opt.shape(p.W, base.N)
+	keepN, c, err := opt.shape(base.N)
 	if err != nil {
 		return p
 	}
@@ -132,7 +139,7 @@ func Ordered(p *Partition, opt FastScanOptions) *Partition {
 // dead grouped row is marked dead.
 func NewFastScan(p *Partition, opt FastScanOptions) (*FastScan, error) {
 	base, _ := p.Segments()
-	keepN, c, err := opt.shape(p.W, base.N)
+	keepN, c, err := opt.shape(base.N)
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,6 @@ const M = layout.M
 // (Segments, FlatCodes, ID, Code), so no reader can forget the tail.
 type Partition struct {
 	N int // rows, base and tail together
-	W int // code width in bytes (components per vector)
 
 	codes []uint8 // base, row-major
 	ids   []int64 // base ids; nil means position == id
@@ -66,30 +65,24 @@ type Partition struct {
 	detached bool
 }
 
-// NewPartition wraps row-major PQ 8×8 codes (and optional ids) as a
-// Partition.
+// NewPartition wraps row-major PQ 8×8 codes (and optional ids; nil
+// means position == id) as a partition of one base and no tail — the
+// only code width an index holds.
 func NewPartition(codes []uint8, ids []int64) *Partition {
-	return NewPartitionW(codes, ids, M)
-}
-
-// NewPartitionW wraps row-major codes of w components each. Only w == M
-// partitions are scannable by the kernels of this package; other widths
-// exist for building and persisting alternative PQ configurations.
-func NewPartitionW(codes []uint8, ids []int64, w int) *Partition {
-	if w <= 0 || len(codes)%w != 0 {
+	if len(codes)%M != 0 {
 		panic("scan: code array not a multiple of the code width")
 	}
-	n := len(codes) / w
+	n := len(codes) / M
 	if ids != nil && len(ids) != n {
 		panic("scan: id count mismatch")
 	}
-	return &Partition{N: n, W: w, codes: codes, ids: ids}
+	return &Partition{N: n, codes: codes, ids: ids}
 }
 
 // Rows is one contiguous row-major run of a partition's rows.
 type Rows struct {
 	N     int     // rows in the run
-	Codes []uint8 // N × W
+	Codes []uint8 // N × M
 	IDs   []int64 // nil means the ids are the positions First, First+1, ...
 	First int     // partition position of the run's first row
 }
@@ -134,9 +127,9 @@ func (p *Partition) ID(i int) int64 {
 // Code returns the pqcode of vector i.
 func (p *Partition) Code(i int) []uint8 {
 	if b := p.N - len(p.tailIDs); i >= b {
-		return p.tailCodes[(i-b)*p.W : (i-b+1)*p.W]
+		return p.tailCodes[(i-b)*M : (i-b+1)*M]
 	}
-	return p.codes[i*p.W : (i+1)*p.W]
+	return p.codes[i*M : (i+1)*M]
 }
 
 // FlatCodes returns every row's code as one row-major run: the base
@@ -145,7 +138,7 @@ func (p *Partition) FlatCodes() []uint8 {
 	if len(p.tailIDs) == 0 {
 		return p.codes
 	}
-	return append(append(make([]uint8, 0, p.N*p.W), p.codes...), p.tailCodes...)
+	return append(append(make([]uint8, 0, p.N*M), p.codes...), p.tailCodes...)
 }
 
 // CloneAppend returns a new partition holding p's rows followed by the
@@ -157,7 +150,7 @@ func (p *Partition) FlatCodes() []uint8 {
 // N.. and start live. It works on a detached stub: the tail stays
 // resident.
 func (p *Partition) CloneAppend(codes []uint8, ids []int64) *Partition {
-	if len(codes) != len(ids)*p.W {
+	if len(codes) != len(ids)*M {
 		panic("scan: append code/id count mismatch")
 	}
 	q := *p
@@ -187,7 +180,7 @@ func (p *Partition) CloneTombstone(row int) (*Partition, bool) {
 }
 
 // Detach returns a shallow copy of the partition with the base arrays
-// dropped: a stub whose row and tombstone bookkeeping (N, W, dead bits)
+// dropped: a stub whose row and tombstone bookkeeping (N, dead bits)
 // and tail stay resident while the base lives in a disk extent. Stubs
 // answer Live/DeadAt/DeadCount and may be appended to and tombstoned
 // copy-on-write; any other code or id access must go through Hydrate
@@ -207,7 +200,7 @@ func (p *Partition) Detach() *Partition {
 // caller tracks this in the extent metadata).
 func (p *Partition) Hydrate(codes []uint8, ids []int64) *Partition {
 	b := p.N - len(p.tailIDs)
-	if len(codes) != b*p.W {
+	if len(codes) != b*M {
 		panic("scan: Hydrate code length mismatch")
 	}
 	if ids != nil && len(ids) != b {
@@ -244,7 +237,7 @@ func (p *Partition) rebuilt(liveOnly bool) *Partition {
 	if drop {
 		n = p.Live()
 	}
-	codes := make([]uint8, 0, n*p.W)
+	codes := make([]uint8, 0, n*M)
 	ids := make([]int64, 0, n)
 	base, tail := p.Segments()
 	for _, seg := range [2]Rows{base, tail} {
@@ -252,11 +245,11 @@ func (p *Partition) rebuilt(liveOnly bool) *Partition {
 			if drop && p.DeadAt(seg.First+i) {
 				continue
 			}
-			codes = append(codes, seg.Codes[i*p.W:(i+1)*p.W]...)
+			codes = append(codes, seg.Codes[i*M:(i+1)*M]...)
 			ids = append(ids, seg.ID(i))
 		}
 	}
-	return &Partition{N: len(ids), W: p.W, codes: codes, ids: ids}
+	return &Partition{N: len(ids), codes: codes, ids: ids}
 }
 
 // DeadAt reports whether the row at position i is tombstoned.

@@ -1,5 +1,6 @@
-// The request contract of /search, /add and /delete, shared by pqserve
-// and pqrouter (internal/cluster): pure functions from a body, a raw URL
+// The request contract of /search, /add, /delete and the admin bodies
+// (/swap, /swap/prepare, /save, /compact), shared by pqserve and
+// pqrouter (internal/cluster): pure functions from a body, a raw URL
 // query and the index geometry to a checked request, or to an error the
 // caller answers with 400. What a query must satisfy against an index is
 // index.CheckRequest's; what is decided here is only the HTTP half — one
@@ -16,6 +17,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"pqfastscan"
@@ -130,6 +132,53 @@ func DecodeDelete(body io.Reader) (DeleteRequest, error) {
 		return DeleteRequest{}, errors.New(`bad JSON: "id" is required`)
 	}
 	return DeleteRequest{ID: *req.ID}, nil
+}
+
+// DecodeSwap turns a /swap or /swap/prepare body into a request naming
+// a non-blank path. There is no default: an empty body is an error.
+func DecodeSwap(body io.Reader) (SwapRequest, error) {
+	var req SwapRequest
+	if err := decodeOne(body, &req); err != nil {
+		return SwapRequest{}, err
+	}
+	if strings.TrimSpace(req.Path) == "" {
+		return SwapRequest{}, errors.New("path must be non-empty")
+	}
+	return req, nil
+}
+
+// DecodeSave turns a /save body into a request; an empty body is the
+// zero request, which saves to the configured path (a checkpoint on a
+// durable server).
+func DecodeSave(body io.Reader) (SaveRequest, error) {
+	var req SaveRequest
+	if err := decodeOptional(body, &req); err != nil {
+		return SaveRequest{}, err
+	}
+	return req, nil
+}
+
+// DecodeCompact turns a /compact body into a request for an index of
+// the given partition count; an empty body, like an absent partition,
+// selects the policy sweep (Partition -1).
+func DecodeCompact(body io.Reader, partitions int) (CompactRequest, error) {
+	req := CompactRequest{Partition: -1}
+	if err := decodeOptional(body, &req); err != nil {
+		return CompactRequest{}, err
+	}
+	if req.Partition >= partitions {
+		return CompactRequest{}, fmt.Errorf("partition must be in [0,%d) or negative for policy mode", partitions)
+	}
+	return req, nil
+}
+
+// decodeOptional is decodeOne for a body that may hold no JSON value at
+// all, which leaves v as it is.
+func decodeOptional(body io.Reader, v any) error {
+	if err := decodeOne(body, v); err != nil && !errors.Is(err, io.EOF) {
+		return err
+	}
+	return nil
 }
 
 // decodeOne decodes body into v as exactly one JSON value: a key v has

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"pqfastscan/internal/index"
@@ -70,6 +71,40 @@ func FuzzDecodeAdd(f *testing.F) {
 		for i, v := range req.Vectors {
 			if err := index.CheckVector(v, fuzzDim); err != nil {
 				t.Fatalf("accepted %q, whose vector %d the index refuses: %v", body, i, err)
+			}
+		}
+	})
+}
+
+// FuzzDecodeAdmin: on any body DecodeSwap, DecodeSave and DecodeCompact
+// never panic, and what each accepts is a valid request — a swap names
+// a non-blank path, a compaction a partition below the index's count —
+// that decodes to itself again once re-encoded.
+func FuzzDecodeAdmin(f *testing.F) {
+	for _, cases := range adminRefusals("/x/next.idx") {
+		for _, c := range cases {
+			f.Add(c.body)
+		}
+	}
+	f.Add(mustJSON(SwapRequest{Path: "/x/next.idx"}))
+	f.Add(mustJSON(CompactRequest{Partition: 2, Threshold: 0.5}))
+	f.Add([]byte(" \n"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if req, err := DecodeSwap(bytes.NewReader(body)); err == nil {
+			again, err := DecodeSwap(bytes.NewReader(mustJSON(req)))
+			if strings.TrimSpace(req.Path) == "" || err != nil || again != req {
+				t.Fatalf("swap %q: accepted %+v, which decodes again to %+v, %v", body, req, again, err)
+			}
+		}
+		if req, err := DecodeSave(bytes.NewReader(body)); err == nil {
+			if again, err := DecodeSave(bytes.NewReader(mustJSON(req))); err != nil || again != req {
+				t.Fatalf("save %q: accepted %+v, which decodes again to %+v, %v", body, req, again, err)
+			}
+		}
+		if req, err := DecodeCompact(bytes.NewReader(body), fuzzPartitions); err == nil {
+			again, err := DecodeCompact(bytes.NewReader(mustJSON(req)), fuzzPartitions)
+			if req.Partition >= fuzzPartitions || err != nil || again != req {
+				t.Fatalf("compact %q: accepted %+v, which decodes again to %+v, %v", body, req, again, err)
 			}
 		}
 	})

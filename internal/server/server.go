@@ -26,7 +26,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -932,16 +931,12 @@ type SwapResponse struct {
 // staging competes for the memory budget instead of doubling it. On
 // failure stage has answered the request and returns nil.
 func (s *Server) stage(w http.ResponseWriter, r *http.Request) (next *pqfastscan.Index, path string) {
-	var req SwapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	req, err := DecodeSwap(r.Body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return nil, ""
 	}
-	if strings.TrimSpace(req.Path) == "" {
-		httpError(w, http.StatusBadRequest, "path must be non-empty")
-		return nil, ""
-	}
-	next, err := pqfastscan.LoadIndexCells(req.Path, s.cfg.Cells)
+	next, err = pqfastscan.LoadIndexCells(req.Path, s.cfg.Cells)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "load: "+err.Error())
 		return nil, ""
@@ -1103,12 +1098,10 @@ type SaveResponse struct {
 }
 
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
-	var req SaveRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-			return
-		}
+	req, err := DecodeSave(r.Body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	path := req.Path
 	if path == "" && s.cfg.WALDir != "" {
@@ -1231,20 +1224,12 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	if idx == nil {
 		return
 	}
-	req := CompactRequest{Partition: -1}
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-			return
-		}
-	}
-	if req.Partition >= idx.Partitions() {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("partition must be in [0,%d) or negative for policy mode", idx.Partitions()))
+	req, err := DecodeCompact(r.Body, idx.Partitions())
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var results []pqfastscan.CompactionResult
-	var err error
 	if req.Partition >= 0 {
 		s.swapMu.RLock()
 		var one pqfastscan.CompactionResult

@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -198,6 +201,34 @@ func deleteRefusals() []refusal {
 		{"ids, not id", []byte(`{"ids":[7]}`), `"ids"`},
 		{"null id", []byte(`{"id":null}`), `"id"`},
 		{"second JSON value", []byte(`{"id":5}{"id":6}`), ""},
+	}
+}
+
+// adminRefusals lists, per admin endpoint, bodies refused for an index
+// of 4 partitions when snap is a loadable snapshot. A decoder that
+// ignored unknown keys acted on each of the first three as if the key
+// were absent: it saved to the configured path, swept every partition,
+// swapped every cell.
+func adminRefusals(snap string) map[string][]refusal {
+	swap := []refusal{
+		{"cells", mustJSON(map[string]any{"path": snap, "cells": []int{0}}), `"cells"`},
+		{"no path", []byte(`{}`), "path"},
+		{"blank path", []byte(`{"path":" "}`), "path"},
+		{"empty body", nil, ""},
+		{"second JSON value", append(mustJSON(SwapRequest{Path: snap}), mustJSON(SwapRequest{Path: snap})...), ""},
+	}
+	return map[string][]refusal{
+		"/save": {
+			{"misspelt path", []byte(`{"paht":"/x/wanted.idx"}`), `"paht"`},
+			{"second JSON value", []byte(`{}{}`), ""},
+		},
+		"/compact": {
+			{"misspelt partition", []byte(`{"partiton":1}`), `"partiton"`},
+			{"partition out of range", []byte(`{"partition":4}`), "[0,4)"},
+			{"second JSON value", []byte(`{"partition":1} {"partition":2}`), ""},
+		},
+		"/swap":         swap,
+		"/swap/prepare": swap,
 	}
 }
 
@@ -526,6 +557,41 @@ func TestSaveEndpointAndPeriodicSave(t *testing.T) {
 
 	// The background saver must tick at least once more.
 	waitFor(t, "the periodic saver", func() bool { return s.metrics.saves.Load() >= 2 })
+}
+
+// TestAdminBodiesStrict: /save, /compact, /swap and /swap/prepare
+// decode their bodies as strictly as /search does — a misspelt or
+// unknown key is a 400 that saves, compacts, stages and swaps nothing —
+// while an empty /save or /compact body still means the default.
+func TestAdminBodiesStrict(t *testing.T) {
+	idx := buildIndex(t, 57, 2000, 3000)
+	dir := t.TempDir()
+	configured, snap := filepath.Join(dir, "serving.idx"), filepath.Join(dir, "next.idx")
+	if err := idx.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	s, hs := newTestServer(t, Config{Index: idx, SnapshotPath: configured})
+	for ep, cases := range adminRefusals(snap) {
+		expectRefusals(t, hs.URL+ep, cases, func(name string) {
+			if _, err := os.Stat(configured); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("%s %s: the configured snapshot was written (%v)", ep, name, err)
+			}
+			s.stagedMu.Lock()
+			staged := s.staged != nil
+			s.stagedMu.Unlock()
+			if staged || s.metrics.swaps.Load() != 0 || s.metrics.compactions.Load() != 0 {
+				t.Fatalf("%s %s: staged %v, %d swaps, %d compactions", ep, name, staged, s.metrics.swaps.Load(), s.metrics.compactions.Load())
+			}
+		})
+	}
+	for _, ep := range []string{"/save", "/compact"} {
+		if status, body := postRaw(t, hs.URL+ep, nil, nil); status != http.StatusOK {
+			t.Fatalf("%s with an empty body: status %d (%s)", ep, status, body)
+		}
+	}
+	if _, err := os.Stat(configured); err != nil {
+		t.Fatalf("an empty /save did not write the configured snapshot: %v", err)
+	}
 }
 
 // --- shutdown ----------------------------------------------------------

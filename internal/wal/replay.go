@@ -141,9 +141,10 @@ func replayFrames(r io.Reader, apply func(*Record) error) (ReplayResult, int64, 
 			res.Truncated = true
 			return res, size, nil
 		}
-		payload := make([]byte, payloadLen)
-		n, err = io.ReadFull(br, payload)
-		size += int64(n)
+		// Read in bounded chunks: the length is untrusted until the CRC
+		// checks, so a scribbled header costs only the bytes present.
+		payload, err := fsio.ReadN(br, int(payloadLen))
+		size += int64(len(payload))
 		if err != nil {
 			res.Truncated = true // payload cut short
 			return res, size, nil

@@ -44,7 +44,6 @@ import (
 	"pqfastscan/internal/dataset"
 	"pqfastscan/internal/index"
 	"pqfastscan/internal/persist"
-	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/scan"
 	"pqfastscan/internal/vec"
 )
@@ -152,32 +151,22 @@ func ParseKernel(name string) (Kernel, error) {
 	return 0, fmt.Errorf("pqfastscan: unknown kernel %q (naive, libpq, fastpq)", name)
 }
 
-// PQConfig selects the product quantizer shape (PQ m×b).
-type PQConfig = quantizer.Config
-
-// Standard 64-bit configurations (paper Table 1). PQ8x8 is the default.
-var (
-	PQ8x8  = quantizer.PQ8x8
-	PQ16x4 = quantizer.PQ16x4
-	PQ4x16 = quantizer.PQ4x16
-)
-
-// BuildOptions configures index construction. See index.Options for the
-// field semantics; zero values select the paper's defaults via
+// BuildOptions configures index construction. Every index is PQ 8×8,
+// the configuration the paper's scan serves (§3.1). See index.Options
+// for the field semantics; zero values select the paper's defaults via
 // DefaultBuildOptions.
 type BuildOptions struct {
 	// Partitions is the number of IVF cells (default 8, as in the
 	// paper's 100M-vector experiments; its 1B-vector index uses 128).
 	Partitions int
-	// PQ is the product quantizer configuration (default PQ 8×8).
-	PQ PQConfig
 	// Keep is the fraction of each partition scanned with plain PQ Scan
-	// to bound the distance quantization. Zero selects the paper's 0.5 %
-	// default; the zero-keep ablation is reachable only through the
-	// internal options, as in the seed.
+	// to bound the distance quantization, in [0,1). Zero selects the
+	// paper's 0.5 % default; the zero-keep ablation is reachable only
+	// through the internal options, as in the seed.
 	Keep float64
-	// GroupComponents fixes the grouping depth c; negative (default)
-	// applies the paper's nmin(c) = 50·16^c auto-selection rule.
+	// GroupComponents fixes the grouping depth c, at most 4; negative
+	// (default) applies the paper's nmin(c) = 50·16^c auto-selection
+	// rule.
 	GroupComponents int
 	// Seed makes construction deterministic.
 	Seed uint64
@@ -190,7 +179,6 @@ type BuildOptions struct {
 func DefaultBuildOptions() BuildOptions {
 	return BuildOptions{
 		Partitions:      8,
-		PQ:              PQ8x8,
 		Keep:            scan.DefaultKeep,
 		GroupComponents: -1,
 		Seed:            1,
@@ -224,20 +212,18 @@ func newIndex(in *index.Index) *Index {
 // Swap never splits one query across two snapshots.
 func (ix *Index) load() *index.Index { return ix.inner.Load() }
 
-// Build trains the index on learn and indexes every row of base.
+// Build trains the index on learn and indexes every row of base. A
+// Keep or GroupComponents no Fast Scan layout can be built under is an
+// error naming the option.
 func Build(learn, base Matrix, opt BuildOptions) (*Index, error) {
 	if opt.Partitions == 0 {
 		opt.Partitions = 8
-	}
-	if opt.PQ.M == 0 {
-		opt.PQ = PQ8x8
 	}
 	if opt.Keep == 0 {
 		opt.Keep = scan.DefaultKeep
 	}
 	inner, err := index.Build(learn, base, index.Options{
 		Partitions:         opt.Partitions,
-		PQ:                 opt.PQ,
 		Seed:               opt.Seed,
 		KMeansIter:         20,
 		OptimizeAssignment: !opt.DisableOptimizedAssignment,
@@ -286,8 +272,8 @@ func (ix *Index) Save(path string) error {
 // behind next and returns a handle over the replaced snapshot. Queries
 // in flight at the instant of the swap keep the snapshot they started
 // on and drain there; every later call sees the new one. The
-// replacement must be query-compatible (same dimensionality and PQ
-// configuration) or Swap returns an error and serves the old snapshot
+// replacement must be query-compatible (same dimensionality and
+// partition count) or Swap returns an error and serves the old snapshot
 // unchanged. This is the hot-reload hook the serving layer
 // (internal/server) builds on.
 func (ix *Index) Swap(next *Index) (*Index, error) {
@@ -302,7 +288,7 @@ func (ix *Index) Swap(next *Index) (*Index, error) {
 }
 
 // CompatibleWith reports whether next could replace this index via Swap:
-// same dimensionality, partition count and PQ configuration. The serving
+// same dimensionality and partition count. The serving
 // layer uses it to validate a staged snapshot at /swap/prepare time, so
 // an incompatible file is rejected before a fleet-wide commit.
 func (ix *Index) CompatibleWith(next *Index) error {
