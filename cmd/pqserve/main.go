@@ -95,8 +95,6 @@ func main() {
 		compactEvery = flag.Duration("compact-interval", time.Minute, "background compaction policy interval (0 disables); compaction drops deleted rows, which otherwise cost scan time and memory until rebuilt")
 		compactAt    = flag.Float64("compact-threshold", 0.25, "dead ratio at which the policy compacts a partition")
 		walDir       = flag.String("wal-dir", "", "crash-safe durability directory: mutations are write-ahead logged here before the 200, and startup recovers from it (existing durable state wins over -index/-synthetic)")
-		walSyncEvery = flag.Int("wal-sync-every", 0, "fsync the log every N records instead of on every ack (0 = sync-on-ack, the durable default)")
-		walSyncInt   = flag.Duration("wal-sync-interval", 0, "background log fsync interval for batched mode (bounds data loss in time; 0 disables)")
 		storeDir     = flag.String("store-dir", "", "beyond-RAM serving: seal partition data into disk extents under this directory and page them through a bounded buffer pool (extents are a rebuildable cache owned by this process, not durable state)")
 		poolBytes    = flag.Int64("pool-bytes", 0, "buffer pool capacity in bytes for -store-dir (0 = 256 MiB default)")
 	)
@@ -121,8 +119,6 @@ func main() {
 		CompactInterval:  *compactEvery,
 		CompactThreshold: *compactAt,
 		WALDir:           *walDir,
-		WALSyncEvery:     *walSyncEvery,
-		WALSyncInterval:  *walSyncInt,
 		StoreDir:         *storeDir,
 		PoolBytes:        *poolBytes,
 		Logf:             log.Printf,

@@ -202,7 +202,7 @@ func TestDiskStoreWithWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	walDir := t.TempDir()
-	if err := idx.WithWAL(walDir, pqfastscan.DurabilityOptions{}); err != nil {
+	if err := idx.WithWAL(walDir); err != nil {
 		t.Fatal(err)
 	}
 	gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 6262})
@@ -219,7 +219,7 @@ func TestDiskStoreWithWAL(t *testing.T) {
 	if err := idx.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := pqfastscan.Recover(walDir, pqfastscan.DurabilityOptions{})
+	rec, err := pqfastscan.Recover(walDir)
 	if err != nil {
 		t.Fatal(err)
 	}

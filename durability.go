@@ -1,12 +1,13 @@
 // Crash-safe durability for online mutations (DESIGN.md §14). A durable
 // Index pairs a snapshot file with a write-ahead log in one directory:
-// every acknowledged Add/AddBatch/Delete is appended to the log before
-// it is applied (and, in the default sync-on-ack mode, fsynced before
-// the call returns), and Recover rebuilds the exact acknowledged state
-// by replaying the log over the latest snapshot. Checkpoint bounds
-// replay time by rotating the log and persisting a fresh snapshot; the
-// snapshot is stamped with the epoch of the log segment opened at the
-// same instant, so every record is replayed exactly once.
+// every acknowledged Add/AddBatch/Delete is appended to the log and
+// fsynced before the call returns (there is no mode that acknowledges a
+// mutation before it is on disk), and Recover rebuilds the exact
+// acknowledged state by replaying the log over the latest snapshot.
+// Checkpoint bounds replay time by rotating the log and persisting a
+// fresh snapshot; the snapshot is stamped with the epoch of the log
+// segment opened at the same instant, so every record is replayed
+// exactly once.
 package pqfastscan
 
 import (
@@ -26,29 +27,9 @@ import (
 // directory (the WAL segments live next to it).
 const SnapshotFileName = "snapshot.idx"
 
-// DurabilityOptions tunes the write-ahead log. The zero value selects
-// sync-on-ack: a mutation is not acknowledged until its record is on
-// stable storage, with concurrent mutations grouped into shared fsyncs.
-type DurabilityOptions struct {
-	// SyncEvery, when positive, switches to batched group commit: the
-	// log fsyncs after every SyncEvery records instead of on every
-	// acknowledgement — higher throughput, at the cost that a crash may
-	// lose the mutations acknowledged since the last fsync.
-	SyncEvery int
-	// SyncInterval, when positive, bounds how long an acknowledged but
-	// unsynced record can exist: a background syncer fsyncs every
-	// interval. Composable with SyncEvery.
-	SyncInterval time.Duration
-}
-
-func (o DurabilityOptions) wal() wal.Options {
-	return wal.Options{SyncEvery: o.SyncEvery, SyncInterval: o.SyncInterval}
-}
-
 // WALStats describes a durable index's write-ahead log for monitoring.
 type WALStats struct {
 	Epoch      uint64  `json:"epoch"`
-	SyncOnAck  bool    `json:"sync_on_ack"`
 	Bytes      int64   `json:"bytes"`
 	Records    int64   `json:"records"`
 	Fsyncs     int64   `json:"fsyncs"`
@@ -66,8 +47,7 @@ type WALStats struct {
 // snapshot swap keeps logging into the same directory (the serving
 // layer checkpoints immediately after a swap to make it durable).
 type durState struct {
-	dir  string
-	opts DurabilityOptions
+	dir string
 
 	// mu orders mutations against checkpoints: Add/Delete hold it
 	// shared for the log-append + apply pair, Checkpoint holds it
@@ -103,7 +83,7 @@ func HasDurable(dir string) bool {
 // logged before it is acknowledged. It refuses a directory that already
 // holds durable state — recovering it is Recover's job, and silently
 // overwriting it would discard acknowledged mutations.
-func (ix *Index) WithWAL(dir string, opts DurabilityOptions) error {
+func (ix *Index) WithWAL(dir string) error {
 	if ix.dur.Load() != nil {
 		return fmt.Errorf("pqfastscan: WAL already enabled on this index")
 	}
@@ -114,7 +94,7 @@ func (ix *Index) WithWAL(dir string, opts DurabilityOptions) error {
 		return fmt.Errorf("pqfastscan: %s already holds durable state; use Recover", dir)
 	}
 	const epoch = 1
-	d := &durState{dir: dir, opts: opts}
+	d := &durState{dir: dir}
 	cap, err := ix.load().Capture()
 	if err != nil {
 		return fmt.Errorf("pqfastscan: capturing for initial snapshot: %w", err)
@@ -124,7 +104,7 @@ func (ix *Index) WithWAL(dir string, opts DurabilityOptions) error {
 	if serr != nil {
 		return serr
 	}
-	log, err := wal.Create(dir, epoch, opts.wal())
+	log, err := wal.Create(dir, epoch, wal.Options{})
 	if err != nil {
 		return err
 	}
@@ -148,7 +128,7 @@ func (ix *Index) WithWAL(dir string, opts DurabilityOptions) error {
 // skipped and deletes of absent ids are tolerated, so replaying a log
 // twice (a crash during recovery's own checkpoint) converges to the
 // same index.
-func Recover(dir string, opts DurabilityOptions) (*Index, error) {
+func Recover(dir string) (*Index, error) {
 	path := filepath.Join(dir, SnapshotFileName)
 	in, snapEpoch, err := persist.LoadIndexEpoch(fsio.OS, path)
 	if err != nil {
@@ -203,11 +183,11 @@ func Recover(dir string, opts DurabilityOptions) (*Index, error) {
 	// is crash-safe — dying before the snapshot save re-replays the old
 	// segments (idempotent), dying after it skips them by epoch.
 	next := maxEpoch + 1
-	log, err := wal.Create(dir, next, opts.wal())
+	log, err := wal.Create(dir, next, wal.Options{})
 	if err != nil {
 		return nil, err
 	}
-	d := &durState{dir: dir, opts: opts, log: log, replayed: replayed, replayDur: replayDur}
+	d := &durState{dir: dir, log: log, replayed: replayed, replayDur: replayDur}
 	rcap, err := in.Capture()
 	if err != nil {
 		log.Close()
@@ -339,7 +319,6 @@ func (ix *Index) WALStats() (stats WALStats, ok bool) {
 	s := d.log.Stats()
 	return WALStats{
 		Epoch:      s.Epoch,
-		SyncOnAck:  s.SyncOnAck,
 		Bytes:      s.Bytes,
 		Records:    s.Records,
 		Fsyncs:     s.Fsyncs,

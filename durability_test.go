@@ -53,7 +53,7 @@ func sameSearch(t *testing.T, a, b *Index, gen *Dataset, label string) {
 func TestRecoverReplaysAcknowledgedMutations(t *testing.T) {
 	dir := t.TempDir()
 	ix, gen := buildSmall(t)
-	if err := ix.WithWAL(dir, DurabilityOptions{}); err != nil {
+	if err := ix.WithWAL(dir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,7 +88,7 @@ func TestRecoverReplaysAcknowledgedMutations(t *testing.T) {
 	if err := ix.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Recover(dir, DurabilityOptions{})
+	rec, err := Recover(dir)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestRecoverTwiceIsIdempotent(t *testing.T) {
 	// replay the same records again; both must converge to one state.
 	dir := t.TempDir()
 	ix, gen := buildSmall(t)
-	if err := ix.WithWAL(dir, DurabilityOptions{}); err != nil {
+	if err := ix.WithWAL(dir); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := ix.AddBatch(gen.Generate(30))
@@ -143,7 +143,7 @@ func TestRecoverTwiceIsIdempotent(t *testing.T) {
 		}
 		raw[s.Path] = b
 	}
-	rec1, err := Recover(dir, DurabilityOptions{})
+	rec1, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRecoverTwiceIsIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rec2, err := Recover(dir, DurabilityOptions{})
+	rec2, err := Recover(dir)
 	if err != nil {
 		t.Fatalf("second recovery: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestRecoverTwiceIsIdempotent(t *testing.T) {
 func TestCheckpointTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
 	ix, gen := buildSmall(t)
-	if err := ix.WithWAL(dir, DurabilityOptions{}); err != nil {
+	if err := ix.WithWAL(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ix.AddBatch(gen.Generate(20)); err != nil {
@@ -196,7 +196,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	}
 	live := ix.Live()
 	ix.CloseWAL()
-	rec, err := Recover(dir, DurabilityOptions{})
+	rec, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +214,12 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 func TestWithWALRefusesExistingState(t *testing.T) {
 	dir := t.TempDir()
 	ix, _ := buildSmall(t)
-	if err := ix.WithWAL(dir, DurabilityOptions{}); err != nil {
+	if err := ix.WithWAL(dir); err != nil {
 		t.Fatal(err)
 	}
 	ix.CloseWAL()
 	other, _ := buildSmall(t)
-	if err := other.WithWAL(dir, DurabilityOptions{}); err == nil {
+	if err := other.WithWAL(dir); err == nil {
 		t.Fatal("WithWAL over existing durable state succeeded")
 	}
 	if !HasDurable(dir) {
@@ -233,7 +233,7 @@ func TestWithWALRefusesExistingState(t *testing.T) {
 func TestRecoverRejectsCorruptSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	ix, gen := buildSmall(t)
-	if err := ix.WithWAL(dir, DurabilityOptions{}); err != nil {
+	if err := ix.WithWAL(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ix.AddBatch(gen.Generate(5)); err != nil {
@@ -252,7 +252,7 @@ func TestRecoverRejectsCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(dir, DurabilityOptions{}); err == nil {
+	if _, err := Recover(dir); err == nil {
 		t.Fatal("recovery accepted a corrupt snapshot")
 	}
 
@@ -261,7 +261,7 @@ func TestRecoverRejectsCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(path, b[:len(b)-4], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(dir, DurabilityOptions{}); err == nil {
+	if _, err := Recover(dir); err == nil {
 		t.Fatal("recovery accepted a truncated snapshot")
 	}
 }
@@ -269,7 +269,7 @@ func TestRecoverRejectsCorruptSnapshot(t *testing.T) {
 func TestDeleteNotFoundNotLogged(t *testing.T) {
 	dir := t.TempDir()
 	ix, _ := buildSmall(t)
-	if err := ix.WithWAL(dir, DurabilityOptions{}); err != nil {
+	if err := ix.WithWAL(dir); err != nil {
 		t.Fatal(err)
 	}
 	defer ix.CloseWAL()

@@ -24,15 +24,15 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Build a small index and attach a write-ahead log. The zero
-	// DurabilityOptions select sync-on-ack: no mutation is acknowledged
-	// until its record is fsynced (concurrent mutations share flushes).
+	// Build a small index and attach a write-ahead log. No mutation is
+	// acknowledged until its record is fsynced (concurrent mutations
+	// share flushes).
 	gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 7})
 	idx, err := pqfastscan.Build(gen.Generate(2000), gen.Generate(20000), pqfastscan.DefaultBuildOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := idx.WithWAL(dir, pqfastscan.DurabilityOptions{}); err != nil {
+	if err := idx.WithWAL(dir); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("durable index in %s: %d vectors live\n", dir, idx.Live())
@@ -64,7 +64,7 @@ func main() {
 
 	// Recover from the directory alone: load the snapshot (if any) and
 	// replay the log over it, truncating any torn tail.
-	recovered, err := pqfastscan.Recover(dir, pqfastscan.DurabilityOptions{})
+	recovered, err := pqfastscan.Recover(dir)
 	if err != nil {
 		log.Fatal(err)
 	}

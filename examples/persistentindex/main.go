@@ -78,7 +78,7 @@ func main() {
 	fmt.Println("reloaded index answers are identical to the original")
 
 	// The reloaded index stays mutable: ingest online, delete, and save
-	// again — the v2 format persists appended codes and tombstones.
+	// again — the file format persists appended codes and tombstones.
 	ids, err := loaded.AddBatch(gen.Generate(50))
 	if err != nil {
 		log.Fatal(err)

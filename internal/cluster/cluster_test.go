@@ -241,8 +241,8 @@ func TestHedgedRequestToSlowPrimary(t *testing.T) {
 	full, queries := fullIndex(t)
 	fast := shardServer(t, full, []int{0, 1, 2, 3, 4, 5, 6, 7})
 
-	// A slow primary: same data, but every /search stalls far longer
-	// than the hedge delay.
+	// A slow primary: same data, but every /search stalls until the
+	// router gives up on it or the test ends — far past the hedge delay.
 	restricted, err := full.RestrictCells(0, 1, 2, 3, 4, 5, 6, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -251,13 +251,19 @@ func TestHedgedRequestToSlowPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	release := make(chan struct{})
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/search" {
-			time.Sleep(2 * time.Second)
+			select {
+			case <-r.Context().Done():
+				return
+			case <-release:
+			}
 		}
 		slowSrv.Handler().ServeHTTP(w, r)
 	}))
 	t.Cleanup(func() {
+		close(release)
 		slow.Close()
 		slowSrv.Close()
 	})

@@ -93,9 +93,9 @@ func TestSnapshotFsyncFailureSurfaced(t *testing.T) {
 	}
 }
 
-// TestWALFsyncErrorFailsTheAppend: in sync-on-ack mode an fsync error
-// must fail the append that requested it — never acknowledge data the
-// disk did not confirm — and poison the log for later appends.
+// TestWALFsyncErrorFailsTheAppend: an fsync error must fail the append
+// that requested it — never acknowledge data the disk did not confirm —
+// and poison the log for later appends.
 func TestWALFsyncErrorFailsTheAppend(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS(fsio.OS)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"pqfastscan/internal/fsio"
 	"pqfastscan/internal/vec"
 )
 
@@ -40,35 +41,12 @@ func WriteFvecs(w io.Writer, m vec.Matrix) error {
 
 // ReadFvecs reads all vectors from r. maxVectors <= 0 reads to EOF.
 func ReadFvecs(r io.Reader, maxVectors int) (vec.Matrix, error) {
-	br := bufio.NewReader(r)
-	var data []float32
-	dim := 0
-	var head [4]byte
-	for n := 0; maxVectors <= 0 || n < maxVectors; n++ {
-		if _, err := io.ReadFull(br, head[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return vec.Matrix{}, fmt.Errorf("dataset: reading fvecs header: %w", err)
+	return readMatrix(r, maxVectors, "fvecs", 4, func(data []float32, body []byte) []float32 {
+		for i := 0; i < len(body); i += 4 {
+			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(body[i:])))
 		}
-		d := int(int32(binary.LittleEndian.Uint32(head[:])))
-		if d <= 0 || d > 1<<20 {
-			return vec.Matrix{}, fmt.Errorf("dataset: implausible fvecs dimension %d", d)
-		}
-		if dim == 0 {
-			dim = d
-		} else if d != dim {
-			return vec.Matrix{}, fmt.Errorf("dataset: inconsistent fvecs dimensions %d and %d", dim, d)
-		}
-		body := make([]byte, 4*d)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return vec.Matrix{}, fmt.Errorf("dataset: reading fvecs body: %w", err)
-		}
-		for i := 0; i < d; i++ {
-			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
-		}
-	}
-	return vec.Matrix{Data: data, Dim: dim}, nil
+		return data
+	})
 }
 
 // WriteBvecs writes every row of m to w in .bvecs format, rounding
@@ -98,35 +76,12 @@ func WriteBvecs(w io.Writer, m vec.Matrix) error {
 // ReadBvecs reads byte vectors from r into a float32 matrix.
 // maxVectors <= 0 reads to EOF.
 func ReadBvecs(r io.Reader, maxVectors int) (vec.Matrix, error) {
-	br := bufio.NewReader(r)
-	var data []float32
-	dim := 0
-	var head [4]byte
-	for n := 0; maxVectors <= 0 || n < maxVectors; n++ {
-		if _, err := io.ReadFull(br, head[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return vec.Matrix{}, fmt.Errorf("dataset: reading bvecs header: %w", err)
-		}
-		d := int(int32(binary.LittleEndian.Uint32(head[:])))
-		if d <= 0 || d > 1<<20 {
-			return vec.Matrix{}, fmt.Errorf("dataset: implausible bvecs dimension %d", d)
-		}
-		if dim == 0 {
-			dim = d
-		} else if d != dim {
-			return vec.Matrix{}, fmt.Errorf("dataset: inconsistent bvecs dimensions %d and %d", dim, d)
-		}
-		body := make([]byte, d)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return vec.Matrix{}, fmt.Errorf("dataset: reading bvecs body: %w", err)
-		}
+	return readMatrix(r, maxVectors, "bvecs", 1, func(data []float32, body []byte) []float32 {
 		for _, b := range body {
 			data = append(data, float32(b))
 		}
-	}
-	return vec.Matrix{Data: data, Dim: dim}, nil
+		return data
+	})
 }
 
 // WriteIvecs writes integer id lists (e.g. ground truth) in .ivecs format.
@@ -151,29 +106,69 @@ func WriteIvecs(w io.Writer, rows [][]int64) error {
 
 // ReadIvecs reads integer id lists from r. maxRows <= 0 reads to EOF.
 func ReadIvecs(r io.Reader, maxRows int) ([][]int64, error) {
-	br := bufio.NewReader(r)
 	var out [][]int64
-	var head [4]byte
-	for n := 0; maxRows <= 0 || n < maxRows; n++ {
-		if _, err := io.ReadFull(br, head[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("dataset: reading ivecs header: %w", err)
-		}
-		d := int(int32(binary.LittleEndian.Uint32(head[:])))
-		if d < 0 || d > 1<<20 {
-			return nil, fmt.Errorf("dataset: implausible ivecs length %d", d)
-		}
-		body := make([]byte, 4*d)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, fmt.Errorf("dataset: reading ivecs body: %w", err)
-		}
-		row := make([]int64, d)
+	err := readVecs(r, maxRows, "ivecs", 4, 0, func(body []byte) error {
+		row := make([]int64, len(body)/4)
 		for i := range row {
 			row[i] = int64(int32(binary.LittleEndian.Uint32(body[4*i:])))
 		}
 		out = append(out, row)
+		return nil
+	})
+	return out, err
+}
+
+// readMatrix reads .fvecs or .bvecs records of one dimension into a
+// matrix, appendRow decoding each record's width-byte components.
+func readMatrix(r io.Reader, maxVectors int, format string, width int, appendRow func(data []float32, body []byte) []float32) (vec.Matrix, error) {
+	var data []float32
+	dim := 0
+	err := readVecs(r, maxVectors, format, width, 1, func(body []byte) error {
+		d := len(body) / width
+		if dim == 0 {
+			dim = d
+		} else if d != dim {
+			return fmt.Errorf("dataset: inconsistent %s dimensions %d and %d", format, dim, d)
+		}
+		data = appendRow(data, body)
+		return nil
+	})
+	if err != nil {
+		return vec.Matrix{}, err
 	}
-	return out, nil
+	return vec.Matrix{Data: data, Dim: dim}, nil
+}
+
+// maxDim bounds a record's component count.
+const maxDim = 1 << 20
+
+// readVecs is the record loop of the three formats: an int32 count d in
+// [minDim, maxDim], then d components of width bytes, handed to row. It
+// stops at EOF between records, or after maxRows records when maxRows
+// is positive. A body is read through fsio.ReadN, so a count that
+// claims more than the input holds ends at EOF having allocated for the
+// bytes present only.
+func readVecs(r io.Reader, maxRows int, format string, width, minDim int, row func(body []byte) error) error {
+	br := bufio.NewReader(r)
+	var head [4]byte
+	for n := 0; maxRows <= 0 || n < maxRows; n++ {
+		if _, err := io.ReadFull(br, head[:]); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return fmt.Errorf("dataset: reading %s header: %w", format, err)
+		}
+		d := int(int32(binary.LittleEndian.Uint32(head[:])))
+		if d < minDim || d > maxDim {
+			return fmt.Errorf("dataset: implausible %s dimension %d", format, d)
+		}
+		body, err := fsio.ReadN(br, width*d)
+		if err != nil {
+			return fmt.Errorf("dataset: reading %s body: %w", format, err)
+		}
+		if err := row(body); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -273,23 +273,10 @@ func (ix *Index) CompatibleWith(next *Index) error {
 // Restore reassembles an Index from its persisted parts; used by the
 // persist package. The caller guarantees consistency of the components:
 // a PQ 8×8 quantizer, and Fast Scan options opt.FastScan.Check accepts,
-// under which every partition is given its layout.
-// nextID seeds the id allocator for future Add calls; pass a negative
-// value (format v1 files carry none) to recompute it as max(id)+1 over
-// all partitions.
+// under which every partition is given its layout, and a nextID above
+// every id the partitions hold. nextID seeds the id allocator for
+// future Add calls.
 func Restore(dim int, coarse vec.Matrix, pq *quantizer.ProductQuantizer, parts []*scan.Partition, opt Options, nextID int64) *Index {
-	if nextID < 0 {
-		for _, p := range parts {
-			for i := 0; i < p.N; i++ {
-				if id := p.ID(i); id >= nextID {
-					nextID = id + 1
-				}
-			}
-		}
-		if nextID < 0 {
-			nextID = 0
-		}
-	}
 	ix := newIndex(dim, coarse, pq, opt)
 	ix.install(parts)
 	ix.nextID.Store(nextID)

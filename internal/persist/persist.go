@@ -5,46 +5,30 @@
 // ("database vectors are stored as pqcodes", §2.1; the index is built
 // offline).
 //
-// The format is a simple little-endian binary layout with a magic header
-// and version byte. Every version stays readable; only version 3 is
-// written. Version 1 (the original; testdata/v1.pqfsidx is one) is:
+// The format is a simple little-endian binary layout with a magic
+// header and a version byte. There is one format, version 3 (DESIGN.md
+// §5): the writer writes it and the reader reads only it, refusing any
+// other version byte, by name, before it reads a section.
 //
-//	"PQFSIDX\x01"
+//	"PQFSIDX\x03"
 //	u32 dim, u32 partitions
-//	u32 m, u32 bits, u32 subdim
+//	u32 m, u32 bits, u32 subdim          (always PQ 8×8)
 //	m codebooks: k* x subdim float32
 //	coarse centroids: partitions x dim float32
 //	options: f64 keep, i32 groupComponents, u8 reserved, u8 optimized
-//	per partition: u32 n, n x m bytes codes, n x i64 ids
-//
-// The reserved option byte once selected a group visit order; in every
-// version it is written 0 and ignored on read.
-//
-// Version 2 extends it for mutable indexes: online Add appends codes
-// into the partition blocks (so n covers build-time and appended
-// vectors alike) and Delete leaves tombstones, both of which must
-// survive a save/load cycle:
-//
-//	"PQFSIDX\x02"
-//	... identical through the options block ...
-//	u64 nextID (the id allocator position, so reloads never reuse ids)
+//	u64 nextID    (the id allocator position, so reloads never reuse ids)
+//	u64 walEpoch  (the WAL segment epoch this snapshot pairs with:
+//	               recovery replays segments with epoch >= walEpoch;
+//	               0 for a plain export)
 //	per partition: u32 n, n x m bytes codes, n x i64 ids,
 //	               u32 nDead, nDead x i64 tombstoned ids
-//
-// Version 3 extends version 2 for crash-safe durability (DESIGN.md §14):
-//
-//	"PQFSIDX\x03"
-//	... identical through nextID ...
-//	u64 walEpoch (the WAL segment epoch this snapshot pairs with:
-//	              recovery replays segments with epoch >= walEpoch)
-//	... partitions as in version 2 ...
 //	u32 crc32c | "PQFSEND1"
 //
-// In versions 1 and 2 integrity is protected by a trailing CRC-32
-// (IEEE) over everything after the magic; version 3 switches to CRC-32C
-// (Castagnoli, hardware-accelerated, matching the WAL) and adds an end
-// magic so a truncated file is detected even if the truncation point
-// happens to leave a self-consistent prefix.
+// The reserved option byte once selected a group visit order; it is
+// written 0 and ignored on read. The checksum is CRC-32C (Castagnoli,
+// hardware-accelerated, matching the WAL) over everything after the
+// magic, and the end magic detects a truncation that happens to leave
+// a self-consistent prefix.
 //
 // The reader trusts nothing it has not read: every section whose size a
 // header field gives is read in bounded chunks, so memory grows with the
@@ -76,19 +60,9 @@ var (
 	castagnoli  = crc32.MakeTable(crc32.Castagnoli)
 )
 
-const (
-	version1 = 1 // seed format: immutable index
-	version2 = 2 // adds the id allocator and per-partition tombstones
-	version3 = 3 // adds the WAL epoch, CRC-32C and an end magic
-)
-
-// crcFor returns the checksum implementation of a format version.
-func crcFor(version uint8) hash.Hash32 {
-	if version >= version3 {
-		return crc32.New(castagnoli)
-	}
-	return crc32.NewIEEE()
-}
+// version is the one format version written and read; a file with any
+// other version byte is refused.
+const version = 3
 
 // maxReasonable bounds untrusted size fields while decoding.
 const maxReasonable = 1 << 31
@@ -127,10 +101,10 @@ func WriteCapture(w io.Writer, cap index.Capture, walEpoch uint64) error {
 	nextID := cap.NextID
 
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(append(append([]byte(nil), magicPrefix...), version3)); err != nil {
+	if _, err := bw.Write(append(append([]byte(nil), magicPrefix...), version)); err != nil {
 		return fmt.Errorf("persist: writing magic: %w", err)
 	}
-	cw := &countingWriter{w: bw, crc: crcFor(version3)}
+	cw := &countingWriter{w: bw, crc: crc32.New(castagnoli)}
 	le := binary.LittleEndian
 
 	writeU32 := func(v uint32) error {
@@ -247,19 +221,10 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadIndex deserializes an index written by WriteIndex, or by an
-// earlier build in format version 1 or 2: the reader is backward
-// compatible with every format version to date.
+// ReadIndex deserializes an index written by WriteIndex or
+// WriteCapture (format version 3, the only one read).
 func ReadIndex(r io.Reader) (*index.Index, error) {
 	return ReadIndexCells(r, nil)
-}
-
-// ReadIndexEpoch is ReadIndex returning also the WAL segment epoch the
-// snapshot was stamped with (0 for formats before v3 and for plain
-// exports) — the recovery path reads it to know which log segments to
-// replay.
-func ReadIndexEpoch(r io.Reader) (*index.Index, uint64, error) {
-	return readIndexCells(r, nil)
 }
 
 // ReadIndexCells is ReadIndex restricted to a subset of coarse cells —
@@ -287,11 +252,10 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 			return nil, 0, fmt.Errorf("persist: bad magic %q (not a pqfastscan index)", head)
 		}
 	}
-	version := head[len(magicPrefix)]
-	if version < version1 || version > version3 {
-		return nil, 0, fmt.Errorf("persist: unsupported format version %d (this build reads versions %d-%d)", version, version1, version3)
+	if v := head[len(magicPrefix)]; v != version {
+		return nil, 0, fmt.Errorf("persist: unsupported format version %d (this build reads version %d only)", v, version)
 	}
-	cr := &countingReader{r: br, crc: crcFor(version)}
+	cr := &countingReader{r: br, crc: crc32.New(castagnoli)}
 	le := binary.LittleEndian
 
 	readU32 := func() (int, error) {
@@ -390,26 +354,19 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 		return nil, 0, fmt.Errorf("persist: implausible fast scan options: %w", err)
 	}
 
-	// Version 1 carries no id allocator; Restore recomputes it.
-	nextID := int64(-1)
-	if version >= version2 {
-		var idBuf [8]byte
-		if _, err := io.ReadFull(cr, idBuf[:]); err != nil {
-			return nil, 0, fmt.Errorf("persist: reading next id: %w", err)
-		}
-		nextID = int64(le.Uint64(idBuf[:]))
-		if nextID < 0 {
-			return nil, 0, fmt.Errorf("persist: implausible next id %d", nextID)
-		}
+	var idBuf [8]byte
+	if _, err := io.ReadFull(cr, idBuf[:]); err != nil {
+		return nil, 0, fmt.Errorf("persist: reading next id: %w", err)
 	}
-	var walEpoch uint64
-	if version >= version3 {
-		var epochBuf [8]byte
-		if _, err := io.ReadFull(cr, epochBuf[:]); err != nil {
-			return nil, 0, fmt.Errorf("persist: reading wal epoch: %w", err)
-		}
-		walEpoch = le.Uint64(epochBuf[:])
+	nextID := int64(le.Uint64(idBuf[:]))
+	if nextID < 0 {
+		return nil, 0, fmt.Errorf("persist: implausible next id %d", nextID)
 	}
+	var epochBuf [8]byte
+	if _, err := io.ReadFull(cr, epochBuf[:]); err != nil {
+		return nil, 0, fmt.Errorf("persist: reading wal epoch: %w", err)
+	}
+	walEpoch := le.Uint64(epochBuf[:])
 
 	var parts []*scan.Partition
 	for pi := 0; pi < partitions; pi++ {
@@ -425,18 +382,8 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("persist: reading partition %d ids: %w", pi, err)
 		}
-		if version < version2 {
-			// No stored allocator: recompute it here, over every cell's
-			// ids — a subset load must not hand out ids that live in a
-			// cell it skipped.
-			for i := 0; i < n; i++ {
-				if id := int64(le.Uint64(idBuf[8*i:])); id >= nextID {
-					nextID = id + 1
-				}
-			}
-		}
 		// Every id lies below the allocator, or the next Add would issue
-		// it again; a v1 file's allocator was just computed to make it so.
+		// it again.
 		for i := 0; i < n; i++ {
 			if id := int64(le.Uint64(idBuf[8*i:])); id < 0 || id >= nextID {
 				return nil, 0, fmt.Errorf("persist: partition %d holds id %d, outside the allocated range [0,%d)", pi, id, nextID)
@@ -453,26 +400,24 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 			}
 			p = scan.NewPartition(codes, ids)
 		}
-		if version >= version2 {
-			nDead, err := readU32()
-			if err != nil {
-				return nil, 0, fmt.Errorf("persist: reading partition %d tombstone count: %w", pi, err)
+		nDead, err := readU32()
+		if err != nil {
+			return nil, 0, fmt.Errorf("persist: reading partition %d tombstone count: %w", pi, err)
+		}
+		if nDead > n {
+			return nil, 0, fmt.Errorf("persist: partition %d has %d tombstones for %d vectors", pi, nDead, n)
+		}
+		deadBuf, err := fsio.ReadN(cr, 8*nDead)
+		if err != nil {
+			return nil, 0, fmt.Errorf("persist: reading partition %d tombstones: %w", pi, err)
+		}
+		if kept {
+			dead := make([]int64, nDead)
+			for i := range dead {
+				dead[i] = int64(le.Uint64(deadBuf[8*i:]))
 			}
-			if nDead > n {
-				return nil, 0, fmt.Errorf("persist: partition %d has %d tombstones for %d vectors", pi, nDead, n)
-			}
-			deadBuf, err := fsio.ReadN(cr, 8*nDead)
-			if err != nil {
-				return nil, 0, fmt.Errorf("persist: reading partition %d tombstones: %w", pi, err)
-			}
-			if kept {
-				dead := make([]int64, nDead)
-				for i := range dead {
-					dead[i] = int64(le.Uint64(deadBuf[8*i:]))
-				}
-				if err := p.RestoreDead(dead); err != nil {
-					return nil, 0, fmt.Errorf("persist: partition %d: %w", pi, err)
-				}
+			if err := p.RestoreDead(dead); err != nil {
+				return nil, 0, fmt.Errorf("persist: partition %d: %w", pi, err)
 			}
 		}
 		parts = append(parts, p)
@@ -486,15 +431,13 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 	if got := le.Uint32(crcBuf[:]); got != sum {
 		return nil, 0, fmt.Errorf("persist: checksum mismatch (file %#x, computed %#x)", got, sum)
 	}
-	if version >= version3 {
-		end := make([]byte, len(endMagic))
-		if _, err := io.ReadFull(br, end); err != nil {
-			return nil, 0, fmt.Errorf("persist: reading end magic (file truncated?): %w", err)
-		}
-		for i := range endMagic {
-			if end[i] != endMagic[i] {
-				return nil, 0, fmt.Errorf("persist: bad end magic %q (file truncated or corrupt)", end)
-			}
+	end := make([]byte, len(endMagic))
+	if _, err := io.ReadFull(br, end); err != nil {
+		return nil, 0, fmt.Errorf("persist: reading end magic (file truncated?): %w", err)
+	}
+	for i := range endMagic {
+		if end[i] != endMagic[i] {
+			return nil, 0, fmt.Errorf("persist: bad end magic %q (file truncated or corrupt)", end)
 		}
 	}
 	return index.Restore(dim, coarse, pq, parts, opt, nextID), walEpoch, nil

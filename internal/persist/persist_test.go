@@ -4,17 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"pqfastscan/internal/dataset"
 	"pqfastscan/internal/index"
 	"pqfastscan/internal/quantizer"
-	"pqfastscan/internal/scan"
 	"pqfastscan/internal/vec"
 )
 
@@ -269,78 +268,50 @@ func TestRefusesOtherPQShapes(t *testing.T) {
 
 // v1File is a version-1 file frozen when this build still wrote the
 // format: an index.Build of 600 16-dimensional vectors from dataset seed
-// 31 (learn 800, 2 partitions, seed 31). Nothing writes version 1 any
-// more; this file is how the reader keeps reading it.
+// 31 (learn 800, 2 partitions, seed 31). Nothing writes or reads
+// version 1 any more; this file is how the reader is held to refusing it.
 const v1File = "testdata/v1.pqfsidx"
 
-// TestV1StillLoads: files in the seed's version-1 format remain
-// readable, recompute the id allocator, answer alike on every kernel,
-// and survive a version-3 round trip row for row and answer for answer.
-// Whatever order a file keeps its rows in (version 1: id order), the
-// load puts every base in Fast Scan order, and its layout aliases it.
-func TestV1StillLoads(t *testing.T) {
-	data, err := os.ReadFile(v1File)
+// TestRefusesRetiredFormats: the reader reads version 3 only. The frozen
+// version-1 file, a version-3 file with its version byte set to 2, and
+// every other version byte are refused by an error naming that version
+// — before any section is read, so the bare 8-byte magic is refused
+// the same way, not with an EOF.
+func TestRefusesRetiredFormats(t *testing.T) {
+	v1, err := os.ReadFile(v1File)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[7] != 1 {
-		t.Fatalf("%s has version byte %d", v1File, data[7])
+	if v1[7] != 1 {
+		t.Fatalf("%s has version byte %d", v1File, v1[7])
 	}
-	loaded, err := ReadIndex(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NextID() != 600 || loaded.Live() != 600 || loaded.Partitions() != 2 || loaded.Dim != 16 {
-		t.Fatalf("v1 load: next id %d, live %d, %d partitions, dim %d; want 600, 600, 2, 16",
-			loaded.NextID(), loaded.Live(), loaded.Partitions(), loaded.Dim)
-	}
-	for c, pe := range loaded.Snapshot().Parts {
-		base, _ := pe.Part.Segments()
-		fs, err := loaded.FastScanner(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, keep := fs.Grouped(), fs.KeepN()
-		if unsafe.SliceData(g.Codes) != &base.Codes[keep*scan.M] || unsafe.SliceData(g.IDs) != &base.IDs[keep] {
-			t.Fatalf("partition %d: the layout of the v1 load does not alias its base", c)
-		}
-	}
+	ix, _ := buildSmall(t)
 	var buf bytes.Buffer
-	if err := WriteIndex(&buf, loaded); err != nil {
+	if err := WriteIndex(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	again, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
+	v3 := buf.Bytes()
+	if _, err := ReadIndex(bytes.NewReader(v3)); err != nil {
+		t.Fatalf("the version-3 file: %v", err)
 	}
-	for pi, p := range loaded.Parts() {
-		q := again.Parts()[pi]
-		if !bytes.Equal(p.FlatCodes(), q.FlatCodes()) {
-			t.Fatalf("partition %d codes differ after the v3 round trip", pi)
-		}
-		for i := 0; i < p.N; i++ {
-			if p.ID(i) != q.ID(i) {
-				t.Fatalf("partition %d row %d id %d, want %d", pi, i, q.ID(i), p.ID(i))
-			}
-		}
+	inputs := map[string][]byte{"frozen v1": v1}
+	for _, v := range []byte{0, 1, 2, 4, 255} {
+		patched := append([]byte(nil), v3...)
+		patched[7] = v
+		inputs[fmt.Sprintf("v3 as version %d", v)] = patched
+		inputs[fmt.Sprintf("magic of version %d", v)] = patched[:8]
 	}
-	queries := dataset.NewGenerator(dataset.Config{Seed: 32, Dim: 16}).Generate(4)
-	for qi := 0; qi < queries.Rows(); qi++ {
-		q := queries.Row(qi)
-		want, _ := search1(t, loaded, q, 10, index.KernelNaive)
-		for _, kern := range []index.Kernel{index.KernelLibpq, index.KernelFastScan} {
-			if have, _ := search1(t, loaded, q, 10, kern); !slices.Equal(want, have) {
-				t.Fatalf("query %d: %v differs from naive on the v1 load", qi, kern)
-			}
-			if have, _ := search1(t, again, q, 10, kern); !slices.Equal(want, have) {
-				t.Fatalf("query %d: %v differs after the v3 round trip", qi, kern)
-			}
+	for name, data := range inputs {
+		_, err := ReadIndex(bytes.NewReader(data))
+		want := fmt.Sprintf("unsupported format version %d ", data[7])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %v, want an error naming %q", name, err, want)
 		}
 	}
 }
 
 // TestRoundtripMutatedIndex: appended codes and tombstones survive the
-// version-2 roundtrip; the reloaded index answers exactly like the
+// roundtrip; the reloaded index answers exactly like the
 // mutated original.
 func TestRoundtripMutatedIndex(t *testing.T) {
 	ix, gen := buildSmall(t)

@@ -31,7 +31,7 @@ func allocated(fn func()) uint64 {
 // — all within maxReasonable, and consistent (m·subdim = dim).
 func lyingHeader() []byte {
 	b := append([]byte(nil), magicPrefix...)
-	b = append(b, version3)
+	b = append(b, version)
 	for _, v := range []uint32{1 << 30, 1 << 30, 8, 8, 1 << 27} {
 		b = binary.LittleEndian.AppendUint32(b, v)
 	}
@@ -75,50 +75,34 @@ func sections(ix *index.Index, data []byte, part int) (walEpoch, dead, nDead int
 	}
 }
 
-// fixCRC rewrites the checksum of a file of any version after its body
-// was patched, so the reader gets past the CRC to what the patch
-// changed. It leaves inputs too short to hold one untouched.
+// fixCRC rewrites the checksum of a file after its body was patched, so
+// the reader gets past the CRC to what the patch changed. It leaves
+// inputs too short to hold one untouched.
 func fixCRC(data []byte) []byte {
-	if len(data) < 8 {
+	tail := 4 + len(endMagic)
+	if len(data) < 8+tail {
 		return data
 	}
 	out := append([]byte(nil), data...)
-	tail := 4
-	if out[7] >= version3 {
-		tail += len(endMagic)
-	}
-	if len(out) < 8+tail {
-		return data
-	}
-	body := out[8 : len(out)-tail]
-	h := crcFor(out[7])
-	h.Write(body)
-	binary.LittleEndian.PutUint32(out[len(out)-tail:], h.Sum32())
+	sum := crc32.Checksum(out[8:len(out)-tail], castagnoli)
+	binary.LittleEndian.PutUint32(out[len(out)-tail:], sum)
 	return out
 }
 
-// toV2 rewrites a version-3 file of ix as the version-2 file of the same
-// index: no WAL epoch, a CRC-32 (IEEE) and no end magic.
-func toV2(ix *index.Index, v3 []byte) []byte {
-	walEpoch, _, _ := sections(ix, v3, 0)
-	out := append(append([]byte(nil), v3[:walEpoch]...), v3[walEpoch+8:len(v3)-4-len(endMagic)]...)
-	out[7] = version2
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[8:]))
-}
-
-// mutatedV1 loads the frozen version-1 index and gives it tombstones in
-// the keep region, the grouped region and the tail of a partition, with
-// its Fast Scan layouts built first, as a serving index has them.
-func mutatedV1(t testing.TB) *index.Index {
+// mutatedSmall builds a small index — 600 16-dimensional vectors from
+// dataset seed 31 (learn 800, 2 partitions, seed 31) — and gives it
+// tombstones in the keep region, the grouped region and the tail of a
+// partition.
+func mutatedSmall(t testing.TB) *index.Index {
 	t.Helper()
-	ix, err := LoadIndex(v1File)
+	gen := dataset.NewGenerator(dataset.Config{Seed: 31, Dim: 16})
+	learn := gen.Generate(800)
+	opt := index.DefaultOptions()
+	opt.Partitions = 2
+	opt.Seed = 31
+	ix, err := index.Build(learn, gen.Generate(600), opt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for c := 0; c < ix.Partitions(); c++ {
-		if _, err := ix.FastScanner(c); err != nil {
-			t.Fatal(err)
-		}
 	}
 	added, err := ix.Add(dataset.NewGenerator(dataset.Config{Seed: 33, Dim: ix.Dim}).Generate(40))
 	if err != nil {
@@ -169,7 +153,7 @@ func TestRejectsForeignTombstone(t *testing.T) {
 // TestRejectsIDBeyondAllocator: a file holding an id at or beyond its
 // stored allocator, or a negative one, is a load error naming the
 // partition and the id — loaded, the next Add would issue an id that is
-// already live. Both the v3 file and its v2 form are refused.
+// already live.
 func TestRejectsIDBeyondAllocator(t *testing.T) {
 	ix, _ := buildSmall(t)
 	parts := ix.Parts()
@@ -206,15 +190,13 @@ func TestRejectsIDBeyondAllocator(t *testing.T) {
 		if err := WriteIndex(&buf, tc.ix); err != nil {
 			t.Fatal(err)
 		}
-		for _, data := range [][]byte{buf.Bytes(), toV2(tc.ix, buf.Bytes())} {
-			_, err := ReadIndex(bytes.NewReader(data))
-			if err == nil {
-				t.Fatalf("%s: a version %d file holding id %d with next id %d loaded", tc.name, data[7], tc.id, tc.ix.NextID())
-			}
-			for _, want := range []string{fmt.Sprintf("partition %d ", tc.part), fmt.Sprintf("id %d,", tc.id)} {
-				if !strings.Contains(err.Error(), want) {
-					t.Fatalf("%s: error %q does not name %q", tc.name, err, want)
-				}
+		_, err := ReadIndex(&buf)
+		if err == nil {
+			t.Fatalf("%s: a file holding id %d with next id %d loaded", tc.name, tc.id, tc.ix.NextID())
+		}
+		for _, want := range []string{fmt.Sprintf("partition %d ", tc.part), fmt.Sprintf("id %d,", tc.id)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not name %q", tc.name, err, want)
 			}
 		}
 	}
@@ -249,8 +231,10 @@ func spreadIDs(t testing.TB, ix *index.Index) *index.Index {
 // with 32 KiB for each range of 4 096 ids holding a live one would
 // cost 32 KiB a row. Every input is read twice: as given, and with its
 // checksum recomputed, so mutations reach what lies behind the CRC.
+// The retired version-1 file, and a version-3 file with its version
+// byte set to 2, are seeds that must be refused.
 func FuzzReadIndex(f *testing.F) {
-	ix := mutatedV1(f)
+	ix := mutatedSmall(f)
 	sp := spreadIDs(f, ix)
 	var v3, spread bytes.Buffer
 	if err := WriteIndex(&v3, ix); err != nil {
@@ -265,16 +249,24 @@ func FuzzReadIndex(f *testing.F) {
 	}
 	for _, seed := range []struct {
 		data []byte
-		of   *index.Index // nil: the frozen v1 file
-	}{{v3.Bytes(), ix}, {toV2(ix, v3.Bytes()), ix}, {v1, nil}, {spread.Bytes(), sp}} {
+		of   *index.Index
+	}{{v3.Bytes(), ix}, {spread.Bytes(), sp}} {
 		got, err := ReadIndex(bytes.NewReader(seed.data))
 		if err != nil {
-			f.Fatalf("version %d seed: %v", seed.data[7], err)
+			f.Fatal(err)
 		}
-		if seed.of != nil && got.Live() != seed.of.Live() {
-			f.Fatalf("version %d seed loads %d live rows, want %d", seed.data[7], got.Live(), seed.of.Live())
+		if got.Live() != seed.of.Live() {
+			f.Fatalf("seed loads %d live rows, want %d", got.Live(), seed.of.Live())
 		}
 		f.Add(seed.data)
+	}
+	asV2 := slices.Clone(v3.Bytes())
+	asV2[7] = 2
+	for _, retired := range [][]byte{v1, asV2} {
+		if _, err := ReadIndex(bytes.NewReader(retired)); err == nil {
+			f.Fatalf("a version %d seed loaded", retired[7])
+		}
+		f.Add(retired)
 	}
 	f.Add(lyingHeader())
 

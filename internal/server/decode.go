@@ -160,7 +160,9 @@ func DecodeSave(body io.Reader) (SaveRequest, error) {
 
 // DecodeCompact turns a /compact body into a request for an index of
 // the given partition count; an empty body, like an absent partition,
-// selects the policy sweep (Partition -1).
+// selects the policy sweep (Partition -1). A threshold is a dead ratio,
+// in [0, 1], and only the policy sweep reads one: a non-zero threshold
+// beside an explicit partition is refused, not ignored.
 func DecodeCompact(body io.Reader, partitions int) (CompactRequest, error) {
 	req := CompactRequest{Partition: -1}
 	if err := decodeOptional(body, &req); err != nil {
@@ -168,6 +170,12 @@ func DecodeCompact(body io.Reader, partitions int) (CompactRequest, error) {
 	}
 	if req.Partition >= partitions {
 		return CompactRequest{}, fmt.Errorf("partition must be in [0,%d) or negative for policy mode", partitions)
+	}
+	if req.Threshold < 0 || req.Threshold > 1 {
+		return CompactRequest{}, fmt.Errorf("threshold %g is not a dead ratio in [0,1]", req.Threshold)
+	}
+	if req.Partition >= 0 && req.Threshold != 0 {
+		return CompactRequest{}, fmt.Errorf("threshold applies to the policy sweep only, not to partition %d", req.Partition)
 	}
 	return req, nil
 }

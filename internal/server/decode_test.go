@@ -78,8 +78,9 @@ func FuzzDecodeAdd(f *testing.F) {
 
 // FuzzDecodeAdmin: on any body DecodeSwap, DecodeSave and DecodeCompact
 // never panic, and what each accepts is a valid request — a swap names
-// a non-blank path, a compaction a partition below the index's count —
-// that decodes to itself again once re-encoded.
+// a non-blank path, a compaction a partition below the index's count
+// and a threshold in [0, 1], non-zero only in the policy sweep — that
+// decodes to itself again once re-encoded.
 func FuzzDecodeAdmin(f *testing.F) {
 	for _, cases := range adminRefusals("/x/next.idx") {
 		for _, c := range cases {
@@ -87,7 +88,8 @@ func FuzzDecodeAdmin(f *testing.F) {
 		}
 	}
 	f.Add(mustJSON(SwapRequest{Path: "/x/next.idx"}))
-	f.Add(mustJSON(CompactRequest{Partition: 2, Threshold: 0.5}))
+	f.Add(mustJSON(CompactRequest{Partition: -1, Threshold: 0.5}))
+	f.Add(mustJSON(CompactRequest{Partition: 2}))
 	f.Add([]byte(" \n"))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if req, err := DecodeSwap(bytes.NewReader(body)); err == nil {
@@ -103,7 +105,9 @@ func FuzzDecodeAdmin(f *testing.F) {
 		}
 		if req, err := DecodeCompact(bytes.NewReader(body), fuzzPartitions); err == nil {
 			again, err := DecodeCompact(bytes.NewReader(mustJSON(req)), fuzzPartitions)
-			if req.Partition >= fuzzPartitions || err != nil || again != req {
+			valid := req.Partition < fuzzPartitions && req.Threshold >= 0 && req.Threshold <= 1 &&
+				(req.Partition < 0 || req.Threshold == 0)
+			if !valid || err != nil || again != req {
 				t.Fatalf("compact %q: accepted %+v, which decodes again to %+v, %v", body, req, again, err)
 			}
 		}

@@ -98,12 +98,6 @@ type Config struct {
 	// as the boot source — the recovered state is, by construction, the
 	// newest acknowledged one.
 	WALDir string
-	// WALSyncEvery, when positive, switches the log to batched group
-	// commit (fsync every N records) instead of sync-on-ack.
-	WALSyncEvery int
-	// WALSyncInterval, when positive, adds a background fsync every
-	// interval (bounds batched-mode data loss in time).
-	WALSyncInterval time.Duration
 
 	// StoreDir, when set, serves the index beyond RAM: partition data is
 	// sealed into disk-resident extents under this directory and paged
@@ -322,14 +316,10 @@ func New(cfg Config) (*Server, error) {
 // switched on. Existing durable state wins over Index/Load — it is, by
 // construction, the newest acknowledged state.
 func (s *Server) openDurable() (*pqfastscan.Index, error) {
-	opts := pqfastscan.DurabilityOptions{
-		SyncEvery:    s.cfg.WALSyncEvery,
-		SyncInterval: s.cfg.WALSyncInterval,
-	}
 	if pqfastscan.HasDurable(s.cfg.WALDir) {
 		s.recovering.Store(true)
 		defer s.recovering.Store(false)
-		idx, err := pqfastscan.Recover(s.cfg.WALDir, opts)
+		idx, err := pqfastscan.Recover(s.cfg.WALDir)
 		if err != nil {
 			return nil, err
 		}
@@ -343,7 +333,7 @@ func (s *Server) openDurable() (*pqfastscan.Index, error) {
 			return nil, err
 		}
 	}
-	if err := idx.WithWAL(s.cfg.WALDir, opts); err != nil {
+	if err := idx.WithWAL(s.cfg.WALDir); err != nil {
 		return nil, err
 	}
 	return idx, nil
@@ -1206,9 +1196,10 @@ type CompactRequest struct {
 	// across all cells.
 	Partition int `json:"partition"`
 	// Threshold overrides the configured dead-ratio threshold for this
-	// call (policy mode only). Zero means "use the configured value";
-	// to compact any partition holding tombstones pass a tiny positive
-	// value such as 1e-9.
+	// call, in [0, 1] and in policy mode only (with a Partition it is a
+	// 400). Zero means "use the configured value"; to compact any
+	// partition holding tombstones pass a tiny positive value such as
+	// 1e-9.
 	Threshold float64 `json:"threshold,omitempty"`
 }
 

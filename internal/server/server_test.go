@@ -225,6 +225,9 @@ func adminRefusals(snap string) map[string][]refusal {
 		"/compact": {
 			{"misspelt partition", []byte(`{"partiton":1}`), `"partiton"`},
 			{"partition out of range", []byte(`{"partition":4}`), "[0,4)"},
+			{"negative threshold", []byte(`{"threshold":-3}`), "[0,1]"},
+			{"threshold above one", []byte(`{"threshold":7}`), "[0,1]"},
+			{"threshold with a partition", []byte(`{"partition":2,"threshold":0.5}`), "partition 2"},
 			{"second JSON value", []byte(`{"partition":1} {"partition":2}`), ""},
 		},
 		"/swap":         swap,

@@ -1,9 +1,9 @@
 // Recovery half of the WAL: segment discovery, frame-by-frame replay,
 // and torn-tail truncation. The durability horizon of a crashed process
 // is exactly the last frame whose length, CRC and payload all check
-// out; everything after it was never acknowledged (sync-on-ack) or was
-// explicitly allowed to be lost (batched mode), so replay truncates the
-// tail there and reports it instead of failing recovery.
+// out; everything after it was never acknowledged (an append returns
+// only after its fsync), so replay truncates the tail there and reports
+// it instead of failing recovery.
 package wal
 
 import (

@@ -1,9 +1,9 @@
 // Package wal is the write-ahead log under online mutations (DESIGN.md
 // §14). Every Add/AddBatch/Delete appends one record — pre-encoded
 // codes and routed cells, so replay re-applies exactly the bytes the
-// original mutation indexed — and in the default sync-on-ack mode the
-// append does not return until the record is on stable storage. A crash
-// then loses nothing that was acknowledged: recovery loads the latest
+// original mutation indexed — and the append does not return until the
+// record is on stable storage. There is no other mode: a crash loses
+// nothing that was acknowledged, because recovery loads the latest
 // snapshot and replays the log over it (replay.go).
 //
 // One log segment corresponds to one snapshot epoch. The segment
@@ -30,9 +30,7 @@
 // mutex, then one of them (the leader) issues a single fsync covering
 // every frame written so far while the others wait on it — N
 // acknowledged writes per fsync under concurrency, one per write when
-// idle. SyncEvery/SyncInterval switch to batched mode: appends return
-// after the buffered write, and an fsync runs every N records or every
-// interval, trading the last few acknowledgements for throughput.
+// idle.
 package wal
 
 import (
@@ -72,18 +70,10 @@ const (
 	maxFrame = 1 << 30
 )
 
-// Options tunes a Log. The zero value selects sync-on-ack: every append
-// returns only after its record is fsynced (grouped with concurrent
-// appenders into one fsync).
+// Options configures a Log. Whatever it holds, every append returns
+// only after its record is fsynced (grouped with concurrent appenders
+// into one fsync).
 type Options struct {
-	// SyncEvery, when positive, switches to batched group commit: an
-	// fsync runs after every SyncEvery records instead of on every
-	// acknowledgement.
-	SyncEvery int
-	// SyncInterval, when positive, bounds how long an unsynced record
-	// can sit in the page cache: a background syncer fsyncs every
-	// interval. Composable with SyncEvery.
-	SyncInterval time.Duration
 	// FS is the filesystem seam (default fsio.OS). The crash harness
 	// injects failing filesystems here.
 	FS fsio.FS
@@ -96,14 +86,10 @@ func (o Options) fs() fsio.FS {
 	return o.FS
 }
 
-// syncOnAck reports whether appends must not return before their fsync.
-func (o Options) syncOnAck() bool { return o.SyncEvery <= 0 && o.SyncInterval <= 0 }
-
 // Stats is a point-in-time projection of a Log's counters, shaped for
 // direct embedding in a /stats document.
 type Stats struct {
 	Epoch      uint64  `json:"epoch"`
-	SyncOnAck  bool    `json:"sync_on_ack"`
 	Bytes      int64   `json:"bytes"`   // frame bytes appended, all segments
 	Records    int64   `json:"records"` // records appended, all segments
 	Fsyncs     int64   `json:"fsyncs"`
@@ -116,7 +102,6 @@ type Stats struct {
 type Log struct {
 	fsys fsio.FS
 	dir  string
-	opts Options
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signals fsync progress to group-commit waiters
@@ -126,7 +111,6 @@ type Log struct {
 	written int64  // bytes written to the current segment
 	synced  int64  // bytes of the current segment known durable
 	syncing bool   // a leader's fsync is in flight outside mu
-	pending int    // records appended since the last fsync (batched mode)
 	err     error  // sticky: any write/fsync failure poisons the log
 	closed  bool
 
@@ -135,9 +119,6 @@ type Log struct {
 	fsyncs  int64
 
 	fsyncLat hist.Hist
-
-	tickerQuit chan struct{}
-	tickerWG   sync.WaitGroup
 }
 
 // SegmentPath returns the path of the segment holding epoch's records.
@@ -151,18 +132,13 @@ func SegmentPath(dir string, epoch uint64) string {
 // written and fsynced, and the directory entry made durable, before
 // Create returns.
 func Create(dir string, epoch uint64, opts Options) (*Log, error) {
-	l := &Log{fsys: opts.fs(), dir: dir, opts: opts}
+	l := &Log{fsys: opts.fs(), dir: dir}
 	l.cond = sync.NewCond(&l.mu)
 	l.mu.Lock()
 	err := l.openSegmentLocked(epoch)
 	l.mu.Unlock()
 	if err != nil {
 		return nil, err
-	}
-	if opts.SyncInterval > 0 {
-		l.tickerQuit = make(chan struct{})
-		l.tickerWG.Add(1)
-		go l.syncLoop()
 	}
 	return l, nil
 }
@@ -195,7 +171,6 @@ func (l *Log) openSegmentLocked(epoch uint64) error {
 	l.gen++
 	l.written = headerLen
 	l.synced = headerLen
-	l.pending = 0
 	return nil
 }
 
@@ -207,8 +182,8 @@ func (l *Log) Epoch() uint64 {
 }
 
 // AppendAdd logs one acknowledged Add batch: n pre-routed cells, the n
-// assigned ids, and the n*m pre-encoded codes. In sync-on-ack mode it
-// returns only once the record is durable.
+// assigned ids, and the n*m pre-encoded codes. It returns only once the
+// record is durable.
 func (l *Log) AppendAdd(cells []int, ids []int64, codes []byte, m int) error {
 	n := len(cells)
 	if len(ids) != n || len(codes) != n*m {
@@ -233,7 +208,8 @@ func (l *Log) AppendAdd(cells []int, ids []int64, codes []byte, m int) error {
 	return l.append(payload)
 }
 
-// AppendDelete logs one acknowledged Delete.
+// AppendDelete logs one acknowledged Delete, returning once it is
+// durable.
 func (l *Log) AppendDelete(id int64) error {
 	var payload [9]byte
 	payload[0] = RecordDelete
@@ -241,8 +217,7 @@ func (l *Log) AppendDelete(id int64) error {
 	return l.append(payload[:])
 }
 
-// append frames the payload, writes it, and waits (or not) for
-// durability per the sync policy.
+// append frames the payload, writes it, and waits until it is durable.
 func (l *Log) append(payload []byte) error {
 	frame := make([]byte, frameLen+len(payload))
 	le := binary.LittleEndian
@@ -272,18 +247,7 @@ func (l *Log) append(payload []byte) error {
 	l.written += int64(len(frame))
 	l.bytes += int64(len(frame))
 	l.records++
-	l.pending++
-	myOff := l.written
-
-	if !l.opts.syncOnAck() {
-		var err error
-		if l.opts.SyncEvery > 0 && l.pending >= l.opts.SyncEvery {
-			err = l.syncToLocked(myOff)
-		}
-		l.mu.Unlock()
-		return err
-	}
-	err := l.syncToLocked(myOff)
+	err := l.syncToLocked(l.written)
 	l.mu.Unlock()
 	return err
 }
@@ -314,11 +278,8 @@ func (l *Log) syncToLocked(target int64) error {
 		l.fsyncLat.Observe(lat)
 		if err != nil {
 			l.err = fmt.Errorf("wal: fsync: %w", err)
-		} else if l.gen == myGen {
-			if covered > l.synced {
-				l.synced = covered
-			}
-			l.pending = 0
+		} else if l.gen == myGen && covered > l.synced {
+			l.synced = covered
 		}
 		l.cond.Broadcast()
 	}
@@ -333,25 +294,6 @@ func (l *Log) Sync() error {
 		return ErrClosed
 	}
 	return l.syncToLocked(l.written)
-}
-
-// syncLoop is the SyncInterval background syncer.
-func (l *Log) syncLoop() {
-	defer l.tickerWG.Done()
-	t := time.NewTicker(l.opts.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			l.mu.Lock()
-			if !l.closed && l.pending > 0 {
-				l.syncToLocked(l.written) // sticky error surfaces on the next append
-			}
-			l.mu.Unlock()
-		case <-l.tickerQuit:
-			return
-		}
-	}
 }
 
 // Rotate fsyncs and closes the current segment and starts a fresh one
@@ -385,7 +327,6 @@ func (l *Log) Stats() Stats {
 	defer l.mu.Unlock()
 	return Stats{
 		Epoch:      l.epoch,
-		SyncOnAck:  l.opts.syncOnAck(),
 		Bytes:      l.bytes,
 		Records:    l.records,
 		Fsyncs:     l.fsyncs,
@@ -407,10 +348,6 @@ func (l *Log) Close() error {
 	closeErr := l.f.Close()
 	l.cond.Broadcast()
 	l.mu.Unlock()
-	if l.tickerQuit != nil {
-		close(l.tickerQuit)
-		l.tickerWG.Wait()
-	}
 	if syncErr != nil {
 		return syncErr
 	}

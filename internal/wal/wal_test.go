@@ -215,8 +215,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	if st.Records != writers*each {
 		t.Fatalf("recorded %d records, want %d", st.Records, writers*each)
 	}
-	// Group commit's whole point: concurrent sync-on-ack appenders share
-	// fsyncs. With 8 writers racing, leaders must have covered followers
+	// Group commit's whole point: concurrent appenders share fsyncs. With 8 writers racing, leaders must have covered followers
 	// at least sometimes.
 	if st.Fsyncs >= st.Records {
 		t.Fatalf("%d fsyncs for %d records: group commit never batched", st.Fsyncs, st.Records)
@@ -224,36 +223,6 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	recs, _ := collect(t, SegmentPath(dir, 1))
 	if len(recs) != writers*each {
 		t.Fatalf("replayed %d records, want %d", len(recs), writers*each)
-	}
-}
-
-func TestBatchedModeSyncEvery(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Create(dir, 1, Options{SyncEvery: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		if err := l.AppendDelete(int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := l.Stats()
-	if st.SyncOnAck {
-		t.Fatal("SyncEvery>0 must report batched mode")
-	}
-	// 25 appends at SyncEvery=10 trigger exactly 2 threshold fsyncs
-	// (records 10 and 20); the header fsync in Create is not counted in
-	// Stats (it happens before the first record).
-	if st.Fsyncs != 2 {
-		t.Fatalf("%d fsyncs after 25 appends with SyncEvery=10, want 2", st.Fsyncs)
-	}
-	if err := l.Close(); err != nil { // close syncs the remaining 5
-		t.Fatal(err)
-	}
-	recs, _ := collect(t, SegmentPath(dir, 1))
-	if len(recs) != 25 {
-		t.Fatalf("replayed %d records, want 25", len(recs))
 	}
 }
 
