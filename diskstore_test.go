@@ -176,10 +176,11 @@ func TestDiskStoreBoundedResidency(t *testing.T) {
 }
 
 // TestDiskStoreExtentBytesPerRow: an extent stores each row once — 8
-// bytes of code and 8 of id in the base, 6 to 8 more packed in a block
-// (8 on this fixture's shallow grouping) — plus at most one cache line
-// of padding per section (codes, ids, blocks). The grouped layout's codes and ids are the base's own,
-// so they are not written a second time.
+// bytes of id, and its code once: 8 row-major bytes in the keep region,
+// 6 to 8 packed in a block everywhere else (8 on this fixture's shallow
+// grouping, a little more where a group's last block is padded) — plus
+// at most one cache line of padding per section (codes, ids, blocks).
+// A row-major copy of the grouped rows' codes would add 8 a row.
 func TestDiskStoreExtentBytesPerRow(t *testing.T) {
 	idx, _ := buildDiskTestIndex(t, 7171)
 	if err := idx.WithDiskStore(t.TempDir(), 8<<20); err != nil {
@@ -188,8 +189,8 @@ func TestDiskStoreExtentBytesPerRow(t *testing.T) {
 	st, _ := idx.StoreStats()
 	rows := int64(idx.Live())
 	headers := int64(3*64) * int64(idx.Partitions())
-	if st.ExtentBytes > 24*rows+headers {
-		t.Fatalf("extents hold %d bytes for %d rows (%.1f a row), want at most 24 a row plus %d of section padding",
+	if st.ExtentBytes > 16*rows+headers {
+		t.Fatalf("extents hold %d bytes for %d rows (%.1f a row), want at most 16 a row plus %d of section padding",
 			st.ExtentBytes, rows, float64(st.ExtentBytes)/float64(rows), headers)
 	}
 }

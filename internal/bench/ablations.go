@@ -167,8 +167,9 @@ func GroupingAblation(env *Env, w io.Writer) error {
 }
 
 // MemoryFootprint reports the §4.2 packed-layout saving per partition,
-// and the bytes per vector the index holds for its rows: codes, ids and
-// packed blocks, the layout aliasing the codes and ids of the base.
+// and the bytes per vector the index holds for its rows, by what holds
+// them: row-major codes (keep regions and tails), ids, the packed
+// blocks (every other row's code) and the group directory.
 func MemoryFootprint(env *Env, w io.Writer) error {
 	tw := newTab(w)
 	fmt.Fprintf(tw, "partition\t# vectors\tc\trow-major bytes\tpacked bytes\tsaving %%\n")
@@ -190,11 +191,13 @@ func MemoryFootprint(env *Env, w io.Writer) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	_, _, resident, err := env.Index.GroupedMemoryBytes()
+	m, err := env.Index.GroupedMemoryBytes()
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "resident bytes per vector (codes, ids, packed blocks): %.1f\n", float64(resident)/float64(rows)); err != nil {
+	per := func(b int) float64 { return float64(b) / float64(m.Rows) }
+	if _, err := fmt.Fprintf(w, "resident bytes per vector: %.1f (row-major codes %.2f, ids %.2f, packed blocks %.2f, group directory %.2f)\n",
+		per(m.Resident()), per(m.Codes), per(m.IDs), per(m.Blocks), per(m.Directory)); err != nil {
 		return err
 	}
 	// The first Delete builds the Delete routing table. It deletes build

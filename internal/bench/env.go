@@ -187,7 +187,8 @@ func inBuildOrder(p *scan.Partition) *scan.Partition {
 	codes := make([]uint8, 0, p.N*scan.M)
 	ids := make([]int64, 0, p.N)
 	for _, i := range rows {
-		codes = append(codes, p.Code(i)...)
+		code := p.Code(i)
+		codes = append(codes, code[:]...)
 		ids = append(ids, p.ID(i))
 	}
 	return scan.NewPartition(codes, ids)

@@ -505,12 +505,12 @@ func Figure20(env *Env, w io.Writer) error {
 	fmt.Fprintf(tw, "mean response time [ms, %s]\tlibpq\t%.2f\n", archB.Name, libpqMs/nq)
 	fmt.Fprintf(tw, "\tfastpq\t%.2f\n", fastMs/nq)
 
-	packed, rowMajor, _, err := env.Index.GroupedMemoryBytes()
+	m, err := env.Index.GroupedMemoryBytes()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(tw, "memory use [MiB]\tlibpq (row-major)\t%.2f\n", float64(rowMajor)/(1<<20))
-	fmt.Fprintf(tw, "\tfastpq (grouped, packed)\t%.2f\n", float64(packed)/(1<<20))
+	fmt.Fprintf(tw, "memory use [MiB]\tlibpq (row-major)\t%.2f\n", float64(m.RowMajor)/(1<<20))
+	fmt.Fprintf(tw, "\tfastpq (grouped, packed)\t%.2f\n", float64(m.Packed)/(1<<20))
 
 	fmt.Fprintf(tw, "\nscan speed [Mvecs/s]\tlibpq\tfastpq\tspeedup\n")
 	for _, arch := range perf.Architectures {

@@ -10,20 +10,25 @@ import (
 	"pqfastscan/internal/scan"
 )
 
-// checkAliasesBase fails unless fs's grouped codes and ids are p's base
-// arrays from the keep split on — the same memory, not a copy — and
-// ordering a tail-free p again hands back p itself.
+// checkAliasesBase fails unless p's base holds row-major code bytes for
+// exactly its keep region — the packed blocks of fs's layout, p's own,
+// are every other base row's only code — fs's grouped ids are p's base
+// ids from the keep split on, the same memory, not a copy, and ordering
+// a tail-free p again hands back p itself.
 func checkAliasesBase(t *testing.T, tag string, p *scan.Partition, fs *scan.FastScan, opt scan.FastScanOptions) {
 	t.Helper()
-	base, _ := p.Segments()
-	g, keep := fs.Grouped(), fs.KeepN()
-	if g.N == 0 || g.N != base.N-keep {
-		t.Fatalf("%s: layout groups %d rows of a base of %d (keep %d)", tag, g.N, base.N, keep)
+	codes, ids, blocks := p.Stored()
+	g, keep, base := fs.Grouped(), fs.KeepN(), p.N-p.Tail()
+	if g.N == 0 || g.N != base-keep {
+		t.Fatalf("%s: layout groups %d rows of a base of %d (keep %d)", tag, g.N, base, keep)
 	}
-	if unsafe.SliceData(g.Codes) != &base.Codes[keep*scan.M] || len(g.Codes) != g.N*scan.M {
-		t.Fatalf("%s: grouped codes are not the base's", tag)
+	if len(codes) != keep*scan.M {
+		t.Fatalf("%s: the base holds %d row-major code bytes, want %d for its %d keep rows", tag, len(codes), keep*scan.M, keep)
 	}
-	if unsafe.SliceData(g.IDs) != &base.IDs[keep] || len(g.IDs) != g.N {
+	if unsafe.SliceData(blocks) != unsafe.SliceData(g.Blocks) || len(blocks) != g.PackedBytes() {
+		t.Fatalf("%s: the base's blocks are not its layout's", tag)
+	}
+	if unsafe.SliceData(g.IDs) != &ids[keep] || len(g.IDs) != g.N {
 		t.Fatalf("%s: grouped ids are not the base's", tag)
 	}
 	if p.Tail() == 0 && scan.Ordered(p, opt) != p {
@@ -48,9 +53,10 @@ func checkEpochsAliasBase(t *testing.T, ix *Index, tag string) {
 
 // TestLayoutAliasesBase: wherever a base is born — Build, Restore of
 // rows in id order (the order files were written in before bases were
-// kept in layout order), a fold, a compaction — the Fast Scan layout
-// over it aliases its codes and ids instead of copying them, and so
-// does a restricted index's and a paged epoch's hydrated one.
+// kept in layout order), a fold, a compaction — it holds row-major
+// codes for its keep region only, the Fast Scan layout's packed blocks
+// hold the rest, and the layout aliases its ids instead of copying
+// them; so does a restricted index's and a paged epoch's hydrated one.
 func TestLayoutAliasesBase(t *testing.T) {
 	gen := dataset.NewGenerator(dataset.Config{Seed: 5, Dim: 32})
 	learn, base := gen.Generate(1500), gen.Generate(3000)
@@ -81,7 +87,8 @@ func TestLayoutAliasesBase(t *testing.T) {
 		slices.SortFunc(perm, func(a, b int) int { return int(ids[a] - ids[b]) })
 		codes := make([]uint8, 0, p.N*scan.M)
 		for _, i := range perm {
-			codes = append(codes, p.Code(i)...)
+			code := p.Code(i)
+			codes = append(codes, code[:]...)
 		}
 		slices.Sort(ids)
 		inIDOrder[c] = scan.NewPartition(codes, ids)

@@ -20,9 +20,17 @@ import (
 var fuzzFixture struct {
 	once    sync.Once
 	ix      *Index
+	built   []builtRow // the build's rows by id, routed and encoded by the test
 	writes  vec.Matrix
 	queries vec.Matrix
 	err     error
+}
+
+// builtRow is where the test routed a row of the fixture's build and
+// how it encoded it.
+type builtRow struct {
+	cell int
+	code [scan.M]uint8
 }
 
 // liveRow is one row of the test's own account of the index: what a
@@ -57,6 +65,14 @@ func FuzzBaseTailIdentity(f *testing.F) {
 		fx.ix, fx.err = Build(learn, base, opt)
 		fx.writes = gen.Generate(4096)
 		fx.queries = gen.Generate(2)
+		if fx.err != nil {
+			return
+		}
+		cells, codes, err := fx.ix.EncodeRoute(base)
+		fx.err = err
+		for i, c := range cells {
+			fx.built = append(fx.built, builtRow{cell: c, code: [scan.M]uint8(codes[i*scan.M:])})
+		}
 	})
 	if fx.err != nil {
 		f.Fatal(fx.err)
@@ -90,10 +106,16 @@ func FuzzBaseTailIdentity(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		// The build's rows as the test encoded them, in the order the
+		// build holds them.
 		live := make([][]liveRow, len(parts))
 		for c, p := range parts {
 			for i := 0; i < p.N; i++ {
-				live[c] = append(live[c], liveRow{id: p.ID(i), code: [scan.M]uint8(p.Code(i))})
+				b := fx.built[p.ID(i)]
+				if b.cell != c {
+					t.Fatalf("id %d is in partition %d, routed to %d", p.ID(i), c, b.cell)
+				}
+				live[c] = append(live[c], liveRow{id: p.ID(i), code: b.code})
 			}
 		}
 
@@ -156,13 +178,15 @@ func FuzzBaseTailIdentity(f *testing.F) {
 }
 
 // checkAgainstRebuild holds ix to an index restored from the rows in
-// live, its dead bits to the rows live says were deleted, and its Fast
-// Scan counters to the model's.
+// live — row by row, every id and code through Code and FlatCodes of
+// both, and answer by answer — its dead bits to the rows live says were
+// deleted, and its Fast Scan counters to the model's.
 func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.Matrix, tag string) {
 	t.Helper()
 	ctx := context.Background()
 	s := ix.snap.Load()
 	rebuilt := make([]*scan.Partition, len(live))
+	wants := make([]map[int64][scan.M]uint8, len(live))
 	for c, rows := range live {
 		codes := make([]uint8, 0, len(rows)*scan.M)
 		ids := make([]int64, 0, len(rows))
@@ -172,7 +196,7 @@ func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.
 			ids = append(ids, r.id)
 			want[r.id] = r.code
 		}
-		rebuilt[c] = scan.NewPartition(codes, ids)
+		rebuilt[c], wants[c] = scan.NewPartition(codes, ids), want
 
 		// Row by row: a live row holds a live id and its code, a dead row
 		// an id that was deleted — so a Delete tombstoned the row its id
@@ -181,11 +205,14 @@ func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 0
+		n, flat := 0, p.FlatCodes()
 		for i := 0; i < p.N; i++ {
 			code, ok := want[p.ID(i)]
-			if p.DeadAt(i) == ok || ok && code != [scan.M]uint8(p.Code(i)) {
+			if p.DeadAt(i) == ok || ok && code != p.Code(i) {
 				t.Fatalf("%s: partition %d row %d (id %d, dead %v) disagrees with the live rows", tag, c, i, p.ID(i), p.DeadAt(i))
+			}
+			if [scan.M]uint8(flat[i*scan.M:]) != p.Code(i) {
+				t.Fatalf("%s: partition %d row %d: FlatCodes and Code disagree", tag, c, i)
 			}
 			if ok {
 				n++
@@ -197,6 +224,19 @@ func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.
 		}
 	}
 	ref := Restore(ix.Dim, ix.Coarse, ix.PQ, rebuilt, ix.opt, ix.NextID())
+	// The rebuild, read back through its own layout, holds the very rows.
+	for c, p := range ref.Parts() {
+		if p.N != len(live[c]) {
+			t.Fatalf("%s: rebuilt partition %d holds %d rows, want %d", tag, c, p.N, len(live[c]))
+		}
+		flat := p.FlatCodes()
+		for i := 0; i < p.N; i++ {
+			code, ok := wants[c][p.ID(i)]
+			if !ok || code != p.Code(i) || code != [scan.M]uint8(flat[i*scan.M:]) {
+				t.Fatalf("%s: rebuilt partition %d row %d (id %d) does not hold its code", tag, c, i, p.ID(i))
+			}
+		}
+	}
 
 	for qi := 0; qi < queries.Rows(); qi++ {
 		q := queries.Row(qi)

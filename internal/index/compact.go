@@ -134,7 +134,7 @@ func (ix *Index) rebuild(c int, cur *PartEpoch, dropDead bool) (*PartEpoch, erro
 		// The extent is named after its epoch, so the number is allocated
 		// before the write; per-partition ordering still holds because
 		// ix.partMu[c] serializes publishes into this slot.
-		if pe.paged, pe.Part, pe.fast, err = ix.pg.writeExtent(ix.extentName(c, pe.Epoch), next, pe.fast); err != nil {
+		if pe.paged, pe.Part, pe.fast, err = ix.pg.writeExtent(ix.extentName(c, pe.Epoch), pe.fast); err != nil {
 			return nil, err
 		}
 	}

@@ -415,24 +415,45 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 	}
 }
 
-// GroupedMemoryBytes returns, across all partitions, the packed
-// grouped-layout footprint (Figure 20's memory-use comparison) along
-// with the row-major baseline, and the bytes the index holds for its
-// rows: codes, ids and packed blocks, each stored once (the layout
-// aliases the base's codes and ids).
-func (ix *Index) GroupedMemoryBytes() (packed, rowMajor, resident int, err error) {
+// MemoryBytes is what an index holds for its rows, by what holds it,
+// taken from its own arrays, and Figure 20's comparison.
+type MemoryBytes struct {
+	Rows      int // rows held, dead ones included
+	Codes     int // row-major code bytes: the keep regions and the tails
+	IDs       int // id bytes, base and tail
+	Blocks    int // packed block bytes: every other row's code
+	Directory int // group directory bytes
+
+	// Figure 20: the bytes a Fast Scan reads (the packed blocks and the
+	// plain-scanned rows) against every row row-major.
+	Packed, RowMajor int
+}
+
+// Resident returns the bytes held for the rows: codes, ids, blocks and
+// the group directory, each stored once.
+func (m MemoryBytes) Resident() int { return m.Codes + m.IDs + m.Blocks + m.Directory }
+
+// GroupedMemoryBytes returns, summed over all partitions, the bytes the
+// index holds for its rows and the packed layout's footprint against
+// the row-major baseline.
+func (ix *Index) GroupedMemoryBytes() (MemoryBytes, error) {
+	var m MemoryBytes
 	for _, pe := range ix.snap.Load().Parts {
-		_, fs, release, err := pe.view()
+		p, fs, release, err := pe.view()
 		if err != nil {
-			return 0, 0, 0, err
+			return MemoryBytes{}, err
 		}
 		g := fs.Grouped()
+		codes, ids, blocks := p.Stored()
+		m.Rows += p.N
+		m.Codes += len(codes) + p.Tail()*layout.M
+		m.IDs += 8 * (len(ids) + p.Tail())
+		m.Blocks += len(blocks)
+		m.Directory += g.DirectoryBytes()
 		plain := fs.PlainScanned() * layout.M
-		base, tail := fs.Partition().Segments()
-		packed += g.PackedBytes() + plain
-		rowMajor += g.RowMajorBytes() + plain
-		resident += len(base.Codes) + 8*len(base.IDs) + len(tail.Codes) + 8*len(tail.IDs) + g.PackedBytes()
+		m.Packed += g.PackedBytes() + plain
+		m.RowMajor += g.RowMajorBytes() + plain
 		release()
 	}
-	return packed, rowMajor, resident, nil
+	return m, nil
 }

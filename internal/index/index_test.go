@@ -7,8 +7,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"pqfastscan/internal/dataset"
+	"pqfastscan/internal/layout"
 	"pqfastscan/internal/vec"
 )
 
@@ -261,28 +263,34 @@ func TestKernelString(t *testing.T) {
 
 func TestGroupedMemoryBytes(t *testing.T) {
 	ix, base, _ := sharedIndex(t)
-	packed, rowMajor, resident, err := ix.GroupedMemoryBytes()
+	m, err := ix.GroupedMemoryBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rowMajor != base.Rows()*8 {
-		t.Fatalf("row-major bytes %d, want %d", rowMajor, base.Rows()*8)
+	rows := base.Rows()
+	if m.Rows != rows || m.RowMajor != rows*8 {
+		t.Fatalf("%d rows, %d row-major bytes; want %d, %d", m.Rows, m.RowMajor, rows, rows*8)
 	}
-	if packed >= rowMajor {
-		t.Fatalf("packed layout (%d) not smaller than row-major (%d)", packed, rowMajor)
+	if m.Packed >= m.RowMajor {
+		t.Fatalf("packed layout (%d) not smaller than row-major (%d)", m.Packed, m.RowMajor)
 	}
-	// Codes and ids once (8 + 8 bytes a row) plus the packed blocks: a
-	// layout holding codes and ids of its own would add 16 more.
-	want := 16 * base.Rows()
+	// An id a row (8 bytes), a row-major code (8 more) only for the
+	// plain-scanned rows, and the packed blocks, the other rows' only
+	// code: a row-major copy of the grouped rows would add 8 a row.
+	want, dir := 8*rows, 0
 	for c := range ix.Parts() {
 		fs, err := ix.FastScanner(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += fs.Grouped().PackedBytes()
+		want += 8*fs.PlainScanned() + fs.Grouped().PackedBytes()
+		dir += len(fs.Grouped().Groups) * int(unsafe.Sizeof(layout.Group{}))
 	}
-	if resident != want {
-		t.Fatalf("resident bytes %d, want %d (%.1f a row)", resident, want, float64(resident)/float64(base.Rows()))
+	if got := m.Codes + m.IDs + m.Blocks; got != want {
+		t.Fatalf("codes, ids and blocks hold %d bytes, want %d (%.1f a row)", got, want, float64(got)/float64(rows))
+	}
+	if m.Directory != dir || m.Resident() != want+dir {
+		t.Fatalf("group directory %d bytes, resident %d; want %d, %d", m.Directory, m.Resident(), dir, want+dir)
 	}
 }
 

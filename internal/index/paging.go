@@ -1,10 +1,10 @@
 // Beyond-RAM serving: disk-resident partition extents behind an
 // epoch-aware buffer pool (DESIGN.md §15).
 //
-// AttachStore seals every partition epoch's base — row-major codes in
-// Fast Scan order, their ids, and the grouped layout's packed blocks
-// (the layout's codes and ids are the base's own, so they are not
-// written twice) — into one immutable extent file per base, and
+// AttachStore seals every partition epoch's base as it is stored — the
+// keep region's row-major codes, every row's id, and the grouped
+// layout's packed blocks, which are the other rows' codes — into one
+// immutable extent file per base, and
 // replaces the snapshot's epochs with stubs: RAM-resident metadata
 // (row counts, dead bits, the group directory, the tail of rows
 // appended since the base was built) whose base slices are nil. A
@@ -33,7 +33,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -41,6 +40,7 @@ import (
 	"pqfastscan/internal/bufpool"
 	"pqfastscan/internal/extent"
 	"pqfastscan/internal/fsio"
+	"pqfastscan/internal/layout"
 	"pqfastscan/internal/scan"
 )
 
@@ -135,18 +135,18 @@ func (x *pagedExtent) view(pe *PartEpoch) (*scan.Partition, *scan.FastScan, func
 		return nil, nil, nil, fmt.Errorf("index: pinning extent %s: %w", x.name, err)
 	}
 	sec := func(sp pspan) []byte { return buf[sp.off : sp.off+sp.n : sp.off+sp.n] }
-	p := pe.Part.Hydrate(sec(x.codes), extent.BytesInt64(sec(x.ids)))
-	fs := pe.fast.Hydrate(p, sec(x.blocks))
+	p := pe.Part.Hydrate(sec(x.codes), extent.BytesInt64(sec(x.ids)), sec(x.blocks))
+	fs := pe.fast.Hydrate(p)
 	release := func() { x.pg.pool.Unpin(x.name) }
 	return p, fs, release, nil
 }
 
-// writeExtent seals part's base and the packed blocks of fast, its Fast
-// Scan layout, into a new extent and returns the paged handle plus the
-// detached stubs to publish in their place; a tail stays with the stub,
-// in RAM. The finalizer on the handle garbage-collects the file once no
-// epoch references it.
-func (pg *Paging) writeExtent(name string, part *scan.Partition, fast *scan.FastScan) (*pagedExtent, *scan.Partition, *scan.FastScan, error) {
+// writeExtent seals the base of fast's partition, as it is stored
+// (scan.Partition.Stored), into a new extent and returns the paged
+// handle plus the detached stubs to publish in their place; a tail
+// stays with the stub, in RAM. The finalizer on the handle
+// garbage-collects the file once no epoch references it.
+func (pg *Paging) writeExtent(name string, fast *scan.FastScan) (*pagedExtent, *scan.Partition, *scan.FastScan, error) {
 	x := &pagedExtent{pg: pg, name: name}
 	var b extent.Builder
 	add := func(secName string, data []byte) pspan {
@@ -156,10 +156,11 @@ func (pg *Paging) writeExtent(name string, part *scan.Partition, fast *scan.Fast
 	}
 	// The tail is not sealed: Detach keeps it. A base in Fast Scan order
 	// has explicit ids, or no rows at all.
-	base, _ := part.Segments()
-	x.codes = add("codes", base.Codes)
-	x.ids = add("ids", extent.Int64Bytes(base.IDs))
-	x.blocks = add("blocks", fast.Grouped().Blocks)
+	part := fast.Partition()
+	codes, ids, blocks := part.Stored()
+	x.codes = add("codes", codes)
+	x.ids = add("ids", extent.Int64Bytes(ids))
+	x.blocks = add("blocks", blocks)
 	n, err := pg.store.Write(name, &b)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("index: writing extent %s: %w", name, err)
@@ -233,7 +234,7 @@ func (ix *Index) attachStore(dir string, poolBytes int64, opts ...bufpool.Option
 			continue
 		}
 		name := fmt.Sprintf("i%d-p%d-e%d", inst, c, pe.Epoch)
-		x, stubP, stubF, err := pg.writeExtent(name, pe.Part, pe.fast)
+		x, stubP, stubF, err := pg.writeExtent(name, pe.fast)
 		if err != nil {
 			return err
 		}
@@ -294,8 +295,9 @@ func (ix *Index) StoreStats() (StoreStats, bool) {
 
 // materializePart returns the epoch's partition free of pin lifetimes,
 // for offline tooling (Parts, FastScanner): Part itself on a RAM epoch;
-// on a paged one a copy whose base is copied out of the pinned frame,
-// its tail and dead bits shared.
+// on a paged one a copy whose base — keep codes, ids and packed blocks,
+// the layout with them — is copied out of the pinned frame, its tail
+// and dead bits shared.
 func (ix *Index) materializePart(pe *PartEpoch) (*scan.Partition, error) {
 	if pe.paged == nil {
 		return pe.Part, nil
@@ -305,6 +307,6 @@ func (ix *Index) materializePart(pe *PartEpoch) (*scan.Partition, error) {
 		return nil, err
 	}
 	defer release()
-	base, _ := p.Segments()
-	return pe.Part.Hydrate(slices.Clone(base.Codes), slices.Clone(base.IDs)), nil
+	codes, ids, blocks := p.Stored()
+	return pe.Part.Hydrate(append([]uint8(nil), codes...), append([]int64(nil), ids...), append(layout.AlignedBytes(0, len(blocks)), blocks...)), nil
 }

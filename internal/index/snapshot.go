@@ -5,8 +5,9 @@
 // scan with no locks: everything reachable from a Snapshot is sealed
 // (never mutated after publish), so a query's entire view is consistent
 // no matter what mutations land concurrently. An epoch is an immutable
-// base (row-major codes and ids, the Fast Scan layout built from them,
-// one extent when paged) plus a bounded tail of rows appended since the
+// base (its rows laid out for Fast Scan: the keep region row-major, the
+// rest in packed blocks, with their ids; one extent when paged) plus a
+// bounded tail of rows appended since the
 // base was built plus the dead bits by position. Mutations build a
 // successor off the serving path — sharing the base, copying only the
 // tail (Add) or one chunk of dead bits (Delete) — and publish it with a
@@ -40,8 +41,9 @@ type PartEpoch struct {
 	// grows, so operators can watch /stats to see partitions advance.
 	Epoch uint64
 
-	// fast is the epoch's PQ Fast Scan layout over Part's base, whose
-	// codes and ids it aliases, with Part's dead bits by lane. Set at
+	// fast is the epoch's PQ Fast Scan layout, bound to Part, whose
+	// base it stores: the keep region row-major, every other base row
+	// only in the packed blocks, with Part's dead bits by lane. Set at
 	// construction and never changed.
 	fast *scan.FastScan
 
@@ -54,8 +56,10 @@ type PartEpoch struct {
 }
 
 // newEpoch returns a fresh epoch over p, whose base must be in Fast
-// Scan order (scan.Ordered) under the index's options, with its layout
-// built over that base — the one place an epoch's layout is built. The
+// Scan order (scan.Ordered) under the index's options, with that base
+// laid out — the one place an epoch's layout is built. The epoch's Part
+// is the laid-out partition, which holds p's grouped rows in packed
+// blocks only; p's row-major copy of them is left to the collector. The
 // options were checked when the index was built or loaded and the base
 // is ordered, so the build cannot fail; an error here is a broken
 // invariant.
@@ -64,7 +68,7 @@ func (ix *Index) newEpoch(p *scan.Partition) *PartEpoch {
 	if err != nil {
 		panic(fmt.Sprintf("index: building a Fast Scan layout: %v", err))
 	}
-	return &PartEpoch{Part: p, Epoch: ix.epoch.Add(1), fast: fs}
+	return &PartEpoch{Part: fs.Partition(), Epoch: ix.epoch.Add(1), fast: fs}
 }
 
 // successor returns the epoch that follows cur when only its tail or
@@ -140,9 +144,9 @@ func (ix *Index) Parts() []*scan.Partition {
 
 // install seeds the snapshot with freshly built partitions (Build and
 // Restore), each base put in Fast Scan order (scan.Ordered) and its
-// layout built over it, aliasing its codes and ids — whatever order a
-// file was written in; a base already in order, as every one this
-// version saves is, is installed as it is. Not safe under concurrent
+// layout built over it, aliasing its ids — whatever order a file was
+// written in; a base already in order, as every one this version saves
+// is, is installed as it is. Not safe under concurrent
 // use; callers own the index exclusively at that point.
 func (ix *Index) install(parts []*scan.Partition) {
 	pes := make([]*PartEpoch, len(parts))

@@ -10,6 +10,11 @@
 //     in 16-vector blocks, with the grouped components packed to 4 bits.
 //     With c = 4 this is the 25 % memory reduction of §4.2 and the 6
 //     bytes loaded per lower-bound computation reported in §5.8.
+//
+// The grouped layout is a way to store the rows, not an index beside
+// them: a grouped row's code is its group key and its block lane, and
+// nothing else holds it. Code reads one row by position, a Walker reads
+// a run of them a block at a time.
 package layout
 
 import (
@@ -147,16 +152,16 @@ type Group struct {
 	BlockCount int                       // number of 16-vector blocks
 }
 
-// Grouped is the PQ Fast Scan database layout. It reorganises a run of
-// rows that is already in group-key order (GroupOrder): Codes and IDs
-// are that run itself, aliased, not copied — in the index, the grouped
-// part of a partition base — and Blocks is the packed form of the same
-// rows, the only bytes the layout adds.
+// Grouped is the PQ Fast Scan database layout of a run of rows in
+// group-key order (GroupOrder) — in the index, the grouped part of a
+// partition base. Blocks is the only copy of the rows' codes: a row's
+// grouped components are its group's key (high nibbles) and its lane's
+// packed low nibbles, its other components the lane's full bytes. IDs
+// is the caller's id run, aliased.
 type Grouped struct {
 	N      int
 	C      int     // number of grouped components (0..4)
 	IDs    []int64 // id of each grouped position: the caller's run, aliased
-	Codes  []uint8 // row-major code of each grouped position (exact re-check path): the caller's run, aliased
 	Groups []Group
 	Blocks []uint8 // packed blocks, BlockBytes(C) each, grouped order
 
@@ -214,11 +219,11 @@ func GroupOrder(codes []uint8, c int) []int {
 	return perm
 }
 
-// NewGrouped builds the grouped layout over a run of row-major codes
-// already in group-key order on the first c components (GroupOrder
-// returns nil for it) and their ids, one per row. Codes and ids are
-// aliased, never copied: the layout adds only its group directory and
-// packed blocks. A run out of order is an error.
+// NewGrouped packs a run of row-major codes already in group-key order
+// on the first c components (GroupOrder returns nil for it), with their
+// ids, one per row, into the grouped layout. The ids are aliased; the
+// codes are read once and not retained — the packed blocks hold them. A
+// run out of order is an error.
 func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 	if c < 0 || c > MaxGroupComponents {
 		return nil, fmt.Errorf("layout: grouping components %d out of range [0,4]", c)
@@ -230,7 +235,7 @@ func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 	if len(ids) != n {
 		return nil, fmt.Errorf("layout: %d ids for %d vectors", len(ids), n)
 	}
-	g := &Grouped{N: n, C: c, IDs: ids, Codes: codes, blockBytes: BlockBytes(c)}
+	g := &Grouped{N: n, C: c, IDs: ids, blockBytes: BlockBytes(c)}
 
 	// One group per run of equal keys, in key order.
 	totalBlocks := 0
@@ -257,18 +262,22 @@ func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 	g.Blocks = AlignedBytes(totalBlocks*g.blockBytes, 0)
 	for _, grp := range g.Groups {
 		for b := 0; b < grp.BlockCount; b++ {
-			g.packBlock(grp, b)
+			g.packBlock(codes, grp, b)
 		}
 	}
 	return g, nil
+}
+
+// group returns the index of the group holding grouped position pos.
+func (g *Grouped) group(pos int) int {
+	return sort.Search(len(g.Groups), func(i int) bool { return g.Groups[i].Start > pos }) - 1
 }
 
 // Lane returns the block lane of grouped position pos: its block's
 // index times BlockVectors plus its lane in the block. Lanes count the
 // padding of every group's last block, positions do not.
 func (g *Grouped) Lane(pos int) int {
-	gi := sort.Search(len(g.Groups), func(i int) bool { return g.Groups[i].Start > pos }) - 1
-	grp := &g.Groups[gi]
+	grp := &g.Groups[g.group(pos)]
 	return grp.BlockStart*BlockVectors + pos - grp.Start
 }
 
@@ -276,15 +285,15 @@ func (g *Grouped) Lane(pos int) int {
 // padNibble, full byte padByte).
 var padCode = [M]uint8{padByte, padByte, padByte, padByte, padByte, padByte, padByte, padByte}
 
-// packBlock encodes 16 vectors (or the padded remainder) of grp into its
-// b-th block.
-func (g *Grouped) packBlock(grp Group, b int) {
+// packBlock encodes 16 vectors (or the padded remainder) of grp, rows
+// of codes, into its b-th block.
+func (g *Grouped) packBlock(codes []uint8, grp Group, b int) {
 	base := grp.Start + b*BlockVectors
 	for lane := 0; lane < BlockVectors; lane++ {
 		pos := base + lane
 		code := padCode[:]
 		if pos < grp.Start+grp.Count {
-			code = g.Codes[pos*M : (pos+1)*M]
+			code = codes[pos*M : (pos+1)*M]
 		}
 		g.packLane(grp.BlockStart+b, lane, code)
 	}
@@ -310,27 +319,26 @@ func (g *Grouped) packLane(i, lane int, code []uint8) {
 }
 
 // Detach returns a shallow copy of the layout with the bulk data
-// slices (IDs, Codes, Blocks) dropped: a directory stub that keeps the
-// group structure, counts and block geometry resident while the bytes
-// live in a disk extent behind the buffer pool. A stub answers every
+// slices (IDs, Blocks) dropped: a directory stub that keeps the group
+// structure, counts and block geometry resident while the bytes live
+// in a disk extent behind the buffer pool. A stub answers every
 // structural question (BlockSize, PackedBytes of zero, group lookup)
 // but must be Hydrated before any lane or code access.
 func (g *Grouped) Detach() *Grouped {
 	ng := *g
-	ng.IDs, ng.Codes, ng.Blocks = nil, nil, nil
+	ng.IDs, ng.Blocks = nil, nil
 	return &ng
 }
 
 // Hydrate returns a shallow copy of the stub with the bulk data slices
 // attached — typically aliases into a pinned buffer-pool frame: the
-// packed blocks, and codes and ids from the same run Detach dropped. The
-// copy is a transient view: it is valid exactly as long as the pin is
-// held, and the receiver stub is never mutated, so concurrent probes
-// can hydrate the same stub against the same frame. Hydrate panics on
-// length or alignment violations: the extent bytes must reproduce the
-// layout that Detach dropped bit-for-bit, or kernels would scan
-// garbage.
-func (g *Grouped) Hydrate(blocks, codes []uint8, ids []int64) *Grouped {
+// packed blocks, and the ids of the run Detach dropped. The copy is a
+// transient view: it is valid exactly as long as the pin is held, and
+// the receiver stub is never mutated, so concurrent probes can hydrate
+// the same stub against the same frame. Hydrate panics on length or
+// alignment violations: the extent bytes must reproduce the layout that
+// Detach dropped bit-for-bit, or kernels would scan garbage.
+func (g *Grouped) Hydrate(blocks []uint8, ids []int64) *Grouped {
 	totalBlocks := 0
 	if n := len(g.Groups); n > 0 {
 		last := g.Groups[n-1]
@@ -339,9 +347,6 @@ func (g *Grouped) Hydrate(blocks, codes []uint8, ids []int64) *Grouped {
 	if len(blocks) != totalBlocks*g.blockBytes {
 		panic(fmt.Sprintf("layout: Hydrate blocks length %d, want %d", len(blocks), totalBlocks*g.blockBytes))
 	}
-	if len(codes) != g.N*M {
-		panic(fmt.Sprintf("layout: Hydrate codes length %d, want %d", len(codes), g.N*M))
-	}
 	if len(ids) != g.N {
 		panic(fmt.Sprintf("layout: Hydrate ids length %d, want %d", len(ids), g.N))
 	}
@@ -349,7 +354,7 @@ func (g *Grouped) Hydrate(blocks, codes []uint8, ids []int64) *Grouped {
 		panic("layout: Hydrate blocks not Alignment-aligned")
 	}
 	ng := *g
-	ng.Blocks, ng.Codes, ng.IDs = blocks, codes, ids
+	ng.Blocks, ng.IDs = blocks, ids
 	return &ng
 }
 
@@ -382,10 +387,82 @@ func (g *Grouped) FullComponents(i, j int) []uint8 {
 	return blk[off : off+16]
 }
 
-// Code returns the full row-major code of the vector at grouped position
-// pos (the exact re-check path of Figure 6).
-func (g *Grouped) Code(pos int) []uint8 {
-	return g.Codes[pos*M : (pos+1)*M]
+// Code returns the code of the vector at grouped position pos, read
+// from its group key and block lane.
+func (g *Grouped) Code(pos int) [M]uint8 {
+	return g.LaneCode(&g.Groups[g.group(pos)], pos)
+}
+
+// LaneCode returns the code of the vector at grouped position pos of
+// group grp, which must hold it: Code without the group search.
+func (g *Grouped) LaneCode(grp *Group, pos int) [M]uint8 {
+	off := pos - grp.Start
+	blk := g.Block(grp.BlockStart + off/BlockVectors)
+	lane := off % BlockVectors
+	var code [M]uint8
+	for j := 0; j < g.C; j++ {
+		code[j] = grp.Key[j]<<4 | blk[j*8+lane/2]>>(4*uint(lane%2))&0x0f
+	}
+	for j := g.C; j < M; j++ {
+		code[j] = blk[g.C*8+(j-g.C)*16+lane]
+	}
+	return code
+}
+
+// Walker reads a run of grouped positions in order, decoding up to one
+// block's rows into row-major codes per step. It searches the group
+// directory once, where Code searches it per row: the path of every
+// reader that wants many rows.
+type Walker struct {
+	g       *Grouped
+	gi      int // group holding pos
+	pos, to int
+	buf     [BlockVectors * M]uint8
+}
+
+// Walk returns a Walker over grouped positions [from, to).
+func (g *Grouped) Walk(from, to int) Walker {
+	w := Walker{g: g, pos: from, to: to}
+	if from < to {
+		w.gi = g.group(from)
+	}
+	return w
+}
+
+// Next decodes the next rows of the run — up to the end of the block
+// holding the next position — and returns the position of the first
+// and their codes, M bytes a row, valid until the following call. ok is
+// false once the run is read.
+func (w *Walker) Next() (first int, codes []uint8, ok bool) {
+	if w.pos >= w.to {
+		return 0, nil, false
+	}
+	g := w.g
+	grp := &g.Groups[w.gi]
+	if w.pos == grp.Start+grp.Count {
+		w.gi++
+		grp = &g.Groups[w.gi]
+	}
+	off := w.pos - grp.Start
+	blk := g.Block(grp.BlockStart + off/BlockVectors)
+	lane0 := off % BlockVectors
+	n := min(BlockVectors-lane0, grp.Start+grp.Count-w.pos, w.to-w.pos)
+	for j := 0; j < g.C; j++ {
+		hi, nib := grp.Key[j]<<4, blk[j*8:j*8+8]
+		for r := 0; r < n; r++ {
+			l := lane0 + r
+			w.buf[r*M+j] = hi | nib[l/2]>>(4*uint(l%2))&0x0f
+		}
+	}
+	for j := g.C; j < M; j++ {
+		col := blk[g.C*8+(j-g.C)*16:][lane0 : lane0+n]
+		for r, b := range col {
+			w.buf[r*M+j] = b
+		}
+	}
+	first = w.pos
+	w.pos += n
+	return first, w.buf[:n*M], true
 }
 
 // BlockSize returns the packed block size in bytes for this layout's C.
@@ -394,9 +471,13 @@ func (g *Grouped) BlockSize() int { return g.blockBytes }
 // PackedBytes returns the memory used by the packed block representation.
 func (g *Grouped) PackedBytes() int { return len(g.Blocks) }
 
-// RowMajorBytes returns the memory the same vectors use row-major
-// (8 bytes per vector), the baseline for the §4.2 saving.
+// RowMajorBytes returns the memory the same vectors would use
+// row-major (8 bytes per vector), the baseline for the §4.2 saving.
 func (g *Grouped) RowMajorBytes() int { return g.N * M }
+
+// DirectoryBytes returns the memory of the group directory, the part
+// of the layout that stays resident when its blocks are paged out.
+func (g *Grouped) DirectoryBytes() int { return len(g.Groups) * int(unsafe.Sizeof(Group{})) }
 
 // MemorySaving returns the fractional reduction of the packed layout over
 // row-major storage. With c = 4 and group sizes that are multiples of 16

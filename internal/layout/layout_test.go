@@ -349,11 +349,12 @@ func TestGroupedMatchesStableSort(t *testing.T) {
 			sort.SliceStable(order, func(a, b int) bool { return key(order[a]) < key(order[b]) })
 
 			var want Grouped
+			var wantCodes []uint8
 			bb := BlockBytes(c)
 			for pos, src := range order {
 				code := codes[src*M : (src+1)*M]
 				want.IDs = append(want.IDs, ids[src])
-				want.Codes = append(want.Codes, code...)
+				wantCodes = append(wantCodes, code...)
 				if pos == 0 || key(src) != key(order[pos-1]) {
 					grp := Group{Start: pos, BlockStart: len(want.Blocks) / bb}
 					for j := 0; j < c; j++ {
@@ -383,13 +384,26 @@ func TestGroupedMatchesStableSort(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !slices.Equal(g.Groups, want.Groups) || !slices.Equal(g.IDs, want.IDs) ||
-				!bytes.Equal(g.Codes, want.Codes) || !bytes.Equal(g.Blocks, want.Blocks) {
+				!bytes.Equal(walked(g), wantCodes) || !bytes.Equal(g.Blocks, want.Blocks) {
 				t.Fatalf("c=%d n=%d: layout differs from the stable sort's", c, n)
 			}
-			if GroupOrder(g.Codes, c) != nil {
+			if GroupOrder(wantCodes, c) != nil {
 				t.Fatalf("c=%d n=%d: ordering an ordered run is not the identity", c, n)
 			}
 		}
+	}
+}
+
+// walked returns every row of g in position order, read by a Walker.
+func walked(g *Grouped) []uint8 {
+	var out []uint8
+	w := g.Walk(0, g.N)
+	for {
+		_, codes, ok := w.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, codes...)
 	}
 }
 
@@ -404,4 +418,59 @@ func TestBlockStorageAlignment(t *testing.T) {
 	if got := AlignedBytes(10, 100); !Aligned(got) || len(got) != 10 || cap(got) < 100 {
 		t.Fatalf("AlignedBytes(10, 100): len=%d cap=%d aligned=%v", len(got), cap(got), Aligned(got))
 	}
+}
+
+// FuzzGroupedCodes: the packed blocks are the only copy of a grouped
+// row's code, so reading it back must give the row that went in — by
+// position (Code) and by run (a Walker over all rows and over any
+// sub-run), for any rows, any depth c and any count, 0 and counts that
+// leave a block part-filled included.
+func FuzzGroupedCodes(f *testing.F) {
+	f.Add(uint8(2), []byte{}, uint16(0), uint16(0))
+	f.Add(uint8(0), randomCodes(17, 1), uint16(3), uint16(17))
+	f.Add(uint8(4), make([]byte, 40*M), uint16(15), uint16(33))
+	f.Add(uint8(1), randomCodes(300, 2), uint16(16), uint16(299))
+	f.Add(uint8(3), append(make([]byte, 20*M), randomCodes(70, 3)...), uint16(0), uint16(90))
+	f.Fuzz(func(t *testing.T, c uint8, data []byte, from, to uint16) {
+		depth := int(c) % (MaxGroupComponents + 1)
+		codes := data[:len(data)/M*M]
+		n := len(codes) / M
+		g, err := groupedOf(codes, nil, depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// groupedOf's ids are the input positions.
+		row := func(pos int) [M]uint8 { return [M]uint8(codes[int(g.IDs[pos])*M:]) }
+		for pos := 0; pos < n; pos++ {
+			if got := g.Code(pos); got != row(pos) {
+				t.Fatalf("c=%d n=%d: Code(%d) = %v, want %v", depth, n, pos, got, row(pos))
+			}
+		}
+		lo, hi := int(from)%(n+1), int(to)%(n+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		for _, span := range [][2]int{{0, n}, {lo, hi}} {
+			w, next := g.Walk(span[0], span[1]), span[0]
+			for {
+				first, run, ok := w.Next()
+				if !ok {
+					break
+				}
+				rows := len(run) / M
+				if first != next || rows == 0 || rows > BlockVectors || len(run) != rows*M {
+					t.Fatalf("c=%d n=%d: walk of [%d,%d) gave %d bytes at %d, want a run at %d", depth, n, span[0], span[1], len(run), first, next)
+				}
+				for i := 0; i < rows; i++ {
+					if got := [M]uint8(run[i*M:]); got != row(first+i) {
+						t.Fatalf("c=%d n=%d: walk row %d = %v, want %v", depth, n, first+i, got, row(first+i))
+					}
+				}
+				next += rows
+			}
+			if next != span[1] {
+				t.Fatalf("c=%d n=%d: walk of [%d,%d) stopped at %d", depth, n, span[0], span[1], next)
+			}
+		}
+	})
 }

@@ -175,8 +175,7 @@ func WriteCapture(w io.Writer, cap index.Capture, walEpoch uint64) error {
 		if p.Tail() > 0 {
 			p = scan.Ordered(p.Flatten(), opt.FastScan)
 		}
-		base, _ := p.Segments()
-		if _, err := cw.Write(base.Codes); err != nil {
+		if _, err := cw.Write(p.FlatCodes()); err != nil {
 			return fmt.Errorf("persist: writing partition %d codes: %w", pi, err)
 		}
 		idBuf := make([]byte, 8*p.N)

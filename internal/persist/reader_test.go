@@ -163,8 +163,7 @@ func TestRejectsIDBeyondAllocator(t *testing.T) {
 		negIDs[i] = parts[1].ID(i)
 	}
 	negIDs[parts[1].N/2] = -1
-	base, _ := parts[1].Segments()
-	withNeg[1] = scan.NewPartition(base.Codes, negIDs)
+	withNeg[1] = scan.NewPartition(parts[1].FlatCodes(), negIDs)
 
 	beyond := index.Restore(ix.Dim, ix.Coarse, ix.PQ, parts, ix.Options(), 5)
 	// The file lists rows in the order the restored index holds them, so
@@ -209,12 +208,11 @@ func spreadIDs(t testing.TB, ix *index.Index) *index.Index {
 	t.Helper()
 	parts := ix.Parts()
 	for c, p := range parts {
-		var codes []uint8
 		ids := make([]int64, p.N)
 		for i := range ids {
-			codes = append(codes, p.Code(i)...)
 			ids[i] = p.ID(i) << 12
 		}
+		codes := p.FlatCodes()
 		parts[c] = scan.NewPartition(codes, ids)
 	}
 	return index.Restore(ix.Dim, ix.Coarse, ix.PQ, parts, ix.Options(), ix.NextID()<<12)

@@ -107,19 +107,24 @@ func BenchmarkKernels(b *testing.B) {
 
 // BenchmarkFastScan is the headline scan on 10k and 100k partitions
 // (its engine=model rows are in internal/scan/model). The run must be
-// allocation-free in the steady state (the Scratch is reused).
+// allocation-free in the steady state (the Scratch is reused). It
+// reports the candidates a scan re-checks exactly (cand/scan, the same
+// on every run and backend) and the scan's time per candidate (ns/cand),
+// the figure a faster exact re-check has to lower.
 func BenchmarkFastScan(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		e := getBenchEnv(b, n)
 		b.Run(fmt.Sprintf("n=%d/engine=native", n), func(b *testing.B) {
 			sc := NewScratch()
-			e.fast.ScanNativeBackend(e.tables, benchK, sc, dispatch.Auto) // warm the scratch buffers
+			_, st := e.fast.ScanNativeBackend(e.tables, benchK, sc, dispatch.Auto) // warm the scratch buffers
 			b.ReportAllocs()
 			b.SetBytes(int64(n * M))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.fast.ScanNativeBackend(e.tables, benchK, sc, dispatch.Auto)
 			}
+			b.ReportMetric(float64(st.Candidates), "cand/scan")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.Candidates), "ns/cand")
 		})
 	}
 }

@@ -30,9 +30,9 @@ const DefaultKeep = 0.005
 // database reorganization the paper performs at index-construction time.
 //
 // The layout covers the partition's base, which Ordered has put in the
-// order it reads: the keep region [0, keepN) first, then the grouped
-// rows in group-key order, whose codes and ids the layout aliases — the
-// packed blocks are the only bytes it adds (§4.2). Rows appended since
+// order it reads: the keep region [0, keepN) first, row-major, then the
+// grouped rows in group-key order, whose packed blocks are their codes
+// (§4.2) and whose ids the layout aliases. Rows appended since
 // the base was built (the tail, Rebind) are not regrouped: a scan takes
 // them with the keep region, by plain PQ Scan (§4.4), which is where
 // the paper puts rows that grouping does not pay for. A scan visits the
@@ -47,11 +47,10 @@ const DefaultKeep = 0.005
 // the lane bits from the row bits, and Rebind sets a lane together with
 // the row its caller tombstoned.
 type FastScan struct {
-	part    *Partition
+	part    *Partition // laid out: part.grouped is the layout
 	keepN   int
 	covered int // rows of part the layout accounts for: the base, keepN + grouped.N
 	c       int
-	grouped *layout.Grouped
 	dead    deadSet // tombstoned block lanes
 }
 
@@ -88,23 +87,26 @@ func (opt FastScanOptions) shape(n int) (keepN, c int, err error) {
 // the layout's stable group-key order (layout.GroupOrder), ids
 // explicit. The tail stays as it is and the dead bits move with their
 // rows. A base already in that order is returned as it is — p itself,
-// no copy — and so is one under options Check refuses. The index
-// orders every base where it is born, so each code is stored once.
+// no copy — and so is one under options Check refuses, and one laid out
+// under the shape opt gives it. Any other result is row-major. The
+// index orders every base where it is born, so each code is stored
+// once.
 func Ordered(p *Partition, opt FastScanOptions) *Partition {
-	base, _ := p.Segments()
-	keepN, c, err := opt.shape(base.N)
-	if err != nil {
+	n := p.baseN()
+	keepN, c, err := opt.shape(n)
+	if err != nil || p.laidOut(keepN, c) {
 		return p
 	}
-	perm := layout.GroupOrder(base.Codes[keepN*M:], c)
+	p = p.rowMajor()
+	perm := layout.GroupOrder(p.codes[keepN*M:], c)
 	q := *p
-	q.ids = make([]int64, base.N)
+	q.ids = make([]int64, n)
 	if perm == nil {
-		if base.IDs != nil {
+		if p.ids != nil {
 			return p
 		}
 		for i := range q.ids {
-			q.ids[i] = base.ID(i)
+			q.ids[i] = int64(i)
 		}
 		return &q
 	}
@@ -115,15 +117,15 @@ func Ordered(p *Partition, opt FastScanOptions) *Partition {
 		}
 		return keepN + perm[i-keepN]
 	}
-	q.codes = make([]uint8, len(base.Codes))
+	q.codes = make([]uint8, len(p.codes))
 	for i := range q.ids {
-		copy(q.codes[i*M:(i+1)*M], base.Codes[from(i)*M:])
-		q.ids[i] = base.ID(from(i))
+		copy(q.codes[i*M:(i+1)*M], p.codes[from(i)*M:])
+		q.ids[i] = p.ID(from(i))
 	}
 	if p.HasDead() {
 		q.dead = deadSet{}
 		for i := 0; i < p.N; i++ {
-			if i < base.N && p.dead.has(from(i)) || i >= base.N && p.dead.has(i) {
+			if i < n && p.dead.has(from(i)) || i >= n && p.dead.has(i) {
 				q.dead.set(i)
 			}
 		}
@@ -131,44 +133,68 @@ func Ordered(p *Partition, opt FastScanOptions) *Partition {
 	return &q
 }
 
+// laidOut reports whether p's base has a layout of keep region keepN
+// grouped on c components.
+func (p *Partition) laidOut(keepN, c int) bool {
+	return p.grouped != nil && p.plain() == keepN && p.grouped.C == c
+}
+
+// rowMajor returns p with its whole base row-major: p itself when it
+// has no layout, otherwise a copy whose grouped rows are decoded into a
+// fresh code array, its ids, tail and dead bits shared.
+func (p *Partition) rowMajor() *Partition {
+	if p.grouped == nil {
+		return p
+	}
+	q := *p
+	q.codes, q.grouped = p.appendCodes(make([]uint8, 0, p.baseN()*M), 0, p.baseN()), nil
+	return &q
+}
+
 // NewFastScan prepares PQ Fast Scan over p, whose base must be in the
-// order Ordered gives it under opt: the first Keep fraction of the base
-// stays row-major for the temporary-NN phase, the rest is grouped on c
-// components and packed into 16-vector blocks, its codes and ids
-// aliased from the base. The tail is plain-scanned. The lane of every
-// dead grouped row is marked dead.
+// order Ordered gives it under opt. It lays the base out: the first
+// Keep fraction stays row-major for the temporary-NN phase, the rest is
+// grouped on c components and packed into 16-vector blocks, which from
+// then on are those rows' only codes, their ids aliased from the base.
+// The FastScan is bound to the laid-out partition (Partition), which
+// shares p's ids, tail and dead bits and replaces p for every reader; a
+// base already laid out so keeps its layout. The tail is plain-scanned.
+// The lane of every dead grouped row is marked dead.
 func NewFastScan(p *Partition, opt FastScanOptions) (*FastScan, error) {
-	base, _ := p.Segments()
-	keepN, c, err := opt.shape(base.N)
+	n := p.baseN()
+	keepN, c, err := opt.shape(n)
 	if err != nil {
 		return nil, err
 	}
-	codes, ids := groupedRows(base, keepN)
-	g, err := layout.NewGrouped(codes, ids, c)
-	if err != nil {
-		return nil, fmt.Errorf("scan: partition base is not in Fast Scan order (Ordered): %w", err)
+	if !p.laidOut(keepN, c) {
+		p = p.rowMajor()
+		var ids []int64
+		if p.ids != nil {
+			ids = p.ids[keepN:n]
+		}
+		g, err := layout.NewGrouped(p.codes[keepN*M:], ids, c)
+		if err != nil {
+			return nil, fmt.Errorf("scan: partition base is not in Fast Scan order (Ordered): %w", err)
+		}
+		q := *p
+		// A fresh array (nil when keepN is 0), so nothing holds on to
+		// the row-major copy of the grouped rows.
+		q.codes, q.grouped = append([]uint8(nil), p.codes[:keepN*M]...), g
+		p = &q
 	}
-	fs := &FastScan{part: p, keepN: keepN, covered: base.N, c: c, grouped: g}
+	g := p.grouped
+	fs := &FastScan{part: p, keepN: keepN, covered: n, c: c}
 	p.dead.each(func(i int) {
-		if i >= keepN && i < base.N {
+		if i >= keepN && i < n {
 			fs.dead.set(g.Lane(i - keepN))
 		}
 	})
 	return fs, nil
 }
 
-// groupedRows returns the codes and ids of the base rows past the keep
-// region: the run the grouped layout aliases.
-func groupedRows(base Rows, keepN int) ([]uint8, []int64) {
-	ids := base.IDs
-	if ids != nil {
-		ids = ids[keepN:]
-	}
-	return base.Codes[keepN*M:], ids
-}
-
-// Partition returns the partition this layout is bound to, whose dead
-// bits the plain-scanned rows are tested against.
+// Partition returns the laid-out partition this layout is bound to: the
+// one to serve, whose dead bits the plain-scanned rows are tested
+// against.
 func (fs *FastScan) Partition() *Partition { return fs.part }
 
 // DeadLanes returns the tombstoned lanes of block blk (the layout's
@@ -185,7 +211,7 @@ func (fs *FastScan) Lane(row int) int {
 	if row < fs.keepN || row >= fs.covered {
 		return -1
 	}
-	return fs.grouped.Lane(row - fs.keepN)
+	return fs.part.grouped.Lane(row - fs.keepN)
 }
 
 // GroupComponents returns the grouping depth c in use.
@@ -205,52 +231,45 @@ func (fs *FastScan) Covered() int { return fs.covered }
 func (fs *FastScan) PlainScanned() int { return fs.keepN + fs.part.N - fs.covered }
 
 // Grouped exposes the packed layout (memory-footprint experiments).
-func (fs *FastScan) Grouped() *layout.Grouped { return fs.grouped }
+func (fs *FastScan) Grouped() *layout.Grouped { return fs.part.grouped }
 
-// with returns a copy of fs bound to part over the layout g.
-func (fs *FastScan) with(part *Partition, g *layout.Grouped) *FastScan {
+// with returns a copy of fs bound to part, a partition over the same
+// base.
+func (fs *FastScan) with(part *Partition) *FastScan {
 	nfs := *fs
-	nfs.part, nfs.grouped = part, g
+	nfs.part = part
 	return &nfs
 }
 
 // Rebind returns a FastScan over np that shares this layout, with lane
 // tombstoned too when lane >= 0 — the whole cost of carrying a layout
 // across a copy-on-write mutation: O(1), or one chunk of lane bits
-// copied. np must hold the covered rows unchanged in the same
-// positions: a successor of this partition by CloneAppend (lane -1: the
-// new rows lie past Covered and are plain-scanned) or by CloneTombstone
-// of one row (lane: that row's Lane, -1 when it is plain-scanned).
+// copied. np must share this partition's base, layout included: a
+// successor by CloneAppend (lane -1: the new rows lie past Covered and
+// are plain-scanned) or by CloneTombstone of one row (lane: that row's
+// Lane, -1 when it is plain-scanned).
 func (fs *FastScan) Rebind(np *Partition, lane int) *FastScan {
-	if np.N < fs.covered {
-		panic("scan: Rebind to a partition shorter than the layout")
+	if np.N < fs.covered || np.grouped != fs.part.grouped {
+		panic("scan: Rebind to a partition over another base")
 	}
-	nfs := fs.with(np, fs.grouped)
+	nfs := fs.with(np)
 	if lane >= 0 {
 		nfs.dead, _ = fs.dead.with(lane)
 	}
 	return nfs
 }
 
-// Detach returns a stub FastScan bound to the given partition stub: the
-// scan parameters (keep split, grouping depth) and the
-// grouped directory stay resident while the packed blocks move to a
-// disk extent and the grouped codes and ids go with the base they alias
-// (layout.Grouped.Detach).
-func (fs *FastScan) Detach(stub *Partition) *FastScan {
-	return fs.with(stub, fs.grouped.Detach())
-}
+// Detach returns a stub FastScan bound to stub, the partition's
+// Detach: the scan parameters (keep split, grouping depth) and the
+// group directory stay resident while the packed blocks and the ids go
+// to a disk extent with the rest of the base.
+func (fs *FastScan) Detach(stub *Partition) *FastScan { return fs.with(stub) }
 
-// Hydrate returns a scannable FastScan over a hydrated partition and its
-// packed blocks — per-pin shallow views over a pinned extent payload,
-// valid only while the pin is held. p must be the hydration of the stub
-// this FastScan was detached with (same rows); the grouped codes and
-// ids are its base's, aliased as NewFastScan aliased them.
-func (fs *FastScan) Hydrate(p *Partition, blocks []uint8) *FastScan {
-	base, _ := p.Segments()
-	codes, ids := groupedRows(base, fs.keepN)
-	return fs.with(p, fs.grouped.Hydrate(blocks, codes, ids))
-}
+// Hydrate returns a scannable FastScan over p, the hydration of the
+// stub this FastScan was detached with (Partition.Hydrate, the same
+// rows): a per-pin shallow view over a pinned extent payload, valid
+// only while the pin is held.
+func (fs *FastScan) Hydrate(p *Partition) *FastScan { return fs.with(p) }
 
 // DistQuantizer maps float32 distances to the signed 8-bit bins of §4.4.
 //

@@ -142,7 +142,7 @@ func TestLowerBoundNeverExceedsTrueDistance(t *testing.T) {
 	}
 	dq := NewDistQuantizer(tables.Min(), tables.MaxSum())
 	st := BuildMinTables(tables, fs.c, dq)
-	g := fs.grouped
+	g := fs.Grouped()
 	for _, grp := range g.Groups {
 		var groupTables [4][16]uint8
 		for j := 0; j < fs.c; j++ {

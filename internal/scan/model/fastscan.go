@@ -147,7 +147,7 @@ func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 				// of Figure 6), then threshold refresh if the heap
 				// changed.
 				stats.Candidates++
-				d := scan.ADC8(g.Code(pos), t)
+				d := scan.ADC8(g.LaneCode(&grp, pos), t)
 				if heap.Push(g.IDs[pos], d) {
 					if thr, ok := heap.Threshold(); ok {
 						nt := dq.PruneThreshold(thr, true)

@@ -142,7 +142,7 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 						continue
 					}
 					stats.Candidates++
-					d := scan.ADC8(g.Code(pos), t)
+					d := scan.ADC8(g.LaneCode(&grp, pos), t)
 					if heap.Push(g.IDs[pos], d) {
 						if thr, ok := heap.Threshold(); ok {
 							nt := dq.PruneThreshold(thr, true)

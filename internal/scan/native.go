@@ -298,8 +298,8 @@ func tableMinima(t quantizer.Tables) (entry, sum float32) {
 // found out of reach: every vector counts as lower-bounded and pruned —
 // by the one bound they all share — and no group or block is visited.
 func (fs *FastScan) OutOfReach(stats *Stats) {
-	stats.LowerBounds += fs.grouped.N
-	stats.Pruned += fs.grouped.N
+	stats.LowerBounds += fs.part.grouped.N
+	stats.Pruned += fs.part.grouped.N
 }
 
 // ScanNativeBackend runs PQ Fast Scan for the query with block-kernel
@@ -365,31 +365,98 @@ func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scra
 // ascending lane order (the model's lane loop visits them the same way,
 // so the heap evolves identically): exact re-check (right-hand path of
 // Figure 6), then threshold refresh — shared by every backend so the
-// decision sequence cannot drift. A candidate's code is one 64-bit load
-// from the grouped rows of the base, its eight bytes index the rows of
-// tv (a uint8 into a [256]float32 needs no bounds check) and the sum
-// runs in ADC8's j = 0..7 order, so the distance is ADC8's to the bit.
-// Its id lives in an array of its own, a cache line away from anything
-// else the candidate touches, so it is loaded only once the distance
-// says the heap may retain it (d > threshold cannot displace a retained
-// neighbor; ties go through Push for the deterministic id-order rule).
-func (fs *FastScan) processLive(live uint32, base int, qt *queryTables, tv *[M][256]float32, t8 *int8, heap *topk.Heap) {
-	codes, ids := fs.grouped.Codes, fs.grouped.IDs
+// decision sequence cannot drift. A candidate's code is read from blk,
+// the packed block the bound has just streamed, which is the only copy
+// of it: a grouped component j < c is the lane's nibble into the
+// 16-entry window tv[j][key[j]<<4:] of its group, an ungrouped one the
+// lane's byte of the block, indexing all of tv[j]. The sum runs in
+// ADC8's j = 0..7 order, so the distance is ADC8's to the bit. Each
+// depth c has a body of its own, the block a fixed-size array, so the
+// offsets are constants and no index is bounds-checked. The id lives in
+// an array of its own, so it is loaded only once the distance says the
+// heap may retain the candidate (d > threshold cannot displace a
+// retained neighbor; ties go through Push for the deterministic
+// id-order rule). pos is the grouped position of the block's lane 0.
+func (fs *FastScan) processLive(live uint32, blk []uint8, key *[layout.MaxGroupComponents]uint8, pos int, qt *queryTables, tv *[M][256]float32, t8 *int8, heap *topk.Heap) {
+	ids := fs.part.grouped.IDs[pos:]
 	thr, full := heap.Threshold()
-	for ; live != 0; live &= live - 1 {
-		pos := base + bits.TrailingZeros32(live)
-		w := leUint64(codes[pos*M:])
-		d := tv[0][uint8(w)] + tv[1][uint8(w>>8)] + tv[2][uint8(w>>16)] + tv[3][uint8(w>>24)] +
-			tv[4][uint8(w>>32)] + tv[5][uint8(w>>40)] + tv[6][uint8(w>>48)] + tv[7][uint8(w>>56)]
-		if full && d > thr {
-			continue
-		}
-		if heap.Push(ids[pos], d) {
-			if thr, full = heap.Threshold(); full {
-				*t8 = qt.dq.PruneThreshold(thr, true)
+	// window returns group row j's 16 entries, indexed by a nibble.
+	window := func(j int) *[16]float32 {
+		k := int(key[j]) << 4
+		return (*[16]float32)(tv[j][k : k+16])
+	}
+	switch fs.c {
+	case 0:
+		b := (*[128]uint8)(blk)
+		for ; live != 0; live &= live - 1 {
+			l := uint(bits.TrailingZeros32(live)) & 15
+			d := tv[0][b[l]] + tv[1][b[16+l]] + tv[2][b[32+l]] + tv[3][b[48+l]] +
+				tv[4][b[64+l]] + tv[5][b[80+l]] + tv[6][b[96+l]] + tv[7][b[112+l]]
+			if full && d > thr {
+				continue
 			}
+			thr, full = offer(heap, ids[l], d, qt, t8, thr, full)
+		}
+	case 1:
+		b, w0 := (*[120]uint8)(blk), window(0)
+		for ; live != 0; live &= live - 1 {
+			l := uint(bits.TrailingZeros32(live)) & 15
+			h, sh := l>>1, l&1*4
+			d := w0[b[h]>>sh&15] + tv[1][b[8+l]] + tv[2][b[24+l]] + tv[3][b[40+l]] +
+				tv[4][b[56+l]] + tv[5][b[72+l]] + tv[6][b[88+l]] + tv[7][b[104+l]]
+			if full && d > thr {
+				continue
+			}
+			thr, full = offer(heap, ids[l], d, qt, t8, thr, full)
+		}
+	case 2:
+		b, w0, w1 := (*[112]uint8)(blk), window(0), window(1)
+		for ; live != 0; live &= live - 1 {
+			l := uint(bits.TrailingZeros32(live)) & 15
+			h, sh := l>>1, l&1*4
+			d := w0[b[h]>>sh&15] + w1[b[8+h]>>sh&15] + tv[2][b[16+l]] + tv[3][b[32+l]] +
+				tv[4][b[48+l]] + tv[5][b[64+l]] + tv[6][b[80+l]] + tv[7][b[96+l]]
+			if full && d > thr {
+				continue
+			}
+			thr, full = offer(heap, ids[l], d, qt, t8, thr, full)
+		}
+	case 3:
+		b, w0, w1, w2 := (*[104]uint8)(blk), window(0), window(1), window(2)
+		for ; live != 0; live &= live - 1 {
+			l := uint(bits.TrailingZeros32(live)) & 15
+			h, sh := l>>1, l&1*4
+			d := w0[b[h]>>sh&15] + w1[b[8+h]>>sh&15] + w2[b[16+h]>>sh&15] + tv[3][b[24+l]] +
+				tv[4][b[40+l]] + tv[5][b[56+l]] + tv[6][b[72+l]] + tv[7][b[88+l]]
+			if full && d > thr {
+				continue
+			}
+			thr, full = offer(heap, ids[l], d, qt, t8, thr, full)
+		}
+	case 4:
+		b, w0, w1, w2, w3 := (*[96]uint8)(blk), window(0), window(1), window(2), window(3)
+		for ; live != 0; live &= live - 1 {
+			l := uint(bits.TrailingZeros32(live)) & 15
+			h, sh := l>>1, l&1*4
+			d := w0[b[h]>>sh&15] + w1[b[8+h]>>sh&15] + w2[b[16+h]>>sh&15] + w3[b[24+h]>>sh&15] +
+				tv[4][b[32+l]] + tv[5][b[48+l]] + tv[6][b[64+l]] + tv[7][b[80+l]]
+			if full && d > thr {
+				continue
+			}
+			thr, full = offer(heap, ids[l], d, qt, t8, thr, full)
 		}
 	}
+}
+
+// offer pushes candidate (id, d) into heap and returns the threshold
+// after it, moving t8 with it once the heap is full.
+func offer(heap *topk.Heap, id int64, d float32, qt *queryTables, t8 *int8, thr float32, full bool) (float32, bool) {
+	if heap.Push(id, d) {
+		if thr, full = heap.Threshold(); full {
+			*t8 = qt.dq.PruneThreshold(thr, true)
+		}
+	}
+	return thr, full
 }
 
 // swarPrunedMask derives one block's pruned mask from its 16 stored
@@ -421,7 +488,7 @@ func swarPrunedMask(acc []uint8, t8 int8) uint32 {
 // group's last block and dead lanes leave a block's survivors with one
 // AND each and count as pruned, on every backend and in the model alike.
 func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend, t8 *int8, heap *topk.Heap, tv *[M][256]float32, stats *Stats) {
-	g := fs.grouped
+	g := fs.part.grouped
 	bb := g.BlockSize()
 	hasDead := fs.dead.n > 0
 	swar := !be.Asm()
@@ -466,7 +533,8 @@ func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend
 			n := bits.OnesCount32(live)
 			pruned -= n
 			stats.Candidates += n
-			fs.processLive(live, grp.Start+b*layout.BlockVectors, qt, tv, t8, heap)
+			blk := g.Blocks[(grp.BlockStart+b)*bb : (grp.BlockStart+b+1)*bb]
+			fs.processLive(live, blk, &grp.Key, grp.Start+b*layout.BlockVectors, qt, tv, t8, heap)
 		}
 		stats.Pruned += pruned
 	}

@@ -37,22 +37,28 @@ import (
 const M = layout.M
 
 // Partition is one scannable unit of the database: the vectors of one
-// inverted-index cell, stored as row-major pqcodes (Figure 1) in two
-// runs. The base is the bulk, immutable once built and shared between a
-// partition and its successors (one disk extent when paged); the tail is
-// the short run of rows appended since the base was built, the only
-// part an append copies. Positions 0..N-1 run through the base, then the
-// tail. Deletions are tombstones by position: one copy-on-write bit per
-// row (deadSet), tested by every row-order scan (DeadAt) next to the
-// row it reads; no code is rewritten.
+// inverted-index cell, PQ 8×8 codes in two runs. The base is the bulk,
+// immutable once built and shared between a partition and its
+// successors (one disk extent when paged); the tail is the short run of
+// rows appended since the base was built, row-major (Figure 1), the
+// only part an append copies. Positions 0..N-1 run through the base,
+// then the tail. Deletions are tombstones by position: one
+// copy-on-write bit per row (deadSet), tested by every row-order scan
+// (DeadAt) next to the row it reads; no code is rewritten.
 //
-// Both runs are reachable from outside the package only together
-// (Segments, FlatCodes, ID, Code), so no reader can forget the tail.
+// A base is stored in one of two ways. Without a layout (NewPartition)
+// every row is row-major. With one (NewFastScan lays it out) only the
+// keep region [0, keepN) is; the rows after it are the grouped layout's,
+// whose packed blocks are their only code bytes. Rows are reachable
+// from outside the package only through readers that know both ways
+// and the tail (Code, Rows, FlatCodes, Stored, ID), so no reader can
+// forget the tail or read a grouped row from bytes that are not there.
 type Partition struct {
 	N int // rows, base and tail together
 
-	codes []uint8 // base, row-major
-	ids   []int64 // base ids; nil means position == id
+	codes   []uint8         // row-major codes of the base's plain rows: all of them, or the keep region of a layout
+	ids     []int64         // base ids; nil means position == id
+	grouped *layout.Grouped // the base's rows after the plain ones, when it has a layout
 
 	tailCodes []uint8 // rows appended since the base was built
 	tailIDs   []int64 // always explicit
@@ -79,36 +85,33 @@ func NewPartition(codes []uint8, ids []int64) *Partition {
 	return &Partition{N: n, codes: codes, ids: ids}
 }
 
-// Rows is one contiguous row-major run of a partition's rows.
-type Rows struct {
-	N     int     // rows in the run
-	Codes []uint8 // N × M
-	IDs   []int64 // nil means the ids are the positions First, First+1, ...
-	First int     // partition position of the run's first row
-}
+// Tail returns the number of rows appended since the base was built.
+func (p *Partition) Tail() int { return len(p.tailIDs) }
 
-// ID returns the id of the run's i-th row.
-func (r Rows) ID(i int) int64 {
-	if r.IDs == nil {
-		return int64(r.First + i)
+// baseN returns the number of rows in the base.
+func (p *Partition) baseN() int { return p.N - len(p.tailIDs) }
+
+// plain returns the number of leading base rows stored row-major.
+func (p *Partition) plain() int {
+	if p.grouped == nil {
+		return p.baseN()
 	}
-	return r.IDs[i]
+	return p.baseN() - p.grouped.N
 }
 
-// Segments returns the partition's rows as its two runs, base then tail
-// — the one way to the code and id arrays, so that a reader takes both
-// or says in its source that it drops one.
-func (p *Partition) Segments() (base, tail Rows) {
+// Stored returns the base as it is held — the sections of its extent
+// when paged: the row-major codes of the plain rows, every base row's
+// id (nil when ids are positions), and the grouped rows' packed blocks
+// (nil without a layout). A grouped row's code is in the blocks only.
+func (p *Partition) Stored() (codes []uint8, ids []int64, blocks []uint8) {
 	if p.detached {
 		panic("scan: rows of a detached partition stub")
 	}
-	b := p.N - len(p.tailIDs)
-	return Rows{N: b, Codes: p.codes, IDs: p.ids},
-		Rows{N: len(p.tailIDs), Codes: p.tailCodes, IDs: p.tailIDs, First: b}
+	if p.grouped != nil {
+		blocks = p.grouped.Blocks
+	}
+	return p.codes, p.ids, blocks
 }
-
-// Tail returns the number of rows appended since the base was built.
-func (p *Partition) Tail() int { return len(p.tailIDs) }
 
 // ID maps a vector position to its external id.
 func (p *Partition) ID(i int) int64 {
@@ -124,21 +127,85 @@ func (p *Partition) ID(i int) int64 {
 	return p.ids[i]
 }
 
-// Code returns the pqcode of vector i.
-func (p *Partition) Code(i int) []uint8 {
-	if b := p.N - len(p.tailIDs); i >= b {
-		return p.tailCodes[(i-b)*M : (i-b+1)*M]
+// Code returns the pqcode of vector i: a grouped row's from its group
+// key and block lane (one group search; bulk readers use Rows).
+func (p *Partition) Code(i int) [M]uint8 {
+	if b := p.baseN(); i >= b {
+		return [M]uint8(p.tailCodes[(i-b)*M:])
 	}
-	return p.codes[i*M : (i+1)*M]
+	if plain := p.plain(); i >= plain {
+		return p.grouped.Code(i - plain)
+	}
+	return [M]uint8(p.codes[i*M:])
+}
+
+// Cursor reads a run of a partition's positions in order as runs of
+// row-major codes: the plain rows and the tail as they are stored, the
+// grouped rows up to one block at a time, decoded by the layout's
+// Walker. It is the path of every reader that wants many rows.
+type Cursor struct {
+	p       *Partition
+	pos, hi int
+	walking bool
+	walk    layout.Walker
+}
+
+// Rows returns a Cursor over positions [lo, hi).
+func (p *Partition) Rows(lo, hi int) Cursor {
+	if p.detached && lo < min(hi, p.baseN()) {
+		panic("scan: rows of a detached partition stub")
+	}
+	return Cursor{p: p, pos: lo, hi: hi}
+}
+
+// Next returns the next run of rows: the position of its first row and
+// the codes, M bytes a row, valid until the following call. ok is false
+// once the cursor's positions are read.
+func (c *Cursor) Next() (first int, codes []uint8, ok bool) {
+	if c.pos >= c.hi {
+		return 0, nil, false
+	}
+	p := c.p
+	plain, b := p.plain(), p.baseN()
+	first = c.pos
+	switch {
+	case first < plain:
+		c.pos = min(c.hi, plain)
+		codes = p.codes[first*M : c.pos*M]
+	case first < b:
+		if !c.walking {
+			c.walk, c.walking = p.grouped.Walk(first-plain, min(c.hi, b)-plain), true
+		}
+		pos, run, _ := c.walk.Next()
+		first, codes = plain+pos, run
+		c.pos = first + len(run)/M
+	default:
+		c.pos = c.hi
+		codes = p.tailCodes[(first-b)*M : (c.pos-b)*M]
+	}
+	return first, codes, true
+}
+
+// appendCodes appends the codes of positions [lo, hi) to dst.
+func (p *Partition) appendCodes(dst []uint8, lo, hi int) []uint8 {
+	rows := p.Rows(lo, hi)
+	for {
+		_, codes, ok := rows.Next()
+		if !ok {
+			return dst
+		}
+		dst = append(dst, codes...)
+	}
 }
 
 // FlatCodes returns every row's code as one row-major run: the base
-// array itself while the tail is empty, a fresh concatenation otherwise.
+// array itself while the whole base is row-major and the tail empty, a
+// fresh concatenation otherwise.
 func (p *Partition) FlatCodes() []uint8 {
-	if len(p.tailIDs) == 0 {
+	if p.grouped == nil && len(p.tailIDs) == 0 {
 		return p.codes
 	}
-	return append(append(make([]uint8, 0, p.N*M), p.codes...), p.tailCodes...)
+	return p.appendCodes(make([]uint8, 0, p.N*M), 0, p.N)
 }
 
 // CloneAppend returns a new partition holding p's rows followed by the
@@ -180,27 +247,32 @@ func (p *Partition) CloneTombstone(row int) (*Partition, bool) {
 }
 
 // Detach returns a shallow copy of the partition with the base arrays
-// dropped: a stub whose row and tombstone bookkeeping (N, dead bits)
-// and tail stay resident while the base lives in a disk extent. Stubs
-// answer Live/DeadAt/DeadCount and may be appended to and tombstoned
-// copy-on-write; any other code or id access must go through Hydrate
-// first — ID panics on a stub rather than fabricate position ids.
+// dropped — its layout's too, down to the group directory
+// (layout.Grouped.Detach): a stub whose row and tombstone bookkeeping
+// (N, dead bits) and tail stay resident while the base lives in a disk
+// extent. Stubs answer Live/DeadAt/DeadCount and may be appended to and
+// tombstoned copy-on-write; any other code or id access must go through
+// Hydrate first — ID panics on a stub rather than fabricate position
+// ids.
 func (p *Partition) Detach() *Partition {
 	q := *p
 	q.codes, q.ids = nil, nil
+	if p.grouped != nil {
+		q.grouped = p.grouped.Detach()
+	}
 	q.detached = true
 	return &q
 }
 
-// Hydrate returns a shallow copy of the stub with the base codes and
-// ids attached — aliases into a pinned buffer-pool frame, valid only
-// while the pin is held. The tail and the dead bits are shared with the
-// stub (immutable once published). ids may be nil only when the sealed
-// base had implicit position ids (hasIDs false at detach time; the
-// caller tracks this in the extent metadata).
-func (p *Partition) Hydrate(codes []uint8, ids []int64) *Partition {
-	b := p.N - len(p.tailIDs)
-	if len(codes) != b*M {
+// Hydrate returns a shallow copy of the stub with the base arrays
+// attached, the three Stored returned before Detach — aliases into a
+// pinned buffer-pool frame, valid only while the pin is held. The tail
+// and the dead bits are shared with the stub (immutable once
+// published). ids may be nil only when the sealed base had implicit
+// position ids, and then the base has no layout.
+func (p *Partition) Hydrate(codes []uint8, ids []int64, blocks []uint8) *Partition {
+	b, plain := p.baseN(), p.plain()
+	if len(codes) != plain*M {
 		panic("scan: Hydrate code length mismatch")
 	}
 	if ids != nil && len(ids) != b {
@@ -208,6 +280,12 @@ func (p *Partition) Hydrate(codes []uint8, ids []int64) *Partition {
 	}
 	q := *p
 	q.codes, q.ids = codes, ids
+	switch {
+	case p.grouped != nil:
+		q.grouped = p.grouped.Hydrate(blocks, ids[plain:])
+	case len(blocks) != 0:
+		panic("scan: Hydrate blocks for a base without a layout")
+	}
 	q.detached = false
 	return &q
 }
@@ -230,7 +308,7 @@ func (p *Partition) Flatten() *Partition {
 func (p *Partition) Compact() *Partition { return p.rebuilt(true) }
 
 // rebuilt copies p's rows, all or only the live ones, into a partition
-// of one fresh base.
+// of one fresh row-major base.
 func (p *Partition) rebuilt(liveOnly bool) *Partition {
 	drop := liveOnly && p.HasDead()
 	n := p.N
@@ -239,14 +317,18 @@ func (p *Partition) rebuilt(liveOnly bool) *Partition {
 	}
 	codes := make([]uint8, 0, n*M)
 	ids := make([]int64, 0, n)
-	base, tail := p.Segments()
-	for _, seg := range [2]Rows{base, tail} {
-		for i := 0; i < seg.N; i++ {
-			if drop && p.DeadAt(seg.First+i) {
+	rows := p.Rows(0, p.N)
+	for {
+		first, run, ok := rows.Next()
+		if !ok {
+			break
+		}
+		for i := 0; i < len(run)/M; i++ {
+			if drop && p.DeadAt(first+i) {
 				continue
 			}
-			codes = append(codes, seg.Codes[i*M:(i+1)*M]...)
-			ids = append(ids, seg.ID(i))
+			codes = append(codes, run[i*M:(i+1)*M]...)
+			ids = append(ids, p.ID(first+i))
 		}
 	}
 	return &Partition{N: len(ids), codes: codes, ids: ids}
@@ -339,7 +421,7 @@ func (s Stats) PrunedFraction() float64 {
 
 // ADC8 computes the ADC distance of Equation 3 for one 8-component code,
 // accumulating in the fixed j = 0..7 order shared by all kernels.
-func ADC8(code []uint8, t quantizer.Tables) float32 {
+func ADC8(code [M]uint8, t quantizer.Tables) float32 {
 	d := t.Data[int(code[0])]
 	d += t.Data[256+int(code[1])]
 	d += t.Data[2*256+int(code[2])]
@@ -365,17 +447,25 @@ func Naive(p *Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {
 	Check8x8(t)
 	heap := topk.New(k)
 	hasDead := p.HasDead()
-	for i := 0; i < p.N; i++ {
-		if hasDead && p.DeadAt(i) {
-			continue
+	rows := p.Rows(0, p.N)
+	for {
+		first, codes, ok := rows.Next()
+		if !ok {
+			break
 		}
-		heap.Push(p.ID(i), ADC8(p.Code(i), t))
+		for i := 0; i < len(codes)/M; i++ {
+			if hasDead && p.DeadAt(first+i) {
+				continue
+			}
+			heap.Push(p.ID(first+i), ADC8([M]uint8(codes[i*M:]), t))
+		}
 	}
 	return heap.Results(), Stats{Scanned: p.N}
 }
 
 // LibpqRange scans positions [lo, hi) of the partition — whichever of
-// its two runs they fall in — into heap: the one exact PQ Scan loop,
+// its runs they fall in, a grouped row decoded by the partition's
+// Cursor — into heap: the one exact PQ Scan loop,
 // the tuned libpq baseline of §3.1. It is ExactNative's whole body,
 // FastScan's keep phase and the body of the model's libpq baseline. The
 // eight table rows are hoisted out of the loop, each indexed by one
@@ -398,12 +488,14 @@ func LibpqRange(p *Partition, lo, hi int, t quantizer.Tables, heap *topk.Heap) {
 
 	hasDead := p.HasDead()
 	thr, full := heap.Threshold()
-	base, tail := p.Segments()
-	for _, seg := range [2]Rows{base, tail} {
-		codes, ids := seg.Codes, seg.IDs
-		from, to := max(lo-seg.First, 0), min(hi-seg.First, seg.N)
-		for i := from; i < to; i++ {
-			if hasDead && p.dead.has(seg.First+i) {
+	rows := p.Rows(lo, hi)
+	for {
+		first, codes, ok := rows.Next()
+		if !ok {
+			break
+		}
+		for i := 0; i < len(codes)/M; i++ {
+			if hasDead && p.dead.has(first+i) {
 				continue
 			}
 			cd := codes[i*M : i*M+M : i*M+M]
@@ -412,11 +504,7 @@ func LibpqRange(p *Partition, lo, hi int, t quantizer.Tables, heap *topk.Heap) {
 			if full && d > thr {
 				continue
 			}
-			id := int64(seg.First + i)
-			if ids != nil {
-				id = ids[i]
-			}
-			if heap.Push(id, d) {
+			if heap.Push(p.ID(first+i), d) {
 				if v, ok := heap.Threshold(); ok {
 					thr, full = v, true
 				}
