@@ -175,12 +175,13 @@ func TestDiskStoreBoundedResidency(t *testing.T) {
 	}
 }
 
-// TestDiskStoreExtentBytesPerRow: an extent stores each row once — 8
-// bytes of id, and its code once: 8 row-major bytes in the keep region,
-// 6 to 8 packed in a block everywhere else (8 on this fixture's shallow
-// grouping, a little more where a group's last block is padded) — plus
-// at most one cache line of padding per section (codes, ids, blocks).
-// A row-major copy of the grouped rows' codes would add 8 a row.
+// TestDiskStoreExtentBytesPerRow: an extent stores each row once — a
+// 4-byte id offset (the id base and any spilled id stay on the stub),
+// and its code once: 8 row-major bytes in the keep region, 6 to 8
+// packed in a block everywhere else (about 8 on this fixture's shallow
+// grouping, where a group's last block is padded) — plus at most one
+// cache line of padding per section (codes, ids, blocks). An int64 id
+// would add 4 a row, a row-major copy of the grouped rows' codes 8.
 func TestDiskStoreExtentBytesPerRow(t *testing.T) {
 	idx, _ := buildDiskTestIndex(t, 7171)
 	if err := idx.WithDiskStore(t.TempDir(), 8<<20); err != nil {
@@ -189,8 +190,8 @@ func TestDiskStoreExtentBytesPerRow(t *testing.T) {
 	st, _ := idx.StoreStats()
 	rows := int64(idx.Live())
 	headers := int64(3*64) * int64(idx.Partitions())
-	if st.ExtentBytes > 16*rows+headers {
-		t.Fatalf("extents hold %d bytes for %d rows (%.1f a row), want at most 16 a row plus %d of section padding",
+	if st.ExtentBytes > 12*rows+headers {
+		t.Fatalf("extents hold %d bytes for %d rows (%.1f a row), want at most 12 a row plus %d of section padding",
 			st.ExtentBytes, rows, float64(st.ExtentBytes)/float64(rows), headers)
 	}
 }

@@ -89,9 +89,12 @@ func TestProberQuarantinesAndReinstates(t *testing.T) {
 			http.Error(w, "sick", http.StatusServiceUnavailable)
 			return
 		}
-		resp, err := http.Post(inner.URL+r.URL.Path, "application/json", r.Body)
+		var resp *http.Response
+		var err error
 		if r.Method == http.MethodGet {
 			resp, err = http.Get(inner.URL + r.URL.Path)
+		} else {
+			resp, err = http.Post(inner.URL+r.URL.Path, "application/json", r.Body)
 		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
@@ -271,9 +274,12 @@ func TestDeadlineForwardedToShards(t *testing.T) {
 				}
 			}
 		}
-		resp, err := http.Post(inner.URL+r.URL.Path, "application/json", r.Body)
+		var resp *http.Response
+		var err error
 		if r.Method == http.MethodGet {
 			resp, err = http.Get(inner.URL + r.URL.Path)
+		} else {
+			resp, err = http.Post(inner.URL+r.URL.Path, "application/json", r.Body)
 		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)

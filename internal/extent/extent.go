@@ -114,30 +114,30 @@ func (p *Payload) Section(name string) ([]byte, bool) {
 	return p.buf[s.off : s.off+s.len : s.off+s.len], true
 }
 
-// Int64Bytes views a []int64 as bytes in native order, for writing an
-// id section without a copy. Extents are node-local (see package doc),
-// so native order round-trips.
-func Int64Bytes(v []int64) []byte {
+// Uint32Bytes views a []uint32 as bytes in native order, for writing
+// an id-offset section without a copy. Extents are node-local (see
+// package doc), so native order round-trips.
+func Uint32Bytes(v []uint32) []byte {
 	if len(v) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4)
 }
 
-// BytesInt64 views a byte section as []int64 in native order. The
-// section base must be 8-byte aligned — guaranteed for extent sections
-// (SectionAlign) — and the length a multiple of 8.
-func BytesInt64(b []byte) []int64 {
+// BytesUint32 views a byte section as []uint32 in native order. The
+// section base must be 4-byte aligned — guaranteed for extent sections
+// (SectionAlign) — and the length a multiple of 4.
+func BytesUint32(b []byte) []uint32 {
 	if len(b) == 0 {
 		return nil
 	}
-	if len(b)%8 != 0 {
-		panic("extent: int64 section length not a multiple of 8")
+	if len(b)%4 != 0 {
+		panic("extent: uint32 section length not a multiple of 4")
 	}
-	if uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
-		panic("extent: int64 section base not 8-byte aligned")
+	if uintptr(unsafe.Pointer(&b[0]))%4 != 0 {
+		panic("extent: uint32 section base not 4-byte aligned")
 	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
 // Store reads and writes extents in one directory through an fsio.FS.

@@ -30,9 +30,9 @@ func TestRoundTrip(t *testing.T) {
 	s := openStore(t)
 	var b Builder
 	codes := bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, 100) // 700 bytes, unaligned length
-	ids := []int64{10, -20, 1 << 40}
+	ids := []uint32{10, 1 << 31, 1<<32 - 1}
 	b.Add("codes", codes)
-	b.Add("ids", Int64Bytes(ids))
+	b.Add("ids", Uint32Bytes(ids))
 	b.Add("empty", nil)
 
 	n, err := s.Write("i1-p0-e1", &b)
@@ -73,7 +73,7 @@ func TestRoundTrip(t *testing.T) {
 	if !layout.Aligned(idsGot) {
 		t.Fatal("ids section not 64-byte aligned")
 	}
-	back := BytesInt64(idsGot)
+	back := BytesUint32(idsGot)
 	for i, v := range ids {
 		if back[i] != v {
 			t.Fatalf("ids[%d] = %d, want %d", i, back[i], v)
@@ -181,7 +181,7 @@ func FuzzReadExtent(f *testing.F) {
 	path := filepath.Join(s.Dir(), "x"+Suffix)
 	var roundTrip, corrupt, tiny Builder
 	roundTrip.Add("codes", bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, 100))
-	roundTrip.Add("ids", Int64Bytes([]int64{10, -20, 1 << 40}))
+	roundTrip.Add("ids", Uint32Bytes([]uint32{10, 1 << 31, 1<<32 - 1}))
 	roundTrip.Add("empty", nil)
 	corrupt.Add("data", bytes.Repeat([]byte{0xab}, 1000))
 	tiny.Add("d", []byte{1})

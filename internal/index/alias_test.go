@@ -12,12 +12,12 @@ import (
 
 // checkAliasesBase fails unless p's base holds row-major code bytes for
 // exactly its keep region — the packed blocks of fs's layout, p's own,
-// are every other base row's only code — fs's grouped ids are p's base
-// ids from the keep split on, the same memory, not a copy, and ordering
-// a tail-free p again hands back p itself.
+// are every other base row's only code — p holds one 4-byte id offset
+// a base row and spills none (the ids of these fixtures span far less
+// than 2³²), and ordering a tail-free p again hands back p itself.
 func checkAliasesBase(t *testing.T, tag string, p *scan.Partition, fs *scan.FastScan, opt scan.FastScanOptions) {
 	t.Helper()
-	codes, ids, blocks := p.Stored()
+	codes, idOff, blocks := p.Stored()
 	g, keep, base := fs.Grouped(), fs.KeepN(), p.N-p.Tail()
 	if g.N == 0 || g.N != base-keep {
 		t.Fatalf("%s: layout groups %d rows of a base of %d (keep %d)", tag, g.N, base, keep)
@@ -28,8 +28,9 @@ func checkAliasesBase(t *testing.T, tag string, p *scan.Partition, fs *scan.Fast
 	if unsafe.SliceData(blocks) != unsafe.SliceData(g.Blocks) || len(blocks) != g.PackedBytes() {
 		t.Fatalf("%s: the base's blocks are not its layout's", tag)
 	}
-	if unsafe.SliceData(g.IDs) != &ids[keep] || len(g.IDs) != g.N {
-		t.Fatalf("%s: grouped ids are not the base's", tag)
+	if len(idOff) != base || p.IDBytes() != 4*base+8*p.Tail() {
+		t.Fatalf("%s: %d id offsets and %d id bytes for a base of %d and a tail of %d, want one offset a base row and no spill",
+			tag, len(idOff), p.IDBytes(), base, p.Tail())
 	}
 	if p.Tail() == 0 && scan.Ordered(p, opt) != p {
 		t.Fatalf("%s: ordering an ordered base is not the identity", tag)
@@ -55,8 +56,8 @@ func checkEpochsAliasBase(t *testing.T, ix *Index, tag string) {
 // rows in id order (the order files were written in before bases were
 // kept in layout order), a fold, a compaction — it holds row-major
 // codes for its keep region only, the Fast Scan layout's packed blocks
-// hold the rest, and the layout aliases its ids instead of copying
-// them; so does a restricted index's and a paged epoch's hydrated one.
+// hold the rest, and the base holds its ids as 4-byte offsets; so does
+// a restricted index's and a paged epoch's hydrated one.
 func TestLayoutAliasesBase(t *testing.T) {
 	gen := dataset.NewGenerator(dataset.Config{Seed: 5, Dim: 32})
 	learn, base := gen.Generate(1500), gen.Generate(3000)

@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -52,7 +53,10 @@ type liveRow struct {
 // partition's first live row (the keep region), its middle one
 // (grouped) or its last (the tail, while there is one) — so dead bits
 // by position and by block lane are carried across folds and
-// renumbered by compactions.
+// renumbered by compactions. The first byte picks the mode: bit 0 RAM
+// or paged, bit 1 the build's ids as they are or wide — every odd id
+// moved above 2³² (wideID), so about half of every base's ids, and
+// every id an Add issues, spill.
 func FuzzBaseTailIdentity(f *testing.F) {
 	fx := &fuzzFixture
 	fx.once.Do(func() {
@@ -93,14 +97,29 @@ func FuzzBaseTailIdentity(f *testing.F) {
 	// base rows (moved behind them) and of keep rows (not moved).
 	f.Add([]byte{0, 1, 255, 1, 255, 1, 255, 4, 4, 4, 5, 4, 2, 4, 3, 4, 0, 4, 1, 2, 77})
 	f.Add([]byte{1, 1, 255, 1, 255, 1, 255, 4, 4, 4, 5, 4, 2, 4, 3, 4, 0, 4, 1, 2, 77})
+	// Wide ids, RAM and paged: deletes by region, a fold, a compaction.
+	f.Add([]byte{2, 4, 0, 4, 2, 4, 4, 1, 255, 1, 255, 1, 255, 4, 5, 3, 0, 2, 9})
+	f.Add([]byte{3, 4, 1, 4, 3, 1, 255, 1, 255, 1, 255, 4, 4, 3, 1, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		src := fx.ix
-		parts := src.Parts()
-		ix := Restore(src.Dim, src.Coarse, src.PQ, parts, src.opt, src.NextID())
+		parts, next := src.Parts(), src.NextID()
+		wide := data[0]&2 != 0
+		if wide {
+			parts = slices.Clone(parts)
+			for c, p := range parts {
+				ids := make([]int64, p.N)
+				for i := range ids {
+					ids[i] = wideID(p.ID(i))
+				}
+				parts[c] = scan.NewPartition(p.FlatCodes(), ids)
+			}
+			next = wideID(next | 1)
+		}
+		ix := Restore(src.Dim, src.Coarse, src.PQ, parts, src.opt, next)
 		if data[0]&1 == 1 {
 			if err := ix.AttachStore(t.TempDir(), 1<<30); err != nil {
 				t.Fatal(err)
@@ -111,7 +130,11 @@ func FuzzBaseTailIdentity(f *testing.F) {
 		live := make([][]liveRow, len(parts))
 		for c, p := range parts {
 			for i := 0; i < p.N; i++ {
-				b := fx.built[p.ID(i)]
+				id := p.ID(i)
+				if wide {
+					id = id &^ (1 << 32)
+				}
+				b := fx.built[id]
 				if b.cell != c {
 					t.Fatalf("id %d is in partition %d, routed to %d", p.ID(i), c, b.cell)
 				}
@@ -176,6 +199,9 @@ func FuzzBaseTailIdentity(f *testing.F) {
 		checkLayouts(t, ix)
 	})
 }
+
+// wideID moves an odd id of the fixture's build above 2³².
+func wideID(id int64) int64 { return id | (id&1)<<32 }
 
 // checkAgainstRebuild holds ix to an index restored from the rows in
 // live — row by row, every id and code through Code and FlatCodes of

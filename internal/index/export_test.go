@@ -1,6 +1,11 @@
 package index
 
-// CheckLayouts is checkLayouts for this package's external tests, which
+// CheckLayouts, CheckRouting and RestoreIDs are checkLayouts,
+// checkRouting and restoreIDs for this package's external tests, which
 // load indexes through internal/persist (an import the package's own
 // tests cannot make: persist imports index).
-var CheckLayouts = checkLayouts
+var (
+	CheckLayouts = checkLayouts
+	CheckRouting = checkRouting
+	RestoreIDs   = restoreIDs
+)

@@ -420,7 +420,7 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 type MemoryBytes struct {
 	Rows      int // rows held, dead ones included
 	Codes     int // row-major code bytes: the keep regions and the tails
-	IDs       int // id bytes, base and tail
+	IDs       int // id bytes: the base's offsets and spilled ids, the tail's ids
 	Blocks    int // packed block bytes: every other row's code
 	Directory int // group directory bytes
 
@@ -444,10 +444,10 @@ func (ix *Index) GroupedMemoryBytes() (MemoryBytes, error) {
 			return MemoryBytes{}, err
 		}
 		g := fs.Grouped()
-		codes, ids, blocks := p.Stored()
+		codes, _, blocks := p.Stored()
 		m.Rows += p.N
 		m.Codes += len(codes) + p.Tail()*layout.M
-		m.IDs += 8 * (len(ids) + p.Tail())
+		m.IDs += p.IDBytes()
 		m.Blocks += len(blocks)
 		m.Directory += g.DirectoryBytes()
 		plain := fs.PlainScanned() * layout.M

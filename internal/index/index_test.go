@@ -274,10 +274,11 @@ func TestGroupedMemoryBytes(t *testing.T) {
 	if m.Packed >= m.RowMajor {
 		t.Fatalf("packed layout (%d) not smaller than row-major (%d)", m.Packed, m.RowMajor)
 	}
-	// An id a row (8 bytes), a row-major code (8 more) only for the
-	// plain-scanned rows, and the packed blocks, the other rows' only
-	// code: a row-major copy of the grouped rows would add 8 a row.
-	want, dir := 8*rows, 0
+	// An id offset a row (4 bytes; no id of a build spills), a row-major
+	// code (8) only for the plain-scanned rows, and the packed blocks,
+	// the other rows' only code: a row-major copy of the grouped rows
+	// would add 8 a row.
+	want, dir := 4*rows, 0
 	for c := range ix.Parts() {
 		fs, err := ix.FastScanner(c)
 		if err != nil {
@@ -291,6 +292,22 @@ func TestGroupedMemoryBytes(t *testing.T) {
 	}
 	if m.Directory != dir || m.Resident() != want+dir {
 		t.Fatalf("group directory %d bytes, resident %d; want %d, %d", m.Directory, m.Resident(), dir, want+dir)
+	}
+}
+
+// TestResidentBytesPerRow pins what a row of a dense index costs in
+// RAM: its id is a 4-byte offset from its base's id base, and the whole
+// row — id, code bytes and its share of the group directory — stays
+// within 12.3 bytes. int64 ids would take 8 and 16 of them.
+func TestResidentBytesPerRow(t *testing.T) {
+	ix, _, _ := sharedIndex(t)
+	m, err := ix.GroupedMemoryBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := func(b int) float64 { return float64(b) / float64(m.Rows) }
+	if per(m.IDs) > 4.1 || per(m.Resident()) > 12.3 {
+		t.Fatalf("%.2f id bytes and %.2f resident bytes a row, want at most 4.1 and 12.3", per(m.IDs), per(m.Resident()))
 	}
 }
 

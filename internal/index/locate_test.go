@@ -185,11 +185,14 @@ func TestEveryEpochHasItsLayout(t *testing.T) {
 }
 
 // restoreIDs returns an index over src's model whose partition 0 holds
-// one zero code for each of ids, the other partitions empty, and whose
-// allocator stands at next.
-func restoreIDs(src *Index, ids []int64, next int64) *Index {
+// a row for each of ids, its code from codes (zero when codes is nil),
+// the other partitions empty, and whose allocator stands at next.
+func restoreIDs(src *Index, codes []uint8, ids []int64, next int64) *Index {
+	if codes == nil {
+		codes = make([]uint8, len(ids)*scan.M)
+	}
 	parts := make([]*scan.Partition, src.Partitions())
-	parts[0] = scan.NewPartition(make([]uint8, len(ids)*scan.M), ids)
+	parts[0] = scan.NewPartition(codes, ids)
 	for c := 1; c < len(parts); c++ {
 		parts[c] = scan.NewPartition(nil, nil)
 	}
@@ -204,7 +207,7 @@ func restoreIDs(src *Index, ids []int64, next int64) *Index {
 func TestRoutingHostileAndSparseIDs(t *testing.T) {
 	src, _, _ := sharedIndex(t)
 	top := int64(1)<<62 - 1
-	ix := restoreIDs(src, []int64{0, top}, 1<<62)
+	ix := restoreIDs(src, nil, []int64{0, top}, 1<<62)
 	for _, id := range []int64{-1, ix.NextID(), math.MaxInt64} {
 		if err := ix.Delete(id); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("delete of id %d: %v, want ErrNotFound", id, err)
@@ -246,7 +249,7 @@ func TestRoutingFollowsDensity(t *testing.T) {
 	for j := int64(0); j < locDense-1; j++ {
 		ids = append(ids, (sparse+1)<<locShift+j)
 	}
-	ix := restoreIDs(src, ids, (sparse+2)<<locShift)
+	ix := restoreIDs(src, nil, ids, (sparse+2)<<locShift)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	err := ix.Delete(ids[0])

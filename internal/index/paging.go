@@ -2,12 +2,13 @@
 // epoch-aware buffer pool (DESIGN.md §15).
 //
 // AttachStore seals every partition epoch's base as it is stored — the
-// keep region's row-major codes, every row's id, and the grouped
-// layout's packed blocks, which are the other rows' codes — into one
-// immutable extent file per base, and
+// keep region's row-major codes, every row's uint32 id offset, and the
+// grouped layout's packed blocks, which are the other rows' codes —
+// into one immutable extent file per base, and
 // replaces the snapshot's epochs with stubs: RAM-resident metadata
-// (row counts, dead bits, the group directory, the tail of rows
-// appended since the base was built) whose base slices are nil. A
+// (row counts, dead bits, the group directory, the id base and the
+// spilled ids, the tail of rows appended since the base was built)
+// whose base slices are nil. A
 // probe that visits a partition pins its extent in the buffer
 // pool, hydrates transient shallow views over the pinned payload, scans
 // them exactly as it would RAM-resident slices — the payload buffer is
@@ -135,7 +136,7 @@ func (x *pagedExtent) view(pe *PartEpoch) (*scan.Partition, *scan.FastScan, func
 		return nil, nil, nil, fmt.Errorf("index: pinning extent %s: %w", x.name, err)
 	}
 	sec := func(sp pspan) []byte { return buf[sp.off : sp.off+sp.n : sp.off+sp.n] }
-	p := pe.Part.Hydrate(sec(x.codes), extent.BytesInt64(sec(x.ids)), sec(x.blocks))
+	p := pe.Part.Hydrate(sec(x.codes), extent.BytesUint32(sec(x.ids)), sec(x.blocks))
 	fs := pe.fast.Hydrate(p)
 	release := func() { x.pg.pool.Unpin(x.name) }
 	return p, fs, release, nil
@@ -154,12 +155,12 @@ func (pg *Paging) writeExtent(name string, fast *scan.FastScan) (*pagedExtent, *
 		b.Add(secName, data)
 		return sp
 	}
-	// The tail is not sealed: Detach keeps it. A base in Fast Scan order
-	// has explicit ids, or no rows at all.
+	// The tail is not sealed: Detach keeps it, and the id base and the
+	// spill with it.
 	part := fast.Partition()
-	codes, ids, blocks := part.Stored()
+	codes, idOff, blocks := part.Stored()
 	x.codes = add("codes", codes)
-	x.ids = add("ids", extent.Int64Bytes(ids))
+	x.ids = add("ids", extent.Uint32Bytes(idOff))
 	x.blocks = add("blocks", blocks)
 	n, err := pg.store.Write(name, &b)
 	if err != nil {
@@ -295,7 +296,7 @@ func (ix *Index) StoreStats() (StoreStats, bool) {
 
 // materializePart returns the epoch's partition free of pin lifetimes,
 // for offline tooling (Parts, FastScanner): Part itself on a RAM epoch;
-// on a paged one a copy whose base — keep codes, ids and packed blocks,
+// on a paged one a copy whose base — keep codes, id offsets and packed blocks,
 // the layout with them — is copied out of the pinned frame, its tail
 // and dead bits shared.
 func (ix *Index) materializePart(pe *PartEpoch) (*scan.Partition, error) {
@@ -307,6 +308,6 @@ func (ix *Index) materializePart(pe *PartEpoch) (*scan.Partition, error) {
 		return nil, err
 	}
 	defer release()
-	codes, ids, blocks := p.Stored()
-	return pe.Part.Hydrate(append([]uint8(nil), codes...), append([]int64(nil), ids...), append(layout.AlignedBytes(0, len(blocks)), blocks...)), nil
+	codes, idOff, blocks := p.Stored()
+	return pe.Part.Hydrate(append([]uint8(nil), codes...), append([]uint32(nil), idOff...), append(layout.AlignedBytes(0, len(blocks)), blocks...)), nil
 }

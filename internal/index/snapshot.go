@@ -144,7 +144,7 @@ func (ix *Index) Parts() []*scan.Partition {
 
 // install seeds the snapshot with freshly built partitions (Build and
 // Restore), each base put in Fast Scan order (scan.Ordered) and its
-// layout built over it, aliasing its ids — whatever order a file was
+// layout built over it — whatever order a file was
 // written in; a base already in order, as every one this version saves
 // is, is installed as it is. Not safe under concurrent
 // use; callers own the index exclusively at that point.

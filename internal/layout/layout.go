@@ -156,12 +156,12 @@ type Group struct {
 // group-key order (GroupOrder) — in the index, the grouped part of a
 // partition base. Blocks is the only copy of the rows' codes: a row's
 // grouped components are its group's key (high nibbles) and its lane's
-// packed low nibbles, its other components the lane's full bytes. IDs
-// is the caller's id run, aliased.
+// packed low nibbles, its other components the lane's full bytes. A
+// layout holds codes only: the rows' ids are the partition's, by
+// position.
 type Grouped struct {
 	N      int
-	C      int     // number of grouped components (0..4)
-	IDs    []int64 // id of each grouped position: the caller's run, aliased
+	C      int // number of grouped components (0..4)
 	Groups []Group
 	Blocks []uint8 // packed blocks, BlockBytes(C) each, grouped order
 
@@ -220,11 +220,10 @@ func GroupOrder(codes []uint8, c int) []int {
 }
 
 // NewGrouped packs a run of row-major codes already in group-key order
-// on the first c components (GroupOrder returns nil for it), with their
-// ids, one per row, into the grouped layout. The ids are aliased; the
-// codes are read once and not retained — the packed blocks hold them. A
-// run out of order is an error.
-func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
+// on the first c components (GroupOrder returns nil for it) into the
+// grouped layout. The codes are read once and not retained — the packed
+// blocks hold them. A run out of order is an error.
+func NewGrouped(codes []uint8, c int) (*Grouped, error) {
 	if c < 0 || c > MaxGroupComponents {
 		return nil, fmt.Errorf("layout: grouping components %d out of range [0,4]", c)
 	}
@@ -232,10 +231,7 @@ func NewGrouped(codes []uint8, ids []int64, c int) (*Grouped, error) {
 		return nil, fmt.Errorf("layout: code array length %d not a multiple of %d", len(codes), M)
 	}
 	n := len(codes) / M
-	if len(ids) != n {
-		return nil, fmt.Errorf("layout: %d ids for %d vectors", len(ids), n)
-	}
-	g := &Grouped{N: n, C: c, IDs: ids, blockBytes: BlockBytes(c)}
+	g := &Grouped{N: n, C: c, blockBytes: BlockBytes(c)}
 
 	// One group per run of equal keys, in key order.
 	totalBlocks := 0
@@ -318,27 +314,27 @@ func (g *Grouped) packLane(i, lane int, code []uint8) {
 	}
 }
 
-// Detach returns a shallow copy of the layout with the bulk data
-// slices (IDs, Blocks) dropped: a directory stub that keeps the group
+// Detach returns a shallow copy of the layout with its packed blocks
+// dropped: a directory stub that keeps the group
 // structure, counts and block geometry resident while the bytes live
 // in a disk extent behind the buffer pool. A stub answers every
 // structural question (BlockSize, PackedBytes of zero, group lookup)
 // but must be Hydrated before any lane or code access.
 func (g *Grouped) Detach() *Grouped {
 	ng := *g
-	ng.IDs, ng.Blocks = nil, nil
+	ng.Blocks = nil
 	return &ng
 }
 
-// Hydrate returns a shallow copy of the stub with the bulk data slices
-// attached — typically aliases into a pinned buffer-pool frame: the
-// packed blocks, and the ids of the run Detach dropped. The copy is a
+// Hydrate returns a shallow copy of the stub with the packed blocks
+// Detach dropped attached — typically an alias into a pinned
+// buffer-pool frame. The copy is a
 // transient view: it is valid exactly as long as the pin is held, and
 // the receiver stub is never mutated, so concurrent probes can hydrate
 // the same stub against the same frame. Hydrate panics on length or
 // alignment violations: the extent bytes must reproduce the layout that
 // Detach dropped bit-for-bit, or kernels would scan garbage.
-func (g *Grouped) Hydrate(blocks []uint8, ids []int64) *Grouped {
+func (g *Grouped) Hydrate(blocks []uint8) *Grouped {
 	totalBlocks := 0
 	if n := len(g.Groups); n > 0 {
 		last := g.Groups[n-1]
@@ -347,14 +343,11 @@ func (g *Grouped) Hydrate(blocks []uint8, ids []int64) *Grouped {
 	if len(blocks) != totalBlocks*g.blockBytes {
 		panic(fmt.Sprintf("layout: Hydrate blocks length %d, want %d", len(blocks), totalBlocks*g.blockBytes))
 	}
-	if len(ids) != g.N {
-		panic(fmt.Sprintf("layout: Hydrate ids length %d, want %d", len(ids), g.N))
-	}
 	if !Aligned(blocks) {
 		panic("layout: Hydrate blocks not Alignment-aligned")
 	}
 	ng := *g
-	ng.Blocks, ng.IDs = blocks, ids
+	ng.Blocks = blocks
 	return &ng
 }
 

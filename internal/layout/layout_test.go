@@ -19,27 +19,24 @@ func randomCodes(n int, seed uint64) []uint8 {
 	return codes
 }
 
-// groupedOf puts codes (and ids; positions when nil) in group-key order
-// with GroupOrder, in fresh arrays, and builds the layout over them.
-func groupedOf(codes []uint8, ids []int64, c int) (*Grouped, error) {
+// groupedOf puts codes in group-key order with GroupOrder, in a fresh
+// array, and builds the layout over it. src[pos] is the input row at
+// grouped position pos.
+func groupedOf(codes []uint8, c int) (g *Grouped, src []int, err error) {
 	n := len(codes) / M
-	if ids == nil {
-		ids = make([]int64, n)
-		for i := range ids {
-			ids[i] = int64(i)
+	src = GroupOrder(codes, c)
+	if src == nil {
+		src = make([]int, n)
+		for i := range src {
+			src[i] = i
 		}
 	}
-	perm := GroupOrder(codes, c)
-	oc, oi := make([]uint8, 0, len(codes)), make([]int64, 0, n)
-	for i := 0; i < n; i++ {
-		src := i
-		if perm != nil {
-			src = perm[i]
-		}
-		oc = append(oc, codes[src*M:(src+1)*M]...)
-		oi = append(oi, ids[src])
+	oc := make([]uint8, 0, len(codes))
+	for _, i := range src {
+		oc = append(oc, codes[i*M:(i+1)*M]...)
 	}
-	return NewGrouped(oc, oi, c)
+	g, err = NewGrouped(oc, c)
+	return g, src, err
 }
 
 func TestBlockBytes(t *testing.T) {
@@ -119,28 +116,20 @@ func TestTransposedRoundtrip(t *testing.T) {
 func TestGroupedInvariants(t *testing.T) {
 	for _, c := range []int{0, 1, 2, 3, 4} {
 		codes := randomCodes(3000, uint64(c)*7+1)
-		g, err := groupedOf(codes, nil, c)
+		g, src, err := groupedOf(codes, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if g.N != 3000 || g.C != c {
 			t.Fatalf("c=%d: N=%d C=%d", c, g.N, g.C)
 		}
-		// IDs are a permutation of 0..n-1.
-		seen := make([]bool, g.N)
-		for _, id := range g.IDs {
-			if id < 0 || int(id) >= g.N || seen[id] {
-				t.Fatalf("c=%d: ids are not a permutation", c)
-			}
-			seen[id] = true
-		}
-		// Codes in grouped order match the original codes by id, and
-		// every group member's high nibbles match the group key.
+		// Codes in grouped order match the original codes by input row,
+		// and every group member's high nibbles match the group key.
 		total := 0
 		for _, grp := range g.Groups {
 			total += grp.Count
 			for pos := grp.Start; pos < grp.Start+grp.Count; pos++ {
-				orig := codes[int(g.IDs[pos])*M : int(g.IDs[pos])*M+M]
+				orig := codes[src[pos]*M : src[pos]*M+M]
 				for j := 0; j < M; j++ {
 					if g.Code(pos)[j] != orig[j] {
 						t.Fatalf("c=%d: grouped code differs from original", c)
@@ -165,7 +154,7 @@ func TestGroupedInvariants(t *testing.T) {
 func TestGroupedBlockContents(t *testing.T) {
 	for _, c := range []int{1, 2, 4} {
 		codes := randomCodes(777, uint64(c)+99)
-		g, err := groupedOf(codes, nil, c)
+		g, _, err := groupedOf(codes, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +206,7 @@ func TestGroupedMemorySaving(t *testing.T) {
 			codes[i*M+j] = 0x30 | uint8(r.Intn(16)) // high nibble fixed
 		}
 	}
-	g, err := groupedOf(codes, nil, 4)
+	g, _, err := groupedOf(codes, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +217,7 @@ func TestGroupedMemorySaving(t *testing.T) {
 		t.Fatalf("memory saving = %v, want exactly 0.25", got)
 	}
 	// c=0 stores full bytes in blocks: no saving.
-	g0, err := groupedOf(codes, nil, 0)
+	g0, _, err := groupedOf(codes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,45 +226,18 @@ func TestGroupedMemorySaving(t *testing.T) {
 	}
 }
 
-func TestGroupedCustomIDs(t *testing.T) {
-	codes := randomCodes(100, 3)
-	ids := make([]int64, 100)
-	for i := range ids {
-		ids[i] = int64(1000 + i)
-	}
-	g, err := groupedOf(codes, ids, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pos := 0; pos < g.N; pos++ {
-		orig := int(g.IDs[pos]) - 1000
-		if orig < 0 || orig >= 100 {
-			t.Fatalf("unexpected id %d", g.IDs[pos])
-		}
-		if g.Code(pos)[0] != codes[orig*M] {
-			t.Fatal("id does not match code")
-		}
-	}
-}
-
 func TestGroupedErrors(t *testing.T) {
 	codes := randomCodes(10, 1)
-	if _, err := NewGrouped(codes, nil, 5); err == nil {
+	if _, err := NewGrouped(codes, 5); err == nil {
 		t.Error("c=5 accepted")
 	}
-	if _, err := NewGrouped(codes[:9], nil, 2); err == nil {
+	if _, err := NewGrouped(codes[:9], 2); err == nil {
 		t.Error("misaligned codes accepted")
-	}
-	if _, err := NewGrouped(codes, make([]int64, 3), 2); err == nil {
-		t.Error("id count mismatch accepted")
-	}
-	if _, err := NewGrouped(codes, nil, 2); err == nil {
-		t.Error("missing ids accepted")
 	}
 	if GroupOrder(codes, 2) == nil {
 		t.Fatal("random codes reported in group-key order")
 	}
-	if _, err := NewGrouped(codes, make([]int64, 10), 2); err == nil {
+	if _, err := NewGrouped(codes, 2); err == nil {
 		t.Error("codes out of group-key order accepted")
 	}
 }
@@ -284,7 +246,7 @@ func TestGroupedSortedKeys(t *testing.T) {
 	// Groups must appear in ascending key order with no duplicates.
 	if err := quick.Check(func(seed uint16) bool {
 		codes := randomCodes(500, uint64(seed))
-		g, err := groupedOf(codes, nil, 2)
+		g, _, err := groupedOf(codes, 2)
 		if err != nil {
 			return false
 		}
@@ -304,7 +266,7 @@ func TestGroupedSortedKeys(t *testing.T) {
 
 func TestAccessorPanics(t *testing.T) {
 	codes := randomCodes(64, 2)
-	g, err := groupedOf(codes, nil, 2)
+	g, _, err := groupedOf(codes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +288,7 @@ func TestAccessorPanics(t *testing.T) {
 }
 
 // TestGroupedMatchesStableSort: the counting sort of GroupOrder, then
-// NewGrouped, produce the layout — group directory, ids, codes, packed
+// NewGrouped, produce the layout — group directory, row order, codes, packed
 // block bytes — that a stable comparison sort on the group key does
 // (the construction it replaced, kept here as the reference ordering,
 // with a packer of the test's own), and ordering its run again is the
@@ -335,10 +297,9 @@ func TestGroupedMatchesStableSort(t *testing.T) {
 	for c := 0; c <= MaxGroupComponents; c++ {
 		for _, n := range []int{0, 1, 17, 700, 5000} {
 			codes := randomCodes(n, uint64(1000+c*10+n))
-			ids := make([]int64, n)
 			order := make([]int, n)
-			for i := range ids {
-				ids[i], order[i] = int64(i)*3, i
+			for i := range order {
+				order[i] = i
 			}
 			key := func(i int) (k uint32) {
 				for j := 0; j < c; j++ {
@@ -353,7 +314,6 @@ func TestGroupedMatchesStableSort(t *testing.T) {
 			bb := BlockBytes(c)
 			for pos, src := range order {
 				code := codes[src*M : (src+1)*M]
-				want.IDs = append(want.IDs, ids[src])
 				wantCodes = append(wantCodes, code...)
 				if pos == 0 || key(src) != key(order[pos-1]) {
 					grp := Group{Start: pos, BlockStart: len(want.Blocks) / bb}
@@ -379,11 +339,11 @@ func TestGroupedMatchesStableSort(t *testing.T) {
 				grp.Count++
 			}
 
-			g, err := groupedOf(codes, ids, c)
+			g, src, err := groupedOf(codes, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(g.Groups, want.Groups) || !slices.Equal(g.IDs, want.IDs) ||
+			if !slices.Equal(g.Groups, want.Groups) || !slices.Equal(src, order) ||
 				!bytes.Equal(walked(g), wantCodes) || !bytes.Equal(g.Blocks, want.Blocks) {
 				t.Fatalf("c=%d n=%d: layout differs from the stable sort's", c, n)
 			}
@@ -408,7 +368,7 @@ func walked(g *Grouped) []uint8 {
 }
 
 func TestBlockStorageAlignment(t *testing.T) {
-	g, err := groupedOf(randomCodes(400, 7), nil, 3)
+	g, _, err := groupedOf(randomCodes(400, 7), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,12 +395,11 @@ func FuzzGroupedCodes(f *testing.F) {
 		depth := int(c) % (MaxGroupComponents + 1)
 		codes := data[:len(data)/M*M]
 		n := len(codes) / M
-		g, err := groupedOf(codes, nil, depth)
+		g, src, err := groupedOf(codes, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// groupedOf's ids are the input positions.
-		row := func(pos int) [M]uint8 { return [M]uint8(codes[int(g.IDs[pos])*M:]) }
+		row := func(pos int) [M]uint8 { return [M]uint8(codes[src[pos]*M:]) }
 		for pos := 0; pos < n; pos++ {
 			if got := g.Code(pos); got != row(pos) {
 				t.Fatalf("c=%d n=%d: Code(%d) = %v, want %v", depth, n, pos, got, row(pos))

@@ -393,11 +393,7 @@ func readIndexCells(r io.Reader, keep []int) (*index.Index, uint64, error) {
 		// them), but its slot holds an empty partition.
 		p := scan.NewPartition(nil, nil)
 		if kept {
-			ids := make([]int64, n)
-			for i := range ids {
-				ids[i] = int64(le.Uint64(idBuf[8*i:]))
-			}
-			p = scan.NewPartition(codes, ids)
+			p = scan.NewPartitionFunc(codes, func(i int) int64 { return int64(le.Uint64(idBuf[8*i:])) })
 		}
 		nDead, err := readU32()
 		if err != nil {

@@ -32,7 +32,7 @@ const DefaultKeep = 0.005
 // The layout covers the partition's base, which Ordered has put in the
 // order it reads: the keep region [0, keepN) first, row-major, then the
 // grouped rows in group-key order, whose packed blocks are their codes
-// (§4.2) and whose ids the layout aliases. Rows appended since
+// (§4.2), their ids the partition's. Rows appended since
 // the base was built (the tail, Rebind) are not regrouped: a scan takes
 // them with the keep region, by plain PQ Scan (§4.4), which is where
 // the paper puts rows that grouping does not pay for. A scan visits the
@@ -84,9 +84,9 @@ func (opt FastScanOptions) shape(n int) (keepN, c int, err error) {
 
 // Ordered returns p with its base in the order a Fast Scan layout under
 // opt reads it: the first keepN rows where they are, then the rest in
-// the layout's stable group-key order (layout.GroupOrder), ids
-// explicit. The tail stays as it is and the dead bits move with their
-// rows. A base already in that order is returned as it is — p itself,
+// the layout's stable group-key order (layout.GroupOrder), their ids
+// narrowed anew. The tail stays as it is and the dead bits move with
+// their rows. A base already in that order is returned as it is — p itself,
 // no copy — and so is one under options Check refuses, and one laid out
 // under the shape opt gives it. Any other result is row-major. The
 // index orders every base where it is born, so each code is stored
@@ -99,16 +99,8 @@ func Ordered(p *Partition, opt FastScanOptions) *Partition {
 	}
 	p = p.rowMajor()
 	perm := layout.GroupOrder(p.codes[keepN*M:], c)
-	q := *p
-	q.ids = make([]int64, n)
 	if perm == nil {
-		if p.ids != nil {
-			return p
-		}
-		for i := range q.ids {
-			q.ids[i] = int64(i)
-		}
-		return &q
+		return p
 	}
 	// Position i of the new base takes row from(i) of the old one.
 	from := func(i int) int {
@@ -117,11 +109,12 @@ func Ordered(p *Partition, opt FastScanOptions) *Partition {
 		}
 		return keepN + perm[i-keepN]
 	}
+	q := *p
 	q.codes = make([]uint8, len(p.codes))
-	for i := range q.ids {
+	for i := 0; i < n; i++ {
 		copy(q.codes[i*M:(i+1)*M], p.codes[from(i)*M:])
-		q.ids[i] = p.ID(from(i))
 	}
+	q.setIDs(n, func(i int) int64 { return p.ID(from(i)) })
 	if p.HasDead() {
 		q.dead = deadSet{}
 		for i := 0; i < p.N; i++ {
@@ -155,7 +148,7 @@ func (p *Partition) rowMajor() *Partition {
 // order Ordered gives it under opt. It lays the base out: the first
 // Keep fraction stays row-major for the temporary-NN phase, the rest is
 // grouped on c components and packed into 16-vector blocks, which from
-// then on are those rows' only codes, their ids aliased from the base.
+// then on are those rows' only codes; their ids stay the partition's.
 // The FastScan is bound to the laid-out partition (Partition), which
 // shares p's ids, tail and dead bits and replaces p for every reader; a
 // base already laid out so keeps its layout. The tail is plain-scanned.
@@ -168,11 +161,7 @@ func NewFastScan(p *Partition, opt FastScanOptions) (*FastScan, error) {
 	}
 	if !p.laidOut(keepN, c) {
 		p = p.rowMajor()
-		var ids []int64
-		if p.ids != nil {
-			ids = p.ids[keepN:n]
-		}
-		g, err := layout.NewGrouped(p.codes[keepN*M:], ids, c)
+		g, err := layout.NewGrouped(p.codes[keepN*M:], c)
 		if err != nil {
 			return nil, fmt.Errorf("scan: partition base is not in Fast Scan order (Ordered): %w", err)
 		}
@@ -261,8 +250,8 @@ func (fs *FastScan) Rebind(np *Partition, lane int) *FastScan {
 
 // Detach returns a stub FastScan bound to stub, the partition's
 // Detach: the scan parameters (keep split, grouping depth) and the
-// group directory stay resident while the packed blocks and the ids go
-// to a disk extent with the rest of the base.
+// group directory stay resident while the packed blocks and the id
+// offsets go to a disk extent with the rest of the base.
 func (fs *FastScan) Detach(stub *Partition) *FastScan { return fs.with(stub) }
 
 // Hydrate returns a scannable FastScan over p, the hydration of the

@@ -267,3 +267,35 @@ func TestNewFastScanErrors(t *testing.T) {
 		t.Error("c=9 accepted")
 	}
 }
+
+// TestGroupedCustomIDs: ids given with a partition's rows follow them
+// through Ordered and the grouped layout — the row at every position of
+// the laid-out base holds the code its id came with — and are held as
+// 4-byte offsets from the smallest, none spilled.
+func TestGroupedCustomIDs(t *testing.T) {
+	p, _ := randomPartition(t, 1000, 3)
+	codes := p.FlatCodes()
+	ids := make([]int64, p.N)
+	for i := range ids {
+		ids[i] = int64(1000 + i)
+	}
+	fs, err := newLayout(NewPartition(codes, ids), FastScanOptions{Keep: DefaultKeep, GroupComponents: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := fs.Partition()
+	seen := make([]bool, p.N)
+	for pos := 0; pos < q.N; pos++ {
+		orig := int(q.ID(pos)) - 1000
+		if orig < 0 || orig >= p.N || seen[orig] {
+			t.Fatalf("position %d holds id %d", pos, q.ID(pos))
+		}
+		seen[orig] = true
+		if q.Code(pos) != [M]uint8(codes[orig*M:]) {
+			t.Fatalf("position %d: id %d does not hold its code", pos, q.ID(pos))
+		}
+	}
+	if q.IDBytes() != 4*q.N {
+		t.Fatalf("%d id bytes for %d rows, want 4 a row", q.IDBytes(), q.N)
+	}
+}

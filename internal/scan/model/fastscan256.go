@@ -143,7 +143,7 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 					}
 					stats.Candidates++
 					d := scan.ADC8(g.LaneCode(&grp, pos), t)
-					if heap.Push(g.IDs[pos], d) {
+					if heap.Push(part.ID(fs.KeepN()+pos), d) {
 						if thr, ok := heap.Threshold(); ok {
 							nt := dq.PruneThreshold(thr, true)
 							if nt != t8 {

@@ -372,13 +372,13 @@ func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scra
 // lane's byte of the block, indexing all of tv[j]. The sum runs in
 // ADC8's j = 0..7 order, so the distance is ADC8's to the bit. Each
 // depth c has a body of its own, the block a fixed-size array, so the
-// offsets are constants and no index is bounds-checked. The id lives in
-// an array of its own, so it is loaded only once the distance says the
+// offsets are constants and no index is bounds-checked. The id is read
+// through the partition (Partition.ID) only once the distance says the
 // heap may retain the candidate (d > threshold cannot displace a
 // retained neighbor; ties go through Push for the deterministic
 // id-order rule). pos is the grouped position of the block's lane 0.
 func (fs *FastScan) processLive(live uint32, blk []uint8, key *[layout.MaxGroupComponents]uint8, pos int, qt *queryTables, tv *[M][256]float32, t8 *int8, heap *topk.Heap) {
-	ids := fs.part.grouped.IDs[pos:]
+	p, row := fs.part, fs.keepN+pos // the partition's position of lane 0
 	thr, full := heap.Threshold()
 	// window returns group row j's 16 entries, indexed by a nibble.
 	window := func(j int) *[16]float32 {
@@ -395,7 +395,7 @@ func (fs *FastScan) processLive(live uint32, blk []uint8, key *[layout.MaxGroupC
 			if full && d > thr {
 				continue
 			}
-			thr, full = offer(heap, ids[l], d, qt, t8, thr, full)
+			thr, full = offer(heap, p.ID(row+int(l)), d, qt, t8, thr, full)
 		}
 	case 1:
 		b, w0 := (*[120]uint8)(blk), window(0)
@@ -407,7 +407,7 @@ func (fs *FastScan) processLive(live uint32, blk []uint8, key *[layout.MaxGroupC
 			if full && d > thr {
 				continue
 			}
-			thr, full = offer(heap, ids[l], d, qt, t8, thr, full)
+			thr, full = offer(heap, p.ID(row+int(l)), d, qt, t8, thr, full)
 		}
 	case 2:
 		b, w0, w1 := (*[112]uint8)(blk), window(0), window(1)
@@ -419,7 +419,7 @@ func (fs *FastScan) processLive(live uint32, blk []uint8, key *[layout.MaxGroupC
 			if full && d > thr {
 				continue
 			}
-			thr, full = offer(heap, ids[l], d, qt, t8, thr, full)
+			thr, full = offer(heap, p.ID(row+int(l)), d, qt, t8, thr, full)
 		}
 	case 3:
 		b, w0, w1, w2 := (*[104]uint8)(blk), window(0), window(1), window(2)
@@ -431,7 +431,7 @@ func (fs *FastScan) processLive(live uint32, blk []uint8, key *[layout.MaxGroupC
 			if full && d > thr {
 				continue
 			}
-			thr, full = offer(heap, ids[l], d, qt, t8, thr, full)
+			thr, full = offer(heap, p.ID(row+int(l)), d, qt, t8, thr, full)
 		}
 	case 4:
 		b, w0, w1, w2, w3 := (*[96]uint8)(blk), window(0), window(1), window(2), window(3)
@@ -443,7 +443,7 @@ func (fs *FastScan) processLive(live uint32, blk []uint8, key *[layout.MaxGroupC
 			if full && d > thr {
 				continue
 			}
-			thr, full = offer(heap, ids[l], d, qt, t8, thr, full)
+			thr, full = offer(heap, p.ID(row+int(l)), d, qt, t8, thr, full)
 		}
 	}
 }

@@ -26,7 +26,9 @@ package scan
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"unsafe"
 
 	"pqfastscan/internal/layout"
 	"pqfastscan/internal/quantizer"
@@ -53,36 +55,85 @@ const M = layout.M
 // from outside the package only through readers that know both ways
 // and the tail (Code, Rows, FlatCodes, Stored, ID), so no reader can
 // forget the tail or read a grouped row from bytes that are not there.
+//
+// A base's ids are narrow: one idBase for the base and a uint32 offset
+// a row, 4 bytes where an int64 would take 8. The rare id that is not
+// idBase plus an offset below spillOff sits in spill, keyed by row, and
+// its offset is spillOff. ID is the one read path. The tail's ids are
+// int64: a tail is short and folds away.
 type Partition struct {
 	N int // rows, base and tail together
 
 	codes   []uint8         // row-major codes of the base's plain rows: all of them, or the keep region of a layout
-	ids     []int64         // base ids; nil means position == id
+	idBase  int64           // the smallest base id
+	idOff   []uint32        // per base row: its id − idBase, or spillOff
+	spill   []spilledID     // the base rows whose offset is spillOff, by row
 	grouped *layout.Grouped // the base's rows after the plain ones, when it has a layout
 
 	tailCodes []uint8 // rows appended since the base was built
-	tailIDs   []int64 // always explicit
+	tailIDs   []int64
 
 	dead deadSet // tombstoned positions
 
-	// detached marks a stub whose base lives in a disk extent (Detach);
-	// ID traps position-as-id answers on such stubs, which would
-	// otherwise silently misreport partitions with explicit ids.
+	// detached marks a stub whose base lives in a disk extent (Detach).
 	detached bool
+}
+
+// spillOff is the offset of a base row whose id is in the spill.
+const spillOff = math.MaxUint32
+
+// spilledID is the id of a base row that no offset holds.
+type spilledID struct {
+	row int
+	id  int64
 }
 
 // NewPartition wraps row-major PQ 8×8 codes (and optional ids; nil
 // means position == id) as a partition of one base and no tail — the
 // only code width an index holds.
 func NewPartition(codes []uint8, ids []int64) *Partition {
+	if ids == nil {
+		return NewPartitionFunc(codes, func(i int) int64 { return int64(i) })
+	}
+	if len(ids) != len(codes)/M {
+		panic("scan: id count mismatch")
+	}
+	return NewPartitionFunc(codes, func(i int) int64 { return ids[i] })
+}
+
+// NewPartitionFunc is NewPartition with row i's id given by id(i), so
+// a reader can narrow ids as it decodes them, with no int64 array
+// between.
+func NewPartitionFunc(codes []uint8, id func(i int) int64) *Partition {
 	if len(codes)%M != 0 {
 		panic("scan: code array not a multiple of the code width")
 	}
-	n := len(codes) / M
-	if ids != nil && len(ids) != n {
-		panic("scan: id count mismatch")
+	p := &Partition{N: len(codes) / M, codes: codes}
+	p.setIDs(p.N, id)
+	return p
+}
+
+// setIDs narrows the base's n ids, id(i) for row i, against the
+// smallest of them.
+func (p *Partition) setIDs(n int, id func(i int) int64) {
+	p.idBase, p.idOff, p.spill = 0, make([]uint32, n), nil
+	if n == 0 {
+		return
 	}
-	return &Partition{N: n, codes: codes, ids: ids}
+	base := id(0)
+	for i := 1; i < n; i++ {
+		base = min(base, id(i))
+	}
+	for i := range p.idOff {
+		v := id(i)
+		if off := uint64(v) - uint64(base); off < spillOff {
+			p.idOff[i] = uint32(off)
+		} else {
+			p.idOff[i] = spillOff
+			p.spill = append(p.spill, spilledID{row: i, id: v})
+		}
+	}
+	p.idBase = base
 }
 
 // Tail returns the number of rows appended since the base was built.
@@ -101,16 +152,23 @@ func (p *Partition) plain() int {
 
 // Stored returns the base as it is held — the sections of its extent
 // when paged: the row-major codes of the plain rows, every base row's
-// id (nil when ids are positions), and the grouped rows' packed blocks
-// (nil without a layout). A grouped row's code is in the blocks only.
-func (p *Partition) Stored() (codes []uint8, ids []int64, blocks []uint8) {
+// id offset, and the grouped rows' packed blocks (nil without a
+// layout). A grouped row's code is in the blocks only; the id base and
+// the spill stay with a detached stub.
+func (p *Partition) Stored() (codes []uint8, idOff []uint32, blocks []uint8) {
 	if p.detached {
 		panic("scan: rows of a detached partition stub")
 	}
 	if p.grouped != nil {
 		blocks = p.grouped.Blocks
 	}
-	return p.codes, p.ids, blocks
+	return p.codes, p.idOff, blocks
+}
+
+// IDBytes returns the bytes the partition holds for its ids: 4 an
+// offset, 16 a spilled id and 8 a tail row.
+func (p *Partition) IDBytes() int {
+	return 4*len(p.idOff) + int(unsafe.Sizeof(spilledID{}))*len(p.spill) + 8*len(p.tailIDs)
 }
 
 // ID maps a vector position to its external id.
@@ -118,13 +176,19 @@ func (p *Partition) ID(i int) int64 {
 	if b := p.N - len(p.tailIDs); i >= b {
 		return p.tailIDs[i-b]
 	}
-	if p.ids == nil {
-		if p.detached {
-			panic("scan: ID on a detached partition stub")
-		}
-		return int64(i)
+	if i >= len(p.idOff) {
+		panic("scan: ID on a detached partition stub")
 	}
-	return p.ids[i]
+	if off := p.idOff[i]; off != spillOff {
+		return p.idBase + int64(off)
+	}
+	return p.spilledID(i)
+}
+
+// spilledID returns the id of base row i from the spill.
+func (p *Partition) spilledID(i int) int64 {
+	k, _ := slices.BinarySearchFunc(p.spill, i, func(s spilledID, row int) int { return s.row - row })
+	return p.spill[k].id
 }
 
 // Code returns the pqcode of vector i: a grouped row's from its group
@@ -249,14 +313,14 @@ func (p *Partition) CloneTombstone(row int) (*Partition, bool) {
 // Detach returns a shallow copy of the partition with the base arrays
 // dropped — its layout's too, down to the group directory
 // (layout.Grouped.Detach): a stub whose row and tombstone bookkeeping
-// (N, dead bits) and tail stay resident while the base lives in a disk
-// extent. Stubs answer Live/DeadAt/DeadCount and may be appended to and
-// tombstoned copy-on-write; any other code or id access must go through
-// Hydrate first — ID panics on a stub rather than fabricate position
-// ids.
+// (N, dead bits), id base and spill, and tail stay resident while the
+// base lives in a disk extent. Stubs answer Live/DeadAt/DeadCount and
+// may be appended to and tombstoned copy-on-write; any other code or id
+// access must go through Hydrate first — ID of a base row panics on a
+// stub.
 func (p *Partition) Detach() *Partition {
 	q := *p
-	q.codes, q.ids = nil, nil
+	q.codes, q.idOff = nil, nil
 	if p.grouped != nil {
 		q.grouped = p.grouped.Detach()
 	}
@@ -266,23 +330,21 @@ func (p *Partition) Detach() *Partition {
 
 // Hydrate returns a shallow copy of the stub with the base arrays
 // attached, the three Stored returned before Detach — aliases into a
-// pinned buffer-pool frame, valid only while the pin is held. The tail
-// and the dead bits are shared with the stub (immutable once
-// published). ids may be nil only when the sealed base had implicit
-// position ids, and then the base has no layout.
-func (p *Partition) Hydrate(codes []uint8, ids []int64, blocks []uint8) *Partition {
-	b, plain := p.baseN(), p.plain()
-	if len(codes) != plain*M {
+// pinned buffer-pool frame, valid only while the pin is held. The tail,
+// the dead bits, the id base and the spill are shared with the stub
+// (immutable once published).
+func (p *Partition) Hydrate(codes []uint8, idOff []uint32, blocks []uint8) *Partition {
+	if len(codes) != p.plain()*M {
 		panic("scan: Hydrate code length mismatch")
 	}
-	if ids != nil && len(ids) != b {
+	if len(idOff) != p.baseN() {
 		panic("scan: Hydrate id count mismatch")
 	}
 	q := *p
-	q.codes, q.ids = codes, ids
+	q.codes, q.idOff = codes, idOff
 	switch {
 	case p.grouped != nil:
-		q.grouped = p.grouped.Hydrate(blocks, ids[plain:])
+		q.grouped = p.grouped.Hydrate(blocks)
 	case len(blocks) != 0:
 		panic("scan: Hydrate blocks for a base without a layout")
 	}
@@ -292,9 +354,8 @@ func (p *Partition) Hydrate(codes []uint8, ids []int64, blocks []uint8) *Partiti
 
 // Flatten returns a new partition holding p's rows in one fresh base
 // with an empty tail — the fold of the tail, and a copy that aliases
-// nothing of p's arrays (a paged caller's pinned frame). Position ids
-// are materialized. Every row keeps its position, so the dead bits are
-// shared with p.
+// nothing of p's arrays (a paged caller's pinned frame). Every row
+// keeps its position, so the dead bits are shared with p.
 func (p *Partition) Flatten() *Partition {
 	q := p.rebuilt(false)
 	q.dead = p.dead
@@ -331,7 +392,7 @@ func (p *Partition) rebuilt(liveOnly bool) *Partition {
 			ids = append(ids, p.ID(first+i))
 		}
 	}
-	return &Partition{N: len(ids), codes: codes, ids: ids}
+	return NewPartition(codes, ids)
 }
 
 // DeadAt reports whether the row at position i is tombstoned.
