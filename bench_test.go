@@ -280,6 +280,40 @@ func BenchmarkSearchNProbe(b *testing.B) {
 	}
 }
 
+// BenchmarkServedScan times the standing benchmark's served query
+// shape — lib_mixed's and serve_search's: one PQ Fast Scan query at
+// k = 100, nprobe = 1, through index.Query — on sharedEnv's generated
+// clustered corpus, cycling its 128-query pool. cand/query is the exact
+// re-checks a query paid for (Stats.Candidates; it repeats exactly from
+// run to run) and ns/cand the query's time per re-check. This is the
+// served rate, ≈ 4 700 re-checks in a ≈ 15k-code cell: the uniform
+// fixture of BenchmarkFastScan in internal/scan re-checks ≈ 600 in
+// 100k codes, so a change to how fast the threshold tightens shows
+// here, not there.
+func BenchmarkServedScan(b *testing.B) {
+	env, ctx := sharedEnv(b), context.Background()
+	req := index.Request{K: 100, Kernel: index.KernelFastScan, NProbe: 1}
+	run := func(i int) int {
+		req.Query = env.Pool.Row(i % env.Pool.Rows())
+		resp, err := env.Index.Query(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return resp.Stats.Candidates
+	}
+	for i := 0; i < env.Pool.Rows(); i++ {
+		run(i) // warm the per-searcher scratch
+	}
+	candidates := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		candidates += run(i)
+	}
+	b.ReportMetric(float64(candidates)/float64(b.N), "cand/query")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(candidates), "ns/cand")
+}
+
 var (
 	writeOnce  sync.Once
 	writeIndex *pqfastscan.Index

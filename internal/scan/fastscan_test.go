@@ -105,7 +105,9 @@ func TestPruneThresholdSaturationRule(t *testing.T) {
 }
 
 // TestBuildMinTablesAreMinima verifies Figure 10: entry h is the true
-// minimum of portion h, quantized.
+// minimum of portion h, quantized, on every row — and, Quantize being
+// monotone, the least entry of the quantized window a group with key h
+// reads (windowMinima, the serving scan's source for grouped rows).
 func TestBuildMinTablesAreMinima(t *testing.T) {
 	r := rng.New(5)
 	tables := quantizer.Tables{M: M, KStar: 256, Data: make([]float32, M*256)}
@@ -113,9 +115,16 @@ func TestBuildMinTablesAreMinima(t *testing.T) {
 		tables.Data[i] = r.Float32() * 500
 	}
 	dq := NewDistQuantizer(tables.Min(), tables.MaxSum())
-	st := BuildMinTables(tables, 2, dq)
-	for j := 2; j < M; j++ {
+	st := BuildMinTables(tables, dq)
+	for j := 0; j < M; j++ {
 		row := tables.Row(j)
+		var q [256]uint8
+		for i, v := range row {
+			q[i] = dq.Quantize(v)
+		}
+		if wm := windowMinima(&q); wm != st[j] {
+			t.Fatalf("min table %d: %v, window minima of the quantized row %v", j, st[j], wm)
+		}
 		for h := 0; h < 16; h++ {
 			m := row[h*16]
 			for _, v := range row[h*16+1 : h*16+16] {
@@ -141,7 +150,7 @@ func TestLowerBoundNeverExceedsTrueDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	dq := NewDistQuantizer(tables.Min(), tables.MaxSum())
-	st := BuildMinTables(tables, fs.c, dq)
+	st := BuildMinTables(tables, dq)
 	g := fs.Grouped()
 	for _, grp := range g.Groups {
 		var groupTables [4][16]uint8

@@ -32,9 +32,9 @@ func Scan(fs *scan.FastScan, t quantizer.Tables, k int) ([]topk.Result, Stats) {
 
 // ScanInto is the model's PQ Fast Scan: it continues the query's running
 // top-k in heap over fs's partition, exactly as scan.ScanNativeInto does
-// — same bounds, groups in the same key order, same decision sequence,
-// so heap evolution and counters agree with the serving scan, carried
-// or not.
+// — same bounds, groups in the same order (scan.VisitOrder), same
+// decision sequence, so heap evolution and counters agree with the
+// serving scan, carried or not.
 func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	scan.Check8x8(t)
 	part, plain, c := fs.Partition(), fs.PlainScanned(), fs.GroupComponents()
@@ -52,10 +52,11 @@ func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	}
 	dq := scan.NewDistQuantizer(qmin, qmax)
 
-	// Phase 2: build the query-lifetime minimum tables S_C..S_7
-	// (Figure 10). Quantizing the 8x256 table entries and reducing the
-	// portions costs one pass over the distance tables.
-	minTables := scan.BuildMinTables(t, c, dq)
+	// Phase 2: build the query-lifetime minimum tables (Figure 10):
+	// S_C..S_7 for the blocks, rows 0..c-1 for the groups' key bounds.
+	// Quantizing the 8x256 table entries and reducing the portions costs
+	// one pass over the distance tables.
+	minTables := scan.BuildMinTables(t, dq)
 	stats.Ops.Add(tablePass)
 
 	thrVal, haveThr := heap.Threshold()
@@ -80,7 +81,12 @@ func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 		ScalarBranch: 2,
 	}
 
-	for _, grp := range g.Groups {
+	// The groups in the serving scan's order (scan.VisitOrder): the few
+	// of least key bound first, then the rest in key order.
+	order := fs.VisitOrder(&minTables, nil)
+	stats.Ops.Add(visitOrderOps(c, len(order)))
+	for _, gi := range order {
+		grp := g.Groups[gi]
 		stats.Groups++
 		// Load the group's small tables S_0..S_{C-1} (solid arrows of
 		// Figure 13).

@@ -38,7 +38,7 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	}
 	dq := scan.NewDistQuantizer(qmin, qmax)
 
-	minTables := scan.BuildMinTables(t, c, dq)
+	minTables := scan.BuildMinTables(t, dq)
 	stats.Ops.Add(tablePass)
 
 	// Widen the query-lifetime minimum tables once.
@@ -69,7 +69,12 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	}
 	pairs := 0
 
-	for _, grp := range g.Groups {
+	// The groups in the serving scan's order (scan.VisitOrder): the few
+	// of least key bound first, then the rest in key order.
+	order := fs.VisitOrder(&minTables, nil)
+	stats.Ops.Add(visitOrderOps(c, len(order)))
+	for _, gi := range order {
+		grp := g.Groups[gi]
 		stats.Groups++
 		for j := 0; j < c; j++ {
 			groupTables256[j] = simd.Dup128(buildGroupTable(t, j, grp.Key[j], dq))

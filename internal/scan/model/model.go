@@ -177,6 +177,29 @@ var (
 	tablePass = perf.OpCounts{ScalarLoadF: 256 * M, ScalarALU: 512 * M}
 )
 
+// visitSlots is the size of the insertion buffer scan.VisitOrder
+// selects the groups a scan visits first with.
+const visitSlots = 8
+
+// visitOrderOps prices scan.VisitOrder over groups groups of a layout
+// grouped on c components: per group, c minimum-table byte loads summed
+// by c-1 adds into the key bound, one compare against the insertion
+// buffer's worst slot and its branch; per scan, one pass of the
+// insertion through the buffer's slots (a compare, a move and a branch
+// each). At c = 0 the order is the identity and costs nothing.
+func visitOrderOps(c, groups int) perf.OpCounts {
+	if c == 0 {
+		return perf.OpCounts{}
+	}
+	ops := perf.OpCounts{
+		ScalarLoad8:  float64(c),
+		ScalarALU:    float64(c),
+		ScalarBranch: 1,
+	}.Scale(float64(groups))
+	ops.Add(perf.OpCounts{ScalarALU: 2 * visitSlots, ScalarBranch: visitSlots})
+	return ops
+}
+
 // Naive is Algorithm 1 — scan.Naive, the oracle — with its operation
 // mix attached.
 func Naive(p *scan.Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {

@@ -1,9 +1,10 @@
 // The serving Fast Scan.
 //
 // §4's algorithm — small-table lookups, saturating 8-bit accumulation,
-// qsat-vs-threshold pruning, keep phase, groups in key order —
-// implemented for wall-clock speed. One Go loop (scanBlocks) walks the
-// groups and blocks for every backend. Per group, the block-kernel
+// qsat-vs-threshold pruning, keep phase — implemented for wall-clock
+// speed. One Go loop (scanBlocks) walks the groups and blocks for every
+// backend, the groups in VisitOrder: the few of least key bound first,
+// then the rest in key order. Per group, the block-kernel
 // backend selected by internal/simd/dispatch lower-bounds all of the
 // group's blocks and returns one pruned mask per block against the
 // threshold at the group's entry:
@@ -92,7 +93,8 @@ const ulutSize = 0x0f0f + 1
 // queryTables is the per-scan table state of a Fast Scan: the
 // §4.4 distance quantizer, the quantized first-c distance-table rows
 // (every group's small tables S_0..S_{C-1} are 16-entry windows into
-// them), the scan-lifetime minimum tables S_C..S_7, and the
+// them), the scan-lifetime minimum tables (S_C..S_7 bound the blocks,
+// rows 0..c-1 order the groups, VisitOrder), and the
 // backend-specific derived tables — the SWAR pair LUTs and the assembly
 // backends' contiguous 8×16-byte table block.
 //
@@ -107,7 +109,7 @@ type queryTables struct {
 	c         int
 	dq        DistQuantizer
 	qrows     [layout.MaxGroupComponents][256]uint8
-	minTables [M][16]uint8 // entries c..7 used
+	minTables [M][16]uint8 // rows c..7 bound blocks, rows 0..c-1 order groups
 
 	// SWAR pair-LUT state.
 	glut []uint32 // grouped-component pair LUTs, c x 16 keys x 256
@@ -121,8 +123,8 @@ type queryTables struct {
 
 // Scratch holds the reusable per-searcher buffers of a scan:
 // the top-k heap and sorted-results buffer of the from-empty entry
-// points, the query-table storage, and one group's lower bounds and
-// pruned masks.
+// points, the query-table storage, the group visit order, and one
+// group's lower bounds and pruned masks.
 // Reusing one Scratch across queries keeps the steady-state scan loop
 // at zero allocations; a Scratch must not be shared between concurrent
 // scans. Passing nil to the scan entry points allocates a transient
@@ -136,6 +138,7 @@ type Scratch struct {
 	results []topk.Result
 
 	qt    queryTables
+	order []int32  // the scan's group visit order (VisitOrder)
 	acc   []uint8  // asm backends' lower-bound bytes, 64-byte aligned
 	words []uint64 // swar backend's lower bounds, four 16-bit lanes a word
 	masks []uint16 // per-block pruned masks at the group's entry
@@ -174,13 +177,18 @@ func (sc *Scratch) queryTablesFor(fs *FastScan, t quantizer.Tables, qmin, qmax f
 	// group's small tables S_0..S_{C-1} are 16-entry windows into these
 	// rows (entry values identical to the model's per-group table
 	// builds, which quantize the same floats with the same quantizer).
+	// Their minimum tables are the windows' least entries, equal to
+	// BuildMinTables' rows (Quantize is monotone) for no Quantize call.
 	for j := 0; j < fs.c; j++ {
 		row := t.Row(j)
 		for i, v := range row {
 			qt.qrows[j][i] = qt.dq.Quantize(v)
 		}
+		qt.minTables[j] = windowMinima(&qt.qrows[j])
 	}
-	qt.minTables = BuildMinTables(t, fs.c, qt.dq)
+	for j := fs.c; j < M; j++ {
+		qt.minTables[j] = minTable(t.Row(j), qt.dq)
+	}
 	return qt
 }
 
@@ -472,7 +480,9 @@ func swarPrunedMask(acc []uint8, t8 int8) uint32 {
 	return swarMovemask(leUint64(acc[0:8])+add) | swarMovemask(leUint64(acc[8:16])+add)<<8
 }
 
-// scanBlocks is the one block loop of every backend. Per group, bound
+// scanBlocks is the one block loop of every backend. It visits the
+// groups in VisitOrder, which moves no decision input: only the
+// threshold a group meets depends on it. Per group, bound
 // has the backend lower-bound all of the group's blocks and take their
 // prune decision against the threshold current at the group's entry, in
 // ONE call. The lower bound of a lane never depends on the threshold,
@@ -499,7 +509,8 @@ func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend
 		tb = qt.asmTables()
 	}
 
-	for gi := range g.Groups {
+	sc.order = fs.VisitOrder(&qt.minTables, sc.order)
+	for _, gi := range sc.order {
 		grp := &g.Groups[gi]
 		nb := grp.BlockCount
 		entry := *t8
