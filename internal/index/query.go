@@ -9,7 +9,6 @@ import (
 
 	"pqfastscan/internal/par"
 	"pqfastscan/internal/scan"
-	"pqfastscan/internal/topk"
 	"pqfastscan/internal/vec"
 )
 
@@ -199,9 +198,10 @@ func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Resp
 // the k smallest (distance, id) pairs of the union whatever the cell
 // order.
 func (ix *Index) queryCells(ctx context.Context, s *Snapshot, req Request, cellIDs []int) (*Response, error) {
-	heap := topk.New(req.K)
 	qs := ix.getScratch()
 	defer scratchPool.Put(qs)
+	heap := qs.heap
+	heap.Reset(req.K)
 	resp := &Response{Partitions: make([]int, 0, len(cellIDs))}
 	for _, c := range cellIDs {
 		if err := ctx.Err(); err != nil {

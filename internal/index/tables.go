@@ -22,6 +22,7 @@ import (
 
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/scan"
+	"pqfastscan/internal/topk"
 	"pqfastscan/internal/vec"
 )
 
@@ -96,21 +97,25 @@ func (ix *Index) Tables(query []float32, part int) quantizer.Tables {
 }
 
 // queryScratch is everything one query owns for its whole life: the
-// scan's buffers, the query term (built on the first probe, reused by
-// every later one) and the storage each probed cell's tables are
-// written into. Tables returned by tables alias it and are
-// overwritten by the next probe.
+// scan's buffers, the running top-k every probed cell pushes into, the
+// query term (built on the first probe, reused by every later one) and
+// the storage each probed cell's tables are written into. Tables
+// returned by tables alias it and are overwritten by the next probe;
+// the answer is copied out of heap before the scratch goes back.
 type queryScratch struct {
 	scan      *scan.Scratch
+	heap      *topk.Heap
 	qterm     []float32
 	table     []float32
 	haveQTerm bool
 }
 
 // scratchPool recycles query scratches across queries and goroutines,
-// keeping the steady-state query free of table and scan-buffer
+// keeping the steady-state query free of heap, table and scan-buffer
 // allocations without tying a scratch to any one Searcher.
-var scratchPool = sync.Pool{New: func() any { return &queryScratch{scan: scan.NewScratch()} }}
+var scratchPool = sync.Pool{New: func() any {
+	return &queryScratch{scan: scan.NewScratch(), heap: topk.New(1)}
+}}
 
 // getScratch takes a scratch for one query of ix from the pool; the
 // caller returns it with scratchPool.Put once nothing aliases it.

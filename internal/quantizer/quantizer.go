@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"pqfastscan/internal/kmeans"
+	"pqfastscan/internal/simd/dispatch"
 	"pqfastscan/internal/vec"
 )
 
@@ -212,9 +213,11 @@ func (pq *ProductQuantizer) DistanceTables(query []float32) Tables {
 // what lets internal/index split a residual table into a per-cell and a
 // per-query part.
 //
-// Centroids are taken two at a time with four accumulators each, so
-// eight multiply-add chains are in flight where vec.L2Squared has one;
-// the summation order is fixed, so dst is a pure function of (pq, x).
+// innerProductsRow is the definition. Where the active backend has a
+// kernel for the shape — asm-avx2, SubDim a multiple of 4 and k* of 8 —
+// each row runs on dispatch.InnerProducts instead, which performs the
+// same float operations in the same order (DESIGN.md §6); dst is a
+// pure function of (pq, x) either way.
 func (pq *ProductQuantizer) InnerProducts(x, dst []float32) {
 	k, sd := pq.KStar(), pq.SubDim
 	if len(x) != pq.Dim || len(dst) != pq.M*k {
@@ -224,29 +227,42 @@ func (pq *ProductQuantizer) InnerProducts(x, dst []float32) {
 		sub := x[j*sd : (j+1)*sd]
 		cb := pq.Codebooks[j].Data
 		row := dst[j*k : (j+1)*k]
-		for i := 0; i+1 < len(row); i += 2 { // k* is a power of two ≥ 2
-			p := cb[i*sd : (i+1)*sd : (i+1)*sd]
-			q := cb[(i+1)*sd : (i+2)*sd : (i+2)*sd]
-			var p0, p1, p2, p3, q0, q1, q2, q3 float32
-			d := 0
-			for ; d+4 <= len(sub) && d+4 <= len(p) && d+4 <= len(q); d += 4 {
-				x0, x1, x2, x3 := sub[d], sub[d+1], sub[d+2], sub[d+3]
-				p0 += x0 * p[d]
-				p1 += x1 * p[d+1]
-				p2 += x2 * p[d+2]
-				p3 += x3 * p[d+3]
-				q0 += x0 * q[d]
-				q1 += x1 * q[d+1]
-				q2 += x2 * q[d+2]
-				q3 += x3 * q[d+3]
-			}
-			for ; d < len(sub); d++ {
-				p0 += sub[d] * p[d]
-				q0 += sub[d] * q[d]
-			}
-			row[i] = (p0 + p1) + (p2 + p3)
-			row[i+1] = (q0 + q1) + (q2 + q3)
+		if !dispatch.InnerProducts(sub, cb, row) {
+			innerProductsRow(sub, cb, row)
 		}
+	}
+}
+
+// innerProductsRow writes row[i] = ⟨sub, centroid i of cb⟩. Centroids
+// are taken two at a time with four accumulators each, p_r summing the
+// products of dimensions d ≡ r (mod 4) in ascending d, combined as
+// (p0+p1)+(p2+p3); eight multiply-add chains are in flight where
+// vec.L2Squared has one. A SubDim that is not a multiple of 4 adds its
+// last dimensions into p0.
+func innerProductsRow(sub, cb, row []float32) {
+	sd := len(sub)
+	for i := 0; i+1 < len(row); i += 2 { // k* is a power of two ≥ 2
+		p := cb[i*sd : (i+1)*sd : (i+1)*sd]
+		q := cb[(i+1)*sd : (i+2)*sd : (i+2)*sd]
+		var p0, p1, p2, p3, q0, q1, q2, q3 float32
+		d := 0
+		for ; d+4 <= len(sub) && d+4 <= len(p) && d+4 <= len(q); d += 4 {
+			x0, x1, x2, x3 := sub[d], sub[d+1], sub[d+2], sub[d+3]
+			p0 += x0 * p[d]
+			p1 += x1 * p[d+1]
+			p2 += x2 * p[d+2]
+			p3 += x3 * p[d+3]
+			q0 += x0 * q[d]
+			q1 += x1 * q[d+1]
+			q2 += x2 * q[d+2]
+			q3 += x3 * q[d+3]
+		}
+		for ; d < len(sub); d++ {
+			p0 += sub[d] * p[d]
+			q0 += sub[d] * q[d]
+		}
+		row[i] = (p0 + p1) + (p2 + p3)
+		row[i+1] = (q0 + q1) + (q2 + q3)
 	}
 }
 

@@ -216,3 +216,20 @@ func Accumulate(be Backend, blocks []byte, blockBytes, c, nblocks int, thr int8,
 		AccumulateGeneric(blocks, blockBytes, c, nblocks, thr, tables, dst, masks)
 	}
 }
+
+// InnerProducts writes dst[i] = ⟨x, cb[i·len(x) : (i+1)·len(x)]⟩ for
+// every i — one sub-quantizer's share of a query term, x a sub-vector
+// and cb its codebook's rows — on the active backend's kernel, and
+// reports whether it did. Only asm-avx2 has one, for len(x) a positive
+// multiple of 4 and len(dst) of 8; otherwise it writes nothing and
+// returns false, and the caller runs its Go body. The kernel performs
+// the float operations of that body (quantizer.InnerProducts) in its
+// order, so the two agree bit for bit (DESIGN.md §6).
+func InnerProducts(x, cb, dst []float32) bool {
+	if Active() != AVX2 || len(x) == 0 || len(x)%4 != 0 || len(dst) == 0 || len(dst)%8 != 0 {
+		return false
+	}
+	_ = cb[len(dst)*len(x)-1] // bounds contract
+	innerProductsAVX2(&x[0], len(x), &cb[0], len(dst), &dst[0])
+	return true
+}

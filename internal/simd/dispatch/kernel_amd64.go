@@ -74,6 +74,11 @@ func accumulateAVX2Blocks(blocks []byte, blockBytes, c, nblocks int, thr int8, t
 	accumulateAVX2(&blocks[0], blockBytes, c, nblocks, thr, &tables[0], &dst[0], &masks[0])
 }
 
+// innerProductsAVX2 is the hand-written kernel in kernel_amd64.s.
+//
+//go:noescape
+func innerProductsAVX2(x *float32, sd int, cb *float32, k int, dst *float32)
+
 func accumulateNEONBlocks(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
 	panic("dispatch: asm-neon backend is arm64-only")
 }

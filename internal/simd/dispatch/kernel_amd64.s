@@ -170,6 +170,79 @@ done:
 	VZEROUPPER
 	RET
 
+// func innerProductsAVX2(x *float32, sd int, cb *float32, k int, dst *float32)
+//
+// dst[i] = ⟨x, cb row i⟩ for the k rows of sd floats in cb, in the op
+// order of the Go body (quantizer.innerProductsRow): per centroid four
+// accumulators p0..p3, zeroed, p_r += x[d+r]·row[d+r] for d = 0, 4, 8, …
+// as one rounded multiply then one rounded add (VMULPS, VADDPS; never an
+// FMA), and finally (p0+p1)+(p2+p3). Lane r of a centroid's 128-bit
+// half is its p_r. Eight centroids are in flight: Y0..Y3 hold centroids
+// i+r in their low halves and i+4+r in their high halves, so the two
+// VHADDPS reduce them straight into dst order — the first forms p0+p1
+// and p2+p3 of two accumulators side by side, the second adds those
+// pairs. sd is a multiple of 4 (≥ 4) and k a multiple of 8.
+TEXT ·innerProductsAVX2(SB), NOSPLIT, $0-40
+	MOVQ x+0(FP), SI
+	MOVQ sd+8(FP), BX
+	MOVQ cb+16(FP), R8
+	MOVQ k+24(FP), CX
+	MOVQ dst+32(FP), DI
+
+	MOVQ BX, R9
+	SHLQ $2, R9                // row stride in bytes
+	LEAQ (R9)(R9*2), R11       // 3 rows
+	LEAQ (R9)(R9*1), R10       // 2 rows
+
+centroids:
+	TESTQ CX, CX
+	JZ    done
+	MOVQ  R8, R13              // rows i..i+3 at (R13), +R9, +2·R9, +R11
+	LEAQ  (R8)(R9*4), R12      // rows i+4..i+7 likewise
+	MOVQ  SI, R14              // x cursor
+	MOVQ  BX, DX               // dimensions left
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+dims:
+	VBROADCASTF128 (R14), Y4   // x[d:d+4] in both halves
+	VMOVUPS     (R13), X5
+	VINSERTF128 $1, (R12), Y5, Y5
+	VMULPS      Y4, Y5, Y5
+	VADDPS      Y5, Y0, Y0
+	VMOVUPS     (R13)(R9*1), X6
+	VINSERTF128 $1, (R12)(R9*1), Y6, Y6
+	VMULPS      Y4, Y6, Y6
+	VADDPS      Y6, Y1, Y1
+	VMOVUPS     (R13)(R10*1), X7
+	VINSERTF128 $1, (R12)(R10*1), Y7, Y7
+	VMULPS      Y4, Y7, Y7
+	VADDPS      Y7, Y2, Y2
+	VMOVUPS     (R13)(R11*1), X8
+	VINSERTF128 $1, (R12)(R11*1), Y8, Y8
+	VMULPS      Y4, Y8, Y8
+	VADDPS      Y8, Y3, Y3
+	ADDQ        $16, R13
+	ADDQ        $16, R12
+	ADDQ        $16, R14
+	SUBQ        $4, DX
+	JNZ         dims
+
+	VHADDPS Y1, Y0, Y0         // per half: i: p0+p1, p2+p3; i+1: p0+p1, p2+p3
+	VHADDPS Y3, Y2, Y2         // the same for i+2, i+3
+	VHADDPS Y2, Y0, Y0         // (p0+p1)+(p2+p3) of i..i+3 | i+4..i+7
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	LEAQ    (R8)(R10*4), R8    // next eight rows
+	SUBQ    $8, CX
+	JMP     centroids
+
+done:
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

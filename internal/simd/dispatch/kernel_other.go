@@ -18,3 +18,7 @@ func accumulateAVX2Blocks(blocks []byte, blockBytes, c, nblocks int, thr int8, t
 func accumulateNEONBlocks(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
 	panic("dispatch: asm-neon backend is arm64-only")
 }
+
+func innerProductsAVX2(x *float32, sd int, cb *float32, k int, dst *float32) {
+	panic("dispatch: asm-avx2 backend is amd64-only")
+}

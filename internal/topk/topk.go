@@ -9,8 +9,8 @@
 // this heap once it is full.
 //
 // Tie handling is deterministic (larger id evicted first on equal
-// distance) so that all five kernels return bit-identical result sets, the
-// exactness invariant of DESIGN.md §6.
+// distance) so that all three kernels return bit-identical result sets,
+// the exactness invariant of DESIGN.md §6.
 package topk
 
 import "slices"
@@ -114,14 +114,13 @@ func (h *Heap) Push(id int64, dist float32) bool {
 	c := Result{ID: id, Distance: dist}
 	if len(h.items) < h.k {
 		h.items = append(h.items, c)
-		h.siftUp(len(h.items) - 1)
+		h.siftUp(c)
 		return true
 	}
 	if !worse(h.items[0], c) {
 		return false
 	}
-	h.items[0] = c
-	h.siftDown(0)
+	h.replaceRoot(c)
 	return true
 }
 
@@ -134,34 +133,65 @@ func (h *Heap) Accepts(dist float32) bool {
 	return dist <= h.items[0].Distance
 }
 
-func (h *Heap) siftUp(i int) {
+// siftUp places c, just appended, by moving a hole up from the last
+// slot: each parent c is worse than comes down one level, and c is
+// stored once, where the hole stops.
+func (h *Heap) siftUp(c Result) {
+	items := h.items
+	i := len(items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !worse(h.items[i], h.items[parent]) {
+		if !worse(c, items[parent]) {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		items[i] = items[parent]
 		i = parent
 	}
+	items[i] = c
 }
 
-func (h *Heap) siftDown(i int) {
-	n := len(h.items)
+// replaceRoot evicts the root for c by moving a hole down from the root:
+// the worse child of the hole moves up while it is worse than c, and c is
+// stored once, where the hole stops. The worse child is picked without a
+// branch on distance; ids are compared only when the two children's
+// distances are equal. Every slot ends where the textbook swap-based
+// sift would put it (the reference in sift_test.go).
+func (h *Heap) replaceRoot(c Result) {
+	items := h.items
+	n := len(items)
+	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && worse(h.items[l], h.items[largest]) {
-			largest = l
+		l := 2*i + 1
+		if l+1 >= n {
+			break
 		}
-		if r < n && worse(h.items[r], h.items[largest]) {
-			largest = r
+		dl, dr := items[l].Distance, items[l+1].Distance
+		m := l + b2i(dr > dl)
+		if dr == dl && items[l+1].ID > items[l].ID {
+			m = l + 1
 		}
-		if largest == i {
-			return
+		if !worse(items[m], c) {
+			break
 		}
-		h.items[i], h.items[largest] = h.items[largest], h.items[i]
-		i = largest
+		items[i] = items[m]
+		i = m
 	}
+	// The hole may have reached the one node with a left child only.
+	if l := 2*i + 1; l == n-1 && worse(items[l], c) {
+		items[i] = items[l]
+		i = l
+	}
+	items[i] = c
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits a SETcc, not a
+// branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // Results returns the retained results sorted by ascending distance

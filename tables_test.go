@@ -153,12 +153,13 @@ func TestShardAndRestoredTablesBitIdentical(t *testing.T) {
 }
 
 // TestSearchAllocBudget keeps table allocations off the scan path. A
-// query takes its scan buffers, query term and table storage from the
-// pool once, so probing more cells allocates nothing more: what a
-// multi-probe Search allocates beyond a single-probe one is the cell
-// ranking's two slices, whatever nprobe is. With a residual and an
-// 8 KiB table allocated per probed cell this was 8 / 12 / 16
-// allocations at nprobe 1 / 2 / 4.
+// query takes its scan buffers, top-k heap, query term and table
+// storage from the pool once, so probing more cells allocates nothing
+// more: what a multi-probe Search allocates beyond a single-probe one is
+// the cell ranking's two slices, whatever nprobe is. With a residual and
+// an 8 KiB table allocated per probed cell this was 8 / 12 / 16
+// allocations at nprobe 1 / 2 / 4, and 6 / 8 / 8 while every query
+// allocated its heap's array; it is 5 / 7 / 7.
 func TestSearchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race; the pooled scratch is reallocated")
@@ -185,7 +186,7 @@ func TestSearchAllocBudget(t *testing.T) {
 	if a4 > a1+2 {
 		t.Errorf("nprobe=4 allocates %v, more than nprobe=1 (%v) plus the ranking's two slices", a4, a1)
 	}
-	if a4 > 8 {
-		t.Errorf("nprobe=4 allocates %v per Search, budget 8", a4)
+	if a4 > 7 {
+		t.Errorf("nprobe=4 allocates %v per Search, budget 7", a4)
 	}
 }
