@@ -241,6 +241,8 @@ var (
 // the previous one's tables. cand/query is the exact re-checks a query
 // paid for (index.Query's Stats.Candidates): the count a carried
 // threshold drives down, and it repeats exactly from run to run.
+// blocks/query is the 16-vector blocks the kernel lower-bounded
+// (Stats.Blocks), what a group pruned on its shared bound saves.
 func BenchmarkSearchNProbe(b *testing.B) {
 	nprobeOnce.Do(func() {
 		gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 18})
@@ -259,23 +261,24 @@ func BenchmarkSearchNProbe(b *testing.B) {
 	for _, nprobe := range []int{1, 2, 4} {
 		b.Run(fmt.Sprint(nprobe), func(b *testing.B) {
 			req := index.Request{K: 10, Kernel: index.KernelFastScan, NProbe: nprobe}
-			run := func(i int) int {
+			run := func(i int) scan.Stats {
 				req.Query = nprobeQueries.Row(i % nprobeQueries.Rows())
 				resp, err := in.Query(ctx, req)
 				if err != nil {
 					b.Fatal(err)
 				}
-				return resp.Stats.Candidates
+				return resp.Stats
 			}
 			for i := 0; i < nprobeQueries.Rows(); i++ {
 				run(i) // first scans build the Fast Scan layouts
 			}
-			candidates := 0
+			var total scan.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				candidates += run(i)
+				total.Merge(run(i))
 			}
-			b.ReportMetric(float64(candidates)/float64(b.N), "cand/query")
+			b.ReportMetric(float64(total.Candidates)/float64(b.N), "cand/query")
+			b.ReportMetric(float64(total.Blocks)/float64(b.N), "blocks/query")
 		})
 	}
 }

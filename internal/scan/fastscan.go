@@ -345,48 +345,118 @@ func (q DistQuantizer) PruneThreshold(min float32, haveMin bool) int8 {
 	return int8(t)
 }
 
-// BuildMinTables computes the query-lifetime minimum tables of
-// §4.1/§4.5 (Figure 10), quantized: row j, entry h is the least
+// WindowMinima is the one pass over a query's distance tables that
+// every bound of a scan derives from: entry [j][h] is the least value
+// of portion h of table j, the 16 entries 16h..16h+15 — the minimum
+// tables of §4.1/§4.5 (Figure 10) before quantization. From it come
+// the row minima, the paper's qmin and the least distance any code can
+// have (KeepBounds, via Bounds) and, quantized, the minimum tables of
+// all eight rows (BuildMinTables).
+type WindowMinima [M][16]float32
+
+// Fill computes w from t with no branch on the data (min16). The folds
+// it replaced took an `if v < m` branch per entry and mispredicted on
+// short windows (DESIGN.md §12). Served tables are finite, so the value
+// of a minimum does not depend on the order of the fold; min may return
+// −0 where a fold returned +0, and no bound reads the sign of a zero.
+func (w *WindowMinima) Fill(t quantizer.Tables) {
+	Check8x8(t)
+	for j := range w {
+		for h := range w[j] {
+			w[j][h] = min16((*[16]float32)(t.Data[j*256+h*16:]))
+		}
+	}
+}
+
+// Bounds returns the smallest entry across all tables (the paper's
+// qmin) and the least distance any code can have against them: the
+// row minima summed in float32 in ADC8's j = 0..7 order. Rounding is
+// monotonic, so every exact distance — the same chain of additions
+// over entries no smaller — is at least that sum.
+func (w *WindowMinima) Bounds() (entry, least float32) {
+	entry = min16(&w[0])
+	least = entry
+	for j := 1; j < M; j++ {
+		m := min16(&w[j])
+		entry = min(entry, m)
+		least += m
+	}
+	return entry, least
+}
+
+// min16 returns the least of 16 values by a fixed tree of the builtin
+// min, branch-free: pairs (i, i+8), then (i, i+4), (i, i+2), (i, i+1).
+func min16(v *[16]float32) float32 {
+	a0, a1, a2, a3 := min(v[0], v[8]), min(v[1], v[9]), min(v[2], v[10]), min(v[3], v[11])
+	a4, a5, a6, a7 := min(v[4], v[12]), min(v[5], v[13]), min(v[6], v[14]), min(v[7], v[15])
+	a0, a1, a2, a3 = min(a0, a4), min(a1, a5), min(a2, a6), min(a3, a7)
+	a0, a1 = min(a0, a2), min(a1, a3)
+	return min(a0, a1)
+}
+
+// BuildMinTables quantizes the window minima w into the query-lifetime
+// minimum tables of §4.1/§4.5 (Figure 10): row j, entry h is the least
 // quantized value of portion h of distance table j. For an ungrouped
 // component j >= c it is the small table S_j the block kernel looks the
 // high nibble up in. For a grouped one j < c it is the least value
 // component j can take in a group with key[j] = h — the least entry of
-// the group's window S_j, because Quantize is monotone (windowMinima) —
-// which VisitOrder sums into the group's key bound. A 16-byte table is
-// exactly one SSE register.
-func BuildMinTables(t quantizer.Tables, dq DistQuantizer) [M][16]uint8 {
+// the group's quantized window S_j, because Quantize is monotone —
+// which GroupBounds sums into the group's key bound. A 16-byte table
+// is exactly one SSE register.
+func BuildMinTables(w *WindowMinima, dq DistQuantizer) [M][16]uint8 {
 	var st [M][16]uint8
 	for j := range st {
-		st[j] = minTable(t.Row(j), dq)
+		for h, v := range w[j] {
+			st[j][h] = dq.Quantize(v)
+		}
 	}
 	return st
 }
 
-// minTable returns the 16 portion minima of one distance-table row,
-// quantized.
-func minTable(row []float32, dq DistQuantizer) [16]uint8 {
-	var mt [16]uint8
-	for h := range mt {
-		m := row[h*16]
-		for _, v := range row[h*16+1 : h*16+16] {
-			if v < m {
-				m = v
-			}
-		}
-		mt[h] = dq.Quantize(m)
-	}
-	return mt
+// GroupBounds is what the bound a group's lanes share is computed from
+// under one scan's minimum tables mt (BuildMinTables): every lane of a
+// group reads the same windows on its c grouped components (§4.2), so
+//
+//	bound(key) = Σ_{j<c} mt[j][key[j]] + Σ_{j≥c} min_h mt[j][h]
+//
+// — the key bound plus a floor — is at most every lane's saturated
+// lower-bound byte: a grouped entry is at least its window's minimum,
+// an ungrouped one at least its row's least minimum-table entry. The
+// key bound orders the groups (VisitOrder); the whole bound prunes a
+// group before the kernel sees it (Prunes).
+type GroupBounds struct {
+	kt    [layout.MaxGroupComponents][16]uint8 // mt's rows 0..c-1; zero from row c on
+	floor uint32                               // Σ_{j≥c} min_h mt[j][h], once per scan
 }
 
-// windowMinima returns the least entry of each 16-entry window of a
-// quantized distance-table row: the row's minTable, without quantizing
-// again.
-func windowMinima(q *[256]uint8) [16]uint8 {
-	var mt [16]uint8
-	for h := range mt {
-		mt[h] = slices.Min(q[h*16 : h*16+16])
+// NewGroupBounds returns the group bounds of a layout grouped on c
+// components under minimum tables mt.
+func NewGroupBounds(mt *[M][16]uint8, c int) GroupBounds {
+	var gb GroupBounds
+	copy(gb.kt[:c], mt[:c])
+	for j := c; j < M; j++ {
+		gb.floor += uint32(slices.Min(mt[j][:]))
 	}
-	return mt
+	return gb
+}
+
+// bound returns the bound every lane of a group with key key shares.
+// Rows c.. of kt stay zero, so it is the sum of four entries whatever
+// c is.
+func (gb *GroupBounds) bound(key *[layout.MaxGroupComponents]uint8) uint32 {
+	return gb.floor + uint32(gb.kt[0][key[0]&15]) + uint32(gb.kt[1][key[1]&15]) +
+		uint32(gb.kt[2][key[2]&15]) + uint32(gb.kt[3][key[3]&15])
+}
+
+// Prunes reports whether every lane of a group with key key is pruned
+// at threshold t8 on the bound they share alone: t8 is below 127 (at
+// 127 nothing is prunable) and the bound is above it. A lane's bound
+// byte is min(Σ, 127) with Σ at least the bound, so for t8 <= 126 it is
+// above t8 too, and a negative t8 prunes every lane anyway: the kernel
+// would have returned an all-pruned mask for every block of the group.
+// Exact, on every backend and in the model.
+func (gb *GroupBounds) Prunes(key *[layout.MaxGroupComponents]uint8, t8 int8) bool {
+	return t8 < 127 && int32(gb.bound(key)) > int32(t8)
 }
 
 // primeGroups is how many groups a scan visits first, by key bound,
@@ -402,7 +472,7 @@ func windowMinima(q *[256]uint8) [16]uint8 {
 const primeGroups = 8
 
 // VisitOrder returns, in dst's storage, the order a scan visits the
-// layout's groups in under the minimum tables mt (BuildMinTables): first
+// layout's groups in under the group bounds gb (NewGroupBounds): first
 // the primeGroups groups of least key bound Σ_{j<c} mt[j][key[j]] —
 // ascending, ties by group index — then every other group in key order.
 // A group's key bound is at most every lower bound of its lanes, so the
@@ -410,22 +480,17 @@ const primeGroups = 8
 // first, they tighten the threshold before the bulk of the blocks is
 // lower-bounded against it. The selection is one pass with a
 // primeGroups-slot insertion buffer, no sort. At c = 0 every bound is
-// zero and the order is the identity.
-func (fs *FastScan) VisitOrder(mt *[M][16]uint8, dst []int32) []int32 {
+// the floor and the order is the identity.
+func (fs *FastScan) VisitOrder(gb *GroupBounds, dst []int32) []int32 {
 	groups := fs.part.grouped.Groups
-	// Rows c.. of kt stay zero, so a group's key bound is the sum of
-	// four entries whatever c is.
-	var kt [layout.MaxGroupComponents][16]uint8
-	copy(kt[:fs.c], mt[:fs.c])
 	// A slot is bound<<16 | index: a group index is below 16^c <= 2^16
-	// and a bound at most 4·127, so one compare orders (bound, index).
+	// and a bound at most 8·127, so one compare orders (bound, index).
+	// The bound is the key bound plus the floor every group shares,
+	// which leaves the order as the key bounds give it.
 	var best [primeGroups]uint32
 	n := 0
 	for gi := range groups {
-		k := &groups[gi].Key
-		bound := uint32(kt[0][k[0]&15]) + uint32(kt[1][k[1]&15]) +
-			uint32(kt[2][k[2]&15]) + uint32(kt[3][k[3]&15])
-		s := bound<<16 | uint32(gi)
+		s := gb.bound(&groups[gi].Key)<<16 | uint32(gi)
 		if n == primeGroups && s >= best[n-1] {
 			continue
 		}

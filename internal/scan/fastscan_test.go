@@ -107,7 +107,7 @@ func TestPruneThresholdSaturationRule(t *testing.T) {
 // TestBuildMinTablesAreMinima verifies Figure 10: entry h is the true
 // minimum of portion h, quantized, on every row — and, Quantize being
 // monotone, the least entry of the quantized window a group with key h
-// reads (windowMinima, the serving scan's source for grouped rows).
+// reads (windowMinima), which is what a group's key bound claims.
 func TestBuildMinTablesAreMinima(t *testing.T) {
 	r := rng.New(5)
 	tables := quantizer.Tables{M: M, KStar: 256, Data: make([]float32, M*256)}
@@ -115,7 +115,7 @@ func TestBuildMinTablesAreMinima(t *testing.T) {
 		tables.Data[i] = r.Float32() * 500
 	}
 	dq := NewDistQuantizer(tables.Min(), tables.MaxSum())
-	st := BuildMinTables(tables, dq)
+	st := minTablesOf(tables, dq)
 	for j := 0; j < M; j++ {
 		row := tables.Row(j)
 		var q [256]uint8
@@ -150,7 +150,7 @@ func TestLowerBoundNeverExceedsTrueDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	dq := NewDistQuantizer(tables.Min(), tables.MaxSum())
-	st := BuildMinTables(tables, dq)
+	st := minTablesOf(tables, dq)
 	g := fs.Grouped()
 	for _, grp := range g.Groups {
 		var groupTables [4][16]uint8

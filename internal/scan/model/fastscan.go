@@ -44,7 +44,9 @@ func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	// temporary nearest neighbor bounding qmax. scan.KeepBounds is shared
 	// with every backend and the ablations, so all paths quantize over
 	// the same range.
-	qmin, qmax, out := scan.KeepBounds(part, fs.KeepN(), fs.Covered(), t, heap)
+	var mins scan.WindowMinima
+	mins.Fill(t)
+	qmin, qmax, out := scan.KeepBounds(part, fs.KeepN(), fs.Covered(), t, &mins, heap)
 	stats.Ops.Add(libpqPerVector.Scale(float64(plain)))
 	if out {
 		fs.OutOfReach(&stats.Stats)
@@ -56,7 +58,7 @@ func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	// S_C..S_7 for the blocks, rows 0..c-1 for the groups' key bounds.
 	// Quantizing the 8x256 table entries and reducing the portions costs
 	// one pass over the distance tables.
-	minTables := scan.BuildMinTables(t, dq)
+	minTables := scan.BuildMinTables(&mins, dq)
 	stats.Ops.Add(tablePass)
 
 	thrVal, haveThr := heap.Threshold()
@@ -83,10 +85,19 @@ func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 
 	// The groups in the serving scan's order (scan.VisitOrder): the few
 	// of least key bound first, then the rest in key order.
-	order := fs.VisitOrder(&minTables, nil)
+	gb := scan.NewGroupBounds(&minTables, c)
+	order := fs.VisitOrder(&gb, nil)
 	stats.Ops.Add(visitOrderOps(c, len(order)))
+	stats.Ops.Add(groupTestOps(c, len(order)))
 	for _, gi := range order {
 		grp := g.Groups[gi]
+		// A group its shared bound prunes whole is not bounded: every
+		// lane lower-bounded and pruned, as in the serving scan.
+		if gb.Prunes(&grp.Key, t8) {
+			stats.LowerBounds += grp.Count
+			stats.Pruned += grp.Count
+			continue
+		}
 		stats.Groups++
 		// Load the group's small tables S_0..S_{C-1} (solid arrows of
 		// Figure 13).

@@ -30,7 +30,9 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	part, plain, c := fs.Partition(), fs.PlainScanned(), fs.GroupComponents()
 	stats := Stats{Stats: scan.Stats{Scanned: part.N, KeepScanned: plain}}
 
-	qmin, qmax, out := scan.KeepBounds(part, fs.KeepN(), fs.Covered(), t, heap)
+	var mins scan.WindowMinima
+	mins.Fill(t)
+	qmin, qmax, out := scan.KeepBounds(part, fs.KeepN(), fs.Covered(), t, &mins, heap)
 	stats.Ops.Add(libpqPerVector.Scale(float64(plain)))
 	if out {
 		fs.OutOfReach(&stats.Stats)
@@ -38,7 +40,7 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	}
 	dq := scan.NewDistQuantizer(qmin, qmax)
 
-	minTables := scan.BuildMinTables(t, dq)
+	minTables := scan.BuildMinTables(&mins, dq)
 	stats.Ops.Add(tablePass)
 
 	// Widen the query-lifetime minimum tables once.
@@ -71,10 +73,19 @@ func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 
 	// The groups in the serving scan's order (scan.VisitOrder): the few
 	// of least key bound first, then the rest in key order.
-	order := fs.VisitOrder(&minTables, nil)
+	gb := scan.NewGroupBounds(&minTables, c)
+	order := fs.VisitOrder(&gb, nil)
 	stats.Ops.Add(visitOrderOps(c, len(order)))
+	stats.Ops.Add(groupTestOps(c, len(order)))
 	for _, gi := range order {
 		grp := g.Groups[gi]
+		// A group its shared bound prunes whole is not bounded: every
+		// lane lower-bounded and pruned, as in the serving scan.
+		if gb.Prunes(&grp.Key, t8) {
+			stats.LowerBounds += grp.Count
+			stats.Pruned += grp.Count
+			continue
+		}
 		stats.Groups++
 		for j := 0; j < c; j++ {
 			groupTables256[j] = simd.Dup128(buildGroupTable(t, j, grp.Key[j], dq))

@@ -6,6 +6,7 @@ import (
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/rng"
 	"pqfastscan/internal/scan"
+	"pqfastscan/internal/simd/dispatch"
 )
 
 // TestFastScanStatsAccounting: scanned = keep + lower bounds (+ padding
@@ -150,5 +151,51 @@ func TestScan256CheaperFrontend(t *testing.T) {
 	if s256.Ops.Instructions() >= s128.Ops.Instructions() {
 		t.Errorf("scan256 instructions %.0f not below scan %.0f",
 			s256.Ops.Instructions(), s128.Ops.Instructions())
+	}
+}
+
+// TestGroupSkipFires pins a scan in which the group test prunes: one
+// near portion on the grouped component, every other portion of it a
+// thousand times farther. Once the near group is re-checked (it is
+// visited first, on the least key bound), every other group's shared
+// bound is above the threshold and no block of it is bounded. The
+// serving scan on every backend must return Naive's answer with fewer
+// groups and blocks than the layout holds, and both model widths must
+// count every vector exactly as it does.
+func TestGroupSkipFires(t *testing.T) {
+	r := rng.New(17)
+	tables := quantizer.Tables{M: M, KStar: 256, Data: make([]float32, M*256)}
+	for i := range tables.Data {
+		tables.Data[i] = r.Float32() * 10
+	}
+	for i, row := 16, tables.Row(0); i < 256; i++ {
+		row[i] = 1000 + r.Float32()*100
+	}
+	p, _ := randomPartition(t, 2000, 18)
+	fs, err := newLayout(p, scan.FastScanOptions{GroupComponents: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := fs.Grouped()
+	blocks := 0
+	for _, grp := range g.Groups {
+		blocks += grp.BlockCount
+	}
+	const k = 1
+	want, _ := Naive(fs.Partition(), tables, k)
+	model, modelStats := Scan(fs, tables, k)
+	sameResults(t, want, model, "naive", "model")
+	_, model256 := Scan256(fs, tables, k)
+	sameCounters(t, model256, modelStats.Stats, "model256")
+	for _, be := range dispatch.AvailableBackends() {
+		got, st := fs.ScanNativeBackend(tables, k, nil, be)
+		sameResults(t, want, got, "naive", be.String())
+		sameCounters(t, modelStats, st, be.String())
+		if st.Groups >= len(g.Groups) || st.Blocks >= blocks {
+			t.Fatalf("%v: no group skipped: %d of %d groups, %d of %d blocks bounded", be, st.Groups, len(g.Groups), st.Blocks, blocks)
+		}
+		if st.LowerBounds != fs.Partition().N || st.Pruned+st.Candidates != st.LowerBounds {
+			t.Fatalf("%v: a skipped lane went uncounted: %+v", be, st)
+		}
 	}
 }

@@ -200,6 +200,21 @@ func visitOrderOps(c, groups int) perf.OpCounts {
 	return ops
 }
 
+// groupTestOps prices scan.GroupBounds over a scan of groups groups of
+// a layout grouped on c components: per scan, the floor — the least of
+// each ungrouped minimum table, 16 byte loads and 16 compares or adds a
+// row; per group, the test — c minimum-table byte loads added to the
+// floor, one compare against the entry threshold and its branch.
+func groupTestOps(c, groups int) perf.OpCounts {
+	ops := perf.OpCounts{
+		ScalarLoad8:  float64(c),
+		ScalarALU:    float64(c + 1),
+		ScalarBranch: 1,
+	}.Scale(float64(groups))
+	ops.Add(perf.OpCounts{ScalarLoad8: float64(16 * (M - c)), ScalarALU: float64(16 * (M - c))})
+	return ops
+}
+
 // Naive is Algorithm 1 — scan.Naive, the oracle — with its operation
 // mix attached.
 func Naive(p *scan.Partition, t quantizer.Tables, k int) ([]topk.Result, Stats) {
@@ -295,7 +310,9 @@ func QuantizationOnly(p *scan.Partition, t quantizer.Tables, k int, keep float64
 	heap := topk.New(k)
 	keepN := int(keep * float64(p.N))
 	stats := Stats{Stats: scan.Stats{Scanned: p.N, KeepScanned: keepN}}
-	qmin, qmax, _ := scan.KeepBounds(p, keepN, p.N, t, heap) // its own keep region never puts an empty heap out of reach
+	var mins scan.WindowMinima
+	mins.Fill(t)
+	qmin, qmax, _ := scan.KeepBounds(p, keepN, p.N, t, &mins, heap) // its own keep region never puts an empty heap out of reach
 	stats.Ops.Add(libpqPerVector.Scale(float64(keepN)))
 	dq := scan.NewDistQuantizer(qmin, qmax)
 	qt := make([]uint8, M*256)

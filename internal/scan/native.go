@@ -4,10 +4,11 @@
 // qsat-vs-threshold pruning, keep phase — implemented for wall-clock
 // speed. One Go loop (scanBlocks) walks the groups and blocks for every
 // backend, the groups in VisitOrder: the few of least key bound first,
-// then the rest in key order. Per group, the block-kernel
-// backend selected by internal/simd/dispatch lower-bounds all of the
-// group's blocks and returns one pruned mask per block against the
-// threshold at the group's entry:
+// then the rest in key order. A group whose shared bound already prunes
+// every lane at its entry is skipped (GroupBounds). Per other group,
+// the block-kernel backend selected by internal/simd/dispatch
+// lower-bounds all of the group's blocks and returns one pruned mask
+// per block against the threshold at the group's entry:
 //
 //   - asm-avx2 / asm-neon: hand-written assembly (dispatch.Accumulate)
 //     running the real pshufb/tbl pipeline over the whole group;
@@ -90,13 +91,14 @@ func swarMovemask16(x uint64) uint32 {
 // mask-only index computation.
 const ulutSize = 0x0f0f + 1
 
-// queryTables is the per-scan table state of a Fast Scan: the
-// §4.4 distance quantizer, the quantized first-c distance-table rows
-// (every group's small tables S_0..S_{C-1} are 16-entry windows into
-// them), the scan-lifetime minimum tables (S_C..S_7 bound the blocks,
-// rows 0..c-1 order the groups, VisitOrder), and the
-// backend-specific derived tables — the SWAR pair LUTs and the assembly
-// backends' contiguous 8×16-byte table block.
+// queryTables is the per-scan table state of a Fast Scan: the window
+// minima of the distance tables, the §4.4 distance quantizer, the
+// quantized first-c distance-table rows (every group's small tables
+// S_0..S_{C-1} are 16-entry windows into them), the scan-lifetime
+// minimum tables (S_C..S_7 bound the blocks, rows 0..c-1 order and
+// prune the groups with the group bounds), and the backend-specific
+// derived tables — the SWAR pair LUTs and the assembly backends'
+// contiguous 8×16-byte table block.
 //
 // It is built once per scan of one partition (queryTablesFor) into
 // storage the Scratch reuses, and shared by every group that scan
@@ -107,9 +109,11 @@ const ulutSize = 0x0f0f + 1
 // group instead; that is the instruction stream it meters.
 type queryTables struct {
 	c         int
+	mins      WindowMinima // filled before the keep phase, which reads its bounds
 	dq        DistQuantizer
 	qrows     [layout.MaxGroupComponents][256]uint8
-	minTables [M][16]uint8 // rows c..7 bound blocks, rows 0..c-1 order groups
+	minTables [M][16]uint8 // rows c..7 bound blocks, rows 0..c-1 order and prune groups
+	gb        GroupBounds  // each group's shared bound, from minTables
 
 	// SWAR pair-LUT state.
 	glut []uint32 // grouped-component pair LUTs, c x 16 keys x 256
@@ -167,8 +171,9 @@ func growAligned(s []uint8, n int) []uint8 {
 	return s[:n]
 }
 
-// queryTablesFor builds, in the Scratch's storage, the query-table
-// state for scanning fs with tables t under bounds (qmin, qmax).
+// queryTablesFor builds, in the Scratch's storage, the rest of the
+// query-table state for scanning fs with tables t under bounds
+// (qmin, qmax), from the window minima sc.qt.mins already holds.
 func (sc *Scratch) queryTablesFor(fs *FastScan, t quantizer.Tables, qmin, qmax float32) *queryTables {
 	qt := &sc.qt
 	qt.c = fs.c
@@ -177,18 +182,14 @@ func (sc *Scratch) queryTablesFor(fs *FastScan, t quantizer.Tables, qmin, qmax f
 	// group's small tables S_0..S_{C-1} are 16-entry windows into these
 	// rows (entry values identical to the model's per-group table
 	// builds, which quantize the same floats with the same quantizer).
-	// Their minimum tables are the windows' least entries, equal to
-	// BuildMinTables' rows (Quantize is monotone) for no Quantize call.
 	for j := 0; j < fs.c; j++ {
 		row := t.Row(j)
 		for i, v := range row {
 			qt.qrows[j][i] = qt.dq.Quantize(v)
 		}
-		qt.minTables[j] = windowMinima(&qt.qrows[j])
 	}
-	for j := fs.c; j < M; j++ {
-		qt.minTables[j] = minTable(t.Row(j), qt.dq)
-	}
+	qt.minTables = BuildMinTables(&qt.mins, qt.dq)
+	qt.gb = NewGroupBounds(&qt.minTables, fs.c)
 	return qt
 }
 
@@ -255,7 +256,9 @@ func (qt *queryTables) asmTables() *[128]uint8 {
 // later cell quantizes against — and prunes with — the bound the query
 // already has. The single source of the bounds for every backend, the
 // model and its quantization-only ablation — which is what keeps their
-// pruning counters comparable.
+// pruning counters comparable. Each passes in the window minima of t
+// (WindowMinima.Fill), from which qmin and the partition's least
+// distance come.
 //
 // Two things only a carried heap can do are settled here, for every
 // implementation alike. out reports that the rest of the partition is
@@ -265,10 +268,10 @@ func (qt *queryTables) asmTables() *[128]uint8 {
 // qmin — a threshold under the smallest single entry of a partition
 // that is not out — would quantize every entry to bin 0 and switch
 // pruning off; the table maximum, the bound of an empty heap, stands in.
-func KeepBounds(p *Partition, keepN, covered int, t quantizer.Tables, heap *topk.Heap) (qmin, qmax float32, out bool) {
+func KeepBounds(p *Partition, keepN, covered int, t quantizer.Tables, w *WindowMinima, heap *topk.Heap) (qmin, qmax float32, out bool) {
 	LibpqRange(p, 0, keepN, t, heap)
 	LibpqRange(p, covered, p.N, t, heap)
-	qmin, least := tableMinima(t)
+	qmin, least := w.Bounds()
 	worst, ok := heap.Worst()
 	if heap.Full() && worst < least {
 		return qmin, worst, true
@@ -277,29 +280,6 @@ func KeepBounds(p *Partition, keepN, covered int, t quantizer.Tables, heap *topk
 		worst = t.MaxSum()
 	}
 	return qmin, worst, false
-}
-
-// tableMinima returns the smallest entry across all tables (the paper's
-// qmin) and the least distance any code can have against them: the
-// row minima accumulated in float32 in ADC8's j = 0..7 order. Rounding
-// is monotonic, so every exact distance — the same chain of additions
-// over entries no smaller — is at least that sum.
-func tableMinima(t quantizer.Tables) (entry, sum float32) {
-	entry = t.Data[0]
-	for j := 0; j < M; j++ {
-		row := t.Row(j)
-		m := row[0]
-		for _, v := range row[1:] {
-			if v < m {
-				m = v
-			}
-		}
-		if m < entry {
-			entry = m
-		}
-		sum += m
-	}
-	return entry, sum
 }
 
 // OutOfReach accounts the grouped region of a partition KeepBounds
@@ -351,7 +331,8 @@ func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scra
 	// bounds the representable range (the running pruning threshold
 	// starts exactly at qmax and only decreases, so every distance
 	// quantized to 127 is already prunable; see PruneThreshold).
-	qmin, qmax, out := KeepBounds(fs.part, fs.keepN, fs.covered, t, heap)
+	sc.qt.mins.Fill(t)
+	qmin, qmax, out := KeepBounds(fs.part, fs.keepN, fs.covered, t, &sc.qt.mins, heap)
 	if out {
 		fs.OutOfReach(&stats)
 		return stats
@@ -497,6 +478,13 @@ func swarPrunedMask(acc []uint8, t8 int8) uint32 {
 // and heap evolution) is the same on every backend. Padding lanes of a
 // group's last block and dead lanes leave a block's survivors with one
 // AND each and count as pruned, on every backend and in the model alike.
+//
+// A group whose shared bound (GroupBounds) already prunes every lane at
+// its entry threshold is not bounded at all: its lanes count as
+// lower-bounded and pruned — the accounting OutOfReach gives a
+// partition pruned on one bound — and Groups and Blocks do not count
+// it. The kernel would have masked out every lane of it, so the skip
+// moves no decision.
 func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend, t8 *int8, heap *topk.Heap, tv *[M][256]float32, stats *Stats) {
 	g := fs.part.grouped
 	bb := g.BlockSize()
@@ -509,11 +497,16 @@ func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend
 		tb = qt.asmTables()
 	}
 
-	sc.order = fs.VisitOrder(&qt.minTables, sc.order)
+	sc.order = fs.VisitOrder(&qt.gb, sc.order)
 	for _, gi := range sc.order {
 		grp := &g.Groups[gi]
-		nb := grp.BlockCount
 		entry := *t8
+		if qt.gb.Prunes(&grp.Key, entry) {
+			stats.LowerBounds += grp.Count
+			stats.Pruned += grp.Count
+			continue
+		}
+		nb := grp.BlockCount
 		sc.bound(qt, be, tb, g.Blocks[grp.BlockStart*bb:(grp.BlockStart+nb)*bb], grp, entry)
 
 		stats.Groups++

@@ -61,7 +61,8 @@ func TestVisitOrder(t *testing.T) {
 					}
 				}
 				label := fmt.Sprintf("c=%d groups=%d trial=%d", c, groups, trial)
-				dst = fs.VisitOrder(&mt, dst)
+				gb := NewGroupBounds(&mt, c)
+				dst = fs.VisitOrder(&gb, dst)
 				checkVisitOrder(t, fs.Grouped().Groups, c, &mt, dst, label)
 			}
 		}

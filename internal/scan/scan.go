@@ -18,8 +18,8 @@
 // §3 baselines, the §5.5 ablation and the operation mixes internal/perf
 // prices — lives in internal/scan/model and is linked only by pqbench
 // and tests. It reaches into this package through the exported decision
-// inputs (KeepBounds, DistQuantizer, BuildMinTables, ADC8, LibpqRange,
-// OutOfReach, DeadLanes, Check8x8): everything that
+// inputs (WindowMinima, KeepBounds, DistQuantizer, BuildMinTables,
+// GroupBounds, ADC8, LibpqRange, OutOfReach, DeadLanes, Check8x8): everything that
 // decides what is pruned exists once, here, and the model calls it
 // (DESIGN.md §9).
 package scan
@@ -452,11 +452,16 @@ func (p *Partition) RestoreDead(ids []int64) error {
 type Stats struct {
 	Scanned     int // vectors examined in total
 	KeepScanned int // vectors scanned with plain PQ Scan in the keep phase
-	LowerBounds int // SIMD lower-bound evaluations (FastScan)
-	Pruned      int // vectors whose exact distance computation was pruned
+	// LowerBounds counts the vectors lower-bounded (FastScan): by the
+	// block kernel, or by a bound they share — their group's
+	// (GroupBounds) or their out-of-reach partition's (OutOfReach).
+	LowerBounds int
+	Pruned      int // vectors whose exact distance computation was pruned, by a shared bound too
 	Candidates  int // exact pqdistance computations after a lower bound
-	Groups      int // groups visited (FastScan)
-	Blocks      int // 16-vector blocks processed (FastScan)
+	// Groups and Blocks count what the block kernel bounded (FastScan):
+	// a group pruned on its shared bound is in neither.
+	Groups int
+	Blocks int // 16-vector blocks
 }
 
 // Merge accumulates another scan's counts into s (multi-probe and batch
