@@ -16,7 +16,6 @@ import (
 
 	"pqfastscan/internal/kmeans"
 	"pqfastscan/internal/layout"
-	"pqfastscan/internal/par"
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/scan"
 	"pqfastscan/internal/simd/dispatch"
@@ -186,15 +185,10 @@ func Build(learn, base vec.Matrix, opt Options) (*Index, error) {
 	}
 
 	// Step 2: product quantizer on learn-set residuals.
+	// coarse.Assign is every learn row's cell: k-means' final assignment
+	// step ran against the centroids it returned.
 	residuals := vec.NewMatrix(learn.Rows(), learn.Dim)
-	for i := 0; i < learn.Rows(); i++ {
-		c, _ := vec.ArgminL2(learn.Row(i), coarse.Centroids.Data, learn.Dim)
-		dst := residuals.Row(i)
-		cRow := coarse.Centroids.Row(c)
-		for d, v := range learn.Row(i) {
-			dst[d] = v - cRow[d]
-		}
-	}
+	residualsOf(learn.Data, coarse.Centroids, coarse.Assign, residuals.Data)
 	pq, err := quantizer.Train(residuals, quantizer.PQ8x8, quantizer.TrainOptions{
 		MaxIter: opt.KMeansIter, Seed: opt.Seed + 1,
 	})
@@ -209,25 +203,12 @@ func Build(learn, base vec.Matrix, opt Options) (*Index, error) {
 
 	ix := newIndex(base.Dim, coarse.Centroids, pq, opt)
 
-	// Step 3: route and encode the base set. Encoding is embarrassingly
-	// parallel and dominates construction time, so it is chunked over
-	// cores (offline preprocessing; queries remain single-threaded).
+	// Step 3: route and encode the base set, as Add does.
+	cells, allCodes, err := ix.EncodeRoute(base)
+	if err != nil {
+		return nil, fmt.Errorf("index: base %w", err)
+	}
 	n := base.Rows()
-	cells := make([]int, n)
-	allCodes := make([]uint8, n*pq.M)
-	par.ForChunk(n, func(lo, hi int) {
-		residual := make([]float32, base.Dim)
-		for i := lo; i < hi; i++ {
-			row := base.Row(i)
-			c, _ := vec.ArgminL2(row, coarse.Centroids.Data, base.Dim)
-			cells[i] = c
-			cRow := coarse.Centroids.Row(c)
-			for d, v := range row {
-				residual[d] = v - cRow[d]
-			}
-			pq.Encode(residual, allCodes[i*pq.M:(i+1)*pq.M])
-		}
-	})
 	type bucket struct {
 		codes []uint8
 		ids   []int64

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 
+	"pqfastscan/internal/par"
 	"pqfastscan/internal/scan"
 	"pqfastscan/internal/vec"
 )
@@ -61,6 +62,11 @@ func (ix *Index) Add(vecs vec.Matrix) ([]int64, error) {
 // residual, returning the parallel cell slice and the flat n×M code
 // block. It is read-only with respect to index state: pure computation
 // against the trained quantizers, safe to run outside any mutation lock.
+// Build encodes its base set here too. Rows go through the batched
+// nearest-centroid search (vec.ArgminL2Rows, PQ.EncodeRows) in slabs,
+// and a batch of parallelRows or more is chunked over cores; the cells
+// and codes are those of one vec.ArgminL2 per row and subspace either
+// way.
 func (ix *Index) EncodeRoute(vecs vec.Matrix) (cells []int, codes []uint8, err error) {
 	if vecs.Dim != ix.Dim {
 		return nil, nil, fmt.Errorf("index: vector dim %d != index dim %d", vecs.Dim, ix.Dim)
@@ -71,21 +77,47 @@ func (ix *Index) EncodeRoute(vecs vec.Matrix) (cells []int, codes []uint8, err e
 			return nil, nil, fmt.Errorf("vector %d: %w", i, err)
 		}
 	}
-	m := ix.PQ.M
+	m, dim := ix.PQ.M, ix.Dim
 	cells = make([]int, n)
 	codes = make([]uint8, n*m)
-	residual := make([]float32, ix.Dim)
-	for i := 0; i < n; i++ {
-		row := vecs.Row(i)
-		c, _ := vec.ArgminL2(row, ix.Coarse.Data, ix.Dim)
-		cRow := ix.Coarse.Row(c)
-		for d, v := range row {
-			residual[d] = v - cRow[d]
+	encode := func(lo, hi int) {
+		residuals := make([]float32, min(encodeSlab, hi-lo)*dim)
+		for s := lo; s < hi; s += encodeSlab {
+			e := min(s+encodeSlab, hi)
+			rows := vecs.Data[s*dim : e*dim]
+			vec.ArgminL2Rows(rows, dim, dim, ix.Coarse.Data, cells[s:e], nil)
+			res := residuals[:(e-s)*dim]
+			residualsOf(rows, ix.Coarse, cells[s:e], res)
+			ix.PQ.EncodeRows(res, codes[s*m:e*m])
 		}
-		ix.PQ.Encode(residual, codes[i*m:(i+1)*m])
-		cells[i] = c
+	}
+	if n >= parallelRows {
+		par.ForChunk(n, encode)
+	} else {
+		encode(0, n)
 	}
 	return cells, codes, nil
+}
+
+const (
+	// encodeSlab is the rows EncodeRoute routes and encodes per step,
+	// bounding its residual scratch.
+	encodeSlab = 256
+	// parallelRows is the batch EncodeRoute spreads over cores (Build's
+	// base set, a large AddBatch); a smaller one stays on its caller's.
+	parallelRows = 4096
+)
+
+// residualsOf writes dst row i = rows row i − coarse centroid cells[i].
+func residualsOf(rows []float32, coarse vec.Matrix, cells []int, dst []float32) {
+	dim := coarse.Dim
+	for i, c := range cells {
+		cRow := coarse.Row(c)
+		out := dst[i*dim : (i+1)*dim]
+		for d, v := range rows[i*dim : (i+1)*dim] {
+			out[d] = v - cRow[d]
+		}
+	}
 }
 
 // AllocIDs reserves a contiguous block of n ids and returns the first.

@@ -57,15 +57,22 @@ func Train(data vec.Matrix, cfg Config) (*Result, error) {
 	counts := make([]int, cfg.K)
 	res := &Result{Centroids: centroids, Assign: assign}
 
-	prevInertia := math.Inf(1)
-	for iter := 0; iter < maxIter; iter++ {
-		// Assignment step.
+	// assignStep sets every row's nearest centroid (vec.ArgminL2Rows: the
+	// eight-row kernel where the active backend has one, bit for bit
+	// vec.ArgminL2) and returns their summed distance, in row order.
+	dists := make([]float32, n)
+	assignStep := func() float64 {
+		vec.ArgminL2Rows(data.Data, dim, dim, centroids.Data, assign, dists)
 		inertia := 0.0
-		for i := 0; i < n; i++ {
-			c, d := vec.ArgminL2(data.Row(i), centroids.Data, dim)
-			assign[i] = c
+		for _, d := range dists {
 			inertia += float64(d)
 		}
+		return inertia
+	}
+
+	prevInertia := math.Inf(1)
+	for iter := 0; iter < maxIter; iter++ {
+		inertia := assignStep()
 		// Update step.
 		vec.Zero(centroids.Data)
 		for i := range counts {
@@ -92,13 +99,7 @@ func Train(data vec.Matrix, cfg Config) (*Result, error) {
 		prevInertia = inertia
 	}
 	// Final assignment against the last centroid update.
-	inertia := 0.0
-	for i := 0; i < n; i++ {
-		c, d := vec.ArgminL2(data.Row(i), centroids.Data, dim)
-		assign[i] = c
-		inertia += float64(d)
-	}
-	res.Inertia = inertia
+	res.Inertia = assignStep()
 	return res, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"pqfastscan/internal/dataset"
 	"pqfastscan/internal/rng"
 	"pqfastscan/internal/simd/dispatch"
 	"pqfastscan/internal/vec"
@@ -127,5 +128,58 @@ func BenchmarkQueryTerm(b *testing.B) {
 				pq.InnerProducts(x, dst)
 			}
 		})
+	})
+}
+
+// trainedPQ is a PQ 8×8 trained on synthetic SIFT-like rows of 128
+// dimensions, with a further n rows of the same data to encode.
+func trainedPQ(t testing.TB, n int) (*ProductQuantizer, vec.Matrix) {
+	gen := dataset.NewGenerator(dataset.Config{Seed: 3})
+	pq, err := Train(gen.Generate(2000), PQ8x8, TrainOptions{MaxIter: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pq, gen.Generate(n)
+}
+
+// TestEncodeRowsMatchesArgmin holds EncodeRows, over batch sizes on both
+// sides of its 64-row slab and of the kernel's eight lanes, to one
+// vec.ArgminL2 per row and subspace, on every backend this machine has.
+func TestEncodeRowsMatchesArgmin(t *testing.T) {
+	pq, data := trainedPQ(t, 140)
+	forEachBackend(t, func(be dispatch.Backend) {
+		for _, n := range []int{1, 5, 8, 64, 71, 140} {
+			codes := make([]uint8, n*pq.M)
+			pq.EncodeRows(data.Data[:n*pq.Dim], codes)
+			for i := 0; i < n; i++ {
+				for j := 0; j < pq.M; j++ {
+					sub := data.Row(i)[j*pq.SubDim : (j+1)*pq.SubDim]
+					want, _ := vec.ArgminL2(sub, pq.Codebooks[j].Data, pq.SubDim)
+					if int(codes[i*pq.M+j]) != want {
+						t.Fatalf("%s, %d rows: row %d subspace %d encoded %d, ArgminL2 %d", be, n, i, j, codes[i*pq.M+j], want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkEncode prices EncodeRows per vector — PQ 8×8 over 128
+// dimensions, 8 × 256 centroids of 16 — for a batch of one row (a
+// single Add) and of eight (one pass of the kernel), on each backend
+// this machine has: swar is vec.ArgminL2 per row and subspace, asm-avx2
+// the eight-row kernel.
+func BenchmarkEncode(b *testing.B) {
+	pq, data := trainedPQ(b, 8)
+	codes := make([]uint8, 8*pq.M)
+	forEachBackend(b, func(be dispatch.Backend) {
+		for _, rows := range []int{1, 8} {
+			b.Run(fmt.Sprintf("backend=%s/rows=%d", be, rows), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					pq.EncodeRows(data.Data[:rows*pq.Dim], codes[:rows*pq.M])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/vector")
+			})
+		}
 	})
 }

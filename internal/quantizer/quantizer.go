@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"pqfastscan/internal/kmeans"
+	"pqfastscan/internal/par"
 	"pqfastscan/internal/simd/dispatch"
 	"pqfastscan/internal/vec"
 )
@@ -80,7 +81,10 @@ func Train(data vec.Matrix, cfg Config, opt TrainOptions) (*ProductQuantizer, er
 		SubDim:    dim / cfg.M,
 		Codebooks: make([]vec.Matrix, cfg.M),
 	}
-	for j := 0; j < cfg.M; j++ {
+	// The sub-quantizers are independent, each with its own seed, so
+	// training them concurrently yields the codebooks a serial loop does.
+	errs := make([]error, cfg.M)
+	par.For(cfg.M, func(j int) {
 		sub := data.SubColumns(j*pq.SubDim, (j+1)*pq.SubDim)
 		res, err := kmeans.Train(sub, kmeans.Config{
 			K:       cfg.KStar(),
@@ -88,20 +92,24 @@ func Train(data vec.Matrix, cfg Config, opt TrainOptions) (*ProductQuantizer, er
 			Seed:    opt.Seed + uint64(j)*0x9e3779b97f4a7c15,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("quantizer: sub-quantizer %d: %w", j, err)
+			errs[j] = fmt.Errorf("quantizer: sub-quantizer %d: %w", j, err)
+			return
 		}
 		pq.Codebooks[j] = res.Centroids
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return pq, nil
 }
 
 // Encode writes pqcode(x) into code, which must have length M. Each entry
 // is the index of the closest centroid of the corresponding sub-quantizer.
-// For configurations with Bits > 8 the index is truncated storage-wise by
-// the caller; this package keeps one int16-safe byte pair only for
-// Bits <= 8 and therefore restricts Encode to Bits <= 8 configurations
-// (the scan kernels all operate on PQ 8×8; PQ 16×4 and PQ 4×16 appear only
-// in the Table 1 capacity analysis).
+// Codes are one byte per index, so Encode is restricted to Bits <= 8
+// configurations (the scan kernels all operate on PQ 8×8; PQ 16×4 and
+// PQ 4×16 appear only in the Table 1 capacity analysis).
 func (pq *ProductQuantizer) Encode(x []float32, code []uint8) {
 	if len(x) != pq.Dim {
 		panic("quantizer: dimensionality mismatch")
@@ -109,23 +117,45 @@ func (pq *ProductQuantizer) Encode(x []float32, code []uint8) {
 	if len(code) != pq.M {
 		panic("quantizer: code length mismatch")
 	}
+	pq.EncodeRows(x, code)
+}
+
+// rowSlab is the rows EncodeRows hands vec.ArgminL2Rows per
+// subspace: its index scratch lives on the stack.
+const rowSlab = 64
+
+// EncodeRows encodes n rows at once, n = len(codes)/M: row i is
+// xs[i*Dim : (i+1)*Dim] and its code goes to codes[i*M : (i+1)*M]. Each
+// subspace of a slab of rows is one vec.ArgminL2Rows call against its
+// codebook, so the codes are Encode's, row by row, bit for bit, on the
+// eight-row nearest-centroid kernel where the active backend has it.
+func (pq *ProductQuantizer) EncodeRows(xs []float32, codes []uint8) {
 	if pq.Bits > 8 {
 		panic("quantizer: Encode supports at most 8 bits per index")
 	}
-	for j := 0; j < pq.M; j++ {
-		sub := x[j*pq.SubDim : (j+1)*pq.SubDim]
-		idx, _ := vec.ArgminL2(sub, pq.Codebooks[j].Data, pq.SubDim)
-		code[j] = uint8(idx)
+	m, sd := pq.M, pq.SubDim
+	n := len(codes) / m
+	if len(codes) != n*m || len(xs) != n*pq.Dim {
+		panic("quantizer: dimensionality mismatch")
+	}
+	var best [rowSlab]int
+	for lo := 0; lo < n; lo += rowSlab {
+		hi := min(lo+rowSlab, n)
+		rows := xs[lo*pq.Dim : hi*pq.Dim]
+		for j := 0; j < m; j++ {
+			idx := best[:hi-lo]
+			vec.ArgminL2Rows(rows[j*sd:], pq.Dim, sd, pq.Codebooks[j].Data, idx, nil)
+			for i, c := range idx {
+				codes[(lo+i)*m+j] = uint8(c)
+			}
+		}
 	}
 }
 
 // EncodeAll encodes every row of data, returning a dense n x M code array.
 func (pq *ProductQuantizer) EncodeAll(data vec.Matrix) []uint8 {
-	n := data.Rows()
-	codes := make([]uint8, n*pq.M)
-	for i := 0; i < n; i++ {
-		pq.Encode(data.Row(i), codes[i*pq.M:(i+1)*pq.M])
-	}
+	codes := make([]uint8, data.Rows()*pq.M)
+	pq.EncodeRows(data.Data, codes)
 	return codes
 }
 

@@ -233,3 +233,22 @@ func InnerProducts(x, cb, dst []float32) bool {
 	innerProductsAVX2(&x[0], len(x), &cb[0], len(dst), &dst[0])
 	return true
 }
+
+// ArgminL2x8 finds, for each of eight rows at once, the nearest of the
+// centroids (row-major, dim floats a row) in squared L2 distance:
+// best[l], dist[l] = vec.ArgminL2(row l, centroids, dim). xt holds the
+// rows transposed, xt[d*8+l] = row l's dimension d, so that one load
+// reads dimension d of all eight. Only asm-avx2 has the kernel; on any
+// other active backend, or for dim or centroids empty or misaligned, it
+// writes nothing and returns false, and the caller runs the scalar
+// loop. The kernel performs vec.ArgminL2's float operations in its
+// order per row, so the two agree bit for bit, index and distance
+// (DESIGN.md §6).
+func ArgminL2x8(xt, centroids []float32, dim int, best *[8]int32, dist *[8]float32) bool {
+	if Active() != AVX2 || dim <= 0 || len(centroids) == 0 || len(centroids)%dim != 0 {
+		return false
+	}
+	_ = xt[8*dim-1] // bounds contract
+	argminL2x8AVX2(&xt[0], dim, &centroids[0], len(centroids)/dim, &best[0], &dist[0])
+	return true
+}

@@ -79,6 +79,11 @@ func accumulateAVX2Blocks(blocks []byte, blockBytes, c, nblocks int, thr int8, t
 //go:noescape
 func innerProductsAVX2(x *float32, sd int, cb *float32, k int, dst *float32)
 
+// argminL2x8AVX2 is the hand-written kernel in kernel_amd64.s.
+//
+//go:noescape
+func argminL2x8AVX2(xt *float32, dim int, cb *float32, k int, best *int32, dist *float32)
+
 func accumulateNEONBlocks(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
 	panic("dispatch: asm-neon backend is arm64-only")
 }

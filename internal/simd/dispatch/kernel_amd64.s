@@ -243,6 +243,132 @@ done:
 	VZEROUPPER
 	RET
 
+DATA posinf<>+0(SB)/4, $0x7f800000
+GLOBL posinf<>(SB), RODATA|NOPTR, $4
+
+DATA oneD<>+0(SB)/4, $1
+GLOBL oneD<>(SB), RODATA|NOPTR, $4
+
+// func argminL2x8AVX2(xt *float32, dim int, cb *float32, k int, best *int32, dist *float32)
+//
+// The nearest of the k centroids (rows of dim floats in cb, row-major)
+// to eight rows at once, one row per ymm lane: xt holds the rows
+// transposed, xt[d*8+l] = row l's dimension d. Per lane it performs
+// vec.ArgminL2's float operations in its order: from a zeroed
+// accumulator, for d ascending, t = x[d] − c[d] (VSUBPS), t·t (VMULPS),
+// acc + t² (VADDPS) — never an FMA. Four centroids are in flight and
+// share each x load, their c[d] broadcast to every lane. Centroids are
+// then compared in ascending order, strictly (VCMPPS LT), and the best
+// distance and index updated by VBLENDVPS, so a tie keeps the lowest
+// index and a NaN never wins. The scalar loop's early abandon does not
+// change its answer (DESIGN.md §6), so the full sums here agree with
+// it bit for bit. dim ≥ 1 and k ≥ 1.
+TEXT ·argminL2x8AVX2(SB), NOSPLIT, $0-48
+	MOVQ xt+0(FP), SI
+	MOVQ dim+8(FP), BX
+	MOVQ cb+16(FP), R8
+	MOVQ k+24(FP), CX
+	MOVQ best+32(FP), DI
+	MOVQ dist+40(FP), DX
+
+	MOVQ BX, R9
+	SHLQ $2, R9                // row stride in bytes
+	LEAQ (R9)(R9*1), R10       // 2 rows
+	LEAQ (R9)(R9*2), R11       // 3 rows
+
+	VBROADCASTSS posinf<>(SB), Y10 // best distance per lane: +Inf
+	VPXOR        Y11, Y11, Y11     // best index per lane: 0
+	VPXOR        Y12, Y12, Y12     // index of the centroid being compared
+	VPBROADCASTD oneD<>(SB), Y13
+
+quads:
+	CMPQ CX, $4
+	JL   singles
+	MOVQ R8, R13               // rows c..c+3 at (R13), +R9, +R10, +R11
+	MOVQ SI, R14               // xt cursor
+	MOVQ BX, AX                // dimensions left
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+quad_dims:
+	VMOVUPS      (R14), Y4     // x[d] of the eight rows
+	VBROADCASTSS (R13), Y5
+	VSUBPS       Y5, Y4, Y5    // t = x[d] − c[d]
+	VMULPS       Y5, Y5, Y5
+	VADDPS       Y5, Y0, Y0
+	VBROADCASTSS (R13)(R9*1), Y6
+	VSUBPS       Y6, Y4, Y6
+	VMULPS       Y6, Y6, Y6
+	VADDPS       Y6, Y1, Y1
+	VBROADCASTSS (R13)(R10*1), Y7
+	VSUBPS       Y7, Y4, Y7
+	VMULPS       Y7, Y7, Y7
+	VADDPS       Y7, Y2, Y2
+	VBROADCASTSS (R13)(R11*1), Y8
+	VSUBPS       Y8, Y4, Y8
+	VMULPS       Y8, Y8, Y8
+	VADDPS       Y8, Y3, Y3
+	ADDQ         $32, R14
+	ADDQ         $4, R13
+	DECQ         AX
+	JNZ          quad_dims
+
+	VCMPPS    $0x11, Y10, Y0, Y9 // lanes where acc < best (LT_OQ)
+	VBLENDVPS Y9, Y0, Y10, Y10
+	VBLENDVPS Y9, Y12, Y11, Y11
+	VPADDD    Y13, Y12, Y12
+	VCMPPS    $0x11, Y10, Y1, Y9
+	VBLENDVPS Y9, Y1, Y10, Y10
+	VBLENDVPS Y9, Y12, Y11, Y11
+	VPADDD    Y13, Y12, Y12
+	VCMPPS    $0x11, Y10, Y2, Y9
+	VBLENDVPS Y9, Y2, Y10, Y10
+	VBLENDVPS Y9, Y12, Y11, Y11
+	VPADDD    Y13, Y12, Y12
+	VCMPPS    $0x11, Y10, Y3, Y9
+	VBLENDVPS Y9, Y3, Y10, Y10
+	VBLENDVPS Y9, Y12, Y11, Y11
+	VPADDD    Y13, Y12, Y12
+	LEAQ      (R8)(R9*4), R8   // next four rows
+	SUBQ      $4, CX
+	JMP       quads
+
+singles:
+	// The last k mod 4 centroids, one at a time.
+	TESTQ CX, CX
+	JZ    done
+	MOVQ  R8, R13
+	MOVQ  SI, R14
+	MOVQ  BX, AX
+	VXORPS Y0, Y0, Y0
+
+single_dims:
+	VMOVUPS      (R14), Y4
+	VBROADCASTSS (R13), Y5
+	VSUBPS       Y5, Y4, Y5
+	VMULPS       Y5, Y5, Y5
+	VADDPS       Y5, Y0, Y0
+	ADDQ         $32, R14
+	ADDQ         $4, R13
+	DECQ         AX
+	JNZ          single_dims
+
+	VCMPPS    $0x11, Y10, Y0, Y9
+	VBLENDVPS Y9, Y0, Y10, Y10
+	VBLENDVPS Y9, Y12, Y11, Y11
+	VPADDD    Y13, Y12, Y12
+	ADDQ      R9, R8
+	DECQ      CX
+	JMP       singles
+
+done:
+	VMOVDQU Y11, (DI)
+	VMOVUPS Y10, (DX)
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

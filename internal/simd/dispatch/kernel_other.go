@@ -22,3 +22,7 @@ func accumulateNEONBlocks(blocks []byte, blockBytes, c, nblocks int, thr int8, t
 func innerProductsAVX2(x *float32, sd int, cb *float32, k int, dst *float32) {
 	panic("dispatch: asm-avx2 backend is amd64-only")
 }
+
+func argminL2x8AVX2(xt *float32, dim int, cb *float32, k int, best *int32, dist *float32) {
+	panic("dispatch: asm-avx2 backend is amd64-only")
+}

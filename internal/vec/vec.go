@@ -6,7 +6,11 @@
 // the order", §2.2); this package follows that convention everywhere.
 package vec
 
-import "math"
+import (
+	"math"
+
+	"pqfastscan/internal/simd/dispatch"
+)
 
 // L2Squared returns the squared Euclidean distance between a and b.
 // It panics if the slices have different lengths.
@@ -92,6 +96,66 @@ func ArgminL2(x []float32, centroids []float32, dim int) (best int, bestDist flo
 		}
 	}
 	return best, bestDist
+}
+
+// ArgminL2Rows finds the nearest centroid of n rows at once, n =
+// len(best): row i is xs[i*stride : i*stride+dim], and
+//
+//	best[i], dists[i] = ArgminL2(row i, centroids, dim)
+//
+// which is its definition, bit for bit, index and distance. dists may
+// be nil when only the indexes are wanted. A stride above dim lets a
+// caller pass one sub-vector of every row of a wider matrix (a PQ
+// subspace) without copying it out.
+//
+// While asm-avx2 is the active backend the rows go eight at a time
+// through dispatch.ArgminL2x8, one row per vector lane, transposed into
+// a scratch block here; a short last batch is padded with copies of its
+// first row, whose lanes are discarded. Elsewhere it is the scalar loop.
+func ArgminL2Rows(xs []float32, stride, dim int, centroids []float32, best []int, dists []float32) {
+	n := len(best)
+	if dim <= 0 || len(centroids) == 0 || len(centroids)%dim != 0 {
+		panic("vec: invalid centroid matrix")
+	}
+	if stride < dim || (n > 0 && len(xs) < (n-1)*stride+dim) || (dists != nil && len(dists) != n) {
+		panic("vec: invalid row block")
+	}
+	var stack [8 * 128]float32
+	xt := stack[:]
+	if 8*dim > len(xt) {
+		xt = make([]float32, 8*dim)
+	}
+	var b8 [8]int32
+	var d8 [8]float32
+	i := 0
+	for ; i < n; i += 8 {
+		lanes := min(8, n-i)
+		for l := 0; l < 8; l++ {
+			r := i + l
+			if l >= lanes {
+				r = i // padding: a copy of a real row
+			}
+			for d, v := range xs[r*stride : r*stride+dim] {
+				xt[d*8+l] = v
+			}
+		}
+		if !dispatch.ArgminL2x8(xt, centroids, dim, &b8, &d8) {
+			break
+		}
+		for l := 0; l < lanes; l++ {
+			best[i+l] = int(b8[l])
+			if dists != nil {
+				dists[i+l] = d8[l]
+			}
+		}
+	}
+	for ; i < n; i++ {
+		c, d := ArgminL2(xs[i*stride:i*stride+dim], centroids, dim)
+		best[i] = c
+		if dists != nil {
+			dists[i] = d
+		}
+	}
 }
 
 // Matrix is a dense row-major matrix of float32 vectors sharing one backing
