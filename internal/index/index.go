@@ -24,8 +24,8 @@ import (
 )
 
 // Backend selects Fast Scan's block-kernel implementation: the
-// hand-written assembly kernels (asm-avx2 on amd64, asm-neon on arm64)
-// or the portable SWAR fallback. The zero value BackendAuto defers to
+// hand-written assembly kernels (asm-avx2, on amd64 with AVX2) or the
+// portable SWAR fallback. The zero value BackendAuto defers to
 // the startup feature detection (dispatch.Active), overridable with the
 // PQ_FORCE_BACKEND environment variable. All backends return
 // bit-identical results and statistics (DESIGN.md §12).
@@ -35,7 +35,6 @@ const (
 	BackendAuto = dispatch.Auto
 	BackendSWAR = dispatch.SWAR
 	BackendAVX2 = dispatch.AVX2
-	BackendNEON = dispatch.NEON
 )
 
 // ActiveBackend returns the backend selected at startup (never
@@ -47,7 +46,7 @@ func ActiveBackend() Backend { return dispatch.Active() }
 func AvailableBackends() []Backend { return dispatch.AvailableBackends() }
 
 // ParseBackend resolves a backend by its String name (auto, swar,
-// asm-avx2, asm-neon).
+// asm-avx2).
 func ParseBackend(name string) (Backend, error) { return dispatch.Parse(name) }
 
 // CPUFeatures lists the SIMD features backend selection detected.

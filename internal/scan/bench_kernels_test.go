@@ -16,7 +16,7 @@ import (
 // regime (the §4.3 optimized assignment makes nearby centroids share a
 // portion, so one portion per component is close to the query and Fast
 // Scan prunes heavily — the regime all §5 figures measure). Run under
-// PQ_FORCE_BACKEND=swar|asm-avx2|asm-neon for one backend's numbers
+// PQ_FORCE_BACKEND=swar|asm-avx2 for one backend's numbers
 // (DESIGN.md §8); every scan builds its query tables, as every served
 // scan does.
 type benchEnv struct {

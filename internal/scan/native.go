@@ -10,8 +10,8 @@
 // lower-bounds all of the group's blocks and returns one pruned mask
 // per block against the threshold at the group's entry:
 //
-//   - asm-avx2 / asm-neon: hand-written assembly (dispatch.Accumulate)
-//     running the real pshufb/tbl pipeline over the whole group;
+//   - asm-avx2: hand-written assembly (dispatch.Accumulate) running the
+//     real vpshufb pipeline over the whole group;
 //   - swar (always available): per-query pair LUTs resolve two lanes of
 //     a block per load into uint64 words of four 16-bit lanes
 //     (swarAccumulate).
@@ -97,7 +97,7 @@ const ulutSize = 0x0f0f + 1
 // S_0..S_{C-1} are 16-entry windows into them), the scan-lifetime
 // minimum tables (S_C..S_7 bound the blocks, rows 0..c-1 order and
 // prune the groups with the group bounds), and the backend-specific
-// derived tables — the SWAR pair LUTs and the assembly backends'
+// derived tables — the SWAR pair LUTs and the assembly backend's
 // contiguous 8×16-byte table block.
 //
 // It is built once per scan of one partition (queryTablesFor) into
@@ -143,7 +143,7 @@ type Scratch struct {
 
 	qt    queryTables
 	order []int32  // the scan's group visit order (VisitOrder)
-	acc   []uint8  // asm backends' lower-bound bytes, 64-byte aligned
+	acc   []uint8  // asm-avx2's lower-bound bytes, 64-byte aligned
 	words []uint64 // swar backend's lower bounds, four 16-bit lanes a word
 	masks []uint16 // per-block pruned masks at the group's entry
 }
@@ -489,7 +489,7 @@ func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend
 	g := fs.part.grouped
 	bb := g.BlockSize()
 	hasDead := fs.dead.n > 0
-	swar := !be.Asm()
+	swar := be != dispatch.AVX2
 	var tb *[128]uint8
 	if swar {
 		qt.buildLUTs()
@@ -545,8 +545,8 @@ func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend
 }
 
 // bound has backend be lower-bound the blocks of group grp and take
-// their prune decision against thr: dispatch.Accumulate on the assembly
-// backends, after the group's small-table windows are refreshed in the
+// their prune decision against thr: dispatch.Accumulate on asm-avx2,
+// after the group's small-table windows are refreshed in the
 // 8×16-byte table block tb (the kernel streams the whole group through
 // vector registers), swarAccumulate on swar. The masks land in
 // sc.masks, and the bounds a re-mask reads in sc.acc (min(Σ, 127)
@@ -554,7 +554,7 @@ func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend
 func (sc *Scratch) bound(qt *queryTables, be dispatch.Backend, tb *[128]uint8, blocks []uint8, grp *layout.Group, thr int8) {
 	nb := grp.BlockCount
 	sc.masks = growSlice(sc.masks, nb)
-	if !be.Asm() {
+	if be != dispatch.AVX2 {
 		sc.words = growSlice(sc.words, 4*nb)
 		qt.swarAccumulate(blocks, nb, &grp.Key, thr, sc.words, sc.masks)
 		return

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"pqfastscan/internal/layout"
@@ -19,6 +20,12 @@ func randomSatReg(r *rng.Source) simd.Reg {
 	return reg
 }
 
+// regWords is a register as the two uint64 SWAR words the scan works on,
+// lanes 0-7 in lo and 8-15 in hi, lane 0 in the least significant byte.
+func regWords(r simd.Reg) (lo, hi uint64) {
+	return binary.LittleEndian.Uint64(r[:8]), binary.LittleEndian.Uint64(r[8:])
+}
+
 // TestSWARCompareMatchesPcmpgtB: the addend trick must reproduce the
 // modeled signed compare + movemask for every accumulator value and
 // every threshold the pruning loop can produce.
@@ -32,7 +39,7 @@ func TestSWARCompareMatchesPcmpgtB(t *testing.T) {
 		if t8 < 0 {
 			got = 0xffff
 		} else {
-			lo, hi := acc.Words()
+			lo, hi := regWords(acc)
 			add := swarGtAddend(t8)
 			got = swarMovemask(lo+add) | swarMovemask(hi+add)<<8
 		}
@@ -52,7 +59,7 @@ func TestSWARMovemaskMatchesPmovmskB(t *testing.T) {
 		for i := range reg {
 			reg[i] = uint8(r.Intn(256))
 		}
-		lo, hi := reg.Words()
+		lo, hi := regWords(reg)
 		got := swarMovemask(lo) | swarMovemask(hi)<<8
 		if want := uint32(simd.PmovmskB(reg)); got != want {
 			t.Fatalf("trial %d: %04x != %04x for %v", trial, got, want, reg)

@@ -122,7 +122,7 @@ func (m *metrics) batchStats() BatchStats {
 type Stats struct {
 	UptimeS float64 `json:"uptime_s"`
 	// Backend is the active Fast Scan block-kernel backend
-	// (asm-avx2, asm-neon or swar) and CPUFeatures the SIMD feature set
+	// (asm-avx2 or swar) and CPUFeatures the SIMD feature set
 	// detection saw — on /stats so fleet dashboards can spot hosts that
 	// silently fell back to the portable path.
 	Backend     string   `json:"backend"`

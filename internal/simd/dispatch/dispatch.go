@@ -2,25 +2,22 @@
 // Fast Scan (internal/scan) runs on. A backend lower-bounds one group's
 // blocks and takes their prune decision (the contract of Accumulate,
 // defined by AccumulateGeneric); internal/scan runs one block loop
-// around whichever backend is selected. Three backends exist:
+// around whichever backend is selected. Two backends exist:
 //
 //   - asm-avx2: hand-written amd64 assembly over 32-byte ymm registers
 //     (VPSHUFB/VPADDUSB/VPMINUB), processing two 16-lane groups per
 //     iteration — the paper's §4 pipeline on the silicon it was designed
 //     for, one instruction where the SWAR backend spends dozens;
-//   - asm-neon: hand-written arm64 assembly over 16-byte vector
-//     registers (TBL + widening adds + UMIN), one 16-lane group per
-//     iteration;
 //   - swar: the portable uint64 pair-LUT pipeline, always available. It
 //     lives in internal/scan, which calls it in Accumulate's place, and
 //     meets the same contract bit for bit.
 //
-// Selection is by CPU feature detection (CPUID on amd64; NEON is
-// architectural baseline on arm64), overridable with the
-// PQ_FORCE_BACKEND environment variable or per query with the facade's
-// WithBackend option. All backends produce bit-identical results — the
-// DESIGN.md §9 contract between the engine and its model, extended down
-// to the instruction level (DESIGN.md §12).
+// Selection is by CPU feature detection (CPUID on amd64; every other
+// architecture runs swar), overridable with the PQ_FORCE_BACKEND
+// environment variable or per query with the facade's WithBackend
+// option. Both backends produce bit-identical results — the DESIGN.md
+// §9 contract between the engine and its model, extended down to the
+// instruction level (DESIGN.md §12).
 package dispatch
 
 import (
@@ -41,8 +38,6 @@ const (
 	SWAR
 	// AVX2 is the amd64 assembly backend (requires AVX2 CPU support).
 	AVX2
-	// NEON is the arm64 assembly backend (baseline on arm64).
-	NEON
 )
 
 // String returns the stable name used by PQ_FORCE_BACKEND, the facade's
@@ -55,8 +50,6 @@ func (b Backend) String() string {
 		return "swar"
 	case AVX2:
 		return "asm-avx2"
-	case NEON:
-		return "asm-neon"
 	default:
 		return fmt.Sprintf("backend(%d)", int(b))
 	}
@@ -64,12 +57,12 @@ func (b Backend) String() string {
 
 // Parse resolves a backend by its String name.
 func Parse(name string) (Backend, error) {
-	for _, b := range []Backend{Auto, SWAR, AVX2, NEON} {
+	for _, b := range []Backend{Auto, SWAR, AVX2} {
 		if b.String() == name {
 			return b, nil
 		}
 	}
-	return Auto, fmt.Errorf("dispatch: unknown backend %q (auto, swar, asm-avx2, asm-neon)", name)
+	return Auto, fmt.Errorf("dispatch: unknown backend %q (auto, swar, asm-avx2)", name)
 }
 
 // Available reports whether b can execute on this machine. SWAR always
@@ -81,19 +74,13 @@ func (b Backend) Available() bool {
 		return true
 	case AVX2:
 		return hasAVX2
-	case NEON:
-		return hasNEON
 	default:
 		return false
 	}
 }
 
-// Asm reports whether b is a hand-written assembly backend (as opposed
-// to portable Go).
-func (b Backend) Asm() bool { return b == AVX2 || b == NEON }
-
 // Backends lists every concrete backend, preferred first.
-func Backends() []Backend { return []Backend{AVX2, NEON, SWAR} }
+func Backends() []Backend { return []Backend{AVX2, SWAR} }
 
 // AvailableBackends lists the concrete backends this machine can run,
 // preferred first.
@@ -207,12 +194,9 @@ func Accumulate(be Backend, blocks []byte, blockBytes, c, nblocks int, thr int8,
 	_ = blocks[nblocks*blockBytes-1] // bounds contract
 	_ = dst[nblocks*16-1]
 	_ = masks[nblocks-1]
-	switch Resolve(be) {
-	case AVX2:
+	if Resolve(be) == AVX2 {
 		accumulateAVX2Blocks(blocks, blockBytes, c, nblocks, thr, tables, dst, masks)
-	case NEON:
-		accumulateNEONBlocks(blocks, blockBytes, c, nblocks, thr, tables, dst, masks)
-	default:
+	} else {
 		AccumulateGeneric(blocks, blockBytes, c, nblocks, thr, tables, dst, masks)
 	}
 }

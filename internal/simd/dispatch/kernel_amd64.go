@@ -8,9 +8,6 @@ package dispatch
 // selection logic in dispatch.go always sees the detected value.
 var hasAVX2 = detectAVX2()
 
-// hasNEON is an arm64 feature; never on amd64.
-var hasNEON = false
-
 // detectAVX2 is the standard AVX2 usability check: CPUID.1:ECX reports
 // AVX and OSXSAVE, XGETBV(0) confirms the OS saves XMM+YMM state, and
 // CPUID.7.0:EBX bit 5 reports AVX2 itself.
@@ -83,7 +80,3 @@ func innerProductsAVX2(x *float32, sd int, cb *float32, k int, dst *float32)
 //
 //go:noescape
 func argminL2x8AVX2(xt *float32, dim int, cb *float32, k int, best *int32, dist *float32)
-
-func accumulateNEONBlocks(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
-	panic("dispatch: asm-neon backend is arm64-only")
-}

@@ -1,7 +1,7 @@
 // Package simd is a bit-exact software model of the 128-bit x86 SIMD
 // register file and of the exact instruction subset PQ Fast Scan relies on
-// (SSE2/SSE3/SSSE3: pshufb, paddsb, paddusb, pcmpgtb, pminub, pmovmskb,
-// pand, por, psrlw, broadcasts, loads and stores).
+// (SSE2/SSSE3: pshufb, paddsb, pcmpgtb, pmovmskb, pand, psrlw, broadcasts,
+// loads and stores), with their AVX2 widenings in simd256.go.
 //
 // The paper's implementation is C++ with intrinsics; Go has no intrinsics
 // and no inline assembly in the standard toolchain, so this package is the
@@ -83,20 +83,6 @@ func PaddsB(a, b Reg) Reg {
 	return r
 }
 
-// PaddusB performs lane-wise unsigned 8-bit addition with saturation to
-// [0, 255] (paddusb).
-func PaddusB(a, b Reg) Reg {
-	var r Reg
-	for i := 0; i < Width; i++ {
-		s := uint16(a[i]) + uint16(b[i])
-		if s > 255 {
-			s = 255
-		}
-		r[i] = uint8(s)
-	}
-	return r
-}
-
 // PcmpgtB compares lanes as signed 8-bit integers and returns 0xff in each
 // lane where a > b, else 0x00 (pcmpgtb). The paper quantizes distances to
 // *signed* 8-bit integers precisely because "there is no SIMD instruction
@@ -106,32 +92,6 @@ func PcmpgtB(a, b Reg) Reg {
 	for i := 0; i < Width; i++ {
 		if int8(a[i]) > int8(b[i]) {
 			r[i] = 0xff
-		}
-	}
-	return r
-}
-
-// PminUB returns the lane-wise unsigned minimum (pminub).
-func PminUB(a, b Reg) Reg {
-	var r Reg
-	for i := 0; i < Width; i++ {
-		if a[i] < b[i] {
-			r[i] = a[i]
-		} else {
-			r[i] = b[i]
-		}
-	}
-	return r
-}
-
-// PminSB returns the lane-wise signed minimum (pminsb, SSE4.1).
-func PminSB(a, b Reg) Reg {
-	var r Reg
-	for i := 0; i < Width; i++ {
-		if int8(a[i]) < int8(b[i]) {
-			r[i] = a[i]
-		} else {
-			r[i] = b[i]
 		}
 	}
 	return r
@@ -156,15 +116,6 @@ func Pand(a, b Reg) Reg {
 	return r
 }
 
-// Por returns the bitwise OR of both registers (por).
-func Por(a, b Reg) Reg {
-	var r Reg
-	for i := 0; i < Width; i++ {
-		r[i] = a[i] | b[i]
-	}
-	return r
-}
-
 // Psrlw4 shifts each 16-bit word right by 4 bits (psrlw xmm, 4). Combined
 // with Pand(LowNibbleBits()) it extracts the 4 most significant bits of each
 // byte, which index the minimum tables S4..S7 (§4.5).
@@ -183,16 +134,3 @@ func Psrlw4(a Reg) Reg {
 // extract the 4 least significant bits of each component before a pshufb
 // lookup (§4.5).
 func LowNibbleBits() Reg { return Broadcast(0x0f) }
-
-// Words exports the register as two uint64 SWAR words in x86 memory
-// order: lo holds lanes 0-7 (lane 0 in the least significant byte), hi
-// lanes 8-15 — the flat representation internal/scan's SWAR compare and
-// movemask work on, so its tests can hold them to PcmpgtB and PmovmskB
-// bit for bit.
-func (r Reg) Words() (lo, hi uint64) {
-	for i := 7; i >= 0; i-- {
-		lo = lo<<8 | uint64(r[i])
-		hi = hi<<8 | uint64(r[i+8])
-	}
-	return lo, hi
-}

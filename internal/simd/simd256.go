@@ -18,18 +18,6 @@ const Width256 = 32
 // form the low 128-bit lane and 16-31 the high lane.
 type Reg256 [Width256]uint8
 
-// Load256 returns a register holding the 32 bytes of src (vmovdqu).
-func Load256(src []uint8) Reg256 {
-	var r Reg256
-	copy(r[:], src[:Width256])
-	return r
-}
-
-// Store256 writes the 32 lanes of r into dst.
-func Store256(dst []uint8, r Reg256) {
-	copy(dst[:Width256], r[:])
-}
-
 // Broadcast256 sets every lane to v (vpbroadcastb).
 func Broadcast256(v uint8) Reg256 {
 	var r Reg256
@@ -38,9 +26,6 @@ func Broadcast256(v uint8) Reg256 {
 	}
 	return r
 }
-
-// Zero256 returns the all-zero register.
-func Zero256() Reg256 { return Reg256{} }
 
 // Dup128 duplicates a 128-bit register into both lanes of a 256-bit
 // register (vinserti128/vbroadcasti128) — how a 16-entry small table is
@@ -58,13 +43,6 @@ func Concat128(lo, hi Reg) Reg256 {
 	copy(r[:16], lo[:])
 	copy(r[16:], hi[:])
 	return r
-}
-
-// Lanes128 splits a 256-bit register into its two 128-bit lanes.
-func Lanes128(a Reg256) (lo, hi Reg) {
-	copy(lo[:], a[:16])
-	copy(hi[:], a[16:])
-	return lo, hi
 }
 
 // VPshufb performs the AVX2 byte shuffle: each 128-bit lane is shuffled

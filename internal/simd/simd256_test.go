@@ -5,20 +5,13 @@ import (
 	"testing/quick"
 )
 
-func TestLoad256StoreRoundtrip(t *testing.T) {
-	if err := quick.Check(func(b [32]byte) bool {
-		var out [32]uint8
-		Store256(out[:], Load256(b[:]))
-		return out == b
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
+// lanes128 splits a 256-bit register into its two 128-bit lanes.
+func lanes128(a Reg256) (lo, hi Reg) { return Reg(a[:16]), Reg(a[16:]) }
 
 func TestDup128AndLanes(t *testing.T) {
 	if err := quick.Check(func(a [16]byte) bool {
 		r := Dup128(Reg(a))
-		lo, hi := Lanes128(r)
+		lo, hi := lanes128(r)
 		return lo == Reg(a) && hi == Reg(a)
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -32,7 +25,7 @@ func TestConcat128(t *testing.T) {
 		hi[i] = uint8(100 + i)
 	}
 	r := Concat128(lo, hi)
-	gotLo, gotHi := Lanes128(r)
+	gotLo, gotHi := lanes128(r)
 	if gotLo != lo || gotHi != hi {
 		t.Fatal("Concat128/Lanes128 roundtrip failed")
 	}
@@ -47,7 +40,7 @@ func TestVPshufbEqualsTwoPshufb(t *testing.T) {
 		got := VPshufb(table, idx)
 		wantLo := Pshufb(Reg(tblLo), Reg(idxLo))
 		wantHi := Pshufb(Reg(tblHi), Reg(idxHi))
-		gotLo, gotHi := Lanes128(got)
+		gotLo, gotHi := lanes128(got)
 		return gotLo == wantLo && gotHi == wantHi
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -77,22 +70,22 @@ func TestWide256OpsMatch128Lanes(t *testing.T) {
 		b := Concat128(Reg(bLo), Reg(bHi))
 
 		adds := VPaddsB(a, b)
-		addLo, addHi := Lanes128(adds)
+		addLo, addHi := lanes128(adds)
 		if addLo != PaddsB(Reg(aLo), Reg(bLo)) || addHi != PaddsB(Reg(aHi), Reg(bHi)) {
 			return false
 		}
 		cmp := VPcmpgtB(a, b)
-		cmpLo, cmpHi := Lanes128(cmp)
+		cmpLo, cmpHi := lanes128(cmp)
 		if cmpLo != PcmpgtB(Reg(aLo), Reg(bLo)) || cmpHi != PcmpgtB(Reg(aHi), Reg(bHi)) {
 			return false
 		}
 		and := VPand(a, b)
-		andLo, andHi := Lanes128(and)
+		andLo, andHi := lanes128(and)
 		if andLo != Pand(Reg(aLo), Reg(bLo)) || andHi != Pand(Reg(aHi), Reg(bHi)) {
 			return false
 		}
 		srl := VPsrlw4(a)
-		srlLo, srlHi := Lanes128(srl)
+		srlLo, srlHi := lanes128(srl)
 		if srlLo != Psrlw4(Reg(aLo)) || srlHi != Psrlw4(Reg(aHi)) {
 			return false
 		}
@@ -130,10 +123,7 @@ func TestVPmovmskBLaneSplit(t *testing.T) {
 	}
 }
 
-func TestBroadcast256Zero256(t *testing.T) {
-	if Zero256() != (Reg256{}) {
-		t.Fatal("Zero256 not zero")
-	}
+func TestBroadcast256(t *testing.T) {
 	r := Broadcast256(7)
 	for _, v := range r {
 		if v != 7 {

@@ -15,6 +15,7 @@ func forEachBackend(t testing.TB, f func(be dispatch.Backend)) {
 	t.Cleanup(func() { _ = dispatch.Force(orig) })
 	for _, be := range []dispatch.Backend{dispatch.SWAR, dispatch.AVX2} {
 		if !be.Available() {
+			t.Logf("skipped: no %s", be)
 			continue
 		}
 		if err := dispatch.Force(be); err != nil {

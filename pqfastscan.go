@@ -101,8 +101,8 @@ func WithEngine(e Engine) SearchOption {
 }
 
 // Backend selects Fast Scan's block-kernel implementation: the
-// hand-written assembly scan kernels (BackendAVX2 on amd64, BackendNEON
-// on arm64) or the portable BackendSWAR fallback. BackendAuto — the
+// hand-written assembly scan kernels (BackendAVX2, on amd64 with AVX2)
+// or the portable BackendSWAR fallback. BackendAuto — the
 // default — defers to startup CPU feature detection, overridable with
 // the PQ_FORCE_BACKEND environment variable. All backends return
 // bit-identical results and statistics (DESIGN.md §12); they differ
@@ -113,7 +113,6 @@ const (
 	BackendAuto = index.BackendAuto
 	BackendSWAR = index.BackendSWAR
 	BackendAVX2 = index.BackendAVX2
-	BackendNEON = index.BackendNEON
 )
 
 // ActiveBackend returns the backend selected at
@@ -126,11 +125,11 @@ func ActiveBackend() Backend { return index.ActiveBackend() }
 func AvailableBackends() []Backend { return index.AvailableBackends() }
 
 // ParseBackend resolves a backend by its String name (auto, swar,
-// asm-avx2, asm-neon).
+// asm-avx2).
 func ParseBackend(name string) (Backend, error) { return index.ParseBackend(name) }
 
 // CPUFeatures lists the SIMD features backend selection detected on
-// this machine (e.g. avx, avx2, avx512f, neon), for logs and benchmark
+// this machine (e.g. sse2, avx, avx2, avx512f), for logs and benchmark
 // records.
 func CPUFeatures() []string { return index.CPUFeatures() }
 

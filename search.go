@@ -43,8 +43,8 @@ func WithKernel(k Kernel) SearchOption {
 }
 
 // WithBackend pins Fast Scan's block kernels to one backend — the
-// hand-written assembly kernels (BackendAVX2 on amd64, BackendNEON on
-// arm64) or the portable BackendSWAR fallback — instead of the startup
+// hand-written assembly kernels (BackendAVX2, on amd64 with AVX2) or
+// the portable BackendSWAR fallback — instead of the startup
 // feature detection (BackendAuto, the default; see ActiveBackend).
 // Every backend returns bit-identical results and statistics; only
 // wall-clock speed differs, so this option exists for benchmarking,
