@@ -279,17 +279,22 @@ func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.
 			sameAnswer(t, fmt.Sprintf("%s q%d %v/%v vs rebuild", tag, qi, req.Kernel, req.Backend), got.Results, want.Results)
 		}
 
-		// Counters, cell by cell: the model runs the very layout the epoch
-		// serves with — hydrated under a pin of its own when paged.
+		// Counters, cell by cell: each bound's model runs the very layout
+		// the epoch serves with — hydrated under a pin of its own when
+		// paged — and each backend is held to its bound's.
 		for c, pe := range s.Parts {
 			_, fs, release, err := pe.view()
 			if err != nil {
 				t.Fatal(err)
 			}
-			heap := topk.New(20)
-			wantStats := model.ScanInto(fs, ix.Tables(q, c), heap).Stats
+			heaps := map[bool]*topk.Heap{false: topk.New(20), true: topk.New(20)}
+			wantStats := map[bool]scan.Stats{
+				false: model.ScanInto(fs, ix.Tables(q, c), heaps[false]).Stats,
+				true:  model.ScanExactInto(fs, ix.Tables(q, c), heaps[true]).Stats,
+			}
 			release()
 			for _, be := range AvailableBackends() {
+				heap, wantStats := heaps[be.ExactBound()], wantStats[be.ExactBound()]
 				served, err := ix.querySnap(ctx, s, Request{Query: q, K: 20, Backend: be, Cells: []int{c}})
 				if err != nil {
 					t.Fatal(err)

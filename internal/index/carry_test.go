@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pqfastscan/internal/dataset"
+	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/scan"
 	"pqfastscan/internal/scan/model"
 	"pqfastscan/internal/topk"
@@ -174,12 +175,22 @@ func TestCarriedMultiProbeProperty(t *testing.T) {
 	}
 }
 
+// modelInto returns the model of backend be's bound: model.ScanExactInto
+// for the exact 8-bit bound, model.ScanInto for the minimum-table one.
+func modelInto(be Backend) func(*scan.FastScan, quantizer.Tables, *topk.Heap) model.Stats {
+	if be.ExactBound() {
+		return model.ScanExactInto
+	}
+	return model.ScanInto
+}
+
 // TestMultiProbeStatsAcrossEngines holds the serving engine to the
 // model it is checked against, one level above internal/scan/model's
 // own tests: a multi-probe query's merged scan.Stats, on every
-// backend, equal the counters of the model's ScanInto chain over the
-// same cells into one heap, and so do its results. A query path that
-// restarted its threshold per cell would prune less and diverge.
+// backend, equal the counters of the chain of its bound's model
+// (modelInto) over the same cells into one heap, and so do its
+// results. A query path that restarted its threshold per cell would
+// prune less and diverge.
 func TestMultiProbeStatsAcrossEngines(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
 	ctx := context.Background()
@@ -187,16 +198,16 @@ func TestMultiProbeStatsAcrossEngines(t *testing.T) {
 		for nprobe := 2; nprobe <= ix.Partitions(); nprobe++ {
 			for qi := 0; qi < queries.Rows(); qi++ {
 				q := queries.Row(qi)
-				heap := topk.New(k)
-				var want scan.Stats
-				for _, c := range RankCells(q, ix.Coarse)[:nprobe] {
-					fs, err := ix.FastScanner(c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want.Merge(model.ScanInto(fs, ix.Tables(q, c), heap).Stats)
-				}
 				for _, be := range AvailableBackends() {
+					heap := topk.New(k)
+					var want scan.Stats
+					for _, c := range RankCells(q, ix.Coarse)[:nprobe] {
+						fs, err := ix.FastScanner(c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want.Merge(modelInto(be)(fs, ix.Tables(q, c), heap).Stats)
+					}
 					served, err := ix.Query(ctx, Request{Query: q, K: k, Backend: be, NProbe: nprobe})
 					if err != nil {
 						t.Fatal(err)

@@ -24,17 +24,20 @@ import (
 )
 
 // Backend selects Fast Scan's block-kernel implementation: the
-// hand-written assembly kernels (asm-avx2, on amd64 with AVX2) or the
-// portable SWAR fallback. The zero value BackendAuto defers to
-// the startup feature detection (dispatch.Active), overridable with the
+// hand-written assembly kernels (asm-avx512vbmi's exact 8-bit bound on
+// amd64 with AVX-512 VBMI, asm-avx2 on amd64 with AVX2) or the portable
+// SWAR fallback. The zero value BackendAuto defers to the startup
+// feature detection (dispatch.Active), overridable with the
 // PQ_FORCE_BACKEND environment variable. All backends return
-// bit-identical results and statistics (DESIGN.md §12).
+// bit-identical results, and the backends of one bound bit-identical
+// statistics (DESIGN.md §12).
 type Backend = dispatch.Backend
 
 const (
-	BackendAuto = dispatch.Auto
-	BackendSWAR = dispatch.SWAR
-	BackendAVX2 = dispatch.AVX2
+	BackendAuto       = dispatch.Auto
+	BackendSWAR       = dispatch.SWAR
+	BackendAVX2       = dispatch.AVX2
+	BackendAVX512VBMI = dispatch.AVX512VBMI
 )
 
 // ActiveBackend returns the backend selected at startup (never
@@ -46,7 +49,7 @@ func ActiveBackend() Backend { return dispatch.Active() }
 func AvailableBackends() []Backend { return dispatch.AvailableBackends() }
 
 // ParseBackend resolves a backend by its String name (auto, swar,
-// asm-avx2).
+// asm-avx2, asm-avx512vbmi).
 func ParseBackend(name string) (Backend, error) { return dispatch.Parse(name) }
 
 // CPUFeatures lists the SIMD features backend selection detected.

@@ -16,7 +16,7 @@ import (
 // regime (the §4.3 optimized assignment makes nearby centroids share a
 // portion, so one portion per component is close to the query and Fast
 // Scan prunes heavily — the regime all §5 figures measure). Run under
-// PQ_FORCE_BACKEND=swar|asm-avx2 for one backend's numbers
+// PQ_FORCE_BACKEND=swar|asm-avx2|asm-avx512vbmi for one backend's numbers
 // (DESIGN.md §8); every scan builds its query tables, as every served
 // scan does.
 type benchEnv struct {
@@ -102,7 +102,44 @@ func BenchmarkKernels(b *testing.B) {
 				}
 			})
 		}
+		for _, be := range dispatch.AvailableBackends() {
+			b.Run(fmt.Sprintf("n=%d/kernel=bound/backend=%s", n, be), func(b *testing.B) {
+				benchBound(b, e, be)
+			})
+		}
 	}
+}
+
+// benchBound times backend be's block bound alone — every group of the
+// layout bounded once a pass, at a threshold that prunes nothing, no
+// re-check — and reports its ns/block: the kernel of one bound against
+// the kernel of the other.
+func benchBound(b *testing.B, e *benchEnv, be dispatch.Backend) {
+	sc := NewScratch()
+	sc.qt.mins.Fill(e.tables)
+	qmin, _ := sc.qt.mins.Bounds()
+	qt := sc.queryTablesFor(e.fast, e.tables, qmin, e.tables.MaxSum(), be)
+	var tb *[128]uint8
+	switch be {
+	case dispatch.SWAR:
+		qt.buildLUTs()
+	case dispatch.AVX2:
+		tb = qt.asmTables()
+	}
+	g := e.fast.Grouped()
+	bb := g.BlockSize()
+	blocks := 0
+	for gi := range g.Groups {
+		blocks += g.Groups[gi].BlockCount
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for gi := range g.Groups {
+			grp := &g.Groups[gi]
+			sc.bound(qt, be, tb, g.Blocks[grp.BlockStart*bb:(grp.BlockStart+grp.BlockCount)*bb], grp, 127)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(blocks), "ns/block")
 }
 
 // BenchmarkFastScan is the headline scan on 10k and 100k partitions

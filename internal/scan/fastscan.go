@@ -7,6 +7,7 @@ import (
 
 	"pqfastscan/internal/layout"
 	"pqfastscan/internal/quantizer"
+	"pqfastscan/internal/simd/dispatch"
 )
 
 // FastScanOptions configures PQ Fast Scan.
@@ -294,21 +295,40 @@ func NewDistQuantizer(qmin, qmax float32) DistQuantizer {
 // can push the computed ratio past an integer boundary, but the combined
 // relative error is far below one bin at any representable ratio <= 127,
 // so the floor overshoots the contract-satisfying bin by at most one.
+// The floor is clamped while it is still a float64 — a floor above 127
+// is bin 127, one not above 0 (NaN included) bin 0 — so no conversion
+// ever sees a value out of its range, and every architecture answers
+// alike. The correction's product is rounded before the add (the
+// explicit float64 conversion forbids a fused multiply-add), which is
+// what the row kernel computes too (QuantizeRow).
 func (q DistQuantizer) Quantize(v float32) uint8 {
 	if math.IsInf(q.delta, 1) {
 		return 0
 	}
-	n := int(math.Floor((float64(v) - q.qmin) / q.delta))
-	if n > 127 {
+	x := float64(v)
+	f := math.Floor((x - q.qmin) / q.delta)
+	if !(f > 0) {
+		return 0
+	}
+	if f > 127 {
 		return 127
 	}
-	if n > 0 && q.qmin+float64(n)*q.delta > float64(v) {
-		n--
+	if q.qmin+float64(f*q.delta) > x {
+		f--
 	}
-	if n < 0 {
-		n = 0
+	return uint8(f)
+}
+
+// QuantizeRow writes the bin of every entry of src into dst, Quantize's
+// answers bit for bit: on the row kernel (dispatch.QuantizeRow) where
+// the active backend has one, else entry by entry.
+func (q DistQuantizer) QuantizeRow(src []float32, dst []uint8) {
+	if dispatch.QuantizeRow(q.qmin, q.delta, src, dst) {
+		return
 	}
-	return uint8(n)
+	for i, v := range src {
+		dst[i] = q.Quantize(v)
+	}
 }
 
 // PruneThreshold returns the largest int8 t such that pruning every
@@ -406,9 +426,7 @@ func min16(v *[16]float32) float32 {
 func BuildMinTables(w *WindowMinima, dq DistQuantizer) [M][16]uint8 {
 	var st [M][16]uint8
 	for j := range st {
-		for h, v := range w[j] {
-			st[j][h] = dq.Quantize(v)
-		}
+		dq.QuantizeRow(w[j][:], st[j][:])
 	}
 	return st
 }

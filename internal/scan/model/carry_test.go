@@ -72,23 +72,26 @@ func carried(cells []cell, k int, scanInto func(c cell, heap *topk.Heap) scan.St
 }
 
 // everyEngine runs check once per way of continuing a heap: the two
-// model widths and every available backend of the serving scan.
-func everyEngine(check func(name string, native bool, scanInto func(c cell, heap *topk.Heap) scan.Stats)) {
-	check("model", false, func(c cell, heap *topk.Heap) scan.Stats { return ScanInto(c.fs, c.t, heap).Stats })
-	check("model256", false, func(c cell, heap *topk.Heap) scan.Stats { return Scan256Into(c.fs, c.t, heap).Stats })
+// model widths of the minimum-table bound, the model of the exact
+// bound, and every available backend of the serving scan; exact says
+// which bound the engine's counters are those of.
+func everyEngine(check func(name string, native, exact bool, scanInto func(c cell, heap *topk.Heap) scan.Stats)) {
+	check("model", false, false, func(c cell, heap *topk.Heap) scan.Stats { return ScanInto(c.fs, c.t, heap).Stats })
+	check("model256", false, false, func(c cell, heap *topk.Heap) scan.Stats { return Scan256Into(c.fs, c.t, heap).Stats })
+	check("model-exact", false, true, func(c cell, heap *topk.Heap) scan.Stats { return ScanExactInto(c.fs, c.t, heap).Stats })
 	for _, be := range dispatch.AvailableBackends() {
 		be, sc := be, scan.NewScratch()
-		check(be.String(), true, func(c cell, heap *topk.Heap) scan.Stats { return c.fs.ScanNativeInto(c.t, heap, sc, be) })
+		check(be.String(), true, be.ExactBound(), func(c cell, heap *topk.Heap) scan.Stats { return c.fs.ScanNativeInto(c.t, heap, sc, be) })
 	}
 }
 
 // TestCarriedScanFuzz is the multi-probe leg of the exactness property:
 // two to four cells of random size and table shape, random tombstones,
 // every grouping depth, scanned in order into
-// one heap. The model and every backend must reach the oracle's answer,
-// and every backend the model's per-cell counters — carrying changes
-// how much is pruned, never what is returned or whether the model and
-// the serving scan agree on it.
+// one heap. The models and every backend must reach the oracle's
+// answer, and every backend the per-cell counters of the model of its
+// bound — carrying changes how much is pruned, never what is returned
+// or whether the model and the serving scan agree on it.
 func TestCarriedScanFuzz(t *testing.T) {
 	r := rng.New(20261002)
 	for iter := 0; iter < 40; iter++ {
@@ -109,16 +112,16 @@ func TestCarriedScanFuzz(t *testing.T) {
 			}
 		}
 		want := naiveOver(cells, k)
-		var model []scan.Stats
-		everyEngine(func(name string, native bool, scanInto func(cell, *topk.Heap) scan.Stats) {
+		model := map[bool][]scan.Stats{}
+		everyEngine(func(name string, native, exact bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 			got, stats := carried(cells, k, scanInto)
 			sameResults(t, want, got, "naive-merged", "carried:"+name)
-			if model == nil {
-				model = stats
+			if model[exact] == nil {
+				model[exact] = stats
 			}
 			for i := range stats {
-				if native && model[i] != stats[i] {
-					t.Fatalf("carried:%s: cell %d counters diverge: model %+v native %+v", name, i, model[i], stats[i])
+				if native && model[exact][i] != stats[i] {
+					t.Fatalf("carried:%s: cell %d counters diverge: model %+v native %+v", name, i, model[exact][i], stats[i])
 				}
 			}
 		})
@@ -136,7 +139,7 @@ func TestCarriedThresholdOutOfReach(t *testing.T) {
 	far := newCell(t, r, 3000, 3000, uniformTables(r, 1000, 100), opt)
 	cells := []cell{near, far}
 	want := naiveOver(cells, 10)
-	everyEngine(func(name string, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
+	everyEngine(func(name string, _, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 		got, stats := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
 		st := stats[1]
@@ -162,7 +165,7 @@ func TestCarriedThresholdTieStillScans(t *testing.T) {
 	if want[0].ID != 0 || want[9].ID != 9 {
 		t.Fatalf("fixture: oracle answer %+v is not the ten smallest ids", want)
 	}
-	everyEngine(func(name string, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
+	everyEngine(func(name string, _, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 		got, _ := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
 	})
@@ -187,7 +190,7 @@ func TestCarriedQmaxKeepsPruning(t *testing.T) {
 	}
 
 	want := naiveOver(cells, 10)
-	everyEngine(func(name string, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
+	everyEngine(func(name string, _, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 		got, stats := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
 		if st := stats[1]; st.Pruned == 0 || st.Groups == 0 {

@@ -11,8 +11,8 @@ import (
 
 // TestScanNativeMatchesModel is the model-vs-serving equivalence
 // invariant: over random shapes, keeps, grouping depths and k, the
-// serving scan and the modeled kernel return bit-identical top-k and
-// identical pruning counters.
+// serving scan on every available backend and the model of its bound
+// return bit-identical top-k and identical pruning counters.
 func TestScanNativeMatchesModel(t *testing.T) {
 	r := rng.New(31337)
 	sc := scan.NewScratch()
@@ -27,14 +27,15 @@ func TestScanNativeMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantStats := Scan(fs, tables, k)
-		got, gotStats := fs.ScanNativeBackend(tables, k, sc, dispatch.Auto)
-		sameResults(t, want, got, "model", "native")
-		sameCounters(t, wantStats, gotStats, "fastscan")
-
 		// The 256-bit widening returns the same set again.
 		want256, _ := Scan256(fs, tables, k)
-		sameResults(t, want256, got, "model256", "native")
+		for _, be := range dispatch.AvailableBackends() {
+			want, wantStats := modelOf(be)(fs, tables, k)
+			got, gotStats := fs.ScanNativeBackend(tables, k, sc, be)
+			sameResults(t, want, got, "model", "native:"+be.String())
+			sameCounters(t, wantStats, gotStats, "fastscan:"+be.String())
+			sameResults(t, want256, got, "model256", "native:"+be.String())
+		}
 	}
 }
 
@@ -55,7 +56,7 @@ func TestScanNativeWithTombstones(t *testing.T) {
 	for i := 0; i < 4000; i += 13 {
 		p, fs = tombstone(p, fs, i)
 	}
-	want, wantStats := Scan(fs, tables, 20)
+	want, wantStats := modelOf(dispatch.Auto)(fs, tables, 20)
 	got, gotStats := fs.ScanNativeBackend(tables, 20, nil, dispatch.Auto)
 	sameResults(t, want, got, "model+dead", "native+dead")
 	sameCounters(t, wantStats, gotStats, "tombstones")
@@ -138,7 +139,7 @@ func TestScanNativeAfterAppend(t *testing.T) {
 		p = p.CloneAppend(codes, ids)
 		fs = fs.Rebind(p, -1)
 
-		want, wantStats := Scan(fs, tables, 30)
+		want, wantStats := modelOf(dispatch.Auto)(fs, tables, 30)
 		got, gotStats := fs.ScanNativeBackend(tables, 30, nil, dispatch.Auto)
 		sameResults(t, want, got, "model", "native")
 		sameCounters(t, wantStats, gotStats, "append round")
@@ -149,8 +150,8 @@ func TestScanNativeAfterAppend(t *testing.T) {
 // exactness property test of internal/scan, over the same sweep: random
 // codes, random table shapes (uniform, portion-structured,
 // negative-shifted, near-degenerate), random tombstone sets, every
-// grouping depth — every available backend
-// must return the model's ids and distances and its counters.
+// grouping depth — every available backend must return the ids,
+// distances and counters of the model of its bound.
 func TestBackendEquivalenceFuzz(t *testing.T) {
 	backends := dispatch.AvailableBackends()
 	r := rng.New(20260727)
@@ -185,8 +186,8 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 		}
 		p = fs.Partition()
 
-		model, modelStats := Scan(fs, tables, k)
 		for _, be := range backends {
+			model, modelStats := modelOf(be)(fs, tables, k)
 			got, gotStats := fs.ScanNativeBackend(tables, k, scratches[be], be)
 			sameResults(t, model, got, "model", "backend:"+be.String())
 			sameCounters(t, modelStats, gotStats, "backend:"+be.String())
@@ -207,8 +208,8 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 			}
 			p = p.CloneAppend(bcodes, bids)
 			fs = fs.Rebind(p, -1)
-			model2, model2Stats := Scan(fs, tables, k)
 			for _, be := range backends {
+				model2, model2Stats := modelOf(be)(fs, tables, k)
 				got, gotStats := fs.ScanNativeBackend(tables, k, scratches[be], be)
 				sameResults(t, model2, got, "model+append", "backend:"+be.String())
 				sameCounters(t, model2Stats, gotStats, "append backend:"+be.String())

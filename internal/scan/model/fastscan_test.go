@@ -160,8 +160,8 @@ func TestScan256CheaperFrontend(t *testing.T) {
 // visited first, on the least key bound), every other group's shared
 // bound is above the threshold and no block of it is bounded. The
 // serving scan on every backend must return Naive's answer with fewer
-// groups and blocks than the layout holds, and both model widths must
-// count every vector exactly as it does.
+// groups and blocks than the layout holds, and count every vector
+// exactly as the model of its bound does.
 func TestGroupSkipFires(t *testing.T) {
 	r := rng.New(17)
 	tables := quantizer.Tables{M: M, KStar: 256, Data: make([]float32, M*256)}
@@ -190,7 +190,8 @@ func TestGroupSkipFires(t *testing.T) {
 	for _, be := range dispatch.AvailableBackends() {
 		got, st := fs.ScanNativeBackend(tables, k, nil, be)
 		sameResults(t, want, got, "naive", be.String())
-		sameCounters(t, modelStats, st, be.String())
+		_, boundStats := modelOf(be)(fs, tables, k)
+		sameCounters(t, boundStats, st, be.String())
 		if st.Groups >= len(g.Groups) || st.Blocks >= blocks {
 			t.Fatalf("%v: no group skipped: %d of %d groups, %d of %d blocks bounded", be, st.Groups, len(g.Groups), st.Blocks, blocks)
 		}

@@ -4,7 +4,8 @@
 //   - the simulator Fast Scans (fastscan.go, fastscan256.go): §4's
 //     algorithm executed instruction by instruction through
 //     internal/simd, a bit-exact software model of the SSSE3/AVX2
-//     register file;
+//     register file; and ScanExact (exact.go), the same scan under the
+//     exact 8-bit bound of the asm-avx512vbmi backend;
 //   - the §3 baselines: Naive (Algorithm 1), Libpq (one 64-bit mem1 load
 //     per vector, §3.1), AVX (vertical SIMD additions over 8 vectors,
 //     Figure 4) and Gather (SIMD gather lookups over the transposed
@@ -19,8 +20,8 @@
 // rule, the minimum tables, the group visit order, the exact re-check —
 // is internal/scan's, called through its exported seam and never copied
 // here, so the vector/block counters of a model scan equal those of the
-// serving scan at every shape, carried heap or not; the tests of this
-// package hold the two to that (DESIGN.md §9).
+// serving scan of the same bound at every shape, carried heap or not;
+// the tests of this package hold the two to that (DESIGN.md §9).
 //
 // Importers: internal/bench, cmd/pqbench (through it), the root
 // bench_test.go, and tests. Nothing a served query runs links this
@@ -299,9 +300,12 @@ func vertical8(p *scan.Partition, t quantizer.Tables, k int, per8 perf.OpCounts)
 
 // QuantizationOnly is the §5.5 ablation: lower bounds use full 256-entry
 // quantized tables (8-bit entries, exact 8-bit indexes) with no grouping
-// and no minimum tables. Such tables do not fit SIMD registers, so this
-// variant offers no speedup; it isolates the pruning power of the
-// distance-quantization technique alone. Results remain bit-identical to
+// and no minimum tables. A 256-entry table does not fit an SSE or AVX2
+// register, so on the paper's hardware this variant offers no speedup;
+// it isolates the pruning power of the distance-quantization technique
+// alone, and keeps the §5.5 figure. With AVX-512 VBMI two permutes look
+// a byte up in a whole row, the exact bound of asm-avx512vbmi, which
+// ScanExactInto models on the grouped layout. Results remain bit-identical to
 // PQ Scan. The bounds come from scan.KeepBounds, the source every Fast
 // Scan uses, which is what keeps the ablation's pruning counters
 // comparable with theirs.

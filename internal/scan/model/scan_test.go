@@ -6,6 +6,7 @@ import (
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/rng"
 	"pqfastscan/internal/scan"
+	"pqfastscan/internal/simd/dispatch"
 	"pqfastscan/internal/topk"
 )
 
@@ -64,6 +65,17 @@ func sameResults(t *testing.T, a, b []topk.Result, nameA, nameB string) {
 
 // sameCounters asserts the model and the serving scan walked the same
 // path: identical vector/block accounting.
+// modelOf returns the model of backend be's bound (Auto resolves to
+// the active backend): ScanExact for the exact 8-bit bound, Scan for
+// the minimum-table bound. A serving scan's counters equal its bound's
+// model's.
+func modelOf(be dispatch.Backend) func(*scan.FastScan, quantizer.Tables, int) ([]topk.Result, Stats) {
+	if be.ExactBound() {
+		return ScanExact
+	}
+	return Scan
+}
+
 func sameCounters(t *testing.T, model Stats, native scan.Stats, label string) {
 	t.Helper()
 	if model.Stats != native {

@@ -10,6 +10,10 @@
 // lower-bounds all of the group's blocks and returns one pruned mask
 // per block against the threshold at the group's entry:
 //
+//   - asm-avx512vbmi: the exact 8-bit bound (dispatch.AccumulateExact),
+//     every ungrouped component looked up in its whole quantized row —
+//     the §5.5 bound, which the paper's 16-entry registers could not
+//     hold;
 //   - asm-avx2: hand-written assembly (dispatch.Accumulate) running the
 //     real vpshufb pipeline over the whole group;
 //   - swar (always available): per-query pair LUTs resolve two lanes of
@@ -19,14 +23,15 @@
 // The loop does the rest once, between blocks: re-masking after the
 // threshold moved, padding and dead lanes, Stats, candidate processing
 // and threshold refresh, so the decision sequence cannot differ between
-// backends (DESIGN.md §12).
+// backends of one bound (DESIGN.md §12).
 //
 // All backends share every decision input (quantizer, thresholds, exact
-// re-check arithmetic) and their lower-bound bytes agree lane-for-lane,
-// so result sets AND statistics are bit-identical across backends
-// (DESIGN.md §6, §12) — and equal to those of the instruction-counting
-// model in internal/scan/model, which calls the same decision inputs and
-// is checked against this file at every shape (§9).
+// re-check arithmetic), so their result sets are bit-identical; the
+// backends of one bound also agree on their lower-bound bytes lane for
+// lane, so their statistics are too (DESIGN.md §6, §12) — and equal to
+// those of the instruction-counting model of that bound in
+// internal/scan/model, which calls the same decision inputs and is
+// checked against this file at every shape (§9).
 package scan
 
 import (
@@ -93,8 +98,9 @@ const ulutSize = 0x0f0f + 1
 
 // queryTables is the per-scan table state of a Fast Scan: the window
 // minima of the distance tables, the §4.4 distance quantizer, the
-// quantized first-c distance-table rows (every group's small tables
-// S_0..S_{C-1} are 16-entry windows into them), the scan-lifetime
+// quantized distance-table rows — the first c (every group's small
+// tables S_0..S_{C-1} are 16-entry windows into them), or all eight
+// under the exact bound, which looks the rest up whole — the scan-lifetime
 // minimum tables (S_C..S_7 bound the blocks, rows 0..c-1 order and
 // prune the groups with the group bounds), and the backend-specific
 // derived tables — the SWAR pair LUTs and the assembly backend's
@@ -111,9 +117,9 @@ type queryTables struct {
 	c         int
 	mins      WindowMinima // filled before the keep phase, which reads its bounds
 	dq        DistQuantizer
-	qrows     [layout.MaxGroupComponents][256]uint8
-	minTables [M][16]uint8 // rows c..7 bound blocks, rows 0..c-1 order and prune groups
-	gb        GroupBounds  // each group's shared bound, from minTables
+	qrows     [M][256]uint8 // rows 0..c-1, all eight under the exact bound
+	minTables [M][16]uint8  // rows c..7 bound blocks, rows 0..c-1 order and prune groups
+	gb        GroupBounds   // each group's shared bound, from minTables
 
 	// SWAR pair-LUT state.
 	glut []uint32 // grouped-component pair LUTs, c x 16 keys x 256
@@ -173,20 +179,24 @@ func growAligned(s []uint8, n int) []uint8 {
 
 // queryTablesFor builds, in the Scratch's storage, the rest of the
 // query-table state for scanning fs with tables t under bounds
-// (qmin, qmax), from the window minima sc.qt.mins already holds.
-func (sc *Scratch) queryTablesFor(fs *FastScan, t quantizer.Tables, qmin, qmax float32) *queryTables {
+// (qmin, qmax) on backend be, from the window minima sc.qt.mins already
+// holds.
+func (sc *Scratch) queryTablesFor(fs *FastScan, t quantizer.Tables, qmin, qmax float32, be dispatch.Backend) *queryTables {
 	qt := &sc.qt
 	qt.c = fs.c
 	qt.dq = NewDistQuantizer(qmin, qmax)
-	// Quantize the first c distance-table rows once per scan; every
-	// group's small tables S_0..S_{C-1} are 16-entry windows into these
-	// rows (entry values identical to the model's per-group table
-	// builds, which quantize the same floats with the same quantizer).
-	for j := 0; j < fs.c; j++ {
-		row := t.Row(j)
-		for i, v := range row {
-			qt.qrows[j][i] = qt.dq.Quantize(v)
-		}
+	// Quantize the first c distance-table rows once per scan, on the row
+	// kernel where there is one; every group's small tables
+	// S_0..S_{C-1} are 16-entry windows into these rows (entry values
+	// identical to the model's per-group table builds, which quantize
+	// the same floats with the same quantizer). The exact bound reads
+	// the other rows whole, so it quantizes all eight.
+	rows := fs.c
+	if be.ExactBound() {
+		rows = M
+	}
+	for j := 0; j < rows; j++ {
+		qt.dq.QuantizeRow(t.Row(j), qt.qrows[j][:])
 	}
 	qt.minTables = BuildMinTables(&qt.mins, qt.dq)
 	qt.gb = NewGroupBounds(&qt.minTables, fs.c)
@@ -312,10 +322,11 @@ func (fs *FastScan) ScanNativeBackend(t quantizer.Tables, k int, sc *Scratch, be
 // cell it scans, so each cell starts from the threshold the earlier ones
 // reached; the retained set is the k smallest (distance, id) pairs of
 // everything pushed, whatever the cell order. All backends evolve the
-// heap identically and return identical statistics; they differ only in
-// wall-clock speed. The caller is responsible for only requesting
-// available backends (dispatch.Backend.Available); the index layer
-// validates requests before they reach this point.
+// heap identically; the backends of one bound also return identical
+// statistics, and otherwise differ only in wall-clock speed. The caller
+// is responsible for only requesting available backends
+// (dispatch.Backend.Available); the index layer validates requests
+// before they reach this point.
 func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scratch, be dispatch.Backend) Stats {
 	Check8x8(t)
 	if sc == nil {
@@ -339,7 +350,7 @@ func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scra
 	}
 
 	// Phase 2: this scan's quantized tables, under the bounds just found.
-	qt := sc.queryTablesFor(fs, t, qmin, qmax)
+	qt := sc.queryTablesFor(fs, t, qmin, qmax, be)
 
 	thrVal, haveThr := heap.Threshold()
 	t8 := qt.dq.PruneThreshold(thrVal, haveThr)
@@ -475,9 +486,10 @@ func swarPrunedMask(acc []uint8, t8 int8) uint32 {
 // the threshold has moved since the call. The mask applied to a
 // block is therefore always the one for the threshold current AT THAT
 // BLOCK, and the decision sequence (and hence results, pruning counters
-// and heap evolution) is the same on every backend. Padding lanes of a
-// group's last block and dead lanes leave a block's survivors with one
-// AND each and count as pruned, on every backend and in the model alike.
+// and heap evolution) is the same on every backend of one bound. Padding
+// lanes of a group's last block and dead lanes leave a block's survivors
+// with one AND each and count as pruned, on every backend and in the
+// model alike.
 //
 // A group whose shared bound (GroupBounds) already prunes every lane at
 // its entry threshold is not bounded at all: its lanes count as
@@ -489,11 +501,12 @@ func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend
 	g := fs.part.grouped
 	bb := g.BlockSize()
 	hasDead := fs.dead.n > 0
-	swar := be != dispatch.AVX2
+	swar := be == dispatch.SWAR
 	var tb *[128]uint8
-	if swar {
+	switch be {
+	case dispatch.SWAR:
 		qt.buildLUTs()
-	} else {
+	case dispatch.AVX2:
 		tb = qt.asmTables()
 	}
 
@@ -545,26 +558,33 @@ func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend
 }
 
 // bound has backend be lower-bound the blocks of group grp and take
-// their prune decision against thr: dispatch.Accumulate on asm-avx2,
-// after the group's small-table windows are refreshed in the
-// 8×16-byte table block tb (the kernel streams the whole group through
-// vector registers), swarAccumulate on swar. The masks land in
+// their prune decision against thr: dispatch.AccumulateExact on
+// asm-avx512vbmi, straight from the quantized rows; dispatch.Accumulate
+// on asm-avx2, after the group's small-table windows are refreshed in
+// the 8×16-byte table block tb (the kernel streams the whole group
+// through vector registers); swarAccumulate on swar. The masks land in
 // sc.masks, and the bounds a re-mask reads in sc.acc (min(Σ, 127)
 // bytes) or sc.words (swar's exact 16-bit sums).
 func (sc *Scratch) bound(qt *queryTables, be dispatch.Backend, tb *[128]uint8, blocks []uint8, grp *layout.Group, thr int8) {
 	nb := grp.BlockCount
 	sc.masks = growSlice(sc.masks, nb)
-	if be != dispatch.AVX2 {
+	c := qt.c
+	switch be {
+	case dispatch.SWAR:
 		sc.words = growSlice(sc.words, 4*nb)
 		qt.swarAccumulate(blocks, nb, &grp.Key, thr, sc.words, sc.masks)
 		return
-	}
-	c := qt.c
-	for j := 0; j < c; j++ {
-		copy(tb[j*16:j*16+16], qt.qrows[j][int(grp.Key[j])*16:int(grp.Key[j])*16+16])
+	case dispatch.AVX2:
+		for j := 0; j < c; j++ {
+			copy(tb[j*16:j*16+16], qt.qrows[j][int(grp.Key[j])*16:int(grp.Key[j])*16+16])
+		}
 	}
 	sc.acc = growAligned(sc.acc, nb*16)
-	dispatch.Accumulate(be, blocks, layout.BlockBytes(c), c, nb, thr, tb, sc.acc, sc.masks)
+	if be.ExactBound() {
+		dispatch.AccumulateExact(be, blocks, layout.BlockBytes(c), c, nb, thr, &grp.Key, &qt.qrows, sc.acc, sc.masks)
+	} else {
+		dispatch.Accumulate(be, blocks, layout.BlockBytes(c), c, nb, thr, tb, sc.acc, sc.masks)
+	}
 }
 
 // swarAccumulate is the swar backend's dispatch.Accumulate, on the pair

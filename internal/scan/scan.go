@@ -447,8 +447,9 @@ func (p *Partition) RestoreDead(ids []int64) error {
 }
 
 // Stats describes one scan's dynamic behaviour: exact counts of vectors,
-// groups and blocks, identical on every backend and in the model
-// (internal/scan/model wraps it with the operation mix it prices).
+// groups and blocks, identical on every backend of one bound and in that
+// bound's model (internal/scan/model wraps it with the operation mix it
+// prices).
 type Stats struct {
 	Scanned     int // vectors examined in total
 	KeepScanned int // vectors scanned with plain PQ Scan in the keep phase

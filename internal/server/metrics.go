@@ -122,9 +122,9 @@ func (m *metrics) batchStats() BatchStats {
 type Stats struct {
 	UptimeS float64 `json:"uptime_s"`
 	// Backend is the active Fast Scan block-kernel backend
-	// (asm-avx2 or swar) and CPUFeatures the SIMD feature set
-	// detection saw — on /stats so fleet dashboards can spot hosts that
-	// silently fell back to the portable path.
+	// (asm-avx512vbmi, asm-avx2 or swar) and CPUFeatures the SIMD
+	// feature set detection saw — on /stats so fleet dashboards can spot
+	// hosts that silently fell back to the portable path.
 	Backend     string   `json:"backend"`
 	CPUFeatures []string `json:"cpu_features,omitempty"`
 	Live        int      `json:"live"`

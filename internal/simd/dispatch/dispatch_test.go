@@ -68,8 +68,8 @@ func TestAccumulateGenericMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestAsmKernelsMatchGeneric drives every available backend through
-// Accumulate and requires lower-bound bytes and pruned masks identical
+// TestAsmKernelsMatchGeneric drives every available backend of the
+// minimum-table bound through Accumulate and requires lower-bound bytes and pruned masks identical
 // to the generic reference — the kernel-level leg of the cross-backend
 // exactness contract (the scan-level leg lives in internal/scan). Every
 // grouping depth meets every threshold, over odd and even block counts
@@ -79,6 +79,9 @@ func TestAccumulateGenericMatchesOracle(t *testing.T) {
 // a real group would pad are compared like any other.
 func TestAsmKernelsMatchGeneric(t *testing.T) {
 	for _, be := range AvailableBackends() {
+		if be.ExactBound() {
+			continue // TestAsmExactMatchesGeneric
+		}
 		t.Run(be.String(), func(t *testing.T) {
 			r := rand.New(rand.NewSource(2))
 			for c := 0; c <= 4; c++ {
@@ -111,14 +114,130 @@ func TestAsmKernelsMatchGeneric(t *testing.T) {
 	}
 }
 
+// exactOracle recomputes one lane's exact bound from its code: the
+// grouped components' bytes are key<<4 | nibble, the ungrouped ones the
+// full byte, each looked up in its whole row.
+func exactOracle(blk []byte, c, lane int, key *[4]uint8, rows *[8][256]uint8) uint8 {
+	sum := 0
+	for j := 0; j < c; j++ {
+		nib := blk[j*8+lane/2] >> (4 * (lane % 2)) & 0x0f
+		sum += int(rows[j][key[j]<<4|nib])
+	}
+	for j := c; j < 8; j++ {
+		sum += int(rows[j][blk[c*8+(j-c)*16+lane]])
+	}
+	return uint8(min(sum, 127))
+}
+
+// randomRows fills rows with entries in [0, 127] and key with nibbles.
+func randomRows(r *rand.Rand, rows *[8][256]uint8, key *[4]uint8) {
+	for j := range rows {
+		for i := range rows[j] {
+			rows[j][i] = uint8(r.Intn(128))
+		}
+	}
+	for j := range key {
+		key[j] = uint8(r.Intn(16))
+	}
+}
+
+func TestAccumulateExactGenericMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var rows [8][256]uint8
+	var key [4]uint8
+	for c := 0; c <= 4; c++ {
+		blockBytes := 128 - 8*c
+		for _, nblocks := range []int{1, 2, 3, 4, 5, 16} {
+			blocks := make([]byte, nblocks*blockBytes)
+			r.Read(blocks)
+			randomRows(r, &rows, &key)
+			thr := int8(r.Intn(256) - 128)
+			dst := make([]byte, nblocks*16)
+			masks := make([]uint16, nblocks)
+			AccumulateExactGeneric(blocks, blockBytes, c, nblocks, thr, &key, &rows, dst, masks)
+			for b := 0; b < nblocks; b++ {
+				blk := blocks[b*blockBytes : (b+1)*blockBytes]
+				for lane := 0; lane < 16; lane++ {
+					want := exactOracle(blk, c, lane, &key, &rows)
+					if got := dst[b*16+lane]; got != want {
+						t.Fatalf("c=%d block=%d lane=%d: generic %d, oracle %d", c, b, lane, got, want)
+					}
+					if got := masks[b]>>lane&1 == 1; got != (int(want) > int(thr)) {
+						t.Fatalf("c=%d block=%d lane=%d thr=%d bound=%d: pruned bit %v", c, b, lane, thr, want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAsmExactMatchesGeneric is TestAsmKernelsMatchGeneric for the
+// exact bound: every backend of that bound through AccumulateExact,
+// against AccumulateExactGeneric, bytes and masks. Every grouping depth
+// meets the thresholds at and around the edges, over block counts odd
+// and even, multiples of four and not (the four-block loop and the
+// one-block tail), with random rows and keys; on a third of the cases
+// every entry is at least 0x60, so sums cross 127 and 255, and the
+// lanes whose code byte has bit 7 set read the row's upper half.
+func TestAsmExactMatchesGeneric(t *testing.T) {
+	var ran bool
+	for _, be := range AvailableBackends() {
+		if !be.ExactBound() {
+			continue
+		}
+		ran = true
+		t.Run(be.String(), func(t *testing.T) {
+			r := rand.New(rand.NewSource(4))
+			var rows [8][256]uint8
+			var key [4]uint8
+			for c := 0; c <= 4; c++ {
+				blockBytes := 128 - 8*c
+				for _, thr := range []int{-128, -1, 0, 1, 63, 126, 127} {
+					for _, nblocks := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16} {
+						for rep := 0; rep < 3; rep++ {
+							blocks := make([]byte, nblocks*blockBytes)
+							r.Read(blocks)
+							randomRows(r, &rows, &key)
+							if rep == 2 {
+								for j := range rows {
+									for i := range rows[j] {
+										rows[j][i] |= 0x60
+									}
+								}
+							}
+							want, wantMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
+							got, gotMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
+							AccumulateExactGeneric(blocks, blockBytes, c, nblocks, int8(thr), &key, &rows, want, wantMasks)
+							AccumulateExact(be, blocks, blockBytes, c, nblocks, int8(thr), &key, &rows, got, gotMasks)
+							if !bytes.Equal(got, want) {
+								t.Fatalf("c=%d nblocks=%d: %s bytes disagree with generic\n got %x\nwant %x",
+									c, nblocks, be, got, want)
+							}
+							for b := range wantMasks {
+								if gotMasks[b] != wantMasks[b] {
+									t.Fatalf("c=%d nblocks=%d thr=%d block=%d: %s mask %016b, generic %016b (bytes %x)",
+										c, nblocks, thr, b, be, gotMasks[b], wantMasks[b], want[b*16:b*16+16])
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+	if !ran {
+		t.Log("skipped: no avx512vbmi")
+	}
+}
+
 func TestParseAndStrings(t *testing.T) {
-	for _, be := range []Backend{Auto, SWAR, AVX2} {
+	for _, be := range []Backend{Auto, SWAR, AVX2, AVX512VBMI} {
 		got, err := Parse(be.String())
 		if err != nil || got != be {
 			t.Fatalf("Parse(%q) = %v, %v", be.String(), got, err)
 		}
 	}
-	for _, name := range []string{"avx512", "asm-neon"} {
+	for _, name := range []string{"avx512", "asm-neon", "asm-avx512"} {
 		if _, err := Parse(name); err == nil {
 			t.Fatalf("Parse accepted unknown backend %q", name)
 		}

@@ -369,6 +369,232 @@ done:
 	VZEROUPPER
 	RET
 
+// func accumulateExactVBMI(blocks *byte, blockBytes, c, nblocks int, thr int8, key *uint8, rows *uint8, dst *byte, masks *uint16)
+//
+// The exact 8-bit bound (AccumulateExactGeneric) over four blocks an
+// iteration, block k in 128-bit lane k of a zmm register. A grouped
+// component j < c looks its lanes up in the group's 16-entry window
+// rows[j][key[j]·16:], broadcast to all four lanes once a call (Z16–Z19),
+// by VPSHUFB, as asm-avx2 does. An ungrouped component looks each full
+// code byte up in its whole 256-entry row: two two-table byte permutes
+// (VPERMT2B, the form of VPERMI2B that overwrites a table rather than
+// the index) resolve the low seven index bits against entries 0..127
+// and, again, against 128..255, each a 128-entry table of one register
+// and one memory operand, and the lanes whose index has bit 7 set take
+// the second (VPMOVB2M, then a masked VMOVDQU8). Accumulation, the
+// final VPMINUB against 127 and the signed VPCMPGTB against the
+// threshold are asm-avx2's, the compare into an opmask whose 64 bits
+// are the four blocks' 16-bit masks. The last nblocks mod 4 blocks run
+// in one more pass, lanes past the last block reading it again, and
+// only their bytes and masks are stored. Every load lies inside the
+// block it serves: a packed component's 16 bytes end within the full
+// bytes that follow it (c <= 4).
+//
+// Lane k reads its block at SI plus 0, R14, DX, R13.
+#define LANES(off, base, dst) \
+	VMOVDQU      off(base), X2; \
+	VINSERTI32X4 $1, off(base)(R14*1), Z2, Z2; \
+	VINSERTI32X4 $2, off(base)(DX*1), Z2, Z2; \
+	VINSERTI32X4 $3, off(base)(R13*1), Z2, dst
+
+#define GROUPED(off, win) \
+	LANES(off, SI, Z2); \
+	VPSRLW     $4, Z2, Z4; \
+	VPANDQ     Z10, Z2, Z3; \
+	VPANDQ     Z10, Z4, Z4; \
+	VPUNPCKLBW Z4, Z3, Z5; \
+	VPSHUFB    Z5, win, Z6; \
+	VPADDUSB   Z6, Z0, Z0
+
+TEXT ·accumulateExactVBMI(SB), NOSPLIT, $0-72
+	MOVQ blocks+0(FP), SI
+	MOVQ blockBytes+8(FP), BX
+	MOVQ c+16(FP), CX
+	MOVQ nblocks+24(FP), R8
+	MOVQ key+40(FP), DX
+	MOVQ rows+48(FP), R9
+	MOVQ dst+56(FP), DI
+	MOVQ masks+64(FP), R12
+
+	VBROADCASTI32X4 mask0f<>(SB), Z10
+	VBROADCASTI32X4 mask7f<>(SB), Z11
+	VPBROADCASTB    thr+32(FP), Z12 // prune threshold in every lane
+
+	// The group's windows, rows[j] + key[j]·16 for j < c.
+	CMPQ            CX, $1
+	JL              windows_done
+	MOVBQZX         0(DX), AX
+	SHLQ            $4, AX
+	VBROADCASTI32X4 (R9)(AX*1), Z16
+	CMPQ            CX, $2
+	JL              windows_done
+	MOVBQZX         1(DX), AX
+	SHLQ            $4, AX
+	VBROADCASTI32X4 256(R9)(AX*1), Z17
+	CMPQ            CX, $3
+	JL              windows_done
+	MOVBQZX         2(DX), AX
+	SHLQ            $4, AX
+	VBROADCASTI32X4 512(R9)(AX*1), Z18
+	CMPQ            CX, $4
+	JL              windows_done
+	MOVBQZX         3(DX), AX
+	SHLQ            $4, AX
+	VBROADCASTI32X4 768(R9)(AX*1), Z19
+
+windows_done:
+	MOVQ BX, R14               // four blocks an iteration: lane k at k·blockBytes
+	LEAQ (BX)(BX*1), DX
+	LEAQ (BX)(BX*2), R13
+
+blockloop:
+	CMPQ  R8, $4
+	JGE   accumulate
+	TESTQ R8, R8
+	JZ    done
+	// The last one to three blocks: lane k reads block min(k, nblocks−1),
+	// the last block but for lane 1 of three.
+	MOVQ    R8, AX
+	DECQ    AX
+	IMULQ   BX, AX             // the last block's offset
+	MOVQ    AX, R13
+	MOVQ    AX, DX
+	MOVQ    AX, R14
+	CMPQ    R8, $2
+	CMOVQGT BX, R14            // three blocks: lane 1 reads block 1
+
+accumulate:
+	VPXORQ Z0, Z0, Z0          // 64-lane accumulator
+	CMPQ   CX, $1
+	JL     ungrouped
+	GROUPED(0, Z16)
+	CMPQ   CX, $2
+	JL     ungrouped
+	GROUPED(8, Z17)
+	CMPQ   CX, $3
+	JL     ungrouped
+	GROUPED(16, Z18)
+	CMPQ   CX, $4
+	JL     ungrouped
+	GROUPED(24, Z19)
+
+ungrouped:
+	LEAQ (SI)(CX*8), R10       // component c's full bytes in lane 0's block
+	MOVQ CX, R11
+	SHLQ $8, R11
+	ADDQ R9, R11               // rows[c]
+	MOVQ $8, AX
+	SUBQ CX, AX                // 8 - c ungrouped components
+
+ungrouped_loop:
+	LANES(0, R10, Z2)
+	VMOVDQU64 (R11), Z3        // entries 0..63
+	VPERMT2B  64(R11), Z2, Z3  // entries 0..127 at index bits 6..0
+	VMOVDQU64 128(R11), Z4     // entries 128..191
+	VPERMT2B  192(R11), Z2, Z4 // entries 128..255
+	VPMOVB2M  Z2, K1           // index bit 7: the row's upper half
+	VMOVDQU8  Z4, K1, Z3       // merge on bit 7
+	VPADDUSB  Z3, Z0, Z0
+	ADDQ      $16, R10
+	ADDQ      $256, R11
+	DECQ      AX
+	JNZ       ungrouped_loop
+
+	VPMINUB  Z11, Z0, Z0       // saturate the quantized range at 127
+	VPCMPGTB Z12, Z0, K2       // lanes above the threshold are pruned
+	KMOVQ    K2, AX            // block k's mask in bits 16k..16k+15
+	CMPQ     R8, $4
+	JL       last_blocks
+	VMOVDQU64 Z0, (DI)
+	MOVQ      AX, (R12)
+	ADDQ      $64, DI
+	ADDQ      $8, R12
+	LEAQ      (SI)(BX*4), SI
+	SUBQ      $4, R8
+	JMP       blockloop
+
+last_blocks:
+	// Store the bytes of the R8 blocks through an opmask of 16·R8 bits,
+	// then their masks one word at a time.
+	MOVQ     R8, CX
+	SHLQ     $4, CX
+	MOVQ     $1, R10
+	SHLQ     CX, R10
+	DECQ     R10
+	KMOVQ    R10, K3
+	VMOVDQU8 Z0, K3, (DI)
+
+last_masks:
+	MOVW AX, (R12)
+	SHRQ $16, AX
+	ADDQ $2, R12
+	DECQ R8
+	JNZ  last_masks
+
+done:
+	VZEROUPPER
+	RET
+
+DATA bin127<>+0(SB)/8, $0x405fc00000000000 // 127.0
+GLOBL bin127<>(SB), RODATA|NOPTR, $8
+
+DATA oneF64<>+0(SB)/8, $0x3ff0000000000000 // 1.0
+GLOBL oneF64<>(SB), RODATA|NOPTR, $8
+
+// QUANT is DistQuantizer.Quantize on four entries x (float64): t is
+// the floor of (x − qmin)/delta, u the bin, written back into x. The
+// correction compares qmin + t·delta, one rounded multiply and one
+// rounded add, with x, and takes 1 off t where it lies above; then
+// t > 127 gives 127 and !(t > 0) — NaN included — gives 0.
+#define QUANT(x, t, u, v) \
+	VSUBPD    Y10, x, t; \
+	VDIVPD    Y11, t, t; \
+	VROUNDPD  $1, t, t; \
+	VMULPD    Y11, t, u; \
+	VADDPD    u, Y10, u; \
+	VCMPPD    $0x1e, x, u, u; \
+	VANDPD    Y13, u, u; \
+	VSUBPD    u, t, u; \
+	VCMPPD    $0x1e, Y12, t, v; \
+	VBLENDVPD v, Y12, u, u; \
+	VCMPPD    $0x1e, Y14, t, v; \
+	VANDPD    v, u, x
+
+// func quantizeRowAVX2(src *float32, n int, qmin, delta float64, dst *uint8)
+//
+// dst[i] = the bin of src[i] under the quantizer (qmin, delta), eight
+// entries a pass, in the float64 operations of the Go body
+// (scan.DistQuantizer.Quantize) and its order: widen, subtract, divide,
+// floor (VROUNDPD round-down), the correction, the clamps, then
+// truncate and pack to bytes. n is a positive multiple of 8.
+TEXT ·quantizeRowAVX2(SB), NOSPLIT, $0-40
+	MOVQ         src+0(FP), SI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD qmin+16(FP), Y10
+	VBROADCASTSD delta+24(FP), Y11
+	MOVQ         dst+32(FP), DI
+	VBROADCASTSD bin127<>(SB), Y12
+	VBROADCASTSD oneF64<>(SB), Y13
+	VXORPD       Y14, Y14, Y14
+
+quantloop:
+	VCVTPS2PD   (SI), Y0       // entries 0..3
+	VCVTPS2PD   16(SI), Y1     // entries 4..7
+	QUANT(Y0, Y2, Y3, Y4)
+	QUANT(Y1, Y5, Y6, Y7)
+	VCVTTPD2DQY Y0, X0
+	VCVTTPD2DQY Y1, X1
+	VPACKSSDW   X1, X0, X0     // eight words
+	VPACKUSWB   X0, X0, X0     // eight bytes
+	VMOVQ       X0, (DI)
+	ADDQ        $32, SI
+	ADDQ        $8, DI
+	SUBQ        $8, CX
+	JNZ         quantloop
+
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

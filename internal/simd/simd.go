@@ -1,7 +1,7 @@
 // Package simd is a bit-exact software model of the 128-bit x86 SIMD
 // register file and of the exact instruction subset PQ Fast Scan relies on
-// (SSE2/SSSE3: pshufb, paddsb, pcmpgtb, pmovmskb, pand, psrlw, broadcasts,
-// loads and stores), with their AVX2 widenings in simd256.go.
+// (SSE2/SSSE3: pshufb, paddsb, pcmpgtb, pmovmskb, pand, psrlw, broadcasts
+// and loads), with their AVX2 widenings in simd256.go.
 //
 // The paper's implementation is C++ with intrinsics; Go has no intrinsics
 // and no inline assembly in the standard toolchain, so this package is the
@@ -31,11 +31,6 @@ func Load(src []uint8) Reg {
 	return r
 }
 
-// Store writes the 16 lanes of r into dst (movdqu store).
-func Store(dst []uint8, r Reg) {
-	copy(dst[:Width], r[:])
-}
-
 // Broadcast returns a register with every lane set to v (pshufb-zero or
 // _mm_set1_epi8).
 func Broadcast(v uint8) Reg {
@@ -45,9 +40,6 @@ func Broadcast(v uint8) Reg {
 	}
 	return r
 }
-
-// Zero returns the all-zero register (pxor r, r).
-func Zero() Reg { return Reg{} }
 
 // Pshufb performs the SSSE3 byte shuffle: for each lane i, if the high bit
 // of idx[i] is set the result lane is zero, otherwise it is

@@ -101,18 +101,22 @@ func WithEngine(e Engine) SearchOption {
 }
 
 // Backend selects Fast Scan's block-kernel implementation: the
-// hand-written assembly scan kernels (BackendAVX2, on amd64 with AVX2)
+// hand-written assembly scan kernels (BackendAVX512VBMI, the exact 8-bit
+// bound, on amd64 with AVX-512 VBMI; BackendAVX2, on amd64 with AVX2)
 // or the portable BackendSWAR fallback. BackendAuto — the
 // default — defers to startup CPU feature detection, overridable with
 // the PQ_FORCE_BACKEND environment variable. All backends return
-// bit-identical results and statistics (DESIGN.md §12); they differ
-// only in wall-clock speed.
+// bit-identical results; the backends of one bound (BackendAVX2 and
+// BackendSWAR share the paper's minimum-table bound) also return
+// bit-identical statistics (DESIGN.md §12). Otherwise they differ only
+// in wall-clock speed.
 type Backend = index.Backend
 
 const (
-	BackendAuto = index.BackendAuto
-	BackendSWAR = index.BackendSWAR
-	BackendAVX2 = index.BackendAVX2
+	BackendAuto       = index.BackendAuto
+	BackendSWAR       = index.BackendSWAR
+	BackendAVX2       = index.BackendAVX2
+	BackendAVX512VBMI = index.BackendAVX512VBMI
 )
 
 // ActiveBackend returns the backend selected at
@@ -125,12 +129,12 @@ func ActiveBackend() Backend { return index.ActiveBackend() }
 func AvailableBackends() []Backend { return index.AvailableBackends() }
 
 // ParseBackend resolves a backend by its String name (auto, swar,
-// asm-avx2).
+// asm-avx2, asm-avx512vbmi).
 func ParseBackend(name string) (Backend, error) { return index.ParseBackend(name) }
 
 // CPUFeatures lists the SIMD features backend selection detected on
-// this machine (e.g. sse2, avx, avx2, avx512f), for logs and benchmark
-// records.
+// this machine (e.g. sse2, avx, avx2, avx512f, avx512bw, avx512vbmi),
+// for logs and benchmark records.
 func CPUFeatures() []string { return index.CPUFeatures() }
 
 // BackendInitNote reports what happened to a PQ_FORCE_BACKEND override

@@ -43,12 +43,12 @@ func WithKernel(k Kernel) SearchOption {
 }
 
 // WithBackend pins Fast Scan's block kernels to one backend — the
-// hand-written assembly kernels (BackendAVX2, on amd64 with AVX2) or
+// hand-written assembly kernels (BackendAVX512VBMI or BackendAVX2) or
 // the portable BackendSWAR fallback — instead of the startup
 // feature detection (BackendAuto, the default; see ActiveBackend).
-// Every backend returns bit-identical results and statistics; only
-// wall-clock speed differs, so this option exists for benchmarking,
-// regression hunting and the cross-backend tests. Requesting a backend
+// Every backend returns bit-identical results, and the backends of one
+// bound bit-identical statistics (see Backend); this option exists for
+// benchmarking, regression hunting and the cross-backend tests. Requesting a backend
 // the machine cannot run is rejected by the search call.
 func WithBackend(b Backend) SearchOption {
 	return func(c *searchConfig) { c.backend = b }
