@@ -7,18 +7,36 @@ import (
 
 	"pqfastscan"
 	"pqfastscan/internal/scan"
+	"pqfastscan/internal/simd/dispatch"
 )
 
+// backendPin returns a function that pins the process to one backend
+// (dispatch.Force, the counterpart of PQ_FORCE_BACKEND): every Fast
+// Scan runs on it until the next pin. The selection the test started
+// with is restored when t ends.
+func backendPin(t *testing.T) func(be pqfastscan.Backend) {
+	orig := dispatch.Active()
+	t.Cleanup(func() { _ = dispatch.Force(orig) })
+	return func(be pqfastscan.Backend) {
+		t.Helper()
+		if err := dispatch.Force(be); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestWithStatsOnEveryBackend: WithStats attaches the serving scan's
-// counters — it pins nothing, so it composes with WithBackend, and every
-// backend reports the same ones as the others of its bound (which
-// internal/scan/model's tests hold equal to that bound's model's): the
-// default's, for the active backend's bound.
+// counters — it pins nothing, and every backend reports the same ones
+// as the others of its bound (which internal/scan/model's tests hold
+// equal to that bound's model's): the default's, for the active
+// backend's bound.
 func TestWithStatsOnEveryBackend(t *testing.T) {
 	idx, _, queries := sharedAPIIndex(t)
 	ctx := context.Background()
+	pin, active := backendPin(t), pqfastscan.ActiveBackend()
 	for _, nprobe := range []int{1, 3} {
 		for qi := 0; qi < queries.Rows(); qi++ {
+			pin(active)
 			auto, err := idx.Search(ctx, queries.Row(qi), 10, pqfastscan.WithNProbe(nprobe), pqfastscan.WithStats())
 			if err != nil {
 				t.Fatal(err)
@@ -26,12 +44,12 @@ func TestWithStatsOnEveryBackend(t *testing.T) {
 			if auto.Stats == nil || auto.Stats.LowerBounds == 0 || auto.Stats.Pruned+auto.Stats.Candidates != auto.Stats.LowerBounds {
 				t.Fatalf("WithStats attached %+v", auto.Stats)
 			}
-			ref := map[bool]*scan.Stats{pqfastscan.ActiveBackend().ExactBound(): auto.Stats}
+			ref := map[bool]*scan.Stats{active.ExactBound(): auto.Stats}
 			for _, be := range pqfastscan.AvailableBackends() {
-				got, err := idx.Search(ctx, queries.Row(qi), 10,
-					pqfastscan.WithNProbe(nprobe), pqfastscan.WithStats(), pqfastscan.WithBackend(be))
+				pin(be)
+				got, err := idx.Search(ctx, queries.Row(qi), 10, pqfastscan.WithNProbe(nprobe), pqfastscan.WithStats())
 				if err != nil {
-					t.Fatalf("WithStats+WithBackend(%v): %v", be, err)
+					t.Fatalf("WithStats on %v: %v", be, err)
 				}
 				if ref[be.ExactBound()] == nil {
 					ref[be.ExactBound()] = got.Stats
@@ -102,23 +120,24 @@ func TestParseKernelListsTheThree(t *testing.T) {
 
 // TestBackendsReturnIdenticalResults is the public-API face of the
 // cross-backend exactness invariant: every available backend (assembly
-// or SWAR), explicitly pinned with WithBackend, returns the same
-// neighbor lists as the default auto selection — single-probe,
-// multi-probe and batched.
+// or SWAR), the process pinned to it, returns the same neighbor lists
+// as the startup selection — single-probe, multi-probe and batched.
 func TestBackendsReturnIdenticalResults(t *testing.T) {
 	idx, _, queries := sharedAPIIndex(t)
 	ctx := context.Background()
+	pin, active := backendPin(t), pqfastscan.ActiveBackend()
 
 	for _, nprobe := range []int{1, 3} {
 		for qi := 0; qi < queries.Rows(); qi++ {
 			q := queries.Row(qi)
+			pin(active)
 			auto, err := idx.Search(ctx, q, 25, pqfastscan.WithNProbe(nprobe))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, be := range pqfastscan.AvailableBackends() {
-				got, err := idx.Search(ctx, q, 25,
-					pqfastscan.WithNProbe(nprobe), pqfastscan.WithBackend(be))
+				pin(be)
+				got, err := idx.Search(ctx, q, 25, pqfastscan.WithNProbe(nprobe))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,11 +147,13 @@ func TestBackendsReturnIdenticalResults(t *testing.T) {
 	}
 
 	for _, be := range pqfastscan.AvailableBackends() {
+		pin(active)
 		autoBatch, err := idx.SearchBatch(ctx, queries, 25)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := idx.SearchBatch(ctx, queries, 25, pqfastscan.WithBackend(be))
+		pin(be)
+		batch, err := idx.SearchBatch(ctx, queries, 25)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,30 +163,12 @@ func TestBackendsReturnIdenticalResults(t *testing.T) {
 	}
 }
 
-// TestBackendOptionRejections: an unavailable backend fails fast with an
-// actionable error.
-func TestBackendOptionRejections(t *testing.T) {
-	idx, _, queries := sharedAPIIndex(t)
-	ctx := context.Background()
-	q := queries.Row(0)
-
-	// No machine runs backend 99, so the check runs on every host.
-	if _, err := idx.Search(ctx, q, 5, pqfastscan.WithBackend(pqfastscan.Backend(99))); err == nil ||
-		!strings.Contains(err.Error(), "not available") {
-		t.Fatalf("unavailable backend: got err %v", err)
-	}
-}
-
 // TestActiveBackendSurface sanity-checks the introspection surface the
 // serving layer logs and exports.
 func TestActiveBackendSurface(t *testing.T) {
 	be := pqfastscan.ActiveBackend()
 	if be == pqfastscan.BackendAuto {
 		t.Fatal("ActiveBackend returned auto")
-	}
-	parsed, err := pqfastscan.ParseBackend(be.String())
-	if err != nil || parsed != be {
-		t.Fatalf("ParseBackend(%q) = %v, %v", be.String(), parsed, err)
 	}
 	avail := pqfastscan.AvailableBackends()
 	if len(avail) == 0 {

@@ -264,19 +264,21 @@ func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.
 		}
 	}
 
+	paths := scanPaths(t)
 	for qi := 0; qi < queries.Rows(); qi++ {
 		q := queries.Row(qi)
 		want, err := ref.Query(ctx, Request{Query: q, K: 20, Kernel: KernelNaive, NProbe: len(live)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, req := range scanPaths() {
+		for _, path := range paths {
+			req := path.request(t)
 			req.Query, req.K, req.NProbe = q, 20, len(live)
 			got, err := ix.Query(ctx, req)
 			if err != nil {
-				t.Fatalf("%s: %v/%v: %v", tag, req.Kernel, req.Backend, err)
+				t.Fatalf("%s: %v: %v", tag, path, err)
 			}
-			sameAnswer(t, fmt.Sprintf("%s q%d %v/%v vs rebuild", tag, qi, req.Kernel, req.Backend), got.Results, want.Results)
+			sameAnswer(t, fmt.Sprintf("%s q%d %v vs rebuild", tag, qi, path), got.Results, want.Results)
 		}
 
 		// Counters, cell by cell: each bound's model runs the very layout
@@ -295,7 +297,8 @@ func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.
 			release()
 			for _, be := range AvailableBackends() {
 				heap, wantStats := heaps[be.ExactBound()], wantStats[be.ExactBound()]
-				served, err := ix.querySnap(ctx, s, Request{Query: q, K: 20, Backend: be, Cells: []int{c}})
+				forceBackend(t, be)
+				served, err := ix.querySnap(ctx, s, Request{Query: q, K: 20, Cells: []int{c}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,19 +9,66 @@ import (
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/scan"
 	"pqfastscan/internal/scan/model"
+	"pqfastscan/internal/simd/dispatch"
 	"pqfastscan/internal/topk"
 	"pqfastscan/internal/vec"
 )
 
+// scanPath is one way a query can be answered: a kernel, and the
+// backend the process runs Fast Scan on while it does.
+type scanPath struct {
+	kernel  Kernel
+	backend Backend
+}
+
+func (p scanPath) String() string { return fmt.Sprintf("%v/%v", p.kernel, p.backend) }
+
 // scanPaths lists every scan a query can be answered with — the
 // kernel × backend axis of the index-level bit-identity matrices:
-// naive, libpq, and fastpq on every backend this machine has.
-func scanPaths() []Request {
-	paths := []Request{{Kernel: KernelNaive}, {Kernel: KernelLibpq}}
+// naive, libpq, and fastpq on every backend this machine has. The
+// backend is the process's (dispatch.Force); the process's selection is
+// restored when t ends.
+func scanPaths(t testing.TB) []scanPath {
+	restoreBackend(t)
+	active := ActiveBackend()
+	paths := []scanPath{{KernelNaive, active}, {KernelLibpq, active}}
 	for _, be := range AvailableBackends() {
-		paths = append(paths, Request{Kernel: KernelFastScan, Backend: be})
+		paths = append(paths, scanPath{KernelFastScan, be})
 	}
 	return paths
+}
+
+// request pins the process to the path's backend and returns a request
+// on its kernel.
+func (p scanPath) request(t testing.TB) Request {
+	t.Helper()
+	forceBackend(t, p.backend)
+	return Request{Kernel: p.kernel}
+}
+
+// restoreBackend restores the process's backend selection when t ends,
+// whatever forceBackend pins meanwhile.
+func restoreBackend(t testing.TB) {
+	orig := ActiveBackend()
+	t.Cleanup(func() { _ = dispatch.Force(orig) })
+}
+
+// forceBackend pins the process to backend be (dispatch.Force): every
+// Fast Scan runs on it until the next pin. A test that pins calls
+// restoreBackend first.
+func forceBackend(t testing.TB, be Backend) {
+	t.Helper()
+	if err := dispatch.Force(be); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// kernelPaths is one request per kernel, Fast Scan on the process's
+// backend: the paths of the tests that query from several goroutines
+// at once, which cannot each pin a backend of their own. The CI backend
+// matrix runs them under every backend.
+func kernelPaths() []Request {
+	return []Request{{Kernel: KernelNaive}, {Kernel: KernelLibpq}, {Kernel: KernelFastScan}}
 }
 
 func sameAnswer(t *testing.T, tag string, got, want []Result) {
@@ -62,6 +109,7 @@ func addTo(t *testing.T, ix *Index, gen *dataset.Generator, c, n int) {
 // returns the same set whatever order it names the cells in.
 func TestCarriedMultiProbeProperty(t *testing.T) {
 	ctx := context.Background()
+	paths := scanPaths(t)
 	for _, seed := range []uint64{1201, 1202} {
 		ram, paged, queries := buildTwin(t, seed, 6000)
 		if err := paged.AttachStore(t.TempDir(), 1<<30); err != nil {
@@ -89,9 +137,9 @@ func TestCarriedMultiProbeProperty(t *testing.T) {
 							}
 							rotated := append(append([]int(nil), cells[1:]...), cells[0])
 
-							for _, path := range scanPaths() {
-								ptag := fmt.Sprintf("%s %v/%v", tag, path.Kernel, path.Backend)
-								req := path
+							for _, path := range paths {
+								ptag := fmt.Sprintf("%s %v", tag, path)
+								req := path.request(t)
 								req.Query, req.K = q, k
 
 								merged := topk.New(k)
@@ -193,12 +241,14 @@ func modelInto(be Backend) func(*scan.FastScan, quantizer.Tables, *topk.Heap) mo
 // prune less and diverge.
 func TestMultiProbeStatsAcrossEngines(t *testing.T) {
 	ix, _, queries := sharedIndex(t)
+	restoreBackend(t)
 	ctx := context.Background()
 	for _, k := range []int{1, 10, 100} {
 		for nprobe := 2; nprobe <= ix.Partitions(); nprobe++ {
 			for qi := 0; qi < queries.Rows(); qi++ {
 				q := queries.Row(qi)
 				for _, be := range AvailableBackends() {
+					forceBackend(t, be)
 					heap := topk.New(k)
 					var want scan.Stats
 					for _, c := range RankCells(q, ix.Coarse)[:nprobe] {
@@ -208,7 +258,7 @@ func TestMultiProbeStatsAcrossEngines(t *testing.T) {
 						}
 						want.Merge(modelInto(be)(fs, ix.Tables(q, c), heap).Stats)
 					}
-					served, err := ix.Query(ctx, Request{Query: q, K: k, Backend: be, NProbe: nprobe})
+					served, err := ix.Query(ctx, Request{Query: q, K: k, NProbe: nprobe})
 					if err != nil {
 						t.Fatal(err)
 					}

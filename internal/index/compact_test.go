@@ -66,10 +66,12 @@ func TestCompactReclaimsTombstones(t *testing.T) {
 	liveBefore := ix.Live()
 
 	type answer struct{ results []Result }
+	paths := scanPaths(t)
 	capture := func() []answer {
 		var out []answer
 		for qi := 0; qi < queries.Rows(); qi++ {
-			for _, req := range scanPaths() {
+			for _, path := range paths {
+				req := path.request(t)
 				req.Query, req.K, req.NProbe = queries.Row(qi), 25, 3
 				resp, err := ix.Query(ctx, req)
 				if err != nil {
@@ -354,7 +356,8 @@ func TestDeleteRacesCompaction(t *testing.T) {
 			checkRouting(t, ix)
 			checkLayouts(t, ix)
 
-			for _, req := range scanPaths() {
+			for _, path := range scanPaths(t) {
+				req := path.request(t)
 				req.Query, req.K = q, p.N
 				resp, err := ix.Query(ctx, req)
 				if err != nil {
@@ -365,11 +368,11 @@ func TestDeleteRacesCompaction(t *testing.T) {
 					got[r.ID] = true
 				}
 				if len(got) != len(spared) {
-					t.Fatalf("%v/%v: %d ids answered, want the %d spared", req.Kernel, req.Backend, len(got), len(spared))
+					t.Fatalf("%v: %d ids answered, want the %d spared", path, len(got), len(spared))
 				}
 				for _, id := range spared {
 					if !got[id] {
-						t.Fatalf("%v/%v: spared id %d missing", req.Kernel, req.Backend, id)
+						t.Fatalf("%v: spared id %d missing", path, id)
 					}
 				}
 			}

@@ -23,12 +23,12 @@ import (
 	"pqfastscan/internal/vec"
 )
 
-// Backend selects Fast Scan's block-kernel implementation: the
+// Backend names Fast Scan's block-kernel implementation: the
 // hand-written assembly kernels (asm-avx512vbmi's exact 8-bit bound on
 // amd64 with AVX-512 VBMI, asm-avx2 on amd64 with AVX2) or the portable
-// SWAR fallback. The zero value BackendAuto defers to the startup
-// feature detection (dispatch.Active), overridable with the
-// PQ_FORCE_BACKEND environment variable. All backends return
+// SWAR fallback. The process selects one at startup by feature
+// detection (dispatch.Active), overridable with the PQ_FORCE_BACKEND
+// environment variable; a Request names none. All backends return
 // bit-identical results, and the backends of one bound bit-identical
 // statistics (DESIGN.md §12).
 type Backend = dispatch.Backend
@@ -47,10 +47,6 @@ func ActiveBackend() Backend { return dispatch.Active() }
 // AvailableBackends lists the concrete backends this machine can run,
 // preferred first.
 func AvailableBackends() []Backend { return dispatch.AvailableBackends() }
-
-// ParseBackend resolves a backend by its String name (auto, swar,
-// asm-avx2, asm-avx512vbmi).
-func ParseBackend(name string) (Backend, error) { return dispatch.Parse(name) }
 
 // CPUFeatures lists the SIMD features backend selection detected.
 func CPUFeatures() []string { return dispatch.Features() }
@@ -355,15 +351,14 @@ type Result = topk.Result
 // every query path funnels through. Threading the snapshot (instead of
 // reloading it) keeps one logical query on one consistent view across
 // multi-probe cells and batch workers. PQ Fast Scan scans straight into
-// heap — on the block-kernel backend selected by internal/simd/dispatch
-// (req.Backend, defaulting to the startup feature detection) — and so
-// starts from whatever threshold the query's earlier cells reached; the
-// exact scans return their partition's top-k, which is pushed into heap
-// here. Either way heap ends up holding the k smallest (distance, id)
-// pairs of everything scanned so far, and nothing in it aliases scan or
-// pool memory. The cell's distance tables are written into qs, the
-// scratch the caller took once for the whole query, and are dead when
-// this returns.
+// heap — on the block-kernel backend the process selected at startup
+// (internal/simd/dispatch) — and so starts from whatever threshold the
+// query's earlier cells reached; the exact scans return their
+// partition's top-k, which is pushed into heap here. Either way heap
+// ends up holding the k smallest (distance, id) pairs of everything
+// scanned so far, and nothing in it aliases scan or pool memory. The
+// cell's distance tables are written into qs, the scratch the caller
+// took once for the whole query, and are dead when this returns.
 func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.Heap, qs *queryScratch) (scan.Stats, error) {
 	if part < 0 || part >= len(s.Parts) {
 		return scan.Stats{}, fmt.Errorf("index: partition %d out of range", part)
@@ -388,7 +383,7 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 
 	switch req.Kernel {
 	case KernelFastScan:
-		return fs.ScanNativeInto(t, heap, qs.scan, req.Backend), nil
+		return fs.ScanNativeInto(t, heap, qs.scan, dispatch.Auto), nil
 	case KernelLibpq:
 		return pushAll(scan.ExactNative(p, t, req.K, qs.scan))
 	case KernelNaive:

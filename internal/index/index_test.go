@@ -230,18 +230,18 @@ func TestValidateExplicitCells(t *testing.T) {
 		{[]int{-1}, "out of range"},
 	} {
 		req.Cells = tc.cells
-		if err := ix.validate(s, req); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := CheckRequest(req, ix.Dim, len(s.Parts)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("cells %v: error %v, want one naming %q", tc.cells, err, tc.want)
 		}
 	}
 	// Any nprobe beside explicit cells answers the question twice, 1 too.
 	req.Cells, req.NProbe = []int{0}, 1
-	if err := ix.validate(s, req); !errors.Is(err, ErrBadRequest) {
+	if err := CheckRequest(req, ix.Dim, len(s.Parts)); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("cells with nprobe 1: error %v, want one wrapping ErrBadRequest", err)
 	}
 	req.Cells, req.NProbe = []int{2, 0}, 0
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := ix.validate(s, req); err != nil {
+		if err := CheckRequest(req, ix.Dim, len(s.Parts)); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

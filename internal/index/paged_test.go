@@ -52,20 +52,21 @@ func assertIdentical(t *testing.T, ram, paged *Index, queries vec.Matrix, tag st
 func assertSame(t *testing.T, ram, paged *Index, queries vec.Matrix, tag string, stats bool) {
 	t.Helper()
 	ctx := context.Background()
-	for _, req := range scanPaths() {
+	for _, path := range scanPaths(t) {
+		req := path.request(t)
 		for qi := 0; qi < queries.Rows(); qi++ {
 			req.Query, req.K, req.NProbe = queries.Row(qi), 10, ram.Partitions()
 			want, err := ram.Query(ctx, req)
 			if err != nil {
-				t.Fatalf("%s: ram query (%v/%v): %v", tag, req.Kernel, req.Backend, err)
+				t.Fatalf("%s: ram query (%v): %v", tag, path, err)
 			}
 			got, err := paged.Query(ctx, req)
 			if err != nil {
-				t.Fatalf("%s: paged query (%v/%v): %v", tag, req.Kernel, req.Backend, err)
+				t.Fatalf("%s: paged query (%v): %v", tag, path, err)
 			}
-			sameAnswer(t, fmt.Sprintf("%s: %v/%v q%d", tag, req.Kernel, req.Backend, qi), got.Results, want.Results)
+			sameAnswer(t, fmt.Sprintf("%s: %v q%d", tag, path, qi), got.Results, want.Results)
 			if stats && got.Stats != want.Stats {
-				t.Fatalf("%s: %v/%v q%d stats %+v, want %+v", tag, req.Kernel, req.Backend, qi, got.Stats, want.Stats)
+				t.Fatalf("%s: %v q%d stats %+v, want %+v", tag, path, qi, got.Stats, want.Stats)
 			}
 		}
 	}
@@ -211,7 +212,7 @@ func TestPagedEvictionCorrectness(t *testing.T) {
 	// Precompute oracle answers once (the RAM index is immutable here).
 	ctx := context.Background()
 	type key struct{ qi, path int }
-	paths := scanPaths()
+	paths := kernelPaths()
 	oracle := make(map[key]*Response)
 	for qi := 0; qi < queries.Rows(); qi++ {
 		for pi, req := range paths {
@@ -245,8 +246,8 @@ func TestPagedEvictionCorrectness(t *testing.T) {
 				want := oracle[key{qi, pi}]
 				for i := range want.Results {
 					if got.Results[i] != want.Results[i] {
-						errc <- fmt.Errorf("worker %d iter %d %v/%v q%d: result %d = %+v, want %+v (scan read an evicted frame?)",
-							w, it, req.Kernel, req.Backend, qi, i, got.Results[i], want.Results[i])
+						errc <- fmt.Errorf("worker %d iter %d %v q%d: result %d = %+v, want %+v (scan read an evicted frame?)",
+							w, it, req.Kernel, qi, i, got.Results[i], want.Results[i])
 						return
 					}
 				}
@@ -296,7 +297,7 @@ func TestPagedMutationStorm(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			paths := scanPaths()
+			paths := kernelPaths()
 			for it := 0; ; it++ {
 				select {
 				case <-stop:

@@ -20,8 +20,6 @@ import (
 // Recall, in (0, 1], of the live rows of the snapshot it scans
 // (RecallPrefix). That is a coverage target, not a measured recall; an
 // explicit NProbe or Cells wins over it.
-// Backend selects Fast Scan's block-kernel implementation; the zero
-// value BackendAuto defers to startup feature detection.
 // Cells, when non-empty, bypasses coarse routing entirely and scans
 // exactly the listed cells in order — the shard-side half of
 // scatter-gather serving (internal/cluster): the router runs step 1 of
@@ -29,13 +27,12 @@ import (
 // to scan. Cells is mutually exclusive with NProbe: with Cells set,
 // NProbe must be 0. CheckRequest holds every rule.
 type Request struct {
-	Query   []float32
-	K       int
-	Kernel  Kernel
-	Backend Backend
-	NProbe  int
-	Cells   []int
-	Recall  float64
+	Query  []float32
+	K      int
+	Kernel Kernel
+	NProbe int
+	Cells  []int
+	Recall float64
 }
 
 // Response carries a query's answer: the neighbors, the merged scan
@@ -116,19 +113,6 @@ func CheckRequest(req Request, dim, partitions int) error {
 	return nil
 }
 
-// validate rejects malformed requests with caller-actionable errors
-// before any scanning starts: CheckRequest's rules, then what this index
-// and machine can run.
-func (ix *Index) validate(s *Snapshot, req Request) error {
-	if err := CheckRequest(req, ix.Dim, len(s.Parts)); err != nil {
-		return err
-	}
-	if !req.Backend.Available() {
-		return fmt.Errorf("index: backend %v not available on this machine (have %v)", req.Backend, AvailableBackends())
-	}
-	return nil
-}
-
 // Query answers one request, honoring ctx cancellation and deadlines:
 // the context is checked before every partition scan, so a multi-probe
 // query under a tight deadline stops between cells rather than running
@@ -146,7 +130,7 @@ func (ix *Index) Query(ctx context.Context, req Request) (*Response, error) {
 // the snapshot once and shares it across all worker goroutines so one
 // batch answers from one consistent view.
 func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Response, error) {
-	if err := ix.validate(s, req); err != nil {
+	if err := CheckRequest(req, ix.Dim, len(s.Parts)); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {

@@ -185,7 +185,7 @@ func mutateUnderQuerySoak(t *testing.T, paged bool) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			paths := scanPaths()
+			paths := kernelPaths()
 			for i := 0; i < 60; i++ {
 				req := paths[(w+i)%len(paths)]
 				req.Query, req.K, req.NProbe = queries.Row((w+i)%queries.Rows()), 20, 1+(w+i)%opt.Partitions
@@ -277,6 +277,7 @@ func mutateUnderQuerySoak(t *testing.T, paged bool) {
 	}
 
 	const k = 30
+	paths := scanPaths(t)
 	for qi := 0; qi < queries.Rows(); qi++ {
 		q := queries.Row(qi)
 		// Oracle: exact full-probe ADC top-k from the distance tables.
@@ -298,19 +299,20 @@ func mutateUnderQuerySoak(t *testing.T, paged bool) {
 		}
 		want := heap.Results()
 
-		for _, req := range scanPaths() {
+		for _, path := range paths {
+			req := path.request(t)
 			req.Query, req.K, req.NProbe = q, k, opt.Partitions
 			resp, err := ix.Query(ctx, req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(resp.Results) != len(want) {
-				t.Fatalf("query %d %v/%v: %d results, oracle %d", qi, req.Kernel, req.Backend, len(resp.Results), len(want))
+				t.Fatalf("query %d %v: %d results, oracle %d", qi, path, len(resp.Results), len(want))
 			}
 			for r := range want {
 				if resp.Results[r] != want[r] {
-					t.Fatalf("query %d %v/%v rank %d: index %+v, serial oracle %+v",
-						qi, req.Kernel, req.Backend, r, resp.Results[r], want[r])
+					t.Fatalf("query %d %v rank %d: index %+v, serial oracle %+v",
+						qi, path, r, resp.Results[r], want[r])
 				}
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"pqfastscan/internal/index"
 	"pqfastscan/internal/persist"
 	"pqfastscan/internal/scan"
+	"pqfastscan/internal/simd/dispatch"
 )
 
 // TestNarrowIDsSpill: a base holds its ids as uint32 offsets from its
@@ -155,15 +156,23 @@ func TestNarrowIDsSpill(t *testing.T) {
 	}
 }
 
-// checkKernels fails unless every kernel, on every backend, returns the
-// scalar oracle's answer to q — its 10 nearest rows, and all of ix's
-// rows — and the oracle's whole answer holds exactly the ids of live.
+// checkKernels fails unless every kernel, Fast Scan on every backend
+// (pinned with dispatch.Force, the process's selection restored when t
+// ends), returns the scalar oracle's answer to q — its 10 nearest rows,
+// and all of ix's rows — and the oracle's whole answer holds exactly
+// the ids of live.
 func checkKernels(t *testing.T, ix *index.Index, q []float32, live map[int64]bool, tag string) {
 	t.Helper()
 	ctx := context.Background()
-	paths := []index.Request{{Kernel: index.KernelLibpq}}
+	orig := dispatch.Active()
+	t.Cleanup(func() { _ = dispatch.Force(orig) })
+	type path struct {
+		kernel  index.Kernel
+		backend index.Backend
+	}
+	paths := []path{{index.KernelLibpq, orig}}
 	for _, be := range index.AvailableBackends() {
-		paths = append(paths, index.Request{Kernel: index.KernelFastScan, Backend: be})
+		paths = append(paths, path{index.KernelFastScan, be})
 	}
 	for _, k := range []int{10, len(live)} {
 		req := index.Request{Query: q, K: k, Kernel: index.KernelNaive, NProbe: ix.Partitions()}
@@ -180,13 +189,16 @@ func checkKernels(t *testing.T, ix *index.Index, q []float32, live map[int64]boo
 			}
 		}
 		for _, path := range paths {
-			req.Kernel, req.Backend = path.Kernel, path.Backend
+			if err := dispatch.Force(path.backend); err != nil {
+				t.Fatal(err)
+			}
+			req.Kernel = path.kernel
 			got, err := ix.Query(ctx, req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got.Results, want.Results) {
-				t.Fatalf("%s: %v/%v k=%d does not return the oracle's answer", tag, path.Kernel, path.Backend, k)
+				t.Fatalf("%s: %v/%v k=%d does not return the oracle's answer", tag, path.kernel, path.backend, k)
 			}
 		}
 	}

@@ -1,11 +1,12 @@
 // Package model is the paper's laboratory: the implementations that
 // exist to reproduce its counter figures, not to serve queries.
 //
-//   - the simulator Fast Scans (fastscan.go, fastscan256.go): §4's
-//     algorithm executed instruction by instruction through
-//     internal/simd, a bit-exact software model of the SSSE3/AVX2
-//     register file; and ScanExact (exact.go), the same scan under the
-//     exact 8-bit bound of the asm-avx512vbmi backend;
+//   - the simulator Fast Scans (fastscan.go): §4's loop, written once,
+//     with a bound per variant — Scan's and Scan256's minimum tables
+//     executed instruction by instruction through internal/simd, a
+//     bit-exact software model of the SSSE3 register file; ScanExact's
+//     exact 8-bit bound of the asm-avx512vbmi backend — and a number of
+//     blocks decided at one read of the threshold (two for Scan256);
 //   - the §3 baselines: Naive (Algorithm 1), Libpq (one 64-bit mem1 load
 //     per vector, §3.1), AVX (vertical SIMD additions over 8 vectors,
 //     Figure 4) and Gather (SIMD gather lookups over the transposed

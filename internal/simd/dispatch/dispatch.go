@@ -16,11 +16,12 @@
 //
 // Selection is by CPU feature detection (CPUID on amd64; every other
 // architecture runs swar), the preferred available backend first,
-// overridable with the PQ_FORCE_BACKEND environment variable or per
-// query with the facade's WithBackend option. Every backend returns the
-// same results, bit for bit; backends of one bound also return the same
-// statistics — the DESIGN.md §9 contract between the engine and its
-// model, extended down to the instruction level (DESIGN.md §12).
+// overridable with the PQ_FORCE_BACKEND environment variable (Force in
+// tests and benchmarks): the backend is the process's, never a query's.
+// Every backend returns the same results, bit for bit; backends of one
+// bound also return the same statistics — the DESIGN.md §9 contract
+// between the engine and its model, extended down to the instruction
+// level (DESIGN.md §12).
 package dispatch
 
 import (
@@ -30,8 +31,7 @@ import (
 )
 
 // Backend names one block-kernel implementation. The zero value Auto
-// defers to the startup selection (Active), so a zero index.Request
-// keeps its pre-dispatch behaviour.
+// defers to the startup selection (Active).
 type Backend uint8
 
 const (
@@ -47,8 +47,8 @@ const (
 	AVX512VBMI
 )
 
-// String returns the stable name used by PQ_FORCE_BACKEND, the facade's
-// ParseBackend, bench JSON documents and the server's /stats.
+// String returns the stable name used by PQ_FORCE_BACKEND, bench JSON
+// documents and the server's /stats.
 func (b Backend) String() string {
 	switch b {
 	case Auto:

@@ -1,7 +1,8 @@
 // Package simd is a bit-exact software model of the 128-bit x86 SIMD
 // register file and of the exact instruction subset PQ Fast Scan relies on
 // (SSE2/SSSE3: pshufb, paddsb, pcmpgtb, pmovmskb, pand, psrlw, broadcasts
-// and loads), with their AVX2 widenings in simd256.go.
+// and loads). Their AVX2 widenings act on each 128-bit lane on its own,
+// so a 256-bit operation is two of these.
 //
 // The paper's implementation is C++ with intrinsics; Go has no intrinsics
 // and no inline assembly in the standard toolchain, so this package is the

@@ -216,6 +216,7 @@ func TestMutationInterleavedEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	paths := scanPaths(t)
 	checkEnginesAgree := func(round int) {
 		t.Helper()
 		for qi := 0; qi < queries.Rows(); qi++ {
@@ -225,8 +226,8 @@ func TestMutationInterleavedEnginesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, path := range scanPaths() {
-				got, err := idx.Search(ctx, q, 20, append(path, pqfastscan.WithNProbe(opt.Partitions))...)
+			for name, path := range paths {
+				got, err := idx.Search(ctx, q, 20, append(path(), pqfastscan.WithNProbe(opt.Partitions))...)
 				if err != nil {
 					t.Fatal(err)
 				}

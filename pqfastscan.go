@@ -100,16 +100,16 @@ func WithEngine(e Engine) SearchOption {
 	return func(c *searchConfig) { c.model = e == EngineModel }
 }
 
-// Backend selects Fast Scan's block-kernel implementation: the
+// Backend names Fast Scan's block-kernel implementation: the
 // hand-written assembly scan kernels (BackendAVX512VBMI, the exact 8-bit
 // bound, on amd64 with AVX-512 VBMI; BackendAVX2, on amd64 with AVX2)
-// or the portable BackendSWAR fallback. BackendAuto — the
-// default — defers to startup CPU feature detection, overridable with
-// the PQ_FORCE_BACKEND environment variable. All backends return
-// bit-identical results; the backends of one bound (BackendAVX2 and
-// BackendSWAR share the paper's minimum-table bound) also return
-// bit-identical statistics (DESIGN.md §12). Otherwise they differ only
-// in wall-clock speed.
+// or the portable BackendSWAR fallback. The process selects one at
+// startup by CPU feature detection (ActiveBackend), overridable with
+// the PQ_FORCE_BACKEND environment variable; no search names one. All
+// backends return bit-identical results; the backends of one bound
+// (BackendAVX2 and BackendSWAR share the paper's minimum-table bound)
+// also return bit-identical statistics (DESIGN.md §12). Otherwise they
+// differ only in wall-clock speed.
 type Backend = index.Backend
 
 const (
@@ -127,10 +127,6 @@ func ActiveBackend() Backend { return index.ActiveBackend() }
 // AvailableBackends lists the backends this machine can run, preferred
 // first (always at least BackendSWAR).
 func AvailableBackends() []Backend { return index.AvailableBackends() }
-
-// ParseBackend resolves a backend by its String name (auto, swar,
-// asm-avx2, asm-avx512vbmi).
-func ParseBackend(name string) (Backend, error) { return index.ParseBackend(name) }
 
 // CPUFeatures lists the SIMD features backend selection detected on
 // this machine (e.g. sse2, avx, avx2, avx512f, avx512bw, avx512vbmi),

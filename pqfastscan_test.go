@@ -63,18 +63,25 @@ func TestSearchRejectsBadK(t *testing.T) {
 	}
 }
 
-// scanPaths lists every scan a search can be answered with, as options:
-// naive, libpq, and fastpq on every available backend — the kernel ×
-// backend axis of the facade's bit-identity matrices.
-func scanPaths() map[string][]pqfastscan.SearchOption {
-	paths := map[string][]pqfastscan.SearchOption{
-		"naive": {pqfastscan.WithKernel(pqfastscan.KernelNaive)},
-		"libpq": {pqfastscan.WithKernel(pqfastscan.KernelLibpq)},
+// scanPaths lists every scan a search can be answered with: naive,
+// libpq, and fastpq on every available backend — the kernel × backend
+// axis of the facade's bit-identity matrices. A path pins the process
+// to its backend (backendPin) and returns the options of its kernel;
+// the selection is restored when t ends.
+func scanPaths(t *testing.T) map[string]func() []pqfastscan.SearchOption {
+	pin, active := backendPin(t), pqfastscan.ActiveBackend()
+	on := func(k pqfastscan.Kernel, be pqfastscan.Backend) func() []pqfastscan.SearchOption {
+		return func() []pqfastscan.SearchOption {
+			pin(be)
+			return []pqfastscan.SearchOption{pqfastscan.WithKernel(k)}
+		}
+	}
+	paths := map[string]func() []pqfastscan.SearchOption{
+		"naive": on(pqfastscan.KernelNaive, active),
+		"libpq": on(pqfastscan.KernelLibpq, active),
 	}
 	for _, be := range pqfastscan.AvailableBackends() {
-		paths["fastpq/"+be.String()] = []pqfastscan.SearchOption{
-			pqfastscan.WithKernel(pqfastscan.KernelFastScan), pqfastscan.WithBackend(be),
-		}
+		paths["fastpq/"+be.String()] = on(pqfastscan.KernelFastScan, be)
 	}
 	return paths
 }
@@ -85,6 +92,7 @@ func scanPaths() map[string][]pqfastscan.SearchOption {
 func TestKernelEquivalencePublicAPI(t *testing.T) {
 	idx, _, queries := sharedAPIIndex(t)
 	ctx := context.Background()
+	paths := scanPaths(t)
 	for _, nprobe := range []int{1, 3} {
 		for qi := 0; qi < queries.Rows(); qi++ {
 			q := queries.Row(qi)
@@ -92,8 +100,8 @@ func TestKernelEquivalencePublicAPI(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, path := range scanPaths() {
-				opts := append([]pqfastscan.SearchOption{pqfastscan.WithNProbe(nprobe)}, path...)
+			for name, path := range paths {
+				opts := append([]pqfastscan.SearchOption{pqfastscan.WithNProbe(nprobe)}, path()...)
 				got, err := idx.Search(ctx, q, 30, opts...)
 				if err != nil {
 					t.Fatal(err)

@@ -26,32 +26,19 @@ type Searcher interface {
 type SearchOption func(*searchConfig)
 
 type searchConfig struct {
-	kernel  Kernel
-	model   bool // the deprecated WithEngine shim
-	backend Backend
-	nprobe  int // 0: open — one cell, or the recall target's prefix
-	cells   []int
-	recall  float64
-	stats   bool
-	err     error // the first option value no search can honor
+	kernel Kernel
+	model  bool // the deprecated WithEngine shim
+	nprobe int  // 0: open — one cell, or the recall target's prefix
+	cells  []int
+	recall float64
+	stats  bool
+	err    error // the first option value no search can honor
 }
 
 // WithKernel selects the scan kernel. All kernels return identical
 // results; they differ only in cost.
 func WithKernel(k Kernel) SearchOption {
 	return func(c *searchConfig) { c.kernel = k }
-}
-
-// WithBackend pins Fast Scan's block kernels to one backend — the
-// hand-written assembly kernels (BackendAVX512VBMI or BackendAVX2) or
-// the portable BackendSWAR fallback — instead of the startup
-// feature detection (BackendAuto, the default; see ActiveBackend).
-// Every backend returns bit-identical results, and the backends of one
-// bound bit-identical statistics (see Backend); this option exists for
-// benchmarking, regression hunting and the cross-backend tests. Requesting a backend
-// the machine cannot run is rejected by the search call.
-func WithBackend(b Backend) SearchOption {
-	return func(c *searchConfig) { c.backend = b }
 }
 
 // WithNProbe scans the nprobe closest partitions and merges their
@@ -133,7 +120,7 @@ func (ix *Index) Search(ctx context.Context, query []float32, k int, opts ...Sea
 	}
 	resp, err := ix.load().Query(ctx, index.Request{
 		Query: query, K: k, Kernel: cfg.kernel,
-		Backend: cfg.backend, NProbe: cfg.nprobe, Cells: cfg.cells,
+		NProbe: cfg.nprobe, Cells: cfg.cells,
 		Recall: cfg.recall,
 	})
 	if err != nil {
@@ -152,7 +139,7 @@ func (ix *Index) SearchBatch(ctx context.Context, queries Matrix, k int, opts ..
 	}
 	resps, err := ix.load().QueryBatch(ctx, queries, index.Request{
 		K: k, Kernel: cfg.kernel,
-		Backend: cfg.backend, NProbe: cfg.nprobe, Cells: cfg.cells,
+		NProbe: cfg.nprobe, Cells: cfg.cells,
 		Recall: cfg.recall,
 	})
 	if err != nil {
