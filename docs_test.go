@@ -19,6 +19,11 @@ var (
 	testName    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*(?:\.?\*)?`)
 	sourceFile  = regexp.MustCompile(`[\w./$<>*-]*\w\.(?:go|s)\b`)
 	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	// itemCite is a "ROADMAP item N" citation, N perhaps with a part
+	// letter, the words possibly broken across comment lines.
+	itemCite = regexp.MustCompile(`ROADMAP(?:\s|//)+item(?:\s|//)+(\d+)([a-z]?)\b`)
+	// itemHeading is a ROADMAP.md item heading, "### N. …".
+	itemHeading = regexp.MustCompile(`(?m)^### (\d+)\. `)
 )
 
 // TestDocsNameOnlyWhatExists holds every code span of the checked
@@ -100,5 +105,68 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDocsCiteOnlyRoadmapItemsThatExist holds every "ROADMAP item N"
+// of the program's Go files, DESIGN.md and the verify guide to
+// ROADMAP.md: N must be the number of an "### N." heading there, and a
+// cited part ("item 1f") must be an "(f)" of that item's text. A
+// renumbered, merged or finished-and-deleted item then cannot leave a
+// stale pointer behind.
+func TestDocsCiteOnlyRoadmapItemsThatExist(t *testing.T) {
+	src, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	roadmap := string(src)
+	items := map[string]string{} // number → the item's text
+	heads := itemHeading.FindAllStringSubmatchIndex(roadmap, -1)
+	for i, h := range heads {
+		end := len(roadmap)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		items[roadmap[h[2]:h[3]]] = roadmap[h[0]:end]
+	}
+	if len(items) == 0 {
+		t.Fatal("ROADMAP.md has no ### N. headings: the check is looking at the wrong file")
+	}
+
+	docs := append([]string(nil), docsChecked...)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			docs = append(docs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cites := 0
+	for _, doc := range docs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range itemCite.FindAllStringSubmatch(string(src), -1) {
+			cites++
+			item, ok := items[m[1]]
+			switch {
+			case !ok:
+				t.Errorf("%s cites ROADMAP item %s%s, but ROADMAP.md has no ### %s. heading", doc, m[1], m[2], m[1])
+			case m[2] != "" && !strings.Contains(item, "("+m[2]+")"):
+				t.Errorf("%s cites ROADMAP item %s%s, but item %s has no (%s)", doc, m[1], m[2], m[1], m[2])
+			}
+		}
+	}
+	if cites == 0 {
+		t.Fatal("no ROADMAP item citations found: the check is looking at the wrong files")
 	}
 }

@@ -167,7 +167,7 @@ func TestBackendsReturnIdenticalResults(t *testing.T) {
 // serving layer logs and exports.
 func TestActiveBackendSurface(t *testing.T) {
 	be := pqfastscan.ActiveBackend()
-	if be == pqfastscan.BackendAuto {
+	if be == dispatch.Auto {
 		t.Fatal("ActiveBackend returned auto")
 	}
 	avail := pqfastscan.AvailableBackends()

@@ -10,6 +10,7 @@ import (
 	"pqfastscan/internal/dataset"
 	"pqfastscan/internal/scan"
 	"pqfastscan/internal/scan/model"
+	"pqfastscan/internal/simd/dispatch"
 	"pqfastscan/internal/topk"
 	"pqfastscan/internal/vec"
 )
@@ -295,7 +296,7 @@ func checkAgainstRebuild(t *testing.T, ix *Index, live [][]liveRow, queries vec.
 				true:  model.ScanExactInto(fs, ix.Tables(q, c), heaps[true]).Stats,
 			}
 			release()
-			for _, be := range AvailableBackends() {
+			for _, be := range dispatch.AvailableBackends() {
 				heap, wantStats := heaps[be.ExactBound()], wantStats[be.ExactBound()]
 				forceBackend(t, be)
 				served, err := ix.querySnap(ctx, s, Request{Query: q, K: 20, Cells: []int{c}})

@@ -30,9 +30,9 @@ func (p scanPath) String() string { return fmt.Sprintf("%v/%v", p.kernel, p.back
 // restored when t ends.
 func scanPaths(t testing.TB) []scanPath {
 	restoreBackend(t)
-	active := ActiveBackend()
+	active := dispatch.Active()
 	paths := []scanPath{{KernelNaive, active}, {KernelLibpq, active}}
-	for _, be := range AvailableBackends() {
+	for _, be := range dispatch.AvailableBackends() {
 		paths = append(paths, scanPath{KernelFastScan, be})
 	}
 	return paths
@@ -49,7 +49,7 @@ func (p scanPath) request(t testing.TB) Request {
 // restoreBackend restores the process's backend selection when t ends,
 // whatever forceBackend pins meanwhile.
 func restoreBackend(t testing.TB) {
-	orig := ActiveBackend()
+	orig := dispatch.Active()
 	t.Cleanup(func() { _ = dispatch.Force(orig) })
 }
 
@@ -247,7 +247,7 @@ func TestMultiProbeStatsAcrossEngines(t *testing.T) {
 		for nprobe := 2; nprobe <= ix.Partitions(); nprobe++ {
 			for qi := 0; qi < queries.Rows(); qi++ {
 				q := queries.Row(qi)
-				for _, be := range AvailableBackends() {
+				for _, be := range dispatch.AvailableBackends() {
 					forceBackend(t, be)
 					heap := topk.New(k)
 					var want scan.Stats

@@ -2,7 +2,9 @@
 // a coarse quantizer partitions the database into inverted lists (its
 // Voronoi cells); a query is routed to its cell, per-query distance
 // tables are computed from the query residual, and the partition is
-// scanned with one of the kernels of internal/scan (Algorithm 1).
+// scanned with one of the kernels of internal/scan (Algorithm 1). Fast
+// Scan runs on the process's block-kernel backend, which each scan reads
+// once from dispatch.Active; no Request names one.
 //
 // Residual encoding follows Jégou et al. [14]: each database vector is
 // encoded as the pqcode of x - c(x), where c(x) is its coarse centroid,
@@ -23,38 +25,16 @@ import (
 	"pqfastscan/internal/vec"
 )
 
-// Backend names Fast Scan's block-kernel implementation: the
-// hand-written assembly kernels (asm-avx512vbmi's exact 8-bit bound on
-// amd64 with AVX-512 VBMI, asm-avx2 on amd64 with AVX2) or the portable
-// SWAR fallback. The process selects one at startup by feature
-// detection (dispatch.Active), overridable with the PQ_FORCE_BACKEND
-// environment variable; a Request names none. All backends return
-// bit-identical results, and the backends of one bound bit-identical
-// statistics (DESIGN.md §12).
+// Backend names Fast Scan's block-kernel implementation
+// (dispatch.Backend). A Fast Scan reads the process's backend from
+// dispatch.Active once per scan; a Request names none. Backend and
+// BackendAuto remain for the standing benchmark, whose
+// scan.FastScan.ScanNativeBackend call spells BackendAuto (ROADMAP item
+// 1f).
 type Backend = dispatch.Backend
 
-const (
-	BackendAuto       = dispatch.Auto
-	BackendSWAR       = dispatch.SWAR
-	BackendAVX2       = dispatch.AVX2
-	BackendAVX512VBMI = dispatch.AVX512VBMI
-)
-
-// ActiveBackend returns the backend selected at startup (never
-// BackendAuto).
-func ActiveBackend() Backend { return dispatch.Active() }
-
-// AvailableBackends lists the concrete backends this machine can run,
-// preferred first.
-func AvailableBackends() []Backend { return dispatch.AvailableBackends() }
-
-// CPUFeatures lists the SIMD features backend selection detected.
-func CPUFeatures() []string { return dispatch.Features() }
-
-// BackendInitNote reports what happened to a PQ_FORCE_BACKEND override
-// that could not be honored ("" when selection was clean) — deployments
-// log it so a silent fallback to SWAR cannot go unnoticed.
-func BackendInitNote() string { return dispatch.InitNote() }
+// BackendAuto is dispatch.Auto: the process's backend.
+const BackendAuto = dispatch.Auto
 
 // Kernel selects the scan a query is answered with. All three return
 // bit-identical results (DESIGN.md §6); the paper's other kernels (avx,
@@ -383,7 +363,7 @@ func (ix *Index) scanPartition(s *Snapshot, req Request, part int, heap *topk.He
 
 	switch req.Kernel {
 	case KernelFastScan:
-		return fs.ScanNativeInto(t, heap, qs.scan, dispatch.Auto), nil
+		return fs.ScanNativeInto(t, heap, qs.scan), nil
 	case KernelLibpq:
 		return pushAll(scan.ExactNative(p, t, req.K, qs.scan))
 	case KernelNaive:

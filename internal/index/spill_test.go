@@ -171,7 +171,7 @@ func checkKernels(t *testing.T, ix *index.Index, q []float32, live map[int64]boo
 		backend index.Backend
 	}
 	paths := []path{{index.KernelLibpq, orig}}
-	for _, be := range index.AvailableBackends() {
+	for _, be := range dispatch.AvailableBackends() {
 		paths = append(paths, path{index.KernelFastScan, be})
 	}
 	for _, k := range []int{10, len(live)} {

@@ -1,6 +1,7 @@
 package quantizer
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -144,14 +145,18 @@ func trainedPQ(t testing.TB, n int) (*ProductQuantizer, vec.Matrix) {
 
 // TestEncodeRowsMatchesArgmin holds EncodeRows, over batch sizes on both
 // sides of its 64-row slab and of the kernel's eight lanes, to one
-// vec.ArgminL2 per row and subspace, on every backend this machine has.
+// vec.ArgminL2 per row and subspace, and to Encode of the row, on every
+// backend this machine has.
 func TestEncodeRowsMatchesArgmin(t *testing.T) {
 	pq, data := trainedPQ(t, 140)
 	forEachBackend(t, func(be dispatch.Backend) {
 		for _, n := range []int{1, 5, 8, 64, 71, 140} {
-			codes := make([]uint8, n*pq.M)
+			codes, code := make([]uint8, n*pq.M), make([]uint8, pq.M)
 			pq.EncodeRows(data.Data[:n*pq.Dim], codes)
 			for i := 0; i < n; i++ {
+				if pq.Encode(data.Row(i), code); !bytes.Equal(code, codes[i*pq.M:(i+1)*pq.M]) {
+					t.Fatalf("%s, %d rows: row %d encoded %v, Encode %v", be, n, i, codes[i*pq.M:(i+1)*pq.M], code)
+				}
 				for j := 0; j < pq.M; j++ {
 					sub := data.Row(i)[j*pq.SubDim : (j+1)*pq.SubDim]
 					want, _ := vec.ArgminL2(sub, pq.Codebooks[j].Data, pq.SubDim)

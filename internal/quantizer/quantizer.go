@@ -37,9 +37,6 @@ var (
 // KStar returns the number of centroids per sub-quantizer.
 func (c Config) KStar() int { return 1 << c.Bits }
 
-// CodeBits returns the total code size in bits (m · b).
-func (c Config) CodeBits() int { return c.M * c.Bits }
-
 // TableBytes returns the memory footprint of the m distance tables for
 // this configuration: m × k* × sizeof(float32). This is the quantity the
 // paper compares against cache-level capacities in Table 1.
@@ -150,13 +147,6 @@ func (pq *ProductQuantizer) EncodeRows(xs []float32, codes []uint8) {
 			}
 		}
 	}
-}
-
-// EncodeAll encodes every row of data, returning a dense n x M code array.
-func (pq *ProductQuantizer) EncodeAll(data vec.Matrix) []uint8 {
-	codes := make([]uint8, data.Rows()*pq.M)
-	pq.EncodeRows(data.Data, codes)
-	return codes
 }
 
 // Decode reconstructs the centroid concatenation q_p(x) for code into dst
@@ -329,9 +319,9 @@ func ADC(code []uint8, t Tables) float32 {
 //
 // It returns, per sub-quantizer, the permutation oldToNew mapping original
 // centroid indexes to their new positions, and mutates the codebooks in
-// place. Codes produced by the pre-permutation quantizer can be migrated
-// with TranslateCodes; newly encoded vectors use the new assignment
-// automatically.
+// place. A code produced by the pre-permutation quantizer migrates by
+// mapping each component j through perms[j]; newly encoded vectors use
+// the new assignment automatically.
 func (pq *ProductQuantizer) OptimizeAssignment(seed uint64) ([][]int, error) {
 	if pq.KStar()%16 != 0 {
 		return nil, fmt.Errorf("quantizer: k*=%d not divisible into 16 portions", pq.KStar())
@@ -361,19 +351,6 @@ func (pq *ProductQuantizer) OptimizeAssignment(seed uint64) ([][]int, error) {
 		perms[j] = oldToNew
 	}
 	return perms, nil
-}
-
-// TranslateCodes rewrites codes encoded before OptimizeAssignment so they
-// reference the permuted codebooks. codes is a dense n x M array.
-func (pq *ProductQuantizer) TranslateCodes(codes []uint8, perms [][]int) {
-	if len(perms) != pq.M {
-		panic("quantizer: permutation count mismatch")
-	}
-	for i := 0; i < len(codes); i += pq.M {
-		for j := 0; j < pq.M; j++ {
-			codes[i+j] = uint8(perms[j][codes[i+j]])
-		}
-	}
 }
 
 // QuantizationError returns the mean squared reconstruction error of pq

@@ -45,9 +45,6 @@ func TestConfigProperties(t *testing.T) {
 		if c.cfg.TableBytes() != c.tableBytes {
 			t.Errorf("%v TableBytes = %d, want %d", c.cfg, c.cfg.TableBytes(), c.tableBytes)
 		}
-		if c.cfg.CodeBits() != 64 {
-			t.Errorf("%v CodeBits = %d, want 64", c.cfg, c.cfg.CodeBits())
-		}
 		if c.cfg.String() != c.str {
 			t.Errorf("String() = %q, want %q", c.cfg.String(), c.str)
 		}
@@ -196,20 +193,6 @@ func TestEncodePicksNearestCentroid(t *testing.T) {
 	}
 }
 
-func TestEncodeAllMatchesEncode(t *testing.T) {
-	pq, data := trainSmall(t, 6)
-	all := pq.EncodeAll(data)
-	code := make([]uint8, pq.M)
-	for _, i := range []int{0, 7, 1999} {
-		pq.Encode(data.Row(i), code)
-		for j := 0; j < pq.M; j++ {
-			if all[i*pq.M+j] != code[j] {
-				t.Fatalf("EncodeAll differs from Encode at vector %d", i)
-			}
-		}
-	}
-}
-
 // TestQuantizationErrorImproves: quantization must be far better than
 // representing everything by a single centroid, and a PQ with more
 // centroids per sub-quantizer must not be worse.
@@ -236,7 +219,8 @@ func TestQuantizationErrorImproves(t *testing.T) {
 func TestOptimizeAssignmentPreservesGeometry(t *testing.T) {
 	pq, data := trainSmall(t, 8)
 	// Snapshot decoded vectors before permutation.
-	codesBefore := pq.EncodeAll(data)
+	codesBefore := make([]uint8, data.Rows()*pq.M)
+	pq.EncodeRows(data.Data, codesBefore)
 	reconBefore := make([]float32, pq.Dim)
 
 	perms, err := pq.OptimizeAssignment(11)
@@ -258,7 +242,9 @@ func TestOptimizeAssignmentPreservesGeometry(t *testing.T) {
 	// Translating old codes must yield the same decoded vectors.
 	pqNew := pq
 	codesAfter := append([]uint8(nil), codesBefore...)
-	pqNew.TranslateCodes(codesAfter, perms)
+	for i, c := range codesAfter {
+		codesAfter[i] = uint8(perms[i%pq.M][c])
+	}
 	reconAfter := make([]float32, pq.Dim)
 	for i := 0; i < 100; i++ {
 		// Decode through a stale copy is impossible (codebooks mutated in

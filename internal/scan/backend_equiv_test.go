@@ -6,6 +6,7 @@ import (
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/rng"
 	"pqfastscan/internal/simd/dispatch"
+	"pqfastscan/internal/topk"
 )
 
 // TestBackendEquivalenceFuzz is the cross-backend exactness property
@@ -14,18 +15,28 @@ import (
 // grouping depth — every available backend must return the scalar
 // oracle's ids and distances, and the Stats of every other backend of
 // its bound (internal/scan/model holds each bound to its model over the
-// same sweep).
+// same sweep). Every scan goes through ONE Scratch while the process is
+// pinned from backend to backend, in an order that turns each
+// iteration, so what a Scratch keeps for one backend (pair LUTs, the
+// 128-byte table block, the lower-bound buffers) is shown not to leak
+// into a scan on another.
 func TestBackendEquivalenceFuzz(t *testing.T) {
 	backends := dispatch.AvailableBackends()
 	if len(backends) < 2 {
 		t.Logf("only %v available; cross-backend leg degenerates to swar-vs-oracle", backends)
 	}
+	pin := backendPin(t)
+	// scanOn pins backend i of this iteration's turn and scans through
+	// the one Scratch.
+	sc := NewScratch()
+	scanOn := func(iter, i int, fs *FastScan, tables quantizer.Tables, k int) (dispatch.Backend, []topk.Result, Stats) {
+		be := backends[(iter+i)%len(backends)]
+		pin(be)
+		got, st := fs.ScanNativeBackend(tables, k, sc, dispatch.Auto)
+		return be, got, st
+	}
 
 	r := rng.New(20260727)
-	scratches := make(map[dispatch.Backend]*Scratch, len(backends))
-	for _, be := range backends {
-		scratches[be] = NewScratch()
-	}
 
 	for iter := 0; iter < 60; iter++ {
 		n := r.Intn(6000) + 1
@@ -61,13 +72,13 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 
 		want, _ := Naive(p, tables, k)
 		bs := boundStats{}
-		for _, be := range backends {
-			got, gotStats := fs.ScanNativeBackend(tables, k, scratches[be], be)
+		for i := range backends {
+			be, got, gotStats := scanOn(iter, i, fs, tables, k)
 			sameResults(t, want, got, "naive", "backend:"+be.String())
 			bs.check(t, be, gotStats, "")
 
 			// A rescan through the used Scratch must change nothing.
-			again, againStats := fs.ScanNativeBackend(tables, k, scratches[be], be)
+			again, againStats := fs.ScanNativeBackend(tables, k, sc, dispatch.Auto)
 			sameResults(t, want, again, "first-scan", "rescan")
 			sameStats(t, gotStats, againStats, "first-scan", "rescan")
 		}
@@ -89,8 +100,8 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 			fs = fs.Rebind(p, -1)
 			want2, _ := Naive(p, tables, k)
 			bs := boundStats{}
-			for _, be := range backends {
-				got, gotStats := fs.ScanNativeBackend(tables, k, scratches[be], be)
+			for i := range backends {
+				be, got, gotStats := scanOn(iter+1, i, fs, tables, k)
 				sameResults(t, want2, got, "naive+append", "backend:"+be.String())
 				bs.check(t, be, gotStats, "append:")
 			}

@@ -71,12 +71,13 @@ func carried(cells []cell, k int, scanInto func(c cell, heap *topk.Heap) Stats) 
 }
 
 // everyBackend runs check once per way of continuing a heap: every
-// available backend (internal/scan/model adds its models).
-func everyBackend(check func(be dispatch.Backend, scanInto func(c cell, heap *topk.Heap) Stats)) {
-	for _, be := range dispatch.AvailableBackends() {
-		be, sc := be, NewScratch()
-		check(be, func(c cell, heap *topk.Heap) Stats { return c.fs.ScanNativeInto(c.t, heap, sc, be) })
-	}
+// available backend, the process pinned to it (internal/scan/model adds
+// its models).
+func everyBackend(t testing.TB, check func(be dispatch.Backend, scanInto func(c cell, heap *topk.Heap) Stats)) {
+	forEachBackend(t, func(be dispatch.Backend) {
+		sc := NewScratch()
+		check(be, func(c cell, heap *topk.Heap) Stats { return c.fs.ScanNativeInto(c.t, heap, sc) })
+	})
 }
 
 // TestCarriedScanFuzz is the multi-probe leg of the exactness property:
@@ -107,7 +108,7 @@ func TestCarriedScanFuzz(t *testing.T) {
 		}
 		want := naiveOver(cells, k)
 		first := map[bool][]Stats{}
-		everyBackend(func(be dispatch.Backend, scanInto func(cell, *topk.Heap) Stats) {
+		everyBackend(t, func(be dispatch.Backend, scanInto func(cell, *topk.Heap) Stats) {
 			got, stats := carried(cells, k, scanInto)
 			sameResults(t, want, got, "naive-merged", "carried:"+be.String())
 			ref, ok := first[be.ExactBound()]
@@ -133,7 +134,7 @@ func TestCarriedThresholdOutOfReach(t *testing.T) {
 	far := newCell(t, r, 3000, 3000, uniformTables(r, 1000, 100), opt)
 	cells := []cell{near, far}
 	want := naiveOver(cells, 10)
-	everyBackend(func(be dispatch.Backend, scanInto func(cell, *topk.Heap) Stats) {
+	everyBackend(t, func(be dispatch.Backend, scanInto func(cell, *topk.Heap) Stats) {
 		name := be.String()
 		got, stats := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
@@ -160,7 +161,7 @@ func TestCarriedThresholdTieStillScans(t *testing.T) {
 	if want[0].ID != 0 || want[9].ID != 9 {
 		t.Fatalf("fixture: oracle answer %+v is not the ten smallest ids", want)
 	}
-	everyBackend(func(be dispatch.Backend, scanInto func(cell, *topk.Heap) Stats) {
+	everyBackend(t, func(be dispatch.Backend, scanInto func(cell, *topk.Heap) Stats) {
 		name := be.String()
 		got, _ := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
@@ -180,7 +181,7 @@ func TestCarriedQmaxKeepsPruning(t *testing.T) {
 	cells := []cell{first, second}
 
 	heap := topk.New(10)
-	first.fs.ScanNativeInto(first.t, heap, nil, dispatch.Auto)
+	first.fs.ScanNativeInto(first.t, heap, nil)
 	thr, _ := heap.Threshold()
 	qmin, least := tableMinima(second.t)
 	if !(least <= thr && thr <= qmin) {
@@ -188,7 +189,7 @@ func TestCarriedQmaxKeepsPruning(t *testing.T) {
 	}
 
 	want := naiveOver(cells, 10)
-	everyBackend(func(be dispatch.Backend, scanInto func(cell, *topk.Heap) Stats) {
+	everyBackend(t, func(be dispatch.Backend, scanInto func(cell, *topk.Heap) Stats) {
 		name := be.String()
 		got, stats := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
@@ -216,7 +217,7 @@ func TestCarriedHeapPrunesMore(t *testing.T) {
 	tables := randomTablesShape(r, 0)
 	big := newCell(t, r, 60000, 0, tables, opt)
 	small := newCell(t, r, 2000, 60000, tables, opt)
-	everyBackend(func(be dispatch.Backend, scanInto func(cell, *topk.Heap) Stats) {
+	everyBackend(t, func(be dispatch.Backend, scanInto func(cell, *topk.Heap) Stats) {
 		name := be.String()
 		_, alone := carried([]cell{small}, k, scanInto)
 		_, after := carried([]cell{big, small}, k, scanInto)

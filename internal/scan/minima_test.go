@@ -272,10 +272,10 @@ func TestGroupSkipBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	const qmax, far = 127 + q0, int64(1 << 40)
-	for _, be := range dispatch.AvailableBackends() {
+	forEachBackend(t, func(be dispatch.Backend) {
 		heap := topk.New(1)
 		heap.Push(far, qmax)
-		st := fs.ScanNativeInto(tables, heap, nil, be)
+		st := fs.ScanNativeInto(tables, heap, nil)
 		got := heap.Results()
 		if len(got) != 1 || got[0].ID != 100 || got[0].Distance != 126+8*q0 {
 			t.Fatalf("%v: got %+v, want row 100 at %v (%+v)", be, got, 126+8*q0, st)
@@ -283,5 +283,5 @@ func TestGroupSkipBoundary(t *testing.T) {
 		if st.Groups != 2 || st.Candidates != 1 {
 			t.Fatalf("%v: want both groups bounded and one candidate: %+v", be, st)
 		}
-	}
+	})
 }

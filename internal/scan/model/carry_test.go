@@ -73,15 +73,18 @@ func carried(cells []cell, k int, scanInto func(c cell, heap *topk.Heap) scan.St
 
 // everyEngine runs check once per way of continuing a heap: the two
 // model widths of the minimum-table bound, the model of the exact
-// bound, and every available backend of the serving scan; exact says
-// which bound the engine's counters are those of.
-func everyEngine(check func(name string, native, exact bool, scanInto func(c cell, heap *topk.Heap) scan.Stats)) {
+// bound, and every available backend of the serving scan, the process
+// pinned to it; exact says which bound the engine's counters are those
+// of.
+func everyEngine(t testing.TB, check func(name string, native, exact bool, scanInto func(c cell, heap *topk.Heap) scan.Stats)) {
 	check("model", false, false, func(c cell, heap *topk.Heap) scan.Stats { return ScanInto(c.fs, c.t, heap).Stats })
 	check("model256", false, false, func(c cell, heap *topk.Heap) scan.Stats { return Scan256Into(c.fs, c.t, heap).Stats })
 	check("model-exact", false, true, func(c cell, heap *topk.Heap) scan.Stats { return ScanExactInto(c.fs, c.t, heap).Stats })
+	pin := backendPin(t)
 	for _, be := range dispatch.AvailableBackends() {
-		be, sc := be, scan.NewScratch()
-		check(be.String(), true, be.ExactBound(), func(c cell, heap *topk.Heap) scan.Stats { return c.fs.ScanNativeInto(c.t, heap, sc, be) })
+		pin(be)
+		sc := scan.NewScratch()
+		check(be.String(), true, be.ExactBound(), func(c cell, heap *topk.Heap) scan.Stats { return c.fs.ScanNativeInto(c.t, heap, sc) })
 	}
 }
 
@@ -113,7 +116,7 @@ func TestCarriedScanFuzz(t *testing.T) {
 		}
 		want := naiveOver(cells, k)
 		model := map[bool][]scan.Stats{}
-		everyEngine(func(name string, native, exact bool, scanInto func(cell, *topk.Heap) scan.Stats) {
+		everyEngine(t, func(name string, native, exact bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 			got, stats := carried(cells, k, scanInto)
 			sameResults(t, want, got, "naive-merged", "carried:"+name)
 			if model[exact] == nil {
@@ -139,7 +142,7 @@ func TestCarriedThresholdOutOfReach(t *testing.T) {
 	far := newCell(t, r, 3000, 3000, uniformTables(r, 1000, 100), opt)
 	cells := []cell{near, far}
 	want := naiveOver(cells, 10)
-	everyEngine(func(name string, _, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
+	everyEngine(t, func(name string, _, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 		got, stats := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
 		st := stats[1]
@@ -165,7 +168,7 @@ func TestCarriedThresholdTieStillScans(t *testing.T) {
 	if want[0].ID != 0 || want[9].ID != 9 {
 		t.Fatalf("fixture: oracle answer %+v is not the ten smallest ids", want)
 	}
-	everyEngine(func(name string, _, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
+	everyEngine(t, func(name string, _, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 		got, _ := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
 	})
@@ -190,7 +193,7 @@ func TestCarriedQmaxKeepsPruning(t *testing.T) {
 	}
 
 	want := naiveOver(cells, 10)
-	everyEngine(func(name string, _, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
+	everyEngine(t, func(name string, _, _ bool, scanInto func(cell, *topk.Heap) scan.Stats) {
 		got, stats := carried(cells, 10, scanInto)
 		sameResults(t, want, got, "naive-merged", name)
 		if st := stats[1]; st.Pruned == 0 || st.Groups == 0 {

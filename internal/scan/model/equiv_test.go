@@ -15,7 +15,7 @@ import (
 // return bit-identical top-k and identical pruning counters.
 func TestScanNativeMatchesModel(t *testing.T) {
 	r := rng.New(31337)
-	sc := scan.NewScratch()
+	sc, pin := scan.NewScratch(), backendPin(t)
 	for trial := 0; trial < 40; trial++ {
 		n := r.Intn(5000) + 1
 		k := []int{1, 7, 50, 200}[r.Intn(4)]
@@ -30,8 +30,9 @@ func TestScanNativeMatchesModel(t *testing.T) {
 		// The 256-bit widening returns the same set again.
 		want256, _ := Scan256(fs, tables, k)
 		for _, be := range dispatch.AvailableBackends() {
+			pin(be)
 			want, wantStats := modelOf(be)(fs, tables, k)
-			got, gotStats := fs.ScanNativeBackend(tables, k, sc, be)
+			got, gotStats := fs.ScanNativeBackend(tables, k, sc, dispatch.Auto)
 			sameResults(t, want, got, "model", "native:"+be.String())
 			sameCounters(t, wantStats, gotStats, "fastscan:"+be.String())
 			sameResults(t, want256, got, "model256", "native:"+be.String())
@@ -56,7 +57,7 @@ func TestScanNativeWithTombstones(t *testing.T) {
 	for i := 0; i < 4000; i += 13 {
 		p, fs = tombstone(p, fs, i)
 	}
-	want, wantStats := modelOf(dispatch.Auto)(fs, tables, 20)
+	want, wantStats := modelOf(dispatch.Active())(fs, tables, 20)
 	got, gotStats := fs.ScanNativeBackend(tables, 20, nil, dispatch.Auto)
 	sameResults(t, want, got, "model+dead", "native+dead")
 	sameCounters(t, wantStats, gotStats, "tombstones")
@@ -139,7 +140,7 @@ func TestScanNativeAfterAppend(t *testing.T) {
 		p = p.CloneAppend(codes, ids)
 		fs = fs.Rebind(p, -1)
 
-		want, wantStats := modelOf(dispatch.Auto)(fs, tables, 30)
+		want, wantStats := modelOf(dispatch.Active())(fs, tables, 30)
 		got, gotStats := fs.ScanNativeBackend(tables, 30, nil, dispatch.Auto)
 		sameResults(t, want, got, "model", "native")
 		sameCounters(t, wantStats, gotStats, "append round")
@@ -151,14 +152,25 @@ func TestScanNativeAfterAppend(t *testing.T) {
 // codes, random table shapes (uniform, portion-structured,
 // negative-shifted, near-degenerate), random tombstone sets, every
 // grouping depth — every available backend must return the ids,
-// distances and counters of the model of its bound.
+// distances and counters of the model of its bound. As there, every
+// scan goes through ONE Scratch while the process is pinned from
+// backend to backend in a turning order, so nothing a Scratch keeps for
+// one backend may leak into a scan on another.
 func TestBackendEquivalenceFuzz(t *testing.T) {
 	backends := dispatch.AvailableBackends()
-	r := rng.New(20260727)
-	scratches := make(map[dispatch.Backend]*scan.Scratch, len(backends))
-	for _, be := range backends {
-		scratches[be] = scan.NewScratch()
+	pin := backendPin(t)
+	// check pins backend i of this iteration's turn, scans through the
+	// one Scratch and holds the scan to its bound's model.
+	sc := scan.NewScratch()
+	check := func(iter, i int, fs *scan.FastScan, tables quantizer.Tables, k int, label string) {
+		be := backends[(iter+i)%len(backends)]
+		pin(be)
+		model, modelStats := modelOf(be)(fs, tables, k)
+		got, gotStats := fs.ScanNativeBackend(tables, k, sc, dispatch.Auto)
+		sameResults(t, model, got, "model"+label, "backend:"+be.String())
+		sameCounters(t, modelStats, gotStats, label+"backend:"+be.String())
 	}
+	r := rng.New(20260727)
 
 	for iter := 0; iter < 60; iter++ {
 		n := r.Intn(6000) + 1
@@ -186,11 +198,8 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 		}
 		p = fs.Partition()
 
-		for _, be := range backends {
-			model, modelStats := modelOf(be)(fs, tables, k)
-			got, gotStats := fs.ScanNativeBackend(tables, k, scratches[be], be)
-			sameResults(t, model, got, "model", "backend:"+be.String())
-			sameCounters(t, modelStats, gotStats, "backend:"+be.String())
+		for i := range backends {
+			check(iter, i, fs, tables, k, "")
 		}
 
 		// Mutate online and re-verify: appends regroup the layout, and
@@ -208,11 +217,8 @@ func TestBackendEquivalenceFuzz(t *testing.T) {
 			}
 			p = p.CloneAppend(bcodes, bids)
 			fs = fs.Rebind(p, -1)
-			for _, be := range backends {
-				model2, model2Stats := modelOf(be)(fs, tables, k)
-				got, gotStats := fs.ScanNativeBackend(tables, k, scratches[be], be)
-				sameResults(t, model2, got, "model+append", "backend:"+be.String())
-				sameCounters(t, model2Stats, gotStats, "append backend:"+be.String())
+			for i := range backends {
+				check(iter+1, i, fs, tables, k, "+append ")
 			}
 		}
 	}

@@ -187,8 +187,10 @@ func TestGroupSkipFires(t *testing.T) {
 	sameResults(t, want, model, "naive", "model")
 	_, model256 := Scan256(fs, tables, k)
 	sameCounters(t, model256, modelStats.Stats, "model256")
+	pin := backendPin(t)
 	for _, be := range dispatch.AvailableBackends() {
-		got, st := fs.ScanNativeBackend(tables, k, nil, be)
+		pin(be)
+		got, st := fs.ScanNativeBackend(tables, k, nil, dispatch.Auto)
 		sameResults(t, want, got, "naive", be.String())
 		_, boundStats := modelOf(be)(fs, tables, k)
 		sameCounters(t, boundStats, st, be.String())

@@ -65,15 +65,28 @@ func sameResults(t *testing.T, a, b []topk.Result, nameA, nameB string) {
 
 // sameCounters asserts the model and the serving scan walked the same
 // path: identical vector/block accounting.
-// modelOf returns the model of backend be's bound (Auto resolves to
-// the active backend): ScanExact for the exact 8-bit bound, Scan for
-// the minimum-table bound. A serving scan's counters equal its bound's
-// model's.
+// modelOf returns the model of the concrete backend be's bound:
+// ScanExact for the exact 8-bit bound, Scan for the minimum-table
+// bound. A serving scan's counters equal its bound's model's.
 func modelOf(be dispatch.Backend) func(*scan.FastScan, quantizer.Tables, int) ([]topk.Result, Stats) {
 	if be.ExactBound() {
 		return ScanExact
 	}
 	return Scan
+}
+
+// backendPin restores the process's backend selection when t ends and
+// returns a function that pins the process to a backend
+// (dispatch.Force): every serving scan runs on it until the next pin.
+func backendPin(t testing.TB) func(be dispatch.Backend) {
+	orig := dispatch.Active()
+	t.Cleanup(func() { _ = dispatch.Force(orig) })
+	return func(be dispatch.Backend) {
+		t.Helper()
+		if err := dispatch.Force(be); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func sameCounters(t *testing.T, model Stats, native scan.Stats, label string) {

@@ -6,9 +6,10 @@
 // backend, the groups in VisitOrder: the few of least key bound first,
 // then the rest in key order. A group whose shared bound already prunes
 // every lane at its entry is skipped (GroupBounds). Per other group,
-// the block-kernel backend selected by internal/simd/dispatch
-// lower-bounds all of the group's blocks and returns one pruned mask
-// per block against the threshold at the group's entry:
+// the block-kernel backend — the process's, read from dispatch.Active
+// once at the start of each scan — lower-bounds all of the group's
+// blocks and returns one pruned mask per block against the threshold at
+// the group's entry:
 //
 //   - asm-avx512vbmi: the exact 8-bit bound (dispatch.AccumulateExact),
 //     every ungrouped component looked up in its whole quantized row —
@@ -179,8 +180,8 @@ func growAligned(s []uint8, n int) []uint8 {
 
 // queryTablesFor builds, in the Scratch's storage, the rest of the
 // query-table state for scanning fs with tables t under bounds
-// (qmin, qmax) on backend be, from the window minima sc.qt.mins already
-// holds.
+// (qmin, qmax) on the concrete backend be, from the window minima
+// sc.qt.mins already holds.
 func (sc *Scratch) queryTablesFor(fs *FastScan, t quantizer.Tables, qmin, qmax float32, be dispatch.Backend) *queryTables {
 	qt := &sc.qt
 	qt.c = fs.c
@@ -300,39 +301,41 @@ func (fs *FastScan) OutOfReach(stats *Stats) {
 	stats.Pruned += fs.part.grouped.N
 }
 
-// ScanNativeBackend runs PQ Fast Scan for the query with block-kernel
-// backend be (dispatch.Auto defers to the startup selection,
-// dispatch.Active), returning the k nearest neighbors — bit-identical
-// to Naive and ExactNative — and the dynamic vector/block statistics of
-// the run. It is ScanNativeInto from an empty heap, results sorted into
-// the Scratch.
+// ScanNativeBackend runs PQ Fast Scan for the query, returning the k
+// nearest neighbors — bit-identical to Naive and ExactNative — and the
+// dynamic vector/block statistics of the run. It is ScanNativeInto from
+// an empty heap, results sorted into the Scratch. be must be
+// dispatch.Auto or the active backend, and it panics on any other: the
+// scan runs on the process's backend (dispatch.Active), and the
+// argument stays only because the standing benchmark spells it.
 func (fs *FastScan) ScanNativeBackend(t quantizer.Tables, k int, sc *Scratch, be dispatch.Backend) ([]topk.Result, Stats) {
+	if be != dispatch.Auto && be != dispatch.Active() {
+		panic("scan: ScanNativeBackend on " + be.String() + ", not the active backend " + dispatch.Active().String())
+	}
 	if sc == nil {
 		sc = NewScratch()
 	}
 	sc.heap.Reset(k)
-	stats := fs.ScanNativeInto(t, sc.heap, sc, be)
+	stats := fs.ScanNativeInto(t, sc.heap, sc)
 	sc.results = sc.heap.AppendResults(sc.results[:0])
 	return sc.results, stats
 }
 
 // ScanNativeInto is the serving PQ Fast Scan: it continues the query's
-// running top-k in heap over this partition, on an explicit
-// block-kernel backend. A multi-probe query hands the same heap to every
-// cell it scans, so each cell starts from the threshold the earlier ones
-// reached; the retained set is the k smallest (distance, id) pairs of
-// everything pushed, whatever the cell order. All backends evolve the
-// heap identically; the backends of one bound also return identical
-// statistics, and otherwise differ only in wall-clock speed. The caller
-// is responsible for only requesting available backends
-// (dispatch.Backend.Available); the index layer validates requests
-// before they reach this point.
-func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scratch, be dispatch.Backend) Stats {
+// running top-k in heap over this partition, on the block-kernel backend
+// it reads from dispatch.Active once, at its start. A multi-probe query
+// hands the same heap to every cell it scans, so each cell starts from
+// the threshold the earlier ones reached; the retained set is the k
+// smallest (distance, id) pairs of everything pushed, whatever the cell
+// order. All backends evolve the heap identically; the backends of one
+// bound also return identical statistics, and otherwise differ only in
+// wall-clock speed.
+func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scratch) Stats {
 	Check8x8(t)
 	if sc == nil {
 		sc = NewScratch()
 	}
-	be = dispatch.Resolve(be)
+	be := dispatch.Active()
 	stats := Stats{Scanned: fs.part.N, KeepScanned: fs.PlainScanned()}
 
 	// Phase 1 (§4.4): plain PQ Scan over the keep region and the rows
@@ -557,14 +560,14 @@ func (fs *FastScan) scanBlocks(sc *Scratch, qt *queryTables, be dispatch.Backend
 	}
 }
 
-// bound has backend be lower-bound the blocks of group grp and take
-// their prune decision against thr: dispatch.AccumulateExact on
-// asm-avx512vbmi, straight from the quantized rows; dispatch.Accumulate
-// on asm-avx2, after the group's small-table windows are refreshed in
-// the 8×16-byte table block tb (the kernel streams the whole group
-// through vector registers); swarAccumulate on swar. The masks land in
-// sc.masks, and the bounds a re-mask reads in sc.acc (min(Σ, 127)
-// bytes) or sc.words (swar's exact 16-bit sums).
+// bound has the concrete backend be lower-bound the blocks of group grp
+// and take their prune decision against thr: dispatch.AccumulateExact
+// on asm-avx512vbmi, straight from the quantized rows;
+// dispatch.Accumulate on asm-avx2, after the group's small-table windows
+// are refreshed in the 8×16-byte table block tb (the kernel streams the
+// whole group through vector registers); swarAccumulate on swar. The
+// masks land in sc.masks, and the bounds a re-mask reads in sc.acc
+// (min(Σ, 127) bytes) or sc.words (swar's exact 16-bit sums).
 func (sc *Scratch) bound(qt *queryTables, be dispatch.Backend, tb *[128]uint8, blocks []uint8, grp *layout.Group, thr int8) {
 	nb := grp.BlockCount
 	sc.masks = growSlice(sc.masks, nb)
@@ -581,9 +584,9 @@ func (sc *Scratch) bound(qt *queryTables, be dispatch.Backend, tb *[128]uint8, b
 	}
 	sc.acc = growAligned(sc.acc, nb*16)
 	if be.ExactBound() {
-		dispatch.AccumulateExact(be, blocks, layout.BlockBytes(c), c, nb, thr, &grp.Key, &qt.qrows, sc.acc, sc.masks)
+		dispatch.AccumulateExact(blocks, layout.BlockBytes(c), c, nb, thr, &grp.Key, &qt.qrows, sc.acc, sc.masks)
 	} else {
-		dispatch.Accumulate(be, blocks, layout.BlockBytes(c), c, nb, thr, tb, sc.acc, sc.masks)
+		dispatch.Accumulate(blocks, layout.BlockBytes(c), c, nb, thr, tb, sc.acc, sc.masks)
 	}
 }
 

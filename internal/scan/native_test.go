@@ -232,6 +232,31 @@ func TestScratchReuseIsStateless(t *testing.T) {
 	}
 }
 
+// TestScanNativeBackendTakesOnlyTheActive: the scan runs on the
+// process's backend, so ScanNativeBackend accepts dispatch.Auto and the
+// active backend, and panics on every other rather than scan on a
+// backend it was not asked for.
+func TestScanNativeBackendTakesOnlyTheActive(t *testing.T) {
+	p, tables := randomPartition(t, 100, 3)
+	fs, err := newLayout(p, FastScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := Naive(p, tables, 5)
+	for _, be := range append([]dispatch.Backend{dispatch.Auto}, dispatch.Backends()...) {
+		func() {
+			active := be == dispatch.Auto || be == dispatch.Active()
+			defer func() {
+				if r := recover(); (r != nil) == active {
+					t.Fatalf("ScanNativeBackend on %v (active %v): panic %v", be, dispatch.Active(), r)
+				}
+			}()
+			got, _ := fs.ScanNativeBackend(tables, 5, nil, be)
+			sameResults(t, want, got, "naive", be.String())
+		}()
+	}
+}
+
 // TestDeadLanesArePruned: a block whose only survivors are dead lanes
 // counts them Pruned, never Candidates, on every backend — lanes marked
 // when the layout was built and lanes tombstoned through Rebind alike.

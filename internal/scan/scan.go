@@ -6,8 +6,8 @@
 //     kept forever and reads the same Tables as the fast paths;
 //   - ExactNative: the tuned exact PQ Scan, LibpqRange over every row;
 //   - FastScan: the paper's contribution (§4) — the grouped layout and
-//     its lifecycle in fastscan.go, the block-kernel scan over the
-//     backends of internal/simd/dispatch in native.go.
+//     its lifecycle in fastscan.go, the block-kernel scan in native.go,
+//     on the backend it reads from dispatch.Active once per scan.
 //
 // All three return bit-identical top-k results on identical input (the
 // exactness invariant of DESIGN.md §6): each accumulates the same

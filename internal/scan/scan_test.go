@@ -97,6 +97,30 @@ func (bs boundStats) check(t *testing.T, be dispatch.Backend, st Stats, label st
 	sameStats(t, ref.st, st, label+ref.be.String(), label+be.String())
 }
 
+// backendPin restores the process's backend selection when t ends and
+// returns a function that pins the process to a backend
+// (dispatch.Force): every scan runs on it until the next pin.
+func backendPin(t testing.TB) func(be dispatch.Backend) {
+	orig := dispatch.Active()
+	t.Cleanup(func() { _ = dispatch.Force(orig) })
+	return func(be dispatch.Backend) {
+		t.Helper()
+		if err := dispatch.Force(be); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// forEachBackend runs f once per available backend, the process pinned
+// to it, and restores the selection when t ends.
+func forEachBackend(t testing.TB, f func(be dispatch.Backend)) {
+	pin := backendPin(t)
+	for _, be := range dispatch.AvailableBackends() {
+		pin(be)
+		f(be)
+	}
+}
+
 // scanEveryBackend runs fs from an empty heap on every available
 // backend, asserts each returns want and the same statistics as every
 // other backend of its bound, and returns those of the minimum-table
@@ -104,11 +128,11 @@ func (bs boundStats) check(t *testing.T, be dispatch.Backend, st Stats, label st
 func scanEveryBackend(t *testing.T, fs *FastScan, tables quantizer.Tables, k int, want []topk.Result, label string) Stats {
 	t.Helper()
 	bs := boundStats{}
-	for _, be := range dispatch.AvailableBackends() {
-		got, stats := fs.ScanNativeBackend(tables, k, nil, be)
+	forEachBackend(t, func(be dispatch.Backend) {
+		got, stats := fs.ScanNativeBackend(tables, k, nil, dispatch.Auto)
 		sameResults(t, want, got, label, "backend:"+be.String())
 		bs.check(t, be, stats, "")
-	}
+	})
 	return bs[false].st
 }
 

@@ -4,24 +4,25 @@
 // loop around whichever backend is selected. The backends come in two
 // bounds:
 //
-//   - the paper's minimum-table bound (Accumulate, defined by
-//     AccumulateGeneric): asm-avx2, hand-written amd64 assembly over
-//     32-byte ymm registers (VPSHUFB/VPADDUSB/VPMINUB), two 16-lane
-//     blocks an iteration; and swar, the portable uint64 pair-LUT
-//     pipeline in internal/scan, always available;
-//   - the exact 8-bit bound (AccumulateExact, defined by
-//     AccumulateExactGeneric): asm-avx512vbmi, which looks every
-//     ungrouped component up in its whole 256-entry quantized row with
-//     two two-table byte permutes (VPERMT2B), four blocks an iteration.
+//   - the paper's minimum-table bound (defined by AccumulateGeneric):
+//     asm-avx2 (Accumulate), hand-written amd64 assembly over 32-byte
+//     ymm registers (VPSHUFB/VPADDUSB/VPMINUB), two 16-lane blocks an
+//     iteration; and swar, the portable uint64 pair-LUT pipeline in
+//     internal/scan, always available;
+//   - the exact 8-bit bound (defined by AccumulateExactGeneric):
+//     asm-avx512vbmi (AccumulateExact), which looks every ungrouped
+//     component up in its whole 256-entry quantized row with two
+//     two-table byte permutes (VPERMT2B), four blocks an iteration.
 //
 // Selection is by CPU feature detection (CPUID on amd64; every other
 // architecture runs swar), the preferred available backend first,
 // overridable with the PQ_FORCE_BACKEND environment variable (Force in
-// tests and benchmarks): the backend is the process's, never a query's.
-// Every backend returns the same results, bit for bit; backends of one
-// bound also return the same statistics — the DESIGN.md §9 contract
-// between the engine and its model, extended down to the instruction
-// level (DESIGN.md §12).
+// tests and benchmarks). Active is the one place a backend is read: a
+// scan reads it once, at its start, and the backend is the process's,
+// never a query's. Every backend returns the same results, bit for bit;
+// backends of one bound also return the same statistics — the DESIGN.md
+// §9 contract between the engine and its model, extended down to the
+// instruction level (DESIGN.md §12).
 package dispatch
 
 import (
@@ -31,11 +32,11 @@ import (
 )
 
 // Backend names one block-kernel implementation. The zero value Auto
-// defers to the startup selection (Active).
+// names the startup selection (Active) in PQ_FORCE_BACKEND and Force.
 type Backend uint8
 
 const (
-	// Auto resolves to the best available backend (Active).
+	// Auto is the feature-detected selection.
 	Auto Backend = iota
 	// SWAR is the portable uint64 block pipeline inside internal/scan.
 	SWAR
@@ -90,12 +91,13 @@ func (b Backend) Available() bool {
 	}
 }
 
-// ExactBound reports whether b (Auto resolves to Active) bounds a lane
-// with the exact 8-bit bound of AccumulateExact rather than the
-// minimum-table bound of Accumulate. Backends of one bound prune the
-// same lanes, so their scan statistics are equal; the two bounds prune
-// differently and return the same results.
-func (b Backend) ExactBound() bool { return Resolve(b) == AVX512VBMI }
+// ExactBound reports whether the concrete backend b bounds a lane with
+// the exact 8-bit bound of AccumulateExact rather than the
+// minimum-table bound of Accumulate and swar; it is false for Auto.
+// Backends of one bound prune the same lanes, so their scan statistics
+// are equal; the two bounds prune differently and return the same
+// results.
+func (b Backend) ExactBound() bool { return b == AVX512VBMI }
 
 // avx2Kernels reports whether the active backend runs the AVX2 kernels
 // the assembly backends share: the query term, the nearest-centroid
@@ -155,8 +157,8 @@ func init() {
 	active.Store(uint32(best))
 }
 
-// Active returns the backend a scan uses when no per-query override is
-// given. It is never Auto.
+// Active returns the backend every scan runs on: the startup
+// selection, or the last Force. It is never Auto.
 func Active() Backend { return Backend(active.Load()) }
 
 // Force pins the startup selection to b (the programmatic counterpart
@@ -174,15 +176,6 @@ func Force(b Backend) error {
 	return nil
 }
 
-// Resolve maps Auto to the active backend and leaves concrete backends
-// unchanged.
-func Resolve(b Backend) Backend {
-	if b == Auto {
-		return Active()
-	}
-	return b
-}
-
 // InitNote returns a human-readable note about the startup selection
 // (e.g. a PQ_FORCE_BACKEND value that could not be honored), or "".
 func InitNote() string { return initNote }
@@ -194,8 +187,9 @@ func Features() []string { return cpuFeatures() }
 // Accumulate computes the PQ Fast Scan lower-bound bytes of §4.5 for
 // nblocks consecutive packed blocks of one group and takes the prune
 // decision of Figure 6 against thr: the minimum-table bound, on the
-// asm-avx2 kernel when be is AVX2 (Auto resolves to Active), else on
-// AccumulateGeneric. For every block b and lane i it evaluates
+// asm-avx2 kernel, which the caller runs only where AVX2.Available()
+// (the scan, on asm-avx2). It is bit for bit AccumulateGeneric: for
+// every block b and lane i it evaluates
 //
 //	dst[b*16+i] = min(Σ_j table_j[idx_j(b, i)], 127)
 //	masks[b] bit i = int8(dst[b*16+i]) > thr
@@ -213,27 +207,23 @@ func Features() []string { return cpuFeatures() }
 // slice of layout.Grouped.Blocks); tables is the 8×16-byte small-table
 // block (grouped windows first, then minimum tables); dst receives
 // nblocks*16 lower-bound bytes and masks nblocks pruned-mask words.
-// Backends produce bit-identical dst and masks.
-func Accumulate(be Backend, blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
+func Accumulate(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
 	if nblocks == 0 {
 		return
 	}
 	_ = blocks[nblocks*blockBytes-1] // bounds contract
 	_ = dst[nblocks*16-1]
 	_ = masks[nblocks-1]
-	if Resolve(be) == AVX2 {
-		accumulateAVX2Blocks(blocks, blockBytes, c, nblocks, thr, tables, dst, masks)
-	} else {
-		AccumulateGeneric(blocks, blockBytes, c, nblocks, thr, tables, dst, masks)
-	}
+	accumulateAVX2(&blocks[0], blockBytes, c, nblocks, thr, &tables[0], &dst[0], &masks[0])
 }
 
-// AccumulateExact is Accumulate under the exact 8-bit bound, the bound
-// of asm-avx512vbmi (be; Auto resolves to Active, and every other
-// backend runs AccumulateExactGeneric). It takes the same blocks and
-// gives the same kind of dst bytes and masks, but looks each component
-// up in its whole quantized distance-table row rather than in a
-// 16-entry minimum table. For every block b and lane i it evaluates
+// AccumulateExact is Accumulate under the exact 8-bit bound, on the
+// asm-avx512vbmi kernel, which the caller runs only where
+// AVX512VBMI.Available() (the scan, on asm-avx512vbmi). It is bit for
+// bit AccumulateExactGeneric: it takes the same blocks and gives the
+// same kind of dst bytes and masks as Accumulate, but looks each
+// component up in its whole quantized distance-table row rather than in
+// a 16-entry minimum table. For every block b and lane i it evaluates
 //
 //	dst[b*16+i] = min(Σ_j rows[j][idx_j(b, i)], 127)
 //	masks[b] bit i = int8(dst[b*16+i]) > thr
@@ -247,18 +237,14 @@ func Accumulate(be Backend, blocks []byte, blockBytes, c, nblocks int, thr int8,
 // least. key holds the group's c key nibbles (each below 16), rows the
 // eight quantized rows, entries in [0, 127]; blocks, dst, masks and thr
 // are as for Accumulate.
-func AccumulateExact(be Backend, blocks []byte, blockBytes, c, nblocks int, thr int8, key *[4]uint8, rows *[8][256]uint8, dst []byte, masks []uint16) {
+func AccumulateExact(blocks []byte, blockBytes, c, nblocks int, thr int8, key *[4]uint8, rows *[8][256]uint8, dst []byte, masks []uint16) {
 	if nblocks == 0 {
 		return
 	}
 	_ = blocks[nblocks*blockBytes-1] // bounds contract
 	_ = dst[nblocks*16-1]
 	_ = masks[nblocks-1]
-	if Resolve(be) == AVX512VBMI {
-		accumulateExactVBMI(&blocks[0], blockBytes, c, nblocks, thr, &key[0], &rows[0][0], &dst[0], &masks[0])
-	} else {
-		AccumulateExactGeneric(blocks, blockBytes, c, nblocks, thr, key, rows, dst, masks)
-	}
+	accumulateExactVBMI(&blocks[0], blockBytes, c, nblocks, thr, &key[0], &rows[0][0], &dst[0], &masks[0])
 }
 
 // QuantizeRow writes dst[i] = the bin of src[i] under the distance

@@ -68,50 +68,51 @@ func TestAccumulateGenericMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestAsmKernelsMatchGeneric drives every available backend of the
-// minimum-table bound through Accumulate and requires lower-bound bytes and pruned masks identical
-// to the generic reference — the kernel-level leg of the cross-backend
-// exactness contract (the scan-level leg lives in internal/scan). Every
+// TestAsmKernelsMatchGeneric drives the asm-avx2 kernel, where the CPU
+// has it, through Accumulate and requires lower-bound bytes and pruned
+// masks identical to the generic reference — the kernel-level leg of
+// the cross-backend exactness contract (swar's is
+// TestSWARAccumulateMatchesGeneric in internal/scan, the scan-level leg
+// lives there too). Every
 // grouping depth meets every threshold, over odd and even block counts
 // (the AVX2 pair loop and its odd tail), with saturation pressure on a
 // third of the cases so sums cross 127 and (on AVX2) the 255
 // intermediate clamp. Blocks are random to the last byte, so the lanes
 // a real group would pad are compared like any other.
 func TestAsmKernelsMatchGeneric(t *testing.T) {
-	for _, be := range AvailableBackends() {
-		if be.ExactBound() {
-			continue // TestAsmExactMatchesGeneric
-		}
-		t.Run(be.String(), func(t *testing.T) {
-			r := rand.New(rand.NewSource(2))
-			for c := 0; c <= 4; c++ {
-				blockBytes := 128 - 8*c
-				for thr := -128; thr <= 127; thr++ {
-					nblocks := 1 + r.Intn(9)
-					blocks, tables := randomCase(r, c, nblocks)
-					if thr%3 == 0 {
-						for i := range tables {
-							tables[i] |= 0x60
-						}
+	if !AVX2.Available() {
+		t.Log("skipped: no avx2")
+		return
+	}
+	t.Run(AVX2.String(), func(t *testing.T) {
+		r := rand.New(rand.NewSource(2))
+		for c := 0; c <= 4; c++ {
+			blockBytes := 128 - 8*c
+			for thr := -128; thr <= 127; thr++ {
+				nblocks := 1 + r.Intn(9)
+				blocks, tables := randomCase(r, c, nblocks)
+				if thr%3 == 0 {
+					for i := range tables {
+						tables[i] |= 0x60
 					}
-					want, wantMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
-					got, gotMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
-					AccumulateGeneric(blocks, blockBytes, c, nblocks, int8(thr), &tables, want, wantMasks)
-					Accumulate(be, blocks, blockBytes, c, nblocks, int8(thr), &tables, got, gotMasks)
-					if !bytes.Equal(got, want) {
-						t.Fatalf("c=%d nblocks=%d: %s bytes disagree with generic\n got %x\nwant %x",
-							c, nblocks, be, got, want)
-					}
-					for b := range wantMasks {
-						if gotMasks[b] != wantMasks[b] {
-							t.Fatalf("c=%d nblocks=%d thr=%d block=%d: %s mask %016b, generic %016b (bytes %x)",
-								c, nblocks, thr, b, be, gotMasks[b], wantMasks[b], want[b*16:b*16+16])
-						}
+				}
+				want, wantMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
+				got, gotMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
+				AccumulateGeneric(blocks, blockBytes, c, nblocks, int8(thr), &tables, want, wantMasks)
+				Accumulate(blocks, blockBytes, c, nblocks, int8(thr), &tables, got, gotMasks)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("c=%d nblocks=%d: %s bytes disagree with generic\n got %x\nwant %x",
+						c, nblocks, AVX2, got, want)
+				}
+				for b := range wantMasks {
+					if gotMasks[b] != wantMasks[b] {
+						t.Fatalf("c=%d nblocks=%d thr=%d block=%d: %s mask %016b, generic %016b (bytes %x)",
+							c, nblocks, thr, b, AVX2, gotMasks[b], wantMasks[b], want[b*16:b*16+16])
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // exactOracle recomputes one lane's exact bound from its code: the
@@ -180,54 +181,48 @@ func TestAccumulateExactGenericMatchesOracle(t *testing.T) {
 // every entry is at least 0x60, so sums cross 127 and 255, and the
 // lanes whose code byte has bit 7 set read the row's upper half.
 func TestAsmExactMatchesGeneric(t *testing.T) {
-	var ran bool
-	for _, be := range AvailableBackends() {
-		if !be.ExactBound() {
-			continue
-		}
-		ran = true
-		t.Run(be.String(), func(t *testing.T) {
-			r := rand.New(rand.NewSource(4))
-			var rows [8][256]uint8
-			var key [4]uint8
-			for c := 0; c <= 4; c++ {
-				blockBytes := 128 - 8*c
-				for _, thr := range []int{-128, -1, 0, 1, 63, 126, 127} {
-					for _, nblocks := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16} {
-						for rep := 0; rep < 3; rep++ {
-							blocks := make([]byte, nblocks*blockBytes)
-							r.Read(blocks)
-							randomRows(r, &rows, &key)
-							if rep == 2 {
-								for j := range rows {
-									for i := range rows[j] {
-										rows[j][i] |= 0x60
-									}
+	if !AVX512VBMI.Available() {
+		t.Log("skipped: no avx512vbmi")
+		return
+	}
+	t.Run(AVX512VBMI.String(), func(t *testing.T) {
+		r := rand.New(rand.NewSource(4))
+		var rows [8][256]uint8
+		var key [4]uint8
+		for c := 0; c <= 4; c++ {
+			blockBytes := 128 - 8*c
+			for _, thr := range []int{-128, -1, 0, 1, 63, 126, 127} {
+				for _, nblocks := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16} {
+					for rep := 0; rep < 3; rep++ {
+						blocks := make([]byte, nblocks*blockBytes)
+						r.Read(blocks)
+						randomRows(r, &rows, &key)
+						if rep == 2 {
+							for j := range rows {
+								for i := range rows[j] {
+									rows[j][i] |= 0x60
 								}
 							}
-							want, wantMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
-							got, gotMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
-							AccumulateExactGeneric(blocks, blockBytes, c, nblocks, int8(thr), &key, &rows, want, wantMasks)
-							AccumulateExact(be, blocks, blockBytes, c, nblocks, int8(thr), &key, &rows, got, gotMasks)
-							if !bytes.Equal(got, want) {
-								t.Fatalf("c=%d nblocks=%d: %s bytes disagree with generic\n got %x\nwant %x",
-									c, nblocks, be, got, want)
-							}
-							for b := range wantMasks {
-								if gotMasks[b] != wantMasks[b] {
-									t.Fatalf("c=%d nblocks=%d thr=%d block=%d: %s mask %016b, generic %016b (bytes %x)",
-										c, nblocks, thr, b, be, gotMasks[b], wantMasks[b], want[b*16:b*16+16])
-								}
+						}
+						want, wantMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
+						got, gotMasks := make([]byte, nblocks*16), make([]uint16, nblocks)
+						AccumulateExactGeneric(blocks, blockBytes, c, nblocks, int8(thr), &key, &rows, want, wantMasks)
+						AccumulateExact(blocks, blockBytes, c, nblocks, int8(thr), &key, &rows, got, gotMasks)
+						if !bytes.Equal(got, want) {
+							t.Fatalf("c=%d nblocks=%d: %s bytes disagree with generic\n got %x\nwant %x",
+								c, nblocks, AVX512VBMI, got, want)
+						}
+						for b := range wantMasks {
+							if gotMasks[b] != wantMasks[b] {
+								t.Fatalf("c=%d nblocks=%d thr=%d block=%d: %s mask %016b, generic %016b (bytes %x)",
+									c, nblocks, thr, b, AVX512VBMI, gotMasks[b], wantMasks[b], want[b*16:b*16+16])
 							}
 						}
 					}
 				}
 			}
-		})
-	}
-	if !ran {
-		t.Log("skipped: no avx512vbmi")
-	}
+		}
+	})
 }
 
 func TestParseAndStrings(t *testing.T) {
@@ -244,14 +239,17 @@ func TestParseAndStrings(t *testing.T) {
 	}
 }
 
+// TestForceAndResolve: Force pins what Active reads, refuses a backend
+// the machine cannot run, and Force(Auto) resolves to the
+// feature-detected selection, never to Auto itself.
 func TestForceAndResolve(t *testing.T) {
 	orig := Active()
 	defer Force(orig)
 	if err := Force(SWAR); err != nil {
 		t.Fatalf("Force(SWAR): %v", err)
 	}
-	if Active() != SWAR || Resolve(Auto) != SWAR {
-		t.Fatalf("Active=%v Resolve(Auto)=%v after Force(SWAR)", Active(), Resolve(Auto))
+	if Active() != SWAR {
+		t.Fatalf("Active=%v after Force(SWAR)", Active())
 	}
 	if err := Force(Backend(99)); err == nil {
 		t.Fatal("Force accepted an unavailable backend")
@@ -259,8 +257,8 @@ func TestForceAndResolve(t *testing.T) {
 	if err := Force(Auto); err != nil {
 		t.Fatalf("Force(Auto): %v", err)
 	}
-	if Active() == Auto {
-		t.Fatal("Active resolved to Auto")
+	if Active() != AvailableBackends()[0] {
+		t.Fatalf("Force(Auto) left %v active, not the preferred %v", Active(), AvailableBackends()[0])
 	}
 }
 

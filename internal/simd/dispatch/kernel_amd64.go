@@ -99,10 +99,6 @@ func xgetbv0() (eax, edx uint32)
 //go:noescape
 func accumulateAVX2(blocks *byte, blockBytes, c, nblocks int, thr int8, tables *byte, dst *byte, masks *uint16)
 
-func accumulateAVX2Blocks(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
-	accumulateAVX2(&blocks[0], blockBytes, c, nblocks, thr, &tables[0], &dst[0], &masks[0])
-}
-
 // innerProductsAVX2 is the hand-written kernel in kernel_amd64.s.
 //
 //go:noescape

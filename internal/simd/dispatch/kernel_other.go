@@ -8,7 +8,7 @@ var hasAVX2, hasAVX512VBMI = false, false
 
 func cpuFeatures() []string { return nil }
 
-func accumulateAVX2Blocks(blocks []byte, blockBytes, c, nblocks int, thr int8, tables *[128]byte, dst []byte, masks []uint16) {
+func accumulateAVX2(blocks *byte, blockBytes, c, nblocks int, thr int8, tables *byte, dst *byte, masks *uint16) {
 	panic("dispatch: asm-avx2 backend is amd64-only")
 }
 

@@ -79,23 +79,6 @@ func worse(a, b Result) bool {
 	return a.ID > b.ID
 }
 
-// Best returns the smallest distance currently retained. ok is false when
-// the heap is empty. PQ Fast Scan uses the best distance after its keep
-// phase as the quantization bound qmax (§4.4: "We then use the distance
-// between the query vector and this temporary nearest neighbor as qmax").
-func (h *Heap) Best() (dist float32, ok bool) {
-	if len(h.items) == 0 {
-		return 0, false
-	}
-	best := h.items[0].Distance
-	for _, it := range h.items[1:] {
-		if it.Distance < best {
-			best = it.Distance
-		}
-	}
-	return best, true
-}
-
 // Worst returns the largest distance currently retained (the heap root),
 // regardless of whether the heap is full. ok is false when it is empty.
 // PQ Fast Scan uses it as the quantization bound when the keep phase
@@ -122,15 +105,6 @@ func (h *Heap) Push(id int64, dist float32) bool {
 	}
 	h.replaceRoot(c)
 	return true
-}
-
-// Accepts reports whether a candidate at dist would be retained if pushed,
-// without modifying the heap. Scan kernels use it as the pruning test.
-func (h *Heap) Accepts(dist float32) bool {
-	if len(h.items) < h.k {
-		return true
-	}
-	return dist <= h.items[0].Distance
 }
 
 // siftUp places c, just appended, by moving a hole up from the last

@@ -70,35 +70,6 @@ func TestThresholdIsKthBest(t *testing.T) {
 	}
 }
 
-func TestBest(t *testing.T) {
-	h := New(4)
-	if _, ok := h.Best(); ok {
-		t.Fatal("Best available on empty heap")
-	}
-	h.Push(1, 9)
-	h.Push(2, 3)
-	h.Push(3, 6)
-	if best, ok := h.Best(); !ok || best != 3 {
-		t.Fatalf("Best = %v,%v; want 3,true", best, ok)
-	}
-}
-
-func TestAcceptsNeverFalseNegative(t *testing.T) {
-	// Accepts is a pruning pre-test: it may admit candidates that Push
-	// then rejects on the id tie-break, but it must never reject a
-	// candidate Push would retain.
-	r := rng.New(2)
-	h := New(5)
-	for i := 0; i < 500; i++ {
-		d := float32(r.Intn(100))
-		accepts := h.Accepts(d)
-		retained := h.Push(int64(i), d)
-		if retained && !accepts {
-			t.Fatalf("step %d: Push retained a candidate Accepts(%v) rejected", i, d)
-		}
-	}
-}
-
 func TestTieEvictsLargerID(t *testing.T) {
 	h := New(2)
 	h.Push(5, 1.0)

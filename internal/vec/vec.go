@@ -35,11 +35,6 @@ func SquaredNorm(a []float32) float32 {
 	return sum
 }
 
-// Norm returns the Euclidean norm of a.
-func Norm(a []float32) float32 {
-	return float32(math.Sqrt(float64(SquaredNorm(a))))
-}
-
 // Add accumulates src into dst element-wise. It panics on length mismatch.
 func Add(dst, src []float32) {
 	if len(dst) != len(src) {

@@ -34,12 +34,6 @@ func TestL2SquaredSymmetric(t *testing.T) {
 	}
 }
 
-func TestNorm(t *testing.T) {
-	if got := Norm([]float32{3, 4}); math.Abs(float64(got)-5) > 1e-6 {
-		t.Fatalf("Norm(3,4) = %v, want 5", got)
-	}
-}
-
 func TestAddScaleZeroCopy(t *testing.T) {
 	a := []float32{1, 2, 3}
 	b := []float32{10, 20, 30}

@@ -45,6 +45,7 @@ import (
 	"pqfastscan/internal/index"
 	"pqfastscan/internal/persist"
 	"pqfastscan/internal/scan"
+	"pqfastscan/internal/simd/dispatch"
 	"pqfastscan/internal/vec"
 )
 
@@ -100,44 +101,37 @@ func WithEngine(e Engine) SearchOption {
 	return func(c *searchConfig) { c.model = e == EngineModel }
 }
 
-// Backend names Fast Scan's block-kernel implementation: the
-// hand-written assembly scan kernels (BackendAVX512VBMI, the exact 8-bit
-// bound, on amd64 with AVX-512 VBMI; BackendAVX2, on amd64 with AVX2)
-// or the portable BackendSWAR fallback. The process selects one at
-// startup by CPU feature detection (ActiveBackend), overridable with
-// the PQ_FORCE_BACKEND environment variable; no search names one. All
-// backends return bit-identical results; the backends of one bound
-// (BackendAVX2 and BackendSWAR share the paper's minimum-table bound)
-// also return bit-identical statistics (DESIGN.md §12). Otherwise they
-// differ only in wall-clock speed.
-type Backend = index.Backend
+// Backend names Fast Scan's block-kernel implementation: asm-avx512vbmi
+// (the exact 8-bit bound, on amd64 with AVX-512 VBMI), asm-avx2 (on
+// amd64 with AVX2) or the portable swar fallback. The process selects
+// one at startup by CPU feature detection, overridable with the
+// PQ_FORCE_BACKEND environment variable, and every Fast Scan reads it
+// (ActiveBackend) once, at its start; no search names one. All backends
+// return bit-identical results; the backends of one bound (asm-avx2 and
+// swar share the paper's minimum-table bound) also return bit-identical
+// statistics (DESIGN.md §12). Otherwise they differ only in wall-clock
+// speed.
+type Backend = dispatch.Backend
 
-const (
-	BackendAuto       = index.BackendAuto
-	BackendSWAR       = index.BackendSWAR
-	BackendAVX2       = index.BackendAVX2
-	BackendAVX512VBMI = index.BackendAVX512VBMI
-)
-
-// ActiveBackend returns the backend selected at
-// startup (never BackendAuto): the fastest assembly backend the CPU
-// supports, or BackendSWAR, or whatever PQ_FORCE_BACKEND pinned.
-func ActiveBackend() Backend { return index.ActiveBackend() }
+// ActiveBackend returns the backend every Fast Scan runs on: the
+// fastest assembly backend the CPU supports, or swar, or whatever
+// PQ_FORCE_BACKEND pinned.
+func ActiveBackend() Backend { return dispatch.Active() }
 
 // AvailableBackends lists the backends this machine can run, preferred
-// first (always at least BackendSWAR).
-func AvailableBackends() []Backend { return index.AvailableBackends() }
+// first (always at least swar).
+func AvailableBackends() []Backend { return dispatch.AvailableBackends() }
 
 // CPUFeatures lists the SIMD features backend selection detected on
 // this machine (e.g. sse2, avx, avx2, avx512f, avx512bw, avx512vbmi),
 // for logs and benchmark records.
-func CPUFeatures() []string { return index.CPUFeatures() }
+func CPUFeatures() []string { return dispatch.Features() }
 
 // BackendInitNote reports what happened to a PQ_FORCE_BACKEND override
 // that could not be honored ("" when selection was clean). Deployments
 // should log it at startup so a silent fallback to the SWAR path cannot
 // go unnoticed.
-func BackendInitNote() string { return index.BackendInitNote() }
+func BackendInitNote() string { return dispatch.InitNote() }
 
 // ParseKernel resolves a kernel by its String name (the labels of the
 // paper's figures: naive, libpq, fastpq).
