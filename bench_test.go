@@ -289,10 +289,11 @@ func BenchmarkSearchNProbe(b *testing.B) {
 // clustered corpus, cycling its 128-query pool. cand/query is the exact
 // re-checks a query paid for (Stats.Candidates; it repeats exactly from
 // run to run) and ns/cand the query's time per re-check. This is the
-// served rate, ≈ 4 700 re-checks in a ≈ 15k-code cell: the uniform
-// fixture of BenchmarkFastScan in internal/scan re-checks ≈ 600 in
-// 100k codes, so a change to how fast the threshold tightens shows
-// here, not there.
+// served rate in a ≈ 15k-code cell: 645.1 re-checks a query under the
+// exact bound (asm-avx512vbmi), ≈ 4 730 under the minimum tables
+// (asm-avx2, swar). The uniform fixture of BenchmarkFastScan in
+// internal/scan re-checks ≈ 600 in 100k codes, so a change to how fast
+// the threshold tightens shows here, not there.
 func BenchmarkServedScan(b *testing.B) {
 	env, ctx := sharedEnv(b), context.Background()
 	req := index.Request{K: 100, Kernel: index.KernelFastScan, NProbe: 1}

@@ -22,6 +22,7 @@ import (
 
 	"pqfastscan/internal/quantizer"
 	"pqfastscan/internal/scan"
+	"pqfastscan/internal/simd/dispatch"
 	"pqfastscan/internal/topk"
 	"pqfastscan/internal/vec"
 )
@@ -60,8 +61,9 @@ func (ix *Index) QueryTerm(query, dst []float32) {
 // and returns them: per row the constant ‖q_j − c_j‖² plus the
 // precomputed cell term plus qterm, the query's QueryTerm. Rounding can
 // carry the sum of the three a hair below zero where the true value — a
-// squared distance — is near zero, so entries are clamped at 0. The
-// returned Tables alias dst.
+// squared distance — is near zero, so entries are clamped at 0
+// (cellEntry; a row runs on dispatch.CellRow where the active backend
+// has the kernel). The returned Tables alias dst.
 func (ix *Index) CellTables(query []float32, part int, qterm, dst []float32) quantizer.Tables {
 	k, sd := ix.PQ.KStar(), ix.PQ.SubDim
 	n := ix.PQ.M * k
@@ -73,15 +75,26 @@ func (ix *Index) CellTables(query []float32, part int, qterm, dst []float32) qua
 		ct := cell[j*k : (j+1)*k]
 		qt := qterm[j*k : (j+1)*k : (j+1)*k]
 		row := dst[j*k : (j+1)*k : (j+1)*k]
+		if dispatch.CellRow(rowConst, ct, qt, row) {
+			continue
+		}
 		for i, cv := range ct {
-			v := rowConst + cv + qt[i]
-			if v < 0 {
-				v = 0
-			}
-			row[i] = v
+			row[i] = cellEntry(rowConst, cv, qt[i])
 		}
 	}
 	return quantizer.Tables{M: ix.PQ.M, KStar: k, Data: dst}
+}
+
+// cellEntry is one entry of a cell's tables: the row constant plus the
+// cell term plus the query term, in that order, a sum below zero
+// clamped to +0. It is the Go body of the row loop, which the assembly
+// backends run on dispatch.CellRow, to the bit.
+func cellEntry(rowConst, cellTerm, queryTerm float32) float32 {
+	v := rowConst + cellTerm + queryTerm
+	if v < 0 {
+		v = 0
+	}
+	return v
 }
 
 // Tables computes the per-query distance tables for scanning partition

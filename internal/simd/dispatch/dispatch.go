@@ -101,7 +101,7 @@ func (b Backend) ExactBound() bool { return b == AVX512VBMI }
 
 // avx2Kernels reports whether the active backend runs the AVX2 kernels
 // the assembly backends share: the query term, the nearest-centroid
-// pass and the row quantization.
+// pass, the row quantization and the rows of a cell's tables.
 func avx2Kernels() bool {
 	be := Active()
 	return be == AVX2 || be == AVX512VBMI
@@ -273,6 +273,25 @@ func QuantizeRow(qmin, delta float64, src []float32, dst []uint8) bool {
 		quantizeRowAVX2(&s[0], 8, qmin, delta, &d[0])
 		copy(dst[n:], d[:])
 	}
+	return true
+}
+
+// CellRow writes dst[i] = rowConst + cell[i] + qterm[i], clamped at 0,
+// for every i < len(cell) — one row of a cell's distance tables
+// (index.CellTables) — on the active backend's kernel, and reports
+// whether it did. Only the assembly backends have one, for len(cell) a
+// positive multiple of 8; otherwise it writes nothing and returns false,
+// and the caller runs its Go body. The kernel performs the float32
+// operations of that body in its order — rowConst + cell[i] first, then
+// + qterm[i], then the clamp of a sum below zero to +0 — so the two
+// agree bit for bit, on every input (DESIGN.md §6).
+func CellRow(rowConst float32, cell, qterm, dst []float32) bool {
+	if !avx2Kernels() || len(cell) == 0 || len(cell)%8 != 0 {
+		return false
+	}
+	_ = qterm[len(cell)-1] // bounds contract
+	_ = dst[len(cell)-1]
+	cellRowAVX2(rowConst, &cell[0], &qterm[0], &dst[0], len(cell))
 	return true
 }
 

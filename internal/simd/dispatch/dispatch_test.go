@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -287,5 +288,33 @@ func TestForcedBackendHonored(t *testing.T) {
 	if got := Active(); got != forced {
 		t.Fatalf("%s=%s was not honored: active backend %s (init note %q) — this run is testing the fallback, not the forced backend",
 			EnvVar, forced, got, InitNote())
+	}
+}
+
+// BenchmarkAccumulateExact times the exact-bound kernel alone at every
+// grouping depth, on 64 blocks a call (16 iterations of the four-block
+// loop) that stay in L1, and reports its ns/block: the per-c figures
+// beside the kernel=bound rows of internal/scan's BenchmarkKernels,
+// which cover only the depths their partition sizes choose.
+func BenchmarkAccumulateExact(b *testing.B) {
+	if !AVX512VBMI.Available() {
+		b.Skip("no avx512vbmi")
+	}
+	r := rand.New(rand.NewSource(6))
+	var rows [8][256]uint8
+	var key [4]uint8
+	randomRows(r, &rows, &key)
+	const nblocks = 64
+	dst, masks := make([]byte, nblocks*16), make([]uint16, nblocks)
+	for c := 0; c <= 4; c++ {
+		blockBytes := 128 - 8*c
+		blocks := make([]byte, nblocks*blockBytes)
+		r.Read(blocks)
+		b.Run(fmt.Sprintf("c=%d", c), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				AccumulateExact(blocks, blockBytes, c, nblocks, 127, &key, &rows, dst, masks)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nblocks, "ns/block")
+		})
 	}
 }

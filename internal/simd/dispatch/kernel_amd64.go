@@ -118,3 +118,8 @@ func accumulateExactVBMI(blocks *byte, blockBytes, c, nblocks int, thr int8, key
 //
 //go:noescape
 func quantizeRowAVX2(src *float32, n int, qmin, delta float64, dst *uint8)
+
+// cellRowAVX2 is the hand-written kernel in kernel_amd64.s.
+//
+//go:noescape
+func cellRowAVX2(rowConst float32, cell, qterm, dst *float32, n int)

@@ -372,39 +372,110 @@ done:
 // func accumulateExactVBMI(blocks *byte, blockBytes, c, nblocks int, thr int8, key *uint8, rows *uint8, dst *byte, masks *uint16)
 //
 // The exact 8-bit bound (AccumulateExactGeneric) over four blocks an
-// iteration, block k in 128-bit lane k of a zmm register. A grouped
-// component j < c looks its lanes up in the group's 16-entry window
-// rows[j][key[j]·16:], broadcast to all four lanes once a call (Z16–Z19),
-// by VPSHUFB, as asm-avx2 does. An ungrouped component looks each full
-// code byte up in its whole 256-entry row: two two-table byte permutes
-// (VPERMT2B, the form of VPERMI2B that overwrites a table rather than
-// the index) resolve the low seven index bits against entries 0..127
-// and, again, against 128..255, each a 128-entry table of one register
-// and one memory operand, and the lanes whose index has bit 7 set take
-// the second (VPMOVB2M, then a masked VMOVDQU8). Accumulation, the
-// final VPMINUB against 127 and the signed VPCMPGTB against the
-// threshold are asm-avx2's, the compare into an opmask whose 64 bits
-// are the four blocks' 16-bit masks. The last nblocks mod 4 blocks run
-// in one more pass, lanes past the last block reading it again, and
-// only their bytes and masks are stored. Every load lies inside the
-// block it serves: a packed component's 16 bytes end within the full
-// bytes that follow it (c <= 4).
+// iteration, block k in 128-bit lane k of a zmm register. A block is a
+// run of 16-byte rows, so the four blocks' rows reach the lanes by
+// full-width loads and in-register 128-bit transposes:
+//
+//   - four rows (QUADS): one 64-byte load a block holds its rows r..r+3
+//     in its four lanes; two rounds of VSHUFI64X2, eight in all, turn
+//     the four registers into four rows of the four blocks;
+//   - two rows (PAIRS): a 32-byte load a block, two VINSERTI64X4 make
+//     [A B] and [C D], and two VSHUFI64X2 the two rows;
+//   - one row (LANES): one 16-byte load and three VINSERTI32X4.
+//
+// A grouped component j < c is 8 packed bytes, so a 16-byte row holds
+// components j and j+1: the nibbles split once, VPUNPCKLBW gives j's
+// lane indexes and VPUNPCKHBW j+1's, and each looks its lanes up in the
+// group's 16-entry window rows[j][key[j]·16:], broadcast to all four
+// lanes once a call (Z16–Z19), by VPSHUFB, as asm-avx2 does. An
+// ungrouped component looks each full code byte up in its whole
+// 256-entry row: two two-table byte permutes (VPERMT2B, the form of
+// VPERMI2B that overwrites a table rather than the index) resolve the
+// low seven index bits against entries 0..127 and, again, against
+// 128..255, each a 128-entry table of one register and one memory
+// operand, and the lanes whose index has bit 7 set take the second
+// (VPMOVB2M, then a masked VMOVDQU8). Accumulation, the final VPMINUB
+// against 127 and the signed VPCMPGTB against the threshold are
+// asm-avx2's, the compare into an opmask whose 64 bits are the four
+// blocks' 16-bit masks. Each depth c has a body of its own, its rows
+// at constant offsets; a block is 128 − 8c bytes and every load ends
+// within it (a 64-byte load of ungrouped rows starts at 8c and ends by
+// 8c + 64 ≤ 128 − 8c for c ≤ 4). The last nblocks mod 4 blocks run in
+// one more pass, lanes past the last block reading it again, and only
+// their bytes and masks are stored.
 //
 // Lane k reads its block at SI plus 0, R14, DX, R13.
-#define LANES(off, base, dst) \
-	VMOVDQU      off(base), X2; \
-	VINSERTI32X4 $1, off(base)(R14*1), Z2, Z2; \
-	VINSERTI32X4 $2, off(base)(DX*1), Z2, Z2; \
-	VINSERTI32X4 $3, off(base)(R13*1), Z2, dst
+#define LANES(off, dst) \
+	VMOVDQU      off(SI), X2; \
+	VINSERTI32X4 $1, off(SI)(R14*1), Z2, Z2; \
+	VINSERTI32X4 $2, off(SI)(DX*1), Z2, Z2; \
+	VINSERTI32X4 $3, off(SI)(R13*1), Z2, dst
 
-#define GROUPED(off, win) \
-	LANES(off, SI, Z2); \
-	VPSRLW     $4, Z2, Z4; \
-	VPANDQ     Z10, Z2, Z3; \
-	VPANDQ     Z10, Z4, Z4; \
+#define PAIRS(off, r0, r1) \
+	VMOVDQU      off(SI), Y2; \
+	VINSERTI64X4 $1, off(SI)(R14*1), Z2, Z2; \
+	VMOVDQU      off(SI)(DX*1), Y3; \
+	VINSERTI64X4 $1, off(SI)(R13*1), Z3, Z3; \
+	VSHUFI64X2   $0x88, Z3, Z2, r0; \
+	VSHUFI64X2   $0xdd, Z3, Z2, r1
+
+// QUADS leaves the rows in Z20..Z23.
+#define QUADS(off) \
+	VMOVDQU64  off(SI), Z2; \
+	VMOVDQU64  off(SI)(R14*1), Z3; \
+	VMOVDQU64  off(SI)(DX*1), Z4; \
+	VMOVDQU64  off(SI)(R13*1), Z5; \
+	VSHUFI64X2 $0x44, Z3, Z2, Z6; \
+	VSHUFI64X2 $0xee, Z3, Z2, Z7; \
+	VSHUFI64X2 $0x44, Z5, Z4, Z8; \
+	VSHUFI64X2 $0xee, Z5, Z4, Z9; \
+	VSHUFI64X2 $0x88, Z8, Z6, Z20; \
+	VSHUFI64X2 $0xdd, Z8, Z6, Z21; \
+	VSHUFI64X2 $0x88, Z9, Z7, Z22; \
+	VSHUFI64X2 $0xdd, Z9, Z7, Z23
+
+// EXACT adds the entries of the quantized row at byte offset row of R9
+// that the code bytes idx select.
+#define EXACT(idx, row) \
+	VMOVDQU64 row(R9), Z24; \
+	VPERMT2B  row+64(R9), idx, Z24; \
+	VMOVDQU64 row+128(R9), Z25; \
+	VPERMT2B  row+192(R9), idx, Z25; \
+	VPMOVB2M  idx, K1; \
+	VMOVDQU8  Z25, K1, Z24; \
+	VPADDUSB  Z24, Z0, Z0
+
+// NIBBLES splits a row of packed bytes: low nibbles to Z3, high to Z4.
+#define NIBBLES(src) \
+	VPSRLW $4, src, Z4; \
+	VPANDQ Z10, src, Z3; \
+	VPANDQ Z10, Z4, Z4
+
+// WINDOW_LO and WINDOW_HI look up the lanes of the row's first and
+// second component in window win.
+#define WINDOW_LO(win) \
 	VPUNPCKLBW Z4, Z3, Z5; \
-	VPSHUFB    Z5, win, Z6; \
+	VPSHUFB    Z5, win, Z5; \
+	VPADDUSB   Z5, Z0, Z0
+
+#define WINDOW_HI(win) \
+	VPUNPCKHBW Z4, Z3, Z6; \
+	VPSHUFB    Z6, win, Z6; \
 	VPADDUSB   Z6, Z0, Z0
+
+// QUAD_EXACT adds the four ungrouped rows at block offset off, whose
+// quantized rows start at byte offset row of R9.
+#define QUAD_EXACT(off, row) \
+	QUADS(off); \
+	EXACT(Z20, row); \
+	EXACT(Z21, row+256); \
+	EXACT(Z22, row+512); \
+	EXACT(Z23, row+768)
+
+#define PAIR_EXACT(off, row) \
+	PAIRS(off, Z20, Z21); \
+	EXACT(Z20, row); \
+	EXACT(Z21, row+256)
 
 TEXT ·accumulateExactVBMI(SB), NOSPLIT, $0-72
 	MOVQ blocks+0(FP), SI
@@ -465,41 +536,65 @@ blockloop:
 
 accumulate:
 	VPXORQ Z0, Z0, Z0          // 64-lane accumulator
-	CMPQ   CX, $1
-	JL     ungrouped
-	GROUPED(0, Z16)
 	CMPQ   CX, $2
-	JL     ungrouped
-	GROUPED(8, Z17)
+	JL     c01
+	JE     c2
 	CMPQ   CX, $3
-	JL     ungrouped
-	GROUPED(16, Z18)
-	CMPQ   CX, $4
-	JL     ungrouped
-	GROUPED(24, Z19)
+	JE     c3
 
-ungrouped:
-	LEAQ (SI)(CX*8), R10       // component c's full bytes in lane 0's block
-	MOVQ CX, R11
-	SHLQ $8, R11
-	ADDQ R9, R11               // rows[c]
-	MOVQ $8, AX
-	SUBQ CX, AX                // 8 - c ungrouped components
+	// c = 4: rows 0 and 1 grouped (components 0,1 and 2,3), 2..5 not.
+	PAIRS(0, Z20, Z21)
+	NIBBLES(Z20)
+	WINDOW_LO(Z16)
+	WINDOW_HI(Z17)
+	NIBBLES(Z21)
+	WINDOW_LO(Z18)
+	WINDOW_HI(Z19)
+	QUAD_EXACT(32, 1024)
+	JMP bounded
 
-ungrouped_loop:
-	LANES(0, R10, Z2)
-	VMOVDQU64 (R11), Z3        // entries 0..63
-	VPERMT2B  64(R11), Z2, Z3  // entries 0..127 at index bits 6..0
-	VMOVDQU64 128(R11), Z4     // entries 128..191
-	VPERMT2B  192(R11), Z2, Z4 // entries 128..255
-	VPMOVB2M  Z2, K1           // index bit 7: the row's upper half
-	VMOVDQU8  Z4, K1, Z3       // merge on bit 7
-	VPADDUSB  Z3, Z0, Z0
-	ADDQ      $16, R10
-	ADDQ      $256, R11
-	DECQ      AX
-	JNZ       ungrouped_loop
+c3:
+	// c = 3: components 0,1 and 2 in bytes 0..23, five rows from 24.
+	PAIRS(0, Z20, Z21)
+	NIBBLES(Z20)
+	WINDOW_LO(Z16)
+	WINDOW_HI(Z17)
+	NIBBLES(Z21)
+	WINDOW_LO(Z18)
+	QUAD_EXACT(24, 768)
+	LANES(88, Z20)
+	EXACT(Z20, 1792)
+	JMP bounded
 
+c2:
+	// c = 2: components 0,1 in row 0, six rows from 16.
+	LANES(0, Z20)
+	NIBBLES(Z20)
+	WINDOW_LO(Z16)
+	WINDOW_HI(Z17)
+	QUAD_EXACT(16, 512)
+	PAIR_EXACT(80, 1536)
+	JMP bounded
+
+c01:
+	TESTQ CX, CX
+	JZ    c0
+	// c = 1: component 0 in bytes 0..7, seven rows from 8.
+	LANES(0, Z20)
+	NIBBLES(Z20)
+	WINDOW_LO(Z16)
+	QUAD_EXACT(8, 256)
+	PAIR_EXACT(72, 1280)
+	LANES(104, Z20)
+	EXACT(Z20, 1792)
+	JMP bounded
+
+c0:
+	// c = 0: eight rows.
+	QUAD_EXACT(0, 0)
+	QUAD_EXACT(64, 1024)
+
+bounded:
 	VPMINUB  Z11, Z0, Z0       // saturate the quantized range at 127
 	VPCMPGTB Z12, Z0, K2       // lanes above the threshold are pruned
 	KMOVQ    K2, AX            // block k's mask in bits 16k..16k+15
@@ -591,6 +686,37 @@ quantloop:
 	ADDQ        $8, DI
 	SUBQ        $8, CX
 	JNZ         quantloop
+
+	VZEROUPPER
+	RET
+
+// func cellRowAVX2(rowConst float32, cell, qterm, dst *float32, n int)
+//
+// dst[i] = rowConst + cell[i] + qterm[i], clamped at 0, eight entries a
+// pass, in the float32 operations of the Go body (index.cellEntry) and
+// its order: (rowConst + cell[i]) + qterm[i] as two rounded adds
+// (VADDPS), then VCMPPS LT_OQ against zero and VANDNPS, which turns a
+// negative sum into +0 and keeps every other, −0 and NaN included, as
+// the body's `if v < 0` does. n is a positive multiple of 8.
+TEXT ·cellRowAVX2(SB), NOSPLIT, $0-40
+	VBROADCASTSS rowConst+0(FP), Y0
+	MOVQ         cell+8(FP), SI
+	MOVQ         qterm+16(FP), DX
+	MOVQ         dst+24(FP), DI
+	MOVQ         n+32(FP), CX
+	VXORPS       Y3, Y3, Y3
+
+cellloop:
+	VADDPS  (SI), Y0, Y1       // rowConst + cell[i]
+	VADDPS  (DX), Y1, Y1       // + qterm[i]
+	VCMPPS  $0x11, Y3, Y1, Y2  // lanes below zero (LT_OQ)
+	VANDNPS Y1, Y2, Y1         // ... become +0
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JNZ     cellloop
 
 	VZEROUPPER
 	RET

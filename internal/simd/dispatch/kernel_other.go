@@ -27,3 +27,7 @@ func accumulateExactVBMI(blocks *byte, blockBytes, c, nblocks int, thr int8, key
 func quantizeRowAVX2(src *float32, n int, qmin, delta float64, dst *uint8) {
 	panic("dispatch: asm-avx2 backend is amd64-only")
 }
+
+func cellRowAVX2(rowConst float32, cell, qterm, dst *float32, n int) {
+	panic("dispatch: asm-avx2 backend is amd64-only")
+}

@@ -107,11 +107,12 @@ func TestSiftMatchesSwapReference(t *testing.T) {
 }
 
 // BenchmarkPushStream is one served k = 100 query's top-k work: a
-// random-order stream of 4 740 candidate distances (the served scan's
-// re-checked candidates a query, BenchmarkServedScan's cand/query),
-// each offered the way the scan offers it — skipped when the heap is
-// full and it lies above the threshold, pushed otherwise. That is about
-// 485 pushes a query.
+// random-order stream of 4 740 candidate distances (the re-checks a
+// served query pays under the minimum tables, BenchmarkServedScan's
+// cand/query on asm-avx2; the exact bound of asm-avx512vbmi leaves
+// 645), each offered the way the scan offers it — skipped when the heap
+// is full and it lies above the threshold, pushed otherwise. That is
+// about 485 pushes a query.
 func BenchmarkPushStream(b *testing.B) {
 	const k, n, streams = 100, 4740, 64
 	r := rng.New(1)
