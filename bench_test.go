@@ -269,16 +269,25 @@ func BenchmarkSearchNProbe(b *testing.B) {
 				}
 				return resp.Stats
 			}
-			for i := 0; i < nprobeQueries.Rows(); i++ {
-				run(i) // first scans build the Fast Scan layouts
-			}
+			// The counters are summed over whole passes of the pool (the
+			// warm-up pass and every whole pass of the timed loop), so
+			// they read the same at any b.N.
+			pool := nprobeQueries.Rows()
 			var total scan.Stats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for i := 0; i < pool; i++ {
 				total.Merge(run(i))
 			}
-			b.ReportMetric(float64(total.Candidates)/float64(b.N), "cand/query")
-			b.ReportMetric(float64(total.Blocks)/float64(b.N), "blocks/query")
+			whole := b.N - b.N%pool
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st := run(i)
+				if i < whole {
+					total.Merge(st)
+				}
+			}
+			queries := float64(pool + whole)
+			b.ReportMetric(float64(total.Candidates)/queries, "cand/query")
+			b.ReportMetric(float64(total.Blocks)/queries, "blocks/query")
 		})
 	}
 }
@@ -305,17 +314,26 @@ func BenchmarkServedScan(b *testing.B) {
 		}
 		return resp.Stats.Candidates
 	}
-	for i := 0; i < env.Pool.Rows(); i++ {
-		run(i) // warm the per-searcher scratch
-	}
+	// cand/query is summed over whole passes of the pool (the warm-up
+	// pass and every whole pass of the timed loop), so it reads the
+	// same at any b.N.
+	pool := env.Pool.Rows()
 	candidates := 0
+	for i := 0; i < pool; i++ {
+		candidates += run(i) // also warms the per-searcher scratch
+	}
+	whole := b.N - b.N%pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		candidates += run(i)
+		c := run(i)
+		if i < whole {
+			candidates += c
+		}
 	}
-	b.ReportMetric(float64(candidates)/float64(b.N), "cand/query")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(candidates), "ns/cand")
+	perQuery := float64(candidates) / float64(pool+whole)
+	b.ReportMetric(perQuery, "cand/query")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/perQuery, "ns/cand")
 }
 
 var (

@@ -1,10 +1,14 @@
 package pqfastscan_test
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -24,6 +28,13 @@ var (
 	itemCite = regexp.MustCompile(`ROADMAP(?:\s|//)+item(?:\s|//)+(\d+)([a-z]?)\b`)
 	// itemHeading is a ROADMAP.md item heading, "### N. …".
 	itemHeading = regexp.MustCompile(`(?m)^### (\d+)\. `)
+	// runKey is a workflow step's run: key and its value ("|" or ">"
+	// opening a block of the lines indented below it).
+	runKey = regexp.MustCompile(`^(\s*)(?:-\s+)?run:\s*(.*)$`)
+	// goRun is a `go run ./<dir>`; goBuildOut a `go build -o <out>
+	// ./<pkg>…`, <pkg> perhaps a ./… pattern.
+	goRun      = regexp.MustCompile(`\bgo run\b(?:\s+-\S+)*\s+\./(\S+)`)
+	goBuildOut = regexp.MustCompile(`\bgo build\b.*?\s-o\s+(\S+)((?:\s+\./\S+)+)`)
 )
 
 // TestDocsNameOnlyWhatExists holds every code span of the checked
@@ -168,5 +179,109 @@ func TestDocsCiteOnlyRoadmapItemsThatExist(t *testing.T) {
 	}
 	if cites == 0 {
 		t.Fatal("no ROADMAP item citations found: the check is looking at the wrong files")
+	}
+}
+
+// TestEveryMainPackageRunsInCI holds every main package under cmd/ and
+// examples/ to .github/workflows/ci.yml: some step's run: script must
+// execute it, by `go run ./<dir>` or by naming, on a line other than
+// its build, the binary a `go build -o <out>` of it wrote (an <out>
+// ending in / is a directory, the binary in it named after the
+// package's last element). A program CI only compiles can then not
+// ship. internal/tools/abpairs and benchmark/ are outside this rule:
+// abpairs drives the standing benchmark by hand, and benchmark/ is a
+// module of its own whose tests benchmark-smoke runs.
+func TestEveryMainPackageRunsInCI(t *testing.T) {
+	var mains []string
+	for _, root := range []string{"cmd", "examples"} {
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.PackageClauseOnly)
+			if err != nil {
+				return err
+			}
+			if f.Name.Name == "main" {
+				mains = append(mains, filepath.ToSlash(filepath.Dir(p)))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(mains)
+	mains = slices.Compact(mains)
+	if len(mains) == 0 {
+		t.Fatal("no main package under cmd/ or examples/: the check is looking at the wrong tree")
+	}
+
+	src, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string // every line of every run: script
+	block := -1        // the indent of the run: key whose block is being read
+	for _, l := range strings.Split(string(src), "\n") {
+		if block >= 0 {
+			if strings.TrimSpace(l) == "" || len(l)-len(strings.TrimLeft(l, " ")) > block {
+				lines = append(lines, strings.TrimSpace(l))
+				continue
+			}
+			block = -1
+		}
+		if m := runKey.FindStringSubmatch(l); m != nil {
+			if strings.HasPrefix(m[2], "|") || strings.HasPrefix(m[2], ">") {
+				block = len(m[1])
+			} else {
+				lines = append(lines, m[2])
+			}
+		}
+	}
+
+	matches := func(pattern, dir string) bool {
+		pattern = strings.TrimPrefix(pattern, "./")
+		if prefix, ok := strings.CutSuffix(pattern, "/..."); ok {
+			return dir == prefix || strings.HasPrefix(dir, prefix+"/")
+		}
+		return dir == pattern
+	}
+	executed := map[string]bool{}
+	built := map[string][]string{} // binary path → the package dirs built to it
+	for _, l := range lines {
+		for _, m := range goRun.FindAllStringSubmatch(l, -1) {
+			executed[strings.TrimSuffix(m[1], "/")] = true
+		}
+		if m := goBuildOut.FindStringSubmatch(l); m != nil {
+			out := strings.Trim(m[1], `"'`)
+			for _, pkg := range strings.Fields(m[2]) {
+				for _, dir := range mains {
+					if !matches(pkg, dir) {
+						continue
+					}
+					bin := out
+					if strings.HasSuffix(out, "/") {
+						bin = out + path.Base(dir)
+					}
+					built[bin] = append(built[bin], dir)
+				}
+			}
+		}
+	}
+	for _, l := range lines {
+		if goBuildOut.MatchString(l) {
+			continue
+		}
+		for _, word := range strings.Fields(l) {
+			for _, dir := range built[strings.Trim(word, `"'();&|`)] {
+				executed[dir] = true
+			}
+		}
+	}
+	for _, dir := range mains {
+		if !executed[dir] {
+			t.Errorf("%s is a main package no ci.yml run: script executes: run it in CI or delete it", dir)
+		}
 	}
 }

@@ -16,7 +16,9 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math"
+	"slices"
 	"sort"
 
 	"pqfastscan/internal/rng"
@@ -145,13 +147,10 @@ func main() {
 		got[i] = h.val
 	}
 	sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-	same := len(got) == len(exact)
-	for i := range got {
-		if same && got[i] != exact[i] {
-			same = false
-		}
+	if !slices.Equal(got, exact) {
+		log.Fatalf("top-%d values differ from full decode: %v vs %v", topK, got, exact)
 	}
-	fmt.Printf("top-%d values identical to full decode: %v\n", topK, same)
+	fmt.Printf("top-%d values identical to full decode: true\n", topK)
 }
 
 // topKSmallest decodes every row and returns the k smallest values.

@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"pqfastscan"
@@ -47,15 +48,18 @@ func main() {
 	// Every kernel returns identical results; Fast Scan just gets there
 	// with ~4-6x fewer CPU cycles on real SIMD hardware.
 	q := queries.Row(0)
-	fast, _ := idx.Search(ctx, q, 5, pqfastscan.WithKernel(pqfastscan.KernelFastScan))
-	slow, _ := idx.Search(ctx, q, 5, pqfastscan.WithKernel(pqfastscan.KernelNaive))
-	same := len(fast.Results) == len(slow.Results)
-	for i := range fast.Results {
-		if fast.Results[i] != slow.Results[i] {
-			same = false
-		}
+	fast, err := idx.Search(ctx, q, 5, pqfastscan.WithKernel(pqfastscan.KernelFastScan))
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("FastScan results identical to naive PQ Scan: %v\n", same)
+	slow, err := idx.Search(ctx, q, 5, pqfastscan.WithKernel(pqfastscan.KernelNaive))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !slices.Equal(fast.Results, slow.Results) {
+		log.Fatalf("FastScan results differ from naive PQ Scan: %v vs %v", fast.Results, slow.Results)
+	}
+	fmt.Println("FastScan results identical to naive PQ Scan: true")
 
 	// Online mutation: ingest fresh vectors and delete the current best
 	// match, then search again — served straight from the live index.

@@ -76,6 +76,9 @@ func main() {
 	for rank, r := range found.Results {
 		fmt.Printf("  #%d id=%d distance=%.1f\n", rank+1, r.ID, r.Distance)
 	}
+	if len(found.Results) == 0 || found.Results[0].ID != added.IDs[0] {
+		log.Fatalf("the vector just added (id %d) did not come back first", added.IDs[0])
+	}
 
 	// A few ordinary queries.
 	queries := gen.Generate(3)
