@@ -27,7 +27,6 @@ import (
 	"pqfastscan/internal/index"
 	"pqfastscan/internal/perf"
 	"pqfastscan/internal/scan"
-	"pqfastscan/internal/scan/model"
 )
 
 var (
@@ -48,8 +47,8 @@ func sharedEnv(b *testing.B) *bench.Env {
 }
 
 // runExperiment executes a registered experiment driver once, emitting
-// its table, and leaves kernel-level timing to the dedicated scan
-// benchmarks below.
+// its table, and leaves kernel-level timing to BenchmarkKernels in
+// internal/scan and internal/scan/model.
 func runExperiment(b *testing.B, name string, out io.Writer) {
 	b.Helper()
 	exp, ok := bench.Find(name)
@@ -94,72 +93,9 @@ func BenchmarkFigure20LargeScale(b *testing.B)          { experimentBenchmark("f
 func BenchmarkFigure11AssignmentAblation(b *testing.B)  { experimentBenchmark("fig11")(b) }
 func BenchmarkGroupingComponentsAblation(b *testing.B)  { experimentBenchmark("grouping")(b) }
 func BenchmarkMemoryFootprint(b *testing.B)             { experimentBenchmark("memory")(b) }
-func BenchmarkWideRegisters(b *testing.B)               { experimentBenchmark("wide")(b) }
 func BenchmarkMemoryBandwidth(b *testing.B)             { experimentBenchmark("bandwidth")(b) }
 func BenchmarkRecall(b *testing.B)                      { experimentBenchmark("recall")(b) }
 func BenchmarkAlgorithmSteps(b *testing.B)              { experimentBenchmark("steps")(b) }
-
-// Kernel micro-benchmarks: measured Go ns/vector for every scan kernel on
-// the largest partition. These are the wall-clock counterparts of the
-// modeled counters (the simd package emulates SIMD semantics in scalar
-// Go, so measured ratios differ from the modeled silicon ratios; see
-// DESIGN.md "Substitutions").
-func benchmarkKernel(b *testing.B, kern model.Kernel, fsOpt scan.FastScanOptions) {
-	env := sharedEnv(b)
-	part := 0
-	bestN := -1
-	for i, p := range env.Index.Parts() {
-		if p.N > bestN {
-			part, bestN = i, p.N
-		}
-	}
-	t := env.TablesFor(0, part)
-	p := env.Index.Parts()[part]
-	var fs *scan.FastScan
-	if kern == model.KernelFastScan || kern == model.KernelFastScan256 {
-		var err error
-		fs, err = env.FastScanner(part, fsOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := model.Run(kern, p, fs, t, 100, fsOpt.Keep); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.N), "ns/vec")
-}
-
-func BenchmarkScanNaive(b *testing.B)  { benchmarkKernel(b, model.KernelNaive, bench.PaperFastOpts()) }
-func BenchmarkScanLibpq(b *testing.B)  { benchmarkKernel(b, model.KernelLibpq, bench.PaperFastOpts()) }
-func BenchmarkScanAVX(b *testing.B)    { benchmarkKernel(b, model.KernelAVX, bench.PaperFastOpts()) }
-func BenchmarkScanGather(b *testing.B) { benchmarkKernel(b, model.KernelGather, bench.PaperFastOpts()) }
-func BenchmarkScanQuantizationOnly(b *testing.B) {
-	benchmarkKernel(b, model.KernelQuantOnly, bench.PaperFastOpts())
-}
-func BenchmarkScanFastScan256(b *testing.B) {
-	env := sharedEnv(b)
-	bestN := -1
-	for _, p := range env.Index.Parts() {
-		if p.N > bestN {
-			bestN = p.N
-		}
-	}
-	benchmarkKernel(b, model.KernelFastScan256, bench.HeadlineFastOpts(bestN, 100))
-}
-
-func BenchmarkScanFastScan(b *testing.B) {
-	env := sharedEnv(b)
-	bestN := -1
-	for _, p := range env.Index.Parts() {
-		if p.N > bestN {
-			bestN = p.N
-		}
-	}
-	benchmarkKernel(b, model.KernelFastScan, bench.HeadlineFastOpts(bestN, 100))
-}
 
 // BenchmarkDistanceTables times Step 2 of Algorithm 1, the M×256
 // distance tables of one probed cell, by its parts. The paper calls the

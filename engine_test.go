@@ -110,7 +110,7 @@ func TestParseKernelListsTheThree(t *testing.T) {
 			t.Errorf("ParseKernel(%q) = %v, %v", k, got, err)
 		}
 	}
-	for _, name := range []string{"avx", "gather", "quantonly", "fastpq256", "model"} {
+	for _, name := range []string{"avx", "gather", "quantonly", "model"} {
 		_, err := pqfastscan.ParseKernel(name)
 		if err == nil || !strings.Contains(err.Error(), "naive, libpq, fastpq") {
 			t.Errorf("ParseKernel(%q) returned %v, want an error listing the three kernels", name, err)

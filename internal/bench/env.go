@@ -206,7 +206,7 @@ type ScanOutcome struct {
 // outside the measured time.
 func (e *Env) scan(kernel model.Kernel, part int, t quantizer.Tables, k int, fsOpt scan.FastScanOptions) (ScanOutcome, error) {
 	var fs *scan.FastScan
-	if kernel == model.KernelFastScan || kernel == model.KernelFastScan256 {
+	if kernel == model.KernelFastScan {
 		var err error
 		if fs, err = e.FastScanner(part, fsOpt); err != nil {
 			return ScanOutcome{}, err

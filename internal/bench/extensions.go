@@ -10,54 +10,8 @@ import (
 
 func init() {
 	Registry = append(Registry,
-		Experiment{"wide", "§6 extension: 256-bit (AVX2) Fast Scan vs 128-bit", true, WideAblation},
 		Experiment{"bandwidth", "§5.8: multi-query scaling against memory bandwidth", true, BandwidthExperiment},
 	)
-}
-
-// WideAblation compares the 128-bit kernel of the paper against the §6
-// widening: a 256-bit vpshufb performs 32 lookups, halving the front-end
-// work per vector. Results are identical; only modeled cost changes.
-func WideAblation(env *Env, w io.Writer) error {
-	part := env.largestPartition()
-	n := env.Index.Parts()[part].N
-	arch := perf.Haswell
-	tw := newTab(w)
-	fmt.Fprintf(tw, "kernel\tregister width\tinstr/vec\tcycles/vec\tspeed [Mvecs/s]\tpruned %%\n")
-	for _, row := range []struct {
-		name string
-		kern model.Kernel
-		bits int
-	}{
-		{"fastpq (paper)", model.KernelFastScan, 128},
-		{"fastpq256 (extension)", model.KernelFastScan256, 256},
-	} {
-		opt := HeadlineFastOpts(n, 100)
-		var sum perf.Counters
-		var pruned, lbs int
-		pool := env.partitionPoolQueries(part, 12)
-		if len(pool) == 0 {
-			pool = []int{0}
-		}
-		nq := len(pool)
-		for _, qi := range pool {
-			out, _, err := env.runPool(row.kern, qi, 100, opt)
-			if err != nil {
-				return err
-			}
-			c := out.Stats.Counters(arch)
-			sum.Cycles += c.Cycles
-			sum.Instructions += c.Instructions
-			pruned += out.Stats.Pruned
-			lbs += out.Stats.LowerBounds
-		}
-		perVec := perVector(sum, nq*n)
-		speed := float64(n) / (perVec.Cycles * float64(n) / (arch.FreqGHz * 1e9)) / 1e6
-		fmt.Fprintf(tw, "%s\t%d-bit\t%.2f\t%.2f\t%.0f\t%.1f\n",
-			row.name, row.bits, perVec.Instructions, perVec.Cycles, speed,
-			100*float64(pruned)/float64(lbs))
-	}
-	return tw.Flush()
 }
 
 // BandwidthExperiment reproduces the §5.8 argument: "PQ Fast Scan loads 6

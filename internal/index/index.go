@@ -38,7 +38,7 @@ const BackendAuto = dispatch.Auto
 
 // Kernel selects the scan a query is answered with. All three return
 // bit-identical results (DESIGN.md §6); the paper's other kernels (avx,
-// gather, quantonly, fastpq256) are laboratory implementations in
+// gather, quantonly) are laboratory implementations in
 // internal/scan/model, reachable through pqbench, not through a query.
 type Kernel int
 

@@ -61,6 +61,9 @@ func getBenchEnv(b *testing.B, n int) *benchEnv {
 	if err != nil {
 		b.Fatal(err)
 	}
+	if n == paperDepthN && fs.GroupComponents() != 4 {
+		b.Fatalf("n=%d groups on c = %d: the paper-depth rows must measure c = 4", n, fs.GroupComponents())
+	}
 	e.fast = fs
 	benchEnvs[n] = e
 	return e
@@ -68,14 +71,22 @@ func getBenchEnv(b *testing.B, n int) *benchEnv {
 
 const benchK = 100
 
-// benchSizes spans the partition sizes the kernels are compared at; the
-// largest is the size of one lib_mixed/serve_search partition of the
-// standing benchmark.
-var benchSizes = []int{1000, 10000, 100000}
+// benchSizes spans the partition sizes the kernels are compared at:
+// 100 000 is the size of one lib_mixed/serve_search partition of the
+// standing benchmark, paperDepthN the paper's regime.
+var benchSizes = []int{1000, 10000, 100000, paperDepthN}
+
+// paperDepthN is a partition size of the paper's 3.2–25 M range at
+// which AutoComponents groups on c = 4: the grouped region, keep
+// excluded, must reach layout.MinPartitionSize(4) = 3 276 800 codes.
+// Its fixture takes about 2 s to build.
+const paperDepthN = 3_300_000
 
 // BenchmarkKernels covers the serving scans at several partition sizes;
 // the model's rows of the same benchmark (engine=model) are in
-// internal/scan/model.
+// internal/scan/model, at the sizes below paperDepthN. A size's fixture
+// is built by the first row that runs it, so a -bench pattern naming
+// one size builds only that one.
 func BenchmarkKernels(b *testing.B) {
 	variants := []struct {
 		kernel string
@@ -91,12 +102,13 @@ func BenchmarkKernels(b *testing.B) {
 		}},
 	}
 	for _, n := range benchSizes {
-		e := getBenchEnv(b, n)
 		for _, v := range variants {
 			b.Run(fmt.Sprintf("n=%d/kernel=%s/engine=native", n, v.kernel), func(b *testing.B) {
+				e := getBenchEnv(b, n)
 				sc := NewScratch()
 				b.ReportAllocs()
 				b.SetBytes(int64(n * M))
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					v.run(e, sc)
 				}
@@ -104,7 +116,7 @@ func BenchmarkKernels(b *testing.B) {
 		}
 		for _, be := range dispatch.AvailableBackends() {
 			b.Run(fmt.Sprintf("n=%d/kernel=bound/backend=%s", n, be), func(b *testing.B) {
-				benchBound(b, e, be)
+				benchBound(b, getBenchEnv(b, n), be)
 			})
 		}
 	}

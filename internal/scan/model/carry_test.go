@@ -71,14 +71,12 @@ func carried(cells []cell, k int, scanInto func(c cell, heap *topk.Heap) scan.St
 	return heap.Results(), stats
 }
 
-// everyEngine runs check once per way of continuing a heap: the two
-// model widths of the minimum-table bound, the model of the exact
-// bound, and every available backend of the serving scan, the process
-// pinned to it; exact says which bound the engine's counters are those
-// of.
+// everyEngine runs check once per way of continuing a heap: the model
+// of the minimum-table bound, the model of the exact bound, and every
+// available backend of the serving scan, the process pinned to it;
+// exact says which bound the engine's counters are those of.
 func everyEngine(t testing.TB, check func(name string, native, exact bool, scanInto func(c cell, heap *topk.Heap) scan.Stats)) {
 	check("model", false, false, func(c cell, heap *topk.Heap) scan.Stats { return ScanInto(c.fs, c.t, heap).Stats })
-	check("model256", false, false, func(c cell, heap *topk.Heap) scan.Stats { return Scan256Into(c.fs, c.t, heap).Stats })
 	check("model-exact", false, true, func(c cell, heap *topk.Heap) scan.Stats { return ScanExactInto(c.fs, c.t, heap).Stats })
 	pin := backendPin(t)
 	for _, be := range dispatch.AvailableBackends() {

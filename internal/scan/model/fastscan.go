@@ -28,36 +28,7 @@ func Scan(fs *scan.FastScan, t quantizer.Tables, k int) ([]topk.Result, Stats) {
 func ScanInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	c := fs.GroupComponents()
 	return fastScan(fs, t, heap, variant{
-		width:    1,
-		perStep:  perBlock(c),
-		perGroup: groupLoad(c),
-		bound:    newMinTableBound,
-	})
-}
-
-// Scan256 is the AVX2 widening of PQ Fast Scan anticipated by the
-// paper's §6: each small table is duplicated into both 128-bit lanes of
-// a 256-bit register, so every vpshufb performs 32 lookups and a pair of
-// 16-vector blocks is lower-bounded per inner-loop iteration. vpshufb
-// shuffles each 128-bit lane on its own, so the pair's bound is the two
-// blocks' 128-bit bounds taken at one threshold: the pair's. Results are
-// bit-identical to Scan and to the PQ Scan kernels; the operation mix —
-// roughly half the front-end work per vector — and, through the shared
-// threshold, the counters differ. Scan256 is Scan256Into from an empty
-// heap.
-func Scan256(fs *scan.FastScan, t quantizer.Tables, k int) ([]topk.Result, Stats) {
-	heap := topk.New(k)
-	stats := Scan256Into(fs, t, heap)
-	return heap.Results(), stats
-}
-
-// Scan256Into continues the query's running top-k in heap over fs's
-// partition at 256-bit width; see ScanInto and Scan256.
-func Scan256Into(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
-	c := fs.GroupComponents()
-	return fastScan(fs, t, heap, variant{
-		width:    2,
-		perStep:  perPair(c),
+		perBlock: perBlock(c),
 		perGroup: groupLoad(c),
 		bound:    newMinTableBound,
 	})
@@ -78,22 +49,17 @@ func ScanExact(fs *scan.FastScan, t quantizer.Tables, k int) ([]topk.Result, Sta
 // a backend of this bound, carried heap or not.
 func ScanExactInto(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap) Stats {
 	return fastScan(fs, t, heap, variant{
-		width:   1,
-		perStep: exactPerBlock(fs.GroupComponents()),
-		bound:   newExactBound,
+		perBlock: exactPerBlock(fs.GroupComponents()),
+		bound:    newExactBound,
 	})
 }
 
 // variant is what one model Fast Scan supplies to fastScan, the loop
-// they share: how a block is bounded, how many blocks are decided at
-// one read of the threshold, and its operation mix.
+// they share: how a block is bounded, and its operation mix.
 type variant struct {
-	// width is the number of consecutive blocks of a group bounded at
-	// the threshold of the first one's entry.
-	width int
-	// perStep is the operation mix of one inner-loop iteration (width
-	// blocks); perGroup that of preparing a bounded group.
-	perStep, perGroup perf.OpCounts
+	// perBlock is the operation mix of bounding one block; perGroup
+	// that of preparing a bounded group.
+	perBlock, perGroup perf.OpCounts
 	// bound builds the query's block bound once its quantizer and
 	// minimum tables are known.
 	bound func(fs *scan.FastScan, t quantizer.Tables, dq scan.DistQuantizer, minTables *[M][16]uint8) blockBound
@@ -116,12 +82,13 @@ type blockBound interface {
 // order (scan.VisitOrder: the few of least key bound first, the rest in
 // key order); a group its shared bound prunes whole is not bounded —
 // every lane lower-bounded and pruned, as in the serving scan. The
-// blocks of every other group are bounded v.width at a time, tombstoned
-// lanes excluded like pruned ones, and each surviving lane is a
-// candidate: an exact pqdistance re-check (right-hand path of
-// Figure 6), then a threshold refresh if the heap changed. The
-// scan.KeepBounds, quantizer, threshold rule, group test and order are
-// internal/scan's, shared with every backend and the ablations.
+// blocks of every other group are bounded one at a time, each at the
+// threshold its entry reads, tombstoned lanes excluded like pruned
+// ones, and each surviving lane is a candidate: an exact pqdistance
+// re-check (right-hand path of Figure 6), then a threshold refresh if
+// the heap changed. The scan.KeepBounds, quantizer, threshold rule,
+// group test and order are internal/scan's, shared with every backend
+// and the ablations.
 func fastScan(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap, v variant) Stats {
 	scan.Check8x8(t)
 	part, plain, c := fs.Partition(), fs.PlainScanned(), fs.GroupComponents()
@@ -148,8 +115,6 @@ func fastScan(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap, v variant)
 	order := fs.VisitOrder(&gb, nil)
 	stats.Ops.Add(visitOrderOps(c, len(order)))
 	stats.Ops.Add(groupTestOps(c, len(order)))
-	steps := 0
-	masks := make([]uint16, v.width)
 	for _, gi := range order {
 		grp := g.Groups[gi]
 		if gb.Prunes(&grp.Key, t8) {
@@ -159,39 +124,32 @@ func fastScan(fs *scan.FastScan, t quantizer.Tables, heap *topk.Heap, v variant)
 		}
 		stats.Groups++
 		bound.group(&grp)
-		for b0 := 0; b0 < grp.BlockCount; b0 += v.width {
-			steps++
-			n := min(v.width, grp.BlockCount-b0)
-			for i := range masks[:n] {
-				masks[i] = bound.block(&grp, b0+i, t8) | fs.DeadLanes(grp.BlockStart+b0+i)
-			}
-			for i, mask := range masks[:n] {
-				b := b0 + i
-				base := grp.Start + b*layout.BlockVectors
-				valid := min(grp.Count-b*layout.BlockVectors, layout.BlockVectors)
-				stats.Blocks++
-				stats.LowerBounds += valid
-				for lane := 0; lane < valid; lane++ {
-					if mask&(1<<lane) != 0 {
-						stats.Pruned++
-						continue
-					}
-					stats.Candidates++
-					pos := base + lane
-					d := scan.ADC8(g.LaneCode(&grp, pos), t)
-					if heap.Push(part.ID(fs.KeepN()+pos), d) {
-						if thr, ok := heap.Threshold(); ok {
-							t8 = dq.PruneThreshold(thr, true)
-						}
+		for b := 0; b < grp.BlockCount; b++ {
+			mask := bound.block(&grp, b, t8) | fs.DeadLanes(grp.BlockStart+b)
+			base := grp.Start + b*layout.BlockVectors
+			valid := min(grp.Count-b*layout.BlockVectors, layout.BlockVectors)
+			stats.Blocks++
+			stats.LowerBounds += valid
+			for lane := 0; lane < valid; lane++ {
+				if mask&(1<<lane) != 0 {
+					stats.Pruned++
+					continue
+				}
+				stats.Candidates++
+				pos := base + lane
+				d := scan.ADC8(g.LaneCode(&grp, pos), t)
+				if heap.Push(part.ID(fs.KeepN()+pos), d) {
+					if thr, ok := heap.Threshold(); ok {
+						t8 = dq.PruneThreshold(thr, true)
 					}
 				}
 			}
 		}
 	}
 	// Aggregate operation accounting (hoisted out of the hot loop): the
-	// inner-loop mix, the per-group preparation, and one exact re-check
+	// per-block mix, the per-group preparation, and one exact re-check
 	// per surviving candidate.
-	stats.Ops.Add(v.perStep.Scale(float64(steps)))
+	stats.Ops.Add(v.perBlock.Scale(float64(stats.Blocks)))
 	stats.Ops.Add(v.perGroup.Scale(float64(stats.Groups)))
 	stats.Ops.Add(libpqPerVector.Scale(float64(stats.Candidates)))
 	return stats
@@ -300,16 +258,6 @@ func perBlock(c int) perf.OpCounts {
 		ScalarALU:    2,
 		ScalarBranch: 2,
 	}
-}
-
-// perPair is the operation mix of one 256-bit iteration over a pair of
-// blocks: the instruction count of one 128-bit block iteration (each
-// 256-bit instruction covers both blocks), plus one scalar op for the
-// wider mask handling.
-func perPair(c int) perf.OpCounts {
-	ops := perBlock(c)
-	ops.ScalarALU++
-	return ops
 }
 
 // groupLoad is the operation mix of loading a group's c small tables.

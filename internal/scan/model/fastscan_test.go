@@ -109,51 +109,6 @@ func TestQuantizationOnlyStats(t *testing.T) {
 	}
 }
 
-// TestScan256AgreesWithScan: the AVX2 widening must return bit-identical
-// results to the 128-bit kernel and to the exact baselines, across
-// shapes and odd block counts.
-func TestScan256AgreesWithScan(t *testing.T) {
-	r := rng.New(4242)
-	for trial := 0; trial < 25; trial++ {
-		n := r.Intn(4000) + 10
-		k := []int{1, 9, 64}[r.Intn(3)]
-		p, tables := randomPartition(t, n, r.Uint64())
-		want, _ := Naive(p, tables, k)
-		fs, err := newLayout(p, scan.FastScanOptions{
-			Keep:            []float64{0, 0.01}[r.Intn(2)],
-			GroupComponents: r.Intn(5) - 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats := Scan256(fs, tables, k)
-		sameResults(t, want, got, "naive", "fastscan256")
-		if stats.Pruned+stats.Candidates != stats.LowerBounds {
-			t.Fatalf("trial %d: scan256 accounting mismatch", trial)
-		}
-		if stats.KeepScanned+stats.LowerBounds != p.N {
-			t.Fatalf("trial %d: scan256 coverage mismatch", trial)
-		}
-	}
-}
-
-// TestScan256CheaperFrontend: per scanned vector, the wide kernel's
-// modeled instruction count must be below the 128-bit kernel's.
-func TestScan256CheaperFrontend(t *testing.T) {
-	p, tables := randomPartition(t, 30000, 77)
-	opt := scan.FastScanOptions{Keep: 0.01, GroupComponents: 2}
-	fs, err := newLayout(p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, s128 := Scan(fs, tables, 10)
-	_, s256 := Scan256(fs, tables, 10)
-	if s256.Ops.Instructions() >= s128.Ops.Instructions() {
-		t.Errorf("scan256 instructions %.0f not below scan %.0f",
-			s256.Ops.Instructions(), s128.Ops.Instructions())
-	}
-}
-
 // TestGroupSkipFires pins a scan in which the group test prunes: one
 // near portion on the grouped component, every other portion of it a
 // thousand times farther. Once the near group is re-checked (it is
@@ -183,10 +138,8 @@ func TestGroupSkipFires(t *testing.T) {
 	}
 	const k = 1
 	want, _ := Naive(fs.Partition(), tables, k)
-	model, modelStats := Scan(fs, tables, k)
+	model, _ := Scan(fs, tables, k)
 	sameResults(t, want, model, "naive", "model")
-	_, model256 := Scan256(fs, tables, k)
-	sameCounters(t, model256, modelStats.Stats, "model256")
 	pin := backendPin(t)
 	for _, be := range dispatch.AvailableBackends() {
 		pin(be)

@@ -2,11 +2,11 @@
 // exist to reproduce its counter figures, not to serve queries.
 //
 //   - the simulator Fast Scans (fastscan.go): §4's loop, written once,
-//     with a bound per variant — Scan's and Scan256's minimum tables
-//     executed instruction by instruction through internal/simd, a
-//     bit-exact software model of the SSSE3 register file; ScanExact's
-//     exact 8-bit bound of the asm-avx512vbmi backend — and a number of
-//     blocks decided at one read of the threshold (two for Scan256);
+//     with a bound per variant — Scan's minimum tables executed
+//     instruction by instruction through internal/simd, a bit-exact
+//     software model of the SSSE3 register file; ScanExact's exact
+//     8-bit bound of the asm-avx512vbmi backend — each block decided at
+//     the threshold its entry reads;
 //   - the §3 baselines: Naive (Algorithm 1), Libpq (one 64-bit mem1 load
 //     per vector, §3.1), AVX (vertical SIMD additions over 8 vectors,
 //     Figure 4) and Gather (SIMD gather lookups over the transposed
@@ -24,9 +24,9 @@
 // serving scan of the same bound at every shape, carried heap or not;
 // the tests of this package hold the two to that (DESIGN.md §9).
 //
-// Importers: internal/bench, cmd/pqbench (through it), the root
-// bench_test.go, and tests. Nothing a served query runs links this
-// package, internal/simd or internal/perf (deps_test.go at the root).
+// Importers: internal/bench, cmd/pqbench (through it), and tests.
+// Nothing a served query runs links this package, internal/simd or
+// internal/perf (deps_test.go at the root).
 package model
 
 import (
@@ -59,16 +59,13 @@ const (
 	KernelFastScan
 	// KernelQuantOnly is the quantization-only ablation (§5.5).
 	KernelQuantOnly
-	// KernelFastScan256 is the AVX2 widening of PQ Fast Scan (§6
-	// extension): 32 lookups per shuffle instruction.
-	KernelFastScan256
 )
 
 // Kernels lists every kernel, in the order the paper introduces them.
 func Kernels() []Kernel {
 	return []Kernel{
 		KernelNaive, KernelLibpq, KernelAVX, KernelGather,
-		KernelFastScan, KernelQuantOnly, KernelFastScan256,
+		KernelFastScan, KernelQuantOnly,
 	}
 }
 
@@ -87,15 +84,13 @@ func (k Kernel) String() string {
 		return "fastpq"
 	case KernelQuantOnly:
 		return "quantonly"
-	case KernelFastScan256:
-		return "fastpq256"
 	default:
 		return fmt.Sprintf("kernel(%d)", int(k))
 	}
 }
 
 // Run executes the labelled kernel over p from an empty heap. fs is p's
-// Fast Scan layout, consulted by the two Fast Scan labels only; keep is
+// Fast Scan layout, consulted by the Fast Scan label only; keep is
 // the keep fraction of the quantization-only ablation.
 func Run(kernel Kernel, p *scan.Partition, fs *scan.FastScan, t quantizer.Tables, k int, keep float64) ([]topk.Result, Stats, error) {
 	var (
@@ -115,8 +110,6 @@ func Run(kernel Kernel, p *scan.Partition, fs *scan.FastScan, t quantizer.Tables
 		res, stats = QuantizationOnly(p, t, k, keep)
 	case KernelFastScan:
 		res, stats = Scan(fs, t, k)
-	case KernelFastScan256:
-		res, stats = Scan256(fs, t, k)
 	default:
 		return nil, Stats{}, fmt.Errorf("model: unknown kernel %v", kernel)
 	}
