@@ -78,7 +78,7 @@ func experimentBenchmark(name string) func(*testing.B) {
 	}
 }
 
-// One benchmark per paper table/figure (see DESIGN.md §4 for the mapping).
+// One benchmark per paper table/figure (see DESIGN.md §8 for the mapping).
 func BenchmarkTable1CacheLevels(b *testing.B)           { experimentBenchmark("table1")(b) }
 func BenchmarkTable2InstructionProperties(b *testing.B) { experimentBenchmark("table2")(b) }
 func BenchmarkFigure3ScanImplementations(b *testing.B)  { experimentBenchmark("fig3")(b) }

@@ -1,6 +1,6 @@
 // Command datagen generates synthetic SIFT-like datasets in the TEXMEX
 // corpus formats (fvecs/bvecs/ivecs) used by ANN_SIFT1B, plus exact
-// ground truth — the dataset substitution described in DESIGN.md.
+// ground truth — the dataset substitution described in DESIGN.md §7.
 //
 // Usage:
 //

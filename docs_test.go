@@ -4,6 +4,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
@@ -28,6 +29,15 @@ var (
 	itemCite = regexp.MustCompile(`ROADMAP(?:\s|//)+item(?:\s|//)+(\d+)([a-z]?)\b`)
 	// itemHeading is a ROADMAP.md item heading, "### N. …".
 	itemHeading = regexp.MustCompile(`(?m)^### (\d+)\. `)
+	// sectionCite is a "DESIGN.md §N" or "DESIGN §N" citation with the
+	// ", §M" or " and §M" continuations of a list, the words possibly
+	// broken across comment lines; sectionNumber picks the Ns out of it.
+	sectionCite   = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|//)+§\d+(?:(?:,|\s+and)(?:\s|//)+§\d+)*`)
+	sectionNumber = regexp.MustCompile(`§(\d+)`)
+	// sectionHeading is a DESIGN.md section heading, "## §N …", and
+	// inventorySection the text of §2, up to the next heading.
+	sectionHeading   = regexp.MustCompile(`(?m)^## §(\d+) `)
+	inventorySection = regexp.MustCompile(`(?s)\n## §2 .*?(?:\n## §|$)`)
 	// runKey is a workflow step's run: key and its value ("|" or ">"
 	// opening a block of the lines indented below it).
 	runKey = regexp.MustCompile(`^(\s*)(?:-\s+)?run:\s*(.*)$`)
@@ -119,6 +129,29 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 }
 
+// goFiles lists every .go file of the tree outside .git and testdata,
+// the program files whose comments the citation checks read.
+func goFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // TestDocsCiteOnlyRoadmapItemsThatExist holds every "ROADMAP item N"
 // of the program's Go files, DESIGN.md and the verify guide to
 // ROADMAP.md: N must be the number of an "### N." heading there, and a
@@ -144,22 +177,7 @@ func TestDocsCiteOnlyRoadmapItemsThatExist(t *testing.T) {
 		t.Fatal("ROADMAP.md has no ### N. headings: the check is looking at the wrong file")
 	}
 
-	docs := append([]string(nil), docsChecked...)
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata") {
-			return filepath.SkipDir
-		}
-		if !d.IsDir() && strings.HasSuffix(path, ".go") {
-			docs = append(docs, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	docs := append(goFiles(t), docsChecked...)
 	cites := 0
 	for _, doc := range docs {
 		src, err := os.ReadFile(doc)
@@ -179,6 +197,87 @@ func TestDocsCiteOnlyRoadmapItemsThatExist(t *testing.T) {
 	}
 	if cites == 0 {
 		t.Fatal("no ROADMAP item citations found: the check is looking at the wrong files")
+	}
+}
+
+// TestDocsCiteOnlyDesignSectionsThatExist holds every "DESIGN.md §N"
+// and "DESIGN §N" of the program's Go files, the CI workflow, the
+// verify guide and ROADMAP.md to DESIGN.md: N, and each §M of a list
+// that follows it, must be the number of a "## §N" heading there. A
+// renumbered or merged section then cannot leave a stale pointer
+// behind.
+func TestDocsCiteOnlyDesignSectionsThatExist(t *testing.T) {
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]bool{}
+	for _, m := range sectionHeading.FindAllStringSubmatch(string(src), -1) {
+		sections[m[1]] = true
+	}
+	if len(sections) == 0 {
+		t.Fatal("DESIGN.md has no ## §N headings: the check is looking at the wrong file")
+	}
+
+	docs := append(goFiles(t), ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md", "ROADMAP.md")
+	cites := 0
+	for _, doc := range docs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cite := range sectionCite.FindAllString(string(src), -1) {
+			for _, m := range sectionNumber.FindAllStringSubmatch(cite, -1) {
+				cites++
+				if !sections[m[1]] {
+					t.Errorf("%s cites DESIGN §%s (in %q), but DESIGN.md has no ## §%s heading", doc, m[1], cite, m[1])
+				}
+			}
+		}
+	}
+	if cites == 0 {
+		t.Fatal("no DESIGN section citations found: the check is looking at the wrong files")
+	}
+}
+
+// TestDesignInventoriesEveryPackage holds DESIGN.md §2 to the tree:
+// every directory under internal/ and cmd/ that holds non-test Go must
+// appear there as a code span of its own, so a new package cannot ship
+// without its line in the inventory.
+func TestDesignInventoriesEveryPackage(t *testing.T) {
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inventory := inventorySection.FindString(string(src))
+	if inventory == "" {
+		t.Fatal("DESIGN.md has no ## §2 heading: the check is looking at the wrong file")
+	}
+	spans := map[string]bool{}
+	for _, s := range inlineSpan.FindAllString(inventory, -1) {
+		spans[strings.Trim(s, "`")] = true
+	}
+
+	pkgs := map[string]bool{}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return err
+			}
+			pkgs[filepath.ToSlash(filepath.Dir(p))] = true
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("no package under internal/ or cmd/: the check is looking at the wrong tree")
+	}
+	for _, pkg := range slices.Sorted(maps.Keys(pkgs)) {
+		if !spans[pkg] {
+			t.Errorf("DESIGN.md §2 has no `%s`: give the package its row", pkg)
+		}
 	}
 }
 

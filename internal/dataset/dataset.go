@@ -1,6 +1,6 @@
 // Package dataset provides the evaluation data substrate: a deterministic
 // synthetic generator of SIFT-like descriptor vectors standing in for the
-// ANN_SIFT1B corpus the paper uses (see DESIGN.md, "Substitutions"), plus
+// ANN_SIFT1B corpus the paper uses (see DESIGN.md §7), plus
 // exact ground-truth computation for recall checks.
 //
 // The generator produces 128-dimensional vectors from a clustered Gaussian

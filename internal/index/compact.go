@@ -28,8 +28,8 @@ import (
 // for r = 4 — with an s that is an upper bound: measured, a Search over
 // a tail of 1 023 rows is no slower than over none (the rows tighten
 // the bound the blocks are pruned with). 1 024 puts 5.5 µs of fold on
-// an Add and keeps its copy within 16 KiB. DESIGN.md §11 has the
-// measurements.
+// an Add and keeps its copy within 16 KiB (BenchmarkAddSingle,
+// DESIGN.md §11).
 const foldTail = 1024
 
 // PartitionStat describes one partition's occupancy in a snapshot, for

@@ -2,7 +2,7 @@
 // paper's performance-counter studies (its Figures 3 and 15 and Tables 1
 // and 2) without hardware counters.
 //
-// Rationale (see DESIGN.md, "Substitutions"): the paper's performance
+// Rationale (see DESIGN.md §7): the paper's performance
 // argument is a counting argument. PQ Scan performs 9-16 L1 loads and ~34
 // scalar instructions per scanned vector; PQ Fast Scan performs ~1.3 L1
 // loads and ~3.7 SIMD instructions per vector; a gather instruction costs

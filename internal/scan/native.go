@@ -602,8 +602,7 @@ func (sc *Scratch) bound(qt *queryTables, be dispatch.Backend, tb *[128]uint8, b
 // swarPrunedMask16 makes Accumulate's decision from the exact sum.
 // Building the pair tables costs ~10k stores per scan: ≈ 5–8 µs, a
 // quarter of a 1 000-code partition's scan and repaid several times over
-// from 10 000 codes up (DESIGN.md §12 has the measurement that chose
-// this pipeline).
+// from 10 000 codes up (DESIGN.md §12).
 func (qt *queryTables) swarAccumulate(blocks []uint8, nb int, key *[layout.MaxGroupComponents]uint8, thr int8, words []uint64, masks []uint16) {
 	c := qt.c
 	bb := layout.BlockBytes(c)

@@ -6,7 +6,7 @@
 //
 // The paper's implementation is C++ with intrinsics; Go has no intrinsics
 // and no inline assembly in the standard toolchain, so this package is the
-// substitution documented in DESIGN.md: every operation reproduces the
+// substitution documented in DESIGN.md §7: every operation reproduces the
 // architectural semantics of its hardware counterpart — including pshufb's
 // high-bit zeroing rule and signed/unsigned saturation — and is verified
 // against an independent scalar reference in the test suite. Performance

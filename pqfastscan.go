@@ -353,7 +353,7 @@ func (ix *Index) RestrictCells(cells ...int) (*Index, error) {
 func (ix *Index) Internal() *index.Index { return ix.load() }
 
 // DatasetConfig configures the synthetic SIFT-like dataset generator
-// standing in for ANN_SIFT1B (see DESIGN.md).
+// standing in for ANN_SIFT1B (see DESIGN.md §7).
 type DatasetConfig = dataset.Config
 
 // Dataset generates deterministic SIFT-like vectors.
