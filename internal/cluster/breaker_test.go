@@ -268,3 +268,34 @@ func TestHedgeWinDoesNotTripLoserBreaker(t *testing.T) {
 		t.Fatal("test exercised no hedges; fixture is broken")
 	}
 }
+
+// TestAttemptTimeoutRule pins attemptTimeout's rule on an endpoint
+// whose every sub-request took the same time: the whole shard budget
+// until 20 samples back the EWMA, then four times the average, at least
+// 25 ms and at most the budget.
+func TestAttemptTimeoutRule(t *testing.T) {
+	const budget = 2 * time.Second
+	for _, c := range []struct {
+		samples int
+		latency time.Duration
+		budget  time.Duration
+		want    time.Duration
+	}{
+		{0, 0, budget, budget},
+		{19, 10 * time.Millisecond, budget, budget},
+		{20, time.Millisecond, budget, 25 * time.Millisecond},
+		{20, 10 * time.Millisecond, budget, 40 * time.Millisecond},
+		{100, 10 * time.Millisecond, budget, 40 * time.Millisecond},
+		{20, 600 * time.Millisecond, budget, budget},
+		{20, 10 * time.Millisecond, 30 * time.Millisecond, 30 * time.Millisecond},
+	} {
+		var st endpointState
+		for i := 0; i < c.samples; i++ {
+			st.latency.Observe(c.latency)
+		}
+		if got := st.attemptTimeout(c.budget); got != c.want {
+			t.Errorf("%d samples of %v, budget %v: attempt timeout %v, want %v",
+				c.samples, c.latency, c.budget, got, c.want)
+		}
+	}
+}

@@ -105,15 +105,19 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 		wg.Add(1)
 		go func(i, si int) {
 			defer wg.Done()
-			body, err := json.Marshal(server.SearchRequest{
+			sub := server.SearchRequest{
 				Query:  query,
 				K:      opt.K,
 				Cells:  byShard[si],
 				Kernel: opt.Kernel,
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d (cells %v): %w", si, byShard[si], err)
-				return
+			}
+			body, ok := server.AppendSearchRequest(nil, &sub)
+			if !ok {
+				var err error
+				if body, err = json.Marshal(sub); err != nil {
+					errs[i] = fmt.Errorf("shard %d (cells %v): %w", si, byShard[si], err)
+					return
+				}
 			}
 			resp, err := r.shardSearch(ctx, r.shards[si], body)
 			if err != nil {
@@ -404,6 +408,9 @@ func (r *Router) getJSON(url string, out any) error {
 	return r.doJSON(req, out)
 }
 
+// doJSON sends req and decodes a 200 reply into out: a /search reply
+// through server.ScanSearchResponse, encoding/json for any reply that
+// declines and for every other type.
 func (r *Router) doJSON(req *http.Request, out any) error {
 	resp, err := r.cfg.Client.Do(req)
 	if err != nil {
@@ -418,6 +425,9 @@ func (r *Router) doJSON(req *http.Request, out any) error {
 		return &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(data))}
 	}
 	if out == nil {
+		return nil
+	}
+	if sr, ok := out.(*server.SearchResponse); ok && server.ScanSearchResponse(data, sr) {
 		return nil
 	}
 	return json.Unmarshal(data, out)

@@ -205,7 +205,7 @@ func (r *Router) Handler() http.Handler {
 			return
 		}
 		r.metrics.lat.Observe(time.Since(start))
-		writeJSON(w, http.StatusOK, resp)
+		server.WriteSearchResponse(w, resp)
 	})
 
 	mux.HandleFunc("/add", func(w http.ResponseWriter, req *http.Request) {

@@ -9,6 +9,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -62,12 +63,35 @@ func DeadlineContext(r *http.Request) (context.Context, context.CancelFunc, erro
 // index.CheckRequest accepts for an index of dim and partitions: the
 // body is one SearchRequest with no other key ("backend" included), k
 // defaults to 10 and may not exceed maxK, a kernel is one of naive,
-// libpq, fastpq, and ?recall=r sets a coverage target.
+// libpq, fastpq, and ?recall=r sets a coverage target. ScanSearchRequest
+// reads a body in the wire form and encoding/json any other, to the
+// same request or the same error.
 func DecodeSearch(body io.Reader, rawQuery string, dim, partitions, maxK int) (index.Request, error) {
 	var sr SearchRequest
-	if err := decodeOne(body, &sr); err != nil {
+	data, err := io.ReadAll(body)
+	if err != nil || !ScanSearchRequest(data, &sr) {
+		// encoding/json decides, and words the refusal, on the bytes
+		// read and then the read's own error.
+		r := io.Reader(bytes.NewReader(data))
+		if err != nil {
+			r = io.MultiReader(r, errReader{err})
+		}
+		err = decodeOne(r, &sr)
+	}
+	if err != nil {
 		return index.Request{}, err
 	}
+	return searchRequest(sr, rawQuery, dim, partitions, maxK)
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// searchRequest checks a decoded /search body and its raw URL query for
+// DecodeSearch.
+func searchRequest(sr SearchRequest, rawQuery string, dim, partitions, maxK int) (index.Request, error) {
 	req := index.Request{Query: sr.Query, K: sr.K, NProbe: sr.NProbe, Cells: sr.Cells}
 	if req.K == 0 {
 		req.K = 10

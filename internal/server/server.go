@@ -658,7 +658,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	for i, n := range res.Results {
 		resp.Results[i] = SearchNeighbor{ID: n.ID, Distance: n.Distance}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteSearchResponse(w, &resp)
 }
 
 // --- /add --------------------------------------------------------------
