@@ -105,20 +105,12 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 		wg.Add(1)
 		go func(i, si int) {
 			defer wg.Done()
-			sub := server.SearchRequest{
+			body := server.AppendSearchRequest(nil, &server.SearchRequest{
 				Query:  query,
 				K:      opt.K,
 				Cells:  byShard[si],
 				Kernel: opt.Kernel,
-			}
-			body, ok := server.AppendSearchRequest(nil, &sub)
-			if !ok {
-				var err error
-				if body, err = json.Marshal(sub); err != nil {
-					errs[i] = fmt.Errorf("shard %d (cells %v): %w", si, byShard[si], err)
-					return
-				}
-			}
+			})
 			resp, err := r.shardSearch(ctx, r.shards[si], body)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d (cells %v): %w", si, byShard[si], err)

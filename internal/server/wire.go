@@ -1,33 +1,28 @@
-// The /search wire format, written and read without reflection. Every
-// hop of a routed query goes through here: a client's body
-// (DecodeSearch, on pqserve and pqrouter), the router's per-shard
-// sub-request, the shard's reply and the router's reply. The encoders
-// write exactly the bytes json.Marshal writes. The scanners read the
-// form those bytes take — known lowercase keys in any order, each at
-// most once, JSON numbers, strings of printable ASCII without escapes,
-// no null — to exactly what encoding/json decodes. Anything else is
-// declined (ok = false) and the caller hands it to encoding/json, so
-// every accepted request, every refusal and its wording, and every byte
-// on the wire are encoding/json's. FuzzSearchWire and FuzzDecodeSearch
-// hold the two to each other.
+// The /search wire format, written and read without reflection, on
+// every hop of a routed query: a client's body (DecodeSearch), the
+// router's per-shard sub-request, the shard's reply and the router's
+// reply. The encoders write exactly json.Marshal's bytes. The scanners
+// read the form those bytes take — known lowercase keys in any order,
+// each at most once, JSON numbers, printable ASCII strings without
+// escapes, no null — as encoding/json does, and decline (ok = false)
+// anything else, which the caller hands to encoding/json. So every
+// accepted request, refusal, error string and wire byte is
+// encoding/json's; FuzzSearchWire and FuzzDecodeSearch hold the two to
+// each other.
 package server
 
 import (
-	"bytes"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 )
 
-// AppendSearchRequest appends json.Marshal(*r) to b. ok is false, and b
-// is to be discarded, when r holds a value whose bytes only
-// encoding/json writes: a non-finite float (which it refuses) or a
-// kernel name it would escape.
-func AppendSearchRequest(b []byte, r *SearchRequest) (_ []byte, ok bool) {
-	ok = true
+// AppendSearchRequest appends json.Marshal(*r) to b. r must be a
+// request index.CheckRequest and pqfastscan.ParseKernel accepted: a
+// finite query and a kernel name, which encoding/json writes as is.
+func AppendSearchRequest(b []byte, r *SearchRequest) []byte {
 	b = appendArray(append(b, `{"query":`...), r.Query == nil, len(r.Query), func(b []byte, i int) []byte {
-		return appendFloat32(b, r.Query[i], &ok)
+		return appendFloat32(b, r.Query[i])
 	})
 	b = strconv.AppendInt(append(b, `,"k":`...), int64(r.K), 10)
 	if r.NProbe != 0 {
@@ -37,22 +32,21 @@ func AppendSearchRequest(b []byte, r *SearchRequest) (_ []byte, ok bool) {
 		b = appendInts(append(b, `,"cells":`...), r.Cells)
 	}
 	if r.Kernel != "" {
-		for i := 0; i < len(r.Kernel); i++ {
-			c := r.Kernel[i]
-			ok = ok && plainByte(c) && c != '<' && c != '>' && c != '&'
-		}
 		b = append(append(append(b, `,"kernel":"`...), r.Kernel...), '"')
 	}
-	return append(b, '}'), ok
+	return append(b, '}')
 }
 
 // AppendSearchResponse appends json.Marshal(*r) to b. ok is false, and
-// b is to be discarded, when a distance is not finite.
+// b is to be discarded, when a distance is not finite: json.Marshal
+// refuses it.
 func AppendSearchResponse(b []byte, r *SearchResponse) (_ []byte, ok bool) {
 	ok = true
 	b = appendArray(append(b, `{"results":`...), r.Results == nil, len(r.Results), func(b []byte, i int) []byte {
+		d := r.Results[i].Distance
+		ok = ok && !math.IsInf(float64(d), 0) && !math.IsNaN(float64(d))
 		b = strconv.AppendInt(append(b, `{"id":`...), r.Results[i].ID, 10)
-		return append(appendFloat32(append(b, `,"distance":`...), r.Results[i].Distance, &ok), '}')
+		return append(appendFloat32(append(b, `,"distance":`...), d), '}')
 	})
 	b = appendInts(append(b, `,"partitions":`...), r.Partitions)
 	if c := r.Coverage; c != nil {
@@ -62,15 +56,10 @@ func AppendSearchResponse(b []byte, r *SearchResponse) (_ []byte, ok bool) {
 	return append(b, '}'), ok
 }
 
-// appendFloat32 formats f as encoding/json does a float32: shortest
-// form, in exponent form below 1e-6 and from 1e21 on, with a one-digit
-// negative exponent unpadded (1e-7, not 1e-07). A non-finite f clears
-// *ok.
-func appendFloat32(b []byte, f float32, ok *bool) []byte {
-	if math.IsInf(float64(f), 0) || math.IsNaN(float64(f)) {
-		*ok = false
-		return b
-	}
+// appendFloat32 formats a finite f as encoding/json does a float32:
+// shortest form, in exponent form below 1e-6 and from 1e21 on, with a
+// one-digit negative exponent unpadded (1e-7, not 1e-07).
+func appendFloat32(b []byte, f float32) []byte {
 	format := byte('f')
 	if abs := float32(math.Abs(float64(f))); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -105,10 +94,6 @@ func appendArray(b []byte, isNil bool, n int, elem func(b []byte, i int) []byte)
 	return append(b, ']')
 }
 
-// plainByte reports whether c stands for itself inside a JSON string
-// this file reads: printable ASCII other than the quote and backslash.
-func plainByte(c byte) bool { return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' }
-
 // ScanSearchRequest reads data, in the form this file reads, into *out
 // as json.Unmarshal would. ok is false, and *out untouched, on anything
 // else — including a key encoding/json would match only ignoring case,
@@ -116,18 +101,21 @@ func plainByte(c byte) bool { return c >= 0x20 && c < 0x7f && c != '"' && c != '
 func ScanSearchRequest(data []byte, out *SearchRequest) (ok bool) {
 	s := wireScanner{b: data}
 	var r SearchRequest
+	var seen uint8
 	ok = s.object(func(key []byte) bool {
 		switch string(key) {
 		case "query":
-			return scanArray(&s, &r.Query, s.float32)
+			return once(&seen, 1) && scanArray(&s, &r.Query, s.float32)
 		case "k":
-			return s.int(&r.K)
+			return once(&seen, 2) && s.int(&r.K)
 		case "nprobe":
-			return s.int(&r.NProbe)
+			return once(&seen, 4) && s.int(&r.NProbe)
 		case "cells":
-			return scanArray(&s, &r.Cells, s.int)
+			return once(&seen, 8) && scanArray(&s, &r.Cells, s.int)
 		case "kernel":
-			return s.str(&r.Kernel)
+			kernel, isStr := s.str()
+			r.Kernel = string(kernel)
+			return once(&seen, 16) && isStr
 		}
 		return false
 	}) && s.end()
@@ -143,31 +131,33 @@ func ScanSearchRequest(data []byte, out *SearchRequest) (ok bool) {
 func ScanSearchResponse(data []byte, out *SearchResponse) (ok bool) {
 	s := wireScanner{b: data}
 	var r SearchResponse
+	var seen uint8
 	ok = s.object(func(key []byte) bool {
 		switch string(key) {
 		case "results":
-			return scanArray(&s, &r.Results, func(n *SearchNeighbor) bool {
+			return once(&seen, 1) && scanArray(&s, &r.Results, func(n *SearchNeighbor) bool {
+				var seen uint8
 				return s.object(func(key []byte) bool {
 					switch string(key) {
 					case "id":
-						return s.int64(&n.ID)
+						return once(&seen, 1) && s.int64(&n.ID)
 					case "distance":
-						return s.float32(&n.Distance)
+						return once(&seen, 2) && s.float32(&n.Distance)
 					}
 					return false
 				})
 			})
 		case "partitions":
-			return scanArray(&s, &r.Partitions, s.int)
+			return once(&seen, 2) && scanArray(&s, &r.Partitions, s.int)
 		case "coverage":
-			c := new(Coverage)
+			c, seenC := new(Coverage), uint8(0)
 			r.Coverage = c
-			return s.object(func(key []byte) bool {
+			return once(&seen, 4) && s.object(func(key []byte) bool {
 				switch string(key) {
 				case "cells_answered":
-					return s.int(&c.CellsAnswered)
+					return once(&seenC, 1) && s.int(&c.CellsAnswered)
 				case "cells_total":
-					return s.int(&c.CellsTotal)
+					return once(&seenC, 2) && s.int(&c.CellsTotal)
 				}
 				return false
 			})
@@ -178,6 +168,14 @@ func ScanSearchResponse(data []byte, out *SearchResponse) (ok bool) {
 		*out = r
 	}
 	return ok
+}
+
+// once sets bit in *seen and reports whether it was clear: the key it
+// stands for had not been read before.
+func once(seen *uint8, bit uint8) bool {
+	first := *seen&bit == 0
+	*seen |= bit
+	return first
 }
 
 // wireScanner reads JSON from b[i:]. Each method skips the whitespace
@@ -196,7 +194,13 @@ func (s *wireScanner) skip() {
 // next consumes c if it is the next token.
 func (s *wireScanner) next(c byte) bool {
 	s.skip()
-	if s.i < len(s.b) && s.b[s.i] == c {
+	return s.accept(c, c)
+}
+
+// accept consumes the next byte, with no whitespace skipped, if it is
+// c or d.
+func (s *wireScanner) accept(c, d byte) bool {
+	if s.i < len(s.b) && (s.b[s.i] == c || s.b[s.i] == d) {
 		s.i++
 		return true
 	}
@@ -228,43 +232,27 @@ func (s *wireScanner) list(open, close byte, elem func() bool) bool {
 	return false
 }
 
-// object reads {"key": value, ...}; field reads the value of each key.
-// A key read twice is declined, and so is a sixth: no object here has
-// more than five.
+// object reads {"key": value, ...}; field reads the value of each key,
+// and declines a key it does not know or has read before.
 func (s *wireScanner) object(field func(key []byte) bool) bool {
-	var keys [5][]byte
-	n := 0
 	return s.list('{', '}', func() bool {
-		key, ok := s.raw()
-		if !ok || n == len(keys) || slices.ContainsFunc(keys[:n], func(k []byte) bool { return bytes.Equal(k, key) }) {
-			return false
-		}
-		keys[n] = key
-		n++
-		return s.next(':') && field(key)
+		key, ok := s.str()
+		return ok && s.next(':') && field(key)
 	})
 }
 
-// raw reads a string of plain bytes and returns its contents.
-func (s *wireScanner) raw() ([]byte, bool) {
+// str reads a string of printable ASCII other than the quote and
+// backslash, and returns its contents.
+func (s *wireScanner) str() ([]byte, bool) {
 	if !s.next('"') {
 		return nil, false
 	}
 	start := s.i
-	for s.i < len(s.b) && plainByte(s.b[s.i]) {
+	for s.i < len(s.b) && s.b[s.i] >= 0x20 && s.b[s.i] < 0x7f && s.b[s.i] != '"' && s.b[s.i] != '\\' {
 		s.i++
 	}
-	if s.i == len(s.b) || s.b[s.i] != '"' {
-		return nil, false
-	}
-	s.i++
-	return s.b[start : s.i-1], true
-}
-
-func (s *wireScanner) str(v *string) bool {
-	b, ok := s.raw()
-	*v = string(b)
-	return ok
+	v := s.b[start:s.i]
+	return v, s.accept('"', '"')
 }
 
 // number reads a token of JSON's number grammar,
@@ -273,40 +261,30 @@ func (s *wireScanner) str(v *string) bool {
 // strconv refuses.
 func (s *wireScanner) number() []byte {
 	s.skip()
-	b, i := s.b, s.i
-	digits := func() bool {
-		j := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > j
+	start := s.i
+	s.accept('-', '-')
+	ok := s.accept('0', '0') || s.digits()
+	if ok && s.accept('.', '.') {
+		ok = s.digits()
 	}
-	if i < len(b) && b[i] == '-' {
-		i++
+	if ok && s.accept('e', 'E') {
+		s.accept('+', '-')
+		ok = s.digits()
 	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if !digits() {
+	if !ok {
 		return nil
 	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if !digits() {
-			return nil
-		}
+	return s.b[start:s.i]
+}
+
+// digits consumes a run of decimal digits and reports whether it was
+// not empty.
+func (s *wireScanner) digits() bool {
+	start := s.i
+	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
+		s.i++
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return nil
-		}
-	}
-	t := b[s.i:i]
-	s.i = i
-	return t
+	return s.i > start
 }
 
 func (s *wireScanner) int64(v *int64) bool {
@@ -316,10 +294,9 @@ func (s *wireScanner) int64(v *int64) bool {
 }
 
 func (s *wireScanner) int(v *int) bool {
-	var n int64
-	ok := s.int64(&n)
+	n, err := strconv.ParseInt(string(s.number()), 10, strconv.IntSize)
 	*v = int(n)
-	return ok && int64(*v) == n
+	return err == nil
 }
 
 func (s *wireScanner) float32(v *float32) bool {
