@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -128,17 +127,10 @@ type Config struct {
 	// MaxAttempts caps sub-request attempts per shard per query. The
 	// first pass cycles the endpoint list with immediate failover; any
 	// budget beyond that re-tries endpoints under exponential backoff
-	// with full jitter. Default: the shard's endpoint count plus two
-	// retries, so a transient blip on every replica does not fail the
-	// query outright.
+	// with full jitter (retryDelay). Default: the shard's endpoint count
+	// plus two retries, so a transient blip on every replica does not
+	// fail the query outright.
 	MaxAttempts int
-	// RetryBaseDelay seeds the backoff for repeat rounds: round r waits
-	// a uniform duration in [0, min(RetryBaseDelay<<(r-1),
-	// RetryMaxDelay)) — full jitter, so a fleet of routers does not
-	// retry in lockstep (default 5ms).
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps a single backoff wait (default 250ms).
-	RetryMaxDelay time.Duration
 	// AllowPartial makes every query tolerate shard failures by default,
 	// as if it carried ?partial=1: surviving shards' results are merged
 	// and the response reports coverage. Off, queries fail unless the
@@ -200,12 +192,6 @@ func (c Config) withDefaults() Config {
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 50 * time.Millisecond
 	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 5 * time.Millisecond
-	}
-	if c.RetryMaxDelay <= 0 {
-		c.RetryMaxDelay = 250 * time.Millisecond
-	}
 	if c.sleep == nil {
 		c.sleep = func(ctx context.Context, d time.Duration) bool {
 			t := time.NewTimer(d)
@@ -260,14 +246,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// fleetMeta is the geometry the fleet agreed on at startup (or after a
+// fleetMeta is the view of the fleet agreed on at startup (or after a
 // fleet swap): everything the router needs to rank cells exactly as the
-// engine does.
+// engine does and to send each cell to its shard. It is published
+// whole, so a query reads one view however a swap interleaves.
 type fleetMeta struct {
 	dim        int
 	partitions int
 	pqm        int
 	coarse     vec.Matrix
+	byCell     []int // cell id -> index into Router.shards
 	// cellSizes is the live row count per cell, each taken from the
 	// shard that owns the cell — the mass signal behind ?recall=
 	// planning. All zeros when the fleet predates /meta cell sizes,
@@ -280,10 +268,10 @@ type shard struct {
 	spec  ShardSpec
 	cells []int
 
-	requests  hist.Hist // sub-request latency, successful tries
-	failovers counter   // tries that moved on to the next endpoint
-	hedges    counter   // replica requests launched by the hedge timer
-	retries   counter   // backoff-delayed repeat attempts
+	requests  hist.Hist    // sub-request latency, successful tries
+	failovers atomic.Int64 // tries that moved on to the next endpoint
+	hedges    atomic.Int64 // replica requests launched by the hedge timer
+	retries   atomic.Int64 // backoff-delayed repeat attempts
 }
 
 // Router fans queries out over the shard map and merges their answers.
@@ -292,18 +280,19 @@ type shard struct {
 type Router struct {
 	cfg    Config
 	shards []*shard
-	byCell []int // cell id -> index into shards
 	// endpoints holds per-endpoint health state (breaker, latency
 	// EWMA, quarantine), shared across shards listing the same URL.
 	// The map is built once in New and never mutated after — reads
 	// are lock-free.
 	endpoints map[string]*endpointState
-	meta      atomicMeta
-	metrics   *routerMetrics
-	draining  atomic.Bool
-	stop      chan struct{}
-	stopOnce  sync.Once
-	proberWG  sync.WaitGroup
+	// meta is the published fleet view: every query loads it once,
+	// lock-free; a fleet swap replaces it whole.
+	meta     atomic.Pointer[fleetMeta]
+	metrics  *routerMetrics
+	draining atomic.Bool
+	stop     chan struct{}
+	stopOnce sync.Once
+	proberWG sync.WaitGroup
 }
 
 // New validates the shard map against the live fleet and returns a
@@ -351,9 +340,9 @@ func (r *Router) Close() {
 }
 
 // refreshMeta fetches /meta from every shard, checks the fleet agrees,
-// rebuilds the cell->shard table and publishes the geometry. Called at
-// startup and again after a fleet swap (a new snapshot may carry new
-// centroids even when it is swap-compatible).
+// rebuilds the cell->shard table and publishes it with the geometry, as
+// one view. Called at startup and again after a fleet swap (a new
+// snapshot may carry new centroids even when it is swap-compatible).
 func (r *Router) refreshMeta() error {
 	var ref *server.MetaResponse
 	metas := make([]*server.MetaResponse, len(r.shards))
@@ -418,8 +407,7 @@ func (r *Router) refreshMeta() error {
 			cellSizes[c] = m.CellSizes[c]
 		}
 	}
-	r.byCell = byCell
-	r.meta.store(&fleetMeta{dim: ref.Dim, partitions: ref.Partitions, pqm: ref.PQM, coarse: coarse, cellSizes: cellSizes})
+	r.meta.Store(&fleetMeta{dim: ref.Dim, partitions: ref.Partitions, pqm: ref.PQM, coarse: coarse, byCell: byCell, cellSizes: cellSizes})
 	return nil
 }
 
@@ -465,18 +453,19 @@ func sameGeometry(a, b *server.MetaResponse) error {
 }
 
 // Partitions returns the fleet's cell count.
-func (r *Router) Partitions() int { return r.meta.load().partitions }
+func (r *Router) Partitions() int { return r.meta.Load().partitions }
 
 // Dim returns the fleet's vector dimensionality.
-func (r *Router) Dim() int { return r.meta.load().dim }
+func (r *Router) Dim() int { return r.meta.Load().dim }
 
 // probeSet returns the cells to scan for a query, in the engine's
 // deterministic rank order, and groups them by owning shard preserving
-// that order. Explicit cells skip ranking, exactly as on a single node.
-// It reads the fleet geometry only through meta — the one Search loaded
-// and validated against — and reuses ranked, the RankCells order over
-// meta.coarse, when the caller already computed it (nil: rank here).
-func (r *Router) probeSet(meta *fleetMeta, query []float32, ranked []int, nprobe int, cells []int) (probe []int, byShard map[int][]int) {
+// that order: byShard[si] is shard si's share, nil when it has none.
+// Explicit cells skip ranking, exactly as on a single node. It reads
+// the fleet only through meta — the view Search loaded and validated
+// against — and reuses ranked, the RankCells order over meta.coarse,
+// when the caller already computed it (nil: rank here).
+func (r *Router) probeSet(meta *fleetMeta, query []float32, ranked []int, nprobe int, cells []int) (probe []int, byShard [][]int) {
 	if len(cells) > 0 {
 		probe = cells
 	} else {
@@ -485,21 +474,10 @@ func (r *Router) probeSet(meta *fleetMeta, query []float32, ranked []int, nprobe
 		}
 		probe = ranked[:nprobe]
 	}
-	byShard = make(map[int][]int, len(r.shards))
+	byShard = make([][]int, len(r.shards))
 	for _, c := range probe {
-		si := r.byCell[c]
+		si := meta.byCell[c]
 		byShard[si] = append(byShard[si], c)
 	}
 	return probe, byShard
-}
-
-// shardIDs returns the keys of a shard group in ascending order, so
-// fanout work and error reporting are deterministic.
-func shardIDs(byShard map[int][]int) []int {
-	ids := make([]int, 0, len(byShard))
-	for si := range byShard {
-		ids = append(ids, si)
-	}
-	sort.Ints(ids)
-	return ids
 }

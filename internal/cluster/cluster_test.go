@@ -324,10 +324,48 @@ func TestFleetSwapUpdatesEveryEndpointAndMeta(t *testing.T) {
 	shardA := mkShard([]int{0, 1})
 	shardB := mkShard([]int{2, 3})
 	router := newRouter(t, 4, [][]string{{shardA.URL}, {shardB.URL}}, nil)
+	queries := gen.Generate(4)
 
-	result, err := router.SwapAll(context.Background(), path)
+	// Traffic keeps flowing throughout the swaps: two callers query
+	// every cell while the fleet view is republished. Under -race, a
+	// view published piecemeal is a data race here; one swap shows it
+	// about half the time, so the fleet swaps ten times (to the same
+	// snapshot after the first).
+	stop := make(chan struct{})
+	var traffic sync.WaitGroup
+	trafficErrs := make([]error, 2)
+	for g := range trafficErrs {
+		traffic.Add(1)
+		go func() {
+			defer traffic.Done()
+			for {
+				_, err := router.Search(context.Background(), queries.Row(g), SearchOptions{K: 8, NProbe: 4})
+				if err != nil {
+					trafficErrs[g] = err
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	var result *FleetSwapResult
+	var err error
+	for i := 0; i < 10 && err == nil; i++ {
+		result, err = router.SwapAll(context.Background(), path)
+	}
+	close(stop)
+	traffic.Wait()
 	if err != nil {
 		t.Fatalf("fleet swap: %v", err)
+	}
+	for g, err := range trafficErrs {
+		if err != nil {
+			t.Fatalf("caller %d during the swap: %v", g, err)
+		}
 	}
 	if !result.Committed || len(result.Endpoints) != 2 {
 		t.Fatalf("fleet swap result %+v, want committed on 2 endpoints", result)
@@ -335,7 +373,6 @@ func TestFleetSwapUpdatesEveryEndpointAndMeta(t *testing.T) {
 
 	// After the swap, the router must answer from the new snapshot,
 	// bit-identically to a single node holding it.
-	queries := gen.Generate(4)
 	for qi := 0; qi < 4; qi++ {
 		q := queries.Row(qi)
 		resp, err := router.Search(context.Background(), q, SearchOptions{K: 8, NProbe: 4})
@@ -833,6 +870,43 @@ func TestExplicitCellsThroughRouter(t *testing.T) {
 	for i, c := range cells {
 		if resp.Partitions[i] != c {
 			t.Fatalf("probe list %v, want %v", resp.Partitions, cells)
+		}
+	}
+}
+
+// TestEmptyAnswerIsEmptyArray: a query of a cell with no live rows
+// answers "results":[], never null, from a node and from a router.
+func TestEmptyAnswerIsEmptyArray(t *testing.T) {
+	gen := pqfastscan.NewSyntheticDataset(pqfastscan.DatasetConfig{Seed: 43})
+	opt := pqfastscan.DefaultBuildOptions()
+	opt.Partitions = 4
+	idx, err := pqfastscan.Build(gen.Generate(1000), gen.Generate(2000), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := gen.Generate(1).Row(0)
+	rows, err := idx.Search(context.Background(), q, idx.PartitionSizes()[0], pqfastscan.WithCells(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range rows.Results {
+		if err := idx.Delete(n.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	node, err := server.New(server.Config{Index: idx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	router := newRouter(t, 4, [][]string{{shardServer(t, idx, []int{0, 1}).URL}, {shardServer(t, idx, []int{2, 3}).URL}}, nil)
+
+	const want = `{"results":[],"partitions":[0]}` + "\n"
+	for name, h := range map[string]http.Handler{"node": node.Handler(), "router": router.Handler()} {
+		_, _, body := routerSearch(t, h, server.SearchRequest{Query: q, K: 10, Cells: []int{0}})
+		if body != want {
+			t.Errorf("%s answered %q, want %q", name, body, want)
 		}
 	}
 }

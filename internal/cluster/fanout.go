@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pqfastscan"
@@ -21,18 +20,14 @@ import (
 	"pqfastscan/internal/topk"
 )
 
-// counter is a tiny named atomic for per-shard stats.
-type counter struct{ v atomic.Int64 }
-
-func (c *counter) Add(n int64) { c.v.Add(n) }
-func (c *counter) Load() int64 { return c.v.Load() }
-
-// atomicMeta publishes the fleet geometry: readers (every query) load
-// it lock-free; a fleet swap republishes it wholesale.
-type atomicMeta struct{ p atomic.Pointer[fleetMeta] }
-
-func (m *atomicMeta) load() *fleetMeta   { return m.p.Load() }
-func (m *atomicMeta) store(f *fleetMeta) { m.p.Store(f) }
+// The backoff before repeat round r of a shard sub-request or a
+// mutation is a uniform draw from [0, min(retryBaseDelay<<(r-1),
+// retryMaxDelay)] — full jitter, so a fleet of routers does not retry in
+// lockstep.
+const (
+	retryBaseDelay = 5 * time.Millisecond
+	retryMaxDelay  = 250 * time.Millisecond
+)
 
 // SearchOptions parameterizes one routed query. Zero values select the
 // single-node defaults: K 10, NProbe 1, the engine's default kernel.
@@ -60,7 +55,7 @@ type SearchOptions struct {
 // probe set out to the owning shards, merge. The response has exactly
 // the shape and content a single node holding all cells would return.
 func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions) (*server.SearchResponse, error) {
-	meta := r.meta.load()
+	meta := r.meta.Load()
 	if opt.K == 0 {
 		opt.K = 10
 	}
@@ -93,43 +88,41 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 	}
 
 	probe, byShard := r.probeSet(meta, query, ranked, opt.NProbe, opt.Cells)
-	ids := shardIDs(byShard)
 
-	// Fan out. Every shard sub-request asks for the full k: the global
-	// top k can come entirely from one shard's cells, so nothing less is
-	// sound.
-	lists := make([][]topk.Result, len(ids))
-	errs := make([]error, len(ids))
+	// Fan out, in shard order. Every shard sub-request asks for the full
+	// k: the global top k can come entirely from one shard's cells, so
+	// nothing less is sound.
+	lists := make([][]topk.Result, len(byShard))
+	errs := make([]error, len(byShard))
 	var wg sync.WaitGroup
-	for i, si := range ids {
+	for si, cells := range byShard {
+		if cells == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(i, si int) {
+		go func() {
 			defer wg.Done()
 			body := server.AppendSearchRequest(nil, &server.SearchRequest{
 				Query:  query,
 				K:      opt.K,
-				Cells:  byShard[si],
+				Cells:  cells,
 				Kernel: opt.Kernel,
 			})
 			resp, err := r.shardSearch(ctx, r.shards[si], body)
 			if err != nil {
-				errs[i] = fmt.Errorf("shard %d (cells %v): %w", si, byShard[si], err)
+				errs[si] = fmt.Errorf("shard %d (cells %v): %w", si, cells, err)
 				return
 			}
-			list := make([]topk.Result, len(resp.Results))
-			for j, n := range resp.Results {
-				list[j] = topk.Result{ID: n.ID, Distance: n.Distance}
-			}
-			lists[i] = list
-		}(i, si)
+			lists[si] = resp.Results
+		}()
 	}
 	wg.Wait()
 	allowPartial := opt.AllowPartial || r.cfg.AllowPartial
 	answered := 0 // probe cells whose shard replied
 	okShards := 0
-	for i, si := range ids {
-		if errs[i] == nil {
-			answered += len(byShard[si])
+	for si, cells := range byShard {
+		if cells != nil && errs[si] == nil {
+			answered += len(cells)
 			okShards++
 		}
 	}
@@ -143,17 +136,16 @@ func (r *Router) Search(ctx context.Context, query []float32, opt SearchOptions)
 		r.cfg.Logf("cluster: partial result: %v", err)
 	}
 
-	merged := topk.MergeResults(opt.K, lists...)
 	resp := &server.SearchResponse{
-		Results:    make([]server.SearchNeighbor, len(merged)),
+		Results:    topk.MergeResults(opt.K, lists...),
 		Partitions: probe,
+	}
+	if resp.Results == nil {
+		resp.Results = []server.SearchNeighbor{} // no hits answer "results":[], not null
 	}
 	if answered < len(probe) {
 		r.metrics.partials.Add(1)
 		resp.Coverage = &server.Coverage{CellsAnswered: answered, CellsTotal: len(probe)}
-	}
-	for i, m := range merged {
-		resp.Results[i] = server.SearchNeighbor{ID: m.ID, Distance: m.Distance}
 	}
 	return resp, nil
 }
@@ -330,24 +322,15 @@ func (r *Router) shardSearch(ctx context.Context, sh *shard, body []byte) (*serv
 }
 
 // retryDelay computes the backoff before repeat round n (n >= 1): a
-// uniform draw from [0, min(RetryBaseDelay<<(n-1), RetryMaxDelay)] —
+// uniform draw from [0, min(retryBaseDelay<<(n-1), retryMaxDelay)] —
 // "full jitter", which spreads synchronized retriers across the whole
 // window instead of clustering them at its edge.
 func (r *Router) retryDelay(round int) time.Duration {
-	if round < 1 {
-		round = 1
-	}
-	d := r.cfg.RetryBaseDelay
-	for i := 1; i < round && d < r.cfg.RetryMaxDelay; i++ {
+	d := retryBaseDelay
+	for i := 1; i < round && d < retryMaxDelay; i++ {
 		d <<= 1
 	}
-	if d > r.cfg.RetryMaxDelay {
-		d = r.cfg.RetryMaxDelay
-	}
-	if d <= 0 {
-		return 0
-	}
-	return time.Duration(r.cfg.jitter(int64(d) + 1))
+	return time.Duration(r.cfg.jitter(int64(min(d, retryMaxDelay)) + 1))
 }
 
 // httpStatusError lets callers distinguish a shard that answered with

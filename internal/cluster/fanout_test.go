@@ -63,18 +63,19 @@ func (rs *recordingSleeper) recorded() []time.Duration {
 
 // TestRetryBudgetBackoffDeterministic drives the full retry ladder with
 // an injected sleeper and a pinned jitter draw: a single-endpoint shard
-// failing its first three attempts is retried with exponentially
-// growing, capped waits and then answers correctly on the fourth.
+// failing its first seven attempts is retried with exponentially
+// growing waits up to the cap and then answers correctly on the eighth.
 func TestRetryBudgetBackoffDeterministic(t *testing.T) {
 	full, queries := fullIndex(t)
-	flaky, attempts := flakyShard(t, full, []int{0, 1, 2, 3, 4, 5, 6, 7}, 3)
+	flaky, attempts := flakyShard(t, full, []int{0, 1, 2, 3, 4, 5, 6, 7}, 7)
 
 	rs := &recordingSleeper{}
 	router := newRouter(t, 8, [][]string{{flaky.URL}}, func(c *Config) {
 		c.HedgeDelay = -1
-		c.MaxAttempts = 5
-		c.RetryBaseDelay = 10 * time.Millisecond
-		c.RetryMaxDelay = 40 * time.Millisecond
+		c.MaxAttempts = 9
+		// Seven straight failures would open a default breaker (5) and
+		// fail the later rounds fast, before the cap is reached.
+		c.BreakerThreshold = -1
 		c.sleep = rs.sleep
 		c.jitter = func(n int64) int64 { return n - 1 } // always the window's top
 	})
@@ -93,12 +94,15 @@ func TestRetryBudgetBackoffDeterministic(t *testing.T) {
 			t.Fatalf("retried result rank %d: %+v, want %+v", i, resp.Results[i], w)
 		}
 	}
-	if got := attempts.Load(); got != 4 {
-		t.Fatalf("shard saw %d attempts, want 4 (3 failures + success)", got)
+	if got := attempts.Load(); got != 8 {
+		t.Fatalf("shard saw %d attempts, want 8 (7 failures + success)", got)
 	}
-	// Round r's window tops out at min(base<<(r-1), max): 10ms, 20ms,
-	// then the 40ms cap.
-	wantDelays := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
+	// Round r's window tops out at min(5ms<<(r-1), 250ms): 5, 10, 20,
+	// 40, 80, 160 ms, then the 250 ms cap.
+	var wantDelays []time.Duration
+	for _, ms := range []time.Duration{5, 10, 20, 40, 80, 160, 250} {
+		wantDelays = append(wantDelays, ms*time.Millisecond)
+	}
 	got := rs.recorded()
 	if len(got) != len(wantDelays) {
 		t.Fatalf("backoff sleeps %v, want %v", got, wantDelays)
@@ -108,8 +112,8 @@ func TestRetryBudgetBackoffDeterministic(t *testing.T) {
 			t.Fatalf("backoff round %d slept %v, want %v", i+1, got[i], wantDelays[i])
 		}
 	}
-	if router.metrics.retries.Load() != 3 {
-		t.Fatalf("retries counter %d, want 3", router.metrics.retries.Load())
+	if router.metrics.retries.Load() != 7 {
+		t.Fatalf("retries counter %d, want 7", router.metrics.retries.Load())
 	}
 }
 

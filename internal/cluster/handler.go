@@ -6,7 +6,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -154,7 +153,7 @@ func (r *Router) Handler() http.Handler {
 
 	mux.HandleFunc("/search", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "use POST")
+			server.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 			return
 		}
 		start := time.Now()
@@ -166,18 +165,18 @@ func (r *Router) Handler() http.Handler {
 		ctx, cancel, err := server.DeadlineContext(req)
 		if err != nil {
 			r.metrics.deadlineRejects.Add(1)
-			httpError(w, http.StatusGatewayTimeout, err.Error())
+			server.WriteError(w, http.StatusGatewayTimeout, err.Error())
 			return
 		}
 		defer cancel()
 		req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
 		// Decoded and checked by the node's own decoder: a request a node
 		// refuses is a 400 here too, before any fan-out.
-		meta := r.meta.load()
+		meta := r.meta.Load()
 		sr, err := server.DecodeSearch(req.Body, req.URL.RawQuery, meta.dim, meta.partitions, r.cfg.MaxK)
 		if err != nil {
 			r.metrics.rejected.Add(1)
-			httpError(w, http.StatusBadRequest, err.Error())
+			server.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		opt := SearchOptions{K: sr.K, NProbe: sr.NProbe, Cells: sr.Cells, Recall: sr.Recall}
@@ -197,10 +196,10 @@ func (r *Router) Handler() http.Handler {
 			switch {
 			case ctx.Err() != nil && errors.Is(ctx.Err(), context.DeadlineExceeded):
 				r.metrics.deadlineRejects.Add(1)
-				httpError(w, http.StatusGatewayTimeout, "deadline exceeded: "+err.Error())
+				server.WriteError(w, http.StatusGatewayTimeout, "deadline exceeded: "+err.Error())
 			default:
 				r.metrics.errors.Add(1)
-				httpError(w, http.StatusBadGateway, err.Error())
+				server.WriteError(w, http.StatusBadGateway, err.Error())
 			}
 			return
 		}
@@ -210,13 +209,13 @@ func (r *Router) Handler() http.Handler {
 
 	mux.HandleFunc("/add", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "use POST")
+			server.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 			return
 		}
 		req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
 		ar, err := server.DecodeAdd(req.Body, r.Dim())
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			server.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		ids, err := r.Add(req.Context(), ar.Vectors)
@@ -224,18 +223,18 @@ func (r *Router) Handler() http.Handler {
 			writeMutationError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, server.AddResponse{IDs: ids})
+		server.WriteJSON(w, http.StatusOK, server.AddResponse{IDs: ids})
 	})
 
 	mux.HandleFunc("/delete", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "use POST")
+			server.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 			return
 		}
 		req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
 		dr, err := server.DecodeDelete(req.Body)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			server.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		deleted, err := r.Delete(req.Context(), dr.ID)
@@ -244,14 +243,14 @@ func (r *Router) Handler() http.Handler {
 			return
 		}
 		if !deleted {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("id %d not found on any shard", dr.ID))
+			server.WriteError(w, http.StatusNotFound, fmt.Sprintf("id %d not found on any shard", dr.ID))
 			return
 		}
-		writeJSON(w, http.StatusOK, server.DeleteResponse{Deleted: true})
+		server.WriteJSON(w, http.StatusOK, server.DeleteResponse{Deleted: true})
 	})
 
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		server.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":   "ok",
 			"role":     "router",
 			"shards":   len(r.shards),
@@ -261,25 +260,25 @@ func (r *Router) Handler() http.Handler {
 
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, req *http.Request) {
 		if r.draining.Load() {
-			httpError(w, http.StatusServiceUnavailable, "draining: shutdown in progress")
+			server.WriteError(w, http.StatusServiceUnavailable, "draining: shutdown in progress")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Stats())
+		server.WriteJSON(w, http.StatusOK, r.Stats())
 	})
 
 	mux.HandleFunc("/swap", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "use POST")
+			server.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 			return
 		}
 		req.Body = http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes)
 		sr, err := server.DecodeSwap(req.Body)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			server.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		result, err := r.SwapAll(req.Context(), sr.Path)
@@ -288,12 +287,10 @@ func (r *Router) Handler() http.Handler {
 			if result == nil {
 				status = http.StatusBadRequest
 			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			_ = json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "detail": result})
+			server.WriteJSON(w, status, map[string]any{"error": err.Error(), "detail": result})
 			return
 		}
-		writeJSON(w, http.StatusOK, result)
+		server.WriteJSON(w, http.StatusOK, result)
 	})
 
 	return mux
@@ -306,12 +303,12 @@ func (r *Router) Handler() http.Handler {
 // status, and everything else to 502.
 func writeMutationError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrAddNeedsOneShard) {
-		httpError(w, http.StatusNotImplemented, err.Error())
+		server.WriteError(w, http.StatusNotImplemented, err.Error())
 		return
 	}
 	var ae *AmbiguousError
 	if errors.As(err, &ae) {
-		writeJSON(w, http.StatusBadGateway, map[string]string{
+		server.WriteJSON(w, http.StatusBadGateway, map[string]string{
 			"error":   err.Error(),
 			"outcome": "unknown",
 		})
@@ -319,18 +316,8 @@ func writeMutationError(w http.ResponseWriter, err error) {
 	}
 	var he *httpStatusError
 	if errors.As(err, &he) {
-		httpError(w, he.status, err.Error())
+		server.WriteError(w, he.status, err.Error())
 		return
 	}
-	httpError(w, http.StatusBadGateway, err.Error())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	server.WriteError(w, http.StatusBadGateway, err.Error())
 }

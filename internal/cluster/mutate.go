@@ -106,7 +106,7 @@ var ErrAddNeedsOneShard = errors.New("cluster: add through a router of more than
 // still fails the call as that node would. An ambiguous failure returns
 // an AmbiguousError.
 func (r *Router) Add(ctx context.Context, vectors [][]float32) ([]int64, error) {
-	meta := r.meta.load()
+	meta := r.meta.Load()
 	for i, v := range vectors {
 		if err := index.CheckVector(v, meta.dim); err != nil {
 			return nil, fmt.Errorf("cluster: vector %d: %w", i, err)

@@ -168,7 +168,8 @@ func TestRouterAutoForwarding(t *testing.T) {
 // TestProbeSetReadsOnlyItsArguments: probeSet follows the fleetMeta and
 // ranking Search hands it, not whatever r.meta holds by then — a fleet
 // swap landing between Search's load and the fan-out must not pair a
-// prefix chosen on one centroid set with the ranking of another.
+// prefix chosen on one centroid set with the ranking of another, nor
+// send a cell to the shard another view assigns it.
 func TestProbeSetReadsOnlyItsArguments(t *testing.T) {
 	line := func(xs ...float32) vec.Matrix {
 		m := vec.NewMatrix(len(xs), 1)
@@ -177,11 +178,12 @@ func TestProbeSetReadsOnlyItsArguments(t *testing.T) {
 		}
 		return m
 	}
-	r := &Router{shards: make([]*shard, 2), byCell: []int{0, 0, 1, 1}}
-	r.meta.store(&fleetMeta{dim: 1, partitions: 4, coarse: line(0, 1, 2, 3)})
-	meta := r.meta.load()
-	// The swap: same dim and partitions, centroids in the opposite order.
-	r.meta.store(&fleetMeta{dim: 1, partitions: 4, coarse: line(3, 2, 1, 0)})
+	r := &Router{shards: make([]*shard, 2)}
+	r.meta.Store(&fleetMeta{dim: 1, partitions: 4, coarse: line(0, 1, 2, 3), byCell: []int{0, 0, 1, 1}})
+	meta := r.meta.Load()
+	// The swap: same dim and partitions, centroids and cell owners in
+	// the opposite order.
+	r.meta.Store(&fleetMeta{dim: 1, partitions: 4, coarse: line(3, 2, 1, 0), byCell: []int{1, 1, 0, 0}})
 
 	query := []float32{0.1}
 	for _, tc := range []struct {
@@ -192,9 +194,9 @@ func TestProbeSetReadsOnlyItsArguments(t *testing.T) {
 		probe   string
 		byShard string
 	}{
-		{"ranks on the meta passed in", nil, 3, nil, "[0 1 2]", "map[0:[0 1] 1:[2]]"},
-		{"reuses the ranking passed in", []int{2, 0, 3, 1}, 3, nil, "[2 0 3]", "map[0:[0] 1:[2 3]]"},
-		{"explicit cells skip ranking", nil, 0, []int{3, 1}, "[3 1]", "map[0:[1] 1:[3]]"},
+		{"ranks on the meta passed in", nil, 3, nil, "[0 1 2]", "[[0 1] [2]]"},
+		{"reuses the ranking passed in", []int{2, 0, 3, 1}, 3, nil, "[2 0 3]", "[[0] [2 3]]"},
+		{"explicit cells skip ranking", nil, 0, []int{3, 1}, "[3 1]", "[[1] [3]]"},
 	} {
 		probe, byShard := r.probeSet(meta, query, tc.ranked, tc.nprobe, tc.cells)
 		if fmt.Sprint(probe) != tc.probe || fmt.Sprint(byShard) != tc.byShard {

@@ -368,7 +368,7 @@ func (s *Server) requireIndex(w http.ResponseWriter) *pqfastscan.Index {
 	if e := s.loadErr.Load(); e != nil {
 		msg = "index load failed: " + *e
 	}
-	httpError(w, http.StatusServiceUnavailable, msg)
+	WriteError(w, http.StatusServiceUnavailable, msg)
 	return nil
 }
 
@@ -423,7 +423,7 @@ func (s *Server) handle(path, method string, h func(http.ResponseWriter, *http.R
 		em.requests.Add(1)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		if r.Method != method {
-			httpError(sw, http.StatusMethodNotAllowed, fmt.Sprintf("use %s", method))
+			WriteError(sw, http.StatusMethodNotAllowed, fmt.Sprintf("use %s", method))
 		} else {
 			// Bound every body before the first decode: a runaway
 			// payload must fail fast, not buffer its way past the
@@ -458,15 +458,19 @@ func (w *statusWriter) WriteHeader(code int) {
 // abandoned by the client; net/http has no named constant for it.
 const statusClientClosedRequest = 499
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v in encoding/json's form, a
+// newline after it: the reply writer of every endpoint of a node and of
+// a router.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+// WriteError answers with status and {"error": msg}.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, map[string]string{"error": msg})
 }
 
 // errClosed is returned to requests that race server shutdown.
@@ -531,20 +535,20 @@ func (s *Server) failSearch(w http.ResponseWriter, err error) {
 	case errors.Is(err, errShed):
 		s.metrics.shed.Add(1)
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err.Error())
+		WriteError(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, errClosed):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		// The budget ran out in the admission line, waiting for a core or
 		// between partition scans: the rest of the work would be waste.
 		s.metrics.deadlineRejects.Add(1)
-		httpError(w, http.StatusGatewayTimeout, "deadline expired before the search was answered")
+		WriteError(w, http.StatusGatewayTimeout, "deadline expired before the search was answered")
 	case errors.Is(err, context.Canceled):
 		// The client gave up; nobody reads this response and no overload
 		// happened, so it is not a shed.
-		httpError(w, statusClientClosedRequest, "client canceled")
+		WriteError(w, statusClientClosedRequest, "client canceled")
 	default:
-		httpError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -569,11 +573,9 @@ type SearchRequest struct {
 	Kernel string    `json:"kernel,omitempty"`
 }
 
-// SearchNeighbor is one neighbor in a /search response.
-type SearchNeighbor struct {
-	ID       int64   `json:"id"`
-	Distance float32 `json:"distance"`
-}
+// SearchNeighbor is one neighbor in a /search response: the engine's
+// own result, carried from the scan to the wire without a copy.
+type SearchNeighbor = pqfastscan.Result
 
 // SearchResponse is the /search reply.
 type SearchResponse struct {
@@ -601,7 +603,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancelDeadline, err := DeadlineContext(r)
 	if err != nil {
 		s.metrics.deadlineRejects.Add(1)
-		httpError(w, http.StatusGatewayTimeout, err.Error())
+		WriteError(w, http.StatusGatewayTimeout, err.Error())
 		return
 	}
 	defer cancelDeadline()
@@ -609,7 +611,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// admission.
 	req, err := DecodeSearch(r.Body, r.URL.RawQuery, idx.Dim(), idx.Partitions(), s.cfg.MaxK)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// The option list is the one any caller of the facade would write.
@@ -651,14 +653,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.failSearch(w, err)
 		return
 	}
-	resp := SearchResponse{
-		Results:    make([]SearchNeighbor, len(res.Results)),
-		Partitions: res.Partitions,
+	results := res.Results
+	if results == nil {
+		results = []SearchNeighbor{} // no hits answer "results":[], not null
 	}
-	for i, n := range res.Results {
-		resp.Results[i] = SearchNeighbor{ID: n.ID, Distance: n.Distance}
-	}
-	WriteSearchResponse(w, &resp)
+	WriteSearchResponse(w, &SearchResponse{Results: results, Partitions: res.Partitions})
 }
 
 // --- /add --------------------------------------------------------------
@@ -680,7 +679,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := DecodeAdd(r.Body, idx.Dim())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	m := pqfastscan.NewMatrix(len(req.Vectors), idx.Dim())
@@ -693,10 +692,10 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	ids, err := idx.AddBatch(m)
 	s.swapMu.RUnlock()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, AddResponse{IDs: ids})
+	WriteJSON(w, http.StatusOK, AddResponse{IDs: ids})
 }
 
 // --- /delete -----------------------------------------------------------
@@ -718,21 +717,21 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := DecodeDelete(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.swapMu.RLock()
 	err = idx.Delete(req.ID)
 	s.swapMu.RUnlock()
 	if errors.Is(err, pqfastscan.ErrNotFound) {
-		httpError(w, http.StatusNotFound, err.Error())
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: true})
+	WriteJSON(w, http.StatusOK, DeleteResponse{Deleted: true})
 }
 
 // --- /healthz, /readyz, /meta, /stats ----------------------------------
@@ -750,7 +749,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if idx := s.idx.Load(); idx != nil {
 		live = idx.Live()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"live":     live,
 		"uptime_s": time.Since(s.metrics.start).Seconds(),
@@ -767,19 +766,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
-		httpError(w, http.StatusServiceUnavailable, "draining: shutdown in progress")
+		WriteError(w, http.StatusServiceUnavailable, "draining: shutdown in progress")
 	case s.recovering.Load():
-		httpError(w, http.StatusServiceUnavailable, "recovering: wal replay in progress")
+		WriteError(w, http.StatusServiceUnavailable, "recovering: wal replay in progress")
 	case s.warming.Load():
 		msg := "warming up: index load in progress"
 		if e := s.loadErr.Load(); e != nil {
 			msg = "index load failed: " + *e
 		}
-		httpError(w, http.StatusServiceUnavailable, msg)
+		WriteError(w, http.StatusServiceUnavailable, msg)
 	case s.preparing.Load() > 0:
-		httpError(w, http.StatusServiceUnavailable, "swap prepare in progress")
+		WriteError(w, http.StatusServiceUnavailable, "swap prepare in progress")
 	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}
 }
 
@@ -819,7 +818,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	for i, ps := range pstats {
 		sizes[i] = ps.Live
 	}
-	writeJSON(w, http.StatusOK, MetaResponse{
+	WriteJSON(w, http.StatusOK, MetaResponse{
 		Dim:        idx.Dim(),
 		Partitions: idx.Partitions(),
 		PQM:        idx.PQM(),
@@ -832,7 +831,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.StatsSnapshot())
+	WriteJSON(w, http.StatusOK, s.StatsSnapshot())
 }
 
 // StatsSnapshot assembles the current /stats document. Live, Partitions
@@ -923,16 +922,16 @@ type SwapResponse struct {
 func (s *Server) stage(w http.ResponseWriter, r *http.Request) (next *pqfastscan.Index, path string) {
 	req, err := DecodeSwap(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return nil, ""
 	}
 	next, err = pqfastscan.LoadIndexCells(req.Path, s.cfg.Cells)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "load: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "load: "+err.Error())
 		return nil, ""
 	}
 	if err := s.attachStore(next); err != nil {
-		httpError(w, http.StatusInternalServerError, "attach store: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, "attach store: "+err.Error())
 		return nil, ""
 	}
 	return next, req.Path
@@ -947,11 +946,11 @@ func (s *Server) publish(w http.ResponseWriter, idx, next *pqfastscan.Index, don
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	if _, err := idx.Swap(next); err != nil {
-		httpError(w, http.StatusConflict, err.Error())
+		WriteError(w, http.StatusConflict, err.Error())
 		return false
 	}
 	if err := s.checkpointAfterSwapLocked(idx); err != nil {
-		httpError(w, http.StatusInternalServerError, done+", but checkpoint failed: "+err.Error())
+		WriteError(w, http.StatusInternalServerError, done+", but checkpoint failed: "+err.Error())
 		return false
 	}
 	s.metrics.swaps.Add(1)
@@ -968,7 +967,7 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cfg.Logf("server: swapped in snapshot %s (%d live vectors)", path, idx.Live())
-	writeJSON(w, http.StatusOK, SwapResponse{
+	WriteJSON(w, http.StatusOK, SwapResponse{
 		Swapped:    true,
 		Live:       idx.Live(),
 		Partitions: idx.PartitionSizes(),
@@ -1013,7 +1012,7 @@ func (s *Server) handleSwapPrepare(w http.ResponseWriter, r *http.Request) {
 	// a reason prepare could have caught — that is the point of the
 	// protocol.
 	if err := idx.CompatibleWith(next); err != nil {
-		httpError(w, http.StatusConflict, err.Error())
+		WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
 	s.stagedMu.Lock()
@@ -1025,7 +1024,7 @@ func (s *Server) handleSwapPrepare(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.cfg.Logf("server: prepared snapshot %s (%d live vectors staged)", path, next.Live())
 	}
-	writeJSON(w, http.StatusOK, PrepareResponse{Prepared: true, Path: path, Live: next.Live()})
+	WriteJSON(w, http.StatusOK, PrepareResponse{Prepared: true, Path: path, Live: next.Live()})
 }
 
 // CommitResponse acknowledges a committed (published) snapshot.
@@ -1045,7 +1044,7 @@ func (s *Server) handleSwapCommit(w http.ResponseWriter, r *http.Request) {
 	s.staged, s.stagedPath = nil, ""
 	s.stagedMu.Unlock()
 	if next == nil {
-		httpError(w, http.StatusConflict, "no snapshot staged: call /swap/prepare first")
+		WriteError(w, http.StatusConflict, "no snapshot staged: call /swap/prepare first")
 		return
 	}
 	// A 409 here is unreachable when prepare validated against the same
@@ -1054,7 +1053,7 @@ func (s *Server) handleSwapCommit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cfg.Logf("server: committed snapshot %s (%d live vectors)", path, idx.Live())
-	writeJSON(w, http.StatusOK, CommitResponse{Committed: true, Path: path, Live: idx.Live()})
+	WriteJSON(w, http.StatusOK, CommitResponse{Committed: true, Path: path, Live: idx.Live()})
 }
 
 // AbortResponse reports whether an abort discarded a staged snapshot.
@@ -1073,7 +1072,7 @@ func (s *Server) handleSwapAbort(w http.ResponseWriter, r *http.Request) {
 	if discarded {
 		s.cfg.Logf("server: aborted staged snapshot %s", path)
 	}
-	writeJSON(w, http.StatusOK, AbortResponse{Aborted: true, Discarded: discarded, Path: path})
+	WriteJSON(w, http.StatusOK, AbortResponse{Aborted: true, Discarded: discarded, Path: path})
 }
 
 // SaveRequest optionally overrides the configured snapshot path.
@@ -1090,7 +1089,7 @@ type SaveResponse struct {
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeSave(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	path := req.Path
@@ -1100,24 +1099,24 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
 		// explicit path is still a plain export (below), leaving the
 		// durable state untouched.
 		if err := s.checkpoint(); err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
+			WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, SaveResponse{Saved: true, Path: filepath.Join(s.cfg.WALDir, pqfastscan.SnapshotFileName)})
+		WriteJSON(w, http.StatusOK, SaveResponse{Saved: true, Path: filepath.Join(s.cfg.WALDir, pqfastscan.SnapshotFileName)})
 		return
 	}
 	if path == "" {
 		path = s.cfg.SnapshotPath
 	}
 	if path == "" {
-		httpError(w, http.StatusBadRequest, "no path given and no SnapshotPath configured")
+		WriteError(w, http.StatusBadRequest, "no path given and no SnapshotPath configured")
 		return
 	}
 	if err := s.save(path); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, SaveResponse{Saved: true, Path: path})
+	WriteJSON(w, http.StatusOK, SaveResponse{Saved: true, Path: path})
 }
 
 // checkpointAfterSwapLocked makes a just-committed swap durable. The
@@ -1217,7 +1216,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := DecodeCompact(r.Body, idx.Partitions())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var results []pqfastscan.CompactionResult
@@ -1239,7 +1238,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The request was well-formed (range-checked above); a failure
 		// here is an index-side problem.
-		httpError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	reclaimed := 0
@@ -1247,7 +1246,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		reclaimed += c.Reclaimed
 	}
 	s.recordCompactions(results)
-	writeJSON(w, http.StatusOK, CompactResponse{Compacted: results, Reclaimed: reclaimed})
+	WriteJSON(w, http.StatusOK, CompactResponse{Compacted: results, Reclaimed: reclaimed})
 }
 
 // compactSweep applies the dead-ratio policy one partition at a time,

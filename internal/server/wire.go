@@ -316,11 +316,11 @@ func scanArray[T any](s *wireScanner, v *[]T, elem func(*T) bool) bool {
 }
 
 // WriteSearchResponse answers a /search with 200 and resp: the bytes
-// writeJSON writes, json.Marshal's and a newline.
+// WriteJSON writes, json.Marshal's and a newline.
 func WriteSearchResponse(w http.ResponseWriter, resp *SearchResponse) {
 	b, ok := AppendSearchResponse(make([]byte, 0, 64+48*len(resp.Results)+8*len(resp.Partitions)), resp)
 	if !ok {
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -54,7 +54,7 @@ func wireValues(raw []byte, k, nprobe int, kernel, flags uint8) (SearchRequest, 
 		n := int64(binary.LittleEndian.Uint64(raw[4:]))
 		req.Query = append(req.Query, f)
 		req.Cells = append(req.Cells, int(n))
-		resp.Results = append(resp.Results, SearchNeighbor{ID: n, Distance: f})
+		resp.Results = append(resp.Results, pqfastscan.Result{ID: n, Distance: f})
 		resp.Partitions = append(resp.Partitions, int(n>>1))
 	}
 	if flags&1 != 0 {
@@ -243,7 +243,7 @@ func TestWireDeclinesNonCanonical(t *testing.T) {
 	}
 }
 
-// TestWriteSearchResponseIsWriteJSON: the /search reply is writeJSON's,
+// TestWriteSearchResponseIsWriteJSON: the /search reply is WriteJSON's,
 // status, header and body, whether or not the codec writes it.
 func TestWriteSearchResponseIsWriteJSON(t *testing.T) {
 	for _, resp := range []SearchResponse{
@@ -253,10 +253,10 @@ func TestWriteSearchResponseIsWriteJSON(t *testing.T) {
 	} {
 		got, want := httptest.NewRecorder(), httptest.NewRecorder()
 		WriteSearchResponse(got, &resp)
-		writeJSON(want, 200, resp)
+		WriteJSON(want, 200, resp)
 		if got.Code != want.Code || !slices.Equal(got.Header().Values("Content-Type"), want.Header().Values("Content-Type")) ||
 			got.Body.String() != want.Body.String() {
-			t.Errorf("%+v: wrote %d %v %q, writeJSON writes %d %v %q", resp,
+			t.Errorf("%+v: wrote %d %v %q, WriteJSON writes %d %v %q", resp,
 				got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
 		}
 	}

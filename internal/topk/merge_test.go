@@ -95,6 +95,13 @@ func TestMergeDuplicateIDsFromReplicaFailover(t *testing.T) {
 	}
 }
 
+// shardShaped returns list as one shard replies: each id once, at its
+// smallest distance, sorted by (distance, id) — one node's answer over
+// list.
+func shardShaped(list []Result) []Result {
+	return oracleMerge(len(list)+1, list)
+}
+
 func TestMergeMatchesSingleNodeOracleFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -112,19 +119,46 @@ func TestMergeMatchesSingleNodeOracleFuzz(t *testing.T) {
 				})
 			}
 		}
-		want := oracleMerge(k, lists...)
-		got := MergeResults(k, lists...)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: merge %v != oracle %v (k=%d lists=%v)", trial, got, want, k, lists)
+		// Beside the raw lists, the same candidates as shards send them:
+		// each list sorted and free of repeated ids, duplicates left only
+		// across lists, as a hedge race leaves them.
+		shaped := make([][]Result, nShards)
+		for s, list := range lists {
+			shaped[s] = shardShaped(list)
 		}
-		// Permute the shard lists: the answer must not move.
 		perm := rng.Perm(nShards)
-		shuffled := make([][]Result, nShards)
-		for i, p := range perm {
-			shuffled[i] = lists[p]
+		for _, in := range [][][]Result{lists, shaped} {
+			want := oracleMerge(k, in...)
+			got := MergeResults(k, in...)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: merge %v != oracle %v (k=%d lists=%v)", trial, got, want, k, in)
+			}
+			// Permute the shard lists: the answer must not move.
+			shuffled := make([][]Result, nShards)
+			for i, p := range perm {
+				shuffled[i] = in[p]
+			}
+			if got2 := MergeResults(k, shuffled...); !reflect.DeepEqual(got2, got) {
+				t.Fatalf("trial %d: merge depends on list order: %v vs %v", trial, got2, got)
+			}
 		}
-		if got2 := MergeResults(k, shuffled...); !reflect.DeepEqual(got2, got) {
-			t.Fatalf("trial %d: merge depends on list order: %v vs %v", trial, got2, got)
+	}
+}
+
+// BenchmarkMergeResults is a router's merge of a two-shard query at the
+// paper's k = 100: two sorted lists of 100 distinct ids each.
+func BenchmarkMergeResults(b *testing.B) {
+	const k = 100
+	rng := rand.New(rand.NewSource(1))
+	lists := make([][]Result, 2)
+	for s := range lists {
+		for i := 0; i < k; i++ {
+			lists[s] = append(lists[s], Result{ID: int64(s*k + i), Distance: rng.Float32()})
 		}
+		lists[s] = shardShaped(lists[s])
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		MergeResults(k, lists...)
 	}
 }

@@ -15,10 +15,11 @@ package topk
 
 import "slices"
 
-// Result is one neighbor candidate.
+// Result is one neighbor candidate, and one neighbor of a /search
+// reply on the wire.
 type Result struct {
-	ID       int64
-	Distance float32
+	ID       int64   `json:"id"`
+	Distance float32 `json:"distance"`
 }
 
 // Heap is a bounded max-heap of the k best (smallest-distance) results
@@ -177,28 +178,31 @@ func (h *Heap) Results() []Result {
 // MergeResults merges per-source top-k lists into one global top-k — the
 // deterministic merge of scatter-gather cluster serving, where each list
 // is one shard's (or replica's) answer over its cells. Candidates are
-// deduplicated by id first: the same id can arrive twice when a hedged
+// deduplicated by id: the same id can arrive twice when a hedged
 // replica answers from a different snapshot epoch during failover, and
-// the smaller distance wins (ties are the same candidate). The retained
-// set of the bounded heap is the k smallest (distance, id) pairs of the
-// deduplicated union regardless of list order or arrival interleaving,
-// so a router merging shard answers returns exactly what a single node
-// scanning the union of their cells would. k larger than the total
-// number of distinct hits returns them all.
+// the smaller distance wins (ties are the same candidate). The answer
+// is the k smallest (distance, id) pairs of the deduplicated union —
+// the retained set of one bounded heap over it — regardless of list
+// order or of the order within a list, so a router merging shard
+// answers returns exactly what a single node scanning the union of
+// their cells would. k larger than the total number of distinct hits
+// returns them all; no hits at all return nil, as Results does.
 func MergeResults(k int, lists ...[]Result) []Result {
-	best := make(map[int64]float32)
-	for _, list := range lists {
-		for _, r := range list {
-			if d, ok := best[r.ID]; !ok || r.Distance < d {
-				best[r.ID] = r.Distance
-			}
+	all := slices.Concat(lists...)
+	slices.SortFunc(all, compare)
+	// Sorted, an id's first copy is its smallest distance.
+	seen := make(map[int64]struct{}, min(k, len(all)))
+	out := all[:0]
+	for _, r := range all {
+		if len(out) == k {
+			break
+		}
+		if _, dup := seen[r.ID]; !dup {
+			seen[r.ID] = struct{}{}
+			out = append(out, r)
 		}
 	}
-	h := New(k)
-	for id, d := range best {
-		h.Push(id, d)
-	}
-	return h.Results()
+	return out
 }
 
 // AppendResults appends the sorted results to dst (which may be a reused
@@ -207,20 +211,24 @@ func MergeResults(k int, lists ...[]Result) []Result {
 func (h *Heap) AppendResults(dst []Result) []Result {
 	start := len(dst)
 	dst = append(dst, h.items...)
-	slices.SortFunc(dst[start:], func(a, b Result) int {
-		if a.Distance != b.Distance {
-			if a.Distance < b.Distance {
-				return -1
-			}
-			return 1
-		}
-		if a.ID != b.ID {
-			if a.ID < b.ID {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(dst[start:], compare)
 	return dst
+}
+
+// compare orders results by ascending distance, ties by ascending id:
+// the order of Results and of MergeResults.
+func compare(a, b Result) int {
+	if a.Distance != b.Distance {
+		if a.Distance < b.Distance {
+			return -1
+		}
+		return 1
+	}
+	if a.ID != b.ID {
+		if a.ID < b.ID {
+			return -1
+		}
+		return 1
+	}
+	return 0
 }
