@@ -380,8 +380,8 @@ func BenchmarkMixedCycle(b *testing.B) {
 // BenchmarkFirstDelete times the first Delete into a fresh copy of the
 // write-path fixture's 100k-row partition, its Fast Scan layout built:
 // the Delete that walks every live row to build the Delete routing
-// table. B/op is that table (8 bytes per id in 32 KiB arrays) plus one
-// Delete. The copy is made off the clock.
+// table. B/op is that table (4 bytes per id in 16 KiB arrays of route
+// words, ≈ 414 KB) plus one Delete. The copy is made off the clock.
 func BenchmarkFirstDelete(b *testing.B) {
 	idx, _ := writeEnv(b)
 	in := idx.Internal()

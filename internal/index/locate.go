@@ -3,33 +3,41 @@
 // dense allocator (build assigns 0…N−1, Add takes contiguous blocks,
 // WAL replay only moves the allocator forward), so where ids are dense
 // id → (cell, row) is stored by id, in chunks of consecutive ids, not
-// hashed: 8 bytes per id of a chunk. Where they are sparse — a file may
-// hold any ids below its allocator — they are hashed, so a chunk is
-// made only for a range that is a quarter live and the table never
-// costs much more per live id than a hash map. DESIGN.md §11 "Publish
+// hashed: one 4-byte route word per id of a chunk. Where they are
+// sparse — a file may hold any ids below its allocator — they are
+// hashed, so a chunk is made only for a range that is a quarter live
+// and the table never costs more per live id than a hash entry. A
+// route too large for its word is hashed too. DESIGN.md §11 "Publish
 // ordering" has the locking and §4 the costs.
 package index
 
-import "pqfastscan/internal/scan"
+import (
+	"math"
+	"math/bits"
+
+	"pqfastscan/internal/scan"
+)
 
 // locShift sets a chunk's width: one chunk routes 1<<locShift
 // consecutive ids.
 const locShift = 12
 
 // locDense is the number of live ids a chunk's range must hold before it
-// gets an array: a quarter of it, so an array costs at most 32 bytes per
-// live id when it is made, about what a hash entry costs.
+// gets an array: a quarter of it, so an array of 4-byte words costs at
+// most 16 bytes per live id when it is made, what a spilled id's key
+// and route cost before the hash map's own overhead.
 const locDense = 1 << locShift / 4
 
 // locChunk is one directory entry: how many of the ids
 // [k<<locShift, (k+1)<<locShift) are live, and, once locDense of them
-// were, their routes, each packLoc(cell, row)+1, with 0 for an id that
-// is not live. The count lives here, not in the array: 4 096 routes are
-// exactly 32 KiB, Go's largest small size class, and one word more
-// rounds the object up to 40 KiB. A fresh array is zero, so it needs no
-// fill. With routes nil the range's live ids are in locTable.spill.
+// were, their route words (locTable.word), with 0 for an id the array
+// does not route. The count lives here, not in the array: 4 096 words
+// are exactly 16 KiB, a Go size class, and one word more rounds the
+// object up to 18 KiB. A fresh array is zero, so it needs no fill.
+// With routes nil the range's live ids are in locTable.spill; with an
+// array, only those whose route does not fit a word are.
 type locChunk struct {
-	routes *[1 << locShift]int64
+	routes *[1 << locShift]uint32
 	live   int
 }
 
@@ -41,26 +49,43 @@ type locChunk struct {
 // Index.locateMu.
 type locTable struct {
 	dir map[int64]locChunk
-	// spill routes the live ids of every range that has no array. A Go
+	// spill routes, as packLoc(cell, row)+1, the live ids of every range
+	// that has no array and those whose route does not fit a word. A Go
 	// map keeps the room it once grew to, so peak — its most entries
 	// since it was last made — tells when to copy it into a smaller one.
 	spill map[int64]int64
 	peak  int
+	// rowBits is the width of a word's row field, the rest of its 32
+	// bits holding the cell: fixed for the table's life, because an
+	// index's cell count never changes.
+	rowBits uint
+	// wide is set once a route has not fit a word; until then no id of
+	// a range with an array is in the spill, and set need not look.
+	wide bool
 }
 
-// buildLocTable returns the table of the rows walk yields, walking them
-// twice: first to count the live ids of each range, so a dense range
-// gets its array before any of its ids is set and never passes through
-// spill, then to set them.
-func buildLocTable(walk func(fn func(id int64, c, row int)) error) (*locTable, error) {
-	t := &locTable{dir: make(map[int64]locChunk), spill: make(map[int64]int64)}
+// newLocTable returns an empty table for an index of cells cells.
+func newLocTable(cells int) *locTable {
+	return &locTable{
+		dir:     make(map[int64]locChunk),
+		spill:   make(map[int64]int64),
+		rowBits: uint(32 - min(32, bits.Len(uint(cells-1)))),
+	}
+}
+
+// buildLocTable returns the table, for an index of cells cells, of the
+// rows walk yields, walking them twice: first to count the live ids of
+// each range, so a dense range gets its array before any of its ids is
+// set and never passes through spill, then to set them.
+func buildLocTable(cells int, walk func(fn func(id int64, c, row int)) error) (*locTable, error) {
+	t := newLocTable(cells)
 	count := make(map[int64]int)
 	if err := walk(func(id int64, _, _ int) { count[id>>locShift]++ }); err != nil {
 		return nil, err
 	}
 	for k, n := range count {
 		if n >= locDense {
-			t.dir[k] = locChunk{routes: new([1 << locShift]int64)}
+			t.dir[k] = locChunk{routes: new([1 << locShift]uint32)}
 		}
 	}
 	if err := walk(t.set); err != nil {
@@ -69,12 +94,30 @@ func buildLocTable(walk func(fn func(id int64, c, row int)) error) (*locTable, e
 	return t, nil
 }
 
-// packLoc packs a row's place: the cell in the high 32 bits, the row's
-// position in its partition in the low 32.
+// packLoc packs a row's place for the spill: the cell in the high 32
+// bits, the row's position in its partition in the low 32.
 func packLoc(c, row int) int64 { return int64(c)<<32 | int64(row) }
 
 // unpackLoc is the inverse of packLoc.
 func unpackLoc(l int64) (c, row int) { return int(l >> 32), int(uint32(l)) }
+
+// word packs a row's place for an array: row | c<<rowBits, plus one so
+// that 0 stays "not routed here". ok is false when the place does not
+// fit — a row of 2^rowBits or more, or the one packed value whose +1
+// would wrap — and the route goes to the spill.
+func (t *locTable) word(c, row int) (w uint32, ok bool) {
+	if row>>t.rowBits != 0 || c>>(32-t.rowBits) != 0 {
+		return 0, false
+	}
+	p := uint32(c)<<t.rowBits | uint32(row)
+	return p + 1, p != math.MaxUint32
+}
+
+// unword is the inverse of word.
+func (t *locTable) unword(w uint32) (c, row int) {
+	p := w - 1
+	return int(p >> t.rowBits), int(p & (1<<t.rowBits - 1))
+}
 
 // get returns the place of id, ok false when it is not live.
 func (t *locTable) get(id int64) (c, row int, ok bool) {
@@ -82,52 +125,70 @@ func (t *locTable) get(id int64) (c, row int, ok bool) {
 	if !ok {
 		return 0, 0, false
 	}
-	var l int64
 	if ch.routes != nil {
-		l = ch.routes[id&(1<<locShift-1)]
-	} else {
-		l = t.spill[id]
+		if w := ch.routes[id&(1<<locShift-1)]; w != 0 {
+			c, row = t.unword(w)
+			return c, row, true
+		}
 	}
-	if l == 0 {
+	l, ok := t.spill[id]
+	if !ok {
 		return 0, 0, false
 	}
 	c, row = unpackLoc(l - 1)
 	return c, row, true
 }
 
-// set routes id to row row of cell c. The id's range gets its array
-// when this makes locDense of its ids live.
+// set routes id to row row of cell c, in its range's array when it has
+// one and the route fits a word, else in the spill. An id may move
+// between the two when a rebuild gives it a new row. The id's range
+// gets its array when this makes locDense of its ids live.
 func (t *locTable) set(id int64, c, row int) {
-	k := id >> locShift
+	k, j := id>>locShift, id&(1<<locShift-1)
 	ch := t.dir[k]
-	l := packLoc(c, row) + 1
-	if ch.routes != nil {
-		slot := &ch.routes[id&(1<<locShift-1)]
-		if *slot == 0 {
+	w, fits := t.word(c, row)
+	if ch.routes != nil && fits {
+		if ch.routes[j] == 0 && !(t.wide && t.unspillID(id)) {
 			ch.live++
 		}
-		*slot = l
+		ch.routes[j] = w
 	} else {
-		if _, ok := t.spill[id]; !ok {
+		if ch.routes != nil && ch.routes[j] != 0 {
+			ch.routes[j] = 0
+		} else if _, ok := t.spill[id]; !ok {
 			ch.live++
 		}
-		t.spill[id] = l
+		t.spill[id] = packLoc(c, row) + 1
+		t.wide = t.wide || !fits
 		t.peak = max(t.peak, len(t.spill))
-		if ch.live >= locDense {
+		if ch.routes == nil && ch.live >= locDense {
 			ch.routes = t.unspill(k)
 		}
 	}
 	t.dir[k] = ch
 }
 
-// unspill moves the spilled routes of range k into a fresh array.
-func (t *locTable) unspill(k int64) *[1 << locShift]int64 {
-	routes := new([1 << locShift]int64)
+// unspillID removes id from the spill, reporting whether it was there.
+func (t *locTable) unspillID(id int64) bool {
+	if _, ok := t.spill[id]; !ok {
+		return false
+	}
+	delete(t.spill, id)
+	t.shrink()
+	return true
+}
+
+// unspill moves the spilled routes of range k that fit a word into a
+// fresh array; the rest stay spilled.
+func (t *locTable) unspill(k int64) *[1 << locShift]uint32 {
+	routes := new([1 << locShift]uint32)
 	for j := range routes {
 		id := k<<locShift + int64(j)
 		if l, ok := t.spill[id]; ok {
-			routes[j] = l
-			delete(t.spill, id)
+			if w, fits := t.word(unpackLoc(l - 1)); fits {
+				routes[j] = w
+				delete(t.spill, id)
+			}
 		}
 	}
 	t.shrink()
@@ -151,23 +212,15 @@ func (t *locTable) shrink() {
 
 // del forgets id, and its range with its last live id.
 func (t *locTable) del(id int64) {
-	k := id >> locShift
+	k, j := id>>locShift, id&(1<<locShift-1)
 	ch, ok := t.dir[k]
 	if !ok {
 		return
 	}
-	if ch.routes != nil {
-		slot := &ch.routes[id&(1<<locShift-1)]
-		if *slot == 0 {
-			return
-		}
-		*slot = 0
-	} else {
-		if _, ok := t.spill[id]; !ok {
-			return
-		}
-		delete(t.spill, id)
-		t.shrink()
+	if ch.routes != nil && ch.routes[j] != 0 {
+		ch.routes[j] = 0
+	} else if !t.unspillID(id) {
+		return
 	}
 	if ch.live--; ch.live == 0 {
 		delete(t.dir, k)
@@ -187,7 +240,7 @@ func eachLive(c int, p *scan.Partition, from int, fn func(id int64, c, row int))
 }
 
 // DeleteRoutingBytes returns the bytes the Delete routing table holds:
-// 0 until the first Delete builds it, then 32 KiB for every range of
+// 0 until the first Delete builds it, then 16 KiB for every range of
 // 4 096 consecutive ids with an array, and 16 for every spilled id (its
 // key and route; the hash map's own overhead is not counted).
 func (ix *Index) DeleteRoutingBytes() int {
@@ -199,7 +252,7 @@ func (ix *Index) DeleteRoutingBytes() int {
 	n := 16 * len(ix.locate.spill)
 	for _, ch := range ix.locate.dir {
 		if ch.routes != nil {
-			n += 8 << locShift
+			n += 4 << locShift
 		}
 	}
 	return n

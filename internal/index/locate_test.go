@@ -13,13 +13,9 @@ import (
 )
 
 // checkRouting holds ix's Delete routing table to a fresh walk of its
-// current snapshot: it routes exactly the live rows' ids, each to its
-// cell and row; it keeps no range without a live id, spills no id of a
-// range with an array and leaves no range of locDense live ids without
-// one; its spill has been copied small once it fell to a quarter of its
-// peak; and its per-range live counts sum to Live(). A table no Delete
-// has built yet is built first, by a Delete of an id that is never
-// live.
+// current snapshot (checkTable), whose live rows number Live(). A table
+// no Delete has built yet is built first, by a Delete of an id that is
+// never live.
 func checkRouting(t *testing.T, ix *Index) {
 	t.Helper()
 	if err := ix.Delete(-1); !errors.Is(err, ErrNotFound) {
@@ -34,13 +30,25 @@ func checkRouting(t *testing.T, ix *Index) {
 		eachLive(c, p, 0, func(id int64, c, row int) { want[id] = [2]int{c, row} })
 		release()
 	}
+	if len(want) != ix.Live() {
+		t.Fatalf("the snapshot has %d live rows, Live() is %d", len(want), ix.Live())
+	}
 	ix.locateMu.Lock()
 	defer ix.locateMu.Unlock()
-	tb := ix.locate
-	match := func(id, l int64) {
-		c, row := unpackLoc(l - 1)
+	checkTable(t, ix.locate, want)
+}
+
+// checkTable holds tb to want, the place of every live id: it routes
+// exactly want's ids, each to its cell and row; it keeps no range
+// without a live id, spills no id of a range with an array whose route
+// fits a word and leaves no range of locDense live ids without an
+// array; its spill has been copied small once it fell to a quarter of
+// its peak; and each range's live count is the routes it holds.
+func checkTable(t *testing.T, tb *locTable, want map[int64][2]int) {
+	t.Helper()
+	match := func(id int64, c, row int) {
 		if w, ok := want[id]; !ok || w != [2]int{c, row} {
-			t.Fatalf("table routes id %d to cell %d row %d; the snapshot has %v (live %v)", id, c, row, w, ok)
+			t.Fatalf("table routes id %d to cell %d row %d; want %v (live %v)", id, c, row, w, ok)
 		}
 	}
 	if tb.peak < len(tb.spill) || tb.peak >= locDense && 4*len(tb.spill) <= tb.peak {
@@ -48,18 +56,20 @@ func checkRouting(t *testing.T, ix *Index) {
 	}
 	held := make(map[int64]int)
 	for id, l := range tb.spill {
-		if tb.dir[id>>locShift].routes != nil {
-			t.Fatalf("id %d is spilled, but its range has an array", id)
+		c, row := unpackLoc(l - 1)
+		if _, fits := tb.word(c, row); fits && tb.dir[id>>locShift].routes != nil {
+			t.Fatalf("id %d is spilled, but its range has an array and its route fits a word", id)
 		}
-		match(id, l)
+		match(id, c, row)
 		held[id>>locShift]++
 	}
-	routed, live := 0, 0
+	routed := 0
 	for k, ch := range tb.dir {
 		if ch.routes != nil {
-			for j, l := range ch.routes {
-				if l != 0 {
-					match(k<<locShift+int64(j), l)
+			for j, w := range ch.routes {
+				if w != 0 {
+					c, row := tb.unword(w)
+					match(k<<locShift+int64(j), c, row)
 					held[k]++
 				}
 			}
@@ -70,13 +80,9 @@ func checkRouting(t *testing.T, ix *Index) {
 			t.Fatalf("range %d holds %d routes and counts %d live (array %v)", k, held[k], ch.live, ch.routes != nil)
 		}
 		routed += held[k]
-		live += ch.live
 	}
 	if routed != len(want) {
-		t.Fatalf("table routes %d ids, the snapshot has %d live", routed, len(want))
-	}
-	if live != ix.Live() {
-		t.Fatalf("range live counts sum to %d, Live() is %d", live, ix.Live())
+		t.Fatalf("table routes %d ids, want %d", routed, len(want))
 	}
 }
 
@@ -234,7 +240,7 @@ func TestRoutingHostileAndSparseIDs(t *testing.T) {
 // TestRoutingFollowsDensity: a range gets an array only once locDense of
 // its ids are live. An index of 2 100 ids 4 096 apart — one per range —
 // builds its table on the first Delete within 256 bytes per row, where
-// an array per range would cost 32 KiB each; beside them, a range of
+// an array per range would cost 16 KiB each; beside them, a range of
 // locDense live ids has an array and one of locDense−1 has none.
 func TestRoutingFollowsDensity(t *testing.T) {
 	src, _, _ := sharedIndex(t)
@@ -265,6 +271,10 @@ func TestRoutingFollowsDensity(t *testing.T) {
 	if n := arrays(ix); n != 1 {
 		t.Fatalf("%d ranges have an array, want 1", n)
 	}
+	// One 16 KiB array, and 16 bytes for each of the other ranges' ids.
+	if b, want := ix.DeleteRoutingBytes(), 4<<locShift+16*(sparse-1+locDense-1); b != want {
+		t.Fatalf("the table holds %d bytes, want %d", b, want)
+	}
 	checkRouting(t, ix)
 	checkLayouts(t, ix)
 	// Deleting the sparse ids and 300 of the last range's takes the
@@ -285,8 +295,8 @@ func TestRoutingFollowsDensity(t *testing.T) {
 // TestRoutingArraysComeAndGo: a writer that deletes each row it adds —
 // lib_mixed's cycle — keeps one live id in a fresh range and allocates
 // no array for it. Adds that make locDense of a range's ids live give it
-// one, row by row or in one batch, and Deletes of all of them drop it
-// again, even when the allocator has moved on (ids allocated and never
+// one, exactly 16 KiB of DeleteRoutingBytes, row by row or in one batch,
+// and Deletes of all of them drop it again, bytes and all, even when the allocator has moved on (ids allocated and never
 // registered, as by a durable Add whose log append fails).
 func TestRoutingArraysComeAndGo(t *testing.T) {
 	src, base, _ := sharedIndex(t)
@@ -311,6 +321,7 @@ func TestRoutingArraysComeAndGo(t *testing.T) {
 			t.Fatalf("cycle %d: %d ranges have an array, want %d", i, n, built)
 		}
 	}
+	bytes := ix.DeleteRoutingBytes()
 	var added []int64
 	for i := 0; i < locDense; i++ {
 		if n := arrays(ix); n != built {
@@ -323,6 +334,9 @@ func TestRoutingArraysComeAndGo(t *testing.T) {
 	if n := arrays(ix); n != built+2 {
 		t.Fatalf("two ranges of locDense live ids: %d ranges have an array, want %d", n, built+2)
 	}
+	if b := ix.DeleteRoutingBytes(); b != bytes+2<<14 {
+		t.Fatalf("two dense ranges took the table from %d to %d bytes, want 16 KiB each", bytes, b)
+	}
 	checkRouting(t, ix)
 	checkLayouts(t, ix)
 	for _, id := range added {
@@ -330,11 +344,122 @@ func TestRoutingArraysComeAndGo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := arrays(ix); n != built {
-		t.Fatalf("after deleting every added id %d ranges have an array, want %d", n, built)
+	if n, b := arrays(ix), ix.DeleteRoutingBytes(); n != built || b != bytes {
+		t.Fatalf("after deleting every added id %d ranges have an array in %d bytes, want %d in %d", n, b, built, bytes)
 	}
 	checkRouting(t, ix)
 	checkLayouts(t, ix)
+}
+
+// TestRoutingWordOverflowSpills: at any cell count the largest place
+// that fits a route word round-trips through it. In a table for 2²⁸
+// cells a word keeps 4 bits of row, so a route of row 16 or more — or
+// the one place that packs to 2³²−1, whose +1 would wrap — does not fit
+// and is spilled even in a range with an array. Such routes round-trip
+// by get, set and del; unspill, which gives their range its array,
+// leaves them in the spill; and a rebuild that moves an id across the
+// boundary moves its route between array and spill, its range's live
+// count unchanged.
+func TestRoutingWordOverflowSpills(t *testing.T) {
+	// At any cell count the largest cell and row that fit round-trip
+	// through a word, and one more row does not fit.
+	for _, cells := range []int{1, 2, 4, 5, 1 << 16, 1 << 28} {
+		tb := newLocTable(cells)
+		c, row := cells-1, 1<<tb.rowBits-1
+		if c == 1<<(32-tb.rowBits)-1 {
+			row-- // the place that packs to 2³²−1
+		}
+		w, fits := tb.word(c, row)
+		if gc, grow := tb.unword(w); !fits || gc != c || grow != row {
+			t.Fatalf("%d cells: cell %d row %d packs to %#x (fits %v), unpacks to cell %d row %d", cells, c, row, w, fits, gc, grow)
+		}
+		if _, fits := tb.word(c, row+1); fits {
+			t.Fatalf("%d cells: cell %d row %d fits a word of %d row bits", cells, c, row+1, tb.rowBits)
+		}
+	}
+	const cells = 1 << 28
+	tb := newLocTable(cells)
+	if tb.rowBits != 4 {
+		t.Fatalf("%d cells leave %d row bits, want 4", cells, tb.rowBits)
+	}
+	if _, fits := tb.word(cells-1, 15); fits {
+		t.Fatal("the place packing to 2³²−1 fits a word")
+	}
+	if _, fits := tb.word(cells-1, 14); !fits {
+		t.Fatal("the largest cell's row 14 does not fit a word")
+	}
+	want := make(map[int64][2]int)
+	set := func(id int64, c, row int) {
+		t.Helper()
+		tb.set(id, c, row)
+		want[id] = [2]int{c, row}
+		if gc, grow, ok := tb.get(id); !ok || gc != c || grow != row {
+			t.Fatalf("id %d set to cell %d row %d reads back cell %d row %d (live %v)", id, c, row, gc, grow, ok)
+		}
+	}
+	del := func(id int64) {
+		t.Helper()
+		tb.del(id)
+		delete(want, id)
+		if _, _, ok := tb.get(id); ok {
+			t.Fatalf("id %d still routed after del", id)
+		}
+	}
+	spilled := func() int {
+		n := 0
+		for id := range want {
+			if _, fits := tb.word(want[id][0], want[id][1]); !fits {
+				n++
+			}
+		}
+		return n
+	}
+	// Range 0 fills to locDense ids, rows cycling through 0…31 so that
+	// half do not fit; id 5 takes the place that would wrap.
+	for id := int64(0); id < locDense; id++ {
+		if id == 5 {
+			set(id, cells-1, 15)
+		} else {
+			set(id, int(id), int(id%32))
+		}
+	}
+	if tb.dir[0].routes == nil {
+		t.Fatal("range 0 has no array at locDense live ids")
+	}
+	if n := spilled(); len(tb.spill) != n || n != locDense/2+1 {
+		t.Fatalf("spill holds %d ids; %d routes do not fit, want %d", len(tb.spill), n, locDense/2+1)
+	}
+	checkTable(t, tb, want)
+	// An id added to the range with a route too wide goes to the spill;
+	// rebuilds move id 1 out of its word and id 20 into one.
+	set(locDense, 3, 100)
+	set(1, 1, 20)
+	set(20, 20, 3)
+	if _, ok := tb.spill[1]; !ok || tb.dir[0].routes[1] != 0 {
+		t.Fatal("id 1, moved to row 20, is not in the spill alone")
+	}
+	if _, ok := tb.spill[20]; ok || tb.dir[0].routes[20] == 0 {
+		t.Fatal("id 20, moved to row 3, is not in its word alone")
+	}
+	if n := tb.dir[0].live; n != locDense+1 {
+		t.Fatalf("range 0 counts %d live ids, want %d", n, locDense+1)
+	}
+	checkTable(t, tb, want)
+	for id := range want {
+		if _, fits := tb.word(want[id][0], want[id][1]); !fits {
+			del(id)
+		}
+	}
+	if len(tb.spill) != 0 {
+		t.Fatalf("spill holds %d ids after every route that did not fit was deleted", len(tb.spill))
+	}
+	checkTable(t, tb, want)
+	for id := range want {
+		del(id)
+	}
+	if len(tb.dir) != 0 || len(tb.spill) != 0 {
+		t.Fatalf("%d ranges and %d spilled ids left with nothing live", len(tb.dir), len(tb.spill))
+	}
 }
 
 // TestApplyAddRefusesNegativeID: a WAL frame is the one place an id

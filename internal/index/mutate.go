@@ -235,7 +235,7 @@ func (ix *Index) Delete(id int64) error {
 		// snapshot. Rows published after this load are registered by
 		// their Add or rebuild.
 		snap := ix.snap.Load()
-		t, err := buildLocTable(func(fn func(id int64, c, row int)) error {
+		t, err := buildLocTable(len(snap.Parts), func(fn func(id int64, c, row int)) error {
 			for c, pe := range snap.Parts {
 				// Stubs carry no base id array — the extent stays pinned
 				// for the duration of this partition's walk.

@@ -226,8 +226,8 @@ func spreadIDs(t testing.TB, ix *index.Index) *index.Index {
 // plus 256 bytes a loaded row: the first Delete builds the Delete
 // routing table, which must grow with the rows, however far apart
 // their ids lie — a seed spreads its ids 4 096 apart, where a table
-// with 32 KiB for each range of 4 096 ids holding a live one would
-// cost 32 KiB a row. Every input is read twice: as given, and with its
+// with a 16 KiB array for each range of 4 096 ids holding a live one
+// would cost 16 KiB a row. Every input is read twice: as given, and with its
 // checksum recomputed, so mutations reach what lies behind the CRC.
 // The retired version-1 file, and a version-3 file with its version
 // byte set to 2, are seeds that must be refused.

@@ -346,11 +346,16 @@ func (q DistQuantizer) QuantizeRow(src []float32, dst []uint8) {
 // are prunable even though min itself lies beyond it ("All distances
 // above qmax are quantized to 127", §4.4). Without this rule a scaled
 // threshold beyond qmax would disable pruning entirely.
+//
+// As in Quantize, t is clamped while it is still a float64, so no
+// conversion sees a value out of its range: a min far beyond a tiny
+// delta makes the ratio 2⁶³ or more, which amd64 would convert to
+// MinInt64, a t of −128 that prunes every lane.
 func (q DistQuantizer) PruneThreshold(min float32, haveMin bool) int8 {
 	if !haveMin || math.IsInf(q.delta, 1) {
 		return 127
 	}
-	t := int(math.Floor((float64(min)-8*q.qmin)/q.delta)) + 1
+	t := math.Floor((float64(min)-8*q.qmin)/q.delta) + 1
 	if t > 126 {
 		if 8*q.qmin+127*q.delta > float64(min) {
 			// Saturated lanes are provably worse than min: let them fail
@@ -359,8 +364,8 @@ func (q DistQuantizer) PruneThreshold(min float32, haveMin bool) int8 {
 		}
 		return 127
 	}
-	if t < -128 {
-		t = -128
+	if !(t >= -128) { // NaN included
+		return -128
 	}
 	return int8(t)
 }

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,6 +102,52 @@ func TestPruneThresholdSaturationRule(t *testing.T) {
 	// min far beyond the provable bound: no pruning of saturated lanes.
 	if got := dq.PruneThreshold(1e9, true); got != 127 {
 		t.Errorf("min >> qmax+7qmin: t = %d, want 127", got)
+	}
+}
+
+// TestPruneThresholdMonotone: t8 never rises as the heap's threshold
+// falls — for a fixed quantizer PruneThreshold(a) <= PruneThreshold(b)
+// whenever a <= b — over mins on and around every t from below −128 to
+// above 127, on both sides of the saturation rule's bound
+// 8·qmin + 127·delta (t 126 and 127), and far beyond a tiny delta,
+// where the ratio passes 2⁶³.
+func TestPruneThresholdMonotone(t *testing.T) {
+	r := rng.New(19)
+	dqs := []DistQuantizer{
+		NewDistQuantizer(10, 1000),
+		NewDistQuantizer(-5, 5),
+		NewDistQuantizer(0, 1e-30),
+		NewDistQuantizer(1000, 1000.001),
+	}
+	for len(dqs) < 64 {
+		qmin := r.Float32()*200 - 100
+		dqs = append(dqs, NewDistQuantizer(qmin, qmin+r.Float32()*r.Float32()*1e4+1e-3))
+	}
+	inf := float32(math.Inf(1))
+	for i, dq := range dqs {
+		var mins []float32
+		for f := -140; f <= 140; f++ {
+			m := float32(8*dq.qmin + float64(float64(f)*dq.delta))
+			mins = append(mins, m, math.Nextafter32(m, -inf), math.Nextafter32(m, inf))
+		}
+		mins = append(mins, -math.MaxFloat32, -1e20, 0, 1e20, math.MaxFloat32)
+		slices.Sort(mins)
+		seen := map[int8]bool{}
+		prev := int8(-128)
+		for _, m := range mins {
+			t8 := dq.PruneThreshold(m, true)
+			if t8 < prev {
+				t.Fatalf("qmin %v delta %v: min %v (bits %08x) gives t %d, a smaller min t %d",
+					dq.qmin, dq.delta, m, math.Float32bits(m), t8, prev)
+			}
+			prev = t8
+			seen[t8] = true
+		}
+		// Where float32 mins resolve a bin of delta, both sides of the
+		// saturation rule are seen.
+		if i < 3 && !(seen[-128] && seen[126] && seen[127]) {
+			t.Fatalf("qmin %v delta %v: t took %v, want −128, 126 and 127 among them", dq.qmin, dq.delta, seen)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package scan
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"pqfastscan/internal/rng"
@@ -188,4 +189,76 @@ func FuzzQuantizeRow(f *testing.F) {
 		}
 		checkRow(t, DistQuantizer{qmin: qmin, delta: delta}, src)
 	})
+}
+
+// TestQuantizeMonotone: a bin never decreases as its value grows — the
+// premise of every quantized bound, since a group's or a block's bound
+// is read from quantized minima (BuildMinTables, windowMinima). Quantize
+// and QuantizeRow on every available backend are held to it over sorted
+// entries: each bin edge qmin + f·delta (f = 0…127) with its float32
+// neighbours, values below qmin and above qmax, ±0, subnormals and the
+// infinities, and on the quantizers of fmaCases, whose entry sits where
+// the floor overshoots and the correction step decides the bin. NaN
+// stays out of the order and in its bin 0.
+func TestQuantizeMonotone(t *testing.T) {
+	r := rng.New(7)
+	dqs := []DistQuantizer{
+		NewDistQuantizer(10, 137),
+		NewDistQuantizer(0, 1),
+		NewDistQuantizer(-100, 50),
+		NewDistQuantizer(1e6, 1e6*(1+1e-5)),
+		NewDistQuantizer(1e-40, 1e-38),
+		NewDistQuantizer(3, 3), // degenerate: every entry is bin 0
+	}
+	for len(dqs) < 64 {
+		qmin := r.Float32()*2000 - 1000
+		dqs = append(dqs, NewDistQuantizer(qmin, qmin+r.Float32()*r.Float32()*1e4+1e-3))
+	}
+	edge := make(map[int]float32) // dqs[i]'s entry on a corrected edge
+	fdqs, fxs := fmaCases(r, 64)
+	for i, dq := range fdqs {
+		edge[len(dqs)] = fxs[i]
+		dqs = append(dqs, dq)
+	}
+	inf := float32(math.Inf(1))
+	for i, dq := range dqs {
+		var row []float32
+		if x, ok := edge[i]; ok {
+			row = append(row, x, math.Nextafter32(x, -inf), math.Nextafter32(x, inf))
+		}
+		for f := 0; f <= 127; f++ {
+			e := float32(dq.qmin + float64(float64(f)*dq.delta))
+			row = append(row, e, math.Nextafter32(e, -inf), math.Nextafter32(e, inf))
+		}
+		qmin, qmax := float32(dq.qmin), float32(dq.qmin+127*dq.delta)
+		row = append(row, qmin-1, qmin-1e6, -math.MaxFloat32, -inf,
+			qmax+1, qmax*2+1, 3e38, math.MaxFloat32, inf,
+			0, float32(math.Copysign(0, -1)),
+			math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+			math.Float32frombits(0x007fffff), -math.Float32frombits(0x007fffff))
+		slices.Sort(row)
+		check := func(label string, bins []uint8) {
+			t.Helper()
+			for i := 1; i < len(row); i++ {
+				if bins[i] < bins[i-1] {
+					t.Fatalf("%s, qmin %v delta %v: %v (bits %08x) is bin %d, the smaller %v (bits %08x) bin %d",
+						label, dq.qmin, dq.delta, row[i], math.Float32bits(row[i]), bins[i],
+						row[i-1], math.Float32bits(row[i-1]), bins[i-1])
+				}
+			}
+			if bins[len(row)] != 0 {
+				t.Fatalf("%s, qmin %v delta %v: NaN is bin %d, want 0", label, dq.qmin, dq.delta, bins[len(row)])
+			}
+		}
+		withNaN := append(row, float32(math.NaN()))
+		bins := make([]uint8, len(withNaN))
+		for i, v := range withNaN {
+			bins[i] = dq.Quantize(v)
+		}
+		check("Quantize", bins)
+		forEachBackend(t, func(be dispatch.Backend) {
+			dq.QuantizeRow(withNaN, bins)
+			check("QuantizeRow on "+be.String(), bins)
+		})
+	}
 }

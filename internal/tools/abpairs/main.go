@@ -15,9 +15,14 @@
 // prints one line per run, then per workload and gated metric of
 // BENCHMARK.json: both medians and IQRs, the median paired ratio B/A,
 // the pairs in which B is better, and whether the gap between the
-// medians exceeds A's IQR. A run that exits non-zero or prints no
-// result line is reported as failed and counted, never dropped. The
-// claim and its bounds stay the reader's: abpairs judges nothing.
+// medians exceeds A's IQR. After the first pair it prints one placement
+// line per tree: the start address mod 64 of the serving scan's hot
+// functions in the benchmark binary the tree built (go tool nm),
+// flagged "differs" when A's and B's are not the same, since placement
+// alone moves a scan by a few percent. A run that exits non-zero or
+// prints no result line is reported as failed and counted, never
+// dropped. The claim and its bounds stay the reader's: abpairs judges
+// nothing.
 package main
 
 import (
@@ -132,6 +137,9 @@ func compare(treeA, treeB string, workloads []string, seeds int, seconds float64
 			for _, o := range order {
 				*o.run = benchRun(o.dir, w, s, seconds, stderr)
 				fmt.Fprintf(stdout, "run %s seed %d %s %s\n", w, s, o.side, describe(*o.run, metrics))
+			}
+			if w == workloads[0] && i == 0 {
+				printPlacement(treeA, treeB, stdout)
 			}
 		}
 		fmt.Fprintf(stdout, "%s, %d pairs (A B B A …):\n", w, seeds)

@@ -70,6 +70,31 @@ func TestThresholdIsKthBest(t *testing.T) {
 	}
 }
 
+// TestThresholdNeverRises: once the heap is full its Threshold — the
+// scan's pruning bound, quantized into t8 — never rises from one push to
+// the next, whether the push is kept, refused, or ties the root; and it
+// stays available. Distances come from a small set, so ties on distance
+// and on (id, distance) are frequent.
+func TestThresholdNeverRises(t *testing.T) {
+	r := rng.New(23)
+	for trial := 0; trial < 300; trial++ {
+		k := r.Intn(40) + 1
+		h := New(k)
+		prev, full := float32(0), false
+		for push := 0; push < 400; push++ {
+			h.Push(int64(r.Intn(60)), float32(r.Intn(30))/4)
+			thr, ok := h.Threshold()
+			if full && !ok {
+				t.Fatalf("trial %d (k=%d) push %d: threshold gone from a full heap", trial, k, push)
+			}
+			if full && thr > prev {
+				t.Fatalf("trial %d (k=%d) push %d: threshold rose from %v to %v", trial, k, push, prev, thr)
+			}
+			prev, full = thr, ok
+		}
+	}
+}
+
 func TestTieEvictsLargerID(t *testing.T) {
 	h := New(2)
 	h.Push(5, 1.0)
