@@ -13,12 +13,16 @@ import (
 
 // hot are the serving scan's functions whose start address mod 64 a
 // placement line gives: a scan runs a few percent faster or slower with
-// where the linker puts them, whatever the change.
+// where the linker puts them, whatever the change. The last three are
+// the exact re-check and top-k push of every lane the bound leaves.
 var hot = []string{
 	"index.(*Index).scanPartition",
 	"scan.(*FastScan).ScanNativeInto",
 	"scan.(*FastScan).scanBlocks",
 	"scan.(*Scratch).bound",
+	"scan.(*FastScan).processLive",
+	"scan.offer",
+	"topk.(*Heap).Push",
 }
 
 // placement returns the start address mod 64 of each of hot's functions

@@ -1,15 +1,16 @@
 package topk
 
 import (
+	"math"
 	"slices"
 	"testing"
 
 	"pqfastscan/internal/rng"
 )
 
-// swapHeap is the textbook bounded max-heap Heap replaced: swap-based
-// sifts that compare (distance, id) at every step. It is kept here as
-// the reference the hole-moving sifts must match slot for slot.
+// swapHeap is the textbook bounded max-heap: swap-based sifts that
+// compare (distance, id) at every step. It is kept here as the
+// reference the tournament tree must match push for push.
 type swapHeap struct {
 	k     int
 	items []Result
@@ -60,20 +61,42 @@ func (h *swapHeap) siftDown(i int) {
 	}
 }
 
-// TestSiftMatchesSwapReference runs Heap and the swap-sift reference
+// worse reports whether a should be evicted before b (a is strictly
+// worse): the order the tree's keys and their id fallback (after) keep.
+func worse(a, b Result) bool {
+	if a.Distance != b.Distance {
+		return a.Distance > b.Distance
+	}
+	return a.ID > b.ID
+}
+
+// compare orders results by ascending distance, ties by ascending id:
+// the order of Results and of MergeResults.
+func compare(a, b Result) int {
+	switch {
+	case worse(b, a):
+		return -1
+	case worse(a, b):
+		return 1
+	}
+	return 0
+}
+
+// TestPushMatchesSwapReference runs Heap and the swap-sift reference
 // push by push over random streams in which distances and ids collide
-// often — equal distances with different ids, one id at two distances,
-// and whole repeated (distance, id) pairs — and holds every Push
-// return, Threshold, Worst, Len, every array slot and the final sorted
-// results equal. Pruning, Stats and MergeResults see only these, so
-// they cannot tell the two heaps apart.
-func TestSiftMatchesSwapReference(t *testing.T) {
+// often — equal distances with different ids, -0 beside +0, one id at
+// two distances, and whole repeated (distance, id) pairs — and holds
+// every Push return, Threshold, Worst, Len and the final sorted results
+// equal. Pruning, Stats and MergeResults see only these, so they cannot
+// tell the two apart. k = 128 fills every leaf of its tree, k = 129
+// pads 127.
+func TestPushMatchesSwapReference(t *testing.T) {
 	r := rng.New(38)
-	for _, k := range []int{1, 2, 3, 7, 100} {
+	for _, k := range []int{1, 2, 3, 7, 100, 128, 129} {
 		for trial := 0; trial < 60; trial++ {
 			n := r.Intn(40*k) + 1
-			// Few distinct distances and ids: ties between siblings, and
-			// between a sibling and the pushed candidate, are common.
+			// Few distinct distances and ids: ties between the candidate
+			// and the winner, and within the tree, are common.
 			levels, ids := r.Intn(2*k)+1, r.Intn(3*k)+1
 			h, ref := New(k), &swapHeap{k: k}
 			for i := 0; i < n; i++ {
@@ -81,12 +104,12 @@ func TestSiftMatchesSwapReference(t *testing.T) {
 				if r.Intn(4) == 0 {
 					d = float32(r.Float64() * float64(levels))
 				}
+				if d == 0 && r.Intn(2) == 0 {
+					d = float32(math.Copysign(0, -1))
+				}
 				id := int64(r.Intn(ids))
 				if got, want := h.Push(id, d), ref.push(id, d); got != want {
 					t.Fatalf("k=%d trial %d push %d (%d, %v): Push = %v, reference %v", k, trial, i, id, d, got, want)
-				}
-				if !slices.Equal(h.items, ref.items) {
-					t.Fatalf("k=%d trial %d push %d (%d, %v): slots\n%v\nreference\n%v", k, trial, i, id, d, h.items, ref.items)
 				}
 				if h.Len() != len(ref.items) {
 					t.Fatalf("k=%d trial %d push %d: Len = %d, reference %d", k, trial, i, h.Len(), len(ref.items))
@@ -98,9 +121,47 @@ func TestSiftMatchesSwapReference(t *testing.T) {
 						k, trial, i, thr, full, worst, ok, ref.items[0], len(ref.items))
 				}
 			}
-			want := (&Heap{k: k, items: ref.items}).AppendResults(nil)
+			want := slices.SortedFunc(slices.Values(ref.items), compare)
 			if got := h.AppendResults(nil); !slices.Equal(got, want) {
 				t.Fatalf("k=%d trial %d: results\n%v\nreference\n%v", k, trial, got, want)
+			}
+		}
+	}
+}
+
+// TestKeyOrderMatchesWorse: for two results in two leaves, after on
+// their keys is worse on the results, both ways round, over every pair
+// of a set of special distances (±0, ±subnormals, ±MaxFloat32, ±Inf,
+// negative values) and random ones, with ids from a small set so equal
+// ids meet at equal distances too.
+func TestKeyOrderMatchesWorse(t *testing.T) {
+	neg0 := float32(math.Copysign(0, -1))
+	dists := []float32{
+		0, neg0, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), -math.Float32frombits(0x007fffff), // largest subnormal
+		math.MaxFloat32, -math.MaxFloat32, float32(math.Inf(1)), float32(math.Inf(-1)),
+		1, -1, -0.5, -1e-30, 1e-30,
+	}
+	r := rng.New(53)
+	for range 40 {
+		d := float32(r.Float64()*4 - 2)
+		dists = append(dists, d, -d)
+	}
+	var rs []Result
+	for _, d := range dists {
+		for id := range int64(3) {
+			rs = append(rs, Result{ID: id - 1, Distance: d})
+		}
+	}
+	for _, a := range rs {
+		for _, b := range rs {
+			ids := []uint64{uint64(a.ID), uint64(b.ID)}
+			ka, kb := key(a.Distance, 0), key(b.Distance, 1)
+			if got, want := after(ids, ka, kb), worse(a, b); got != want {
+				t.Fatalf("after(%v, %v) = %v, worse = %v (keys %#x, %#x)", a, b, got, want, ka, kb)
+			}
+			if got, want := after(ids, kb, ka), worse(b, a); got != want {
+				t.Fatalf("after(%v, %v) = %v, worse = %v (keys %#x, %#x)", b, a, got, want, kb, ka)
 			}
 		}
 	}

@@ -1,19 +1,24 @@
-// Package topk provides the bounded max-heap that every scan kernel uses
-// to maintain its current top-k nearest neighbor candidates.
+// Package topk provides the bounded top-k structure that every scan
+// kernel uses to maintain its current top-k nearest neighbor candidates.
 //
 // The paper describes scans returning a single nearest neighbor for
 // clarity but notes that "In practice, they return multiple nearest
 // neighbors e.g., topk = 100 for information retrieval in multimedia
 // databases" (§5.1). The pruning threshold of PQ Fast Scan is the distance
-// of the current topk-th neighbor (§5.4), which is exactly the root of
-// this heap once it is full.
+// of the current topk-th neighbor (§5.4), which is exactly the winner of
+// this structure's tournament once it is full.
 //
 // Tie handling is deterministic (larger id evicted first on equal
 // distance) so that all three kernels return bit-identical result sets,
 // the exactness invariant of DESIGN.md §6.
 package topk
 
-import "slices"
+import (
+	"cmp"
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Result is one neighbor candidate, and one neighbor of a /search
 // reply on the wire.
@@ -22,19 +27,29 @@ type Result struct {
 	Distance float32 `json:"distance"`
 }
 
-// Heap is a bounded max-heap of the k best (smallest-distance) results
-// seen so far. The zero value is unusable; call New.
+// Heap retains the k best (smallest-distance) results seen so far, the
+// worst of them on top. It is a tournament tree of losers (Knuth, TAOCP
+// vol. 3, §5.4.1) over k leaves padded to a power of two, p. Leaf i
+// holds a result; a result's key is its distance's order bits (orderBits)
+// in the high half and i in the low half. Internal node j in [1, p),
+// whose children are 2j and 2j+1 (leaf i is node p+i), keeps the key of
+// the better result of the match played there; keys[0] keeps the winner,
+// the worst retained result. A full tree replaces the winner's leaf and
+// replays the matches on its path to the root. The zero value is
+// unusable; call New.
 type Heap struct {
-	k     int
-	items []Result
+	k, n int
+	// keys, order, ids and dists share one allocation (Reset reuses it):
+	// the tree, AppendResults' sort scratch, and each leaf's id and
+	// distance bits.
+	keys, order, ids, dists []uint64
 }
 
 // New returns a heap retaining the k smallest-distance results.
 func New(k int) *Heap {
-	if k <= 0 {
-		panic("topk: k must be positive")
-	}
-	return &Heap{k: k, items: make([]Result, 0, k)}
+	h := new(Heap)
+	h.Reset(k)
+	return h
 }
 
 // K returns the heap capacity.
@@ -48,19 +63,20 @@ func (h *Heap) Reset(k int) {
 	if k <= 0 {
 		panic("topk: k must be positive")
 	}
-	h.k = k
-	if cap(h.items) < k {
-		h.items = make([]Result, 0, k)
-	} else {
-		h.items = h.items[:0]
+	p := 1 << bits.Len(uint(k-1))
+	buf := h.keys[:cap(h.keys)]
+	if len(buf) < 4*p {
+		buf = make([]uint64, 4*p)
 	}
+	h.k, h.n = k, 0
+	h.keys, h.order, h.ids, h.dists = buf[:p], buf[p:2*p], buf[2*p:3*p], buf[3*p:4*p]
 }
 
 // Len returns the number of results currently held.
-func (h *Heap) Len() int { return len(h.items) }
+func (h *Heap) Len() int { return h.n }
 
 // Full reports whether k results have been collected.
-func (h *Heap) Full() bool { return len(h.items) == h.k }
+func (h *Heap) Full() bool { return h.n == h.k }
 
 // Threshold returns the current pruning threshold: the distance of the
 // worst retained result once the heap is full, or +Inf semantics via ok
@@ -69,110 +85,154 @@ func (h *Heap) Threshold() (dist float32, ok bool) {
 	if !h.Full() {
 		return 0, false
 	}
-	return h.items[0].Distance, true
+	return h.dist(h.keys[0]), true
 }
 
-// worse reports whether a should be evicted before b (a is strictly worse).
-func worse(a, b Result) bool {
-	if a.Distance != b.Distance {
-		return a.Distance > b.Distance
-	}
-	return a.ID > b.ID
-}
-
-// Worst returns the largest distance currently retained (the heap root),
+// Worst returns the largest distance currently retained (the winner),
 // regardless of whether the heap is full. ok is false when it is empty.
 // PQ Fast Scan uses it as the quantization bound when the keep phase
 // holds fewer than k temporary neighbors: the eventual topk-th distance
 // cannot usefully exceed the worst temporary distance's scale, so the
 // quantized range stays relevant without collapsing to the top-1 bound.
 func (h *Heap) Worst() (dist float32, ok bool) {
-	if len(h.items) == 0 {
+	if h.n == 0 {
 		return 0, false
 	}
-	return h.items[0].Distance, true
+	return h.dist(h.keys[0]), true
+}
+
+// orderBits maps a distance to bits whose unsigned order is the
+// distance's: 2³¹ plus the magnitude for a positive value, minus it for
+// a negative one, so -0 and +0 both map to 2³¹. Every float32 maps into
+// [1, 2³²), which leaves 0 to the padding leaves.
+func orderBits(d float32) uint64 {
+	b := math.Float32bits(d)
+	s := uint32(int32(b) >> 31) // all ones for a negative value
+	return uint64(1<<31 + (b&(1<<31-1) ^ s) - s)
+}
+
+// key is the key of distance d in leaf i.
+func key(d float32, i int) uint64 { return orderBits(d)<<32 | uint64(i) }
+
+// low is the leaf index half of a key.
+const low = 1<<32 - 1
+
+// dist returns the distance of the leaf key a names.
+func (h *Heap) dist(a uint64) float32 {
+	return math.Float32frombits(uint32(h.dists[a&low]))
+}
+
+// after reports whether the result of key a is evicted before that of
+// key b, the leaves' ids in ids: a larger distance, or the larger id at
+// an equal one. Keys of two leaves never compare equal, so the unsigned
+// compare decides unless the high halves tie.
+func after(ids []uint64, a, b uint64) bool {
+	gt := a > b
+	if (a^b)>>32 == 0 {
+		gt = int64(ids[a&low]) > int64(ids[b&low])
+	}
+	return gt
 }
 
 // Push offers a candidate. It returns true if the candidate was retained.
 func (h *Heap) Push(id int64, dist float32) bool {
-	c := Result{ID: id, Distance: dist}
-	if len(h.items) < h.k {
-		h.items = append(h.items, c)
-		h.siftUp(c)
+	if h.n < h.k {
+		h.fill(id, dist)
 		return true
 	}
-	if !worse(h.items[0], c) {
+	keys, ids := h.keys, h.ids
+	w := keys[0]
+	i := w & low
+	c := orderBits(dist)<<32 | i
+	// c and w share a low half: c > w is a larger distance, c == w an
+	// equal one.
+	if c > w || c == w && int64(ids[i]) <= id {
 		return false
 	}
-	h.replaceRoot(c)
+	ids[i], h.dists[i] = uint64(id), uint64(math.Float32bits(dist))
+	// Replay the winner's path: at each node the worse of c and the key
+	// kept there goes on up, the better stays, swapped by an xor mask.
+	for j := (uint64(len(keys)) + i) >> 1; j > 0; j >>= 1 {
+		o := keys[j]
+		x := (o ^ c) & -b2u(after(ids, o, c))
+		keys[j] = o ^ x
+		c ^= x
+	}
+	keys[0] = c
 	return true
 }
 
-// siftUp places c, just appended, by moving a hole up from the last
-// slot: each parent c is worse than comes down one level, and c is
-// stored once, where the hole stops.
-func (h *Heap) siftUp(c Result) {
-	items := h.items
-	i := len(items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !worse(c, items[parent]) {
-			break
-		}
-		items[i] = items[parent]
-		i = parent
+// fill stores the candidate in the next free leaf, keeping keys[0] the
+// worst so far, and plays the tournament once the k-th leaf is filled.
+func (h *Heap) fill(id int64, dist float32) {
+	i := h.n
+	h.ids[i], h.dists[i] = uint64(id), uint64(math.Float32bits(dist))
+	if c := key(dist, i); i == 0 || after(h.ids, c, h.keys[0]) {
+		h.keys[0] = c
 	}
-	items[i] = c
+	h.n++
+	if h.n == h.k {
+		h.build()
+	}
 }
 
-// replaceRoot evicts the root for c by moving a hole down from the root:
-// the worse child of the hole moves up while it is worse than c, and c is
-// stored once, where the hole stops. The worse child is picked without a
-// branch on distance; ids are compared only when the two children's
-// distances are equal. Every slot ends where the textbook swap-based
-// sift would put it (the reference in sift_test.go).
-func (h *Heap) replaceRoot(c Result) {
-	items := h.items
-	n := len(items)
-	i := 0
-	for {
-		l := 2*i + 1
-		if l+1 >= n {
-			break
+// build plays every match of a full tree, a level at a time from the
+// leaves up. order holds the winners of the level below: first the leaf
+// keys (a padding leaf's key is its index, below every result's), then,
+// for a level of m nodes, each match's winner at its position in [0, m).
+func (h *Heap) build() {
+	keys, win := h.keys, h.order
+	for i := range win {
+		win[i] = uint64(i)
+		if i < h.k {
+			win[i] = key(h.dist(uint64(i)), i)
 		}
-		dl, dr := items[l].Distance, items[l+1].Distance
-		m := l + b2i(dr > dl)
-		if dr == dl && items[l+1].ID > items[l].ID {
-			m = l + 1
-		}
-		if !worse(items[m], c) {
-			break
-		}
-		items[i] = items[m]
-		i = m
 	}
-	// The hole may have reached the one node with a left child only.
-	if l := 2*i + 1; l == n-1 && worse(items[l], c) {
-		items[i] = items[l]
-		i = l
+	for m := len(keys) / 2; m > 0; m /= 2 {
+		for j := range m {
+			a, b := win[2*j], win[2*j+1]
+			if after(h.ids, b, a) {
+				a, b = b, a
+			}
+			keys[m+j], win[j] = b, a
+		}
 	}
-	items[i] = c
+	keys[0] = win[0]
 }
 
-// b2i is 1 for true and 0 for false; the compiler emits a SETcc, not a
+// b2u is 1 for true and 0 for false; the compiler emits a SETcc, not a
 // branch.
-func b2i(b bool) int {
-	var i int
+func b2u(b bool) uint64 {
+	var u uint64
 	if b {
-		i = 1
+		u = 1
 	}
-	return i
+	return u
 }
 
 // Results returns the retained results sorted by ascending distance
 // (ties by ascending id). The heap is unchanged.
 func (h *Heap) Results() []Result {
 	return h.AppendResults(nil)
+}
+
+// AppendResults appends the sorted results to dst (which may be a reused
+// buffer, typically dst[:0]) and returns the extended slice. The retained
+// results are unchanged; only the sort scratch is written. Like Results
+// but allocation-free once dst has capacity.
+func (h *Heap) AppendResults(dst []Result) []Result {
+	keys := h.order[:h.n]
+	for i := range keys {
+		keys[i] = key(h.dist(uint64(i)), i)
+	}
+	slices.Sort(keys)
+	start := len(dst)
+	dst = slices.Grow(dst, len(keys))
+	for _, a := range keys {
+		dst = append(dst, Result{ID: int64(h.ids[a&low]), Distance: h.dist(a)})
+	}
+	idOrderTies(dst[start:], keys)
+	return dst
 }
 
 // MergeResults merges per-source top-k lists into one global top-k — the
@@ -189,11 +249,25 @@ func (h *Heap) Results() []Result {
 // returns them all; no hits at all return nil, as Results does.
 func MergeResults(k int, lists ...[]Result) []Result {
 	all := slices.Concat(lists...)
-	slices.SortFunc(all, compare)
+	if len(all) == 0 {
+		return nil
+	}
+	// Sorted by key (the index into all in the low half), then equal
+	// distances by id: the order of Results.
+	keys := make([]uint64, len(all))
+	for i, r := range all {
+		keys[i] = key(r.Distance, i)
+	}
+	slices.Sort(keys)
+	sorted := make([]Result, len(all))
+	for i, a := range keys {
+		sorted[i] = all[a&low]
+	}
+	idOrderTies(sorted, keys)
 	// Sorted, an id's first copy is its smallest distance.
-	seen := make(map[int64]struct{}, min(k, len(all)))
-	out := all[:0]
-	for _, r := range all {
+	seen := make(map[int64]struct{}, min(k, len(sorted)))
+	out := sorted[:0]
+	for _, r := range sorted {
 		if len(out) == k {
 			break
 		}
@@ -205,30 +279,18 @@ func MergeResults(k int, lists ...[]Result) []Result {
 	return out
 }
 
-// AppendResults appends the sorted results to dst (which may be a reused
-// buffer, typically dst[:0]) and returns the extended slice. The heap is
-// unchanged. Like Results but allocation-free once dst has capacity.
-func (h *Heap) AppendResults(dst []Result) []Result {
-	start := len(dst)
-	dst = append(dst, h.items...)
-	slices.SortFunc(dst[start:], compare)
-	return dst
-}
-
-// compare orders results by ascending distance, ties by ascending id:
-// the order of Results and of MergeResults.
-func compare(a, b Result) int {
-	if a.Distance != b.Distance {
-		if a.Distance < b.Distance {
-			return -1
+// idOrderTies sorts by id each run of rs whose keys, sorted, share a
+// high half — the results at one distance; rs[i] is the result of
+// keys[i].
+func idOrderTies(rs []Result, keys []uint64) {
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && (keys[j]^keys[i])>>32 == 0 {
+			j++
 		}
-		return 1
-	}
-	if a.ID != b.ID {
-		if a.ID < b.ID {
-			return -1
+		if j-i > 1 {
+			slices.SortFunc(rs[i:j], func(a, b Result) int { return cmp.Compare(a.ID, b.ID) })
 		}
-		return 1
+		i = j
 	}
-	return 0
 }
